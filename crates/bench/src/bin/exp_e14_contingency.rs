@@ -26,12 +26,12 @@
 //! Smoke (CI): `E14_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e14_contingency`
 
 use fbs::{
-    ContingencyOutcome, ContingencyScreener, ScreeningReport, ScenarioPatch, SerialSolver,
-    SolverConfig, TensorBatchSolver,
+    ContingencyOutcome, ContingencyScreener, ScenarioPatch, Scenarios, ScreeningReport,
+    SerialSolver, SolverArrays, SolverConfig, TensorBatchSolver,
 };
 use fbs_bench::{eval_config, rng_for, summary, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
-use powergrid::{RadialNetwork, TopologyDelta};
+use powergrid::{DfsOrder, RadialNetwork, TopologyDelta};
 use simt::{Device, DeviceProps, HostProps};
 
 /// Deterministic evenly-strided sample of `count` non-root buses.
@@ -77,7 +77,11 @@ fn row(table: &mut Table, n: usize, mode: &str, report: &ScreeningReport) {
 fn assert_serial_parity(net: &RadialNetwork, cfg: &SolverConfig, buses: &[usize], tol_v: f64) {
     let patches: Vec<ScenarioPatch> = buses.iter().map(|&b| ScenarioPatch::outage(b)).collect();
     let mut tensor = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
-    let batched = tensor.solve_patched(net, &patches, cfg, None);
+    let dfs = DfsOrder::new(net);
+    let scenarios = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
+    let batched = tensor
+        .try_solve(&SolverArrays::new(net), scenarios, cfg)
+        .expect("the fault-free device cannot fail");
 
     let serial = SerialSolver::new(HostProps::paper_rig());
     let mut work = net.clone();
@@ -98,9 +102,9 @@ fn assert_serial_parity(net: &RadialNetwork, cfg: &SolverConfig, buses: &[usize]
         for &b in delta.isolated() {
             dead[b] = true;
         }
-        for b in 0..net.num_buses() {
+        for (b, &is_dead) in dead.iter().enumerate() {
             let v = batched.v[s][b];
-            if dead[b] {
+            if is_dead {
                 assert!(
                     v.abs() == 0.0,
                     "outage of bus {bus}: de-energized bus {b} reported |V| {}",

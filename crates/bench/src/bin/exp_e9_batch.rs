@@ -4,14 +4,13 @@
 //! The operational workload behind the paper's motivation (distribution
 //! system analysis) is time-series: thousands of load scenarios on one
 //! topology. The tensor engine fuses all levels of all scenarios into
-//! two launches per iteration and keeps the loads on device
-//! (`solve_scaled`), so the per-scenario cost keeps falling with batch
-//! size until the sweep itself — not launch overhead or transfers — is
-//! the bill. The legacy level-batched engine has been retired;
-//! `BatchSolver` is now a compatibility shim over the tensor engine, so
-//! the reference points here are the *serial* per-scenario cost and the
-//! shim at a modest batch (which pays the full per-bus state download
-//! the stats-only sweep skips).
+//! one launch per iteration and keeps the loads on device
+//! (`Scenarios::Scaled`), so the per-scenario cost keeps falling with
+//! batch size until the sweep itself — not launch overhead or transfers
+//! — is the bill. The reference points are the *serial* per-scenario
+//! cost and the same engine at a modest batch of explicit per-bus loads
+//! with full state readback (the upload and download the stats-only
+//! scaled sweep skips).
 //!
 //! Acceptance (full run): at B = 100K the per-scenario modeled cost must
 //! be at most 0.1x the serial baseline, and no higher than the B = 128
@@ -22,7 +21,7 @@
 //! Run: `cargo run -p fbs-bench --release --bin exp_e9_batch`
 //! Smoke (CI): `E9_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e9_batch`
 
-use fbs::{BatchSolver, SerialSolver, SolverArrays, TensorBatchSolver};
+use fbs::{Scenarios, SerialSolver, SolverArrays, TensorBatchSolver};
 use fbs_bench::{eval_config, rng_for, speedup, summary, us, Table};
 use numc::Complex;
 use powergrid::gen::{balanced_binary, GenSpec};
@@ -47,19 +46,19 @@ fn main() {
     let serial = SerialSolver::new(HostProps::paper_rig());
     let serial_us = serial.solve_arrays(&arrays, &cfg).timing.total_us();
 
-    // The compatibility shim (`BatchSolver`) at a modest batch: the
-    // full-result path, per-bus voltages downloaded and unbatched.
-    let compat_b: usize = if smoke { 8 } else { 128 };
-    let compat_loads: Vec<Vec<Complex>> = (0..compat_b)
+    // Explicit per-bus loads at a modest batch: the full-result path,
+    // loads uploaded, per-bus voltages downloaded and unbatched.
+    let explicit_b: usize = if smoke { 8 } else { 128 };
+    let explicit_loads: Vec<Vec<Complex>> = (0..explicit_b)
         .map(|k| {
-            let s = scale_for(k, compat_b);
+            let s = scale_for(k, explicit_b);
             net.buses().iter().map(|b| b.load * s).collect()
         })
         .collect();
-    let mut compat = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
-    let compat_res = compat.solve_arrays(&arrays, &compat_loads, &cfg);
-    assert!(compat_res.converged(), "compat batch of {compat_b} must converge");
-    let compat_per = compat_res.timing.total_us() / compat_b as f64;
+    let mut explicit = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
+    let explicit_res = explicit.solve_arrays(&arrays, &explicit_loads, &cfg);
+    assert!(explicit_res.converged(), "explicit batch of {explicit_b} must converge");
+    let explicit_per = explicit_res.timing.total_us() / explicit_b as f64;
 
     let mut table = Table::new(
         "E9: Tensor-batched GPU load flow, 4K-bus binary feeder",
@@ -71,17 +70,17 @@ fn main() {
             "per scenario",
             "scenarios/s",
             "vs serial",
-            &format!("vs compat@{compat_b}"),
+            &format!("vs explicit@{explicit_b}"),
         ],
     );
     table.row(&[
-        &compat_b,
-        &"compat",
-        &compat_res.iterations,
-        &us(compat_res.timing.total_us()),
-        &us(compat_per),
-        &format!("{:.0}", 1e6 / compat_per),
-        &speedup(serial_us / compat_per),
+        &explicit_b,
+        &"tensor, explicit loads",
+        &explicit_res.iterations,
+        &us(explicit_res.timing.total_us()),
+        &us(explicit_per),
+        &format!("{:.0}", 1e6 / explicit_per),
+        &speedup(serial_us / explicit_per),
         &speedup(1.0),
     ]);
 
@@ -95,7 +94,9 @@ fn main() {
         // cost nobody reads in a throughput sweep.
         let mut solver =
             TensorBatchSolver::new(Device::new(DeviceProps::paper_rig())).stats_only();
-        let res = solver.solve_scaled_arrays(&arrays, &scales, &cfg);
+        let res = solver
+            .try_solve(&arrays, Scenarios::Scaled(&scales), &cfg)
+            .expect("the fault-free device cannot fail");
         assert!(res.converged(), "tensor batch of {nb} must converge");
 
         table.sample(&res.timing);
@@ -113,7 +114,7 @@ fn main() {
             &us(per),
             &format!("{:.0}", res.scenarios_per_sec),
             &speedup(serial_us / per),
-            &speedup(compat_per / per),
+            &speedup(explicit_per / per),
         ]);
     }
 

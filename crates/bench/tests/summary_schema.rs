@@ -144,7 +144,7 @@ fn summary_covers_every_experiment_bin() {
     );
     let outer = e17.get("outer_iters_headline").and_then(Value::as_f64);
     assert!(
-        outer.is_some_and(|v| v >= 1.0 && v <= 40.0),
+        outer.is_some_and(|v| (1.0..=40.0).contains(&v)),
         "e17_mesh: outer_iters_headline must be a sane outer count, got {outer:?}"
     );
 }

@@ -6,11 +6,11 @@ use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
     record_mesh3_run, record_mesh_run, record_run, solve3_dg, solve3_dg_resilient,
-    solve_meshed_resilient, Backend, BackwardStrategy, BatchSolver, ContingencyScreener,
-    FaultReport, FleetConfig, FleetRequest, FleetService, GpuSolver, IntegrityConfig,
-    IntegritySampler, JumpSolver, Mesh3Result, MeshResult, MeshSolver, MulticoreSolver, Outcome,
-    OuterConfig, Priority, Request, Resilient3Solver, ResilientSolver, SerialSolver,
-    ServiceConfig, SolveResult, SolveService, SolveStatus, SolverConfig, Timing,
+    solve_meshed_resilient, Backend, BackwardStrategy, ContingencyScreener, FaultReport,
+    FleetConfig, FleetRequest, FleetService, GpuSolver, IntegrityConfig, IntegritySampler,
+    JumpSolver, Mesh3Result, MeshResult, MeshSolver, MulticoreSolver, Outcome, OuterConfig,
+    Priority, Request, Resilient3Solver, ResilientSolver, Scenarios, SerialSolver, ServiceConfig,
+    SolveResult, SolveService, SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver, Timing,
 };
 use powergrid::gen::{
     balanced_binary, balanced_kary, broom, caterpillar, chain, random_tree, star, GenSpec,
@@ -741,12 +741,12 @@ fn cmd_batch(argv: &[String]) -> Result<u8, String> {
         })
         .collect();
 
-    let mut solver = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
+    let mut solver = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
     if let Some(rec) = tele.recorder() {
         solver = solver.with_recorder(rec.clone());
     }
     let res = solver
-        .try_solve(&net, &scenarios, &cfg)
+        .try_solve(&SolverArrays::new(&net), Scenarios::Explicit(&scenarios), &cfg)
         .map_err(|e| format!("batch solve failed: {e}"))?;
     tele.bridge_device(solver.device());
 
@@ -972,7 +972,7 @@ fn cmd_fleet(argv: &[String]) -> Result<u8, String> {
     });
     let responses = fleet.run_stream(arrivals);
 
-    let s = fleet.stats().clone();
+    let s = *fleet.stats();
     let answered: Vec<&fbs::FleetResponse> =
         responses.iter().filter(|r| r.answered()).collect();
     let makespan = responses.iter().map(|r| r.finish_us).fold(0.0f64, f64::max);
@@ -1043,7 +1043,7 @@ fn cmd_soak(argv: &[String]) -> Result<u8, String> {
     }
     let requests: usize = a.get_parse_or("requests", 48usize)?;
     let gap: f64 = a.get_parse_or("gap", 400.0)?;
-    let seed: u64 = a.get_parse_or("seed", 0x50a_cu64)?;
+    let seed: u64 = a.get_parse_or("seed", 0x50acu64)?;
     let burst_rate: f64 = a.get_parse_or("burst-rate", 0.04)?;
     let ramp_rate: f64 = a.get_parse_or("ramp-rate", 0.06)?;
     let kill: bool = a.get_parse_or("kill", true)?;
@@ -1102,7 +1102,7 @@ fn cmd_soak(argv: &[String]) -> Result<u8, String> {
     });
     let responses = fleet.run_stream(arrivals);
 
-    let s = fleet.stats().clone();
+    let s = *fleet.stats();
     let istats = fleet.integrity_stats();
     let detected: u64 = responses
         .iter()

@@ -274,27 +274,23 @@ mod tests {
             "a finite positive deadline is valid"
         );
 
-        let mut c = SolverConfig::default();
-        c.max_iter = 0;
+        let d = SolverConfig::default();
+        let c = SolverConfig { max_iter: 0, ..d };
         assert_eq!(c.validate(), Err(ConfigError::ZeroMaxIter));
 
-        let mut c = SolverConfig::default();
-        c.tol_rel = f64::NAN;
+        let c = SolverConfig { tol_rel: f64::NAN, ..d };
         assert_eq!(c.validate(), Err(ConfigError::BadTolerance));
 
-        let mut c = SolverConfig::default();
-        c.divergence_cap = f64::INFINITY;
+        let mut c = SolverConfig { divergence_cap: f64::INFINITY, ..d };
         assert_eq!(c.validate(), Err(ConfigError::BadDivergence));
         c.divergence_cap = SolverConfig::DEFAULT_DIVERGENCE_CAP;
         c.divergence_patience = 0;
         assert_eq!(c.validate(), Err(ConfigError::BadDivergence));
 
-        let mut c = SolverConfig::default();
-        c.checkpoint_every = 0;
+        let c = SolverConfig { checkpoint_every: 0, ..d };
         assert_eq!(c.validate(), Err(ConfigError::ZeroCheckpointEvery));
 
-        let mut c = SolverConfig::default();
-        c.deadline_us = Some(-1.0);
+        let c = SolverConfig { deadline_us: Some(-1.0), ..d };
         assert_eq!(c.validate(), Err(ConfigError::BadDeadline));
     }
 }

@@ -31,7 +31,7 @@ use crate::config::SolverConfig;
 use crate::report::Timing;
 use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
-use crate::tensor_batch::{ScenarioPatch, TensorBatchSolver};
+use crate::tensor_batch::{ScenarioPatch, Scenarios, TensorBatchSolver};
 
 /// Device-memory budget the screener plans chunks against, bytes. The
 /// resident per-scenario state is the voltage and current stripes
@@ -193,10 +193,12 @@ impl ContingencyScreener {
 
         let patches: Vec<ScenarioPatch> =
             buses.iter().map(|&b| ScenarioPatch::outage(b)).collect();
-        let res = self
-            .solver
-            .try_solve_patched_arrays(&a, &dfs, &patches, cfg, warm_profile.map(|v| &v[..]))
-            .unwrap_or_else(|e| panic!("{e}"));
+        let scenarios = Scenarios::Patched {
+            dfs: &dfs,
+            patches: &patches,
+            warm: warm_profile.map(|v| &v[..]),
+        };
+        let res = self.solver.try_solve(&a, scenarios, cfg).unwrap_or_else(|e| panic!("{e}"));
 
         let outcomes = buses
             .iter()

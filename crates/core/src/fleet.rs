@@ -56,12 +56,11 @@ use simt::{DeviceProps, FaultPlan, HostProps, StormSchedule};
 use telemetry::trace::ArgValue;
 use telemetry::{Recorder, Trace};
 
-use crate::batch::BatchResult;
 use crate::integrity::{IntegritySampler, IntegrityStats};
 use crate::service::{
     BreakerState, Outcome, Request, Response, ServiceConfig, ServiceStats, SolveService,
 };
-use crate::tensor_batch::shard_ranges;
+use crate::tensor_batch::{scenarios_per_sec, shard_ranges, TensorBatchResult};
 
 /// Request priority class for the brown-out ladder. Ordered: under
 /// overload, `Bulk` work is evicted before `Normal`, `Normal` before
@@ -915,7 +914,7 @@ impl FleetService {
         let mut reclaimed = 0u32;
         let mut first_start = f64::INFINITY;
         let mut last_finish = p.arrived;
-        let mut parts: Vec<BatchResult> = Vec::with_capacity(ranges.len());
+        let mut parts: Vec<TensorBatchResult> = Vec::with_capacity(ranges.len());
         let shards = ranges.len() as u32;
         for (k, range) in ranges.into_iter().enumerate() {
             let d = healthy[k % healthy.len()];
@@ -988,7 +987,7 @@ impl FleetService {
 
     /// Re-serves a stranded shard on the best peer that is not the
     /// lost device, walking down to the CPU rung if everything fails.
-    fn reclaim_shard(&mut self, req: Request, lost: u32, at: f64) -> (BatchResult, f64) {
+    fn reclaim_shard(&mut self, req: Request, lost: u32, at: f64) -> (TensorBatchResult, f64) {
         let mut excluded = vec![lost];
         let mut clock = at;
         loop {
@@ -1027,27 +1026,24 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Reassembles shard results into one [`BatchResult`] in scenario
+/// Reassembles shard results into one [`TensorBatchResult`] in scenario
 /// order: per-scenario vectors concatenate, iterations take the
 /// slowest shard, residual the worst, timings sum (total modeled work).
-fn merge_batches(parts: Vec<BatchResult>) -> BatchResult {
+fn merge_batches(parts: Vec<TensorBatchResult>) -> TensorBatchResult {
     let mut it = parts.into_iter();
     let mut out = it.next().expect("at least one shard");
     for part in it {
         out.v.extend(part.v);
         out.j.extend(part.j);
         out.statuses.extend(part.statuses);
+        out.per_scenario_iterations.extend(part.per_scenario_iterations);
+        out.residuals.extend(part.residuals);
+        out.min_v.extend(part.min_v);
         out.iterations = out.iterations.max(part.iterations);
         if part.residual.is_nan() || part.residual > out.residual {
             out.residual = part.residual;
         }
-        out.timing.phases.setup_us += part.timing.phases.setup_us;
-        out.timing.phases.injection_us += part.timing.phases.injection_us;
-        out.timing.phases.backward_us += part.timing.phases.backward_us;
-        out.timing.phases.forward_us += part.timing.phases.forward_us;
-        out.timing.phases.convergence_us += part.timing.phases.convergence_us;
-        out.timing.phases.teardown_us += part.timing.phases.teardown_us;
-        out.timing.wall_us += part.timing.wall_us;
+        out.timing.accumulate(&part.timing);
         // Fault/integrity bookkeeping sums across shards; the backend
         // list keeps the first shard's (shards run the same backend).
         out.fault_report = match (out.fault_report.take(), part.fault_report) {
@@ -1063,6 +1059,7 @@ fn merge_batches(parts: Vec<BatchResult>) -> BatchResult {
             (a, b) => a.or(b),
         };
     }
+    out.scenarios_per_sec = scenarios_per_sec(out.statuses.len(), &out.timing);
     out
 }
 
@@ -1248,6 +1245,27 @@ mod tests {
                 assert!((*a - *c).abs() <= 1e-9 * scale, "scenario {s} must merge in order");
             }
         }
+    }
+
+    #[test]
+    fn merged_shards_sum_their_transfer_time() {
+        let Request::Batch { net, scenarios, cfg } = batch_req(96) else { unreachable!() };
+        let arrays = crate::SolverArrays::new(&net);
+        let parts: Vec<TensorBatchResult> = shard_ranges(scenarios.len(), 3, 16)
+            .into_iter()
+            .map(|r| {
+                crate::TensorBatchSolver::new(simt::Device::paper_rig())
+                    .solve_arrays(&arrays, &scenarios[r], &cfg)
+            })
+            .collect();
+        assert!(parts.len() >= 2, "the batch must split into shards");
+        let transfer: f64 = parts.iter().map(|p| p.timing.transfer_us).sum();
+        let transfer_sweep: f64 = parts.iter().map(|p| p.timing.transfer_sweep_us).sum();
+        assert!(parts[0].timing.transfer_us < transfer);
+        let merged = merge_batches(parts);
+        assert_eq!(merged.timing.transfer_us, transfer);
+        assert_eq!(merged.timing.transfer_sweep_us, transfer_sweep);
+        assert_eq!(merged.per_scenario_iterations.len(), scenarios.len());
     }
 
     #[test]

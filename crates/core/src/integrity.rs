@@ -249,7 +249,7 @@ mod tests {
         assert_eq!(a, run(7), "same seed, same picks");
         assert_ne!(a, run(8), "different seed, different picks");
         let hits = a.iter().filter(|&&p| p).count();
-        assert!(hits >= 4 && hits <= 40, "1-in-4 sampling picked {hits}/64");
+        assert!((4..=40).contains(&hits), "1-in-4 sampling picked {hits}/64");
     }
 
     #[test]
@@ -282,28 +282,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        let serial = SerialSolver::new(HostProps::paper_rig());
-        let (v, j): (Vec<_>, Vec<_>) = scenarios
-            .iter()
-            .map(|sc| {
-                let mut a = SolverArrays::new(&net);
-                for (p, slot) in a.s.iter_mut().enumerate() {
-                    *slot = sc[a.levels.order[p] as usize];
-                }
-                let r = serial.solve_arrays(&a, &cfg());
-                (r.v, r.j)
-            })
-            .unzip();
-        let statuses = vec![crate::SolveStatus::Converged; 6];
-        let res = crate::BatchResult {
-            v,
-            j,
-            iterations: 10,
-            statuses,
-            residual: 0.0,
-            timing: crate::Timing::default(),
-            fault_report: None,
-        };
+        let res = crate::TensorBatchSolver::new(simt::Device::paper_rig()).solve_arrays(
+            &SolverArrays::new(&net),
+            &scenarios,
+            &cfg(),
+        );
         let mut s = IntegritySampler::new(
             IntegrityConfig { sample_every: 1, ..IntegrityConfig::default() },
             HostProps::paper_rig(),

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod arrays;
-pub mod batch;
 mod config;
 pub mod contingency;
 pub mod fleet;
@@ -48,7 +47,6 @@ pub mod three_phase;
 pub mod validate;
 
 pub use arrays::SolverArrays;
-pub use batch::{BatchResult, BatchSolver};
 pub use config::{ConfigError, SolverConfig};
 pub use contingency::{ContingencyOutcome, ContingencyScreener, ScreeningReport};
 pub use fleet::{
@@ -64,7 +62,7 @@ pub use mesh::{
     OuterStatus, Sweep3Backend, SweepBackend,
 };
 pub use multicore::MulticoreSolver;
-pub use obs::{record_batch_run, record_mesh3_run, record_mesh_run, record_run};
+pub use obs::{record_mesh3_run, record_mesh_run, record_run};
 pub use recovery::{Backend, Resilient3Solver, ResilienceError, ResilientSolver};
 pub use report::{FaultReport, PhaseTimes, SolveResult, Timing};
 pub use serial::SerialSolver;
@@ -73,5 +71,5 @@ pub use service::{
     SolveService,
 };
 pub use status::{ConvergenceMonitor, SolveStatus};
-pub use tensor_batch::{ScenarioPatch, TensorBatchResult, TensorBatchSolver};
+pub use tensor_batch::{ScenarioPatch, Scenarios, TensorBatchResult, TensorBatchSolver};
 pub use three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};

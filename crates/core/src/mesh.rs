@@ -325,11 +325,12 @@ impl MeshProblem {
         let k = bps.len();
         // Signed tree-path incidence per loop: σ_i(branch) = +1 for
         // branches on root-path(a_i), −1 on root-path(b_i); shared
-        // prefixes cancel, leaving exactly the a→b tree path.
-        let sigmas: Vec<std::collections::HashMap<usize, f64>> = bps
+        // prefixes cancel, leaving exactly the a→b tree path. Ordered by
+        // bus so the Thevenin sums below add in the same order every run.
+        let sigmas: Vec<std::collections::BTreeMap<usize, f64>> = bps
             .iter()
             .map(|&(a, b, _)| {
-                let mut sig = std::collections::HashMap::new();
+                let mut sig = std::collections::BTreeMap::new();
                 for bus in root_path(tree, a) {
                     *sig.entry(bus).or_insert(0.0) += 1.0;
                 }
@@ -670,7 +671,9 @@ fn drive_outer<E>(
         let loads = problem.loads(&state, &v, 1.0);
         let warm = (it > 1).then_some(v.as_slice());
         let res = inner(&loads, warm)?;
-        accumulate(&mut total, &res.timing);
+        // The final result reports the whole outer loop's cost, not
+        // just its last inner solve.
+        total.accumulate(&res.timing);
         total_inner_iters += res.iterations;
         faults.fold(res.fault_report.as_ref());
         if !res.status.is_converged() {
@@ -755,20 +758,6 @@ fn finish(
         gen_modes: state.modes.clone(),
         mode_flips: state.total_flips(),
     }
-}
-
-/// Sums inner-solve timings so the final [`MeshResult`] reports the cost
-/// of the whole outer loop, not just its last inner solve.
-fn accumulate(total: &mut Timing, t: &Timing) {
-    total.phases.setup_us += t.phases.setup_us;
-    total.phases.injection_us += t.phases.injection_us;
-    total.phases.backward_us += t.phases.backward_us;
-    total.phases.forward_us += t.phases.forward_us;
-    total.phases.convergence_us += t.phases.convergence_us;
-    total.phases.teardown_us += t.phases.teardown_us;
-    total.transfer_us += t.transfer_us;
-    total.transfer_sweep_us += t.transfer_sweep_us;
-    total.wall_us += t.wall_us;
 }
 
 /// Accumulates fault reports across the outer loop's inner solves.
@@ -1236,7 +1225,7 @@ fn drive_outer3<E>(
             l
         };
         let res = inner(&loads)?;
-        accumulate(&mut total, &res.timing);
+        total.accumulate(&res.timing);
         total_inner_iters += res.iterations;
         if !res.status.is_converged() {
             let status = res.status;
@@ -1446,8 +1435,7 @@ mod tests {
         let net = b.build().unwrap();
         // Tight tolerances: once clamped the gen is *exactly* a PQ load,
         // so the only daylight between the two solves is solver tolerance.
-        let mut cfg = SolverConfig::default();
-        cfg.tol_rel = 1e-13;
+        let cfg = SolverConfig { tol_rel: 1e-13, ..SolverConfig::default() };
         let res = serial_mesh()
             .with_outer(OuterConfig::default().with_tol(1e-12))
             .solve(&net, &cfg);
@@ -1525,8 +1513,7 @@ mod tests {
     #[test]
     fn invalid_configs_are_reported_not_run() {
         let net = ladder_loop(c(1_000.0, 0.0));
-        let mut cfg = SolverConfig::default();
-        cfg.max_iter = 0;
+        let cfg = SolverConfig { max_iter: 0, ..SolverConfig::default() };
         let res = serial_mesh().solve(&net, &cfg);
         assert_eq!(res.status, SolveStatus::InvalidConfig);
         let bad_outer = OuterConfig { tol_rel: f64::NAN, ..OuterConfig::default() };

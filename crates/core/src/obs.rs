@@ -210,28 +210,6 @@ pub fn record_mesh3_run(rec: &Recorder, res: &crate::mesh::Mesh3Result) {
     rec.gauge_set("mesh.mode_flips", f64::from(res.mode_flips));
 }
 
-/// Record a finished tensor-batch run into `rec`: the phase gauges of
-/// [`record_run`] plus the batch-level counters — scenario count, one
-/// status counter per scenario outcome, and the `scenarios_per_sec`
-/// throughput headline the E9 experiment reports.
-pub fn record_batch_run(
-    rec: &Recorder,
-    timing: &Timing,
-    iterations: u32,
-    residual: f64,
-    statuses: &[SolveStatus],
-    scenarios_per_sec: f64,
-    fault_report: Option<&FaultReport>,
-) {
-    let worst = statuses.iter().fold(SolveStatus::Converged, |w, &s| w.worse(s));
-    record_run(rec, timing, iterations, residual, &worst, fault_report);
-    rec.counter_add("batch.scenarios", statuses.len() as u64);
-    rec.gauge_set("batch.scenarios_per_sec", scenarios_per_sec);
-    for status in statuses {
-        rec.counter_add(&format!("batch.status.{}", status_key(status)), 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,26 +282,6 @@ mod tests {
         assert_eq!(counters["recovery.backend.gpu"], 1);
         assert_eq!(counters["recovery.backend.cpu"], 1);
         assert_eq!(counters["integrity.corruptions_detected"], 1);
-    }
-
-    #[test]
-    fn record_batch_run_counts_every_scenario_status() {
-        let rec = Recorder::new();
-        let statuses = [
-            SolveStatus::Converged,
-            SolveStatus::Converged,
-            SolveStatus::Diverged { at_iteration: 4 },
-        ];
-        record_batch_run(&rec, &timing(), 9, 2e-4, &statuses, 1234.5, None);
-        let (_, reg) = rec.snapshot();
-        let counters: std::collections::BTreeMap<&str, u64> = reg.counters().collect();
-        assert_eq!(counters["batch.scenarios"], 3);
-        assert_eq!(counters["batch.status.converged"], 2);
-        assert_eq!(counters["batch.status.diverged"], 1);
-        // The run-level status is the worst scenario outcome.
-        assert_eq!(counters["solve.status.diverged"], 1);
-        let gauges: std::collections::BTreeMap<&str, f64> = reg.gauges().collect();
-        assert_eq!(gauges["batch.scenarios_per_sec"], 1234.5);
     }
 
     #[test]

@@ -79,6 +79,22 @@ impl Timing {
     pub fn sweep_kernel_us(&self) -> f64 {
         (self.phases.sweep_us() - self.transfer_sweep_us).max(0.0)
     }
+
+    /// Adds another run's timing into this one, field by field: phases,
+    /// transfers and wall time all sum. Used wherever several solves make
+    /// up one answer (outer-loop iterations, batch shards, per-scenario
+    /// fallbacks).
+    pub fn accumulate(&mut self, t: &Timing) {
+        self.phases.setup_us += t.phases.setup_us;
+        self.phases.injection_us += t.phases.injection_us;
+        self.phases.backward_us += t.phases.backward_us;
+        self.phases.forward_us += t.phases.forward_us;
+        self.phases.convergence_us += t.phases.convergence_us;
+        self.phases.teardown_us += t.phases.teardown_us;
+        self.transfer_us += t.transfer_us;
+        self.transfer_sweep_us += t.transfer_sweep_us;
+        self.wall_us += t.wall_us;
+    }
 }
 
 /// What the resilient supervisor had to do to finish a solve.

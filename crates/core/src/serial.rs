@@ -343,8 +343,7 @@ mod tests {
 
     #[test]
     fn invalid_config_is_reported_not_iterated() {
-        let mut cfg = SolverConfig::default();
-        cfg.max_iter = 0;
+        let cfg = SolverConfig { max_iter: 0, ..SolverConfig::default() };
         let res = solver().solve(&two_bus(), &cfg);
         assert_eq!(res.status, SolveStatus::InvalidConfig);
         assert_eq!(res.iterations, 0);

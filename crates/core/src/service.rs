@@ -62,11 +62,11 @@ use telemetry::trace::ArgValue;
 use telemetry::{Recorder, Trace};
 
 use crate::arrays::SolverArrays;
-use crate::batch::{BatchResult, BatchSolver};
 use crate::config::SolverConfig;
 use crate::recovery::{Backend, Resilient3Solver, ResilienceError, ResilientSolver};
 use crate::report::{SolveResult, Timing};
 use crate::status::SolveStatus;
+use crate::tensor_batch::{scenarios_per_sec, Scenarios, TensorBatchResult, TensorBatchSolver};
 use crate::three_phase::{Serial3Solver, Solve3Result};
 
 /// A per-request time budget.
@@ -208,7 +208,7 @@ pub enum Outcome {
     /// Three-phase result.
     Solved3(Solve3Result),
     /// Batch result.
-    Batch(BatchResult),
+    Batch(TensorBatchResult),
     /// Shed at admission: the queue was full.
     Rejected {
         /// Queue depth observed when the request was shed.
@@ -847,14 +847,15 @@ impl SolveService {
                 if let Some(plan) = &self.plan {
                     dev.arm_faults(plan.clone());
                 }
-                let mut solver = BatchSolver::new(dev);
+                let mut solver = TensorBatchSolver::new(dev);
                 if let Some(rec) = &self.recorder {
                     solver = solver.with_recorder(rec.clone());
                 }
                 // Corrupted index buffers can panic inside a kernel;
                 // that is a loud device fault, not a service bug.
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    solver.try_solve(net, scenarios, &cfg)
+                    let arrays = SolverArrays::new(net);
+                    solver.try_solve(&arrays, Scenarios::Explicit(scenarios), &cfg)
                 }));
                 let lost = solver.device().is_lost();
                 match attempt {
@@ -955,21 +956,23 @@ fn with_watchdog<T>(wall: Duration, cancel: &Arc<AtomicBool>, f: impl FnOnce() -
 }
 
 /// The breaker-open batch path: every scenario solved independently on
-/// the multicore CPU solver, reassembled into a [`BatchResult`].
+/// the multicore CPU solver, reassembled into a [`TensorBatchResult`].
 fn batch_on_multicore(
     host: &HostProps,
     net: &RadialNetwork,
     scenarios: &[Vec<Complex>],
     cfg: &SolverConfig,
-) -> BatchResult {
+) -> TensorBatchResult {
     assert!(!scenarios.is_empty(), "batch must contain at least one scenario");
+    let nb = scenarios.len();
     let base = SolverArrays::new(net);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let mc = crate::multicore::MulticoreSolver::new(host.clone(), cores);
-    let mut v = Vec::with_capacity(scenarios.len());
-    let mut j = Vec::with_capacity(scenarios.len());
-    let mut statuses = Vec::with_capacity(scenarios.len());
-    let mut iterations = 0u32;
+    let mut v = Vec::with_capacity(nb);
+    let mut j = Vec::with_capacity(nb);
+    let mut statuses = Vec::with_capacity(nb);
+    let mut per_scenario_iterations = Vec::with_capacity(nb);
+    let mut residuals = Vec::with_capacity(nb);
     let mut residual = 0.0f64;
     let mut timing = Timing::default();
     for (s, scenario) in scenarios.iter().enumerate() {
@@ -985,22 +988,29 @@ fn batch_on_multicore(
             a.s[p] = scenario[bus as usize];
         }
         let res = mc.solve_arrays(&a, cfg);
-        iterations = iterations.max(res.iterations);
         if res.residual.is_nan() || res.residual > residual {
             residual = res.residual;
         }
-        timing.phases.setup_us += res.timing.phases.setup_us;
-        timing.phases.injection_us += res.timing.phases.injection_us;
-        timing.phases.backward_us += res.timing.phases.backward_us;
-        timing.phases.forward_us += res.timing.phases.forward_us;
-        timing.phases.convergence_us += res.timing.phases.convergence_us;
-        timing.phases.teardown_us += res.timing.phases.teardown_us;
-        timing.wall_us += res.timing.wall_us;
+        timing.accumulate(&res.timing);
+        per_scenario_iterations.push(res.iterations);
+        residuals.push(res.residual);
         statuses.push(res.status);
         v.push(res.v);
         j.push(res.j);
     }
-    BatchResult { v, j, iterations, statuses, residual, timing, fault_report: None }
+    TensorBatchResult {
+        v,
+        j,
+        iterations: per_scenario_iterations.iter().copied().max().unwrap_or(0),
+        per_scenario_iterations,
+        statuses,
+        residuals,
+        residual,
+        min_v: Vec::new(),
+        timing,
+        scenarios_per_sec: scenarios_per_sec(nb, &timing),
+        fault_report: None,
+    }
 }
 
 #[cfg(test)]
@@ -1294,8 +1304,8 @@ mod tests {
         let cfg = SolverConfig::default();
         let loads: Vec<Complex> = net.buses().iter().map(|b| b.load).collect();
         let scenarios = vec![loads.clone(), loads.iter().map(|&l| l * 1.2).collect()];
-        let mut dev_solver = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
-        let dev = dev_solver.solve(&net, &scenarios, &cfg);
+        let mut dev_solver = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
+        let dev = dev_solver.solve_arrays(&SolverArrays::new(&net), &scenarios, &cfg);
         let cpu = batch_on_multicore(&HostProps::paper_rig(), &net, &scenarios, &cfg);
         assert!(dev.converged() && cpu.converged());
         let scale = net.source_voltage().abs();

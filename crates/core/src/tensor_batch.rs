@@ -1,11 +1,13 @@
 //! Tensor-batched power flow: scenario-major SoA state, fused
 //! (level × batch) kernels, one launch per iteration.
 //!
-//! [`crate::BatchSolver`] amortises launch overhead per *level*: every
-//! tree level of every iteration is its own kernel, so a depth-`L` solve
-//! still pays `O(L)` launches per iteration regardless of batch size.
-//! This module removes the per-level launches entirely by turning the
-//! batch into a tensor:
+//! A batch is many load scenarios (or topology variants) over one tree.
+//! Level-synchronous sweeps launch one kernel per tree level, so a
+//! depth-`L` tree pays `O(L)` launches per iteration however the
+//! scenarios are grouped. This module removes the per-level launches
+//! entirely by turning the batch into a tensor. Every solve goes through
+//! [`TensorBatchSolver::try_solve`], whose only input is the
+//! [`Scenarios`] set:
 //!
 //! * **Scenario-major SoA layout** — every per-scenario array (voltages,
 //!   branch currents, loads, residuals) is one slab indexed
@@ -63,7 +65,7 @@
 //! the topology stays resident across chunks. For Monte-Carlo-style
 //! studies the per-scenario loads can be synthesised *on device* from the
 //! base loads and one `f64` scale factor per scenario
-//! ([`TensorBatchSolver::solve_scaled`]), eliminating the `B·n` load
+//! ([`Scenarios::Scaled`]), eliminating the `B·n` load
 //! upload; combined with [`TensorBatchSolver::stats_only`] (skip the
 //! state download) the engine streams through hundreds of thousands of
 //! scenarios.
@@ -72,7 +74,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use numc::Complex;
-use powergrid::{DfsOrder, RadialNetwork};
+use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
@@ -136,7 +138,7 @@ pub fn shard_ranges(
 }
 
 /// One scenario's topology delta for a patched solve
-/// ([`TensorBatchSolver::solve_patched`]): the shared tree is uploaded
+/// ([`Scenarios::Patched`]): the shared tree is uploaded
 /// once and each scenario carries at most a few words describing how its
 /// topology differs — no per-scenario arrays, no rebuild.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -150,7 +152,7 @@ pub struct ScenarioPatch {
     pub z_override: Option<(usize, Complex)>,
     /// Load scale applied to the base loads (`1.0` = base case). The
     /// scale is the only per-scenario load state, exactly as in
-    /// [`TensorBatchSolver::solve_scaled`].
+    /// [`Scenarios::Scaled`].
     pub scale: f64,
 }
 
@@ -207,6 +209,17 @@ pub struct TensorBatchResult {
     pub fault_report: Option<FaultReport>,
 }
 
+/// Modeled throughput of `nb` scenarios answered in `timing`: scenarios
+/// per modeled device second (0 when no modeled time elapsed).
+pub(crate) fn scenarios_per_sec(nb: usize, timing: &Timing) -> f64 {
+    let total_us = timing.total_us();
+    if total_us > 0.0 {
+        nb as f64 / (total_us * 1e-6)
+    } else {
+        0.0
+    }
+}
+
 impl TensorBatchResult {
     /// Whether *every* scenario converged (recovered counts).
     pub fn converged(&self) -> bool {
@@ -219,7 +232,41 @@ impl TensorBatchResult {
     }
 }
 
-/// Scenario loads for one solve.
+/// The scenario set of one [`TensorBatchSolver::try_solve`]. Batch-shape
+/// violations (an empty set, a scenario of the wrong length, a patch
+/// naming a bad bus or the root) are caller bugs and panic.
+#[derive(Clone, Copy, Debug)]
+pub enum Scenarios<'s> {
+    /// Full by-bus load vectors, one per scenario (`[scenario][bus]`,
+    /// VA).
+    Explicit(&'s [Vec<Complex>]),
+    /// `loads(s) = base × scales[s]` with the base loads from the
+    /// arrays, synthesised on device: the scale factors are the only
+    /// per-scenario upload.
+    Scaled(&'s [f64]),
+    /// One topology variant per scenario over the shared base tree: each
+    /// [`ScenarioPatch`] opens at most one branch (N-1 outage),
+    /// overrides at most one impedance, and scales the base loads. The
+    /// tree uploads once; per-scenario state is a handful of words.
+    ///
+    /// De-energized buses of an outage scenario report `V = 0`, `J = 0`
+    /// (when state is kept) and are excluded from the residual and from
+    /// [`TensorBatchResult::min_v`].
+    Patched {
+        /// DFS order of the network the arrays were built from.
+        dfs: &'s DfsOrder,
+        /// One patch per scenario.
+        patches: &'s [ScenarioPatch],
+        /// Optional shared warm start (voltages by bus id, typically the
+        /// base-case fixed point) replacing the flat start in every
+        /// scenario — the batched counterpart of
+        /// [`SerialSolver::solve_warm`].
+        warm: Option<&'s [Complex]>,
+    },
+}
+
+/// Scenario loads as the engine consumes them: a patched set runs as
+/// its per-scenario scales plus a [`PatchPlan`].
 enum Loads<'s> {
     /// Full by-bus load vectors, one per scenario.
     Explicit(&'s [Vec<Complex>]),
@@ -290,169 +337,43 @@ impl TensorBatchSolver {
         &self.device
     }
 
-    /// Solves `scenarios.len()` load scenarios over one network. Each
-    /// scenario is a full by-bus load vector (`scenarios[s][bus]`, VA).
-    /// Panics if the batch is empty or any scenario length differs from
-    /// the bus count.
-    pub fn solve(
+    /// Solves every scenario of `scenarios` over the network the
+    /// level-order arrays `a` were built from. Device weather is handled
+    /// internally (retry, then host fallback), so an `Err` only escapes
+    /// when recovery itself is impossible; batch-shape violations panic
+    /// (see [`Scenarios`]).
+    pub fn try_solve(
         &mut self,
-        net: &RadialNetwork,
-        scenarios: &[Vec<Complex>],
+        a: &SolverArrays,
+        scenarios: Scenarios<'_>,
         cfg: &SolverConfig,
-    ) -> TensorBatchResult {
-        let arrays = SolverArrays::new(net);
-        self.solve_arrays(&arrays, scenarios, cfg)
+    ) -> Result<TensorBatchResult, DeviceError> {
+        match scenarios {
+            Scenarios::Explicit(loads) => {
+                let n = a.len();
+                for (s, sc) in loads.iter().enumerate() {
+                    let len = sc.len();
+                    assert_eq!(len, n, "scenario {s} has {len} loads for {n} buses");
+                }
+                self.solve_impl(a, Loads::Explicit(loads), cfg, None)
+            }
+            Scenarios::Scaled(scales) => self.solve_impl(a, Loads::Scaled(scales), cfg, None),
+            Scenarios::Patched { dfs, patches, warm } => {
+                let plan = PatchPlan::build(a, dfs, patches, warm);
+                self.solve_impl(a, Loads::Scaled(&plan.scales), cfg, Some(&plan))
+            }
+        }
     }
 
-    /// Solves per-scenario scalings of the network's base loads:
-    /// scenario `s` uses `load(bus) × scales[s]`. The scale factors are
-    /// the only per-scenario upload.
-    pub fn solve_scaled(
-        &mut self,
-        net: &RadialNetwork,
-        scales: &[f64],
-        cfg: &SolverConfig,
-    ) -> TensorBatchResult {
-        let arrays = SolverArrays::new(net);
-        self.solve_scaled_arrays(&arrays, scales, cfg)
-    }
-
-    /// Solves with pre-built level-order arrays.
+    /// Infallible [`Scenarios::Explicit`] form of
+    /// [`TensorBatchSolver::try_solve`]: panics where that returns `Err`.
     pub fn solve_arrays(
         &mut self,
         a: &SolverArrays,
         scenarios: &[Vec<Complex>],
         cfg: &SolverConfig,
     ) -> TensorBatchResult {
-        self.try_solve_arrays(a, scenarios, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`TensorBatchSolver::solve_scaled`] with pre-built arrays.
-    pub fn solve_scaled_arrays(
-        &mut self,
-        a: &SolverArrays,
-        scales: &[f64],
-        cfg: &SolverConfig,
-    ) -> TensorBatchResult {
-        self.try_solve_scaled_arrays(a, scales, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`TensorBatchSolver::solve`]. Device weather is handled
-    /// internally (retry, then host fallback), so an `Err` only escapes
-    /// when recovery itself is impossible; batch-shape violations remain
-    /// panics.
-    pub fn try_solve(
-        &mut self,
-        net: &RadialNetwork,
-        scenarios: &[Vec<Complex>],
-        cfg: &SolverConfig,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let arrays = SolverArrays::new(net);
-        self.try_solve_arrays(&arrays, scenarios, cfg)
-    }
-
-    /// Fallible [`TensorBatchSolver::solve_arrays`].
-    pub fn try_solve_arrays(
-        &mut self,
-        a: &SolverArrays,
-        scenarios: &[Vec<Complex>],
-        cfg: &SolverConfig,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let n = a.len();
-        for (s, sc) in scenarios.iter().enumerate() {
-            assert_eq!(sc.len(), n, "scenario {s} has {} loads for {n} buses", sc.len());
-        }
-        self.solve_impl(a, Loads::Explicit(scenarios), cfg, None, None)
-    }
-
-    /// [`TensorBatchSolver::try_solve_arrays`] with a *per-scenario*
-    /// warm start: scenario `s` begins its iteration from `warm[s]`
-    /// (voltages by bus id) instead of the flat source profile. The
-    /// natural feed is each scenario's own previous solution — an outer
-    /// loop (compensation/PV updates, quasi-static time series) perturbs
-    /// the loads a little each round, so the fixed point moves a little
-    /// and the re-solve converges in a handful of iterations instead of
-    /// paying the cold count every round.
-    pub fn try_solve_arrays_warm(
-        &mut self,
-        a: &SolverArrays,
-        scenarios: &[Vec<Complex>],
-        cfg: &SolverConfig,
-        warm: &[Vec<Complex>],
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let n = a.len();
-        assert_eq!(
-            warm.len(),
-            scenarios.len(),
-            "warm profiles ({}) must match scenarios ({})",
-            warm.len(),
-            scenarios.len()
-        );
-        for (s, sc) in scenarios.iter().enumerate() {
-            assert_eq!(sc.len(), n, "scenario {s} has {} loads for {n} buses", sc.len());
-            assert_eq!(warm[s].len(), n, "scenario {s} warm profile needs one voltage per bus");
-        }
-        self.solve_impl(a, Loads::Explicit(scenarios), cfg, None, Some(warm))
-    }
-
-    /// Fallible [`TensorBatchSolver::solve_scaled_arrays`].
-    pub fn try_solve_scaled_arrays(
-        &mut self,
-        a: &SolverArrays,
-        scales: &[f64],
-        cfg: &SolverConfig,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        self.solve_impl(a, Loads::Scaled(scales), cfg, None, None)
-    }
-
-    /// Solves one topology *variant* per scenario over the shared base
-    /// tree: each [`ScenarioPatch`] opens at most one branch (N-1
-    /// outage), overrides at most one impedance, and scales the base
-    /// loads. The tree uploads once; per-scenario state is a handful of
-    /// words. `warm` optionally seeds every scenario's voltage iterate
-    /// from a base-case profile (indexed by bus id) instead of the flat
-    /// start — the batched counterpart of
-    /// [`SerialSolver::solve_warm`].
-    ///
-    /// De-energized buses of an outage scenario report `V = 0`, `J = 0`
-    /// (when state is kept) and are excluded from the residual and from
-    /// [`TensorBatchResult::min_v`]. Panics on shape violations (bad bus
-    /// ids, outage of the root).
-    pub fn solve_patched(
-        &mut self,
-        net: &RadialNetwork,
-        patches: &[ScenarioPatch],
-        cfg: &SolverConfig,
-        warm: Option<&[Complex]>,
-    ) -> TensorBatchResult {
-        self.try_solve_patched(net, patches, cfg, warm).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`TensorBatchSolver::solve_patched`].
-    pub fn try_solve_patched(
-        &mut self,
-        net: &RadialNetwork,
-        patches: &[ScenarioPatch],
-        cfg: &SolverConfig,
-        warm: Option<&[Complex]>,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let arrays = SolverArrays::new(net);
-        let dfs = DfsOrder::new(net);
-        self.try_solve_patched_arrays(&arrays, &dfs, patches, cfg, warm)
-    }
-
-    /// [`TensorBatchSolver::solve_patched`] with pre-built level-order
-    /// arrays and DFS order (both over the *same* network).
-    pub fn try_solve_patched_arrays(
-        &mut self,
-        a: &SolverArrays,
-        dfs: &DfsOrder,
-        patches: &[ScenarioPatch],
-        cfg: &SolverConfig,
-        warm: Option<&[Complex]>,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let plan = PatchPlan::build(a, dfs, patches, warm);
-        self.solve_impl(a, Loads::Scaled(&plan.scales), cfg, Some(&plan), None)
+        self.try_solve(a, Scenarios::Explicit(scenarios), cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn solve_impl(
@@ -461,7 +382,6 @@ impl TensorBatchSolver {
         loads: Loads<'_>,
         cfg: &SolverConfig,
         patches: Option<&PatchPlan>,
-        warm: Option<&[Vec<Complex>]>,
     ) -> Result<TensorBatchResult, DeviceError> {
         let wall0 = Instant::now();
         let nb = loads.len();
@@ -549,7 +469,6 @@ impl TensorBatchSolver {
                         topo.as_ref().expect("topology resident"),
                         &loads,
                         patches,
-                        warm,
                         range.clone(),
                         cfg,
                         armed,
@@ -603,7 +522,7 @@ impl TensorBatchSolver {
                 let t0 = phases.total_us();
                 let serial = SerialSolver::new(HostProps::paper_rig());
                 for s in range.clone() {
-                    let res = repair_solve(&serial, a, &loads, patches, warm, s, cfg);
+                    let res = repair_solve(&serial, a, &loads, patches, s, cfg);
                     out.absorb_serial(s, res, true, patches);
                 }
                 phases.teardown_us += out.repair_us;
@@ -622,8 +541,7 @@ impl TensorBatchSolver {
             transfer_sweep_us,
             wall_us: wall0.elapsed().as_secs_f64() * 1e6,
         };
-        let total_us = timing.total_us();
-        let scenarios_per_sec = if total_us > 0.0 { nb as f64 / (total_us * 1e-6) } else { 0.0 };
+        let scenarios_per_sec = scenarios_per_sec(nb, &timing);
         obs.batch_summary(nb, scenarios_per_sec);
 
         let fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
@@ -1004,14 +922,11 @@ fn repair_solve(
     a: &SolverArrays,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
-    warm: Option<&[Vec<Complex>]>,
     s: usize,
     cfg: &SolverConfig,
 ) -> crate::report::SolveResult {
     let arrays = repair_arrays(a, loads, patches, s);
-    let shared = patches.and_then(|plan| plan.warm.as_deref());
-    let warm = warm.map(|w| w[s].as_slice()).or(shared);
-    serial.solve_warm(&arrays, cfg, warm)
+    serial.solve_warm(&arrays, cfg, patches.and_then(|plan| plan.warm.as_deref()))
 }
 
 /// Scenario-load device views for the fused kernels.
@@ -1029,7 +944,6 @@ fn run_chunk(
     topo: &Topology,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
-    warm: Option<&[Vec<Complex>]>,
     range: std::ops::Range<usize>,
     cfg: &SolverConfig,
     armed: bool,
@@ -1084,34 +998,18 @@ fn run_chunk(
         }
         None => None,
     };
-    let mut v_buf = match warm {
-        Some(profiles) => {
-            // Per-scenario warm start: the chunk's profiles are already
-            // the exact initial state, so upload them straight into the
-            // striped iterate — no replication kernel needed.
-            let mut flat = Vec::with_capacity(nb * n);
-            for s in range.clone() {
-                flat.extend_from_slice(&a.levels.permute(&profiles[s]));
-            }
-            dev.try_alloc_from(&flat)?
+    let mut v_buf = dev.try_alloc::<Complex>(nb * n)?;
+    match patches.and_then(|plan| plan.warm.as_ref()) {
+        Some(shared) => {
+            // Shared warm start: replicate the permuted base-case
+            // profile into every scenario stripe device-side (one
+            // `n`-word upload).
+            let warm_buf = dev.try_alloc_from(&a.levels.permute(shared))?;
+            let kernel = WarmInitKernel { warm: warm_buf.view(), v: v_buf.view_mut(), n };
+            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
         }
-        None => {
-            let mut v_buf = dev.try_alloc::<Complex>(nb * n)?;
-            match patches.and_then(|plan| plan.warm.as_ref()) {
-                Some(shared) => {
-                    // Shared warm start: replicate the permuted base-case
-                    // profile into every scenario stripe device-side (one
-                    // `n`-word upload).
-                    let warm_buf = dev.try_alloc_from(&a.levels.permute(shared))?;
-                    let kernel =
-                        WarmInitKernel { warm: warm_buf.view(), v: v_buf.view_mut(), n };
-                    dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
-                }
-                None => try_fill(dev, &mut v_buf, v0)?,
-            }
-            v_buf
-        }
-    };
+        None => try_fill(dev, &mut v_buf, v0)?,
+    }
     let mut j_buf = dev.try_alloc::<Complex>(nb * n)?;
     let mut mask_buf = dev.try_alloc_from(&vec![1u32; nb])?;
     let mut res_buf = dev.try_alloc::<f64>(nb)?;
@@ -1310,7 +1208,7 @@ fn run_chunk(
     for ls in 0..nb {
         let s = range.start + ls;
         if armed && suspicious[ls] {
-            let res = repair_solve(&serial, a, loads, patches, warm, s, cfg);
+            let res = repair_solve(&serial, a, loads, patches, s, cfg);
             out.absorb_serial(s, res, true, patches);
             continue;
         }
@@ -2359,6 +2257,7 @@ mod tests {
     use numc::c;
     use powergrid::gen::{balanced_binary, chain, random_tree, star, GenSpec};
     use powergrid::ieee::{ieee13, ieee37};
+    use powergrid::RadialNetwork;
     use rng::rngs::StdRng;
     use rng::SeedableRng;
     use simt::DeviceProps;
@@ -2369,6 +2268,35 @@ mod tests {
 
     fn solver() -> TensorBatchSolver {
         TensorBatchSolver::new(device())
+    }
+
+    fn solve(
+        s: &mut TensorBatchSolver,
+        net: &RadialNetwork,
+        scenarios: &[Vec<Complex>],
+        cfg: &SolverConfig,
+    ) -> TensorBatchResult {
+        s.solve_arrays(&SolverArrays::new(net), scenarios, cfg)
+    }
+
+    fn solve_scaled(
+        s: &mut TensorBatchSolver,
+        net: &RadialNetwork,
+        scales: &[f64],
+        cfg: &SolverConfig,
+    ) -> TensorBatchResult {
+        s.try_solve(&SolverArrays::new(net), Scenarios::Scaled(scales), cfg).unwrap()
+    }
+
+    fn solve_patched(
+        s: &mut TensorBatchSolver,
+        a: &SolverArrays,
+        dfs: &DfsOrder,
+        patches: &[ScenarioPatch],
+        warm: Option<&[Complex]>,
+        cfg: &SolverConfig,
+    ) -> TensorBatchResult {
+        s.try_solve(a, Scenarios::Patched { dfs, patches, warm }, cfg).unwrap()
     }
 
     fn base_loads(net: &RadialNetwork) -> Vec<Complex> {
@@ -2412,7 +2340,7 @@ mod tests {
         let cfg = SolverConfig::default();
         for net in [ieee13(), ieee37()] {
             let scales = [0.5, 1.0, 1.3];
-            let res = solver().solve(&net, &scaled_scenarios(&net, &scales), &cfg);
+            let res = solve(&mut solver(), &net, &scaled_scenarios(&net, &scales), &cfg);
             assert!(res.converged(), "{:?}", res.statuses);
             let a = SolverArrays::new(&net);
             for (s, &sc) in scales.iter().enumerate() {
@@ -2439,8 +2367,8 @@ mod tests {
         let net = random_tree(300, 6, &GenSpec::default(), &mut rng);
         let cfg = SolverConfig::default();
         let scales: Vec<f64> = (0..9).map(|k| 0.55 + 0.1 * k as f64).collect();
-        let explicit = solver().solve(&net, &scaled_scenarios(&net, &scales), &cfg);
-        let scaled = solver().solve_scaled(&net, &scales, &cfg);
+        let explicit = solve(&mut solver(), &net, &scaled_scenarios(&net, &scales), &cfg);
+        let scaled = solve_scaled(&mut solver(), &net, &scales, &cfg);
         assert!(explicit.converged() && scaled.converged());
         assert_eq!(explicit.per_scenario_iterations, scaled.per_scenario_iterations);
         assert_eq!(explicit.residuals, scaled.residuals);
@@ -2456,10 +2384,8 @@ mod tests {
         let net = random_tree(150, 5, &GenSpec::default(), &mut rng);
         let cfg = SolverConfig::default();
         let scales: Vec<f64> = (0..23).map(|k| 0.6 + 0.03 * k as f64).collect();
-        let whole = solver().solve_scaled(&net, &scales, &cfg);
-        let chunked = TensorBatchSolver::new(device())
-            .with_chunk_scenarios(4)
-            .solve_scaled(&net, &scales, &cfg);
+        let whole = solve_scaled(&mut solver(), &net, &scales, &cfg);
+        let chunked = solve_scaled(&mut solver().with_chunk_scenarios(4), &net, &scales, &cfg);
         assert_eq!(whole.statuses, chunked.statuses);
         assert_eq!(whole.per_scenario_iterations, chunked.per_scenario_iterations);
         assert_eq!(whole.residuals, chunked.residuals);
@@ -2474,12 +2400,12 @@ mod tests {
         let net = random_tree(120, 8, &GenSpec::default(), &mut rng);
         let cfg = SolverConfig::default();
         let healthy = [0.6, 0.9, 1.2];
-        let clean = solver().solve(&net, &scaled_scenarios(&net, &healthy), &cfg);
+        let clean = solve(&mut solver(), &net, &scaled_scenarios(&net, &healthy), &cfg);
         assert!(clean.converged(), "{:?}", clean.statuses);
 
         let mut scenarios = scaled_scenarios(&net, &healthy);
         scenarios.push(base_loads(&net).iter().map(|&s| s * 1e6).collect());
-        let mixed = solver().solve(&net, &scenarios, &cfg);
+        let mixed = solve(&mut solver(), &net, &scenarios, &cfg);
         for s in 0..3 {
             assert_eq!(mixed.statuses[s], SolveStatus::Converged);
             assert_eq!(mixed.v[s], clean.v[s], "healthy lane {s} perturbed");
@@ -2507,7 +2433,7 @@ mod tests {
         let cfg = SolverConfig::default();
         let mut sick = base_loads(&net);
         sick[7] = c(f64::NAN, 0.0);
-        let res = solver().solve(&net, &[base_loads(&net), sick], &cfg);
+        let res = solve(&mut solver(), &net, &[base_loads(&net), sick], &cfg);
         assert_eq!(res.statuses[0], SolveStatus::Converged);
         match res.statuses[1] {
             SolveStatus::NumericalFailure { at_iteration } => {
@@ -2521,7 +2447,8 @@ mod tests {
     #[test]
     fn stats_only_mode_reports_without_state() {
         let net = ieee37();
-        let res = TensorBatchSolver::new(device()).stats_only().solve_scaled(
+        let res = solve_scaled(
+            &mut solver().stats_only(),
             &net,
             &[0.8, 1.0, 1.1],
             &SolverConfig::default(),
@@ -2536,10 +2463,10 @@ mod tests {
     fn launches_are_one_per_iteration_not_per_level() {
         let mut rng = StdRng::seed_from_u64(17);
         // A deep chain would cost hundreds of launches per iteration in
-        // the per-level batch solver.
+        // a level-synchronous sweep.
         let net = chain(512, &GenSpec::default(), &mut rng);
         let mut s = solver();
-        let res = s.solve_scaled(&net, &[0.9, 1.0, 1.1, 1.2], &SolverConfig::default());
+        let res = solve_scaled(&mut s, &net, &[0.9, 1.0, 1.1, 1.2], &SolverConfig::default());
         assert!(res.converged());
         let kernels = s.device().timeline().breakdown().kernels;
         // 1 fused sweep/iteration + 2 fills; freezing scenarios never add
@@ -2557,7 +2484,7 @@ mod tests {
         let spec = GenSpec::default();
         let mut rng = StdRng::seed_from_u64(23);
         for net in [balanced_binary(255, &spec, &mut rng), star(200, &spec, &mut rng)] {
-            let res = solver().solve_scaled(&net, &[1.0], &cfg);
+            let res = solve_scaled(&mut solver(), &net, &[1.0], &cfg);
             assert!(res.converged());
             let serial =
                 SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
@@ -2571,9 +2498,8 @@ mod tests {
     #[test]
     fn invalid_config_short_circuits() {
         let net = ieee13();
-        let mut cfg = SolverConfig::default();
-        cfg.max_iter = 0;
-        let res = solver().solve_scaled(&net, &[1.0, 2.0], &cfg);
+        let cfg = SolverConfig { max_iter: 0, ..SolverConfig::default() };
+        let res = solve_scaled(&mut solver(), &net, &[1.0, 2.0], &cfg);
         assert_eq!(res.statuses, vec![SolveStatus::InvalidConfig; 2]);
         assert_eq!(res.iterations, 0);
         assert_eq!(res.scenarios_per_sec, 0.0);
@@ -2584,7 +2510,7 @@ mod tests {
         let mut b = powergrid::NetworkBuilder::new(c(240.0, 0.0));
         b.add_bus(Complex::ZERO);
         let net = b.build().unwrap();
-        let res = solver().solve_scaled(&net, &[1.0], &SolverConfig::default());
+        let res = solve_scaled(&mut solver(), &net, &[1.0], &SolverConfig::default());
         assert!(res.converged());
         assert_eq!(res.v[0][0], c(240.0, 0.0));
         assert_eq!(res.per_scenario_iterations, vec![1]);
@@ -2598,8 +2524,7 @@ mod tests {
         let dfs = DfsOrder::new(&net);
         let patches =
             [ScenarioPatch::outage(6), ScenarioPatch::base(), ScenarioPatch::outage(9)];
-        let res =
-            solver().try_solve_patched_arrays(&a, &dfs, &patches, &cfg, None).unwrap();
+        let res = solve_patched(&mut solver(), &a, &dfs, &patches, None, &cfg);
         assert!(res.converged(), "{:?}", res.statuses);
         assert_eq!(res.min_v.len(), 3, "patched solves report min |V|");
 
@@ -2616,8 +2541,8 @@ mod tests {
             for &b in &plan.isolated[s] {
                 dead[b as usize] = true;
             }
-            for bus in 0..net.num_buses() {
-                if dead[bus] {
+            for (bus, &is_dead) in dead.iter().enumerate() {
+                if is_dead {
                     assert_eq!(res.v[s][bus], Complex::ZERO, "scenario {s} bus {bus}");
                     assert_eq!(res.j[s][bus], Complex::ZERO, "scenario {s} bus {bus}");
                 } else {
@@ -2634,7 +2559,7 @@ mod tests {
         }
 
         // The base-case lane is bitwise the scaled-mode solve.
-        let scaled = solver().solve_scaled(&net, &[1.0], &cfg);
+        let scaled = solve_scaled(&mut solver(), &net, &[1.0], &cfg);
         assert_eq!(res.v[1], scaled.v[0]);
         assert_eq!(res.per_scenario_iterations[1], scaled.per_scenario_iterations[0]);
     }
@@ -2648,9 +2573,7 @@ mod tests {
         let zb = c(1.9, 0.8);
         let patch =
             ScenarioPatch { z_override: Some((5, zb)), ..ScenarioPatch::default() };
-        let res = solver()
-            .try_solve_patched_arrays(&a, &dfs, &[patch], &cfg, None)
-            .unwrap();
+        let res = solve_patched(&mut solver(), &a, &dfs, &[patch], None, &cfg);
         assert!(res.converged());
 
         // Reference: rebuild the network with that branch retuned.
@@ -2684,11 +2607,8 @@ mod tests {
             ScenarioPatch::outage(7),
             ScenarioPatch::outage(200),
         ];
-        let cold =
-            solver().try_solve_patched_arrays(&a, &dfs, &patches, &cfg, None).unwrap();
-        let warm = solver()
-            .try_solve_patched_arrays(&a, &dfs, &patches, &cfg, Some(&base.v))
-            .unwrap();
+        let cold = solve_patched(&mut solver(), &a, &dfs, &patches, None, &cfg);
+        let warm = solve_patched(&mut solver(), &a, &dfs, &patches, Some(&base.v), &cfg);
         assert!(cold.converged() && warm.converged());
         for s in 0..patches.len() {
             assert!(
@@ -2721,19 +2641,13 @@ mod tests {
         let dfs = DfsOrder::new(&net);
         let patches: Vec<ScenarioPatch> =
             (1..20).map(ScenarioPatch::outage).collect();
-        let whole =
-            solver().try_solve_patched_arrays(&a, &dfs, &patches, &cfg, None).unwrap();
-        let chunked = TensorBatchSolver::new(device())
-            .with_chunk_scenarios(3)
-            .try_solve_patched_arrays(&a, &dfs, &patches, &cfg, None)
-            .unwrap();
+        let whole = solve_patched(&mut solver(), &a, &dfs, &patches, None, &cfg);
+        let mut chunked_solver = solver().with_chunk_scenarios(3);
+        let chunked = solve_patched(&mut chunked_solver, &a, &dfs, &patches, None, &cfg);
         assert_eq!(whole.statuses, chunked.statuses);
         assert_eq!(whole.per_scenario_iterations, chunked.per_scenario_iterations);
         assert_eq!(whole.min_v, chunked.min_v);
-        let stats = TensorBatchSolver::new(device())
-            .stats_only()
-            .try_solve_patched_arrays(&a, &dfs, &patches, &cfg, None)
-            .unwrap();
+        let stats = solve_patched(&mut solver().stats_only(), &a, &dfs, &patches, None, &cfg);
         assert!(stats.v.is_empty());
         assert_eq!(stats.min_v, whole.min_v);
         assert_eq!(stats.per_scenario_iterations, whole.per_scenario_iterations);
@@ -2743,60 +2657,54 @@ mod tests {
     #[should_panic(expected = "root")]
     fn outage_of_the_root_is_rejected() {
         let net = ieee13();
-        solver().solve_patched(
-            &net,
-            &[ScenarioPatch::outage(0)],
-            &SolverConfig::default(),
-            None,
+        let (a, dfs) = (SolverArrays::new(&net), DfsOrder::new(&net));
+        let patches = [ScenarioPatch::outage(0)];
+        solve_patched(&mut solver(), &a, &dfs, &patches, None, &SolverConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one scenario")]
+    fn empty_batch_rejected() {
+        solve(&mut solver(), &ieee13(), &[], &SolverConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario 1 has")]
+    fn wrong_length_scenario_rejected() {
+        let net = ieee13();
+        let bad = vec![Complex::ZERO; 5];
+        solve(&mut solver(), &net, &[base_loads(&net), bad], &SolverConfig::default());
+    }
+
+    #[test]
+    fn batching_amortises_launches_on_generated_trees() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let net = balanced_binary(1023, &GenSpec::default(), &mut rng);
+        let cfg = SolverConfig::default();
+
+        // 16 scenarios in one batch…
+        let scales: Vec<f64> = (0..16).map(|k| 0.5 + 0.05 * k as f64).collect();
+        let scenarios = scaled_scenarios(&net, &scales);
+        let r16 = solve(&mut solver(), &net, &scenarios, &cfg);
+        assert!(r16.converged());
+
+        // …versus one scenario costed 16 times.
+        let r1 = solve(&mut solver(), &net, &scenarios[..1], &cfg);
+        let per_scenario_batched = r16.timing.total_us() / 16.0;
+        let per_scenario_single = r1.timing.total_us();
+        assert!(
+            per_scenario_batched < 0.4 * per_scenario_single,
+            "batching must amortise fixed costs: {per_scenario_batched:.1} vs {per_scenario_single:.1} µs/scenario"
         );
     }
 
     #[test]
     fn throughput_headline_is_positive_and_finite() {
         let net = ieee37();
-        let res = solver().solve_scaled(&net, &[0.9, 1.0], &SolverConfig::default());
+        let res = solve_scaled(&mut solver(), &net, &[0.9, 1.0], &SolverConfig::default());
         assert!(res.scenarios_per_sec.is_finite() && res.scenarios_per_sec > 0.0);
         let expect = 2.0 / (res.timing.total_us() * 1e-6);
         assert!((res.scenarios_per_sec - expect).abs() < 1e-6 * expect);
-    }
-
-    #[test]
-    fn per_scenario_warm_start_matches_cold_and_cuts_iterations() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let net = balanced_binary(511, &GenSpec::default(), &mut rng);
-        let arrays = SolverArrays::new(&net);
-        let cfg = SolverConfig::default();
-        let scenarios = scaled_scenarios(&net, &[0.8, 1.0, 1.2]);
-
-        let cold = solver().try_solve_arrays(&arrays, &scenarios, &cfg).unwrap();
-        assert!(cold.converged());
-
-        // Warm-starting each scenario from its own converged profile
-        // must reconverge almost immediately, to the same fixed point
-        // (modulo the tolerance band both iterations stop inside).
-        let warm = solver()
-            .try_solve_arrays_warm(&arrays, &scenarios, &cfg, &cold.v)
-            .unwrap();
-        assert!(warm.converged());
-        assert!(
-            warm.iterations < cold.iterations,
-            "warm {} vs cold {} iterations",
-            warm.iterations,
-            cold.iterations
-        );
-        let tol = 1e-7 * net.source_voltage().abs();
-        for s in 0..scenarios.len() {
-            for (a, b) in warm.v[s].iter().zip(&cold.v[s]) {
-                assert!((*a - *b).abs() <= tol, "{a:?} vs {b:?}");
-            }
-        }
-
-        // Mismatched shapes are a caller bug, not device weather.
-        let short: Vec<Vec<Complex>> = cold.v[..2].to_vec();
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            solver().try_solve_arrays_warm(&arrays, &scenarios, &cfg, &short)
-        }));
-        assert!(r.is_err(), "short warm slate must panic");
     }
 
     #[test]
@@ -2808,7 +2716,7 @@ mod tests {
         let scenarios = scaled_scenarios(&net, &[0.7, 1.0, 1.3]);
         let probes = vec![1usize, 57, 200, 254];
 
-        let oneshot = solver().try_solve_arrays(&arrays, &scenarios, &cfg).unwrap();
+        let oneshot = solver().solve_arrays(&arrays, &scenarios, &cfg);
         assert!(oneshot.converged());
 
         let mut tbs = solver();

@@ -7,7 +7,7 @@
 
 #![cfg(feature = "racecheck")]
 
-use fbs::{BackwardStrategy, BatchSolver, GpuSolver, JumpSolver, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, JumpSolver, SolverArrays, SolverConfig, TensorBatchSolver};
 use numc::Complex;
 use powergrid::gen::{balanced_binary, random_tree, GenSpec};
 use primitives::ops::{AddComplex, AddF64, MaxF64};
@@ -52,14 +52,14 @@ fn jump_solver_is_race_free() {
 }
 
 #[test]
-fn batch_solver_is_race_free() {
+fn tensor_batch_solver_is_race_free() {
     let cfg = SolverConfig::default();
     let net = &small_nets()[0];
     let scenarios: Vec<Vec<Complex>> = (0..3)
         .map(|k| net.buses().iter().map(|b| b.load * (0.6 + 0.2 * k as f64)).collect())
         .collect();
-    let mut solver = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
-    assert!(solver.solve(net, &scenarios, &cfg).converged());
+    let mut solver = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
+    assert!(solver.solve_arrays(&SolverArrays::new(net), &scenarios, &cfg).converged());
 }
 
 #[test]

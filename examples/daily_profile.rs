@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example daily_profile`
 
-use fbs::{BatchSolver, SolverConfig};
+use fbs::{SolverArrays, SolverConfig, TensorBatchSolver};
 use numc::Complex;
 use powergrid::ieee::ieee123_style;
 use simt::{Device, DeviceProps};
@@ -25,8 +25,8 @@ fn main() {
         .map(|h| net.buses().iter().map(|b| b.load * hourly_scale(h)).collect())
         .collect();
 
-    let mut solver = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
-    let res = solver.solve(&net, &scenarios, &cfg);
+    let mut solver = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
+    let res = solver.solve_arrays(&SolverArrays::new(&net), &scenarios, &cfg);
     assert!(res.converged(), "all 24 hours must converge");
 
     let v0 = net.source_voltage().abs();

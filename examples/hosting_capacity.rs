@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example hosting_capacity`
 
-use fbs::{BatchSolver, SolverConfig};
+use fbs::{SolverArrays, SolverConfig, TensorBatchSolver};
 use numc::{c, Complex};
 use powergrid::ieee::ieee37;
 use powergrid::{LevelOrder, RadialNetwork};
@@ -43,7 +43,8 @@ fn main() {
         candidates.len()
     );
 
-    let mut solver = BatchSolver::new(Device::new(DeviceProps::paper_rig()));
+    let arrays = SolverArrays::new(&net);
+    let mut solver = TensorBatchSolver::new(Device::new(DeviceProps::paper_rig()));
     let mut total_modeled_us = 0.0;
     println!("{:>5} {:>14} {:>14}", "bus", "capacity (kW)", "min |V| at cap");
 
@@ -51,7 +52,7 @@ fn main() {
         // One batch call evaluates every candidate size at this bus.
         let scenarios: Vec<Vec<Complex>> =
             SIZES_KW.iter().map(|&kw| scenario(&net, bus, kw)).collect();
-        let res = solver.solve(&net, &scenarios, &cfg);
+        let res = solver.solve_arrays(&arrays, &scenarios, &cfg);
         total_modeled_us += res.timing.total_us();
 
         // Largest size whose worst voltage stays above the floor.

@@ -19,10 +19,10 @@
 
 use check::gen::{tuple3, u64_any, usize_in};
 use check::{checker, prop_assert, CaseResult};
-use fbs::{ScenarioPatch, SerialSolver, SolverArrays, SolverConfig, TensorBatchSolver};
+use fbs::{ScenarioPatch, Scenarios, SerialSolver, SolverArrays, SolverConfig, TensorBatchSolver};
 use numc::{c, Complex};
 use powergrid::gen::{random_tree, GenSpec};
-use powergrid::{DeltaOp, NetworkBuilder, RadialNetwork, TopologyDelta};
+use powergrid::{DeltaOp, DfsOrder, NetworkBuilder, RadialNetwork, TopologyDelta};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 use simt::{Device, DeviceProps, HostProps};
@@ -255,8 +255,11 @@ fn family4_screened_batch_equals_per_outage_serial() {
                 }).collect();
             let patches: Vec<ScenarioPatch> =
                 buses.iter().map(|&b| ScenarioPatch::outage(b)).collect();
-            let batched =
-                TensorBatchSolver::new(device()).solve_patched(&net, &patches, &cfg, None);
+            let dfs = DfsOrder::new(&net);
+            let scenarios = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
+            let batched = TensorBatchSolver::new(device())
+                .try_solve(&SolverArrays::new(&net), scenarios, &cfg)
+                .expect("fault-free solve");
 
             let serial = SerialSolver::new(HostProps::paper_rig());
             let mut work = net.clone();

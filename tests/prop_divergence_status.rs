@@ -7,8 +7,8 @@
 use check::gen::{tuple3, u64_any, usize_in, Gen};
 use check::{checker, prop_assert, CaseResult};
 use fbs::{
-    BackwardStrategy, BatchSolver, GpuSolver, JumpSolver, MulticoreSolver, SerialSolver,
-    SolveResult, SolveStatus, SolverConfig,
+    BackwardStrategy, GpuSolver, JumpSolver, MulticoreSolver, SerialSolver, SolveResult,
+    SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver,
 };
 use numc::{c, Complex};
 use powergrid::gen::{random_tree, GenSpec};
@@ -151,15 +151,16 @@ fn batch_masks_the_sick_scenario_and_converges_the_rest() {
         [0.6, 0.9, 1.2].iter().map(|&sc| base.iter().map(|&s| s * sc).collect()).collect();
 
     // Baseline: healthy scenarios alone.
-    let mut solver = BatchSolver::new(device());
-    let clean = solver.solve(&net, &healthy, &cfg);
+    let arrays = SolverArrays::new(&net);
+    let mut solver = TensorBatchSolver::new(device());
+    let clean = solver.solve_arrays(&arrays, &healthy, &cfg);
     assert!(clean.converged(), "baseline batch must converge: {:?}", clean.statuses);
 
     // Same batch plus one scenario loaded ~10⁶× past collapse.
     let mut scenarios = healthy.clone();
     scenarios.push(base.iter().map(|&s| s * 1e6).collect());
-    let mut solver = BatchSolver::new(device());
-    let mixed = solver.solve(&net, &scenarios, &cfg);
+    let mut solver = TensorBatchSolver::new(device());
+    let mixed = solver.solve_arrays(&arrays, &scenarios, &cfg);
 
     for s in 0..3 {
         assert_eq!(
@@ -203,8 +204,8 @@ fn batch_flags_nan_loads_as_numerical_failure() {
     sick[7] = c(f64::NAN, 0.0);
     let scenarios = vec![base, sick];
 
-    let mut solver = BatchSolver::new(device());
-    let res = solver.solve(&net, &scenarios, &cfg);
+    let mut solver = TensorBatchSolver::new(device());
+    let res = solver.solve_arrays(&SolverArrays::new(&net), &scenarios, &cfg);
     assert_eq!(res.statuses[0], SolveStatus::Converged, "{:?}", res.statuses);
     assert!(
         matches!(res.statuses[1], SolveStatus::NumericalFailure { .. }),

@@ -17,7 +17,10 @@ use std::cell::Cell;
 
 use check::gen::{tuple3, tuple4, u64_any, usize_in};
 use check::{checker, prop_assert, CaseResult};
-use fbs::{SerialSolver, SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver};
+use fbs::{
+    Scenarios, SerialSolver, SolveStatus, SolverArrays, SolverConfig, TensorBatchResult,
+    TensorBatchSolver,
+};
 use numc::{c, Complex};
 use powergrid::gen::{random_tree, GenSpec};
 use powergrid::RadialNetwork;
@@ -27,6 +30,11 @@ use simt::{Device, DeviceProps, FaultPlan, HostProps};
 
 fn device() -> Device {
     Device::with_workers(DeviceProps::paper_rig(), 2)
+}
+
+/// Explicit-load batch solve on a fresh solver.
+fn solve(net: &RadialNetwork, scenarios: &[Vec<Complex>], cfg: &SolverConfig) -> TensorBatchResult {
+    TensorBatchSolver::new(device()).solve_arrays(&SolverArrays::new(net), scenarios, cfg)
 }
 
 fn base_loads(net: &RadialNetwork) -> Vec<Complex> {
@@ -75,7 +83,7 @@ fn family1_tensor_batch_equals_serial_per_scenario() {
             let cfg = SolverConfig::default();
             let scenarios = jittered_scenarios(&net, nb, seed);
 
-            let res = TensorBatchSolver::new(device()).solve(&net, &scenarios, &cfg);
+            let res = solve(&net, &scenarios, &cfg);
             let a = SolverArrays::new(&net);
             for (s, scenario) in scenarios.iter().enumerate() {
                 let serial = serial_reference(&a, scenario, &cfg);
@@ -126,8 +134,10 @@ fn family1_scaled_mode_is_bitwise_equal_to_explicit() {
             let explicit_scen: Vec<Vec<Complex>> =
                 scales.iter().map(|&k| base.iter().map(|&l| l * k).collect()).collect();
 
-            let scaled = TensorBatchSolver::new(device()).solve_scaled(&net, &scales, &cfg);
-            let explicit = TensorBatchSolver::new(device()).solve(&net, &explicit_scen, &cfg);
+            let scaled = TensorBatchSolver::new(device())
+                .try_solve(&SolverArrays::new(&net), Scenarios::Scaled(&scales), &cfg)
+                .expect("fault-free solve");
+            let explicit = solve(&net, &explicit_scen, &cfg);
             prop_assert!(scaled.statuses == explicit.statuses, "statuses differ");
             prop_assert!(
                 scaled.per_scenario_iterations == explicit.per_scenario_iterations,
@@ -190,8 +200,8 @@ fn family2_masking_isolates_injected_divergence() {
                 sick_at.push(at);
             }
 
-            let clean = TensorBatchSolver::new(device()).solve(&net, &healthy, &cfg);
-            let mixed = TensorBatchSolver::new(device()).solve(&net, &scenarios, &cfg);
+            let clean = solve(&net, &healthy, &cfg);
+            let mixed = solve(&net, &scenarios, &cfg);
 
             let mut healthy_idx = 0usize;
             for (lane, _) in scenarios.iter().enumerate() {
@@ -256,7 +266,7 @@ fn family3_determinism_across_runs_orderings_and_chunks() {
                 if let Some(c) = chunk {
                     solver = solver.with_chunk_scenarios(c);
                 }
-                solver.solve(&net, scen, &cfg)
+                solver.solve_arrays(&SolverArrays::new(&net), scen, &cfg)
             };
 
             // Repeat runs are byte-identical.
@@ -320,7 +330,8 @@ fn family4_seeded_faults_cannot_corrupt_the_batch() {
             let mut dev = device();
             dev.arm_faults(FaultPlan::seeded(seed ^ 0xfau64, 0.03));
             let mut solver = TensorBatchSolver::new(dev);
-            let res = match solver.try_solve(&net, &scenarios, &cfg) {
+            let a = SolverArrays::new(&net);
+            let res = match solver.try_solve(&a, Scenarios::Explicit(&scenarios), &cfg) {
                 Ok(r) => r,
                 Err(e) => return Err(check::CaseError::fail(format!("unrecoverable: {e}"))),
             };
@@ -328,7 +339,6 @@ fn family4_seeded_faults_cannot_corrupt_the_batch() {
             if let Some(fr) = &res.fault_report {
                 faults_seen.set(faults_seen.get() + u64::from(fr.faults_injected));
             }
-            let a = SolverArrays::new(&net);
             for (s, scenario) in scenarios.iter().enumerate() {
                 prop_assert!(
                     res.statuses[s].is_converged(),
