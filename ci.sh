@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
-# Offline CI for the FBS power-flow repo. Five legs:
+# Offline CI for the FBS power-flow repo. Six legs:
 #
 #   1. Tier-1 verify: release build + `cargo test`, which runs the root
 #      package and every workspace crate's unit, integration and property
 #      suites (the root manifest lists them all as `default-members`).
-#   2. E-bin smoke runs: the `*_SMOKE=1` configurations of E9 and
+#   2. Benchmark tests: the `benchmark/` package's unit tests (tiny-size
+#      bit-identity of every workload, pinned input fingerprints), so a
+#      public-API change that breaks the benchmark build, or answer
+#      drift, fails here before any benchmark run.
+#   3. E-bin smoke runs: the `*_SMOKE=1` configurations of E9 and
 #      E12–E17 as end-to-end sanity passes, under wall-clock ceilings.
-#   3. CLI replays: a seeded chaos replay through `fbs fleet` that must
+#   4. CLI replays: a seeded chaos replay through `fbs fleet` that must
 #      exit 0 with one device scripted dead, and a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
 #      undetected corruption reached an answer).
-#   4. Racecheck: re-runs every simt and fbs device kernel under the
+#   5. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
-#   5. Lint: clippy over every target with warnings promoted to errors.
+#   6. Lint: clippy over every target with warnings promoted to errors.
 #
 # Everything runs with --offline — the repo has zero external registry
 # dependencies (see DESIGN.md, "Dependency policy"), so a warm toolchain
@@ -24,6 +28,9 @@ cd "$(dirname "$0")"
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline
+
+echo "== benchmark tests: cargo test --manifest-path benchmark/Cargo.toml =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== E-bin smoke runs =="
 E9_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e9_batch > /dev/null

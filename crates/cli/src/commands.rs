@@ -5,11 +5,11 @@ use std::fs;
 use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
-    record_mesh3_run, record_mesh_run, record_run, solve3_dg, solve3_dg_resilient,
-    solve_meshed_resilient, Backend, BackwardStrategy, ContingencyScreener, FaultReport,
-    FleetConfig, FleetRequest, FleetService, GpuSolver, IntegrityConfig, IntegritySampler,
-    JumpSolver, Mesh3Result, MeshResult, MeshSolver, MulticoreSolver, Outcome, OuterConfig,
-    Priority, Request, Resilient3Solver, ResilientSolver, Scenarios, SerialSolver, ServiceConfig,
+    record_mesh3_run, record_mesh_run, record_run, solve3_dg, solve_meshed_resilient, Arrays3,
+    Backend, BackwardStrategy, ContingencyScreener, FaultReport, FleetConfig, FleetRequest,
+    FleetService, GpuSolver, IntegrityConfig, IntegritySampler, JumpSolver, Mesh3Result,
+    MeshResult, MeshSolver, MulticoreSolver, Outcome, OuterConfig, Priority, Request,
+    ResilienceError, ResilientSolver, Scenarios, SerialSolver, ServiceConfig, Solve3Result,
     SolveResult, SolveService, SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver, Timing,
 };
 use powergrid::gen::{
@@ -446,12 +446,7 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
         let req = Request::Solve { net: net.clone(), cfg };
         match serve_one(&a, backend, plan.as_ref(), &tele, req)? {
             Outcome::Solved(r) => r,
-            Outcome::Failed(e) => {
-                println!("solver:      {which}");
-                println!("status:      {e}");
-                tele.write()?;
-                return Ok(EXIT_UNRECOVERABLE);
-            }
+            Outcome::Failed(e) => return unrecoverable(which, &e, &tele),
             other => return Err(format!("unexpected service outcome: {other:?}")),
         }
     } else {
@@ -460,25 +455,14 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
             Some(plan) => {
                 let backend =
                     Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
-                let mut solver =
-                    ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
-                        .with_fault_plan(plan.clone())
-                        .with_degradation(a.get_parse_or("degrade", true)?);
-                if let Some(rec) = tele.recorder() {
-                    solver = solver.with_recorder(rec.clone());
-                }
+                let mut solver = supervisor(backend, plan, a.get_parse_or("degrade", true)?, &tele);
                 let solved = solver.solve(&net, &cfg);
                 if let Some(dev) = solver.last_device() {
                     tele.bridge_device(dev);
                 }
                 match solved {
                     Ok(r) => r,
-                    Err(e) => {
-                        println!("solver:      {which}");
-                        println!("status:      {e}");
-                        tele.write()?;
-                        return Ok(EXIT_UNRECOVERABLE);
-                    }
+                    Err(e) => return unrecoverable(which, &e, &tele),
                 }
             }
         }
@@ -593,25 +577,14 @@ fn solve_meshed(a: &Args, net: &MeshedNetwork) -> Result<u8, String> {
         Some(plan) => {
             let backend =
                 Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
-            let mut solver =
-                ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
-                    .with_fault_plan(plan.clone())
-                    .with_degradation(a.get_parse_or("degrade", true)?);
-            if let Some(rec) = tele.recorder() {
-                solver = solver.with_recorder(rec.clone());
-            }
+            let mut solver = supervisor(backend, plan, a.get_parse_or("degrade", true)?, &tele);
             let solved = solve_meshed_resilient(&mut solver, net, &cfg, &outer);
             if let Some(dev) = solver.last_device() {
                 tele.bridge_device(dev);
             }
             match solved {
                 Ok(r) => r,
-                Err(e) => {
-                    println!("solver:      {which} (meshed)");
-                    println!("status:      {e}");
-                    tele.write()?;
-                    return Ok(EXIT_UNRECOVERABLE);
-                }
+                Err(e) => return unrecoverable(&format!("{which} (meshed)"), &e, &tele),
             }
         }
         None => match which {
@@ -1184,6 +1157,10 @@ fn cmd_gen3(argv: &[String]) -> Result<(), String> {
     emit_text(&powergrid::gridfile3::write_grid3(&net3), a.get("out"), net3.num_buses())
 }
 
+/// One inner three-phase solve over prepared arrays, on whichever backend
+/// `solve3` selected.
+type Inner3Solve<'a> = Box<dyn FnMut(&Arrays3) -> Result<Solve3Result, ResilienceError> + 'a>;
+
 fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let a = Args::parse(
         argv,
@@ -1196,61 +1173,16 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let which = a.get_or("solver", "serial");
     let plan = fault_plan(&a)?;
     let tele = Telemetry::from_args(&a);
-    if !net.generators().is_empty() {
-        // Distributed generators: route through the three-phase PV
-        // outer loop; generator-free files keep the exact former path.
-        if wants_service(&a) {
+    // Files with distributed generators run the three-phase PV outer loop.
+    let dg = !net.generators().is_empty();
+    if wants_service(&a) {
+        if dg {
             return Err(
                 "DG .grid3 files do not route through the robustness service; \
                  drop --max-retries/--breaker-threshold (fault flags still work)"
                     .into(),
             );
         }
-        let outer = outer_config(&a)?;
-        let res = match (which, plan) {
-            ("serial", _) => {
-                let mut s = fbs::Serial3Solver::new(HostProps::paper_rig());
-                if let Some(rec) = tele.recorder() {
-                    s = s.with_recorder(rec.clone());
-                }
-                solve3_dg(&mut s, &net, &cfg, &outer, tele.recorder())
-            }
-            ("gpu", None) => {
-                let mut s = fbs::Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
-                if let Some(rec) = tele.recorder() {
-                    s = s.with_recorder(rec.clone());
-                }
-                let r = solve3_dg(&mut s, &net, &cfg, &outer, tele.recorder());
-                tele.bridge_device(s.device());
-                r
-            }
-            ("gpu", Some(plan)) => {
-                let mut solver =
-                    Resilient3Solver::new(DeviceProps::paper_rig(), HostProps::paper_rig())
-                        .with_fault_plan(plan)
-                        .with_degradation(a.get_parse_or("degrade", true)?);
-                if let Some(rec) = tele.recorder() {
-                    solver = solver.with_recorder(rec.clone());
-                }
-                match solve3_dg_resilient(&mut solver, &net, &cfg, &outer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        println!("solver:      {which} (three-phase DG)");
-                        println!("status:      {e}");
-                        tele.write()?;
-                        return Ok(EXIT_UNRECOVERABLE);
-                    }
-                }
-            }
-            (other, _) => return Err(format!("unknown three-phase solver `{other}`")),
-        };
-        if let Some(rec) = tele.recorder() {
-            record_mesh3_run(rec, &res);
-        }
-        tele.write()?;
-        return report_solve3_dg(&net, which, &res);
-    }
-    if wants_service(&a) {
         // Three-phase service requests always run device-first (the
         // service's fallback covers the serial path).
         if which != "gpu" {
@@ -1260,10 +1192,7 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         let res = match serve_one(&a, Backend::Gpu, plan.as_ref(), &tele, req)? {
             Outcome::Solved3(r) => r,
             Outcome::Failed(e) => {
-                println!("solver:      {which} (three-phase)");
-                println!("status:      {e}");
-                tele.write()?;
-                return Ok(EXIT_UNRECOVERABLE);
+                return unrecoverable(&format!("{which} (three-phase)"), &e, &tele)
             }
             other => return Err(format!("unexpected service outcome: {other:?}")),
         };
@@ -1271,46 +1200,92 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         tele.write()?;
         return report_solve3(&net, which, &res);
     }
-    let res = match (which, plan) {
+    let outer = if dg { Some(outer_config(&a)?) } else { None };
+
+    // One inner solve over prepared arrays per backend.
+    let mut gpu: Option<fbs::Gpu3Solver> = None;
+    let mut inner: Inner3Solve<'_> = match (which, plan) {
         // Fault plans only touch device ops; serial runs are unaffected.
         ("serial", _) => {
             let mut s = fbs::Serial3Solver::new(HostProps::paper_rig());
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
             }
-            s.solve(&net, &cfg)
+            Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
         }
         ("gpu", None) => {
             let mut s = fbs::Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
             }
-            let r = s.solve(&net, &cfg);
-            tele.bridge_device(s.device());
-            r
+            let s = gpu.insert(s);
+            Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
         }
         ("gpu", Some(plan)) => {
-            let mut solver = Resilient3Solver::new(DeviceProps::paper_rig(), HostProps::paper_rig())
-                .with_fault_plan(plan)
-                .with_degradation(a.get_parse_or("degrade", true)?);
-            if let Some(rec) = tele.recorder() {
-                solver = solver.with_recorder(rec.clone());
-            }
-            match solver.solve(&net, &cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    println!("solver:      {which} (three-phase)");
-                    println!("status:      {e}");
-                    tele.write()?;
-                    return Ok(EXIT_UNRECOVERABLE);
-                }
-            }
+            let mut s = supervisor(Backend::Gpu, &plan, a.get_parse_or("degrade", true)?, &tele);
+            Box::new(move |a3| s.solve3(a3, &cfg))
         }
         (other, _) => return Err(format!("unknown three-phase solver `{other}`")),
     };
-    tele.record(&res.timing, res.iterations, res.residual, &res.status, None);
+
+    enum Solved {
+        Dg(Mesh3Result),
+        Plain(Solve3Result),
+    }
+    let solved = match &outer {
+        Some(outer) => solve3_dg(&net, &cfg, outer, tele.recorder(), &mut inner).map(Solved::Dg),
+        None => inner(&Arrays3::new(&net)).map(Solved::Plain),
+    };
+    drop(inner);
+    if let Some(s) = &gpu {
+        tele.bridge_device(s.device());
+    }
+    let label = if dg { "three-phase DG" } else { "three-phase" };
+    match solved {
+        Err(e) => unrecoverable(&format!("{which} ({label})"), &e, &tele),
+        Ok(Solved::Dg(res)) => {
+            if let Some(rec) = tele.recorder() {
+                record_mesh3_run(rec, &res);
+            }
+            tele.write()?;
+            report_solve3_dg(&net, which, &res)
+        }
+        Ok(Solved::Plain(res)) => {
+            tele.record(&res.timing, res.iterations, res.residual, &res.status, None);
+            tele.write()?;
+            report_solve3(&net, which, &res)
+        }
+    }
+}
+
+/// The fault-tolerant supervisor behind the `--fault-*` flags: `backend`
+/// on the paper rig with `plan` armed and the run's recorder attached.
+fn supervisor(
+    backend: Backend,
+    plan: &FaultPlan,
+    degrade: bool,
+    tele: &Telemetry,
+) -> ResilientSolver {
+    let solver = ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
+        .with_fault_plan(plan.clone())
+        .with_degradation(degrade);
+    match tele.recorder() {
+        Some(rec) => solver.with_recorder(rec.clone()),
+        None => solver,
+    }
+}
+
+/// Reports a solve the fault-tolerant supervisor could not finish:
+/// prints the solver label and error, flushes telemetry, exits 5.
+fn unrecoverable(
+    solver: &str,
+    e: &dyn std::fmt::Display,
+    tele: &Telemetry,
+) -> Result<u8, String> {
+    println!("solver:      {solver}");
+    println!("status:      {e}");
     tele.write()?;
-    report_solve3(&net, which, &res)
+    Ok(EXIT_UNRECOVERABLE)
 }
 
 /// Prints the `solve3` result block and returns the status exit code.
@@ -1499,12 +1474,7 @@ fn profile_resilient(
     let backend = Backend::from_name(which)
         .filter(|b| b.is_device())
         .ok_or_else(|| format!("profile: unknown device solver `{which}`"))?;
-    let mut solver = ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
-        .with_fault_plan(plan.clone())
-        .with_degradation(degrade);
-    if let Some(rec) = tele.recorder() {
-        solver = solver.with_recorder(rec.clone());
-    }
+    let mut solver = supervisor(backend, &plan, degrade, tele);
     let solved = solver.solve(net, cfg);
     if let Some(dev) = solver.last_device() {
         tele.bridge_device(dev);

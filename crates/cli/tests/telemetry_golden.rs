@@ -240,63 +240,73 @@ fn mesh_solve_records_outer_telemetry() {
     let grid_s = grid.to_str().unwrap();
     run(&["feeders", "--name", "ieee123-dg", "--out", grid_s]).expect("feeders must succeed");
 
-    let (t1, t2) = (tmp("mesh-1.trace.json"), tmp("mesh-2.trace.json"));
-    let (m1, m2) = (tmp("mesh-1.summary.json"), tmp("mesh-2.summary.json"));
-    for (t, m) in [(&t1, &m1), (&t2, &m2)] {
-        let code = run(&[
-            "solve",
-            grid_s,
-            "--solver",
-            "gpu",
-            "--trace-out",
-            t.to_str().unwrap(),
-            "--metrics-out",
-            m.to_str().unwrap(),
-        ])
-        .expect("meshed solve must succeed");
-        assert_eq!(code, 0, "instrumented meshed solve exits 0");
+    // The plain GPU outer loop and the same loop under the fault-tolerant
+    // supervisor must record the same outer telemetry.
+    let plain: &[&str] = &[];
+    let faulted: &[&str] = &["--fault-seed", "11", "--fault-rate", "0.005"];
+    for (extra, status_key) in
+        [(plain, "solve.status.converged"), (faulted, "solve.status.recovered")]
+    {
+        let (t1, t2) = (tmp("mesh-1.trace.json"), tmp("mesh-2.trace.json"));
+        let (m1, m2) = (tmp("mesh-1.summary.json"), tmp("mesh-2.summary.json"));
+        for (t, m) in [(&t1, &m1), (&t2, &m2)] {
+            let mut args = vec![
+                "solve",
+                grid_s,
+                "--solver",
+                "gpu",
+                "--trace-out",
+                t.to_str().unwrap(),
+                "--metrics-out",
+                m.to_str().unwrap(),
+            ];
+            args.extend_from_slice(extra);
+            let code = run(&args).expect("meshed solve must succeed");
+            assert_eq!(code, 0, "instrumented meshed solve {extra:?} exits 0");
+        }
+        assert_eq!(
+            fs::read(&t1).expect("first trace"),
+            fs::read(&t2).expect("second trace"),
+            "fixed-topology meshed traces must be byte-identical ({extra:?})"
+        );
+        assert_eq!(
+            fs::read(&m1).expect("first summary"),
+            fs::read(&m2).expect("second summary"),
+            "fixed-topology meshed summaries must be byte-identical ({extra:?})"
+        );
+
+        let doc = json::parse(&fs::read_to_string(&m1).unwrap()).expect("summary parses");
+
+        // The mesh.* run-summary gauges: topology counts are exact, the
+        // outer loop ran, and the final mismatches met the outer tolerance.
+        assert_eq!(gauge(&doc, "mesh.loops"), 2.0, "ieee123-dg carries two closed ties");
+        assert_eq!(gauge(&doc, "mesh.gens"), 3.0, "ieee123-dg carries three generators");
+        assert!(gauge(&doc, "mesh.outer_iterations") >= 2.0, "compensation needs outer iterations");
+        assert!(gauge(&doc, "mesh.breakpoint_residual") < 1e-2, "break points must have settled");
+        assert!(gauge(&doc, "mesh.pv_error") < 1e-2, "PV set-points must have settled");
+
+        // The outer loop's per-iteration residual track lands in the trace
+        // as counter events and the iteration count in the histogram block.
+        let trace = fs::read_to_string(&t1).unwrap();
+        assert!(trace.contains("mesh.breakpoint_residual"), "trace carries the residual track");
+        let hist = doc
+            .get("histograms")
+            .and_then(|h| h.get("solver.outer_iterations"))
+            .unwrap_or_else(|| panic!("summary lacks the outer-iterations histogram ({extra:?})"));
+        assert!(
+            hist.get("count").and_then(Value::as_f64) == Some(1.0),
+            "one meshed solve observes one outer-iteration count: {hist:?}"
+        );
+
+        assert_eq!(
+            doc.get("counters").and_then(|c| c.get(status_key)).and_then(Value::as_f64),
+            Some(1.0),
+            "the {status_key} counter carries the overall mesh status"
+        );
+
+        for p in [&t1, &t2, &m1, &m2] {
+            let _ = fs::remove_file(p);
+        }
     }
-    assert_eq!(
-        fs::read(&t1).expect("first trace"),
-        fs::read(&t2).expect("second trace"),
-        "fixed-topology meshed traces must be byte-identical"
-    );
-    assert_eq!(
-        fs::read(&m1).expect("first summary"),
-        fs::read(&m2).expect("second summary"),
-        "fixed-topology meshed summaries must be byte-identical"
-    );
-
-    let doc = json::parse(&fs::read_to_string(&m1).unwrap()).expect("summary parses");
-
-    // The mesh.* run-summary gauges: topology counts are exact, the
-    // outer loop ran, and the final mismatches met the outer tolerance.
-    assert_eq!(gauge(&doc, "mesh.loops"), 2.0, "ieee123-dg carries two closed ties");
-    assert_eq!(gauge(&doc, "mesh.gens"), 3.0, "ieee123-dg carries three generators");
-    assert!(gauge(&doc, "mesh.outer_iterations") >= 2.0, "compensation needs outer iterations");
-    assert!(gauge(&doc, "mesh.breakpoint_residual") < 1e-2, "break points must have settled");
-    assert!(gauge(&doc, "mesh.pv_error") < 1e-2, "PV set-points must have settled");
-
-    // The outer loop's per-iteration residual track lands in the trace
-    // as counter events and the iteration count in the histogram block.
-    let trace = fs::read_to_string(&t1).unwrap();
-    assert!(trace.contains("mesh.breakpoint_residual"), "trace carries the residual track");
-    let hist = doc
-        .get("histograms")
-        .and_then(|h| h.get("solver.outer_iterations"))
-        .expect("summary carries the outer-iterations histogram");
-    assert!(
-        hist.get("count").and_then(Value::as_f64) == Some(1.0),
-        "one meshed solve observes one outer-iteration count: {hist:?}"
-    );
-
-    assert_eq!(
-        doc.get("counters").and_then(|c| c.get("solve.status.converged")).and_then(Value::as_f64),
-        Some(1.0),
-        "the converged status counter carries the overall mesh status"
-    );
-
-    for p in [&grid, &t1, &t2, &m1, &m2] {
-        let _ = fs::remove_file(p);
-    }
+    let _ = fs::remove_file(&grid);
 }

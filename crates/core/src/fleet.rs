@@ -1044,16 +1044,10 @@ fn merge_batches(parts: Vec<TensorBatchResult>) -> TensorBatchResult {
             out.residual = part.residual;
         }
         out.timing.accumulate(&part.timing);
-        // Fault/integrity bookkeeping sums across shards; the backend
-        // list keeps the first shard's (shards run the same backend).
+        // Fault/integrity bookkeeping sums across shards.
         out.fault_report = match (out.fault_report.take(), part.fault_report) {
             (Some(mut a), Some(b)) => {
-                a.faults_injected += b.faults_injected;
-                a.rollbacks += b.rollbacks;
-                a.retries += b.retries;
-                a.checkpoints += b.checkpoints;
-                a.checkpoint_us += b.checkpoint_us;
-                a.corruptions_detected += b.corruptions_detected;
+                a.accumulate(&b);
                 Some(a)
             }
             (a, b) => a.or(b),

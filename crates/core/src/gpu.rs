@@ -120,28 +120,10 @@ impl GpuSolver {
         self.try_solve_warm(a, cfg, v_init).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`GpuSolver::solve`]: surfaces injected faults and device
-    /// loss as [`DeviceError`] instead of panicking.
-    pub fn try_solve(
-        &mut self,
-        net: &RadialNetwork,
-        cfg: &SolverConfig,
-    ) -> Result<SolveResult, DeviceError> {
-        let arrays = SolverArrays::new(net);
-        self.try_solve_arrays(&arrays, cfg)
-    }
-
-    /// Fallible [`GpuSolver::solve_arrays`].
-    pub fn try_solve_arrays(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-    ) -> Result<SolveResult, DeviceError> {
-        self.try_solve_warm(a, cfg, None)
-    }
-
-    /// Fallible [`GpuSolver::solve_warm`].
-    pub fn try_solve_warm(
+    /// Fallible [`GpuSolver::solve_warm`]: surfaces injected faults and
+    /// device loss as [`DeviceError`], which the public entry points
+    /// turn into a panic.
+    fn try_solve_warm(
         &mut self,
         a: &SolverArrays,
         cfg: &SolverConfig,

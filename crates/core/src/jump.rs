@@ -134,19 +134,10 @@ impl JumpSolver {
         self.try_solve_arrays(a, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`JumpSolver::solve`]: surfaces injected faults and
-    /// device loss as [`DeviceError`] instead of panicking.
-    pub fn try_solve(
-        &mut self,
-        net: &RadialNetwork,
-        cfg: &SolverConfig,
-    ) -> Result<SolveResult, DeviceError> {
-        let arrays = JumpArrays::new(net);
-        self.try_solve_arrays(&arrays, cfg)
-    }
-
-    /// Fallible [`JumpSolver::solve_arrays`].
-    pub fn try_solve_arrays(
+    /// Fallible [`JumpSolver::solve_arrays`]: surfaces injected faults
+    /// and device loss as [`DeviceError`], which the public entry
+    /// points turn into a panic.
+    fn try_solve_arrays(
         &mut self,
         a: &JumpArrays,
         cfg: &SolverConfig,

@@ -32,7 +32,7 @@
 //! masquerading as `MaxIterations`.
 
 use numc::{c, solve_dense, CVec3, Complex};
-use powergrid::three_phase::{ThreePhaseBuilder, ThreePhaseNetwork};
+use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::{MeshedNetwork, NetworkBuilder, PvBus, RadialNetwork};
 use simt::HostProps;
 use telemetry::Recorder;
@@ -42,12 +42,12 @@ use crate::config::SolverConfig;
 use crate::gpu::GpuSolver;
 use crate::multicore::MulticoreSolver;
 use crate::obs::Obs;
-use crate::recovery::{Resilient3Solver, ResilienceError, ResilientSolver};
+use crate::recovery::{ResilienceError, ResilientSolver};
 use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
 use crate::tensor_batch::TensorBatchSolver;
-use crate::three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
+use crate::three_phase::{Arrays3, Solve3Result};
 
 /// Knobs of the mesh/DG outer loop (the inner sweeps keep using
 /// [`SolverConfig`] untouched).
@@ -236,8 +236,6 @@ impl MeshResult {
 /// own entry point ([`solve_meshed_resilient`]) because its
 /// checkpoint/rollback machinery owns device lifetimes.
 pub trait SweepBackend {
-    /// Backend name for reports.
-    fn name(&self) -> &'static str;
     /// One inner radial solve over `a`, warm-started from `v_init`
     /// (indexed by bus id) when given.
     fn solve_warm_arrays(
@@ -248,47 +246,24 @@ pub trait SweepBackend {
     ) -> SolveResult;
 }
 
-impl SweepBackend for SerialSolver {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-    fn solve_warm_arrays(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> SolveResult {
-        self.solve_warm(a, cfg, v_init)
-    }
+/// Implements [`SweepBackend`] for radial solvers whose inherent
+/// `solve_warm` already has the trait method's shape.
+macro_rules! forward_sweep_backend {
+    ($($solver:ty),*) => {$(
+        impl SweepBackend for $solver {
+            fn solve_warm_arrays(
+                &mut self,
+                a: &SolverArrays,
+                cfg: &SolverConfig,
+                v_init: Option<&[Complex]>,
+            ) -> SolveResult {
+                self.solve_warm(a, cfg, v_init)
+            }
+        }
+    )*};
 }
 
-impl SweepBackend for MulticoreSolver {
-    fn name(&self) -> &'static str {
-        "multicore"
-    }
-    fn solve_warm_arrays(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> SolveResult {
-        self.solve_warm(a, cfg, v_init)
-    }
-}
-
-impl SweepBackend for GpuSolver {
-    fn name(&self) -> &'static str {
-        "gpu"
-    }
-    fn solve_warm_arrays(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> SolveResult {
-        self.solve_warm(a, cfg, v_init)
-    }
-}
+forward_sweep_backend!(SerialSolver, MulticoreSolver, GpuSolver);
 
 /// The precomputed, topology-only part of a meshed/DG problem: base
 /// loads, the Thevenin loop-impedance matrix and per-generator voltage
@@ -378,12 +353,7 @@ impl MeshProblem {
     /// A fresh outer-loop state: zero loop currents, generators in PV
     /// mode at `Q = 0` (clamped into their limits).
     pub fn initial_state(&self) -> MeshState {
-        MeshState {
-            j_loop: vec![Complex::ZERO; self.bps.len()],
-            q: self.gens.iter().map(|g| 0.0f64.clamp(g.q_min, g.q_max)).collect(),
-            modes: vec![GenMode::Pv; self.gens.len()],
-            flips: vec![0; self.gens.len()],
-        }
+        MeshState::new(&self.gens, self.bps.len())
     }
 
     /// The constant-power loads (by bus id) the next inner solve should
@@ -513,6 +483,17 @@ pub struct MeshState {
 }
 
 impl MeshState {
+    /// `loops` zero loop currents, and every generator in PV mode at
+    /// `Q = 0` clamped into its limits.
+    fn new(gens: &[PvBus], loops: usize) -> Self {
+        MeshState {
+            j_loop: vec![Complex::ZERO; loops],
+            q: gens.iter().map(|g| 0.0f64.clamp(g.q_min, g.q_max)).collect(),
+            modes: vec![GenMode::Pv; gens.len()],
+            flips: vec![0; gens.len()],
+        }
+    }
+
     /// Total mode flips across all generators.
     pub fn total_flips(&self) -> u32 {
         self.flips.iter().sum()
@@ -536,6 +517,84 @@ impl OuterStep {
     /// The scalar the outer loop converges on.
     pub fn mismatch(&self) -> f64 {
         self.bp_residual.max(self.pv_error)
+    }
+}
+
+/// How an outer loop ended: the overall status and the outer outcome.
+type OuterOutcome = (SolveStatus, OuterStatus);
+
+/// The outer loop's stopping rule, written once for every driver: the
+/// single-phase loop, the three-phase PV loop and each scenario of the
+/// batched DG sweep. A round is judged in a fixed order — inner failure;
+/// a singular Thevenin system or a non-finite or over-cap mismatch; a
+/// limit cycle; convergence (tight rounds only); `patience` consecutive
+/// growths. A loop that runs out of rounds ends [`Self::EXHAUSTED`].
+#[derive(Clone, Debug)]
+struct OuterMonitor {
+    /// Outer tolerance, volts.
+    tol_v: f64,
+    /// Divergence cap on the mismatch, volts.
+    cap_v: f64,
+    /// Consecutive growths tolerated before divergence.
+    patience: u32,
+    /// Mismatch of the last round that did not end the loop.
+    prev: f64,
+    /// Consecutive rounds the mismatch has grown.
+    growth: u32,
+}
+
+impl OuterMonitor {
+    /// Outcome of a loop that used every round without settling: slow
+    /// coupling, not structural failure.
+    const EXHAUSTED: OuterOutcome = (SolveStatus::MaxIterations, OuterStatus::MaxOuterIterations);
+
+    /// A monitor for a feeder whose control voltages scale with `v0_mag`.
+    fn new(outer: &OuterConfig, cfg: &SolverConfig, v0_mag: f64) -> Self {
+        OuterMonitor {
+            tol_v: outer.tol_rel * v0_mag,
+            cap_v: cfg.divergence_cap_volts(v0_mag),
+            patience: outer.patience,
+            prev: f64::INFINITY,
+            growth: 0,
+        }
+    }
+
+    /// Judges outer round `it`, whose inner solve ended with `inner`.
+    /// `step` applies the outer correction and runs only when the inner
+    /// solve converged; a loose round (`tight == false`) may not declare
+    /// convergence. `None` means run another round.
+    fn round(
+        &mut self,
+        it: u32,
+        inner: SolveStatus,
+        tight: bool,
+        step: impl FnOnce() -> OuterStep,
+    ) -> Option<OuterOutcome> {
+        if !inner.is_converged() {
+            return Some((inner, OuterStatus::InnerFailed { at_outer: it }));
+        }
+        let step = step();
+        let m = step.mismatch();
+        let diverged =
+            (SolveStatus::OuterDiverged { at_outer: it }, OuterStatus::Diverged { at_outer: it });
+        if step.singular || !m.is_finite() || m > self.cap_v {
+            return Some(diverged);
+        }
+        if step.limit_cycle {
+            return Some((
+                SolveStatus::OuterDiverged { at_outer: it },
+                OuterStatus::LimitCycle { at_outer: it },
+            ));
+        }
+        if tight && m <= self.tol_v {
+            return Some((inner, OuterStatus::Converged { outer_iterations: it }));
+        }
+        self.growth = if m > self.prev { self.growth + 1 } else { 0 };
+        if self.growth >= self.patience {
+            return Some(diverged);
+        }
+        self.prev = m;
+        None
     }
 }
 
@@ -574,16 +633,12 @@ impl<B: SweepBackend> MeshSolver<B> {
 
     /// Solves a weakly-meshed/DG network.
     pub fn solve(&mut self, net: &MeshedNetwork, cfg: &SolverConfig) -> MeshResult {
-        let outer = self.outer;
-        let rec = self.recorder.clone();
-        let backend = &mut self.backend;
-        let arrays = SolverArrays::new(net.tree());
-        let mut a = arrays;
-        drive_outer::<std::convert::Infallible>(net, cfg, &outer, rec.as_ref(), &mut |loads, warm| {
+        let mut a = SolverArrays::new(net.tree());
+        let Ok(res) = drive_outer(net, cfg, &self.outer, self.recorder.as_ref(), |loads, warm| {
             a.s = a.levels.permute(loads);
-            Ok(backend.solve_warm_arrays(&a, cfg, warm))
-        })
-        .unwrap_or_else(|e| match e {})
+            Ok::<_, std::convert::Infallible>(self.backend.solve_warm_arrays(&a, cfg, warm))
+        });
+        res
     }
 }
 
@@ -591,7 +646,8 @@ impl<B: SweepBackend> MeshSolver<B> {
 /// supervisor: every inner radial solve runs through
 /// [`ResilientSolver::solve`], so checkpoint/rollback, certification and
 /// GPU→CPU degradation compose with the outer loop unchanged. Fault
-/// reports are accumulated across outer iterations.
+/// reports are accumulated across outer iterations, and the outer loop
+/// records into the supervisor's recorder, if it has one.
 pub fn solve_meshed_resilient(
     solver: &mut ResilientSolver,
     net: &MeshedNetwork,
@@ -602,7 +658,8 @@ pub fn solve_meshed_resilient(
     let n = tree.num_buses();
     let source = tree.source_voltage();
     let branches: Vec<_> = tree.branches().to_vec();
-    drive_outer(net, cfg, outer, None, &mut |loads, _warm| {
+    let rec = solver.recorder().cloned();
+    drive_outer(net, cfg, outer, rec.as_ref(), |loads, _warm| {
         // The supervisor owns its device sessions, so the outer loop
         // hands it a freshly patched network instead of raw arrays (and
         // forgoes warm starts — recovery certification assumes the flat
@@ -619,25 +676,22 @@ pub fn solve_meshed_resilient(
     })
 }
 
-/// Inner-solve callback for [`drive_outer`]: compensated loads plus an
-/// optional warm-start voltage profile.
-type InnerSolve<'a, E> = dyn FnMut(&[Complex], Option<&[Complex]>) -> Result<SolveResult, E> + 'a;
-
 /// The shared outer loop: repeatedly build compensated loads, run one
-/// inner solve through `inner`, and apply [`MeshProblem::step`] until
-/// the mismatch settles or fails structurally.
+/// inner solve through `inner` (loads by bus id plus an optional
+/// warm-start voltage profile), and apply [`MeshProblem::step`] until
+/// the [`OuterMonitor`] ends the loop.
 fn drive_outer<E>(
     net: &MeshedNetwork,
     cfg: &SolverConfig,
     outer: &OuterConfig,
     rec: Option<&Recorder>,
-    inner: &mut InnerSolve<'_, E>,
+    mut inner: impl FnMut(&[Complex], Option<&[Complex]>) -> Result<SolveResult, E>,
 ) -> Result<MeshResult, E> {
     let tree = net.tree();
     let n = tree.num_buses();
     let v0 = tree.source_voltage();
     let problem = MeshProblem::new(net);
-    let state = problem.initial_state();
+    let mut state = problem.initial_state();
     let obs = Obs::new(rec, "solver.mesh");
 
     if cfg.validate().is_err() || !outer.is_valid() {
@@ -652,17 +706,13 @@ fn drive_outer<E>(
         return Ok(finish(res, status, OuterStatus::Radial, 0, &state, 0.0, 0.0, rec));
     }
 
-    let tol_v = outer.tol_rel * v0.abs();
-    let cap_v = cfg.divergence_cap_volts(v0.abs());
-    let mut state = state;
+    let mut monitor = OuterMonitor::new(outer, cfg, v0.abs());
     let mut v: Vec<Complex> = vec![v0; n];
     let mut total = Timing::default();
     let mut total_inner_iters = 0u32;
-    let mut faults = FaultAccumulator::default();
+    let mut faults: Option<FaultReport> = None;
     let mut last: Option<SolveResult> = None;
-    let mut prev_mismatch = f64::INFINITY;
-    let mut growth = 0u32;
-    let mut outcome: Option<(SolveStatus, OuterStatus)> = None;
+    let mut outcome = OuterMonitor::EXHAUSTED;
     let mut step = OuterStep { bp_residual: 0.0, pv_error: 0.0, singular: false, limit_cycle: false };
     let mut outer_iters = 0u32;
 
@@ -675,59 +725,31 @@ fn drive_outer<E>(
         // just its last inner solve.
         total.accumulate(&res.timing);
         total_inner_iters += res.iterations;
-        faults.fold(res.fault_report.as_ref());
-        if !res.status.is_converged() {
-            let status = res.status;
-            outcome = Some((status, OuterStatus::InnerFailed { at_outer: it }));
-            last = Some(res);
-            break;
+        if let Some(fr) = &res.fault_report {
+            faults.get_or_insert_with(FaultReport::default).accumulate(fr);
         }
-        v.copy_from_slice(&res.v);
-        step = problem.step(&mut state, &v, outer);
-        obs.phase("outer", total.total_us(), total.total_us());
-        if let Some(r) = rec {
-            r.counter_sample("mesh.breakpoint_residual", total.total_us(), step.bp_residual);
-        }
-        let m = step.mismatch();
+        let decided = monitor.round(it, res.status, true, || {
+            v.copy_from_slice(&res.v);
+            step = problem.step(&mut state, &v, outer);
+            obs.phase("outer", total.total_us(), total.total_us());
+            if let Some(r) = rec {
+                r.counter_sample("mesh.breakpoint_residual", total.total_us(), step.bp_residual);
+            }
+            step
+        });
         last = Some(res);
-        if step.singular || !m.is_finite() || m > cap_v {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::Diverged { at_outer: it },
-            ));
+        if let Some(o) = decided {
+            outcome = o;
             break;
         }
-        if step.limit_cycle {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::LimitCycle { at_outer: it },
-            ));
-            break;
-        }
-        if m <= tol_v {
-            let status = last.as_ref().expect("an inner solve just ran").status;
-            outcome = Some((status, OuterStatus::Converged { outer_iterations: it }));
-            break;
-        }
-        growth = if m > prev_mismatch { growth + 1 } else { 0 };
-        if growth >= outer.patience {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::Diverged { at_outer: it },
-            ));
-            break;
-        }
-        prev_mismatch = m;
     }
 
-    let (status, outer_status) =
-        outcome.unwrap_or((SolveStatus::MaxIterations, OuterStatus::MaxOuterIterations));
+    let (status, outer_status) = outcome;
     let mut res = last.expect("max_outer >= 1 guarantees at least one inner solve");
     res.timing = total;
     res.iterations = total_inner_iters;
-    faults.fold(None); // no-op; keeps the accumulator used symmetrically
-    if let Some(fr) = faults.into_report() {
-        res.fault_report = Some(fr);
+    if faults.is_some() {
+        res.fault_report = faults;
     }
     Ok(finish(res, status, outer_status, outer_iters, &state, step.bp_residual, step.pv_error, rec))
 }
@@ -757,34 +779,6 @@ fn finish(
         q_gen: state.q.clone(),
         gen_modes: state.modes.clone(),
         mode_flips: state.total_flips(),
-    }
-}
-
-/// Accumulates fault reports across the outer loop's inner solves.
-#[derive(Default)]
-struct FaultAccumulator {
-    report: Option<FaultReport>,
-}
-
-impl FaultAccumulator {
-    fn fold(&mut self, fr: Option<&FaultReport>) {
-        let Some(fr) = fr else { return };
-        let acc = self.report.get_or_insert_with(FaultReport::default);
-        acc.faults_injected += fr.faults_injected;
-        acc.rollbacks += fr.rollbacks;
-        acc.retries += fr.retries;
-        acc.checkpoints += fr.checkpoints;
-        acc.checkpoint_us += fr.checkpoint_us;
-        acc.corruptions_detected += fr.corruptions_detected;
-        for b in &fr.backends {
-            if acc.backends.last() != Some(b) {
-                acc.backends.push(b.clone());
-            }
-        }
-    }
-
-    fn into_report(self) -> Option<FaultReport> {
-        self.report
     }
 }
 
@@ -873,14 +867,13 @@ pub fn solve_dg_batch(
         });
     }
 
-    let tol_v = outer.tol_rel * v0.abs();
-    let cap_v = cfg.divergence_cap_volts(v0.abs());
+    let monitor = OuterMonitor::new(outer, cfg, v0.abs());
+    let tol_v = monitor.tol_v;
+    let mut monitors = vec![monitor; nb];
     let mut states: Vec<MeshState> = (0..nb).map(|_| problem.initial_state()).collect();
     let mut v: Vec<Vec<Complex>> = vec![vec![v0; n]; nb];
-    let mut outcome: Vec<Option<(SolveStatus, OuterStatus)>> = vec![None; nb];
+    let mut outcome: Vec<Option<OuterOutcome>> = vec![None; nb];
     let mut outer_iters = vec![0u32; nb];
-    let mut prev_mismatch = vec![f64::INFINITY; nb];
-    let mut growth = vec![0u32; nb];
     let mut rounds = 0u32;
 
     // The outer driver only ever reads voltages at generator buses and
@@ -947,57 +940,20 @@ pub fn solve_dg_batch(
                     continue;
                 }
                 outer_iters[s] = it;
-                if !round.statuses[ls].is_converged() {
-                    outcome[s] =
-                        Some((round.statuses[ls], OuterStatus::InnerFailed { at_outer: it }));
+                let decided = monitors[s].round(it, round.statuses[ls], tight, || {
+                    for (k, &bus) in probes.iter().enumerate() {
+                        v[s][bus] = round.probe_v[ls][k];
+                    }
+                    problem.step(&mut states[s], &v[s], outer)
+                });
+                if decided.is_some() {
+                    outcome[s] = decided;
                     session.retire(ls);
                     live -= 1;
                     continue;
                 }
-                for (k, &bus) in probes.iter().enumerate() {
-                    v[s][bus] = round.probe_v[ls][k];
-                }
-                let step = problem.step(&mut states[s], &v[s], outer);
-                let m = step.mismatch();
-                if step.singular || !m.is_finite() || m > cap_v {
-                    outcome[s] = Some((
-                        SolveStatus::OuterDiverged { at_outer: it },
-                        OuterStatus::Diverged { at_outer: it },
-                    ));
-                    session.retire(ls);
-                    live -= 1;
-                    continue;
-                }
-                if step.limit_cycle {
-                    outcome[s] = Some((
-                        SolveStatus::OuterDiverged { at_outer: it },
-                        OuterStatus::LimitCycle { at_outer: it },
-                    ));
-                    session.retire(ls);
-                    live -= 1;
-                    continue;
-                }
-                if tight && m <= tol_v {
-                    outcome[s] = Some((
-                        round.statuses[ls],
-                        OuterStatus::Converged { outer_iterations: it },
-                    ));
-                    session.retire(ls);
-                    live -= 1;
-                    continue;
-                }
-                growth[s] = if m > prev_mismatch[s] { growth[s] + 1 } else { 0 };
-                if growth[s] >= outer.patience {
-                    outcome[s] = Some((
-                        SolveStatus::OuterDiverged { at_outer: it },
-                        OuterStatus::Diverged { at_outer: it },
-                    ));
-                    session.retire(ls);
-                    live -= 1;
-                    continue;
-                }
-                prev_mismatch[s] = m;
-                next_worst = next_worst.max(m);
+                // A round that decides nothing leaves its mismatch in `prev`.
+                next_worst = next_worst.max(monitors[s].prev);
                 // Ship only the loads the outer step actually moved —
                 // generator buses and break-point endpoints.
                 let fresh = problem.loads(&states[s], &v[s], dg_scales[s]);
@@ -1022,7 +978,7 @@ pub fn solve_dg_batch(
 
     let (statuses, outer_statuses): (Vec<_>, Vec<_>) = outcome
         .into_iter()
-        .map(|o| o.unwrap_or((SolveStatus::MaxIterations, OuterStatus::MaxOuterIterations)))
+        .map(|o| o.unwrap_or(OuterMonitor::EXHAUSTED))
         .unzip();
     let scenarios_per_sec =
         if total_us > 0.0 { nb as f64 / (total_us * 1e-6) } else { 0.0 };
@@ -1071,93 +1027,26 @@ impl Mesh3Result {
     }
 }
 
-/// A three-phase sweep backend the DG outer loop can drive. Implemented
-/// by [`Serial3Solver`] and [`Gpu3Solver`]; [`Resilient3Solver`] has its
-/// own entry point ([`solve3_dg_resilient`]) because it owns device
-/// lifetimes and returns `Result`.
-pub trait Sweep3Backend {
-    /// Backend name for reports.
-    fn name(&self) -> &'static str;
-    /// One inner three-phase solve over prepared arrays.
-    fn solve3_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result;
-}
-
-impl Sweep3Backend for Serial3Solver {
-    fn name(&self) -> &'static str {
-        "serial3"
-    }
-    fn solve3_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
-        self.solve_arrays(a, cfg)
-    }
-}
-
-impl Sweep3Backend for Gpu3Solver {
-    fn name(&self) -> &'static str {
-        "gpu3"
-    }
-    fn solve3_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
-        self.solve_arrays(a, cfg)
-    }
-}
-
 /// Solves a three-phase network with distributed generators: the PV-bus
-/// outer loop around any [`Sweep3Backend`]. A generator is balanced —
-/// `p_gen` and the dispatched Q split equally across the phases, and the
-/// set-point regulates the *mean* phase magnitude (regulators on real
-/// feeders act on an average or a single monitored phase; the mean keeps
-/// the control scalar smooth under unbalance).
-pub fn solve3_dg<B: Sweep3Backend>(
-    backend: &mut B,
+/// outer loop around one inner solve per round. `inner` solves the
+/// prepared arrays, whose loads the loop patches in place each round —
+/// a plain backend is `|a| Ok::<_, Infallible>(solver.solve_arrays(a, cfg))`,
+/// the fault-tolerant one `|a| supervisor.solve3(a, cfg)`. A generator
+/// is balanced — `p_gen` and the dispatched Q split equally across the
+/// phases, and the set-point regulates the *mean* phase magnitude
+/// (regulators on real feeders act on an average or a single monitored
+/// phase; the mean keeps the control scalar smooth under unbalance).
+///
+/// Three-phase networks are radial, so only PV control engages; it
+/// shares the mode machine, hysteresis, stale-voltage accounting and
+/// limit-cycle budget with the single-phase loop through [`pv_step`],
+/// and its stopping rule through [`OuterMonitor`].
+pub fn solve3_dg<E>(
     net: &ThreePhaseNetwork,
     cfg: &SolverConfig,
     outer: &OuterConfig,
     rec: Option<&Recorder>,
-) -> Mesh3Result {
-    let mut a = Arrays3::new(net);
-    drive_outer3::<std::convert::Infallible>(net, cfg, outer, rec, &mut |loads| {
-        a.s = a.levels.permute(loads);
-        Ok(backend.solve3_arrays(&a, cfg))
-    })
-    .unwrap_or_else(|e| match e {})
-}
-
-/// Solves a three-phase DG network under the fault-tolerant supervisor:
-/// every inner solve runs through [`Resilient3Solver::solve`], so
-/// recovery and degradation compose with the PV outer loop unchanged.
-pub fn solve3_dg_resilient(
-    solver: &mut Resilient3Solver,
-    net: &ThreePhaseNetwork,
-    cfg: &SolverConfig,
-    outer: &OuterConfig,
-) -> Result<Mesh3Result, ResilienceError> {
-    let source = net.source_voltage();
-    let branches: Vec<_> = net.branches().to_vec();
-    drive_outer3(net, cfg, outer, None, &mut |loads| {
-        // The supervisor takes a network, not arrays: hand it a patched
-        // copy with the generators folded into the loads (and no `gen`
-        // records, so the patched net is an honest PQ-only feeder).
-        let mut b = ThreePhaseBuilder::new(source);
-        for &load in loads {
-            b.add_bus(load);
-        }
-        for br in &branches {
-            b.connect(br.from, br.to, br.z);
-        }
-        let patched = b.build().expect("patched feeder keeps the validated topology");
-        solver.solve(&patched, cfg)
-    })
-}
-
-/// The three-phase outer loop: PV control only (three-phase networks are
-/// radial, so there is nothing to compensate). Shares the mode machine,
-/// hysteresis, stale-voltage accounting and limit-cycle budget with the
-/// single-phase loop through [`pv_step`].
-fn drive_outer3<E>(
-    net: &ThreePhaseNetwork,
-    cfg: &SolverConfig,
-    outer: &OuterConfig,
-    rec: Option<&Recorder>,
-    inner: &mut dyn FnMut(&[CVec3]) -> Result<Solve3Result, E>,
+    mut inner: impl FnMut(&Arrays3) -> Result<Solve3Result, E>,
 ) -> Result<Mesh3Result, E> {
     let n = net.num_buses();
     let v0 = net.source_voltage();
@@ -1166,21 +1055,17 @@ fn drive_outer3<E>(
     let base: Vec<CVec3> = net.buses().iter().map(|b| b.load).collect();
     let obs = Obs::new(rec, "solver.mesh3");
 
-    let mut state = MeshState {
-        j_loop: Vec::new(),
-        q: gens.iter().map(|g| 0.0f64.clamp(g.q_min, g.q_max)).collect(),
-        modes: vec![GenMode::Pv; gens.len()],
-        flips: vec![0; gens.len()],
-    };
+    let mut state = MeshState::new(&gens, 0);
 
     if cfg.validate().is_err() || !outer.is_valid() {
         let inner_res = crate::three_phase::invalid_config_result3(n, v0);
         return Ok(finish3(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, 0.0, rec));
     }
 
+    let mut a = Arrays3::new(net);
     // No generators: one plain inner solve, zero outer overhead.
     if gens.is_empty() {
-        let res = inner(&base)?;
+        let res = inner(&a)?;
         let status = res.status;
         return Ok(finish3(res, status, OuterStatus::Radial, 0, &state, 0.0, rec));
     }
@@ -1202,74 +1087,40 @@ fn drive_outer3<E>(
         })
         .collect();
 
-    let tol_v = outer.tol_rel * v0m;
-    let cap_v = cfg.divergence_cap_volts(v0m);
+    let mut monitor = OuterMonitor::new(outer, cfg, v0m);
     let mut total = Timing::default();
     let mut total_inner_iters = 0u32;
     let mut last: Option<Solve3Result> = None;
-    let mut prev_mismatch = f64::INFINITY;
-    let mut growth = 0u32;
-    let mut outcome: Option<(SolveStatus, OuterStatus)> = None;
+    let mut outcome = OuterMonitor::EXHAUSTED;
     let mut pv_error = 0.0;
     let mut outer_iters = 0u32;
 
     for it in 1..=outer.max_outer {
         outer_iters = it;
-        let loads: Vec<CVec3> = {
-            let mut l = base.clone();
-            for (gi, g) in gens.iter().enumerate() {
-                let s_phase = c(g.p_gen, state.q[gi]) / 3.0;
-                let inj = CVec3 { a: s_phase, b: s_phase, c: s_phase };
-                l[g.bus] -= inj;
-            }
-            l
-        };
-        let res = inner(&loads)?;
+        let mut loads = base.clone();
+        for (gi, g) in gens.iter().enumerate() {
+            let s_phase = c(g.p_gen, state.q[gi]) / 3.0;
+            loads[g.bus] -= CVec3 { a: s_phase, b: s_phase, c: s_phase };
+        }
+        a.s = a.levels.permute(&loads);
+        let res = inner(&a)?;
         total.accumulate(&res.timing);
         total_inner_iters += res.iterations;
-        if !res.status.is_converged() {
-            let status = res.status;
-            outcome = Some((status, OuterStatus::InnerFailed { at_outer: it }));
-            last = Some(res);
-            break;
-        }
-        let vm: Vec<f64> = gens.iter().map(|g| mean_phase_mag(res.v[g.bus])).collect();
-        let (err, limit_cycle) = pv_step(&gens, &x_th, &mut state, &vm, outer);
-        pv_error = err;
-        obs.phase("outer", total.total_us(), total.total_us());
+        let decided = monitor.round(it, res.status, true, || {
+            let vm: Vec<f64> = gens.iter().map(|g| mean_phase_mag(res.v[g.bus])).collect();
+            let (err, limit_cycle) = pv_step(&gens, &x_th, &mut state, &vm, outer);
+            pv_error = err;
+            obs.phase("outer", total.total_us(), total.total_us());
+            OuterStep { bp_residual: 0.0, pv_error: err, singular: false, limit_cycle }
+        });
         last = Some(res);
-        if !err.is_finite() || err > cap_v {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::Diverged { at_outer: it },
-            ));
+        if let Some(o) = decided {
+            outcome = o;
             break;
         }
-        if limit_cycle {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::LimitCycle { at_outer: it },
-            ));
-            break;
-        }
-        if err <= tol_v {
-            let status = last.as_ref().expect("an inner solve just ran").status;
-            outcome = Some((status, OuterStatus::Converged { outer_iterations: it }));
-            break;
-        }
-        growth = if err > prev_mismatch { growth + 1 } else { 0 };
-        if growth >= outer.patience {
-            outcome = Some((
-                SolveStatus::OuterDiverged { at_outer: it },
-                OuterStatus::Diverged { at_outer: it },
-            ));
-            break;
-        }
-        prev_mismatch = err;
     }
 
-    let (status, outer_status) =
-        outcome.unwrap_or((SolveStatus::MaxIterations, OuterStatus::MaxOuterIterations));
+    let (status, outer_status) = outcome;
     let mut res = last.expect("max_outer >= 1 guarantees at least one inner solve");
     res.timing = total;
     res.iterations = total_inner_iters;
@@ -1333,10 +1184,13 @@ fn root_path(tree: &RadialNetwork, bus: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::recovery::Backend;
+    use crate::three_phase::{Gpu3Solver, Serial3Solver};
     use numc::{approx_eq_eps, CMat3};
     use powergrid::ieee::ieee123_dg;
+    use powergrid::three_phase::ThreePhaseBuilder;
     use powergrid::{MeshedNetworkBuilder, PvBus};
     use simt::{Device, DeviceProps, FaultPlan, HostProps};
+    use std::convert::Infallible;
 
     fn serial_mesh() -> MeshSolver<SerialSolver> {
         MeshSolver::new(SerialSolver::new(HostProps::paper_rig()))
@@ -1553,6 +1407,86 @@ mod tests {
         assert!(fr.faults_injected > 0);
     }
 
+    fn monitor() -> OuterMonitor {
+        // A 1 kV feeder under the default knobs (patience 4).
+        OuterMonitor::new(&OuterConfig::default(), &SolverConfig::default(), 1000.0)
+    }
+
+    fn mismatch(m: f64) -> OuterStep {
+        OuterStep { bp_residual: m, pv_error: 0.0, singular: false, limit_cycle: false }
+    }
+
+    /// One round whose inner solve converged and whose step is `step`.
+    fn judge(mon: &mut OuterMonitor, it: u32, tight: bool, step: OuterStep) -> Option<OuterOutcome> {
+        mon.round(it, SolveStatus::Converged, tight, || step)
+    }
+
+    fn outer_failure(it: u32, outer: OuterStatus) -> Option<OuterOutcome> {
+        Some((SolveStatus::OuterDiverged { at_outer: it }, outer))
+    }
+
+    #[test]
+    fn monitor_ends_on_a_failed_inner_solve_without_stepping() {
+        let got = monitor().round(3, SolveStatus::MaxIterations, true, || unreachable!());
+        let want = (SolveStatus::MaxIterations, OuterStatus::InnerFailed { at_outer: 3 });
+        assert_eq!(got, Some(want));
+    }
+
+    #[test]
+    fn monitor_diverges_on_singular_nonfinite_or_capped_mismatch() {
+        let want = outer_failure(2, OuterStatus::Diverged { at_outer: 2 });
+        let cap = monitor().cap_v;
+        for step in [
+            OuterStep { singular: true, ..mismatch(0.0) },
+            mismatch(f64::INFINITY),
+            mismatch(2.0 * cap),
+            // Divergence outranks a simultaneous limit cycle.
+            OuterStep { limit_cycle: true, ..mismatch(f64::INFINITY) },
+        ] {
+            assert_eq!(judge(&mut monitor(), 2, true, step), want, "{step:?}");
+        }
+    }
+
+    #[test]
+    fn monitor_reports_a_limit_cycle() {
+        let cycling = OuterStep { limit_cycle: true, ..mismatch(0.0) };
+        let want = outer_failure(5, OuterStatus::LimitCycle { at_outer: 5 });
+        assert_eq!(judge(&mut monitor(), 5, true, cycling), want);
+    }
+
+    #[test]
+    fn monitor_converges_only_on_a_tight_round() {
+        let mut mon = monitor();
+        assert_eq!(judge(&mut mon, 1, false, mismatch(0.0)), None, "loose rounds never converge");
+        // A tight round converges and keeps the inner status.
+        let recovered = SolveStatus::Recovered { faults: 1, retries: 1 };
+        let got = mon.round(2, recovered, true, || mismatch(0.0));
+        assert_eq!(got, Some((recovered, OuterStatus::Converged { outer_iterations: 2 })));
+    }
+
+    #[test]
+    fn monitor_diverges_after_patience_growths() {
+        // The first round sets the baseline, a shrink resets the count,
+        // and round 7 is the fourth growth in a row.
+        let mut mon = monitor();
+        for (it, m) in [(1, 1.0), (2, 2.0), (3, 1.5), (4, 3.0), (5, 4.0), (6, 5.0)] {
+            assert_eq!(judge(&mut mon, it, true, mismatch(m)), None, "round {it}");
+        }
+        let want = outer_failure(7, OuterStatus::Diverged { at_outer: 7 });
+        assert_eq!(judge(&mut mon, 7, true, mismatch(6.0)), want);
+    }
+
+    #[test]
+    fn outer_cap_exhaustion_is_max_iterations_not_failure() {
+        let net = ladder_loop(c(10_000.0, 2_000.0));
+        let res = serial_mesh()
+            .with_outer(OuterConfig::default().with_max_outer(1))
+            .solve(&net, &SolverConfig::default());
+        assert_eq!((res.status, res.outer_status), OuterMonitor::EXHAUSTED);
+        assert_eq!(res.outer_iterations, 1);
+        assert!(!res.status.is_failure());
+    }
+
     #[test]
     fn batched_dg_sweep_matches_serial_outer_loop_per_scenario() {
         let net = ieee123_dg();
@@ -1635,13 +1569,22 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The three-phase DG loop on the serial reference backend.
+    fn serial3_dg(net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Mesh3Result {
+        let serial = Serial3Solver::new(HostProps::paper_rig());
+        let Ok(r) = solve3_dg(net, cfg, &OuterConfig::default(), None, |a| {
+            Ok::<_, Infallible>(serial.solve_arrays(a, cfg))
+        });
+        r
+    }
+
     #[test]
     fn three_phase_without_generators_is_a_plain_solve() {
         let net = feeder3(None);
         let cfg = SolverConfig::default();
-        let mut serial = Serial3Solver::new(HostProps::paper_rig());
+        let serial = Serial3Solver::new(HostProps::paper_rig());
         let plain = serial.solve(&net, &cfg);
-        let r = solve3_dg(&mut serial, &net, &cfg, &OuterConfig::default(), None);
+        let r = serial3_dg(&net, &cfg);
         assert_eq!(r.outer_status, OuterStatus::Radial);
         assert_eq!(r.outer_iterations, 0);
         assert!(r.converged());
@@ -1657,12 +1600,11 @@ mod tests {
         let net = feeder3(Some(gen));
         let cfg = SolverConfig::default();
 
-        let mut serial = Serial3Solver::new(HostProps::paper_rig());
-        let sagged = serial.solve(&net, &cfg);
+        let sagged = Serial3Solver::new(HostProps::paper_rig()).solve(&net, &cfg);
         let vm0 = (sagged.v[2].a.abs() + sagged.v[2].b.abs() + sagged.v[2].c.abs()) / 3.0;
         assert!(vm0 < v_set - 1.0, "test wants a sagged feeder, got {vm0}");
 
-        let r = solve3_dg(&mut serial, &net, &cfg, &OuterConfig::default(), None);
+        let r = serial3_dg(&net, &cfg);
         assert!(r.converged(), "{:?}", r.outer_status);
         assert!(r.outer_iterations >= 2);
         let vm = (r.inner.v[2].a.abs() + r.inner.v[2].b.abs() + r.inner.v[2].c.abs()) / 3.0;
@@ -1672,7 +1614,9 @@ mod tests {
 
         // The GPU backend lands on the same operating point.
         let mut gpu = Gpu3Solver::new(Device::paper_rig());
-        let g = solve3_dg(&mut gpu, &net, &cfg, &OuterConfig::default(), None);
+        let Ok(g) = solve3_dg(&net, &cfg, &OuterConfig::default(), None, |a| {
+            Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg))
+        });
         assert!(g.converged());
         for (a, b) in g.inner.v.iter().zip(&r.inner.v) {
             assert!((a.a - b.a).abs() < 1e-6 && (a.b - b.b).abs() < 1e-6 && (a.c - b.c).abs() < 1e-6);
@@ -1687,8 +1631,7 @@ mod tests {
         let gen = PvBus { bus: 2, p_gen: 5_000.0, v_set: 2395.0, q_min: -800.0, q_max: 800.0 };
         let net = feeder3(Some(gen));
         let cfg = SolverConfig::default();
-        let mut serial = Serial3Solver::new(HostProps::paper_rig());
-        let r = solve3_dg(&mut serial, &net, &cfg, &OuterConfig::default(), None);
+        let r = serial3_dg(&net, &cfg);
         assert!(r.converged(), "{:?}", r.outer_status);
         assert_eq!(r.gen_modes[0], GenMode::ClampedMax);
         assert!((r.q_gen[0] - 800.0).abs() < 1e-12);
@@ -1696,15 +1639,29 @@ mod tests {
 
     #[test]
     fn three_phase_resilient_solve_composes_with_fault_recovery() {
-        let gen = PvBus { bus: 2, p_gen: 10_000.0, v_set: 2392.0, q_min: -150_000.0, q_max: 150_000.0 };
+        let gen = PvBus { bus: 2, p_gen: 10_000.0, v_set: 2392.0, q_min: -1.5e5, q_max: 1.5e5 };
         let net = feeder3(Some(gen));
         let cfg = SolverConfig::default();
-        let mut serial = Serial3Solver::new(HostProps::paper_rig());
-        let want = solve3_dg(&mut serial, &net, &cfg, &OuterConfig::default(), None);
+        let outer = OuterConfig::default();
+        let supervisor =
+            || ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig());
 
-        let mut res = Resilient3Solver::new(DeviceProps::paper_rig(), HostProps::paper_rig())
-            .with_fault_plan(FaultPlan::seeded(20260808, 0.01));
-        let got = solve3_dg_resilient(&mut res, &net, &cfg, &OuterConfig::default()).unwrap();
+        // Fault-free supervisor run is the plain GPU DG solve, bit for bit.
+        let mut gpu = Gpu3Solver::new(Device::paper_rig());
+        let Ok(plain) =
+            solve3_dg(&net, &cfg, &outer, None, |a| Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg)));
+        let mut clean = supervisor();
+        let got = solve3_dg(&net, &cfg, &outer, None, |a| clean.solve3(a, &cfg)).unwrap();
+        assert!(plain.converged() && plain.outer_iterations >= 2);
+        assert_eq!(got.inner.v, plain.inner.v);
+        assert_eq!(got.q_gen, plain.q_gen);
+        assert_eq!(got.inner.iterations, plain.inner.iterations);
+        assert_eq!((got.status, got.outer_status), (plain.status, plain.outer_status));
+
+        // Seeded faults: the answer still matches the serial reference.
+        let want = serial3_dg(&net, &cfg);
+        let mut faulty = supervisor().with_fault_plan(FaultPlan::seeded(20260808, 0.01));
+        let got = solve3_dg(&net, &cfg, &outer, None, |a| faulty.solve3(a, &cfg)).unwrap();
         assert!(got.converged(), "{:?}", got.outer_status);
         for (a, b) in got.inner.v.iter().zip(&want.inner.v) {
             assert!((a.a - b.a).abs() < 1e-6 && (a.b - b.b).abs() < 1e-6 && (a.c - b.c).abs() < 1e-6);

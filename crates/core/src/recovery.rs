@@ -45,7 +45,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use numc::Complex;
-use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::RadialNetwork;
 use simt::{Device, DeviceError, DeviceProps, FaultPlan, HostProps};
 
@@ -470,8 +469,9 @@ impl fmt::Display for ResilienceError {
 
 impl std::error::Error for ResilienceError {}
 
-/// Fault-tolerant single-phase solver: checkpoints, rolls back, retries
-/// on fresh devices, and degrades gpu → multicore → serial.
+/// Fault-tolerant solver: checkpoints, rolls back, retries on fresh
+/// devices, and degrades gpu → multicore → serial. Three-phase solves
+/// ([`ResilientSolver::solve3`]) run a simpler whole-solve retry policy.
 pub struct ResilientSolver {
     backend: Backend,
     props: DeviceProps,
@@ -542,6 +542,11 @@ impl ResilientSolver {
         self.last_device.as_ref()
     }
 
+    /// The attached telemetry recorder, if any.
+    pub(crate) fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.as_ref()
+    }
+
     /// Solves, recovering from injected faults.
     pub fn solve(
         &mut self,
@@ -605,6 +610,77 @@ impl ResilientSolver {
                 }
             }
         }
+    }
+
+    /// Solves a three-phase network from prepared arrays, recovering
+    /// from injected faults.
+    ///
+    /// The three-phase GPU solver has no checkpointed session, so the
+    /// policy is simpler and stricter than [`ResilientSolver::solve`]'s:
+    /// retry whole [`Gpu3Solver`] solves on fresh devices until one
+    /// completes with *zero* recorded faults (provably clean), then
+    /// accept it; device loss or budget exhaustion degrades straight to
+    /// the [`Serial3Solver`] reference. The configured backend and the
+    /// cancel flag are ignored, and [`ResilientSolver::last_device`] is
+    /// left untouched.
+    pub fn solve3(
+        &mut self,
+        a: &Arrays3,
+        cfg: &SolverConfig,
+    ) -> Result<Solve3Result, ResilienceError> {
+        if cfg.validate().is_err() {
+            return Ok(crate::three_phase::invalid_config_result3(a.len(), a.source));
+        }
+        let mut faults_total = 0u32;
+        let mut budget = RetryBudget::new(cfg.max_recoveries);
+        let mut lost_any = false;
+        loop {
+            let mut dev = Device::new(self.props.clone());
+            if let Some(plan) = &self.plan {
+                dev.arm_faults(plan.clone());
+            }
+            let mut solver = Gpu3Solver::new(dev);
+            if let Some(rec) = &self.recorder {
+                solver = solver.with_recorder(rec.clone());
+            }
+            let attempt = catch_unwind(AssertUnwindSafe(|| solver.solve_arrays(a, cfg)));
+            let faults = solver.device().fault_log().len() as u32;
+            faults_total += faults;
+            let lost = solver.device().is_lost();
+            if let Ok(mut res) = attempt {
+                if faults == 0 && !lost {
+                    // Provably clean attempt: accept.
+                    if budget.used() > 0 && res.status == SolveStatus::Converged {
+                        res.status = SolveStatus::Recovered {
+                            faults: faults_total,
+                            retries: budget.used(),
+                        };
+                    }
+                    return Ok(res);
+                }
+            }
+            lost_any |= lost;
+            if !budget.charge() {
+                break;
+            }
+        }
+        if !self.degrade {
+            return Err(if lost_any {
+                ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: 0 })
+            } else {
+                ResilienceError::BudgetExhausted { retries: budget.used() }
+            });
+        }
+        let mut fallback = Serial3Solver::new(self.host.clone());
+        if let Some(rec) = &self.recorder {
+            fallback = fallback.with_recorder(rec.clone());
+        }
+        let mut res = fallback.solve_arrays(a, cfg);
+        if res.status == SolveStatus::Converged {
+            res.status =
+                SolveStatus::Recovered { faults: faults_total, retries: budget.used() };
+        }
+        Ok(res)
     }
 
     /// Runs attempts on fresh devices until one completes or the
@@ -782,114 +858,6 @@ fn run_jump_attempt(
         timing,
         fault_report: None,
     })
-}
-
-/// Fault-tolerant three-phase solver.
-///
-/// The three-phase GPU solver has no checkpointed session, so the
-/// policy is simpler and stricter: retry whole solves on fresh devices
-/// until one completes with *zero* recorded faults (provably clean),
-/// then accept it; device loss or budget exhaustion degrades straight
-/// to the serial three-phase reference.
-pub struct Resilient3Solver {
-    props: DeviceProps,
-    host: HostProps,
-    plan: Option<FaultPlan>,
-    degrade: bool,
-    recorder: Option<Recorder>,
-}
-
-impl Resilient3Solver {
-    /// Creates a supervisor for the three-phase GPU solver.
-    pub fn new(props: DeviceProps, host: HostProps) -> Self {
-        Resilient3Solver { props, host, plan: None, degrade: true, recorder: None }
-    }
-
-    /// Attaches a telemetry recorder (see [`ResilientSolver::with_recorder`]).
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Arms a fault plan (see [`ResilientSolver::with_fault_plan`]).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-
-    /// Enables or disables degradation to the serial reference.
-    pub fn with_degradation(mut self, degrade: bool) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Solves, recovering from injected faults.
-    pub fn solve(
-        &mut self,
-        net: &ThreePhaseNetwork,
-        cfg: &SolverConfig,
-    ) -> Result<Solve3Result, ResilienceError> {
-        if cfg.validate().is_err() {
-            return Ok(crate::three_phase::invalid_config_result3(
-                net.num_buses(),
-                net.source_voltage(),
-            ));
-        }
-        let a = Arrays3::new(net);
-        let mut faults_total = 0u32;
-        let mut budget = RetryBudget::new(cfg.max_recoveries);
-        let mut last_lost: Option<DeviceError> = None;
-        loop {
-            let mut dev = Device::new(self.props.clone());
-            if let Some(plan) = &self.plan {
-                dev.arm_faults(plan.clone());
-            }
-            let mut solver = Gpu3Solver::new(dev);
-            if let Some(rec) = &self.recorder {
-                solver = solver.with_recorder(rec.clone());
-            }
-            let attempt = catch_unwind(AssertUnwindSafe(|| solver.solve_arrays(&a, cfg)));
-            let faults = solver.device().fault_log().len() as u32;
-            faults_total += faults;
-            let lost = solver.device().is_lost();
-            if let Ok(res) = attempt {
-                if faults == 0 && !lost {
-                    // Provably clean attempt: accept.
-                    let mut res = res;
-                    if budget.used() > 0 && res.status == SolveStatus::Converged {
-                        res.status = SolveStatus::Recovered {
-                            faults: faults_total,
-                            retries: budget.used(),
-                        };
-                    }
-                    return Ok(res);
-                }
-            }
-            if lost {
-                last_lost =
-                    Some(DeviceError::DeviceLost { at_op: 0 });
-            }
-            if !budget.charge() {
-                break;
-            }
-        }
-        if !self.degrade {
-            return Err(match last_lost {
-                Some(e) => ResilienceError::DeviceLost(e),
-                None => ResilienceError::BudgetExhausted { retries: budget.used() },
-            });
-        }
-        let mut fallback = Serial3Solver::new(self.host.clone());
-        if let Some(rec) = &self.recorder {
-            fallback = fallback.with_recorder(rec.clone());
-        }
-        let mut res = fallback.solve_arrays(&a, cfg);
-        if res.status == SolveStatus::Converged {
-            res.status =
-                SolveStatus::Recovered { faults: faults_total, retries: budget.used() };
-        }
-        Ok(res)
-    }
 }
 
 #[cfg(test)]

@@ -133,6 +133,24 @@ impl FaultReport {
     pub fn degraded(&self) -> bool {
         self.backends.len() > 1
     }
+
+    /// Adds another run's report into this one, where several solves
+    /// make up one answer (outer-loop iterations, batch shards): the
+    /// counters sum, and each of `r`'s backends is appended unless it
+    /// repeats the last one listed.
+    pub fn accumulate(&mut self, r: &FaultReport) {
+        self.faults_injected += r.faults_injected;
+        self.rollbacks += r.rollbacks;
+        self.retries += r.retries;
+        self.checkpoints += r.checkpoints;
+        self.checkpoint_us += r.checkpoint_us;
+        self.corruptions_detected += r.corruptions_detected;
+        for b in &r.backends {
+            if self.backends.last() != Some(b) {
+                self.backends.push(b.clone());
+            }
+        }
+    }
 }
 
 /// The result of one power-flow solve.

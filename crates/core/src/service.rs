@@ -63,11 +63,11 @@ use telemetry::{Recorder, Trace};
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
-use crate::recovery::{Backend, Resilient3Solver, ResilienceError, ResilientSolver};
+use crate::recovery::{Backend, ResilienceError, ResilientSolver};
 use crate::report::{SolveResult, Timing};
 use crate::status::SolveStatus;
 use crate::tensor_batch::{scenarios_per_sec, Scenarios, TensorBatchResult, TensorBatchSolver};
-use crate::three_phase::{Serial3Solver, Solve3Result};
+use crate::three_phase::{Arrays3, Serial3Solver, Solve3Result};
 
 /// A per-request time budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -297,6 +297,15 @@ enum Route {
 struct DeviceFailure {
     transient: bool,
     err: ResilienceError,
+}
+
+impl From<ResilienceError> for DeviceFailure {
+    /// A supervisor that spent its budget may succeed on a retry; a lost
+    /// device will not.
+    fn from(err: ResilienceError) -> Self {
+        let transient = matches!(err, ResilienceError::BudgetExhausted { .. });
+        DeviceFailure { transient, err }
+    }
 }
 
 /// The robustness service: deadlines, retry, breaker, bounded queue.
@@ -787,21 +796,29 @@ impl SolveService {
         }
     }
 
+    /// The strict (non-degrading) fault-tolerant supervisor a solve
+    /// attempt runs under: the service's fault plan and recorder, and
+    /// degradation off, because falling back is the service's decision.
+    fn supervisor(&self) -> ResilientSolver {
+        let mut solver =
+            ResilientSolver::new(self.cfg.backend, self.props.clone(), self.host.clone())
+                .with_degradation(false);
+        if let Some(plan) = &self.plan {
+            solver = solver.with_fault_plan(plan.clone());
+        }
+        if let Some(rec) = &self.recorder {
+            solver = solver.with_recorder(rec.clone());
+        }
+        solver
+    }
+
     /// One device attempt. `Err` is classified transient (worth a
     /// service-level retry) or unrecoverable (breaker fuel).
     fn attempt_device(&mut self, req: &Request) -> Result<Outcome, DeviceFailure> {
         match req {
             Request::Solve { net, cfg } => {
                 let cfg = self.effective_cfg(cfg);
-                let mut solver =
-                    ResilientSolver::new(self.cfg.backend, self.props.clone(), self.host.clone())
-                        .with_degradation(false);
-                if let Some(plan) = &self.plan {
-                    solver = solver.with_fault_plan(plan.clone());
-                }
-                if let Some(rec) = &self.recorder {
-                    solver = solver.with_recorder(rec.clone());
-                }
+                let mut solver = self.supervisor();
                 let attempt = if let Some(wall) = self.cfg.deadline.wall {
                     let cancel = Arc::new(AtomicBool::new(false));
                     solver = solver.with_cancel(Arc::clone(&cancel));
@@ -809,34 +826,11 @@ impl SolveService {
                 } else {
                     solver.solve(net, &cfg)
                 };
-                match attempt {
-                    Ok(res) => Ok(Outcome::Solved(res)),
-                    Err(err) => {
-                        let transient =
-                            matches!(err, ResilienceError::BudgetExhausted { .. });
-                        Err(DeviceFailure { transient, err })
-                    }
-                }
+                Ok(Outcome::Solved(attempt?))
             }
             Request::Solve3 { net, cfg } => {
                 let cfg = self.effective_cfg(cfg);
-                let mut solver =
-                    Resilient3Solver::new(self.props.clone(), self.host.clone())
-                        .with_degradation(false);
-                if let Some(plan) = &self.plan {
-                    solver = solver.with_fault_plan(plan.clone());
-                }
-                if let Some(rec) = &self.recorder {
-                    solver = solver.with_recorder(rec.clone());
-                }
-                match solver.solve(net, &cfg) {
-                    Ok(res) => Ok(Outcome::Solved3(res)),
-                    Err(err) => {
-                        let transient =
-                            matches!(err, ResilienceError::BudgetExhausted { .. });
-                        Err(DeviceFailure { transient, err })
-                    }
-                }
+                Ok(Outcome::Solved3(self.supervisor().solve3(&Arrays3::new(net), &cfg)?))
             }
             Request::Batch { net, scenarios, cfg } => {
                 let cfg = self.effective_cfg(cfg);
@@ -866,26 +860,18 @@ impl SolveService {
                     // supervisor (the fleet reclaims the work on a
                     // peer), so a mid-batch loss is a failure there.
                     Ok(Ok(res)) if self.cfg.fallback || !lost => Ok(Outcome::Batch(res)),
-                    Ok(Ok(_)) => Err(DeviceFailure {
-                        transient: false,
-                        err: ResilienceError::DeviceLost(DeviceError::DeviceLost {
-                            at_op: 0,
-                        }),
-                    }),
-                    Ok(Err(e @ DeviceError::DeviceLost { .. })) => Err(DeviceFailure {
-                        transient: false,
-                        err: ResilienceError::DeviceLost(e),
-                    }),
-                    Ok(Err(_)) | Err(_) if !lost => Err(DeviceFailure {
-                        transient: true,
-                        err: ResilienceError::BudgetExhausted { retries: 0 },
-                    }),
-                    _ => Err(DeviceFailure {
-                        transient: false,
-                        err: ResilienceError::DeviceLost(DeviceError::DeviceLost {
-                            at_op: 0,
-                        }),
-                    }),
+                    Ok(Err(e @ DeviceError::DeviceLost { .. })) => {
+                        Err(ResilienceError::DeviceLost(e).into())
+                    }
+                    Ok(Err(_)) | Err(_) if !lost => {
+                        Err(ResilienceError::BudgetExhausted { retries: 0 }.into())
+                    }
+                    // Including a strict-mode answer from a device that
+                    // died mid-batch.
+                    _ => {
+                        let e = DeviceError::DeviceLost { at_op: 0 };
+                        Err(ResilienceError::DeviceLost(e).into())
+                    }
                 }
             }
         }
