@@ -10,6 +10,8 @@
 #      drift, fails here before any benchmark run.
 #   3. E-bin smoke runs: the `*_SMOKE=1` configurations of E9 and
 #      E12–E17 as end-to-end sanity passes, under wall-clock ceilings.
+#      Smoke runs only print; the leg fails if any of them wrote under
+#      `results/`, which holds the full runs' numbers.
 #   4. CLI replays: a seeded chaos replay through `fbs fleet` that must
 #      exit 0 with one device scripted dead, and a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
@@ -33,6 +35,8 @@ echo "== benchmark tests: cargo test --manifest-path benchmark/Cargo.toml =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== E-bin smoke runs =="
+results_sum() { find results -type f -print0 | sort -z | xargs -0 sha256sum | sha256sum; }
+results_before=$(results_sum)
 E9_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e9_batch > /dev/null
 E12_SMOKE=1 cargo run -q --offline --release -p fbs-bench --bin exp_e12_faults > /dev/null
 E13_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e13_service > /dev/null
@@ -40,6 +44,10 @@ E14_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_
 E15_SMOKE=1 timeout 600 cargo run -q --offline --release -p fbs-bench --bin exp_e15_fleet > /dev/null
 E16_SMOKE=1 timeout 600 cargo run -q --offline --release -p fbs-bench --bin exp_e16_soak > /dev/null 2> /dev/null
 E17_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e17_mesh > /dev/null
+if [ "$(results_sum)" != "$results_before" ]; then
+  echo "E-bin smoke runs must not write under results/" >&2
+  exit 1
+fi
 
 echo "== CLI replays: fleet chaos + storm soak =="
 cargo run -q --offline --release -p fbs-cli feeders --name ieee37 --out target/ci_fleet.grid 2> /dev/null

@@ -12,7 +12,7 @@
 //! Run: `cargo run -p fbs-bench --release --bin exp_e12_faults`
 //! (`E12_SMOKE=1` restricts to the smallest feeder for CI.)
 
-use fbs::{Backend, GpuSolver, ResilientSolver, SolverConfig};
+use fbs::{Backend, GpuSolver, ResilientSolver, SolverArrays, SolverConfig};
 use fbs_bench::{rng_for, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use simt::{Device, DeviceProps, FaultPlan, HostProps};
@@ -39,6 +39,7 @@ fn main() {
         let plain = GpuSolver::new(Device::new(DeviceProps::paper_rig())).solve(&net, &cfg);
         assert!(plain.converged(), "{n}: baseline must converge");
         let plain_us = plain.timing.total_us();
+        let arrays = SolverArrays::new(&net);
 
         for &rate in &RATES {
             let mut solver = ResilientSolver::new(
@@ -47,7 +48,7 @@ fn main() {
                 HostProps::paper_rig(),
             )
             .with_fault_plan(FaultPlan::seeded(fbs_bench::SEED, rate));
-            let res = match solver.solve(&net, &cfg) {
+            let res = match solver.solve(&arrays, &cfg) {
                 Ok(res) => res,
                 Err(e) => panic!("{n} @ rate {rate}: {e}"),
             };

@@ -4,7 +4,8 @@
 //! evaluation (see `DESIGN.md`, per-experiment index): it prints a
 //! markdown table to stdout and writes the same rows as CSV under
 //! `results/` (see [`table`]), plus its headline medians into
-//! `results/BENCH_summary.json` (see [`summary`]). All experiments run
+//! `results/BENCH_summary.json` (see [`summary`]); smoke configurations
+//! (`*_SMOKE`, see [`smoke_run`]) only print. All experiments run
 //! on the calibrated `paper_rig` device/host models with fixed seeds,
 //! so modeled output is reproducible bit-for-bit.
 
@@ -12,7 +13,7 @@ pub mod micro;
 pub mod summary;
 pub mod table;
 
-pub use table::{results_dir, speedup, us, Table};
+pub use table::{results_dir, smoke_run, speedup, us, Table};
 
 use fbs::{SolveResult, SolverConfig};
 use powergrid::RadialNetwork;

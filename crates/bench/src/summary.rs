@@ -13,7 +13,7 @@ use std::fs;
 
 use telemetry::json::{self, Value};
 
-use crate::table::results_dir;
+use crate::table::{results_dir, smoke_run};
 
 /// Median of the samples (NaN-free input assumed), or `None` when empty.
 fn median(samples: &[f64]) -> Option<f64> {
@@ -67,8 +67,12 @@ fn render(experiments: BTreeMap<String, Value>) -> String {
 
 /// Folds one experiment's timing samples into
 /// `results/BENCH_summary.json` as medians. Best-effort like the CSV
-/// mirror: I/O failures warn on stderr rather than failing the run.
+/// mirror: I/O failures warn on stderr rather than failing the run. A
+/// smoke run records nothing.
 pub fn record(name: &str, modeled_us: &[f64], wall_us: &[f64]) {
+    if smoke_run() {
+        return;
+    }
     let dir = results_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -87,8 +91,12 @@ pub fn record(name: &str, modeled_us: &[f64], wall_us: &[f64]) {
 /// Folds one named scalar metric into an experiment's entry in
 /// `results/BENCH_summary.json`, preserving whatever medians [`record`]
 /// already wrote for it. Used for headline numbers that are not timing
-/// medians — e.g. E9's `scenarios_per_sec` throughput.
+/// medians — e.g. E9's `scenarios_per_sec` throughput. A smoke run
+/// records nothing.
 pub fn record_metric(name: &str, key: &str, value: f64) {
+    if smoke_run() {
+        return;
+    }
     let dir = results_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());

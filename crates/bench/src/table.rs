@@ -96,9 +96,13 @@ impl Table {
     /// Prints the markdown table, writes `results/<name>.csv` (relative
     /// to the workspace root when run via cargo), and — when timing
     /// samples were recorded — updates the experiment's medians in
-    /// `results/BENCH_summary.json`.
+    /// `results/BENCH_summary.json`. A smoke run only prints.
     pub fn emit(&self, name: &str) {
         print!("{}", self.to_markdown());
+        if smoke_run() {
+            println!("\n[smoke run: results/ left untouched]");
+            return;
+        }
         let dir = results_dir();
         if let Err(e) = fs::create_dir_all(&dir) {
             eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -113,6 +117,14 @@ impl Table {
             summary::record(name, &self.modeled_us, &self.wall_us);
         }
     }
+}
+
+/// Whether this process runs a smoke configuration: any `*_SMOKE`
+/// variable (`E9_SMOKE`, `E17_SMOKE`, …) is set. Smoke runs write
+/// nothing under `results/`, so they never overwrite a full run's
+/// numbers.
+pub fn smoke_run() -> bool {
+    std::env::vars_os().any(|(k, _)| k.to_str().is_some_and(|k| k.ends_with("_SMOKE")))
 }
 
 /// `results/` next to the workspace root (falls back to CWD).

@@ -5,13 +5,14 @@ use std::fs;
 use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
-    record_mesh3_run, record_mesh_run, record_run, solve3_dg, solve_meshed_resilient, Arrays3,
-    Backend, BackwardStrategy, ContingencyScreener, FaultReport, FleetConfig, FleetRequest,
-    FleetService, GpuSolver, IntegrityConfig, IntegritySampler, JumpSolver, Mesh3Result,
-    MeshResult, MeshSolver, MulticoreSolver, Outcome, OuterConfig, Priority, Request,
-    ResilienceError, ResilientSolver, Scenarios, SerialSolver, ServiceConfig, Solve3Result,
-    SolveResult, SolveService, SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver, Timing,
+    record_run, solve3_dg, solve_dg, Arrays3, Backend, ContingencyScreener, FaultReport,
+    FleetConfig, FleetRequest, FleetService, GpuSolver, IntegrityConfig, IntegritySampler,
+    JumpArrays, JumpSolver, Mesh3Result, MeshResult, MulticoreSolver, Outcome, OuterConfig,
+    Priority, Request, ResilienceError, ResilientSolver, Scenarios, SerialSolver, ServiceConfig,
+    Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays, SolverConfig,
+    TensorBatchSolver, Timing,
 };
+use numc::Complex;
 use powergrid::gen::{
     balanced_binary, balanced_kary, broom, caterpillar, chain, random_tree, star, GenSpec,
 };
@@ -422,6 +423,87 @@ fn serve_one(
     Ok(resp.outcome)
 }
 
+/// One inner single-phase solve on whichever backend `--solver` names:
+/// the plain solver, or the fault-tolerant supervisor once a fault plan
+/// is armed. Radial grids call it once; meshed/DG grids run [`solve_dg`]
+/// around it.
+enum Sweep {
+    Serial(SerialSolver),
+    Multicore(MulticoreSolver),
+    Gpu(GpuSolver),
+    Jump(JumpSolver),
+    Supervised(Box<ResilientSolver>),
+}
+
+impl Sweep {
+    /// The solver for `backend` on the paper rig, with the run's recorder
+    /// attached when `record_inner` is set; with `faults` (the plan and
+    /// `--degrade`) armed, the supervisor starting on that backend, which
+    /// always records its device attempts.
+    fn new(
+        backend: Backend,
+        faults: Option<&(FaultPlan, bool)>,
+        tele: &Telemetry,
+        record_inner: bool,
+    ) -> Sweep {
+        if let Some((plan, degrade)) = faults {
+            return Sweep::Supervised(Box::new(supervisor(backend, plan, *degrade, tele)));
+        }
+        macro_rules! recorded {
+            ($solver:expr) => {
+                match tele.recorder().filter(|_| record_inner) {
+                    Some(rec) => $solver.with_recorder(rec.clone()),
+                    None => $solver,
+                }
+            };
+        }
+        let device = || Device::new(DeviceProps::paper_rig());
+        match backend {
+            Backend::Serial => Sweep::Serial(recorded!(SerialSolver::new(HostProps::paper_rig()))),
+            Backend::Multicore => Sweep::Multicore(recorded!(MulticoreSolver::default())),
+            Backend::GpuJump => Sweep::Jump(recorded!(JumpSolver::new(device()))),
+            level => {
+                let strategy = level.strategy().expect("every other backend is a level GPU sweep");
+                Sweep::Gpu(recorded!(GpuSolver::with_strategy(device(), strategy)))
+            }
+        }
+    }
+
+    /// One solve of `a`, warm-started from `warm` (voltages by bus id)
+    /// where the backend supports it. Only the supervisor can fail.
+    fn solve(
+        &mut self,
+        a: &SolverArrays,
+        cfg: &SolverConfig,
+        warm: Option<&[Complex]>,
+    ) -> Result<SolveResult, ResilienceError> {
+        Ok(match self {
+            Sweep::Serial(s) => s.solve_warm(a, cfg, warm),
+            Sweep::Multicore(s) => s.solve_warm(a, cfg, warm),
+            Sweep::Gpu(s) => s.solve_warm(a, cfg, warm),
+            Sweep::Jump(s) => s.solve_arrays(&JumpArrays::new(a), cfg),
+            Sweep::Supervised(s) => return s.solve(a, cfg),
+        })
+    }
+
+    /// The device behind the last solve, if it ran on one: the trace's
+    /// device track and `profile`'s kernel table come from it.
+    fn device(&self) -> Option<&Device> {
+        match self {
+            Sweep::Gpu(s) => Some(s.device()),
+            Sweep::Jump(s) => Some(s.device()),
+            Sweep::Supervised(s) => s.last_device(),
+            Sweep::Serial(_) | Sweep::Multicore(_) => None,
+        }
+    }
+}
+
+/// The `--fault-*` flags plus `--degrade`, which is read only once a
+/// fault plan is armed.
+fn armed_faults(a: &Args) -> Result<Option<(FaultPlan, bool)>, String> {
+    fault_plan(a)?.map(|plan| Ok((plan, a.get_parse_or("degrade", true)?))).transpose()
+}
+
 fn cmd_solve(argv: &[String]) -> Result<u8, String> {
     let a = Args::parse(
         argv,
@@ -430,56 +512,88 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
     let path = a.one_positional("grid file")?;
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mnet = parse_grid_meshed(&text).map_err(|e| format!("{path}: {e}"))?;
-    if !mnet.is_plain_radial() {
-        // Closed ties or generators: route through the compensation /
-        // PV outer loop; radial files keep the exact former path.
-        return solve_meshed(&a, &mnet);
-    }
-    let net = mnet.tree().clone();
     let cfg = solver_config(&a)?;
     let which = a.get_or("solver", "serial");
-    let plan = fault_plan(&a)?;
+    let backend = Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
+    // Closed ties or generators route through the compensation / PV
+    // outer loop; plain radial files take one inner solve.
+    let outer = if mnet.is_plain_radial() {
+        None
+    } else if wants_service(&a) {
+        return Err("meshed/DG grids do not route through the robustness service; \
+                    drop --max-retries/--breaker-threshold (fault flags still work)"
+            .into());
+    } else if backend == Backend::GpuJump {
+        return Err(format!(
+            "solver `{which}` cannot run meshed/DG grids (use serial, multicore or a gpu sweep variant)"
+        ));
+    } else {
+        Some(outer_config(&a)?)
+    };
     let tele = Telemetry::from_args(&a);
-    let res = if wants_service(&a) {
-        let backend =
-            Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
+    let net = mnet.tree();
+
+    if wants_service(&a) {
+        let plan = fault_plan(&a)?;
         let req = Request::Solve { net: net.clone(), cfg };
-        match serve_one(&a, backend, plan.as_ref(), &tele, req)? {
+        let res = match serve_one(&a, backend, plan.as_ref(), &tele, req)? {
             Outcome::Solved(r) => r,
             Outcome::Failed(e) => return unrecoverable(which, &e, &tele),
             other => return Err(format!("unexpected service outcome: {other:?}")),
-        }
-    } else {
-        match &plan {
-            None => run_solver(&net, &cfg, which, &tele)?,
-            Some(plan) => {
-                let backend =
-                    Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
-                let mut solver = supervisor(backend, plan, a.get_parse_or("degrade", true)?, &tele);
-                let solved = solver.solve(&net, &cfg);
-                if let Some(dev) = solver.last_device() {
-                    tele.bridge_device(dev);
-                }
-                match solved {
-                    Ok(r) => r,
-                    Err(e) => return unrecoverable(which, &e, &tele),
-                }
-            }
-        }
+        };
+        return report_solve(&a, net, which, plan.as_ref(), &res, &tele);
+    }
+
+    let faults = armed_faults(&a)?;
+    let plan = faults.as_ref().map(|(plan, _)| plan);
+    // A plain meshed sweep leaves telemetry to the outer loop: its
+    // trace shows `outer` rounds, not every inner iteration.
+    let mut sweep = Sweep::new(backend, faults.as_ref(), &tele, outer.is_none());
+    enum Solved {
+        Meshed(MeshResult),
+        Radial(SolveResult),
+    }
+    let solved = match &outer {
+        Some(outer) => solve_dg(&mnet, &cfg, outer, tele.recorder(), |arrays, warm| {
+            sweep.solve(arrays, &cfg, warm)
+        })
+        .map(Solved::Meshed),
+        None => sweep.solve(&SolverArrays::new(net), &cfg, None).map(Solved::Radial),
     };
+    if let Some(dev) = sweep.device() {
+        tele.bridge_device(dev);
+    }
+    match solved {
+        Ok(Solved::Meshed(res)) => report_meshed(&a, &mnet, which, plan, &res, &tele),
+        Ok(Solved::Radial(res)) => report_solve(&a, net, which, plan, &res, &tele),
+        Err(e) if outer.is_some() => unrecoverable(&format!("{which} (meshed)"), &e, &tele),
+        Err(e) => unrecoverable(which, &e, &tele),
+    }
+}
+
+/// Records and writes the telemetry of a radial `solve`, prints its
+/// report block and returns the status exit code.
+fn report_solve(
+    a: &Args,
+    net: &RadialNetwork,
+    which: &str,
+    plan: Option<&FaultPlan>,
+    res: &SolveResult,
+    tele: &Telemetry,
+) -> Result<u8, String> {
     tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
     tele.write()?;
 
     println!("solver:      {which}");
     println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
-    if let Some(plan) = &plan {
-        print_fault_report(&res, plan);
+    if let Some(plan) = plan {
+        print_fault_report(res, plan);
     }
     if res.converged() {
         let (vmin, bus) = res.min_voltage();
         let pu = vmin / net.source_voltage().abs();
-        let losses = res.losses(&net);
-        let src = res.source_power(&net);
+        let losses = res.losses(net);
+        let src = res.source_power(net);
         println!("min voltage: {:.1} V ({:.4} pu) at bus {bus}", vmin, pu);
         println!("feeder load: {:.1} kW + j{:.1} kvar", src.re / 1e3, src.im / 1e3);
         println!("losses:      {:.2} kW + j{:.2} kvar", losses.re / 1e3, losses.im / 1e3);
@@ -497,160 +611,24 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
             t.phases.teardown_us
         );
     }
-    let show: usize = a.get_parse_or("show-voltages", 0usize)?;
-    for bus in 0..show.min(net.num_buses()) {
-        println!("  V[{bus}] = {:.3} V  ∠{:.3}°", res.v[bus].abs(), res.v[bus].arg().to_degrees());
-    }
+    print_voltages(a, &res.v)?;
     Ok(res.status.exit_code())
 }
 
-fn run_solver(
-    net: &RadialNetwork,
-    cfg: &SolverConfig,
+/// The meshed/DG counterpart of [`report_solve`]: the outer status, loop
+/// currents and generator dispatch. Outer divergence or limit-cycling
+/// exits with code 9.
+fn report_meshed(
+    a: &Args,
+    net: &MeshedNetwork,
     which: &str,
+    plan: Option<&FaultPlan>,
+    res: &MeshResult,
     tele: &Telemetry,
-) -> Result<SolveResult, String> {
-    let strategy = match which {
-        "gpu" => Some(BackwardStrategy::SegScan),
-        "gpu-direct" => Some(BackwardStrategy::Direct),
-        "gpu-atomic" => Some(BackwardStrategy::AtomicScatter),
-        _ => None,
-    };
-    Ok(match which {
-        "serial" => {
-            let mut s = SerialSolver::new(HostProps::paper_rig());
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            s.solve(net, cfg)
-        }
-        "multicore" => {
-            let mut s = MulticoreSolver::default();
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            s.solve(net, cfg)
-        }
-        "gpu" | "gpu-direct" | "gpu-atomic" => {
-            let mut s = GpuSolver::with_strategy(
-                Device::new(DeviceProps::paper_rig()),
-                strategy.expect("strategy set for every gpu variant"),
-            );
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            let r = s.solve(net, cfg);
-            tele.bridge_device(s.device());
-            r
-        }
-        "gpu-jump" => {
-            let mut s = JumpSolver::new(Device::new(DeviceProps::paper_rig()));
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            let r = s.solve(net, cfg);
-            tele.bridge_device(s.device());
-            r
-        }
-        other => return Err(format!("unknown solver `{other}`")),
-    })
-}
-
-/// The meshed/DG arm of `fbs solve`: the same solver/fault/telemetry
-/// flags, but the solve runs through the compensation + PV outer loop
-/// and the report carries the outer status, loop currents and generator
-/// dispatch. Outer divergence or limit-cycling exits with code 9.
-fn solve_meshed(a: &Args, net: &MeshedNetwork) -> Result<u8, String> {
-    let cfg = solver_config(a)?;
-    let outer = outer_config(a)?;
-    let which = a.get_or("solver", "serial");
-    let plan = fault_plan(a)?;
-    let tele = Telemetry::from_args(a);
-    if wants_service(a) {
-        return Err(
-            "meshed/DG grids do not route through the robustness service; \
-             drop --max-retries/--breaker-threshold (fault flags still work)"
-                .into(),
-        );
-    }
-    let res = match &plan {
-        Some(plan) => {
-            let backend =
-                Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
-            let mut solver = supervisor(backend, plan, a.get_parse_or("degrade", true)?, &tele);
-            let solved = solve_meshed_resilient(&mut solver, net, &cfg, &outer);
-            if let Some(dev) = solver.last_device() {
-                tele.bridge_device(dev);
-            }
-            match solved {
-                Ok(r) => r,
-                Err(e) => return unrecoverable(&format!("{which} (meshed)"), &e, &tele),
-            }
-        }
-        None => match which {
-            "serial" => {
-                let mut s = MeshSolver::new(SerialSolver::new(HostProps::paper_rig()))
-                    .with_outer(outer);
-                if let Some(rec) = tele.recorder() {
-                    s = s.with_recorder(rec.clone());
-                }
-                s.solve(net, &cfg)
-            }
-            "multicore" => {
-                let mut s = MeshSolver::new(MulticoreSolver::default()).with_outer(outer);
-                if let Some(rec) = tele.recorder() {
-                    s = s.with_recorder(rec.clone());
-                }
-                s.solve(net, &cfg)
-            }
-            "gpu" | "gpu-direct" | "gpu-atomic" => {
-                let strategy = match which {
-                    "gpu-direct" => BackwardStrategy::Direct,
-                    "gpu-atomic" => BackwardStrategy::AtomicScatter,
-                    _ => BackwardStrategy::SegScan,
-                };
-                let gpu =
-                    GpuSolver::with_strategy(Device::new(DeviceProps::paper_rig()), strategy);
-                let mut s = MeshSolver::new(gpu).with_outer(outer);
-                if let Some(rec) = tele.recorder() {
-                    s = s.with_recorder(rec.clone());
-                }
-                let r = s.solve(net, &cfg);
-                tele.bridge_device(s.backend().device());
-                r
-            }
-            other => {
-                return Err(format!(
-                    "solver `{other}` cannot run meshed/DG grids (use serial, multicore or a gpu sweep variant)"
-                ))
-            }
-        },
-    };
-    if let Some(rec) = tele.recorder() {
-        record_mesh_run(rec, &res);
-    }
+) -> Result<u8, String> {
+    let inner = &res.inner;
+    tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
     tele.write()?;
-    print_mesh_report(net, which, &res);
-    if let Some(plan) = &plan {
-        print_fault_report(&res.inner, plan);
-    }
-    if a.get_parse_or("timings", true)? {
-        let t = &res.inner.timing;
-        println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
-    }
-    let show: usize = a.get_parse_or("show-voltages", 0usize)?;
-    for bus in 0..show.min(net.tree().num_buses()) {
-        println!(
-            "  V[{bus}] = {:.3} V  ∠{:.3}°",
-            res.inner.v[bus].abs(),
-            res.inner.v[bus].arg().to_degrees()
-        );
-    }
-    Ok(res.status.exit_code())
-}
-
-/// The `solve` report block for a meshed/DG run.
-fn print_mesh_report(net: &MeshedNetwork, which: &str, res: &MeshResult) {
     println!(
         "solver:      {which} (meshed/DG: {} loops, {} generators)",
         net.num_loops(),
@@ -658,14 +636,14 @@ fn print_mesh_report(net: &MeshedNetwork, which: &str, res: &MeshResult) {
     );
     println!(
         "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
-        res.status, res.outer_status, res.inner.iterations, res.inner.residual
+        res.status, res.outer_status, inner.iterations, inner.residual
     );
     println!(
         "outer:       breakpoint residual {:.3e} V | pv error {:.3e} V | {} mode flips",
         res.breakpoint_residual, res.pv_error, res.mode_flips
     );
     if res.converged() {
-        let (vmin, bus) = res.inner.min_voltage();
+        let (vmin, bus) = inner.min_voltage();
         let pu = vmin / net.tree().source_voltage().abs();
         println!("min voltage: {vmin:.1} V ({pu:.4} pu) at bus {bus}");
         for (bp, j) in net.break_points().iter().zip(&res.loop_currents) {
@@ -688,6 +666,24 @@ fn print_mesh_report(net: &MeshedNetwork, which: &str, res: &MeshResult) {
             );
         }
     }
+    if let Some(plan) = plan {
+        print_fault_report(inner, plan);
+    }
+    if a.get_parse_or("timings", true)? {
+        let t = &inner.timing;
+        println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+    }
+    print_voltages(a, &inner.v)?;
+    Ok(res.status.exit_code())
+}
+
+/// The first `--show-voltages` bus voltages.
+fn print_voltages(a: &Args, v: &[Complex]) -> Result<(), String> {
+    let show: usize = a.get_parse_or("show-voltages", 0usize)?;
+    for (bus, v) in v.iter().enumerate().take(show) {
+        println!("  V[{bus}] = {:.3} V  ∠{:.3}°", v.abs(), v.arg().to_degrees());
+    }
+    Ok(())
 }
 
 /// `fbs batch`: a time-series-style batched solve — one topology, N
@@ -1185,7 +1181,7 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         }
         // Three-phase service requests always run device-first (the
         // service's fallback covers the serial path).
-        if which != "gpu" {
+        if Backend::from_name(which) != Some(Backend::Gpu) {
             return Err(format!("service flags need --solver gpu, got `{which}`"));
         }
         let req = Request::Solve3 { net: net.clone(), cfg };
@@ -1204,16 +1200,16 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
 
     // One inner solve over prepared arrays per backend.
     let mut gpu: Option<fbs::Gpu3Solver> = None;
-    let mut inner: Inner3Solve<'_> = match (which, plan) {
+    let mut inner: Inner3Solve<'_> = match (Backend::from_name(which), plan) {
         // Fault plans only touch device ops; serial runs are unaffected.
-        ("serial", _) => {
+        (Some(Backend::Serial), _) => {
             let mut s = fbs::Serial3Solver::new(HostProps::paper_rig());
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
             }
             Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
         }
-        ("gpu", None) => {
+        (Some(Backend::Gpu), None) => {
             let mut s = fbs::Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
@@ -1221,11 +1217,11 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
             let s = gpu.insert(s);
             Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
         }
-        ("gpu", Some(plan)) => {
+        (Some(Backend::Gpu), Some(plan)) => {
             let mut s = supervisor(Backend::Gpu, &plan, a.get_parse_or("degrade", true)?, &tele);
             Box::new(move |a3| s.solve3(a3, &cfg))
         }
-        (other, _) => return Err(format!("unknown three-phase solver `{other}`")),
+        _ => return Err(format!("unknown three-phase solver `{which}`")),
     };
 
     enum Solved {
@@ -1244,9 +1240,8 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     match solved {
         Err(e) => unrecoverable(&format!("{which} ({label})"), &e, &tele),
         Ok(Solved::Dg(res)) => {
-            if let Some(rec) = tele.recorder() {
-                record_mesh3_run(rec, &res);
-            }
+            let inner = &res.inner;
+            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, None);
             tele.write()?;
             report_solve3_dg(&net, which, &res)
         }
@@ -1385,64 +1380,44 @@ fn cmd_profile(argv: &[String]) -> Result<u8, String> {
     let cfg = solver_config(&a)?;
     let which = a.get_or("solver", "gpu");
     let tele = Telemetry::from_args(&a);
-    if let Some(plan) = fault_plan(&a)? {
-        return profile_resilient(&net, &cfg, which, plan, a.get_parse_or("degrade", true)?, &tele);
+    let faults = armed_faults(&a)?;
+    let backend = Backend::from_name(which)
+        .filter(|b| b.is_device())
+        .ok_or_else(|| format!("profile: unknown device solver `{which}`"))?;
+    // Under a fault plan the kernel table is the last device the
+    // supervisor drove (the one whose attempt produced the result,
+    // unless the solve degraded to the CPU).
+    let mut sweep = Sweep::new(backend, faults.as_ref(), &tele, true);
+    let solved = sweep.solve(&SolverArrays::new(&net), &cfg, None);
+    if let Some(dev) = sweep.device() {
+        tele.bridge_device(dev);
     }
-    // Run the chosen device solver while keeping its timeline for the
-    // per-kernel report and the notes/trace exports.
-    let device = Device::new(DeviceProps::paper_rig());
-    let (res, table, notes) = match which {
-        "gpu" => {
-            let mut s = GpuSolver::new(device);
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
+    let res = match solved {
+        Ok(r) => r,
+        Err(e) => {
+            println!("solver {which}: {e}");
+            if let Some(dev) = sweep.device() {
+                print_timeline_notes(&dev.timeline().notes());
             }
-            let r = s.solve(&net, &cfg);
-            tele.bridge_device(s.device());
-            let tl = s.device().timeline();
-            (r, tl.kernel_report_table(), tl.notes())
+            tele.write()?;
+            return Ok(EXIT_UNRECOVERABLE);
         }
-        "gpu-direct" => {
-            let mut s = GpuSolver::with_strategy(device, BackwardStrategy::Direct);
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            let r = s.solve(&net, &cfg);
-            tele.bridge_device(s.device());
-            let tl = s.device().timeline();
-            (r, tl.kernel_report_table(), tl.notes())
-        }
-        "gpu-atomic" => {
-            let mut s = GpuSolver::with_strategy(device, BackwardStrategy::AtomicScatter);
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            let r = s.solve(&net, &cfg);
-            tele.bridge_device(s.device());
-            let tl = s.device().timeline();
-            (r, tl.kernel_report_table(), tl.notes())
-        }
-        "gpu-jump" => {
-            let mut s = JumpSolver::new(device);
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            let r = s.solve(&net, &cfg);
-            tele.bridge_device(s.device());
-            let tl = s.device().timeline();
-            (r, tl.kernel_report_table(), tl.notes())
-        }
-        other => return Err(format!("profile: unknown device solver `{other}`")),
     };
     println!(
-        "solver {which}: {} in {} iterations, {:.1} µs modeled\n",
+        "solver {which}: {} in {} iterations, {:.1} µs modeled",
         res.status,
         res.iterations,
         res.timing.total_us()
     );
-    print!("{table}");
-    print_timeline_notes(&notes);
-    tele.record(&res.timing, res.iterations, res.residual, &res.status, None);
+    if let Some((plan, _)) = &faults {
+        print_fault_report(&res, plan);
+    }
+    println!();
+    if let Some(dev) = sweep.device() {
+        print!("{}", dev.timeline().kernel_report_table());
+        print_timeline_notes(&dev.timeline().notes());
+    }
+    tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
     tele.write()?;
     Ok(res.status.exit_code())
 }
@@ -1460,67 +1435,23 @@ fn print_timeline_notes(notes: &[String]) {
     }
 }
 
-/// `profile` under fault injection: runs the resilient supervisor and
-/// reports the kernel table of the last device it drove (the one whose
-/// attempt produced the result, unless the solve degraded to the CPU).
-fn profile_resilient(
-    net: &RadialNetwork,
-    cfg: &SolverConfig,
-    which: &str,
-    plan: FaultPlan,
-    degrade: bool,
-    tele: &Telemetry,
-) -> Result<u8, String> {
-    let backend = Backend::from_name(which)
-        .filter(|b| b.is_device())
-        .ok_or_else(|| format!("profile: unknown device solver `{which}`"))?;
-    let mut solver = supervisor(backend, &plan, degrade, tele);
-    let solved = solver.solve(net, cfg);
-    if let Some(dev) = solver.last_device() {
-        tele.bridge_device(dev);
-    }
-    let res = match solved {
-        Ok(r) => r,
-        Err(e) => {
-            println!("solver {which}: {e}");
-            if let Some(dev) = solver.last_device() {
-                print_timeline_notes(&dev.timeline().notes());
-            }
-            tele.write()?;
-            return Ok(EXIT_UNRECOVERABLE);
-        }
-    };
-    println!(
-        "solver {which}: {} in {} iterations, {:.1} µs modeled",
-        res.status,
-        res.iterations,
-        res.timing.total_us()
-    );
-    print_fault_report(&res, &plan);
-    println!();
-    if let Some(dev) = solver.last_device() {
-        print!("{}", dev.timeline().kernel_report_table());
-        print_timeline_notes(&dev.timeline().notes());
-    }
-    tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
-    tele.write()?;
-    Ok(res.status.exit_code())
-}
-
 fn cmd_compare(argv: &[String]) -> Result<(), String> {
     let a = Args::parse(argv, &["tol", "max-iter"])?;
     let net = load(a.one_positional("grid file")?)?;
     let cfg = solver_config(&a)?;
     println!("{:<10} {:>7} {:>14} {:>14} {:>9}", "solver", "iters", "modeled total", "vs serial", "conv");
+    let arrays = SolverArrays::new(&net);
     let tele = Telemetry::default();
-    let serial = run_solver(&net, &cfg, "serial", &tele)?;
-    let base = serial.timing.total_us();
-    for which in ["serial", "multicore", "gpu", "gpu-direct", "gpu-atomic", "gpu-jump"] {
-        let r =
-            if which == "serial" { serial.clone() } else { run_solver(&net, &cfg, which, &tele)? };
+    let mut serial_us = None;
+    for backend in Backend::ALL {
+        let r = Sweep::new(backend, None, &tele, false)
+            .solve(&arrays, &cfg, None)
+            .map_err(|e| e.to_string())?;
+        // `Backend::ALL` starts with serial, the speedup baseline.
+        let base = *serial_us.get_or_insert(r.timing.total_us());
         println!(
             "{:<10} {:>7} {:>11.1} µs {:>13.2}x {:>9}",
-            which,
+            backend.name(),
             r.iterations,
             r.timing.total_us(),
             base / r.timing.total_us(),

@@ -422,8 +422,9 @@ fn meshed_dg_feeder_solves_on_every_backend() {
         assert_eq!(code, 0, "meshed solve with {solver} must exit 0");
     }
     // The jump solver has no mesh outer loop: a clear usage error, not
-    // a panic or a silently-radial answer.
+    // a panic or a silently-radial answer — with or without a fault plan.
     assert!(run(&["solve", path_s, "--solver", "gpu-jump"]).is_err());
+    assert!(run(&["solve", path_s, "--solver", "gpu-jump", "--fault-seed", "11"]).is_err());
     // Service flags don't compose with the outer loop.
     assert!(run(&["solve", path_s, "--max-retries", "2"]).is_err());
 

@@ -276,10 +276,14 @@ impl<'a> GpuSession<'a> {
             obs,
         })
     }
+}
 
-    /// Timing summary as of now (the caller supplies the wall-clock
-    /// origin of the whole solve).
-    pub(crate) fn timing(&self, wall0: Instant) -> Timing {
+impl SweepSession for GpuSession<'_> {
+    fn elapsed_modeled_us(&self) -> f64 {
+        self.phases.total_us() + self.recovery_us
+    }
+
+    fn timing(&self, wall0: Instant) -> Timing {
         Timing {
             phases: self.phases,
             transfer_us: self.transfer_us,
@@ -288,15 +292,8 @@ impl<'a> GpuSession<'a> {
         }
     }
 
-    /// Modeled µs spent on checkpoint/restore/verify traffic.
-    pub(crate) fn recovery_us(&self) -> f64 {
+    fn recovery_us(&self) -> f64 {
         self.recovery_us
-    }
-}
-
-impl SweepSession for GpuSession<'_> {
-    fn elapsed_modeled_us(&self) -> f64 {
-        self.phases.total_us() + self.recovery_us
     }
 
     fn iterate(&mut self) -> Result<f64, DeviceError> {

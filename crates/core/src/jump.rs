@@ -37,6 +37,7 @@ use primitives::{try_fill, try_launch_map, try_reduce, try_scan_exclusive};
 use simt::{Device, DeviceBuffer, DeviceError};
 use telemetry::Recorder;
 
+use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
 use crate::recovery::SweepSession;
@@ -63,15 +64,20 @@ pub struct JumpArrays {
 }
 
 impl JumpArrays {
-    /// Builds the preorder arrays for a network.
-    pub fn new(net: &RadialNetwork) -> Self {
-        let dfs = DfsOrder::new(net);
-        let s = dfs.order.iter().map(|&b| net.buses()[b as usize].load).collect();
-        let z = dfs
-            .order
-            .iter()
-            .map(|&b| net.parent_branch(b as usize).map_or(Complex::ZERO, |br| br.z))
+    /// Lays level-order arrays out in preorder, loads included, so loads
+    /// patched into `a.s` reach the jump solver. Both layouts visit a
+    /// parent's children in edge-insertion order, so a DFS over the
+    /// level-order edge list reproduces the network's own preorder
+    /// ([`DfsOrder::new`]).
+    pub fn new(a: &SolverArrays) -> Self {
+        let order = &a.levels.order;
+        let edges: Vec<(u32, u32)> = (1..a.len())
+            .map(|p| (order[a.parent_pos[p] as usize], order[p]))
             .collect();
+        let dfs = DfsOrder::from_edges(a.len(), order[0] as usize, &edges);
+        let level_pos = |b: u32| a.levels.pos_of[b as usize] as usize;
+        let s = dfs.order.iter().map(|&b| a.s[level_pos(b)]).collect();
+        let z = dfs.order.iter().map(|&b| a.z[level_pos(b)]).collect();
         let parent_or_self = dfs
             .parent_pos
             .iter()
@@ -79,7 +85,7 @@ impl JumpArrays {
             .map(|(d, &p)| if p == DFS_NO_PARENT { d as u32 } else { p })
             .collect();
         JumpArrays {
-            source: net.source_voltage(),
+            source: a.source,
             s,
             z,
             parent_or_self,
@@ -125,7 +131,7 @@ impl JumpSolver {
 
     /// Solves a network from scratch.
     pub fn solve(&mut self, net: &RadialNetwork, cfg: &SolverConfig) -> SolveResult {
-        let arrays = JumpArrays::new(net);
+        let arrays = JumpArrays::new(&SolverArrays::new(net));
         self.solve_arrays(&arrays, cfg)
     }
 
@@ -280,9 +286,14 @@ impl<'a> JumpSession<'a> {
             obs,
         })
     }
+}
 
-    /// Timing summary as of now.
-    pub(crate) fn timing(&self, wall0: Instant) -> Timing {
+impl SweepSession for JumpSession<'_> {
+    fn elapsed_modeled_us(&self) -> f64 {
+        self.phases.total_us() + self.recovery_us
+    }
+
+    fn timing(&self, wall0: Instant) -> Timing {
         Timing {
             phases: self.phases,
             transfer_us: self.transfer_us,
@@ -291,16 +302,8 @@ impl<'a> JumpSession<'a> {
         }
     }
 
-    /// Modeled µs spent on checkpoint/restore/verify traffic.
-    #[allow(dead_code)]
-    pub(crate) fn recovery_us(&self) -> f64 {
+    fn recovery_us(&self) -> f64 {
         self.recovery_us
-    }
-}
-
-impl SweepSession for JumpSession<'_> {
-    fn elapsed_modeled_us(&self) -> f64 {
-        self.phases.total_us() + self.recovery_us
     }
 
     fn iterate(&mut self) -> Result<f64, DeviceError> {
@@ -637,9 +640,54 @@ mod tests {
     }
 
     #[test]
+    fn arrays_from_level_order_match_the_network_preorder() {
+        // Each parent's children are connected out of id order, and the
+        // connect calls interleave levels.
+        let mut b = powergrid::NetworkBuilder::new(c(2400.0, 0.0));
+        for k in 0..10 {
+            b.add_bus(c(1_000.0 * k as f64, 300.0 * k as f64));
+        }
+        let edges = [(3, 7), (0, 2), (2, 9), (0, 1), (1, 4), (3, 8), (0, 3), (2, 5), (1, 6)];
+        for (k, &(from, to)) in edges.iter().enumerate() {
+            b.connect(from, to, c(0.1 + 0.01 * k as f64, 0.05 + 0.02 * k as f64));
+        }
+        let net = b.build().unwrap();
+        let arrays = SolverArrays::new(&net);
+        let a = JumpArrays::new(&arrays);
+        let dfs = DfsOrder::new(&net);
+        assert_eq!(a.dfs.order, dfs.order);
+        assert_eq!(a.dfs.parent_pos, dfs.parent_pos);
+        let parent_or_self: Vec<u32> = (0..dfs.len() as u32)
+            .map(|d| if d == 0 { 0 } else { dfs.parent_pos[d as usize] })
+            .collect();
+        assert_eq!(a.parent_or_self, parent_or_self);
+        assert_eq!(a.subtree_size, dfs.subtree_size);
+        let loads: Vec<Complex> = net.buses().iter().map(|bus| bus.load).collect();
+        assert_eq!(a.s, dfs.permute(&loads));
+        let z: Vec<Complex> = (0..net.num_buses())
+            .map(|bus| net.parent_branch(bus).map_or(Complex::ZERO, |br| br.z))
+            .collect();
+        assert_eq!(a.z, dfs.permute(&z));
+
+        // The supervisor's jump rung is the plain jump solver, bit for bit.
+        let cfg = SolverConfig::default();
+        let plain = jump().solve_arrays(&a, &cfg);
+        let supervised = crate::ResilientSolver::new(
+            crate::Backend::GpuJump,
+            DeviceProps::paper_rig(),
+            HostProps::paper_rig(),
+        )
+        .solve(&arrays, &cfg)
+        .expect("a clean run cannot fail");
+        assert!(plain.converged());
+        assert_eq!(supervised.v, plain.v);
+        assert_eq!(supervised.iterations, plain.iterations);
+    }
+
+    #[test]
     fn jump_arrays_shapes() {
         let net = ieee13();
-        let a = JumpArrays::new(&net);
+        let a = JumpArrays::new(&SolverArrays::new(&net));
         assert_eq!(a.len(), 13);
         assert!(!a.is_empty());
         assert_eq!(a.parent_or_self[0], 0, "root self-loops");

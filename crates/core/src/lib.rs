@@ -57,11 +57,11 @@ pub use gpu::{BackwardStrategy, GpuSolver};
 pub use integrity::{IntegrityConfig, IntegritySampler, IntegrityStats, IntegrityVerdict};
 pub use jump::{JumpArrays, JumpSolver};
 pub use mesh::{
-    solve3_dg, solve_dg_batch, solve_meshed_resilient, DgBatchResult, GenMode, Mesh3Result,
-    MeshProblem, MeshResult, MeshSolver, MeshState, OuterConfig, OuterStatus, SweepBackend,
+    solve3_dg, solve_dg, solve_dg_batch, DgBatchResult, GenMode, Mesh3Result, MeshProblem,
+    MeshResult, MeshSolver, MeshState, OuterConfig, OuterStatus, SweepBackend,
 };
 pub use multicore::MulticoreSolver;
-pub use obs::{record_mesh3_run, record_mesh_run, record_run};
+pub use obs::record_run;
 pub use recovery::{Backend, ResilienceError, ResilientSolver};
 pub use report::{FaultReport, PhaseTimes, SolveResult, Timing};
 pub use serial::SerialSolver;

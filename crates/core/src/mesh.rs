@@ -33,7 +33,7 @@
 
 use numc::{c, solve_dense, CVec3, Complex};
 use powergrid::three_phase::ThreePhaseNetwork;
-use powergrid::{MeshedNetwork, NetworkBuilder, PvBus, RadialNetwork};
+use powergrid::{MeshedNetwork, PvBus, RadialNetwork};
 use simt::HostProps;
 use telemetry::Recorder;
 
@@ -42,7 +42,6 @@ use crate::config::SolverConfig;
 use crate::gpu::GpuSolver;
 use crate::multicore::MulticoreSolver;
 use crate::obs::Obs;
-use crate::recovery::{ResilienceError, ResilientSolver};
 use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
@@ -230,11 +229,10 @@ impl MeshResult {
     }
 }
 
-/// A radial sweep backend the mesh outer loop can drive: anything that
-/// can re-solve prepared arrays from a warm start. Implemented by the
-/// serial, multicore and GPU solvers; the resilient supervisor has its
-/// own entry point ([`solve_meshed_resilient`]) because its
-/// checkpoint/rollback machinery owns device lifetimes.
+/// A radial sweep backend [`MeshSolver`] can drive: anything that can
+/// re-solve prepared arrays from a warm start. Implemented by the
+/// serial, multicore and GPU solvers; any other inner solve (the
+/// fault-tolerant supervisor, say) plugs into [`solve_dg`] directly.
 pub trait SweepBackend {
     /// One inner radial solve over `a`, warm-started from `v_init`
     /// (indexed by bus id) when given.
@@ -267,9 +265,8 @@ forward_sweep_backend!(SerialSolver, MulticoreSolver, GpuSolver);
 
 /// The precomputed, topology-only part of a meshed/DG problem: base
 /// loads, the Thevenin loop-impedance matrix and per-generator voltage
-/// sensitivities. Shared by [`MeshSolver`], the resilient entry point
-/// and the tensor-batched DG sweep — none of it changes across outer
-/// iterations or scenarios.
+/// sensitivities. Shared by [`solve_dg`] and the tensor-batched DG
+/// sweep — none of it changes across outer iterations or scenarios.
 #[derive(Clone, Debug)]
 pub struct MeshProblem {
     /// Base constant-power loads by bus id (no DG, no compensation).
@@ -603,13 +600,12 @@ impl OuterMonitor {
 pub struct MeshSolver<B> {
     backend: B,
     outer: OuterConfig,
-    recorder: Option<Recorder>,
 }
 
 impl<B: SweepBackend> MeshSolver<B> {
     /// Wraps a radial backend with the default outer configuration.
     pub fn new(backend: B) -> Self {
-        MeshSolver { backend, outer: OuterConfig::default(), recorder: None }
+        MeshSolver { backend, outer: OuterConfig::default() }
     }
 
     /// Sets the outer-loop configuration.
@@ -618,74 +614,35 @@ impl<B: SweepBackend> MeshSolver<B> {
         self
     }
 
-    /// Attaches a telemetry recorder: the inner solves emit their usual
-    /// spans, and the outer loop adds `mesh.breakpoint_residual` samples
-    /// plus a `solver.outer_iterations` histogram observation per solve.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// The wrapped backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// Solves a weakly-meshed/DG network.
+    /// Solves a weakly-meshed/DG network: [`solve_dg`] around the
+    /// backend's warm-started sweep.
     pub fn solve(&mut self, net: &MeshedNetwork, cfg: &SolverConfig) -> MeshResult {
-        let mut a = SolverArrays::new(net.tree());
-        let Ok(res) = drive_outer(net, cfg, &self.outer, self.recorder.as_ref(), |loads, warm| {
-            a.s = a.levels.permute(loads);
-            Ok::<_, std::convert::Infallible>(self.backend.solve_warm_arrays(&a, cfg, warm))
+        let Ok(res) = solve_dg(net, cfg, &self.outer, None, |a, warm| {
+            Ok::<_, std::convert::Infallible>(self.backend.solve_warm_arrays(a, cfg, warm))
         });
         res
     }
 }
 
-/// Solves a weakly-meshed/DG network under the fault-tolerant
-/// supervisor: every inner radial solve runs through
-/// [`ResilientSolver::solve`], so checkpoint/rollback, certification and
-/// GPU→CPU degradation compose with the outer loop unchanged. Fault
-/// reports are accumulated across outer iterations, and the outer loop
-/// records into the supervisor's recorder, if it has one.
-pub fn solve_meshed_resilient(
-    solver: &mut ResilientSolver,
-    net: &MeshedNetwork,
-    cfg: &SolverConfig,
-    outer: &OuterConfig,
-) -> Result<MeshResult, ResilienceError> {
-    let tree = net.tree();
-    let n = tree.num_buses();
-    let source = tree.source_voltage();
-    let branches: Vec<_> = tree.branches().to_vec();
-    let rec = solver.recorder().cloned();
-    drive_outer(net, cfg, outer, rec.as_ref(), |loads, _warm| {
-        // The supervisor owns its device sessions, so the outer loop
-        // hands it a freshly patched network instead of raw arrays (and
-        // forgoes warm starts — recovery certification assumes the flat
-        // start is known clean).
-        let mut b = NetworkBuilder::with_capacity(source, n);
-        for &load in loads {
-            b.add_bus(load);
-        }
-        for br in &branches {
-            b.connect(br.from, br.to, br.z);
-        }
-        let patched = b.build().expect("patched tree keeps the validated topology");
-        solver.solve(&patched, cfg)
-    })
-}
-
-/// The shared outer loop: repeatedly build compensated loads, run one
-/// inner solve through `inner` (loads by bus id plus an optional
-/// warm-start voltage profile), and apply [`MeshProblem::step`] until
-/// the [`OuterMonitor`] ends the loop.
-fn drive_outer<E>(
+/// Solves a weakly-meshed/DG network: the compensation + PV outer loop
+/// around one inner radial solve per round. `inner` solves the prepared
+/// arrays, whose loads the loop patches in place each round, optionally
+/// warm-started from the previous round's voltages (by bus id) — a plain
+/// backend is `|a, warm| Ok::<_, Infallible>(solver.solve_warm(a, cfg, warm))`,
+/// the fault-tolerant one `|a, _| supervisor.solve(a, cfg)` (recovery
+/// certification assumes a flat start, so it forgoes warm starts).
+///
+/// The reported timing, iterations and fault report accumulate over
+/// every inner solve. With a recorder, each round adds an `outer` span
+/// and a `mesh.breakpoint_residual` sample, and the finished run writes
+/// the `solver.outer_iterations` histogram and the `mesh.*` gauges. The
+/// stopping rule is [`OuterMonitor`]'s.
+pub fn solve_dg<E>(
     net: &MeshedNetwork,
     cfg: &SolverConfig,
     outer: &OuterConfig,
     rec: Option<&Recorder>,
-    mut inner: impl FnMut(&[Complex], Option<&[Complex]>) -> Result<SolveResult, E>,
+    mut inner: impl FnMut(&SolverArrays, Option<&[Complex]>) -> Result<SolveResult, E>,
 ) -> Result<MeshResult, E> {
     let tree = net.tree();
     let n = tree.num_buses();
@@ -699,9 +656,10 @@ fn drive_outer<E>(
         return Ok(finish(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, 0.0, 0.0, rec));
     }
 
+    let mut a = SolverArrays::new(tree);
     // No loops, no generators: one plain inner solve, zero outer overhead.
     if problem.num_loops() == 0 && problem.num_gens() == 0 {
-        let res = inner(&problem.base, None)?;
+        let res = inner(&a, None)?;
         let status = res.status;
         return Ok(finish(res, status, OuterStatus::Radial, 0, &state, 0.0, 0.0, rec));
     }
@@ -718,9 +676,9 @@ fn drive_outer<E>(
 
     for it in 1..=outer.max_outer {
         outer_iters = it;
-        let loads = problem.loads(&state, &v, 1.0);
+        a.s = a.levels.permute(&problem.loads(&state, &v, 1.0));
         let warm = (it > 1).then_some(v.as_slice());
-        let res = inner(&loads, warm)?;
+        let res = inner(&a, warm)?;
         // The final result reports the whole outer loop's cost, not
         // just its last inner solve.
         total.accumulate(&res.timing);
@@ -767,6 +725,12 @@ fn finish(
 ) -> MeshResult {
     if let Some(r) = rec {
         r.observe("solver.outer_iterations", f64::from(outer_iterations));
+        r.gauge_set("mesh.outer_iterations", f64::from(outer_iterations));
+        r.gauge_set("mesh.breakpoint_residual", breakpoint_residual);
+        r.gauge_set("mesh.pv_error", pv_error);
+        r.gauge_set("mesh.loops", state.j_loop.len() as f64);
+        r.gauge_set("mesh.gens", state.q.len() as f64);
+        r.gauge_set("mesh.mode_flips", f64::from(state.total_flips()));
     }
     MeshResult {
         inner,
@@ -1138,6 +1102,10 @@ fn finish3(
 ) -> Mesh3Result {
     if let Some(r) = rec {
         r.observe("solver.outer_iterations", f64::from(outer_iterations));
+        r.gauge_set("mesh.outer_iterations", f64::from(outer_iterations));
+        r.gauge_set("mesh.pv_error", pv_error);
+        r.gauge_set("mesh.gens", state.q.len() as f64);
+        r.gauge_set("mesh.mode_flips", f64::from(state.total_flips()));
     }
     Mesh3Result {
         inner,
@@ -1183,7 +1151,7 @@ fn root_path(tree: &RadialNetwork, bus: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::Backend;
+    use crate::recovery::{Backend, ResilientSolver};
     use crate::three_phase::{Gpu3Solver, Serial3Solver};
     use numc::{approx_eq_eps, CMat3};
     use powergrid::ieee::ieee123_dg;
@@ -1382,11 +1350,12 @@ mod tests {
         let outer = OuterConfig::default();
         let reference = serial_mesh().solve(&net, &cfg);
         assert!(reference.converged());
+        let supervisor =
+            || ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig());
 
         // Fault-free supervisor run matches the plain mesh solve.
-        let mut clean =
-            ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig());
-        let res = solve_meshed_resilient(&mut clean, &net, &cfg, &outer).unwrap();
+        let mut clean = supervisor();
+        let res = solve_dg(&net, &cfg, &outer, None, |a, _| clean.solve(a, &cfg)).unwrap();
         assert!(res.converged(), "got {}", res.status);
         let scale = net.tree().source_voltage().abs();
         for (a, b) in res.inner.v.iter().zip(&reference.inner.v) {
@@ -1395,10 +1364,8 @@ mod tests {
 
         // Seeded faults: the answer must still match, with the recovery
         // visible in the accumulated fault report.
-        let mut faulty =
-            ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig())
-                .with_fault_plan(FaultPlan::seeded(20260808, 0.01));
-        let res = solve_meshed_resilient(&mut faulty, &net, &cfg, &outer).unwrap();
+        let mut faulty = supervisor().with_fault_plan(FaultPlan::seeded(20260808, 0.01));
+        let res = solve_dg(&net, &cfg, &outer, None, |a, _| faulty.solve(a, &cfg)).unwrap();
         assert!(res.converged(), "got {}", res.status);
         for (a, b) in res.inner.v.iter().zip(&reference.inner.v) {
             assert!((*a - *b).abs() <= 1e-6 * scale, "{a:?} vs {b:?}");
@@ -1541,12 +1508,18 @@ mod tests {
     fn mesh_telemetry_lands_in_the_registry() {
         let rec = Recorder::new();
         let net = ieee123_dg();
-        let mut solver = serial_mesh().with_recorder(rec.clone());
-        let res = solver.solve(&net, &SolverConfig::default());
+        let cfg = SolverConfig::default();
+        let serial = SerialSolver::new(HostProps::paper_rig()).with_recorder(rec.clone());
+        let Ok(res) = solve_dg(&net, &cfg, &OuterConfig::default(), Some(&rec), |a, warm| {
+            Ok::<_, Infallible>(serial.solve_warm(a, &cfg, warm))
+        });
         assert!(res.converged());
         let (_, reg) = rec.snapshot();
         let hists: Vec<&str> = reg.histograms().map(|(n, _)| n).collect();
         assert!(hists.contains(&"solver.outer_iterations"), "{hists:?}");
+        let gauges: Vec<(&str, f64)> = reg.gauges().collect();
+        assert!(gauges.contains(&("mesh.outer_iterations", f64::from(res.outer_iterations))));
+        assert!(gauges.contains(&("mesh.loops", 2.0)), "{gauges:?}");
     }
 
     /// Balanced 0 — 1 — 2 three-phase feeder, optionally with a

@@ -14,7 +14,10 @@
 //! * histograms — `solver.iteration_us`;
 //! * gauges — `phase.*_us` / `transfer_us` / `solver.iterations` /
 //!   `solver.residual`, written once per run by [`record_run`], which is
-//!   what the run-summary reconciliation test reads.
+//!   what the run-summary reconciliation test reads. The meshed/DG outer
+//!   loops ([`crate::solve_dg`], [`crate::solve3_dg`]) add their own
+//!   `mesh.*` gauges and `solver.outer_iterations` histogram when they
+//!   finish.
 
 use telemetry::trace::ArgValue;
 use telemetry::{Recorder, Trace};
@@ -177,37 +180,6 @@ pub fn record_run(
             rec.counter_add(&format!("recovery.backend.{backend}"), 1);
         }
     }
-}
-
-/// Record a finished meshed/DG run into `rec`: the inner-solve gauges
-/// of [`record_run`] plus the `mesh.*` run-summary gauges — outer
-/// iterations, final break-point and PV mismatches, loop/generator
-/// counts and the mode-flip total.
-pub fn record_mesh_run(rec: &Recorder, res: &crate::mesh::MeshResult) {
-    record_run(
-        rec,
-        &res.inner.timing,
-        res.inner.iterations,
-        res.inner.residual,
-        &res.status,
-        res.inner.fault_report.as_ref(),
-    );
-    rec.gauge_set("mesh.outer_iterations", f64::from(res.outer_iterations));
-    rec.gauge_set("mesh.breakpoint_residual", res.breakpoint_residual);
-    rec.gauge_set("mesh.pv_error", res.pv_error);
-    rec.gauge_set("mesh.loops", res.loop_currents.len() as f64);
-    rec.gauge_set("mesh.gens", res.q_gen.len() as f64);
-    rec.gauge_set("mesh.mode_flips", f64::from(res.mode_flips));
-}
-
-/// The three-phase sibling of [`record_mesh_run`] (no break points —
-/// three-phase networks are radial, so only the PV gauges apply).
-pub fn record_mesh3_run(rec: &Recorder, res: &crate::mesh::Mesh3Result) {
-    record_run(rec, &res.inner.timing, res.inner.iterations, res.inner.residual, &res.status, None);
-    rec.gauge_set("mesh.outer_iterations", f64::from(res.outer_iterations));
-    rec.gauge_set("mesh.pv_error", res.pv_error);
-    rec.gauge_set("mesh.gens", res.q_gen.len() as f64);
-    rec.gauge_set("mesh.mode_flips", f64::from(res.mode_flips));
 }
 
 #[cfg(test)]

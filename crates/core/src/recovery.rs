@@ -45,7 +45,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use numc::Complex;
-use powergrid::RadialNetwork;
 use simt::{Device, DeviceError, DeviceProps, FaultPlan, HostProps};
 
 use telemetry::Recorder;
@@ -56,7 +55,7 @@ use crate::gpu::{BackwardStrategy, GpuSession};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::multicore::MulticoreSolver;
 use crate::obs::Obs;
-use crate::report::{FaultReport, SolveResult};
+use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus};
 use crate::three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
@@ -95,6 +94,11 @@ pub(crate) trait SweepSession {
     fn source_mag(&self) -> f64;
     /// Faults the device has recorded so far (monotone per device).
     fn faults_observed(&self) -> u32;
+    /// Modeled µs spent on checkpoint/restore/verify traffic.
+    fn recovery_us(&self) -> f64;
+    /// Timing summary as of now (`wall0` is the wall-clock origin of the
+    /// whole solve).
+    fn timing(&self, wall0: Instant) -> Timing;
 }
 
 /// The bounded retry budget one resilient solve may spend.
@@ -398,6 +402,16 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Every backend, in the CLI's comparison order.
+    pub const ALL: [Backend; 6] = [
+        Backend::Serial,
+        Backend::Multicore,
+        Backend::Gpu,
+        Backend::GpuDirect,
+        Backend::GpuAtomic,
+        Backend::GpuJump,
+    ];
+
     /// CLI/report name.
     pub fn name(self) -> &'static str {
         match self {
@@ -407,6 +421,17 @@ impl Backend {
             Backend::GpuDirect => "gpu-direct",
             Backend::GpuAtomic => "gpu-atomic",
             Backend::GpuJump => "gpu-jump",
+        }
+    }
+
+    /// The backward-sweep strategy of a level-synchronous GPU backend;
+    /// `None` for the CPU backends and the jump solver.
+    pub fn strategy(self) -> Option<BackwardStrategy> {
+        match self {
+            Backend::Gpu => Some(BackwardStrategy::SegScan),
+            Backend::GpuDirect => Some(BackwardStrategy::Direct),
+            Backend::GpuAtomic => Some(BackwardStrategy::AtomicScatter),
+            _ => None,
         }
     }
 
@@ -542,20 +567,17 @@ impl ResilientSolver {
         self.last_device.as_ref()
     }
 
-    /// The attached telemetry recorder, if any.
-    pub(crate) fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Solves, recovering from injected faults.
+    /// Solves prepared single-phase arrays, recovering from injected
+    /// faults. The arrays' loads are used as given, so an outer loop can
+    /// patch `a.s` between calls; the solve always starts flat, because
+    /// certification assumes the flat start is known clean.
     pub fn solve(
         &mut self,
-        net: &RadialNetwork,
+        a: &SolverArrays,
         cfg: &SolverConfig,
     ) -> Result<SolveResult, ResilienceError> {
         if cfg.validate().is_err() {
-            let mut res =
-                crate::report::invalid_config_result(net.num_buses(), net.source_voltage());
+            let mut res = crate::report::invalid_config_result(a.len(), a.source);
             res.fault_report = Some(FaultReport {
                 backends: vec![self.backend.name().to_string()],
                 ..FaultReport::default()
@@ -574,7 +596,7 @@ impl ResilientSolver {
                         if let Some(rec) = &self.recorder {
                             s = s.with_recorder(rec.clone());
                         }
-                        s.solve(net, cfg)
+                        s.solve_arrays(a, cfg)
                     }
                     Backend::Multicore => {
                         let mut s = MulticoreSolver::new(
@@ -584,7 +606,7 @@ impl ResilientSolver {
                         if let Some(rec) = &self.recorder {
                             s = s.with_recorder(rec.clone());
                         }
-                        s.solve(net, cfg)
+                        s.solve_arrays(a, cfg)
                     }
                     _ => unreachable!(),
                 };
@@ -592,7 +614,7 @@ impl ResilientSolver {
                 res.fault_report = Some(report);
                 return Ok(res);
             }
-            match self.run_device(backend, net, cfg, &mut report, &mut budget) {
+            match self.run_device(backend, a, cfg, &mut report, &mut budget) {
                 Ok(mut res) => {
                     res.status = upgraded(res.status, &report);
                     res.fault_report = Some(report);
@@ -688,14 +710,12 @@ impl ResilientSolver {
     fn run_device(
         &mut self,
         backend: Backend,
-        net: &RadialNetwork,
+        a: &SolverArrays,
         cfg: &SolverConfig,
         report: &mut FaultReport,
         budget: &mut RetryBudget,
     ) -> Result<SolveResult, DriveAbort> {
-        let level_arrays =
-            (backend != Backend::GpuJump).then(|| SolverArrays::new(net));
-        let jump_arrays = (backend == Backend::GpuJump).then(|| JumpArrays::new(net));
+        let jump_arrays = (backend == Backend::GpuJump).then(|| JumpArrays::new(a));
         let checkpointing = self.plan.is_some();
         let cancel = self.cancel.clone();
         let obs = Obs::new(self.recorder.as_ref(), "recovery");
@@ -707,28 +727,41 @@ impl ResilientSolver {
             // Corrupted index buffers can drive kernels out of bounds;
             // the engine propagates the panic, which is just another
             // fault: charge it and restart on a fresh device.
-            let attempt = catch_unwind(AssertUnwindSafe(|| match backend {
-                Backend::GpuJump => run_jump_attempt(
-                    &mut dev,
-                    jump_arrays.as_ref().unwrap(),
-                    cfg,
-                    checkpointing,
-                    report,
-                    budget,
-                    cancel.as_deref(),
-                    &obs,
-                ),
-                _ => run_level_attempt(
-                    &mut dev,
-                    level_arrays.as_ref().unwrap(),
-                    strategy_of(backend),
-                    cfg,
-                    checkpointing,
-                    report,
-                    budget,
-                    cancel.as_deref(),
-                    &obs,
-                ),
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                let wall0 = Instant::now();
+                let cancel = cancel.as_deref();
+                match &jump_arrays {
+                    Some(ja) => run_attempt(
+                        JumpSession::with_obs(&mut dev, ja, obs.clone()),
+                        |pos| ja.dfs.unpermute(pos),
+                        wall0,
+                        a,
+                        cfg,
+                        checkpointing,
+                        report,
+                        budget,
+                        cancel,
+                        &obs,
+                    ),
+                    None => run_attempt(
+                        GpuSession::with_obs(
+                            &mut dev,
+                            a,
+                            backend.strategy().expect("a level-synchronous GPU backend"),
+                            None,
+                            obs.clone(),
+                        ),
+                        |pos| a.levels.unpermute(pos),
+                        wall0,
+                        a,
+                        cfg,
+                        checkpointing,
+                        report,
+                        budget,
+                        cancel,
+                        &obs,
+                    ),
+                }
             }));
             report.faults_injected += dev.fault_log().len() as u32;
             let lost = dev.is_lost();
@@ -750,14 +783,6 @@ impl ResilientSolver {
                 }
             }
         }
-    }
-}
-
-fn strategy_of(backend: Backend) -> BackwardStrategy {
-    match backend {
-        Backend::GpuDirect => BackwardStrategy::Direct,
-        Backend::GpuAtomic => BackwardStrategy::AtomicScatter,
-        _ => BackwardStrategy::SegScan,
     }
 }
 
@@ -793,11 +818,15 @@ fn setup_abort(
     DriveAbort::Restart
 }
 
+/// One attempt on a fresh device: drives the session `opened` returns
+/// (a setup failure charges the budget) and lays the answer out by bus
+/// id with `unpermute`. `wall0` is the attempt's wall-clock origin.
 #[allow(clippy::too_many_arguments)]
-fn run_level_attempt(
-    dev: &mut Device,
+fn run_attempt<S: SweepSession>(
+    opened: Result<S, DeviceError>,
+    unpermute: impl Fn(&[Complex]) -> Vec<Complex>,
+    wall0: Instant,
     a: &SolverArrays,
-    strategy: BackwardStrategy,
     cfg: &SolverConfig,
     checkpointing: bool,
     report: &mut FaultReport,
@@ -805,52 +834,15 @@ fn run_level_attempt(
     cancel: Option<&AtomicBool>,
     obs: &Obs,
 ) -> Result<SolveResult, DriveAbort> {
-    let wall0 = Instant::now();
-    let mut sess = match GpuSession::with_obs(dev, a, strategy, None, obs.clone()) {
-        Ok(s) => s,
-        Err(e) => return Err(setup_abort(e, report, budget)),
-    };
+    let mut sess = opened.map_err(|e| setup_abort(e, report, budget))?;
     let init_v = vec![a.source; a.len()];
     let out = drive(&mut sess, cfg, &init_v, checkpointing, report, budget, cancel, obs);
     report.checkpoint_us += sess.recovery_us();
     let out = out?;
     let timing = sess.timing(wall0);
     Ok(SolveResult {
-        v: a.levels.unpermute(&out.v_pos),
-        j: a.levels.unpermute(&out.j_pos),
-        iterations: out.iterations,
-        status: out.status,
-        residual: out.residual,
-        residual_history: out.residual_history,
-        timing,
-        fault_report: None,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_jump_attempt(
-    dev: &mut Device,
-    a: &JumpArrays,
-    cfg: &SolverConfig,
-    checkpointing: bool,
-    report: &mut FaultReport,
-    budget: &mut RetryBudget,
-    cancel: Option<&AtomicBool>,
-    obs: &Obs,
-) -> Result<SolveResult, DriveAbort> {
-    let wall0 = Instant::now();
-    let mut sess = match JumpSession::with_obs(dev, a, obs.clone()) {
-        Ok(s) => s,
-        Err(e) => return Err(setup_abort(e, report, budget)),
-    };
-    let init_v = vec![a.source; a.len()];
-    let out = drive(&mut sess, cfg, &init_v, checkpointing, report, budget, cancel, obs);
-    report.checkpoint_us += sess.recovery_us();
-    let out = out?;
-    let timing = sess.timing(wall0);
-    Ok(SolveResult {
-        v: a.dfs.unpermute(&out.v_pos),
-        j: a.dfs.unpermute(&out.j_pos),
+        v: unpermute(&out.v_pos),
+        j: unpermute(&out.j_pos),
         iterations: out.iterations,
         status: out.status,
         residual: out.residual,
@@ -890,14 +882,7 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip() {
-        for b in [
-            Backend::Serial,
-            Backend::Multicore,
-            Backend::Gpu,
-            Backend::GpuDirect,
-            Backend::GpuAtomic,
-            Backend::GpuJump,
-        ] {
+        for b in Backend::ALL {
             assert_eq!(Backend::from_name(b.name()), Some(b));
         }
         assert_eq!(Backend::from_name("fpga"), None);
@@ -910,7 +895,7 @@ mod tests {
         let (props, host) = rig();
         let plain = GpuSolver::new(Device::new(props.clone())).solve(&net, &cfg);
         let res = ResilientSolver::new(Backend::Gpu, props, host)
-            .solve(&net, &cfg)
+            .solve(&SolverArrays::new(&net), &cfg)
             .expect("clean run cannot fail");
         assert_eq!(res.status, SolveStatus::Converged);
         assert_eq!(res.iterations, plain.iterations);
@@ -930,7 +915,8 @@ mod tests {
         let plan = FaultPlan::seeded(20200817, 0.02);
         let mut solver =
             ResilientSolver::new(Backend::Gpu, props, host).with_fault_plan(plan);
-        let res = solver.solve(&net, &cfg).expect("recoverable faults must not error");
+        let res =
+            solver.solve(&SolverArrays::new(&net), &cfg).expect("recoverable faults must not error");
         assert!(res.status.is_converged(), "got {}", res.status);
         let scale = net.source_voltage().abs();
         for (a, b) in res.v.iter().zip(&plain.v) {
@@ -948,7 +934,8 @@ mod tests {
         let plan = FaultPlan::scripted([(30, FaultKind::DeviceLost { at_op: 0 })]);
         let mut solver =
             ResilientSolver::new(Backend::Gpu, props, host).with_fault_plan(plan);
-        let res = solver.solve(&net, &cfg).expect("degradation must rescue the solve");
+        let res =
+            solver.solve(&SolverArrays::new(&net), &cfg).expect("degradation must rescue the solve");
         let report = res.fault_report.clone().expect("report");
         assert!(report.degraded(), "backends: {:?}", report.backends);
         assert_eq!(report.backends, vec!["gpu".to_string(), "multicore".to_string()]);
@@ -968,7 +955,8 @@ mod tests {
         let mut solver = ResilientSolver::new(Backend::Gpu, props, host)
             .with_fault_plan(plan)
             .with_degradation(false);
-        let err = solver.solve(&net, &cfg).expect_err("loss with degradation off");
+        let err =
+            solver.solve(&SolverArrays::new(&net), &cfg).expect_err("loss with degradation off");
         assert!(matches!(err, ResilienceError::DeviceLost(_)), "got {err}");
         assert!(err.to_string().contains("unrecoverable"));
     }
@@ -980,7 +968,7 @@ mod tests {
         let (props, host) = rig();
         let serial = SerialSolver::new(host.clone()).solve(&net, &cfg);
         let res = ResilientSolver::new(Backend::Serial, props, host)
-            .solve(&net, &cfg)
+            .solve(&SolverArrays::new(&net), &cfg)
             .unwrap();
         assert_eq!(res.status, SolveStatus::Converged);
         assert_eq!(res.v, serial.v);

@@ -501,7 +501,7 @@ impl SolveService {
         self.stats.served += 1;
         let id = self.take_id();
         self.clock_us = start_us;
-        let resp = self.serve_fallback(id, &req, 0, 0);
+        let resp = self.serve_fallback(id, &req, &mut None, 0, 0);
         self.clock_us = start_us + resp.service_us();
         resp
     }
@@ -752,11 +752,14 @@ impl SolveService {
         self.stats.served += 1;
         let mut retries = 0u32;
         let mut backoff_us = 0u64;
+        // A single-phase request's level-order arrays, built on first use
+        // and shared by every device attempt and the CPU fallback.
+        let mut arrays = None;
         loop {
             if matches!(self.route(), Route::Fallback) {
-                return self.serve_fallback(id, &req, retries, backoff_us);
+                return self.serve_fallback(id, &req, &mut arrays, retries, backoff_us);
             }
-            match self.attempt_device(&req) {
+            match self.attempt_device(&req, &mut arrays) {
                 Ok(outcome) => {
                     self.on_device_success();
                     return Response {
@@ -781,7 +784,7 @@ impl SolveService {
                 Err(f) => {
                     self.on_device_failure();
                     if self.cfg.fallback || self.draining {
-                        return self.serve_fallback(id, &req, retries, backoff_us);
+                        return self.serve_fallback(id, &req, &mut arrays, retries, backoff_us);
                     }
                     return Response {
                         id,
@@ -813,18 +816,24 @@ impl SolveService {
     }
 
     /// One device attempt. `Err` is classified transient (worth a
-    /// service-level retry) or unrecoverable (breaker fuel).
-    fn attempt_device(&mut self, req: &Request) -> Result<Outcome, DeviceFailure> {
+    /// service-level retry) or unrecoverable (breaker fuel). `arrays`
+    /// caches a single-phase request's prepared arrays across attempts.
+    fn attempt_device(
+        &mut self,
+        req: &Request,
+        arrays: &mut Option<SolverArrays>,
+    ) -> Result<Outcome, DeviceFailure> {
         match req {
             Request::Solve { net, cfg } => {
                 let cfg = self.effective_cfg(cfg);
+                let a = arrays.get_or_insert_with(|| SolverArrays::new(net));
                 let mut solver = self.supervisor();
                 let attempt = if let Some(wall) = self.cfg.deadline.wall {
                     let cancel = Arc::new(AtomicBool::new(false));
                     solver = solver.with_cancel(Arc::clone(&cancel));
-                    with_watchdog(wall, &cancel, || solver.solve(net, &cfg))
+                    with_watchdog(wall, &cancel, || solver.solve(a, &cfg))
                 } else {
-                    solver.solve(net, &cfg)
+                    solver.solve(a, &cfg)
                 };
                 Ok(Outcome::Solved(attempt?))
             }
@@ -885,6 +894,7 @@ impl SolveService {
         &mut self,
         id: u64,
         req: &Request,
+        arrays: &mut Option<SolverArrays>,
         retries: u32,
         backoff_us: u64,
     ) -> Response {
@@ -900,7 +910,8 @@ impl SolveService {
                 if let Some(rec) = &self.recorder {
                     solver = solver.with_recorder(rec.clone());
                 }
-                let res = solver.solve(net, &cfg).expect("CPU fallback cannot fail");
+                let a = arrays.get_or_insert_with(|| SolverArrays::new(net));
+                let res = solver.solve(a, &cfg).expect("CPU fallback cannot fail");
                 (Outcome::Solved(res), "multicore")
             }
             Request::Solve3 { net, cfg } => {
@@ -1245,7 +1256,7 @@ mod tests {
             .with_degradation(false)
             .with_cancel(Arc::clone(&cancel));
         let res = solver
-            .solve(&ieee13(), &SolverConfig::default())
+            .solve(&SolverArrays::new(&ieee13()), &SolverConfig::default())
             .expect("cancel is not a device failure");
         match res.status {
             SolveStatus::DeadlineExceeded { at_iteration, .. } => {

@@ -5,7 +5,7 @@
 //! feeder. Device loss must walk the degradation chain instead of
 //! failing, and seeded plans must replay byte-identically.
 
-use fbs::{Backend, ResilientSolver, SerialSolver, SolveResult, SolverConfig};
+use fbs::{Backend, ResilientSolver, SerialSolver, SolveResult, SolverArrays, SolverConfig};
 use numc::Complex;
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::ieee::ieee13;
@@ -47,7 +47,7 @@ fn check_recovers(net: &RadialNetwork, reference: &[Complex], backend: Backend, 
     let mut solver = ResilientSolver::new(backend, props, host)
         .with_fault_plan(FaultPlan::seeded(FAULT_SEED, rate));
     let res = solver
-        .solve(net, &cfg())
+        .solve(&SolverArrays::new(net), &cfg())
         .unwrap_or_else(|e| panic!("{}: recoverable faults must not kill the solve: {e}", backend.name()));
     assert!(res.converged(), "{}: ended {:?}", backend.name(), res.status);
 
@@ -107,7 +107,9 @@ fn device_loss_walks_the_degradation_chain() {
     let plan = FaultPlan::seeded(FAULT_SEED, 0.0)
         .with_fault_at(50, FaultKind::DeviceLost { at_op: 0 });
     let mut solver = ResilientSolver::new(Backend::Gpu, props, host).with_fault_plan(plan);
-    let res = solver.solve(&net, &cfg()).expect("degradation must rescue a lost device");
+    let res = solver
+        .solve(&SolverArrays::new(&net), &cfg())
+        .expect("degradation must rescue a lost device");
 
     let rep = res.fault_report.as_ref().unwrap();
     assert_eq!(
@@ -135,7 +137,7 @@ fn seeded_plans_replay_byte_identically() {
         let (props, host) = rig();
         ResilientSolver::new(Backend::GpuAtomic, props, host)
             .with_fault_plan(FaultPlan::seeded(99, 5e-3))
-            .solve(&net, &cfg())
+            .solve(&SolverArrays::new(&net), &cfg())
             .expect("recoverable run")
     };
     let (a, b) = (run(), run());
