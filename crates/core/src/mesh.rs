@@ -787,7 +787,7 @@ impl DgBatchResult {
 /// network on the tensor-batched solver: scenario `s` runs the network
 /// with every generator's active output scaled by `dg_scales[s]`
 /// (`0.0` = no DG, `1.0` = nameplate). All scenarios share one outer
-/// loop over a resident [`TensorOuterSession`]: the topology and the
+/// loop over one resident tensor-engine session: the topology and the
 /// per-scenario load slab are uploaded once, each outer round is a
 /// *single* batched inner solve that re-iterates from the resident
 /// voltages, and between rounds only the sparse load corrections
@@ -799,9 +799,9 @@ impl DgBatchResult {
 /// Scenarios that settle (or fail) retire from the batch: their
 /// resident state freezes at the deciding round and later sweeps skip
 /// them entirely. Device faults are absorbed by the session (rebuild
-/// within the recovery budget, serial fallback past it), so `Err`
-/// never escapes in practice; the signature keeps the `Result` for
-/// call-site stability.
+/// within the recovery budget, serial fallback past it; audits under an
+/// armed plan), so `Err` never escapes in practice; the signature keeps
+/// the `Result` for call-site stability.
 pub fn solve_dg_batch(
     tbs: &mut TensorBatchSolver,
     net: &MeshedNetwork,
@@ -867,7 +867,7 @@ pub fn solve_dg_batch(
     while start < nb {
         let end = (start + chunk).min(nb);
         let width = end - start;
-        let mut loads: Vec<Vec<Complex>> = (start..end)
+        let loads: Vec<Vec<Complex>> = (start..end)
             .map(|s| problem.loads(&states[s], &v[s], dg_scales[s]))
             .collect();
         let mut session = tbs.outer_session(&arrays, &loads, &probes, warm.as_deref(), cfg);
@@ -896,8 +896,8 @@ pub fn solve_dg_batch(
             // the re-solve needs a few iterations, not the cold count.
             let round = session.solve_round(if tight { cfg } else { &loose_cfg });
             let mut next_worst = 0.0f64;
-            let mut updates = Vec::new();
-            #[allow(clippy::needless_range_loop)] // ls indexes four parallel arrays
+            let mut fresh = Vec::new();
+            #[allow(clippy::needless_range_loop)] // ls indexes the round's parallel arrays
             for ls in 0..width {
                 let s = start + ls;
                 if outcome[s].is_some() {
@@ -918,25 +918,18 @@ pub fn solve_dg_batch(
                 }
                 // A round that decides nothing leaves its mismatch in `prev`.
                 next_worst = next_worst.max(monitors[s].prev);
-                // Ship only the loads the outer step actually moved —
-                // generator buses and break-point endpoints.
-                let fresh = problem.loads(&states[s], &v[s], dg_scales[s]);
-                for (bus, (&old, &new)) in loads[ls].iter().zip(&fresh).enumerate() {
-                    if old != new {
-                        updates.push((ls, bus, new));
-                    }
-                }
-                loads[ls] = fresh;
+                // The session ships only the loads the outer step
+                // actually moved — generator buses and break-point
+                // endpoints.
+                fresh.push((ls, problem.loads(&states[s], &v[s], dg_scales[s])));
             }
             worst_live = next_worst;
-            session.update_loads(&updates);
+            session.update_loads(fresh);
         }
 
-        let report = session.finish(cfg);
+        let mut report = session.finish(cfg);
         total_us += report.total_us;
-        for (ls, vs) in report.v.into_iter().enumerate() {
-            v[start + ls] = vs;
-        }
+        v[start..end].swap_with_slice(&mut report.v);
         start = end;
     }
 

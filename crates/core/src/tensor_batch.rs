@@ -46,18 +46,20 @@
 //! equals the iteration count the serial solver reports for the same
 //! scenario.
 //!
-//! # Fault recovery
+//! # One device path, one fault policy
 //!
-//! Transient device errors retry the affected chunk from scratch (budget
-//! [`SolverConfig::max_recoveries`]); a lost device degrades to the
-//! serial solver per scenario. When a fault plan is armed, finished
-//! chunks are *audited*: static buffers are read back and compared, and
-//! one extra no-commit iteration per scenario (j and V into scratch
-//! slabs) measures `max |ΔV|` via [`primitives::try_reduce_batched`] —
-//! any scenario whose audit residual exceeds the tolerance, plus any
-//! flagged failure, is re-solved on the host and reported as
-//! [`SolveStatus::Recovered`]. Repaired scenarios return the serial
-//! solver's state, so silent corruption cannot leak into results.
+//! A one-shot batch and the outer-loop session behind
+//! [`crate::solve_dg_batch`] share one resident chunk type, one sweep
+//! loop, one audit and one fallback. A device fault spends one retry
+//! from [`SolverConfig::max_recoveries`] and rebuilds the chunk; a lost
+//! device or a spent budget degrades to the serial solver. Under an armed
+//! fault plan the state is *audited* after it is read back: static
+//! buffers are compared, and one extra no-commit iteration per scenario
+//! measures `max |ΔV|` via [`primitives::try_reduce_batched`]. A batch
+//! re-solves every scenario that fails (or any flagged failure) on the
+//! host as [`SolveStatus::Recovered`]; a session treats a failed round
+//! audit as a device fault and re-solves on the host whatever its final
+//! audit cannot vouch for — silent corruption cannot leak into results.
 //!
 //! # Scale
 //!
@@ -70,6 +72,7 @@
 //! state download) the engine streams through hundreds of thousands of
 //! scenarios.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -78,8 +81,8 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceError, GlobalMut, GlobalRef, HostProps, Kernel,
-    LaunchConfig,
+    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, GlobalMut, GlobalRef, HostProps,
+    Kernel, LaunchConfig, Shared, ThreadCtx,
 };
 use telemetry::Recorder;
 
@@ -270,6 +273,10 @@ pub enum Scenarios<'s> {
 enum Loads<'s> {
     /// Full by-bus load vectors, one per scenario.
     Explicit(&'s [Vec<Complex>]),
+    /// Full by-bus load vectors that mostly repeat the base loads: a chunk
+    /// ships them as the base replicated device-side plus a scatter of
+    /// the deviations (an outer loop's corrections at a few buses).
+    Deltas(&'s [Vec<Complex>]),
     /// `loads(s) = base × scales[s]` with the base loads from the arrays,
     /// synthesised on device (no `B·n` upload).
     Scaled(&'s [f64]),
@@ -278,7 +285,7 @@ enum Loads<'s> {
 impl Loads<'_> {
     fn len(&self) -> usize {
         match self {
-            Loads::Explicit(s) => s.len(),
+            Loads::Explicit(s) | Loads::Deltas(s) => s.len(),
             Loads::Scaled(s) => s.len(),
         }
     }
@@ -381,170 +388,93 @@ impl TensorBatchSolver {
         a: &SolverArrays,
         loads: Loads<'_>,
         cfg: &SolverConfig,
-        patches: Option<&PatchPlan>,
+        plan: Option<&PatchPlan>,
     ) -> Result<TensorBatchResult, DeviceError> {
         let wall0 = Instant::now();
         let nb = loads.len();
         assert!(nb >= 1, "batch must contain at least one scenario");
-        let n = a.len();
-        let v0 = a.source;
-
+        let keep = self.keep_state;
+        let mut out = TensorBatchResult {
+            v: if keep { vec![Vec::new(); nb] } else { Vec::new() },
+            j: if keep { vec![Vec::new(); nb] } else { Vec::new() },
+            iterations: 0,
+            per_scenario_iterations: vec![0; nb],
+            statuses: vec![SolveStatus::MaxIterations; nb],
+            residuals: vec![f64::INFINITY; nb],
+            residual: f64::INFINITY,
+            min_v: if plan.is_some() { vec![f64::INFINITY; nb] } else { Vec::new() },
+            timing: Timing::default(),
+            scenarios_per_sec: 0.0,
+            fault_report: None,
+        };
         if cfg.validate().is_err() {
-            return Ok(TensorBatchResult {
-                v: if self.keep_state { vec![vec![v0; n]; nb] } else { Vec::new() },
-                j: if self.keep_state { vec![vec![Complex::ZERO; n]; nb] } else { Vec::new() },
-                iterations: 0,
-                per_scenario_iterations: vec![0; nb],
-                statuses: vec![SolveStatus::InvalidConfig; nb],
-                residuals: vec![f64::INFINITY; nb],
-                residual: f64::INFINITY,
-                min_v: if patches.is_some() { vec![f64::INFINITY; nb] } else { Vec::new() },
-                timing: Timing::default(),
-                scenarios_per_sec: 0.0,
-                fault_report: None,
-            });
+            out.statuses = vec![SolveStatus::InvalidConfig; nb];
+            if keep {
+                out.v = vec![vec![a.source; a.len()]; nb];
+                out.j = vec![vec![Complex::ZERO; a.len()]; nb];
+            }
+            return Ok(out);
         }
 
         let obs = Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
         let armed = self.device.fault_plan().is_some();
         let faults_before = self.device.fault_log().len();
         let chunk_cap = self.chunk_cap.min(nb);
-
-        let mut out = Outcome::new(nb, self.keep_state);
-        let mut phases = PhaseTimes::default();
-        let mut transfer_us = 0.0;
-        let mut transfer_sweep_us = 0.0;
         let mut retries_total = 0u32;
         let mut corruptions_total = 0u32;
         let mut degraded = false;
-
-        // ---- Topology upload (once; re-done only on chunk retry).
-        // Transient faults (injected alloc-OOM, transfer failures) get
-        // the retry budget; a device that stays broken degrades every
-        // chunk to the host path below.
-        let mark = self.device.timeline().mark();
+        // The topology uploads with the first chunk and stays resident; a
+        // fault drops it with its chunk, and the retry re-uploads it.
         let mut topo = None;
-        for attempt in 0..=cfg.max_recoveries {
-            if self.device.is_lost() {
-                break;
-            }
-            match Topology::upload(&mut self.device, a, patches) {
-                Ok(t) => {
-                    topo = Some(t);
-                    break;
-                }
-                Err(_) => {
-                    if attempt < cfg.max_recoveries {
-                        retries_total += 1;
-                    }
-                }
-            }
-        }
-        let b = self.device.timeline().breakdown_since(mark);
-        phases.setup_us += b.total_us();
-        transfer_us += b.htod_us + b.dtoh_us;
 
         let mut chunk_start = 0usize;
         while chunk_start < nb {
             let chunk = chunk_cap.min(nb - chunk_start);
             let range = chunk_start..chunk_start + chunk;
-            let chunk_t0 = phases.total_us();
+            let chunk_t0 = out.timing.phases.total_us();
 
-            // Retry the chunk on transient faults; degrade to the host
-            // when the device is lost or the budget runs out — device
-            // weather never escapes as an `Err`.
-            let mut attempts = 0u32;
-            loop {
-                if topo.is_none() || self.device.is_lost() {
-                    degraded = true;
-                    break;
-                }
-                // Corrupted index buffers can drive a kernel out of
-                // bounds; the engine propagates the panic, which is just
-                // another device fault: catch it and restart the chunk.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    run_chunk(
-                        &mut self.device,
-                        a,
-                        topo.as_ref().expect("topology resident"),
-                        &loads,
-                        patches,
-                        range.clone(),
-                        cfg,
-                        armed,
-                        &obs,
-                        &mut phases,
-                        &mut transfer_us,
-                        &mut transfer_sweep_us,
-                        &mut out,
-                    )
-                }));
-                if matches!(attempt, Ok(Err(DeviceError::TransferCorrupted { .. }))) {
-                    corruptions_total += 1;
-                    obs.instant("corruption-detected", phases.total_us());
-                }
-                match attempt {
-                    Ok(Ok(())) => break,
-                    Ok(Err(_)) | Err(_) if self.device.is_lost() => {
-                        degraded = true;
-                        break;
+            // Device weather never escapes as an `Err`: retry the chunk
+            // within its budget, then degrade to the host for good.
+            let mut retries = Retries::new(cfg);
+            let mut retrying = false;
+            if !degraded {
+                let ran = retries.run(&mut self.device, |dev| {
+                    if std::mem::replace(&mut retrying, true) {
+                        obs.instant("chunk-retry", out.timing.phases.total_us());
                     }
-                    Ok(Err(_)) | Err(_) => {
-                        if attempts >= cfg.max_recoveries {
-                            degraded = true;
-                            break;
-                        }
-                        attempts += 1;
-                        retries_total += 1;
-                        obs.instant("chunk-retry", phases.total_us());
-                        // Re-upload the topology: the fault may have
-                        // corrupted resident buffers.
-                        let mark = self.device.timeline().mark();
-                        match Topology::upload(&mut self.device, a, patches) {
-                            Ok(t) => topo = Some(t),
-                            Err(_) => {
-                                degraded = true;
-                                topo = None;
-                            }
-                        }
-                        let b = self.device.timeline().breakdown_since(mark);
-                        phases.setup_us += b.total_us();
-                        transfer_us += b.htod_us + b.dtoh_us;
-                        if degraded {
-                            break;
-                        }
+                    let ran =
+                        run_chunk(dev, a, topo.take(), &loads, plan, &range, cfg, &obs, &mut out);
+                    if let Err(DeviceError::TransferCorrupted { .. }) = ran {
+                        corruptions_total += 1;
+                        obs.instant("corruption-detected", out.timing.phases.total_us());
                     }
-                }
+                    topo = Some(ran?);
+                    Ok(Some(()))
+                });
+                degraded = ran.is_none();
             }
+            retries_total += retries.spent;
 
             if degraded {
-                // Host fallback for every scenario of this chunk.
-                let t0 = phases.total_us();
+                let t0 = out.timing.phases.total_us();
                 let serial = SerialSolver::new(HostProps::paper_rig());
-                for s in range.clone() {
-                    let res = repair_solve(&serial, a, &loads, patches, s, cfg);
-                    out.absorb_serial(s, res, true, patches);
+                let warm = plan.and_then(|plan| plan.warm.as_deref());
+                for s in range {
+                    let res = host_solve(&serial, a, &loads, plan, s, cfg, warm);
+                    out.absorb_serial(s, res, plan);
                 }
-                phases.teardown_us += out.repair_us;
-                out.repair_us = 0.0;
-                obs.phase("fallback", t0, phases.total_us());
+                obs.phase("fallback", t0, out.timing.phases.total_us());
             }
 
-            obs.batch_chunk(chunk_start / chunk_cap, chunk, chunk_t0, phases.total_us());
+            obs.batch_chunk(chunk_start / chunk_cap, chunk, chunk_t0, out.timing.phases.total_us());
             chunk_start += chunk;
         }
 
         let faults_seen = (self.device.fault_log().len() - faults_before) as u32;
-        let timing = Timing {
-            phases,
-            transfer_us,
-            transfer_sweep_us,
-            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
-        };
-        let scenarios_per_sec = scenarios_per_sec(nb, &timing);
-        obs.batch_summary(nb, scenarios_per_sec);
-
-        let fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
+        out.timing.wall_us = wall0.elapsed().as_secs_f64() * 1e6;
+        out.scenarios_per_sec = scenarios_per_sec(nb, &out.timing);
+        obs.batch_summary(nb, out.scenarios_per_sec);
+        out.fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
             .then(|| FaultReport {
                 faults_injected: faults_seen,
                 rollbacks: 0,
@@ -558,22 +488,9 @@ impl TensorBatchSolver {
                 },
                 corruptions_detected: corruptions_total,
             });
-
-        let residual =
-            out.residuals.iter().fold(0.0f64, |acc, &r| MaxAbsF64::combine(acc, r));
-        Ok(TensorBatchResult {
-            iterations: out.per_scenario_iterations.iter().copied().max().unwrap_or(0),
-            v: out.v,
-            j: out.j,
-            per_scenario_iterations: out.per_scenario_iterations,
-            statuses: out.statuses,
-            residuals: out.residuals,
-            residual,
-            min_v: if patches.is_some() { out.min_v } else { Vec::new() },
-            timing,
-            scenarios_per_sec,
-            fault_report,
-        })
+        out.iterations = out.per_scenario_iterations.iter().copied().max().unwrap_or(0);
+        out.residual = out.residuals.iter().fold(0.0f64, |acc, &r| MaxAbsF64::combine(acc, r));
+        Ok(out)
     }
 
     /// Largest scenario batch one resident session can hold; callers
@@ -591,15 +508,15 @@ impl TensorBatchSolver {
     /// `probes` buses' voltages — so a compensation/PV outer loop pays
     /// sparse traffic per round instead of re-shipping `B·n` slabs.
     ///
-    /// Device weather degrades the session to per-scenario serial
-    /// solves (the voltage iterate is rebuilt cold after a fault — the
-    /// fixed point does not depend on the starting profile, so only
-    /// modeled time is lost, never correctness).
+    /// The session is one resident chunk of the [`Self::try_solve`]
+    /// engine, with its sweep loop, audit and fault policy. A rebuild
+    /// after a fault restarts the iterate cold — the fixed point does not
+    /// depend on the starting profile, so only modeled time is lost.
     ///
     /// `warm` optionally seeds every scenario's first round from one
     /// shared profile (by bus id) — typically the base-case fixed point
     /// — replicated device-side from a single `n`-word upload.
-    pub fn outer_session<'s>(
+    pub(crate) fn outer_session<'s>(
         &'s mut self,
         a: &'s SolverArrays,
         loads: &[Vec<Complex>],
@@ -624,67 +541,36 @@ impl TensorBatchSolver {
         if let Some(w) = warm {
             assert_eq!(w.len(), n, "warm profile has {} entries for {n} buses", w.len());
         }
+        let obs = Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
         let mut session = TensorOuterSession {
-            solver: self,
+            device: &mut self.device,
             a,
-            n,
-            nb,
-            probe_pos: probes.iter().map(|&b| a.levels.pos_of[b]).collect(),
+            probes: probes.to_vec(),
             loads: loads.to_vec(),
             warm: warm.map(<[Complex]>::to_vec),
             retired: vec![false; nb],
             statuses: vec![SolveStatus::MaxIterations; nb],
             host_v: vec![None; nb],
-            dev_state: None,
+            chunk: None,
             degraded: false,
-            max_recoveries: cfg.max_recoveries,
-            retries: 0,
-            total_us: 0.0,
+            retries: Retries::new(cfg),
+            obs,
+            timing: Timing::default(),
         };
-        session.try_build();
+        session.on_device(|_, _, _, _| Ok(Some(())));
         session
     }
 }
 
-/// Accumulates per-scenario outputs across chunks.
-struct Outcome {
-    v: Vec<Vec<Complex>>,
-    j: Vec<Vec<Complex>>,
-    per_scenario_iterations: Vec<u32>,
-    statuses: Vec<SolveStatus>,
-    residuals: Vec<f64>,
-    min_v: Vec<f64>,
-    keep_state: bool,
-    repairs: u32,
-    repair_us: f64,
-}
-
-impl Outcome {
-    fn new(nb: usize, keep_state: bool) -> Self {
-        Outcome {
-            v: if keep_state { vec![Vec::new(); nb] } else { Vec::new() },
-            j: if keep_state { vec![Vec::new(); nb] } else { Vec::new() },
-            per_scenario_iterations: vec![0; nb],
-            statuses: vec![SolveStatus::MaxIterations; nb],
-            residuals: vec![f64::INFINITY; nb],
-            min_v: vec![f64::INFINITY; nb],
-            keep_state,
-            repairs: 0,
-            repair_us: 0.0,
-        }
-    }
-
-    /// Replaces scenario `s` with a serial solve outcome. `recovered`
-    /// upgrades a converged serial status to [`SolveStatus::Recovered`]
-    /// (the payload is patched by the caller at the end via
-    /// `fault_report`; counts here are per-scenario bookkeeping). In
-    /// patched mode the de-energized buses are zeroed and the energized
-    /// `min |V|` is computed host-side, matching the device convention.
+impl TensorBatchResult {
+    /// Replaces scenario `s` with a host solve, charged to teardown: a
+    /// converged answer reports [`SolveStatus::Recovered`]. In patched
+    /// mode the de-energized buses are zeroed and the energized `min |V|`
+    /// is computed host-side, matching the device convention.
     fn absorb_serial(
         &mut self,
         s: usize,
         mut res: crate::report::SolveResult,
-        recovered: bool,
         patches: Option<&PatchPlan>,
     ) {
         if let Some(plan) = patches {
@@ -696,17 +582,16 @@ impl Outcome {
         }
         self.per_scenario_iterations[s] = res.iterations;
         self.residuals[s] = res.residual;
-        self.statuses[s] = if recovered && res.status == SolveStatus::Converged {
+        self.statuses[s] = if res.status == SolveStatus::Converged {
             SolveStatus::Recovered { faults: 1, retries: 1 }
         } else {
             res.status
         };
-        if self.keep_state {
+        if !self.v.is_empty() {
             self.v[s] = res.v;
             self.j[s] = res.j;
         }
-        self.repairs += 1;
-        self.repair_us += res.timing.total_us();
+        self.timing.phases.teardown_us += res.timing.total_us();
     }
 }
 
@@ -836,7 +721,8 @@ struct Topology {
     parent_pos: DeviceBuffer<u32>,
     child_lo: DeviceBuffer<u32>,
     child_hi: DeviceBuffer<u32>,
-    /// Base loads in position space (the scaled-mode operand).
+    /// Base loads in position space: the scaled-mode operand, and the
+    /// stripe every [`Loads::Deltas`] scenario starts from.
     base_s: DeviceBuffer<Complex>,
     /// Patched solves: level position → DFS position (cut membership).
     dfs_pos: Option<DeviceBuffer<u32>>,
@@ -881,20 +767,22 @@ impl Topology {
     }
 }
 
-/// Position-space loads of one scenario (the serial repair operand).
-fn repair_arrays(
+/// Serial solve of scenario `s` from `warm` — the host oracle for audit
+/// repairs and the degraded path of the one-shot batch and the session
+/// alike — over its position-space arrays: its loads and, under a patch
+/// plan, its outage and impedance override.
+fn host_solve(
+    serial: &SerialSolver,
     a: &SolverArrays,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
     s: usize,
-) -> SolverArrays {
+    cfg: &SolverConfig,
+    warm: Option<&[Complex]>,
+) -> crate::report::SolveResult {
     let mut a2 = a.clone();
     match loads {
-        Loads::Explicit(sc) => {
-            for (p, slot) in a2.s.iter_mut().enumerate() {
-                *slot = sc[s][a.levels.order[p] as usize];
-            }
-        }
+        Loads::Explicit(sc) | Loads::Deltas(sc) => a2.s = a.levels.permute(&sc[s]),
         Loads::Scaled(scales) => {
             for slot in a2.s.iter_mut() {
                 *slot = *slot * scales[s];
@@ -912,21 +800,71 @@ fn repair_arrays(
             a2.z[plan.z_pos[s] as usize] = plan.z_val[s];
         }
     }
-    a2
+    serial.solve_warm(&a2, cfg, warm)
 }
 
-/// Serial solve of one (possibly patched, possibly warm-started)
-/// scenario — the host oracle for repairs and the degraded path.
-fn repair_solve(
-    serial: &SerialSolver,
-    a: &SolverArrays,
-    loads: &Loads<'_>,
-    patches: Option<&PatchPlan>,
-    s: usize,
-    cfg: &SolverConfig,
-) -> crate::report::SolveResult {
-    let arrays = repair_arrays(a, loads, patches, s);
-    serial.solve_warm(&arrays, cfg, patches.and_then(|plan| plan.warm.as_deref()))
+/// Full by-bus load vectors of a scenario range in the position-major
+/// slab layout (`g(s, p) = s·n + p`).
+fn position_slab(a: &SolverArrays, scenarios: &[Vec<Complex>]) -> Vec<Complex> {
+    scenarios.iter().flat_map(|sc| a.levels.permute(sc)).collect()
+}
+
+/// The fault policy of both device paths, with the retry budget
+/// ([`SolverConfig::max_recoveries`]) of one resident chunk.
+struct Retries {
+    budget: u32,
+    spent: u32,
+}
+
+impl Retries {
+    fn new(cfg: &SolverConfig) -> Self {
+        Retries { budget: cfg.max_recoveries, spent: 0 }
+    }
+
+    /// Runs `attempt` until it succeeds. A device fault — an error, a
+    /// kernel panic (corrupted index buffers can drive kernels out of
+    /// bounds) or `Ok(None)` (a failed audit) — spends one retry; `None`
+    /// once the device is lost or the budget is spent.
+    fn run<T>(
+        &mut self,
+        dev: &mut Device,
+        mut attempt: impl FnMut(&mut Device) -> Result<Option<T>, DeviceError>,
+    ) -> Option<T> {
+        if dev.is_lost() {
+            return None;
+        }
+        loop {
+            if let Ok(Ok(Some(out))) = catch_unwind(AssertUnwindSafe(|| attempt(dev))) {
+                return Some(out);
+            }
+            if dev.is_lost() || self.spent >= self.budget {
+                return None;
+            }
+            self.spent += 1;
+        }
+    }
+}
+
+/// The phase a group of device ops is charged to ([`charge`]).
+const SETUP: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.setup_us;
+const BACKWARD: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.backward_us;
+const CONVERGENCE: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.convergence_us;
+const TEARDOWN: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.teardown_us;
+
+/// Runs a group of device ops; on success charges their modeled time to
+/// the phase `phase` picks and their transfer time to `transfer_us`.
+fn charge<T>(
+    dev: &mut Device,
+    t: &mut Timing,
+    phase: fn(&mut PhaseTimes) -> &mut f64,
+    ops: impl FnOnce(&mut Device) -> Result<T, DeviceError>,
+) -> Result<T, DeviceError> {
+    let mark = dev.timeline().mark();
+    let out = ops(dev)?;
+    let b = dev.timeline().breakdown_since(mark);
+    *phase(&mut t.phases) += b.total_us();
+    t.transfer_us += b.htod_us + b.dtoh_us;
+    Ok(out)
 }
 
 /// Scenario-load device views for the fused kernels.
@@ -935,319 +873,435 @@ enum LoadsRef<'a> {
     Scaled { base: GlobalRef<'a, Complex>, scales: GlobalRef<'a, f64> },
 }
 
-/// Runs one chunk of scenarios to completion on the device, including the
-/// armed-plan audit, writing results into `out`.
+/// One chunk of a one-shot batch: build it (uploading the topology
+/// unless the previous chunk hands it over), iterate, read the state
+/// back, audit it when a fault plan is armed, and unbatch into `out`.
+/// Returns the topology for the next chunk.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk(
     dev: &mut Device,
     a: &SolverArrays,
-    topo: &Topology,
+    topo: Option<Topology>,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
-    range: std::ops::Range<usize>,
+    range: &Range<usize>,
     cfg: &SolverConfig,
-    armed: bool,
     obs: &Obs,
-    phases: &mut PhaseTimes,
-    transfer_us: &mut f64,
-    transfer_sweep_us: &mut f64,
-    out: &mut Outcome,
-) -> Result<(), DeviceError> {
-    let n = a.len();
-    let nb = range.len();
-    let v0 = a.source;
-    let level_offsets: Vec<u32> = a.levels.level_offsets.clone();
-
-    // ---- Per-chunk state (setup).
-    let mark = dev.timeline().mark();
-    let mut s_slab: Option<DeviceBuffer<Complex>> = None;
-    let mut scale_buf: Option<DeviceBuffer<f64>> = None;
-    let mut s_host: Vec<Complex> = Vec::new();
-    match loads {
-        Loads::Explicit(scenarios) => {
-            s_host = vec![Complex::ZERO; nb * n];
-            for ls in 0..nb {
-                let sc = &scenarios[range.start + ls];
-                for p in 0..n {
-                    s_host[ls * n + p] = sc[a.levels.order[p] as usize];
-                }
-            }
-            s_slab = Some(dev.try_alloc_from(&s_host)?);
-        }
-        Loads::Scaled(scales) => {
-            scale_buf = Some(dev.try_alloc_from(&scales[range.clone()])?);
-        }
-    }
-    // Patched chunks: a few words per scenario describe the cut range
-    // and the impedance override, plus one `min |V|` slot per scenario.
-    let chunk_patch = match patches {
-        Some(plan) => Some(ChunkPatch {
-            cut_pos: dev.try_alloc_from(&plan.cut_pos[range.clone()])?,
-            cut_lo: dev.try_alloc_from(&plan.cut_lo[range.clone()])?,
-            cut_hi: dev.try_alloc_from(&plan.cut_hi[range.clone()])?,
-            z_pos: dev.try_alloc_from(&plan.z_pos[range.clone()])?,
-            z_val: dev.try_alloc_from(&plan.z_val[range.clone()])?,
-        }),
-        None => None,
-    };
-    let mut minv_buf = match patches {
-        Some(_) => {
-            let mut buf = dev.try_alloc::<f64>(nb)?;
-            try_fill(dev, &mut buf, f64::INFINITY)?;
-            Some(buf)
-        }
-        None => None,
-    };
-    let mut v_buf = dev.try_alloc::<Complex>(nb * n)?;
-    match patches.and_then(|plan| plan.warm.as_ref()) {
-        Some(shared) => {
-            // Shared warm start: replicate the permuted base-case
-            // profile into every scenario stripe device-side (one
-            // `n`-word upload).
-            let warm_buf = dev.try_alloc_from(&a.levels.permute(shared))?;
-            let kernel = WarmInitKernel { warm: warm_buf.view(), v: v_buf.view_mut(), n };
-            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
-        }
-        None => try_fill(dev, &mut v_buf, v0)?,
-    }
-    let mut j_buf = dev.try_alloc::<Complex>(nb * n)?;
-    let mut mask_buf = dev.try_alloc_from(&vec![1u32; nb])?;
-    let mut res_buf = dev.try_alloc::<f64>(nb)?;
-    try_fill(dev, &mut res_buf, 0.0)?;
-    let b = dev.timeline().breakdown_since(mark);
-    phases.setup_us += b.total_us();
-    *transfer_us += b.htod_us + b.dtoh_us;
-
-    // ---- Per-scenario monitors and masks.
-    let mut monitors: Vec<ConvergenceMonitor> =
-        (0..nb).map(|_| ConvergenceMonitor::new(cfg, v0.abs())).collect();
-    let tol = monitors[0].tol();
-    let mut mask_host = vec![1u32; nb];
-    let mut active = nb;
-    let mut frozen_status: Vec<Option<SolveStatus>> = vec![None; nb];
-    let mut last_residual = vec![f64::INFINITY; nb];
-    let mut iters_done = vec![0u32; nb];
-    // The sweep packs SCENARIOS_PER_BLOCK scenarios per block to amortise
-    // topology reads; the audit maps one block per scenario.
-    let grid_sweep =
-        LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
-    let grid_audit = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
-
-    let mut iteration = 0u32;
-    while active > 0 && iteration < cfg.max_iter {
-        iteration += 1;
-        let iter_t0 = phases.total_us();
-
-        // One fused sweep launch per iteration: backward, forward, and
-        // the in-block residual fold. The launch cannot be split into
-        // per-half timings, so its whole modeled time is charged to
-        // `backward_us` (`forward_us` stays 0 in the tensor engine, like
-        // `injection_us` — both are fused into the same kernel).
-        let mark = dev.timeline().mark();
-        {
-            let kernel = SweepKernel {
-                loads: loads_ref(&s_slab, &scale_buf, topo),
-                v: v_buf.view_mut(),
-                j: j_buf.view_mut(),
-                z: topo.z.view(),
-                parent_pos: topo.parent_pos.view(),
-                child_lo: topo.child_lo.view(),
-                child_hi: topo.child_hi.view(),
-                mask: mask_buf.view(),
-                residuals: res_buf.view_mut(),
-                patch: patch_ref(topo, &chunk_patch),
-                min_v: minv_buf.as_mut().map(|b| b.view_mut()),
-                level_offsets: &level_offsets,
-                n,
-                nb,
-            };
-            dev.try_launch(grid_sweep, &kernel)?;
-        }
-        phases.backward_us += dev.timeline().breakdown_since(mark).total_us();
-        obs.phase("sweep", iter_t0, phases.total_us());
-
-        // Per-scenario convergence triage on the host.
-        let conv_t0 = phases.total_us();
-        let mark = dev.timeline().mark();
-        let residuals = dev.try_dtoh_checked(&res_buf)?;
-        let mut any_froze = false;
-        let mut worst_active = 0.0f64;
-        for ls in 0..nb {
-            if mask_host[ls] == 0 {
-                continue;
-            }
-            let r = residuals[ls];
-            last_residual[ls] = r;
-            iters_done[ls] = iteration;
-            worst_active = MaxAbsF64::combine(worst_active, r);
-            if let Some(status) = monitors[ls].observe(iteration, r) {
-                frozen_status[ls] = Some(status);
-                mask_host[ls] = 0;
-                active -= 1;
-                any_froze = true;
-            }
-        }
-        if any_froze && active > 0 {
-            dev.try_htod_checked(&mut mask_buf, &mask_host)?;
-        }
-        let b = dev.timeline().breakdown_since(mark);
-        phases.convergence_us += b.total_us();
-        *transfer_us += b.htod_us + b.dtoh_us;
-        *transfer_sweep_us += b.htod_us + b.dtoh_us;
-        obs.phase("convergence", conv_t0, phases.total_us());
-        obs.iteration(iteration, iter_t0, phases.total_us(), worst_active);
-
-        // Modeled deadline covers the scenarios still running.
-        if let Some(budget) = cfg.deadline_us {
-            let elapsed = phases.total_us();
-            if elapsed >= budget && active > 0 {
-                for ls in 0..nb {
-                    if mask_host[ls] == 1 {
-                        mask_host[ls] = 0;
-                        frozen_status[ls] = Some(SolveStatus::DeadlineExceeded {
-                            at_iteration: iteration,
-                            elapsed_us: elapsed as u64,
-                        });
-                    }
-                }
-                active = 0;
-            }
-        }
-    }
-
-    // ---- Audit (armed plans only): static readback compare + one
-    // no-commit iteration, per-scenario ∞-norm via the batched reduce.
-    let mut suspicious = vec![false; nb];
-    if armed {
-        let audit_t0 = phases.total_us();
-        let mark = dev.timeline().mark();
-        let statics_ok = topo.verify(dev, a, patches)?
-            && match (&s_slab, &scale_buf, loads) {
-                (Some(buf), _, _) => dev.try_dtoh(buf)? == s_host,
-                (_, Some(buf), Loads::Scaled(scales)) => {
-                    dev.try_dtoh(buf)? == scales[range.clone()]
-                }
-                _ => true,
-            }
-            && match (&chunk_patch, patches) {
-                (Some(cp), Some(plan)) => {
-                    dev.try_dtoh(&cp.cut_pos)? == plan.cut_pos[range.clone()]
-                        && dev.try_dtoh(&cp.cut_lo)? == plan.cut_lo[range.clone()]
-                        && dev.try_dtoh(&cp.cut_hi)? == plan.cut_hi[range.clone()]
-                        && dev.try_dtoh(&cp.z_pos)? == plan.z_pos[range.clone()]
-                        && dev.try_dtoh(&cp.z_val)? == plan.z_val[range.clone()]
-                }
-                _ => true,
-            };
-        if !statics_ok {
-            suspicious.iter_mut().for_each(|f| *f = true);
-        } else {
-            let mut j_audit = dev.try_alloc::<Complex>(nb * n)?;
-            let mut v_audit = dev.try_alloc::<Complex>(nb * n)?;
-            let mut delta = dev.try_alloc::<f64>(nb * n)?;
-            {
-                let kernel = AuditKernel {
-                    loads: loads_ref(&s_slab, &scale_buf, topo),
-                    v: v_buf.view(),
-                    j: j_buf.view(),
-                    j_audit: j_audit.view_mut(),
-                    v_audit: v_audit.view_mut(),
-                    delta: delta.view_mut(),
-                    z: topo.z.view(),
-                    parent_pos: topo.parent_pos.view(),
-                    child_lo: topo.child_lo.view(),
-                    child_hi: topo.child_hi.view(),
-                    patch: patch_ref(topo, &chunk_patch),
-                    level_offsets: &level_offsets,
-                    n,
-                };
-                dev.try_launch(grid_audit, &kernel)?;
-            }
-            let audit_res = try_reduce_batched::<f64, MaxAbsF64>(dev, &delta, nb)?;
-            for ls in 0..nb {
-                let status = frozen_status[ls].unwrap_or(SolveStatus::MaxIterations);
-                let clean = status.is_converged() && audit_res[ls] <= tol;
-                // A converged scenario failing its audit, or any flagged
-                // failure under an armed plan, goes to the host oracle.
-                suspicious[ls] = !clean;
-            }
-        }
-        let b = dev.timeline().breakdown_since(mark);
-        phases.convergence_us += b.total_us();
-        *transfer_us += b.htod_us + b.dtoh_us;
-        obs.phase("audit", audit_t0, phases.total_us());
-    }
-
-    // ---- Teardown: state download and unbatching.
-    let keep = out.keep_state;
-    let (v_host, j_host) = if keep {
-        let mark = dev.timeline().mark();
-        let v = dev.try_dtoh_checked(&v_buf)?;
-        let j = dev.try_dtoh_checked(&j_buf)?;
-        let b = dev.timeline().breakdown_since(mark);
-        phases.teardown_us += b.total_us();
-        *transfer_us += b.htod_us + b.dtoh_us;
-        (v, j)
+    out: &mut TensorBatchResult,
+) -> Result<Topology, DeviceError> {
+    let (n, keep, t) = (a.len(), !out.v.is_empty(), &mut out.timing);
+    let warm = patches.and_then(|plan| plan.warm.as_deref());
+    let mut chunk = Chunk::build(dev, a, topo, loads, patches, range.clone(), warm, &[], t)?;
+    let sweep = chunk.iterate(dev, cfg, obs, t)?;
+    // Read back *before* the audit: the audit vouches for the state it
+    // reads, so nothing may run between the two that could change it.
+    let (v, j) = if keep {
+        charge(dev, t, TEARDOWN, |dev| {
+            Ok((dev.try_dtoh_checked(&chunk.v)?, dev.try_dtoh_checked(&chunk.j)?))
+        })?
     } else {
         (Vec::new(), Vec::new())
     };
-
-    let minv_host = match &minv_buf {
-        Some(buf) => {
-            let mark = dev.timeline().mark();
-            let m = dev.try_dtoh_checked(buf)?;
-            let b = dev.timeline().breakdown_since(mark);
-            phases.teardown_us += b.total_us();
-            *transfer_us += b.htod_us + b.dtoh_us;
-            m
-        }
+    let min_v = match &chunk.min_v {
+        Some(buf) => charge(dev, t, TEARDOWN, |dev| dev.try_dtoh_checked(buf))?,
         None => Vec::new(),
     };
+    let trusted = chunk.audit(dev, loads, &sweep.statuses, cfg, obs, t)?;
 
     let serial = SerialSolver::new(HostProps::paper_rig());
-    for ls in 0..nb {
-        let s = range.start + ls;
-        if armed && suspicious[ls] {
-            let res = repair_solve(&serial, a, loads, patches, s, cfg);
-            out.absorb_serial(s, res, true, patches);
+    for (ls, s) in range.clone().enumerate() {
+        if !trusted[ls] {
+            // A converged scenario failing its audit, or any flagged
+            // failure under an armed plan, goes to the host oracle.
+            out.absorb_serial(s, host_solve(&serial, a, loads, patches, s, cfg, warm), patches);
             continue;
         }
-        out.per_scenario_iterations[s] = iters_done[ls];
-        out.statuses[s] = frozen_status[ls].unwrap_or(SolveStatus::MaxIterations);
-        out.residuals[s] = last_residual[ls];
-        if let Some(plan) = patches {
-            out.min_v[s] = minv_host[ls];
-            if keep {
-                let mut v = unpermute(a, &v_host[ls * n..(ls + 1) * n]);
-                let mut j = unpermute(a, &j_host[ls * n..(ls + 1) * n]);
-                // De-energized buses report dead, not their stale
-                // initial values.
-                for &bus in &plan.isolated[s] {
-                    v[bus as usize] = Complex::ZERO;
-                    j[bus as usize] = Complex::ZERO;
-                }
-                out.v[s] = v;
-                out.j[s] = j;
+        out.per_scenario_iterations[s] = sweep.iterations[ls];
+        out.statuses[s] = sweep.statuses[ls];
+        out.residuals[s] = sweep.residuals[ls];
+        if patches.is_some() {
+            out.min_v[s] = min_v[ls];
+        }
+        if keep {
+            let mut v = a.levels.unpermute(&v[ls * n..(ls + 1) * n]);
+            let mut j = a.levels.unpermute(&j[ls * n..(ls + 1) * n]);
+            // De-energized buses report dead, not their stale initial
+            // values.
+            for &bus in patches.map_or(&[][..], |plan| plan.isolated[s].as_slice()) {
+                v[bus as usize] = Complex::ZERO;
+                j[bus as usize] = Complex::ZERO;
             }
-        } else if keep {
-            out.v[s] = unpermute(a, &v_host[ls * n..(ls + 1) * n]);
-            out.j[s] = unpermute(a, &j_host[ls * n..(ls + 1) * n]);
+            out.v[s] = v;
+            out.j[s] = j;
         }
     }
-    phases.teardown_us += out.repair_us;
-    out.repair_us = 0.0;
-    Ok(())
+    Ok(chunk.topo)
 }
 
-fn loads_ref<'a>(
-    s_slab: &'a Option<DeviceBuffer<Complex>>,
-    scale_buf: &'a Option<DeviceBuffer<f64>>,
-    topo: &'a Topology,
-) -> LoadsRef<'a> {
-    match (s_slab, scale_buf) {
-        (Some(s), _) => LoadsRef::Explicit(s.view()),
-        (_, Some(sc)) => LoadsRef::Scaled { base: topo.base_s.view(), scales: sc.view() },
-        _ => unreachable!("one load source is always present"),
+/// What one [`Chunk::iterate`] left per scenario (masked-out scenarios:
+/// `MaxIterations`, 0 iterations, an infinite residual).
+struct Sweep {
+    statuses: Vec<SolveStatus>,
+    iterations: Vec<u32>,
+    residuals: Vec<f64>,
+}
+
+/// One scenario chunk resident on the device: the shared topology, the
+/// chunk's loads and patch words, and the state every iteration reads
+/// and writes. A one-shot batch builds one per chunk and reads it once;
+/// an outer session keeps one across rounds.
+struct Chunk<'a> {
+    a: &'a SolverArrays,
+    plan: Option<&'a PatchPlan>,
+    range: Range<usize>,
+    topo: Topology,
+    loads: DeviceLoads,
+    patch: Option<ChunkPatch>,
+    min_v: Option<DeviceBuffer<f64>>,
+    v: DeviceBuffer<Complex>,
+    j: DeviceBuffer<Complex>,
+    mask: DeviceBuffer<u32>,
+    /// Host copy of `mask`.
+    live: Vec<u32>,
+    res: DeviceBuffer<f64>,
+    /// Probe positions and the gathered `nb·np` voltages (sessions).
+    probes: Option<(DeviceBuffer<u32>, DeviceBuffer<Complex>)>,
+}
+
+impl<'a> Chunk<'a> {
+    /// Uploads the topology (unless `topo` carries it over), the chunk's
+    /// loads and patch words, and initialises the iterate from `warm`
+    /// (by bus id, replicated device-side) or flat. Setup time.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        dev: &mut Device,
+        a: &'a SolverArrays,
+        topo: Option<Topology>,
+        loads: &Loads<'_>,
+        plan: Option<&'a PatchPlan>,
+        range: Range<usize>,
+        warm: Option<&[Complex]>,
+        probes: &[usize],
+        t: &mut Timing,
+    ) -> Result<Self, DeviceError> {
+        let topo = match topo {
+            Some(topo) => topo,
+            None => charge(dev, t, SETUP, |dev| Topology::upload(dev, a, plan))?,
+        };
+        let (n, nb) = (a.len(), range.len());
+        let per_scenario = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
+        charge(dev, t, SETUP, |dev| {
+            let loads = match loads {
+                Loads::Explicit(sc) => {
+                    DeviceLoads::Slab(dev.try_alloc_from(&position_slab(a, &sc[range.clone()]))?)
+                }
+                Loads::Deltas(sc) => {
+                    // Mostly the base case: replicate the resident base
+                    // loads into every stripe and scatter the deviations
+                    // — not `B·n` words.
+                    let mut buf = dev.try_alloc::<Complex>(nb * n)?;
+                    let kernel = WarmInitKernel { warm: topo.base_s.view(), v: buf.view_mut(), n };
+                    dev.try_launch(per_scenario, &kernel)?;
+                    let mut deltas = Vec::new();
+                    for (ls, scenario) in sc[range.clone()].iter().enumerate() {
+                        for (bus, &load) in scenario.iter().enumerate() {
+                            let p = a.levels.pos_of[bus];
+                            if load != a.s[p as usize] {
+                                deltas.push((ls as u32, p, load));
+                            }
+                        }
+                    }
+                    scatter(dev, &mut buf, n, &deltas)?;
+                    DeviceLoads::Slab(buf)
+                }
+                Loads::Scaled(s) => DeviceLoads::Scales(dev.try_alloc_from(&s[range.clone()])?),
+            };
+            // Patched chunks: a few words per scenario describe the cut
+            // range and the impedance override, plus one `min |V|` slot
+            // per scenario.
+            let patch =
+                plan.map(|plan| ChunkPatch::upload(dev, plan, range.clone())).transpose()?;
+            let min_v = plan.map(|_| filled(dev, nb, f64::INFINITY)).transpose()?;
+            let v = match warm {
+                Some(profile) => {
+                    let mut v = dev.try_alloc::<Complex>(nb * n)?;
+                    let buf = dev.try_alloc_from(&a.levels.permute(profile))?;
+                    let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
+                    dev.try_launch(per_scenario, &kernel)?;
+                    v
+                }
+                None => filled(dev, nb * n, a.source)?,
+            };
+            let j = dev.try_alloc::<Complex>(nb * n)?;
+            let mask = dev.try_alloc_from(&vec![1u32; nb])?;
+            let res = filled(dev, nb, 0.0)?;
+            let probes = if probes.is_empty() {
+                None
+            } else {
+                let pos: Vec<u32> = probes.iter().map(|&b| a.levels.pos_of[b]).collect();
+                Some((dev.try_alloc_from(&pos)?, dev.try_alloc::<Complex>(nb * pos.len())?))
+            };
+            let live = vec![1; nb];
+            Ok(Chunk { a, plan, range, topo, loads, patch, min_v, v, j, mask, live, res, probes })
+        })
+    }
+
+    /// Runs the fused sweep until every live scenario freezes —
+    /// converged, diverged, non-finite, or cut by the modeled deadline —
+    /// or `cfg.max_iter` runs out. Every scenario owns a
+    /// [`ConvergenceMonitor`]; a frozen scenario drops out of the device
+    /// mask, which re-uploads only when it changes.
+    fn iterate(
+        &mut self,
+        dev: &mut Device,
+        cfg: &SolverConfig,
+        obs: &Obs,
+        t: &mut Timing,
+    ) -> Result<Sweep, DeviceError> {
+        let (n, nb) = (self.a.len(), self.range.len());
+        let mut monitors: Vec<ConvergenceMonitor> =
+            (0..nb).map(|_| ConvergenceMonitor::new(cfg, self.a.source.abs())).collect();
+        let mut sweep = Sweep {
+            statuses: vec![SolveStatus::MaxIterations; nb],
+            iterations: vec![0; nb],
+            residuals: vec![f64::INFINITY; nb],
+        };
+        let mut active = self.live.iter().filter(|&&m| m == 1).count();
+        // The sweep packs SCENARIOS_PER_BLOCK scenarios per block to
+        // amortise topology reads.
+        let grid = LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
+
+        let mut iteration = 0u32;
+        while active > 0 && iteration < cfg.max_iter {
+            iteration += 1;
+            let iter_t0 = t.phases.total_us();
+
+            // One fused sweep launch per iteration: backward, forward, and
+            // the in-block residual fold. The launch cannot be split into
+            // per-half timings, so its whole modeled time is charged to
+            // `backward_us` (`forward_us` stays 0 in the tensor engine,
+            // like `injection_us` — both are fused into the same kernel).
+            let kernel = SweepKernel {
+                loads: self.loads.view(&self.topo),
+                v: self.v.view_mut(),
+                j: self.j.view_mut(),
+                z: self.topo.z.view(),
+                parent_pos: self.topo.parent_pos.view(),
+                child_lo: self.topo.child_lo.view(),
+                child_hi: self.topo.child_hi.view(),
+                mask: self.mask.view(),
+                residuals: self.res.view_mut(),
+                patch: patch_ref(&self.topo, &self.patch),
+                min_v: self.min_v.as_mut().map(|b| b.view_mut()),
+                level_offsets: &self.a.levels.level_offsets,
+                n,
+                nb,
+            };
+            charge(dev, t, BACKWARD, |dev| dev.try_launch(grid, &kernel))?;
+            obs.phase("sweep", iter_t0, t.phases.total_us());
+
+            // Per-scenario convergence triage on the host.
+            let conv_t0 = t.phases.total_us();
+            let mark = dev.timeline().mark();
+            let residuals = dev.try_dtoh_checked(&self.res)?;
+            let mut any_froze = false;
+            let mut worst_active = 0.0f64;
+            for ls in 0..nb {
+                if self.live[ls] == 0 {
+                    continue;
+                }
+                let r = residuals[ls];
+                sweep.residuals[ls] = r;
+                sweep.iterations[ls] = iteration;
+                worst_active = MaxAbsF64::combine(worst_active, r);
+                if let Some(status) = monitors[ls].observe(iteration, r) {
+                    sweep.statuses[ls] = status;
+                    self.live[ls] = 0;
+                    active -= 1;
+                    any_froze = true;
+                }
+            }
+            if any_froze && active > 0 {
+                dev.try_htod_checked(&mut self.mask, &self.live)?;
+            }
+            let b = dev.timeline().breakdown_since(mark);
+            t.phases.convergence_us += b.total_us();
+            t.transfer_us += b.htod_us + b.dtoh_us;
+            t.transfer_sweep_us += b.htod_us + b.dtoh_us;
+            obs.phase("convergence", conv_t0, t.phases.total_us());
+            obs.iteration(iteration, iter_t0, t.phases.total_us(), worst_active);
+
+            // Modeled deadline covers the scenarios still running.
+            if let Some(budget) = cfg.deadline_us {
+                let elapsed = t.phases.total_us();
+                if elapsed >= budget && active > 0 {
+                    for ls in 0..nb {
+                        if self.live[ls] == 1 {
+                            self.live[ls] = 0;
+                            sweep.statuses[ls] = SolveStatus::DeadlineExceeded {
+                                at_iteration: iteration,
+                                elapsed_us: elapsed as u64,
+                            };
+                        }
+                    }
+                    active = 0;
+                }
+            }
+        }
+        Ok(sweep)
+    }
+
+    /// Integrity audit of the resident state, per scenario. Without a
+    /// fault plan nothing can have faulted and every scenario is trusted.
+    /// Under one, every static buffer is read back against its host
+    /// truth, then one no-commit iteration per scenario measures
+    /// `max |ΔV|` via [`primitives::try_reduce_batched`]. A scenario is
+    /// trusted only if its status converged and its audit residual is
+    /// within `cfg`'s tolerance; a static mismatch distrusts the chunk.
+    fn audit(
+        &self,
+        dev: &mut Device,
+        loads: &Loads<'_>,
+        statuses: &[SolveStatus],
+        cfg: &SolverConfig,
+        obs: &Obs,
+        t: &mut Timing,
+    ) -> Result<Vec<bool>, DeviceError> {
+        let (n, nb) = (self.a.len(), self.range.len());
+        if dev.fault_plan().is_none() {
+            return Ok(vec![true; nb]);
+        }
+        let tol = cfg.tol_volts(self.a.source.abs());
+        let audit_t0 = t.phases.total_us();
+        let r = self.range.clone();
+        let trusted = charge(dev, t, CONVERGENCE, |dev| {
+            let statics_intact = self.topo.verify(dev, self.a, self.plan)?
+                && match (&self.loads, loads) {
+                    (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
+                        dev.try_dtoh(buf)? == position_slab(self.a, &sc[r.clone()])
+                    }
+                    (DeviceLoads::Scales(buf), Loads::Scaled(sc)) => {
+                        dev.try_dtoh(buf)? == sc[r.clone()]
+                    }
+                    _ => true,
+                }
+                && match (&self.patch, self.plan) {
+                    (Some(cp), Some(plan)) => cp.matches(dev, plan, r)?,
+                    _ => true,
+                };
+            if !statics_intact {
+                return Ok(vec![false; nb]);
+            }
+            let mut j_audit = dev.try_alloc::<Complex>(nb * n)?;
+            let mut v_audit = dev.try_alloc::<Complex>(nb * n)?;
+            let mut delta = dev.try_alloc::<f64>(nb * n)?;
+            let kernel = AuditKernel {
+                loads: self.loads.view(&self.topo),
+                v: self.v.view(),
+                j: self.j.view(),
+                j_audit: j_audit.view_mut(),
+                v_audit: v_audit.view_mut(),
+                delta: delta.view_mut(),
+                z: self.topo.z.view(),
+                parent_pos: self.topo.parent_pos.view(),
+                child_lo: self.topo.child_lo.view(),
+                child_hi: self.topo.child_hi.view(),
+                patch: patch_ref(&self.topo, &self.patch),
+                level_offsets: &self.a.levels.level_offsets,
+                n,
+            };
+            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
+            let res = try_reduce_batched::<f64, MaxAbsF64>(dev, &delta, nb)?;
+            Ok(statuses.iter().zip(&res).map(|(s, &r)| s.is_converged() && r <= tol).collect())
+        })?;
+        obs.phase("audit", audit_t0, t.phases.total_us());
+        Ok(trusted)
+    }
+
+    /// Sets the mask to `live` for the next [`Chunk::iterate`].
+    fn set_live(
+        &mut self,
+        dev: &mut Device,
+        live: &[bool],
+        t: &mut Timing,
+    ) -> Result<(), DeviceError> {
+        self.live = live.iter().map(|&l| u32::from(l)).collect();
+        let mask = &mut self.mask;
+        charge(dev, t, CONVERGENCE, |dev| dev.try_htod_checked(mask, &self.live))
+    }
+
+    /// Reads back the probe buses' voltages, per scenario in probe
+    /// order: `nb·np` words instead of the slab (teardown).
+    fn gather(
+        &mut self,
+        dev: &mut Device,
+        t: &mut Timing,
+    ) -> Result<Vec<Vec<Complex>>, DeviceError> {
+        let (n, nb) = (self.a.len(), self.range.len());
+        let Some((slots, out)) = self.probes.as_mut() else {
+            return Ok(vec![Vec::new(); nb]);
+        };
+        let np = slots.len();
+        let gathered = charge(dev, t, TEARDOWN, |dev| {
+            let (src, slots) = (self.v.view(), slots.view());
+            let kernel = GatherKernel { src, slots, out: out.view_mut(), np, n };
+            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
+            dev.try_dtoh_checked(out)
+        })?;
+        Ok(gathered.chunks(np).map(<[Complex]>::to_vec).collect())
+    }
+}
+
+/// A new `len`-word device buffer holding `value` everywhere.
+fn filled<T: DeviceCopy>(
+    dev: &mut Device,
+    len: usize,
+    value: T,
+) -> Result<DeviceBuffer<T>, DeviceError> {
+    let mut buf = dev.try_alloc::<T>(len)?;
+    try_fill(dev, &mut buf, value)?;
+    Ok(buf)
+}
+
+/// Writes sparse `(scenario, position, load)` entries into a load slab
+/// with one small launch; no-op when there are none.
+fn scatter(
+    dev: &mut Device,
+    dst: &mut DeviceBuffer<Complex>,
+    n: usize,
+    entries: &[(u32, u32, Complex)],
+) -> Result<(), DeviceError> {
+    if entries.is_empty() {
+        return Ok(());
+    }
+    let s_idx = dev.try_alloc_from(&entries.iter().map(|e| e.0).collect::<Vec<_>>())?;
+    let pos = dev.try_alloc_from(&entries.iter().map(|e| e.1).collect::<Vec<_>>())?;
+    let vals = dev.try_alloc_from(&entries.iter().map(|e| e.2).collect::<Vec<_>>())?;
+    let kernel = ScatterKernel {
+        s_idx: s_idx.view(),
+        pos: pos.view(),
+        vals: vals.view(),
+        dst: dst.view_mut(),
+        k: entries.len(),
+        n,
+    };
+    dev.try_launch(LaunchConfig::grid2d(1, 1, TENSOR_BLOCK), &kernel)
+}
+
+/// A chunk's resident load operand.
+enum DeviceLoads {
+    /// Explicit loads: the position-space slab (`nb·n`).
+    Slab(DeviceBuffer<Complex>),
+    /// Scaled loads: one factor per scenario over the topology's base.
+    Scales(DeviceBuffer<f64>),
+}
+
+impl DeviceLoads {
+    fn view<'a>(&'a self, topo: &'a Topology) -> LoadsRef<'a> {
+        match self {
+            Self::Slab(s) => LoadsRef::Explicit(s.view()),
+            Self::Scales(sc) => LoadsRef::Scaled { base: topo.base_s.view(), scales: sc.view() },
+        }
     }
 }
 
@@ -1258,6 +1312,32 @@ struct ChunkPatch {
     cut_hi: DeviceBuffer<u32>,
     z_pos: DeviceBuffer<u32>,
     z_val: DeviceBuffer<Complex>,
+}
+
+impl ChunkPatch {
+    fn upload(dev: &mut Device, plan: &PatchPlan, r: Range<usize>) -> Result<Self, DeviceError> {
+        Ok(ChunkPatch {
+            cut_pos: dev.try_alloc_from(&plan.cut_pos[r.clone()])?,
+            cut_lo: dev.try_alloc_from(&plan.cut_lo[r.clone()])?,
+            cut_hi: dev.try_alloc_from(&plan.cut_hi[r.clone()])?,
+            z_pos: dev.try_alloc_from(&plan.z_pos[r.clone()])?,
+            z_val: dev.try_alloc_from(&plan.z_val[r])?,
+        })
+    }
+
+    /// Whether every patch word on the device equals the plan's.
+    fn matches(
+        &self,
+        dev: &mut Device,
+        plan: &PatchPlan,
+        r: Range<usize>,
+    ) -> Result<bool, DeviceError> {
+        Ok(dev.try_dtoh(&self.cut_pos)? == plan.cut_pos[r.clone()]
+            && dev.try_dtoh(&self.cut_lo)? == plan.cut_lo[r.clone()]
+            && dev.try_dtoh(&self.cut_hi)? == plan.cut_hi[r.clone()]
+            && dev.try_dtoh(&self.z_pos)? == plan.z_pos[r.clone()]
+            && dev.try_dtoh(&self.z_val)? == plan.z_val[r])
+    }
 }
 
 /// Device views of the patch state for the fused kernels.
@@ -1282,60 +1362,39 @@ fn patch_ref<'a>(topo: &'a Topology, chunk: &'a Option<ChunkPatch>) -> Option<Pa
 }
 
 /// Per-scenario outcome of one [`TensorOuterSession::solve_round`].
-pub struct OuterRound {
+pub(crate) struct OuterRound {
     /// Inner solve status per scenario (retired scenarios keep the
     /// status of their last live round).
-    pub statuses: Vec<SolveStatus>,
-    /// Inner iterations this round (0 for retired scenarios).
-    pub iterations: Vec<u32>,
+    pub(crate) statuses: Vec<SolveStatus>,
+    /// Inner iterations this round (0 for retired scenarios). The outer
+    /// driver has no use for them; the session tests do.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) iterations: Vec<u32>,
     /// Probe-bus voltages per scenario, in the order the probes were
     /// registered. Retired scenarios report their final state.
-    pub probe_v: Vec<Vec<Complex>>,
+    pub(crate) probe_v: Vec<Vec<Complex>>,
 }
 
 /// Final report of a [`TensorOuterSession`].
-pub struct SessionReport {
+pub(crate) struct SessionReport {
     /// Final voltages by bus id, per scenario.
-    pub v: Vec<Vec<Complex>>,
+    pub(crate) v: Vec<Vec<Complex>>,
     /// Total modeled time across every round, µs.
-    pub total_us: f64,
-    /// Transient-fault retries absorbed.
-    pub retries: u32,
-    /// Whether the session finished on the serial fallback.
-    pub degraded: bool,
+    pub(crate) total_us: f64,
 }
 
-/// Device half of a resident outer-loop session (see
-/// [`TensorBatchSolver::outer_session`]).
-struct SessionBuffers {
-    topo: Topology,
-    /// Per-scenario loads, position space, `nb·n`.
-    s_slab: DeviceBuffer<Complex>,
-    /// Voltage iterate, kept across rounds (`nb·n`).
-    v: DeviceBuffer<Complex>,
-    j: DeviceBuffer<Complex>,
-    res: DeviceBuffer<f64>,
-    mask: DeviceBuffer<u32>,
-    /// Probe positions (level space) and the gathered output slab.
-    probe_pos: DeviceBuffer<u32>,
-    probe_out: DeviceBuffer<Complex>,
-}
-
-/// Resident-state outer-loop session: one scenario batch held on the
+/// Resident-state outer-loop session (see
+/// [`TensorBatchSolver::outer_session`]): one [`Chunk`] held on the
 /// device across outer rounds, with sparse load updates and probe-bus
-/// readback between rounds.
-pub struct TensorOuterSession<'s> {
-    solver: &'s mut TensorBatchSolver,
+/// readback between rounds, plus the host mirrors it is rebuilt from.
+pub(crate) struct TensorOuterSession<'s> {
+    device: &'s mut Device,
     a: &'s SolverArrays,
-    n: usize,
-    nb: usize,
-    /// Probe level positions (host copy; re-uploaded on rebuild).
-    probe_pos: Vec<u32>,
-    /// Host mirror of every scenario's loads, by bus id — the rebuild
-    /// and fallback source of truth.
+    probes: Vec<usize>,
+    /// Host mirror of every scenario's loads, by bus id — the rebuild,
+    /// audit and fallback source of truth.
     loads: Vec<Vec<Complex>>,
-    /// Optional shared warm-start profile, by bus id. Seeds the first
-    /// round (and every post-fault rebuild) in place of a flat start.
+    /// Shared warm start, by bus id, for the first round and rebuilds.
     warm: Option<Vec<Complex>>,
     /// Scenarios excluded from further rounds (outer loop settled).
     retired: Vec<bool>,
@@ -1343,362 +1402,168 @@ pub struct TensorOuterSession<'s> {
     statuses: Vec<SolveStatus>,
     /// Host-resident voltages, populated on the fallback path.
     host_v: Vec<Option<Vec<Complex>>>,
-    dev_state: Option<SessionBuffers>,
+    /// The resident chunk; `None` once a fault has dropped it.
+    chunk: Option<Chunk<'s>>,
     degraded: bool,
-    max_recoveries: u32,
-    retries: u32,
-    total_us: f64,
+    retries: Retries,
+    obs: Obs,
+    timing: Timing,
 }
 
-impl TensorOuterSession<'_> {
-    /// (Re)builds the device state from the host mirrors. The voltage
-    /// iterate restarts cold — the next round pays extra iterations,
-    /// nothing else. Leaves `dev_state` as `None` on failure.
-    fn try_build(&mut self) {
-        self.dev_state = None;
-        if self.degraded || self.solver.device.is_lost() {
-            return;
+impl<'s> TensorOuterSession<'s> {
+    /// Runs `op` on the resident chunk under [`Retries::run`], building
+    /// the chunk from the host mirrors when a fault has dropped it (the
+    /// rebuilt iterate starts cold). `None` once the session has
+    /// degraded to the host.
+    fn on_device<T>(
+        &mut self,
+        mut op: impl FnMut(
+            &mut Device,
+            &mut Chunk<'s>,
+            &mut Timing,
+            &[Vec<Complex>],
+        ) -> Result<Option<T>, DeviceError>,
+    ) -> Option<T> {
+        if self.degraded {
+            return None;
         }
-        // The scenario loads are usually a sparse perturbation of the
-        // base case (DG corrections at a handful of buses), so the slab
-        // ships as one `n`-word base vector replicated device-side plus
-        // a scatter of the per-scenario deviations — not `B·n` words.
-        let base_by_bus = unpermute(self.a, &self.a.s);
-        let mut dev_s = Vec::new();
-        let mut dev_pos = Vec::new();
-        let mut dev_vals = Vec::new();
-        for (s, sc) in self.loads.iter().enumerate() {
-            for (bus, (&have, &want)) in base_by_bus.iter().zip(sc).enumerate() {
-                if have != want {
-                    dev_s.push(s as u32);
-                    dev_pos.push(self.a.levels.pos_of[bus]);
-                    dev_vals.push(want);
+        let (slot, t, loads) = (&mut self.chunk, &mut self.timing, &self.loads);
+        let (a, warm, probes) = (self.a, self.warm.as_deref(), &self.probes);
+        let out = self.retries.run(self.device, |dev| {
+            // The chunk leaves its slot for the attempt and returns only
+            // on success, so a fault drops it.
+            let mut chunk = match slot.take() {
+                Some(chunk) => chunk,
+                None => {
+                    let deltas = Loads::Deltas(loads);
+                    Chunk::build(dev, a, None, &deltas, None, 0..loads.len(), warm, probes, t)?
                 }
-            }
-        }
-        let dev = &mut self.solver.device;
-        let mark = dev.timeline().mark();
-        let built = catch_unwind(AssertUnwindSafe(|| -> Result<SessionBuffers, DeviceError> {
-            let topo = Topology::upload(dev, self.a, None)?;
-            let base_buf = dev.try_alloc_from(&self.a.s)?;
-            let mut s_slab = dev.try_alloc::<Complex>(self.nb * self.n)?;
-            {
-                let kernel = WarmInitKernel {
-                    warm: base_buf.view(),
-                    v: s_slab.view_mut(),
-                    n: self.n,
-                };
-                dev.try_launch(LaunchConfig::grid2d(1, self.nb as u32, TENSOR_BLOCK), &kernel)?;
-            }
-            if !dev_s.is_empty() {
-                let s_buf = dev.try_alloc_from(&dev_s)?;
-                let p_buf = dev.try_alloc_from(&dev_pos)?;
-                let v_buf = dev.try_alloc_from(&dev_vals)?;
-                let kernel = ScatterKernel {
-                    s_idx: s_buf.view(),
-                    pos: p_buf.view(),
-                    vals: v_buf.view(),
-                    dst: s_slab.view_mut(),
-                    k: dev_s.len(),
-                    n: self.n,
-                };
-                dev.try_launch(LaunchConfig::grid2d(1, 1, TENSOR_BLOCK), &kernel)?;
-            }
-            let mut v = dev.try_alloc::<Complex>(self.nb * self.n)?;
-            match &self.warm {
-                Some(profile) => {
-                    // One `n`-word upload, replicated device-side into
-                    // every scenario stripe.
-                    let warm_buf = dev.try_alloc_from(&self.a.levels.permute(profile))?;
-                    let kernel = WarmInitKernel {
-                        warm: warm_buf.view(),
-                        v: v.view_mut(),
-                        n: self.n,
-                    };
-                    dev.try_launch(
-                        LaunchConfig::grid2d(1, self.nb as u32, TENSOR_BLOCK),
-                        &kernel,
-                    )?;
-                }
-                None => try_fill(dev, &mut v, self.a.source)?,
-            }
-            let j = dev.try_alloc::<Complex>(self.nb * self.n)?;
-            let mut res = dev.try_alloc::<f64>(self.nb)?;
-            try_fill(dev, &mut res, 0.0)?;
-            let mask = dev.try_alloc_from(&vec![1u32; self.nb])?;
-            let probe_pos = dev.try_alloc_from(&self.probe_pos)?;
-            let probe_out =
-                dev.try_alloc::<Complex>(self.nb * self.probe_pos.len().max(1))?;
-            Ok(SessionBuffers { topo, s_slab, v, j, res, mask, probe_pos, probe_out })
-        }));
-        self.total_us += dev.timeline().breakdown_since(mark).total_us();
-        if let Ok(Ok(bufs)) = built {
-            self.dev_state = Some(bufs);
-        }
-    }
-
-    /// Applies sparse load updates `(scenario, bus, new load)`. The
-    /// host mirror is always updated; the resident slab gets a scatter
-    /// of just these entries.
-    pub fn update_loads(&mut self, updates: &[(usize, usize, Complex)]) {
-        for &(s, bus, val) in updates {
-            assert!(s < self.nb, "scenario {s} of {}", self.nb);
-            assert!(bus < self.n, "bus {bus} of {}", self.n);
-            self.loads[s][bus] = val;
-        }
-        if updates.is_empty() || self.dev_state.is_none() {
-            return;
-        }
-        let s_idx: Vec<u32> = updates.iter().map(|&(s, _, _)| s as u32).collect();
-        let pos: Vec<u32> =
-            updates.iter().map(|&(_, b, _)| self.a.levels.pos_of[b]).collect();
-        let vals: Vec<Complex> = updates.iter().map(|&(_, _, v)| v).collect();
-        let bufs = self.dev_state.as_mut().expect("checked above");
-        let dev = &mut self.solver.device;
-        let mark = dev.timeline().mark();
-        let applied = catch_unwind(AssertUnwindSafe(|| -> Result<(), DeviceError> {
-            let s_buf = dev.try_alloc_from(&s_idx)?;
-            let p_buf = dev.try_alloc_from(&pos)?;
-            let v_buf = dev.try_alloc_from(&vals)?;
-            let kernel = ScatterKernel {
-                s_idx: s_buf.view(),
-                pos: p_buf.view(),
-                vals: v_buf.view(),
-                dst: bufs.s_slab.view_mut(),
-                k: updates.len(),
-                n: self.n,
             };
-            dev.try_launch(LaunchConfig::grid2d(1, 1, TENSOR_BLOCK), &kernel)
-        }));
-        self.total_us += dev.timeline().breakdown_since(mark).total_us();
-        if !matches!(applied, Ok(Ok(()))) {
-            // The mirror is authoritative; a rebuild re-ships it whole.
-            self.absorb_fault();
-        }
+            let out = op(dev, &mut chunk, t, loads)?;
+            if out.is_some() {
+                *slot = Some(chunk);
+            }
+            Ok(out)
+        });
+        self.degraded = out.is_none();
+        out
     }
 
-    /// Counts a device fault against the retry budget: rebuild while
-    /// budget remains, degrade to the serial fallback after.
-    fn absorb_fault(&mut self) {
-        if self.retries < self.max_recoveries && !self.solver.device.is_lost() {
-            self.retries += 1;
-            self.try_build();
-            if self.dev_state.is_some() {
-                return;
+    /// Replaces scenarios' loads, `(scenario, loads by bus id)`: the host
+    /// mirror takes them whole, the resident slab a scatter of just the
+    /// entries that changed.
+    pub(crate) fn update_loads(&mut self, fresh: Vec<(usize, Vec<Complex>)>) {
+        let n = self.a.len();
+        let mut entries = Vec::new();
+        for (s, loads) in fresh {
+            assert_eq!(loads.len(), n, "scenario {s} has {} loads for {n} buses", loads.len());
+            for (bus, (&old, &new)) in self.loads[s].iter().zip(&loads).enumerate() {
+                if old != new {
+                    entries.push((s as u32, self.a.levels.pos_of[bus], new));
+                }
             }
+            self.loads[s] = loads;
         }
-        self.degraded = true;
-        self.dev_state = None;
+        self.on_device(|dev, chunk, t, _| {
+            let DeviceLoads::Slab(slab) = &mut chunk.loads else {
+                unreachable!("sessions hold explicit loads")
+            };
+            charge(dev, t, SETUP, |dev| scatter(dev, slab, n, &entries)).map(Some)
+        });
     }
 
     /// Excludes a scenario from further rounds; its resident state (and
     /// final voltages) stay exactly as its last live round left them.
-    pub fn retire(&mut self, s: usize) {
-        assert!(s < self.nb, "scenario {s} of {}", self.nb);
+    pub(crate) fn retire(&mut self, s: usize) {
+        assert!(s < self.loads.len(), "scenario {s} of {}", self.loads.len());
         self.retired[s] = true;
     }
 
     /// One batched inner solve over every live scenario, re-iterating
-    /// from the resident voltages. Falls back to per-scenario serial
-    /// solves (warm off the host mirror) when the device is out.
-    pub fn solve_round(&mut self, cfg: &SolverConfig) -> OuterRound {
-        loop {
-            if self.degraded || self.dev_state.is_none() {
-                return self.host_round(cfg);
-            }
-            let round = catch_unwind(AssertUnwindSafe(|| self.device_round_raw(cfg)));
-            match round {
-                Ok(Ok(r)) => return r,
-                _ => self.absorb_fault(),
-            }
+    /// from the resident voltages. Under an armed fault plan the round is
+    /// audited, and a live scenario failing its audit is a device fault.
+    /// Falls back to per-scenario serial solves (warm off the host
+    /// mirror) once the session has degraded.
+    pub(crate) fn solve_round(&mut self, cfg: &SolverConfig) -> OuterRound {
+        let live: Vec<bool> = self.retired.iter().map(|&r| !r).collect();
+        let obs = self.obs.clone();
+        let round = self.on_device(|dev, chunk, t, loads| {
+            chunk.set_live(dev, &live, t)?;
+            let sweep = chunk.iterate(dev, cfg, &obs, t)?;
+            // Probes are read before the audit, for the same reason the
+            // one-shot batch downloads its state first.
+            let probe_v = chunk.gather(dev, t)?;
+            let trusted = chunk.audit(dev, &Loads::Deltas(loads), &sweep.statuses, cfg, &obs, t)?;
+            let clean = live.iter().zip(&trusted).all(|(&l, &ok)| ok || !l);
+            Ok(clean.then_some((sweep, probe_v)))
+        });
+        let Some((sweep, probe_v)) = round else {
+            return self.host_round(cfg);
+        };
+        for s in (0..live.len()).filter(|&s| live[s]) {
+            self.statuses[s] = sweep.statuses[s];
         }
-    }
-
-    /// Device path of one round. Any `Err` or panic is a device fault
-    /// handled by the caller.
-    fn device_round_raw(&mut self, cfg: &SolverConfig) -> Result<OuterRound, DeviceError> {
-        let (n, nb) = (self.n, self.nb);
-        let np = self.probe_pos.len();
-        let bufs = self.dev_state.as_mut().expect("device path has state");
-        let dev = &mut self.solver.device;
-        let mark = dev.timeline().mark();
-
-        let mut mask_host: Vec<u32> =
-            self.retired.iter().map(|&r| if r { 0 } else { 1 }).collect();
-        let mut active = mask_host.iter().filter(|&&m| m == 1).count();
-        dev.try_htod_checked(&mut bufs.mask, &mask_host)?;
-
-        let mut monitors: Vec<ConvergenceMonitor> =
-            (0..nb).map(|_| ConvergenceMonitor::new(cfg, self.a.source.abs())).collect();
-        let mut iters_done = vec![0u32; nb];
-        let mut frozen: Vec<Option<SolveStatus>> = vec![None; nb];
-        let grid_sweep =
-            LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
-        let level_offsets: Vec<u32> = self.a.levels.level_offsets.clone();
-
-        let mut iteration = 0u32;
-        while active > 0 && iteration < cfg.max_iter {
-            iteration += 1;
-            {
-                let kernel = SweepKernel {
-                    loads: LoadsRef::Explicit(bufs.s_slab.view()),
-                    v: bufs.v.view_mut(),
-                    j: bufs.j.view_mut(),
-                    z: bufs.topo.z.view(),
-                    parent_pos: bufs.topo.parent_pos.view(),
-                    child_lo: bufs.topo.child_lo.view(),
-                    child_hi: bufs.topo.child_hi.view(),
-                    mask: bufs.mask.view(),
-                    residuals: bufs.res.view_mut(),
-                    patch: None,
-                    min_v: None,
-                    level_offsets: &level_offsets,
-                    n,
-                    nb,
-                };
-                dev.try_launch(grid_sweep, &kernel)?;
-            }
-            let residuals = dev.try_dtoh_checked(&bufs.res)?;
-            let mut any_froze = false;
-            for ls in 0..nb {
-                if mask_host[ls] == 0 {
-                    continue;
-                }
-                iters_done[ls] = iteration;
-                if let Some(status) = monitors[ls].observe(iteration, residuals[ls]) {
-                    frozen[ls] = Some(status);
-                    mask_host[ls] = 0;
-                    active -= 1;
-                    any_froze = true;
-                }
-            }
-            if any_froze && active > 0 {
-                dev.try_htod_checked(&mut bufs.mask, &mask_host)?;
-            }
-        }
-
-        // Probe readback: `nb·np` words instead of the full slabs.
-        let mut probe_v = vec![Vec::new(); nb];
-        if np > 0 {
-            {
-                let kernel = GatherKernel {
-                    src: bufs.v.view(),
-                    slots: bufs.probe_pos.view(),
-                    out: bufs.probe_out.view_mut(),
-                    np,
-                    n,
-                };
-                dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
-            }
-            let gathered = dev.try_dtoh_checked(&bufs.probe_out)?;
-            for (s, slot) in probe_v.iter_mut().enumerate() {
-                *slot = gathered[s * np..s * np + np].to_vec();
-            }
-        }
-
-        self.total_us += dev.timeline().breakdown_since(mark).total_us();
-        let mut iterations = vec![0u32; nb];
-        for s in 0..nb {
-            if self.retired[s] {
-                continue;
-            }
-            self.statuses[s] = frozen[s].unwrap_or(SolveStatus::MaxIterations);
-            iterations[s] = iters_done[s];
-        }
-        Ok(OuterRound { statuses: self.statuses.clone(), iterations, probe_v })
+        OuterRound { statuses: self.statuses.clone(), iterations: sweep.iterations, probe_v }
     }
 
     /// Serial fallback round: each live scenario re-solves on the host,
     /// warm off its previous fallback profile when one exists.
     fn host_round(&mut self, cfg: &SolverConfig) -> OuterRound {
         let serial = SerialSolver::new(HostProps::paper_rig());
-        let np = self.probe_pos.len();
-        let mut iterations = vec![0u32; self.nb];
-        let mut probe_v = vec![Vec::new(); self.nb];
-        for s in 0..self.nb {
-            if self.retired[s] {
-                if let Some(v) = &self.host_v[s] {
-                    probe_v[s] = self.probes_of(v, np);
-                }
-                continue;
+        let mut iterations = vec![0u32; self.loads.len()];
+        for (s, iters) in iterations.iter_mut().enumerate() {
+            if !self.retired[s] {
+                let res = self.solve_on_host(&serial, s, cfg);
+                (*iters, self.statuses[s]) = (res.iterations, res.status);
+                self.host_v[s] = Some(res.v);
             }
-            let res = self.host_solve(&serial, s, cfg);
-            iterations[s] = res.iterations;
-            self.statuses[s] = res.status;
-            probe_v[s] = self.probes_of(&res.v, np);
-            self.total_us += res.timing.total_us();
-            self.host_v[s] = Some(res.v);
         }
+        let probes = |v: &Vec<Complex>| self.probes.iter().map(|&b| v[b]).collect();
+        let probe_v = self.host_v.iter().map(|v| v.as_ref().map_or(Vec::new(), probes)).collect();
         OuterRound { statuses: self.statuses.clone(), iterations, probe_v }
     }
 
-    /// One host solve of scenario `s` from the load mirror.
-    fn host_solve(
-        &self,
+    /// [`host_solve`] of scenario `s` from the load mirror, charged to
+    /// teardown like the one-shot fallback.
+    fn solve_on_host(
+        &mut self,
         serial: &SerialSolver,
         s: usize,
         cfg: &SolverConfig,
     ) -> crate::report::SolveResult {
-        let mut a2 = self.a.clone();
-        for (p, slot) in a2.s.iter_mut().enumerate() {
-            *slot = self.loads[s][self.a.levels.order[p] as usize];
-        }
-        serial.solve_warm(&a2, cfg, self.host_v[s].as_deref().or(self.warm.as_deref()))
-    }
-
-    fn probes_of(&self, v: &[Complex], np: usize) -> Vec<Complex> {
-        (0..np)
-            .map(|k| v[self.a.levels.order[self.probe_pos[k] as usize] as usize])
-            .collect()
+        let warm = self.host_v[s].as_deref().or(self.warm.as_deref());
+        let res = host_solve(serial, self.a, &Loads::Deltas(&self.loads), None, s, cfg, warm);
+        self.timing.phases.teardown_us += res.timing.total_us();
+        res
     }
 
     /// Downloads every scenario's final voltages and closes the
-    /// session.
-    pub fn finish(mut self, cfg: &SolverConfig) -> SessionReport {
-        let v = loop {
-            if self.degraded || self.dev_state.is_none() {
-                // Fallback: scenarios the serial path never touched
-                // re-solve cold off the load mirror — same fixed point.
-                let serial = SerialSolver::new(HostProps::paper_rig());
-                let mut all = Vec::with_capacity(self.nb);
-                for s in 0..self.nb {
-                    match self.host_v[s].take() {
-                        Some(v) => all.push(v),
-                        None => {
-                            let res = self.host_solve(&serial, s, cfg);
-                            self.total_us += res.timing.total_us();
-                            all.push(res.v);
-                        }
-                    }
-                }
-                break all;
-            }
-            let bufs = self.dev_state.as_ref().expect("device path has state");
-            let dev = &mut self.solver.device;
-            let mark = dev.timeline().mark();
-            let slab = catch_unwind(AssertUnwindSafe(|| dev.try_dtoh_checked(&bufs.v)));
-            self.total_us += dev.timeline().breakdown_since(mark).total_us();
-            match slab {
-                Ok(Ok(flat)) => {
-                    break (0..self.nb)
-                        .map(|s| unpermute(self.a, &flat[s * self.n..(s + 1) * self.n]))
-                        .collect();
-                }
-                // A rebuild restarts the iterate cold, so the resident
-                // voltages are gone: re-deriving them means re-solving,
-                // which is exactly the fallback path.
-                _ => {
-                    self.degraded = true;
-                    self.dev_state = None;
-                }
-            }
+    /// session. Under an armed plan the state is audited after the
+    /// download, and every scenario it does not vouch for re-solves on
+    /// the host from the load mirror.
+    pub(crate) fn finish(&mut self, cfg: &SolverConfig) -> SessionReport {
+        let (n, nb) = (self.a.len(), self.loads.len());
+        let (obs, statuses) = (self.obs.clone(), self.statuses.clone());
+        let spent = self.retries.spent;
+        let read = self.on_device(|dev, chunk, t, loads| {
+            let v = charge(dev, t, TEARDOWN, |dev| dev.try_dtoh_checked(&chunk.v))?;
+            Ok(Some((v, chunk.audit(dev, &Loads::Deltas(loads), &statuses, cfg, &obs, t)?)))
+        });
+        // A retry here rebuilt the iterate cold: the resident voltages
+        // are gone, and re-deriving them means re-solving on the host.
+        let (flat, trusted) = match read {
+            Some(read) if self.retries.spent == spent => read,
+            _ => (Vec::new(), vec![false; nb]),
         };
-        SessionReport {
-            v,
-            total_us: self.total_us,
-            retries: self.retries,
-            degraded: self.degraded,
-        }
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        let v = (0..nb)
+            .map(|s| match (trusted[s], self.host_v[s].take()) {
+                (true, _) => self.a.levels.unpermute(&flat[s * n..(s + 1) * n]),
+                (false, Some(v)) => v,
+                (false, None) => self.solve_on_host(&serial, s, cfg).v,
+            })
+            .collect();
+        SessionReport { v, total_us: self.timing.total_us() }
     }
 }
 
@@ -1777,6 +1642,41 @@ struct Member {
     z_val: Complex,
 }
 
+impl Member {
+    /// Reads scenario `s_idx`'s load scale and patch words.
+    fn read(
+        t: &mut ThreadCtx<'_>,
+        loads: &LoadsRef<'_>,
+        patch: &Option<PatchRefs<'_>>,
+        s_idx: usize,
+    ) -> Self {
+        let scale = match loads {
+            LoadsRef::Scaled { scales, .. } => t.ld(scales, s_idx),
+            LoadsRef::Explicit(_) => 0.0,
+        };
+        match patch {
+            Some(pr) => Member {
+                s_idx,
+                scale,
+                cut_pos: t.ld(&pr.cut_pos, s_idx),
+                cut_lo: t.ld(&pr.cut_lo, s_idx),
+                cut_hi: t.ld(&pr.cut_hi, s_idx),
+                z_pos: t.ld(&pr.z_pos, s_idx),
+                z_val: t.ld(&pr.z_val, s_idx),
+            },
+            None => Member {
+                s_idx,
+                scale,
+                cut_pos: u32::MAX,
+                cut_lo: u32::MAX,
+                cut_hi: u32::MAX,
+                z_pos: u32::MAX,
+                z_val: Complex::ZERO,
+            },
+        }
+    }
+}
+
 /// Replicates the warm-start profile (position space, length `n`) into
 /// every scenario stripe: `v[s·n + p] = warm[p]`. One block per
 /// scenario, threads strided over positions.
@@ -1803,14 +1703,6 @@ impl Kernel for WarmInitKernel<'_> {
             }
         });
     }
-}
-
-fn unpermute(a: &SolverArrays, pos: &[Complex]) -> Vec<Complex> {
-    let mut by_bus = vec![Complex::ZERO; pos.len()];
-    for (p, &v) in pos.iter().enumerate() {
-        by_bus[a.levels.order[p] as usize] = v;
-    }
-    by_bus
 }
 
 /// One fused FBS iteration per launch: the backward sweep (injection
@@ -1872,27 +1764,7 @@ impl Kernel for SweepKernel<'_> {
             if t.tid() == 0 {
                 for s_idx in group..group_end {
                     if t.ld(&self.mask, s_idx) != 0 {
-                        let scale = match &self.loads {
-                            LoadsRef::Scaled { scales, .. } => t.ld(scales, s_idx),
-                            LoadsRef::Explicit(_) => 0.0,
-                        };
-                        let mut mb = Member {
-                            s_idx,
-                            scale,
-                            cut_pos: u32::MAX,
-                            cut_lo: u32::MAX,
-                            cut_hi: u32::MAX,
-                            z_pos: u32::MAX,
-                            z_val: Complex::ZERO,
-                        };
-                        if let Some(pr) = &self.patch {
-                            mb.cut_pos = t.ld(&pr.cut_pos, s_idx);
-                            mb.cut_lo = t.ld(&pr.cut_lo, s_idx);
-                            mb.cut_hi = t.ld(&pr.cut_hi, s_idx);
-                            mb.z_pos = t.ld(&pr.z_pos, s_idx);
-                            mb.z_val = t.ld(&pr.z_val, s_idx);
-                        }
-                        members.push(mb);
+                        members.push(Member::read(t, &self.loads, &self.patch, s_idx));
                     }
                 }
             }
@@ -2038,54 +1910,49 @@ impl Kernel for SweepKernel<'_> {
         // (and, for patched solves, its minimum updated `|V|`).
         let sh = blk.shared::<f64>(bdim);
         for (qi, mb) in members.iter().enumerate() {
-            blk.threads(|t| {
-                t.sts(&sh, t.tid(), partial[qi * bdim + t.tid()]);
-            });
-            let mut stride = bdim / 2;
-            while stride > 0 {
-                blk.threads(|t| {
-                    let tid = t.tid();
-                    if tid < stride {
-                        let a = t.lds(&sh, tid);
-                        let c = t.lds(&sh, tid + stride);
-                        t.flops(MaxAbsF64::FLOPS);
-                        t.sts(&sh, tid, MaxAbsF64::combine(a, c));
-                    }
-                });
-                stride /= 2;
-            }
-            blk.threads(|t| {
-                if t.tid() == 0 {
-                    let r = t.lds(&sh, 0);
-                    t.st(&self.residuals, mb.s_idx, r);
-                }
-            });
+            let slots = qi * bdim..(qi + 1) * bdim;
+            let (max, flops) = (MaxAbsF64::combine, MaxAbsF64::FLOPS);
+            tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, mb.s_idx);
             if let Some(min_buf) = &self.min_v {
-                blk.threads(|t| {
-                    t.sts(&sh, t.tid(), partial_min[qi * bdim + t.tid()]);
-                });
-                let mut stride = bdim / 2;
-                while stride > 0 {
-                    blk.threads(|t| {
-                        let tid = t.tid();
-                        if tid < stride {
-                            let a = t.lds(&sh, tid);
-                            let c = t.lds(&sh, tid + stride);
-                            t.flops(1);
-                            t.sts(&sh, tid, a.min(c));
-                        }
-                    });
-                    stride /= 2;
-                }
-                blk.threads(|t| {
-                    if t.tid() == 0 {
-                        let r = t.lds(&sh, 0);
-                        t.st(min_buf, mb.s_idx, r);
-                    }
-                });
+                tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, min_buf, mb.s_idx);
             }
         }
     }
+}
+
+/// Folds one value per thread through shared memory with `combine`
+/// (`flops` per step) and has thread 0 store the result at `dst[idx]`.
+fn tree_fold(
+    blk: &mut BlockScope,
+    sh: &Shared<f64>,
+    partial: &[f64],
+    combine: fn(f64, f64) -> f64,
+    flops: u64,
+    dst: &GlobalMut<'_, f64>,
+    idx: usize,
+) {
+    blk.threads(|t| {
+        t.sts(sh, t.tid(), partial[t.tid()]);
+    });
+    let mut stride = blk.block_dim() / 2;
+    while stride > 0 {
+        blk.threads(|t| {
+            let tid = t.tid();
+            if tid < stride {
+                let a = t.lds(sh, tid);
+                let c = t.lds(sh, tid + stride);
+                t.flops(flops);
+                t.sts(sh, tid, combine(a, c));
+            }
+        });
+        stride /= 2;
+    }
+    blk.threads(|t| {
+        if t.tid() == 0 {
+            let r = t.lds(sh, 0);
+            t.st(dst, idx, r);
+        }
+    });
 }
 
 /// One *no-commit* iteration for the integrity audit: recomputes branch
@@ -2122,24 +1989,13 @@ impl Kernel for AuditKernel<'_> {
         let base = s_idx * self.n;
         let bdim = blk.block_dim();
 
-        let mut scale = 0.0f64;
-        let mut cut = (u32::MAX, u32::MAX, u32::MAX); // (pos, lo, hi)
-        let mut z_over = (u32::MAX, Complex::ZERO);
+        let mut member = None;
         blk.threads(|t| {
             if t.tid() == 0 {
-                if let LoadsRef::Scaled { scales, .. } = &self.loads {
-                    scale = t.ld(scales, s_idx);
-                }
-                if let Some(pr) = &self.patch {
-                    cut = (
-                        t.ld(&pr.cut_pos, s_idx),
-                        t.ld(&pr.cut_lo, s_idx),
-                        t.ld(&pr.cut_hi, s_idx),
-                    );
-                    z_over = (t.ld(&pr.z_pos, s_idx), t.ld(&pr.z_val, s_idx));
-                }
+                member = Some(Member::read(t, &self.loads, &self.patch, s_idx));
             }
         });
+        let mb = member.expect("thread 0 reads the scenario words");
 
         let nl = self.level_offsets.len() - 1;
         // Backward into the scratch currents.
@@ -2152,7 +2008,7 @@ impl Kernel for AuditKernel<'_> {
                     let p = off + k;
                     if let Some(pr) = &self.patch {
                         let dp = t.ld(&pr.dfs_pos, p);
-                        if dp >= cut.1 && dp < cut.2 {
+                        if dp >= mb.cut_lo && dp < mb.cut_hi {
                             k += bdim;
                             continue; // de-energized: no recompute
                         }
@@ -2163,7 +2019,7 @@ impl Kernel for AuditKernel<'_> {
                         LoadsRef::Scaled { base: bs, .. } => {
                             let b = t.ld(bs, p);
                             t.flops(2);
-                            b * scale
+                            b * mb.scale
                         }
                     };
                     let mut acc = if sv == Complex::ZERO {
@@ -2176,7 +2032,7 @@ impl Kernel for AuditKernel<'_> {
                     let lo = t.ld(&self.child_lo, p) as usize;
                     let hi = t.ld(&self.child_hi, p) as usize;
                     for c in lo..hi {
-                        if c as u32 == cut.0 {
+                        if c as u32 == mb.cut_pos {
                             continue; // the opened branch carries no current
                         }
                         t.flops(Complex::ADD_FLOPS);
@@ -2204,7 +2060,7 @@ impl Kernel for AuditKernel<'_> {
                     let g = base + p;
                     if let Some(pr) = &self.patch {
                         let dp = t.ld(&pr.dfs_pos, p);
-                        if dp >= cut.1 && dp < cut.2 {
+                        if dp >= mb.cut_lo && dp < mb.cut_hi {
                             // De-energized nodes audit clean by
                             // definition; the slab is zero-initialised
                             // but write explicitly for clarity.
@@ -2236,7 +2092,7 @@ impl Kernel for AuditKernel<'_> {
                         let parent = t.ld(&self.parent_pos, p) as usize;
                         let vp = t.ld_mut(&self.v_audit, base + parent);
                         let zv0 = t.ld(&self.z, p);
-                        let zv = if p as u32 == z_over.0 { z_over.1 } else { zv0 };
+                        let zv = if p as u32 == mb.z_pos { mb.z_val } else { zv0 };
                         let nv = vp - zv * ja;
                         t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
                         let old = t.ld(&self.v, g);
@@ -2531,8 +2387,8 @@ mod tests {
         let serial = SerialSolver::new(HostProps::paper_rig());
         let plan = PatchPlan::build(&a, &dfs, &patches, None);
         for s in 0..patches.len() {
-            let arrays = repair_arrays(&a, &Loads::Scaled(&plan.scales), Some(&plan), s);
-            let sref = serial.solve_arrays(&arrays, &cfg);
+            let loads = Loads::Scaled(&plan.scales);
+            let sref = host_solve(&serial, &a, &loads, Some(&plan), s, &cfg, None);
             assert_eq!(
                 res.per_scenario_iterations[s], sref.iterations,
                 "scenario {s} iteration parity with the masked serial solve"
@@ -2724,15 +2580,16 @@ mod tests {
         let round = session.solve_round(&cfg);
         assert!(round.statuses.iter().all(|s| s.is_converged()), "{:?}", round.statuses);
         let report = session.finish(&cfg);
-        assert!(!report.degraded);
-        assert_eq!(report.retries, 0);
+        assert!(!session.degraded);
+        assert_eq!(session.retries.spent, 0);
         assert!(report.total_us > 0.0);
 
-        let tol = 1e-9 * net.source_voltage().abs();
+        // One round is the one-shot's iteration loop over the same loads
+        // from the same start, so it lands on the same state bit for bit.
+        assert_eq!(round.statuses, oneshot.statuses);
+        assert_eq!(round.iterations, oneshot.per_scenario_iterations);
         for s in 0..scenarios.len() {
-            for (bus, (a, b)) in report.v[s].iter().zip(&oneshot.v[s]).enumerate() {
-                assert!((*a - *b).abs() <= tol, "scenario {s} bus {bus}: {a:?} vs {b:?}");
-            }
+            assert_eq!(report.v[s], oneshot.v[s], "scenario {s}");
             // The probe readback is the final state at those buses.
             for (k, &bus) in probes.iter().enumerate() {
                 assert_eq!(round.probe_v[s][k], report.v[s][bus], "scenario {s} probe {bus}");
@@ -2757,9 +2614,8 @@ mod tests {
         // Scenario 0 retires at its round-1 state; scenario 1 takes a
         // sparse load bump and re-solves warm.
         session.retire(0);
-        let bump = scenarios[1][30] * 1.5 + c(2_000.0, 500.0);
-        scenarios[1][30] = bump;
-        session.update_loads(&[(1, 30, bump)]);
+        scenarios[1][30] = scenarios[1][30] * 1.5 + c(2_000.0, 500.0);
+        session.update_loads(vec![(1, scenarios[1].clone())]);
         let second = session.solve_round(&cfg);
         assert_eq!(second.iterations[0], 0, "retired scenario must not iterate");
         assert!(second.statuses[1].is_converged());
@@ -2819,11 +2675,77 @@ mod tests {
                         (*a - *w).abs() <= 1e-5 * v0,
                         "seed {seed} scenario {s} bus {bus}: {a:?} vs {w:?} \
                          (degraded {}, retries {})",
-                        report.degraded,
-                        report.retries
+                        session.degraded,
+                        session.retries.spent
                     );
                 }
             }
         }
+    }
+
+    /// One scripted exponent flip (bit 61 of word 0) per run, swept over
+    /// the first eight live buffers at each of the first 48 device ops:
+    /// wherever it lands — topology, load slab, iterate, or the audit's
+    /// own scratch — and whenever, no scenario may come back converged
+    /// but off the serial fixed point. Covers one session round plus
+    /// `finish`, and the one-shot batch.
+    #[test]
+    fn scripted_bit_flips_never_leak_out_as_converged_answers() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let net = balanced_binary(63, &GenSpec::default(), &mut rng);
+        let arrays = SolverArrays::new(&net);
+        let cfg = SolverConfig::default();
+        let scenarios = scaled_scenarios(&net, &[0.8, 1.0, 1.2]);
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        let want: Vec<Vec<Complex>> = scenarios
+            .iter()
+            .map(|loads| {
+                let mut a2 = arrays.clone();
+                for (p, slot) in a2.s.iter_mut().enumerate() {
+                    *slot = loads[arrays.levels.order[p] as usize];
+                }
+                serial.solve_arrays(&a2, &cfg).v
+            })
+            .collect();
+        let band = 1e-3 * net.source_voltage().abs();
+
+        let mut leaks = Vec::new();
+        let mut check =
+            |path: &str, op: u64, buffer: u64, statuses: &[SolveStatus], v: &[Vec<Complex>]| {
+                for (s, want) in want.iter().enumerate() {
+                    let off =
+                        v[s].iter().zip(want).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
+                    if statuses[s].is_converged() && (off > band || off.is_nan()) {
+                        leaks.push(format!(
+                            "{path}: op {op} buffer {buffer} scenario {s} off by {off:.3e} V"
+                        ));
+                    }
+                }
+            };
+        for op in 0..48u64 {
+            for buffer in 0..8u64 {
+                let armed = || {
+                    let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+                    let flip = simt::FaultKind::BufferBitFlip { buffer, word: 0, bit: 61 };
+                    dev.arm_faults(simt::FaultPlan::scripted([(op, flip)]));
+                    TensorBatchSolver::new(dev)
+                };
+                let mut tbs = armed();
+                let mut session = tbs.outer_session(&arrays, &scenarios, &[1], None, &cfg);
+                let round = session.solve_round(&cfg);
+                let report = session.finish(&cfg);
+                check("session", op, buffer, &round.statuses, &report.v);
+
+                let res =
+                    armed().try_solve(&arrays, Scenarios::Explicit(&scenarios), &cfg).unwrap();
+                check("one-shot", op, buffer, &res.statuses, &res.v);
+            }
+        }
+        assert!(
+            leaks.is_empty(),
+            "{} converged answers off the fixed point:\n{}",
+            leaks.len(),
+            leaks.join("\n")
+        );
     }
 }
