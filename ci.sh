@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI for the FBS power-flow repo. Six legs:
+# Offline CI for the FBS power-flow repo. Seven legs:
 #
 #   1. Tier-1 verify: release build + `cargo test`, which runs the root
 #      package and every workspace crate's unit, integration and property
@@ -12,13 +12,21 @@
 #      E12–E17 as end-to-end sanity passes, under wall-clock ceilings.
 #      Smoke runs only print; the leg fails if any of them wrote under
 #      `results/`, which holds the full runs' numbers.
-#   4. CLI replays: a seeded chaos replay through `fbs fleet` that must
+#   4. Route smoke: one short benchmark run each of `tree-1k` (which
+#      `GpuSolver::new` routes to the fused sweep) and `tree-256k`
+#      (routed to the level path), `--seconds 1 --trace 0`. The run
+#      checks its first pass's answers against the serial reference;
+#      the leg fails unless the final JSON line reports `"failed":0`.
+#      Measured at 10 s of wall time on a 2-core Xeon with a warm
+#      release build in `benchmark/target`; a cold build adds about a
+#      minute.
+#   5. CLI replays: a seeded chaos replay through `fbs fleet` that must
 #      exit 0 with one device scripted dead, and a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
 #      undetected corruption reached an answer).
-#   5. Racecheck: re-runs every simt and fbs device kernel under the
+#   6. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
-#   6. Lint: clippy over every target with warnings promoted to errors.
+#   7. Lint: clippy over every target with warnings promoted to errors.
 #
 # Everything runs with --offline — the repo has zero external registry
 # dependencies (see DESIGN.md, "Dependency policy"), so a warm toolchain
@@ -48,6 +56,16 @@ if [ "$(results_sum)" != "$results_before" ]; then
   echo "E-bin smoke runs must not write under results/" >&2
   exit 1
 fi
+
+echo "== route smoke: tree-1k (fused) + tree-256k (level) =="
+for workload in tree-1k tree-256k; do
+  last=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"failed":0,'*) ;;
+    *) echo "benchmark $workload: an answer failed its check: $last" >&2; exit 1 ;;
+  esac
+done
 
 echo "== CLI replays: fleet chaos + storm soak =="
 cargo run -q --offline --release -p fbs-cli feeders --name ieee37 --out target/ci_fleet.grid 2> /dev/null

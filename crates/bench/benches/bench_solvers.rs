@@ -7,12 +7,12 @@
 //!
 //! Run: `cargo bench -p fbs-bench --bench bench_solvers`
 
-use fbs::{GpuSolver, MulticoreSolver, SerialSolver, SolverArrays, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, MulticoreSolver, SerialSolver, SolverArrays, SolverConfig};
 use fbs_bench::micro::{MicroBench, MicroReport};
 use powergrid::gen::{balanced_binary, GenSpec};
 use rng::rngs::StdRng;
 use rng::SeedableRng;
-use simt::{Device, DeviceProps, HostProps};
+use simt::{Device, HostProps};
 
 const SIZES: [usize; 3] = [4096, 32_768, 131_072];
 
@@ -47,7 +47,8 @@ fn main() {
 
     for (n, arrays) in nets() {
         MicroBench::new(1, 5).run(&mut report, &format!("solve_gpu_simulation/{n}"), n, || {
-            let mut solver = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+            let mut solver =
+                GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
             solver.solve_arrays(&arrays, &cfg);
         });
     }

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e10_devices`
 
-use fbs::{GpuSolver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, validate_or_die, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use simt::{Device, DeviceProps, HostProps};
@@ -38,7 +38,7 @@ fn main() {
     for props in devices {
         let name = props.name;
         let (sms, bw, launch) = (props.num_sms, props.mem_bandwidth_gbps, props.launch_overhead_us);
-        let mut gpu = GpuSolver::new(Device::new(props));
+        let mut gpu = GpuSolver::with_strategy(Device::new(props), BackwardStrategy::SegScan);
         let res = gpu.solve(&net, &cfg);
         validate_or_die(&net, &res, name);
         table.sample(&res.timing);

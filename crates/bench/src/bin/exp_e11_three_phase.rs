@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e11_three_phase`
 
-use fbs::{Gpu3Solver, Serial3Solver, SerialSolver};
+use fbs::{BackwardStrategy, Gpu3Solver, Serial3Solver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, Table, PAPER_SIZES};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::three_phase::from_single_phase;
@@ -41,7 +41,8 @@ fn main() {
 
         // Single-phase comparison on the same tree.
         let s1 = SerialSolver::new(HostProps::paper_rig()).solve(&net1, &cfg);
-        let mut gpu1 = fbs::GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu1 =
+            fbs::GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g1 = gpu1.solve(&net1, &cfg);
 
         table.sample(&g3.timing);

@@ -12,7 +12,7 @@
 //! Run: `cargo run -p fbs-bench --release --bin exp_e12_faults`
 //! (`E12_SMOKE=1` restricts to the smallest feeder for CI.)
 
-use fbs::{Backend, GpuSolver, ResilientSolver, SolverArrays, SolverConfig};
+use fbs::{Backend, BackwardStrategy, GpuSolver, ResilientSolver, SolverArrays, SolverConfig};
 use fbs_bench::{rng_for, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use simt::{Device, DeviceProps, FaultPlan, HostProps};
@@ -36,7 +36,8 @@ fn main() {
         let net = balanced_binary(n, &spec, &mut rng);
 
         // The undefended baseline: plain GPU solve, no plan, no checkpoints.
-        let plain = GpuSolver::new(Device::new(DeviceProps::paper_rig())).solve(&net, &cfg);
+        let plain = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan)
+            .solve(&net, &cfg);
         assert!(plain.converged(), "{n}: baseline must converge");
         let plain_us = plain.timing.total_us();
         let arrays = SolverArrays::new(&net);

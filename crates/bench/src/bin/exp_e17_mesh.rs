@@ -27,8 +27,8 @@
 //! Smoke (CI): `E17_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e17_mesh`
 
 use fbs::{
-    solve_dg_batch, GpuSolver, MeshSolver, OuterConfig, SerialSolver, SolveResult, SolverConfig,
-    TensorBatchSolver,
+    solve_dg_batch, BackwardStrategy, GpuSolver, MeshSolver, OuterConfig, SerialSolver,
+    SolveResult, SolverConfig, TensorBatchSolver,
 };
 use fbs_bench::{eval_config, rng_for, summary, us, Table};
 use numc::{c, Complex};
@@ -116,7 +116,7 @@ fn assert_close(a: &[Complex], b: &[Complex], tol: f64, who: &str) {
 
 fn radial_baseline(net: &RadialNetwork, cfg: &SolverConfig) -> (SolveResult, SolveResult) {
     let serial = SerialSolver::new(HostProps::paper_rig()).solve(net, cfg);
-    let mut gpu = GpuSolver::new(Device::paper_rig());
+    let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
     let on_gpu = gpu.solve(net, cfg);
     assert!(serial.converged() && on_gpu.converged(), "radial baseline must converge");
     (serial, on_gpu)
@@ -134,7 +134,8 @@ fn main() {
     // identically on serial and GPU backends.
     let anchor = ieee::ieee123_dg();
     let a_serial = MeshSolver::new(SerialSolver::new(HostProps::paper_rig())).solve(&anchor, &cfg);
-    let a_gpu = MeshSolver::new(GpuSolver::new(Device::paper_rig())).solve(&anchor, &cfg);
+    let level = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
+    let a_gpu = MeshSolver::new(level).solve(&anchor, &cfg);
     assert!(a_serial.converged() && a_gpu.converged(), "ieee123-dg must converge");
     assert_eq!(a_serial.outer_iterations, a_gpu.outer_iterations, "ieee123-dg outer iterations");
     assert_close(
@@ -179,9 +180,8 @@ fn main() {
         let serial = MeshSolver::new(SerialSolver::new(HostProps::paper_rig()))
             .with_outer(outer)
             .solve(&meshed, &cfg);
-        let gpu = MeshSolver::new(GpuSolver::new(Device::paper_rig()))
-            .with_outer(outer)
-            .solve(&meshed, &cfg);
+        let level = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
+        let gpu = MeshSolver::new(level).with_outer(outer).solve(&meshed, &cfg);
         assert!(serial.converged(), "{n} buses: serial meshed solve: {}", serial.status);
         assert!(gpu.converged(), "{n} buses: gpu meshed solve: {}", gpu.status);
         assert_eq!(

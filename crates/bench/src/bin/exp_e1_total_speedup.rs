@@ -8,10 +8,10 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e1_total_speedup`
 
-use fbs::{GpuSolver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, validate_or_die, Table, PAPER_SIZES};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{Device, DeviceProps, HostProps};
+use simt::{Device, HostProps};
 
 fn main() {
     let cfg = eval_config();
@@ -29,7 +29,7 @@ fn main() {
         let serial = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
         validate_or_die(&net, &serial, "serial");
 
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let par = gpu.solve(&net, &cfg);
         validate_or_die(&net, &par, "gpu");
         assert_eq!(serial.iterations, par.iterations, "solvers must agree on iterates");

@@ -11,10 +11,10 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e2_kernel_speedup`
 
-use fbs::{GpuSolver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, validate_or_die, Table, PAPER_SIZES};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{Device, DeviceProps, HostProps};
+use simt::{Device, HostProps};
 
 fn main() {
     let cfg = eval_config();
@@ -31,7 +31,7 @@ fn main() {
         let net = balanced_binary(n, &spec, &mut rng);
 
         let serial = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let par = gpu.solve(&net, &cfg);
         validate_or_die(&net, &par, "gpu");
 

@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e3_breakdown`
 
-use fbs::GpuSolver;
+use fbs::{BackwardStrategy, GpuSolver};
 use fbs_bench::{eval_config, rng_for, us, validate_or_die, Table, PAPER_SIZES};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{Device, DeviceProps};
+use simt::Device;
 
 fn main() {
     let cfg = eval_config();
@@ -33,7 +33,7 @@ fn main() {
     for &n in &PAPER_SIZES {
         let mut rng = rng_for(3);
         let net = balanced_binary(n, &spec, &mut rng);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let res = gpu.solve(&net, &cfg);
         validate_or_die(&net, &res, "gpu");
 

@@ -10,13 +10,13 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e4_topology`
 
-use fbs::{GpuSolver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, validate_or_die, Table};
 use powergrid::gen::{
     balanced_binary, balanced_kary, broom, caterpillar, chain, random_tree, star, GenSpec,
 };
 use powergrid::{LevelOrder, RadialNetwork};
-use simt::{Device, DeviceProps, HostProps};
+use simt::{Device, HostProps};
 
 const N: usize = 65_536;
 
@@ -44,7 +44,7 @@ fn main() {
         let levels = LevelOrder::new(net);
         let serial = SerialSolver::new(HostProps::paper_rig()).solve(net, &cfg);
         validate_or_die(net, &serial, name);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let par = gpu.solve(net, &cfg);
         validate_or_die(net, &par, name);
 

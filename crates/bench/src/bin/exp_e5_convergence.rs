@@ -9,10 +9,10 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e5_convergence`
 
-use fbs::{GpuSolver, SerialSolver, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver, SolverConfig};
 use fbs_bench::{rng_for, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{Device, DeviceProps, HostProps};
+use simt::{Device, HostProps};
 
 fn main() {
     let spec = GenSpec::default();
@@ -29,7 +29,7 @@ fn main() {
         net.scale_loads(scale);
         let cfg = SolverConfig::new(1e-6, 200);
         let s = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g = gpu.solve(&net, &cfg);
         t1.sample(&g.timing);
         let min_pu = s.min_voltage().0 / net.source_voltage().abs();

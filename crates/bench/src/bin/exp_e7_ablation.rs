@@ -57,7 +57,7 @@ fn main() {
         let net = balanced_binary(n, &spec, &mut rng);
         let s = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
         let m = MulticoreSolver::new(HostProps::paper_rig(), 8).solve(&net, &cfg);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g = gpu.solve(&net, &cfg);
         validate_or_die(&net, &m, "multicore");
         validate_or_die(&net, &g, "gpu");

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e8_deep_trees`
 
-use fbs::{GpuSolver, JumpSolver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, JumpSolver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, validate_or_die, Table};
 use powergrid::gen::{balanced_binary, caterpillar, chain, GenSpec};
 use powergrid::{LevelOrder, RadialNetwork};
@@ -37,7 +37,7 @@ fn main() {
         let serial = SerialSolver::new(HostProps::paper_rig()).solve(net, &cfg);
         validate_or_die(net, &serial, name);
 
-        let mut level = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut level = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let lv = level.solve(net, &cfg);
         validate_or_die(net, &lv, name);
 

@@ -24,6 +24,17 @@
 //! go through the device timing model; phase attribution uses timeline
 //! marks, so the experiment harness can reproduce the paper's breakdown
 //! and "GPU-only" numbers exactly.
+//!
+//! # Routing
+//!
+//! On a small or deep tree the level path is launch-bound: a 1K-bus
+//! binary tree pays 33 launches per iteration. [`GpuSolver::new`]
+//! therefore routes each solve: where [`fused_sweep_wins`] says so, it
+//! runs the tensor engine's resident chunk at batch size one instead —
+//! one fused sweep launch per iteration, the same iterates — and
+//! otherwise the level path above. [`GpuSolver::with_strategy`] pins the
+//! level path with the given backward strategy; the experiments that
+//! reproduce the paper's tables use it.
 
 use std::time::Instant;
 
@@ -31,7 +42,7 @@ use numc::Complex;
 use powergrid::RadialNetwork;
 use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceBuffer, DeviceError};
+use simt::{Device, DeviceBuffer, DeviceError, DeviceProps};
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
@@ -40,6 +51,7 @@ use crate::obs::Obs;
 use crate::recovery::SweepSession;
 use crate::report::{PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::tensor_batch;
 
 /// How the backward sweep aggregates child branch currents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,19 +77,30 @@ pub enum BackwardStrategy {
 pub struct GpuSolver {
     device: Device,
     strategy: BackwardStrategy,
+    /// Whether each solve may take the fused sweep ([`fused_sweep_wins`]);
+    /// `false` pins the level path.
+    routed: bool,
     recorder: Option<Recorder>,
 }
 
 impl GpuSolver {
-    /// Creates a solver on the given device with the paper's
-    /// segmented-scan backward sweep.
+    /// Creates a solver on the given device that routes every solve to
+    /// whichever of two device paths the shape of its tree makes cheaper
+    /// in modeled time: the tensor engine's fused sweep at batch size one
+    /// — one launch per iteration — on small or deep trees, or the
+    /// paper's level-launch path with the segmented-scan backward sweep
+    /// on wide, bushy or star-like ones. The route is a deterministic
+    /// function of the level table and the device's launch and latency
+    /// constants; both paths reach the same iterates.
     pub fn new(device: Device) -> Self {
-        GpuSolver { device, strategy: BackwardStrategy::SegScan, recorder: None }
+        GpuSolver { device, strategy: BackwardStrategy::SegScan, routed: true, recorder: None }
     }
 
-    /// Creates a solver with an explicit backward-sweep strategy.
+    /// Creates a solver pinned to the paper's level-launch path with an
+    /// explicit backward-sweep strategy: every solve runs exactly the
+    /// kernels the module docs describe, whatever the tree.
     pub fn with_strategy(device: Device, strategy: BackwardStrategy) -> Self {
-        GpuSolver { device, strategy, recorder: None }
+        GpuSolver { device, strategy, routed: false, recorder: None }
     }
 
     /// Attaches a telemetry recorder: per-iteration/per-phase spans and
@@ -92,7 +115,7 @@ impl GpuSolver {
         &self.device
     }
 
-    /// The backward-sweep strategy in use.
+    /// The backward-sweep strategy of the level path.
     pub fn strategy(&self) -> BackwardStrategy {
         self.strategy
     }
@@ -121,8 +144,10 @@ impl GpuSolver {
     }
 
     /// Fallible [`GpuSolver::solve_warm`]: surfaces injected faults and
-    /// device loss as [`DeviceError`], which the public entry points
-    /// turn into a panic.
+    /// device loss on the level path as [`DeviceError`], which the public
+    /// entry points turn into a panic. The fused path handles device
+    /// weather itself (audit, retry, host repair) and reports it in
+    /// [`SolveResult::fault_report`].
     fn try_solve_warm(
         &mut self,
         a: &SolverArrays,
@@ -133,8 +158,11 @@ impl GpuSolver {
         if cfg.validate().is_err() {
             return Ok(crate::report::invalid_config_result(a.len(), a.source));
         }
-        let mut monitor = ConvergenceMonitor::new(cfg, a.source.abs());
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu");
+        if self.routed && fused_sweep_wins(self.device.props(), a, v_init.is_some()) {
+            return Ok(tensor_batch::solve_single(&mut self.device, a, cfg, v_init, &obs));
+        }
+        let mut monitor = ConvergenceMonitor::new(cfg, a.source.abs());
         let mut sess =
             GpuSession::with_obs(&mut self.device, a, self.strategy, v_init, obs.clone())?;
 
@@ -179,6 +207,31 @@ impl GpuSolver {
             fault_report: None,
         })
     }
+}
+
+/// The route of [`GpuSolver::new`]: whether the fused sweep at batch size
+/// one (`crate::tensor_batch`) is cheaper on `a` than the level path.
+///
+/// A deterministic function of the level table and the device's launch
+/// and latency constants, computed per solve from the arrays (never in
+/// [`SolverArrays::new`]). Both paths run the same iterations, and per
+/// solve the fused path moves no more bytes than the level path (up to a
+/// few words of scenario state), so it wins when one of its iterations — bounded above by
+/// [`tensor_batch::single_iteration_bound_us`], warm-init launch included
+/// — is cheaper than a floor under one level-path iteration. That floor
+/// counts the level path's launches: one injection map, a combine per
+/// level, a segmented scan and a forward map per non-root level, and
+/// one reduction — `3L` for `L` levels — each paying the launch overhead
+/// and at least one dependent access and barrier. Small and deep trees
+/// go fused (a 1K-bus binary tree, a 1K-bus chain); wide levels
+/// serialise the lone fused block and a high fan-out serialises its
+/// child sums, so large, bushy and star-like trees stay on the level
+/// path.
+fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
+    let launches = 3 * a.num_levels();
+    let per_launch = props.launch_overhead_us
+        + (props.mem_latency_cycles + props.barrier_cycles) / props.cycles_per_us();
+    tensor_batch::single_iteration_bound_us(props, a, warm) < launches as f64 * per_launch
 }
 
 /// One level-synchronous solve in progress: device state plus phase
@@ -573,6 +626,15 @@ mod tests {
         GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2))
     }
 
+    /// The paper's level path, pinned: for tests that count its launches
+    /// or read its per-phase split.
+    fn level_gpu() -> GpuSolver {
+        GpuSolver::with_strategy(
+            Device::with_workers(DeviceProps::paper_rig(), 2),
+            BackwardStrategy::SegScan,
+        )
+    }
+
     fn assert_results_match(a: &SolveResult, b: &SolveResult, scale: f64) {
         assert_eq!(a.v.len(), b.v.len());
         for (x, y) in a.v.iter().zip(&b.v) {
@@ -652,7 +714,7 @@ mod tests {
         let spec = GenSpec::default();
         let mut rng = StdRng::seed_from_u64(5);
         let net = balanced_binary(511, &spec, &mut rng);
-        let res = gpu().solve(&net, &SolverConfig::default());
+        let res = level_gpu().solve(&net, &SolverConfig::default());
         let p = &res.timing.phases;
         assert!(p.setup_us > 0.0, "upload charged");
         assert!(p.injection_us > 0.0);
@@ -671,9 +733,11 @@ mod tests {
         let mut b = NetworkBuilder::new(c(240.0, 0.0));
         b.add_bus(Complex::ZERO);
         let net = b.build().unwrap();
+        assert!(fused_sweep_wins(&DeviceProps::paper_rig(), &SolverArrays::new(&net), false));
         let res = gpu().solve(&net, &SolverConfig::default());
         assert!(res.converged());
         assert_eq!(res.iterations, 1);
+        assert_eq!(res.residual_history, vec![0.0]);
         assert_eq!(res.v[0], c(240.0, 0.0));
     }
 
@@ -683,15 +747,151 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let shallow = star(256, &spec, &mut rng);
         let deep = chain(256, &spec, &mut rng);
-        let mut g1 = gpu();
+        let mut g1 = level_gpu();
         let _ = g1.solve(&shallow, &SolverConfig::default());
         let k_shallow = g1.device().timeline().breakdown().kernels;
-        let mut g2 = gpu();
+        let mut g2 = level_gpu();
         let _ = g2.solve(&deep, &SolverConfig::default());
         let k_deep = g2.device().timeline().breakdown().kernels;
         assert!(
             k_deep > 10 * k_shallow,
             "chain must launch far more kernels ({k_deep} vs {k_shallow})"
+        );
+    }
+}
+
+#[cfg(test)]
+mod route_tests {
+    use super::*;
+    use crate::serial::SerialSolver;
+    use powergrid::gen::{balanced_binary, balanced_kary, chain, star, GenSpec};
+    use powergrid::ieee::ieee13;
+    use rng::rngs::StdRng;
+    use rng::SeedableRng;
+    use simt::{FaultKind, FaultPlan, HostProps};
+
+    fn arrays(net: &RadialNetwork) -> SolverArrays {
+        SolverArrays::new(net)
+    }
+
+    /// The route's verdict on the benchmark's single-solve shapes and the
+    /// shapes either side of the crossover. A rule change that would move
+    /// the 256K-bus tree onto the fused sweep fails here.
+    #[test]
+    fn route_takes_fused_on_small_and_deep_trees_and_level_on_wide_ones() {
+        let spec = GenSpec::default();
+        let props = DeviceProps::paper_rig();
+        let rng = || StdRng::seed_from_u64(7);
+        let fused = [
+            ("binary 1023", balanced_binary(1023, &spec, &mut rng())),
+            ("chain 1000", chain(1000, &spec, &mut rng())),
+        ];
+        let level = [
+            ("binary 262143", balanced_binary(262_143, &spec, &mut rng())),
+            ("star 1000", star(1000, &spec, &mut rng())),
+            ("8-ary 32000", balanced_kary(32_000, 8, &spec, &mut rng())),
+        ];
+        for (name, net) in &fused {
+            let a = arrays(net);
+            assert!(fused_sweep_wins(&props, &a, false), "{name}: cold must route fused");
+            assert!(fused_sweep_wins(&props, &a, true), "{name}: warm must route fused");
+        }
+        for (name, net) in &level {
+            let a = arrays(net);
+            assert!(!fused_sweep_wins(&props, &a, false), "{name}: must stay on the level path");
+        }
+    }
+
+    #[test]
+    fn routed_solve_runs_one_launch_per_iteration_and_matches_the_pinned_path() {
+        let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(7));
+        let cfg = SolverConfig::default();
+        let mut routed = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+        let r = routed.solve(&net, &cfg);
+        let p = GpuSolver::with_strategy(
+            Device::with_workers(DeviceProps::paper_rig(), 2),
+            BackwardStrategy::SegScan,
+        )
+        .solve(&net, &cfg);
+        assert_eq!(r.status, SolveStatus::Converged);
+        assert_eq!(r.iterations, p.iterations);
+        assert_eq!(r.residual_history.len(), r.iterations as usize);
+        assert!(r.timing.total_us() < p.timing.total_us());
+        // The fused sweep charges its one launch to `backward_us`.
+        let ph = r.timing.phases;
+        assert_eq!((ph.injection_us, ph.forward_us), (0.0, 0.0));
+        assert!(ph.backward_us > 0.0);
+        let b = routed.device().timeline().breakdown();
+        assert!(b.per_kernel_us.contains_key("tensor_sweep"), "{:?}", b.per_kernel_us.keys());
+        // One sweep per iteration plus the two setup fills.
+        assert_eq!(b.kernels as u32, r.iterations + 2);
+        let scale = net.source_voltage().abs();
+        for (x, y) in r.v.iter().zip(&p.v) {
+            assert!((*x - *y).abs() <= 1e-9 * scale, "{x:?} vs {y:?}");
+        }
+        assert!(r.fault_report.is_none(), "no plan armed, nothing to report");
+    }
+
+    #[test]
+    fn routed_invalid_config_short_circuits() {
+        let net = ieee13();
+        assert!(fused_sweep_wins(&DeviceProps::paper_rig(), &arrays(&net), false));
+        let bad = SolverConfig { max_iter: 0, ..SolverConfig::default() };
+        let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+        let res = gpu.solve(&net, &bad);
+        assert_eq!((res.status, res.iterations), (SolveStatus::InvalidConfig, 0));
+        assert!(res.residual_history.is_empty());
+        assert_eq!(gpu.device().timeline().breakdown().kernels, 0, "nothing ran");
+    }
+
+    #[test]
+    fn routed_solve_records_solver_gpu_iteration_spans() {
+        let net = balanced_binary(255, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let rec = Recorder::new();
+        let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2))
+            .with_recorder(rec.clone());
+        let res = gpu.solve(&net, &SolverConfig::default());
+        let iters = rec.with_trace(|t| {
+            t.spans.iter().filter(|e| e.cat == "solver.gpu" && e.name == "iter").count()
+        });
+        assert_eq!(iters, res.iterations as usize);
+    }
+
+    /// PR-15's scripted exponent flip (bit 61 of word 0), swept over the
+    /// first 48 device ops and every live buffer of a routed 1K-bus
+    /// solve: the chunk's audit, retry and host repair must keep every
+    /// converged answer on the serial fixed point, and the armed plan is
+    /// reported.
+    #[test]
+    fn scripted_bit_flips_never_leak_out_of_a_routed_solve() {
+        let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(17));
+        let a = arrays(&net);
+        let cfg = SolverConfig::default();
+        let want = SerialSolver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg).v;
+        let band = 1e-9 * net.source_voltage().abs();
+        let mut leaks = Vec::new();
+        for op in 0..48u64 {
+            for buffer in 0..10u64 {
+                let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+                let flip = FaultKind::BufferBitFlip { buffer, word: 0, bit: 61 };
+                dev.arm_faults(FaultPlan::scripted([(op, flip)]));
+                let res = GpuSolver::new(dev).solve_arrays(&a, &cfg);
+                assert!(res.fault_report.is_some(), "op {op} buffer {buffer}: armed, unreported");
+                assert_eq!(res.residual_history.len(), res.iterations as usize);
+                let off = res.v.iter().zip(&want).map(|(x, y)| (*x - *y).abs()).fold(0.0, f64::max);
+                if res.status.is_converged() && (off > band || off.is_nan()) {
+                    leaks.push(format!(
+                        "op {op} buffer {buffer}: {} off by {off:.3e} V",
+                        res.status
+                    ));
+                }
+            }
+        }
+        assert!(
+            leaks.is_empty(),
+            "{} converged answers off serial:\n{}",
+            leaks.len(),
+            leaks.join("\n")
         );
     }
 }
@@ -745,7 +945,10 @@ mod atomic_tests {
         let net = balanced_binary(8191, &spec, &mut rng);
         let cfg = SolverConfig::default();
 
-        let mut seg = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+        let mut seg = GpuSolver::with_strategy(
+            Device::with_workers(DeviceProps::paper_rig(), 2),
+            BackwardStrategy::SegScan,
+        );
         let _ = seg.solve(&net, &cfg);
         let seg_kernels = seg.device().timeline().breakdown().kernels;
 
@@ -768,8 +971,11 @@ mod atomic_tests {
         let net = star(16_384, &spec, &mut StdRng::seed_from_u64(93));
 
         let at = atomic_gpu().solve(&net, &cfg);
-        let seg = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2))
-            .solve(&net, &cfg);
+        let seg = GpuSolver::with_strategy(
+            Device::with_workers(DeviceProps::paper_rig(), 2),
+            BackwardStrategy::SegScan,
+        )
+        .solve(&net, &cfg);
         let at_per_iter = at.timing.phases.backward_us / at.iterations as f64;
         let seg_per_iter = seg.timing.phases.backward_us / seg.iterations as f64;
         assert!(

@@ -7,7 +7,10 @@
 //!
 //! * [`SerialSolver`] — the paper's CPU baseline,
 //! * [`GpuSolver`] — the paper's contribution: level-synchronous sweeps
-//!   on the [`simt`] device using segmented scan and reduction,
+//!   on the [`simt`] device using segmented scan and reduction.
+//!   [`GpuSolver::new`] routes each solve to the cheaper of that level
+//!   path and the tensor engine's fused sweep at batch size one (small
+//!   and deep trees); [`GpuSolver::with_strategy`] pins the level path,
 //! * [`MulticoreSolver`] — a level-parallel host-thread solver (ablation).
 //!
 //! Post-solve physics checks live in [`validate`].

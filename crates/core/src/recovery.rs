@@ -893,7 +893,8 @@ mod tests {
         let net = ieee13();
         let cfg = SolverConfig::default();
         let (props, host) = rig();
-        let plain = GpuSolver::new(Device::new(props.clone())).solve(&net, &cfg);
+        let plain = GpuSolver::with_strategy(Device::new(props.clone()), BackwardStrategy::SegScan)
+            .solve(&net, &cfg);
         let res = ResilientSolver::new(Backend::Gpu, props, host)
             .solve(&SolverArrays::new(&net), &cfg)
             .expect("clean run cannot fail");

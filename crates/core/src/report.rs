@@ -11,6 +11,11 @@ use crate::status::SolveStatus;
 /// them); for the CPU solvers they come from the [`simt::HostProps`]
 /// roofline model. Wall-clock of the simulation is reported separately
 /// and never used in speedup claims.
+///
+/// A fused solve — the tensor engine, and a [`crate::GpuSolver`] solve
+/// routed to it — launches one kernel per iteration that injects, sweeps
+/// both ways and folds the residual. It charges that kernel to
+/// `backward_us` and leaves `injection_us` and `forward_us` at 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     /// One-time setup: topology upload (GPU) or array construction (CPU).

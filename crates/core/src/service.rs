@@ -1007,6 +1007,7 @@ fn batch_on_multicore(
         timing,
         scenarios_per_sec: scenarios_per_sec(nb, &timing),
         fault_report: None,
+        history: Vec::new(),
     }
 }
 

@@ -81,8 +81,8 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, GlobalMut, GlobalRef, HostProps,
-    Kernel, LaunchConfig, Shared, ThreadCtx,
+    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, GlobalMut, GlobalRef,
+    HostProps, Kernel, LaunchConfig, Shared, ThreadCtx,
 };
 use telemetry::Recorder;
 
@@ -210,6 +210,9 @@ pub struct TensorBatchResult {
     pub scenarios_per_sec: f64,
     /// Populated when faults were observed or a fault plan was armed.
     pub fault_report: Option<FaultReport>,
+    /// Batches of one only: the scenario's residual per iteration (the
+    /// single-solve `residual_history`); empty for larger batches.
+    pub(crate) history: Vec<f64>,
 }
 
 /// Modeled throughput of `nb` scenarios answered in `timing`: scenarios
@@ -355,21 +358,24 @@ impl TensorBatchSolver {
         scenarios: Scenarios<'_>,
         cfg: &SolverConfig,
     ) -> Result<TensorBatchResult, DeviceError> {
-        match scenarios {
+        Ok(match scenarios {
             Scenarios::Explicit(loads) => {
                 let n = a.len();
                 for (s, sc) in loads.iter().enumerate() {
                     let len = sc.len();
                     assert_eq!(len, n, "scenario {s} has {len} loads for {n} buses");
                 }
-                self.solve_impl(a, Loads::Explicit(loads), cfg, None)
+                self.solve_impl(a, Loads::Explicit(loads), cfg, None, None)
             }
-            Scenarios::Scaled(scales) => self.solve_impl(a, Loads::Scaled(scales), cfg, None),
+            Scenarios::Scaled(scales) => self.solve_impl(a, Loads::Scaled(scales), cfg, None, None),
             Scenarios::Patched { dfs, patches, warm } => {
-                let plan = PatchPlan::build(a, dfs, patches, warm);
-                self.solve_impl(a, Loads::Scaled(&plan.scales), cfg, Some(&plan))
+                if let Some(w) = warm {
+                    assert_eq!(w.len(), a.len(), "warm profile needs one voltage per bus");
+                }
+                let plan = PatchPlan::build(a, dfs, patches);
+                self.solve_impl(a, Loads::Scaled(&plan.scales), cfg, Some(&plan), warm)
             }
-        }
+        })
     }
 
     /// Infallible [`Scenarios::Explicit`] form of
@@ -389,108 +395,11 @@ impl TensorBatchSolver {
         loads: Loads<'_>,
         cfg: &SolverConfig,
         plan: Option<&PatchPlan>,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        let wall0 = Instant::now();
-        let nb = loads.len();
-        assert!(nb >= 1, "batch must contain at least one scenario");
-        let keep = self.keep_state;
-        let mut out = TensorBatchResult {
-            v: if keep { vec![Vec::new(); nb] } else { Vec::new() },
-            j: if keep { vec![Vec::new(); nb] } else { Vec::new() },
-            iterations: 0,
-            per_scenario_iterations: vec![0; nb],
-            statuses: vec![SolveStatus::MaxIterations; nb],
-            residuals: vec![f64::INFINITY; nb],
-            residual: f64::INFINITY,
-            min_v: if plan.is_some() { vec![f64::INFINITY; nb] } else { Vec::new() },
-            timing: Timing::default(),
-            scenarios_per_sec: 0.0,
-            fault_report: None,
-        };
-        if cfg.validate().is_err() {
-            out.statuses = vec![SolveStatus::InvalidConfig; nb];
-            if keep {
-                out.v = vec![vec![a.source; a.len()]; nb];
-                out.j = vec![vec![Complex::ZERO; a.len()]; nb];
-            }
-            return Ok(out);
-        }
-
+        warm: Option<&[Complex]>,
+    ) -> TensorBatchResult {
         let obs = Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
-        let armed = self.device.fault_plan().is_some();
-        let faults_before = self.device.fault_log().len();
-        let chunk_cap = self.chunk_cap.min(nb);
-        let mut retries_total = 0u32;
-        let mut corruptions_total = 0u32;
-        let mut degraded = false;
-        // The topology uploads with the first chunk and stays resident; a
-        // fault drops it with its chunk, and the retry re-uploads it.
-        let mut topo = None;
-
-        let mut chunk_start = 0usize;
-        while chunk_start < nb {
-            let chunk = chunk_cap.min(nb - chunk_start);
-            let range = chunk_start..chunk_start + chunk;
-            let chunk_t0 = out.timing.phases.total_us();
-
-            // Device weather never escapes as an `Err`: retry the chunk
-            // within its budget, then degrade to the host for good.
-            let mut retries = Retries::new(cfg);
-            let mut retrying = false;
-            if !degraded {
-                let ran = retries.run(&mut self.device, |dev| {
-                    if std::mem::replace(&mut retrying, true) {
-                        obs.instant("chunk-retry", out.timing.phases.total_us());
-                    }
-                    let ran =
-                        run_chunk(dev, a, topo.take(), &loads, plan, &range, cfg, &obs, &mut out);
-                    if let Err(DeviceError::TransferCorrupted { .. }) = ran {
-                        corruptions_total += 1;
-                        obs.instant("corruption-detected", out.timing.phases.total_us());
-                    }
-                    topo = Some(ran?);
-                    Ok(Some(()))
-                });
-                degraded = ran.is_none();
-            }
-            retries_total += retries.spent;
-
-            if degraded {
-                let t0 = out.timing.phases.total_us();
-                let serial = SerialSolver::new(HostProps::paper_rig());
-                let warm = plan.and_then(|plan| plan.warm.as_deref());
-                for s in range {
-                    let res = host_solve(&serial, a, &loads, plan, s, cfg, warm);
-                    out.absorb_serial(s, res, plan);
-                }
-                obs.phase("fallback", t0, out.timing.phases.total_us());
-            }
-
-            obs.batch_chunk(chunk_start / chunk_cap, chunk, chunk_t0, out.timing.phases.total_us());
-            chunk_start += chunk;
-        }
-
-        let faults_seen = (self.device.fault_log().len() - faults_before) as u32;
-        out.timing.wall_us = wall0.elapsed().as_secs_f64() * 1e6;
-        out.scenarios_per_sec = scenarios_per_sec(nb, &out.timing);
-        obs.batch_summary(nb, out.scenarios_per_sec);
-        out.fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
-            .then(|| FaultReport {
-                faults_injected: faults_seen,
-                rollbacks: 0,
-                retries: retries_total,
-                checkpoints: 0,
-                checkpoint_us: 0.0,
-                backends: if degraded {
-                    vec!["tensor-gpu".to_string(), "cpu-serial".to_string()]
-                } else {
-                    vec!["tensor-gpu".to_string()]
-                },
-                corruptions_detected: corruptions_total,
-            });
-        out.iterations = out.per_scenario_iterations.iter().copied().max().unwrap_or(0);
-        out.residual = out.residuals.iter().fold(0.0f64, |acc, &r| MaxAbsF64::combine(acc, r));
-        Ok(out)
+        let run = Run { chunk_cap: self.chunk_cap, keep: self.keep_state, obs: &obs };
+        run.solve(&mut self.device, a, loads, cfg, plan, warm)
     }
 
     /// Largest scenario batch one resident session can hold; callers
@@ -562,6 +471,220 @@ impl TensorBatchSolver {
     }
 }
 
+/// How one solve runs its scenarios through resident chunks: the chunk
+/// size, whether per-bus state is read back, and where telemetry goes.
+/// Shared by [`TensorBatchSolver`] and the fused route of
+/// [`crate::GpuSolver`] ([`solve_single`]).
+struct Run<'o> {
+    chunk_cap: usize,
+    keep: bool,
+    obs: &'o Obs,
+}
+
+impl Run<'_> {
+    /// Solves every scenario of `loads` chunk by chunk, each from `warm`
+    /// (by bus id) or flat. Device weather never escapes: a chunk retries
+    /// within its budget, then the rest of the batch degrades to the host.
+    fn solve(
+        &self,
+        dev: &mut Device,
+        a: &SolverArrays,
+        loads: Loads<'_>,
+        cfg: &SolverConfig,
+        plan: Option<&PatchPlan>,
+        warm: Option<&[Complex]>,
+    ) -> TensorBatchResult {
+        let wall0 = Instant::now();
+        let nb = loads.len();
+        assert!(nb >= 1, "batch must contain at least one scenario");
+        let (keep, obs) = (self.keep, self.obs);
+        let mut out = TensorBatchResult {
+            v: if keep { vec![Vec::new(); nb] } else { Vec::new() },
+            j: if keep { vec![Vec::new(); nb] } else { Vec::new() },
+            iterations: 0,
+            per_scenario_iterations: vec![0; nb],
+            statuses: vec![SolveStatus::MaxIterations; nb],
+            residuals: vec![f64::INFINITY; nb],
+            residual: f64::INFINITY,
+            min_v: if plan.is_some() { vec![f64::INFINITY; nb] } else { Vec::new() },
+            timing: Timing::default(),
+            scenarios_per_sec: 0.0,
+            fault_report: None,
+            history: Vec::new(),
+        };
+        if cfg.validate().is_err() {
+            out.statuses = vec![SolveStatus::InvalidConfig; nb];
+            if keep {
+                out.v = vec![vec![a.source; a.len()]; nb];
+                out.j = vec![vec![Complex::ZERO; a.len()]; nb];
+            }
+            return out;
+        }
+
+        let armed = dev.fault_plan().is_some();
+        let faults_before = dev.fault_log().len();
+        let chunk_cap = self.chunk_cap.min(nb);
+        let mut retries_total = 0u32;
+        let mut corruptions_total = 0u32;
+        let mut degraded = false;
+        // The topology uploads with the first chunk and stays resident; a
+        // fault drops it with its chunk, and the retry re-uploads it.
+        let mut topo = None;
+
+        let mut chunk_start = 0usize;
+        while chunk_start < nb {
+            let chunk = chunk_cap.min(nb - chunk_start);
+            let range = chunk_start..chunk_start + chunk;
+            let chunk_t0 = out.timing.phases.total_us();
+
+            // Device weather never escapes as an `Err`: retry the chunk
+            // within its budget, then degrade to the host for good.
+            let mut retries = Retries::new(cfg);
+            let mut retrying = false;
+            if !degraded {
+                let ran = retries.run(dev, |dev| {
+                    if std::mem::replace(&mut retrying, true) {
+                        obs.instant("chunk-retry", out.timing.phases.total_us());
+                    }
+                    let ran = run_chunk(
+                        dev,
+                        a,
+                        topo.take(),
+                        &loads,
+                        plan,
+                        warm,
+                        &range,
+                        cfg,
+                        obs,
+                        &mut out,
+                    );
+                    if let Err(DeviceError::TransferCorrupted { .. }) = ran {
+                        corruptions_total += 1;
+                        obs.instant("corruption-detected", out.timing.phases.total_us());
+                    }
+                    topo = Some(ran?);
+                    Ok(Some(()))
+                });
+                degraded = ran.is_none();
+            }
+            retries_total += retries.spent;
+
+            if degraded {
+                let t0 = out.timing.phases.total_us();
+                let serial = SerialSolver::new(HostProps::paper_rig());
+                for s in range {
+                    let res = host_solve(&serial, a, &loads, plan, s, cfg, warm);
+                    out.absorb_serial(s, res, plan);
+                }
+                obs.phase("fallback", t0, out.timing.phases.total_us());
+            }
+
+            obs.batch_chunk(chunk_start / chunk_cap, chunk, chunk_t0, out.timing.phases.total_us());
+            chunk_start += chunk;
+        }
+
+        let faults_seen = (dev.fault_log().len() - faults_before) as u32;
+        out.timing.wall_us = wall0.elapsed().as_secs_f64() * 1e6;
+        out.scenarios_per_sec = scenarios_per_sec(nb, &out.timing);
+        obs.batch_summary(nb, out.scenarios_per_sec);
+        out.fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
+            .then(|| FaultReport {
+                faults_injected: faults_seen,
+                rollbacks: 0,
+                retries: retries_total,
+                checkpoints: 0,
+                checkpoint_us: 0.0,
+                backends: if degraded {
+                    vec!["tensor-gpu".to_string(), "cpu-serial".to_string()]
+                } else {
+                    vec!["tensor-gpu".to_string()]
+                },
+                corruptions_detected: corruptions_total,
+            });
+        out.iterations = out.per_scenario_iterations.iter().copied().max().unwrap_or(0);
+        out.residual = out.residuals.iter().fold(0.0f64, |acc, &r| MaxAbsF64::combine(acc, r));
+        out
+    }
+}
+
+/// One solve of the arrays' own loads as a batch of one on the resident
+/// chunk — the fused route of [`crate::GpuSolver`]. `warm` (by bus id)
+/// seeds the iterate through the chunk's shared-profile upload. The
+/// result keeps the single-solve contract: one `residual_history` entry
+/// per iteration, and under an armed fault plan the chunk's audit,
+/// retry and host-repair policy with its [`FaultReport`]. The whole
+/// fused sweep is charged to `backward_us`.
+pub(crate) fn solve_single(
+    dev: &mut Device,
+    a: &SolverArrays,
+    cfg: &SolverConfig,
+    warm: Option<&[Complex]>,
+    obs: &Obs,
+) -> crate::report::SolveResult {
+    if let Some(w) = warm {
+        assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
+    }
+    // A unit scale reads the resident base loads exactly (`s · 1.0 == s`)
+    // without a second copy of them.
+    let run = Run { chunk_cap: 1, keep: true, obs };
+    let mut out = run.solve(dev, a, Loads::Scaled(&[1.0]), cfg, None, warm);
+    crate::report::SolveResult {
+        v: out.v.swap_remove(0),
+        j: out.j.swap_remove(0),
+        iterations: out.per_scenario_iterations[0],
+        status: out.statuses[0],
+        residual: out.residuals[0],
+        residual_history: out.history,
+        timing: out.timing,
+        fault_report: out.fault_report,
+    }
+}
+
+/// Upper bound on the modeled µs one [`solve_single`] iteration spends
+/// in kernels: the fused sweep launch, plus — once per solve, charged to
+/// the first iteration — the warm-init launch of a warm start. The other
+/// transfers and fills of a B = 1 solve cost no more than the level
+/// path's, up to a few words of scenario state (`crate::GpuSolver`'s
+/// route compares the two).
+///
+/// A lone 256-thread block cannot hide memory latency, so the sweep's
+/// latency term — `(chain · mem_latency + phases · barrier)` cycles for
+/// its one block — binds its time. The chain counts the dependent global
+/// accesses of the busiest thread phase by phase, exactly as
+/// [`SweepKernel`] issues them: two to read the scenario words; per
+/// backward level, `5 + fan-out` for each node a thread owns (base load,
+/// child range, voltage, current store, one load per child), with the
+/// fan-out bounded by the level's widest node and by the width of the
+/// next level; per forward level, 4 per node (parent, impedance, parent
+/// voltage, voltage store); and the residual store. The phases are one
+/// per level and direction plus the residual fold.
+pub(crate) fn single_iteration_bound_us(props: &DeviceProps, a: &SolverArrays, warm: bool) -> f64 {
+    let bdim = TENSOR_BLOCK as usize;
+    let offsets = &a.levels.level_offsets;
+    let nl = offsets.len() - 1;
+    let mut chain = 2 + 1;
+    for l in 0..nl {
+        let level = offsets[l] as usize..offsets[l + 1] as usize;
+        let per_thread = level.len().div_ceil(bdim);
+        let fan_out = level.clone().map(|p| a.child_hi[p] - a.child_lo[p]).max().unwrap_or(0);
+        let next_width = offsets.get(l + 2).map_or(0, |&end| end as usize - level.end);
+        chain += 5 * per_thread + (per_thread * fan_out as usize).min(next_width);
+        if l > 0 {
+            chain += 4 * per_thread;
+        }
+    }
+    let phases = 2 * nl + 2 + bdim.ilog2() as usize;
+    let latency = |chain: usize, phases: usize| {
+        (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
+            / props.cycles_per_us()
+    };
+    let sweep = props.launch_overhead_us + latency(chain, phases);
+    // Warm init: one block strided over the positions, a load and a
+    // store per position.
+    let warm_init = props.launch_overhead_us + latency(2 * a.len().div_ceil(bdim), 1);
+    sweep + if warm { warm_init } else { 0.0 }
+}
+
 impl TensorBatchResult {
     /// Replaces scenario `s` with a host solve, charged to teardown: a
     /// converged answer reports [`SolveStatus::Recovered`]. In patched
@@ -579,6 +702,9 @@ impl TensorBatchResult {
                 res.v[bus as usize] = Complex::ZERO;
                 res.j[bus as usize] = Complex::ZERO;
             }
+        }
+        if self.statuses.len() == 1 {
+            self.history = std::mem::take(&mut res.residual_history);
         }
         self.per_scenario_iterations[s] = res.iterations;
         self.residuals[s] = res.residual;
@@ -619,19 +745,12 @@ struct PatchPlan {
     z_val: Vec<Complex>,
     /// De-energized bus ids per scenario (empty without an outage).
     isolated: Vec<Vec<u32>>,
-    /// Warm-start profile, by bus id (replicated device-side).
-    warm: Option<Vec<Complex>>,
     /// Root bus id (excluded from `min_v`).
     root: usize,
 }
 
 impl PatchPlan {
-    fn build(
-        a: &SolverArrays,
-        dfs: &DfsOrder,
-        patches: &[ScenarioPatch],
-        warm: Option<&[Complex]>,
-    ) -> Self {
+    fn build(a: &SolverArrays, dfs: &DfsOrder, patches: &[ScenarioPatch]) -> Self {
         let n = a.len();
         assert_eq!(dfs.len(), n, "DFS order is over a {}-bus tree, arrays over {n}", dfs.len());
         let root = a.levels.order[0] as usize;
@@ -647,10 +766,6 @@ impl PatchPlan {
             z_pos: Vec::with_capacity(nb),
             z_val: Vec::with_capacity(nb),
             isolated: Vec::with_capacity(nb),
-            warm: warm.map(|w| {
-                assert_eq!(w.len(), n, "warm profile needs one voltage per bus");
-                w.to_vec()
-            }),
             root,
         };
         for (s, patch) in patches.iter().enumerate() {
@@ -874,9 +989,10 @@ enum LoadsRef<'a> {
 }
 
 /// One chunk of a one-shot batch: build it (uploading the topology
-/// unless the previous chunk hands it over), iterate, read the state
-/// back, audit it when a fault plan is armed, and unbatch into `out`.
-/// Returns the topology for the next chunk.
+/// unless the previous chunk hands it over) with every scenario starting
+/// from `warm` (by bus id) or flat, iterate, read the state back, audit
+/// it when a fault plan is armed, and unbatch into `out`. Returns the
+/// topology for the next chunk.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk(
     dev: &mut Device,
@@ -884,13 +1000,13 @@ fn run_chunk(
     topo: Option<Topology>,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
+    warm: Option<&[Complex]>,
     range: &Range<usize>,
     cfg: &SolverConfig,
     obs: &Obs,
     out: &mut TensorBatchResult,
 ) -> Result<Topology, DeviceError> {
     let (n, keep, t) = (a.len(), !out.v.is_empty(), &mut out.timing);
-    let warm = patches.and_then(|plan| plan.warm.as_deref());
     let mut chunk = Chunk::build(dev, a, topo, loads, patches, range.clone(), warm, &[], t)?;
     let sweep = chunk.iterate(dev, cfg, obs, t)?;
     // Read back *before* the audit: the audit vouches for the state it
@@ -908,6 +1024,9 @@ fn run_chunk(
     };
     let trusted = chunk.audit(dev, loads, &sweep.statuses, cfg, obs, t)?;
 
+    if out.statuses.len() == 1 {
+        out.history = sweep.history;
+    }
     let serial = SerialSolver::new(HostProps::paper_rig());
     for (ls, s) in range.clone().enumerate() {
         if !trusted[ls] {
@@ -944,6 +1063,8 @@ struct Sweep {
     statuses: Vec<SolveStatus>,
     iterations: Vec<u32>,
     residuals: Vec<f64>,
+    /// Worst residual over the scenarios live in each iteration.
+    history: Vec<f64>,
 }
 
 /// One scenario chunk resident on the device: the shared topology, the
@@ -1065,6 +1186,7 @@ impl<'a> Chunk<'a> {
             statuses: vec![SolveStatus::MaxIterations; nb],
             iterations: vec![0; nb],
             residuals: vec![f64::INFINITY; nb],
+            history: Vec::new(),
         };
         let mut active = self.live.iter().filter(|&&m| m == 1).count();
         // The sweep packs SCENARIOS_PER_BLOCK scenarios per block to
@@ -1130,6 +1252,7 @@ impl<'a> Chunk<'a> {
             t.transfer_sweep_us += b.htod_us + b.dtoh_us;
             obs.phase("convergence", conv_t0, t.phases.total_us());
             obs.iteration(iteration, iter_t0, t.phases.total_us(), worst_active);
+            sweep.history.push(worst_active);
 
             // Modeled deadline covers the scenarios still running.
             if let Some(budget) = cfg.deadline_us {
@@ -2385,7 +2508,7 @@ mod tests {
         assert_eq!(res.min_v.len(), 3, "patched solves report min |V|");
 
         let serial = SerialSolver::new(HostProps::paper_rig());
-        let plan = PatchPlan::build(&a, &dfs, &patches, None);
+        let plan = PatchPlan::build(&a, &dfs, &patches);
         for s in 0..patches.len() {
             let loads = Loads::Scaled(&plan.scales);
             let sref = host_solve(&serial, &a, &loads, Some(&plan), s, &cfg, None);

@@ -42,7 +42,8 @@ fn main() {
     let losses = serial.losses(&net);
     println!("  losses: {:.2} kW", losses.re / 1e3);
 
-    // GPU solve — identical physics, level-synchronous kernels.
+    // GPU solve — identical physics. A feeder this small routes to the
+    // fused sweep: one kernel launch per iteration.
     let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
     let par = gpu.solve(&net, &cfg);
     println!("\ngpu:    converged={} in {} iterations", par.converged(), par.iterations);

@@ -1,9 +1,10 @@
 //! The paper's topology discussion as a runnable study: how the shape of
-//! a 16K-bus distribution tree decides whether the GPU helps.
+//! a 16K-bus distribution tree decides whether the GPU helps. The GPU
+//! solver is pinned to the paper's level-launch path.
 //!
 //! Run: `cargo run --release --example topology_study`
 
-use fbs::{GpuSolver, SerialSolver, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver, SolverConfig};
 use powergrid::gen::{balanced_binary, balanced_kary, caterpillar, chain, random_tree, star, GenSpec};
 use powergrid::{LevelOrder, RadialNetwork};
 use rng::rngs::StdRng;
@@ -33,7 +34,10 @@ fn main() {
     for (name, net) in &cases {
         let levels = LevelOrder::new(net);
         let s = SerialSolver::new(HostProps::paper_rig()).solve(net, &cfg);
-        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let mut gpu = GpuSolver::with_strategy(
+            Device::new(DeviceProps::paper_rig()),
+            BackwardStrategy::SegScan,
+        );
         let g = gpu.solve(net, &cfg);
         assert!(s.converged() && g.converged(), "{name}");
         println!(

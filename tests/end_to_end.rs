@@ -2,7 +2,7 @@
 //! round-trip it through the .grid format, solve with all three solvers,
 //! and validate physics and cross-solver agreement.
 
-use fbs::{GpuSolver, MulticoreSolver, SerialSolver, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, MulticoreSolver, SerialSolver, SolverConfig};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::gridfile::{parse_grid, write_grid};
 use rng::rngs::StdRng;
@@ -45,7 +45,11 @@ fn generate_serialize_solve_validate() {
 fn gpu_timeline_accounts_for_the_whole_solve() {
     let mut rng = StdRng::seed_from_u64(7);
     let net = balanced_binary(511, &GenSpec::default(), &mut rng);
-    let mut solver = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+    // Pinned to the paper's level path: the kernel names below are its.
+    let mut solver = GpuSolver::with_strategy(
+        Device::with_workers(DeviceProps::paper_rig(), 2),
+        BackwardStrategy::SegScan,
+    );
     let res = solver.solve(&net, &SolverConfig::default());
     assert!(res.converged());
 

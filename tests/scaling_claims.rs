@@ -2,19 +2,27 @@
 //! models (small-to-mid sizes so the suite stays fast; the full-scale
 //! numbers live in the `fbs-bench` experiment binaries).
 
-use fbs::{GpuSolver, SerialSolver, SolverConfig};
+use fbs::{BackwardStrategy, GpuSolver, SerialSolver, SolverConfig};
 use powergrid::gen::{balanced_binary, chain, star, GenSpec};
 use powergrid::LevelOrder;
 use rng::rngs::StdRng;
 use rng::SeedableRng;
 use simt::{Device, DeviceProps, HostProps};
 
+/// The paper's level-launch path, pinned: every claim here is about it.
+fn level_gpu() -> GpuSolver {
+    GpuSolver::with_strategy(
+        Device::with_workers(DeviceProps::paper_rig(), 2),
+        BackwardStrategy::SegScan,
+    )
+}
+
 fn solve_pair(n: usize, seed: u64) -> (f64, f64, f64, f64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = balanced_binary(n, &GenSpec::default(), &mut rng);
     let cfg = SolverConfig::default();
     let s = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
-    let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+    let mut gpu = level_gpu();
     let g = gpu.solve(&net, &cfg);
     assert!(s.converged() && g.converged());
     (
@@ -80,7 +88,7 @@ fn topology_ordering_matches_mean_level_width() {
     ] {
         let levels = LevelOrder::new(&net);
         let s = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
-        let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+        let mut gpu = level_gpu();
         let g = gpu.solve(&net, &cfg);
         assert!(s.converged() && g.converged(), "{name}");
         // Per-iteration GPU time normalises away iteration-count noise.
@@ -101,7 +109,7 @@ fn topology_ordering_matches_mean_level_width() {
 fn backward_sweep_dominates_kernel_time_on_binary_trees() {
     let mut rng = StdRng::seed_from_u64(55);
     let net = balanced_binary(16_384, &GenSpec::default(), &mut rng);
-    let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
+    let mut gpu = level_gpu();
     let g = gpu.solve(&net, &SolverConfig::default());
     let p = g.timing.phases;
     assert!(p.backward_us > p.forward_us, "backward does strictly more launches than forward");
