@@ -28,6 +28,12 @@
 #      per-cell data-race detector (simt's `racecheck` feature).
 #   7. Lint: clippy over every target with warnings promoted to errors.
 #
+# Opt-in, not a leg: the differential oracle at 10⁴ cases (tier-1 runs
+# it at its default counts),
+#   cargo test --release --offline --test oracle -- --ignored
+# measured at 66–68 s of test time on a 2-core Xeon with a warm
+# release build.
+#
 # Everything runs with --offline — the repo has zero external registry
 # dependencies (see DESIGN.md, "Dependency policy"), so a warm toolchain
 # is all that's needed.

@@ -196,6 +196,7 @@ macro_rules! tuple_gen {
 tuple_gen!(tuple2, a: A @ 0, b: B @ 1);
 tuple_gen!(tuple3, a: A @ 0, b: B @ 1, c: C @ 2);
 tuple_gen!(tuple4, a: A @ 0, b: B @ 1, c: C @ 2, d: D @ 3);
+tuple_gen!(tuple5, a: A @ 0, b: B @ 1, c: C @ 2, d: D @ 3, e: E @ 4);
 
 #[cfg(test)]
 mod tests {

@@ -6,11 +6,10 @@ use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
     record_run, solve3_dg, solve_dg, Arrays3, Backend, ContingencyScreener, FaultReport,
-    FleetConfig, FleetRequest, FleetService, GpuSolver, IntegrityConfig, IntegritySampler,
-    JumpArrays, JumpSolver, Mesh3Result, MeshResult, MulticoreSolver, Outcome, OuterConfig,
-    Priority, Request, ResilienceError, ResilientSolver, Scenarios, SerialSolver, ServiceConfig,
-    Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays, SolverConfig,
-    TensorBatchSolver, Timing,
+    FleetConfig, FleetRequest, FleetService, IntegrityConfig, IntegritySampler, Mesh3Result,
+    MeshResult, Outcome, OuterConfig, Priority, Request, ResilienceError, ResilientSolver,
+    Scenarios, ServiceConfig, Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays,
+    SolverConfig, SweepBackend, TensorBatchSolver, Timing,
 };
 use numc::Complex;
 use powergrid::gen::{
@@ -423,81 +422,6 @@ fn serve_one(
     Ok(resp.outcome)
 }
 
-/// One inner single-phase solve on whichever backend `--solver` names:
-/// the plain solver, or the fault-tolerant supervisor once a fault plan
-/// is armed. Radial grids call it once; meshed/DG grids run [`solve_dg`]
-/// around it.
-enum Sweep {
-    Serial(SerialSolver),
-    Multicore(MulticoreSolver),
-    Gpu(GpuSolver),
-    Jump(JumpSolver),
-    Supervised(Box<ResilientSolver>),
-}
-
-impl Sweep {
-    /// The solver for `backend` on the paper rig, with the run's recorder
-    /// attached when `record_inner` is set; with `faults` (the plan and
-    /// `--degrade`) armed, the supervisor starting on that backend, which
-    /// always records its device attempts.
-    fn new(
-        backend: Backend,
-        faults: Option<&(FaultPlan, bool)>,
-        tele: &Telemetry,
-        record_inner: bool,
-    ) -> Sweep {
-        if let Some((plan, degrade)) = faults {
-            return Sweep::Supervised(Box::new(supervisor(backend, plan, *degrade, tele)));
-        }
-        macro_rules! recorded {
-            ($solver:expr) => {
-                match tele.recorder().filter(|_| record_inner) {
-                    Some(rec) => $solver.with_recorder(rec.clone()),
-                    None => $solver,
-                }
-            };
-        }
-        let device = || Device::new(DeviceProps::paper_rig());
-        match backend {
-            Backend::Serial => Sweep::Serial(recorded!(SerialSolver::new(HostProps::paper_rig()))),
-            Backend::Multicore => Sweep::Multicore(recorded!(MulticoreSolver::default())),
-            Backend::GpuJump => Sweep::Jump(recorded!(JumpSolver::new(device()))),
-            level => {
-                let strategy = level.strategy().expect("every other backend is a level GPU sweep");
-                Sweep::Gpu(recorded!(GpuSolver::with_strategy(device(), strategy)))
-            }
-        }
-    }
-
-    /// One solve of `a`, warm-started from `warm` (voltages by bus id)
-    /// where the backend supports it. Only the supervisor can fail.
-    fn solve(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        warm: Option<&[Complex]>,
-    ) -> Result<SolveResult, ResilienceError> {
-        Ok(match self {
-            Sweep::Serial(s) => s.solve_warm(a, cfg, warm),
-            Sweep::Multicore(s) => s.solve_warm(a, cfg, warm),
-            Sweep::Gpu(s) => s.solve_warm(a, cfg, warm),
-            Sweep::Jump(s) => s.solve_arrays(&JumpArrays::new(a), cfg),
-            Sweep::Supervised(s) => return s.solve(a, cfg),
-        })
-    }
-
-    /// The device behind the last solve, if it ran on one: the trace's
-    /// device track and `profile`'s kernel table come from it.
-    fn device(&self) -> Option<&Device> {
-        match self {
-            Sweep::Gpu(s) => Some(s.device()),
-            Sweep::Jump(s) => Some(s.device()),
-            Sweep::Supervised(s) => s.last_device(),
-            Sweep::Serial(_) | Sweep::Multicore(_) => None,
-        }
-    }
-}
-
 /// The `--fault-*` flags plus `--degrade`, which is read only once a
 /// fault plan is armed.
 fn armed_faults(a: &Args) -> Result<Option<(FaultPlan, bool)>, String> {
@@ -544,30 +468,59 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
         return report_solve(&a, net, which, plan.as_ref(), &res, &tele);
     }
 
-    let faults = armed_faults(&a)?;
-    let plan = faults.as_ref().map(|(plan, _)| plan);
-    // A plain meshed sweep leaves telemetry to the outer loop: its
-    // trace shows `outer` rounds, not every inner iteration.
-    let mut sweep = Sweep::new(backend, faults.as_ref(), &tele, outer.is_none());
+    match armed_faults(&a)? {
+        Some((plan, degrade)) => {
+            let mut engine = supervisor(backend, &plan, degrade, &tele);
+            solve_on(&mut engine, &a, &mnet, outer.as_ref(), &cfg, Some(&plan), &tele)
+        }
+        None => {
+            // A plain meshed sweep leaves telemetry to the outer loop: its
+            // trace shows `outer` rounds, not every inner iteration.
+            let rec = tele.recorder().filter(|_| outer.is_none());
+            let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+            let mut engine = backend.engine(&props, &host, rec);
+            solve_on(&mut *engine, &a, &mnet, outer.as_ref(), &cfg, None, &tele)
+        }
+    }
+}
+
+/// The body of `solve` on one engine: one inner solve of a radial grid,
+/// or [`solve_dg`] around the engine for a meshed/DG one; then the
+/// device track, the report block and the exit code.
+fn solve_on<B: SweepBackend + ?Sized>(
+    engine: &mut B,
+    a: &Args,
+    mnet: &MeshedNetwork,
+    outer: Option<&OuterConfig>,
+    cfg: &SolverConfig,
+    plan: Option<&FaultPlan>,
+    tele: &Telemetry,
+) -> Result<u8, String>
+where
+    B::Error: std::fmt::Display,
+{
     enum Solved {
         Meshed(MeshResult),
         Radial(SolveResult),
     }
-    let solved = match &outer {
-        Some(outer) => solve_dg(&mnet, &cfg, outer, tele.recorder(), |arrays, warm| {
-            sweep.solve(arrays, &cfg, warm)
+    let which = a.get_or("solver", "serial");
+    let solved = match outer {
+        Some(outer) => solve_dg(mnet, cfg, outer, tele.recorder(), |arrays, warm| {
+            engine.solve_warm_arrays(arrays, cfg, warm)
         })
         .map(Solved::Meshed),
-        None => sweep.solve(&SolverArrays::new(net), &cfg, None).map(Solved::Radial),
+        None => engine
+            .solve_warm_arrays(&SolverArrays::new(mnet.tree()), cfg, None)
+            .map(Solved::Radial),
     };
-    if let Some(dev) = sweep.device() {
+    if let Some(dev) = engine.device() {
         tele.bridge_device(dev);
     }
     match solved {
-        Ok(Solved::Meshed(res)) => report_meshed(&a, &mnet, which, plan, &res, &tele),
-        Ok(Solved::Radial(res)) => report_solve(&a, net, which, plan, &res, &tele),
-        Err(e) if outer.is_some() => unrecoverable(&format!("{which} (meshed)"), &e, &tele),
-        Err(e) => unrecoverable(which, &e, &tele),
+        Ok(Solved::Meshed(res)) => report_meshed(a, mnet, which, plan, &res, tele),
+        Ok(Solved::Radial(res)) => report_solve(a, mnet.tree(), which, plan, &res, tele),
+        Err(e) if outer.is_some() => unrecoverable(&format!("{which} (meshed)"), &e, tele),
+        Err(e) => unrecoverable(which, &e, tele),
     }
 }
 
@@ -1387,16 +1340,41 @@ fn cmd_profile(argv: &[String]) -> Result<u8, String> {
     // Under a fault plan the kernel table is the last device the
     // supervisor drove (the one whose attempt produced the result,
     // unless the solve degraded to the CPU).
-    let mut sweep = Sweep::new(backend, faults.as_ref(), &tele, true);
-    let solved = sweep.solve(&SolverArrays::new(&net), &cfg, None);
-    if let Some(dev) = sweep.device() {
+    match faults {
+        Some((plan, degrade)) => {
+            let mut engine = supervisor(backend, &plan, degrade, &tele);
+            profile_on(&mut engine, &net, which, &cfg, Some(&plan), &tele)
+        }
+        None => {
+            let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+            let mut engine = backend.engine(&props, &host, tele.recorder());
+            profile_on(&mut *engine, &net, which, &cfg, None, &tele)
+        }
+    }
+}
+
+/// The body of `profile` on one engine: the solve, its device's kernel
+/// table and timeline notes, and the exit code.
+fn profile_on<B: SweepBackend + ?Sized>(
+    engine: &mut B,
+    net: &RadialNetwork,
+    which: &str,
+    cfg: &SolverConfig,
+    plan: Option<&FaultPlan>,
+    tele: &Telemetry,
+) -> Result<u8, String>
+where
+    B::Error: std::fmt::Display,
+{
+    let solved = engine.solve_warm_arrays(&SolverArrays::new(net), cfg, None);
+    if let Some(dev) = engine.device() {
         tele.bridge_device(dev);
     }
     let res = match solved {
         Ok(r) => r,
         Err(e) => {
             println!("solver {which}: {e}");
-            if let Some(dev) = sweep.device() {
+            if let Some(dev) = engine.device() {
                 print_timeline_notes(&dev.timeline().notes());
             }
             tele.write()?;
@@ -1409,11 +1387,11 @@ fn cmd_profile(argv: &[String]) -> Result<u8, String> {
         res.iterations,
         res.timing.total_us()
     );
-    if let Some((plan, _)) = &faults {
+    if let Some(plan) = plan {
         print_fault_report(&res, plan);
     }
     println!();
-    if let Some(dev) = sweep.device() {
+    if let Some(dev) = engine.device() {
         print!("{}", dev.timeline().kernel_report_table());
         print_timeline_notes(&dev.timeline().notes());
     }
@@ -1441,12 +1419,10 @@ fn cmd_compare(argv: &[String]) -> Result<(), String> {
     let cfg = solver_config(&a)?;
     println!("{:<10} {:>7} {:>14} {:>14} {:>9}", "solver", "iters", "modeled total", "vs serial", "conv");
     let arrays = SolverArrays::new(&net);
-    let tele = Telemetry::default();
+    let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
     let mut serial_us = None;
     for backend in Backend::ALL {
-        let r = Sweep::new(backend, None, &tele, false)
-            .solve(&arrays, &cfg, None)
-            .map_err(|e| e.to_string())?;
+        let Ok(r) = backend.engine(&props, &host, None).solve_warm_arrays(&arrays, &cfg, None);
         // `Backend::ALL` starts with serial, the speedup baseline.
         let base = *serial_us.get_or_insert(r.timing.total_us());
         println!(

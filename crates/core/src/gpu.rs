@@ -25,6 +25,12 @@
 //! marks, so the experiment harness can reproduce the paper's breakdown
 //! and "GPU-only" numbers exactly.
 //!
+//! The iteration itself is a `GpuSession`; the loop around it
+//! (convergence, deadline, download) is the one device loop,
+//! `recovery::drive`, which the fault-tolerant supervisor also runs.
+//! A plain solve runs it with checkpointing off and no retry budget, so
+//! it issues exactly the session's own device operations.
+//!
 //! # Routing
 //!
 //! On a small or deep tree the level path is launch-bound: a 1K-bus
@@ -48,9 +54,8 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::SweepSession;
-use crate::report::{PhaseTimes, SolveResult, Timing};
-use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::recovery::{self, SessionClock, SweepSession};
+use crate::report::SolveResult;
 use crate::tensor_batch;
 
 /// How the backward sweep aggregates child branch currents.
@@ -134,78 +139,28 @@ impl GpuSolver {
     /// Solves starting from a previous solution (`v_init` indexed by bus
     /// id) instead of the flat start; the initial state is uploaded
     /// (charged to setup) rather than filled on-device.
+    ///
+    /// The level path runs the one device loop (`recovery::drive`) with
+    /// no checkpoints and no retry budget: a device error or an injected
+    /// fault it would have to roll back panics. The fused path handles
+    /// device weather itself (audit, retry, host repair) and reports it
+    /// in [`SolveResult::fault_report`].
     pub fn solve_warm(
         &mut self,
         a: &SolverArrays,
         cfg: &SolverConfig,
         v_init: Option<&[Complex]>,
     ) -> SolveResult {
-        self.try_solve_warm(a, cfg, v_init).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GpuSolver::solve_warm`]: surfaces injected faults and
-    /// device loss on the level path as [`DeviceError`], which the public
-    /// entry points turn into a panic. The fused path handles device
-    /// weather itself (audit, retry, host repair) and reports it in
-    /// [`SolveResult::fault_report`].
-    fn try_solve_warm(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> Result<SolveResult, DeviceError> {
         let wall0 = Instant::now();
         if cfg.validate().is_err() {
-            return Ok(crate::report::invalid_config_result(a.len(), a.source));
+            return crate::report::invalid_config_result(a.len(), a.source);
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu");
         if self.routed && fused_sweep_wins(self.device.props(), a, v_init.is_some()) {
-            return Ok(tensor_batch::solve_single(&mut self.device, a, cfg, v_init, &obs));
+            return tensor_batch::solve_single(&mut self.device, a, cfg, v_init, &obs);
         }
-        let mut monitor = ConvergenceMonitor::new(cfg, a.source.abs());
-        let mut sess =
-            GpuSession::with_obs(&mut self.device, a, self.strategy, v_init, obs.clone())?;
-
-        let mut iterations = 0;
-        let mut residual = f64::MAX;
-        let mut residual_history = Vec::new();
-        let mut status = SolveStatus::MaxIterations;
-
-        while iterations < cfg.max_iter {
-            iterations += 1;
-            let iter_t0 = sess.elapsed_modeled_us();
-            let delta = sess.iterate()?;
-            obs.iteration(iterations, iter_t0, sess.elapsed_modeled_us(), delta);
-            residual = delta;
-            residual_history.push(delta);
-            if let Some(s) = monitor.observe(iterations, delta) {
-                status = s;
-                break;
-            }
-            if let Some(budget) = cfg.deadline_us {
-                let elapsed = sess.elapsed_modeled_us();
-                if elapsed >= budget {
-                    status = SolveStatus::DeadlineExceeded {
-                        at_iteration: iterations,
-                        elapsed_us: elapsed as u64,
-                    };
-                    break;
-                }
-            }
-        }
-
-        let (v_pos, j_pos) = sess.download()?;
-        let timing = sess.timing(wall0);
-        Ok(SolveResult {
-            v: a.levels.unpermute(&v_pos),
-            j: a.levels.unpermute(&j_pos),
-            iterations,
-            status,
-            residual,
-            residual_history,
-            timing,
-            fault_report: None,
-        })
+        let opened = GpuSession::with_obs(&mut self.device, a, self.strategy, v_init, obs.clone());
+        recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
 
@@ -244,6 +199,8 @@ fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
 pub(crate) struct GpuSession<'a> {
     dev: &'a mut Device,
     a: &'a SolverArrays,
+    /// The warm start by bus id; `None` is the flat start.
+    v_init: Option<&'a [Complex]>,
     strategy: BackwardStrategy,
     s_buf: DeviceBuffer<Complex>,
     z_buf: DeviceBuffer<Complex>,
@@ -257,11 +214,7 @@ pub(crate) struct GpuSession<'a> {
     j_buf: DeviceBuffer<Complex>,
     delta_buf: DeviceBuffer<f64>,
     scan_buf: DeviceBuffer<Complex>,
-    phases: PhaseTimes,
-    transfer_us: f64,
-    transfer_sweep_us: f64,
-    recovery_us: f64,
-    obs: Obs,
+    clock: SessionClock,
 }
 
 impl<'a> GpuSession<'a> {
@@ -272,12 +225,11 @@ impl<'a> GpuSession<'a> {
         dev: &'a mut Device,
         a: &'a SolverArrays,
         strategy: BackwardStrategy,
-        v_init: Option<&[Complex]>,
+        v_init: Option<&'a [Complex]>,
         obs: Obs,
     ) -> Result<Self, DeviceError> {
         let n = a.len();
         let v0 = a.source;
-        let mut phases = PhaseTimes::default();
 
         let mark = dev.timeline().mark();
         let s_buf = dev.try_alloc_from(&a.s)?;
@@ -301,14 +253,12 @@ impl<'a> GpuSession<'a> {
         let mut delta_buf = dev.try_alloc::<f64>(n)?;
         try_fill(dev, &mut delta_buf, 0.0)?;
         let scan_buf = dev.try_alloc::<Complex>(n)?;
-        let b = dev.timeline().breakdown_since(mark);
-        phases.setup_us += b.total_us();
-        let transfer_us = b.htod_us + b.dtoh_us;
-        obs.phase("setup", 0.0, phases.setup_us);
+        let clock = SessionClock::new(&dev.timeline().breakdown_since(mark), obs);
 
         Ok(GpuSession {
             dev,
             a,
+            v_init,
             strategy,
             s_buf,
             z_buf,
@@ -322,31 +272,14 @@ impl<'a> GpuSession<'a> {
             j_buf,
             delta_buf,
             scan_buf,
-            phases,
-            transfer_us,
-            transfer_sweep_us: 0.0,
-            recovery_us: 0.0,
-            obs,
+            clock,
         })
     }
 }
 
 impl SweepSession for GpuSession<'_> {
-    fn elapsed_modeled_us(&self) -> f64 {
-        self.phases.total_us() + self.recovery_us
-    }
-
-    fn timing(&self, wall0: Instant) -> Timing {
-        Timing {
-            phases: self.phases,
-            transfer_us: self.transfer_us,
-            transfer_sweep_us: self.transfer_sweep_us,
-            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
-        }
-    }
-
-    fn recovery_us(&self) -> f64 {
-        self.recovery_us
+    fn clock(&self) -> &SessionClock {
+        &self.clock
     }
 
     fn iterate(&mut self) -> Result<f64, DeviceError> {
@@ -373,10 +306,7 @@ impl SweepSession for GpuSession<'_> {
                 t.st(&i_v, p, out);
             })?;
         }
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.injection_us += b.total_us();
-        self.obs.phase("injection", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("injection", &dev.timeline().breakdown_since(mark));
 
         // ---- Backward sweep: deepest level → root ----
         let mark = dev.timeline().mark();
@@ -466,10 +396,7 @@ impl SweepSession for GpuSession<'_> {
                 BackwardStrategy::AtomicScatter => unreachable!("handled above"),
             }
         }
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.backward_us += b.total_us();
-        self.obs.phase("backward", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("backward", &dev.timeline().breakdown_since(mark));
 
         // ---- Forward sweep: root → leaves ----
         let mark = dev.timeline().mark();
@@ -494,20 +421,12 @@ impl SweepSession for GpuSession<'_> {
                 t.st(&d_v, p, (new_v - old).abs());
             })?;
         }
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.forward_us += b.total_us();
-        self.obs.phase("forward", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("forward", &dev.timeline().breakdown_since(mark));
 
         // ---- Convergence: ∞-norm reduction + scalar read-back ----
         let mark = dev.timeline().mark();
         let delta = try_reduce::<f64, MaxAbsF64>(dev, &self.delta_buf)?;
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.convergence_us += b.total_us();
-        self.obs.phase("convergence", t0, self.phases.total_us() + self.recovery_us);
-        self.transfer_us += b.htod_us + b.dtoh_us;
-        self.transfer_sweep_us += b.htod_us + b.dtoh_us;
+        self.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
         Ok(delta)
     }
 
@@ -516,7 +435,7 @@ impl SweepSession for GpuSession<'_> {
         // A checkpoint read must be certified clean: a silently corrupted
         // snapshot would poison every later rollback.
         let v = self.dev.try_dtoh_checked(&self.v_buf)?;
-        self.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(v)
     }
 
@@ -536,8 +455,15 @@ impl SweepSession for GpuSession<'_> {
         dev.try_htod_checked(&mut self.seg_last_buf, &a.seg_last)?;
         dev.try_htod_checked(&mut self.v_buf, v_pos)?;
         try_fill(dev, &mut self.delta_buf, 0.0)?;
-        self.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(())
+    }
+
+    fn start_state(&self) -> Vec<Complex> {
+        match self.v_init {
+            Some(init) => self.a.levels.permute(init),
+            None => vec![self.a.source; self.a.len()],
+        }
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
@@ -551,7 +477,7 @@ impl SweepSession for GpuSession<'_> {
             && dev.try_dtoh(&self.child_hi_buf)? == a.child_hi
             && dev.try_dtoh(&self.flags_buf)? == a.head_flags
             && dev.try_dtoh(&self.seg_last_buf)? == a.seg_last;
-        self.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
 
@@ -560,12 +486,12 @@ impl SweepSession for GpuSession<'_> {
         let mark = dev.timeline().mark();
         let v_pos = dev.try_dtoh_checked(&self.v_buf)?;
         let j_pos = dev.try_dtoh_checked(&self.j_buf)?;
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.teardown_us += b.total_us();
-        self.obs.phase("teardown", t0, self.phases.total_us() + self.recovery_us);
-        self.transfer_us += b.htod_us + b.dtoh_us;
+        self.clock.charge("teardown", &dev.timeline().breakdown_since(mark));
         Ok((v_pos, j_pos))
+    }
+
+    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex> {
+        self.a.levels.unpermute(pos)
     }
 
     fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
@@ -591,7 +517,10 @@ impl SweepSession for GpuSession<'_> {
             j[p] = acc;
         }
         let mut v_new = v_pos.to_vec();
-        let mut res = 0.0;
+        // No kernel writes the root, so a corrupted root is a consistent
+        // fixed point of a wrong source — check it against the start.
+        let root = self.v_init.map_or(a.source, |init| init[a.levels.order[0] as usize]);
+        let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).abs());
         for p in 1..n {
             let parent = a.parent_pos[p] as usize;
             let nv = v_new[parent] - a.z[p] * j[p];
@@ -813,7 +742,7 @@ mod route_tests {
             BackwardStrategy::SegScan,
         )
         .solve(&net, &cfg);
-        assert_eq!(r.status, SolveStatus::Converged);
+        assert_eq!(r.status, crate::SolveStatus::Converged);
         assert_eq!(r.iterations, p.iterations);
         assert_eq!(r.residual_history.len(), r.iterations as usize);
         assert!(r.timing.total_us() < p.timing.total_us());
@@ -839,7 +768,7 @@ mod route_tests {
         let bad = SolverConfig { max_iter: 0, ..SolverConfig::default() };
         let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
         let res = gpu.solve(&net, &bad);
-        assert_eq!((res.status, res.iterations), (SolveStatus::InvalidConfig, 0));
+        assert_eq!((res.status, res.iterations), (crate::SolveStatus::InvalidConfig, 0));
         assert!(res.residual_history.is_empty());
         assert_eq!(gpu.device().timeline().breakdown().kernels, 0, "nothing ran");
     }

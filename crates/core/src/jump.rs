@@ -27,6 +27,11 @@
 //! cancellation-level rounding (≪ solver tolerance); iterates therefore
 //! converge to the same fixed point but may occasionally take one
 //! iteration more or fewer.
+//!
+//! Like the level path, a `JumpSession` is one iteration, driven by the
+//! one device loop, `recovery::drive` (checkpointing off for a plain
+//! solve). The solver always starts flat: as an engine
+//! ([`crate::SweepBackend`]) it ignores the warm-start hint.
 
 use std::time::Instant;
 
@@ -40,9 +45,8 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::SweepSession;
-use crate::report::{PhaseTimes, SolveResult, Timing};
-use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::recovery::{self, SessionClock, SweepSession};
+use crate::report::SolveResult;
 
 /// Preorder solver arrays (the jump solver's analog of
 /// [`crate::SolverArrays`]).
@@ -135,67 +139,18 @@ impl JumpSolver {
         self.solve_arrays(&arrays, cfg)
     }
 
-    /// Solves with pre-built preorder arrays.
+    /// Solves with pre-built preorder arrays, always from the flat start.
+    /// Runs the one device loop (`recovery::drive`) with no
+    /// checkpoints and no retry budget: a device error or an injected
+    /// fault it would have to roll back panics.
     pub fn solve_arrays(&mut self, a: &JumpArrays, cfg: &SolverConfig) -> SolveResult {
-        self.try_solve_arrays(a, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`JumpSolver::solve_arrays`]: surfaces injected faults
-    /// and device loss as [`DeviceError`], which the public entry
-    /// points turn into a panic.
-    fn try_solve_arrays(
-        &mut self,
-        a: &JumpArrays,
-        cfg: &SolverConfig,
-    ) -> Result<SolveResult, DeviceError> {
         let wall0 = Instant::now();
         if cfg.validate().is_err() {
-            return Ok(crate::report::invalid_config_result(a.len(), a.source));
+            return crate::report::invalid_config_result(a.len(), a.source);
         }
-        let mut monitor = ConvergenceMonitor::new(cfg, a.source.abs());
         let obs = Obs::new(self.recorder.as_ref(), "solver.jump");
-        let mut sess = JumpSession::with_obs(&mut self.device, a, obs.clone())?;
-
-        let mut iterations = 0;
-        let mut residual = f64::MAX;
-        let mut residual_history = Vec::new();
-        let mut status = SolveStatus::MaxIterations;
-
-        while iterations < cfg.max_iter {
-            iterations += 1;
-            let iter_t0 = sess.elapsed_modeled_us();
-            let delta = sess.iterate()?;
-            obs.iteration(iterations, iter_t0, sess.elapsed_modeled_us(), delta);
-            residual = delta;
-            residual_history.push(delta);
-            if let Some(s) = monitor.observe(iterations, delta) {
-                status = s;
-                break;
-            }
-            if let Some(budget) = cfg.deadline_us {
-                let elapsed = sess.elapsed_modeled_us();
-                if elapsed >= budget {
-                    status = SolveStatus::DeadlineExceeded {
-                        at_iteration: iterations,
-                        elapsed_us: elapsed as u64,
-                    };
-                    break;
-                }
-            }
-        }
-
-        let (v_pos, j_pos) = sess.download()?;
-        let timing = sess.timing(wall0);
-        Ok(SolveResult {
-            v: a.dfs.unpermute(&v_pos),
-            j: a.dfs.unpermute(&j_pos),
-            iterations,
-            status,
-            residual,
-            residual_history,
-            timing,
-            fault_report: None,
-        })
+        let opened = JumpSession::with_obs(&mut self.device, a, obs.clone());
+        recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
 
@@ -219,11 +174,7 @@ pub(crate) struct JumpSession<'a> {
     d_b: DeviceBuffer<Complex>,
     ptr_a: DeviceBuffer<u32>,
     ptr_b: DeviceBuffer<u32>,
-    phases: PhaseTimes,
-    transfer_us: f64,
-    transfer_sweep_us: f64,
-    recovery_us: f64,
-    obs: Obs,
+    clock: SessionClock,
 }
 
 impl<'a> JumpSession<'a> {
@@ -238,7 +189,6 @@ impl<'a> JumpSession<'a> {
         let n = a.len();
         let v0 = a.source;
         let jump_rounds = ceil_log2(a.dfs.max_depth.max(1) as usize);
-        let mut phases = PhaseTimes::default();
 
         let mark = dev.timeline().mark();
         let s_buf = dev.try_alloc_from(&a.s)?;
@@ -257,10 +207,7 @@ impl<'a> JumpSession<'a> {
         let d_b = dev.try_alloc::<Complex>(n)?;
         let ptr_a = dev.try_alloc::<u32>(n)?;
         let ptr_b = dev.try_alloc::<u32>(n)?;
-        let b = dev.timeline().breakdown_since(mark);
-        phases.setup_us += b.total_us();
-        let transfer_us = b.htod_us + b.dtoh_us;
-        obs.phase("setup", 0.0, phases.setup_us);
+        let clock = SessionClock::new(&dev.timeline().breakdown_since(mark), obs);
 
         Ok(JumpSession {
             dev,
@@ -279,31 +226,14 @@ impl<'a> JumpSession<'a> {
             d_b,
             ptr_a,
             ptr_b,
-            phases,
-            transfer_us,
-            transfer_sweep_us: 0.0,
-            recovery_us: 0.0,
-            obs,
+            clock,
         })
     }
 }
 
 impl SweepSession for JumpSession<'_> {
-    fn elapsed_modeled_us(&self) -> f64 {
-        self.phases.total_us() + self.recovery_us
-    }
-
-    fn timing(&self, wall0: Instant) -> Timing {
-        Timing {
-            phases: self.phases,
-            transfer_us: self.transfer_us,
-            transfer_sweep_us: self.transfer_sweep_us,
-            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
-        }
-    }
-
-    fn recovery_us(&self) -> f64 {
-        self.recovery_us
+    fn clock(&self) -> &SessionClock {
+        &self.clock
     }
 
     fn iterate(&mut self) -> Result<f64, DeviceError> {
@@ -330,9 +260,7 @@ impl SweepSession for JumpSession<'_> {
                 t.st(&i_v, d, out);
             })?;
         }
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.injection_us += dev.timeline().breakdown_since(mark).total_us();
-        self.obs.phase("injection", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("injection", &dev.timeline().breakdown_since(mark));
 
         // ---- Backward sweep, fused: one scan + one map ----
         let mark = dev.timeline().mark();
@@ -359,9 +287,7 @@ impl SweepSession for JumpSession<'_> {
                 t.st(&j_v, d, hi - lo);
             })?;
         }
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.backward_us += dev.timeline().breakdown_since(mark).total_us();
-        self.obs.phase("backward", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("backward", &dev.timeline().breakdown_since(mark));
 
         // ---- Forward sweep: per-edge drops, then pointer jumping ----
         let mark = dev.timeline().mark();
@@ -414,26 +340,19 @@ impl SweepSession for JumpSession<'_> {
                 t.st(&delta_v, d, (new_v - old).abs());
             })?;
         }
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.forward_us += dev.timeline().breakdown_since(mark).total_us();
-        self.obs.phase("forward", t0, self.phases.total_us() + self.recovery_us);
+        self.clock.charge("forward", &dev.timeline().breakdown_since(mark));
 
         // ---- Convergence ----
         let mark = dev.timeline().mark();
         let delta = try_reduce::<f64, MaxAbsF64>(dev, &self.delta_buf)?;
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.convergence_us += b.total_us();
-        self.obs.phase("convergence", t0, self.phases.total_us() + self.recovery_us);
-        self.transfer_us += b.htod_us + b.dtoh_us;
-        self.transfer_sweep_us += b.htod_us + b.dtoh_us;
+        self.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
         Ok(delta)
     }
 
     fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
         let mark = self.dev.timeline().mark();
         let v = self.dev.try_dtoh(&self.v_buf)?;
-        self.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(v)
     }
 
@@ -447,8 +366,12 @@ impl SweepSession for JumpSession<'_> {
         dev.try_htod(&mut self.size_buf, &a.subtree_size)?;
         dev.try_htod(&mut self.v_buf, v_pos)?;
         try_fill(dev, &mut self.delta_buf, 0.0)?;
-        self.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(())
+    }
+
+    fn start_state(&self) -> Vec<Complex> {
+        vec![self.a.source; self.a.len()]
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
@@ -459,7 +382,7 @@ impl SweepSession for JumpSession<'_> {
             && dev.try_dtoh(&self.z_buf)? == a.z
             && dev.try_dtoh(&self.parent_buf)? == a.parent_or_self
             && dev.try_dtoh(&self.size_buf)? == a.subtree_size;
-        self.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
 
@@ -468,12 +391,12 @@ impl SweepSession for JumpSession<'_> {
         let mark = dev.timeline().mark();
         let v_pos = dev.try_dtoh(&self.v_buf)?;
         let j_pos = dev.try_dtoh(&self.j_buf)?;
-        let b = dev.timeline().breakdown_since(mark);
-        let t0 = self.phases.total_us() + self.recovery_us;
-        self.phases.teardown_us += b.total_us();
-        self.obs.phase("teardown", t0, self.phases.total_us() + self.recovery_us);
-        self.transfer_us += b.htod_us + b.dtoh_us;
+        self.clock.charge("teardown", &dev.timeline().breakdown_since(mark));
         Ok((v_pos, j_pos))
+    }
+
+    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex> {
+        self.a.dfs.unpermute(pos)
     }
 
     fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
@@ -668,20 +591,6 @@ mod tests {
             .map(|bus| net.parent_branch(bus).map_or(Complex::ZERO, |br| br.z))
             .collect();
         assert_eq!(a.z, dfs.permute(&z));
-
-        // The supervisor's jump rung is the plain jump solver, bit for bit.
-        let cfg = SolverConfig::default();
-        let plain = jump().solve_arrays(&a, &cfg);
-        let supervised = crate::ResilientSolver::new(
-            crate::Backend::GpuJump,
-            DeviceProps::paper_rig(),
-            HostProps::paper_rig(),
-        )
-        .solve(&arrays, &cfg)
-        .expect("a clean run cannot fail");
-        assert!(plain.converged());
-        assert_eq!(supervised.v, plain.v);
-        assert_eq!(supervised.iterations, plain.iterations);
     }
 
     #[test]

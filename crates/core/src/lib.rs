@@ -13,6 +13,9 @@
 //!   and deep trees); [`GpuSolver::with_strategy`] pins the level path,
 //! * [`MulticoreSolver`] — a level-parallel host-thread solver (ablation).
 //!
+//! These, [`JumpSolver`] and [`ResilientSolver`] are engines of one
+//! interface, [`SweepBackend`], built by [`Backend::engine`].
+//!
 //! Post-solve physics checks live in [`validate`].
 //!
 //! ```
@@ -33,6 +36,7 @@
 mod arrays;
 mod config;
 pub mod contingency;
+mod engine;
 pub mod fleet;
 mod gpu;
 pub mod integrity;
@@ -52,6 +56,7 @@ pub mod validate;
 pub use arrays::SolverArrays;
 pub use config::{ConfigError, SolverConfig};
 pub use contingency::{ContingencyOutcome, ContingencyScreener, ScreeningReport};
+pub use engine::{Backend, SweepBackend};
 pub use fleet::{
     DeviceHealth, FleetConfig, FleetRequest, FleetResponse, FleetService, FleetStats,
     Priority, ShedReason,
@@ -61,11 +66,11 @@ pub use integrity::{IntegrityConfig, IntegritySampler, IntegrityStats, Integrity
 pub use jump::{JumpArrays, JumpSolver};
 pub use mesh::{
     solve3_dg, solve_dg, solve_dg_batch, DgBatchResult, GenMode, Mesh3Result, MeshProblem,
-    MeshResult, MeshSolver, MeshState, OuterConfig, OuterStatus, SweepBackend,
+    MeshResult, MeshSolver, MeshState, OuterConfig, OuterStatus,
 };
 pub use multicore::MulticoreSolver;
 pub use obs::record_run;
-pub use recovery::{Backend, ResilienceError, ResilientSolver};
+pub use recovery::{ResilienceError, ResilientSolver};
 pub use report::{FaultReport, PhaseTimes, SolveResult, Timing};
 pub use serial::SerialSolver;
 pub use service::{

@@ -4,9 +4,9 @@
 //! distribution feeders; real feeders carry a handful of normally-closed
 //! tie switches (weak loops) and, increasingly, distributed generators
 //! holding voltage set-points. This module closes both gaps with the
-//! classic *compensation* construction (Shirmohammadi et al.), keeping
-//! the radial inner solvers — serial, multicore, GPU — completely
-//! unchanged:
+//! classic *compensation* construction (Shirmohammadi et al.) around an
+//! unchanged radial inner solve — any engine of the one interface,
+//! [`SweepBackend`], including the fault-tolerant supervisor:
 //!
 //! * **Break-point compensation.** Each closed tie is opened at a break
 //!   point by [`powergrid::MeshedNetwork`]'s spanning-tree extraction.
@@ -31,6 +31,8 @@
 //! [`SolveStatus::OuterDiverged`], CLI exit code 9) rather than
 //! masquerading as `MaxIterations`.
 
+use std::convert::Infallible;
+
 use numc::{c, solve_dense, CVec3, Complex};
 use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::{MeshedNetwork, PvBus, RadialNetwork};
@@ -39,8 +41,7 @@ use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
-use crate::gpu::GpuSolver;
-use crate::multicore::MulticoreSolver;
+use crate::engine::SweepBackend;
 use crate::obs::Obs;
 use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
@@ -228,40 +229,6 @@ impl MeshResult {
         self.status.is_converged()
     }
 }
-
-/// A radial sweep backend [`MeshSolver`] can drive: anything that can
-/// re-solve prepared arrays from a warm start. Implemented by the
-/// serial, multicore and GPU solvers; any other inner solve (the
-/// fault-tolerant supervisor, say) plugs into [`solve_dg`] directly.
-pub trait SweepBackend {
-    /// One inner radial solve over `a`, warm-started from `v_init`
-    /// (indexed by bus id) when given.
-    fn solve_warm_arrays(
-        &mut self,
-        a: &SolverArrays,
-        cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> SolveResult;
-}
-
-/// Implements [`SweepBackend`] for radial solvers whose inherent
-/// `solve_warm` already has the trait method's shape.
-macro_rules! forward_sweep_backend {
-    ($($solver:ty),*) => {$(
-        impl SweepBackend for $solver {
-            fn solve_warm_arrays(
-                &mut self,
-                a: &SolverArrays,
-                cfg: &SolverConfig,
-                v_init: Option<&[Complex]>,
-            ) -> SolveResult {
-                self.solve_warm(a, cfg, v_init)
-            }
-        }
-    )*};
-}
-
-forward_sweep_backend!(SerialSolver, MulticoreSolver, GpuSolver);
 
 /// The precomputed, topology-only part of a meshed/DG problem: base
 /// loads, the Thevenin loop-impedance matrix and per-generator voltage
@@ -596,13 +563,13 @@ impl OuterMonitor {
 }
 
 /// The meshed/DG solver: an outer compensation loop wrapped around any
-/// [`SweepBackend`].
+/// plain [`SweepBackend`].
 pub struct MeshSolver<B> {
     backend: B,
     outer: OuterConfig,
 }
 
-impl<B: SweepBackend> MeshSolver<B> {
+impl<B: SweepBackend<Error = Infallible>> MeshSolver<B> {
     /// Wraps a radial backend with the default outer configuration.
     pub fn new(backend: B) -> Self {
         MeshSolver { backend, outer: OuterConfig::default() }
@@ -617,9 +584,8 @@ impl<B: SweepBackend> MeshSolver<B> {
     /// Solves a weakly-meshed/DG network: [`solve_dg`] around the
     /// backend's warm-started sweep.
     pub fn solve(&mut self, net: &MeshedNetwork, cfg: &SolverConfig) -> MeshResult {
-        let Ok(res) = solve_dg(net, cfg, &self.outer, None, |a, warm| {
-            Ok::<_, std::convert::Infallible>(self.backend.solve_warm_arrays(a, cfg, warm))
-        });
+        let Ok(res) =
+            solve_dg(net, cfg, &self.outer, None, |a, warm| self.backend.solve_warm_arrays(a, cfg, warm));
         res
     }
 }
@@ -627,10 +593,10 @@ impl<B: SweepBackend> MeshSolver<B> {
 /// Solves a weakly-meshed/DG network: the compensation + PV outer loop
 /// around one inner radial solve per round. `inner` solves the prepared
 /// arrays, whose loads the loop patches in place each round, optionally
-/// warm-started from the previous round's voltages (by bus id) — a plain
-/// backend is `|a, warm| Ok::<_, Infallible>(solver.solve_warm(a, cfg, warm))`,
-/// the fault-tolerant one `|a, _| supervisor.solve(a, cfg)` (recovery
-/// certification assumes a flat start, so it forgoes warm starts).
+/// warm-started from the previous round's voltages (by bus id). Any
+/// engine plugs in as `|a, warm| engine.solve_warm_arrays(a, cfg, warm)`;
+/// the fault-tolerant supervisor ignores the warm start, because recovery
+/// certification assumes a flat start.
 ///
 /// The reported timing, iterations and fault report accumulate over
 /// every inner solve. With a recorder, each round adds an `outer` span
@@ -1144,7 +1110,7 @@ fn root_path(tree: &RadialNetwork, bus: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::{Backend, ResilientSolver};
+    use crate::{Backend, GpuSolver, MulticoreSolver, ResilientSolver};
     use crate::three_phase::{Gpu3Solver, Serial3Solver};
     use numc::{approx_eq_eps, CMat3};
     use powergrid::ieee::ieee123_dg;
@@ -1301,27 +1267,20 @@ mod tests {
         assert!(serial.outer_iterations >= 2, "loops + DG must engage the outer loop");
         assert!(serial.loop_currents.iter().any(|j| j.abs() > 0.01));
 
-        let mut mc = MeshSolver::new(MulticoreSolver::new(HostProps::paper_rig(), 8));
-        let m = mc.solve(&net, &cfg);
-        assert!(m.converged(), "multicore: {}", m.status);
-
-        let mut gpu = MeshSolver::new(GpuSolver::new(Device::new(DeviceProps::paper_rig())));
-        let g = gpu.solve(&net, &cfg);
-        assert!(g.converged(), "gpu: {}", g.status);
-
         let scale = net.tree().source_voltage().abs();
-        for i in 0..net.tree().num_buses() {
-            assert!(
-                (serial.inner.v[i] - m.inner.v[i]).abs() <= 1e-9 * scale,
-                "serial vs multicore at bus {i}"
-            );
-            assert!(
-                (serial.inner.v[i] - g.inner.v[i]).abs() <= 1e-9 * scale,
-                "serial vs gpu at bus {i}"
-            );
-        }
-        for (a, b) in serial.q_gen.iter().zip(&m.q_gen) {
-            assert!(approx_eq_eps(*a, *b, 1e-6, 1e-3), "{a} vs {b}");
+        let engines: [(&str, Box<dyn SweepBackend<Error = Infallible>>); 2] = [
+            ("multicore", Box::new(MulticoreSolver::new(HostProps::paper_rig(), 8))),
+            ("gpu", Box::new(GpuSolver::new(Device::new(DeviceProps::paper_rig())))),
+        ];
+        for (name, engine) in engines {
+            let r = MeshSolver::new(engine).solve(&net, &cfg);
+            assert!(r.converged(), "{name}: {}", r.status);
+            for (i, (x, y)) in serial.inner.v.iter().zip(&r.inner.v).enumerate() {
+                assert!((*x - *y).abs() <= 1e-9 * scale, "serial vs {name} at bus {i}");
+            }
+            for (a, b) in serial.q_gen.iter().zip(&r.q_gen) {
+                assert!(approx_eq_eps(*a, *b, 1e-6, 1e-3), "{name}: {a} vs {b}");
+            }
         }
     }
 

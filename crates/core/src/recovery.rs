@@ -45,18 +45,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use numc::Complex;
-use simt::{Device, DeviceError, DeviceProps, FaultPlan, HostProps};
+use simt::{Breakdown, Device, DeviceError, DeviceProps, FaultKind, FaultPlan, HostProps};
 
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
-use crate::gpu::{BackwardStrategy, GpuSession};
+use crate::engine::Backend;
+use crate::gpu::GpuSession;
 use crate::jump::{JumpArrays, JumpSession};
-use crate::multicore::MulticoreSolver;
 use crate::obs::Obs;
-use crate::report::{FaultReport, SolveResult, Timing};
-use crate::serial::SerialSolver;
+use crate::report::{FaultReport, PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
 use crate::three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
 
@@ -71,10 +70,8 @@ pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 ///
 /// All voltages are in the session's device position order.
 pub(crate) trait SweepSession {
-    /// Modeled µs elapsed on this session so far (phase times plus
-    /// recovery traffic) — the clock [`SolverConfig::deadline_us`] is
-    /// checked against.
-    fn elapsed_modeled_us(&self) -> f64;
+    /// The session's modeled-time accounts.
+    fn clock(&self) -> &SessionClock;
     /// Runs one full FBS iteration; returns the ∞-norm voltage update.
     fn iterate(&mut self) -> Result<f64, DeviceError>;
     /// Downloads the voltage state (checkpoint capture).
@@ -82,11 +79,18 @@ pub(crate) trait SweepSession {
     /// Re-uploads every static buffer and the given voltages, clearing
     /// scratch state — heals any resident corruption.
     fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError>;
+    /// The voltages the session started from (the flat start or the warm
+    /// start it was opened with) — what a rollback to the initial
+    /// checkpoint restores. Built on demand, so a clean solve never
+    /// holds a host copy of it.
+    fn start_state(&self) -> Vec<Complex>;
     /// Compares every static device buffer byte-for-byte against its
     /// host copy.
     fn verify_static(&mut self) -> Result<bool, DeviceError>;
     /// Downloads the final voltages and branch currents.
     fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError>;
+    /// Lays a position-order array out by bus id.
+    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex>;
     /// One host-side FBS iteration from `v_pos`: returns the residual
     /// it would produce and the host-computed branch currents.
     fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>);
@@ -94,11 +98,70 @@ pub(crate) trait SweepSession {
     fn source_mag(&self) -> f64;
     /// Faults the device has recorded so far (monotone per device).
     fn faults_observed(&self) -> u32;
-    /// Modeled µs spent on checkpoint/restore/verify traffic.
-    fn recovery_us(&self) -> f64;
+}
+
+/// Modeled-time accounts of one device session: the phase totals, the
+/// transfer time within them and the recovery traffic outside them, with
+/// one phase span per charge.
+pub(crate) struct SessionClock {
+    phases: PhaseTimes,
+    transfer_us: f64,
+    transfer_sweep_us: f64,
+    /// Checkpoint, restore and verify traffic.
+    pub(crate) recovery_us: f64,
+    obs: Obs,
+}
+
+impl SessionClock {
+    /// Opens the accounts with the session's setup traffic `b`.
+    pub(crate) fn new(b: &Breakdown, obs: Obs) -> Self {
+        let mut phases = PhaseTimes::default();
+        phases.setup_us += b.total_us();
+        obs.phase("setup", 0.0, phases.setup_us);
+        let transfer_us = b.htod_us + b.dtoh_us;
+        SessionClock { phases, transfer_us, transfer_sweep_us: 0.0, recovery_us: 0.0, obs }
+    }
+
+    /// Modeled µs so far, phases plus recovery traffic — the clock
+    /// [`SolverConfig::deadline_us`] is checked against.
+    pub(crate) fn elapsed_us(&self) -> f64 {
+        self.phases.total_us() + self.recovery_us
+    }
+
+    /// Charges `b` to one phase (`injection`, `backward`, `forward`,
+    /// `convergence` or `teardown`) and records its span. The scalar
+    /// read-back of `convergence` is sweep transfer time; the final
+    /// download of `teardown` is transfer time outside the sweep.
+    pub(crate) fn charge(&mut self, phase: &'static str, b: &Breakdown) {
+        let t0 = self.elapsed_us();
+        let slot = match phase {
+            "injection" => &mut self.phases.injection_us,
+            "backward" => &mut self.phases.backward_us,
+            "forward" => &mut self.phases.forward_us,
+            "convergence" => &mut self.phases.convergence_us,
+            "teardown" => &mut self.phases.teardown_us,
+            _ => unreachable!("no sweep phase is called {phase}"),
+        };
+        *slot += b.total_us();
+        self.obs.phase(phase, t0, self.elapsed_us());
+        if matches!(phase, "convergence" | "teardown") {
+            self.transfer_us += b.htod_us + b.dtoh_us;
+        }
+        if phase == "convergence" {
+            self.transfer_sweep_us += b.htod_us + b.dtoh_us;
+        }
+    }
+
     /// Timing summary as of now (`wall0` is the wall-clock origin of the
     /// whole solve).
-    fn timing(&self, wall0: Instant) -> Timing;
+    pub(crate) fn timing(&self, wall0: Instant) -> Timing {
+        Timing {
+            phases: self.phases,
+            transfer_us: self.transfer_us,
+            transfer_sweep_us: self.transfer_sweep_us,
+            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
+        }
+    }
 }
 
 /// The bounded retry budget one resilient solve may spend.
@@ -127,17 +190,6 @@ impl RetryBudget {
     }
 }
 
-/// What [`drive`] hands back on a completed (possibly honestly failed)
-/// solve, in device position order.
-pub(crate) struct DriveOutcome {
-    pub v_pos: Vec<Complex>,
-    pub j_pos: Vec<Complex>,
-    pub iterations: u32,
-    pub status: SolveStatus,
-    pub residual: f64,
-    pub residual_history: Vec<f64>,
-}
-
 /// Why [`drive`] gave up on the current device.
 pub(crate) enum DriveAbort {
     /// The device is gone; no retry on it can succeed.
@@ -151,7 +203,9 @@ pub(crate) enum DriveAbort {
 
 /// The last certified-clean state the sweep can roll back to.
 struct Checkpoint {
-    v: Vec<Complex>,
+    /// Certified voltages; `None` until the first checkpoint is taken,
+    /// meaning the session's own [`SweepSession::start_state`].
+    v: Option<Vec<Complex>>,
     iterations: u32,
     residual: f64,
     history: Vec<f64>,
@@ -168,14 +222,16 @@ fn rollback<S: SweepSession>(
     budget: &mut RetryBudget,
     obs: &Obs,
 ) -> Result<(), DriveAbort> {
+    let start = ckpt.v.is_none().then(|| sess.start_state());
+    let v = ckpt.v.as_deref().or(start.as_deref()).expect("a checkpoint or the start state");
     loop {
         report.rollbacks += 1;
-        obs.instant("rollback", sess.elapsed_modeled_us());
+        obs.instant("rollback", sess.clock().elapsed_us());
         if !budget.charge() {
             return Err(DriveAbort::Exhausted);
         }
         report.retries += 1;
-        match sess.restore(&ckpt.v) {
+        match sess.restore(v) {
             Ok(()) => return Ok(()),
             Err(e @ DeviceError::DeviceLost { .. }) => return Err(DriveAbort::Lost(e)),
             Err(e) => {
@@ -188,29 +244,30 @@ fn rollback<S: SweepSession>(
     }
 }
 
-/// The checkpointed iteration loop shared by every device backend.
+/// The one device iteration loop: the plain level and jump solvers and
+/// the supervisor's device rungs all run it, from the state the session
+/// was opened with. Each iteration is recorded as an `iter` span in the
+/// category of the policy's `obs`.
 ///
-/// With `checkpointing` false (no fault plan armed) this performs
-/// exactly the same device operations as the plain solver loop — zero
-/// recovery overhead on clean runs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<S: SweepSession>(
+/// With checkpointing off (no fault plan armed) it takes no checkpoints
+/// and holds no host copy of the state, so a clean run issues only the
+/// sweep's own device operations. A plain solve runs it with a zero
+/// retry budget: any fault it would have to roll back aborts.
+fn drive<S: SweepSession>(
     sess: &mut S,
     cfg: &SolverConfig,
-    init_v: &[Complex],
-    checkpointing: bool,
+    policy: &Policy<'_>,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
-    cancel: Option<&AtomicBool>,
-    obs: &Obs,
-) -> Result<DriveOutcome, DriveAbort> {
+) -> Result<SolveResult, DriveAbort> {
+    let Policy { checkpointing, cancel, obs, wall0 } = *policy;
     let monitor0 = ConvergenceMonitor::new(cfg, sess.source_mag());
     let tol = monitor0.tol();
-    // The flat start is host-known clean: certifying it costs nothing.
+    // The start state is host-known clean: certifying it costs nothing.
     // `faults: 0` (not the current count) so setup-time corruption
     // taints the run and gets caught by the first certification.
     let mut ckpt = Checkpoint {
-        v: init_v.to_vec(),
+        v: None,
         iterations: 0,
         residual: f64::INFINITY,
         history: Vec::new(),
@@ -235,7 +292,7 @@ pub(crate) fn drive<S: SweepSession>(
                     Err(e) => {
                         if matches!(e, DeviceError::TransferCorrupted { .. }) {
                             report.corruptions_detected += 1;
-                            obs.instant("corruption-detected", sess.elapsed_modeled_us());
+                            obs.instant("corruption-detected", sess.clock().elapsed_us());
                         }
                         rollback(sess, &ckpt, report, budget, obs)?;
                         continue 'attempt;
@@ -249,24 +306,39 @@ pub(crate) fn drive<S: SweepSession>(
                 continue 'attempt;
             }};
         }
-
-        loop {
-            if iters >= cfg.max_iter {
+        // Ends the solve with `status`: downloads the state, unless faults
+        // fired since the last certified checkpoint — an untrusted end is
+        // rolled back, never reported.
+        macro_rules! finish {
+            ($status:expr, $v_pos:expr, $j_pos:expr) => {
+                return Ok(SolveResult {
+                    v: sess.unpermute(&$v_pos),
+                    j: sess.unpermute(&$j_pos),
+                    iterations: iters,
+                    status: $status,
+                    residual,
+                    residual_history: history,
+                    timing: sess.clock().timing(wall0),
+                    fault_report: None,
+                })
+            };
+            ($status:expr) => {{
                 if sess.faults_observed() > ckpt.faults {
                     recover!();
                 }
                 let (v_pos, j_pos) = step!(sess.download());
-                return Ok(DriveOutcome {
-                    v_pos,
-                    j_pos,
-                    iterations: iters,
-                    status: SolveStatus::MaxIterations,
-                    residual,
-                    residual_history: history,
-                });
+                finish!($status, v_pos, j_pos)
+            }};
+        }
+
+        loop {
+            if iters >= cfg.max_iter {
+                finish!(SolveStatus::MaxIterations);
             }
             iters += 1;
+            let t0 = sess.clock().elapsed_us();
             let r = step!(sess.iterate());
+            obs.iteration(iters, t0, sess.clock().elapsed_us(), r);
             history.push(r);
             residual = r;
             let tainted = sess.faults_observed() > ckpt.faults;
@@ -276,29 +348,19 @@ pub(crate) fn drive<S: SweepSession>(
             match mon.observe(iters, r) {
                 None => {
                     // Deadline and watchdog-cancel checks happen only on
-                    // a still-running iteration, mirroring the plain
-                    // solver loops: a converged/failed status is never
-                    // masked by a slow clock.
-                    let deadline_hit = cfg
-                        .deadline_us
-                        .is_some_and(|budget_us| sess.elapsed_modeled_us() >= budget_us);
+                    // a still-running iteration, mirroring the CPU solver
+                    // loops: a converged/failed status is never masked by
+                    // a slow clock. The status reports the clock at the
+                    // check, before the final download.
+                    let elapsed_us = sess.clock().elapsed_us();
+                    let deadline_hit =
+                        cfg.deadline_us.is_some_and(|budget_us| elapsed_us >= budget_us);
                     let cancelled =
                         cancel.is_some_and(|c| c.load(Ordering::Relaxed));
                     if deadline_hit || cancelled {
-                        if sess.faults_observed() > ckpt.faults {
-                            recover!();
-                        }
-                        let (v_pos, j_pos) = step!(sess.download());
-                        return Ok(DriveOutcome {
-                            v_pos,
-                            j_pos,
-                            iterations: iters,
-                            status: SolveStatus::DeadlineExceeded {
-                                at_iteration: iters,
-                                elapsed_us: sess.elapsed_modeled_us() as u64,
-                            },
-                            residual,
-                            residual_history: history,
+                        finish!(SolveStatus::DeadlineExceeded {
+                            at_iteration: iters,
+                            elapsed_us: elapsed_us as u64,
                         });
                     }
                     prev_r = r;
@@ -315,9 +377,9 @@ pub(crate) fn drive<S: SweepSession>(
                             if !rh.is_finite() || rh > SPIKE_FACTOR * r.max(tol) {
                                 recover!();
                             }
-                            ckpt.v = v;
+                            ckpt.v = Some(v);
                         } else {
-                            ckpt.v = step!(sess.snapshot());
+                            ckpt.v = Some(step!(sess.snapshot()));
                         }
                         ckpt.iterations = iters;
                         ckpt.residual = r;
@@ -325,21 +387,11 @@ pub(crate) fn drive<S: SweepSession>(
                         ckpt.monitor = mon.clone();
                         ckpt.faults = sess.faults_observed();
                         report.checkpoints += 1;
-                        obs.instant("checkpoint", sess.elapsed_modeled_us());
+                        obs.instant("checkpoint", sess.clock().elapsed_us());
                     }
                 }
+                Some(SolveStatus::Converged) if !tainted => finish!(SolveStatus::Converged),
                 Some(SolveStatus::Converged) => {
-                    if !tainted {
-                        let (v_pos, j_pos) = step!(sess.download());
-                        return Ok(DriveOutcome {
-                            v_pos,
-                            j_pos,
-                            iterations: iters,
-                            status: SolveStatus::Converged,
-                            residual,
-                            residual_history: history,
-                        });
-                    }
                     // Tainted convergence must earn acceptance.
                     if !step!(sess.verify_static()) {
                         recover!();
@@ -352,118 +404,15 @@ pub(crate) fn drive<S: SweepSession>(
                             d.is_finite() && d <= 1e-4 * (1.0 + b.abs())
                         });
                     if rh.is_finite() && rh <= SPIKE_FACTOR * tol && j_ok {
-                        return Ok(DriveOutcome {
-                            v_pos,
-                            j_pos,
-                            iterations: iters,
-                            status: SolveStatus::Converged,
-                            residual,
-                            residual_history: history,
-                        });
+                        finish!(SolveStatus::Converged, v_pos, j_pos);
                     }
                     recover!();
                 }
-                Some(bad) => {
-                    if tainted {
-                        recover!();
-                    }
-                    // A genuine divergence or numerical failure: report
-                    // it honestly, never roll it back.
-                    let (v_pos, j_pos) = step!(sess.download());
-                    return Ok(DriveOutcome {
-                        v_pos,
-                        j_pos,
-                        iterations: iters,
-                        status: bad,
-                        residual,
-                        residual_history: history,
-                    });
-                }
+                // A genuine divergence or numerical failure is reported
+                // honestly, never rolled back.
+                Some(bad) => finish!(bad),
             }
         }
-    }
-}
-
-/// Which solver implementation a resilient solve runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Serial CPU reference.
-    Serial,
-    /// Level-parallel multicore CPU solver.
-    Multicore,
-    /// Level-synchronous GPU solver, segmented-scan backward.
-    Gpu,
-    /// Level-synchronous GPU solver, direct backward.
-    GpuDirect,
-    /// Level-synchronous GPU solver, atomic-scatter backward.
-    GpuAtomic,
-    /// Depth-insensitive jump GPU solver.
-    GpuJump,
-}
-
-impl Backend {
-    /// Every backend, in the CLI's comparison order.
-    pub const ALL: [Backend; 6] = [
-        Backend::Serial,
-        Backend::Multicore,
-        Backend::Gpu,
-        Backend::GpuDirect,
-        Backend::GpuAtomic,
-        Backend::GpuJump,
-    ];
-
-    /// CLI/report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Serial => "serial",
-            Backend::Multicore => "multicore",
-            Backend::Gpu => "gpu",
-            Backend::GpuDirect => "gpu-direct",
-            Backend::GpuAtomic => "gpu-atomic",
-            Backend::GpuJump => "gpu-jump",
-        }
-    }
-
-    /// The backward-sweep strategy of a level-synchronous GPU backend;
-    /// `None` for the CPU backends and the jump solver.
-    pub fn strategy(self) -> Option<BackwardStrategy> {
-        match self {
-            Backend::Gpu => Some(BackwardStrategy::SegScan),
-            Backend::GpuDirect => Some(BackwardStrategy::Direct),
-            Backend::GpuAtomic => Some(BackwardStrategy::AtomicScatter),
-            _ => None,
-        }
-    }
-
-    /// Parses a CLI solver name.
-    pub fn from_name(name: &str) -> Option<Backend> {
-        Some(match name {
-            "serial" => Backend::Serial,
-            "multicore" => Backend::Multicore,
-            "gpu" => Backend::Gpu,
-            "gpu-direct" => Backend::GpuDirect,
-            "gpu-atomic" => Backend::GpuAtomic,
-            "gpu-jump" => Backend::GpuJump,
-            _ => return None,
-        })
-    }
-
-    /// The next backend in the degradation chain, `None` at the end.
-    /// Device backends fall back to the multicore CPU solver, which
-    /// falls back to serial; CPU backends cannot fault but the chain is
-    /// defined all the way down.
-    pub fn fallback(self) -> Option<Backend> {
-        match self {
-            Backend::Serial => None,
-            Backend::Multicore => Some(Backend::Serial),
-            _ => Some(Backend::Multicore),
-        }
-    }
-
-    /// Whether this backend runs on the simulated device (and is
-    /// therefore exposed to injected device faults).
-    pub fn is_device(self) -> bool {
-        !matches!(self, Backend::Serial | Backend::Multicore)
     }
 }
 
@@ -590,26 +539,9 @@ impl ResilientSolver {
         loop {
             report.backends.push(backend.name().to_string());
             if !backend.is_device() {
-                let mut res = match backend {
-                    Backend::Serial => {
-                        let mut s = SerialSolver::new(self.host.clone());
-                        if let Some(rec) = &self.recorder {
-                            s = s.with_recorder(rec.clone());
-                        }
-                        s.solve_arrays(a, cfg)
-                    }
-                    Backend::Multicore => {
-                        let mut s = MulticoreSolver::new(
-                            self.host.clone(),
-                            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-                        );
-                        if let Some(rec) = &self.recorder {
-                            s = s.with_recorder(rec.clone());
-                        }
-                        s.solve_arrays(a, cfg)
-                    }
-                    _ => unreachable!(),
-                };
+                let Ok(mut res) = backend
+                    .engine(&self.props, &self.host, self.recorder.as_ref())
+                    .solve_warm_arrays(a, cfg, None);
                 res.status = upgraded(res.status, &report);
                 res.fault_report = Some(report);
                 return Ok(res);
@@ -655,7 +587,7 @@ impl ResilientSolver {
         }
         let mut faults_total = 0u32;
         let mut budget = RetryBudget::new(cfg.max_recoveries);
-        let mut lost_any = false;
+        let mut lost = None;
         loop {
             let mut dev = Device::new(self.props.clone());
             if let Some(plan) = &self.plan {
@@ -668,9 +600,8 @@ impl ResilientSolver {
             let attempt = catch_unwind(AssertUnwindSafe(|| solver.solve_arrays(a, cfg)));
             let faults = solver.device().fault_log().len() as u32;
             faults_total += faults;
-            let lost = solver.device().is_lost();
             if let Ok(mut res) = attempt {
-                if faults == 0 && !lost {
+                if faults == 0 {
                     // Provably clean attempt: accept.
                     if budget.used() > 0 && res.status == SolveStatus::Converged {
                         res.status = SolveStatus::Recovered {
@@ -681,16 +612,15 @@ impl ResilientSolver {
                     return Ok(res);
                 }
             }
-            lost_any |= lost;
+            lost = lost.or_else(|| loss_error(solver.device()));
             if !budget.charge() {
                 break;
             }
         }
         if !self.degrade {
-            return Err(if lost_any {
-                ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: 0 })
-            } else {
-                ResilienceError::BudgetExhausted { retries: budget.used() }
+            return Err(match lost {
+                Some(e) => ResilienceError::DeviceLost(e),
+                None => ResilienceError::BudgetExhausted { retries: budget.used() },
             });
         }
         let mut fallback = Serial3Solver::new(self.host.clone());
@@ -729,50 +659,29 @@ impl ResilientSolver {
             // fault: charge it and restart on a fresh device.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let wall0 = Instant::now();
-                let cancel = cancel.as_deref();
+                let policy = Policy { checkpointing, cancel: cancel.as_deref(), obs: &obs, wall0 };
                 match &jump_arrays {
-                    Some(ja) => run_attempt(
-                        JumpSession::with_obs(&mut dev, ja, obs.clone()),
-                        |pos| ja.dfs.unpermute(pos),
-                        wall0,
-                        a,
-                        cfg,
-                        checkpointing,
-                        report,
-                        budget,
-                        cancel,
-                        &obs,
-                    ),
-                    None => run_attempt(
-                        GpuSession::with_obs(
-                            &mut dev,
-                            a,
-                            backend.strategy().expect("a level-synchronous GPU backend"),
-                            None,
-                            obs.clone(),
-                        ),
-                        |pos| a.levels.unpermute(pos),
-                        wall0,
-                        a,
-                        cfg,
-                        checkpointing,
-                        report,
-                        budget,
-                        cancel,
-                        &obs,
-                    ),
+                    Some(ja) => {
+                        let sess = JumpSession::with_obs(&mut dev, ja, obs.clone());
+                        run_attempt(sess, cfg, &policy, report, budget)
+                    }
+                    None => {
+                        let strategy = backend.strategy().expect("a level-synchronous GPU backend");
+                        let sess = GpuSession::with_obs(&mut dev, a, strategy, None, obs.clone());
+                        run_attempt(sess, cfg, &policy, report, budget)
+                    }
                 }
             }));
             report.faults_injected += dev.fault_log().len() as u32;
-            let lost = dev.is_lost();
+            let lost = loss_error(&dev);
             self.last_device = Some(dev);
             match attempt {
                 Ok(Ok(res)) => return Ok(res),
                 Ok(Err(DriveAbort::Restart)) => continue,
                 Ok(Err(abort)) => return Err(abort),
                 Err(_panic) => {
-                    if lost {
-                        return Err(DriveAbort::Lost(DeviceError::DeviceLost { at_op: 0 }));
+                    if let Some(e) = lost {
+                        return Err(DriveAbort::Lost(e));
                     }
                     report.rollbacks += 1;
                     if !budget.charge() {
@@ -818,46 +727,64 @@ fn setup_abort(
     DriveAbort::Restart
 }
 
-/// One attempt on a fresh device: drives the session `opened` returns
-/// (a setup failure charges the budget) and lays the answer out by bus
-/// id with `unpermute`. `wall0` is the attempt's wall-clock origin.
-#[allow(clippy::too_many_arguments)]
+/// The loss a device recorded, as the error its next op returns; `None`
+/// while the device is alive.
+pub(crate) fn loss_error(dev: &Device) -> Option<DeviceError> {
+    dev.fault_log().iter().find_map(|f| match f.kind {
+        FaultKind::DeviceLost { at_op } => Some(DeviceError::DeviceLost { at_op }),
+        _ => None,
+    })
+}
+
+/// How [`drive`] treats one attempt: whether it checkpoints, the
+/// watchdog's cancel flag, where its spans go and the attempt's
+/// wall-clock origin.
+#[derive(Clone, Copy)]
+struct Policy<'a> {
+    checkpointing: bool,
+    cancel: Option<&'a AtomicBool>,
+    obs: &'a Obs,
+    wall0: Instant,
+}
+
+/// One attempt: drives the session `opened` returns (a setup failure
+/// charges the budget).
 fn run_attempt<S: SweepSession>(
     opened: Result<S, DeviceError>,
-    unpermute: impl Fn(&[Complex]) -> Vec<Complex>,
-    wall0: Instant,
-    a: &SolverArrays,
     cfg: &SolverConfig,
-    checkpointing: bool,
+    policy: &Policy<'_>,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
-    cancel: Option<&AtomicBool>,
-    obs: &Obs,
 ) -> Result<SolveResult, DriveAbort> {
     let mut sess = opened.map_err(|e| setup_abort(e, report, budget))?;
-    let init_v = vec![a.source; a.len()];
-    let out = drive(&mut sess, cfg, &init_v, checkpointing, report, budget, cancel, obs);
-    report.checkpoint_us += sess.recovery_us();
-    let out = out?;
-    let timing = sess.timing(wall0);
-    Ok(SolveResult {
-        v: unpermute(&out.v_pos),
-        j: unpermute(&out.j_pos),
-        iterations: out.iterations,
-        status: out.status,
-        residual: out.residual,
-        residual_history: out.residual_history,
-        timing,
-        fault_report: None,
+    let out = drive(&mut sess, cfg, policy, report, budget);
+    report.checkpoint_us += sess.clock().recovery_us;
+    out
+}
+
+/// A plain (unsupervised) device solve: [`drive`] with checkpointing off
+/// and a zero retry budget. A device error panics, as on every plain
+/// entry point; so does a fault the loop would have to roll back.
+pub(crate) fn run_plain<S: SweepSession>(
+    opened: Result<S, DeviceError>,
+    wall0: Instant,
+    cfg: &SolverConfig,
+    obs: &Obs,
+) -> SolveResult {
+    let mut sess = opened.unwrap_or_else(|e| panic!("{e}"));
+    let policy = Policy { checkpointing: false, cancel: None, obs, wall0 };
+    let (mut report, mut budget) = (FaultReport::default(), RetryBudget::new(0));
+    drive(&mut sess, cfg, &policy, &mut report, &mut budget).unwrap_or_else(|abort| match abort {
+        DriveAbort::Lost(e) => panic!("{e}"),
+        _ => panic!("device fault during a solve with no recovery budget"),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::GpuSolver;
+    use crate::{GpuSolver, SerialSolver};
     use powergrid::ieee::ieee13;
-    use simt::FaultKind;
 
     fn rig() -> (DeviceProps, HostProps) {
         (DeviceProps::paper_rig(), HostProps::paper_rig())
@@ -888,23 +815,35 @@ mod tests {
         assert_eq!(Backend::from_name("fpga"), None);
     }
 
+    /// Every timeline event as its kind (bytes, kernel name, grid and
+    /// launch statistics) and modeled µs.
+    fn ops(dev: &Device) -> Vec<String> {
+        let op = |e: &simt::Event| format!("{:?} {:x}", e.kind, e.modeled_us.to_bits());
+        dev.timeline().events().iter().map(op).collect()
+    }
+
+    /// A clean supervisor run on every device backend is the plain
+    /// engine [`Backend::engine`] builds, bit for bit and op for op.
     #[test]
     fn fault_free_resilient_gpu_matches_plain_gpu_exactly() {
-        let net = ieee13();
+        let a = SolverArrays::new(&ieee13());
         let cfg = SolverConfig::default();
         let (props, host) = rig();
-        let plain = GpuSolver::with_strategy(Device::new(props.clone()), BackwardStrategy::SegScan)
-            .solve(&net, &cfg);
-        let res = ResilientSolver::new(Backend::Gpu, props, host)
-            .solve(&SolverArrays::new(&net), &cfg)
-            .expect("clean run cannot fail");
-        assert_eq!(res.status, SolveStatus::Converged);
-        assert_eq!(res.iterations, plain.iterations);
-        assert_eq!(res.v, plain.v, "fault-free supervisor run must be bit-identical");
-        let report = res.fault_report.expect("supervisor attaches a report");
-        assert_eq!(report.faults_injected, 0);
-        assert_eq!(report.checkpoints, 0, "no plan armed means no checkpoint traffic");
-        assert_eq!(report.backends, vec!["gpu".to_string()]);
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_device()) {
+            let name = backend.name();
+            let mut plain = backend.engine(&props, &host, None);
+            let Ok(want) = plain.solve_warm_arrays(&a, &cfg, None);
+            let mut supervisor = ResilientSolver::new(backend, props.clone(), host.clone());
+            let res = supervisor.solve(&a, &cfg).expect("clean run cannot fail");
+            assert_eq!((res.status, res.iterations), (SolveStatus::Converged, want.iterations));
+            assert_eq!(res.v, want.v, "{name}: fault-free supervisor run must be bit-identical");
+            let report = res.fault_report.expect("supervisor attaches a report");
+            // No plan armed means no faults and no checkpoint traffic.
+            let clean = (report.faults_injected, report.checkpoints, report.backends);
+            assert_eq!(clean, (0, 0, vec![name.to_string()]));
+            let (got_dev, want_dev) = (supervisor.last_device().unwrap(), plain.device().unwrap());
+            assert_eq!(ops(got_dev), ops(want_dev), "{name}: device timelines differ");
+        }
     }
 
     #[test]
@@ -949,17 +888,24 @@ mod tests {
 
     #[test]
     fn device_loss_without_degradation_is_an_error() {
-        let net = ieee13();
-        let cfg = SolverConfig::default();
         let (props, host) = rig();
-        let plan = FaultPlan::scripted([(30, FaultKind::DeviceLost { at_op: 0 })]);
-        let mut solver = ResilientSolver::new(Backend::Gpu, props, host)
-            .with_fault_plan(plan)
-            .with_degradation(false);
-        let err =
-            solver.solve(&SolverArrays::new(&net), &cfg).expect_err("loss with degradation off");
-        assert!(matches!(err, ResilienceError::DeviceLost(_)), "got {err}");
+        let supervisor = || {
+            let plan = FaultPlan::scripted([(30, FaultKind::DeviceLost { at_op: 0 })]);
+            ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
+                .with_fault_plan(plan)
+                .with_degradation(false)
+        };
+        let cfg = SolverConfig::default();
+        let err = supervisor()
+            .solve(&SolverArrays::new(&ieee13()), &cfg)
+            .expect_err("loss with degradation off");
         assert!(err.to_string().contains("unrecoverable"));
+        // Both phase kinds report the op the device recorded its loss at.
+        let lost = ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: 30 });
+        assert_eq!(err, lost);
+        let a3 = Arrays3::new(&powergrid::three_phase::ieee13_unbalanced());
+        let err3 = supervisor().solve3(&a3, &cfg.with_recovery(4, 0)).expect_err("3φ loss");
+        assert_eq!(err3, lost);
     }
 
     #[test]

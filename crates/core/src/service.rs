@@ -63,7 +63,9 @@ use telemetry::{Recorder, Trace};
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
-use crate::recovery::{Backend, ResilienceError, ResilientSolver};
+use crate::engine::Backend;
+use crate::multicore::MulticoreSolver;
+use crate::recovery::{loss_error, ResilienceError, ResilientSolver};
 use crate::report::{SolveResult, Timing};
 use crate::status::SolveStatus;
 use crate::tensor_batch::{scenarios_per_sec, Scenarios, TensorBatchResult, TensorBatchSolver};
@@ -860,27 +862,23 @@ impl SolveService {
                     let arrays = SolverArrays::new(net);
                     solver.try_solve(&arrays, Scenarios::Explicit(scenarios), &cfg)
                 }));
-                let lost = solver.device().is_lost();
-                match attempt {
+                let lost = loss_error(solver.device());
+                match (attempt, lost) {
                     // The tensor engine degrades to its host path when
                     // the device dies mid-batch and still returns a
                     // result. In strict mode (`fallback: false`) the
                     // point is to surface sickness to an external
                     // supervisor (the fleet reclaims the work on a
                     // peer), so a mid-batch loss is a failure there.
-                    Ok(Ok(res)) if self.cfg.fallback || !lost => Ok(Outcome::Batch(res)),
-                    Ok(Err(e @ DeviceError::DeviceLost { .. })) => {
+                    (Ok(Ok(res)), None) => Ok(Outcome::Batch(res)),
+                    (Ok(Ok(res)), Some(_)) if self.cfg.fallback => Ok(Outcome::Batch(res)),
+                    (Ok(Err(e @ DeviceError::DeviceLost { .. })), _) => {
                         Err(ResilienceError::DeviceLost(e).into())
                     }
-                    Ok(Err(_)) | Err(_) if !lost => {
-                        Err(ResilienceError::BudgetExhausted { retries: 0 }.into())
-                    }
+                    (_, None) => Err(ResilienceError::BudgetExhausted { retries: 0 }.into()),
                     // Including a strict-mode answer from a device that
                     // died mid-batch.
-                    _ => {
-                        let e = DeviceError::DeviceLost { at_op: 0 };
-                        Err(ResilienceError::DeviceLost(e).into())
-                    }
+                    (_, Some(e)) => Err(ResilienceError::DeviceLost(e).into()),
                 }
             }
         }
@@ -963,8 +961,7 @@ fn batch_on_multicore(
     assert!(!scenarios.is_empty(), "batch must contain at least one scenario");
     let nb = scenarios.len();
     let base = SolverArrays::new(net);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let mc = crate::multicore::MulticoreSolver::new(host.clone(), cores);
+    let mc = MulticoreSolver::new(host.clone(), MulticoreSolver::default().cores());
     let mut v = Vec::with_capacity(nb);
     let mut j = Vec::with_capacity(nb);
     let mut statuses = Vec::with_capacity(nb);

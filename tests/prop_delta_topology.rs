@@ -1,8 +1,8 @@
-//! Property suite for delta-topology solves ([`powergrid::TopologyDelta`]
-//! plus the patched tensor path): editing a network in place and solving
-//! the delta must be indistinguishable from rebuilding it from scratch.
+//! Property suite for delta-topology solves ([`powergrid::TopologyDelta`]):
+//! editing a network in place and solving the delta must be
+//! indistinguishable from rebuilding it from scratch.
 //!
-//! Four property families, each over randomized trees and deltas:
+//! Three property families, each over randomized trees and deltas:
 //!
 //! 1. **Revertibility** — `apply` then `revert` restores the original
 //!    network *bitwise* (every load, branch endpoint and impedance),
@@ -12,24 +12,20 @@
 //! 3. **Warm starts** — seeding a post-delta solve from the base-case
 //!    profile lands on the same voltages (within tolerance) in no more
 //!    iterations than a cold start.
-//! 4. **Screening parity** — a batch of outage patches solved on the
-//!    tensor engine matches per-outage serial re-solves: same statuses
-//!    and iteration counts, energized voltages to 1e-9 V, de-energized
-//!    buses pinned at exactly 0.
+//!
+//! Screening parity (outage-patched tensor batches against per-outage
+//! serial re-solves) is the `outages` family of the differential oracle,
+//! `tests/oracle.rs`.
 
 use check::gen::{tuple3, u64_any, usize_in};
 use check::{checker, prop_assert, CaseResult};
-use fbs::{ScenarioPatch, Scenarios, SerialSolver, SolverArrays, SolverConfig, TensorBatchSolver};
-use numc::{c, Complex};
+use fbs::{SerialSolver, SolverArrays, SolverConfig};
+use numc::c;
 use powergrid::gen::{random_tree, GenSpec};
-use powergrid::{DeltaOp, DfsOrder, NetworkBuilder, RadialNetwork, TopologyDelta};
+use powergrid::{DeltaOp, NetworkBuilder, RadialNetwork, TopologyDelta};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
-use simt::{Device, DeviceProps, HostProps};
-
-fn device() -> Device {
-    Device::with_workers(DeviceProps::paper_rig(), 2)
-}
+use simt::HostProps;
 
 /// Every bit of observable network state, as raw words: source voltage,
 /// per-bus loads, per-branch endpoints and impedances.
@@ -229,82 +225,5 @@ fn family3_warm_start_costs_no_iterations() {
         "warm start must cost no iterations in >=75% of cases ({}/{})",
         no_worse.get(),
         total.get()
-    );
-}
-
-// ---------------------------------------------------------------- family 4
-
-/// A batch of outage patches on the tensor engine matches classical
-/// per-outage re-solves (delta apply → serial solve → revert), with
-/// de-energized buses reported at exactly 0.
-#[test]
-fn family4_screened_batch_equals_per_outage_serial() {
-    checker("screened_batch_equals_per_outage_serial").cases(12).run(
-        tuple3(usize_in(3..220), usize_in(1..7), u64_any()),
-        |&(n, nb, seed)| -> CaseResult {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let net = random_tree(n, 6, &GenSpec::default(), &mut rng);
-            let cfg = SolverConfig::default();
-            let root = net.root();
-            let buses: Vec<usize> =
-                (0..nb).map(|_| loop {
-                    let b = rng.gen_range(0..n);
-                    if b != root {
-                        break b;
-                    }
-                }).collect();
-            let patches: Vec<ScenarioPatch> =
-                buses.iter().map(|&b| ScenarioPatch::outage(b)).collect();
-            let dfs = DfsOrder::new(&net);
-            let scenarios = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
-            let batched = TensorBatchSolver::new(device())
-                .try_solve(&SolverArrays::new(&net), scenarios, &cfg)
-                .expect("fault-free solve");
-
-            let serial = SerialSolver::new(HostProps::paper_rig());
-            let mut work = net.clone();
-            for (s, &bus) in buses.iter().enumerate() {
-                let mut delta = TopologyDelta::outage(&work, bus).expect("outage");
-                delta.apply(&mut work).expect("apply");
-                let reference = serial.solve(&work, &cfg);
-                prop_assert!(
-                    batched.statuses[s] == reference.status,
-                    "outage {bus}: batched {} vs serial {}",
-                    batched.statuses[s],
-                    reference.status
-                );
-                prop_assert!(
-                    batched.per_scenario_iterations[s] == reference.iterations,
-                    "outage {bus}: batched {} iterations vs serial {}",
-                    batched.per_scenario_iterations[s],
-                    reference.iterations
-                );
-                let mut dead = vec![false; n];
-                for &b in delta.isolated() {
-                    dead[b] = true;
-                }
-                for (bu, &is_dead) in dead.iter().enumerate() {
-                    if is_dead {
-                        prop_assert!(
-                            batched.v[s][bu] == Complex::ZERO
-                                && batched.j[s][bu] == Complex::ZERO,
-                            "outage {bus}: de-energized bus {bu} not zeroed"
-                        );
-                    } else {
-                        let d = (batched.v[s][bu] - reference.v[bu]).abs();
-                        prop_assert!(
-                            d < 1e-9,
-                            "outage {bus} bus {bu}: batched vs serial differ by {d:.3e} V"
-                        );
-                    }
-                }
-                delta.revert(&mut work).expect("revert");
-            }
-            prop_assert!(
-                fingerprint(&work) == fingerprint(&net),
-                "per-outage revert cycle must restore the network bitwise"
-            );
-            Ok(())
-        },
     );
 }

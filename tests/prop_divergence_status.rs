@@ -6,10 +6,7 @@
 
 use check::gen::{tuple3, u64_any, usize_in, Gen};
 use check::{checker, prop_assert, CaseResult};
-use fbs::{
-    BackwardStrategy, GpuSolver, JumpSolver, MulticoreSolver, SerialSolver, SolveResult,
-    SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver,
-};
+use fbs::{Backend, SolveResult, SolveStatus, SolverArrays, SolverConfig, TensorBatchSolver};
 use numc::{c, Complex};
 use powergrid::gen::{random_tree, GenSpec};
 use powergrid::{NetworkBuilder, RadialNetwork};
@@ -21,19 +18,11 @@ fn device() -> Device {
     Device::with_workers(DeviceProps::paper_rig(), 2)
 }
 
-/// Runs every single-scenario solver on `net` and returns labeled results.
+/// Runs every backend's plain engine on `net` and returns labeled results.
 fn all_solvers(net: &RadialNetwork, cfg: &SolverConfig) -> Vec<(&'static str, SolveResult)> {
-    vec![
-        ("serial", SerialSolver::new(HostProps::paper_rig()).solve(net, cfg)),
-        ("multicore", MulticoreSolver::new(HostProps::paper_rig(), 8).solve(net, cfg)),
-        ("gpu-segscan", GpuSolver::with_strategy(device(), BackwardStrategy::SegScan).solve(net, cfg)),
-        ("gpu-direct", GpuSolver::with_strategy(device(), BackwardStrategy::Direct).solve(net, cfg)),
-        (
-            "gpu-atomic",
-            GpuSolver::with_strategy(device(), BackwardStrategy::AtomicScatter).solve(net, cfg),
-        ),
-        ("gpu-jump", JumpSolver::new(device()).solve(net, cfg)),
-    ]
+    let (a, props, host) = (SolverArrays::new(net), DeviceProps::paper_rig(), HostProps::paper_rig());
+    let solve = |b: Backend| b.engine(&props, &host, None).solve_warm_arrays(&a, cfg, None);
+    Backend::ALL.into_iter().map(|b| (b.name(), solve(b).unwrap_or_else(|e| match e {}))).collect()
 }
 
 /// The 2-bus feeder whose load bus lands on exactly 0 V after one
