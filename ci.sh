@@ -12,14 +12,18 @@
 #      E12–E17 as end-to-end sanity passes, under wall-clock ceilings.
 #      Smoke runs only print; the leg fails if any of them wrote under
 #      `results/`, which holds the full runs' numbers.
-#   4. Route smoke: one short benchmark run each of `tree-1k` (which
-#      `GpuSolver::new` routes to the fused sweep) and `tree-256k`
-#      (routed to the level path), `--seconds 1 --trace 0`. The run
-#      checks its first pass's answers against the serial reference;
-#      the leg fails unless the final JSON line reports `"failed":0`.
-#      Measured at 10 s of wall time on a 2-core Xeon with a warm
-#      release build in `benchmark/target`; a cold build adds about a
-#      minute.
+#   4. Benchmark: one `--seconds 1 --trace 0` run of every
+#      BENCHMARK.json workload at the default seed. Each run checks its
+#      answers against the serial reference, and the leg fails unless
+#      the final JSON line reports `"failed":0`. It also fails unless
+#      the printed `modeled_us_per_answer` equals, string for string,
+#      the workload's line in `results/modeled_baseline.txt`. Modeled
+#      time is deterministic for a seed and does not depend on run
+#      length, so a PR that changes modeled time updates that baseline
+#      and says so in CHANGES.md. Wall time and memory are not gated.
+#      Measured at 34–45 s of wall time for the six runs on a 2-core Xeon
+#      with a warm release build in `benchmark/target`; a cold build
+#      adds about a minute.
 #   5. CLI replays: a seeded chaos replay through `fbs fleet` that must
 #      exit 0 with one device scripted dead, and a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
@@ -63,14 +67,26 @@ if [ "$(results_sum)" != "$results_before" ]; then
   exit 1
 fi
 
-echo "== route smoke: tree-1k (fused) + tree-256k (level) =="
-for workload in tree-1k tree-256k; do
-  last=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml --bin benchmark -- \
-    --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+echo "== benchmark: every workload, modeled time pinned to results/modeled_baseline.txt =="
+workloads=$(grep -o '"name": "[^"]*", "why"' BENCHMARK.json | cut -d'"' -f4)
+for workload in $workloads; do
+  want=$(awk -v w="$workload" '$1 == w { print $2 }' results/modeled_baseline.txt)
+  if [ -z "$want" ]; then
+    echo "benchmark $workload: no modeled_us_per_answer in results/modeled_baseline.txt" >&2
+    exit 1
+  fi
+  out=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --workload "$workload" --seconds 1 --trace 0)
+  last=$(tail -n 1 <<< "$out")
   case "$last" in
     *'"failed":0,'*) ;;
     *) echo "benchmark $workload: an answer failed its check: $last" >&2; exit 1 ;;
   esac
+  got=$(awk -v w="$workload" '$1 == w && $2 == "modeled_us_per_answer" { print $3 }' <<< "$out")
+  if [ "$got" != "$want" ]; then
+    echo "benchmark $workload: modeled_us_per_answer $got, baseline $want" >&2
+    exit 1
+  fi
 done
 
 echo "== CLI replays: fleet chaos + storm soak =="

@@ -41,7 +41,6 @@ fn main() {
         let mut gpu = GpuSolver::with_strategy(Device::new(props), BackwardStrategy::SegScan);
         let res = gpu.solve(&net, &cfg);
         validate_or_die(&net, &res, name);
-        table.sample(&res.timing);
         table.row(&[
             &name,
             &sms,

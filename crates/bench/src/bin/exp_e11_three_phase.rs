@@ -45,7 +45,6 @@ fn main() {
             fbs::GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g1 = gpu1.solve(&net1, &cfg);
 
-        table.sample(&g3.timing);
         table.row(&[
             &n,
             &g3.iterations,

@@ -55,7 +55,6 @@ fn main() {
             };
             assert!(res.converged(), "{n} @ rate {rate}: ended {:?}", res.status);
             let rep = res.fault_report.expect("resilient solves carry a report");
-            table.sample(&res.timing);
             let total = res.timing.total_us();
             table.row(&[
                 &n,

@@ -73,9 +73,9 @@ fn record(
     ]);
 }
 
-/// Runs the overload sweep and returns the calibrated per-request
-/// modeled service time (the experiment's headline number).
-fn overload_sweep(table: &mut Table, net: &RadialNetwork, n: usize, reqs: usize) -> f64 {
+/// Runs the overload sweep at multiples of the calibrated per-request
+/// modeled service time.
+fn overload_sweep(table: &mut Table, net: &RadialNetwork, n: usize, reqs: usize) {
     let cfg = SolverConfig::default();
     // Calibrate the modeled service time with one clean solve.
     let mut probe = service(Backend::Gpu, None);
@@ -100,7 +100,6 @@ fn overload_sweep(table: &mut Table, net: &RadialNetwork, n: usize, reqs: usize)
         }
         record(table, "overload", n, &format!("{load:.1}x"), "0", reqs, &svc);
     }
-    service_us
 }
 
 fn fault_sweep(table: &mut Table, net: &RadialNetwork, n: usize, reqs: usize) {
@@ -134,11 +133,10 @@ fn main() {
         ],
     );
 
-    let service_us = overload_sweep(&mut table, &net, n, reqs);
+    overload_sweep(&mut table, &net, n, reqs);
     fault_sweep(&mut table, &net, n, reqs);
 
     table.emit("e13_service");
-    fbs_bench::summary::record("e13_service", &[service_us], &[]);
     println!("\nbelow saturation the queue absorbs bursts and nothing is shed;");
     println!("past it the service sheds at admission instead of growing the queue.");
     println!("saturating fault rates open the breaker: requests keep being answered");

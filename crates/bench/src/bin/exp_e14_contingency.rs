@@ -19,8 +19,8 @@
 //!   (`TopologyDelta` apply → solve → revert) to 1e-9 V on energized
 //!   buses, with de-energized buses reported at exactly 0;
 //! * warm-started re-solves use strictly fewer iterations than cold on
-//!   ≥ 90% of a paired 2 048-contingency sample, and the warm/cold
-//!   iteration medians are folded into `BENCH_summary.json`.
+//!   ≥ 90% of a paired 2 048-contingency sample; the warm/cold
+//!   iteration medians are printed with the paired comparison.
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e14_contingency`
 //! Smoke (CI): `E14_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e14_contingency`
@@ -29,7 +29,7 @@ use fbs::{
     ContingencyOutcome, ContingencyScreener, ScenarioPatch, Scenarios, ScreeningReport,
     SerialSolver, SolverArrays, SolverConfig, TensorBatchSolver,
 };
-use fbs_bench::{eval_config, rng_for, summary, us, Table};
+use fbs_bench::{eval_config, rng_for, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::{DfsOrder, RadialNetwork, TopologyDelta};
 use simt::{Device, DeviceProps, HostProps};
@@ -57,7 +57,6 @@ fn screener() -> ContingencyScreener {
 fn row(table: &mut Table, n: usize, mode: &str, report: &ScreeningReport) {
     let iters: Vec<u32> = report.outcomes.iter().map(|o| o.iterations).collect();
     let max = iters.iter().copied().max().unwrap_or(0);
-    table.sample(&report.timing);
     table.row(&[
         &n,
         &report.outcomes.len(),
@@ -219,24 +218,14 @@ fn main() {
                 sample.len()
             );
         }
-        headline = Some((
-            warm_report.outcomes.len(),
-            warm_report.contingencies_per_sec,
-            warm_med,
-            cold_med,
-        ));
+        headline = Some((warm_report.outcomes.len(), warm_report.contingencies_per_sec));
 
         // ---- Parity against classical per-outage re-solves ----
         assert_serial_parity(&net, &cfg_cold, &sample_buses(&net, parity_sample), 1e-9);
     }
 
-    // `emit` rewrites the experiment's summary entry, so headline metrics
-    // must merge in afterwards or the rewrite drops them.
     table.emit("e14_contingency");
-    if let Some((outages, cps, warm_med, cold_med)) = headline {
-        summary::record_metric("e14_contingency", "warm_median_iters", f64::from(warm_med));
-        summary::record_metric("e14_contingency", "cold_median_iters", f64::from(cold_med));
-        summary::record_metric("e14_contingency", "contingencies_per_sec", cps);
+    if let Some((outages, cps)) = headline {
         println!(
             "\nfull N-1 screen: {outages} contingencies in one batched run, \
              {cps:.0} contingencies per modeled second."

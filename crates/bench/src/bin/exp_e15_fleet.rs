@@ -23,20 +23,10 @@ use fbs::{
     FleetConfig, FleetRequest, FleetResponse, FleetService, Outcome, Request, SerialSolver,
     SolverConfig,
 };
-use fbs_bench::{rng_for, Table};
+use fbs_bench::{quantile, rng_for, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::RadialNetwork;
 use simt::{FaultKind, FaultPlan, HostProps};
-
-/// Nearest-rank quantile of an unsorted latency sample.
-fn quantile(samples: &[f64], q: f64) -> f64 {
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    if s.is_empty() {
-        return 0.0;
-    }
-    s[(((s.len() - 1) as f64) * q).ceil() as usize]
-}
 
 /// Latencies of the answered responses.
 fn latencies(responses: &[FleetResponse]) -> Vec<f64> {
@@ -212,11 +202,6 @@ fn main() {
     );
 
     table.emit("e15_fleet");
-    let lat: Vec<f64> = latencies(&chaos);
-    fbs_bench::summary::record("e15_fleet", &lat, &[]);
-    fbs_bench::summary::record_metric("e15_fleet", "fleet.requests_per_sec", rps_at[&4]);
-    fbs_bench::summary::record_metric("e15_fleet", "scaling_4v1", speedup4);
-    fbs_bench::summary::record_metric("e15_fleet", "chaos_p99_us", p99_chaos);
 
     println!("\nscaling: 4 devices clear the burst {speedup4:.2}x faster than 1");
     println!(

@@ -34,20 +34,10 @@ use fbs::{
     FleetConfig, FleetRequest, FleetResponse, FleetService, IntegrityConfig, IntegritySampler,
     Outcome, Request, SerialSolver, ServiceConfig, SolverConfig,
 };
-use fbs_bench::{rng_for, Table};
+use fbs_bench::{quantile, rng_for, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::RadialNetwork;
 use simt::{HostProps, StormSchedule};
-
-/// Nearest-rank quantile of an unsorted latency sample.
-fn quantile(samples: &[f64], q: f64) -> f64 {
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    if s.is_empty() {
-        return 0.0;
-    }
-    s[(((s.len() - 1) as f64) * q).ceil() as usize]
-}
 
 /// Latencies of the answered responses.
 fn latencies(responses: &[FleetResponse]) -> Vec<f64> {
@@ -281,12 +271,6 @@ fn main() {
     );
 
     table.emit("e16_soak");
-    let lat = latencies(&stormy);
-    fbs_bench::summary::record("e16_soak", &lat, &[]);
-    fbs_bench::summary::record_metric("e16_soak", "soak.requests_per_sec", storm_rps);
-    fbs_bench::summary::record_metric("e16_soak", "soak.detected_corruptions", detected as f64);
-    fbs_bench::summary::record_metric("e16_soak", "soak.shadow_sampled", istats.sampled as f64);
-    fbs_bench::summary::record_metric("e16_soak", "soak.shed", s.shed() as f64);
 
     println!(
         "\nsoak: {} requests served, {} shed, {} corruptions detected (zero undetected), \

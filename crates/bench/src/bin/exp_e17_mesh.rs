@@ -20,8 +20,7 @@
 //! * sampled batched scenarios match standalone serial outer-loop
 //!   re-solves to 1e-5·|V0|;
 //! * the batched DG sweep sustains ≥ 10× the per-scenario throughput
-//!   of serial outer-loop re-solves, and the headline metrics land in
-//!   `BENCH_summary.json`.
+//!   of serial outer-loop re-solves.
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e17_mesh`
 //! Smoke (CI): `E17_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e17_mesh`
@@ -30,7 +29,7 @@ use fbs::{
     solve_dg_batch, BackwardStrategy, GpuSolver, MeshSolver, OuterConfig, SerialSolver,
     SolveResult, SolverConfig, TensorBatchSolver,
 };
-use fbs_bench::{eval_config, rng_for, summary, us, Table};
+use fbs_bench::{eval_config, rng_for, us, Table};
 use numc::{c, Complex};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::{ieee, MeshedNetwork, MeshedNetworkBuilder, PvBus, RadialNetwork};
@@ -166,7 +165,6 @@ fn main() {
         ],
     );
 
-    let mut outer_iters_headline = 0u32;
     for (i, &n) in sizes.iter().enumerate() {
         let mut rng = rng_for(170 + i as u64);
         // Balanced trees keep the level count logarithmic — E17 measures
@@ -193,7 +191,6 @@ fn main() {
         for (backend, res, base) in
             [("serial", &serial, &base_serial), ("gpu", &gpu, &base_gpu)]
         {
-            table.sample(&res.inner.timing);
             table.row(&[
                 &n,
                 &meshed.break_points().len(),
@@ -205,7 +202,6 @@ fn main() {
                 &format!("{:.1}x", res.inner.timing.total_us() / base.timing.total_us()),
             ]);
         }
-        outer_iters_headline = serial.outer_iterations;
     }
     table.emit("e17_mesh");
 
@@ -259,8 +255,4 @@ fn main() {
              got {speedup:.1}x"
         );
     }
-
-    summary::record_metric("e17_mesh", "dg_batch_speedup", speedup);
-    summary::record_metric("e17_mesh", "dg_scenarios_per_sec", batch.scenarios_per_sec);
-    summary::record_metric("e17_mesh", "outer_iters_headline", f64::from(outer_iters_headline));
 }

@@ -34,7 +34,6 @@ fn main() {
         validate_or_die(&net, &par, "gpu");
         assert_eq!(serial.iterations, par.iterations, "solvers must agree on iterates");
 
-        table.sample(&par.timing);
         let s_us = serial.timing.total_us();
         let g_us = par.timing.total_us();
         let x = s_us / g_us;

@@ -35,7 +35,6 @@ fn main() {
         let par = gpu.solve(&net, &cfg);
         validate_or_die(&net, &par, "gpu");
 
-        table.sample(&par.timing);
         let s_sweep = serial.timing.phases.sweep_us();
         let g_sweep = par.timing.sweep_kernel_us();
         let x = s_sweep / g_sweep;

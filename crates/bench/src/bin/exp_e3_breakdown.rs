@@ -37,7 +37,6 @@ fn main() {
         let res = gpu.solve(&net, &cfg);
         validate_or_die(&net, &res, "gpu");
 
-        table.sample(&res.timing);
         let p = res.timing.phases;
         let pct = 100.0 * res.timing.transfer_us / res.timing.total_us();
         table.row(&[

@@ -31,7 +31,6 @@ fn main() {
         let s = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg);
         let mut gpu = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g = gpu.solve(&net, &cfg);
-        t1.sample(&g.timing);
         let min_pu = s.min_voltage().0 / net.source_voltage().abs();
         t1.row(&[
             &format!("{scale:.2}x"),
@@ -53,7 +52,6 @@ fn main() {
         let cfg = SolverConfig::new(tol, 500);
         let s = SerialSolver::new(HostProps::paper_rig()).solve(&base, &cfg);
         assert!(s.converged(), "tol 1e-{exp} must converge at nominal loading");
-        t2.sample(&s.timing);
         t2.row(&[&format!("1e-{exp}"), &s.iterations, &format!("{:.3e}", s.residual)]);
     }
     t2.emit("e5b_tolerance");

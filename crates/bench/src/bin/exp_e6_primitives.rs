@@ -33,7 +33,6 @@ fn main() {
         ],
     );
     let mut rng = rng_for(60);
-    let mut segscan_us = Vec::new();
 
     for &n in &SIZES {
         let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -60,7 +59,6 @@ fn main() {
         segscan_inclusive::<Complex, AddComplex>(&mut dev, &c_buf, &f_buf, &mut out_c);
         let t_segscan = modeled_since(&dev, m);
 
-        segscan_us.push(t_segscan);
         // Effective segscan throughput: value+flag read and value write.
         let bytes = (n * (16 + 4 + 16)) as f64;
         let gbps = bytes / t_segscan / 1e3;
@@ -74,6 +72,5 @@ fn main() {
     }
 
     table.emit("e6_primitives");
-    fbs_bench::summary::record("e6_primitives", &segscan_us, &[]);
     println!("\nsmall inputs are launch-latency bound; large inputs approach the bandwidth roofline.");
 }

@@ -39,7 +39,6 @@ fn main() {
         validate_or_die(net, &seg, name);
         validate_or_die(net, &dir, name);
         validate_or_die(net, &at, name);
-        t1.sample(&seg.timing);
         let a = seg.timing.phases.backward_us;
         let b = dir.timing.phases.backward_us;
         let c = at.timing.phases.backward_us;
@@ -61,7 +60,6 @@ fn main() {
         let g = gpu.solve(&net, &cfg);
         validate_or_die(&net, &m, "multicore");
         validate_or_die(&net, &g, "gpu");
-        t2.sample(&g.timing);
         let st = s.timing.total_us();
         t2.row(&[
             &n,

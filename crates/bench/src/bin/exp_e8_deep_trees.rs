@@ -45,7 +45,6 @@ fn main() {
         let jp = jump.solve(net, &cfg);
         validate_or_die(net, &jp, name);
 
-        table.sample(&jp.timing);
         table.row(&[
             name,
             &depth,

@@ -22,7 +22,7 @@
 //! Smoke (CI): `E9_SMOKE=1 cargo run -p fbs-bench --release --bin exp_e9_batch`
 
 use fbs::{Scenarios, SerialSolver, SolverArrays, TensorBatchSolver};
-use fbs_bench::{eval_config, rng_for, speedup, summary, us, Table};
+use fbs_bench::{eval_config, rng_for, speedup, us, Table};
 use numc::Complex;
 use powergrid::gen::{balanced_binary, GenSpec};
 use simt::{Device, DeviceProps, HostProps};
@@ -99,7 +99,6 @@ fn main() {
             .expect("the fault-free device cannot fail");
         assert!(res.converged(), "tensor batch of {nb} must converge");
 
-        table.sample(&res.timing);
         let per = res.timing.total_us() / nb as f64;
         headline_sps = res.scenarios_per_sec;
         if first_per.is_infinite() {
@@ -119,7 +118,6 @@ fn main() {
     }
 
     table.emit("e9_batch");
-    summary::record_metric("e9_batch", "scenarios_per_sec", headline_sps);
 
     let vs_serial = largest_per / serial_us;
     let vs_first = largest_per / first_per;

@@ -1,16 +1,15 @@
-//! Shared infrastructure for the experiment binaries (`exp_e1` … `exp_e13`).
+//! Shared infrastructure for the experiment binaries (`exp_e1` … `exp_e17`).
 //!
 //! Each binary regenerates one table/figure of the reconstructed
 //! evaluation (see `DESIGN.md`, per-experiment index): it prints a
 //! markdown table to stdout and writes the same rows as CSV under
-//! `results/` (see [`table`]), plus its headline medians into
-//! `results/BENCH_summary.json` (see [`summary`]); smoke configurations
-//! (`*_SMOKE`, see [`smoke_run`]) only print. All experiments run
-//! on the calibrated `paper_rig` device/host models with fixed seeds,
-//! so modeled output is reproducible bit-for-bit.
+//! `results/` (see [`table`]); smoke configurations (`*_SMOKE`, see
+//! [`smoke_run`]) only print. All experiments run on the calibrated
+//! `paper_rig` device/host models with fixed seeds, so modeled output
+//! is reproducible bit-for-bit. The CSVs are the paper's reconstructed
+//! tables; the performance record that speed claims are measured
+//! against is the `benchmark/` package.
 
-pub mod micro;
-pub mod summary;
 pub mod table;
 
 pub use table::{results_dir, smoke_run, speedup, us, Table};
@@ -35,6 +34,16 @@ pub fn rng_for(tag: u64) -> StdRng {
 /// The solver configuration used throughout the evaluation.
 pub fn eval_config() -> SolverConfig {
     SolverConfig::default()
+}
+
+/// Nearest-rank quantile of an unsorted sample (0 when empty).
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    let mut s = samples.to_vec();
+    s.sort_by(|a, b| a.total_cmp(b));
+    if s.is_empty() {
+        return 0.0;
+    }
+    s[(((s.len() - 1) as f64) * q).ceil() as usize]
 }
 
 /// Validates a converged result against its network before its timing is

@@ -1,16 +1,9 @@
 //! The shared table helper every experiment binary renders through: one
-//! column-aligned markdown printer with a CSV mirror under `results/`,
-//! plus the timing-sample hook that feeds `results/BENCH_summary.json`
-//! (see [`crate::summary`]) so the cross-PR perf trajectory is recorded
-//! without per-binary boilerplate.
+//! column-aligned markdown printer with a CSV mirror under `results/`.
 
 use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-use fbs::Timing;
-
-use crate::summary;
 
 /// A simple column-aligned markdown table accumulated row by row and
 /// mirrored to CSV.
@@ -18,8 +11,6 @@ pub struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    modeled_us: Vec<f64>,
-    wall_us: Vec<f64>,
 }
 
 impl Table {
@@ -29,8 +20,6 @@ impl Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            modeled_us: Vec::new(),
-            wall_us: Vec::new(),
         }
     }
 
@@ -38,14 +27,6 @@ impl Table {
     pub fn row(&mut self, cells: &[&dyn Display]) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
-    /// Records one measured solve behind the table's headline numbers.
-    /// [`Table::emit`] folds the samples into `results/BENCH_summary.json`
-    /// as per-experiment medians (modeled and wall µs).
-    pub fn sample(&mut self, timing: &Timing) {
-        self.modeled_us.push(timing.total_us());
-        self.wall_us.push(timing.wall_us);
     }
 
     /// Renders the table as column-aligned markdown.
@@ -93,10 +74,8 @@ impl Table {
         out
     }
 
-    /// Prints the markdown table, writes `results/<name>.csv` (relative
-    /// to the workspace root when run via cargo), and — when timing
-    /// samples were recorded — updates the experiment's medians in
-    /// `results/BENCH_summary.json`. A smoke run only prints.
+    /// Prints the markdown table and writes `results/<name>.csv` (see
+    /// [`results_dir`]). A smoke run only prints.
     pub fn emit(&self, name: &str) {
         print!("{}", self.to_markdown());
         if smoke_run() {
@@ -113,9 +92,6 @@ impl Table {
             Ok(()) => println!("\n[written {}]", path.display()),
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
-        if !self.modeled_us.is_empty() || !self.wall_us.is_empty() {
-            summary::record(name, &self.modeled_us, &self.wall_us);
-        }
     }
 }
 
@@ -127,12 +103,20 @@ pub fn smoke_run() -> bool {
     std::env::vars_os().any(|(k, _)| k.to_str().is_some_and(|k| k.ends_with("_SMOKE")))
 }
 
-/// `results/` next to the workspace root (falls back to CWD).
+/// `results/` at the root of the checkout being run: resolved at run
+/// time from the `CARGO_MANIFEST_DIR` that `cargo run` and `cargo test`
+/// set, else `./results`. Never the compile-time path — a checkout
+/// copied together with its `target/` reuses the old binaries, which
+/// would otherwise write into the original checkout.
 pub fn results_dir() -> PathBuf {
-    let manifest = env!("CARGO_MANIFEST_DIR");
-    Path::new(manifest)
-        .ancestors()
-        .nth(2)
+    let manifest = std::env::var_os("CARGO_MANIFEST_DIR");
+    results_dir_for(manifest.as_deref().map(Path::new))
+}
+
+/// [`results_dir`] for a given `crates/bench` manifest directory.
+fn results_dir_for(manifest: Option<&Path>) -> PathBuf {
+    manifest
+        .and_then(|m| m.ancestors().nth(2))
         .map(|ws| ws.join("results"))
         .unwrap_or_else(|| PathBuf::from("results"))
 }
@@ -190,11 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_collects_timing() {
-        let mut t = Table::new("Demo", &["x"]);
-        let timing = Timing { wall_us: 7.0, ..Timing::default() };
-        t.sample(&timing);
-        assert_eq!(t.modeled_us.len(), 1);
-        assert_eq!(t.wall_us, vec![7.0]);
+    fn results_dir_follows_the_run_time_manifest() {
+        let dir = results_dir_for(Some(Path::new("/copy/of/repo/crates/bench")));
+        assert_eq!(dir, Path::new("/copy/of/repo/results"));
+        assert_eq!(results_dir_for(None), Path::new("results"));
     }
 }
