@@ -25,9 +25,10 @@
 #      with a warm release build in `benchmark/target`; a cold build
 #      adds about a minute.
 #   5. CLI replays: a seeded chaos replay through `fbs fleet` that must
-#      exit 0 with one device scripted dead, and a seeded storm soak
+#      exit 0 with one device scripted dead, a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
-#      undetected corruption reached an answer).
+#      undetected corruption reached an answer), and a seeded
+#      three-phase fault replay through `fbs solve3` that must exit 0.
 #   6. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
 #   7. Lint: clippy over every target with warnings promoted to errors.
@@ -35,7 +36,7 @@
 # Opt-in, not a leg: the differential oracle at 10⁴ cases (tier-1 runs
 # it at its default counts),
 #   cargo test --release --offline --test oracle -- --ignored
-# measured at 66–68 s of test time on a 2-core Xeon with a warm
+# measured at about 83 s of test time on a 2-core Xeon with a warm
 # release build.
 #
 # Everything runs with --offline — the repo has zero external registry
@@ -89,13 +90,16 @@ for workload in $workloads; do
   fi
 done
 
-echo "== CLI replays: fleet chaos + storm soak =="
+echo "== CLI replays: fleet chaos + storm soak + 3φ faults =="
 cargo run -q --offline --release -p fbs-cli feeders --name ieee37 --out target/ci_fleet.grid 2> /dev/null
 timeout 300 cargo run -q --offline --release -p fbs-cli fleet target/ci_fleet.grid \
   --devices 4 --requests 32 --gap 120 --kill-device 1 --batch-every 8 \
   --scenarios 96 --shard-min 16 --seed 7 > /dev/null
 timeout 300 cargo run -q --offline --release -p fbs-cli soak target/ci_fleet.grid \
   --requests 24 --tol 1e-12 --seed 7 > /dev/null 2> /dev/null
+cargo run -q --offline --release -p fbs-cli feeders3 --name ieee13 --out target/ci_ieee13.grid3 2> /dev/null
+timeout 300 cargo run -q --offline --release -p fbs-cli solve3 target/ci_ieee13.grid3 \
+  --solver gpu --fault-seed 7 --fault-rate 0.005 > /dev/null
 
 echo "== racecheck: device kernels under the simt race detector =="
 cargo test -q --offline --features racecheck -p simt -p fbs

@@ -282,7 +282,7 @@ fn fault_plan(a: &Args) -> Result<Option<FaultPlan>, String> {
 }
 
 /// One deterministic summary line of what the resilient supervisor did.
-fn print_fault_report(res: &SolveResult, plan: &FaultPlan) {
+fn print_fault_report<V>(res: &SolveResult<V>, plan: &FaultPlan) {
     if let Some(rep) = &res.fault_report {
         println!(
             "recovery:    seed {} rate {} | {} faults, {} rollbacks, {} retries, {} checkpoints | backend {}",
@@ -1106,9 +1106,33 @@ fn cmd_gen3(argv: &[String]) -> Result<(), String> {
     emit_text(&powergrid::gridfile3::write_grid3(&net3), a.get("out"), net3.num_buses())
 }
 
-/// One inner three-phase solve over prepared arrays, on whichever backend
-/// `solve3` selected.
-type Inner3Solve<'a> = Box<dyn FnMut(&Arrays3) -> Result<Solve3Result, ResilienceError> + 'a>;
+/// The engine behind one `solve3` run: the serial reference, the plain
+/// GPU solver, or the fault-tolerant supervisor when faults are armed.
+enum Engine3 {
+    Serial(fbs::Serial3Solver),
+    Gpu(Box<fbs::Gpu3Solver>),
+    Supervised(Box<ResilientSolver>),
+}
+
+impl Engine3 {
+    /// One inner solve over prepared arrays.
+    fn solve(&mut self, a3: &Arrays3, cfg: &SolverConfig) -> Result<Solve3Result, ResilienceError> {
+        match self {
+            Engine3::Serial(s) => Ok(s.solve_arrays(a3, cfg)),
+            Engine3::Gpu(s) => Ok(s.solve_arrays(a3, cfg)),
+            Engine3::Supervised(s) => s.solve3(a3, cfg),
+        }
+    }
+
+    /// The device behind the last solve, if any (trace bridging).
+    fn device(&self) -> Option<&Device> {
+        match self {
+            Engine3::Serial(_) => None,
+            Engine3::Gpu(s) => Some(s.device()),
+            Engine3::Supervised(s) => s.last_device(),
+        }
+    }
+}
 
 fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let a = Args::parse(
@@ -1120,7 +1144,6 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let net = powergrid::gridfile3::parse_grid3(&text).map_err(|e| format!("{path}: {e}"))?;
     let cfg = solver_config(&a)?;
     let which = a.get_or("solver", "serial");
-    let plan = fault_plan(&a)?;
     let tele = Telemetry::from_args(&a);
     // Files with distributed generators run the three-phase PV outer loop.
     let dg = !net.generators().is_empty();
@@ -1137,6 +1160,7 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         if Backend::from_name(which) != Some(Backend::Gpu) {
             return Err(format!("service flags need --solver gpu, got `{which}`"));
         }
+        let plan = fault_plan(&a)?;
         let req = Request::Solve3 { net: net.clone(), cfg };
         let res = match serve_one(&a, Backend::Gpu, plan.as_ref(), &tele, req)? {
             Outcome::Solved3(r) => r,
@@ -1145,34 +1169,32 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
             }
             other => return Err(format!("unexpected service outcome: {other:?}")),
         };
-        tele.record(&res.timing, res.iterations, res.residual, &res.status, None);
+        let faults = res.fault_report.as_ref();
+        tele.record(&res.timing, res.iterations, res.residual, &res.status, faults);
         tele.write()?;
-        return report_solve3(&net, which, &res);
+        return report_solve3(&net, which, plan.as_ref(), &res);
     }
     let outer = if dg { Some(outer_config(&a)?) } else { None };
 
-    // One inner solve over prepared arrays per backend.
-    let mut gpu: Option<fbs::Gpu3Solver> = None;
-    let mut inner: Inner3Solve<'_> = match (Backend::from_name(which), plan) {
+    let (mut engine, plan) = match (Backend::from_name(which), armed_faults(&a)?) {
         // Fault plans only touch device ops; serial runs are unaffected.
         (Some(Backend::Serial), _) => {
             let mut s = fbs::Serial3Solver::new(HostProps::paper_rig());
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
             }
-            Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
+            (Engine3::Serial(s), None)
         }
         (Some(Backend::Gpu), None) => {
             let mut s = fbs::Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
             if let Some(rec) = tele.recorder() {
                 s = s.with_recorder(rec.clone());
             }
-            let s = gpu.insert(s);
-            Box::new(move |a3| Ok(s.solve_arrays(a3, &cfg)))
+            (Engine3::Gpu(Box::new(s)), None)
         }
-        (Some(Backend::Gpu), Some(plan)) => {
-            let mut s = supervisor(Backend::Gpu, &plan, a.get_parse_or("degrade", true)?, &tele);
-            Box::new(move |a3| s.solve3(a3, &cfg))
+        (Some(Backend::Gpu), Some((plan, degrade))) => {
+            let s = supervisor(Backend::Gpu, &plan, degrade, &tele);
+            (Engine3::Supervised(Box::new(s)), Some(plan))
         }
         _ => return Err(format!("unknown three-phase solver `{which}`")),
     };
@@ -1182,26 +1204,28 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         Plain(Solve3Result),
     }
     let solved = match &outer {
-        Some(outer) => solve3_dg(&net, &cfg, outer, tele.recorder(), &mut inner).map(Solved::Dg),
-        None => inner(&Arrays3::new(&net)).map(Solved::Plain),
+        Some(outer) => solve3_dg(&net, &cfg, outer, tele.recorder(), |a3| engine.solve(a3, &cfg))
+            .map(Solved::Dg),
+        None => engine.solve(&Arrays3::new(&net), &cfg).map(Solved::Plain),
     };
-    drop(inner);
-    if let Some(s) = &gpu {
-        tele.bridge_device(s.device());
+    if let Some(dev) = engine.device() {
+        tele.bridge_device(dev);
     }
     let label = if dg { "three-phase DG" } else { "three-phase" };
     match solved {
         Err(e) => unrecoverable(&format!("{which} ({label})"), &e, &tele),
         Ok(Solved::Dg(res)) => {
             let inner = &res.inner;
-            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, None);
+            let faults = inner.fault_report.as_ref();
+            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, faults);
             tele.write()?;
-            report_solve3_dg(&net, which, &res)
+            report_solve3_dg(&net, which, plan.as_ref(), &res)
         }
         Ok(Solved::Plain(res)) => {
-            tele.record(&res.timing, res.iterations, res.residual, &res.status, None);
+            let faults = res.fault_report.as_ref();
+            tele.record(&res.timing, res.iterations, res.residual, &res.status, faults);
             tele.write()?;
-            report_solve3(&net, which, &res)
+            report_solve3(&net, which, plan.as_ref(), &res)
         }
     }
 }
@@ -1240,13 +1264,17 @@ fn unrecoverable(
 fn report_solve3(
     net: &powergrid::three_phase::ThreePhaseNetwork,
     which: &str,
-    res: &fbs::Solve3Result,
+    plan: Option<&FaultPlan>,
+    res: &Solve3Result,
 ) -> Result<u8, String> {
     println!("solver:      {which} (three-phase)");
     println!(
         "status:      {} in {} iterations (residual {:.3e} V)",
         res.status, res.iterations, res.residual
     );
+    if let Some(plan) = plan {
+        print_fault_report(res, plan);
+    }
     report_solve3_body(net, res, res.converged());
     println!("modeled:     total {:.1} µs", res.timing.total_us());
     Ok(res.status.exit_code())
@@ -1258,6 +1286,7 @@ fn report_solve3(
 fn report_solve3_dg(
     net: &powergrid::three_phase::ThreePhaseNetwork,
     which: &str,
+    plan: Option<&FaultPlan>,
     res: &Mesh3Result,
 ) -> Result<u8, String> {
     println!(
@@ -1285,6 +1314,9 @@ fn report_solve3_dg(
         }
     }
     report_solve3_body(net, &res.inner, res.converged());
+    if let Some(plan) = plan {
+        print_fault_report(&res.inner, plan);
+    }
     println!("modeled:     total {:.1} µs", res.inner.timing.total_us());
     Ok(res.status.exit_code())
 }
@@ -1293,7 +1325,7 @@ fn report_solve3_dg(
 /// reports.
 fn report_solve3_body(
     net: &powergrid::three_phase::ThreePhaseNetwork,
-    res: &fbs::Solve3Result,
+    res: &Solve3Result,
     converged: bool,
 ) {
     if !converged {

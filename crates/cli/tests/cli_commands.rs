@@ -217,6 +217,25 @@ fn three_phase_pipeline() {
 }
 
 #[test]
+fn supervised_solve3_bridges_its_device_into_the_trace() {
+    let (p3, trace) = (tmp("replay.grid3"), tmp("replay3.trace.json"));
+    let (s3, trace_s) = (p3.to_str().unwrap(), trace.to_str().unwrap());
+    run(&["feeders3", "--name", "ieee13", "--out", s3]).unwrap();
+    let code = run(&[
+        "solve3", s3, "--solver", "gpu", "--fault-seed", "7", "--fault-rate", "0.005",
+        "--trace-out", trace_s,
+    ])
+    .expect("seeded 3φ fault replay");
+    assert_eq!(code, 0, "a recoverable 3φ fault replay exits 0");
+    let text = fs::read_to_string(&trace).expect("trace written");
+    for kernel in ["fbs3_inject", "fbs3_backward_combine", "fbs3_forward"] {
+        assert!(text.contains(&format!("\"{kernel}\"")), "trace lacks {kernel} kernel spans");
+    }
+    let _ = fs::remove_file(&p3);
+    let _ = fs::remove_file(&trace);
+}
+
+#[test]
 fn solve_exit_codes_reflect_status() {
     use numc::{c, Complex};
     use powergrid::gridfile::write_grid;

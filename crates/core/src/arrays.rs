@@ -10,18 +10,21 @@
 use numc::Complex;
 use powergrid::{LevelOrder, RadialNetwork};
 
-/// Flat, level-ordered arrays describing one power-flow problem.
+/// Flat, level-ordered arrays describing one power-flow problem, generic
+/// over the per-bus load phasor `S` and the branch impedance `Z`: one
+/// phasor and one scalar impedance per bus in [`SolverArrays`], a phase
+/// triple and a 3×3 matrix in [`crate::Arrays3`].
 #[derive(Clone, Debug)]
-pub struct SolverArrays {
+pub struct LevelArrays<S, Z> {
     /// The level-order permutation and ranges.
     pub levels: LevelOrder,
-    /// Source (slack) voltage phasor, volts.
-    pub source: Complex,
+    /// Source (slack) voltage, volts.
+    pub source: S,
     /// Per-position constant-power load, VA.
-    pub s: Vec<Complex>,
+    pub s: Vec<S>,
     /// Per-position impedance of the branch feeding the position from its
     /// parent, ohms (zero at the root, which has no feeding branch).
-    pub z: Vec<Complex>,
+    pub z: Vec<Z>,
     /// Parent position per position ([`powergrid::NO_PARENT`] at the root).
     pub parent_pos: Vec<u32>,
     /// Children position ranges (see [`LevelOrder`]).
@@ -37,24 +40,32 @@ pub struct SolverArrays {
     pub seg_last: Vec<u32>,
 }
 
+/// The single-phase arrays every single-phase solver works on.
+pub type SolverArrays = LevelArrays<Complex, Complex>;
+
 impl SolverArrays {
     /// Builds the arrays for a network.
     pub fn new(net: &RadialNetwork) -> Self {
         let levels = LevelOrder::new(net);
-        let n = levels.len();
-
-        let s: Vec<Complex> = levels.order.iter().map(|&b| net.buses()[b as usize].load).collect();
-        let z: Vec<Complex> = levels
+        let s = levels.order.iter().map(|&b| net.buses()[b as usize].load).collect();
+        let z = levels
             .order
             .iter()
             .map(|&b| net.parent_branch(b as usize).map_or(Complex::ZERO, |br| br.z))
             .collect();
-        let seg_last: Vec<u32> = (0..n)
+        LevelArrays::with_loads(levels, net.source_voltage(), s, z)
+    }
+}
+
+impl<S, Z> LevelArrays<S, Z> {
+    /// Lays out the topology arrays of `levels` around the per-position
+    /// loads `s` and impedances `z`.
+    pub(crate) fn with_loads(levels: LevelOrder, source: S, s: Vec<S>, z: Vec<Z>) -> Self {
+        let seg_last = (0..levels.len())
             .map(|p| if levels.child_lo[p] < levels.child_hi[p] { levels.child_hi[p] - 1 } else { 0 })
             .collect();
-
-        SolverArrays {
-            source: net.source_voltage(),
+        LevelArrays {
+            source,
             s,
             z,
             parent_pos: levels.parent_pos.clone(),

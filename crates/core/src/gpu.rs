@@ -29,7 +29,10 @@
 //! (convergence, deadline, download) is the one device loop,
 //! `recovery::drive`, which the fault-tolerant supervisor also runs.
 //! A plain solve runs it with checkpointing off and no retry budget, so
-//! it issues exactly the session's own device operations.
+//! it issues exactly the session's own device operations. The session
+//! is generic over the per-bus phasor: the three-phase solver
+//! ([`crate::Gpu3Solver`]) opens the same session over phase triples
+//! and brings its own kernels.
 //!
 //! # Routing
 //!
@@ -42,19 +45,20 @@
 //! level path with the given backward strategy; the experiments that
 //! reproduce the paper's tables use it.
 
+use std::ops::AddAssign;
 use std::time::Instant;
 
 use numc::Complex;
 use powergrid::RadialNetwork;
 use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceBuffer, DeviceError, DeviceProps};
+use simt::{Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps};
 use telemetry::Recorder;
 
-use crate::arrays::SolverArrays;
+use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::{self, SessionClock, SweepSession};
+use crate::recovery::{self, Phasor, SessionClock, SweepSession};
 use crate::report::SolveResult;
 use crate::tensor_batch;
 
@@ -189,43 +193,63 @@ fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
     tensor_batch::single_iteration_bound_us(props, a, warm) < launches as f64 * per_launch
 }
 
+/// The per-bus phasor of a level-synchronous session, with its own
+/// device iteration: [`Complex`] here, `CVec3` in [`crate::three_phase`].
+/// Each phase kind keeps its own kernels, so none branches on its caller.
+pub(crate) trait LevelPhasor: Phasor + DeviceCopy + Default + PartialEq + AddAssign {
+    /// The branch impedance: a scalar, or a 3×3 phase matrix.
+    type Z: DeviceCopy + PartialEq;
+    /// The load current `conj(S/V)` (zero for a zero load).
+    fn inject(s: Self, v: Self) -> Self;
+    /// The voltage drop `Z·J` across a branch.
+    fn z_mul(z: Self::Z, j: Self) -> Self;
+    /// One device iteration — inject, backward, forward, reduce — with
+    /// each phase charged to the session's clock; returns the ∞-norm
+    /// voltage update.
+    fn iterate(sess: &mut GpuSession<'_, Self>) -> Result<f64, DeviceError>;
+}
+
 /// One level-synchronous solve in progress: device state plus phase
-/// accounting, stepped one iteration at a time.
+/// accounting, stepped one iteration at a time by `recovery::drive`.
 ///
 /// Splitting the solve into a session is what lets the recovery
 /// supervisor ([`crate::recovery::ResilientSolver`]) interleave
 /// checkpoints, integrity checks and rollbacks between iterations
-/// without duplicating the sweep kernels.
-pub(crate) struct GpuSession<'a> {
-    dev: &'a mut Device,
-    a: &'a SolverArrays,
+/// without duplicating the sweep kernels. The single- and three-phase
+/// sessions share this state and bookkeeping; their kernels are
+/// [`LevelPhasor::iterate`]. The three-phase kernels have the
+/// segmented-scan backward sweep only, so `strategy` is the
+/// single-phase kernels' choice.
+pub(crate) struct GpuSession<'a, V: LevelPhasor> {
+    pub(crate) dev: &'a mut Device,
+    pub(crate) a: &'a LevelArrays<V, V::Z>,
     /// The warm start by bus id; `None` is the flat start.
-    v_init: Option<&'a [Complex]>,
+    v_init: Option<&'a [V]>,
     strategy: BackwardStrategy,
-    s_buf: DeviceBuffer<Complex>,
-    z_buf: DeviceBuffer<Complex>,
-    parent_buf: DeviceBuffer<u32>,
-    child_lo_buf: DeviceBuffer<u32>,
-    child_hi_buf: DeviceBuffer<u32>,
-    flags_buf: DeviceBuffer<u32>,
-    seg_last_buf: DeviceBuffer<u32>,
-    v_buf: DeviceBuffer<Complex>,
-    i_buf: DeviceBuffer<Complex>,
-    j_buf: DeviceBuffer<Complex>,
-    delta_buf: DeviceBuffer<f64>,
-    scan_buf: DeviceBuffer<Complex>,
-    clock: SessionClock,
+    pub(crate) s_buf: DeviceBuffer<V>,
+    pub(crate) z_buf: DeviceBuffer<V::Z>,
+    pub(crate) parent_buf: DeviceBuffer<u32>,
+    pub(crate) child_lo_buf: DeviceBuffer<u32>,
+    pub(crate) child_hi_buf: DeviceBuffer<u32>,
+    pub(crate) flags_buf: DeviceBuffer<u32>,
+    pub(crate) seg_last_buf: DeviceBuffer<u32>,
+    pub(crate) v_buf: DeviceBuffer<V>,
+    pub(crate) i_buf: DeviceBuffer<V>,
+    pub(crate) j_buf: DeviceBuffer<V>,
+    pub(crate) delta_buf: DeviceBuffer<f64>,
+    pub(crate) scan_buf: DeviceBuffer<V>,
+    pub(crate) clock: SessionClock,
 }
 
-impl<'a> GpuSession<'a> {
+impl<'a, V: LevelPhasor> GpuSession<'a, V> {
     /// Uploads topology and state (charged to the setup phase). Phase
     /// spans are recorded through `obs` on the session's modeled clock;
     /// pass `Obs::default()` for an uninstrumented session.
     pub(crate) fn with_obs(
         dev: &'a mut Device,
-        a: &'a SolverArrays,
+        a: &'a LevelArrays<V, V::Z>,
         strategy: BackwardStrategy,
-        v_init: Option<&'a [Complex]>,
+        v_init: Option<&'a [V]>,
         obs: Obs,
     ) -> Result<Self, DeviceError> {
         let n = a.len();
@@ -239,7 +263,7 @@ impl<'a> GpuSession<'a> {
         let child_hi_buf = dev.try_alloc_from(&a.child_hi)?;
         let flags_buf = dev.try_alloc_from(&a.head_flags)?;
         let seg_last_buf = dev.try_alloc_from(&a.seg_last)?;
-        let mut v_buf = dev.try_alloc::<Complex>(n)?;
+        let mut v_buf = dev.try_alloc::<V>(n)?;
         match v_init {
             Some(init) => {
                 assert_eq!(init.len(), n, "warm start needs one voltage per bus");
@@ -248,11 +272,11 @@ impl<'a> GpuSession<'a> {
             }
             None => try_fill(dev, &mut v_buf, v0)?,
         }
-        let i_buf = dev.try_alloc::<Complex>(n)?;
-        let j_buf = dev.try_alloc::<Complex>(n)?;
+        let i_buf = dev.try_alloc::<V>(n)?;
+        let j_buf = dev.try_alloc::<V>(n)?;
         let mut delta_buf = dev.try_alloc::<f64>(n)?;
         try_fill(dev, &mut delta_buf, 0.0)?;
-        let scan_buf = dev.try_alloc::<Complex>(n)?;
+        let scan_buf = dev.try_alloc::<V>(n)?;
         let clock = SessionClock::new(&dev.timeline().breakdown_since(mark), obs);
 
         Ok(GpuSession {
@@ -277,23 +301,33 @@ impl<'a> GpuSession<'a> {
     }
 }
 
-impl SweepSession for GpuSession<'_> {
-    fn clock(&self) -> &SessionClock {
-        &self.clock
+impl LevelPhasor for Complex {
+    type Z = Complex;
+
+    fn inject(s: Complex, v: Complex) -> Complex {
+        if s == Complex::ZERO {
+            Complex::ZERO
+        } else {
+            (s / v).conj()
+        }
     }
 
-    fn iterate(&mut self) -> Result<f64, DeviceError> {
-        let dev = &mut *self.dev;
-        let a = self.a;
+    fn z_mul(z: Complex, j: Complex) -> Complex {
+        z * j
+    }
+
+    fn iterate(sess: &mut GpuSession<'_, Complex>) -> Result<f64, DeviceError> {
+        let dev = &mut *sess.dev;
+        let a = sess.a;
         let n = a.len();
         let num_levels = a.num_levels();
 
         // ---- Injection ----
         let mark = dev.timeline().mark();
         {
-            let s_v = self.s_buf.view();
-            let v_v = self.v_buf.view();
-            let i_v = self.i_buf.view_mut();
+            let s_v = sess.s_buf.view();
+            let v_v = sess.v_buf.view();
+            let i_v = sess.i_buf.view_mut();
             try_launch_map(dev, n, "fbs_inject", move |t, p| {
                 let s = t.ld(&s_v, p);
                 let out = if s == Complex::ZERO {
@@ -306,18 +340,18 @@ impl SweepSession for GpuSession<'_> {
                 t.st(&i_v, p, out);
             })?;
         }
-        self.clock.charge("injection", &dev.timeline().breakdown_since(mark));
+        sess.clock.charge("injection", &dev.timeline().breakdown_since(mark));
 
         // ---- Backward sweep: deepest level → root ----
         let mark = dev.timeline().mark();
-        if self.strategy == BackwardStrategy::AtomicScatter {
+        if sess.strategy == BackwardStrategy::AtomicScatter {
             // Init J = I everywhere, then one child→parent atomic
             // scatter per level: children of a level-(l−1) bus all
             // live at level l, so after the level-l scatter every
             // level-(l−1) branch current is final.
             {
-                let i_v = self.i_buf.view();
-                let j_v = self.j_buf.view_mut();
+                let i_v = sess.i_buf.view();
+                let j_v = sess.j_buf.view_mut();
                 try_launch_map(dev, n, "fbs_backward_init", move |t, p| {
                     let v = t.ld(&i_v, p);
                     t.st(&j_v, p, v);
@@ -326,8 +360,8 @@ impl SweepSession for GpuSession<'_> {
             for l in (1..num_levels).rev() {
                 let range = a.levels.level_range(l);
                 let (lo, len) = (range.start, range.len());
-                let par_v = self.parent_buf.view();
-                let j_v = self.j_buf.view_mut();
+                let par_v = sess.parent_buf.view();
+                let j_v = sess.j_buf.view_mut();
                 try_launch_map(dev, len, "fbs_backward_scatter", move |t, k| {
                     let c = lo + k;
                     let parent = t.ld(&par_v, c) as usize;
@@ -338,33 +372,33 @@ impl SweepSession for GpuSession<'_> {
             }
         }
         for l in (0..num_levels).rev() {
-            if self.strategy == BackwardStrategy::AtomicScatter {
+            if sess.strategy == BackwardStrategy::AtomicScatter {
                 break;
             }
             let range = a.levels.level_range(l);
             let (lo, len) = (range.start, range.len());
             let has_child_level = l + 1 < num_levels;
 
-            if self.strategy == BackwardStrategy::SegScan && has_child_level {
+            if sess.strategy == BackwardStrategy::SegScan && has_child_level {
                 let crange = a.levels.level_range(l + 1);
                 try_segscan_inclusive_range::<Complex, AddComplex>(
                     dev,
-                    &self.j_buf,
-                    &self.flags_buf,
+                    &sess.j_buf,
+                    &sess.flags_buf,
                     crange.start,
                     crange.end,
-                    &mut self.scan_buf,
+                    &mut sess.scan_buf,
                 )?;
             }
 
-            match self.strategy {
+            match sess.strategy {
                 BackwardStrategy::SegScan => {
-                    let i_v = self.i_buf.view();
-                    let lo_v = self.child_lo_buf.view();
-                    let hi_v = self.child_hi_buf.view();
-                    let last_v = self.seg_last_buf.view();
-                    let scan_v = self.scan_buf.view();
-                    let j_v = self.j_buf.view_mut();
+                    let i_v = sess.i_buf.view();
+                    let lo_v = sess.child_lo_buf.view();
+                    let hi_v = sess.child_hi_buf.view();
+                    let last_v = sess.seg_last_buf.view();
+                    let scan_v = sess.scan_buf.view();
+                    let j_v = sess.j_buf.view_mut();
                     try_launch_map(dev, len, "fbs_backward_combine", move |t, k| {
                         let p = lo + k;
                         let mut acc = t.ld(&i_v, p);
@@ -377,10 +411,10 @@ impl SweepSession for GpuSession<'_> {
                     })?;
                 }
                 BackwardStrategy::Direct => {
-                    let i_v = self.i_buf.view();
-                    let lo_v = self.child_lo_buf.view();
-                    let hi_v = self.child_hi_buf.view();
-                    let j_v = self.j_buf.view_mut();
+                    let i_v = sess.i_buf.view();
+                    let lo_v = sess.child_lo_buf.view();
+                    let hi_v = sess.child_hi_buf.view();
+                    let j_v = sess.j_buf.view_mut();
                     try_launch_map(dev, len, "fbs_backward_direct", move |t, k| {
                         let p = lo + k;
                         let mut acc = t.ld(&i_v, p);
@@ -396,18 +430,18 @@ impl SweepSession for GpuSession<'_> {
                 BackwardStrategy::AtomicScatter => unreachable!("handled above"),
             }
         }
-        self.clock.charge("backward", &dev.timeline().breakdown_since(mark));
+        sess.clock.charge("backward", &dev.timeline().breakdown_since(mark));
 
         // ---- Forward sweep: root → leaves ----
         let mark = dev.timeline().mark();
         for l in 1..num_levels {
             let range = a.levels.level_range(l);
             let (lo, len) = (range.start, range.len());
-            let z_v = self.z_buf.view();
-            let par_v = self.parent_buf.view();
-            let j_v = self.j_buf.view();
-            let d_v = self.delta_buf.view_mut();
-            let v_v = self.v_buf.view_mut();
+            let z_v = sess.z_buf.view();
+            let par_v = sess.parent_buf.view();
+            let j_v = sess.j_buf.view();
+            let d_v = sess.delta_buf.view_mut();
+            let v_v = sess.v_buf.view_mut();
             try_launch_map(dev, len, "fbs_forward", move |t, k| {
                 let p = lo + k;
                 let parent = t.ld(&par_v, p) as usize;
@@ -421,16 +455,28 @@ impl SweepSession for GpuSession<'_> {
                 t.st(&d_v, p, (new_v - old).abs());
             })?;
         }
-        self.clock.charge("forward", &dev.timeline().breakdown_since(mark));
+        sess.clock.charge("forward", &dev.timeline().breakdown_since(mark));
 
         // ---- Convergence: ∞-norm reduction + scalar read-back ----
         let mark = dev.timeline().mark();
-        let delta = try_reduce::<f64, MaxAbsF64>(dev, &self.delta_buf)?;
-        self.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
+        let delta = try_reduce::<f64, MaxAbsF64>(dev, &sess.delta_buf)?;
+        sess.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
         Ok(delta)
     }
+}
 
-    fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
+impl<V: LevelPhasor> SweepSession for GpuSession<'_, V> {
+    type V = V;
+
+    fn clock(&self) -> &SessionClock {
+        &self.clock
+    }
+
+    fn iterate(&mut self) -> Result<f64, DeviceError> {
+        V::iterate(self)
+    }
+
+    fn snapshot(&mut self) -> Result<Vec<V>, DeviceError> {
         let mark = self.dev.timeline().mark();
         // A checkpoint read must be certified clean: a silently corrupted
         // snapshot would poison every later rollback.
@@ -439,7 +485,7 @@ impl SweepSession for GpuSession<'_> {
         Ok(v)
     }
 
-    fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError> {
+    fn restore(&mut self, v_pos: &[V]) -> Result<(), DeviceError> {
         let dev = &mut *self.dev;
         let a = self.a;
         let mark = dev.timeline().mark();
@@ -459,7 +505,7 @@ impl SweepSession for GpuSession<'_> {
         Ok(())
     }
 
-    fn start_state(&self) -> Vec<Complex> {
+    fn start_state(&self) -> Vec<V> {
         match self.v_init {
             Some(init) => self.a.levels.permute(init),
             None => vec![self.a.source; self.a.len()],
@@ -481,7 +527,7 @@ impl SweepSession for GpuSession<'_> {
         Ok(ok)
     }
 
-    fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
+    fn download(&mut self) -> Result<(Vec<V>, Vec<V>), DeviceError> {
         let dev = &mut *self.dev;
         let mark = dev.timeline().mark();
         let v_pos = dev.try_dtoh_checked(&self.v_buf)?;
@@ -490,29 +536,20 @@ impl SweepSession for GpuSession<'_> {
         Ok((v_pos, j_pos))
     }
 
-    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex> {
+    fn unpermute(&self, pos: &[V]) -> Vec<V> {
         self.a.levels.unpermute(pos)
     }
 
-    fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
+    fn host_iterate(&self, v_pos: &[V]) -> (f64, Vec<V>) {
         let a = self.a;
         let n = a.len();
-        let i: Vec<Complex> = (0..n)
-            .map(|p| {
-                if a.s[p] == Complex::ZERO {
-                    Complex::ZERO
-                } else {
-                    (a.s[p] / v_pos[p]).conj()
-                }
-            })
-            .collect();
         // Children sit at higher positions than their parent in level
         // order, so one reverse pass accumulates every subtree.
-        let mut j = vec![Complex::ZERO; n];
+        let mut j = vec![V::default(); n];
         for p in (0..n).rev() {
-            let mut acc = i[p];
-            for jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
-                acc += *jc;
+            let mut acc = V::inject(a.s[p], v_pos[p]);
+            for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
+                acc += jc;
             }
             j[p] = acc;
         }
@@ -520,18 +557,18 @@ impl SweepSession for GpuSession<'_> {
         // No kernel writes the root, so a corrupted root is a consistent
         // fixed point of a wrong source — check it against the start.
         let root = self.v_init.map_or(a.source, |init| init[a.levels.order[0] as usize]);
-        let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).abs());
+        let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).norm());
         for p in 1..n {
             let parent = a.parent_pos[p] as usize;
-            let nv = v_new[parent] - a.z[p] * j[p];
-            res = MaxAbsF64::combine(res, (nv - v_pos[p]).abs());
+            let nv = v_new[parent] - V::z_mul(a.z[p], j[p]);
+            res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
             v_new[p] = nv;
         }
         (res, j)
     }
 
     fn source_mag(&self) -> f64 {
-        self.a.source.abs()
+        self.a.source.norm()
     }
 
     fn faults_observed(&self) -> u32 {

@@ -232,6 +232,8 @@ impl<'a> JumpSession<'a> {
 }
 
 impl SweepSession for JumpSession<'_> {
+    type V = Complex;
+
     fn clock(&self) -> &SessionClock {
         &self.clock
     }

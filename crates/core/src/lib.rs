@@ -53,7 +53,7 @@ pub mod tensor_batch;
 pub mod three_phase;
 pub mod validate;
 
-pub use arrays::SolverArrays;
+pub use arrays::{LevelArrays, SolverArrays};
 pub use config::{ConfigError, SolverConfig};
 pub use contingency::{ContingencyOutcome, ContingencyScreener, ScreeningReport};
 pub use engine::{Backend, SweepBackend};

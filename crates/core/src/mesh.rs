@@ -963,7 +963,9 @@ impl Mesh3Result {
 /// Three-phase networks are radial, so only PV control engages; it
 /// shares the mode machine, hysteresis, stale-voltage accounting and
 /// limit-cycle budget with the single-phase loop through [`pv_step`],
-/// and its stopping rule through [`OuterMonitor`].
+/// and its stopping rule through [`OuterMonitor`]. Timing, iterations
+/// and fault report accumulate over every inner solve, as in
+/// [`solve_dg`].
 pub fn solve3_dg<E>(
     net: &ThreePhaseNetwork,
     cfg: &SolverConfig,
@@ -981,7 +983,7 @@ pub fn solve3_dg<E>(
     let mut state = MeshState::new(&gens, 0);
 
     if cfg.validate().is_err() || !outer.is_valid() {
-        let inner_res = crate::three_phase::invalid_config_result3(n, v0);
+        let inner_res = crate::report::invalid_config_result(n, v0);
         return Ok(finish3(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, 0.0, rec));
     }
 
@@ -1013,6 +1015,7 @@ pub fn solve3_dg<E>(
     let mut monitor = OuterMonitor::new(outer, cfg, v0m);
     let mut total = Timing::default();
     let mut total_inner_iters = 0u32;
+    let mut faults: Option<FaultReport> = None;
     let mut last: Option<Solve3Result> = None;
     let mut outcome = OuterMonitor::EXHAUSTED;
     let mut pv_error = 0.0;
@@ -1029,6 +1032,9 @@ pub fn solve3_dg<E>(
         let res = inner(&a)?;
         total.accumulate(&res.timing);
         total_inner_iters += res.iterations;
+        if let Some(fr) = &res.fault_report {
+            faults.get_or_insert_with(FaultReport::default).accumulate(fr);
+        }
         let decided = monitor.round(it, res.status, true, || {
             let vm: Vec<f64> = gens.iter().map(|g| mean_phase_mag(res.v[g.bus])).collect();
             let (err, limit_cycle) = pv_step(&gens, &x_th, &mut state, &vm, outer);
@@ -1047,6 +1053,9 @@ pub fn solve3_dg<E>(
     let mut res = last.expect("max_outer >= 1 guarantees at least one inner solve");
     res.timing = total;
     res.iterations = total_inner_iters;
+    if faults.is_some() {
+        res.fault_report = faults;
+    }
     Ok(finish3(res, status, outer_status, outer_iters, &state, pv_error, rec))
 }
 

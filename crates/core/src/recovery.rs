@@ -29,9 +29,15 @@
 //!   reported honestly, never rolled back.
 //! * **Degradation.** Every rollback or restart charges a budget of
 //!   `max_recoveries`. Device loss or budget exhaustion degrades the
-//!   backend: gpu → multicore → serial. The CPU backends cannot fault,
-//!   so a degraded solve reproduces the true answer (or the true
-//!   failure) deterministically.
+//!   backend: gpu → multicore → serial, or gpu → serial for a
+//!   three-phase solve (multicore has no three-phase form). The CPU
+//!   backends cannot fault, so a degraded solve reproduces the true
+//!   answer (or the true failure) deterministically.
+//!
+//! Both phase kinds run this one policy over the one device loop,
+//! [`drive`]: its sessions (single-phase level and jump, three-phase
+//! level) differ only in their per-bus phasor, [`Complex`] or
+//! [`CVec3`], and [`Phasor::norm`] is all the loop needs of it.
 //!
 //! Because rollbacks restore certified-clean state and the CPU
 //! fallbacks are fault-free, a recovered solve matches the fault-free
@@ -39,12 +45,13 @@
 //! [`FaultReport`] so callers can see the run was not clean.
 
 use std::fmt;
+use std::ops::Sub;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use numc::Complex;
+use numc::{CVec3, Complex};
 use simt::{Breakdown, Device, DeviceError, DeviceProps, FaultKind, FaultPlan, HostProps};
 
 use telemetry::Recorder;
@@ -52,12 +59,12 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::engine::Backend;
-use crate::gpu::GpuSession;
+use crate::gpu::{BackwardStrategy, GpuSession};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
-use crate::report::{FaultReport, PhaseTimes, SolveResult, Timing};
+use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
-use crate::three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
+use crate::three_phase::{Arrays3, Gpu3Session, Serial3Solver, Solve3Result};
 
 /// A residual is anomalous when it exceeds this multiple of the
 /// previous iteration's residual (or of the tolerance, near
@@ -65,35 +72,61 @@ use crate::three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
 /// 2×, so genuine FBS decay and injected corruption separate cleanly.
 pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 
-/// One GPU sweep in progress, abstracted over the level-synchronous and
-/// jump formulations so the recovery loop in [`drive`] is written once.
+/// The per-bus phasor a session sweeps, with the one norm [`drive`]
+/// compares: `abs` of a [`Complex`], the worst phase's of a [`CVec3`].
+pub(crate) trait Phasor: Copy + Sub<Output = Self> {
+    /// The magnitude every gate of [`drive`] measures.
+    fn norm(self) -> f64;
+}
+
+impl Phasor for Complex {
+    fn norm(self) -> f64 {
+        self.abs()
+    }
+}
+
+impl Phasor for CVec3 {
+    fn norm(self) -> f64 {
+        self.abs_max()
+    }
+}
+
+/// A session's final voltages and branch currents, in position order.
+pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
+
+/// One GPU sweep in progress, abstracted over the single-phase level and
+/// jump formulations and the three-phase level one, so the recovery loop
+/// in [`drive`] is written once.
 ///
 /// All voltages are in the session's device position order.
 pub(crate) trait SweepSession {
+    /// The per-bus phasor: [`Complex`] or [`CVec3`].
+    type V: Phasor;
     /// The session's modeled-time accounts.
     fn clock(&self) -> &SessionClock;
     /// Runs one full FBS iteration; returns the ∞-norm voltage update.
     fn iterate(&mut self) -> Result<f64, DeviceError>;
     /// Downloads the voltage state (checkpoint capture).
-    fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError>;
+    fn snapshot(&mut self) -> Result<Vec<Self::V>, DeviceError>;
     /// Re-uploads every static buffer and the given voltages, clearing
     /// scratch state — heals any resident corruption.
-    fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError>;
+    fn restore(&mut self, v_pos: &[Self::V]) -> Result<(), DeviceError>;
     /// The voltages the session started from (the flat start or the warm
     /// start it was opened with) — what a rollback to the initial
     /// checkpoint restores. Built on demand, so a clean solve never
     /// holds a host copy of it.
-    fn start_state(&self) -> Vec<Complex>;
+    fn start_state(&self) -> Vec<Self::V>;
     /// Compares every static device buffer byte-for-byte against its
     /// host copy.
     fn verify_static(&mut self) -> Result<bool, DeviceError>;
     /// Downloads the final voltages and branch currents.
-    fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError>;
+    fn download(&mut self) -> Result<Downloaded<Self::V>, DeviceError>;
     /// Lays a position-order array out by bus id.
-    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex>;
+    fn unpermute(&self, pos: &[Self::V]) -> Vec<Self::V>;
     /// One host-side FBS iteration from `v_pos`: returns the residual
-    /// it would produce and the host-computed branch currents.
-    fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>);
+    /// it would produce and the host-computed branch currents. The root
+    /// is checked against the start state, since no kernel rewrites it.
+    fn host_iterate(&self, v_pos: &[Self::V]) -> (f64, Vec<Self::V>);
     /// Source voltage magnitude (tolerance scaling).
     fn source_mag(&self) -> f64;
     /// Faults the device has recorded so far (monotone per device).
@@ -184,10 +217,6 @@ impl RetryBudget {
         self.used += 1;
         true
     }
-
-    pub(crate) fn used(&self) -> u32 {
-        self.used
-    }
 }
 
 /// Why [`drive`] gave up on the current device.
@@ -202,10 +231,10 @@ pub(crate) enum DriveAbort {
 }
 
 /// The last certified-clean state the sweep can roll back to.
-struct Checkpoint {
+struct Checkpoint<V> {
     /// Certified voltages; `None` until the first checkpoint is taken,
     /// meaning the session's own [`SweepSession::start_state`].
-    v: Option<Vec<Complex>>,
+    v: Option<Vec<V>>,
     iterations: u32,
     residual: f64,
     history: Vec<f64>,
@@ -217,7 +246,7 @@ struct Checkpoint {
 /// during the restore itself are retried within the same budget.
 fn rollback<S: SweepSession>(
     sess: &mut S,
-    ckpt: &Checkpoint,
+    ckpt: &Checkpoint<S::V>,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
     obs: &Obs,
@@ -244,10 +273,10 @@ fn rollback<S: SweepSession>(
     }
 }
 
-/// The one device iteration loop: the plain level and jump solvers and
-/// the supervisor's device rungs all run it, from the state the session
-/// was opened with. Each iteration is recorded as an `iter` span in the
-/// category of the policy's `obs`.
+/// The one device iteration loop: the plain level, jump and three-phase
+/// solvers and the supervisor's device rungs all run it, from the state
+/// the session was opened with. Each iteration is recorded as an `iter`
+/// span in the category of the policy's `obs`.
 ///
 /// With checkpointing off (no fault plan armed) it takes no checkpoints
 /// and holds no host copy of the state, so a clean run issues only the
@@ -259,7 +288,7 @@ fn drive<S: SweepSession>(
     policy: &Policy<'_>,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
-) -> Result<SolveResult, DriveAbort> {
+) -> Result<SolveResult<S::V>, DriveAbort> {
     let Policy { checkpointing, cancel, obs, wall0 } = *policy;
     let monitor0 = ConvergenceMonitor::new(cfg, sess.source_mag());
     let tol = monitor0.tol();
@@ -400,8 +429,8 @@ fn drive<S: SweepSession>(
                     let (rh, j_h) = sess.host_iterate(&v_pos);
                     let j_ok = j_pos.len() == j_h.len()
                         && j_pos.iter().zip(&j_h).all(|(a, b)| {
-                            let d = (*a - *b).abs();
-                            d.is_finite() && d <= 1e-4 * (1.0 + b.abs())
+                            let d = (*a - *b).norm();
+                            d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
                         });
                     if rh.is_finite() && rh <= SPIKE_FACTOR * tol && j_ok {
                         finish!(SolveStatus::Converged, v_pos, j_pos);
@@ -444,8 +473,8 @@ impl fmt::Display for ResilienceError {
 impl std::error::Error for ResilienceError {}
 
 /// Fault-tolerant solver: checkpoints, rolls back, retries on fresh
-/// devices, and degrades gpu → multicore → serial. Three-phase solves
-/// ([`ResilientSolver::solve3`]) run a simpler whole-solve retry policy.
+/// devices, and degrades gpu → multicore → serial (three-phase solves,
+/// [`ResilientSolver::solve3`]: gpu → serial).
 pub struct ResilientSolver {
     backend: Backend,
     props: DeviceProps,
@@ -525,127 +554,110 @@ impl ResilientSolver {
         a: &SolverArrays,
         cfg: &SolverConfig,
     ) -> Result<SolveResult, ResilienceError> {
-        if cfg.validate().is_err() {
-            let mut res = crate::report::invalid_config_result(a.len(), a.source);
-            res.fault_report = Some(FaultReport {
-                backends: vec![self.backend.name().to_string()],
-                ..FaultReport::default()
-            });
-            return Ok(res);
-        }
-        let mut report = FaultReport::default();
-        let mut budget = RetryBudget::new(cfg.max_recoveries);
-        let mut backend = self.backend;
-        loop {
-            report.backends.push(backend.name().to_string());
-            if !backend.is_device() {
-                let Ok(mut res) = backend
-                    .engine(&self.props, &self.host, self.recorder.as_ref())
+        let (backend, mut jump) = (self.backend, None);
+        self.supervise(
+            backend,
+            (a.len(), a.source),
+            cfg,
+            |s, rung| {
+                let Ok(res) = rung
+                    .engine(&s.props, &s.host, s.recorder.as_ref())
                     .solve_warm_arrays(a, cfg, None);
-                res.status = upgraded(res.status, &report);
-                res.fault_report = Some(report);
-                return Ok(res);
-            }
-            match self.run_device(backend, a, cfg, &mut report, &mut budget) {
-                Ok(mut res) => {
-                    res.status = upgraded(res.status, &report);
-                    res.fault_report = Some(report);
-                    return Ok(res);
+                res
+            },
+            |rung| rung.fallback().expect("device backends have a fallback"),
+            |dev, at| match backend.strategy() {
+                Some(strategy) => at.run(|obs| GpuSession::with_obs(dev, a, strategy, None, obs)),
+                None => {
+                    let ja = jump.get_or_insert_with(|| JumpArrays::new(a));
+                    at.run(|obs| JumpSession::with_obs(dev, ja, obs))
                 }
-                Err(abort) => {
-                    if self.degrade {
-                        backend = backend.fallback().expect("device backends have a fallback");
-                        continue;
-                    }
-                    return Err(match abort {
-                        DriveAbort::Lost(e) => ResilienceError::DeviceLost(e),
-                        _ => ResilienceError::BudgetExhausted { retries: report.retries },
-                    });
-                }
-            }
-        }
+            },
+        )
     }
 
     /// Solves a three-phase network from prepared arrays, recovering
-    /// from injected faults.
-    ///
-    /// The three-phase GPU solver has no checkpointed session, so the
-    /// policy is simpler and stricter than [`ResilientSolver::solve`]'s:
-    /// retry whole [`Gpu3Solver`] solves on fresh devices until one
-    /// completes with *zero* recorded faults (provably clean), then
-    /// accept it; device loss or budget exhaustion degrades straight to
-    /// the [`Serial3Solver`] reference. The configured backend and the
-    /// cancel flag are ignored, and [`ResilientSolver::last_device`] is
-    /// left untouched.
+    /// from injected faults with the same checkpointed device loop as
+    /// [`ResilientSolver::solve`]. Every device backend runs the one
+    /// three-phase device path ([`crate::Gpu3Solver`]'s session); the
+    /// CPU rung is always [`Serial3Solver`], because multicore has no
+    /// three-phase form.
     pub fn solve3(
         &mut self,
         a: &Arrays3,
         cfg: &SolverConfig,
     ) -> Result<Solve3Result, ResilienceError> {
+        let start = if self.backend.is_device() { self.backend } else { Backend::Serial };
+        self.supervise(
+            start,
+            (a.len(), a.source),
+            cfg,
+            |s, _| {
+                let mut serial = Serial3Solver::new(s.host.clone());
+                if let Some(rec) = &s.recorder {
+                    serial = serial.with_recorder(rec.clone());
+                }
+                serial.solve_arrays(a, cfg)
+            },
+            |_| Backend::Serial,
+            |dev, at| {
+                at.run(|obs| Gpu3Session::with_obs(dev, a, BackwardStrategy::SegScan, None, obs))
+            },
+        )
+    }
+
+    /// The one recovery policy of both phase kinds: device attempts on
+    /// `start` until one completes, then — on device loss or an exhausted
+    /// budget, when degradation is on — the `next` rung, until a CPU rung
+    /// (`cpu`, which cannot fault) answers. `attempt` opens the session
+    /// on a fresh device and runs it.
+    fn supervise<V: Copy + Default>(
+        &mut self,
+        start: Backend,
+        (n, source): (usize, V),
+        cfg: &SolverConfig,
+        cpu: impl Fn(&Self, Backend) -> SolveResult<V>,
+        next: impl Fn(Backend) -> Backend,
+        mut attempt: impl FnMut(&mut Device, Attempt<'_>) -> Result<SolveResult<V>, DriveAbort>,
+    ) -> Result<SolveResult<V>, ResilienceError> {
+        let mut report = FaultReport::default();
         if cfg.validate().is_err() {
-            return Ok(crate::three_phase::invalid_config_result3(a.len(), a.source));
+            let mut res = invalid_config_result(n, source);
+            report.backends.push(start.name().to_string());
+            res.fault_report = Some(report);
+            return Ok(res);
         }
-        let mut faults_total = 0u32;
         let mut budget = RetryBudget::new(cfg.max_recoveries);
-        let mut lost = None;
+        let mut backend = start;
         loop {
-            let mut dev = Device::new(self.props.clone());
-            if let Some(plan) = &self.plan {
-                dev.arm_faults(plan.clone());
-            }
-            let mut solver = Gpu3Solver::new(dev);
-            if let Some(rec) = &self.recorder {
-                solver = solver.with_recorder(rec.clone());
-            }
-            let attempt = catch_unwind(AssertUnwindSafe(|| solver.solve_arrays(a, cfg)));
-            let faults = solver.device().fault_log().len() as u32;
-            faults_total += faults;
-            if let Ok(mut res) = attempt {
-                if faults == 0 {
-                    // Provably clean attempt: accept.
-                    if budget.used() > 0 && res.status == SolveStatus::Converged {
-                        res.status = SolveStatus::Recovered {
-                            faults: faults_total,
-                            retries: budget.used(),
-                        };
-                    }
+            report.backends.push(backend.name().to_string());
+            let solved = if backend.is_device() {
+                self.run_device(cfg, &mut report, &mut budget, &mut attempt)
+            } else {
+                Ok(cpu(self, backend))
+            };
+            match solved {
+                Ok(mut res) => {
+                    res.status = upgraded(res.status, &report);
+                    res.fault_report = Some(report);
                     return Ok(res);
                 }
+                Err(_) if self.degrade => backend = next(backend),
+                Err(DriveAbort::Lost(e)) => return Err(ResilienceError::DeviceLost(e)),
+                Err(_) => return Err(ResilienceError::BudgetExhausted { retries: report.retries }),
             }
-            lost = lost.or_else(|| loss_error(solver.device()));
-            if !budget.charge() {
-                break;
-            }
         }
-        if !self.degrade {
-            return Err(match lost {
-                Some(e) => ResilienceError::DeviceLost(e),
-                None => ResilienceError::BudgetExhausted { retries: budget.used() },
-            });
-        }
-        let mut fallback = Serial3Solver::new(self.host.clone());
-        if let Some(rec) = &self.recorder {
-            fallback = fallback.with_recorder(rec.clone());
-        }
-        let mut res = fallback.solve_arrays(a, cfg);
-        if res.status == SolveStatus::Converged {
-            res.status =
-                SolveStatus::Recovered { faults: faults_total, retries: budget.used() };
-        }
-        Ok(res)
     }
 
     /// Runs attempts on fresh devices until one completes or the
     /// backend must be abandoned.
-    fn run_device(
+    fn run_device<V>(
         &mut self,
-        backend: Backend,
-        a: &SolverArrays,
         cfg: &SolverConfig,
         report: &mut FaultReport,
         budget: &mut RetryBudget,
-    ) -> Result<SolveResult, DriveAbort> {
-        let jump_arrays = (backend == Backend::GpuJump).then(|| JumpArrays::new(a));
+        attempt: &mut impl FnMut(&mut Device, Attempt<'_>) -> Result<SolveResult<V>, DriveAbort>,
+    ) -> Result<SolveResult<V>, DriveAbort> {
         let checkpointing = self.plan.is_some();
         let cancel = self.cancel.clone();
         let obs = Obs::new(self.recorder.as_ref(), "recovery");
@@ -657,25 +669,20 @@ impl ResilientSolver {
             // Corrupted index buffers can drive kernels out of bounds;
             // the engine propagates the panic, which is just another
             // fault: charge it and restart on a fresh device.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let wall0 = Instant::now();
-                let policy = Policy { checkpointing, cancel: cancel.as_deref(), obs: &obs, wall0 };
-                match &jump_arrays {
-                    Some(ja) => {
-                        let sess = JumpSession::with_obs(&mut dev, ja, obs.clone());
-                        run_attempt(sess, cfg, &policy, report, budget)
-                    }
-                    None => {
-                        let strategy = backend.strategy().expect("a level-synchronous GPU backend");
-                        let sess = GpuSession::with_obs(&mut dev, a, strategy, None, obs.clone());
-                        run_attempt(sess, cfg, &policy, report, budget)
-                    }
-                }
+            let attempted = catch_unwind(AssertUnwindSafe(|| {
+                let policy = Policy {
+                    checkpointing,
+                    cancel: cancel.as_deref(),
+                    obs: &obs,
+                    wall0: Instant::now(),
+                };
+                let (report, budget) = (&mut *report, &mut *budget);
+                attempt(&mut dev, Attempt { cfg, policy, report, budget })
             }));
             report.faults_injected += dev.fault_log().len() as u32;
             let lost = loss_error(&dev);
             self.last_device = Some(dev);
-            match attempt {
+            match attempted {
                 Ok(Ok(res)) => return Ok(res),
                 Ok(Err(DriveAbort::Restart)) => continue,
                 Ok(Err(abort)) => return Err(abort),
@@ -747,19 +754,28 @@ struct Policy<'a> {
     wall0: Instant,
 }
 
-/// One attempt: drives the session `opened` returns (a setup failure
-/// charges the budget).
-fn run_attempt<S: SweepSession>(
-    opened: Result<S, DeviceError>,
-    cfg: &SolverConfig,
-    policy: &Policy<'_>,
-    report: &mut FaultReport,
-    budget: &mut RetryBudget,
-) -> Result<SolveResult, DriveAbort> {
-    let mut sess = opened.map_err(|e| setup_abort(e, report, budget))?;
-    let out = drive(&mut sess, cfg, policy, report, budget);
-    report.checkpoint_us += sess.clock().recovery_us;
-    out
+/// One device attempt of the supervisor: the solve's config, the
+/// attempt's [`Policy`] and the accounts it charges.
+struct Attempt<'a> {
+    cfg: &'a SolverConfig,
+    policy: Policy<'a>,
+    report: &'a mut FaultReport,
+    budget: &'a mut RetryBudget,
+}
+
+impl Attempt<'_> {
+    /// Drives the session `open` returns when handed the attempt's span
+    /// sink (a setup failure charges the budget).
+    fn run<S: SweepSession>(
+        self,
+        open: impl FnOnce(Obs) -> Result<S, DeviceError>,
+    ) -> Result<SolveResult<S::V>, DriveAbort> {
+        let Attempt { cfg, policy, report, budget } = self;
+        let mut sess = open(policy.obs.clone()).map_err(|e| setup_abort(e, report, budget))?;
+        let out = drive(&mut sess, cfg, &policy, report, budget);
+        report.checkpoint_us += sess.clock().recovery_us;
+        out
+    }
 }
 
 /// A plain (unsupervised) device solve: [`drive`] with checkpointing off
@@ -770,7 +786,7 @@ pub(crate) fn run_plain<S: SweepSession>(
     wall0: Instant,
     cfg: &SolverConfig,
     obs: &Obs,
-) -> SolveResult {
+) -> SolveResult<S::V> {
     let mut sess = opened.unwrap_or_else(|e| panic!("{e}"));
     let policy = Policy { checkpointing: false, cancel: None, obs, wall0 };
     let (mut report, mut budget) = (FaultReport::default(), RetryBudget::new(0));
@@ -783,8 +799,9 @@ pub(crate) fn run_plain<S: SweepSession>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GpuSolver, SerialSolver};
+    use crate::{Gpu3Solver, GpuSolver, SerialSolver};
     use powergrid::ieee::ieee13;
+    use powergrid::three_phase::ieee13_unbalanced;
 
     fn rig() -> (DeviceProps, HostProps) {
         (DeviceProps::paper_rig(), HostProps::paper_rig())
@@ -796,7 +813,6 @@ mod tests {
         assert!(b.charge());
         assert!(b.charge());
         assert!(!b.charge());
-        assert_eq!(b.used(), 2);
     }
 
     #[test]
@@ -827,6 +843,7 @@ mod tests {
     #[test]
     fn fault_free_resilient_gpu_matches_plain_gpu_exactly() {
         let a = SolverArrays::new(&ieee13());
+        let a3 = Arrays3::new(&ieee13_unbalanced());
         let cfg = SolverConfig::default();
         let (props, host) = rig();
         for backend in Backend::ALL.into_iter().filter(|b| b.is_device()) {
@@ -843,6 +860,18 @@ mod tests {
             assert_eq!(clean, (0, 0, vec![name.to_string()]));
             let (got_dev, want_dev) = (supervisor.last_device().unwrap(), plain.device().unwrap());
             assert_eq!(ops(got_dev), ops(want_dev), "{name}: device timelines differ");
+
+            // Three-phase: every device backend runs the plain Gpu3Solver's
+            // session.
+            let mut plain3 = Gpu3Solver::new(Device::new(props.clone()));
+            let want3 = plain3.solve_arrays(&a3, &cfg);
+            let res3 = supervisor.solve3(&a3, &cfg).expect("clean run cannot fail");
+            assert_eq!((res3.status, res3.iterations), (SolveStatus::Converged, want3.iterations));
+            assert_eq!(res3.v, want3.v, "{name}: fault-free 3φ run must be bit-identical");
+            let report3 = res3.fault_report.expect("supervisor attaches a report");
+            assert_eq!((report3.faults_injected, report3.checkpoints), (0, 0));
+            let got3 = ops(supervisor.last_device().unwrap());
+            assert_eq!(got3, ops(plain3.device()), "{name}: 3φ device timelines differ");
         }
     }
 
@@ -903,7 +932,7 @@ mod tests {
         // Both phase kinds report the op the device recorded its loss at.
         let lost = ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: 30 });
         assert_eq!(err, lost);
-        let a3 = Arrays3::new(&powergrid::three_phase::ieee13_unbalanced());
+        let a3 = Arrays3::new(&ieee13_unbalanced());
         let err3 = supervisor().solve3(&a3, &cfg.with_recovery(4, 0)).expect_err("3φ loss");
         assert_eq!(err3, lost);
     }
@@ -914,11 +943,24 @@ mod tests {
         let cfg = SolverConfig::default();
         let (props, host) = rig();
         let serial = SerialSolver::new(host.clone()).solve(&net, &cfg);
-        let res = ResilientSolver::new(Backend::Serial, props, host)
+        let res = ResilientSolver::new(Backend::Serial, props.clone(), host.clone())
             .solve(&SolverArrays::new(&net), &cfg)
             .unwrap();
         assert_eq!(res.status, SolveStatus::Converged);
         assert_eq!(res.v, serial.v);
         assert_eq!(res.fault_report.unwrap().backends, vec!["serial".to_string()]);
+
+        // Three-phase: either CPU backend answers with Serial3Solver and
+        // opens no device.
+        let a3 = Arrays3::new(&ieee13_unbalanced());
+        let serial3 = Serial3Solver::new(host.clone()).solve_arrays(&a3, &cfg);
+        for backend in [Backend::Serial, Backend::Multicore] {
+            let mut supervisor = ResilientSolver::new(backend, props.clone(), host.clone());
+            let res3 = supervisor.solve3(&a3, &cfg).unwrap();
+            assert_eq!(res3.status, SolveStatus::Converged);
+            assert_eq!(res3.v, serial3.v);
+            assert_eq!(res3.fault_report.unwrap().backends, vec!["serial".to_string()]);
+            assert!(supervisor.last_device().is_none(), "{}: opened a device", backend.name());
+        }
     }
 }

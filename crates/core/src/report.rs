@@ -1,6 +1,6 @@
 //! Solve results and timing reports.
 
-use numc::Complex;
+use numc::{CVec3, Complex};
 
 use crate::status::SolveStatus;
 
@@ -158,20 +158,21 @@ impl FaultReport {
     }
 }
 
-/// The result of one power-flow solve.
+/// The result of one power-flow solve: single-phase by default, per-phase
+/// triples ([`CVec3`]) for a three-phase solve ([`crate::Solve3Result`]).
 #[derive(Clone, Debug)]
-pub struct SolveResult {
+pub struct SolveResult<V = Complex> {
     /// Bus voltage phasors, indexed by bus id, volts.
-    pub v: Vec<Complex>,
+    pub v: Vec<V>,
     /// Branch current flowing *into* each bus from its parent, indexed by
     /// bus id, amperes. At the root this is the total feeder current.
-    pub j: Vec<Complex>,
+    pub j: Vec<V>,
     /// Iterations executed.
     pub iterations: u32,
     /// How the iteration loop ended (convergence, iteration cap,
     /// divergence, or numerical failure).
     pub status: SolveStatus,
-    /// Final `max_p |ΔV_p|`, volts.
+    /// Final `max_p |ΔV_p|` (worst phase for three-phase), volts.
     pub residual: f64,
     /// Per-iteration `max_p |ΔV_p|` history (length = `iterations`);
     /// geometric decay here is the solver-health signal E5 plots.
@@ -183,7 +184,7 @@ pub struct SolveResult {
     pub fault_report: Option<FaultReport>,
 }
 
-impl SolveResult {
+impl<V> SolveResult<V> {
     /// Whether the convergence criterion was met within the cap.
     pub fn converged(&self) -> bool {
         self.status.is_converged()
@@ -206,7 +207,9 @@ impl SolveResult {
         let log_sum: f64 = ratios.iter().map(|r| r.ln()).sum();
         Some((log_sum / ratios.len() as f64).exp())
     }
+}
 
+impl SolveResult {
     /// Total series losses `Σ z·|J|²` over all branches, VA.
     pub fn losses(&self, net: &powergrid::RadialNetwork) -> Complex {
         let mut total = Complex::ZERO;
@@ -235,13 +238,35 @@ impl SolveResult {
     }
 }
 
+impl SolveResult<CVec3> {
+    /// Worst (lowest) phase voltage magnitude over all buses and phases,
+    /// with its bus. Non-finite magnitudes are surfaced, not dropped (as
+    /// in [`SolveResult::min_voltage`]); the fold runs per phase because
+    /// `CVec3::abs_min` uses `f64::min`, which drops a lone NaN phase.
+    pub fn min_phase_voltage(&self) -> (f64, usize) {
+        let (mag, flat) = min_magnitude_surfacing_nonfinite(
+            self.v.iter().flat_map(|v| v.phases().into_iter().map(|p| p.abs())),
+        );
+        (mag, flat / 3)
+    }
+
+    /// Largest voltage-unbalance factor over all buses, with its bus.
+    pub fn max_unbalance(&self) -> (f64, usize) {
+        self.v
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.unbalance(), i))
+            .fold((0.0, 0), |acc, x| if x.0 > acc.0 { x } else { acc })
+    }
+}
+
 /// The result a solver returns when [`crate::SolverConfig::validate`]
 /// fails: flat-start voltages, zero iterations, an infinite residual and
 /// `SolveStatus::InvalidConfig`. The solve never ran.
-pub(crate) fn invalid_config_result(n: usize, v0: Complex) -> SolveResult {
+pub(crate) fn invalid_config_result<V: Copy + Default>(n: usize, v0: V) -> SolveResult<V> {
     SolveResult {
         v: vec![v0; n],
-        j: vec![Complex::ZERO; n],
+        j: vec![V::default(); n],
         iterations: 0,
         status: SolveStatus::InvalidConfig,
         residual: f64::INFINITY,
@@ -253,9 +278,7 @@ pub(crate) fn invalid_config_result(n: usize, v0: Complex) -> SolveResult {
 
 /// Folds magnitudes to (min, index), except that the first non-finite
 /// entry short-circuits the fold and is returned as-is.
-pub(crate) fn min_magnitude_surfacing_nonfinite(
-    mags: impl Iterator<Item = f64>,
-) -> (f64, usize) {
+fn min_magnitude_surfacing_nonfinite(mags: impl Iterator<Item = f64>) -> (f64, usize) {
     let mut acc = (f64::INFINITY, 0);
     for (i, m) in mags.enumerate() {
         if !m.is_finite() {

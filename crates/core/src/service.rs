@@ -10,9 +10,9 @@
 //!   [`ServiceConfig::deadline`]) checked against the [`simt`] timeline
 //!   each iteration; a solve that runs past it returns its partial state
 //!   as [`SolveStatus::DeadlineExceeded`]. A separate wall-clock
-//!   *watchdog* thread guards the single-phase device path against hung
-//!   simulation: it sets a cooperative cancel flag that the recovery
-//!   loop polls at each convergence check. The watchdog never touches
+//!   *watchdog* thread guards the single- and three-phase device paths
+//!   against hung simulation: it sets a cooperative cancel flag that the
+//!   recovery loop polls at each convergence check. The watchdog never touches
 //!   the device, so arming it does not perturb the fault stream.
 //! * **Retry with backoff.** Transient device failures (an in-solve
 //!   recovery budget running dry, a loud batch fault) are retried up to
@@ -77,7 +77,7 @@ pub struct Deadline {
     /// Modeled-time budget, µs, applied to any request whose own
     /// [`SolverConfig::deadline_us`] is unset. `None` = unbounded.
     pub modeled_us: Option<f64>,
-    /// Wall-clock watchdog for the single-phase device path. `None`
+    /// Wall-clock watchdog for the single- and three-phase device paths. `None`
     /// disarms the watchdog (required for bit-exact replay timing
     /// independence, though decisions stay deterministic either way).
     pub wall: Option<Duration>,
@@ -801,10 +801,11 @@ impl SolveService {
         }
     }
 
-    /// The strict (non-degrading) fault-tolerant supervisor a solve
-    /// attempt runs under: the service's fault plan and recorder, and
-    /// degradation off, because falling back is the service's decision.
-    fn supervisor(&self) -> ResilientSolver {
+    /// Runs `solve` on the strict (non-degrading) fault-tolerant
+    /// supervisor — the service's fault plan and recorder, and
+    /// degradation off, because falling back is the service's decision —
+    /// under the wall-clock watchdog when one is armed.
+    fn supervised<T>(&self, solve: impl FnOnce(&mut ResilientSolver) -> T) -> T {
         let mut solver =
             ResilientSolver::new(self.cfg.backend, self.props.clone(), self.host.clone())
                 .with_degradation(false);
@@ -814,7 +815,10 @@ impl SolveService {
         if let Some(rec) = &self.recorder {
             solver = solver.with_recorder(rec.clone());
         }
-        solver
+        let Some(wall) = self.cfg.deadline.wall else { return solve(&mut solver) };
+        let cancel = Arc::new(AtomicBool::new(false));
+        solver = solver.with_cancel(Arc::clone(&cancel));
+        with_watchdog(wall, &cancel, || solve(&mut solver))
     }
 
     /// One device attempt. `Err` is classified transient (worth a
@@ -829,19 +833,12 @@ impl SolveService {
             Request::Solve { net, cfg } => {
                 let cfg = self.effective_cfg(cfg);
                 let a = arrays.get_or_insert_with(|| SolverArrays::new(net));
-                let mut solver = self.supervisor();
-                let attempt = if let Some(wall) = self.cfg.deadline.wall {
-                    let cancel = Arc::new(AtomicBool::new(false));
-                    solver = solver.with_cancel(Arc::clone(&cancel));
-                    with_watchdog(wall, &cancel, || solver.solve(a, &cfg))
-                } else {
-                    solver.solve(a, &cfg)
-                };
-                Ok(Outcome::Solved(attempt?))
+                Ok(Outcome::Solved(self.supervised(|s| s.solve(a, &cfg))?))
             }
             Request::Solve3 { net, cfg } => {
                 let cfg = self.effective_cfg(cfg);
-                Ok(Outcome::Solved3(self.supervisor().solve3(&Arrays3::new(net), &cfg)?))
+                let a = Arrays3::new(net);
+                Ok(Outcome::Solved3(self.supervised(|s| s.solve3(&a, &cfg))?))
             }
             Request::Batch { net, scenarios, cfg } => {
                 let cfg = self.effective_cfg(cfg);
@@ -1253,16 +1250,23 @@ mod tests {
         let mut solver = ResilientSolver::new(Backend::Gpu, props, host)
             .with_degradation(false)
             .with_cancel(Arc::clone(&cancel));
-        let res = solver
-            .solve(&SolverArrays::new(&ieee13()), &SolverConfig::default())
-            .expect("cancel is not a device failure");
-        match res.status {
-            SolveStatus::DeadlineExceeded { at_iteration, .. } => {
-                assert_eq!(at_iteration, 1, "cancelled at the first check");
-                assert_eq!(res.iterations, 1);
-                assert!(res.residual.is_finite(), "partial state is real data");
+        let cfg = SolverConfig::default();
+        let res = solver.solve(&SolverArrays::new(&ieee13()), &cfg);
+        let a3 = Arrays3::new(&powergrid::three_phase::ieee13_unbalanced());
+        let res3 = solver.solve3(&a3, &cfg).expect("cancel is not a device failure");
+        let res = res.expect("cancel is not a device failure");
+        for (kind, status, iterations, residual) in [
+            ("1φ", res.status, res.iterations, res.residual),
+            ("3φ", res3.status, res3.iterations, res3.residual),
+        ] {
+            match status {
+                SolveStatus::DeadlineExceeded { at_iteration, .. } => {
+                    assert_eq!(at_iteration, 1, "{kind}: cancelled at the first check");
+                    assert_eq!(iterations, 1, "{kind}");
+                    assert!(residual.is_finite(), "{kind}: partial state is real data");
+                }
+                other => panic!("{kind}: expected deadline-exceeded, got {other}"),
             }
-            other => panic!("expected deadline-exceeded, got {other}"),
         }
         assert!(cancel.load(Ordering::Relaxed));
     }

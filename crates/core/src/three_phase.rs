@@ -20,21 +20,30 @@
 //! against each other; a balanced three-phase system degenerates to
 //! three rotated copies of the single-phase solution, which the tests
 //! exploit as an oracle.
+//!
+//! The GPU solver's iteration is a `Gpu3Session` with its own `fbs3_*`
+//! kernels; the loop around it (convergence, deadline, download) is the
+//! one device loop, `recovery::drive`, which the single-phase solvers
+//! and the fault-tolerant supervisor ([`crate::ResilientSolver::solve3`])
+//! run too. Results are [`SolveResult`]s over [`CVec3`] phasors
+//! ([`Solve3Result`]).
 
 use std::time::Instant;
 
 use numc::{CMat3, CVec3, Complex};
 use powergrid::three_phase::ThreePhaseNetwork;
-use powergrid::LevelOrder;
 use primitives::ops::{AddCVec3, MaxAbsF64, ScanOp};
-use primitives::{fill, launch_map, reduce, segscan_inclusive_range};
-use simt::{Device, HostProps};
+use primitives::{try_launch_map, try_reduce, try_segscan_inclusive_range};
+use simt::{Device, DeviceError, HostProps};
 
 use telemetry::Recorder;
 
+use crate::arrays::LevelArrays;
 use crate::config::SolverConfig;
+use crate::gpu::{BackwardStrategy, GpuSession, LevelPhasor};
 use crate::obs::Obs;
-use crate::report::{PhaseTimes, Timing};
+use crate::recovery;
+use crate::report::{invalid_config_result, PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
 
 /// Per-phase injection current at the present voltage.
@@ -55,125 +64,28 @@ const INJ3_FLOPS: u64 = 3 * (Complex::DIV_FLOPS + 1);
 /// Modeled flops of one forward update (mat-vec + subtract + norm).
 const FWD3_FLOPS: u64 = CMat3::MULVEC_FLOPS + CVec3::ADD_FLOPS + 12;
 
-/// Level-ordered three-phase solver arrays.
-#[derive(Clone, Debug)]
-pub struct Arrays3 {
-    /// Shared level-order layout.
-    pub levels: LevelOrder,
-    /// Slack voltage set.
-    pub source: CVec3,
-    /// Per-position per-phase loads, VA.
-    pub s: Vec<CVec3>,
-    /// Per-position feeding-branch impedance matrices, ohms.
-    pub z: Vec<CMat3>,
-    /// Parent positions.
-    pub parent_pos: Vec<u32>,
-    /// Children ranges and segment metadata (as in the single-phase
-    /// arrays).
-    pub child_lo: Vec<u32>,
-    /// One past the last child position.
-    pub child_hi: Vec<u32>,
-    /// Segmented-scan head flags.
-    pub head_flags: Vec<u32>,
-    /// Last-child gather index per position with children.
-    pub seg_last: Vec<u32>,
-}
+/// Level-ordered three-phase solver arrays: per-position phase-triple
+/// loads and 3×3 branch impedance matrices around the single-phase
+/// topology arrays.
+pub type Arrays3 = LevelArrays<CVec3, CMat3>;
 
 impl Arrays3 {
     /// Builds the arrays for a three-phase network.
     pub fn new(net: &ThreePhaseNetwork) -> Self {
         let levels = net.level_order();
-        let n = levels.len();
         let s = levels.order.iter().map(|&b| net.buses()[b as usize].load).collect();
         let z = levels
             .order
             .iter()
             .map(|&b| net.parent_branch(b as usize).map_or(CMat3::ZERO, |br| br.z))
             .collect();
-        let seg_last = (0..n)
-            .map(|p| if levels.child_lo[p] < levels.child_hi[p] { levels.child_hi[p] - 1 } else { 0 })
-            .collect();
-        Arrays3 {
-            source: net.source_voltage(),
-            s,
-            z,
-            parent_pos: levels.parent_pos.clone(),
-            child_lo: levels.child_lo.clone(),
-            child_hi: levels.child_hi.clone(),
-            head_flags: levels.head_flags.clone(),
-            seg_last,
-            levels,
-        }
-    }
-
-    /// Bus count.
-    pub fn len(&self) -> usize {
-        self.s.len()
-    }
-
-    /// Never empty after validation.
-    pub fn is_empty(&self) -> bool {
-        self.s.is_empty()
+        LevelArrays::with_loads(levels, net.source_voltage(), s, z)
     }
 }
 
-/// Result of a three-phase solve.
-#[derive(Clone, Debug)]
-pub struct Solve3Result {
-    /// Per-bus phase voltages, indexed by bus id.
-    pub v: Vec<CVec3>,
-    /// Per-bus branch phase currents (into the bus), indexed by bus id.
-    pub j: Vec<CVec3>,
-    /// Iterations executed.
-    pub iterations: u32,
-    /// How the iteration loop ended.
-    pub status: SolveStatus,
-    /// Final worst-phase `|ΔV|`, volts.
-    pub residual: f64,
-    /// Timing summary.
-    pub timing: Timing,
-}
-
-impl Solve3Result {
-    /// Whether the tolerance was met.
-    pub fn converged(&self) -> bool {
-        self.status.is_converged()
-    }
-
-    /// Worst (lowest) phase voltage magnitude over all buses and phases,
-    /// with its bus. Non-finite magnitudes are surfaced, not dropped (as
-    /// in [`crate::SolveResult::min_voltage`]); the fold runs per phase
-    /// because `CVec3::abs_min` uses `f64::min`, which drops a lone NaN
-    /// phase.
-    pub fn min_phase_voltage(&self) -> (f64, usize) {
-        let (mag, flat) = crate::report::min_magnitude_surfacing_nonfinite(
-            self.v.iter().flat_map(|v| v.phases().into_iter().map(|p| p.abs())),
-        );
-        (mag, flat / 3)
-    }
-
-    /// Largest voltage-unbalance factor over all buses, with its bus.
-    pub fn max_unbalance(&self) -> (f64, usize) {
-        self.v
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.unbalance(), i))
-            .fold((0.0, 0), |acc, x| if x.0 > acc.0 { x } else { acc })
-    }
-}
-
-/// The three-phase analogue of [`crate::report::invalid_config_result`]:
-/// flat-start voltages, zero iterations, `SolveStatus::InvalidConfig`.
-pub(crate) fn invalid_config_result3(n: usize, v0: CVec3) -> Solve3Result {
-    Solve3Result {
-        v: vec![v0; n],
-        j: vec![CVec3::ZERO; n],
-        iterations: 0,
-        status: SolveStatus::InvalidConfig,
-        residual: f64::INFINITY,
-        timing: Timing::default(),
-    }
-}
+/// Result of a three-phase solve: per-bus phase triples, worst-phase
+/// residuals.
+pub type Solve3Result = SolveResult<CVec3>;
 
 /// Serial reference three-phase FBS solver.
 #[derive(Clone, Debug, Default)]
@@ -207,7 +119,7 @@ impl Serial3Solver {
         let n = a.len();
         let v0 = a.source;
         if cfg.validate().is_err() {
-            return invalid_config_result3(n, v0);
+            return invalid_config_result(n, v0);
         }
         let mut monitor = ConvergenceMonitor::new(cfg, v0.abs_max());
         // Per-bus state: S, V, I, J (48 B each) + Z (144 B) + topology.
@@ -288,7 +200,6 @@ impl Serial3Solver {
                 }
             }
         }
-        let _ = residual_history;
 
         let timing = Timing {
             phases,
@@ -296,13 +207,15 @@ impl Serial3Solver {
             transfer_sweep_us: 0.0,
             wall_us: wall0.elapsed().as_secs_f64() * 1e6,
         };
-        Solve3Result {
+        SolveResult {
             v: a.levels.unpermute(&v),
             j: a.levels.unpermute(&j),
             iterations,
             status,
             residual,
+            residual_history,
             timing,
+            fault_report: None,
         }
     }
 }
@@ -338,182 +251,127 @@ impl Gpu3Solver {
         self.solve_arrays(&a, cfg)
     }
 
-    /// Solves with pre-built arrays.
+    /// Solves with pre-built arrays: the one device loop
+    /// (`recovery::drive`) over a `Gpu3Session`, with no checkpoints and
+    /// no retry budget. A device error or an injected fault it would have
+    /// to roll back panics.
     pub fn solve_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
         let wall0 = Instant::now();
-        let dev = &mut self.device;
+        if cfg.validate().is_err() {
+            return invalid_config_result(a.len(), a.source);
+        }
+        let obs = Obs::new(self.recorder.as_ref(), "solver.gpu3");
+        let strategy = BackwardStrategy::SegScan;
+        let opened = Gpu3Session::with_obs(&mut self.device, a, strategy, None, obs.clone());
+        recovery::run_plain(opened, wall0, cfg, &obs)
+    }
+}
+
+/// The three-phase level-synchronous session: the single-phase session's
+/// state and bookkeeping over phase triples, with the `fbs3_*` kernels.
+pub(crate) type Gpu3Session<'a> = GpuSession<'a, CVec3>;
+
+/// The three-phase kernels stay apart from the single-phase ones: the
+/// per-phase injection, the 3×3 mat-vec forward update and their flop
+/// charges differ, and only the segmented-scan backward sweep has a
+/// three-phase form.
+impl LevelPhasor for CVec3 {
+    type Z = CMat3;
+
+    fn inject(s: CVec3, v: CVec3) -> CVec3 {
+        inject3(s, v)
+    }
+
+    fn z_mul(z: CMat3, j: CVec3) -> CVec3 {
+        z.mul_vec(j)
+    }
+
+    fn iterate(sess: &mut Gpu3Session<'_>) -> Result<f64, DeviceError> {
+        let dev = &mut *sess.dev;
+        let a = sess.a;
         let n = a.len();
         let num_levels = a.levels.num_levels();
-        let v0 = a.source;
-        if cfg.validate().is_err() {
-            return invalid_config_result3(n, v0);
-        }
-        let mut monitor = ConvergenceMonitor::new(cfg, v0.abs_max());
 
-        let mut phases = PhaseTimes::default();
-        let mut transfer_us = 0.0;
-        let mut transfer_sweep_us = 0.0;
-
+        // Injection.
         let mark = dev.timeline().mark();
-        let s_buf = dev.alloc_from(&a.s);
-        let z_buf = dev.alloc_from(&a.z);
-        let parent_buf = dev.alloc_from(&a.parent_pos);
-        let child_lo_buf = dev.alloc_from(&a.child_lo);
-        let child_hi_buf = dev.alloc_from(&a.child_hi);
-        let flags_buf = dev.alloc_from(&a.head_flags);
-        let seg_last_buf = dev.alloc_from(&a.seg_last);
-        let mut v_buf = dev.alloc::<CVec3>(n);
-        fill(dev, &mut v_buf, v0);
-        let mut i_buf = dev.alloc::<CVec3>(n);
-        let mut j_buf = dev.alloc::<CVec3>(n);
-        let mut delta_buf = dev.alloc::<f64>(n);
-        fill(dev, &mut delta_buf, 0.0);
-        let mut scan_buf = dev.alloc::<CVec3>(n);
-        let b = dev.timeline().breakdown_since(mark);
-        phases.setup_us += b.total_us();
-        transfer_us += b.htod_us + b.dtoh_us;
-        let obs = Obs::new(self.recorder.as_ref(), "solver.gpu3");
-        obs.phase("setup", 0.0, phases.setup_us);
-
-        let mut iterations = 0;
-        let mut residual = f64::MAX;
-        let mut status = SolveStatus::MaxIterations;
-
-        while iterations < cfg.max_iter {
-            iterations += 1;
-            let iter_t0 = phases.total_us();
-
-            // Injection.
-            let mark = dev.timeline().mark();
-            {
-                let s_v = s_buf.view();
-                let v_v = v_buf.view();
-                let i_v = i_buf.view_mut();
-                launch_map(dev, n, "fbs3_inject", move |t, p| {
-                    let s = t.ld(&s_v, p);
-                    let v = t.ld(&v_v, p);
-                    t.flops(INJ3_FLOPS);
-                    t.st(&i_v, p, inject3(s, v));
-                });
-            }
-            phases.injection_us += dev.timeline().breakdown_since(mark).total_us();
-            obs.phase("injection", iter_t0, phases.total_us());
-            let bwd_t0 = phases.total_us();
-
-            // Backward sweep.
-            let mark = dev.timeline().mark();
-            for l in (0..num_levels).rev() {
-                let range = a.levels.level_range(l);
-                let (lo, len) = (range.start, range.len());
-                if l + 1 < num_levels {
-                    let crange = a.levels.level_range(l + 1);
-                    segscan_inclusive_range::<CVec3, AddCVec3>(
-                        dev,
-                        &j_buf,
-                        &flags_buf,
-                        crange.start,
-                        crange.end,
-                        &mut scan_buf,
-                    );
-                }
-                let i_v = i_buf.view();
-                let lo_v = child_lo_buf.view();
-                let hi_v = child_hi_buf.view();
-                let last_v = seg_last_buf.view();
-                let scan_v = scan_buf.view();
-                let j_v = j_buf.view_mut();
-                launch_map(dev, len, "fbs3_backward_combine", move |t, k| {
-                    let p = lo + k;
-                    let mut acc = t.ld(&i_v, p);
-                    if t.ld(&lo_v, p) < t.ld(&hi_v, p) {
-                        let tail = t.ld(&last_v, p) as usize;
-                        t.flops(CVec3::ADD_FLOPS);
-                        acc += t.ld(&scan_v, tail);
-                    }
-                    t.st(&j_v, p, acc);
-                });
-            }
-            phases.backward_us += dev.timeline().breakdown_since(mark).total_us();
-            obs.phase("backward", bwd_t0, phases.total_us());
-            let fwd_t0 = phases.total_us();
-
-            // Forward sweep.
-            let mark = dev.timeline().mark();
-            for l in 1..num_levels {
-                let range = a.levels.level_range(l);
-                let (lo, len) = (range.start, range.len());
-                let z_v = z_buf.view();
-                let par_v = parent_buf.view();
-                let j_v = j_buf.view();
-                let d_v = delta_buf.view_mut();
-                let v_v = v_buf.view_mut();
-                launch_map(dev, len, "fbs3_forward", move |t, k| {
-                    let p = lo + k;
-                    let parent = t.ld(&par_v, p) as usize;
-                    let vp = t.ld_mut(&v_v, parent);
-                    let z = t.ld(&z_v, p);
-                    let jb = t.ld(&j_v, p);
-                    let old = t.ld_mut(&v_v, p);
-                    let new_v = vp - z.mul_vec(jb);
-                    t.flops(FWD3_FLOPS);
-                    t.st(&v_v, p, new_v);
-                    t.st(&d_v, p, (new_v - old).abs_max());
-                });
-            }
-            phases.forward_us += dev.timeline().breakdown_since(mark).total_us();
-            obs.phase("forward", fwd_t0, phases.total_us());
-            let cvg_t0 = phases.total_us();
-
-            // Convergence.
-            let mark = dev.timeline().mark();
-            let delta = reduce::<f64, MaxAbsF64>(dev, &delta_buf);
-            let b = dev.timeline().breakdown_since(mark);
-            phases.convergence_us += b.total_us();
-            obs.phase("convergence", cvg_t0, phases.total_us());
-            transfer_us += b.htod_us + b.dtoh_us;
-            transfer_sweep_us += b.htod_us + b.dtoh_us;
-
-            residual = delta;
-            obs.iteration(iterations, iter_t0, phases.total_us(), delta);
-            if let Some(s) = monitor.observe(iterations, delta) {
-                status = s;
-                break;
-            }
-            if let Some(budget) = cfg.deadline_us {
-                let elapsed = phases.total_us();
-                if elapsed >= budget {
-                    status = SolveStatus::DeadlineExceeded {
-                        at_iteration: iterations,
-                        elapsed_us: elapsed as u64,
-                    };
-                    break;
-                }
-            }
+        {
+            let s_v = sess.s_buf.view();
+            let v_v = sess.v_buf.view();
+            let i_v = sess.i_buf.view_mut();
+            try_launch_map(dev, n, "fbs3_inject", move |t, p| {
+                let s = t.ld(&s_v, p);
+                let v = t.ld(&v_v, p);
+                t.flops(INJ3_FLOPS);
+                t.st(&i_v, p, inject3(s, v));
+            })?;
         }
+        sess.clock.charge("injection", &dev.timeline().breakdown_since(mark));
 
+        // Backward sweep.
         let mark = dev.timeline().mark();
-        let v_pos = dev.dtoh(&v_buf);
-        let j_pos = dev.dtoh(&j_buf);
-        let b = dev.timeline().breakdown_since(mark);
-        let td_t0 = phases.total_us();
-        phases.teardown_us += b.total_us();
-        obs.phase("teardown", td_t0, phases.total_us());
-        transfer_us += b.htod_us + b.dtoh_us;
-
-        let timing = Timing {
-            phases,
-            transfer_us,
-            transfer_sweep_us,
-            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
-        };
-        Solve3Result {
-            v: a.levels.unpermute(&v_pos),
-            j: a.levels.unpermute(&j_pos),
-            iterations,
-            status,
-            residual,
-            timing,
+        for l in (0..num_levels).rev() {
+            let range = a.levels.level_range(l);
+            let (lo, len) = (range.start, range.len());
+            if l + 1 < num_levels {
+                let crange = a.levels.level_range(l + 1);
+                try_segscan_inclusive_range::<CVec3, AddCVec3>(
+                    dev,
+                    &sess.j_buf,
+                    &sess.flags_buf,
+                    crange.start,
+                    crange.end,
+                    &mut sess.scan_buf,
+                )?;
+            }
+            let i_v = sess.i_buf.view();
+            let lo_v = sess.child_lo_buf.view();
+            let hi_v = sess.child_hi_buf.view();
+            let last_v = sess.seg_last_buf.view();
+            let scan_v = sess.scan_buf.view();
+            let j_v = sess.j_buf.view_mut();
+            try_launch_map(dev, len, "fbs3_backward_combine", move |t, k| {
+                let p = lo + k;
+                let mut acc = t.ld(&i_v, p);
+                if t.ld(&lo_v, p) < t.ld(&hi_v, p) {
+                    let tail = t.ld(&last_v, p) as usize;
+                    t.flops(CVec3::ADD_FLOPS);
+                    acc += t.ld(&scan_v, tail);
+                }
+                t.st(&j_v, p, acc);
+            })?;
         }
+        sess.clock.charge("backward", &dev.timeline().breakdown_since(mark));
+
+        // Forward sweep.
+        let mark = dev.timeline().mark();
+        for l in 1..num_levels {
+            let range = a.levels.level_range(l);
+            let (lo, len) = (range.start, range.len());
+            let z_v = sess.z_buf.view();
+            let par_v = sess.parent_buf.view();
+            let j_v = sess.j_buf.view();
+            let d_v = sess.delta_buf.view_mut();
+            let v_v = sess.v_buf.view_mut();
+            try_launch_map(dev, len, "fbs3_forward", move |t, k| {
+                let p = lo + k;
+                let parent = t.ld(&par_v, p) as usize;
+                let vp = t.ld_mut(&v_v, parent);
+                let z = t.ld(&z_v, p);
+                let jb = t.ld(&j_v, p);
+                let old = t.ld_mut(&v_v, p);
+                let new_v = vp - z.mul_vec(jb);
+                t.flops(FWD3_FLOPS);
+                t.st(&v_v, p, new_v);
+                t.st(&d_v, p, (new_v - old).abs_max());
+            })?;
+        }
+        sess.clock.charge("forward", &dev.timeline().breakdown_since(mark));
+
+        // Convergence.
+        let mark = dev.timeline().mark();
+        let delta = try_reduce::<f64, MaxAbsF64>(dev, &sess.delta_buf)?;
+        sess.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
+        Ok(delta)
     }
 }
 
