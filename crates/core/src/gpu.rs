@@ -45,7 +45,7 @@
 //! level path with the given backward strategy; the experiments that
 //! reproduce the paper's tables use it.
 
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Sub};
 use std::time::Instant;
 
 use numc::Complex;
@@ -58,7 +58,7 @@ use telemetry::Recorder;
 use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::{self, Phasor, SessionClock, SweepSession};
+use crate::recovery::{self, SessionClock, SweepSession};
 use crate::report::SolveResult;
 use crate::tensor_batch;
 
@@ -193,10 +193,17 @@ fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
     tensor_batch::single_iteration_bound_us(props, a, warm) < launches as f64 * per_launch
 }
 
-/// The per-bus phasor of a level-synchronous session, with its own
-/// device iteration: [`Complex`] here, `CVec3` in [`crate::three_phase`].
-/// Each phase kind keeps its own kernels, so none branches on its caller.
-pub(crate) trait LevelPhasor: Phasor + DeviceCopy + Default + PartialEq + AddAssign {
+/// The per-bus phasor a device session sweeps — [`Complex`] here,
+/// `CVec3` in [`crate::three_phase`] — with the one norm the device loop
+/// (`recovery::drive`) measures and its own level-synchronous device
+/// iteration. Each phase kind keeps its own kernels, so none branches on
+/// its caller.
+pub(crate) trait LevelPhasor:
+    DeviceCopy + PartialEq + AddAssign + Sub<Output = Self>
+{
+    /// The magnitude every gate of `recovery::drive` measures. It must be
+    /// NaN when any component is, or a corrupted phase slips past them.
+    fn norm(self) -> f64;
     /// The branch impedance: a scalar, or a 3×3 phase matrix.
     type Z: DeviceCopy + PartialEq;
     /// The load current `conj(S/V)` (zero for a zero load).
@@ -219,7 +226,8 @@ pub(crate) trait LevelPhasor: Phasor + DeviceCopy + Default + PartialEq + AddAss
 /// sessions share this state and bookkeeping; their kernels are
 /// [`LevelPhasor::iterate`]. The three-phase kernels have the
 /// segmented-scan backward sweep only, so `strategy` is the
-/// single-phase kernels' choice.
+/// single-phase kernels' choice; three-phase sessions open through
+/// `Gpu3Session::open`, which fixes it.
 pub(crate) struct GpuSession<'a, V: LevelPhasor> {
     pub(crate) dev: &'a mut Device,
     pub(crate) a: &'a LevelArrays<V, V::Z>,
@@ -303,6 +311,10 @@ impl<'a, V: LevelPhasor> GpuSession<'a, V> {
 
 impl LevelPhasor for Complex {
     type Z = Complex;
+
+    fn norm(self) -> f64 {
+        self.abs()
+    }
 
     fn inject(s: Complex, v: Complex) -> Complex {
         if s == Complex::ZERO {

@@ -36,8 +36,9 @@
 //!
 //! Both phase kinds run this one policy over the one device loop,
 //! [`drive`]: its sessions (single-phase level and jump, three-phase
-//! level) differ only in their per-bus phasor, [`Complex`] or
-//! [`CVec3`], and [`Phasor::norm`] is all the loop needs of it.
+//! level) differ only in their per-bus phasor, [`numc::Complex`] or
+//! [`numc::CVec3`], and its NaN-propagating norm ([`LevelPhasor::norm`]) is
+//! all the loop needs of it.
 //!
 //! Because rollbacks restore certified-clean state and the CPU
 //! fallbacks are fault-free, a recovered solve matches the fault-free
@@ -45,13 +46,11 @@
 //! [`FaultReport`] so callers can see the run was not clean.
 
 use std::fmt;
-use std::ops::Sub;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use numc::{CVec3, Complex};
 use simt::{Breakdown, Device, DeviceError, DeviceProps, FaultKind, FaultPlan, HostProps};
 
 use telemetry::Recorder;
@@ -59,7 +58,7 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::engine::Backend;
-use crate::gpu::{BackwardStrategy, GpuSession};
+use crate::gpu::{GpuSession, LevelPhasor};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
 use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
@@ -72,25 +71,6 @@ use crate::three_phase::{Arrays3, Gpu3Session, Serial3Solver, Solve3Result};
 /// 2×, so genuine FBS decay and injected corruption separate cleanly.
 pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 
-/// The per-bus phasor a session sweeps, with the one norm [`drive`]
-/// compares: `abs` of a [`Complex`], the worst phase's of a [`CVec3`].
-pub(crate) trait Phasor: Copy + Sub<Output = Self> {
-    /// The magnitude every gate of [`drive`] measures.
-    fn norm(self) -> f64;
-}
-
-impl Phasor for Complex {
-    fn norm(self) -> f64 {
-        self.abs()
-    }
-}
-
-impl Phasor for CVec3 {
-    fn norm(self) -> f64 {
-        self.abs_max()
-    }
-}
-
 /// A session's final voltages and branch currents, in position order.
 pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
 
@@ -100,8 +80,8 @@ pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
 ///
 /// All voltages are in the session's device position order.
 pub(crate) trait SweepSession {
-    /// The per-bus phasor: [`Complex`] or [`CVec3`].
-    type V: Phasor;
+    /// The per-bus phasor: [`numc::Complex`] or [`numc::CVec3`].
+    type V: LevelPhasor;
     /// The session's modeled-time accounts.
     fn clock(&self) -> &SessionClock;
     /// Runs one full FBS iteration; returns the ∞-norm voltage update.
@@ -600,9 +580,7 @@ impl ResilientSolver {
                 serial.solve_arrays(a, cfg)
             },
             |_| Backend::Serial,
-            |dev, at| {
-                at.run(|obs| Gpu3Session::with_obs(dev, a, BackwardStrategy::SegScan, None, obs))
-            },
+            |dev, at| at.run(|obs| Gpu3Session::open(dev, a, obs)),
         )
     }
 
@@ -800,8 +778,9 @@ pub(crate) fn run_plain<S: SweepSession>(
 mod tests {
     use super::*;
     use crate::{Gpu3Solver, GpuSolver, SerialSolver};
+    use numc::{c, CMat3, CVec3};
     use powergrid::ieee::ieee13;
-    use powergrid::three_phase::ieee13_unbalanced;
+    use powergrid::three_phase::{ieee13_unbalanced, ThreePhaseBuilder};
 
     fn rig() -> (DeviceProps, HostProps) {
         (DeviceProps::paper_rig(), HostProps::paper_rig())
@@ -961,6 +940,97 @@ mod tests {
             assert_eq!(res3.v, serial3.v);
             assert_eq!(res3.fault_report.unwrap().backends, vec!["serial".to_string()]);
             assert!(supervisor.last_device().is_none(), "{}: opened a device", backend.name());
+        }
+    }
+
+    /// A three-phase session whose first download comes back with one
+    /// NaN phase at a zero-load leaf, with a fault on record: what a
+    /// resident bit flip in the voltages leaves when it lands there on
+    /// the converging iteration. Everything else is the real session.
+    struct NanLeafPhase<'a> {
+        sess: Gpu3Session<'a>,
+        leaf: usize,
+        fired: bool,
+    }
+
+    impl SweepSession for NanLeafPhase<'_> {
+        type V = CVec3;
+        fn clock(&self) -> &SessionClock {
+            self.sess.clock()
+        }
+        fn iterate(&mut self) -> Result<f64, DeviceError> {
+            self.sess.iterate()
+        }
+        fn snapshot(&mut self) -> Result<Vec<CVec3>, DeviceError> {
+            self.sess.snapshot()
+        }
+        fn restore(&mut self, v_pos: &[CVec3]) -> Result<(), DeviceError> {
+            self.sess.restore(v_pos)
+        }
+        fn start_state(&self) -> Vec<CVec3> {
+            self.sess.start_state()
+        }
+        fn verify_static(&mut self) -> Result<bool, DeviceError> {
+            self.sess.verify_static()
+        }
+        fn download(&mut self) -> Result<Downloaded<CVec3>, DeviceError> {
+            let (mut v, j) = self.sess.download()?;
+            if !std::mem::replace(&mut self.fired, true) {
+                v[self.leaf].a = c(f64::NAN, 0.0);
+            }
+            Ok((v, j))
+        }
+        fn unpermute(&self, pos: &[CVec3]) -> Vec<CVec3> {
+            self.sess.unpermute(pos)
+        }
+        fn host_iterate(&self, v_pos: &[CVec3]) -> (f64, Vec<CVec3>) {
+            self.sess.host_iterate(v_pos)
+        }
+        fn source_mag(&self) -> f64 {
+            self.sess.source_mag()
+        }
+        fn faults_observed(&self) -> u32 {
+            self.sess.faults_observed() + 1
+        }
+    }
+
+    /// The leaf's load current is zero whatever its voltage, so the
+    /// branch-current cross-check cannot see a NaN phase there: only the
+    /// host residual can, and only if the three-phase norm keeps the NaN.
+    #[test]
+    fn a_lone_nan_phase_at_a_zero_load_leaf_is_rolled_back() {
+        let mut b = ThreePhaseBuilder::new(CVec3::balanced(2400.0));
+        b.add_bus(CVec3::ZERO);
+        b.add_bus(CVec3::splat(c(50e3, 20e3)));
+        b.add_bus(CVec3::ZERO);
+        b.add_bus(CVec3::splat(c(30e3, 10e3)));
+        b.connect(0, 1, CMat3::diag(c(0.4, 0.3)));
+        b.connect(1, 2, CMat3::diag(c(0.5, 0.2)));
+        b.connect(1, 3, CMat3::diag(c(0.3, 0.1)));
+        let a = Arrays3::new(&b.build().unwrap());
+        let leaf = a.levels.order.iter().position(|&bus| bus == 2).unwrap();
+        let cfg = SolverConfig::default();
+        let want = Serial3Solver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg);
+        assert!(want.converged());
+
+        let mut dev = Device::new(DeviceProps::paper_rig());
+        let sess = Gpu3Session::open(&mut dev, &a, Obs::default()).unwrap();
+        let mut v_pos = a.levels.permute(&want.v);
+        v_pos[leaf].a = c(f64::NAN, 0.0);
+        assert!(sess.host_iterate(&v_pos).0.is_nan(), "the host residual drops a NaN phase");
+
+        let mut sess = NanLeafPhase { sess, leaf, fired: false };
+        let (obs, wall0) = (Obs::default(), Instant::now());
+        let policy = Policy { checkpointing: false, cancel: None, obs: &obs, wall0 };
+        let (mut report, mut budget) = (FaultReport::default(), RetryBudget::new(4));
+        let Ok(res) = drive(&mut sess, &cfg, &policy, &mut report, &mut budget) else {
+            panic!("one rollback fits the budget");
+        };
+        assert_eq!((res.status, report.rollbacks), (SolveStatus::Converged, 1));
+        for (x, y) in res.v.iter().zip(&want.v) {
+            for (p, q) in x.phases().iter().zip(y.phases()) {
+                assert!((*p - q).abs() < 1e-8 * 2400.0, "{x:?} vs {y:?}");
+            }
         }
     }
 }

@@ -261,8 +261,7 @@ impl Gpu3Solver {
             return invalid_config_result(a.len(), a.source);
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu3");
-        let strategy = BackwardStrategy::SegScan;
-        let opened = Gpu3Session::with_obs(&mut self.device, a, strategy, None, obs.clone());
+        let opened = Gpu3Session::open(&mut self.device, a, obs.clone());
         recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
@@ -271,12 +270,26 @@ impl Gpu3Solver {
 /// state and bookkeeping over phase triples, with the `fbs3_*` kernels.
 pub(crate) type Gpu3Session<'a> = GpuSession<'a, CVec3>;
 
+impl<'a> Gpu3Session<'a> {
+    /// Opens a flat-start session (uploads charged to the setup phase).
+    /// The `fbs3_*` kernels have the segmented-scan backward sweep only.
+    pub(crate) fn open(dev: &'a mut Device, a: &'a Arrays3, obs: Obs) -> Result<Self, DeviceError> {
+        Self::with_obs(dev, a, BackwardStrategy::SegScan, None, obs)
+    }
+}
+
 /// The three-phase kernels stay apart from the single-phase ones: the
 /// per-phase injection, the 3×3 mat-vec forward update and their flop
 /// charges differ, and only the segmented-scan backward sweep has a
 /// three-phase form.
 impl LevelPhasor for CVec3 {
     type Z = CMat3;
+
+    /// The worst phase's magnitude. Unlike [`CVec3::abs_max`], a NaN in
+    /// any phase makes it NaN.
+    fn norm(self) -> f64 {
+        self.phases().iter().fold(0.0, |m, p| MaxAbsF64::combine(m, p.abs()))
+    }
 
     fn inject(s: CVec3, v: CVec3) -> CVec3 {
         inject3(s, v)

@@ -412,9 +412,12 @@ fn agrees3(n: usize, seed: u64, unbalance: f64, rate: f64) -> Result<(), String>
             return Err(format!("{name}: ended {}", res.status));
         }
         for (bus, (x, y)) in want.v.iter().zip(&res.v).enumerate() {
-            let d = (*x - *y).abs_max();
-            if d.is_nan() || d >= 1e-8 * scale {
-                return Err(format!("{name}: bus {bus} off by {d:.3e} V ({})", res.status));
+            // Per phase: `abs_max` would drop a lone NaN phase.
+            for (p, q) in x.phases().iter().zip(y.phases()) {
+                let d = (*p - q).abs();
+                if d.is_nan() || d >= 1e-8 * scale {
+                    return Err(format!("{name}: bus {bus} off by {d:.3e} V ({})", res.status));
+                }
             }
         }
     }
