@@ -1,21 +1,23 @@
 //! The CLI subcommands: `gen`, `info`, `solve`, `compare`, `feeders`.
 
+use std::convert::Infallible;
 use std::fs;
 
 use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
-    record_run, solve3_dg, solve_dg, Arrays3, Backend, ContingencyScreener, FaultReport,
-    FleetConfig, FleetRequest, FleetService, IntegrityConfig, IntegritySampler, Mesh3Result,
-    MeshResult, Outcome, OuterConfig, Priority, Request, ResilienceError, ResilientSolver,
-    Scenarios, ServiceConfig, Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays,
+    record_run, solve_dg, Backend, ContingencyScreener, FaultReport, FleetConfig, FleetRequest,
+    FleetService, Gpu3Solver, IntegrityConfig, IntegritySampler, MeshProblem, MeshResult, Outcome,
+    OuterConfig, Phasor, Priority, Request, ResilientSolver, Scenarios, SerialSolver,
+    ServiceConfig, Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays,
     SolverConfig, SweepBackend, TensorBatchSolver, Timing,
 };
-use numc::Complex;
+use numc::{CVec3, Complex};
 use powergrid::gen::{
     balanced_binary, balanced_kary, broom, caterpillar, chain, random_tree, star, GenSpec,
 };
 use powergrid::gridfile::{parse_grid, parse_grid_meshed, write_grid};
+use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::{ieee, LevelOrder, MeshedNetwork, RadialNetwork};
 use rng::rngs::StdRng;
 use rng::SeedableRng;
@@ -455,23 +457,27 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
         Some(outer_config(&a)?)
     };
     let tele = Telemetry::from_args(&a);
-    let net = mnet.tree();
 
     if wants_service(&a) {
         let plan = fault_plan(&a)?;
-        let req = Request::Solve { net: net.clone(), cfg };
+        let req = Request::Solve { net: mnet.tree().clone(), cfg };
         let res = match serve_one(&a, backend, plan.as_ref(), &tele, req)? {
             Outcome::Solved(r) => r,
             Outcome::Failed(e) => return unrecoverable(which, &e, &tele),
             other => return Err(format!("unexpected service outcome: {other:?}")),
         };
-        return report_solve(&a, net, which, plan.as_ref(), &res, &tele);
+        return report_solve(&a, &mnet, which, plan.as_ref(), &Solved::Radial(res), &tele);
     }
 
-    match armed_faults(&a)? {
+    let problem = MeshProblem::new(&mnet);
+    let label = if outer.is_some() { format!("{which} (meshed)") } else { which.to_string() };
+    let armed = armed_faults(&a)?;
+    let plan = armed.as_ref().map(|(plan, _)| plan);
+    let report = |solved| report_solve(&a, &mnet, which, plan, &solved, &tele);
+    match &armed {
         Some((plan, degrade)) => {
-            let mut engine = supervisor(backend, &plan, degrade, &tele);
-            solve_on(&mut engine, &a, &mnet, outer.as_ref(), &cfg, Some(&plan), &tele)
+            let mut engine = supervisor(backend, plan, *degrade, &tele);
+            solve_on(&mut engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
         None => {
             // A plain meshed sweep leaves telemetry to the outer loop: its
@@ -479,155 +485,148 @@ fn cmd_solve(argv: &[String]) -> Result<u8, String> {
             let rec = tele.recorder().filter(|_| outer.is_none());
             let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
             let mut engine = backend.engine(&props, &host, rec);
-            solve_on(&mut *engine, &a, &mnet, outer.as_ref(), &cfg, None, &tele)
+            solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
     }
 }
 
-/// The body of `solve` on one engine: one inner solve of a radial grid,
-/// or [`solve_dg`] around the engine for a meshed/DG one; then the
-/// device track, the report block and the exit code.
-fn solve_on<B: SweepBackend + ?Sized>(
+/// What one solve produced: a radial inner solve, or the meshed/DG
+/// outer loop's result.
+enum Solved<V: Phasor> {
+    Meshed(MeshResult<V>),
+    Radial(SolveResult<V>),
+}
+
+/// The body of `solve` and `solve3` on one engine: one radial solve, or
+/// [`solve_dg`] around the engine for a meshed/DG network; then the device
+/// track and `report`, or the unrecoverable block under `label`.
+fn solve_on<V: Phasor, B: SweepBackend<V> + ?Sized>(
     engine: &mut B,
-    a: &Args,
-    mnet: &MeshedNetwork,
+    problem: &MeshProblem<V>,
     outer: Option<&OuterConfig>,
     cfg: &SolverConfig,
-    plan: Option<&FaultPlan>,
     tele: &Telemetry,
+    label: &str,
+    report: impl FnOnce(Solved<V>) -> Result<u8, String>,
 ) -> Result<u8, String>
 where
     B::Error: std::fmt::Display,
 {
-    enum Solved {
-        Meshed(MeshResult),
-        Radial(SolveResult),
-    }
-    let which = a.get_or("solver", "serial");
     let solved = match outer {
-        Some(outer) => solve_dg(mnet, cfg, outer, tele.recorder(), |arrays, warm| {
+        Some(outer) => solve_dg(problem, cfg, outer, tele.recorder(), |arrays, warm| {
             engine.solve_warm_arrays(arrays, cfg, warm)
         })
         .map(Solved::Meshed),
-        None => engine
-            .solve_warm_arrays(&SolverArrays::new(mnet.tree()), cfg, None)
-            .map(Solved::Radial),
+        None => engine.solve_warm_arrays(problem.arrays(), cfg, None).map(Solved::Radial),
     };
     if let Some(dev) = engine.device() {
         tele.bridge_device(dev);
     }
     match solved {
-        Ok(Solved::Meshed(res)) => report_meshed(a, mnet, which, plan, &res, tele),
-        Ok(Solved::Radial(res)) => report_solve(a, mnet.tree(), which, plan, &res, tele),
-        Err(e) if outer.is_some() => unrecoverable(&format!("{which} (meshed)"), &e, tele),
-        Err(e) => unrecoverable(which, &e, tele),
+        Ok(solved) => report(solved),
+        Err(e) => unrecoverable(label, &e, tele),
     }
 }
 
-/// Records and writes the telemetry of a radial `solve`, prints its
-/// report block and returns the status exit code.
+/// Records and writes a `solve`'s telemetry, prints its report block and
+/// returns the status exit code; a meshed/DG block adds the outer status,
+/// loop currents and dispatch (outer divergence or a limit cycle exits 9).
 fn report_solve(
     a: &Args,
-    net: &RadialNetwork,
+    mnet: &MeshedNetwork,
     which: &str,
     plan: Option<&FaultPlan>,
-    res: &SolveResult,
+    solved: &Solved<Complex>,
     tele: &Telemetry,
 ) -> Result<u8, String> {
-    tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
-    tele.write()?;
+    match solved {
+        Solved::Radial(res) => {
+            let net = mnet.tree();
+            tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
+            tele.write()?;
 
-    println!("solver:      {which}");
-    println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
-    if let Some(plan) = plan {
-        print_fault_report(res, plan);
-    }
-    if res.converged() {
-        let (vmin, bus) = res.min_voltage();
-        let pu = vmin / net.source_voltage().abs();
-        let losses = res.losses(net);
-        let src = res.source_power(net);
-        println!("min voltage: {:.1} V ({:.4} pu) at bus {bus}", vmin, pu);
-        println!("feeder load: {:.1} kW + j{:.1} kvar", src.re / 1e3, src.im / 1e3);
-        println!("losses:      {:.2} kW + j{:.2} kvar", losses.re / 1e3, losses.im / 1e3);
-    }
-    if a.get_parse_or("timings", true)? {
-        let t = &res.timing;
-        println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
-        println!(
-            "  setup {:.1} | inject {:.1} | backward {:.1} | forward {:.1} | converge {:.1} | teardown {:.1}",
-            t.phases.setup_us,
-            t.phases.injection_us,
-            t.phases.backward_us,
-            t.phases.forward_us,
-            t.phases.convergence_us,
-            t.phases.teardown_us
-        );
-    }
-    print_voltages(a, &res.v)?;
-    Ok(res.status.exit_code())
-}
-
-/// The meshed/DG counterpart of [`report_solve`]: the outer status, loop
-/// currents and generator dispatch. Outer divergence or limit-cycling
-/// exits with code 9.
-fn report_meshed(
-    a: &Args,
-    net: &MeshedNetwork,
-    which: &str,
-    plan: Option<&FaultPlan>,
-    res: &MeshResult,
-    tele: &Telemetry,
-) -> Result<u8, String> {
-    let inner = &res.inner;
-    tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
-    tele.write()?;
-    println!(
-        "solver:      {which} (meshed/DG: {} loops, {} generators)",
-        net.num_loops(),
-        net.generators().len()
-    );
-    println!(
-        "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
-        res.status, res.outer_status, inner.iterations, inner.residual
-    );
-    println!(
-        "outer:       breakpoint residual {:.3e} V | pv error {:.3e} V | {} mode flips",
-        res.breakpoint_residual, res.pv_error, res.mode_flips
-    );
-    if res.converged() {
-        let (vmin, bus) = inner.min_voltage();
-        let pu = vmin / net.tree().source_voltage().abs();
-        println!("min voltage: {vmin:.1} V ({pu:.4} pu) at bus {bus}");
-        for (bp, j) in net.break_points().iter().zip(&res.loop_currents) {
-            println!(
-                "loop:        tie {}→{} carries {:.2} A ∠{:.1}°",
-                bp.a,
-                bp.b,
-                j.abs(),
-                j.arg().to_degrees()
-            );
+            println!("solver:      {which}");
+            println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
+            if let Some(plan) = plan {
+                print_fault_report(res, plan);
+            }
+            if res.converged() {
+                let (vmin, bus) = res.min_voltage();
+                let pu = vmin / net.source_voltage().abs();
+                let losses = res.losses(net);
+                let src = res.source_power(net);
+                println!("min voltage: {:.1} V ({:.4} pu) at bus {bus}", vmin, pu);
+                println!("feeder load: {:.1} kW + j{:.1} kvar", src.re / 1e3, src.im / 1e3);
+                println!("losses:      {:.2} kW + j{:.2} kvar", losses.re / 1e3, losses.im / 1e3);
+            }
+            if a.get_parse_or("timings", true)? {
+                let t = &res.timing;
+                println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+                println!(
+                    "  setup {:.1} | inject {:.1} | backward {:.1} | forward {:.1} | converge {:.1} | teardown {:.1}",
+                    t.phases.setup_us,
+                    t.phases.injection_us,
+                    t.phases.backward_us,
+                    t.phases.forward_us,
+                    t.phases.convergence_us,
+                    t.phases.teardown_us
+                );
+            }
+            print_voltages(a, &res.v)?;
+            Ok(res.status.exit_code())
         }
-        for (g, (q, mode)) in
-            net.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
-        {
+        Solved::Meshed(res) => {
+            let inner = &res.inner;
+            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
+            tele.write()?;
             println!(
-                "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
-                g.bus,
-                g.p_gen / 1e3,
-                q / 1e3
+                "solver:      {which} (meshed/DG: {} loops, {} generators)",
+                mnet.num_loops(),
+                mnet.generators().len()
             );
+            println!(
+                "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
+                res.status, res.outer_status, inner.iterations, inner.residual
+            );
+            println!(
+                "outer:       breakpoint residual {:.3e} V | pv error {:.3e} V | {} mode flips",
+                res.breakpoint_residual, res.pv_error, res.mode_flips
+            );
+            if res.converged() {
+                let (vmin, bus) = inner.min_voltage();
+                let pu = vmin / mnet.tree().source_voltage().abs();
+                println!("min voltage: {vmin:.1} V ({pu:.4} pu) at bus {bus}");
+                for (bp, j) in mnet.break_points().iter().zip(&res.loop_currents) {
+                    println!(
+                        "loop:        tie {}→{} carries {:.2} A ∠{:.1}°",
+                        bp.a,
+                        bp.b,
+                        j.abs(),
+                        j.arg().to_degrees()
+                    );
+                }
+                for (g, (q, mode)) in
+                    mnet.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
+                {
+                    println!(
+                        "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
+                        g.bus,
+                        g.p_gen / 1e3,
+                        q / 1e3
+                    );
+                }
+            }
+            if let Some(plan) = plan {
+                print_fault_report(inner, plan);
+            }
+            if a.get_parse_or("timings", true)? {
+                let t = &inner.timing;
+                println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+            }
+            print_voltages(a, &inner.v)?;
+            Ok(res.status.exit_code())
         }
     }
-    if let Some(plan) = plan {
-        print_fault_report(inner, plan);
-    }
-    if a.get_parse_or("timings", true)? {
-        let t = &inner.timing;
-        println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
-    }
-    print_voltages(a, &inner.v)?;
-    Ok(res.status.exit_code())
 }
 
 /// The first `--show-voltages` bus voltages.
@@ -1106,34 +1105,6 @@ fn cmd_gen3(argv: &[String]) -> Result<(), String> {
     emit_text(&powergrid::gridfile3::write_grid3(&net3), a.get("out"), net3.num_buses())
 }
 
-/// The engine behind one `solve3` run: the serial reference, the plain
-/// GPU solver, or the fault-tolerant supervisor when faults are armed.
-enum Engine3 {
-    Serial(fbs::Serial3Solver),
-    Gpu(Box<fbs::Gpu3Solver>),
-    Supervised(Box<ResilientSolver>),
-}
-
-impl Engine3 {
-    /// One inner solve over prepared arrays.
-    fn solve(&mut self, a3: &Arrays3, cfg: &SolverConfig) -> Result<Solve3Result, ResilienceError> {
-        match self {
-            Engine3::Serial(s) => Ok(s.solve_arrays(a3, cfg)),
-            Engine3::Gpu(s) => Ok(s.solve_arrays(a3, cfg)),
-            Engine3::Supervised(s) => s.solve3(a3, cfg),
-        }
-    }
-
-    /// The device behind the last solve, if any (trace bridging).
-    fn device(&self) -> Option<&Device> {
-        match self {
-            Engine3::Serial(_) => None,
-            Engine3::Gpu(s) => Some(s.device()),
-            Engine3::Supervised(s) => s.last_device(),
-        }
-    }
-}
-
 fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let a = Args::parse(
         argv,
@@ -1147,6 +1118,7 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
     let tele = Telemetry::from_args(&a);
     // Files with distributed generators run the three-phase PV outer loop.
     let dg = !net.generators().is_empty();
+    let label = format!("{which} (three-phase{})", if dg { " DG" } else { "" });
     if wants_service(&a) {
         if dg {
             return Err(
@@ -1164,69 +1136,34 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
         let req = Request::Solve3 { net: net.clone(), cfg };
         let res = match serve_one(&a, Backend::Gpu, plan.as_ref(), &tele, req)? {
             Outcome::Solved3(r) => r,
-            Outcome::Failed(e) => {
-                return unrecoverable(&format!("{which} (three-phase)"), &e, &tele)
-            }
+            Outcome::Failed(e) => return unrecoverable(&label, &e, &tele),
             other => return Err(format!("unexpected service outcome: {other:?}")),
         };
-        let faults = res.fault_report.as_ref();
-        tele.record(&res.timing, res.iterations, res.residual, &res.status, faults);
-        tele.write()?;
-        return report_solve3(&net, which, plan.as_ref(), &res);
+        return report_solve3(&net, which, plan.as_ref(), &Solved::Radial(res), &tele);
     }
     let outer = if dg { Some(outer_config(&a)?) } else { None };
-
-    let (mut engine, plan) = match (Backend::from_name(which), armed_faults(&a)?) {
-        // Fault plans only touch device ops; serial runs are unaffected.
-        (Some(Backend::Serial), _) => {
-            let mut s = fbs::Serial3Solver::new(HostProps::paper_rig());
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            (Engine3::Serial(s), None)
-        }
-        (Some(Backend::Gpu), None) => {
-            let mut s = fbs::Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
-            if let Some(rec) = tele.recorder() {
-                s = s.with_recorder(rec.clone());
-            }
-            (Engine3::Gpu(Box::new(s)), None)
-        }
+    let problem = MeshProblem::three_phase(&net);
+    let (backend, armed) = (Backend::from_name(which), armed_faults(&a)?);
+    // Fault plans only touch device ops; serial runs are unaffected.
+    let plan = armed.as_ref().map(|(plan, _)| plan).filter(|_| backend == Some(Backend::Gpu));
+    let report = |solved| report_solve3(&net, which, plan, &solved, &tele);
+    match (backend, &armed) {
         (Some(Backend::Gpu), Some((plan, degrade))) => {
-            let s = supervisor(Backend::Gpu, &plan, degrade, &tele);
-            (Engine3::Supervised(Box::new(s)), Some(plan))
+            let mut engine = supervisor(Backend::Gpu, plan, *degrade, &tele);
+            solve_on(&mut engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
-        _ => return Err(format!("unknown three-phase solver `{which}`")),
-    };
-
-    enum Solved {
-        Dg(Mesh3Result),
-        Plain(Solve3Result),
-    }
-    let solved = match &outer {
-        Some(outer) => solve3_dg(&net, &cfg, outer, tele.recorder(), |a3| engine.solve(a3, &cfg))
-            .map(Solved::Dg),
-        None => engine.solve(&Arrays3::new(&net), &cfg).map(Solved::Plain),
-    };
-    if let Some(dev) = engine.device() {
-        tele.bridge_device(dev);
-    }
-    let label = if dg { "three-phase DG" } else { "three-phase" };
-    match solved {
-        Err(e) => unrecoverable(&format!("{which} ({label})"), &e, &tele),
-        Ok(Solved::Dg(res)) => {
-            let inner = &res.inner;
-            let faults = inner.fault_report.as_ref();
-            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, faults);
-            tele.write()?;
-            report_solve3_dg(&net, which, plan.as_ref(), &res)
+        (Some(backend @ (Backend::Serial | Backend::Gpu)), _) => {
+            let (host, props) = (HostProps::paper_rig(), DeviceProps::paper_rig());
+            let mut engine: Box<dyn SweepBackend<CVec3, Error = Infallible>> =
+                match (backend, tele.recorder().cloned()) {
+                    (Backend::Serial, None) => Box::new(SerialSolver::new(host)),
+                    (Backend::Serial, Some(rec)) => Box::new(SerialSolver::new(host).with_recorder(rec)),
+                    (_, None) => Box::new(Gpu3Solver::new(Device::new(props))),
+                    (_, Some(rec)) => Box::new(Gpu3Solver::new(Device::new(props)).with_recorder(rec)),
+                };
+            solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
-        Ok(Solved::Plain(res)) => {
-            let faults = res.fault_report.as_ref();
-            tele.record(&res.timing, res.iterations, res.residual, &res.status, faults);
-            tele.write()?;
-            report_solve3(&net, which, plan.as_ref(), &res)
-        }
+        _ => Err(format!("unknown three-phase solver `{which}`")),
     }
 }
 
@@ -1260,74 +1197,66 @@ fn unrecoverable(
     Ok(EXIT_UNRECOVERABLE)
 }
 
-/// Prints the `solve3` result block and returns the status exit code.
+/// The `solve3` counterpart of [`report_solve`]: worst phase and
+/// unbalance instead of losses, and the PV loop's dispatch for a DG run.
 fn report_solve3(
-    net: &powergrid::three_phase::ThreePhaseNetwork,
+    net: &ThreePhaseNetwork,
     which: &str,
     plan: Option<&FaultPlan>,
-    res: &Solve3Result,
+    solved: &Solved<CVec3>,
+    tele: &Telemetry,
 ) -> Result<u8, String> {
-    println!("solver:      {which} (three-phase)");
-    println!(
-        "status:      {} in {} iterations (residual {:.3e} V)",
-        res.status, res.iterations, res.residual
-    );
-    if let Some(plan) = plan {
-        print_fault_report(res, plan);
-    }
-    report_solve3_body(net, res, res.converged());
-    println!("modeled:     total {:.1} µs", res.timing.total_us());
-    Ok(res.status.exit_code())
-}
-
-/// Prints the `solve3` result block for a DG run (the PV outer loop's
-/// status and generator dispatch on top of the usual three-phase
-/// summary) and returns the overall exit code — 9 on outer divergence.
-fn report_solve3_dg(
-    net: &powergrid::three_phase::ThreePhaseNetwork,
-    which: &str,
-    plan: Option<&FaultPlan>,
-    res: &Mesh3Result,
-) -> Result<u8, String> {
-    println!(
-        "solver:      {which} (three-phase DG: {} generators)",
-        net.generators().len()
-    );
-    println!(
-        "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
-        res.status, res.outer_status, res.inner.iterations, res.inner.residual
-    );
-    println!(
-        "outer:       pv error {:.3e} V | {} mode flips",
-        res.pv_error, res.mode_flips
-    );
-    if res.converged() {
-        for (g, (q, mode)) in
-            net.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
-        {
+    match solved {
+        Solved::Radial(res) => {
+            tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
+            tele.write()?;
+            println!("solver:      {which} (three-phase)");
             println!(
-                "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
-                g.bus,
-                g.p_gen / 1e3,
-                q / 1e3
+                "status:      {} in {} iterations (residual {:.3e} V)",
+                res.status, res.iterations, res.residual
             );
+            if let Some(plan) = plan {
+                print_fault_report(res, plan);
+            }
+            report_solve3_body(net, res, res.converged());
+            println!("modeled:     total {:.1} µs", res.timing.total_us());
+            Ok(res.status.exit_code())
+        }
+        Solved::Meshed(res) => {
+            let inner = &res.inner;
+            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
+            tele.write()?;
+            println!("solver:      {which} (three-phase DG: {} generators)", net.generators().len());
+            println!(
+                "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
+                res.status, res.outer_status, inner.iterations, inner.residual
+            );
+            println!("outer:       pv error {:.3e} V | {} mode flips", res.pv_error, res.mode_flips);
+            if res.converged() {
+                for (g, (q, mode)) in
+                    net.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
+                {
+                    println!(
+                        "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
+                        g.bus,
+                        g.p_gen / 1e3,
+                        q / 1e3
+                    );
+                }
+            }
+            report_solve3_body(net, inner, res.converged());
+            if let Some(plan) = plan {
+                print_fault_report(inner, plan);
+            }
+            println!("modeled:     total {:.1} µs", inner.timing.total_us());
+            Ok(res.status.exit_code())
         }
     }
-    report_solve3_body(net, &res.inner, res.converged());
-    if let Some(plan) = plan {
-        print_fault_report(&res.inner, plan);
-    }
-    println!("modeled:     total {:.1} µs", res.inner.timing.total_us());
-    Ok(res.status.exit_code())
 }
 
 /// The converged-run detail lines shared by the plain and DG `solve3`
 /// reports.
-fn report_solve3_body(
-    net: &powergrid::three_phase::ThreePhaseNetwork,
-    res: &Solve3Result,
-    converged: bool,
-) {
+fn report_solve3_body(net: &ThreePhaseNetwork, res: &Solve3Result, converged: bool) {
     if !converged {
         return;
     }

@@ -426,6 +426,61 @@ fn seeded_fault_runs_are_byte_identical() {
     let _ = fs::remove_file(&path);
 }
 
+/// The converged IEEE-13 three-phase detail lines every `solve3` golden
+/// below ends with (before its modeled-time line).
+const IEEE13_3PHASE_BODY: &str = "\
+worst phase: 2121.1 V (0.8832 pu) at bus 12
+unbalance:   5.08% max at bus 12
+load/phase:  a 1175.0 kW | b 1039.0 kW | c 1252.0 kW
+";
+
+#[test]
+fn solve3_stdout_matches_its_golden() {
+    use std::process::Command;
+
+    let p3 = tmp("golden.grid3");
+    let s3 = p3.to_str().unwrap();
+    run(&["feeders3", "--name", "ieee13", "--out", s3]).unwrap();
+    let converged = "status:      converged in 8 iterations (residual 4.880e-4 V)\n";
+    let cases: [(&[&str], String); 4] = [
+        (
+            &["--solver", "serial"],
+            format!("solver:      serial (three-phase)\n{converged}{IEEE13_3PHASE_BODY}modeled:     total 2.0 µs\n"),
+        ),
+        (
+            &["--solver", "gpu"],
+            format!("solver:      gpu (three-phase)\n{converged}{IEEE13_3PHASE_BODY}modeled:     total 920.6 µs\n"),
+        ),
+        (
+            &["--solver", "gpu", "--fault-seed", "7", "--fault-rate", "0.005"],
+            format!(
+                "solver:      gpu (three-phase)\n{converged}recovery:    seed 7 rate 0.005 | 0 faults, \
+                 0 rollbacks, 0 retries, 1 checkpoints | backend gpu\n{IEEE13_3PHASE_BODY}\
+                 modeled:     total 920.6 µs\n"
+            ),
+        ),
+        (
+            &["--solver", "gpu", "--max-retries", "1"],
+            format!(
+                "service:     backend gpu | 0 retries, 0 µs backoff | breaker closed\n\
+                 solver:      gpu (three-phase)\n{converged}{IEEE13_3PHASE_BODY}\
+                 modeled:     total 920.6 µs\n"
+            ),
+        ),
+    ];
+    for (flags, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_fbs"))
+            .args(["solve3", s3])
+            .args(flags)
+            .env_remove("FBS_FAULT_SEED")
+            .output()
+            .expect("spawn fbs binary");
+        assert_eq!(out.status.code(), Some(0), "solve3 {flags:?}");
+        assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), want, "solve3 {flags:?}");
+    }
+    let _ = fs::remove_file(&p3);
+}
+
 #[test]
 fn meshed_dg_feeder_solves_on_every_backend() {
     let path = tmp("ieee123-dg.grid");

@@ -1,28 +1,32 @@
-//! The one single-phase engine interface, [`SweepBackend`], and the one
-//! place that builds a plain engine from a backend name,
-//! [`Backend::engine`]. The meshed/DG outer loop, the CLI and the
+//! The one engine interface, [`SweepBackend`], of both phase kinds, and
+//! the one place that builds a plain single-phase engine from a backend
+//! name, [`Backend::engine`]. The meshed/DG outer loop, the CLI and the
 //! supervisor's CPU rungs all solve through them.
 
 use std::convert::Infallible;
 
-use numc::Complex;
+use numc::{CVec3, Complex};
 use simt::{Device, DeviceProps, HostProps};
 use telemetry::Recorder;
 
-use crate::arrays::SolverArrays;
+use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::gpu::{BackwardStrategy, GpuSolver};
 use crate::jump::{JumpArrays, JumpSolver};
 use crate::multicore::MulticoreSolver;
+use crate::phasor::Phasor;
 use crate::recovery::{ResilienceError, ResilientSolver};
 use crate::report::SolveResult;
 use crate::serial::SerialSolver;
+use crate::three_phase::{Arrays3, Gpu3Solver};
 
-/// A single-phase engine: anything that can solve prepared arrays,
-/// optionally warm-started. The warm start is a hint: serial, multicore
-/// and GPU honour it; jump and the supervisor start flat, because
-/// recovery certification assumes a flat start.
-pub trait SweepBackend {
+/// An engine over the per-bus phasor `V` (single-phase [`Complex`] by
+/// default, [`CVec3`] for three-phase): anything that can solve
+/// prepared arrays, optionally warm-started. The warm start is a hint:
+/// serial, multicore and the GPU level paths honour it; jump and the
+/// supervisor start flat, because recovery certification assumes a flat
+/// start.
+pub trait SweepBackend<V: Phasor = Complex> {
     /// Why a solve could not produce a result: [`Infallible`] for the
     /// plain engines, [`ResilienceError`] for the supervisor.
     type Error;
@@ -31,10 +35,10 @@ pub trait SweepBackend {
     /// bus id) where the engine supports it.
     fn solve_warm_arrays(
         &mut self,
-        a: &SolverArrays,
+        a: &LevelArrays<V, V::Z>,
         cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> Result<SolveResult, Self::Error>;
+        v_init: Option<&[V]>,
+    ) -> Result<SolveResult<V>, Self::Error>;
 
     /// The device behind the last solve, if the engine runs on one
     /// (timeline inspection, trace bridging).
@@ -45,15 +49,15 @@ pub trait SweepBackend {
 
 /// A boxed engine (what [`Backend::engine`] returns) is an engine, so
 /// [`crate::MeshSolver`] can wrap one.
-impl<B: SweepBackend + ?Sized> SweepBackend for Box<B> {
+impl<V: Phasor, B: SweepBackend<V> + ?Sized> SweepBackend<V> for Box<B> {
     type Error = B::Error;
 
     fn solve_warm_arrays(
         &mut self,
-        a: &SolverArrays,
+        a: &LevelArrays<V, V::Z>,
         cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> Result<SolveResult, B::Error> {
+        v_init: Option<&[V]>,
+    ) -> Result<SolveResult<V>, B::Error> {
         (**self).solve_warm_arrays(a, cfg, v_init)
     }
 
@@ -62,15 +66,16 @@ impl<B: SweepBackend + ?Sized> SweepBackend for Box<B> {
     }
 }
 
-impl SweepBackend for SerialSolver {
+/// Both phase kinds run the one serial sweep.
+impl<V: Phasor> SweepBackend<V> for SerialSolver {
     type Error = Infallible;
 
     fn solve_warm_arrays(
         &mut self,
-        a: &SolverArrays,
+        a: &LevelArrays<V, V::Z>,
         cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> Result<SolveResult, Infallible> {
+        v_init: Option<&[V]>,
+    ) -> Result<SolveResult<V>, Infallible> {
         Ok(self.solve_warm(a, cfg, v_init))
     }
 }
@@ -105,6 +110,23 @@ impl SweepBackend for GpuSolver {
     }
 }
 
+impl SweepBackend<CVec3> for Gpu3Solver {
+    type Error = Infallible;
+
+    fn solve_warm_arrays(
+        &mut self,
+        a: &Arrays3,
+        cfg: &SolverConfig,
+        v_init: Option<&[CVec3]>,
+    ) -> Result<SolveResult<CVec3>, Infallible> {
+        Ok(self.solve_warm(a, cfg, v_init))
+    }
+
+    fn device(&self) -> Option<&Device> {
+        Some(Gpu3Solver::device(self))
+    }
+}
+
 /// Starts flat: the preorder layout is rebuilt from `a` on every call.
 impl SweepBackend for JumpSolver {
     type Error = Infallible;
@@ -134,6 +156,24 @@ impl SweepBackend for ResilientSolver {
         _v_init: Option<&[Complex]>,
     ) -> Result<SolveResult, ResilienceError> {
         self.solve(a, cfg)
+    }
+
+    fn device(&self) -> Option<&Device> {
+        self.last_device()
+    }
+}
+
+/// Starts flat, as [`ResilientSolver::solve3`] does.
+impl SweepBackend<CVec3> for ResilientSolver {
+    type Error = ResilienceError;
+
+    fn solve_warm_arrays(
+        &mut self,
+        a: &Arrays3,
+        cfg: &SolverConfig,
+        _v_init: Option<&[CVec3]>,
+    ) -> Result<SolveResult<CVec3>, ResilienceError> {
+        self.solve3(a, cfg)
     }
 
     fn device(&self) -> Option<&Device> {

@@ -45,19 +45,19 @@
 //! level path with the given backward strategy; the experiments that
 //! reproduce the paper's tables use it.
 
-use std::ops::{AddAssign, Sub};
 use std::time::Instant;
 
 use numc::Complex;
 use powergrid::RadialNetwork;
 use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps};
+use simt::{Device, DeviceBuffer, DeviceError, DeviceProps};
 use telemetry::Recorder;
 
 use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::obs::Obs;
+use crate::phasor::Phasor;
 use crate::recovery::{self, SessionClock, SweepSession};
 use crate::report::SolveResult;
 use crate::tensor_batch;
@@ -193,23 +193,10 @@ fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
     tensor_batch::single_iteration_bound_us(props, a, warm) < launches as f64 * per_launch
 }
 
-/// The per-bus phasor a device session sweeps — [`Complex`] here,
-/// `CVec3` in [`crate::three_phase`] — with the one norm the device loop
-/// (`recovery::drive`) measures and its own level-synchronous device
-/// iteration. Each phase kind keeps its own kernels, so none branches on
-/// its caller.
-pub(crate) trait LevelPhasor:
-    DeviceCopy + PartialEq + AddAssign + Sub<Output = Self>
-{
-    /// The magnitude every gate of `recovery::drive` measures. It must be
-    /// NaN when any component is, or a corrupted phase slips past them.
-    fn norm(self) -> f64;
-    /// The branch impedance: a scalar, or a 3×3 phase matrix.
-    type Z: DeviceCopy + PartialEq;
-    /// The load current `conj(S/V)` (zero for a zero load).
-    fn inject(s: Self, v: Self) -> Self;
-    /// The voltage drop `Z·J` across a branch.
-    fn z_mul(z: Self::Z, j: Self) -> Self;
+/// The device side of a [`Phasor`]: its level-synchronous iteration, with
+/// [`Complex`] kernels here and `CVec3` ones in [`crate::three_phase`], so
+/// no kernel branches on its caller.
+pub(crate) trait LevelPhasor: Phasor {
     /// One device iteration — inject, backward, forward, reduce — with
     /// each phase charged to the session's clock; returns the ∞-norm
     /// voltage update.
@@ -310,24 +297,6 @@ impl<'a, V: LevelPhasor> GpuSession<'a, V> {
 }
 
 impl LevelPhasor for Complex {
-    type Z = Complex;
-
-    fn norm(self) -> f64 {
-        self.abs()
-    }
-
-    fn inject(s: Complex, v: Complex) -> Complex {
-        if s == Complex::ZERO {
-            Complex::ZERO
-        } else {
-            (s / v).conj()
-        }
-    }
-
-    fn z_mul(z: Complex, j: Complex) -> Complex {
-        z * j
-    }
-
     fn iterate(sess: &mut GpuSession<'_, Complex>) -> Result<f64, DeviceError> {
         let dev = &mut *sess.dev;
         let a = sess.a;

@@ -14,7 +14,8 @@
 //! * [`MulticoreSolver`] — a level-parallel host-thread solver (ablation).
 //!
 //! These, [`JumpSolver`] and [`ResilientSolver`] are engines of one
-//! interface, [`SweepBackend`], built by [`Backend::engine`].
+//! interface, [`SweepBackend`], built by [`Backend::engine`]; it, the
+//! serial sweep and [`solve_dg`] are generic over the per-bus [`Phasor`].
 //!
 //! Post-solve physics checks live in [`validate`].
 //!
@@ -44,6 +45,7 @@ pub mod jump;
 pub mod mesh;
 mod multicore;
 pub mod obs;
+mod phasor;
 mod recovery;
 mod report;
 mod serial;
@@ -65,11 +67,12 @@ pub use gpu::{BackwardStrategy, GpuSolver};
 pub use integrity::{IntegrityConfig, IntegritySampler, IntegrityStats, IntegrityVerdict};
 pub use jump::{JumpArrays, JumpSolver};
 pub use mesh::{
-    solve3_dg, solve_dg, solve_dg_batch, DgBatchResult, GenMode, Mesh3Result, MeshProblem,
-    MeshResult, MeshSolver, MeshState, OuterConfig, OuterStatus,
+    solve_dg, solve_dg_batch, DgBatchResult, GenMode, MeshProblem, MeshResult, MeshSolver,
+    MeshState, OuterConfig, OuterStatus,
 };
 pub use multicore::MulticoreSolver;
 pub use obs::record_run;
+pub use phasor::Phasor;
 pub use recovery::{ResilienceError, ResilientSolver};
 pub use report::{FaultReport, PhaseTimes, SolveResult, Timing};
 pub use serial::SerialSolver;

@@ -26,10 +26,12 @@
 //!   genuine limit-cycling into a structural failure instead of a
 //!   silently burned iteration cap.
 //!
-//! Both corrections share one outer loop and one [`OuterStatus`], so
-//! divergence and limit-cycling surface in [`SolveStatus`] (as
-//! [`SolveStatus::OuterDiverged`], CLI exit code 9) rather than
-//! masquerading as `MaxIterations`.
+//! Both corrections share one outer loop, [`solve_dg`], and one
+//! [`OuterStatus`], so divergence and limit-cycling surface in
+//! [`SolveStatus`] (as [`SolveStatus::OuterDiverged`], CLI exit code 9)
+//! rather than masquerading as `MaxIterations`. The loop is generic over
+//! the per-bus [`Phasor`]: a three-phase network has no break points, so
+//! only its PV control engages.
 
 use std::convert::Infallible;
 
@@ -39,15 +41,16 @@ use powergrid::{MeshedNetwork, PvBus, RadialNetwork};
 use simt::HostProps;
 use telemetry::Recorder;
 
-use crate::arrays::SolverArrays;
+use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::engine::SweepBackend;
 use crate::obs::Obs;
+use crate::phasor::Phasor;
 use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
 use crate::tensor_batch::TensorBatchSolver;
-use crate::three_phase::{Arrays3, Solve3Result};
+use crate::three_phase::Arrays3;
 
 /// Knobs of the mesh/DG outer loop (the inner sweeps keep using
 /// [`SolverConfig`] untouched).
@@ -192,13 +195,13 @@ impl std::fmt::Display for GenMode {
     }
 }
 
-/// Result of one meshed/DG solve.
+/// Result of one meshed/DG solve, of either phase kind.
 #[derive(Clone, Debug)]
-pub struct MeshResult {
+pub struct MeshResult<V: Phasor = Complex> {
     /// The final inner solve (voltages and branch currents by bus id,
     /// with timing/iterations *accumulated over every inner solve* of
     /// the outer loop). Its own `status` is the last inner outcome.
-    pub inner: SolveResult,
+    pub inner: SolveResult<V>,
     /// Overall status: the inner status when the outer loop settled
     /// (or never engaged), [`SolveStatus::OuterDiverged`] on outer
     /// divergence or limit-cycling, [`SolveStatus::MaxIterations`] on
@@ -213,9 +216,10 @@ pub struct MeshResult {
     /// Final worst PV set-point error over PV-mode generators, volts
     /// (0 with no generators in PV mode).
     pub pv_error: f64,
-    /// Final loop (tie) currents, one per break point, amperes.
+    /// Final loop (tie) currents, one per break point, amperes (none for
+    /// a three-phase network).
     pub loop_currents: Vec<Complex>,
-    /// Final reactive output per generator, vars.
+    /// Final reactive output per generator (total over its phases), vars.
     pub q_gen: Vec<f64>,
     /// Final operating mode per generator.
     pub gen_modes: Vec<GenMode>,
@@ -223,24 +227,32 @@ pub struct MeshResult {
     pub mode_flips: u32,
 }
 
-impl MeshResult {
+impl<V: Phasor> MeshResult<V> {
     /// `true` when the overall status met the tolerance.
     pub fn converged(&self) -> bool {
         self.status.is_converged()
     }
 }
 
-/// The precomputed, topology-only part of a meshed/DG problem: base
-/// loads, the Thevenin loop-impedance matrix and per-generator voltage
-/// sensitivities. Shared by [`solve_dg`] and the tensor-batched DG
-/// sweep — none of it changes across outer iterations or scenarios.
+/// The precomputed, topology-only part of a meshed/DG problem: the
+/// level-ordered arrays, base loads, the Thevenin loop-impedance matrix
+/// and per-generator voltage sensitivities. Shared by [`solve_dg`] and
+/// the tensor-batched DG sweep — none of it changes across outer
+/// iterations or scenarios.
+///
+/// A three-phase problem ([`MeshProblem::three_phase`]) has no break
+/// points, as three-phase networks are radial; its balanced generators
+/// split their power equally across the phases ([`Phasor::split`]) and
+/// regulate the mean phase magnitude ([`Phasor::control_mag`]).
 #[derive(Clone, Debug)]
-pub struct MeshProblem {
+pub struct MeshProblem<V: Phasor = Complex> {
+    /// Level-ordered arrays at the base loads.
+    arrays: LevelArrays<V, V::Z>,
     /// Base constant-power loads by bus id (no DG, no compensation).
-    base: Vec<Complex>,
+    base: Vec<V>,
     /// Generator records.
     gens: Vec<PvBus>,
-    /// Root-path reactance at each generator bus, ohms (PV sensitivity).
+    /// Voltage sensitivity per generator to its total Q, ohms.
     x_th: Vec<f64>,
     /// Break-point endpoints and tie impedances `(a, b, z_tie)`.
     bps: Vec<(usize, usize, Complex)>,
@@ -252,16 +264,10 @@ impl MeshProblem {
     /// Precomputes the compensation data for a meshed network.
     pub fn new(net: &MeshedNetwork) -> Self {
         let tree = net.tree();
-        let base: Vec<Complex> = tree.buses().iter().map(|b| b.load).collect();
-        let gens: Vec<PvBus> = net.generators().to_vec();
-        let x_th = gens
-            .iter()
-            .map(|g| root_path_impedance(tree, g.bus).im.max(1e-9))
-            .collect();
-
-        let bps: Vec<(usize, usize, Complex)> =
-            net.break_points().iter().map(|bp| (bp.a, bp.b, bp.z)).collect();
-        let k = bps.len();
+        let base = tree.buses().iter().map(|b| b.load).collect();
+        let mut problem = Self::radial(SolverArrays::new(tree), base, net.generators().to_vec());
+        problem.bps = net.break_points().iter().map(|bp| (bp.a, bp.b, bp.z)).collect();
+        let (bps, k) = (&problem.bps, problem.bps.len());
         // Signed tree-path incidence per loop: σ_i(branch) = +1 for
         // branches on root-path(a_i), −1 on root-path(b_i); shared
         // prefixes cancel, leaving exactly the a→b tree path. Ordered by
@@ -295,7 +301,43 @@ impl MeshProblem {
             thevenin[i * k + i] += bps[i].2;
         }
 
-        MeshProblem { base, gens, x_th, bps, thevenin }
+        problem.thevenin = thevenin;
+        problem
+    }
+}
+
+impl MeshProblem<CVec3> {
+    /// Precomputes the PV-control data for a three-phase network.
+    pub fn three_phase(net: &ThreePhaseNetwork) -> Self {
+        let base = net.buses().iter().map(|b| b.load).collect();
+        Self::radial(Arrays3::new(net), base, net.generators().to_vec())
+    }
+}
+
+impl<V: Phasor> MeshProblem<V> {
+    /// A problem with no break points: each generator's Q sensitivity
+    /// comes from the impedances on its root path
+    /// ([`Phasor::q_sensitivity`]).
+    fn radial(arrays: LevelArrays<V, V::Z>, base: Vec<V>, gens: Vec<PvBus>) -> Self {
+        // The impedances feeding `bus` and its ancestors; position 0 is
+        // the root, which no branch feeds.
+        let a = &arrays;
+        let root_path = |bus: usize| {
+            let up = move |&p: &usize| Some(a.parent_pos[p] as usize);
+            std::iter::successors(Some(a.levels.pos_of[bus] as usize), up)
+                .take_while(|&p| p != 0)
+                .map(move |p| a.z[p])
+        };
+        let x_th = gens.iter().map(|g| V::q_sensitivity(root_path(g.bus)).max(1e-9)).collect();
+        MeshProblem { arrays, base, gens, x_th, bps: Vec::new(), thevenin: Vec::new() }
+    }
+}
+
+impl<V: Phasor> MeshProblem<V> {
+    /// The level-ordered arrays at the base loads: what a radial inner
+    /// solve runs on.
+    pub fn arrays(&self) -> &LevelArrays<V, V::Z> {
+        &self.arrays
     }
 
     /// Number of loops (break points).
@@ -324,15 +366,17 @@ impl MeshProblem {
     /// use: base loads minus DG injections (`p_gen` scaled by
     /// `dg_scale`) minus/plus the break-point compensation converted to
     /// power at the latest voltages `v`.
-    pub fn loads(&self, state: &MeshState, v: &[Complex], dg_scale: f64) -> Vec<Complex> {
+    pub fn loads(&self, state: &MeshState, v: &[V], dg_scale: f64) -> Vec<V> {
         let mut s = self.base.clone();
         for (gi, g) in self.gens.iter().enumerate() {
-            s[g.bus] -= c(g.p_gen * dg_scale, state.q[gi]);
+            s[g.bus] -= V::split(c(g.p_gen * dg_scale, state.q[gi]));
         }
-        for (j, &(a, b, _)) in self.bps.iter().enumerate() {
-            let jj = state.j_loop[j];
-            s[a] += v[a] * jj.conj();
-            s[b] -= v[b] * jj.conj();
+        if let (Some(s), Some(v)) = (V::single_phase_mut(&mut s), V::single_phase(v)) {
+            for (j, &(a, b, _)) in self.bps.iter().enumerate() {
+                let jj = state.j_loop[j];
+                s[a] += v[a] * jj.conj();
+                s[b] -= v[b] * jj.conj();
+            }
         }
         s
     }
@@ -343,20 +387,19 @@ impl MeshProblem {
     /// set-point with limit/hysteresis handling. Returns the mismatch
     /// measured *before* the update (the quantity the outer loop
     /// converges on).
-    pub fn step(&self, state: &mut MeshState, v: &[Complex], outer: &OuterConfig) -> OuterStep {
-        let k = self.bps.len();
+    pub fn step(&self, state: &mut MeshState, v: &[V], outer: &OuterConfig) -> OuterStep {
         // Break-point mismatch and compensation update.
-        let mut e: Vec<Complex> = self
-            .bps
-            .iter()
-            .enumerate()
-            .map(|(j, &(a, b, z))| v[a] - v[b] - z * state.j_loop[j])
-            .collect();
-        let bp_residual = e.iter().map(|x| x.abs()).fold(0.0, f64::max);
-        let mut singular = false;
-        if k > 0 {
+        let (mut bp_residual, mut singular) = (0.0, false);
+        if let Some(v) = V::single_phase(v).filter(|_| !self.bps.is_empty()) {
+            let mut e: Vec<Complex> = self
+                .bps
+                .iter()
+                .enumerate()
+                .map(|(j, &(a, b, z))| v[a] - v[b] - z * state.j_loop[j])
+                .collect();
+            bp_residual = e.iter().map(|x| x.abs()).fold(0.0, f64::max);
             let mut z = self.thevenin.clone();
-            match solve_dense(&mut z, &mut e, k) {
+            match solve_dense(&mut z, &mut e, self.bps.len()) {
                 Ok(()) => {
                     for (jj, dj) in state.j_loop.iter_mut().zip(&e) {
                         *jj += *dj;
@@ -366,70 +409,53 @@ impl MeshProblem {
             }
         }
 
-        // PV outer step with Q-limit clamping and hysteresis.
-        let vm: Vec<f64> = self.gens.iter().map(|g| v[g.bus].abs()).collect();
-        let (pv_error, limit_cycle) = pv_step(&self.gens, &self.x_th, state, &vm, outer);
+        // PV step: Newton Q update on the sensitivity `x_th`, Q-limit
+        // clamping with hysteresis re-entry, mode-flip accounting.
+        let mut pv_error = 0.0f64;
+        let mut limit_cycle = false;
+        for (gi, g) in self.gens.iter().enumerate() {
+            let vm = v[g.bus].control_mag();
+            let err = g.v_set - vm;
+            let dq = outer.damping * err * vm / self.x_th[gi];
+            let desired = state.q[gi] + dq;
+            let hyst = outer.hysteresis * (g.q_max - g.q_min);
+            let mode = state.modes[gi];
+            let new_mode = match mode {
+                GenMode::Pv if desired > g.q_max => GenMode::ClampedMax,
+                GenMode::Pv if desired < g.q_min => GenMode::ClampedMin,
+                GenMode::ClampedMax if desired < g.q_max - hyst => GenMode::Pv,
+                GenMode::ClampedMin if desired > g.q_min + hyst => GenMode::Pv,
+                m => m,
+            };
+            if new_mode != mode {
+                state.flips[gi] += 1;
+                if state.flips[gi] > outer.max_mode_flips {
+                    limit_cycle = true;
+                }
+            }
+            state.modes[gi] = new_mode;
+            let q_before = state.q[gi];
+            state.q[gi] = match new_mode {
+                GenMode::Pv => desired.clamp(g.q_min, g.q_max),
+                GenMode::ClampedMax => g.q_max,
+                GenMode::ClampedMin => g.q_min,
+            };
+            // Only PV-mode buses owe their set-point; clamped buses are
+            // honest PQ buses at the limit.
+            if new_mode == GenMode::Pv {
+                pv_error = pv_error.max(err.abs());
+            }
+            // Whatever the mode, the solution just measured was computed
+            // with the *previous* Q: an applied Q change means the
+            // voltages are stale by about Δq·x_th/|V|, so a limit clamp
+            // (which zeroes the set-point obligation) cannot declare
+            // convergence before one consistent re-solve.
+            let dv_stale = (state.q[gi] - q_before).abs() * self.x_th[gi] / vm.max(1.0);
+            pv_error = pv_error.max(dv_stale);
+        }
 
         OuterStep { bp_residual, pv_error, singular, limit_cycle }
     }
-}
-
-/// One PV-control step over every generator, shared by the single- and
-/// three-phase outer loops: Newton Q update on the root-path-reactance
-/// sensitivity, Q-limit clamping with hysteresis re-entry, mode-flip
-/// accounting. `vm` is the controlled voltage magnitude per generator
-/// (the bus magnitude single-phase, the mean phase magnitude
-/// three-phase). Returns `(pv_error, limit_cycle)`.
-fn pv_step(
-    gens: &[PvBus],
-    x_th: &[f64],
-    state: &mut MeshState,
-    vm: &[f64],
-    outer: &OuterConfig,
-) -> (f64, bool) {
-    let mut pv_error = 0.0f64;
-    let mut limit_cycle = false;
-    for (gi, g) in gens.iter().enumerate() {
-        let vm = vm[gi];
-        let err = g.v_set - vm;
-        let dq = outer.damping * err * vm / x_th[gi];
-        let desired = state.q[gi] + dq;
-        let hyst = outer.hysteresis * (g.q_max - g.q_min);
-        let mode = state.modes[gi];
-        let new_mode = match mode {
-            GenMode::Pv if desired > g.q_max => GenMode::ClampedMax,
-            GenMode::Pv if desired < g.q_min => GenMode::ClampedMin,
-            GenMode::ClampedMax if desired < g.q_max - hyst => GenMode::Pv,
-            GenMode::ClampedMin if desired > g.q_min + hyst => GenMode::Pv,
-            m => m,
-        };
-        if new_mode != mode {
-            state.flips[gi] += 1;
-            if state.flips[gi] > outer.max_mode_flips {
-                limit_cycle = true;
-            }
-        }
-        state.modes[gi] = new_mode;
-        let q_before = state.q[gi];
-        state.q[gi] = match new_mode {
-            GenMode::Pv => desired.clamp(g.q_min, g.q_max),
-            GenMode::ClampedMax => g.q_max,
-            GenMode::ClampedMin => g.q_min,
-        };
-        // Only PV-mode buses owe their set-point; clamped buses are
-        // honest PQ buses at the limit.
-        if new_mode == GenMode::Pv {
-            pv_error = pv_error.max(err.abs());
-        }
-        // Whatever the mode, the solution just measured was computed
-        // with the *previous* Q: an applied Q change means the
-        // voltages are stale by about Δq·x_th/|V|, so a limit clamp
-        // (which zeroes the set-point obligation) cannot declare
-        // convergence before one consistent re-solve.
-        let dv_stale = (state.q[gi] - q_before).abs() * x_th[gi] / vm.max(1.0);
-        pv_error = pv_error.max(dv_stale);
-    }
-    (pv_error, limit_cycle)
 }
 
 /// Mutable outer-loop state: loop currents plus per-generator Q, mode
@@ -465,7 +491,7 @@ impl MeshState {
 }
 
 /// What one [`MeshProblem::step`] measured and decided.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OuterStep {
     /// `max_j |E_j|` before the update, volts.
     pub bp_residual: f64,
@@ -487,9 +513,9 @@ impl OuterStep {
 /// How an outer loop ended: the overall status and the outer outcome.
 type OuterOutcome = (SolveStatus, OuterStatus);
 
-/// The outer loop's stopping rule, written once for every driver: the
-/// single-phase loop, the three-phase PV loop and each scenario of the
-/// batched DG sweep. A round is judged in a fixed order — inner failure;
+/// The outer loop's stopping rule, written once for every driver:
+/// [`solve_dg`] (either phase kind) and each scenario of the batched DG
+/// sweep. A round is judged in a fixed order — inner failure;
 /// a singular Thevenin system or a non-finite or over-cap mismatch; a
 /// limit cycle; convergence (tight rounds only); `patience` consecutive
 /// growths. A loop that runs out of rounds ends [`Self::EXHAUSTED`].
@@ -563,7 +589,7 @@ impl OuterMonitor {
 }
 
 /// The meshed/DG solver: an outer compensation loop wrapped around any
-/// plain [`SweepBackend`].
+/// plain single-phase [`SweepBackend`].
 pub struct MeshSolver<B> {
     backend: B,
     outer: OuterConfig,
@@ -584,60 +610,60 @@ impl<B: SweepBackend<Error = Infallible>> MeshSolver<B> {
     /// Solves a weakly-meshed/DG network: [`solve_dg`] around the
     /// backend's warm-started sweep.
     pub fn solve(&mut self, net: &MeshedNetwork, cfg: &SolverConfig) -> MeshResult {
-        let Ok(res) =
-            solve_dg(net, cfg, &self.outer, None, |a, warm| self.backend.solve_warm_arrays(a, cfg, warm));
+        let Ok(res) = solve_dg(&MeshProblem::new(net), cfg, &self.outer, None, |a, warm| {
+            self.backend.solve_warm_arrays(a, cfg, warm)
+        });
         res
     }
 }
 
-/// Solves a weakly-meshed/DG network: the compensation + PV outer loop
-/// around one inner radial solve per round. `inner` solves the prepared
-/// arrays, whose loads the loop patches in place each round, optionally
-/// warm-started from the previous round's voltages (by bus id). Any
-/// engine plugs in as `|a, warm| engine.solve_warm_arrays(a, cfg, warm)`;
-/// the fault-tolerant supervisor ignores the warm start, because recovery
-/// certification assumes a flat start.
+/// Solves a weakly-meshed/DG problem of either phase kind: the
+/// compensation + PV outer loop around one inner radial solve per round.
+/// `inner` solves the prepared arrays, whose loads the loop patches in
+/// place each round, warm-started after the first round from the
+/// previous round's voltages (by bus id). Any engine plugs in as
+/// `|a, warm| engine.solve_warm_arrays(a, cfg, warm)`; the fault-tolerant
+/// supervisor ignores the warm start, because recovery certification
+/// assumes a flat start.
 ///
 /// The reported timing, iterations and fault report accumulate over
 /// every inner solve. With a recorder, each round adds an `outer` span
 /// and a `mesh.breakpoint_residual` sample, and the finished run writes
 /// the `solver.outer_iterations` histogram and the `mesh.*` gauges. The
 /// stopping rule is [`OuterMonitor`]'s.
-pub fn solve_dg<E>(
-    net: &MeshedNetwork,
+pub fn solve_dg<V: Phasor, E>(
+    problem: &MeshProblem<V>,
     cfg: &SolverConfig,
     outer: &OuterConfig,
     rec: Option<&Recorder>,
-    mut inner: impl FnMut(&SolverArrays, Option<&[Complex]>) -> Result<SolveResult, E>,
-) -> Result<MeshResult, E> {
-    let tree = net.tree();
-    let n = tree.num_buses();
-    let v0 = tree.source_voltage();
-    let problem = MeshProblem::new(net);
+    mut inner: impl FnMut(&LevelArrays<V, V::Z>, Option<&[V]>) -> Result<SolveResult<V>, E>,
+) -> Result<MeshResult<V>, E> {
+    let n = problem.arrays.len();
+    let v0 = problem.arrays.source;
     let mut state = problem.initial_state();
     let obs = Obs::new(rec, "solver.mesh");
 
     if cfg.validate().is_err() || !outer.is_valid() {
         let inner_res = crate::report::invalid_config_result(n, v0);
-        return Ok(finish(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, 0.0, 0.0, rec));
+        return Ok(finish(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, &OuterStep::default(), rec));
     }
 
-    let mut a = SolverArrays::new(tree);
+    let mut a = problem.arrays.clone();
     // No loops, no generators: one plain inner solve, zero outer overhead.
     if problem.num_loops() == 0 && problem.num_gens() == 0 {
         let res = inner(&a, None)?;
         let status = res.status;
-        return Ok(finish(res, status, OuterStatus::Radial, 0, &state, 0.0, 0.0, rec));
+        return Ok(finish(res, status, OuterStatus::Radial, 0, &state, &OuterStep::default(), rec));
     }
 
-    let mut monitor = OuterMonitor::new(outer, cfg, v0.abs());
-    let mut v: Vec<Complex> = vec![v0; n];
+    let mut monitor = OuterMonitor::new(outer, cfg, v0.control_mag());
+    let mut v = vec![v0; n];
     let mut total = Timing::default();
     let mut total_inner_iters = 0u32;
     let mut faults: Option<FaultReport> = None;
-    let mut last: Option<SolveResult> = None;
+    let mut last: Option<SolveResult<V>> = None;
     let mut outcome = OuterMonitor::EXHAUSTED;
-    let mut step = OuterStep { bp_residual: 0.0, pv_error: 0.0, singular: false, limit_cycle: false };
+    let mut step = OuterStep::default();
     let mut outer_iters = 0u32;
 
     for it in 1..=outer.max_outer {
@@ -675,25 +701,23 @@ pub fn solve_dg<E>(
     if faults.is_some() {
         res.fault_report = faults;
     }
-    Ok(finish(res, status, outer_status, outer_iters, &state, step.bp_residual, step.pv_error, rec))
+    Ok(finish(res, status, outer_status, outer_iters, &state, &step, rec))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    inner: SolveResult,
+fn finish<V: Phasor>(
+    inner: SolveResult<V>,
     status: SolveStatus,
     outer_status: OuterStatus,
     outer_iterations: u32,
     state: &MeshState,
-    breakpoint_residual: f64,
-    pv_error: f64,
+    last: &OuterStep,
     rec: Option<&Recorder>,
-) -> MeshResult {
+) -> MeshResult<V> {
     if let Some(r) = rec {
         r.observe("solver.outer_iterations", f64::from(outer_iterations));
         r.gauge_set("mesh.outer_iterations", f64::from(outer_iterations));
-        r.gauge_set("mesh.breakpoint_residual", breakpoint_residual);
-        r.gauge_set("mesh.pv_error", pv_error);
+        r.gauge_set("mesh.breakpoint_residual", last.bp_residual);
+        r.gauge_set("mesh.pv_error", last.pv_error);
         r.gauge_set("mesh.loops", state.j_loop.len() as f64);
         r.gauge_set("mesh.gens", state.q.len() as f64);
         r.gauge_set("mesh.mode_flips", f64::from(state.total_flips()));
@@ -703,8 +727,8 @@ fn finish(
         status,
         outer_status,
         outer_iterations,
-        breakpoint_residual,
-        pv_error,
+        breakpoint_residual: last.bp_residual,
+        pv_error: last.pv_error,
         loop_currents: state.j_loop.clone(),
         q_gen: state.q.clone(),
         gen_modes: state.modes.clone(),
@@ -781,7 +805,7 @@ pub fn solve_dg_batch(
     let nb = dg_scales.len();
     assert!(nb >= 1, "batch must contain at least one scenario");
     let problem = MeshProblem::new(net);
-    let arrays = SolverArrays::new(tree);
+    let arrays = &problem.arrays;
 
     if cfg.validate().is_err() || !outer.is_valid() {
         return Ok(DgBatchResult {
@@ -824,7 +848,7 @@ pub fn solve_dg_batch(
     // handful of loads off the base case, so the whole family starts a
     // few iterations from its fixed points instead of a cold sweep
     // away. The pre-solve is charged to the batch total.
-    let base = SerialSolver::new(HostProps::paper_rig()).solve_warm(&arrays, cfg, None);
+    let base = SerialSolver::new(HostProps::paper_rig()).solve_warm(arrays, cfg, None);
     let warm = base.status.is_converged().then_some(base.v);
     let mut total_us = base.timing.total_us();
 
@@ -836,7 +860,7 @@ pub fn solve_dg_batch(
         let loads: Vec<Vec<Complex>> = (start..end)
             .map(|s| problem.loads(&states[s], &v[s], dg_scales[s]))
             .collect();
-        let mut session = tbs.outer_session(&arrays, &loads, &probes, warm.as_deref(), cfg);
+        let mut session = tbs.outer_session(arrays, &loads, &probes, warm.as_deref(), cfg);
         let mut live = width;
 
         // Inexact-outer tolerance ladder: rounds far from outer
@@ -916,192 +940,6 @@ pub fn solve_dg_batch(
         total_us,
         scenarios_per_sec,
     })
-}
-
-/// Result of one three-phase DG solve ([`solve3_dg`]). Three-phase
-/// networks are radial by construction, so only the PV-bus half of the
-/// outer loop engages — no break points, no loop currents.
-#[derive(Clone, Debug)]
-pub struct Mesh3Result {
-    /// The final inner three-phase solve (per-bus phase voltages and
-    /// currents, timing/iterations accumulated over every inner solve).
-    pub inner: Solve3Result,
-    /// Overall status (same mapping as [`MeshResult::status`]).
-    pub status: SolveStatus,
-    /// How the outer loop ended.
-    pub outer_status: OuterStatus,
-    /// Outer iterations run (0 for a generator-free network).
-    pub outer_iterations: u32,
-    /// Final worst PV set-point error over PV-mode generators, volts.
-    pub pv_error: f64,
-    /// Final reactive output per generator (total over the three
-    /// phases), vars.
-    pub q_gen: Vec<f64>,
-    /// Final operating mode per generator.
-    pub gen_modes: Vec<GenMode>,
-    /// Total PV↔PQ mode flips across all generators.
-    pub mode_flips: u32,
-}
-
-impl Mesh3Result {
-    /// `true` when the overall status met the tolerance.
-    pub fn converged(&self) -> bool {
-        self.status.is_converged()
-    }
-}
-
-/// Solves a three-phase network with distributed generators: the PV-bus
-/// outer loop around one inner solve per round. `inner` solves the
-/// prepared arrays, whose loads the loop patches in place each round —
-/// a plain backend is `|a| Ok::<_, Infallible>(solver.solve_arrays(a, cfg))`,
-/// the fault-tolerant one `|a| supervisor.solve3(a, cfg)`. A generator
-/// is balanced — `p_gen` and the dispatched Q split equally across the
-/// phases, and the set-point regulates the *mean* phase magnitude
-/// (regulators on real feeders act on an average or a single monitored
-/// phase; the mean keeps the control scalar smooth under unbalance).
-///
-/// Three-phase networks are radial, so only PV control engages; it
-/// shares the mode machine, hysteresis, stale-voltage accounting and
-/// limit-cycle budget with the single-phase loop through [`pv_step`],
-/// and its stopping rule through [`OuterMonitor`]. Timing, iterations
-/// and fault report accumulate over every inner solve, as in
-/// [`solve_dg`].
-pub fn solve3_dg<E>(
-    net: &ThreePhaseNetwork,
-    cfg: &SolverConfig,
-    outer: &OuterConfig,
-    rec: Option<&Recorder>,
-    mut inner: impl FnMut(&Arrays3) -> Result<Solve3Result, E>,
-) -> Result<Mesh3Result, E> {
-    let n = net.num_buses();
-    let v0 = net.source_voltage();
-    let v0m = mean_phase_mag(v0);
-    let gens: Vec<PvBus> = net.generators().to_vec();
-    let base: Vec<CVec3> = net.buses().iter().map(|b| b.load).collect();
-    let obs = Obs::new(rec, "solver.mesh3");
-
-    let mut state = MeshState::new(&gens, 0);
-
-    if cfg.validate().is_err() || !outer.is_valid() {
-        let inner_res = crate::report::invalid_config_result(n, v0);
-        return Ok(finish3(inner_res, SolveStatus::InvalidConfig, OuterStatus::Radial, 0, &state, 0.0, rec));
-    }
-
-    let mut a = Arrays3::new(net);
-    // No generators: one plain inner solve, zero outer overhead.
-    if gens.is_empty() {
-        let res = inner(&a)?;
-        let status = res.status;
-        return Ok(finish3(res, status, OuterStatus::Radial, 0, &state, 0.0, rec));
-    }
-
-    // Mean-diagonal root-path reactance per generator, divided by 3:
-    // the dispatched Q splits equally across the phases, so the mean
-    // phase magnitude moves by `(q/3)·x̄/|V|` per unit of *total* Q —
-    // the balanced analogue of the single-phase `x_th` sensitivity.
-    let x_th: Vec<f64> = gens
-        .iter()
-        .map(|g| {
-            let mut x = 0.0;
-            let mut b = g.bus;
-            while let Some(br) = net.parent_branch(b) {
-                x += (br.z.m[0][0].im + br.z.m[1][1].im + br.z.m[2][2].im) / 3.0;
-                b = br.from;
-            }
-            (x / 3.0).max(1e-9)
-        })
-        .collect();
-
-    let mut monitor = OuterMonitor::new(outer, cfg, v0m);
-    let mut total = Timing::default();
-    let mut total_inner_iters = 0u32;
-    let mut faults: Option<FaultReport> = None;
-    let mut last: Option<Solve3Result> = None;
-    let mut outcome = OuterMonitor::EXHAUSTED;
-    let mut pv_error = 0.0;
-    let mut outer_iters = 0u32;
-
-    for it in 1..=outer.max_outer {
-        outer_iters = it;
-        let mut loads = base.clone();
-        for (gi, g) in gens.iter().enumerate() {
-            let s_phase = c(g.p_gen, state.q[gi]) / 3.0;
-            loads[g.bus] -= CVec3 { a: s_phase, b: s_phase, c: s_phase };
-        }
-        a.s = a.levels.permute(&loads);
-        let res = inner(&a)?;
-        total.accumulate(&res.timing);
-        total_inner_iters += res.iterations;
-        if let Some(fr) = &res.fault_report {
-            faults.get_or_insert_with(FaultReport::default).accumulate(fr);
-        }
-        let decided = monitor.round(it, res.status, true, || {
-            let vm: Vec<f64> = gens.iter().map(|g| mean_phase_mag(res.v[g.bus])).collect();
-            let (err, limit_cycle) = pv_step(&gens, &x_th, &mut state, &vm, outer);
-            pv_error = err;
-            obs.phase("outer", total.total_us(), total.total_us());
-            OuterStep { bp_residual: 0.0, pv_error: err, singular: false, limit_cycle }
-        });
-        last = Some(res);
-        if let Some(o) = decided {
-            outcome = o;
-            break;
-        }
-    }
-
-    let (status, outer_status) = outcome;
-    let mut res = last.expect("max_outer >= 1 guarantees at least one inner solve");
-    res.timing = total;
-    res.iterations = total_inner_iters;
-    if faults.is_some() {
-        res.fault_report = faults;
-    }
-    Ok(finish3(res, status, outer_status, outer_iters, &state, pv_error, rec))
-}
-
-fn finish3(
-    inner: Solve3Result,
-    status: SolveStatus,
-    outer_status: OuterStatus,
-    outer_iterations: u32,
-    state: &MeshState,
-    pv_error: f64,
-    rec: Option<&Recorder>,
-) -> Mesh3Result {
-    if let Some(r) = rec {
-        r.observe("solver.outer_iterations", f64::from(outer_iterations));
-        r.gauge_set("mesh.outer_iterations", f64::from(outer_iterations));
-        r.gauge_set("mesh.pv_error", pv_error);
-        r.gauge_set("mesh.gens", state.q.len() as f64);
-        r.gauge_set("mesh.mode_flips", f64::from(state.total_flips()));
-    }
-    Mesh3Result {
-        inner,
-        status,
-        outer_status,
-        outer_iterations,
-        pv_error,
-        q_gen: state.q.clone(),
-        gen_modes: state.modes.clone(),
-        mode_flips: state.total_flips(),
-    }
-}
-
-/// Mean phase-voltage magnitude (the three-phase PV control scalar).
-fn mean_phase_mag(v: CVec3) -> f64 {
-    (v.a.abs() + v.b.abs() + v.c.abs()) / 3.0
-}
-
-/// Branch impedance sum from `bus` up to the root (the PV sensitivity
-/// path).
-fn root_path_impedance(tree: &RadialNetwork, bus: usize) -> Complex {
-    let mut z = Complex::ZERO;
-    let mut b = bus;
-    while let Some(br) = tree.parent_branch(b) {
-        z += br.z;
-        b = tree.parent(b).expect("a bus with a parent branch has a parent");
-    }
-    z
 }
 
 /// Bus ids (each identifying its parent branch) on the path from `bus`
@@ -1315,8 +1153,9 @@ mod tests {
             || ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig());
 
         // Fault-free supervisor run matches the plain mesh solve.
+        let problem = MeshProblem::new(&net);
         let mut clean = supervisor();
-        let res = solve_dg(&net, &cfg, &outer, None, |a, _| clean.solve(a, &cfg)).unwrap();
+        let res = solve_dg(&problem, &cfg, &outer, None, |a, _| clean.solve(a, &cfg)).unwrap();
         assert!(res.converged(), "got {}", res.status);
         let scale = net.tree().source_voltage().abs();
         for (a, b) in res.inner.v.iter().zip(&reference.inner.v) {
@@ -1326,7 +1165,7 @@ mod tests {
         // Seeded faults: the answer must still match, with the recovery
         // visible in the accumulated fault report.
         let mut faulty = supervisor().with_fault_plan(FaultPlan::seeded(20260808, 0.01));
-        let res = solve_dg(&net, &cfg, &outer, None, |a, _| faulty.solve(a, &cfg)).unwrap();
+        let res = solve_dg(&problem, &cfg, &outer, None, |a, _| faulty.solve(a, &cfg)).unwrap();
         assert!(res.converged(), "got {}", res.status);
         for (a, b) in res.inner.v.iter().zip(&reference.inner.v) {
             assert!((*a - *b).abs() <= 1e-6 * scale, "{a:?} vs {b:?}");
@@ -1471,7 +1310,8 @@ mod tests {
         let net = ieee123_dg();
         let cfg = SolverConfig::default();
         let serial = SerialSolver::new(HostProps::paper_rig()).with_recorder(rec.clone());
-        let Ok(res) = solve_dg(&net, &cfg, &OuterConfig::default(), Some(&rec), |a, warm| {
+        let problem = MeshProblem::new(&net);
+        let Ok(res) = solve_dg(&problem, &cfg, &OuterConfig::default(), Some(&rec), |a, warm| {
             Ok::<_, Infallible>(serial.solve_warm(a, &cfg, warm))
         });
         assert!(res.converged());
@@ -1504,10 +1344,11 @@ mod tests {
     }
 
     /// The three-phase DG loop on the serial reference backend.
-    fn serial3_dg(net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Mesh3Result {
-        let serial = Serial3Solver::new(HostProps::paper_rig());
-        let Ok(r) = solve3_dg(net, cfg, &OuterConfig::default(), None, |a| {
-            Ok::<_, Infallible>(serial.solve_arrays(a, cfg))
+    fn serial3_dg(net: &ThreePhaseNetwork, cfg: &SolverConfig) -> MeshResult<CVec3> {
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        let problem = MeshProblem::three_phase(net);
+        let Ok(r) = solve_dg(&problem, cfg, &OuterConfig::default(), None, |a, warm| {
+            Ok::<_, Infallible>(serial.solve_warm(a, cfg, warm))
         });
         r
     }
@@ -1548,8 +1389,9 @@ mod tests {
 
         // The GPU backend lands on the same operating point.
         let mut gpu = Gpu3Solver::new(Device::paper_rig());
-        let Ok(g) = solve3_dg(&net, &cfg, &OuterConfig::default(), None, |a| {
-            Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg))
+        let problem = MeshProblem::three_phase(&net);
+        let Ok(g) = solve_dg(&problem, &cfg, &OuterConfig::default(), None, |a, warm| {
+            Ok::<_, Infallible>(gpu.solve_warm(a, &cfg, warm))
         });
         assert!(g.converged());
         for (a, b) in g.inner.v.iter().zip(&r.inner.v) {
@@ -1580,22 +1422,29 @@ mod tests {
         let supervisor =
             || ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig());
 
-        // Fault-free supervisor run is the plain GPU DG solve, bit for bit.
+        // Fault-free supervisor run is the plain GPU DG solve started
+        // flat every round, as the supervisor starts, bit for bit.
+        let problem = MeshProblem::three_phase(&net);
         let mut gpu = Gpu3Solver::new(Device::paper_rig());
-        let Ok(plain) =
-            solve3_dg(&net, &cfg, &outer, None, |a| Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg)));
+        let Ok(plain) = solve_dg(&problem, &cfg, &outer, None, |a, _| {
+            Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg))
+        });
         let mut clean = supervisor();
-        let got = solve3_dg(&net, &cfg, &outer, None, |a| clean.solve3(a, &cfg)).unwrap();
+        let got = solve_dg(&problem, &cfg, &outer, None, |a, _| clean.solve3(a, &cfg)).unwrap();
         assert!(plain.converged() && plain.outer_iterations >= 2);
         assert_eq!(got.inner.v, plain.inner.v);
         assert_eq!(got.q_gen, plain.q_gen);
         assert_eq!(got.inner.iterations, plain.inner.iterations);
         assert_eq!((got.status, got.outer_status), (plain.status, plain.outer_status));
 
-        // Seeded faults: the answer still matches the serial reference.
-        let want = serial3_dg(&net, &cfg);
+        // Seeded faults: the answer still matches the serial reference,
+        // started flat every round as the supervisor starts.
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        let Ok(want) = solve_dg(&problem, &cfg, &outer, None, |a, _| {
+            Ok::<_, Infallible>(serial.solve_arrays(a, &cfg))
+        });
         let mut faulty = supervisor().with_fault_plan(FaultPlan::seeded(20260808, 0.01));
-        let got = solve3_dg(&net, &cfg, &outer, None, |a| faulty.solve3(a, &cfg)).unwrap();
+        let got = solve_dg(&problem, &cfg, &outer, None, |a, _| faulty.solve3(a, &cfg)).unwrap();
         assert!(got.converged(), "{:?}", got.outer_status);
         for (a, b) in got.inner.v.iter().zip(&want.inner.v) {
             assert!((a.a - b.a).abs() < 1e-6 && (a.b - b.b).abs() < 1e-6 && (a.c - b.c).abs() < 1e-6);

@@ -15,9 +15,8 @@
 //! * gauges — `phase.*_us` / `transfer_us` / `solver.iterations` /
 //!   `solver.residual`, written once per run by [`record_run`], which is
 //!   what the run-summary reconciliation test reads. The meshed/DG outer
-//!   loops ([`crate::solve_dg`], [`crate::solve3_dg`]) add their own
-//!   `mesh.*` gauges and `solver.outer_iterations` histogram when they
-//!   finish.
+//!   loop ([`crate::solve_dg`], either phase kind) adds its own `mesh.*`
+//!   gauges and `solver.outer_iterations` histogram when it finishes.
 
 use telemetry::trace::ArgValue;
 use telemetry::{Recorder, Trace};

@@ -37,7 +37,7 @@
 //! Both phase kinds run this one policy over the one device loop,
 //! [`drive`]: its sessions (single-phase level and jump, three-phase
 //! level) differ only in their per-bus phasor, [`numc::Complex`] or
-//! [`numc::CVec3`], and its NaN-propagating norm ([`LevelPhasor::norm`]) is
+//! [`numc::CVec3`], and its NaN-propagating norm ([`Phasor::norm`]) is
 //! all the loop needs of it.
 //!
 //! Because rollbacks restore certified-clean state and the CPU
@@ -61,9 +61,11 @@ use crate::engine::Backend;
 use crate::gpu::{GpuSession, LevelPhasor};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
+use crate::phasor::Phasor;
 use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
+use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus};
-use crate::three_phase::{Arrays3, Gpu3Session, Serial3Solver, Solve3Result};
+use crate::three_phase::{Arrays3, Gpu3Session, Solve3Result};
 
 /// A residual is anomalous when it exceeds this multiple of the
 /// previous iteration's residual (or of the tolerance, near
@@ -560,7 +562,7 @@ impl ResilientSolver {
     /// from injected faults with the same checkpointed device loop as
     /// [`ResilientSolver::solve`]. Every device backend runs the one
     /// three-phase device path ([`crate::Gpu3Solver`]'s session); the
-    /// CPU rung is always [`Serial3Solver`], because multicore has no
+    /// CPU rung is always the serial sweep, because multicore has no
     /// three-phase form.
     pub fn solve3(
         &mut self,
@@ -572,15 +574,13 @@ impl ResilientSolver {
             start,
             (a.len(), a.source),
             cfg,
-            |s, _| {
-                let mut serial = Serial3Solver::new(s.host.clone());
-                if let Some(rec) = &s.recorder {
-                    serial = serial.with_recorder(rec.clone());
-                }
-                serial.solve_arrays(a, cfg)
-            },
+            |s, _| match &s.recorder {
+                Some(rec) => SerialSolver::new(s.host.clone()).with_recorder(rec.clone()),
+                None => SerialSolver::new(s.host.clone()),
+            }
+            .solve_arrays(a, cfg),
             |_| Backend::Serial,
-            |dev, at| at.run(|obs| Gpu3Session::open(dev, a, obs)),
+            |dev, at| at.run(|obs| Gpu3Session::open(dev, a, None, obs)),
         )
     }
 
@@ -929,10 +929,10 @@ mod tests {
         assert_eq!(res.v, serial.v);
         assert_eq!(res.fault_report.unwrap().backends, vec!["serial".to_string()]);
 
-        // Three-phase: either CPU backend answers with Serial3Solver and
-        // opens no device.
+        // Three-phase: either CPU backend answers with the serial sweep
+        // and opens no device.
         let a3 = Arrays3::new(&ieee13_unbalanced());
-        let serial3 = Serial3Solver::new(host.clone()).solve_arrays(&a3, &cfg);
+        let serial3 = SerialSolver::new(host.clone()).solve_arrays(&a3, &cfg);
         for backend in [Backend::Serial, Backend::Multicore] {
             let mut supervisor = ResilientSolver::new(backend, props.clone(), host.clone());
             let res3 = supervisor.solve3(&a3, &cfg).unwrap();
@@ -1010,11 +1010,11 @@ mod tests {
         let a = Arrays3::new(&b.build().unwrap());
         let leaf = a.levels.order.iter().position(|&bus| bus == 2).unwrap();
         let cfg = SolverConfig::default();
-        let want = Serial3Solver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg);
+        let want = SerialSolver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg);
         assert!(want.converged());
 
         let mut dev = Device::new(DeviceProps::paper_rig());
-        let sess = Gpu3Session::open(&mut dev, &a, Obs::default()).unwrap();
+        let sess = Gpu3Session::open(&mut dev, &a, None, Obs::default()).unwrap();
         let mut v_pos = a.levels.permute(&want.v);
         v_pos[leaf].a = c(f64::NAN, 0.0);
         assert!(sess.host_iterate(&v_pos).0.is_nan(), "the host residual drops a NaN phase");

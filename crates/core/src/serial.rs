@@ -1,49 +1,37 @@
-//! The serial CPU solver — the paper's baseline comparator.
+//! The serial CPU solver — the paper's baseline comparator, and the one
+//! host sweep loop of both phase kinds.
 //!
 //! A cache-friendly, deliberately *non-pessimised* sequential
-//! forward-backward sweep over the level-ordered arrays:
+//! forward-backward sweep over the level-ordered arrays, generic over
+//! the per-bus [`Phasor`] (a single-phase [`numc::Complex`] or a three-phase
+//! [`numc::CVec3`] with 3×3 branch matrices):
 //!
-//! 1. **Injection**: `I_p = conj(S_p / V_p)` for every bus.
+//! 1. **Injection**: `I_p = conj(S_p / V_p)` for every bus (per phase).
 //! 2. **Backward sweep** (positions high→low, i.e. leaves→root):
 //!    `J_p = I_p + Σ_{c ∈ children(p)} J_c` — one pass, children already
 //!    final because they sit at higher positions.
 //! 3. **Forward sweep** (positions low→high, root→leaves):
 //!    `V_p = V_{parent(p)} − Z_p·J_p`, using this iteration's fresh
-//!    upstream voltages (ladder convention); the convergence ∞-norm is
-//!    folded into the same pass.
+//!    upstream voltages (ladder convention); the convergence ∞-norm
+//!    ([`Phasor::norm`], the worst phase) is folded into the same pass.
 //!
 //! Modeled time comes from the [`HostProps`] roofline applied to the
-//! per-phase flop/byte tallies below; wall-clock is also recorded.
+//! phasor's per-phase flop/byte tallies; wall-clock is also recorded.
 
 use std::time::Instant;
 
-use numc::Complex;
 use powergrid::RadialNetwork;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use simt::HostProps;
 
 use telemetry::Recorder;
 
-use crate::arrays::SolverArrays;
+use crate::arrays::{LevelArrays, SolverArrays};
 use crate::config::SolverConfig;
 use crate::obs::Obs;
+use crate::phasor::Phasor;
 use crate::report::{PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
-
-/// Modeled flops per bus for the injection step (complex divide + conj).
-const INJ_FLOPS: u64 = Complex::DIV_FLOPS + 1;
-/// Modeled bytes per bus for injection (read S, V; write I).
-const INJ_BYTES: u64 = 48;
-/// Modeled flops per *child edge* in the backward sweep (complex add).
-const BWD_FLOPS_PER_EDGE: u64 = Complex::ADD_FLOPS;
-/// Modeled bytes per bus for the backward sweep (read I, child J; write J).
-const BWD_BYTES: u64 = 48;
-/// Modeled flops per non-root bus for the forward sweep
-/// (complex mul + sub + |ΔV| magnitude).
-const FWD_FLOPS: u64 = Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4;
-/// Modeled bytes per non-root bus for the forward sweep
-/// (read V_parent, Z, J, V_old; write V).
-const FWD_BYTES: u64 = 80;
 
 /// The serial forward-backward sweep solver.
 #[derive(Clone, Debug, Default)]
@@ -81,9 +69,14 @@ impl SerialSolver {
         res
     }
 
-    /// Solves with pre-built arrays (the repeated-solve path: topology
-    /// preprocessing is charged to setup via a byte-touch model).
-    pub fn solve_arrays(&self, a: &SolverArrays, cfg: &SolverConfig) -> SolveResult {
+    /// Solves with pre-built arrays of either phase kind (the
+    /// repeated-solve path: topology preprocessing is charged to setup
+    /// via a byte-touch model).
+    pub fn solve_arrays<V: Phasor>(
+        &self,
+        a: &LevelArrays<V, V::Z>,
+        cfg: &SolverConfig,
+    ) -> SolveResult<V> {
         self.solve_warm(a, cfg, None)
     }
 
@@ -91,22 +84,25 @@ impl SerialSolver {
     /// start (`v_init` is indexed by *bus id*). Warm starts cut
     /// iterations in time-series runs where consecutive loadings are
     /// close.
-    pub fn solve_warm(
+    pub fn solve_warm<V: Phasor>(
         &self,
-        a: &SolverArrays,
+        a: &LevelArrays<V, V::Z>,
         cfg: &SolverConfig,
-        v_init: Option<&[Complex]>,
-    ) -> SolveResult {
+        v_init: Option<&[V]>,
+    ) -> SolveResult<V> {
         let wall0 = Instant::now();
         let n = a.len();
         let v0 = a.source;
         if cfg.validate().is_err() {
             return crate::report::invalid_config_result(n, v0);
         }
-        let mut monitor = ConvergenceMonitor::new(cfg, v0.abs());
-        // Resident state cycled every iteration: S, Z, V, I, J (16 B
-        // complex each) plus the integer topology arrays (~32 B/bus).
-        let working_set = 112 * n as u64;
+        let mut monitor = ConvergenceMonitor::new(cfg, v0.norm());
+        let working_set = V::WORKING_SET_BYTES * n as u64;
+        // Bytes per bus: injection (read S and V, write I) and backward
+        // (read I and a child's J, write J) move three phasors; forward
+        // reads the parent's V, Z, J and the old V and writes V.
+        let v_bytes = size_of::<V>() as u64;
+        let (three_phasors, fwd_bytes) = (3 * v_bytes, 4 * v_bytes + size_of::<V::Z>() as u64);
 
         let mut v = match v_init {
             Some(init) => {
@@ -115,12 +111,15 @@ impl SerialSolver {
             }
             None => vec![v0; n],
         };
-        let mut i_inj = vec![Complex::ZERO; n];
-        let mut j = vec![Complex::ZERO; n];
+        let mut i_inj = vec![V::default(); n];
+        let mut j = vec![V::default(); n];
 
         // Setup model: building the permutation + arrays touches every
-        // per-bus record a handful of times; ~128 bytes per bus, no flops.
-        let mut phases = PhaseTimes { setup_us: self.host.region_time_us(0, 128 * n as u64), ..Default::default() };
+        // per-bus record a handful of times, no flops.
+        let mut phases = PhaseTimes {
+            setup_us: self.host.region_time_us(0, V::SETUP_BYTES * n as u64),
+            ..Default::default()
+        };
 
         let mut iterations = 0;
         let mut residual = f64::MAX;
@@ -134,12 +133,11 @@ impl SerialSolver {
 
             // Injection.
             for p in 0..n {
-                let s = a.s[p];
-                i_inj[p] = if s == Complex::ZERO { Complex::ZERO } else { (s / v[p]).conj() };
+                i_inj[p] = V::inject(a.s[p], v[p]);
             }
             phases.injection_us += self.host.region_time_us_ws(
-                INJ_FLOPS * n as u64,
-                INJ_BYTES * n as u64,
+                V::INJ_FLOPS * n as u64,
+                three_phasors * n as u64,
                 working_set,
             );
             obs.phase("injection", iter_t0, phases.total_us());
@@ -154,8 +152,8 @@ impl SerialSolver {
                 j[p] = acc;
             }
             phases.backward_us += self.host.region_time_us_ws(
-                BWD_FLOPS_PER_EDGE * (n as u64 - 1),
-                BWD_BYTES * n as u64,
+                V::BWD_FLOPS * (n as u64 - 1),
+                three_phasors * n as u64,
                 working_set,
             );
             obs.phase("backward", bwd_t0, phases.total_us());
@@ -167,21 +165,19 @@ impl SerialSolver {
             let mut delta: f64 = 0.0;
             for p in 1..n {
                 let parent = a.parent_pos[p] as usize;
-                let new_v = v[parent] - a.z[p] * j[p];
-                let d = (new_v - v[p]).abs();
-                delta = MaxAbsF64::combine(delta, d);
+                let new_v = v[parent] - V::z_mul(a.z[p], j[p]);
+                delta = MaxAbsF64::combine(delta, (new_v - v[p]).norm());
                 v[p] = new_v;
             }
             phases.forward_us += self.host.region_time_us_ws(
-                FWD_FLOPS * (n as u64 - 1),
-                FWD_BYTES * (n as u64 - 1),
+                V::FWD_FLOPS * (n as u64 - 1),
+                fwd_bytes * (n as u64 - 1),
                 working_set,
             );
             obs.phase("forward", fwd_t0, phases.total_us());
             // The convergence norm is one compare+branch per bus, already
             // counted in FWD_FLOPS; charge the scalar check only.
             phases.convergence_us += self.host.region_time_us(1, 8);
-
             residual = delta;
             residual_history.push(delta);
             obs.iteration(iterations, iter_t0, phases.total_us(), delta);
@@ -223,7 +219,7 @@ impl SerialSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numc::c;
+    use numc::{c, Complex};
     use powergrid::NetworkBuilder;
 
     fn solver() -> SerialSolver {

@@ -14,25 +14,22 @@
 //!    mat-vec — ~8× the arithmetic per bus of the single-phase solver,
 //!    which shifts kernels from latency- toward compute/bandwidth-bound
 //!    and moves the GPU crossover to smaller trees (experiment E11).
-//! 4. convergence on the worst phase: `max_bus max_φ |ΔV_φ|`.
+//! 4. convergence on the worst phase: `max_bus max_φ |ΔV_φ|`, NaN when
+//!    any phase is ([`Phasor::norm`]).
 //!
-//! Both a serial reference and a GPU solver are provided and tested
-//! against each other; a balanced three-phase system degenerates to
-//! three rotated copies of the single-phase solution, which the tests
-//! exploit as an oracle.
-//!
-//! The GPU solver's iteration is a `Gpu3Session` with its own `fbs3_*`
-//! kernels; the loop around it (convergence, deadline, download) is the
-//! one device loop, `recovery::drive`, which the single-phase solvers
-//! and the fault-tolerant supervisor ([`crate::ResilientSolver::solve3`])
-//! run too. Results are [`SolveResult`]s over [`CVec3`] phasors
-//! ([`Solve3Result`]).
+//! No host loop lives here: the serial reference is
+//! [`crate::SerialSolver`]'s sweep over phase triples ([`Serial3Solver`])
+//! and the DG loop is [`crate::solve_dg`]. Three-phase-only are the
+//! arrays ([`Arrays3`]) and the `fbs3_*` kernels of [`Gpu3Solver`]'s
+//! session, which the one device loop (`recovery::drive`) steps. A
+//! balanced system degenerates to three rotated single-phase solutions,
+//! which the tests exploit as an oracle.
 
 use std::time::Instant;
 
-use numc::{CMat3, CVec3, Complex};
+use numc::{CMat3, CVec3};
 use powergrid::three_phase::ThreePhaseNetwork;
-use primitives::ops::{AddCVec3, MaxAbsF64, ScanOp};
+use primitives::ops::{AddCVec3, MaxAbsF64};
 use primitives::{try_launch_map, try_reduce, try_segscan_inclusive_range};
 use simt::{Device, DeviceError, HostProps};
 
@@ -42,27 +39,10 @@ use crate::arrays::LevelArrays;
 use crate::config::SolverConfig;
 use crate::gpu::{BackwardStrategy, GpuSession, LevelPhasor};
 use crate::obs::Obs;
+use crate::phasor::Phasor;
 use crate::recovery;
-use crate::report::{invalid_config_result, PhaseTimes, SolveResult, Timing};
-use crate::status::{ConvergenceMonitor, SolveStatus};
-
-/// Per-phase injection current at the present voltage.
-#[inline]
-fn inject3(s: CVec3, v: CVec3) -> CVec3 {
-    let one = |s: Complex, v: Complex| {
-        if s == Complex::ZERO {
-            Complex::ZERO
-        } else {
-            (s / v).conj()
-        }
-    };
-    CVec3 { a: one(s.a, v.a), b: one(s.b, v.b), c: one(s.c, v.c) }
-}
-
-/// Modeled flops of one per-phase injection.
-const INJ3_FLOPS: u64 = 3 * (Complex::DIV_FLOPS + 1);
-/// Modeled flops of one forward update (mat-vec + subtract + norm).
-const FWD3_FLOPS: u64 = CMat3::MULVEC_FLOPS + CVec3::ADD_FLOPS + 12;
+use crate::report::{invalid_config_result, SolveResult};
+use crate::serial::SerialSolver;
 
 /// Level-ordered three-phase solver arrays: per-position phase-triple
 /// loads and 3×3 branch impedance matrices around the single-phase
@@ -87,136 +67,25 @@ impl Arrays3 {
 /// residuals.
 pub type Solve3Result = SolveResult<CVec3>;
 
-/// Serial reference three-phase FBS solver.
+/// The serial reference for three-phase networks: [`SerialSolver`]'s
+/// sweep over phase triples.
 #[derive(Clone, Debug, Default)]
-pub struct Serial3Solver {
-    host: HostProps,
-    recorder: Option<Recorder>,
-}
+pub struct Serial3Solver(SerialSolver);
 
 impl Serial3Solver {
     /// Creates a solver modeled on the given host.
     pub fn new(host: HostProps) -> Self {
-        Serial3Solver { host, recorder: None }
+        Serial3Solver(SerialSolver::new(host))
     }
 
-    /// Attaches a telemetry recorder: per-iteration/per-phase spans and
-    /// residual samples are recorded into it during every solve.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
+    /// Attaches a telemetry recorder ([`SerialSolver::with_recorder`]).
+    pub fn with_recorder(self, rec: Recorder) -> Self {
+        Serial3Solver(self.0.with_recorder(rec))
     }
 
     /// Solves a three-phase network.
     pub fn solve(&self, net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Solve3Result {
-        let a = Arrays3::new(net);
-        self.solve_arrays(&a, cfg)
-    }
-
-    /// Solves with pre-built arrays.
-    pub fn solve_arrays(&self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
-        let wall0 = Instant::now();
-        let n = a.len();
-        let v0 = a.source;
-        if cfg.validate().is_err() {
-            return invalid_config_result(n, v0);
-        }
-        let mut monitor = ConvergenceMonitor::new(cfg, v0.abs_max());
-        // Per-bus state: S, V, I, J (48 B each) + Z (144 B) + topology.
-        let working_set = 360 * n as u64;
-
-        let mut v = vec![v0; n];
-        let mut i_inj = vec![CVec3::ZERO; n];
-        let mut j = vec![CVec3::ZERO; n];
-
-        let mut phases =
-            PhaseTimes { setup_us: self.host.region_time_us(0, 256 * n as u64), ..Default::default() };
-        let mut iterations = 0;
-        let mut residual = f64::MAX;
-        let mut residual_history = Vec::new();
-        let mut status = SolveStatus::MaxIterations;
-        let obs = Obs::new(self.recorder.as_ref(), "solver.serial3");
-
-        while iterations < cfg.max_iter {
-            iterations += 1;
-            let iter_t0 = phases.total_us();
-
-            for p in 0..n {
-                i_inj[p] = inject3(a.s[p], v[p]);
-            }
-            phases.injection_us +=
-                self.host.region_time_us_ws(INJ3_FLOPS * n as u64, 144 * n as u64, working_set);
-            obs.phase("injection", iter_t0, phases.total_us());
-            let bwd_t0 = phases.total_us();
-
-            for p in (0..n).rev() {
-                let mut acc = i_inj[p];
-                for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
-                    acc += jc;
-                }
-                j[p] = acc;
-            }
-            phases.backward_us += self.host.region_time_us_ws(
-                CVec3::ADD_FLOPS * (n as u64 - 1),
-                144 * n as u64,
-                working_set,
-            );
-            obs.phase("backward", bwd_t0, phases.total_us());
-            let fwd_t0 = phases.total_us();
-
-            // NaN-propagating fold: `d > delta` is false for NaN and
-            // would hide corrupt phases from the convergence norm.
-            let mut delta: f64 = 0.0;
-            for p in 1..n {
-                let parent = a.parent_pos[p] as usize;
-                let new_v = v[parent] - a.z[p].mul_vec(j[p]);
-                let d = (new_v - v[p]).abs_max();
-                delta = MaxAbsF64::combine(delta, d);
-                v[p] = new_v;
-            }
-            phases.forward_us += self.host.region_time_us_ws(
-                FWD3_FLOPS * (n as u64 - 1),
-                336 * (n as u64 - 1),
-                working_set,
-            );
-            obs.phase("forward", fwd_t0, phases.total_us());
-            phases.convergence_us += self.host.region_time_us(1, 8);
-
-            residual = delta;
-            residual_history.push(delta);
-            obs.iteration(iterations, iter_t0, phases.total_us(), delta);
-            if let Some(s) = monitor.observe(iterations, delta) {
-                status = s;
-                break;
-            }
-            if let Some(budget) = cfg.deadline_us {
-                let elapsed = phases.total_us();
-                if elapsed >= budget {
-                    status = SolveStatus::DeadlineExceeded {
-                        at_iteration: iterations,
-                        elapsed_us: elapsed as u64,
-                    };
-                    break;
-                }
-            }
-        }
-
-        let timing = Timing {
-            phases,
-            transfer_us: 0.0,
-            transfer_sweep_us: 0.0,
-            wall_us: wall0.elapsed().as_secs_f64() * 1e6,
-        };
-        SolveResult {
-            v: a.levels.unpermute(&v),
-            j: a.levels.unpermute(&j),
-            iterations,
-            status,
-            residual,
-            residual_history,
-            timing,
-            fault_report: None,
-        }
+        self.0.solve_arrays(&Arrays3::new(net), cfg)
     }
 }
 
@@ -247,21 +116,30 @@ impl Gpu3Solver {
 
     /// Solves a three-phase network.
     pub fn solve(&mut self, net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Solve3Result {
-        let a = Arrays3::new(net);
-        self.solve_arrays(&a, cfg)
+        self.solve_arrays(&Arrays3::new(net), cfg)
     }
 
-    /// Solves with pre-built arrays: the one device loop
-    /// (`recovery::drive`) over a `Gpu3Session`, with no checkpoints and
-    /// no retry budget. A device error or an injected fault it would have
-    /// to roll back panics.
+    /// Solves with pre-built arrays from the flat start.
     pub fn solve_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
+        self.solve_warm(a, cfg, None)
+    }
+
+    /// Solves with pre-built arrays, starting from `v_init` (by bus id)
+    /// when given: the one device loop (`recovery::drive`) over a
+    /// `Gpu3Session`, with no checkpoints and no retry budget. A device
+    /// error or an injected fault it would have to roll back panics.
+    pub fn solve_warm(
+        &mut self,
+        a: &Arrays3,
+        cfg: &SolverConfig,
+        v_init: Option<&[CVec3]>,
+    ) -> Solve3Result {
         let wall0 = Instant::now();
         if cfg.validate().is_err() {
             return invalid_config_result(a.len(), a.source);
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu3");
-        let opened = Gpu3Session::open(&mut self.device, a, obs.clone());
+        let opened = Gpu3Session::open(&mut self.device, a, v_init, obs.clone());
         recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
@@ -271,10 +149,16 @@ impl Gpu3Solver {
 pub(crate) type Gpu3Session<'a> = GpuSession<'a, CVec3>;
 
 impl<'a> Gpu3Session<'a> {
-    /// Opens a flat-start session (uploads charged to the setup phase).
-    /// The `fbs3_*` kernels have the segmented-scan backward sweep only.
-    pub(crate) fn open(dev: &'a mut Device, a: &'a Arrays3, obs: Obs) -> Result<Self, DeviceError> {
-        Self::with_obs(dev, a, BackwardStrategy::SegScan, None, obs)
+    /// Opens a session from the flat start or the warm start `v_init`
+    /// (uploads charged to the setup phase). The `fbs3_*` kernels have
+    /// the segmented-scan backward sweep only.
+    pub(crate) fn open(
+        dev: &'a mut Device,
+        a: &'a Arrays3,
+        v_init: Option<&'a [CVec3]>,
+        obs: Obs,
+    ) -> Result<Self, DeviceError> {
+        Self::with_obs(dev, a, BackwardStrategy::SegScan, v_init, obs)
     }
 }
 
@@ -283,22 +167,6 @@ impl<'a> Gpu3Session<'a> {
 /// charges differ, and only the segmented-scan backward sweep has a
 /// three-phase form.
 impl LevelPhasor for CVec3 {
-    type Z = CMat3;
-
-    /// The worst phase's magnitude. Unlike [`CVec3::abs_max`], a NaN in
-    /// any phase makes it NaN.
-    fn norm(self) -> f64 {
-        self.phases().iter().fold(0.0, |m, p| MaxAbsF64::combine(m, p.abs()))
-    }
-
-    fn inject(s: CVec3, v: CVec3) -> CVec3 {
-        inject3(s, v)
-    }
-
-    fn z_mul(z: CMat3, j: CVec3) -> CVec3 {
-        z.mul_vec(j)
-    }
-
     fn iterate(sess: &mut Gpu3Session<'_>) -> Result<f64, DeviceError> {
         let dev = &mut *sess.dev;
         let a = sess.a;
@@ -314,8 +182,8 @@ impl LevelPhasor for CVec3 {
             try_launch_map(dev, n, "fbs3_inject", move |t, p| {
                 let s = t.ld(&s_v, p);
                 let v = t.ld(&v_v, p);
-                t.flops(INJ3_FLOPS);
-                t.st(&i_v, p, inject3(s, v));
+                t.flops(CVec3::INJ_FLOPS);
+                t.st(&i_v, p, CVec3::inject(s, v));
             })?;
         }
         sess.clock.charge("injection", &dev.timeline().breakdown_since(mark));
@@ -373,9 +241,9 @@ impl LevelPhasor for CVec3 {
                 let jb = t.ld(&j_v, p);
                 let old = t.ld_mut(&v_v, p);
                 let new_v = vp - z.mul_vec(jb);
-                t.flops(FWD3_FLOPS);
+                t.flops(CVec3::FWD_FLOPS);
                 t.st(&v_v, p, new_v);
-                t.st(&d_v, p, (new_v - old).abs_max());
+                t.st(&d_v, p, (new_v - old).norm());
             })?;
         }
         sess.clock.charge("forward", &dev.timeline().breakdown_since(mark));
@@ -391,8 +259,8 @@ impl LevelPhasor for CVec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serial::SerialSolver;
-    use numc::c;
+    use crate::status::SolveStatus;
+    use numc::{c, Complex};
     use powergrid::three_phase::{ieee13_unbalanced, ThreePhaseBuilder};
     use powergrid::NetworkBuilder;
     use simt::DeviceProps;
@@ -443,6 +311,33 @@ mod tests {
         }
     }
 
+    /// A NaN in one phase of the state must reach the convergence norm of
+    /// both the serial sweep and the `fbs3` kernels; `CVec3::abs_max`
+    /// drops it. A warm start puts it at a zero-load leaf, whose other
+    /// phases stay finite and whose first forward update overwrites it,
+    /// so only the norm can see it.
+    #[test]
+    fn a_nan_phase_reaches_the_residual() {
+        let mut b = ThreePhaseBuilder::new(CVec3::balanced(2400.0));
+        b.add_bus(CVec3::ZERO);
+        b.add_bus(CVec3::splat(c(50e3, 20e3)));
+        b.add_bus(CVec3::ZERO);
+        b.connect(0, 1, CMat3::diag(c(0.4, 0.3)));
+        b.connect(1, 2, CMat3::diag(c(0.4, 0.3)));
+        let a = Arrays3::new(&b.build().unwrap());
+        let mut warm = vec![CVec3::balanced(2400.0); 3];
+        warm[2].b = c(f64::NAN, 0.0);
+        let cfg = SolverConfig::default();
+        let serial = SerialSolver::new(HostProps::paper_rig()).solve_warm(&a, &cfg, Some(&warm));
+        let gpu = gpu3().solve_warm(&a, &cfg, Some(&warm));
+        for (name, res) in [("serial", serial), ("gpu", gpu)] {
+            let first = res.residual_history[0];
+            assert!(first.is_nan(), "{name}: first residual {first}, {}", res.status);
+            let failed = matches!(res.status, SolveStatus::NumericalFailure { at_iteration: 1 });
+            assert!(failed, "{name}: a NaN phase ended {}", res.status);
+        }
+    }
+
     #[test]
     fn gpu_matches_serial_on_unbalanced_ieee13() {
         let net = ieee13_unbalanced();
@@ -484,7 +379,7 @@ mod tests {
             }
         }
         for (bus, kids) in children.iter().enumerate() {
-            let i_load = inject3(net.buses()[bus].load, res.v[bus]);
+            let i_load = CVec3::inject(net.buses()[bus].load, res.v[bus]);
             let child_sum = kids.iter().fold(CVec3::ZERO, |acc, &c| acc + res.j[c]);
             let kcl = res.j[bus] - i_load - child_sum;
             assert!(kcl.abs_max() < 1e-4, "bus {bus}: KCL residual {:?}", kcl);

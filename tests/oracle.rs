@@ -5,9 +5,10 @@
 //! One `check` property per family — radial trees (five shapes, cold and
 //! warm, three deadlines), meshed/DG through [`MeshSolver`], seeded fault
 //! plans through [`ResilientSolver`], tensor and outage-patched batches
-//! per scenario, and three-phase (plain and supervised under a seeded
-//! plan) — each at the bound of the parity property it generalises (see
-//! DESIGN.md, "Engines").
+//! per scenario, and three-phase (every `SweepBackend<CVec3>` engine,
+//! cold and warm, the supervisor under a seeded plan, plus one PV
+//! generator through the generic DG loop) — each at the bound of the
+//! parity property it generalises (see DESIGN.md, "Engines").
 //!
 //! Each family runs at a tier-1 case count. `oracle_deep` runs them all
 //! at 10⁴ cases: `cargo test --release --test oracle -- --ignored`.
@@ -16,14 +17,14 @@ use check::gen::{f64_in, tuple3, tuple4, tuple5, u64_any, usize_in};
 use check::{checker, prop_assert, prop_assert_eq, CaseResult};
 use fbs::obs::status_key;
 use fbs::{
-    Arrays3, Backend, Gpu3Solver, GpuSolver, MeshSolver, OuterConfig, ResilientSolver,
-    ScenarioPatch, Scenarios, Serial3Solver, SerialSolver, SolveResult, SolveStatus, SolverArrays,
-    SolverConfig, SweepBackend, TensorBatchSolver,
+    solve_dg, Arrays3, Backend, Gpu3Solver, GpuSolver, MeshProblem, MeshResult, MeshSolver,
+    OuterConfig, ResilientSolver, ScenarioPatch, Scenarios, SerialSolver, Solve3Result,
+    SolveResult, SolveStatus, SolverArrays, SolverConfig, SweepBackend, TensorBatchSolver,
 };
-use numc::{c, Complex};
+use numc::{c, CVec3, Complex};
 use powergrid::gen::{balanced_binary, balanced_kary, chain, random_tree, star, GenSpec};
 use powergrid::ieee::ieee13;
-use powergrid::three_phase::from_single_phase;
+use powergrid::three_phase::{from_single_phase, ThreePhaseBuilder, ThreePhaseNetwork};
 use powergrid::{DfsOrder, MeshedNetwork, MeshedNetworkBuilder, PvBus, RadialNetwork, TopologyDelta};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
@@ -383,45 +384,125 @@ fn outages(cases: u32) {
     );
 }
 
+/// `res` agrees with the serial reference `want` to 1e-8·|V0| on every
+/// phase of every bus (converged or recovered where serial converged),
+/// or ends as serial did.
+fn agree3(name: &str, res: &Solve3Result, want: &Solve3Result, scale: f64) -> Result<(), String> {
+    if !want.converged() {
+        if status_key(&res.status) != status_key(&want.status) {
+            return Err(format!("{name}: ended {}, serial {}", res.status, want.status));
+        }
+        return Ok(());
+    }
+    if !res.converged() {
+        return Err(format!("{name}: ended {}", res.status));
+    }
+    for (bus, (x, y)) in want.v.iter().zip(&res.v).enumerate() {
+        // Per phase: `abs_max` would drop a lone NaN phase.
+        for (p, q) in x.phases().iter().zip(y.phases()) {
+            let d = (*p - q).abs();
+            if d.is_nan() || d >= 1e-8 * scale {
+                return Err(format!("{name}: bus {bus} off by {d:.3e} V ({})", res.status));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The DG outcome `res` matches the serial reference `want`: the same
+/// outer outcome, voltages within `bound` volts.
+fn agree3_dg(name: &str, res: &MeshResult<CVec3>, want: &MeshResult<CVec3>, bound: f64) -> Result<(), String> {
+    let same = res.converged() == want.converged()
+        && (res.converged() || status_key(&res.status) == status_key(&want.status))
+        && res.outer_status == want.outer_status
+        && res.outer_iterations == want.outer_iterations;
+    if !same {
+        return Err(format!(
+            "{name} DG: {} / {} in {} rounds, serial {} / {} in {}",
+            res.status,
+            res.outer_status,
+            res.outer_iterations,
+            want.status,
+            want.outer_status,
+            want.outer_iterations
+        ));
+    }
+    let d = res
+        .inner
+        .v
+        .iter()
+        .zip(&want.inner.v)
+        .flat_map(|(x, y)| x.phases().into_iter().zip(y.phases()).map(|(p, q)| (p - q).abs()))
+        .fold(0.0, |m: f64, d| if d > m || d.is_nan() { d } else { m });
+    if d.is_nan() || d > bound {
+        return Err(format!("{name} DG: off serial by {d:e} V"));
+    }
+    Ok(())
+}
+
+/// `net` plus one balanced PV generator with Q limits of ±2–30 kvar.
+fn with_generator(net: &ThreePhaseNetwork, rng: &mut StdRng) -> ThreePhaseNetwork {
+    let mut b = ThreePhaseBuilder::new(net.source_voltage());
+    for bus in net.buses() {
+        b.add_bus(bus.load);
+    }
+    for br in net.branches() {
+        b.connect(br.from, br.to, br.z);
+    }
+    let q = rng.gen_range(2_000.0..30_000.0);
+    b.generator(PvBus {
+        bus: rng.gen_range(1..net.num_buses()),
+        p_gen: rng.gen_range(5_000.0..20_000.0),
+        v_set: 0.995 * net.source_voltage().abs_max(),
+        q_min: -q,
+        q_max: q,
+    });
+    b.build().expect("a generator on a valid feeder must validate")
+}
+
 /// One three-phase case: a random tree expanded to three phases, solved
-/// by the serial reference, the plain GPU solver and the supervisor with
-/// a seeded plan at `rate` armed. Every answer must be on the serial
-/// reference to 1e-8·|V0|; the supervisor's, converged or recovered.
+/// through `SweepBackend<CVec3>` by the serial sweep, the plain GPU
+/// solver and the supervisor with a seeded plan at `rate` armed, each
+/// cold and warm-started from a perturbed serial answer. Plain engines
+/// must match serial from the same start, the supervisor (which starts
+/// flat) the cold serial answer. Then the same feeder with one PV
+/// generator runs the generic DG outer loop: the plain GPU solver at the
+/// meshed family's 1e-9·|V0|, the supervisor (whose recovered inner
+/// answers are held to 1e-8·|V0| above) at 1e-8·|V0|.
 fn agrees3(n: usize, seed: u64, unbalance: f64, rate: f64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let net1 = random_tree(n, 8, &GenSpec::default(), &mut rng);
     let net3 = from_single_phase(&net1, unbalance, 0.25, &mut rng);
     let a = Arrays3::new(&net3);
     let cfg = SolverConfig::default();
-    let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
-    let want = Serial3Solver::new(host.clone()).solve_arrays(&a, &cfg);
-    let gpu = Gpu3Solver::new(Device::paper_rig()).solve_arrays(&a, &cfg);
-    let supervised = ResilientSolver::new(Backend::Gpu, props, host)
-        .with_fault_plan(FaultPlan::seeded(seed ^ 0xFA17, rate))
-        .solve3(&a, &cfg)
-        .map_err(|e| format!("solve3: recoverable faults killed the solve: {e}"))?;
     let scale = net3.source_voltage().abs_max();
-    for (name, res) in [("gpu3", &gpu), ("solve3", &supervised)] {
-        if !want.converged() {
-            if status_key(&res.status) != status_key(&want.status) {
-                return Err(format!("{name}: ended {}, serial {}", res.status, want.status));
-            }
-            continue;
-        }
-        if !matches!(res.status, SolveStatus::Converged | SolveStatus::Recovered { .. }) {
-            return Err(format!("{name}: ended {}", res.status));
-        }
-        for (bus, (x, y)) in want.v.iter().zip(&res.v).enumerate() {
-            // Per phase: `abs_max` would drop a lone NaN phase.
-            for (p, q) in x.phases().iter().zip(y.phases()) {
-                let d = (*p - q).abs();
-                if d.is_nan() || d >= 1e-8 * scale {
-                    return Err(format!("{name}: bus {bus} off by {d:.3e} V ({})", res.status));
-                }
-            }
+    let mut supervisor = ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig())
+        .with_fault_plan(FaultPlan::seeded(seed ^ 0xFA17, rate));
+    let fault = |e| format!("solve3: recoverable faults killed the solve: {e}");
+
+    let cold = serial().solve_arrays(&a, &cfg);
+    let perturbed: Vec<CVec3> = cold.v.iter().map(|v| *v * 0.999).collect();
+    for warm in [None, Some(perturbed.as_slice())] {
+        let want = serial().solve_warm(&a, &cfg, warm);
+        let Ok(s) = serial().solve_warm_arrays(&a, &cfg, warm);
+        let Ok(g) = Gpu3Solver::new(Device::paper_rig()).solve_warm_arrays(&a, &cfg, warm);
+        let r = supervisor.solve_warm_arrays(&a, &cfg, warm).map_err(fault)?;
+        for (name, res, want) in [("serial", &s, &want), ("gpu3", &g, &want), ("solve3", &r, &cold)] {
+            agree3(name, res, want, scale)?;
         }
     }
-    Ok(())
+
+    let problem = MeshProblem::three_phase(&with_generator(&net3, &mut rng));
+    let outer = OuterConfig::default();
+    let mut serial = serial();
+    let Ok(want) = solve_dg(&problem, &cfg, &outer, None, |a, warm| serial.solve_warm_arrays(a, &cfg, warm));
+    let Ok(flat) = solve_dg(&problem, &cfg, &outer, None, |a, _| serial.solve_warm_arrays(a, &cfg, None));
+    let mut gpu = Gpu3Solver::new(Device::paper_rig());
+    let Ok(g) = solve_dg(&problem, &cfg, &outer, None, |a, warm| gpu.solve_warm_arrays(a, &cfg, warm));
+    let r = solve_dg(&problem, &cfg, &outer, None, |a, warm| supervisor.solve_warm_arrays(a, &cfg, warm))
+        .map_err(fault)?;
+    agree3_dg("gpu3", &g, &want, 1e-9 * scale)?;
+    agree3_dg("solve3", &r, &flat, 1e-8 * scale)
 }
 
 fn three_phase(cases: u32) {
