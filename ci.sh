@@ -11,12 +11,14 @@
 #   3. E-bin runs: the `*_SMOKE=1` configurations of E9 and E12–E17 as
 #      end-to-end sanity passes, under wall-clock ceilings. Smoke runs
 #      only print; the leg fails if any of them wrote under `results/`,
-#      which holds the full runs' numbers. Then one full E11 run (about
-#      3 s) from a temporary working directory, where it writes
-#      `./results`; the leg fails unless that CSV is byte-identical to
-#      `results/e11_three_phase.csv`. It is the only pin on serial
-#      three-phase modeled time: `fleet-open` serves no three-phase
-#      request on the CPU.
+#      which holds the full runs' numbers. Then one full run each of E11
+#      and E12 (about 3 s apiece), each from a temporary working
+#      directory, where it writes `./results`; the leg fails unless that
+#      CSV is byte-identical to the committed one. E11 is the only pin on
+#      serial three-phase modeled time (`fleet-open` serves no
+#      three-phase request on the CPU); E12 pins what the routed
+#      supervisor's checkpoints and recoveries cost on both routes, the
+#      fused sweep (1 023 and 16 383 buses) and the level path (131 071).
 #   4. Benchmark: one `--seconds 1 --trace 0` run of every
 #      BENCHMARK.json workload at the default seed. Each run checks its
 #      answers against the serial reference, and the leg fails unless
@@ -58,7 +60,7 @@ cargo test -q --offline
 echo "== benchmark tests: cargo test --manifest-path benchmark/Cargo.toml =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== E-bin smoke runs + E11 pin =="
+echo "== E-bin smoke runs + E11 and E12 pins =="
 results_sum() { find results -type f -print0 | sort -z | xargs -0 sha256sum | sha256sum; }
 results_before=$(results_sum)
 E9_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e9_batch > /dev/null
@@ -72,15 +74,17 @@ if [ "$(results_sum)" != "$results_before" ]; then
   echo "E-bin smoke runs must not write under results/" >&2
   exit 1
 fi
-cargo build -q --offline --release -p fbs-bench --bin exp_e11_three_phase
-e11_bin="$PWD/target/release/exp_e11_three_phase"
-e11_dir=$(mktemp -d)
-(cd "$e11_dir" && env -u CARGO_MANIFEST_DIR timeout 300 "$e11_bin" > /dev/null)
-if ! cmp -s "$e11_dir/results/e11_three_phase.csv" results/e11_three_phase.csv; then
-  echo "E11: the full run's CSV differs from results/e11_three_phase.csv" >&2
-  exit 1
-fi
-rm -rf "$e11_dir"
+for pinned in e11_three_phase e12_faults; do
+  cargo build -q --offline --release -p fbs-bench --bin "exp_$pinned"
+  pinned_bin="$PWD/target/release/exp_$pinned"
+  pinned_dir=$(mktemp -d)
+  (cd "$pinned_dir" && env -u CARGO_MANIFEST_DIR timeout 300 "$pinned_bin" > /dev/null)
+  if ! cmp -s "$pinned_dir/results/$pinned.csv" "results/$pinned.csv"; then
+    echo "$pinned: the full run's CSV differs from results/$pinned.csv" >&2
+    exit 1
+  fi
+  rm -rf "$pinned_dir"
+done
 
 echo "== benchmark: every workload, modeled time pinned to results/modeled_baseline.txt =="
 workloads=$(grep -o '"name": "[^"]*", "why"' BENCHMARK.json | cut -d'"' -f4)

@@ -4,7 +4,9 @@
 //!
 //! The paper's evaluation assumes a healthy device. This experiment
 //! arms the seeded fault plan at increasing per-op rates and measures
-//! the modeled cost of the resilient GPU solve against the plain one:
+//! the modeled cost of the resilient GPU solve against the plain one on
+//! the same route (the fused sweep or the level path, as
+//! [`Backend::engine`] and the supervisor both choose it):
 //! rate 0 isolates the pure checkpoint/verify overhead, higher rates
 //! add rollback-and-replay traffic, and the table records how much of
 //! the fault budget each run consumed and which backend finished it.
@@ -12,13 +14,17 @@
 //! Run: `cargo run -p fbs-bench --release --bin exp_e12_faults`
 //! (`E12_SMOKE=1` restricts to the smallest feeder for CI.)
 
-use fbs::{Backend, BackwardStrategy, GpuSolver, ResilientSolver, SolverArrays, SolverConfig};
+use fbs::{Backend, ResilientSolver, SolverArrays, SolverConfig, SweepBackend};
 use fbs_bench::{rng_for, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{Device, DeviceProps, FaultPlan, HostProps};
+use simt::{DeviceProps, FaultPlan, HostProps};
 
 const SIZES: [usize; 3] = [1023, 16_383, 131_071];
-const RATES: [f64; 3] = [0.0, 1e-4, 1e-3];
+/// The fused sweep (1 023 and 16 383 buses) issues a few dozen device
+/// ops per solve, the level path (131 071) thousands: 1e-3 rolls back
+/// a level solve, and 5e-2 is the rate at which this seed rolls back a
+/// fused one (and exhausts the level path's budget).
+const RATES: [f64; 3] = [0.0, 1e-3, 5e-2];
 
 fn main() {
     let cfg = SolverConfig::default();
@@ -35,20 +41,19 @@ fn main() {
         let mut rng = rng_for(120 + n as u64);
         let net = balanced_binary(n, &spec, &mut rng);
 
-        // The undefended baseline: plain GPU solve, no plan, no checkpoints.
-        let plain = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan)
-            .solve(&net, &cfg);
+        // The undefended baseline: the plain engine of the supervisor's
+        // backend — the same route, fused or level — with no plan and no
+        // checkpoints.
+        let arrays = SolverArrays::new(&net);
+        let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+        let mut engine = Backend::Gpu.engine(&props, &host, None);
+        let Ok(plain) = engine.solve_warm_arrays(&arrays, &cfg, None);
         assert!(plain.converged(), "{n}: baseline must converge");
         let plain_us = plain.timing.total_us();
-        let arrays = SolverArrays::new(&net);
 
         for &rate in &RATES {
-            let mut solver = ResilientSolver::new(
-                Backend::Gpu,
-                DeviceProps::paper_rig(),
-                HostProps::paper_rig(),
-            )
-            .with_fault_plan(FaultPlan::seeded(fbs_bench::SEED, rate));
+            let mut solver = ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
+                .with_fault_plan(FaultPlan::seeded(fbs_bench::SEED, rate));
             let res = match solver.solve(&arrays, &cfg) {
                 Ok(res) => res,
                 Err(e) => panic!("{n} @ rate {rate}: {e}"),

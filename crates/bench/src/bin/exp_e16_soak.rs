@@ -65,14 +65,17 @@ fn detected_corruptions(responses: &[FleetResponse]) -> u64 {
 
 /// The compound storm: an early corruption burst, a long
 /// corruption-under-load ramp, and a correlated kill of devices 1 and 2
-/// between them. The kill window is narrow in op-space because a dead
-/// device consumes exactly one plan op per attempt — wide enough to
-/// trip both breakers, short enough that the rejoin probes land past it.
+/// between them. The windows sit in each device's op-space, sized for
+/// the fused sweep the fleet's single solves take (about an eighth of
+/// the level path's device ops per solve on this feeder). The kill
+/// window is narrow because a dead device consumes exactly one plan op
+/// per attempt — wide enough to trip both breakers, short enough that
+/// the rejoin probes land past it.
 fn storm() -> StormSchedule {
     StormSchedule::new(fbs_bench::SEED ^ 0xE16)
-        .with_burst(150, 2_500, 0.04)
-        .with_corruption_ramp(4_000, 5_000, 0.06)
-        .with_correlated_kill(3_000, 3_012, [1, 2])
+        .with_burst(19, 312, 0.04)
+        .with_corruption_ramp(500, 625, 0.06)
+        .with_correlated_kill(375, 387, [1, 2])
 }
 
 /// The mixed request stream: mostly single solves with a batch every

@@ -981,19 +981,20 @@ fn cmd_soak(argv: &[String]) -> Result<u8, String> {
 
     // The compound storm: an early corruption burst, a long
     // corruption-under-load ramp, and (by default) a correlated kill of
-    // every non-zero ordinal up to two devices. The kill window is
-    // narrow in op-space: a dead device consumes one plan op per
+    // every non-zero ordinal up to two devices. The windows sit in each
+    // device's op-space, sized for the fused sweep small feeders take.
+    // The kill window is narrow: a dead device consumes one plan op per
     // attempt, so the rejoin probes walk past it quickly.
     let mut storm = StormSchedule::new(seed)
-        .with_burst(150, 2_500, burst_rate)
-        .with_corruption_ramp(4_000, 5_000, ramp_rate);
+        .with_burst(19, 312, burst_rate)
+        .with_corruption_ramp(500, 625, ramp_rate);
     let killed: Vec<u32> = if kill && devices > 1 {
         (1..devices.min(3) as u32).collect()
     } else {
         Vec::new()
     };
     if !killed.is_empty() {
-        storm = storm.with_correlated_kill(3_000, 3_012, killed.iter().copied());
+        storm = storm.with_correlated_kill(375, 387, killed.iter().copied());
     }
 
     // Aggressive rejoin pacing (probe after one open-served dispatch,

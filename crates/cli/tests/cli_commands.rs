@@ -4,7 +4,10 @@
 use std::fs;
 use std::path::PathBuf;
 
+use fbs::{Backend, ResilientSolver, SolverArrays, SolverConfig};
 use fbs_cli::commands;
+use powergrid::gridfile::parse_grid;
+use simt::{DeviceProps, FaultPlan, HostProps};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -295,14 +298,24 @@ fn forced_device_loss_without_degradation_exits_5() {
     run(&["gen", "--topology", "binary", "--buses", "255", "--seed", "7", "--out", path_s])
         .unwrap();
 
+    // Script the loss half-way through the device ops a clean supervised
+    // solve of this grid issues, whichever route it takes.
+    let net = parse_grid(&fs::read_to_string(&path).unwrap()).unwrap();
+    let clean = FaultPlan::seeded(0, 0.0);
+    ResilientSolver::new(Backend::Gpu, DeviceProps::paper_rig(), HostProps::paper_rig())
+        .with_fault_plan(clean.clone())
+        .solve(&SolverArrays::new(&net), &SolverConfig::default())
+        .expect("a clean plan cannot fail the solve");
+    let lost_at = (clean.ops_started() / 2).to_string();
+
     let code = run(&[
-        "solve", path_s, "--solver", "gpu", "--fault-lost-at", "40", "--degrade", "false",
+        "solve", path_s, "--solver", "gpu", "--fault-lost-at", &lost_at, "--degrade", "false",
     ])
     .expect("device loss is a reported exit code, not a usage error");
     assert_eq!(code, 5, "unrecoverable device loss must exit 5");
 
     // With degradation enabled the same loss still produces an answer.
-    let code = run(&["solve", path_s, "--solver", "gpu", "--fault-lost-at", "40"]).unwrap();
+    let code = run(&["solve", path_s, "--solver", "gpu", "--fault-lost-at", &lost_at]).unwrap();
     assert_eq!(code, 0, "degraded solve must still converge");
 
     // solve3 reports unrecoverable runs the same way: script the loss

@@ -188,7 +188,9 @@ pub enum Backend {
     Serial,
     /// Level-parallel multicore CPU solver.
     Multicore,
-    /// Level-synchronous GPU solver, segmented-scan backward.
+    /// GPU solver routed per tree ([`GpuSolver::new`]): the fused sweep
+    /// on small or deep trees, the level-synchronous path with the
+    /// segmented-scan backward sweep otherwise.
     Gpu,
     /// Level-synchronous GPU solver, direct backward.
     GpuDirect,
@@ -221,8 +223,9 @@ impl Backend {
         }
     }
 
-    /// The backward-sweep strategy of a level-synchronous GPU backend;
-    /// `None` for the CPU backends and the jump solver.
+    /// The backward-sweep strategy of a level-synchronous GPU backend (of
+    /// [`Backend::Gpu`]'s level route); `None` for the CPU backends and
+    /// the jump solver.
     pub fn strategy(self) -> Option<BackwardStrategy> {
         match self {
             Backend::Gpu => Some(BackwardStrategy::SegScan),
@@ -266,9 +269,9 @@ impl Backend {
     /// The plain engine for this backend: a fresh device with `props`
     /// for the GPU backends, `host` for the CPU ones (the multicore core
     /// count is [`MulticoreSolver::default`]'s), with `rec` attached.
-    /// [`Backend::Gpu`] pins the level path with the segmented-scan
-    /// backward sweep ([`GpuSolver::with_strategy`]), as the supervisor's
-    /// device rung does.
+    /// [`Backend::Gpu`] is the routed [`GpuSolver::new`], which takes
+    /// the route the supervisor's device rung takes; `gpu-direct` and
+    /// `gpu-atomic` pin the level path ([`GpuSolver::with_strategy`]).
     pub fn engine(
         self,
         props: &DeviceProps,
@@ -294,6 +297,7 @@ impl Backend {
                 let solver = MulticoreSolver::new(host.clone(), MulticoreSolver::default().cores());
                 recorded(solver, rec, MulticoreSolver::with_recorder)
             }
+            (Backend::Gpu, _) => recorded(GpuSolver::new(device()), rec, GpuSolver::with_recorder),
             (_, Some(strategy)) => {
                 let solver = GpuSolver::with_strategy(device(), strategy);
                 recorded(solver, rec, GpuSolver::with_recorder)

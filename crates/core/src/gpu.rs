@@ -39,11 +39,14 @@
 //! On a small or deep tree the level path is launch-bound: a 1K-bus
 //! binary tree pays 33 launches per iteration. [`GpuSolver::new`]
 //! therefore routes each solve: where [`fused_sweep_wins`] says so, it
-//! runs the tensor engine's resident chunk at batch size one instead —
-//! one fused sweep launch per iteration, the same iterates — and
-//! otherwise the level path above. [`GpuSolver::with_strategy`] pins the
-//! level path with the given backward strategy; the experiments that
-//! reproduce the paper's tables use it.
+//! opens the tensor engine's resident chunk at batch size one instead
+//! (`tensor_batch::FusedSession`: one fused sweep launch per iteration,
+//! the same iterates) and otherwise the level path above. Either session
+//! runs the same loop, `recovery::drive`, and the supervisor's
+//! [`crate::Backend::Gpu`] rung takes the same route.
+//! [`GpuSolver::with_strategy`] pins the level path with the given
+//! backward strategy; the experiments that reproduce the paper's tables
+//! use it.
 
 use std::time::Instant;
 
@@ -60,7 +63,7 @@ use crate::obs::Obs;
 use crate::phasor::Phasor;
 use crate::recovery::{self, SessionClock, SweepSession};
 use crate::report::SolveResult;
-use crate::tensor_batch;
+use crate::tensor_batch::{self, FusedSession};
 
 /// How the backward sweep aggregates child branch currents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -144,11 +147,10 @@ impl GpuSolver {
     /// id) instead of the flat start; the initial state is uploaded
     /// (charged to setup) rather than filled on-device.
     ///
-    /// The level path runs the one device loop (`recovery::drive`) with
-    /// no checkpoints and no retry budget: a device error or an injected
-    /// fault it would have to roll back panics. The fused path handles
-    /// device weather itself (audit, retry, host repair) and reports it
-    /// in [`SolveResult::fault_report`].
+    /// Either route runs the one device loop (`recovery::drive`) with no
+    /// checkpoints and no retry budget: a device error or an injected
+    /// fault it would have to roll back panics. Fault-tolerant solves
+    /// go through [`crate::ResilientSolver`].
     pub fn solve_warm(
         &mut self,
         a: &SolverArrays,
@@ -160,10 +162,12 @@ impl GpuSolver {
             return crate::report::invalid_config_result(a.len(), a.source);
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu");
-        if self.routed && fused_sweep_wins(self.device.props(), a, v_init.is_some()) {
-            return tensor_batch::solve_single(&mut self.device, a, cfg, v_init, &obs);
+        let dev = &mut self.device;
+        if self.routed && fused_sweep_wins(dev.props(), a, v_init.is_some()) {
+            let opened = FusedSession::open(dev, a, v_init, obs.clone());
+            return recovery::run_plain(opened, wall0, cfg, &obs);
         }
-        let opened = GpuSession::with_obs(&mut self.device, a, self.strategy, v_init, obs.clone());
+        let opened = GpuSession::with_obs(dev, a, self.strategy, v_init, obs.clone());
         recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
@@ -186,7 +190,7 @@ impl GpuSolver {
 /// serialise the lone fused block and a high fan-out serialises its
 /// child sums, so large, bushy and star-like trees stay on the level
 /// path.
-fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
+pub(crate) fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
     let launches = 3 * a.num_levels();
     let per_launch = props.launch_overhead_us
         + (props.mem_latency_cycles + props.barrier_cycles) / props.cycles_per_us();
@@ -272,7 +276,8 @@ impl<'a, V: LevelPhasor> GpuSession<'a, V> {
         let mut delta_buf = dev.try_alloc::<f64>(n)?;
         try_fill(dev, &mut delta_buf, 0.0)?;
         let scan_buf = dev.try_alloc::<V>(n)?;
-        let clock = SessionClock::new(&dev.timeline().breakdown_since(mark), obs);
+        let b = dev.timeline().breakdown_since(mark);
+        let clock = SessionClock::new(b.total_us(), b.htod_us + b.dtoh_us, obs);
 
         Ok(GpuSession {
             dev,
@@ -522,30 +527,7 @@ impl<V: LevelPhasor> SweepSession for GpuSession<'_, V> {
     }
 
     fn host_iterate(&self, v_pos: &[V]) -> (f64, Vec<V>) {
-        let a = self.a;
-        let n = a.len();
-        // Children sit at higher positions than their parent in level
-        // order, so one reverse pass accumulates every subtree.
-        let mut j = vec![V::default(); n];
-        for p in (0..n).rev() {
-            let mut acc = V::inject(a.s[p], v_pos[p]);
-            for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
-                acc += jc;
-            }
-            j[p] = acc;
-        }
-        let mut v_new = v_pos.to_vec();
-        // No kernel writes the root, so a corrupted root is a consistent
-        // fixed point of a wrong source — check it against the start.
-        let root = self.v_init.map_or(a.source, |init| init[a.levels.order[0] as usize]);
-        let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).norm());
-        for p in 1..n {
-            let parent = a.parent_pos[p] as usize;
-            let nv = v_new[parent] - V::z_mul(a.z[p], j[p]);
-            res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
-            v_new[p] = nv;
-        }
-        (res, j)
+        host_iterate(self.a, self.v_init, v_pos)
     }
 
     fn source_mag(&self) -> f64 {
@@ -555,6 +537,41 @@ impl<V: LevelPhasor> SweepSession for GpuSession<'_, V> {
     fn faults_observed(&self) -> u32 {
         self.dev.fault_log().len() as u32
     }
+}
+
+/// One host-side FBS iteration over `a` from `v_pos` (level position
+/// order): the residual it would produce and the host-computed branch
+/// currents — what `recovery::drive` certifies a tainted state with. The
+/// level and fused sessions share this position order, so both run it.
+/// No kernel writes the root, so a corrupted root is a consistent fixed
+/// point of a wrong source: it is checked against the start state,
+/// `v_init` (by bus id) or the flat start.
+pub(crate) fn host_iterate<V: Phasor>(
+    a: &LevelArrays<V, V::Z>,
+    v_init: Option<&[V]>,
+    v_pos: &[V],
+) -> (f64, Vec<V>) {
+    let n = a.len();
+    // Children sit at higher positions than their parent in level
+    // order, so one reverse pass accumulates every subtree.
+    let mut j = vec![V::default(); n];
+    for p in (0..n).rev() {
+        let mut acc = V::inject(a.s[p], v_pos[p]);
+        for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
+            acc += jc;
+        }
+        j[p] = acc;
+    }
+    let mut v_new = v_pos.to_vec();
+    let root = v_init.map_or(a.source, |init| init[a.levels.order[0] as usize]);
+    let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).norm());
+    for p in 1..n {
+        let parent = a.parent_pos[p] as usize;
+        let nv = v_new[parent] - V::z_mul(a.z[p], j[p]);
+        res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
+        v_new[p] = nv;
+    }
+    (res, j)
 }
 
 #[cfg(test)]
@@ -711,6 +728,7 @@ mod tests {
 mod route_tests {
     use super::*;
     use crate::serial::SerialSolver;
+    use crate::{Backend, ResilientSolver};
     use powergrid::gen::{balanced_binary, balanced_kary, chain, star, GenSpec};
     use powergrid::ieee::ieee13;
     use rng::rngs::StdRng;
@@ -804,11 +822,10 @@ mod route_tests {
         assert_eq!(iters, res.iterations as usize);
     }
 
-    /// PR-15's scripted exponent flip (bit 61 of word 0), swept over the
-    /// first 48 device ops and every live buffer of a routed 1K-bus
-    /// solve: the chunk's audit, retry and host repair must keep every
-    /// converged answer on the serial fixed point, and the armed plan is
-    /// reported.
+    /// A scripted exponent flip (bit 61 of word 0), swept over the first
+    /// 48 device ops and every live buffer of a supervised 1K-bus solve
+    /// on the fused route: checkpoints, certification and rollback must
+    /// keep every converged answer on the serial fixed point.
     #[test]
     fn scripted_bit_flips_never_leak_out_of_a_routed_solve() {
         let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(17));
@@ -819,11 +836,14 @@ mod route_tests {
         let mut leaks = Vec::new();
         for op in 0..48u64 {
             for buffer in 0..10u64 {
-                let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
                 let flip = FaultKind::BufferBitFlip { buffer, word: 0, bit: 61 };
-                dev.arm_faults(FaultPlan::scripted([(op, flip)]));
-                let res = GpuSolver::new(dev).solve_arrays(&a, &cfg);
-                assert!(res.fault_report.is_some(), "op {op} buffer {buffer}: armed, unreported");
+                let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+                let mut supervisor = ResilientSolver::new(Backend::Gpu, props, host)
+                    .with_fault_plan(FaultPlan::scripted([(op, flip)]));
+                let res = supervisor.solve(&a, &cfg).expect("degradation answers every solve");
+                let dev = supervisor.last_device().expect("a device rung ran");
+                let kernels = dev.timeline().breakdown().per_kernel_us;
+                assert!(kernels.contains_key("tensor_sweep"), "op {op} buffer {buffer}: not fused");
                 assert_eq!(res.residual_history.len(), res.iterations as usize);
                 let off = res.v.iter().zip(&want).map(|(x, y)| (*x - *y).abs()).fold(0.0, f64::max);
                 if res.status.is_converged() && (off > band || off.is_nan()) {

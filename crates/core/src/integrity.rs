@@ -19,6 +19,8 @@ use crate::serial::SerialSolver;
 use crate::service::{Outcome, Request};
 use crate::three_phase::Serial3Solver;
 use crate::SolverArrays;
+use numc::{CVec3, Complex};
+use primitives::ops::{MaxAbsF64, ScanOp};
 use simt::HostProps;
 use telemetry::Recorder;
 
@@ -165,22 +167,12 @@ impl IntegritySampler {
         match (req, outcome) {
             (Request::Solve { net, cfg }, Outcome::Solved(res)) => {
                 let oracle = SerialSolver::new(self.host.clone()).solve(net, cfg);
-                Some(self.compare(&res.v, &oracle.v, None))
+                Some(self.compare(res.v.iter().copied().zip(oracle.v), None))
             }
             (Request::Solve3 { net, cfg }, Outcome::Solved3(res)) => {
                 let oracle = Serial3Solver::new(self.host.clone()).solve(net, cfg);
-                let err = res
-                    .v
-                    .iter()
-                    .zip(&oracle.v)
-                    .flat_map(|(a, b)| {
-                        a.phases()
-                            .into_iter()
-                            .zip(b.phases())
-                            .map(|(x, y)| (x.abs() - y.abs()).abs())
-                    })
-                    .fold(0.0f64, f64::max);
-                Some(IntegrityVerdict { ok: err <= self.cfg.tol_v, err_v: err, scenario: None })
+                let phases = |(a, b): (&CVec3, &CVec3)| a.phases().into_iter().zip(b.phases());
+                Some(self.compare(res.v.iter().zip(&oracle.v).flat_map(phases), None))
             }
             (Request::Batch { net, scenarios, cfg }, Outcome::Batch(res)) => {
                 if scenarios.is_empty() || res.v.len() != scenarios.len() {
@@ -195,23 +187,21 @@ impl IntegritySampler {
                     *slot = scenarios[s][a.levels.order[p] as usize];
                 }
                 let oracle = SerialSolver::new(self.host.clone()).solve_arrays(&a, cfg);
-                Some(self.compare(&res.v[s], &oracle.v, Some(s)))
+                Some(self.compare(res.v[s].iter().copied().zip(oracle.v), Some(s)))
             }
             _ => None,
         }
     }
 
+    /// The verdict on answered-vs-oracle phase voltages, one pair per bus
+    /// (and phase): the worst `||V|_answer − |V|_oracle|`, folded
+    /// NaN-propagating, so a non-finite voltage never passes the bar.
     fn compare(
         &self,
-        answered: &[numc::Complex],
-        oracle: &[numc::Complex],
+        pairs: impl Iterator<Item = (Complex, Complex)>,
         scenario: Option<usize>,
     ) -> IntegrityVerdict {
-        let err = answered
-            .iter()
-            .zip(oracle)
-            .map(|(a, b)| (a.abs() - b.abs()).abs())
-            .fold(0.0f64, f64::max);
+        let err = pairs.map(|(a, b)| (a.abs() - b.abs()).abs()).fold(0.0, MaxAbsF64::combine);
         IntegrityVerdict { ok: err <= self.cfg.tol_v, err_v: err, scenario }
     }
 }
@@ -221,7 +211,6 @@ mod tests {
     use super::*;
     use crate::{SerialSolver, SolverConfig};
     use powergrid::ieee::ieee13;
-    use numc::Complex;
 
     fn cfg() -> SolverConfig {
         SolverConfig::new(1e-12, 200)
@@ -269,6 +258,29 @@ mod tests {
         assert!(!v.ok, "corrupted answer passed at {:e} V", v.err_v);
         assert_eq!(s.stats().mismatches, 1);
         assert_eq!(s.stats().verified, 1);
+    }
+
+    /// One NaN bus of a single-phase answer and one NaN phase of a
+    /// three-phase answer each count as a mismatch, never as verified.
+    #[test]
+    fn a_nan_bus_or_phase_is_a_mismatch() {
+        let mut s = IntegritySampler::new(
+            IntegrityConfig { sample_every: 1, ..IntegrityConfig::default() },
+            HostProps::paper_rig(),
+        );
+        let (req, out) = answered();
+        let Outcome::Solved(mut res) = out else { unreachable!() };
+        res.v[6] = Complex::new(f64::NAN, 0.0);
+        let v = s.observe(&req, &Outcome::Solved(res)).expect("sampled");
+        assert!(!v.ok && v.err_v.is_nan(), "a NaN bus verified at {:e} V", v.err_v);
+
+        let net = powergrid::three_phase::ieee13_unbalanced();
+        let mut res = Serial3Solver::new(HostProps::paper_rig()).solve(&net, &cfg());
+        res.v[6].b = Complex::new(f64::NAN, 0.0);
+        let req = Request::Solve3 { net, cfg: cfg() };
+        let v = s.observe(&req, &Outcome::Solved3(res)).expect("sampled");
+        assert!(!v.ok && v.err_v.is_nan(), "a NaN phase verified at {:e} V", v.err_v);
+        assert_eq!((s.stats().mismatches, s.stats().verified), (2, 0));
     }
 
     #[test]

@@ -207,7 +207,8 @@ impl<'a> JumpSession<'a> {
         let d_b = dev.try_alloc::<Complex>(n)?;
         let ptr_a = dev.try_alloc::<u32>(n)?;
         let ptr_b = dev.try_alloc::<u32>(n)?;
-        let clock = SessionClock::new(&dev.timeline().breakdown_since(mark), obs);
+        let b = dev.timeline().breakdown_since(mark);
+        let clock = SessionClock::new(b.total_us(), b.htod_us + b.dtoh_us, obs);
 
         Ok(JumpSession {
             dev,

@@ -3,8 +3,8 @@
 //! The fault model ([`simt::FaultPlan`]) injects loud errors (failed
 //! allocations and launches, device loss) and *silent* data corruption
 //! (transfer bit flips, resident-buffer bit flips). This module turns
-//! a fallible, faulty device into a solver that still produces the
-//! fault-free answer:
+//! a fallible, faulty device into a solver that still answers within
+//! the convergence tolerance of the fault-free answer:
 //!
 //! * **Checkpoints.** Every `checkpoint_every` iterations the supervisor
 //!   downloads the voltage state. A checkpoint taken while *tainted*
@@ -35,14 +35,19 @@
 //!   answer (or the true failure) deterministically.
 //!
 //! Both phase kinds run this one policy over the one device loop,
-//! [`drive`]: its sessions (single-phase level and jump, three-phase
-//! level) differ only in their per-bus phasor, [`numc::Complex`] or
-//! [`numc::CVec3`], and its NaN-propagating norm ([`Phasor::norm`]) is
-//! all the loop needs of it.
+//! [`drive`]: its sessions (single-phase level, fused and jump,
+//! three-phase level) differ only in their per-bus phasor,
+//! [`numc::Complex`] or [`numc::CVec3`], and its NaN-propagating norm
+//! ([`Phasor::norm`]) is all the loop needs of it. The [`Backend::Gpu`]
+//! rung routes as [`crate::GpuSolver::new`] does: the fused session
+//! (`tensor_batch::FusedSession`) where `gpu::fused_sweep_wins` holds,
+//! the level session otherwise.
 //!
-//! Because rollbacks restore certified-clean state and the CPU
-//! fallbacks are fault-free, a recovered solve matches the fault-free
-//! solve's voltages; results carry [`SolveStatus::Recovered`] and a
+//! What a recovered answer is worth: rollbacks restore certified state,
+//! and the CPU fallbacks are fault-free. A corruption small enough to
+//! pass the spike gate is not rolled back; the iteration absorbs it, and
+//! the answer lands within the convergence tolerance of the fault-free
+//! one, not on it. Results carry [`SolveStatus::Recovered`] and a
 //! [`FaultReport`] so callers can see the run was not clean.
 
 use std::fmt;
@@ -58,13 +63,14 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::engine::Backend;
-use crate::gpu::{GpuSession, LevelPhasor};
+use crate::gpu::{fused_sweep_wins, GpuSession, LevelPhasor};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
 use crate::phasor::Phasor;
 use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::tensor_batch::FusedSession;
 use crate::three_phase::{Arrays3, Gpu3Session, Solve3Result};
 
 /// A residual is anomalous when it exceeds this multiple of the
@@ -76,9 +82,9 @@ pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 /// A session's final voltages and branch currents, in position order.
 pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
 
-/// One GPU sweep in progress, abstracted over the single-phase level and
-/// jump formulations and the three-phase level one, so the recovery loop
-/// in [`drive`] is written once.
+/// One GPU sweep in progress, abstracted over the single-phase level,
+/// fused and jump formulations and the three-phase level one, so the
+/// recovery loop in [`drive`] is written once.
 ///
 /// All voltages are in the session's device position order.
 pub(crate) trait SweepSession {
@@ -128,12 +134,11 @@ pub(crate) struct SessionClock {
 }
 
 impl SessionClock {
-    /// Opens the accounts with the session's setup traffic `b`.
-    pub(crate) fn new(b: &Breakdown, obs: Obs) -> Self {
-        let mut phases = PhaseTimes::default();
-        phases.setup_us += b.total_us();
+    /// Opens the accounts with the session's setup time, `transfer_us`
+    /// of it in transfers.
+    pub(crate) fn new(setup_us: f64, transfer_us: f64, obs: Obs) -> Self {
+        let phases = PhaseTimes { setup_us, ..PhaseTimes::default() };
         obs.phase("setup", 0.0, phases.setup_us);
-        let transfer_us = b.htod_us + b.dtoh_us;
         SessionClock { phases, transfer_us, transfer_sweep_us: 0.0, recovery_us: 0.0, obs }
     }
 
@@ -255,10 +260,10 @@ fn rollback<S: SweepSession>(
     }
 }
 
-/// The one device iteration loop: the plain level, jump and three-phase
-/// solvers and the supervisor's device rungs all run it, from the state
-/// the session was opened with. Each iteration is recorded as an `iter`
-/// span in the category of the policy's `obs`.
+/// The one device iteration loop: the plain level, fused, jump and
+/// three-phase solvers and the supervisor's device rungs all run it,
+/// from the state the session was opened with. Each iteration is
+/// recorded as an `iter` span in the category of the policy's `obs`.
 ///
 /// With checkpointing off (no fault plan armed) it takes no checkpoints
 /// and holds no host copy of the state, so a clean run issues only the
@@ -549,6 +554,9 @@ impl ResilientSolver {
             },
             |rung| rung.fallback().expect("device backends have a fallback"),
             |dev, at| match backend.strategy() {
+                _ if backend == Backend::Gpu && fused_sweep_wins(dev.props(), a, false) => {
+                    at.run(|obs| FusedSession::open(dev, a, None, obs))
+                }
                 Some(strategy) => at.run(|obs| GpuSession::with_obs(dev, a, strategy, None, obs)),
                 None => {
                     let ja = jump.get_or_insert_with(|| JumpArrays::new(a));
@@ -779,8 +787,11 @@ mod tests {
     use super::*;
     use crate::{Gpu3Solver, GpuSolver, SerialSolver};
     use numc::{c, CMat3, CVec3};
+    use powergrid::gen::{balanced_binary, star, GenSpec};
     use powergrid::ieee::ieee13;
     use powergrid::three_phase::{ieee13_unbalanced, ThreePhaseBuilder};
+    use rng::rngs::StdRng;
+    use rng::SeedableRng;
 
     fn rig() -> (DeviceProps, HostProps) {
         (DeviceProps::paper_rig(), HostProps::paper_rig())
@@ -818,19 +829,23 @@ mod tests {
     }
 
     /// A clean supervisor run on every device backend is the plain
-    /// engine [`Backend::engine`] builds, bit for bit and op for op.
+    /// engine [`Backend::engine`] builds, bit for bit and op for op; on
+    /// [`Backend::Gpu`] both take the same route: the fused sweep on
+    /// IEEE-13 and a 1 023-bus binary tree, the level path on a 1 000-bus
+    /// star.
     #[test]
     fn fault_free_resilient_gpu_matches_plain_gpu_exactly() {
-        let a = SolverArrays::new(&ieee13());
         let a3 = Arrays3::new(&ieee13_unbalanced());
         let cfg = SolverConfig::default();
         let (props, host) = rig();
-        for backend in Backend::ALL.into_iter().filter(|b| b.is_device()) {
+        // The supervisor after a clean run on `backend` that matched the
+        // plain engine, and the plain engine's kernel names.
+        let clean_run = |backend: Backend, a: &SolverArrays| {
             let name = backend.name();
             let mut plain = backend.engine(&props, &host, None);
-            let Ok(want) = plain.solve_warm_arrays(&a, &cfg, None);
+            let Ok(want) = plain.solve_warm_arrays(a, &cfg, None);
             let mut supervisor = ResilientSolver::new(backend, props.clone(), host.clone());
-            let res = supervisor.solve(&a, &cfg).expect("clean run cannot fail");
+            let res = supervisor.solve(a, &cfg).expect("clean run cannot fail");
             assert_eq!((res.status, res.iterations), (SolveStatus::Converged, want.iterations));
             assert_eq!(res.v, want.v, "{name}: fault-free supervisor run must be bit-identical");
             let report = res.fault_report.expect("supervisor attaches a report");
@@ -839,6 +854,14 @@ mod tests {
             assert_eq!(clean, (0, 0, vec![name.to_string()]));
             let (got_dev, want_dev) = (supervisor.last_device().unwrap(), plain.device().unwrap());
             assert_eq!(ops(got_dev), ops(want_dev), "{name}: device timelines differ");
+            let kernels: Vec<&str> =
+                want_dev.timeline().breakdown().per_kernel_us.into_keys().collect();
+            (supervisor, kernels)
+        };
+        let a = SolverArrays::new(&ieee13());
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_device()) {
+            let name = backend.name();
+            let (mut supervisor, _) = clean_run(backend, &a);
 
             // Three-phase: every device backend runs the plain Gpu3Solver's
             // session.
@@ -851,6 +874,18 @@ mod tests {
             assert_eq!((report3.faults_injected, report3.checkpoints), (0, 0));
             let got3 = ops(supervisor.last_device().unwrap());
             assert_eq!(got3, ops(plain3.device()), "{name}: 3φ device timelines differ");
+        }
+
+        let (spec, rng) = (GenSpec::default(), || StdRng::seed_from_u64(7));
+        let routes = [
+            (&ieee13(), "tensor_sweep"),
+            (&balanced_binary(1023, &spec, &mut rng()), "tensor_sweep"),
+            (&star(1000, &spec, &mut rng()), "fbs_inject"),
+        ];
+        for (net, kernel) in routes {
+            let (_, kernels) = clean_run(Backend::Gpu, &SolverArrays::new(net));
+            let buses = net.num_buses();
+            assert!(kernels.contains(&kernel), "{buses} buses ran {kernels:?}, not {kernel}");
         }
     }
 
@@ -872,18 +907,31 @@ mod tests {
         }
     }
 
+    /// Half the device ops a clean supervised [`Backend::Gpu`] solve of
+    /// `a` issues with a plan armed: an op inside the solve, whichever
+    /// route it takes.
+    fn mid_solve_op(a: &SolverArrays, cfg: &SolverConfig) -> u64 {
+        let (props, host) = rig();
+        let clean = FaultPlan::seeded(0, 0.0);
+        ResilientSolver::new(Backend::Gpu, props, host)
+            .with_fault_plan(clean.clone())
+            .solve(a, cfg)
+            .expect("a clean plan cannot fail the solve");
+        clean.ops_started() / 2
+    }
+
     #[test]
     fn device_loss_degrades_to_multicore_with_the_right_answer() {
         let net = ieee13();
+        let a = SolverArrays::new(&net);
         let cfg = SolverConfig::default();
         let (props, host) = rig();
         let serial = SerialSolver::new(host.clone()).solve(&net, &cfg);
-        // Op 30 lands mid-solve on every level backend.
-        let plan = FaultPlan::scripted([(30, FaultKind::DeviceLost { at_op: 0 })]);
+        let lost_at = mid_solve_op(&a, &cfg);
+        let plan = FaultPlan::scripted([(lost_at, FaultKind::DeviceLost { at_op: 0 })]);
         let mut solver =
             ResilientSolver::new(Backend::Gpu, props, host).with_fault_plan(plan);
-        let res =
-            solver.solve(&SolverArrays::new(&net), &cfg).expect("degradation must rescue the solve");
+        let res = solver.solve(&a, &cfg).expect("degradation must rescue the solve");
         let report = res.fault_report.clone().expect("report");
         assert!(report.degraded(), "backends: {:?}", report.backends);
         assert_eq!(report.backends, vec!["gpu".to_string(), "multicore".to_string()]);
@@ -897,19 +945,19 @@ mod tests {
     #[test]
     fn device_loss_without_degradation_is_an_error() {
         let (props, host) = rig();
+        let a = SolverArrays::new(&ieee13());
+        let cfg = SolverConfig::default();
+        let lost_at = mid_solve_op(&a, &cfg);
         let supervisor = || {
-            let plan = FaultPlan::scripted([(30, FaultKind::DeviceLost { at_op: 0 })]);
+            let plan = FaultPlan::scripted([(lost_at, FaultKind::DeviceLost { at_op: 0 })]);
             ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
                 .with_fault_plan(plan)
                 .with_degradation(false)
         };
-        let cfg = SolverConfig::default();
-        let err = supervisor()
-            .solve(&SolverArrays::new(&ieee13()), &cfg)
-            .expect_err("loss with degradation off");
+        let err = supervisor().solve(&a, &cfg).expect_err("loss with degradation off");
         assert!(err.to_string().contains("unrecoverable"));
         // Both phase kinds report the op the device recorded its loss at.
-        let lost = ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: 30 });
+        let lost = ResilienceError::DeviceLost(DeviceError::DeviceLost { at_op: lost_at });
         assert_eq!(err, lost);
         let a3 = Arrays3::new(&ieee13_unbalanced());
         let err3 = supervisor().solve3(&a3, &cfg.with_recovery(4, 0)).expect_err("3φ loss");

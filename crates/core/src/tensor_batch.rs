@@ -61,6 +61,16 @@
 //! audit as a device fault and re-solves on the host whatever its final
 //! audit cannot vouch for — silent corruption cannot leak into results.
 //!
+//! # One scenario: the fused route
+//!
+//! At batch size one the resident chunk is also a single solve's device
+//! session (`FusedSession`): the fused route of [`crate::GpuSolver`]
+//! and of the supervisor's [`crate::Backend::Gpu`] rung. It does not run
+//! the batch loop above. The one device loop of single solves,
+//! `recovery::drive`, steps it one fused launch and one 8-byte residual
+//! read-back at a time, with that loop's checkpoints, rollback and fault
+//! report in place of the batch's audit and host repair.
+//!
 //! # Scale
 //!
 //! Batches larger than device memory are processed in scenario chunks;
@@ -89,6 +99,7 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
+use crate::recovery::{SessionClock, SweepSession};
 use crate::report::{FaultReport, PhaseTimes, Timing};
 use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus};
@@ -210,9 +221,6 @@ pub struct TensorBatchResult {
     pub scenarios_per_sec: f64,
     /// Populated when faults were observed or a fault plan was armed.
     pub fault_report: Option<FaultReport>,
-    /// Batches of one only: the scenario's residual per iteration (the
-    /// single-solve `residual_history`); empty for larger batches.
-    pub(crate) history: Vec<f64>,
 }
 
 /// Modeled throughput of `nb` scenarios answered in `timing`: scenarios
@@ -389,19 +397,6 @@ impl TensorBatchSolver {
         self.try_solve(a, Scenarios::Explicit(scenarios), cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn solve_impl(
-        &mut self,
-        a: &SolverArrays,
-        loads: Loads<'_>,
-        cfg: &SolverConfig,
-        plan: Option<&PatchPlan>,
-        warm: Option<&[Complex]>,
-    ) -> TensorBatchResult {
-        let obs = Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
-        let run = Run { chunk_cap: self.chunk_cap, keep: self.keep_state, obs: &obs };
-        run.solve(&mut self.device, a, loads, cfg, plan, warm)
-    }
-
     /// Largest scenario batch one resident session can hold; callers
     /// running bigger families chunk on this.
     pub fn chunk_capacity(&self) -> usize {
@@ -469,25 +464,12 @@ impl TensorBatchSolver {
         session.on_device(|_, _, _, _| Ok(Some(())));
         session
     }
-}
 
-/// How one solve runs its scenarios through resident chunks: the chunk
-/// size, whether per-bus state is read back, and where telemetry goes.
-/// Shared by [`TensorBatchSolver`] and the fused route of
-/// [`crate::GpuSolver`] ([`solve_single`]).
-struct Run<'o> {
-    chunk_cap: usize,
-    keep: bool,
-    obs: &'o Obs,
-}
-
-impl Run<'_> {
     /// Solves every scenario of `loads` chunk by chunk, each from `warm`
     /// (by bus id) or flat. Device weather never escapes: a chunk retries
     /// within its budget, then the rest of the batch degrades to the host.
-    fn solve(
-        &self,
-        dev: &mut Device,
+    fn solve_impl(
+        &mut self,
         a: &SolverArrays,
         loads: Loads<'_>,
         cfg: &SolverConfig,
@@ -497,7 +479,9 @@ impl Run<'_> {
         let wall0 = Instant::now();
         let nb = loads.len();
         assert!(nb >= 1, "batch must contain at least one scenario");
-        let (keep, obs) = (self.keep, self.obs);
+        let keep = self.keep_state;
+        let obs = &Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
+        let dev = &mut self.device;
         let mut out = TensorBatchResult {
             v: if keep { vec![Vec::new(); nb] } else { Vec::new() },
             j: if keep { vec![Vec::new(); nb] } else { Vec::new() },
@@ -510,7 +494,6 @@ impl Run<'_> {
             timing: Timing::default(),
             scenarios_per_sec: 0.0,
             fault_report: None,
-            history: Vec::new(),
         };
         if cfg.validate().is_err() {
             out.statuses = vec![SolveStatus::InvalidConfig; nb];
@@ -607,40 +590,7 @@ impl Run<'_> {
     }
 }
 
-/// One solve of the arrays' own loads as a batch of one on the resident
-/// chunk — the fused route of [`crate::GpuSolver`]. `warm` (by bus id)
-/// seeds the iterate through the chunk's shared-profile upload. The
-/// result keeps the single-solve contract: one `residual_history` entry
-/// per iteration, and under an armed fault plan the chunk's audit,
-/// retry and host-repair policy with its [`FaultReport`]. The whole
-/// fused sweep is charged to `backward_us`.
-pub(crate) fn solve_single(
-    dev: &mut Device,
-    a: &SolverArrays,
-    cfg: &SolverConfig,
-    warm: Option<&[Complex]>,
-    obs: &Obs,
-) -> crate::report::SolveResult {
-    if let Some(w) = warm {
-        assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
-    }
-    // A unit scale reads the resident base loads exactly (`s · 1.0 == s`)
-    // without a second copy of them.
-    let run = Run { chunk_cap: 1, keep: true, obs };
-    let mut out = run.solve(dev, a, Loads::Scaled(&[1.0]), cfg, None, warm);
-    crate::report::SolveResult {
-        v: out.v.swap_remove(0),
-        j: out.j.swap_remove(0),
-        iterations: out.per_scenario_iterations[0],
-        status: out.statuses[0],
-        residual: out.residuals[0],
-        residual_history: out.history,
-        timing: out.timing,
-        fault_report: out.fault_report,
-    }
-}
-
-/// Upper bound on the modeled µs one [`solve_single`] iteration spends
+/// Upper bound on the modeled µs one [`FusedSession`] iteration spends
 /// in kernels: the fused sweep launch, plus — once per solve, charged to
 /// the first iteration — the warm-init launch of a warm start. The other
 /// transfers and fills of a B = 1 solve cost no more than the level
@@ -702,9 +652,6 @@ impl TensorBatchResult {
                 res.v[bus as usize] = Complex::ZERO;
                 res.j[bus as usize] = Complex::ZERO;
             }
-        }
-        if self.statuses.len() == 1 {
-            self.history = std::mem::take(&mut res.residual_history);
         }
         self.per_scenario_iterations[s] = res.iterations;
         self.residuals[s] = res.residual;
@@ -860,6 +807,16 @@ impl Topology {
                 None => None,
             },
         })
+    }
+
+    /// Re-uploads every static buffer of an unpatched topology from the
+    /// host truth: a rollback heals resident corruption.
+    fn restore(&mut self, dev: &mut Device, a: &SolverArrays) -> Result<(), DeviceError> {
+        dev.try_htod_checked(&mut self.z, &a.z)?;
+        dev.try_htod_checked(&mut self.parent_pos, &a.parent_pos)?;
+        dev.try_htod_checked(&mut self.child_lo, &a.child_lo)?;
+        dev.try_htod_checked(&mut self.child_hi, &a.child_hi)?;
+        dev.try_htod_checked(&mut self.base_s, &a.s)
     }
 
     /// Reads every static buffer back and compares against the host
@@ -1023,10 +980,6 @@ fn run_chunk(
         None => Vec::new(),
     };
     let trusted = chunk.audit(dev, loads, &sweep.statuses, cfg, obs, t)?;
-
-    if out.statuses.len() == 1 {
-        out.history = sweep.history;
-    }
     let serial = SerialSolver::new(HostProps::paper_rig());
     for (ls, s) in range.clone().enumerate() {
         if !trusted[ls] {
@@ -1063,8 +1016,6 @@ struct Sweep {
     statuses: Vec<SolveStatus>,
     iterations: Vec<u32>,
     residuals: Vec<f64>,
-    /// Worst residual over the scenarios live in each iteration.
-    history: Vec<f64>,
 }
 
 /// One scenario chunk resident on the device: the shared topology, the
@@ -1179,47 +1130,26 @@ impl<'a> Chunk<'a> {
         obs: &Obs,
         t: &mut Timing,
     ) -> Result<Sweep, DeviceError> {
-        let (n, nb) = (self.a.len(), self.range.len());
+        let nb = self.range.len();
         let mut monitors: Vec<ConvergenceMonitor> =
             (0..nb).map(|_| ConvergenceMonitor::new(cfg, self.a.source.abs())).collect();
         let mut sweep = Sweep {
             statuses: vec![SolveStatus::MaxIterations; nb],
             iterations: vec![0; nb],
             residuals: vec![f64::INFINITY; nb],
-            history: Vec::new(),
         };
         let mut active = self.live.iter().filter(|&&m| m == 1).count();
-        // The sweep packs SCENARIOS_PER_BLOCK scenarios per block to
-        // amortise topology reads.
-        let grid = LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
 
         let mut iteration = 0u32;
         while active > 0 && iteration < cfg.max_iter {
             iteration += 1;
             let iter_t0 = t.phases.total_us();
 
-            // One fused sweep launch per iteration: backward, forward, and
-            // the in-block residual fold. The launch cannot be split into
-            // per-half timings, so its whole modeled time is charged to
-            // `backward_us` (`forward_us` stays 0 in the tensor engine,
-            // like `injection_us` — both are fused into the same kernel).
-            let kernel = SweepKernel {
-                loads: self.loads.view(&self.topo),
-                v: self.v.view_mut(),
-                j: self.j.view_mut(),
-                z: self.topo.z.view(),
-                parent_pos: self.topo.parent_pos.view(),
-                child_lo: self.topo.child_lo.view(),
-                child_hi: self.topo.child_hi.view(),
-                mask: self.mask.view(),
-                residuals: self.res.view_mut(),
-                patch: patch_ref(&self.topo, &self.patch),
-                min_v: self.min_v.as_mut().map(|b| b.view_mut()),
-                level_offsets: &self.a.levels.level_offsets,
-                n,
-                nb,
-            };
-            charge(dev, t, BACKWARD, |dev| dev.try_launch(grid, &kernel))?;
+            // The launch cannot be split into per-half timings, so its
+            // whole modeled time is charged to `backward_us` (`forward_us`
+            // stays 0 in the tensor engine, like `injection_us` — both are
+            // fused into the same kernel).
+            charge(dev, t, BACKWARD, |dev| self.sweep(dev))?;
             obs.phase("sweep", iter_t0, t.phases.total_us());
 
             // Per-scenario convergence triage on the host.
@@ -1252,7 +1182,6 @@ impl<'a> Chunk<'a> {
             t.transfer_sweep_us += b.htod_us + b.dtoh_us;
             obs.phase("convergence", conv_t0, t.phases.total_us());
             obs.iteration(iteration, iter_t0, t.phases.total_us(), worst_active);
-            sweep.history.push(worst_active);
 
             // Modeled deadline covers the scenarios still running.
             if let Some(budget) = cfg.deadline_us {
@@ -1272,6 +1201,32 @@ impl<'a> Chunk<'a> {
             }
         }
         Ok(sweep)
+    }
+
+    /// One fused sweep launch per iteration: backward, forward, and the
+    /// in-block residual fold of every live scenario, packing
+    /// [`SCENARIOS_PER_BLOCK`] scenarios per block to amortise topology
+    /// reads.
+    fn sweep(&mut self, dev: &mut Device) -> Result<(), DeviceError> {
+        let (n, nb) = (self.a.len(), self.range.len());
+        let grid = LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
+        let kernel = SweepKernel {
+            loads: self.loads.view(&self.topo),
+            v: self.v.view_mut(),
+            j: self.j.view_mut(),
+            z: self.topo.z.view(),
+            parent_pos: self.topo.parent_pos.view(),
+            child_lo: self.topo.child_lo.view(),
+            child_hi: self.topo.child_hi.view(),
+            mask: self.mask.view(),
+            residuals: self.res.view_mut(),
+            patch: patch_ref(&self.topo, &self.patch),
+            min_v: self.min_v.as_mut().map(|b| b.view_mut()),
+            level_offsets: &self.a.levels.level_offsets,
+            n,
+            nb,
+        };
+        dev.try_launch(grid, &kernel)
     }
 
     /// Integrity audit of the resident state, per scenario. Without a
@@ -1372,6 +1327,129 @@ impl<'a> Chunk<'a> {
             dev.try_dtoh_checked(out)
         })?;
         Ok(gathered.chunks(np).map(<[Complex]>::to_vec).collect())
+    }
+}
+
+/// The fused route of [`crate::GpuSolver`] and of the supervisor's
+/// [`crate::Backend::Gpu`] rung: the resident chunk at batch size one
+/// over the arrays' own loads, stepped by `recovery::drive` one fused
+/// sweep launch at a time. A unit scale reads the resident base loads
+/// exactly (`s · 1.0 == s`) without a second copy of them.
+pub(crate) struct FusedSession<'a> {
+    dev: &'a mut Device,
+    chunk: Chunk<'a>,
+    /// The warm start by bus id; `None` is the flat start.
+    v_init: Option<&'a [Complex]>,
+    clock: SessionClock,
+}
+
+/// The one scenario's load scale.
+const UNIT_SCALE: [f64; 1] = [1.0];
+
+impl<'a> FusedSession<'a> {
+    /// Builds the chunk — topology, scale word, mask and an iterate seeded
+    /// from `v_init` (by bus id) or flat — charged to setup.
+    pub(crate) fn open(
+        dev: &'a mut Device,
+        a: &'a SolverArrays,
+        v_init: Option<&'a [Complex]>,
+        obs: Obs,
+    ) -> Result<Self, DeviceError> {
+        if let Some(w) = v_init {
+            assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
+        }
+        let loads = Loads::Scaled(&UNIT_SCALE);
+        let mut t = Timing::default();
+        let chunk = Chunk::build(dev, a, None, &loads, None, 0..1, v_init, &[], &mut t)?;
+        let clock = SessionClock::new(t.phases.setup_us, t.transfer_us, obs);
+        Ok(FusedSession { dev, chunk, v_init, clock })
+    }
+}
+
+impl SweepSession for FusedSession<'_> {
+    type V = Complex;
+
+    fn clock(&self) -> &SessionClock {
+        &self.clock
+    }
+
+    fn iterate(&mut self) -> Result<f64, DeviceError> {
+        let mark = self.dev.timeline().mark();
+        self.chunk.sweep(self.dev)?;
+        self.clock.charge("backward", &self.dev.timeline().breakdown_since(mark));
+        let mark = self.dev.timeline().mark();
+        let r = self.dev.try_dtoh_checked(&self.chunk.res)?[0];
+        self.clock.charge("convergence", &self.dev.timeline().breakdown_since(mark));
+        Ok(r)
+    }
+
+    fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
+        let mark = self.dev.timeline().mark();
+        let v = self.dev.try_dtoh_checked(&self.chunk.v)?;
+        self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
+        Ok(v)
+    }
+
+    fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError> {
+        let (dev, c) = (&mut *self.dev, &mut self.chunk);
+        let mark = dev.timeline().mark();
+        // Statics are re-uploaded wholesale, as on the level path. A
+        // flipped mask word freezes the stripe, so the mask is static.
+        c.topo.restore(dev, c.a)?;
+        let DeviceLoads::Scales(scale) = &mut c.loads else {
+            unreachable!("a fused session runs on a scale word")
+        };
+        dev.try_htod_checked(scale, &UNIT_SCALE)?;
+        dev.try_htod_checked(&mut c.mask, &[1])?;
+        dev.try_htod_checked(&mut c.v, v_pos)?;
+        try_fill(dev, &mut c.res, 0.0)?;
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        Ok(())
+    }
+
+    fn start_state(&self) -> Vec<Complex> {
+        let a = self.chunk.a;
+        match self.v_init {
+            Some(init) => a.levels.permute(init),
+            None => vec![a.source; a.len()],
+        }
+    }
+
+    fn verify_static(&mut self) -> Result<bool, DeviceError> {
+        let (dev, c) = (&mut *self.dev, &self.chunk);
+        let mark = dev.timeline().mark();
+        let DeviceLoads::Scales(scale) = &c.loads else {
+            unreachable!("a fused session runs on a scale word")
+        };
+        let ok = c.topo.verify(dev, c.a, None)?
+            && dev.try_dtoh(scale)? == UNIT_SCALE
+            && dev.try_dtoh(&c.mask)? == [1];
+        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        Ok(ok)
+    }
+
+    fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
+        let mark = self.dev.timeline().mark();
+        let v_pos = self.dev.try_dtoh_checked(&self.chunk.v)?;
+        let j_pos = self.dev.try_dtoh_checked(&self.chunk.j)?;
+        self.clock.charge("teardown", &self.dev.timeline().breakdown_since(mark));
+        Ok((v_pos, j_pos))
+    }
+
+    fn unpermute(&self, pos: &[Complex]) -> Vec<Complex> {
+        self.chunk.a.levels.unpermute(pos)
+    }
+
+    fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
+        crate::gpu::host_iterate(self.chunk.a, self.v_init, v_pos)
+    }
+
+    fn source_mag(&self) -> f64 {
+        self.chunk.a.source.abs()
+    }
+
+    fn faults_observed(&self) -> u32 {
+        self.dev.fault_log().len() as u32
     }
 }
 

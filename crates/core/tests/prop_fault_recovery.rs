@@ -80,10 +80,11 @@ fn all_backends_recover_on_the_golden_tree() {
     let reference = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg()).v;
     for backend in BACKENDS {
         // The jump solver launches one batched kernel sequence per
-        // iteration instead of one kernel per tree level, so it issues
-        // ~6× fewer device ops — it needs a higher per-op rate for the
-        // plan to fire at all.
-        let rate = if backend == Backend::GpuJump { 2e-2 } else { 5e-3 };
+        // iteration, and the fused sweep (the route Backend::Gpu takes on
+        // this tree) one launch, instead of one kernel per tree level, so
+        // they issue several times fewer device ops — they need a higher
+        // per-op rate for the plan to fire at all.
+        let rate = if matches!(backend, Backend::GpuJump | Backend::Gpu) { 2e-2 } else { 5e-3 };
         check_recovers(&net, &reference, backend, rate);
     }
 }
@@ -104,12 +105,18 @@ fn device_loss_walks_the_degradation_chain() {
     let net = tree();
     let reference = SerialSolver::new(HostProps::paper_rig()).solve(&net, &cfg()).v;
     let (props, host) = rig();
+    let a = SolverArrays::new(&net);
+    // The loss lands half-way through the device ops a clean supervised
+    // solve issues, whichever route it takes.
+    let clean = FaultPlan::seeded(FAULT_SEED, 0.0);
+    ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
+        .with_fault_plan(clean.clone())
+        .solve(&a, &cfg())
+        .expect("a clean plan cannot fail the solve");
     let plan = FaultPlan::seeded(FAULT_SEED, 0.0)
-        .with_fault_at(50, FaultKind::DeviceLost { at_op: 0 });
+        .with_fault_at(clean.ops_started() / 2, FaultKind::DeviceLost { at_op: 0 });
     let mut solver = ResilientSolver::new(Backend::Gpu, props, host).with_fault_plan(plan);
-    let res = solver
-        .solve(&SolverArrays::new(&net), &cfg())
-        .expect("degradation must rescue a lost device");
+    let res = solver.solve(&a, &cfg()).expect("degradation must rescue a lost device");
 
     let rep = res.fault_report.as_ref().unwrap();
     assert_eq!(

@@ -1,7 +1,8 @@
 //! The differential oracle: every single-phase engine agrees with the
 //! serial reference, checked through the one engine interface
 //! ([`fbs::SweepBackend`]). Engines: every [`Backend::ALL`] engine as
-//! [`Backend::engine`] builds it, plus the routed [`GpuSolver::new`].
+//! [`Backend::engine`] builds it (`gpu` is the routed [`GpuSolver::new`]),
+//! plus the level path pinned by [`GpuSolver::with_strategy`].
 //! One `check` property per family — radial trees (five shapes, cold and
 //! warm, three deadlines), meshed/DG through [`MeshSolver`], seeded fault
 //! plans through [`ResilientSolver`], tensor and outage-patched batches
@@ -17,8 +18,8 @@ use check::gen::{f64_in, tuple3, tuple4, tuple5, u64_any, usize_in};
 use check::{checker, prop_assert, prop_assert_eq, CaseResult};
 use fbs::obs::status_key;
 use fbs::{
-    solve_dg, Arrays3, Backend, Gpu3Solver, GpuSolver, MeshProblem, MeshResult, MeshSolver,
-    OuterConfig, ResilientSolver, ScenarioPatch, Scenarios, SerialSolver, Solve3Result,
+    solve_dg, Arrays3, Backend, BackwardStrategy, Gpu3Solver, GpuSolver, MeshProblem, MeshResult,
+    MeshSolver, OuterConfig, ResilientSolver, ScenarioPatch, Scenarios, SerialSolver, Solve3Result,
     SolveResult, SolveStatus, SolverArrays, SolverConfig, SweepBackend, TensorBatchSolver,
 };
 use numc::{c, CVec3, Complex};
@@ -63,13 +64,15 @@ fn max_diff(a: &[Complex], b: &[Complex]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (*x - *y).abs()).fold(0.0, worst)
 }
 
-/// The engines under test: every backend's plain engine, then the routed
-/// GPU solver.
+/// The engines under test: every backend's plain engine, then the GPU
+/// solver pinned to the level path with the segmented-scan backward
+/// sweep.
 fn engines() -> Vec<(&'static str, Box<dyn SweepBackend<Error = std::convert::Infallible>>)> {
     let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
     let mut all: Vec<(&'static str, Box<dyn SweepBackend<Error = _>>)> =
         Backend::ALL.iter().map(|b| (b.name(), b.engine(&props, &host, None))).collect();
-    all.push(("gpu-routed", Box::new(GpuSolver::new(Device::paper_rig()))));
+    let pinned = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
+    all.push(("gpu-segscan", Box::new(pinned)));
     all
 }
 
@@ -145,12 +148,12 @@ fn radial(cases: u32) {
             // solve reaches the pinned level path's answer for no more
             // modeled time.
             let of = |name: &str| &results.iter().find(|(n, _)| *n == name).unwrap().1;
-            let pinned = of("gpu");
+            let pinned = of("gpu-segscan");
             for name in ["gpu-direct", "gpu-atomic"] {
                 let d = max_diff(&of(name).v, &pinned.v);
                 prop_assert!(d <= 1e-8 * scale, "{name} off the segscan path by {d:e} V");
             }
-            let routed = of("gpu-routed");
+            let routed = of("gpu");
             prop_assert_eq!(status_shape(routed.status), status_shape(pinned.status));
             prop_assert_eq!(routed.iterations, pinned.iterations);
             let d = max_diff(&routed.v, &pinned.v);
@@ -224,14 +227,21 @@ fn meshed(cases: u32) {
 }
 
 /// Runs `backend` under the supervisor with `plan` armed; the answer
-/// must be converged and on the fault-free serial |V| to 1e-9 V.
-fn recovers(net: &RadialNetwork, backend: Backend, plan: FaultPlan) -> Result<u32, String> {
+/// must be converged and on the fault-free serial |V| to 1e-9 V. Returns
+/// the faults injected and the supervisor.
+fn recovers(
+    net: &RadialNetwork,
+    backend: Backend,
+    plan: FaultPlan,
+) -> Result<(u32, ResilientSolver), String> {
     let cfg = SolverConfig::new(1e-12, 200);
     let a = SolverArrays::new(net);
     let reference = serial().solve_arrays(&a, &cfg);
     let name = backend.name();
-    let res = ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
-        .with_fault_plan(plan)
+    let mut supervisor =
+        ResilientSolver::new(backend, DeviceProps::paper_rig(), HostProps::paper_rig())
+            .with_fault_plan(plan);
+    let res = supervisor
         .solve_warm_arrays(&a, &cfg, None)
         .map_err(|e| format!("{name}: recoverable faults killed the solve: {e}"))?;
     if !res.converged() {
@@ -250,7 +260,7 @@ fn recovers(net: &RadialNetwork, backend: Backend, plan: FaultPlan) -> Result<u3
             ));
         }
     }
-    Ok(rep.faults_injected)
+    Ok((rep.faults_injected, supervisor))
 }
 
 fn faults(cases: u32) {
@@ -264,18 +274,27 @@ fn faults(cases: u32) {
     for backend in Backend::ALL {
         let plan = FaultPlan::seeded(root_flip ^ 0xFA17, 0.046_802_322_261_968_905);
         recovers(&two_bus, backend, plan).unwrap_or_else(|e| panic!("root flip: {e}"));
-        // The jump solver issues ~6× fewer device ops per solve than the
-        // level path, and IEEE-13 few in all: higher rates make the plan
-        // fire.
-        let golden_rate = if backend == Backend::GpuJump { 2e-2 } else { 5e-3 };
+        // The jump solver and the fused sweep (the route Backend::Gpu
+        // takes on the golden tree) issue several times fewer device ops
+        // per solve than the level path, and IEEE-13 few in all: higher
+        // rates make the plan fire.
+        let golden_rate =
+            if matches!(backend, Backend::GpuJump | Backend::Gpu) { 2e-2 } else { 5e-3 };
         for (net, rate) in [(&golden, golden_rate), (&ieee13(), 2e-2)] {
-            let fired = recovers(net, backend, FaultPlan::seeded(20200817, rate))
+            let (fired, supervisor) = recovers(net, backend, FaultPlan::seeded(20200817, rate))
                 .unwrap_or_else(|e| panic!("pinned {} buses: {e}", net.num_buses()));
             assert!(
                 fired >= 1 || !backend.is_device(),
                 "{}: the pinned plan was chosen to fire at least once",
                 backend.name()
             );
+            // The supervisor routes Backend::Gpu: the golden tree runs the
+            // fused sweep under the same bound.
+            if backend == Backend::Gpu && net.num_buses() == golden.num_buses() {
+                let dev = supervisor.last_device().expect("a device rung ran");
+                let kernels = dev.timeline().breakdown().per_kernel_us;
+                assert!(kernels.contains_key("tensor_sweep"), "golden tree ran {kernels:?}");
+            }
         }
     }
     checker("oracle_faults").cases(cases).run(
