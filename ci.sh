@@ -17,8 +17,9 @@
 #      CSV is byte-identical to the committed one. E11 is the only pin on
 #      serial three-phase modeled time (`fleet-open` serves no
 #      three-phase request on the CPU); E12 pins what the routed
-#      supervisor's checkpoints and recoveries cost on both routes, the
-#      fused sweep (1 023 and 16 383 buses) and the level path (131 071).
+#      supervisor's checkpoints and recoveries cost on both kinds of
+#      route, the fused sweep (1 023 and 16 383 buses) and the level path
+#      with the direct backward sweep (131 071).
 #   4. Benchmark: one `--seconds 1 --trace 0` run of every
 #      BENCHMARK.json workload at the default seed. Each run checks its
 #      answers against the serial reference, and the leg fails unless
@@ -34,7 +35,9 @@
 #   5. CLI replays: a seeded chaos replay through `fbs fleet` that must
 #      exit 0 with one device scripted dead, a seeded storm soak
 #      through `fbs soak` that must exit 0 (exit 8 would mean an
-#      undetected corruption reached an answer), and a seeded
+#      undetected corruption reached an answer) and report at least one
+#      failover (the storm's kill sits at fixed device-op indices; no
+#      failover means a change in op counts disarmed it), and a seeded
 #      three-phase fault replay through `fbs solve3` that must exit 0.
 #   6. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
@@ -113,8 +116,13 @@ cargo run -q --offline --release -p fbs-cli feeders --name ieee37 --out target/c
 timeout 300 cargo run -q --offline --release -p fbs-cli fleet target/ci_fleet.grid \
   --devices 4 --requests 32 --gap 120 --kill-device 1 --batch-every 8 \
   --scenarios 96 --shard-min 16 --seed 7 > /dev/null
-timeout 300 cargo run -q --offline --release -p fbs-cli soak target/ci_fleet.grid \
-  --requests 24 --tol 1e-12 --seed 7 > /dev/null 2> /dev/null
+soak_out=$(timeout 300 cargo run -q --offline --release -p fbs-cli soak target/ci_fleet.grid \
+  --requests 24 --tol 1e-12 --seed 7 2> /dev/null)
+failovers=$(sed -n 's/^served:.*, \([0-9]*\) failovers,.*/\1/p' <<< "$soak_out")
+if [ "${failovers:-0}" -lt 1 ]; then
+  echo "fbs soak: the storm's kill never landed (no failover): $soak_out" >&2
+  exit 1
+fi
 cargo run -q --offline --release -p fbs-cli feeders3 --name ieee13 --out target/ci_ieee13.grid3 2> /dev/null
 timeout 300 cargo run -q --offline --release -p fbs-cli solve3 target/ci_ieee13.grid3 \
   --solver gpu --fault-seed 7 --fault-rate 0.005 > /dev/null

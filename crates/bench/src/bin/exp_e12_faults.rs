@@ -6,7 +6,8 @@
 //! arms the seeded fault plan at increasing per-op rates and measures
 //! the modeled cost of the resilient GPU solve against the plain one on
 //! the same route (the fused sweep or the level path, as
-//! [`Backend::engine`] and the supervisor both choose it):
+//! [`Backend::engine`] and the supervisor both choose it; a restarted or
+//! abandoned device attempt is charged to the answer's modeled time):
 //! rate 0 isolates the pure checkpoint/verify overhead, higher rates
 //! add rollback-and-replay traffic, and the table records how much of
 //! the fault budget each run consumed and which backend finished it.
@@ -20,11 +21,12 @@ use powergrid::gen::{balanced_binary, GenSpec};
 use simt::{DeviceProps, FaultPlan, HostProps};
 
 const SIZES: [usize; 3] = [1023, 16_383, 131_071];
-/// The fused sweep (1 023 and 16 383 buses) issues a few dozen device
-/// ops per solve, the level path (131 071) thousands: 1e-3 rolls back
-/// a level solve, and 5e-2 is the rate at which this seed rolls back a
-/// fused one (and exhausts the level path's budget).
-const RATES: [f64; 3] = [0.0, 1e-3, 5e-2];
+/// The fused sweep (1 023 buses) issues a few dozen device ops per
+/// solve, the level path with the direct backward sweep (16 383 and
+/// 131 071) hundreds: at this seed 1e-2 rolls back the 131 071-bus
+/// solve, and 5e-2 rolls back a fused one and exhausts the level path's
+/// budget.
+const RATES: [f64; 3] = [0.0, 1e-2, 5e-2];
 
 fn main() {
     let cfg = SolverConfig::default();

@@ -158,6 +158,34 @@ fn soak_runs_a_storm_with_integrity_guards_and_exits_clean() {
     let _ = fs::remove_file(&metrics);
 }
 
+/// `ci.sh`'s storm soak, flag for flag: the storm's burst, ramp and kill
+/// sit at fixed device-op indices, so a change in per-solve op counts can
+/// move them past the end of the run. The kill must still land: at least
+/// one failover on the `served:` line.
+#[test]
+fn ci_storm_soak_still_fails_over() {
+    use std::process::Command;
+
+    let path = tmp("ci-soak.grid");
+    let path_s = path.to_str().unwrap();
+    run(&["feeders", "--name", "ieee37", "--out", path_s]).expect("feeders must succeed");
+    let out = Command::new(env!("CARGO_BIN_EXE_fbs"))
+        .args(["soak", path_s, "--requests", "24", "--tol", "1e-12", "--seed", "7"])
+        .env_remove("FBS_FAULT_SEED")
+        .output()
+        .expect("spawn fbs binary");
+    let _ = fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0), "soak exit code");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let served = stdout.lines().find(|l| l.starts_with("served:")).expect("a served: line");
+    let failovers: u32 = served
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" failovers"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no failover count in {served:?}"));
+    assert!(failovers >= 1, "the storm's kill never landed: {served}");
+}
+
 #[test]
 fn size_suffixes_accepted_in_gen() {
     let path = tmp("suffix.grid");

@@ -189,8 +189,9 @@ pub enum Backend {
     /// Level-parallel multicore CPU solver.
     Multicore,
     /// GPU solver routed per tree ([`GpuSolver::new`]): the fused sweep
-    /// on small or deep trees, the level-synchronous path with the
-    /// segmented-scan backward sweep otherwise.
+    /// on small or deep trees, else the level-synchronous path with the
+    /// direct backward sweep on binary and k-ary trees and the
+    /// segmented scan on star-like ones.
     Gpu,
     /// Level-synchronous GPU solver, direct backward.
     GpuDirect,
@@ -223,12 +224,12 @@ impl Backend {
         }
     }
 
-    /// The backward-sweep strategy of a level-synchronous GPU backend (of
-    /// [`Backend::Gpu`]'s level route); `None` for the CPU backends and
-    /// the jump solver.
+    /// The backward-sweep strategy a pinned level-synchronous backend
+    /// (`gpu-direct`, `gpu-atomic`) always runs; `None` for the routed
+    /// [`Backend::Gpu`], whose strategy depends on the tree, the CPU
+    /// backends and the jump solver.
     pub fn strategy(self) -> Option<BackwardStrategy> {
         match self {
-            Backend::Gpu => Some(BackwardStrategy::SegScan),
             Backend::GpuDirect => Some(BackwardStrategy::Direct),
             Backend::GpuAtomic => Some(BackwardStrategy::AtomicScatter),
             _ => None,
@@ -270,8 +271,10 @@ impl Backend {
     /// for the GPU backends, `host` for the CPU ones (the multicore core
     /// count is [`MulticoreSolver::default`]'s), with `rec` attached.
     /// [`Backend::Gpu`] is the routed [`GpuSolver::new`], which takes
-    /// the route the supervisor's device rung takes; `gpu-direct` and
-    /// `gpu-atomic` pin the level path ([`GpuSolver::with_strategy`]).
+    /// the route the supervisor's device rung takes (fused, or the level
+    /// path with the direct or segmented-scan backward sweep);
+    /// `gpu-direct` and `gpu-atomic` pin the level path with their
+    /// strategy ([`GpuSolver::with_strategy`]).
     pub fn engine(
         self,
         props: &DeviceProps,

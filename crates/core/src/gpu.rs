@@ -37,16 +37,20 @@
 //! # Routing
 //!
 //! On a small or deep tree the level path is launch-bound: a 1K-bus
-//! binary tree pays 33 launches per iteration. [`GpuSolver::new`]
-//! therefore routes each solve: where [`fused_sweep_wins`] says so, it
-//! opens the tensor engine's resident chunk at batch size one instead
+//! binary tree pays 33 launches per iteration. On a large one the
+//! paper's segmented scan is not the cheapest backward sweep: its scan
+//! launches cost more than a direct per-parent child loop, which loses
+//! only where a bus has many children (a star). [`GpuSolver::new`]
+//! therefore routes each solve by one cost rule over the level table,
+//! [`route`]: to the tensor engine's resident chunk at batch size one
 //! (`tensor_batch::FusedSession`: one fused sweep launch per iteration,
-//! the same iterates) and otherwise the level path above. Either session
-//! runs the same loop, `recovery::drive`, and the supervisor's
-//! [`crate::Backend::Gpu`] rung takes the same route.
-//! [`GpuSolver::with_strategy`] pins the level path with the given
-//! backward strategy; the experiments that reproduce the paper's tables
-//! use it.
+//! the same iterates) on small and deep trees, else to the level path
+//! above with the direct backward on binary and k-ary trees and the
+//! segmented scan on star-like ones. Either session runs the same loop,
+//! `recovery::drive`, and the supervisor's [`crate::Backend::Gpu`] rung
+//! takes the same route. [`GpuSolver::with_strategy`] pins the level
+//! path with the given backward strategy; the experiments that reproduce
+//! the paper's tables use it.
 
 use std::time::Instant;
 
@@ -54,7 +58,7 @@ use numc::Complex;
 use powergrid::RadialNetwork;
 use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceBuffer, DeviceError, DeviceProps};
+use simt::{Device, DeviceBuffer, DeviceError, DeviceProps, LaunchConfig, TRANSACTION_BYTES};
 use telemetry::Recorder;
 
 use crate::arrays::{LevelArrays, SolverArrays};
@@ -88,31 +92,31 @@ pub enum BackwardStrategy {
 /// The GPU (simulated SIMT) forward-backward sweep solver.
 pub struct GpuSolver {
     device: Device,
-    strategy: BackwardStrategy,
-    /// Whether each solve may take the fused sweep ([`fused_sweep_wins`]);
-    /// `false` pins the level path.
-    routed: bool,
+    /// The level path's backward strategy when pinned; `None` routes
+    /// every solve ([`route`]).
+    pin: Option<BackwardStrategy>,
     recorder: Option<Recorder>,
 }
 
 impl GpuSolver {
     /// Creates a solver on the given device that routes every solve to
-    /// whichever of two device paths the shape of its tree makes cheaper
-    /// in modeled time: the tensor engine's fused sweep at batch size one
-    /// — one launch per iteration — on small or deep trees, or the
-    /// paper's level-launch path with the segmented-scan backward sweep
-    /// on wide, bushy or star-like ones. The route is a deterministic
-    /// function of the level table and the device's launch and latency
-    /// constants; both paths reach the same iterates.
+    /// whichever device path the shape of its tree makes cheapest in
+    /// modeled time: the tensor engine's fused sweep at batch size one —
+    /// one launch per iteration — on small or deep trees, or the paper's
+    /// level-launch path, with the direct backward sweep on large binary
+    /// and k-ary trees and the segmented scan on star-like ones. The
+    /// route is a deterministic function of the level table and the
+    /// device's launch, latency, barrier and bandwidth constants; every
+    /// path reaches the same iterates.
     pub fn new(device: Device) -> Self {
-        GpuSolver { device, strategy: BackwardStrategy::SegScan, routed: true, recorder: None }
+        GpuSolver { device, pin: None, recorder: None }
     }
 
     /// Creates a solver pinned to the paper's level-launch path with an
     /// explicit backward-sweep strategy: every solve runs exactly the
     /// kernels the module docs describe, whatever the tree.
     pub fn with_strategy(device: Device, strategy: BackwardStrategy) -> Self {
-        GpuSolver { device, strategy, routed: false, recorder: None }
+        GpuSolver { device, pin: Some(strategy), recorder: None }
     }
 
     /// Attaches a telemetry recorder: per-iteration/per-phase spans and
@@ -125,11 +129,6 @@ impl GpuSolver {
     /// The underlying device (timeline inspection).
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// The backward-sweep strategy of the level path.
-    pub fn strategy(&self) -> BackwardStrategy {
-        self.strategy
     }
 
     /// Solves a network from scratch.
@@ -163,38 +162,142 @@ impl GpuSolver {
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu");
         let dev = &mut self.device;
-        if self.routed && fused_sweep_wins(dev.props(), a, v_init.is_some()) {
-            let opened = FusedSession::open(dev, a, v_init, obs.clone());
-            return recovery::run_plain(opened, wall0, cfg, &obs);
-        }
-        let opened = GpuSession::with_obs(dev, a, self.strategy, v_init, obs.clone());
+        let strategy = match self.pin {
+            Some(strategy) => strategy,
+            None => match route(dev.props(), a, v_init.is_some()) {
+                Route::Fused => {
+                    let opened = FusedSession::open(dev, a, v_init, obs.clone());
+                    return recovery::run_plain(opened, wall0, cfg, &obs);
+                }
+                Route::Level(strategy) => strategy,
+            },
+        };
+        let opened = GpuSession::with_obs(dev, a, strategy, v_init, obs.clone());
         recovery::run_plain(opened, wall0, cfg, &obs)
     }
 }
 
-/// The route of [`GpuSolver::new`]: whether the fused sweep at batch size
-/// one (`crate::tensor_batch`) is cheaper on `a` than the level path.
+/// The route of [`GpuSolver::new`] and of the supervisor's
+/// [`crate::Backend::Gpu`] rung: the fused sweep at batch size one
+/// (`crate::tensor_batch`), or the level path with whichever backward
+/// strategy, segmented scan or direct, is cheaper on `a`.
 ///
-/// A deterministic function of the level table and the device's launch
-/// and latency constants, computed per solve from the arrays (never in
-/// [`SolverArrays::new`]). Both paths run the same iterations, and per
-/// solve the fused path moves no more bytes than the level path (up to a
-/// few words of scenario state), so it wins when one of its iterations — bounded above by
-/// [`tensor_batch::single_iteration_bound_us`], warm-init launch included
-/// — is cheaper than a floor under one level-path iteration. That floor
-/// counts the level path's launches: one injection map, a combine per
-/// level, a segmented scan and a forward map per non-root level, and
-/// one reduction — `3L` for `L` levels — each paying the launch overhead
-/// and at least one dependent access and barrier. Small and deep trees
-/// go fused (a 1K-bus binary tree, a 1K-bus chain); wide levels
-/// serialise the lone fused block and a high fan-out serialises its
-/// child sums, so large, bushy and star-like trees stay on the level
-/// path.
-pub(crate) fn fused_sweep_wins(props: &DeviceProps, a: &SolverArrays, warm: bool) -> bool {
-    let launches = 3 * a.num_levels();
+/// A deterministic function of the level table — each level's width and
+/// widest fan-out — and the device's launch, latency, barrier and
+/// bandwidth constants, computed per solve from the arrays (never in
+/// [`SolverArrays::new`]). All three reach the same iterates.
+///
+/// * **Segmented scan or direct.** Only the backward sweeps differ, so
+///   [`backward_us`] models those two, level by level. The direct loop
+///   is one launch per level, but its thread walks its bus's children
+///   one dependent load after another, so a wide fan-out (a star) makes
+///   it slow. The segmented scan pays a block-scan launch per child
+///   level (plus a scan of the block totals and a carry launch past one
+///   block) and a combine launch per level, however wide the fan-out.
+/// * **Fused or level.** Per solve the fused path moves no more bytes
+///   than the level path (up to a few words of scenario state), so it
+///   wins when one of its iterations — bounded above by
+///   [`tensor_batch::single_iteration_bound_us`], warm-init launch
+///   included — is cheaper than a floor under one iteration of the chosen
+///   level strategy. That floor counts its launches, each paying the
+///   launch overhead and at least one dependent access and barrier: one
+///   injection map, a backward launch per level (direct) or a combine per
+///   level and a scan per child level (segmented scan), a forward map per
+///   non-root level and one reduction — `2L + 1` or `3L` for `L` levels.
+///
+/// Small and deep trees go fused (a 1K-bus binary tree, a 1K-bus chain);
+/// wide levels serialise the lone fused block. Large binary and k-ary
+/// trees take the direct backward, stars the segmented scan.
+pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route {
+    let shape = level_shape(a);
+    let (direct, segscan) = backward_us(props, &shape);
+    let (strategy, launches) = if direct < segscan {
+        (BackwardStrategy::Direct, 2 * shape.len() + 1)
+    } else {
+        (BackwardStrategy::SegScan, 3 * shape.len())
+    };
     let per_launch = props.launch_overhead_us
         + (props.mem_latency_cycles + props.barrier_cycles) / props.cycles_per_us();
-    tensor_batch::single_iteration_bound_us(props, a, warm) < launches as f64 * per_launch
+    if tensor_batch::single_iteration_bound_us(props, &shape, warm) < launches as f64 * per_launch {
+        Route::Fused
+    } else {
+        Route::Level(strategy)
+    }
+}
+
+/// Where a routed solve runs ([`route`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// The tensor engine's resident chunk at batch size one: one fused
+    /// sweep launch per iteration.
+    Fused,
+    /// The paper's level path with this backward strategy (`SegScan` or
+    /// `Direct`).
+    Level(BackwardStrategy),
+}
+
+/// The level table the route reads: per level, root first, its width and
+/// its widest bus's child count.
+fn level_shape(a: &SolverArrays) -> Vec<(usize, usize)> {
+    a.levels
+        .level_offsets
+        .windows(2)
+        .map(|w| {
+            let level = w[0] as usize..w[1] as usize;
+            let fan_out = level.clone().map(|p| a.child_hi[p] - a.child_lo[p]).max().unwrap_or(0);
+            (level.len(), fan_out as usize)
+        })
+        .collect()
+}
+
+/// Modeled µs of one backward sweep per strategy, `(direct, segscan)`,
+/// from the level table: each launch costs the launch overhead plus the
+/// larger of its latency floor and its bandwidth time, as in the `simt`
+/// timing model (`simt::timing`), with each level's widest fan-out
+/// standing in for all of its buses.
+fn backward_us(props: &DeviceProps, shape: &[(usize, usize)]) -> (f64, f64) {
+    const BLOCK: usize = LaunchConfig::DEFAULT_BLOCK as usize;
+    const C: usize = std::mem::size_of::<Complex>();
+    const U: usize = std::mem::size_of::<u32>();
+    let resident =
+        (props.resident_blocks_per_sm(BLOCK as u32, 0) as usize * props.num_sms as usize).max(1);
+    // One launch of `threads` threads whose busiest thread makes `chain`
+    // dependent global accesses over `phases` barrier phases.
+    let launch = |threads: usize, chain: usize, phases: usize, bytes: usize| {
+        let waves = threads.div_ceil(BLOCK).max(1).div_ceil(resident);
+        let cycles = chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles;
+        let latency = waves as f64 * cycles / props.cycles_per_us();
+        props.launch_overhead_us + latency.max(bytes as f64 / props.mem_bytes_per_us())
+    };
+    // The segmented scan of `len` children: a block-scan launch (two
+    // loads, a Hillis–Steele pass, four stores) and, past one block, a
+    // carry launch and the same scan over the block totals.
+    let scan = |mut len: usize| {
+        let mut us = 0.0;
+        while len > 0 {
+            us += launch(len, 6, 2 + BLOCK.ilog2() as usize, 2 * (C + U) * len);
+            if len <= BLOCK {
+                break;
+            }
+            us += launch(len, 4, 1, (2 * C + U) * len);
+            len = len.div_ceil(BLOCK);
+        }
+        us
+    };
+    let (mut direct, mut segscan) = (0.0, 0.0);
+    for (l, &(width, fan_out)) in shape.iter().enumerate() {
+        let children = shape.get(l + 1).map_or(0, |&(w, _)| w);
+        // Each bus loads its injection and child range and stores its
+        // current. A warp's per-child loads (direct) or segment-tail loads
+        // (segscan) land `fan_out` elements apart: from one transaction's
+        // worth of elements on, each is a transaction of its own.
+        let own = (2 * C + 2 * U) * width;
+        let scattered = C * fan_out.min(TRANSACTION_BYTES as usize / C);
+        direct += launch(width, 4 + fan_out, 1, own + scattered * children);
+        let chain = if children > 0 { 6 } else { 4 };
+        segscan += scan(children) + launch(width, chain, 1, own + (U + scattered) * width);
+    }
+    (direct, segscan)
 }
 
 /// The device side of a [`Phasor`]: its level-synchronous iteration, with
@@ -697,7 +800,8 @@ mod tests {
         let mut b = NetworkBuilder::new(c(240.0, 0.0));
         b.add_bus(Complex::ZERO);
         let net = b.build().unwrap();
-        assert!(fused_sweep_wins(&DeviceProps::paper_rig(), &SolverArrays::new(&net), false));
+        let a = SolverArrays::new(&net);
+        assert_eq!(route(&DeviceProps::paper_rig(), &a, false), Route::Fused);
         let res = gpu().solve(&net, &SolverConfig::default());
         assert!(res.converged());
         assert_eq!(res.iterations, 1);
@@ -739,11 +843,14 @@ mod route_tests {
         SolverArrays::new(net)
     }
 
-    /// The route's verdict on the benchmark's single-solve shapes and the
-    /// shapes either side of the crossover. A rule change that would move
-    /// the 256K-bus tree onto the fused sweep fails here.
+    /// The route's verdict per shape: small and deep trees fused, large
+    /// binary and k-ary trees on the direct backward, stars on the
+    /// segmented scan — the paper's shapes, E7a's four 64K topologies and
+    /// the binary tree next to the fused/direct crossover. Forcing either
+    /// level strategy everywhere fails here.
     #[test]
     fn route_takes_fused_on_small_and_deep_trees_and_level_on_wide_ones() {
+        use BackwardStrategy::{Direct, SegScan};
         let spec = GenSpec::default();
         let props = DeviceProps::paper_rig();
         let rng = || StdRng::seed_from_u64(7);
@@ -751,20 +858,50 @@ mod route_tests {
             ("binary 1023", balanced_binary(1023, &spec, &mut rng())),
             ("chain 1000", chain(1000, &spec, &mut rng())),
         ];
-        let level = [
-            ("binary 262143", balanced_binary(262_143, &spec, &mut rng())),
-            ("star 1000", star(1000, &spec, &mut rng())),
-            ("8-ary 32000", balanced_kary(32_000, 8, &spec, &mut rng())),
-        ];
         for (name, net) in &fused {
             let a = arrays(net);
-            assert!(fused_sweep_wins(&props, &a, false), "{name}: cold must route fused");
-            assert!(fused_sweep_wins(&props, &a, true), "{name}: warm must route fused");
+            assert_eq!(route(&props, &a, false), Route::Fused, "{name}, cold");
+            assert_eq!(route(&props, &a, true), Route::Fused, "{name}, warm");
         }
-        for (name, net) in &level {
-            let a = arrays(net);
-            assert!(!fused_sweep_wins(&props, &a, false), "{name}: must stay on the level path");
+        let level = [
+            ("binary 16383", balanced_binary(16_383, &spec, &mut rng()), Direct),
+            ("binary 65535", balanced_binary(65_535, &spec, &mut rng()), Direct),
+            ("binary 262143", balanced_binary(262_143, &spec, &mut rng()), Direct),
+            ("4-ary 65536", balanced_kary(65_536, 4, &spec, &mut rng()), Direct),
+            ("8-ary 32000", balanced_kary(32_000, 8, &spec, &mut rng()), Direct),
+            ("32-ary 65536", balanced_kary(65_536, 32, &spec, &mut rng()), Direct),
+            ("star 1000", star(1000, &spec, &mut rng()), SegScan),
+            ("star 16384", star(16_384, &spec, &mut rng()), SegScan),
+            ("binary 64K", balanced_binary(65_536, &spec, &mut rng()), Direct),
+            ("16-ary 64K", balanced_kary(65_536, 16, &spec, &mut rng()), Direct),
+            ("256-ary 64K", balanced_kary(65_536, 256, &spec, &mut rng()), SegScan),
+            ("star 64K", star(65_536, &spec, &mut rng()), SegScan),
+        ];
+        for (name, net, strategy) in &level {
+            assert_eq!(route(&props, &arrays(net), false), Route::Level(*strategy), "{name}");
         }
+    }
+
+    /// Binary 16 383 sits about 4% from the fused/direct crossover: the
+    /// routed solve must cost within 5% of the cheapest device path,
+    /// fused or the level path with any backward strategy.
+    #[test]
+    fn routed_solve_is_near_the_cheapest_path_at_the_crossover() {
+        let net = balanced_binary(16_383, &GenSpec::default(), &mut StdRng::seed_from_u64(7));
+        let a = arrays(&net);
+        let cfg = SolverConfig::default();
+        let dev = || Device::with_workers(DeviceProps::paper_rig(), 2);
+        let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg).timing.total_us();
+        let (mut fused_dev, obs) = (dev(), Obs::default());
+        let opened = FusedSession::open(&mut fused_dev, &a, None, obs.clone());
+        let fused = recovery::run_plain(opened, Instant::now(), &cfg, &obs).timing.total_us();
+        let strategies =
+            [BackwardStrategy::SegScan, BackwardStrategy::Direct, BackwardStrategy::AtomicScatter];
+        let cheapest = strategies
+            .into_iter()
+            .map(|s| GpuSolver::with_strategy(dev(), s).solve_arrays(&a, &cfg).timing.total_us())
+            .fold(fused, f64::min);
+        assert!(routed <= 1.05 * cheapest, "routed {routed:.1} µs, cheapest {cheapest:.1} µs");
     }
 
     #[test]
@@ -800,7 +937,7 @@ mod route_tests {
     #[test]
     fn routed_invalid_config_short_circuits() {
         let net = ieee13();
-        assert!(fused_sweep_wins(&DeviceProps::paper_rig(), &arrays(&net), false));
+        assert_eq!(route(&DeviceProps::paper_rig(), &arrays(&net), false), Route::Fused);
         let bad = SolverConfig { max_iter: 0, ..SolverConfig::default() };
         let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
         let res = gpu.solve(&net, &bad);

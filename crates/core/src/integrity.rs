@@ -54,7 +54,8 @@ pub struct IntegrityStats {
     /// Shadow verifications that diverged from the oracle — each one is
     /// an undetected corruption escaping the lower nets.
     pub mismatches: u64,
-    /// Worst per-bus `||V|_answer − |V|_oracle|` seen, volts.
+    /// Worst per-bus `||V|_answer − |V|_oracle|` seen, volts; NaN once a
+    /// verdict's error was NaN.
     pub worst_err_v: f64,
 }
 
@@ -129,7 +130,7 @@ impl IntegritySampler {
         }
         let verdict = self.shadow_solve(req, outcome, n)?;
         self.stats.sampled += 1;
-        self.stats.worst_err_v = self.stats.worst_err_v.max(verdict.err_v);
+        self.stats.worst_err_v = MaxAbsF64::combine(self.stats.worst_err_v, verdict.err_v);
         if verdict.ok {
             self.stats.verified += 1;
         } else {
@@ -281,6 +282,7 @@ mod tests {
         let v = s.observe(&req, &Outcome::Solved3(res)).expect("sampled");
         assert!(!v.ok && v.err_v.is_nan(), "a NaN phase verified at {:e} V", v.err_v);
         assert_eq!((s.stats().mismatches, s.stats().verified), (2, 0));
+        assert!(s.stats().worst_err_v.is_nan(), "worst error {:e} V", s.stats().worst_err_v);
     }
 
     #[test]

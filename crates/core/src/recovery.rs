@@ -39,9 +39,16 @@
 //! three-phase level) differ only in their per-bus phasor,
 //! [`numc::Complex`] or [`numc::CVec3`], and its NaN-propagating norm
 //! ([`Phasor::norm`]) is all the loop needs of it. The [`Backend::Gpu`]
-//! rung routes as [`crate::GpuSolver::new`] does: the fused session
-//! (`tensor_batch::FusedSession`) where `gpu::fused_sweep_wins` holds,
-//! the level session otherwise.
+//! rung routes as [`crate::GpuSolver::new`] does (`gpu::route`): the
+//! fused session (`tensor_batch::FusedSession`) on small and deep trees,
+//! else the level session with the direct or the segmented-scan backward
+//! sweep.
+//!
+//! A restart does not hide its cost: the modeled device time of every
+//! attempt that did not produce the answer — a restart after a setup
+//! fault or a caught panic, or a device rung abandoned before degrading
+//! — is charged to the answer's setup phase, so its `timing.total_us()`
+//! covers every device the caller waited for.
 //!
 //! What a recovered answer is worth: rollbacks restore certified state,
 //! and the CPU fallbacks are fault-free. A corruption small enough to
@@ -63,7 +70,7 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::engine::Backend;
-use crate::gpu::{fused_sweep_wins, GpuSession, LevelPhasor};
+use crate::gpu::{route, GpuSession, LevelPhasor, Route};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
 use crate::phasor::Phasor;
@@ -553,12 +560,15 @@ impl ResilientSolver {
                 res
             },
             |rung| rung.fallback().expect("device backends have a fallback"),
-            |dev, at| match backend.strategy() {
-                _ if backend == Backend::Gpu && fused_sweep_wins(dev.props(), a, false) => {
-                    at.run(|obs| FusedSession::open(dev, a, None, obs))
+            |dev, at| match (backend, backend.strategy()) {
+                (Backend::Gpu, _) => match route(dev.props(), a, false) {
+                    Route::Fused => at.run(|obs| FusedSession::open(dev, a, None, obs)),
+                    Route::Level(s) => at.run(|obs| GpuSession::with_obs(dev, a, s, None, obs)),
+                },
+                (_, Some(strategy)) => {
+                    at.run(|obs| GpuSession::with_obs(dev, a, strategy, None, obs))
                 }
-                Some(strategy) => at.run(|obs| GpuSession::with_obs(dev, a, strategy, None, obs)),
-                None => {
+                (_, None) => {
                     let ja = jump.get_or_insert_with(|| JumpArrays::new(a));
                     at.run(|obs| JumpSession::with_obs(dev, ja, obs))
                 }
@@ -596,7 +606,8 @@ impl ResilientSolver {
     /// `start` until one completes, then — on device loss or an exhausted
     /// budget, when degradation is on — the `next` rung, until a CPU rung
     /// (`cpu`, which cannot fault) answers. `attempt` opens the session
-    /// on a fresh device and runs it.
+    /// on a fresh device and runs it. The devices of the attempts that
+    /// did not answer are charged to the answer's setup phase.
     fn supervise<V: Copy + Default>(
         &mut self,
         start: Backend,
@@ -614,16 +625,18 @@ impl ResilientSolver {
             return Ok(res);
         }
         let mut budget = RetryBudget::new(cfg.max_recoveries);
+        let mut discarded_us = 0.0;
         let mut backend = start;
         loop {
             report.backends.push(backend.name().to_string());
             let solved = if backend.is_device() {
-                self.run_device(cfg, &mut report, &mut budget, &mut attempt)
+                self.run_device(cfg, &mut report, &mut budget, &mut discarded_us, &mut attempt)
             } else {
                 Ok(cpu(self, backend))
             };
             match solved {
                 Ok(mut res) => {
+                    res.timing.phases.setup_us += discarded_us;
                     res.status = upgraded(res.status, &report);
                     res.fault_report = Some(report);
                     return Ok(res);
@@ -636,12 +649,14 @@ impl ResilientSolver {
     }
 
     /// Runs attempts on fresh devices until one completes or the
-    /// backend must be abandoned.
+    /// backend must be abandoned, adding each device that did not answer
+    /// to `discarded_us`.
     fn run_device<V>(
         &mut self,
         cfg: &SolverConfig,
         report: &mut FaultReport,
         budget: &mut RetryBudget,
+        discarded_us: &mut f64,
         attempt: &mut impl FnMut(&mut Device, Attempt<'_>) -> Result<SolveResult<V>, DriveAbort>,
     ) -> Result<SolveResult<V>, DriveAbort> {
         let checkpointing = self.plan.is_some();
@@ -667,22 +682,27 @@ impl ResilientSolver {
             }));
             report.faults_injected += dev.fault_log().len() as u32;
             let lost = loss_error(&dev);
+            let device_us = dev.timeline().total_modeled_us();
             self.last_device = Some(dev);
-            match attempted {
+            let abort = match attempted {
                 Ok(Ok(res)) => return Ok(res),
-                Ok(Err(DriveAbort::Restart)) => continue,
-                Ok(Err(abort)) => return Err(abort),
-                Err(_panic) => {
-                    if let Some(e) = lost {
-                        return Err(DriveAbort::Lost(e));
+                Ok(Err(abort)) => abort,
+                Err(_panic) => match lost {
+                    Some(e) => DriveAbort::Lost(e),
+                    None => {
+                        report.rollbacks += 1;
+                        if !budget.charge() {
+                            DriveAbort::Exhausted
+                        } else {
+                            report.retries += 1;
+                            DriveAbort::Restart
+                        }
                     }
-                    report.rollbacks += 1;
-                    if !budget.charge() {
-                        return Err(DriveAbort::Exhausted);
-                    }
-                    report.retries += 1;
-                    continue;
-                }
+                },
+            };
+            *discarded_us += device_us;
+            if !matches!(abort, DriveAbort::Restart) {
+                return Err(abort);
             }
         }
     }
@@ -905,6 +925,42 @@ mod tests {
         for (a, b) in res.v.iter().zip(&plain.v) {
             assert!((*a - *b).abs() <= 1e-9 * scale, "{a:?} vs {b:?}");
         }
+    }
+
+    /// A scripted launch failure at the first launch of two fresh devices
+    /// forces two restarts: the answer's modeled time is the clean run's
+    /// plus both discarded devices' uploads.
+    #[test]
+    fn restarted_attempts_are_charged_to_the_answer() {
+        let a = SolverArrays::new(&ieee13());
+        let cfg = SolverConfig::default();
+        let (props, host) = rig();
+        let supervised = |plan: FaultPlan| {
+            let mut supervisor = ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
+                .with_fault_plan(plan);
+            let res = supervisor.solve(&a, &cfg).expect("recoverable faults must not error");
+            (res, supervisor)
+        };
+        let (clean, supervisor) = supervised(FaultPlan::seeded(0, 0.0));
+        // Every timeline event is one fault-plan op: the first launch is
+        // op `first`, and a device aborted there spent `upload_us`.
+        let events = supervisor.last_device().unwrap().timeline().events();
+        let first = events.iter().position(|e| e.label() == "fill").expect("setup fills");
+        let upload_us: f64 = events[..first].iter().map(|e| e.modeled_us).sum();
+        assert!(upload_us > 0.0);
+
+        let second = 2 * first as u64 + 1;
+        let plan = FaultPlan::scripted([
+            (first as u64, FaultKind::LaunchFailure),
+            (second, FaultKind::LaunchFailure),
+        ]);
+        let (res, _) = supervised(plan);
+        let report = res.fault_report.as_ref().unwrap();
+        assert_eq!((report.faults_injected, report.retries), (2, 2), "{}", res.status);
+        assert_eq!(res.v, clean.v);
+        let want = clean.timing.total_us() + 2.0 * upload_us;
+        let got = res.timing.total_us();
+        assert!((got - want).abs() <= 1e-9 * want, "charged {got} µs, attempts took {want} µs");
     }
 
     /// Half the device ops a clean supervised [`Backend::Gpu`] solve of

@@ -595,7 +595,8 @@ impl TensorBatchSolver {
 /// the first iteration — the warm-init launch of a warm start. The other
 /// transfers and fills of a B = 1 solve cost no more than the level
 /// path's, up to a few words of scenario state (`crate::GpuSolver`'s
-/// route compares the two).
+/// route compares the two). `shape` is the route's level table: per
+/// level, root first, its width and its widest node's child count.
 ///
 /// A lone 256-thread block cannot hide memory latency, so the sweep's
 /// latency term — `(chain · mem_latency + phases · barrier)` cycles for
@@ -608,17 +609,18 @@ impl TensorBatchSolver {
 /// next level; per forward level, 4 per node (parent, impedance, parent
 /// voltage, voltage store); and the residual store. The phases are one
 /// per level and direction plus the residual fold.
-pub(crate) fn single_iteration_bound_us(props: &DeviceProps, a: &SolverArrays, warm: bool) -> f64 {
+pub(crate) fn single_iteration_bound_us(
+    props: &DeviceProps,
+    shape: &[(usize, usize)],
+    warm: bool,
+) -> f64 {
     let bdim = TENSOR_BLOCK as usize;
-    let offsets = &a.levels.level_offsets;
-    let nl = offsets.len() - 1;
+    let nl = shape.len();
     let mut chain = 2 + 1;
-    for l in 0..nl {
-        let level = offsets[l] as usize..offsets[l + 1] as usize;
-        let per_thread = level.len().div_ceil(bdim);
-        let fan_out = level.clone().map(|p| a.child_hi[p] - a.child_lo[p]).max().unwrap_or(0);
-        let next_width = offsets.get(l + 2).map_or(0, |&end| end as usize - level.end);
-        chain += 5 * per_thread + (per_thread * fan_out as usize).min(next_width);
+    for (l, &(width, fan_out)) in shape.iter().enumerate() {
+        let per_thread = width.div_ceil(bdim);
+        let next_width = shape.get(l + 1).map_or(0, |&(w, _)| w);
+        chain += 5 * per_thread + (per_thread * fan_out).min(next_width);
         if l > 0 {
             chain += 4 * per_thread;
         }
@@ -631,7 +633,8 @@ pub(crate) fn single_iteration_bound_us(props: &DeviceProps, a: &SolverArrays, w
     let sweep = props.launch_overhead_us + latency(chain, phases);
     // Warm init: one block strided over the positions, a load and a
     // store per position.
-    let warm_init = props.launch_overhead_us + latency(2 * a.len().div_ceil(bdim), 1);
+    let buses: usize = shape.iter().map(|&(width, _)| width).sum();
+    let warm_init = props.launch_overhead_us + latency(2 * buses.div_ceil(bdim), 1);
     sweep + if warm { warm_init } else { 0.0 }
 }
 
