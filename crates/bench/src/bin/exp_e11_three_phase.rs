@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e11_three_phase`
 
-use fbs::{BackwardStrategy, Gpu3Solver, Serial3Solver, SerialSolver};
+use fbs::{BackwardStrategy, GpuSolver, Serial3Solver, SerialSolver};
 use fbs_bench::{eval_config, rng_for, speedup, us, Table, PAPER_SIZES};
 use powergrid::gen::{balanced_binary, GenSpec};
 use powergrid::three_phase::from_single_phase;
@@ -35,14 +35,13 @@ fn main() {
 
         let s3 = Serial3Solver::new(HostProps::paper_rig()).solve(&net3, &cfg);
         assert!(s3.converged(), "serial 3φ must converge at n={n}");
-        let mut gpu = Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
-        let g3 = gpu.solve(&net3, &cfg);
+        let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+        let g3 = gpu.solve3(&net3, &cfg);
         assert!(g3.converged(), "gpu 3φ must converge at n={n}");
 
         // Single-phase comparison on the same tree.
         let s1 = SerialSolver::new(HostProps::paper_rig()).solve(&net1, &cfg);
-        let mut gpu1 =
-            fbs::GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
+        let mut gpu1 = GpuSolver::with_strategy(Device::paper_rig(), BackwardStrategy::SegScan);
         let g1 = gpu1.solve(&net1, &cfg);
 
         table.row(&[

@@ -6,8 +6,9 @@
 //! arms the seeded fault plan at increasing per-op rates and measures
 //! the modeled cost of the resilient GPU solve against the plain one on
 //! the same route (the fused sweep or the level path, as
-//! [`Backend::engine`] and the supervisor both choose it; a restarted or
-//! abandoned device attempt is charged to the answer's modeled time):
+//! [`Backend::engine`] and the supervisor both choose it; checkpoint,
+//! restore and verify traffic and every restarted or abandoned device
+//! attempt are charged to the answer's modeled time):
 //! rate 0 isolates the pure checkpoint/verify overhead, higher rates
 //! add rollback-and-replay traffic, and the table records how much of
 //! the fault budget each run consumed and which backend finished it.

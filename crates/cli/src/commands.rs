@@ -7,7 +7,7 @@ use fbs::fleet::poisson_arrivals;
 use fbs::obs::status_key;
 use fbs::{
     record_run, solve_dg, Backend, ContingencyScreener, FaultReport, FleetConfig, FleetRequest,
-    FleetService, Gpu3Solver, IntegrityConfig, IntegritySampler, MeshProblem, MeshResult, Outcome,
+    FleetService, GpuSolver, IntegrityConfig, IntegritySampler, MeshProblem, MeshResult, Outcome,
     OuterConfig, Phasor, Priority, Request, ResilientSolver, Scenarios, SerialSolver,
     ServiceConfig, Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays,
     SolverConfig, SweepBackend, TensorBatchSolver, Timing,
@@ -1159,8 +1159,8 @@ fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
                 match (backend, tele.recorder().cloned()) {
                     (Backend::Serial, None) => Box::new(SerialSolver::new(host)),
                     (Backend::Serial, Some(rec)) => Box::new(SerialSolver::new(host).with_recorder(rec)),
-                    (_, None) => Box::new(Gpu3Solver::new(Device::new(props))),
-                    (_, Some(rec)) => Box::new(Gpu3Solver::new(Device::new(props)).with_recorder(rec)),
+                    (_, None) => Box::new(GpuSolver::new(Device::new(props))),
+                    (_, Some(rec)) => Box::new(GpuSolver::new(Device::new(props)).with_recorder(rec)),
                 };
             solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }

@@ -259,7 +259,7 @@ fn supervised_solve3_bridges_its_device_into_the_trace() {
     .expect("seeded 3φ fault replay");
     assert_eq!(code, 0, "a recoverable 3φ fault replay exits 0");
     let text = fs::read_to_string(&trace).expect("trace written");
-    for kernel in ["fbs3_inject", "fbs3_backward_combine", "fbs3_forward"] {
+    for kernel in ["fbs_inject", "fbs_backward_combine", "fbs_forward"] {
         assert!(text.contains(&format!("\"{kernel}\"")), "trace lacks {kernel} kernel spans");
     }
     let _ = fs::remove_file(&p3);
@@ -497,7 +497,7 @@ fn solve3_stdout_matches_its_golden() {
             format!(
                 "solver:      gpu (three-phase)\n{converged}recovery:    seed 7 rate 0.005 | 0 faults, \
                  0 rollbacks, 0 retries, 1 checkpoints | backend gpu\n{IEEE13_3PHASE_BODY}\
-                 modeled:     total 920.6 µs\n"
+                 modeled:     total 928.7 µs\n"
             ),
         ),
         (

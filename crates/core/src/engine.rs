@@ -18,7 +18,7 @@ use crate::phasor::Phasor;
 use crate::recovery::{ResilienceError, ResilientSolver};
 use crate::report::SolveResult;
 use crate::serial::SerialSolver;
-use crate::three_phase::{Arrays3, Gpu3Solver};
+use crate::three_phase::Arrays3;
 
 /// An engine over the per-bus phasor `V` (single-phase [`Complex`] by
 /// default, [`CVec3`] for three-phase): anything that can solve
@@ -110,7 +110,9 @@ impl SweepBackend for GpuSolver {
     }
 }
 
-impl SweepBackend<CVec3> for Gpu3Solver {
+/// The level path with the pinned strategy, or the segmented scan
+/// ([`GpuSolver::solve3`]).
+impl SweepBackend<CVec3> for GpuSolver {
     type Error = Infallible;
 
     fn solve_warm_arrays(
@@ -119,11 +121,11 @@ impl SweepBackend<CVec3> for Gpu3Solver {
         cfg: &SolverConfig,
         v_init: Option<&[CVec3]>,
     ) -> Result<SolveResult<CVec3>, Infallible> {
-        Ok(self.solve_warm(a, cfg, v_init))
+        Ok(self.solve3_warm(a, cfg, v_init))
     }
 
     fn device(&self) -> Option<&Device> {
-        Some(Gpu3Solver::device(self))
+        Some(GpuSolver::device(self))
     }
 }
 

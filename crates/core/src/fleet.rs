@@ -732,75 +732,84 @@ impl FleetService {
     /// One request on one device, with failover and hedging.
     fn dispatch_serial(&mut self, p: &Pending) -> FleetResponse {
         let mut tried: Vec<u32> = Vec::new();
+        let walk = self.walk(p.id, &p.freq.req, p.arrived, &mut tried);
+        let (mut resp, mut device, mut finish) = (walk.resp, walk.device, walk.finish);
+        let (mut hedged, mut hedge_won) = (false, false);
+        if let Some(d) = walk.device {
+            // Success on a device — hedge if this primary ran past the
+            // latency quantile and a peer is free to duplicate it.
+            let primary_us = resp.service_us();
+            if let Some((h_resp, h_dev, h_finish)) =
+                self.maybe_hedge(p, d, walk.start, primary_us, &tried)
+            {
+                hedged = true;
+                if h_finish < finish {
+                    self.stats.hedge_wins += 1;
+                    (resp, device, finish, hedge_won) = (h_resp, Some(h_dev), h_finish, true);
+                }
+            }
+        }
+        FleetResponse {
+            id: p.id,
+            outcome: resp.outcome,
+            device: device.map(|d| d as u32),
+            backend: resp.backend,
+            priority: p.freq.priority,
+            tenant: p.freq.tenant,
+            arrived_us: p.arrived,
+            start_us: walk.first_start,
+            finish_us: finish,
+            failovers: walk.failovers,
+            hedged,
+            hedge_won,
+            shards: 1,
+            reclaimed: 0,
+            shed: None,
+        }
+    }
+
+    /// Serves `req` from `clock` on the best device not in `tried`,
+    /// failing over device by device (each failed device joins `tried`)
+    /// down to the CPU rung, which cannot refuse.
+    fn walk(&mut self, id: u64, req: &Request, mut clock: f64, tried: &mut Vec<u32>) -> Walk {
         let mut failovers = 0u32;
-        let mut clock = p.arrived;
         let mut first_start = None;
         loop {
-            let Some(d) = self.pick_device(clock, &tried) else {
-                // Every device refused: the CPU rung cannot.
+            let Some(d) = self.pick_device(clock, tried) else {
                 let start = clock.max(self.cpu_free_at);
-                let resp = self.cpu.serve_cpu_at(start, p.freq.req.clone());
+                let resp = self.cpu.serve_cpu_at(start, req.clone());
                 let finish = start + resp.service_us();
                 self.cpu_free_at = finish;
                 self.stats.cpu_served += 1;
-                return self.finish_serial(
-                    p,
-                    resp,
-                    None,
-                    first_start.unwrap_or(start),
-                    finish,
-                    failovers,
-                    false,
-                    false,
-                );
+                let first_start = first_start.unwrap_or(start);
+                return Walk { resp, device: None, first_start, start, finish, failovers };
             };
             let start = clock.max(self.workers[d].free_at);
             first_start.get_or_insert(start);
-            let resp = self.workers[d].svc.serve_at(start, p.freq.req.clone());
+            let resp = self.workers[d].svc.serve_at(start, req.clone());
             let finish = start + resp.service_us();
             self.workers[d].free_at = finish;
-            if matches!(resp.outcome, Outcome::Failed(_)) {
-                failovers += 1;
-                self.stats.failovers += 1;
-                tried.push(d as u32);
-                if let Some(rec) = &self.recorder {
-                    rec.counter_add("fleet.failovers", 1);
-                    rec.instant_with(
-                        Trace::TID_FLEET,
-                        "fleet",
-                        "failover",
-                        finish,
-                        vec![
-                            ("id".to_string(), ArgValue::U64(p.id)),
-                            ("from".to_string(), ArgValue::U64(d as u64)),
-                        ],
-                    );
-                }
-                clock = finish;
-                continue;
+            if !matches!(resp.outcome, Outcome::Failed(_)) {
+                let first_start = first_start.unwrap_or(start);
+                return Walk { resp, device: Some(d), first_start, start, finish, failovers };
             }
-            // Success — hedge if this primary ran past the latency
-            // quantile and a peer is free to duplicate it.
-            let primary_us = resp.service_us();
-            let (winner, win_dev, win_finish, hedged, hedge_won) =
-                match self.maybe_hedge(p, d, start, primary_us, &tried) {
-                    Some((h_resp, h_dev, h_finish)) if h_finish < finish => {
-                        self.stats.hedge_wins += 1;
-                        (h_resp, h_dev, h_finish, true, true)
-                    }
-                    Some(_) => (resp, d, finish, true, false),
-                    None => (resp, d, finish, false, false),
-                };
-            return self.finish_serial(
-                p,
-                winner,
-                Some(win_dev as u32),
-                first_start.unwrap_or(start),
-                win_finish,
-                failovers,
-                hedged,
-                hedge_won,
-            );
+            failovers += 1;
+            self.stats.failovers += 1;
+            tried.push(d as u32);
+            if let Some(rec) = &self.recorder {
+                rec.counter_add("fleet.failovers", 1);
+                rec.instant_with(
+                    Trace::TID_FLEET,
+                    "fleet",
+                    "failover",
+                    finish,
+                    vec![
+                        ("id".to_string(), ArgValue::U64(id)),
+                        ("from".to_string(), ArgValue::U64(d as u64)),
+                    ],
+                );
+            }
+            clock = finish;
         }
     }
 
@@ -852,37 +861,6 @@ impl FleetService {
             return None;
         }
         Some((h_resp, h, h_finish))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_serial(
-        &mut self,
-        p: &Pending,
-        resp: Response,
-        device: Option<u32>,
-        start: f64,
-        finish: f64,
-        failovers: u32,
-        hedged: bool,
-        hedge_won: bool,
-    ) -> FleetResponse {
-        FleetResponse {
-            id: p.id,
-            outcome: resp.outcome,
-            device,
-            backend: resp.backend,
-            priority: p.freq.priority,
-            tenant: p.freq.tenant,
-            arrived_us: p.arrived,
-            start_us: start,
-            finish_us: finish,
-            failovers,
-            hedged,
-            hedge_won,
-            shards: 1,
-            reclaimed: 0,
-            shed: None,
-        }
     }
 
     /// A big batch: contiguous chunk-aligned shards across the healthy
@@ -957,8 +935,13 @@ impl FleetService {
                             ],
                         );
                     }
-                    let (b, f) = self.reclaim_shard(shard_req, d as u32, finish);
-                    last_finish = last_finish.max(f);
+                    // Reclaim walks fail over like any request; only the
+                    // first loss counts toward this response's failovers.
+                    let walk = self.walk(p.id, &shard_req, finish, &mut vec![d as u32]);
+                    last_finish = last_finish.max(walk.finish);
+                    let Outcome::Batch(b) = walk.resp.outcome else {
+                        unreachable!("a walk ends in an answer: the CPU rung cannot fail");
+                    };
                     b
                 }
                 _ => unreachable!("batch requests produce batch outcomes"),
@@ -984,39 +967,19 @@ impl FleetService {
             shed: None,
         }
     }
+}
 
-    /// Re-serves a stranded shard on the best peer that is not the
-    /// lost device, walking down to the CPU rung if everything fails.
-    fn reclaim_shard(&mut self, req: Request, lost: u32, at: f64) -> (TensorBatchResult, f64) {
-        let mut excluded = vec![lost];
-        let mut clock = at;
-        loop {
-            let Some(d) = self.pick_device(clock, &excluded) else {
-                let start = clock.max(self.cpu_free_at);
-                let resp = self.cpu.serve_cpu_at(start, req);
-                let finish = start + resp.service_us();
-                self.cpu_free_at = finish;
-                self.stats.cpu_served += 1;
-                let Outcome::Batch(b) = resp.outcome else {
-                    unreachable!("CPU batch rung produces a batch");
-                };
-                return (b, finish);
-            };
-            let start = clock.max(self.workers[d].free_at);
-            let resp = self.workers[d].svc.serve_at(start, req.clone());
-            let finish = start + resp.service_us();
-            self.workers[d].free_at = finish;
-            match resp.outcome {
-                Outcome::Batch(b) => return (b, finish),
-                Outcome::Failed(_) => {
-                    self.stats.failovers += 1;
-                    excluded.push(d as u32);
-                    clock = finish;
-                }
-                _ => unreachable!("batch requests produce batch outcomes"),
-            }
-        }
-    }
+/// Where [`FleetService::walk`] got its answer: the response, the device
+/// (`None` for the CPU rung), when the walk's first attempt started, when
+/// the answering attempt started and finished, and how many devices
+/// failed before it.
+struct Walk {
+    resp: Response,
+    device: Option<usize>,
+    first_start: f64,
+    start: f64,
+    finish: f64,
+    failovers: u32,
 }
 
 /// The `q`-quantile of an ascending-sorted non-empty slice (nearest

@@ -30,9 +30,9 @@
 //! `recovery::drive`, which the fault-tolerant supervisor also runs.
 //! A plain solve runs it with checkpointing off and no retry budget, so
 //! it issues exactly the session's own device operations. The session
-//! is generic over the per-bus phasor: the three-phase solver
-//! ([`crate::Gpu3Solver`]) opens the same session over phase triples
-//! and brings its own kernels.
+//! and its kernels are generic over the per-bus [`Phasor`]: a
+//! three-phase solve ([`GpuSolver::solve3`]) runs the same kernels over
+//! phase triples and 3×3 impedances, with any backward strategy.
 //!
 //! # Routing
 //!
@@ -50,13 +50,16 @@
 //! `recovery::drive`, and the supervisor's [`crate::Backend::Gpu`] rung
 //! takes the same route. [`GpuSolver::with_strategy`] pins the level
 //! path with the given backward strategy; the experiments that reproduce
-//! the paper's tables use it.
+//! the paper's tables use it. Three-phase solves are not routed: the
+//! fused engine and the cost rule are single-phase, so an unpinned
+//! three-phase solve takes the level path with the segmented scan.
 
 use std::time::Instant;
 
-use numc::Complex;
+use numc::{CVec3, Complex};
+use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::RadialNetwork;
-use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
+use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
 use simt::{Device, DeviceBuffer, DeviceError, DeviceProps, LaunchConfig, TRANSACTION_BYTES};
 use telemetry::Recorder;
@@ -66,8 +69,9 @@ use crate::config::SolverConfig;
 use crate::obs::Obs;
 use crate::phasor::Phasor;
 use crate::recovery::{self, SessionClock, SweepSession};
-use crate::report::SolveResult;
+use crate::report::{invalid_config_result, SolveResult};
 use crate::tensor_batch::{self, FusedSession};
+use crate::three_phase::{Arrays3, Solve3Result};
 
 /// How the backward sweep aggregates child branch currents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,7 +97,8 @@ pub enum BackwardStrategy {
 pub struct GpuSolver {
     device: Device,
     /// The level path's backward strategy when pinned; `None` routes
-    /// every solve ([`route`]).
+    /// every single-phase solve ([`route`]) and runs three-phase ones
+    /// with the segmented scan.
     pin: Option<BackwardStrategy>,
     recorder: Option<Recorder>,
 }
@@ -113,8 +118,9 @@ impl GpuSolver {
     }
 
     /// Creates a solver pinned to the paper's level-launch path with an
-    /// explicit backward-sweep strategy: every solve runs exactly the
-    /// kernels the module docs describe, whatever the tree.
+    /// explicit backward-sweep strategy: every solve, of either phase
+    /// kind, runs exactly the kernels the module docs describe, whatever
+    /// the tree.
     pub fn with_strategy(device: Device, strategy: BackwardStrategy) -> Self {
         GpuSolver { device, pin: Some(strategy), recorder: None }
     }
@@ -156,24 +162,50 @@ impl GpuSolver {
         cfg: &SolverConfig,
         v_init: Option<&[Complex]>,
     ) -> SolveResult {
+        let warm = v_init.is_some();
+        match self.pin.map_or_else(|| route(self.device.props(), a, warm), Route::Level) {
+            Route::Fused => self.run(a, cfg, |dev, obs| FusedSession::open(dev, a, v_init, obs)),
+            Route::Level(strategy) => {
+                self.run(a, cfg, |dev, obs| GpuSession::with_obs(dev, a, strategy, v_init, obs))
+            }
+        }
+    }
+
+    /// Solves a three-phase network on the level path with the pinned
+    /// backward strategy, or the segmented scan when none is pinned.
+    pub fn solve3(&mut self, net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Solve3Result {
+        self.solve3_warm(&Arrays3::new(net), cfg, None)
+    }
+
+    /// [`GpuSolver::solve3`] from pre-built arrays, starting from `v_init`
+    /// (by bus id) when given.
+    pub(crate) fn solve3_warm(
+        &mut self,
+        a: &Arrays3,
+        cfg: &SolverConfig,
+        v_init: Option<&[CVec3]>,
+    ) -> Solve3Result {
+        // The fused engine and `route`'s cost model are single-phase, so
+        // an unpinned three-phase solve keeps the paper's segmented scan.
+        let strategy = self.pin.unwrap_or(BackwardStrategy::SegScan);
+        self.run(a, cfg, |dev, obs| GpuSession::with_obs(dev, a, strategy, v_init, obs))
+    }
+
+    /// Every solve of either phase kind and either route: runs the
+    /// session `open` returns through the one device loop, with its spans
+    /// under `solver.gpu`; an invalid `cfg` opens none.
+    fn run<'s, V: Phasor, S: SweepSession<V = V> + 's>(
+        &'s mut self,
+        a: &LevelArrays<V, V::Z>,
+        cfg: &SolverConfig,
+        open: impl FnOnce(&'s mut Device, Obs) -> Result<S, DeviceError>,
+    ) -> SolveResult<V> {
         let wall0 = Instant::now();
         if cfg.validate().is_err() {
-            return crate::report::invalid_config_result(a.len(), a.source);
+            return invalid_config_result(a.len(), a.source);
         }
         let obs = Obs::new(self.recorder.as_ref(), "solver.gpu");
-        let dev = &mut self.device;
-        let strategy = match self.pin {
-            Some(strategy) => strategy,
-            None => match route(dev.props(), a, v_init.is_some()) {
-                Route::Fused => {
-                    let opened = FusedSession::open(dev, a, v_init, obs.clone());
-                    return recovery::run_plain(opened, wall0, cfg, &obs);
-                }
-                Route::Level(strategy) => strategy,
-            },
-        };
-        let opened = GpuSession::with_obs(dev, a, strategy, v_init, obs.clone());
-        recovery::run_plain(opened, wall0, cfg, &obs)
+        recovery::run_plain(open(&mut self.device, obs.clone()), wall0, cfg, &obs)
     }
 }
 
@@ -300,50 +332,37 @@ fn backward_us(props: &DeviceProps, shape: &[(usize, usize)]) -> (f64, f64) {
     (direct, segscan)
 }
 
-/// The device side of a [`Phasor`]: its level-synchronous iteration, with
-/// [`Complex`] kernels here and `CVec3` ones in [`crate::three_phase`], so
-/// no kernel branches on its caller.
-pub(crate) trait LevelPhasor: Phasor {
-    /// One device iteration — inject, backward, forward, reduce — with
-    /// each phase charged to the session's clock; returns the ∞-norm
-    /// voltage update.
-    fn iterate(sess: &mut GpuSession<'_, Self>) -> Result<f64, DeviceError>;
-}
-
 /// One level-synchronous solve in progress: device state plus phase
 /// accounting, stepped one iteration at a time by `recovery::drive`.
 ///
 /// Splitting the solve into a session is what lets the recovery
 /// supervisor ([`crate::recovery::ResilientSolver`]) interleave
 /// checkpoints, integrity checks and rollbacks between iterations
-/// without duplicating the sweep kernels. The single- and three-phase
-/// sessions share this state and bookkeeping; their kernels are
-/// [`LevelPhasor::iterate`]. The three-phase kernels have the
-/// segmented-scan backward sweep only, so `strategy` is the
-/// single-phase kernels' choice; three-phase sessions open through
-/// `Gpu3Session::open`, which fixes it.
-pub(crate) struct GpuSession<'a, V: LevelPhasor> {
-    pub(crate) dev: &'a mut Device,
-    pub(crate) a: &'a LevelArrays<V, V::Z>,
+/// without duplicating the sweep kernels. One set of kernels serves both
+/// phase kinds, generic over the per-bus [`Phasor`], with every backward
+/// strategy.
+pub(crate) struct GpuSession<'a, V: Phasor> {
+    dev: &'a mut Device,
+    a: &'a LevelArrays<V, V::Z>,
     /// The warm start by bus id; `None` is the flat start.
     v_init: Option<&'a [V]>,
     strategy: BackwardStrategy,
-    pub(crate) s_buf: DeviceBuffer<V>,
-    pub(crate) z_buf: DeviceBuffer<V::Z>,
-    pub(crate) parent_buf: DeviceBuffer<u32>,
-    pub(crate) child_lo_buf: DeviceBuffer<u32>,
-    pub(crate) child_hi_buf: DeviceBuffer<u32>,
-    pub(crate) flags_buf: DeviceBuffer<u32>,
-    pub(crate) seg_last_buf: DeviceBuffer<u32>,
-    pub(crate) v_buf: DeviceBuffer<V>,
-    pub(crate) i_buf: DeviceBuffer<V>,
-    pub(crate) j_buf: DeviceBuffer<V>,
-    pub(crate) delta_buf: DeviceBuffer<f64>,
-    pub(crate) scan_buf: DeviceBuffer<V>,
-    pub(crate) clock: SessionClock,
+    s_buf: DeviceBuffer<V>,
+    z_buf: DeviceBuffer<V::Z>,
+    parent_buf: DeviceBuffer<u32>,
+    child_lo_buf: DeviceBuffer<u32>,
+    child_hi_buf: DeviceBuffer<u32>,
+    flags_buf: DeviceBuffer<u32>,
+    seg_last_buf: DeviceBuffer<u32>,
+    v_buf: DeviceBuffer<V>,
+    i_buf: DeviceBuffer<V>,
+    j_buf: DeviceBuffer<V>,
+    delta_buf: DeviceBuffer<f64>,
+    scan_buf: DeviceBuffer<V>,
+    clock: SessionClock,
 }
 
-impl<'a, V: LevelPhasor> GpuSession<'a, V> {
+impl<'a, V: Phasor> GpuSession<'a, V> {
     /// Uploads topology and state (charged to the setup phase). Phase
     /// spans are recorded through `obs` on the session's modeled clock;
     /// pass `Obs::default()` for an uninstrumented session.
@@ -404,43 +423,54 @@ impl<'a, V: LevelPhasor> GpuSession<'a, V> {
     }
 }
 
-impl LevelPhasor for Complex {
-    fn iterate(sess: &mut GpuSession<'_, Complex>) -> Result<f64, DeviceError> {
-        let dev = &mut *sess.dev;
-        let a = sess.a;
+impl<V: Phasor> SweepSession for GpuSession<'_, V> {
+    type V = V;
+
+    fn clock(&self) -> &SessionClock {
+        &self.clock
+    }
+
+    /// One device iteration — inject, backward, forward, reduce — with
+    /// each phase charged to the session's clock; returns the ∞-norm
+    /// voltage update.
+    fn iterate(&mut self) -> Result<f64, DeviceError> {
+        let dev = &mut *self.dev;
+        let a = self.a;
         let n = a.len();
         let num_levels = a.num_levels();
 
         // ---- Injection ----
         let mark = dev.timeline().mark();
         {
-            let s_v = sess.s_buf.view();
-            let v_v = sess.v_buf.view();
-            let i_v = sess.i_buf.view_mut();
+            let s_v = self.s_buf.view();
+            let v_v = self.v_buf.view();
+            let i_v = self.i_buf.view_mut();
             try_launch_map(dev, n, "fbs_inject", move |t, p| {
                 let s = t.ld(&s_v, p);
-                let out = if s == Complex::ZERO {
-                    Complex::ZERO
+                // A bus with no load on any phase draws no current: its
+                // voltage is not read and nothing is divided.
+                let out = if s == V::default() {
+                    V::default()
                 } else {
                     let v = t.ld(&v_v, p);
-                    t.flops(Complex::DIV_FLOPS + 1);
-                    (s / v).conj()
+                    t.flops(V::INJ_FLOPS);
+                    V::inject(s, v)
                 };
                 t.st(&i_v, p, out);
             })?;
         }
-        sess.clock.charge("injection", &dev.timeline().breakdown_since(mark));
+        self.clock.charge("injection", &dev.timeline().breakdown_since(mark));
 
         // ---- Backward sweep: deepest level → root ----
         let mark = dev.timeline().mark();
-        if sess.strategy == BackwardStrategy::AtomicScatter {
+        if self.strategy == BackwardStrategy::AtomicScatter {
             // Init J = I everywhere, then one child→parent atomic
             // scatter per level: children of a level-(l−1) bus all
             // live at level l, so after the level-l scatter every
             // level-(l−1) branch current is final.
             {
-                let i_v = sess.i_buf.view();
-                let j_v = sess.j_buf.view_mut();
+                let i_v = self.i_buf.view();
+                let j_v = self.j_buf.view_mut();
                 try_launch_map(dev, n, "fbs_backward_init", move |t, p| {
                     let v = t.ld(&i_v, p);
                     t.st(&j_v, p, v);
@@ -449,88 +479,76 @@ impl LevelPhasor for Complex {
             for l in (1..num_levels).rev() {
                 let range = a.levels.level_range(l);
                 let (lo, len) = (range.start, range.len());
-                let par_v = sess.parent_buf.view();
-                let j_v = sess.j_buf.view_mut();
+                let par_v = self.parent_buf.view();
+                let j_v = self.j_buf.view_mut();
                 try_launch_map(dev, len, "fbs_backward_scatter", move |t, k| {
                     let c = lo + k;
                     let parent = t.ld(&par_v, c) as usize;
                     let jc = t.ld_mut(&j_v, c);
-                    t.flops(Complex::ADD_FLOPS);
+                    t.flops(V::BWD_FLOPS);
                     t.atomic_add(&j_v, parent, jc);
                 })?;
             }
-        }
-        for l in (0..num_levels).rev() {
-            if sess.strategy == BackwardStrategy::AtomicScatter {
-                break;
-            }
-            let range = a.levels.level_range(l);
-            let (lo, len) = (range.start, range.len());
-            let has_child_level = l + 1 < num_levels;
-
-            if sess.strategy == BackwardStrategy::SegScan && has_child_level {
-                let crange = a.levels.level_range(l + 1);
-                try_segscan_inclusive_range::<Complex, AddComplex>(
-                    dev,
-                    &sess.j_buf,
-                    &sess.flags_buf,
-                    crange.start,
-                    crange.end,
-                    &mut sess.scan_buf,
-                )?;
-            }
-
-            match sess.strategy {
-                BackwardStrategy::SegScan => {
-                    let i_v = sess.i_buf.view();
-                    let lo_v = sess.child_lo_buf.view();
-                    let hi_v = sess.child_hi_buf.view();
-                    let last_v = sess.seg_last_buf.view();
-                    let scan_v = sess.scan_buf.view();
-                    let j_v = sess.j_buf.view_mut();
-                    try_launch_map(dev, len, "fbs_backward_combine", move |t, k| {
-                        let p = lo + k;
-                        let mut acc = t.ld(&i_v, p);
-                        if t.ld(&lo_v, p) < t.ld(&hi_v, p) {
-                            let tail = t.ld(&last_v, p) as usize;
-                            t.flops(Complex::ADD_FLOPS);
-                            acc += t.ld(&scan_v, tail);
-                        }
-                        t.st(&j_v, p, acc);
-                    })?;
-                }
-                BackwardStrategy::Direct => {
-                    let i_v = sess.i_buf.view();
-                    let lo_v = sess.child_lo_buf.view();
-                    let hi_v = sess.child_hi_buf.view();
-                    let j_v = sess.j_buf.view_mut();
+        } else {
+            for l in (0..num_levels).rev() {
+                let range = a.levels.level_range(l);
+                let (lo, len) = (range.start, range.len());
+                let i_v = self.i_buf.view();
+                let lo_v = self.child_lo_buf.view();
+                let hi_v = self.child_hi_buf.view();
+                if self.strategy == BackwardStrategy::Direct {
+                    let j_v = self.j_buf.view_mut();
                     try_launch_map(dev, len, "fbs_backward_direct", move |t, k| {
                         let p = lo + k;
                         let mut acc = t.ld(&i_v, p);
                         let c_lo = t.ld(&lo_v, p) as usize;
                         let c_hi = t.ld(&hi_v, p) as usize;
                         for c in c_lo..c_hi {
-                            t.flops(Complex::ADD_FLOPS);
+                            t.flops(V::BWD_FLOPS);
                             acc += t.ld_mut(&j_v, c);
                         }
                         t.st(&j_v, p, acc);
                     })?;
+                } else {
+                    if l + 1 < num_levels {
+                        let crange = a.levels.level_range(l + 1);
+                        try_segscan_inclusive_range::<V, V::Sum>(
+                            dev,
+                            &self.j_buf,
+                            &self.flags_buf,
+                            crange.start,
+                            crange.end,
+                            &mut self.scan_buf,
+                        )?;
+                    }
+                    let last_v = self.seg_last_buf.view();
+                    let scan_v = self.scan_buf.view();
+                    let j_v = self.j_buf.view_mut();
+                    try_launch_map(dev, len, "fbs_backward_combine", move |t, k| {
+                        let p = lo + k;
+                        let mut acc = t.ld(&i_v, p);
+                        if t.ld(&lo_v, p) < t.ld(&hi_v, p) {
+                            let tail = t.ld(&last_v, p) as usize;
+                            t.flops(V::BWD_FLOPS);
+                            acc += t.ld(&scan_v, tail);
+                        }
+                        t.st(&j_v, p, acc);
+                    })?;
                 }
-                BackwardStrategy::AtomicScatter => unreachable!("handled above"),
             }
         }
-        sess.clock.charge("backward", &dev.timeline().breakdown_since(mark));
+        self.clock.charge("backward", &dev.timeline().breakdown_since(mark));
 
         // ---- Forward sweep: root → leaves ----
         let mark = dev.timeline().mark();
         for l in 1..num_levels {
             let range = a.levels.level_range(l);
             let (lo, len) = (range.start, range.len());
-            let z_v = sess.z_buf.view();
-            let par_v = sess.parent_buf.view();
-            let j_v = sess.j_buf.view();
-            let d_v = sess.delta_buf.view_mut();
-            let v_v = sess.v_buf.view_mut();
+            let z_v = self.z_buf.view();
+            let par_v = self.parent_buf.view();
+            let j_v = self.j_buf.view();
+            let d_v = self.delta_buf.view_mut();
+            let v_v = self.v_buf.view_mut();
             try_launch_map(dev, len, "fbs_forward", move |t, k| {
                 let p = lo + k;
                 let parent = t.ld(&par_v, p) as usize;
@@ -538,31 +556,19 @@ impl LevelPhasor for Complex {
                 let z = t.ld(&z_v, p);
                 let jb = t.ld(&j_v, p);
                 let old = t.ld_mut(&v_v, p);
-                let new_v = vp - z * jb;
-                t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
+                let new_v = vp - V::z_mul(z, jb);
+                t.flops(V::FWD_FLOPS);
                 t.st(&v_v, p, new_v);
-                t.st(&d_v, p, (new_v - old).abs());
+                t.st(&d_v, p, (new_v - old).norm());
             })?;
         }
-        sess.clock.charge("forward", &dev.timeline().breakdown_since(mark));
+        self.clock.charge("forward", &dev.timeline().breakdown_since(mark));
 
         // ---- Convergence: ∞-norm reduction + scalar read-back ----
         let mark = dev.timeline().mark();
-        let delta = try_reduce::<f64, MaxAbsF64>(dev, &sess.delta_buf)?;
-        sess.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
+        let delta = try_reduce::<f64, MaxAbsF64>(dev, &self.delta_buf)?;
+        self.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
         Ok(delta)
-    }
-}
-
-impl<V: LevelPhasor> SweepSession for GpuSession<'_, V> {
-    type V = V;
-
-    fn clock(&self) -> &SessionClock {
-        &self.clock
-    }
-
-    fn iterate(&mut self) -> Result<f64, DeviceError> {
-        V::iterate(self)
     }
 
     fn snapshot(&mut self) -> Result<Vec<V>, DeviceError> {
@@ -1005,6 +1011,7 @@ mod atomic_tests {
     use super::*;
     use crate::serial::SerialSolver;
     use powergrid::gen::{balanced_binary, balanced_kary, star, GenSpec};
+    use powergrid::three_phase::from_single_phase;
     use rng::rngs::StdRng;
     use rng::SeedableRng;
     use simt::{DeviceProps, HostProps};
@@ -1039,6 +1046,31 @@ mod atomic_tests {
                 );
             }
             crate::validate::assert_physical(&net, &res, 1e-4);
+        }
+    }
+
+    /// The scatter over phase triples: `CVec3`'s component-wise
+    /// `atomic_add`, many children per parent, serial's iterates.
+    #[test]
+    fn atomic_scatter_matches_serial_on_three_phases() {
+        let cfg = SolverConfig::default();
+        let spec = GenSpec::default();
+        let mut rng = StdRng::seed_from_u64(94);
+        for net1 in [balanced_kary(1000, 8, &spec, &mut rng), star(300, &spec, &mut rng)] {
+            let net = from_single_phase(&net1, 0.4, 0.25, &mut rng);
+            let serial = SerialSolver::new(HostProps::paper_rig()).solve_arrays(&Arrays3::new(&net), &cfg);
+            let mut gpu = atomic_gpu();
+            let res = gpu.solve3(&net, &cfg);
+            assert!(res.converged());
+            assert_eq!(res.iterations, serial.iterations);
+            let kernels = gpu.device().timeline().breakdown().per_kernel_us;
+            assert!(kernels.contains_key("fbs_backward_scatter"), "{:?}", kernels.keys());
+            let scale = net.source_voltage().abs_max();
+            for (x, y) in serial.v.iter().zip(&res.v) {
+                for (p, q) in x.phases().iter().zip(y.phases()) {
+                    assert!((*p - q).abs() < 1e-8 * scale, "{x:?} vs {y:?}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`SerialSolver`] — the paper's CPU baseline,
 //! * [`GpuSolver`] — the paper's contribution: level-synchronous sweeps
-//!   on the [`simt`] device using segmented scan and reduction.
+//!   on the [`simt`] device using segmented scan and reduction, over
+//!   one or three phases ([`GpuSolver::solve3`]).
 //!   [`GpuSolver::new`] routes each solve to the cheapest of the
 //!   tensor engine's fused sweep at batch size one (small and deep
 //!   trees) and that level path with the segmented-scan or the direct
@@ -83,4 +84,4 @@ pub use service::{
 };
 pub use status::{ConvergenceMonitor, SolveStatus};
 pub use tensor_batch::{ScenarioPatch, Scenarios, TensorBatchResult, TensorBatchSolver};
-pub use three_phase::{Arrays3, Gpu3Solver, Serial3Solver, Solve3Result};
+pub use three_phase::{Arrays3, Serial3Solver, Solve3Result};

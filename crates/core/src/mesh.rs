@@ -958,7 +958,7 @@ fn root_path(tree: &RadialNetwork, bus: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::{Backend, GpuSolver, MulticoreSolver, ResilientSolver};
-    use crate::three_phase::{Gpu3Solver, Serial3Solver};
+    use crate::three_phase::Serial3Solver;
     use numc::{approx_eq_eps, CMat3};
     use powergrid::ieee::ieee123_dg;
     use powergrid::three_phase::ThreePhaseBuilder;
@@ -1388,10 +1388,10 @@ mod tests {
         assert!(r.q_gen[0] > 0.0, "supporting the voltage takes capacitive vars");
 
         // The GPU backend lands on the same operating point.
-        let mut gpu = Gpu3Solver::new(Device::paper_rig());
+        let mut gpu = GpuSolver::new(Device::paper_rig());
         let problem = MeshProblem::three_phase(&net);
         let Ok(g) = solve_dg(&problem, &cfg, &OuterConfig::default(), None, |a, warm| {
-            Ok::<_, Infallible>(gpu.solve_warm(a, &cfg, warm))
+            Ok::<_, Infallible>(gpu.solve3_warm(a, &cfg, warm))
         });
         assert!(g.converged());
         for (a, b) in g.inner.v.iter().zip(&r.inner.v) {
@@ -1425,9 +1425,9 @@ mod tests {
         // Fault-free supervisor run is the plain GPU DG solve started
         // flat every round, as the supervisor starts, bit for bit.
         let problem = MeshProblem::three_phase(&net);
-        let mut gpu = Gpu3Solver::new(Device::paper_rig());
+        let mut gpu = GpuSolver::new(Device::paper_rig());
         let Ok(plain) = solve_dg(&problem, &cfg, &outer, None, |a, _| {
-            Ok::<_, Infallible>(gpu.solve_arrays(a, &cfg))
+            Ok::<_, Infallible>(gpu.solve3_warm(a, &cfg, None))
         });
         let mut clean = supervisor();
         let got = solve_dg(&problem, &cfg, &outer, None, |a, _| clean.solve3(a, &cfg)).unwrap();

@@ -1,14 +1,13 @@
-//! The per-bus phasor every host sweep is generic over: [`Complex`], or
-//! a [`CVec3`] phase triple. Its sweep steps, host cost model and PV
-//! control quantities let one serial loop, one engine interface and one
-//! DG outer loop serve both phase kinds; the device kernels live in the
-//! crate-private `LevelPhasor` extension.
+//! The per-bus phasor every sweep is generic over: [`Complex`], or a
+//! [`CVec3`] phase triple. Its sweep steps, cost model, device sum and
+//! PV control quantities let one serial loop, one set of level kernels,
+//! one engine interface and one DG outer loop serve both phase kinds.
 
 use std::ops::{AddAssign, Sub, SubAssign};
 
 use numc::{CMat3, CVec3, Complex};
-use primitives::ops::{MaxAbsF64, ScanOp};
-use simt::DeviceCopy;
+use primitives::ops::{AddCVec3, AddComplex, MaxAbsF64, ScanOp};
+use simt::{AtomicAdd, DeviceCopy};
 
 mod sealed {
     pub trait Sealed {}
@@ -18,14 +17,18 @@ mod sealed {
 
 /// A per-bus phasor: implemented for [`Complex`] and [`CVec3`] only.
 ///
-/// The constants are the serial sweep's modeled host charges per bus
-/// (see [`simt::HostProps`]); its byte charges follow from the sizes of
-/// the phasor and of [`Phasor::Z`].
+/// The flop constants are charged per bus by the serial sweep's host
+/// model (see [`simt::HostProps`]) and by the level kernels; the byte
+/// charges follow from the sizes of the phasor and of [`Phasor::Z`].
+/// The backward sweep sums child currents with [`Phasor::Sum`] (the
+/// segmented scan) or the device `atomic_add` (the atomic scatter).
 pub trait Phasor:
-    sealed::Sealed + DeviceCopy + PartialEq + AddAssign + SubAssign + Sub<Output = Self>
+    sealed::Sealed + AtomicAdd + PartialEq + AddAssign + SubAssign + Sub<Output = Self>
 {
     /// The branch impedance: a scalar, or a 3×3 phase matrix.
     type Z: DeviceCopy + PartialEq;
+    /// Phasor addition as a scan operator.
+    type Sum: ScanOp<Self>;
     /// Flops of one injection.
     const INJ_FLOPS: u64;
     /// Flops per child edge of the backward sweep (one phasor add).
@@ -66,6 +69,7 @@ pub trait Phasor:
 
 impl Phasor for Complex {
     type Z = Complex;
+    type Sum = AddComplex;
     const INJ_FLOPS: u64 = Complex::DIV_FLOPS + 1;
     const BWD_FLOPS: u64 = Complex::ADD_FLOPS;
     const FWD_FLOPS: u64 = Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4;
@@ -111,6 +115,7 @@ impl Phasor for Complex {
 
 impl Phasor for CVec3 {
     type Z = CMat3;
+    type Sum = AddCVec3;
     const INJ_FLOPS: u64 = 3 * (Complex::DIV_FLOPS + 1);
     const BWD_FLOPS: u64 = CVec3::ADD_FLOPS;
     const FWD_FLOPS: u64 = CMat3::MULVEC_FLOPS + CVec3::ADD_FLOPS + 12;

@@ -35,8 +35,8 @@
 //!   answer (or the true failure) deterministically.
 //!
 //! Both phase kinds run this one policy over the one device loop,
-//! [`drive`]: its sessions (single-phase level, fused and jump,
-//! three-phase level) differ only in their per-bus phasor,
+//! [`drive`]: its sessions (level, fused and jump) differ only in their
+//! formulation and per-bus phasor,
 //! [`numc::Complex`] or [`numc::CVec3`], and its NaN-propagating norm
 //! ([`Phasor::norm`]) is all the loop needs of it. The [`Backend::Gpu`]
 //! rung routes as [`crate::GpuSolver::new`] does (`gpu::route`): the
@@ -44,11 +44,12 @@
 //! else the level session with the direct or the segmented-scan backward
 //! sweep.
 //!
-//! A restart does not hide its cost: the modeled device time of every
-//! attempt that did not produce the answer — a restart after a setup
-//! fault or a caught panic, or a device rung abandoned before degrading
-//! — is charged to the answer's setup phase, so its `timing.total_us()`
-//! covers every device the caller waited for.
+//! Neither insurance nor a restart hides its cost: the checkpoint,
+//! restore and verify traffic of the attempt that answered, and the
+//! modeled device time of every attempt that did not — a restart after
+//! a setup fault or a caught panic, or a device rung abandoned before
+//! degrading — are charged to the answer's setup phase, so its
+//! `timing.total_us()` covers every device op the caller waited for.
 //!
 //! What a recovered answer is worth: rollbacks restore certified state,
 //! and the CPU fallbacks are fault-free. A corruption small enough to
@@ -70,7 +71,7 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::engine::Backend;
-use crate::gpu::{route, GpuSession, LevelPhasor, Route};
+use crate::gpu::{route, BackwardStrategy, GpuSession, Route};
 use crate::jump::{JumpArrays, JumpSession};
 use crate::obs::Obs;
 use crate::phasor::Phasor;
@@ -78,7 +79,7 @@ use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult,
 use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus};
 use crate::tensor_batch::FusedSession;
-use crate::three_phase::{Arrays3, Gpu3Session, Solve3Result};
+use crate::three_phase::{Arrays3, Solve3Result};
 
 /// A residual is anomalous when it exceeds this multiple of the
 /// previous iteration's residual (or of the tolerance, near
@@ -89,14 +90,14 @@ pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 /// A session's final voltages and branch currents, in position order.
 pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
 
-/// One GPU sweep in progress, abstracted over the single-phase level,
-/// fused and jump formulations and the three-phase level one, so the
-/// recovery loop in [`drive`] is written once.
+/// One GPU sweep in progress, abstracted over the level (either phase
+/// kind), fused and jump formulations, so the recovery loop in [`drive`]
+/// is written once.
 ///
 /// All voltages are in the session's device position order.
 pub(crate) trait SweepSession {
     /// The per-bus phasor: [`numc::Complex`] or [`numc::CVec3`].
-    type V: LevelPhasor;
+    type V: Phasor;
     /// The session's modeled-time accounts.
     fn clock(&self) -> &SessionClock;
     /// Runs one full FBS iteration; returns the ∞-norm voltage update.
@@ -267,8 +268,8 @@ fn rollback<S: SweepSession>(
     }
 }
 
-/// The one device iteration loop: the plain level, fused, jump and
-/// three-phase solvers and the supervisor's device rungs all run it,
+/// The one device iteration loop: the plain level (either phase kind),
+/// fused and jump solvers and the supervisor's device rungs all run it,
 /// from the state the session was opened with. Each iteration is
 /// recorded as an `iter` span in the category of the policy's `obs`.
 ///
@@ -578,16 +579,18 @@ impl ResilientSolver {
 
     /// Solves a three-phase network from prepared arrays, recovering
     /// from injected faults with the same checkpointed device loop as
-    /// [`ResilientSolver::solve`]. Every device backend runs the one
-    /// three-phase device path ([`crate::Gpu3Solver`]'s session); the
-    /// CPU rung is always the serial sweep, because multicore has no
-    /// three-phase form.
+    /// [`ResilientSolver::solve`]. Every device backend runs the level
+    /// session over phase triples with its pinned backward strategy, or
+    /// the segmented scan ([`crate::GpuSolver::solve3`]); the CPU rung is
+    /// always the serial sweep, because multicore has no three-phase
+    /// form.
     pub fn solve3(
         &mut self,
         a: &Arrays3,
         cfg: &SolverConfig,
     ) -> Result<Solve3Result, ResilienceError> {
         let start = if self.backend.is_device() { self.backend } else { Backend::Serial };
+        let strategy = self.backend.strategy().unwrap_or(BackwardStrategy::SegScan);
         self.supervise(
             start,
             (a.len(), a.source),
@@ -598,7 +601,7 @@ impl ResilientSolver {
             }
             .solve_arrays(a, cfg),
             |_| Backend::Serial,
-            |dev, at| at.run(|obs| Gpu3Session::open(dev, a, None, obs)),
+            |dev, at| at.run(|obs| GpuSession::with_obs(dev, a, strategy, None, obs)),
         )
     }
 
@@ -771,7 +774,9 @@ struct Attempt<'a> {
 
 impl Attempt<'_> {
     /// Drives the session `open` returns when handed the attempt's span
-    /// sink (a setup failure charges the budget).
+    /// sink (a setup failure charges the budget). The session's
+    /// checkpoint, restore and verify traffic is charged to the answer's
+    /// setup phase as well as to the report's `checkpoint_us`.
     fn run<S: SweepSession>(
         self,
         open: impl FnOnce(Obs) -> Result<S, DeviceError>,
@@ -779,8 +784,12 @@ impl Attempt<'_> {
         let Attempt { cfg, policy, report, budget } = self;
         let mut sess = open(policy.obs.clone()).map_err(|e| setup_abort(e, report, budget))?;
         let out = drive(&mut sess, cfg, &policy, report, budget);
-        report.checkpoint_us += sess.clock().recovery_us;
-        out
+        let recovery_us = sess.clock().recovery_us;
+        report.checkpoint_us += recovery_us;
+        out.map(|mut res| {
+            res.timing.phases.setup_us += recovery_us;
+            res
+        })
     }
 }
 
@@ -805,7 +814,7 @@ pub(crate) fn run_plain<S: SweepSession>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gpu3Solver, GpuSolver, SerialSolver};
+    use crate::{GpuSolver, SerialSolver};
     use numc::{c, CMat3, CVec3};
     use powergrid::gen::{balanced_binary, star, GenSpec};
     use powergrid::ieee::ieee13;
@@ -883,10 +892,11 @@ mod tests {
             let name = backend.name();
             let (mut supervisor, _) = clean_run(backend, &a);
 
-            // Three-phase: every device backend runs the plain Gpu3Solver's
-            // session.
-            let mut plain3 = Gpu3Solver::new(Device::new(props.clone()));
-            let want3 = plain3.solve_arrays(&a3, &cfg);
+            // Three-phase: every device backend runs the plain level path
+            // with its pinned strategy, or the segmented scan.
+            let strategy = backend.strategy().unwrap_or(BackwardStrategy::SegScan);
+            let mut plain3 = GpuSolver::with_strategy(Device::new(props.clone()), strategy);
+            let want3 = plain3.solve3_warm(&a3, &cfg, None);
             let res3 = supervisor.solve3(&a3, &cfg).expect("clean run cannot fail");
             assert_eq!((res3.status, res3.iterations), (SolveStatus::Converged, want3.iterations));
             assert_eq!(res3.v, want3.v, "{name}: fault-free 3φ run must be bit-identical");
@@ -961,6 +971,39 @@ mod tests {
         let want = clean.timing.total_us() + 2.0 * upload_us;
         let got = res.timing.total_us();
         assert!((got - want).abs() <= 1e-9 * want, "charged {got} µs, attempts took {want} µs");
+    }
+
+    /// A clean supervised solve with a plan armed checkpoints, and its
+    /// answer's modeled time is the plain solve's plus that checkpoint
+    /// traffic, on the fused route, on the level path and on three phases.
+    #[test]
+    fn checkpoint_traffic_is_charged_to_the_answer() {
+        let cfg = SolverConfig::default();
+        let (props, host) = rig();
+        let supervisor = || {
+            ResilientSolver::new(Backend::Gpu, props.clone(), host.clone())
+                .with_fault_plan(FaultPlan::seeded(0, 0.0))
+        };
+        let charged = |name: &str, plain: f64, got: f64, report: Option<FaultReport>| {
+            let report = report.expect("supervisor attaches a report");
+            assert!(report.checkpoints > 0 && report.checkpoint_us > 0.0, "{name}: {report:?}");
+            let want = plain + report.checkpoint_us;
+            assert!((got - want).abs() <= 1e-9 * want, "{name}: charged {got} µs, ran {want} µs");
+        };
+        let (spec, rng) = (GenSpec::default(), || StdRng::seed_from_u64(7));
+        for (name, net) in [
+            ("fused", balanced_binary(1023, &spec, &mut rng())),
+            ("level", star(1000, &spec, &mut rng())),
+        ] {
+            let a = SolverArrays::new(&net);
+            let plain = GpuSolver::new(Device::new(props.clone())).solve_arrays(&a, &cfg);
+            let res = supervisor().solve(&a, &cfg).unwrap();
+            charged(name, plain.timing.total_us(), res.timing.total_us(), res.fault_report);
+        }
+        let a3 = Arrays3::new(&ieee13_unbalanced());
+        let plain3 = GpuSolver::new(Device::new(props.clone())).solve3_warm(&a3, &cfg, None);
+        let res3 = supervisor().solve3(&a3, &cfg).unwrap();
+        charged("3φ", plain3.timing.total_us(), res3.timing.total_us(), res3.fault_report);
     }
 
     /// Half the device ops a clean supervised [`Backend::Gpu`] solve of
@@ -1052,7 +1095,7 @@ mod tests {
     /// resident bit flip in the voltages leaves when it lands there on
     /// the converging iteration. Everything else is the real session.
     struct NanLeafPhase<'a> {
-        sess: Gpu3Session<'a>,
+        sess: GpuSession<'a, CVec3>,
         leaf: usize,
         fired: bool,
     }
@@ -1118,7 +1161,8 @@ mod tests {
         assert!(want.converged());
 
         let mut dev = Device::new(DeviceProps::paper_rig());
-        let sess = Gpu3Session::open(&mut dev, &a, None, Obs::default()).unwrap();
+        let strategy = BackwardStrategy::SegScan;
+        let sess = GpuSession::with_obs(&mut dev, &a, strategy, None, Obs::default()).unwrap();
         let mut v_pos = a.levels.permute(&want.v);
         v_pos[leaf].a = c(f64::NAN, 0.0);
         assert!(sess.host_iterate(&v_pos).0.is_nan(), "the host residual drops a NaN phase");

@@ -7,41 +7,33 @@
 //! unchanged —
 //!
 //! 1. injection per phase: `I_φ = conj(S_φ / V_φ)`,
-//! 2. backward: per-level segmented scan of `CVec3` branch currents
-//!    (the primitives are generic over the element type, so the same
-//!    kernels carry 48-byte phase triples),
+//! 2. backward: per-level sums of `CVec3` branch currents (the level
+//!    kernels and primitives are generic over the element type, so the
+//!    same kernels carry 48-byte phase triples, with any backward
+//!    strategy),
 //! 3. forward: `V = V_parent − Z·J` where `Z·J` is a 3×3 complex
 //!    mat-vec — ~8× the arithmetic per bus of the single-phase solver,
 //!    which shifts kernels from latency- toward compute/bandwidth-bound
 //!    and moves the GPU crossover to smaller trees (experiment E11).
 //! 4. convergence on the worst phase: `max_bus max_φ |ΔV_φ|`, NaN when
-//!    any phase is ([`Phasor::norm`]).
+//!    any phase is ([`crate::Phasor::norm`]).
 //!
-//! No host loop lives here: the serial reference is
-//! [`crate::SerialSolver`]'s sweep over phase triples ([`Serial3Solver`])
-//! and the DG loop is [`crate::solve_dg`]. Three-phase-only are the
-//! arrays ([`Arrays3`]) and the `fbs3_*` kernels of [`Gpu3Solver`]'s
-//! session, which the one device loop (`recovery::drive`) steps. A
-//! balanced system degenerates to three rotated single-phase solutions,
-//! which the tests exploit as an oracle.
-
-use std::time::Instant;
+//! No loop and no kernel lives here: the serial reference is
+//! [`crate::SerialSolver`]'s sweep over phase triples ([`Serial3Solver`]),
+//! the device solve is [`crate::GpuSolver::solve3`] over the one set of
+//! level kernels, and the DG loop is [`crate::solve_dg`]. Three-phase-only
+//! are the arrays ([`Arrays3`]). A balanced system degenerates to three
+//! rotated single-phase solutions, which the tests exploit as an oracle.
 
 use numc::{CMat3, CVec3};
 use powergrid::three_phase::ThreePhaseNetwork;
-use primitives::ops::{AddCVec3, MaxAbsF64};
-use primitives::{try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceError, HostProps};
+use simt::HostProps;
 
 use telemetry::Recorder;
 
 use crate::arrays::LevelArrays;
 use crate::config::SolverConfig;
-use crate::gpu::{BackwardStrategy, GpuSession, LevelPhasor};
-use crate::obs::Obs;
-use crate::phasor::Phasor;
-use crate::recovery;
-use crate::report::{invalid_config_result, SolveResult};
+use crate::report::SolveResult;
 use crate::serial::SerialSolver;
 
 /// Level-ordered three-phase solver arrays: per-position phase-triple
@@ -89,184 +81,19 @@ impl Serial3Solver {
     }
 }
 
-/// GPU three-phase FBS solver (level-synchronous, segmented scan over
-/// phase triples).
-pub struct Gpu3Solver {
-    device: Device,
-    recorder: Option<Recorder>,
-}
-
-impl Gpu3Solver {
-    /// Creates a solver on the given device.
-    pub fn new(device: Device) -> Self {
-        Gpu3Solver { device, recorder: None }
-    }
-
-    /// Attaches a telemetry recorder: per-iteration/per-phase spans and
-    /// residual samples are recorded into it during every solve.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// The underlying device.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// Solves a three-phase network.
-    pub fn solve(&mut self, net: &ThreePhaseNetwork, cfg: &SolverConfig) -> Solve3Result {
-        self.solve_arrays(&Arrays3::new(net), cfg)
-    }
-
-    /// Solves with pre-built arrays from the flat start.
-    pub fn solve_arrays(&mut self, a: &Arrays3, cfg: &SolverConfig) -> Solve3Result {
-        self.solve_warm(a, cfg, None)
-    }
-
-    /// Solves with pre-built arrays, starting from `v_init` (by bus id)
-    /// when given: the one device loop (`recovery::drive`) over a
-    /// `Gpu3Session`, with no checkpoints and no retry budget. A device
-    /// error or an injected fault it would have to roll back panics.
-    pub fn solve_warm(
-        &mut self,
-        a: &Arrays3,
-        cfg: &SolverConfig,
-        v_init: Option<&[CVec3]>,
-    ) -> Solve3Result {
-        let wall0 = Instant::now();
-        if cfg.validate().is_err() {
-            return invalid_config_result(a.len(), a.source);
-        }
-        let obs = Obs::new(self.recorder.as_ref(), "solver.gpu3");
-        let opened = Gpu3Session::open(&mut self.device, a, v_init, obs.clone());
-        recovery::run_plain(opened, wall0, cfg, &obs)
-    }
-}
-
-/// The three-phase level-synchronous session: the single-phase session's
-/// state and bookkeeping over phase triples, with the `fbs3_*` kernels.
-pub(crate) type Gpu3Session<'a> = GpuSession<'a, CVec3>;
-
-impl<'a> Gpu3Session<'a> {
-    /// Opens a session from the flat start or the warm start `v_init`
-    /// (uploads charged to the setup phase). The `fbs3_*` kernels have
-    /// the segmented-scan backward sweep only.
-    pub(crate) fn open(
-        dev: &'a mut Device,
-        a: &'a Arrays3,
-        v_init: Option<&'a [CVec3]>,
-        obs: Obs,
-    ) -> Result<Self, DeviceError> {
-        Self::with_obs(dev, a, BackwardStrategy::SegScan, v_init, obs)
-    }
-}
-
-/// The three-phase kernels stay apart from the single-phase ones: the
-/// per-phase injection, the 3×3 mat-vec forward update and their flop
-/// charges differ, and only the segmented-scan backward sweep has a
-/// three-phase form.
-impl LevelPhasor for CVec3 {
-    fn iterate(sess: &mut Gpu3Session<'_>) -> Result<f64, DeviceError> {
-        let dev = &mut *sess.dev;
-        let a = sess.a;
-        let n = a.len();
-        let num_levels = a.levels.num_levels();
-
-        // Injection.
-        let mark = dev.timeline().mark();
-        {
-            let s_v = sess.s_buf.view();
-            let v_v = sess.v_buf.view();
-            let i_v = sess.i_buf.view_mut();
-            try_launch_map(dev, n, "fbs3_inject", move |t, p| {
-                let s = t.ld(&s_v, p);
-                let v = t.ld(&v_v, p);
-                t.flops(CVec3::INJ_FLOPS);
-                t.st(&i_v, p, CVec3::inject(s, v));
-            })?;
-        }
-        sess.clock.charge("injection", &dev.timeline().breakdown_since(mark));
-
-        // Backward sweep.
-        let mark = dev.timeline().mark();
-        for l in (0..num_levels).rev() {
-            let range = a.levels.level_range(l);
-            let (lo, len) = (range.start, range.len());
-            if l + 1 < num_levels {
-                let crange = a.levels.level_range(l + 1);
-                try_segscan_inclusive_range::<CVec3, AddCVec3>(
-                    dev,
-                    &sess.j_buf,
-                    &sess.flags_buf,
-                    crange.start,
-                    crange.end,
-                    &mut sess.scan_buf,
-                )?;
-            }
-            let i_v = sess.i_buf.view();
-            let lo_v = sess.child_lo_buf.view();
-            let hi_v = sess.child_hi_buf.view();
-            let last_v = sess.seg_last_buf.view();
-            let scan_v = sess.scan_buf.view();
-            let j_v = sess.j_buf.view_mut();
-            try_launch_map(dev, len, "fbs3_backward_combine", move |t, k| {
-                let p = lo + k;
-                let mut acc = t.ld(&i_v, p);
-                if t.ld(&lo_v, p) < t.ld(&hi_v, p) {
-                    let tail = t.ld(&last_v, p) as usize;
-                    t.flops(CVec3::ADD_FLOPS);
-                    acc += t.ld(&scan_v, tail);
-                }
-                t.st(&j_v, p, acc);
-            })?;
-        }
-        sess.clock.charge("backward", &dev.timeline().breakdown_since(mark));
-
-        // Forward sweep.
-        let mark = dev.timeline().mark();
-        for l in 1..num_levels {
-            let range = a.levels.level_range(l);
-            let (lo, len) = (range.start, range.len());
-            let z_v = sess.z_buf.view();
-            let par_v = sess.parent_buf.view();
-            let j_v = sess.j_buf.view();
-            let d_v = sess.delta_buf.view_mut();
-            let v_v = sess.v_buf.view_mut();
-            try_launch_map(dev, len, "fbs3_forward", move |t, k| {
-                let p = lo + k;
-                let parent = t.ld(&par_v, p) as usize;
-                let vp = t.ld_mut(&v_v, parent);
-                let z = t.ld(&z_v, p);
-                let jb = t.ld(&j_v, p);
-                let old = t.ld_mut(&v_v, p);
-                let new_v = vp - z.mul_vec(jb);
-                t.flops(CVec3::FWD_FLOPS);
-                t.st(&v_v, p, new_v);
-                t.st(&d_v, p, (new_v - old).norm());
-            })?;
-        }
-        sess.clock.charge("forward", &dev.timeline().breakdown_since(mark));
-
-        // Convergence.
-        let mark = dev.timeline().mark();
-        let delta = try_reduce::<f64, MaxAbsF64>(dev, &sess.delta_buf)?;
-        sess.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
-        Ok(delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phasor::Phasor;
     use crate::status::SolveStatus;
+    use crate::GpuSolver;
     use numc::{c, Complex};
     use powergrid::three_phase::{ieee13_unbalanced, ThreePhaseBuilder};
     use powergrid::NetworkBuilder;
-    use simt::DeviceProps;
+    use simt::{Device, DeviceProps};
 
-    fn gpu3() -> Gpu3Solver {
-        Gpu3Solver::new(Device::with_workers(DeviceProps::paper_rig(), 2))
+    fn gpu3() -> GpuSolver {
+        GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2))
     }
 
     /// A balanced three-phase network with diagonal impedances must
@@ -312,7 +139,7 @@ mod tests {
     }
 
     /// A NaN in one phase of the state must reach the convergence norm of
-    /// both the serial sweep and the `fbs3` kernels; `CVec3::abs_max`
+    /// both the serial sweep and the level kernels; `CVec3::abs_max`
     /// drops it. A warm start puts it at a zero-load leaf, whose other
     /// phases stay finite and whose first forward update overwrites it,
     /// so only the norm can see it.
@@ -329,7 +156,7 @@ mod tests {
         warm[2].b = c(f64::NAN, 0.0);
         let cfg = SolverConfig::default();
         let serial = SerialSolver::new(HostProps::paper_rig()).solve_warm(&a, &cfg, Some(&warm));
-        let gpu = gpu3().solve_warm(&a, &cfg, Some(&warm));
+        let gpu = gpu3().solve3_warm(&a, &cfg, Some(&warm));
         for (name, res) in [("serial", serial), ("gpu", gpu)] {
             let first = res.residual_history[0];
             assert!(first.is_nan(), "{name}: first residual {first}, {}", res.status);
@@ -343,7 +170,7 @@ mod tests {
         let net = ieee13_unbalanced();
         let cfg = SolverConfig::default();
         let s = Serial3Solver::new(HostProps::paper_rig()).solve(&net, &cfg);
-        let g = gpu3().solve(&net, &cfg);
+        let g = gpu3().solve3(&net, &cfg);
         assert!(s.converged() && g.converged());
         assert_eq!(s.iterations, g.iterations);
         for bus in 0..net.num_buses() {

@@ -27,7 +27,7 @@ use crate::buffer::DeviceCopy;
 /// compound types, matching CUDA's treatment of `double2`).
 pub unsafe trait AtomicAdd: DeviceCopy {
     /// Number of component atomic operations one `atomic_add` issues
-    /// (1 for scalars, 2 for complex) — used by the stats layer.
+    /// (1 for scalars, 2 for complex, 6 for a phase triple) — used by the stats layer.
     const COMPONENT_OPS: u64;
 
     /// Atomically adds `v` to the value at `ptr`.
@@ -82,6 +82,22 @@ unsafe impl AtomicAdd for numc::Complex {
             let re_ptr = ptr as *mut f64;
             f64::atomic_add_at(re_ptr, v.re);
             f64::atomic_add_at(re_ptr.add(1), v.im);
+        }
+    }
+}
+
+// SAFETY: component-wise f64 atomic adds, as for `Complex`: the six parts
+// are not updated as a unit, but per-phase sums are unaffected.
+unsafe impl AtomicAdd for numc::CVec3 {
+    const COMPONENT_OPS: u64 = 6;
+
+    unsafe fn atomic_add_at(ptr: *mut numc::CVec3, v: numc::CVec3) {
+        // SAFETY: CVec3 is #[repr(C)] { a, b, c: Complex }.
+        unsafe {
+            let phase_ptr = ptr as *mut numc::Complex;
+            for (k, p) in v.phases().into_iter().enumerate() {
+                numc::Complex::atomic_add_at(phase_ptr.add(k), p);
+            }
         }
     }
 }
@@ -148,5 +164,24 @@ mod tests {
             }
         });
         assert_eq!(cell, c(400.0, 600.0));
+    }
+
+    #[test]
+    fn cvec3_atomic_add_sums_every_phase() {
+        let mut cell = numc::CVec3::ZERO;
+        let p: *mut numc::CVec3 = &mut cell;
+        let addr = p as usize;
+        std::thread::scope(|s| {
+            for k in 0..4 {
+                s.spawn(move || {
+                    let v = numc::CVec3::new(c(1.0, k as f64), c(-2.0, 0.5), c(0.25, -k as f64));
+                    for _ in 0..100 {
+                        // SAFETY: atomic-only access.
+                        unsafe { numc::CVec3::atomic_add_at(addr as *mut numc::CVec3, v) };
+                    }
+                });
+            }
+        });
+        assert_eq!(cell, numc::CVec3::new(c(400.0, 600.0), c(-800.0, 200.0), c(100.0, -600.0)));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example unbalanced_feeder`
 
-use fbs::{Gpu3Solver, Serial3Solver, SolverConfig};
+use fbs::{GpuSolver, Serial3Solver, SolverConfig};
 use powergrid::three_phase::ieee13_unbalanced;
 use simt::{Device, DeviceProps, HostProps};
 
@@ -47,8 +47,8 @@ fn main() {
     );
 
     // GPU agreement check.
-    let mut gpu = Gpu3Solver::new(Device::new(DeviceProps::paper_rig()));
-    let g = gpu.solve(&net, &cfg);
+    let mut gpu = GpuSolver::new(Device::new(DeviceProps::paper_rig()));
+    let g = gpu.solve3(&net, &cfg);
     let max_diff = (0..net.num_buses())
         .map(|b| (g.v[b] - res.v[b]).abs_max())
         .fold(0.0f64, f64::max);

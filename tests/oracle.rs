@@ -7,7 +7,7 @@
 //! warm, three deadlines), meshed/DG through [`MeshSolver`], seeded fault
 //! plans through [`ResilientSolver`], tensor and outage-patched batches
 //! per scenario, and three-phase (every `SweepBackend<CVec3>` engine,
-//! cold and warm, the supervisor under a seeded plan, plus one PV
+//! each backward strategy of the level path, cold and warm, the supervisor under a seeded plan, plus one PV
 //! generator through the generic DG loop) — each at the bound of the
 //! parity property it generalises (see DESIGN.md, "Engines").
 //!
@@ -18,7 +18,7 @@ use check::gen::{f64_in, tuple3, tuple4, tuple5, u64_any, usize_in};
 use check::{checker, prop_assert, prop_assert_eq, CaseResult};
 use fbs::obs::status_key;
 use fbs::{
-    solve_dg, Arrays3, Backend, BackwardStrategy, Gpu3Solver, GpuSolver, MeshProblem, MeshResult,
+    solve_dg, Arrays3, Backend, BackwardStrategy, GpuSolver, MeshProblem, MeshResult,
     MeshSolver, OuterConfig, ResilientSolver, ScenarioPatch, Scenarios, SerialSolver, Solve3Result,
     SolveResult, SolveStatus, SolverArrays, SolverConfig, SweepBackend, TensorBatchSolver,
 };
@@ -483,12 +483,17 @@ fn with_generator(net: &ThreePhaseNetwork, rng: &mut StdRng) -> ThreePhaseNetwor
     b.build().expect("a generator on a valid feeder must validate")
 }
 
+/// A plain three-phase engine.
+type Engine3 = Box<dyn SweepBackend<CVec3, Error = std::convert::Infallible>>;
+
 /// One three-phase case: a random tree expanded to three phases, solved
 /// through `SweepBackend<CVec3>` by the serial sweep, the plain GPU
-/// solver and the supervisor with a seeded plan at `rate` armed, each
-/// cold and warm-started from a perturbed serial answer. Plain engines
-/// must match serial from the same start, the supervisor (which starts
-/// flat) the cold serial answer. Then the same feeder with one PV
+/// solver (segmented scan) and the GPU solver pinned to the direct and
+/// the atomic-scatter backward sweeps, and the supervisor with a seeded
+/// plan at `rate` armed, each cold and warm-started from a perturbed
+/// serial answer. Plain engines must match serial from the same start,
+/// status and iterations too, the supervisor (which starts flat) the cold
+/// serial answer. Then the same feeder with one PV
 /// generator runs the generic DG outer loop: the plain GPU solver at the
 /// meshed family's 1e-9·|V0|, the supervisor (whose recovered inner
 /// answers are held to 1e-8·|V0| above) at 1e-8·|V0|.
@@ -505,14 +510,24 @@ fn agrees3(n: usize, seed: u64, unbalance: f64, rate: f64) -> Result<(), String>
 
     let cold = serial().solve_arrays(&a, &cfg);
     let perturbed: Vec<CVec3> = cold.v.iter().map(|v| *v * 0.999).collect();
+    let pinned = |s| GpuSolver::with_strategy(Device::paper_rig(), s);
     for warm in [None, Some(perturbed.as_slice())] {
         let want = serial().solve_warm(&a, &cfg, warm);
-        let Ok(s) = serial().solve_warm_arrays(&a, &cfg, warm);
-        let Ok(g) = Gpu3Solver::new(Device::paper_rig()).solve_warm_arrays(&a, &cfg, warm);
-        let r = supervisor.solve_warm_arrays(&a, &cfg, warm).map_err(fault)?;
-        for (name, res, want) in [("serial", &s, &want), ("gpu3", &g, &want), ("solve3", &r, &cold)] {
-            agree3(name, res, want, scale)?;
+        let engines: [(&str, Engine3); 4] = [
+            ("serial", Box::new(serial())),
+            ("gpu", Box::new(GpuSolver::new(Device::paper_rig()))),
+            ("gpu-direct", Box::new(pinned(BackwardStrategy::Direct))),
+            ("gpu-atomic", Box::new(pinned(BackwardStrategy::AtomicScatter))),
+        ];
+        for (name, mut engine) in engines {
+            let Ok(res) = engine.solve_warm_arrays(&a, &cfg, warm);
+            agree3(name, &res, &want, scale)?;
+            if res.iterations != want.iterations {
+                return Err(format!("{name}: {} iterations, serial {}", res.iterations, want.iterations));
+            }
         }
+        let r = supervisor.solve_warm_arrays(&a, &cfg, warm).map_err(fault)?;
+        agree3("solve3", &r, &cold, scale)?;
     }
 
     let problem = MeshProblem::three_phase(&with_generator(&net3, &mut rng));
@@ -520,11 +535,11 @@ fn agrees3(n: usize, seed: u64, unbalance: f64, rate: f64) -> Result<(), String>
     let mut serial = serial();
     let Ok(want) = solve_dg(&problem, &cfg, &outer, None, |a, warm| serial.solve_warm_arrays(a, &cfg, warm));
     let Ok(flat) = solve_dg(&problem, &cfg, &outer, None, |a, _| serial.solve_warm_arrays(a, &cfg, None));
-    let mut gpu = Gpu3Solver::new(Device::paper_rig());
+    let mut gpu = GpuSolver::new(Device::paper_rig());
     let Ok(g) = solve_dg(&problem, &cfg, &outer, None, |a, warm| gpu.solve_warm_arrays(a, &cfg, warm));
     let r = solve_dg(&problem, &cfg, &outer, None, |a, warm| supervisor.solve_warm_arrays(a, &cfg, warm))
         .map_err(fault)?;
-    agree3_dg("gpu3", &g, &want, 1e-9 * scale)?;
+    agree3_dg("gpu", &g, &want, 1e-9 * scale)?;
     agree3_dg("solve3", &r, &flat, 1e-8 * scale)
 }
 
