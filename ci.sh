@@ -24,7 +24,10 @@
 #      (131 071); E13, E15 and E16 pin the service's retry and breaker
 #      schedule, the fleet's routing, hedging and failover, and the
 #      soak's fault and recovery counts under armed plans, none of which
-#      the benchmark's `fleet-open` (no plan armed) reaches.
+#      the benchmark's `fleet-open` (no plan armed) reaches. Each pinned
+#      run's stderr (every caught device panic prints a backtrace there)
+#      goes to a file in its directory; its tail is printed only when the
+#      run fails or its CSV differs.
 #   4. Benchmark: one `--seconds 1 --trace 0` run of every
 #      BENCHMARK.json workload at the default seed. Each run checks its
 #      answers against the serial reference, and the leg fails unless
@@ -86,9 +89,15 @@ for pinned in e11_three_phase e12_faults e13_service e15_fleet e16_soak; do
   cargo build -q --offline --release -p fbs-bench --bin "exp_$pinned"
   pinned_bin="$PWD/target/release/exp_$pinned"
   pinned_dir=$(mktemp -d)
-  (cd "$pinned_dir" && env -u CARGO_MANIFEST_DIR timeout 300 "$pinned_bin" > /dev/null)
+  pinned_err="$pinned_dir/stderr.log"
+  if ! (cd "$pinned_dir" && env -u CARGO_MANIFEST_DIR timeout 300 "$pinned_bin" > /dev/null 2> "$pinned_err"); then
+    echo "$pinned: the full run failed; the tail of its stderr:" >&2
+    tail -n 40 "$pinned_err" >&2
+    exit 1
+  fi
   if ! cmp -s "$pinned_dir/results/$pinned.csv" "results/$pinned.csv"; then
-    echo "$pinned: the full run's CSV differs from results/$pinned.csv" >&2
+    echo "$pinned: the full run's CSV differs from results/$pinned.csv; the tail of its stderr:" >&2
+    tail -n 40 "$pinned_err" >&2
     exit 1
   fi
   rm -rf "$pinned_dir"

@@ -982,19 +982,21 @@ fn cmd_soak(argv: &[String]) -> Result<u8, String> {
     // The compound storm: an early corruption burst, a long
     // corruption-under-load ramp, and (by default) a correlated kill of
     // every non-zero ordinal up to two devices. The windows sit in each
-    // device's op-space, sized for the fused sweep small feeders take.
-    // The kill window is narrow: a dead device consumes one plan op per
-    // attempt, so the rejoin probes walk past it quickly.
+    // device's op-space, sized for the fused sweep small feeders take
+    // (a supervised IEEE-37 solve at 1e-12 is 34 device ops, so the kill
+    // lands within a device's first dozen solves). The kill window is
+    // narrow: a dead device consumes one plan op per attempt, so the
+    // rejoin probes walk past it quickly.
     let mut storm = StormSchedule::new(seed)
-        .with_burst(19, 312, burst_rate)
-        .with_corruption_ramp(500, 625, ramp_rate);
+        .with_burst(15, 247, burst_rate)
+        .with_corruption_ramp(395, 494, ramp_rate);
     let killed: Vec<u32> = if kill && devices > 1 {
         (1..devices.min(3) as u32).collect()
     } else {
         Vec::new()
     };
     if !killed.is_empty() {
-        storm = storm.with_correlated_kill(375, 387, killed.iter().copied());
+        storm = storm.with_correlated_kill(296, 306, killed.iter().copied());
     }
 
     // Aggressive rejoin pacing (probe after one open-served dispatch,

@@ -45,7 +45,7 @@ use telemetry::Recorder;
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::{self, SessionClock, SweepSession};
+use crate::recovery::{self, SessionClock, SweepSession, Sweeps};
 use crate::report::SolveResult;
 
 /// Preorder solver arrays (the jump solver's analog of
@@ -239,7 +239,7 @@ impl SweepSession for JumpSession<'_> {
         &self.clock
     }
 
-    fn iterate(&mut self) -> Result<f64, DeviceError> {
+    fn iterate(&mut self, _: &Sweeps) -> Result<Vec<f64>, DeviceError> {
         let dev = &mut *self.dev;
         let a = self.a;
         let n = a.len();
@@ -349,7 +349,7 @@ impl SweepSession for JumpSession<'_> {
         let mark = dev.timeline().mark();
         let delta = try_reduce::<f64, MaxAbsF64>(dev, &self.delta_buf)?;
         self.clock.charge("convergence", &dev.timeline().breakdown_since(mark));
-        Ok(delta)
+        Ok(vec![delta])
     }
 
     fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {

@@ -77,7 +77,7 @@ use crate::obs::Obs;
 use crate::phasor::Phasor;
 use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
 use crate::serial::SerialSolver;
-use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::status::{ConvergenceMonitor, SolveStatus, SureContinue};
 use crate::tensor_batch::FusedSession;
 use crate::three_phase::{Arrays3, Solve3Result};
 
@@ -100,8 +100,13 @@ pub(crate) trait SweepSession {
     type V: Phasor;
     /// The session's modeled-time accounts.
     fn clock(&self) -> &SessionClock;
-    /// Runs one full FBS iteration; returns the ∞-norm voltage update.
-    fn iterate(&mut self) -> Result<f64, DeviceError>;
+    /// Runs `allowed.max` or fewer full FBS iterations — the level and
+    /// jump sessions one, the fused session one launch of an on-device
+    /// loop — and returns each one's ∞-norm voltage update, at least one.
+    /// A session running more than one stops after any iteration
+    /// `allowed.go_on` rejects, so the loop's monitor never sees an
+    /// iteration past one it would have stopped at.
+    fn iterate(&mut self, allowed: &Sweeps) -> Result<Vec<f64>, DeviceError>;
     /// Downloads the voltage state (checkpoint capture).
     fn snapshot(&mut self) -> Result<Vec<Self::V>, DeviceError>;
     /// Re-uploads every static buffer and the given voltages, clearing
@@ -127,6 +132,20 @@ pub(crate) trait SweepSession {
     fn source_mag(&self) -> f64;
     /// Faults the device has recorded so far (monotone per device).
     fn faults_observed(&self) -> u32;
+}
+
+/// What one [`SweepSession::iterate`] call may run, set by [`drive`].
+pub(crate) struct Sweeps {
+    /// Most iterations the call may run: the iterations left under
+    /// `max_iter`, or 1 while the attempt checkpoints or a cancel flag is
+    /// armed (each iteration then gets its own checks).
+    pub(crate) max: u32,
+    /// Modeled µs left before [`SolverConfig::deadline_us`], if one is
+    /// set; a session fits its launch into it where it can.
+    pub(crate) budget_us: Option<f64>,
+    /// The test between iterations: another runs only after one at which
+    /// the monitor cannot stop.
+    pub(crate) go_on: SureContinue,
 }
 
 /// Modeled-time accounts of one device session: the phase totals, the
@@ -277,6 +296,17 @@ fn rollback<S: SweepSession>(
 /// and holds no host copy of the state, so a clean run issues only the
 /// sweep's own device operations. A plain solve runs it with a zero
 /// retry budget: any fault it would have to roll back aborts.
+///
+/// Each [`SweepSession::iterate`] call may run several iterations (the
+/// fused session's on-device loop); the loop allows it the iterations
+/// left under `max_iter`, or one while it checkpoints or a cancel flag is
+/// armed, plus the time left before the deadline. It replays every
+/// residual through the unchanged per-iteration logic — history, spike
+/// gate, monitor — so its verdicts are the one-iteration-per-call
+/// verdicts exactly: the session never runs past an iteration the
+/// monitor could stop at. The deadline and cancel checks run where the
+/// device stopped, after a call's last iteration, and a call's modeled
+/// time is split evenly over its iterations' spans.
 fn drive<S: SweepSession>(
     sess: &mut S,
     cfg: &SolverConfig,
@@ -359,82 +389,98 @@ fn drive<S: SweepSession>(
             if iters >= cfg.max_iter {
                 finish!(SolveStatus::MaxIterations);
             }
-            iters += 1;
             let t0 = sess.clock().elapsed_us();
-            let r = step!(sess.iterate());
-            obs.iteration(iters, t0, sess.clock().elapsed_us(), r);
-            history.push(r);
-            residual = r;
-            let tainted = sess.faults_observed() > ckpt.faults;
-            if tainted && (!r.is_finite() || r > SPIKE_FACTOR * prev_r.max(tol)) {
-                recover!();
-            }
-            match mon.observe(iters, r) {
-                None => {
-                    // Deadline and watchdog-cancel checks happen only on
-                    // a still-running iteration, mirroring the CPU solver
-                    // loops: a converged/failed status is never masked by
-                    // a slow clock. The status reports the clock at the
-                    // check, before the final download.
-                    let elapsed_us = sess.clock().elapsed_us();
-                    let deadline_hit =
-                        cfg.deadline_us.is_some_and(|budget_us| elapsed_us >= budget_us);
-                    let cancelled =
-                        cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-                    if deadline_hit || cancelled {
-                        finish!(SolveStatus::DeadlineExceeded {
-                            at_iteration: iters,
-                            elapsed_us: elapsed_us as u64,
-                        });
-                    }
-                    prev_r = r;
-                    if checkpointing && iters.is_multiple_of(cfg.checkpoint_every) {
-                        if tainted {
-                            // Certification: statics exact, and one host
-                            // sweep from the captured voltages must agree
-                            // with what the device just reported.
-                            if !step!(sess.verify_static()) {
-                                recover!();
-                            }
-                            let v = step!(sess.snapshot());
-                            let (rh, _) = sess.host_iterate(&v);
-                            if !rh.is_finite() || rh > SPIKE_FACTOR * r.max(tol) {
-                                recover!();
-                            }
-                            ckpt.v = Some(v);
-                        } else {
-                            ckpt.v = Some(step!(sess.snapshot()));
-                        }
-                        ckpt.iterations = iters;
-                        ckpt.residual = r;
-                        ckpt.history = history.clone();
-                        ckpt.monitor = mon.clone();
-                        ckpt.faults = sess.faults_observed();
-                        report.checkpoints += 1;
-                        obs.instant("checkpoint", sess.clock().elapsed_us());
-                    }
-                }
-                Some(SolveStatus::Converged) if !tainted => finish!(SolveStatus::Converged),
-                Some(SolveStatus::Converged) => {
-                    // Tainted convergence must earn acceptance.
-                    if !step!(sess.verify_static()) {
-                        recover!();
-                    }
-                    let (v_pos, j_pos) = step!(sess.download());
-                    let (rh, j_h) = sess.host_iterate(&v_pos);
-                    let j_ok = j_pos.len() == j_h.len()
-                        && j_pos.iter().zip(&j_h).all(|(a, b)| {
-                            let d = (*a - *b).norm();
-                            d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
-                        });
-                    if rh.is_finite() && rh <= SPIKE_FACTOR * tol && j_ok {
-                        finish!(SolveStatus::Converged, v_pos, j_pos);
-                    }
+            let allowed = Sweeps {
+                max: if checkpointing || cancel.is_some() { 1 } else { cfg.max_iter - iters },
+                budget_us: cfg.deadline_us.map(|budget_us| budget_us - t0),
+                go_on: mon.sure_continue(),
+            };
+            let rs = step!(sess.iterate(&allowed));
+            // The call's modeled time, split evenly over its iterations:
+            // their spans tile it.
+            let (t1, k) = (sess.clock().elapsed_us(), rs.len());
+            let at = |i: usize| if i == k { t1 } else { t0 + (t1 - t0) * i as f64 / k as f64 };
+            for (i, r) in rs.into_iter().enumerate() {
+                iters += 1;
+                obs.iteration(iters, at(i), at(i + 1), r);
+                history.push(r);
+                residual = r;
+                let tainted = sess.faults_observed() > ckpt.faults;
+                if tainted && (!r.is_finite() || r > SPIKE_FACTOR * prev_r.max(tol)) {
                     recover!();
                 }
-                // A genuine divergence or numerical failure is reported
-                // honestly, never rolled back.
-                Some(bad) => finish!(bad),
+                let verdict = mon.observe(iters, r);
+                debug_assert!(verdict.is_none() || i + 1 == k, "an iteration ran past a stop");
+                match verdict {
+                    // The device ran on past this one: nothing can stop
+                    // the loop here.
+                    None if i + 1 < k => prev_r = r,
+                    None => {
+                        // Deadline and watchdog-cancel checks happen only
+                        // on a still-running iteration, mirroring the CPU
+                        // solver loops: a converged/failed status is never
+                        // masked by a slow clock. The status reports the
+                        // clock at the check, before the final download.
+                        let elapsed_us = sess.clock().elapsed_us();
+                        let deadline_hit =
+                            cfg.deadline_us.is_some_and(|budget_us| elapsed_us >= budget_us);
+                        let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+                        if deadline_hit || cancelled {
+                            finish!(SolveStatus::DeadlineExceeded {
+                                at_iteration: iters,
+                                elapsed_us: elapsed_us as u64,
+                            });
+                        }
+                        prev_r = r;
+                        if checkpointing && iters.is_multiple_of(cfg.checkpoint_every) {
+                            if tainted {
+                                // Certification: statics exact, and one
+                                // host sweep from the captured voltages
+                                // must agree with what the device just
+                                // reported.
+                                if !step!(sess.verify_static()) {
+                                    recover!();
+                                }
+                                let v = step!(sess.snapshot());
+                                let (rh, _) = sess.host_iterate(&v);
+                                if !rh.is_finite() || rh > SPIKE_FACTOR * r.max(tol) {
+                                    recover!();
+                                }
+                                ckpt.v = Some(v);
+                            } else {
+                                ckpt.v = Some(step!(sess.snapshot()));
+                            }
+                            ckpt.iterations = iters;
+                            ckpt.residual = r;
+                            ckpt.history = history.clone();
+                            ckpt.monitor = mon.clone();
+                            ckpt.faults = sess.faults_observed();
+                            report.checkpoints += 1;
+                            obs.instant("checkpoint", sess.clock().elapsed_us());
+                        }
+                    }
+                    Some(SolveStatus::Converged) if !tainted => finish!(SolveStatus::Converged),
+                    Some(SolveStatus::Converged) => {
+                        // Tainted convergence must earn acceptance.
+                        if !step!(sess.verify_static()) {
+                            recover!();
+                        }
+                        let (v_pos, j_pos) = step!(sess.download());
+                        let (rh, j_h) = sess.host_iterate(&v_pos);
+                        let j_ok = j_pos.len() == j_h.len()
+                            && j_pos.iter().zip(&j_h).all(|(a, b)| {
+                                let d = (*a - *b).norm();
+                                d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
+                            });
+                        if rh.is_finite() && rh <= SPIKE_FACTOR * tol && j_ok {
+                            finish!(SolveStatus::Converged, v_pos, j_pos);
+                        }
+                        recover!();
+                    }
+                    // A genuine divergence or numerical failure is reported
+                    // honestly, never rolled back.
+                    Some(bad) => finish!(bad),
+                }
             }
         }
     }
@@ -563,7 +609,7 @@ impl ResilientSolver {
             |rung| rung.fallback().expect("device backends have a fallback"),
             |dev, at| match (backend, backend.strategy()) {
                 (Backend::Gpu, _) => match route(dev.props(), a, false) {
-                    Route::Fused => at.run(|obs| FusedSession::open(dev, a, None, obs)),
+                    Route::Fused => at.run(|obs| FusedSession::open(dev, a, None, cfg.max_iter, obs)),
                     Route::Level(s) => at.run(|obs| GpuSession::with_obs(dev, a, s, None, obs)),
                 },
                 (_, Some(strategy)) => {
@@ -581,7 +627,7 @@ impl ResilientSolver {
     /// from injected faults with the same checkpointed device loop as
     /// [`ResilientSolver::solve`]. Every device backend runs the level
     /// session over phase triples with its pinned backward strategy, or
-    /// the segmented scan ([`crate::GpuSolver::solve3`]); the CPU rung is
+    /// the segmented scan; the CPU rung is
     /// always the serial sweep, because multicore has no three-phase
     /// form.
     pub fn solve3(
@@ -590,6 +636,9 @@ impl ResilientSolver {
         cfg: &SolverConfig,
     ) -> Result<Solve3Result, ResilienceError> {
         let start = if self.backend.is_device() { self.backend } else { Backend::Serial };
+        // Not routed (`crate::gpu::level_strategy`): recovered answers
+        // off the segmented scan's op stream are the ones the oracle's
+        // three-phase family vets at its 1e-8·|V0| bound.
         let strategy = self.backend.strategy().unwrap_or(BackwardStrategy::SegScan);
         self.supervise(
             start,
@@ -937,9 +986,9 @@ mod tests {
         }
     }
 
-    /// A scripted launch failure at the first launch of two fresh devices
-    /// forces two restarts: the answer's modeled time is the clean run's
-    /// plus both discarded devices' uploads.
+    /// A scripted allocation failure at the last allocation of setup on
+    /// two fresh devices forces two restarts: the answer's modeled time
+    /// is the clean run's plus both discarded devices' uploads.
     #[test]
     fn restarted_attempts_are_charged_to_the_answer() {
         let a = SolverArrays::new(&ieee13());
@@ -952,17 +1001,19 @@ mod tests {
             (res, supervisor)
         };
         let (clean, supervisor) = supervised(FaultPlan::seeded(0, 0.0));
-        // Every timeline event is one fault-plan op: the first launch is
-        // op `first`, and a device aborted there spent `upload_us`.
+        // Every timeline event is one fault-plan op: setup's last
+        // allocation is op `first`, and a device aborted there spent
+        // `upload_us`.
         let events = supervisor.last_device().unwrap().timeline().events();
-        let first = events.iter().position(|e| e.label() == "fill").expect("setup fills");
+        let sweep = events.iter().position(|e| e.label() == "tensor_sweep").expect("a sweep");
+        let first = events[..sweep].iter().rposition(|e| e.label() == "<alloc>").expect("allocs");
         let upload_us: f64 = events[..first].iter().map(|e| e.modeled_us).sum();
         assert!(upload_us > 0.0);
 
         let second = 2 * first as u64 + 1;
         let plan = FaultPlan::scripted([
-            (first as u64, FaultKind::LaunchFailure),
-            (second, FaultKind::LaunchFailure),
+            (first as u64, FaultKind::AllocOom),
+            (second, FaultKind::AllocOom),
         ]);
         let (res, _) = supervised(plan);
         let report = res.fault_report.as_ref().unwrap();
@@ -991,17 +1042,27 @@ mod tests {
             assert!((got - want).abs() <= 1e-9 * want, "{name}: charged {got} µs, ran {want} µs");
         };
         let (spec, rng) = (GenSpec::default(), || StdRng::seed_from_u64(7));
+        // The plain solve's device has the plan armed too, so the fused
+        // route runs one sweep per launch on both, as a checkpointing
+        // attempt does.
+        let armed = || {
+            let mut dev = Device::new(props.clone());
+            dev.arm_faults(FaultPlan::seeded(0, 0.0));
+            dev
+        };
         for (name, net) in [
             ("fused", balanced_binary(1023, &spec, &mut rng())),
             ("level", star(1000, &spec, &mut rng())),
         ] {
             let a = SolverArrays::new(&net);
-            let plain = GpuSolver::new(Device::new(props.clone())).solve_arrays(&a, &cfg);
+            let plain = GpuSolver::new(armed()).solve_arrays(&a, &cfg);
             let res = supervisor().solve(&a, &cfg).unwrap();
             charged(name, plain.timing.total_us(), res.timing.total_us(), res.fault_report);
         }
         let a3 = Arrays3::new(&ieee13_unbalanced());
-        let plain3 = GpuSolver::new(Device::new(props.clone())).solve3_warm(&a3, &cfg, None);
+        // The supervisor's three-phase rung keeps the segmented scan.
+        let plain3 = GpuSolver::with_strategy(Device::new(props.clone()), BackwardStrategy::SegScan)
+            .solve3_warm(&a3, &cfg, None);
         let res3 = supervisor().solve3(&a3, &cfg).unwrap();
         charged("3φ", plain3.timing.total_us(), res3.timing.total_us(), res3.fault_report);
     }
@@ -1105,8 +1166,8 @@ mod tests {
         fn clock(&self) -> &SessionClock {
             self.sess.clock()
         }
-        fn iterate(&mut self) -> Result<f64, DeviceError> {
-            self.sess.iterate()
+        fn iterate(&mut self, allowed: &Sweeps) -> Result<Vec<f64>, DeviceError> {
+            self.sess.iterate(allowed)
         }
         fn snapshot(&mut self) -> Result<Vec<CVec3>, DeviceError> {
             self.sess.snapshot()

@@ -205,6 +205,12 @@ impl ConvergenceMonitor {
         self.cap
     }
 
+    /// The test an on-device iteration loop runs between sweeps, as of
+    /// this monitor's state.
+    pub(crate) fn sure_continue(&self) -> SureContinue {
+        SureContinue { tol: self.tol, cap: self.cap, prev: self.prev }
+    }
+
     /// Classifies iteration `iteration`'s residual. `Some(status)` means
     /// the loop must stop with that status; `None` means keep iterating.
     pub fn observe(&mut self, iteration: u32, residual: f64) -> Option<SolveStatus> {
@@ -227,6 +233,33 @@ impl ConvergenceMonitor {
         }
         self.prev = residual;
         None
+    }
+}
+
+/// The part of a [`ConvergenceMonitor`] a device can evaluate between
+/// the sweeps of one launch: another sweep runs only after a residual at
+/// which [`ConvergenceMonitor::observe`] cannot stop, whatever its growth
+/// streak. So a launch never runs past an iteration the host loop would
+/// stop at, and replaying its residuals through the monitor gives the
+/// host loop's verdicts exactly.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SureContinue {
+    tol: f64,
+    cap: f64,
+    prev: f64,
+}
+
+impl SureContinue {
+    /// A test that never continues: one sweep per launch.
+    pub(crate) const NEVER: SureContinue = SureContinue { tol: f64::INFINITY, cap: 0.0, prev: 0.0 };
+
+    /// Whether a sweep may follow one that left `residual`: only while
+    /// `tol < residual ≤ cap` and `residual ≤ prev`, so a NaN or an
+    /// infinite residual stops. Advances `prev` to `residual`.
+    pub(crate) fn step(&mut self, residual: f64) -> bool {
+        let go = self.tol < residual && residual <= self.cap && residual <= self.prev;
+        self.prev = residual;
+        go
     }
 }
 

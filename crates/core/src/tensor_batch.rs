@@ -1,5 +1,6 @@
 //! Tensor-batched power flow: scenario-major SoA state, fused
-//! (level × batch) kernels, one launch per iteration.
+//! (level × batch) kernels, one launch per iteration of a batch (and one
+//! launch looping over the iterations of a lone scenario).
 //!
 //! A batch is many load scenarios (or topology variants) over one tree.
 //! Level-synchronous sweeps launch one kernel per tree level, so a
@@ -67,9 +68,19 @@
 //! session (`FusedSession`): the fused route of [`crate::GpuSolver`]
 //! and of the supervisor's [`crate::Backend::Gpu`] rung. It does not run
 //! the batch loop above. The one device loop of single solves,
-//! `recovery::drive`, steps it one fused launch and one 8-byte residual
-//! read-back at a time, with that loop's checkpoints, rollback and fault
-//! report in place of the batch's audit and host repair.
+//! `recovery::drive`, steps it one launch at a time, with that loop's
+//! checkpoints, rollback and fault report in place of the batch's audit
+//! and host repair. Alone on the device, the launch's block loops over
+//! several sweeps, stopping after any iteration the loop's monitor could
+//! stop at, and the loop replays the residuals it wrote. A clean cold
+//! solve is one packed upload, one launch and two read-backs (its
+//! residuals, then V and J packed); under an armed fault plan or a cancel
+//! flag every launch runs one sweep, so checkpoints keep their grain.
+//!
+//! Every chunk uploads its topology with its mask and scale words (and a
+//! lone scenario's warm start) as one packed copy, and leaves a flat
+//! start to its first sweep, which reads no voltage: no fill launch
+//! precedes a solve.
 //!
 //! # Scale
 //!
@@ -91,18 +102,18 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, GlobalMut, GlobalRef,
-    HostProps, Kernel, LaunchConfig, Shared, ThreadCtx,
+    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart, GlobalMut,
+    GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
 };
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::{SessionClock, SweepSession};
+use crate::recovery::{SessionClock, SweepSession, Sweeps};
 use crate::report::{FaultReport, PhaseTimes, Timing};
 use crate::serial::SerialSolver;
-use crate::status::{ConvergenceMonitor, SolveStatus};
+use crate::status::{ConvergenceMonitor, SolveStatus, SureContinue};
 
 /// Threads per scenario block.
 const TENSOR_BLOCK: u32 = 256;
@@ -590,13 +601,13 @@ impl TensorBatchSolver {
     }
 }
 
-/// Upper bound on the modeled µs one [`FusedSession`] iteration spends
-/// in kernels: the fused sweep launch, plus — once per solve, charged to
-/// the first iteration — the warm-init launch of a warm start. The other
-/// transfers and fills of a B = 1 solve cost no more than the level
-/// path's, up to a few words of scenario state (`crate::GpuSolver`'s
-/// route compares the two). `shape` is the route's level table: per
-/// level, root first, its width and its widest node's child count.
+/// Upper bound on the modeled µs of a [`FusedSession`] launch of one
+/// sweep: the launch overhead plus the sweep's latency chain. A launch of
+/// `k` sweeps is bounded by the overhead plus `k` times the rest, which
+/// is how the session fits its launches into a deadline and how
+/// `crate::GpuSolver`'s route prices a fused iteration. `shape` is the
+/// route's level table: per level, root first, its width and its widest
+/// node's child count.
 ///
 /// A lone 256-thread block cannot hide memory latency, so the sweep's
 /// latency term — `(chain · mem_latency + phases · barrier)` cycles for
@@ -608,12 +619,9 @@ impl TensorBatchSolver {
 /// fan-out bounded by the level's widest node and by the width of the
 /// next level; per forward level, 4 per node (parent, impedance, parent
 /// voltage, voltage store); and the residual store. The phases are one
-/// per level and direction plus the residual fold.
-pub(crate) fn single_iteration_bound_us(
-    props: &DeviceProps,
-    shape: &[(usize, usize)],
-    warm: bool,
-) -> f64 {
+/// per level and direction plus the residual fold. The scenario words
+/// are read once per launch, so each later sweep costs less than this.
+pub(crate) fn single_iteration_bound_us(props: &DeviceProps, shape: &[(usize, usize)]) -> f64 {
     let bdim = TENSOR_BLOCK as usize;
     let nl = shape.len();
     let mut chain = 2 + 1;
@@ -626,16 +634,9 @@ pub(crate) fn single_iteration_bound_us(
         }
     }
     let phases = 2 * nl + 2 + bdim.ilog2() as usize;
-    let latency = |chain: usize, phases: usize| {
-        (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
+    props.launch_overhead_us
+        + (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
             / props.cycles_per_us()
-    };
-    let sweep = props.launch_overhead_us + latency(chain, phases);
-    // Warm init: one block strided over the positions, a load and a
-    // store per position.
-    let buses: usize = shape.iter().map(|&(width, _)| width).sum();
-    let warm_init = props.launch_overhead_us + latency(2 * buses.div_ceil(bdim), 1);
-    sweep + if warm { warm_init } else { 0.0 }
 }
 
 impl TensorBatchResult {
@@ -794,49 +795,83 @@ struct Topology {
 }
 
 impl Topology {
+    /// Allocates the topology and uploads it, with the chunk's own
+    /// members `extra` (its mask and scale words), as one checked packed
+    /// copy: one PCIe transaction however many buffers.
     fn upload(
         dev: &mut Device,
         a: &SolverArrays,
         patches: Option<&PatchPlan>,
+        extra: Vec<HtodPart<'_>>,
     ) -> Result<Self, DeviceError> {
-        Ok(Topology {
-            z: dev.try_alloc_from(&a.z)?,
-            parent_pos: dev.try_alloc_from(&a.parent_pos)?,
-            child_lo: dev.try_alloc_from(&a.child_lo)?,
-            child_hi: dev.try_alloc_from(&a.child_hi)?,
-            base_s: dev.try_alloc_from(&a.s)?,
-            dfs_pos: match patches {
-                Some(plan) => Some(dev.try_alloc_from(&plan.dfs_pos)?),
-                None => None,
-            },
-        })
+        let n = a.len();
+        let mut topo = Topology {
+            z: dev.try_alloc(n)?,
+            parent_pos: dev.try_alloc(n)?,
+            child_lo: dev.try_alloc(n)?,
+            child_hi: dev.try_alloc(n)?,
+            base_s: dev.try_alloc(n)?,
+            dfs_pos: patches.map(|_| dev.try_alloc(n)).transpose()?,
+        };
+        dev.try_htod_packed_checked(&mut topo.parts(a, patches, extra))?;
+        Ok(topo)
     }
 
-    /// Re-uploads every static buffer of an unpatched topology from the
-    /// host truth: a rollback heals resident corruption.
-    fn restore(&mut self, dev: &mut Device, a: &SolverArrays) -> Result<(), DeviceError> {
-        dev.try_htod_checked(&mut self.z, &a.z)?;
-        dev.try_htod_checked(&mut self.parent_pos, &a.parent_pos)?;
-        dev.try_htod_checked(&mut self.child_lo, &a.child_lo)?;
-        dev.try_htod_checked(&mut self.child_hi, &a.child_hi)?;
-        dev.try_htod_checked(&mut self.base_s, &a.s)
+    /// Every static buffer with its host truth, followed by `extra`: the
+    /// members of an upload, or of a rollback's re-upload (which heals
+    /// resident corruption).
+    fn parts<'p>(
+        &'p mut self,
+        a: &'p SolverArrays,
+        patches: Option<&'p PatchPlan>,
+        extra: Vec<HtodPart<'p>>,
+    ) -> Vec<HtodPart<'p>> {
+        let mut parts = vec![
+            HtodPart::new(&mut self.z, &a.z),
+            HtodPart::new(&mut self.parent_pos, &a.parent_pos),
+            HtodPart::new(&mut self.child_lo, &a.child_lo),
+            HtodPart::new(&mut self.child_hi, &a.child_hi),
+            HtodPart::new(&mut self.base_s, &a.s),
+        ];
+        if let (Some(buf), Some(plan)) = (&mut self.dfs_pos, patches) {
+            parts.push(HtodPart::new(buf, &plan.dfs_pos));
+        }
+        parts.extend(extra);
+        parts
     }
 
-    /// Reads every static buffer back and compares against the host
-    /// truth (the audit's first line of defence).
+    /// Reads every static buffer back, with `extra`, in one packed read
+    /// and compares the statics against the host truth (the audit's
+    /// first line of defence); the caller compares `extra`.
     fn verify(
         &self,
         dev: &mut Device,
         a: &SolverArrays,
         patches: Option<&PatchPlan>,
+        extra: Vec<DtohPart<'_>>,
     ) -> Result<bool, DeviceError> {
-        Ok(dev.try_dtoh(&self.z)? == a.z
-            && dev.try_dtoh(&self.parent_pos)? == a.parent_pos
-            && dev.try_dtoh(&self.child_lo)? == a.child_lo
-            && dev.try_dtoh(&self.child_hi)? == a.child_hi
-            && dev.try_dtoh(&self.base_s)? == a.s
+        let (mut z, mut parent_pos, mut child_lo, mut child_hi, mut base_s, mut dfs_pos) =
+            Default::default();
+        let mut parts = vec![
+            DtohPart::new(&self.z, &mut z),
+            DtohPart::new(&self.parent_pos, &mut parent_pos),
+            DtohPart::new(&self.child_lo, &mut child_lo),
+            DtohPart::new(&self.child_hi, &mut child_hi),
+            DtohPart::new(&self.base_s, &mut base_s),
+        ];
+        if let Some(buf) = &self.dfs_pos {
+            parts.push(DtohPart::new(buf, &mut dfs_pos));
+        }
+        parts.extend(extra);
+        dev.try_dtoh_packed(&mut parts)?;
+        drop(parts);
+        Ok(z == a.z
+            && parent_pos == a.parent_pos
+            && child_lo == a.child_lo
+            && child_hi == a.child_hi
+            && base_s == a.s
             && match (&self.dfs_pos, patches) {
-                (Some(buf), Some(plan)) => dev.try_dtoh(buf)? == plan.dfs_pos,
+                (Some(_), Some(plan)) => dfs_pos == plan.dfs_pos,
                 _ => true,
             })
     }
@@ -967,7 +1002,7 @@ fn run_chunk(
     out: &mut TensorBatchResult,
 ) -> Result<Topology, DeviceError> {
     let (n, keep, t) = (a.len(), !out.v.is_empty(), &mut out.timing);
-    let mut chunk = Chunk::build(dev, a, topo, loads, patches, range.clone(), warm, &[], t)?;
+    let mut chunk = Chunk::build(dev, a, topo, loads, patches, range.clone(), warm, &[], 1, t)?;
     let sweep = chunk.iterate(dev, cfg, obs, t)?;
     // Read back *before* the audit: the audit vouches for the state it
     // reads, so nothing may run between the two that could change it.
@@ -1038,15 +1073,24 @@ struct Chunk<'a> {
     mask: DeviceBuffer<u32>,
     /// Host copy of `mask`.
     live: Vec<u32>,
+    /// Residual slots: sweep `i` of a launch writes scenario `s`'s at
+    /// `i·nb + s`.
     res: DeviceBuffer<f64>,
+    /// The iterate is the flat start, still to be written by the next
+    /// sweep (which reads no voltage).
+    flat: bool,
     /// Probe positions and the gathered `nb·np` voltages (sessions).
     probes: Option<(DeviceBuffer<u32>, DeviceBuffer<Complex>)>,
 }
 
 impl<'a> Chunk<'a> {
-    /// Uploads the topology (unless `topo` carries it over), the chunk's
-    /// loads and patch words, and initialises the iterate from `warm`
-    /// (by bus id, replicated device-side) or flat. Setup time.
+    /// Uploads the topology (unless `topo` carries it over) in one checked
+    /// packed copy with the chunk's mask and scale words — and a lone
+    /// scenario's warm start — then its loads and patch words, and seeds
+    /// the iterate from `warm` (by bus id, replicated device-side for a
+    /// batch) or leaves the flat start to the first sweep. The residual
+    /// buffer holds `max_sweeps` slots per scenario, one per sweep a
+    /// launch may run. Setup time.
     #[allow(clippy::too_many_arguments)]
     fn build(
         dev: &mut Device,
@@ -1057,20 +1101,41 @@ impl<'a> Chunk<'a> {
         range: Range<usize>,
         warm: Option<&[Complex]>,
         probes: &[usize],
+        max_sweeps: usize,
         t: &mut Timing,
     ) -> Result<Self, DeviceError> {
-        let topo = match topo {
-            Some(topo) => topo,
-            None => charge(dev, t, SETUP, |dev| Topology::upload(dev, a, plan))?,
-        };
         let (n, nb) = (a.len(), range.len());
         let per_scenario = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
         charge(dev, t, SETUP, |dev| {
-            let loads = match loads {
-                Loads::Explicit(sc) => {
+            let live = vec![1; nb];
+            let mut mask = dev.try_alloc::<u32>(nb)?;
+            let mut scales = match loads {
+                Loads::Scaled(sc) => Some((dev.try_alloc::<f64>(nb)?, &sc[range.clone()])),
+                _ => None,
+            };
+            let mut v = dev.try_alloc::<Complex>(nb * n)?;
+            let warm = warm.map(|profile| a.levels.permute(profile));
+            let mut extra = vec![HtodPart::new(&mut mask, &live)];
+            if let Some((buf, sc)) = &mut scales {
+                extra.push(HtodPart::new(buf, sc));
+            }
+            // One scenario's warm start is its whole iterate: it rides
+            // along.
+            if let (Some(profile), 1) = (&warm, nb) {
+                extra.push(HtodPart::new(&mut v, profile));
+            }
+            let topo = match topo {
+                Some(topo) => {
+                    dev.try_htod_packed_checked(&mut extra)?;
+                    topo
+                }
+                None => Topology::upload(dev, a, plan, extra)?,
+            };
+            let loads = match (loads, scales) {
+                (Loads::Explicit(sc), _) => {
                     DeviceLoads::Slab(dev.try_alloc_from(&position_slab(a, &sc[range.clone()]))?)
                 }
-                Loads::Deltas(sc) => {
+                (Loads::Deltas(sc), _) => {
                     // Mostly the base case: replicate the resident base
                     // loads into every stripe and scatter the deviations
                     // — not `B·n` words.
@@ -1089,7 +1154,9 @@ impl<'a> Chunk<'a> {
                     scatter(dev, &mut buf, n, &deltas)?;
                     DeviceLoads::Slab(buf)
                 }
-                Loads::Scaled(s) => DeviceLoads::Scales(dev.try_alloc_from(&s[range.clone()])?),
+                (Loads::Scaled(_), scales) => {
+                    DeviceLoads::Scales(scales.expect("scaled loads upload their scales").0)
+                }
             };
             // Patched chunks: a few words per scenario describe the cut
             // range and the impedance override, plus one `min |V|` slot
@@ -1097,27 +1164,38 @@ impl<'a> Chunk<'a> {
             let patch =
                 plan.map(|plan| ChunkPatch::upload(dev, plan, range.clone())).transpose()?;
             let min_v = plan.map(|_| filled(dev, nb, f64::INFINITY)).transpose()?;
-            let v = match warm {
-                Some(profile) => {
-                    let mut v = dev.try_alloc::<Complex>(nb * n)?;
-                    let buf = dev.try_alloc_from(&a.levels.permute(profile))?;
-                    let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
-                    dev.try_launch(per_scenario, &kernel)?;
-                    v
-                }
-                None => filled(dev, nb * n, a.source)?,
-            };
+            if let (Some(profile), 2..) = (&warm, nb) {
+                let buf = dev.try_alloc_from(profile)?;
+                let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
+                dev.try_launch(per_scenario, &kernel)?;
+            }
             let j = dev.try_alloc::<Complex>(nb * n)?;
-            let mask = dev.try_alloc_from(&vec![1u32; nb])?;
-            let res = filled(dev, nb, 0.0)?;
+            // Every sweep writes the slot of each scenario it runs, and
+            // only those slots are read.
+            let res = dev.try_alloc::<f64>(nb * max_sweeps)?;
             let probes = if probes.is_empty() {
                 None
             } else {
                 let pos: Vec<u32> = probes.iter().map(|&b| a.levels.pos_of[b]).collect();
                 Some((dev.try_alloc_from(&pos)?, dev.try_alloc::<Complex>(nb * pos.len())?))
             };
-            let live = vec![1; nb];
-            Ok(Chunk { a, plan, range, topo, loads, patch, min_v, v, j, mask, live, res, probes })
+            let flat = warm.is_none();
+            Ok(Chunk {
+                a,
+                plan,
+                range,
+                topo,
+                loads,
+                patch,
+                min_v,
+                v,
+                j,
+                mask,
+                live,
+                res,
+                flat,
+                probes,
+            })
         })
     }
 
@@ -1152,7 +1230,7 @@ impl<'a> Chunk<'a> {
             // whole modeled time is charged to `backward_us` (`forward_us`
             // stays 0 in the tensor engine, like `injection_us` — both are
             // fused into the same kernel).
-            charge(dev, t, BACKWARD, |dev| self.sweep(dev))?;
+            charge(dev, t, BACKWARD, |dev| self.sweep(dev, 1, SureContinue::NEVER))?;
             obs.phase("sweep", iter_t0, t.phases.total_us());
 
             // Per-scenario convergence triage on the host.
@@ -1206,12 +1284,20 @@ impl<'a> Chunk<'a> {
         Ok(sweep)
     }
 
-    /// One fused sweep launch per iteration: backward, forward, and the
-    /// in-block residual fold of every live scenario, packing
+    /// One fused sweep launch: backward, forward, and the in-block
+    /// residual fold of every live scenario, packing
     /// [`SCENARIOS_PER_BLOCK`] scenarios per block to amortise topology
-    /// reads.
-    fn sweep(&mut self, dev: &mut Device) -> Result<(), DeviceError> {
+    /// reads. A launch over one scenario may run up to `sweeps` sweeps,
+    /// continuing while `go_on` holds; a batch runs one. The first sweep
+    /// of a flat chunk writes the flat start.
+    fn sweep(
+        &mut self,
+        dev: &mut Device,
+        sweeps: usize,
+        go_on: SureContinue,
+    ) -> Result<(), DeviceError> {
         let (n, nb) = (self.a.len(), self.range.len());
+        debug_assert!(sweeps == 1 || nb == 1, "multi-sweep launches hold one scenario");
         let grid = LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
         let kernel = SweepKernel {
             loads: self.loads.view(&self.topo),
@@ -1228,8 +1314,13 @@ impl<'a> Chunk<'a> {
             level_offsets: &self.a.levels.level_offsets,
             n,
             nb,
+            flat: self.flat.then_some(self.a.source),
+            sweeps,
+            go_on,
         };
-        dev.try_launch(grid, &kernel)
+        dev.try_launch(grid, &kernel)?;
+        self.flat = false;
+        Ok(())
     }
 
     /// Integrity audit of the resident state, per scenario. Without a
@@ -1256,7 +1347,7 @@ impl<'a> Chunk<'a> {
         let audit_t0 = t.phases.total_us();
         let r = self.range.clone();
         let trusted = charge(dev, t, CONVERGENCE, |dev| {
-            let statics_intact = self.topo.verify(dev, self.a, self.plan)?
+            let statics_intact = self.topo.verify(dev, self.a, self.plan, Vec::new())?
                 && match (&self.loads, loads) {
                     (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
                         dev.try_dtoh(buf)? == position_slab(self.a, &sc[r.clone()])
@@ -1335,14 +1426,26 @@ impl<'a> Chunk<'a> {
 
 /// The fused route of [`crate::GpuSolver`] and of the supervisor's
 /// [`crate::Backend::Gpu`] rung: the resident chunk at batch size one
-/// over the arrays' own loads, stepped by `recovery::drive` one fused
-/// sweep launch at a time. A unit scale reads the resident base loads
-/// exactly (`s · 1.0 == s`) without a second copy of them.
+/// over the arrays' own loads, stepped by `recovery::drive`. A unit scale
+/// reads the resident base loads exactly (`s · 1.0 == s`) without a
+/// second copy of them.
+///
+/// A clean cold solve is one packed upload (topology, scale word, mask),
+/// one `tensor_sweep` launch that loops until an iteration the host
+/// monitor could stop at, one read-back of that launch's residuals and
+/// one packed read of V and J. Each [`SweepSession::iterate`] is one
+/// launch of `k` sweeps: `k` is the loop's allowance, cut so that the
+/// launch and its read-back fit the time left before a deadline by
+/// [`single_iteration_bound_us`], and 1 whenever a fault plan is armed
+/// (checkpoints and fault-op replay keep their per-iteration grain).
 pub(crate) struct FusedSession<'a> {
     dev: &'a mut Device,
     chunk: Chunk<'a>,
     /// The warm start by bus id; `None` is the flat start.
     v_init: Option<&'a [Complex]>,
+    /// Modeled µs of one sweep inside a launch, launch overhead excluded
+    /// (an upper bound, [`single_iteration_bound_us`]).
+    sweep_us: f64,
     clock: SessionClock,
 }
 
@@ -1350,22 +1453,44 @@ pub(crate) struct FusedSession<'a> {
 const UNIT_SCALE: [f64; 1] = [1.0];
 
 impl<'a> FusedSession<'a> {
-    /// Builds the chunk — topology, scale word, mask and an iterate seeded
-    /// from `v_init` (by bus id) or flat — charged to setup.
+    /// Builds the chunk — topology, scale word and mask in one packed
+    /// upload, an iterate seeded from `v_init` (by bus id) or left to the
+    /// first sweep's flat start, and one residual slot per iteration of
+    /// `max_iter` — charged to setup.
     pub(crate) fn open(
         dev: &'a mut Device,
         a: &'a SolverArrays,
         v_init: Option<&'a [Complex]>,
+        max_iter: u32,
         obs: Obs,
     ) -> Result<Self, DeviceError> {
         if let Some(w) = v_init {
             assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
         }
+        let sweep_us = single_iteration_bound_us(dev.props(), &crate::gpu::level_shape(a))
+            - dev.props().launch_overhead_us;
         let loads = Loads::Scaled(&UNIT_SCALE);
         let mut t = Timing::default();
-        let chunk = Chunk::build(dev, a, None, &loads, None, 0..1, v_init, &[], &mut t)?;
+        let slots = max_iter as usize;
+        let chunk = Chunk::build(dev, a, None, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
         let clock = SessionClock::new(t.phases.setup_us, t.transfer_us, obs);
-        Ok(FusedSession { dev, chunk, v_init, clock })
+        Ok(FusedSession { dev, chunk, v_init, sweep_us, clock })
+    }
+
+    /// Sweeps the next launch runs: at most `max`, 1 under an armed
+    /// fault plan, and with `budget_us` left before a deadline no more
+    /// than fit in it with the launch and the read-back of their
+    /// residuals — never fewer than 1.
+    fn sweeps(&self, max: u32, budget_us: Option<f64>) -> usize {
+        if self.dev.fault_plan().is_some() {
+            return 1;
+        }
+        let props = self.dev.props();
+        let fit = budget_us.map_or(max, |left| {
+            let read = simt::timing::transfer_time(props, 8 * u64::from(max));
+            ((left - props.launch_overhead_us - read) / self.sweep_us) as u32
+        });
+        fit.clamp(1, max) as usize
     }
 }
 
@@ -1376,14 +1501,22 @@ impl SweepSession for FusedSession<'_> {
         &self.clock
     }
 
-    fn iterate(&mut self) -> Result<f64, DeviceError> {
+    fn iterate(&mut self, allowed: &Sweeps) -> Result<Vec<f64>, DeviceError> {
+        let k = self.sweeps(allowed.max, allowed.budget_us);
         let mark = self.dev.timeline().mark();
-        self.chunk.sweep(self.dev)?;
+        self.chunk.sweep(self.dev, k, allowed.go_on)?;
         self.clock.charge("backward", &self.dev.timeline().breakdown_since(mark));
         let mark = self.dev.timeline().mark();
-        let r = self.dev.try_dtoh_checked(&self.chunk.res)?[0];
+        let mut residuals = Vec::new();
+        let read = DtohPart::prefix(&self.chunk.res, k, &mut residuals);
+        self.dev.try_dtoh_packed_checked(&mut [read])?;
         self.clock.charge("convergence", &self.dev.timeline().breakdown_since(mark));
-        Ok(r)
+        // The launch stopped after the first residual its test rejected;
+        // the slots past it are stale.
+        let mut go_on = allowed.go_on;
+        let ran = residuals.iter().position(|&r| !go_on.step(r)).map_or(k, |i| i + 1);
+        residuals.truncate(ran);
+        Ok(residuals)
     }
 
     fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
@@ -1396,16 +1529,19 @@ impl SweepSession for FusedSession<'_> {
     fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError> {
         let (dev, c) = (&mut *self.dev, &mut self.chunk);
         let mark = dev.timeline().mark();
-        // Statics are re-uploaded wholesale, as on the level path. A
-        // flipped mask word freezes the stripe, so the mask is static.
-        c.topo.restore(dev, c.a)?;
+        // Statics are re-uploaded wholesale, as on the level path, in one
+        // checked packed copy with the voltages. A flipped mask word
+        // freezes the stripe, so the mask is static.
         let DeviceLoads::Scales(scale) = &mut c.loads else {
             unreachable!("a fused session runs on a scale word")
         };
-        dev.try_htod_checked(scale, &UNIT_SCALE)?;
-        dev.try_htod_checked(&mut c.mask, &[1])?;
-        dev.try_htod_checked(&mut c.v, v_pos)?;
-        try_fill(dev, &mut c.res, 0.0)?;
+        let extra = vec![
+            HtodPart::new(scale, &UNIT_SCALE),
+            HtodPart::new(&mut c.mask, &[1]),
+            HtodPart::new(&mut c.v, v_pos),
+        ];
+        dev.try_htod_packed_checked(&mut c.topo.parts(c.a, None, extra))?;
+        c.flat = false;
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(())
     }
@@ -1424,17 +1560,20 @@ impl SweepSession for FusedSession<'_> {
         let DeviceLoads::Scales(scale) = &c.loads else {
             unreachable!("a fused session runs on a scale word")
         };
-        let ok = c.topo.verify(dev, c.a, None)?
-            && dev.try_dtoh(scale)? == UNIT_SCALE
-            && dev.try_dtoh(&c.mask)? == [1];
+        let (mut scale_out, mut mask_out) = (Vec::new(), Vec::new());
+        let extra = vec![DtohPart::new(scale, &mut scale_out), DtohPart::new(&c.mask, &mut mask_out)];
+        let ok = c.topo.verify(dev, c.a, None, extra)? && scale_out == UNIT_SCALE && mask_out == [1];
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
 
     fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
         let mark = self.dev.timeline().mark();
-        let v_pos = self.dev.try_dtoh_checked(&self.chunk.v)?;
-        let j_pos = self.dev.try_dtoh_checked(&self.chunk.j)?;
+        let (mut v_pos, mut j_pos) = (Vec::new(), Vec::new());
+        self.dev.try_dtoh_packed_checked(&mut [
+            DtohPart::new(&self.chunk.v, &mut v_pos),
+            DtohPart::new(&self.chunk.j, &mut j_pos),
+        ])?;
         self.clock.charge("teardown", &self.dev.timeline().breakdown_since(mark));
         Ok((v_pos, j_pos))
     }
@@ -1640,7 +1779,7 @@ impl<'s> TensorOuterSession<'s> {
                 Some(chunk) => chunk,
                 None => {
                     let deltas = Loads::Deltas(loads);
-                    Chunk::build(dev, a, None, &deltas, None, 0..loads.len(), warm, probes, t)?
+                    Chunk::build(dev, a, None, &deltas, None, 0..loads.len(), warm, probes, 1, t)?
                 }
             };
             let out = op(dev, &mut chunk, t, loads)?;
@@ -1909,7 +2048,7 @@ impl Kernel for WarmInitKernel<'_> {
     }
 }
 
-/// One fused FBS iteration per launch: the backward sweep (injection
+/// Fused FBS iterations in one launch: the backward sweep (injection
 /// inline, levels leaf→root) runs immediately into the forward ladder
 /// sweep (levels root→leaf) as barrier phases of the *same* kernel, one
 /// block per [`SCENARIOS_PER_BLOCK`] scenarios (`blockIdx.y`).
@@ -1926,6 +2065,15 @@ impl Kernel for WarmInitKernel<'_> {
 /// per-scenario ∞-norm residual accumulates in per-thread locals and
 /// tree-folds through shared memory at the end, so it costs one `f64` of
 /// global traffic per scenario.
+///
+/// A launch over one scenario loops: up to `sweeps` iterations, sweep
+/// `i` publishing its residual at slot `i`, continuing only while
+/// `go_on` holds. The block is alone on the device, so its barriers
+/// order one sweep's forward half before the next's backward half and no
+/// grid-wide sync is needed. With `flat` set, the first sweep starts
+/// from that voltage everywhere: it reads no voltage, writes the root's
+/// (no later sweep rewrites it) and leaves every other node to its
+/// forward half, so no fill launch precedes the solve.
 struct SweepKernel<'a> {
     loads: LoadsRef<'a>,
     v: GlobalMut<'a, Complex>,
@@ -1948,6 +2096,14 @@ struct SweepKernel<'a> {
     /// Scenarios in the chunk (the last block may hold fewer than
     /// [`SCENARIOS_PER_BLOCK`]).
     nb: usize,
+    /// The flat start the first sweep begins from, if the iterate holds
+    /// no voltages yet.
+    flat: Option<Complex>,
+    /// Most sweeps this launch runs (1 unless the chunk holds one
+    /// scenario).
+    sweeps: usize,
+    /// Whether another sweep may follow a residual.
+    go_on: SureContinue,
 }
 
 impl Kernel for SweepKernel<'_> {
@@ -1990,135 +2146,158 @@ impl Kernel for SweepKernel<'_> {
         let bank = slot_base[nl] * bdim;
         let mut local_j = vec![Complex::ZERO; nm * bank];
         let mut local_v = vec![Complex::ZERO; nm * bank];
-
-        // Backward half, leaf→root: injection fused in, children summed
-        // over their contiguous level-order range. Each current is stored
-        // to global (the parent phase and the audit read it there) and
-        // kept in this thread's local slot for the forward half, along
-        // with the pre-update voltage.
-        for l in (0..nl).rev() {
-            let off = self.level_offsets[l] as usize;
-            let w = self.level_offsets[l + 1] as usize - off;
-            let sb = slot_base[l];
-            blk.threads(|t| {
-                let mut k = t.tid();
-                let mut m = 0usize;
-                while k < w {
-                    let p = off + k;
-                    // One topology read per node, shared by the members.
-                    let base_sv = match &self.loads {
-                        LoadsRef::Scaled { base: bs, .. } => Some(t.ld(bs, p)),
-                        LoadsRef::Explicit(_) => None,
-                    };
-                    let lo = t.ld(&self.child_lo, p) as usize;
-                    let hi = t.ld(&self.child_hi, p) as usize;
-                    // Cut membership is two compares against the node's
-                    // DFS position (one extra topology read, patched
-                    // solves only).
-                    let dp = match &self.patch {
-                        Some(pr) => t.ld(&pr.dfs_pos, p),
-                        None => 0,
-                    };
-                    let slot = (sb + m) * bdim + t.tid();
-                    for (qi, mb) in members.iter().enumerate() {
-                        if dp >= mb.cut_lo && dp < mb.cut_hi {
-                            continue; // de-energized in this scenario
-                        }
-                        let base = mb.s_idx * self.n;
-                        let g = base + p;
-                        let sv = match (&self.loads, base_sv) {
-                            (_, Some(b)) => {
-                                t.flops(2);
-                                b * mb.scale
-                            }
-                            (LoadsRef::Explicit(s), _) => t.ld(s, g),
-                            _ => unreachable!("scaled loads stage base_sv"),
-                        };
-                        let vv = t.ld_mut(&self.v, g);
-                        let mut acc = if sv == Complex::ZERO {
-                            Complex::ZERO
-                        } else {
-                            t.flops(Complex::DIV_FLOPS + 1);
-                            (sv / vv).conj()
-                        };
-                        for c in lo..hi {
-                            if c as u32 == mb.cut_pos {
-                                continue; // the opened branch carries no current
-                            }
-                            t.flops(Complex::ADD_FLOPS);
-                            acc += t.ld_mut(&self.j, base + c);
-                        }
-                        t.st(&self.j, g, acc);
-                        local_j[qi * bank + slot] = acc;
-                        local_v[qi * bank + slot] = vv;
-                    }
-                    k += bdim;
-                    m += 1;
-                }
-            });
-        }
-
-        // Forward half, root→leaf: the ladder update reads the parent's
-        // fresh voltage from global (written the previous phase) but takes
-        // its own current and previous voltage from the local slots. Each
-        // member's residual partial accumulates per thread in the exact
-        // per-node order of the unfused sweep.
-        let mut partial = vec![0.0f64; nm * bdim];
-        let mut partial_min = vec![f64::INFINITY; if self.min_v.is_some() { nm * bdim } else { 0 }];
-        for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
-            let off = self.level_offsets[l] as usize;
-            let w = self.level_offsets[l + 1] as usize - off;
-            blk.threads(|t| {
-                let tid = t.tid();
-                let mut k = tid;
-                let mut m = 0usize;
-                while k < w {
-                    let p = off + k;
-                    let parent = t.ld(&self.parent_pos, p) as usize;
-                    let zv = t.ld(&self.z, p);
-                    let dp = match &self.patch {
-                        Some(pr) => t.ld(&pr.dfs_pos, p),
-                        None => 0,
-                    };
-                    let slot = (sb + m) * bdim + tid;
-                    for (qi, mb) in members.iter().enumerate() {
-                        if dp >= mb.cut_lo && dp < mb.cut_hi {
-                            continue; // de-energized: frozen, not folded
-                        }
-                        let base = mb.s_idx * self.n;
-                        let g = base + p;
-                        let vp = t.ld_mut(&self.v, base + parent);
-                        let jv = local_j[qi * bank + slot];
-                        let old = local_v[qi * bank + slot];
-                        let zm = if p as u32 == mb.z_pos { mb.z_val } else { zv };
-                        let nv = vp - zm * jv;
-                        t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
-                        let d = (nv - old).abs();
-                        t.st(&self.v, g, nv);
-                        t.flops(MaxAbsF64::FLOPS);
-                        partial[qi * bdim + tid] =
-                            MaxAbsF64::combine(partial[qi * bdim + tid], d);
-                        if self.min_v.is_some() {
-                            t.flops(2);
-                            let slot_min = &mut partial_min[qi * bdim + tid];
-                            *slot_min = slot_min.min(nv.abs());
-                        }
-                    }
-                    k += bdim;
-                    m += 1;
-                }
-            });
-        }
-
-        // Tree-fold each member's partials and publish its residual
-        // (and, for patched solves, its minimum updated `|V|`).
         let sh = blk.shared::<f64>(bdim);
-        for (qi, mb) in members.iter().enumerate() {
-            let slots = qi * bdim..(qi + 1) * bdim;
-            let (max, flops) = (MaxAbsF64::combine, MaxAbsF64::FLOPS);
-            tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, mb.s_idx);
-            if let Some(min_buf) = &self.min_v {
-                tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, min_buf, mb.s_idx);
+        let mut go_on = self.go_on;
+
+        for sweep in 0..self.sweeps {
+            let flat = if sweep == 0 { self.flat } else { None };
+
+            // Backward half, leaf→root: injection fused in, children
+            // summed over their contiguous level-order range. Each current
+            // is stored to global (the parent phase and the audit read it
+            // there) and kept in this thread's local slot for the forward
+            // half, along with the pre-update voltage.
+            for l in (0..nl).rev() {
+                let off = self.level_offsets[l] as usize;
+                let w = self.level_offsets[l + 1] as usize - off;
+                let sb = slot_base[l];
+                blk.threads(|t| {
+                    let mut k = t.tid();
+                    let mut m = 0usize;
+                    while k < w {
+                        let p = off + k;
+                        // One topology read per node, shared by the members.
+                        let base_sv = match &self.loads {
+                            LoadsRef::Scaled { base: bs, .. } => Some(t.ld(bs, p)),
+                            LoadsRef::Explicit(_) => None,
+                        };
+                        let lo = t.ld(&self.child_lo, p) as usize;
+                        let hi = t.ld(&self.child_hi, p) as usize;
+                        // Cut membership is two compares against the
+                        // node's DFS position (one extra topology read,
+                        // patched solves only).
+                        let dp = match &self.patch {
+                            Some(pr) => t.ld(&pr.dfs_pos, p),
+                            None => 0,
+                        };
+                        let slot = (sb + m) * bdim + t.tid();
+                        for (qi, mb) in members.iter().enumerate() {
+                            let g = mb.s_idx * self.n + p;
+                            if dp >= mb.cut_lo && dp < mb.cut_hi {
+                                // De-energized in this scenario: it keeps
+                                // its starting voltage.
+                                if let Some(v0) = flat {
+                                    t.st(&self.v, g, v0);
+                                }
+                                continue;
+                            }
+                            let sv = match (&self.loads, base_sv) {
+                                (_, Some(b)) => {
+                                    t.flops(2);
+                                    b * mb.scale
+                                }
+                                (LoadsRef::Explicit(s), _) => t.ld(s, g),
+                                _ => unreachable!("scaled loads stage base_sv"),
+                            };
+                            let vv = match flat {
+                                Some(v0) if l == 0 => {
+                                    t.st(&self.v, g, v0);
+                                    v0
+                                }
+                                Some(v0) => v0,
+                                None => t.ld_mut(&self.v, g),
+                            };
+                            let mut acc = if sv == Complex::ZERO {
+                                Complex::ZERO
+                            } else {
+                                t.flops(Complex::DIV_FLOPS + 1);
+                                (sv / vv).conj()
+                            };
+                            for c in lo..hi {
+                                if c as u32 == mb.cut_pos {
+                                    continue; // the opened branch carries no current
+                                }
+                                t.flops(Complex::ADD_FLOPS);
+                                acc += t.ld_mut(&self.j, mb.s_idx * self.n + c);
+                            }
+                            t.st(&self.j, g, acc);
+                            local_j[qi * bank + slot] = acc;
+                            local_v[qi * bank + slot] = vv;
+                        }
+                        k += bdim;
+                        m += 1;
+                    }
+                });
+            }
+
+            // Forward half, root→leaf: the ladder update reads the
+            // parent's fresh voltage from global (written the previous
+            // phase) but takes its own current and previous voltage from
+            // the local slots. Each member's residual partial accumulates
+            // per thread in the exact per-node order of the unfused sweep.
+            let mut partial = vec![0.0f64; nm * bdim];
+            let mut partial_min =
+                vec![f64::INFINITY; if self.min_v.is_some() { nm * bdim } else { 0 }];
+            for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
+                let off = self.level_offsets[l] as usize;
+                let w = self.level_offsets[l + 1] as usize - off;
+                blk.threads(|t| {
+                    let tid = t.tid();
+                    let mut k = tid;
+                    let mut m = 0usize;
+                    while k < w {
+                        let p = off + k;
+                        let parent = t.ld(&self.parent_pos, p) as usize;
+                        let zv = t.ld(&self.z, p);
+                        let dp = match &self.patch {
+                            Some(pr) => t.ld(&pr.dfs_pos, p),
+                            None => 0,
+                        };
+                        let slot = (sb + m) * bdim + tid;
+                        for (qi, mb) in members.iter().enumerate() {
+                            if dp >= mb.cut_lo && dp < mb.cut_hi {
+                                continue; // de-energized: frozen, not folded
+                            }
+                            let base = mb.s_idx * self.n;
+                            let g = base + p;
+                            let vp = t.ld_mut(&self.v, base + parent);
+                            let jv = local_j[qi * bank + slot];
+                            let old = local_v[qi * bank + slot];
+                            let zm = if p as u32 == mb.z_pos { mb.z_val } else { zv };
+                            let nv = vp - zm * jv;
+                            t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
+                            let d = (nv - old).abs();
+                            t.st(&self.v, g, nv);
+                            t.flops(MaxAbsF64::FLOPS);
+                            partial[qi * bdim + tid] =
+                                MaxAbsF64::combine(partial[qi * bdim + tid], d);
+                            if self.min_v.is_some() {
+                                t.flops(2);
+                                let slot_min = &mut partial_min[qi * bdim + tid];
+                                *slot_min = slot_min.min(nv.abs());
+                            }
+                        }
+                        k += bdim;
+                        m += 1;
+                    }
+                });
+            }
+
+            // Tree-fold each member's partials and publish its residual
+            // (and, for patched solves, its minimum updated `|V|`).
+            let mut residual = f64::NAN;
+            for (qi, mb) in members.iter().enumerate() {
+                let slots = qi * bdim..(qi + 1) * bdim;
+                let (max, flops) = (MaxAbsF64::combine, MaxAbsF64::FLOPS);
+                let at = sweep * self.nb + mb.s_idx;
+                residual =
+                    tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, at);
+                if let Some(min_buf) = &self.min_v {
+                    tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, min_buf, mb.s_idx);
+                }
+            }
+            if !go_on.step(residual) {
+                break;
             }
         }
     }
@@ -2126,6 +2305,8 @@ impl Kernel for SweepKernel<'_> {
 
 /// Folds one value per thread through shared memory with `combine`
 /// (`flops` per step) and has thread 0 store the result at `dst[idx]`.
+/// Every thread reads the result back from shared memory, so the block
+/// can branch on it uniformly; it is returned.
 fn tree_fold(
     blk: &mut BlockScope,
     sh: &Shared<f64>,
@@ -2134,7 +2315,7 @@ fn tree_fold(
     flops: u64,
     dst: &GlobalMut<'_, f64>,
     idx: usize,
-) {
+) -> f64 {
     blk.threads(|t| {
         t.sts(sh, t.tid(), partial[t.tid()]);
     });
@@ -2151,12 +2332,14 @@ fn tree_fold(
         });
         stride /= 2;
     }
+    let mut out = 0.0;
     blk.threads(|t| {
+        out = t.lds(sh, 0);
         if t.tid() == 0 {
-            let r = t.lds(sh, 0);
-            t.st(dst, idx, r);
+            t.st(dst, idx, out);
         }
     });
+    out
 }
 
 /// One *no-commit* iteration for the integrity audit: recomputes branch
@@ -2951,5 +3134,170 @@ mod tests {
             leaks.len(),
             leaks.join("\n")
         );
+    }
+
+    /// Steps a fused session on `dev` to its end with at most `k` sweeps
+    /// per launch, replaying every residual through a monitor as
+    /// `recovery::drive` does: the residual history, the status, and the
+    /// final V and J in position order.
+    fn stepped(
+        dev: &mut Device,
+        a: &SolverArrays,
+        cfg: &SolverConfig,
+        k: u32,
+    ) -> (Vec<f64>, SolveStatus, Vec<Complex>, Vec<Complex>) {
+        let mut sess = FusedSession::open(dev, a, None, cfg.max_iter, Obs::default()).unwrap();
+        let mut mon = ConvergenceMonitor::new(cfg, a.source.abs());
+        let mut history = Vec::new();
+        let status = 'solve: loop {
+            let left = cfg.max_iter - history.len() as u32;
+            if left == 0 {
+                break SolveStatus::MaxIterations;
+            }
+            let allowed = Sweeps { max: k.min(left), budget_us: None, go_on: mon.sure_continue() };
+            let rs = sess.iterate(&allowed).unwrap();
+            assert!((1..=k as usize).contains(&rs.len()), "{} residuals from one launch", rs.len());
+            for (i, r) in rs.iter().enumerate() {
+                history.push(*r);
+                if let Some(status) = mon.observe(history.len() as u32, *r) {
+                    assert_eq!(i + 1, rs.len(), "the launch ran past a stop");
+                    break 'solve status;
+                }
+            }
+        };
+        let (v, j) = sess.download().unwrap();
+        (history, status, v, j)
+    }
+
+    /// One launch looping over many sweeps reaches exactly the residuals,
+    /// status, V and J of one sweep per launch — converging, diverging
+    /// and non-finite — and stops where the monitor stops.
+    #[test]
+    fn fused_launches_of_many_sweeps_match_one_sweep_per_launch_bit_for_bit() {
+        let spec = GenSpec::default();
+        let rng = || StdRng::seed_from_u64(29);
+        let arrays = |net: &RadialNetwork| SolverArrays::new(net);
+        let mut cases = vec![
+            ("binary 1023", arrays(&balanced_binary(1023, &spec, &mut rng()))),
+            ("chain 300", arrays(&chain(300, &spec, &mut rng()))),
+            ("star 200", arrays(&star(200, &spec, &mut rng()))),
+            ("ieee13", arrays(&ieee13())),
+            ("ieee37", arrays(&ieee37())),
+        ];
+        let mut diverging = arrays(&random_tree(120, 8, &spec, &mut rng()));
+        diverging.s.iter_mut().for_each(|s| *s = *s * 1e6);
+        let mut sick = arrays(&random_tree(60, 8, &spec, &mut rng()));
+        sick.s[7] = c(f64::NAN, 0.0);
+        cases.extend([("diverging", diverging), ("NaN load", sick)]);
+        let cfg = SolverConfig::default();
+        let mut statuses = Vec::new();
+        for (name, a) in &cases {
+            let mut dev = device();
+            let one = stepped(&mut dev, a, &cfg, 1);
+            assert_eq!(dev.timeline().breakdown().kernels, one.0.len() as u64, "{name}");
+            let mut dev = device();
+            let many = stepped(&mut dev, a, &cfg, cfg.max_iter);
+            let launches = dev.timeline().breakdown().kernels;
+            let bits = |h: &[f64]| h.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            let phasor_bits = |x: &[Complex]| {
+                x.iter().flat_map(|p| [p.re.to_bits(), p.im.to_bits()]).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&many.0), bits(&one.0), "{name}: residual history");
+            assert_eq!(many.1, one.1, "{name}: status");
+            assert_eq!(phasor_bits(&many.2), phasor_bits(&one.2), "{name}: V");
+            assert_eq!(phasor_bits(&many.3), phasor_bits(&one.3), "{name}: J");
+            if one.1 == SolveStatus::Converged {
+                assert_eq!(launches, 1, "{name}: a clean convergence is one launch");
+            }
+            statuses.push(one.1);
+        }
+        assert!(statuses[..5].iter().all(|s| *s == SolveStatus::Converged), "{statuses:?}");
+        let failed = |s: &SolveStatus| {
+            matches!(s, SolveStatus::Diverged { .. } | SolveStatus::NumericalFailure { .. })
+        };
+        assert!(failed(&statuses[5]), "diverging: {}", statuses[5]);
+        assert!(matches!(statuses[6], SolveStatus::NumericalFailure { at_iteration: 1 }));
+    }
+
+    #[test]
+    fn clean_cold_fused_solve_is_one_upload_one_launch_and_two_read_backs() {
+        let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(42));
+        let mut gpu = crate::GpuSolver::new(device());
+        let res = gpu.solve(&net, &SolverConfig::default());
+        assert_eq!(res.status, SolveStatus::Converged);
+        assert!(res.iterations > 1);
+        let count = |label: &str| {
+            gpu.device().timeline().events().iter().filter(|e| e.label() == label).count()
+        };
+        let ops = (count("<htod>"), count("tensor_sweep"), count("<dtoh>"));
+        assert_eq!(ops, (1, 1, 2), "(H2D, kernels, D2H) of {} iterations", res.iterations);
+        assert_eq!(gpu.device().timeline().breakdown().kernels, 1);
+    }
+
+    /// With a deadline set, each launch runs only as many sweeps as fit in
+    /// the time left, so the solve overruns its budget by at most what
+    /// one sweep per launch does: one single-sweep launch and its
+    /// residual read-back.
+    #[test]
+    fn fused_deadline_overrun_is_at_most_one_sweep_launch_and_its_read_back() {
+        let net = chain(400, &GenSpec::default(), &mut StdRng::seed_from_u64(5));
+        let a = SolverArrays::new(&net);
+        let props = DeviceProps::paper_rig();
+        let bound = single_iteration_bound_us(&props, &crate::gpu::level_shape(&a));
+        let read = simt::timing::transfer_time(&props, 8);
+        let free = crate::GpuSolver::new(device()).solve_arrays(&a, &SolverConfig::default());
+        assert!(free.iterations > 4, "the chain needs a few iterations");
+        let total = free.timing.total_us();
+        let mut multi_sweep = false;
+        for frac in [0.15, 0.3, 0.45, 0.6] {
+            let budget = frac * total;
+            let cfg = SolverConfig::default().with_deadline(budget);
+            let mut gpu = crate::GpuSolver::new(device());
+            let res = gpu.solve_arrays(&a, &cfg);
+            let SolveStatus::DeadlineExceeded { at_iteration, .. } = res.status else {
+                panic!("{frac}: expected a deadline stop, got {}", res.status);
+            };
+            assert_eq!(at_iteration, res.iterations);
+            let sweeps_run = res.timing.phases.total_us() - res.timing.phases.teardown_us;
+            assert!(
+                sweeps_run - budget <= bound + read,
+                "{frac}: overran {budget:.1} µs by {:.1} µs (bound {bound:.1} + read {read:.1})",
+                sweeps_run - budget
+            );
+            let launches = gpu.device().timeline().breakdown().kernels as u32;
+            multi_sweep |= launches < res.iterations;
+        }
+        assert!(multi_sweep, "some launch must have run several sweeps");
+    }
+
+    /// A checkpointing attempt (an armed plan) and a cancellable one each
+    /// issue exactly the ops of a solve stepped one sweep per launch.
+    #[test]
+    fn armed_plan_or_cancel_flag_keeps_fused_solves_at_one_sweep_per_launch() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(42));
+        let a = SolverArrays::new(&net);
+        let cfg = SolverConfig::default();
+        let ops = |dev: &Device| {
+            let op = |e: &simt::Event| format!("{:?} {:x}", e.kind, e.modeled_us.to_bits());
+            dev.timeline().events().iter().map(op).collect::<Vec<_>>()
+        };
+        let mut dev = device();
+        let (history, ..) = stepped(&mut dev, &a, &cfg, 1);
+        let want = ops(&dev);
+        assert_eq!(dev.timeline().breakdown().kernels, history.len() as u64);
+
+        let mut armed = device();
+        armed.arm_faults(simt::FaultPlan::seeded(0, 0.0));
+        let mut gpu = crate::GpuSolver::new(armed);
+        assert_eq!(gpu.solve_arrays(&a, &cfg).residual_history, history);
+        assert_eq!(ops(gpu.device()), want, "plain solve on an armed device");
+
+        let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+        let mut supervisor = crate::ResilientSolver::new(crate::Backend::Gpu, props, host)
+            .with_cancel(Arc::new(AtomicBool::new(false)));
+        assert_eq!(supervisor.solve(&a, &cfg).unwrap().residual_history, history);
+        assert_eq!(ops(supervisor.last_device().unwrap()), want, "supervised with a cancel flag");
     }
 }

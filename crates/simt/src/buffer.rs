@@ -27,6 +27,24 @@ use std::sync::{Arc, Mutex};
 pub trait DeviceCopy: Copy + Default + Send + Sync + 'static {}
 impl<T: Copy + Default + Send + Sync + 'static> DeviceCopy for T {}
 
+/// A plain-old-data slice viewed as raw bytes. The element type carries
+/// no padding by the [`DeviceCopy`] contract (device buffers hold
+/// scalars and scalar pairs), so the byte view is fully initialised.
+pub(crate) fn pod_bytes<T: DeviceCopy>(data: &[T]) -> &[u8] {
+    // SAFETY: T is Copy + 'static plain-old-data; reading its bytes is
+    // valid for the slice's full length.
+    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
+}
+
+/// [`pod_bytes`] for writing: every byte pattern the transfer engine
+/// writes is one a device buffer of the same type could hold.
+pub(crate) fn pod_bytes_mut<T: DeviceCopy>(data: &mut [T]) -> &mut [u8] {
+    // SAFETY: as in pod_bytes; the slice is exclusively borrowed.
+    unsafe {
+        std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut u8, std::mem::size_of_val(data))
+    }
+}
+
 /// Identifier distinguishing allocations in coalescing bookkeeping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct BufId(pub u32);
@@ -219,17 +237,6 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         buf
     }
 
-    /// Flips one bit of the raw allocation (injected transfer
-    /// corruption). `byte` must be in bounds.
-    pub(crate) fn flip_bit(&mut self, byte: usize, bit_in_byte: u32) {
-        assert!((byte as u64) < self.size_bytes(), "flip_bit out of bounds");
-        // SAFETY: &mut self — no views or kernels alive; byte checked.
-        unsafe {
-            let p = self.data.as_ptr() as *mut u8;
-            *p.add(byte) ^= 1 << (bit_in_byte % 8);
-        }
-    }
-
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -254,27 +261,22 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         self.id
     }
 
-    /// Overwrites device contents from a host slice (engine-internal; the
-    /// public, time-charged path is [`crate::Device::htod`]).
-    pub(crate) fn copy_from_host(&mut self, src: &[T]) {
-        assert_eq!(
-            src.len(),
-            self.len(),
-            "htod length mismatch: host {} vs device {}",
-            src.len(),
-            self.len()
-        );
-        for (cell, v) in self.data.iter_mut().zip(src) {
-            *cell.get_mut() = *v;
+    /// The payload as raw bytes (the transfer engine's view).
+    pub(crate) fn bytes(&self) -> &[u8] {
+        // SAFETY: T is plain-old-data (DeviceCopy) and UnsafeCell<T> has
+        // T's layout; &self rules out a concurrent kernel writer, as in
+        // copy_to_host.
+        unsafe {
+            std::slice::from_raw_parts(self.data.as_ptr() as *const u8, self.size_bytes() as usize)
         }
     }
 
-    /// Reads device contents into a fresh host vector (engine-internal;
-    /// the time-charged path is [`crate::Device::dtoh`]).
-    pub(crate) fn copy_to_host(&self) -> Vec<T> {
-        // SAFETY: &self guarantees no kernel holds a GlobalMut on another
-        // thread (launches are synchronous and take the views by borrow).
-        self.data.iter().map(|c| unsafe { *c.get() }).collect()
+    /// The payload as writable raw bytes (the transfer engine's view).
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in bytes(); &mut self means no view or kernel is alive.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.data.as_ptr() as *mut u8, self.size_bytes() as usize)
+        }
     }
 
     /// A read-only global-memory view for a kernel parameter.
@@ -404,6 +406,21 @@ impl<T: DeviceCopy> GlobalMut<'_, T> {
     }
 }
 
+/// Untimed host copies for the crate's unit tests (the timed paths are
+/// [`crate::Device::htod`] and [`crate::Device::dtoh`]).
+#[cfg(test)]
+impl<T: DeviceCopy> DeviceBuffer<T> {
+    pub(crate) fn copy_from_host(&mut self, src: &[T]) {
+        self.bytes_mut().copy_from_slice(pod_bytes(src));
+    }
+
+    pub(crate) fn copy_to_host(&self) -> Vec<T> {
+        let mut out = vec![T::default(); self.len()];
+        pod_bytes_mut(&mut out).copy_from_slice(self.bytes());
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,8 +447,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "htod length mismatch")]
     fn htod_length_mismatch_panics() {
-        let mut b = DeviceBuffer::<u32>::zeroed(2);
-        b.copy_from_host(&[1, 2, 3]);
+        let mut dev = crate::Device::with_workers(crate::DeviceProps::paper_rig(), 1);
+        let mut b = dev.alloc::<u32>(2);
+        dev.htod(&mut b, &[1, 2, 3]);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Real GPU links protect payloads end-to-end with a link-layer CRC;
 //! the simulator's checked transfer paths
-//! ([`crate::Device::try_htod_checked`] /
-//! [`crate::Device::try_dtoh_checked`]) model that net by computing this
-//! checksum independently on both sides of every guarded copy. The
+//! ([`crate::Device::try_htod_packed_checked`] /
+//! [`crate::Device::try_dtoh_packed_checked`], of which the one-buffer
+//! checked copies are the one-member case) model that net by computing
+//! this checksum independently on both sides of every guarded copy — a
+//! packed copy over the concatenation of its members. The
 //! implementation is the bit-reflected ECMA-182 polynomial (the `xz`
 //! CRC-64 variant) over a compile-time 256-entry table — no external
 //! crates, deterministic everywhere.
@@ -38,17 +40,9 @@ pub fn crc64(bytes: &[u8]) -> u64 {
     !crc
 }
 
-/// CRC64 of a plain-old-data slice, viewed as raw bytes. The element
-/// type carries no padding by the [`crate::DeviceCopy`] contract
-/// (device buffers hold scalars and scalar pairs), so the byte view is
-/// fully initialised.
+/// CRC64 of a plain-old-data slice, viewed as raw bytes.
 pub fn crc64_of<T: crate::DeviceCopy>(data: &[T]) -> u64 {
-    // SAFETY: T is Copy + 'static plain-old-data; reading its bytes is
-    // valid for the slice's full length.
-    let bytes = unsafe {
-        std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
-    };
-    crc64(bytes)
+    crc64(crate::buffer::pod_bytes(data))
 }
 
 #[cfg(test)]

@@ -3,13 +3,71 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::buffer::{DeviceBuffer, DeviceCopy, MemPool};
+use crate::buffer::{pod_bytes, pod_bytes_mut, DeviceBuffer, DeviceCopy, MemPool};
 use crate::engine;
 use crate::fault::{DeviceError, FaultKind, FaultPlan, FaultRecord, FaultSite};
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::props::DeviceProps;
 use crate::timeline::{Event, EventKind, Timeline};
 use crate::timing;
+
+/// One member of a packed host-to-device copy
+/// ([`Device::try_htod_packed`]): a device buffer and the host slice that
+/// fills it.
+pub struct HtodPart<'a> {
+    dst: &'a mut [u8],
+    src: &'a [u8],
+    host_len: usize,
+    device_len: usize,
+}
+
+impl<'a> HtodPart<'a> {
+    /// Fills `dst` from `src`; the transfer fails unless their lengths
+    /// match.
+    pub fn new<T: DeviceCopy>(dst: &'a mut DeviceBuffer<T>, src: &'a [T]) -> Self {
+        let device_len = dst.len();
+        HtodPart { dst: dst.bytes_mut(), src: pod_bytes(src), host_len: src.len(), device_len }
+    }
+}
+
+/// One member of a packed device-to-host copy
+/// ([`Device::try_dtoh_packed`]): the leading elements of a device buffer
+/// and the host vector they land in.
+pub struct DtohPart<'a> {
+    src: &'a [u8],
+    out: &'a mut [u8],
+}
+
+impl<'a> DtohPart<'a> {
+    /// Reads all of `src` into `out`, which is resized to match.
+    pub fn new<T: DeviceCopy>(src: &'a DeviceBuffer<T>, out: &'a mut Vec<T>) -> Self {
+        Self::prefix(src, src.len(), out)
+    }
+
+    /// Reads the first `len` elements of `src` into `out`, which is
+    /// resized to `len`.
+    ///
+    /// # Panics
+    ///
+    /// If `len` exceeds the buffer's length.
+    pub fn prefix<T: DeviceCopy>(src: &'a DeviceBuffer<T>, len: usize, out: &'a mut Vec<T>) -> Self {
+        assert!(len <= src.len(), "dtoh of {len} elements from a buffer of {}", src.len());
+        out.clear();
+        out.resize(len, T::default());
+        DtohPart { src: &src.bytes()[..std::mem::size_of::<T>() * len], out: pod_bytes_mut(out) }
+    }
+}
+
+/// The byte at offset `at` of the concatenation of `members`.
+fn byte_at<'b>(members: impl Iterator<Item = &'b mut [u8]>, mut at: u64) -> &'b mut u8 {
+    for m in members {
+        if at < m.len() as u64 {
+            return &mut m[at as usize];
+        }
+        at -= m.len() as u64;
+    }
+    unreachable!("flip targets lie inside the concatenation")
+}
 
 /// A simulated CUDA device.
 ///
@@ -29,6 +87,16 @@ use crate::timing;
 /// messages exactly. Device faults raised *inside* kernels
 /// (out-of-bounds accesses) still panic from the launch engine,
 /// mirroring sticky memcheck errors on real hardware.
+///
+/// # Transfers
+///
+/// Every copy is a packed copy ([`Device::try_htod_packed`],
+/// [`Device::try_dtoh_packed`]): one or more buffers staged back to back
+/// in pinned host memory and moved as one `cudaMemcpy` — one
+/// [`EventKind::Htod`] or [`EventKind::Dtoh`] of the summed bytes,
+/// charged one PCIe latency, and one fault-plan op. The one-buffer
+/// methods are its one-member case. The `*_checked` variants add the
+/// link-CRC model over the concatenation.
 ///
 /// # Fault injection
 ///
@@ -201,120 +269,163 @@ impl Device {
         Ok(buf)
     }
 
-    /// Uploads a host slice into a device buffer (lengths must match).
-    /// An injected [`FaultKind::TransferCorruption`] flips one
-    /// exponent-range bit of the device copy — silently.
+    /// Uploads a host slice into a device buffer (lengths must match):
+    /// [`Device::try_htod_packed`] with one member.
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_htod<T: DeviceCopy>(
         &mut self,
         buf: &mut DeviceBuffer<T>,
         src: &[T],
     ) -> Result<(), DeviceError> {
-        let fault = self.poll_fault(FaultSite::Htod)?;
-        if src.len() != buf.len() {
-            return Err(DeviceError::TransferSize { host: src.len(), device: buf.len() });
-        }
-        let t0 = Instant::now();
-        buf.copy_from_host(src);
-        if let Some((op, FaultKind::TransferCorruption)) = fault {
-            if let Some((byte, bit)) =
-                self.plan.as_ref().and_then(|p| p.flip_target(op, buf.size_bytes()))
-            {
-                buf.flip_bit(byte as usize, bit);
-            }
-        }
-        let bytes = buf.size_bytes();
-        self.timeline.push(Event {
-            kind: EventKind::Htod { bytes },
-            modeled_us: timing::transfer_time(&self.props, bytes),
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
-        });
-        Ok(())
+        self.try_htod_packed(&mut [HtodPart::new(buf, src)])
     }
 
-    /// Downloads a device buffer into a fresh host vector. Seeded plans
-    /// never corrupt this path (read-backs are CRC-protected on real
-    /// parts); a *scripted* [`FaultKind::TransferCorruption`] flips one
-    /// bit of the returned host copy.
+    /// Downloads a device buffer into a fresh host vector:
+    /// [`Device::try_dtoh_packed`] with one member.
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_dtoh<T: DeviceCopy>(
         &mut self,
         buf: &DeviceBuffer<T>,
     ) -> Result<Vec<T>, DeviceError> {
-        let fault = self.poll_fault(FaultSite::Dtoh)?;
-        let t0 = Instant::now();
-        let mut out = buf.copy_to_host();
-        if let Some((op, FaultKind::TransferCorruption)) = fault {
-            if let Some((byte, bit)) =
-                self.plan.as_ref().and_then(|p| p.flip_target(op, buf.size_bytes()))
-            {
-                // SAFETY: T is plain-old-data (DeviceCopy) and byte is in
-                // bounds by flip_target's contract.
-                unsafe {
-                    let p = out.as_mut_ptr() as *mut u8;
-                    *p.add(byte as usize) ^= 1 << (bit % 8);
-                }
-            }
-        }
-        let bytes = buf.size_bytes();
-        self.timeline.push(Event {
-            kind: EventKind::Dtoh { bytes },
-            modeled_us: timing::transfer_time(&self.props, bytes),
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
-        });
+        let mut out = Vec::new();
+        self.try_dtoh_packed(&mut [DtohPart::new(buf, &mut out)])?;
         Ok(out)
     }
 
-    /// [`Device::try_htod`] with end-to-end integrity: a CRC64 of the
-    /// host payload is compared against a CRC64 recomputed over the
-    /// device copy after the transfer (the link-CRC model, see
-    /// [`crate::crc`]). A mismatch — e.g. an injected
-    /// [`FaultKind::TransferCorruption`] — returns
-    /// [`DeviceError::TransferCorrupted`] instead of corrupting
-    /// silently; the device copy is left as transferred so the caller
-    /// can retry the upload. Consumes exactly one fault-plan op, like
-    /// the unchecked path.
+    /// [`Device::try_htod`] with end-to-end integrity
+    /// ([`Device::try_htod_packed_checked`] with one member).
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_htod_checked<T: DeviceCopy>(
         &mut self,
         buf: &mut DeviceBuffer<T>,
         src: &[T],
     ) -> Result<(), DeviceError> {
-        let expected = crate::crc::crc64_of(src);
-        self.try_htod(buf, src)?;
-        let actual = crate::crc::crc64_of(&buf.copy_to_host());
-        if actual != expected {
-            return Err(DeviceError::TransferCorrupted {
-                site: FaultSite::Htod,
-                expected,
-                actual,
-            });
-        }
-        Ok(())
+        self.try_htod_packed_checked(&mut [HtodPart::new(buf, src)])
     }
 
-    /// [`Device::try_dtoh`] with end-to-end integrity: the device-side
-    /// CRC64 is computed before the read-back and compared with the
-    /// CRC64 of the host copy. A scripted dtoh
-    /// [`FaultKind::TransferCorruption`] surfaces as
-    /// [`DeviceError::TransferCorrupted`] instead of handing the caller
-    /// corrupted data. Consumes exactly one fault-plan op.
+    /// [`Device::try_dtoh`] with end-to-end integrity
+    /// ([`Device::try_dtoh_packed_checked`] with one member).
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_dtoh_checked<T: DeviceCopy>(
         &mut self,
         buf: &DeviceBuffer<T>,
     ) -> Result<Vec<T>, DeviceError> {
-        let expected = crate::crc::crc64_of(&buf.copy_to_host());
-        let out = self.try_dtoh(buf)?;
-        let actual = crate::crc::crc64_of(&out);
-        if actual != expected {
-            return Err(DeviceError::TransferCorrupted {
-                site: FaultSite::Dtoh,
-                expected,
-                actual,
-            });
-        }
+        let mut out = Vec::new();
+        self.try_dtoh_packed_checked(&mut [DtohPart::new(buf, &mut out)])?;
         Ok(out)
+    }
+
+    /// Fills several device buffers from their host slices as one PCIe
+    /// transaction: the members are packed back to back into pinned
+    /// staging and cross the link as one `cudaMemcpy`. One
+    /// [`EventKind::Htod`] of the summed bytes and one fault-plan op,
+    /// however many members. Every member's lengths must match
+    /// ([`DeviceError::TransferSize`] names the first that does not).
+    /// An injected [`FaultKind::TransferCorruption`] flips one
+    /// exponent-range bit at one byte offset of the concatenation, so
+    /// exactly one member lands corrupted — silently.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_htod_packed(&mut self, parts: &mut [HtodPart<'_>]) -> Result<(), DeviceError> {
+        self.htod_packed(parts).map(drop)
+    }
+
+    /// [`Device::try_htod_packed`] with end-to-end integrity: a CRC64 of
+    /// the staged host payload is compared against a CRC64 recomputed
+    /// over the members' device copies after the transfer (the link-CRC
+    /// model, see [`crate::crc`]). A mismatch — e.g. an injected
+    /// [`FaultKind::TransferCorruption`] — returns
+    /// [`DeviceError::TransferCorrupted`] instead of corrupting silently;
+    /// the device copies are left as transferred so the caller can retry
+    /// the upload. Consumes exactly one fault-plan op, like the unchecked
+    /// path.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_htod_packed_checked(
+        &mut self,
+        parts: &mut [HtodPart<'_>],
+    ) -> Result<(), DeviceError> {
+        let expected = crate::crc::crc64(&self.htod_packed(parts)?);
+        let landed: Vec<u8> = parts.iter().flat_map(|p| p.dst.iter().copied()).collect();
+        let actual = crate::crc::crc64(&landed);
+        if actual != expected {
+            return Err(DeviceError::TransferCorrupted { site: FaultSite::Htod, expected, actual });
+        }
+        Ok(())
+    }
+
+    /// The packed upload; returns the staged bytes for the checked path.
+    fn htod_packed(&mut self, parts: &mut [HtodPart<'_>]) -> Result<Vec<u8>, DeviceError> {
+        let fault = self.poll_fault(FaultSite::Htod)?;
+        if let Some(p) = parts.iter().find(|p| p.host_len != p.device_len) {
+            return Err(DeviceError::TransferSize { host: p.host_len, device: p.device_len });
+        }
+        let t0 = Instant::now();
+        let staged: Vec<u8> = parts.iter().flat_map(|p| p.src.iter().copied()).collect();
+        let mut at = 0;
+        for p in parts.iter_mut() {
+            p.dst.copy_from_slice(&staged[at..at + p.dst.len()]);
+            at += p.dst.len();
+        }
+        let bytes = staged.len() as u64;
+        if let Some((op, FaultKind::TransferCorruption)) = fault {
+            if let Some((byte, bit)) = self.plan.as_ref().and_then(|p| p.flip_target(op, bytes)) {
+                *byte_at(parts.iter_mut().map(|p| &mut *p.dst), byte) ^= 1 << (bit % 8);
+            }
+        }
+        self.timeline.push(Event {
+            kind: EventKind::Htod { bytes },
+            modeled_us: timing::transfer_time(&self.props, bytes),
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+        });
+        Ok(staged)
+    }
+
+    /// Reads several device buffers (or their leading elements) into
+    /// host vectors as one PCIe transaction, the mirror of
+    /// [`Device::try_htod_packed`]: one [`EventKind::Dtoh`] of the summed
+    /// bytes and one fault-plan op. Seeded plans never corrupt this path
+    /// (read-backs are CRC-protected on real parts); a *scripted*
+    /// [`FaultKind::TransferCorruption`] flips one bit at one byte offset
+    /// of the concatenated host copies.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_dtoh_packed(&mut self, parts: &mut [DtohPart<'_>]) -> Result<(), DeviceError> {
+        let fault = self.poll_fault(FaultSite::Dtoh)?;
+        let t0 = Instant::now();
+        for p in parts.iter_mut() {
+            p.out.copy_from_slice(p.src);
+        }
+        let bytes: u64 = parts.iter().map(|p| p.out.len() as u64).sum();
+        if let Some((op, FaultKind::TransferCorruption)) = fault {
+            if let Some((byte, bit)) = self.plan.as_ref().and_then(|p| p.flip_target(op, bytes)) {
+                *byte_at(parts.iter_mut().map(|p| &mut *p.out), byte) ^= 1 << (bit % 8);
+            }
+        }
+        self.timeline.push(Event {
+            kind: EventKind::Dtoh { bytes },
+            modeled_us: timing::transfer_time(&self.props, bytes),
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+        });
+        Ok(())
+    }
+
+    /// [`Device::try_dtoh_packed`] with end-to-end integrity: the CRC64
+    /// of the concatenated device members is computed before the
+    /// read-back and compared with the CRC64 of the concatenated host
+    /// copies. A scripted dtoh [`FaultKind::TransferCorruption`] surfaces
+    /// as [`DeviceError::TransferCorrupted`] instead of handing the
+    /// caller corrupted data. Consumes exactly one fault-plan op.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_dtoh_packed_checked(
+        &mut self,
+        parts: &mut [DtohPart<'_>],
+    ) -> Result<(), DeviceError> {
+        let concat = |bytes: Vec<&[u8]>| crate::crc::crc64(&bytes.concat());
+        let expected = concat(parts.iter().map(|p| p.src).collect());
+        self.try_dtoh_packed(parts)?;
+        let actual = concat(parts.iter().map(|p| &*p.out).collect());
+        if actual != expected {
+            return Err(DeviceError::TransferCorrupted { site: FaultSite::Dtoh, expected, actual });
+        }
+        Ok(())
     }
 
     /// On-demand canary audit over every live allocation (the free-side
@@ -657,6 +768,113 @@ mod tests {
             dev.fault_plan().unwrap().ops_started()
         };
         assert_eq!(run(true), run(false), "checked paths must not skew op indices");
+    }
+
+    /// Counts the timeline's `(htod, dtoh)` events.
+    fn transfers(dev: &Device) -> (usize, usize) {
+        let evs = dev.timeline().events();
+        let count = |f: fn(&EventKind) -> bool| evs.iter().filter(|e| f(&e.kind)).count();
+        (count(|k| matches!(k, EventKind::Htod { .. })), count(|k| matches!(k, EventKind::Dtoh { .. })))
+    }
+
+    #[test]
+    fn packed_copies_are_one_event_and_one_fault_op_each() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        dev.arm_faults(FaultPlan::seeded(3, 0.0));
+        let (zs, ids, ws) = (vec![1.5f64; 9], vec![7u32; 5], vec![(0.25f64, -4.0f64); 3]);
+        let mut a = dev.try_alloc::<f64>(9).unwrap();
+        let mut b = dev.try_alloc::<u32>(5).unwrap();
+        let mut c = dev.try_alloc::<(f64, f64)>(3).unwrap();
+        let ops = dev.fault_plan().unwrap().ops_started();
+        dev.try_htod_packed(&mut [
+            HtodPart::new(&mut a, &zs),
+            HtodPart::new(&mut b, &ids),
+            HtodPart::new(&mut c, &ws),
+        ])
+        .unwrap();
+        assert_eq!(dev.fault_plan().unwrap().ops_started(), ops + 1, "one op for three members");
+        let bytes = 9 * 8 + 5 * 4 + 3 * 16;
+        let b0 = dev.timeline().breakdown();
+        assert_eq!((transfers(&dev), b0.htod_bytes), ((1, 0), bytes));
+        assert_eq!(b0.htod_us, timing::transfer_time(dev.props(), bytes), "one PCIe latency");
+
+        let (mut za, mut ib, mut wc) = (Vec::new(), Vec::new(), Vec::new());
+        dev.try_dtoh_packed_checked(&mut [
+            DtohPart::new(&a, &mut za),
+            DtohPart::prefix(&b, 2, &mut ib),
+            DtohPart::new(&c, &mut wc),
+        ])
+        .unwrap();
+        assert_eq!(dev.fault_plan().unwrap().ops_started(), ops + 2);
+        assert_eq!((za, ib, wc), (zs, vec![7, 7], ws));
+        assert_eq!(transfers(&dev), (1, 1));
+        assert_eq!(dev.timeline().breakdown().dtoh_bytes, 9 * 8 + 2 * 4 + 3 * 16);
+    }
+
+    #[test]
+    fn scripted_packed_corruption_lands_in_exactly_one_member() {
+        let mut landed = [0usize; 3];
+        for op_seed in 0..64u64 {
+            let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+            let plan = FaultPlan::seeded(op_seed, 0.0);
+            dev.arm_faults(plan.with_fault_at(3, FaultKind::TransferCorruption));
+            let hosts = [vec![1.0f64; 4], vec![2.0f64; 16], vec![3.0f64; 1]];
+            let mut bufs: Vec<DeviceBuffer<f64>> =
+                hosts.iter().map(|h| dev.try_alloc(h.len()).unwrap()).collect(); // ops 0-2
+            let [b0, b1, b2] = &mut bufs[..] else { unreachable!() };
+            dev.try_htod_packed(&mut [
+                HtodPart::new(b0, &hosts[0]),
+                HtodPart::new(b1, &hosts[1]),
+                HtodPart::new(b2, &hosts[2]),
+            ])
+            .unwrap(); // op 3 — corrupted
+            let hit: Vec<usize> = (0..3)
+                .filter(|&m| bufs[m].copy_to_host() != hosts[m])
+                .collect();
+            assert_eq!(hit.len(), 1, "seed {op_seed}: members hit {hit:?}");
+            let m = hit[0];
+            let words = bufs[m].copy_to_host().iter().zip(&hosts[m]).filter(|(x, y)| x != y).count();
+            assert_eq!(words, 1, "seed {op_seed}: one word of member {m}");
+            landed[m] += 1;
+        }
+        assert!(landed.iter().all(|&n| n > 0), "flips spread over every member: {landed:?}");
+    }
+
+    #[test]
+    fn checked_packed_copies_detect_scripted_corruption() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let script = [(2, FaultKind::TransferCorruption), (4, FaultKind::TransferCorruption)];
+        dev.arm_faults(FaultPlan::scripted(script));
+        let (xs, ys) = (vec![1.0f64; 8], vec![5u32; 8]);
+        let mut x = dev.try_alloc::<f64>(8).unwrap(); // op 0
+        let mut y = dev.try_alloc::<u32>(8).unwrap(); // op 1
+        let err = dev
+            .try_htod_packed_checked(&mut [HtodPart::new(&mut x, &xs), HtodPart::new(&mut y, &ys)])
+            .unwrap_err(); // op 2 — corrupted
+        assert!(matches!(err, DeviceError::TransferCorrupted { site: FaultSite::Htod, .. }), "{err}");
+        dev.try_htod_packed_checked(&mut [HtodPart::new(&mut x, &xs), HtodPart::new(&mut y, &ys)])
+            .expect("clean retry"); // op 3
+        let (mut xo, mut yo) = (Vec::new(), Vec::new());
+        let err = dev
+            .try_dtoh_packed_checked(&mut [DtohPart::new(&x, &mut xo), DtohPart::new(&y, &mut yo)])
+            .unwrap_err(); // op 4 — corrupted read-back
+        assert!(matches!(err, DeviceError::TransferCorrupted { site: FaultSite::Dtoh, .. }), "{err}");
+        dev.try_dtoh_packed_checked(&mut [DtohPart::new(&x, &mut xo), DtohPart::new(&y, &mut yo)])
+            .expect("device memory is intact");
+        assert_eq!((xo, yo), (xs, ys));
+    }
+
+    #[test]
+    fn packed_upload_names_the_member_whose_lengths_differ() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let mut a = dev.try_alloc::<u32>(2).unwrap();
+        let mut b = dev.try_alloc::<u32>(3).unwrap();
+        let err = dev
+            .try_htod_packed(&mut [HtodPart::new(&mut a, &[1, 2]), HtodPart::new(&mut b, &[1])])
+            .unwrap_err();
+        assert_eq!(err, DeviceError::TransferSize { host: 1, device: 3 });
+        assert_eq!(transfers(&dev), (0, 0), "a rejected copy moves nothing");
+        assert_eq!(dev.dtoh(&a), vec![0, 0], "and leaves every member untouched");
     }
 
     #[test]

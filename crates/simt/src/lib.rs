@@ -10,7 +10,10 @@
 //!
 //! * [`Device`] owns the clock model and the event [`Timeline`].
 //! * [`DeviceBuffer`] is a device allocation; host data crosses through
-//!   [`Device::htod`] / [`Device::dtoh`], which are charged PCIe time.
+//!   [`Device::htod`] / [`Device::dtoh`], which are charged PCIe time. A
+//!   packed copy ([`Device::try_htod_packed`] /
+//!   [`Device::try_dtoh_packed`]) moves several buffers as one PCIe
+//!   transaction: one latency, one fault-plan op.
 //! * A kernel is a struct of parameter views implementing [`Kernel`];
 //!   [`Device::launch`] runs it over a 1-D [`LaunchConfig`] grid.
 //! * Inside a kernel, a block is a sequence of barrier-delimited phases
@@ -83,7 +86,7 @@ pub mod timing;
 
 pub use atomic::AtomicAdd;
 pub use buffer::{BufId, DeviceBuffer, DeviceCopy, GlobalMut, GlobalRef};
-pub use device::Device;
+pub use device::{Device, DtohPart, HtodPart};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord, FaultSite, StormSchedule};
 pub use kernel::{Kernel, LaunchConfig};
 pub use props::{DeviceProps, HostProps};

@@ -488,12 +488,14 @@ type Engine3 = Box<dyn SweepBackend<CVec3, Error = std::convert::Infallible>>;
 
 /// One three-phase case: a random tree expanded to three phases, solved
 /// through `SweepBackend<CVec3>` by the serial sweep, the plain GPU
-/// solver (segmented scan) and the GPU solver pinned to the direct and
-/// the atomic-scatter backward sweeps, and the supervisor with a seeded
-/// plan at `rate` armed, each cold and warm-started from a perturbed
-/// serial answer. Plain engines must match serial from the same start,
-/// status and iterations too, the supervisor (which starts flat) the cold
-/// serial answer. Then the same feeder with one PV
+/// solver (routed to the cheaper of the segmented scan and the direct
+/// backward) and the GPU solver pinned to the segmented-scan, direct and
+/// atomic-scatter backward sweeps, and the supervisor with a seeded plan
+/// at `rate` armed, each cold and warm-started from a perturbed serial
+/// answer. Plain engines must match serial from the same start, status
+/// and iterations too, the supervisor (which starts flat) the cold
+/// serial answer; the routed solve must cost no more modeled time than
+/// either strategy it chooses between. Then the same feeder with one PV
 /// generator runs the generic DG outer loop: the plain GPU solver at the
 /// meshed family's 1e-9·|V0|, the supervisor (whose recovered inner
 /// answers are held to 1e-8·|V0| above) at 1e-8·|V0|.
@@ -513,18 +515,25 @@ fn agrees3(n: usize, seed: u64, unbalance: f64, rate: f64) -> Result<(), String>
     let pinned = |s| GpuSolver::with_strategy(Device::paper_rig(), s);
     for warm in [None, Some(perturbed.as_slice())] {
         let want = serial().solve_warm(&a, &cfg, warm);
-        let engines: [(&str, Engine3); 4] = [
+        let engines: [(&str, Engine3); 5] = [
             ("serial", Box::new(serial())),
             ("gpu", Box::new(GpuSolver::new(Device::paper_rig()))),
+            ("gpu-segscan", Box::new(pinned(BackwardStrategy::SegScan))),
             ("gpu-direct", Box::new(pinned(BackwardStrategy::Direct))),
             ("gpu-atomic", Box::new(pinned(BackwardStrategy::AtomicScatter))),
         ];
+        let mut modeled_us = Vec::new();
         for (name, mut engine) in engines {
             let Ok(res) = engine.solve_warm_arrays(&a, &cfg, warm);
             agree3(name, &res, &want, scale)?;
             if res.iterations != want.iterations {
                 return Err(format!("{name}: {} iterations, serial {}", res.iterations, want.iterations));
             }
+            modeled_us.push(res.timing.total_us());
+        }
+        let (routed, segscan, direct) = (modeled_us[1], modeled_us[2], modeled_us[3]);
+        if routed > segscan.min(direct) {
+            return Err(format!("gpu: {routed} µs routed, segscan {segscan} µs, direct {direct} µs"));
         }
         let r = supervisor.solve_warm_arrays(&a, &cfg, warm).map_err(fault)?;
         agree3("solve3", &r, &cold, scale)?;
