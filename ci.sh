@@ -12,19 +12,21 @@
 #      end-to-end sanity passes, under wall-clock ceilings. Smoke runs
 #      only print; the leg fails if any of them wrote under `results/`,
 #      which holds the full runs' numbers. Then one full run each of
-#      E11, E12, E13, E15 and E16 (about 1–3 s apiece; each is fully
+#      E11, E12, E13, E15, E16 and E17 (about 1–4 s apiece; each is fully
 #      modeled and deterministic), each from a temporary working
 #      directory, where it writes `./results`; the leg fails unless that
 #      CSV is byte-identical to the committed one. E11 is the only pin on
 #      serial three-phase modeled time (`fleet-open` serves no
-#      three-phase request on the CPU); E12 pins what the routed
-#      supervisor's checkpoints and recoveries cost, charged to the
-#      answer, on both kinds of route, the fused sweep (1 023 and 16 383
-#      buses) and the level path with the direct backward sweep
-#      (131 071); E13, E15 and E16 pin the service's retry and breaker
-#      schedule, the fleet's routing, hedging and failover, and the
-#      soak's fault and recovery counts under armed plans, none of which
-#      the benchmark's `fleet-open` (no plan armed) reaches. Each pinned
+#      three-phase request on the CPU); E12 pins what checkpoints and
+#      recoveries cost, charged to the answer, on both kinds of routed
+#      single solve, the fused sweep (1 023 and 16 383 buses) and the
+#      level path with the direct backward sweep (131 071), and on a
+#      two-chunk tensor batch; E13, E15 and E16 pin the service's retry
+#      and breaker schedule, the fleet's routing, hedging and failover,
+#      and the soak's fault and recovery counts under armed plans, none
+#      of which the benchmark's `fleet-open` (no plan armed) reaches;
+#      E17 pins the DG outer-loop session's rounds and modeled time. E9
+#      (about 150 s) and E14 (over 10 min) are not pinned. Each pinned
 #      run's stderr (every caught device panic prints a backtrace there)
 #      goes to a file in its directory; its tail is printed only when the
 #      run fails or its CSV differs.
@@ -71,7 +73,7 @@ cargo test -q --offline
 echo "== benchmark tests: cargo test --manifest-path benchmark/Cargo.toml =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== E-bin smoke runs + E11, E12, E13, E15 and E16 pins =="
+echo "== E-bin smoke runs + E11, E12, E13, E15, E16 and E17 pins =="
 results_sum() { find results -type f -print0 | sort -z | xargs -0 sha256sum | sha256sum; }
 results_before=$(results_sum)
 E9_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e9_batch > /dev/null
@@ -85,7 +87,7 @@ if [ "$(results_sum)" != "$results_before" ]; then
   echo "E-bin smoke runs must not write under results/" >&2
   exit 1
 fi
-for pinned in e11_three_phase e12_faults e13_service e15_fleet e16_soak; do
+for pinned in e11_three_phase e12_faults e13_service e15_fleet e16_soak e17_mesh; do
   cargo build -q --offline --release -p fbs-bench --bin "exp_$pinned"
   pinned_bin="$PWD/target/release/exp_$pinned"
   pinned_dir=$(mktemp -d)

@@ -13,13 +13,21 @@
 //! add rollback-and-replay traffic, and the table records how much of
 //! the fault budget each run consumed and which backend finished it.
 //!
+//! The last rows run the same policy over a tensor batch: 16 load
+//! scenarios of the 1 023-bus tree in two chunks of 8, each chunk one
+//! session of the same loop (checkpoints, rollbacks and certification
+//! cover every scenario of the chunk at once), against the same batch
+//! with no plan armed. Their status is the batch's worst, and their
+//! backend the last one that served it.
+//!
 //! Run: `cargo run -p fbs-bench --release --bin exp_e12_faults`
 //! (`E12_SMOKE=1` restricts to the smallest feeder for CI.)
 
-use fbs::{Backend, ResilientSolver, SolverArrays, SolverConfig, SweepBackend};
+use fbs::{Backend, ResilientSolver, SolverArrays, SolverConfig, SweepBackend, TensorBatchSolver};
 use fbs_bench::{rng_for, us, Table};
 use powergrid::gen::{balanced_binary, GenSpec};
-use simt::{DeviceProps, FaultPlan, HostProps};
+use numc::Complex;
+use simt::{Device, DeviceProps, FaultPlan, HostProps};
 
 const SIZES: [usize; 3] = [1023, 16_383, 131_071];
 /// The fused sweep (1 023 buses) issues a few dozen device ops per
@@ -28,6 +36,8 @@ const SIZES: [usize; 3] = [1023, 16_383, 131_071];
 /// solve, and 5e-2 rolls back a fused one and exhausts the level path's
 /// budget.
 const RATES: [f64; 3] = [0.0, 1e-2, 5e-2];
+/// The batch rows: scenarios, and scenarios per chunk.
+const BATCH: (usize, usize) = (16, 8);
 
 fn main() {
     let cfg = SolverConfig::default();
@@ -77,6 +87,40 @@ fn main() {
                 &format!("{:.2}x", total / plain_us),
             ]);
         }
+    }
+
+    // The batch rows, over the smallest tree.
+    let net = balanced_binary(SIZES[0], &spec, &mut rng_for(120 + SIZES[0] as u64));
+    let arrays = SolverArrays::new(&net);
+    let base: Vec<Complex> = net.buses().iter().map(|b| b.load).collect();
+    let scenarios: Vec<Vec<Complex>> =
+        (0..BATCH.0).map(|s| base.iter().map(|&l| l * (0.6 + 0.05 * s as f64)).collect()).collect();
+    let batch = |dev: Device| {
+        let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(BATCH.1);
+        solver.solve_arrays(&arrays, &scenarios, &cfg)
+    };
+    let plain = batch(Device::paper_rig());
+    assert!(plain.converged(), "batch baseline must converge");
+    let plain_us = plain.timing.total_us();
+    for &rate in &RATES {
+        let mut dev = Device::paper_rig();
+        dev.arm_faults(FaultPlan::seeded(fbs_bench::SEED, rate));
+        let res = batch(dev);
+        assert!(res.converged(), "batch @ rate {rate}: ended {}", res.worst_status());
+        let rep = res.fault_report.as_ref().expect("an armed plan reports");
+        let total = res.timing.total_us();
+        table.row(&[
+            &format!("{}×{}", SIZES[0], BATCH.0),
+            &format!("{rate:.0e}"),
+            &res.worst_status(),
+            &rep.faults_injected,
+            &rep.rollbacks,
+            &rep.checkpoints,
+            &us(rep.checkpoint_us),
+            &rep.final_backend().to_string(),
+            &us(total),
+            &format!("{:.2}x", total / plain_us),
+        ]);
     }
 
     table.emit("e12_faults");

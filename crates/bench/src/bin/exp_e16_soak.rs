@@ -81,7 +81,7 @@ fn storm() -> StormSchedule {
 
 /// The mixed request stream: mostly single solves with a batch every
 /// sixth request (batches exercise the checked mask upload and the
-/// chunk-retry corruption accounting).
+/// chunk's rollback and corruption accounting).
 fn arrivals(
     net: &RadialNetwork,
     cfg: SolverConfig,
@@ -185,7 +185,9 @@ fn record_row(
 fn main() {
     let spec = GenSpec::default();
     let smoke = std::env::var("E16_SMOKE").is_ok();
-    let (n, reqs) = if smoke { (127, 36) } else { (255, 120) };
+    // The smoke stream must run long enough for device 2's op counter
+    // to reach the kill window (at this size, 40 requests or more).
+    let (n, reqs) = if smoke { (127, 48) } else { (255, 120) };
 
     let mut rng = rng_for(160 + n as u64);
     let net = balanced_binary(n, &spec, &mut rng);

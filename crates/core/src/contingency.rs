@@ -35,8 +35,8 @@ use crate::tensor_batch::{ScenarioPatch, Scenarios, TensorBatchSolver};
 
 /// Device-memory budget the screener plans chunks against, bytes. The
 /// resident per-scenario state is the voltage and current stripes
-/// (32 B/bus); the armed-fault audit can transiently triple that, so
-/// plan against half the paper rig's 8 GiB.
+/// (32 B/bus); half the paper rig's 8 GiB leaves room for the topology,
+/// the per-scenario words and a chunk's transient build buffers.
 const CHUNK_MEM_BUDGET: u64 = 4 * 1024 * 1024 * 1024;
 
 /// One screened outage: the branch feeding `bus` opened, everything

@@ -43,7 +43,7 @@
 //! only where a bus has many children (a star). [`GpuSolver::new`]
 //! therefore routes each solve by one cost rule over the level table,
 //! [`route`]: to the tensor engine's resident chunk at batch size one
-//! (`tensor_batch::FusedSession`: one launch whose block loops over the
+//! (a one-lane `tensor_batch::Chunk`: one launch whose block loops over the
 //! fused sweeps, the same iterates) on small and deep trees, else to the
 //! level path above with the direct backward on binary and k-ary trees
 //! and the segmented scan on star-like ones. Either session runs the
@@ -71,7 +71,7 @@ use crate::obs::Obs;
 use crate::phasor::Phasor;
 use crate::recovery::{self, SessionClock, SweepSession, Sweeps};
 use crate::report::{invalid_config_result, SolveResult};
-use crate::tensor_batch::{self, FusedSession};
+use crate::tensor_batch::{self, Chunk};
 use crate::three_phase::{Arrays3, Solve3Result};
 
 /// How the backward sweep aggregates child branch currents.
@@ -166,7 +166,7 @@ impl GpuSolver {
         let warm = v_init.is_some();
         match self.pin.map_or_else(|| route(self.device.props(), a, warm), Route::Level) {
             Route::Fused => {
-                self.run(a, cfg, |dev, obs| FusedSession::open(dev, a, v_init, cfg.max_iter, obs))
+                self.run(a, cfg, |dev, obs| Chunk::open(dev, a, v_init, cfg.max_iter, obs))
             }
             Route::Level(strategy) => {
                 self.run(a, cfg, |dev, obs| GpuSession::with_obs(dev, a, strategy, v_init, obs))
@@ -642,7 +642,7 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
         Ok(v)
     }
 
-    fn restore(&mut self, v_pos: &[V]) -> Result<(), DeviceError> {
+    fn restore(&mut self, v_pos: &[V], _live: &[bool]) -> Result<(), DeviceError> {
         let dev = &mut *self.dev;
         let a = self.a;
         let mark = dev.timeline().mark();
@@ -697,8 +697,9 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
         self.a.levels.unpermute(pos)
     }
 
-    fn host_iterate(&self, v_pos: &[V]) -> (f64, Vec<V>) {
-        host_iterate(self.a, self.v_init, v_pos)
+    fn host_iterate(&self, v_pos: &[V]) -> (Vec<f64>, Vec<V>) {
+        let (r, j) = host_iterate(self.a, self.v_init, v_pos, &[]);
+        (vec![r], j)
     }
 
     fn source_mag(&self) -> f64 {
@@ -713,14 +714,16 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
 /// One host-side FBS iteration over `a` from `v_pos` (level position
 /// order): the residual it would produce and the host-computed branch
 /// currents — what `recovery::drive` certifies a tainted state with. The
-/// level and fused sessions share this position order, so both run it.
-/// No kernel writes the root, so a corrupted root is a consistent fixed
+/// level sessions and tensor chunks share this position order, so both
+/// run it; the positions `dead` flags (an outage's unloaded subtree) stay
+/// out of the residual. No kernel writes the root, so a corrupted root is a consistent fixed
 /// point of a wrong source: it is checked against the start state,
 /// `v_init` (by bus id) or the flat start.
 pub(crate) fn host_iterate<V: Phasor>(
     a: &LevelArrays<V, V::Z>,
     v_init: Option<&[V]>,
     v_pos: &[V],
+    dead: &[bool],
 ) -> (f64, Vec<V>) {
     let n = a.len();
     // Children sit at higher positions than their parent in level
@@ -739,7 +742,9 @@ pub(crate) fn host_iterate<V: Phasor>(
     for p in 1..n {
         let parent = a.parent_pos[p] as usize;
         let nv = v_new[parent] - V::z_mul(a.z[p], j[p]);
-        res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
+        if !dead.get(p).is_some_and(|&d| d) {
+            res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
+        }
         v_new[p] = nv;
     }
     (res, j)
@@ -962,7 +967,7 @@ mod route_tests {
         let dev = || Device::with_workers(DeviceProps::paper_rig(), 2);
         let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg).timing.total_us();
         let (mut fused_dev, obs) = (dev(), Obs::default());
-        let opened = FusedSession::open(&mut fused_dev, &a, None, cfg.max_iter, obs.clone());
+        let opened = Chunk::open(&mut fused_dev, &a, None, cfg.max_iter, obs.clone());
         let fused = recovery::run_plain(opened, Instant::now(), &cfg, &obs).timing.total_us();
         let strategies =
             [BackwardStrategy::SegScan, BackwardStrategy::Direct, BackwardStrategy::AtomicScatter];

@@ -359,7 +359,7 @@ impl SweepSession for JumpSession<'_> {
         Ok(v)
     }
 
-    fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError> {
+    fn restore(&mut self, v_pos: &[Complex], _live: &[bool]) -> Result<(), DeviceError> {
         let dev = &mut *self.dev;
         let a = self.a;
         let mark = dev.timeline().mark();
@@ -402,7 +402,7 @@ impl SweepSession for JumpSession<'_> {
         self.a.dfs.unpermute(pos)
     }
 
-    fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
+    fn host_iterate(&self, v_pos: &[Complex]) -> (Vec<f64>, Vec<Complex>) {
         let a = self.a;
         let n = a.len();
         let i: Vec<Complex> = (0..n)
@@ -434,7 +434,7 @@ impl SweepSession for JumpSession<'_> {
             res = MaxAbsF64::combine(res, (nv - v_pos[d]).abs());
             v_new[d] = nv;
         }
-        (res, j)
+        (vec![res], j)
     }
 
     fn source_mag(&self) -> f64 {

@@ -788,10 +788,10 @@ impl DgBatchResult {
 ///
 /// Scenarios that settle (or fail) retire from the batch: their
 /// resident state freezes at the deciding round and later sweeps skip
-/// them entirely. Device faults are absorbed by the session (rebuild
-/// within the recovery budget, serial fallback past it; audits under an
-/// armed plan), so `Err` never escapes in practice; the signature keeps
-/// the `Result` for call-site stability.
+/// them entirely. Device faults are absorbed: each round is one
+/// `recovery::drive` session of the resident chunk, a setup fault
+/// rebuilds it within the recovery budget, serial solves take over past
+/// it, so `Err` never escapes; the `Result` keeps call sites stable.
 pub fn solve_dg_batch(
     tbs: &mut TensorBatchSolver,
     net: &MeshedNetwork,

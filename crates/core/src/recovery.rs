@@ -1,62 +1,52 @@
-//! Checkpoint/rollback recovery and graceful GPU→CPU degradation.
+//! Checkpoint/rollback recovery and graceful GPU→CPU degradation: the
+//! one fault policy of every device solve.
 //!
 //! The fault model ([`simt::FaultPlan`]) injects loud errors (failed
-//! allocations and launches, device loss) and *silent* data corruption
-//! (transfer bit flips, resident-buffer bit flips). This module turns
-//! a fallible, faulty device into a solver that still answers within
-//! the convergence tolerance of the fault-free answer:
+//! allocations and launches, device loss) and *silent* corruption
+//! (transfer and resident-buffer bit flips). [`drive`], the one device
+//! iteration loop, turns a faulty device into answers within the
+//! convergence tolerance of the fault-free ones. Its sessions (level,
+//! jump and tensor chunk) differ in their formulation, their per-bus
+//! phasor ([`numc::Complex`] or [`numc::CVec3`]; the NaN-propagating
+//! [`Phasor::norm`] is all the loop needs of it) and their *lanes*: a
+//! single solve is one, a tensor chunk one per scenario, each with its own
+//! [`ConvergenceMonitor`].
 //!
-//! * **Checkpoints.** Every `checkpoint_every` iterations the supervisor
-//!   downloads the voltage state. A checkpoint taken while *tainted*
-//!   (faults observed since the last certified checkpoint) must first
-//!   pass certification: the static topology buffers are compared
-//!   byte-for-byte against their host copies, and one host-side sweep
-//!   from the downloaded voltages must reproduce a residual consistent
-//!   with the device's. The initial checkpoint is the flat start — known
-//!   clean without touching the device.
-//! * **Detection.** Loud faults surface as [`DeviceError`]s from the
-//!   fallible kernels. Silent corruption is biased into f64 exponent
-//!   bits, so it shows up as a residual spike or NaN within an
-//!   iteration or two; whatever slips past that is caught by the
-//!   certification gates, which also guard convergence itself: a
-//!   tainted "converged" result is accepted only after the static
-//!   check, a host-sweep residual within tolerance, and an elementwise
-//!   branch-current cross-check.
-//! * **Rollback.** Any anomaly while tainted triggers a rollback:
-//!   statics are re-uploaded (healing resident corruption), voltages
-//!   are restored from the last certified checkpoint, and the sweep
-//!   replays. Anomalies while *untainted* are genuine — they are
-//!   reported honestly, never rolled back.
-//! * **Degradation.** Every rollback or restart charges a budget of
-//!   `max_recoveries`. Device loss or budget exhaustion degrades the
-//!   backend: gpu → multicore → serial, or gpu → serial for a
-//!   three-phase solve (multicore has no three-phase form). The CPU
-//!   backends cannot fault, so a degraded solve reproduces the true
-//!   answer (or the true failure) deterministically.
+//! * **Checkpoints.** Every `checkpoint_every` iterations the loop
+//!   downloads every lane's voltages. One taken while *tainted* (faults
+//!   since the last certified checkpoint) is certified first: the static
+//!   buffers match their host copies byte for byte, and one host sweep
+//!   per lane reproduces a residual consistent with the device's. The
+//!   initial checkpoint is the start state, known clean.
+//! * **Detection.** Loud faults surface as [`DeviceError`]s. Silent
+//!   corruption is biased into f64 exponent bits, so it shows up as a
+//!   residual spike or NaN within an iteration or two; the certification
+//!   gates catch what slips past, and guard convergence itself: a tainted
+//!   end is accepted only after the static check, a host-sweep residual
+//!   within tolerance and an elementwise branch-current cross-check, on
+//!   every lane.
+//! * **Rollback.** Any anomaly while tainted rolls every lane back:
+//!   statics are re-uploaded (healing resident corruption), voltages and
+//!   the lane mask restored from the last certified checkpoint, and the
+//!   sweep replays. Anomalies while *untainted* are genuine: reported,
+//!   never rolled back.
+//! * **Degradation.** Every rollback or restart (a setup fault or a
+//!   caught kernel panic, [`guarded`]) charges a budget of
+//!   `max_recoveries`. Device loss or a spent budget degrades: the
+//!   supervisor gpu → multicore → serial (gpu → serial in three phases),
+//!   a tensor batch the rest of its scenarios to serial solves. The CPU
+//!   backends cannot fault, so a degraded answer is the true one.
 //!
-//! Both phase kinds run this one policy over the one device loop,
-//! [`drive`]: its sessions (level, fused and jump) differ only in their
-//! formulation and per-bus phasor,
-//! [`numc::Complex`] or [`numc::CVec3`], and its NaN-propagating norm
-//! ([`Phasor::norm`]) is all the loop needs of it. The [`Backend::Gpu`]
-//! rung routes as [`crate::GpuSolver::new`] does (`gpu::route`): the
-//! fused session (`tensor_batch::FusedSession`) on small and deep trees,
-//! else the level session with the direct or the segmented-scan backward
-//! sweep.
-//!
-//! Neither insurance nor a restart hides its cost: the checkpoint,
-//! restore and verify traffic of the attempt that answered, and the
-//! modeled device time of every attempt that did not — a restart after
-//! a setup fault or a caught panic, or a device rung abandoned before
-//! degrading — are charged to the answer's setup phase, so its
-//! `timing.total_us()` covers every device op the caller waited for.
-//!
-//! What a recovered answer is worth: rollbacks restore certified state,
-//! and the CPU fallbacks are fault-free. A corruption small enough to
-//! pass the spike gate is not rolled back; the iteration absorbs it, and
-//! the answer lands within the convergence tolerance of the fault-free
-//! one, not on it. Results carry [`SolveStatus::Recovered`] and a
-//! [`FaultReport`] so callers can see the run was not clean.
+//! The [`Backend::Gpu`] rung routes as [`crate::GpuSolver::new`] does
+//! (`gpu::route`): a one-lane tensor chunk on small and deep trees, else
+//! the level session with the direct or segmented-scan backward sweep.
+//! The checkpoint, restore and verify traffic of the attempt that
+//! answered, and the device time of every attempt that did not, are
+//! charged to the answer's setup phase, so its `timing.total_us()` covers
+//! every device op the caller waited for. A corruption small enough to
+//! pass the spike gate is absorbed, not rolled back: such an answer lands
+//! within the tolerance of the fault-free one, not on it. Results carry
+//! [`SolveStatus::Recovered`] and a [`FaultReport`].
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,6 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use primitives::ops::{MaxAbsF64, ScanOp};
 use simt::{Breakdown, Device, DeviceError, DeviceProps, FaultKind, FaultPlan, HostProps};
 
 use telemetry::Recorder;
@@ -78,7 +69,7 @@ use crate::phasor::Phasor;
 use crate::report::{invalid_config_result, FaultReport, PhaseTimes, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::{ConvergenceMonitor, SolveStatus, SureContinue};
-use crate::tensor_batch::FusedSession;
+use crate::tensor_batch::Chunk;
 use crate::three_phase::{Arrays3, Solve3Result};
 
 /// A residual is anomalous when it exceeds this multiple of the
@@ -91,27 +82,36 @@ pub(crate) const SPIKE_FACTOR: f64 = 4.0;
 pub(crate) type Downloaded<V> = (Vec<V>, Vec<V>);
 
 /// One GPU sweep in progress, abstracted over the level (either phase
-/// kind), fused and jump formulations, so the recovery loop in [`drive`]
-/// is written once.
-///
-/// All voltages are in the session's device position order.
+/// kind), jump and tensor-chunk formulations, so the recovery loop in
+/// [`drive`] is written once. Every state vector holds one stripe of `n`
+/// buses per lane, in the session's device position order.
 pub(crate) trait SweepSession {
     /// The per-bus phasor: [`numc::Complex`] or [`numc::CVec3`].
     type V: Phasor;
     /// The session's modeled-time accounts.
     fn clock(&self) -> &SessionClock;
-    /// Runs `allowed.max` or fewer full FBS iterations — the level and
-    /// jump sessions one, the fused session one launch of an on-device
-    /// loop — and returns each one's ∞-norm voltage update, at least one.
-    /// A session running more than one stops after any iteration
-    /// `allowed.go_on` rejects, so the loop's monitor never sees an
-    /// iteration past one it would have stopped at.
+    /// Which lanes are live at open (a retired scenario is not).
+    fn live(&self) -> Vec<bool> {
+        vec![true]
+    }
+    /// Runs `allowed.max` or fewer full FBS iterations — one, except in a
+    /// single solve's on-device loop — and returns each one's ∞-norm
+    /// voltage update per lane, iteration-major (a frozen lane's slot is
+    /// stale). A session running more than one stops after any iteration
+    /// `allowed.go_on` rejects, so the monitor never sees an iteration
+    /// past one it would have stopped at.
     fn iterate(&mut self, allowed: &Sweeps) -> Result<Vec<f64>, DeviceError>;
+    /// Closes the last [`SweepSession::iterate`] once the loop has judged
+    /// it: freezes the lanes `live` no longer holds (the session's mask),
+    /// charged with the residual read. One lane freezes by ending.
+    fn settle(&mut self, _live: &[bool]) -> Result<(), DeviceError> {
+        Ok(())
+    }
     /// Downloads the voltage state (checkpoint capture).
     fn snapshot(&mut self) -> Result<Vec<Self::V>, DeviceError>;
-    /// Re-uploads every static buffer and the given voltages, clearing
-    /// scratch state — heals any resident corruption.
-    fn restore(&mut self, v_pos: &[Self::V]) -> Result<(), DeviceError>;
+    /// Re-uploads every static buffer, the given voltages and the mask of
+    /// the lanes `live` holds — heals any resident corruption.
+    fn restore(&mut self, v_pos: &[Self::V], live: &[bool]) -> Result<(), DeviceError>;
     /// The voltages the session started from (the flat start or the warm
     /// start it was opened with) — what a rollback to the initial
     /// checkpoint restores. Built on demand, so a clean solve never
@@ -124,13 +124,13 @@ pub(crate) trait SweepSession {
     fn download(&mut self) -> Result<Downloaded<Self::V>, DeviceError>;
     /// Lays a position-order array out by bus id.
     fn unpermute(&self, pos: &[Self::V]) -> Vec<Self::V>;
-    /// One host-side FBS iteration from `v_pos`: returns the residual
-    /// it would produce and the host-computed branch currents. The root
-    /// is checked against the start state, since no kernel rewrites it.
-    fn host_iterate(&self, v_pos: &[Self::V]) -> (f64, Vec<Self::V>);
+    /// One host-side FBS iteration from `v_pos`: the residual each lane
+    /// would produce and the host-computed branch currents. The root is
+    /// checked against the start state: no kernel rewrites it.
+    fn host_iterate(&self, v_pos: &[Self::V]) -> (Vec<f64>, Vec<Self::V>);
     /// Source voltage magnitude (tolerance scaling).
     fn source_mag(&self) -> f64;
-    /// Faults the device has recorded so far (monotone per device).
+    /// Faults that can have touched the session's state (monotone).
     fn faults_observed(&self) -> u32;
 }
 
@@ -165,8 +165,15 @@ impl SessionClock {
     /// of it in transfers.
     pub(crate) fn new(setup_us: f64, transfer_us: f64, obs: Obs) -> Self {
         let phases = PhaseTimes { setup_us, ..PhaseTimes::default() };
-        obs.phase("setup", 0.0, phases.setup_us);
-        SessionClock { phases, transfer_us, transfer_sweep_us: 0.0, recovery_us: 0.0, obs }
+        Self::resume(&Timing { phases, transfer_us, ..Timing::default() }, 0.0, obs)
+    }
+
+    /// Continues a batch's accounts `t`, so a deadline counts the batch's
+    /// time so far; setup since `setup_from` µs is the session's own.
+    pub(crate) fn resume(t: &Timing, setup_from: f64, obs: Obs) -> Self {
+        obs.phase("setup", setup_from, t.phases.total_us());
+        let Timing { phases, transfer_us, transfer_sweep_us, .. } = *t;
+        SessionClock { phases, transfer_us, transfer_sweep_us, recovery_us: 0.0, obs }
     }
 
     /// Modeled µs so far, phases plus recovery traffic — the clock
@@ -211,24 +218,26 @@ impl SessionClock {
     }
 }
 
-/// The bounded retry budget one resilient solve may spend.
+/// The bounded retry budget of one resilient solve, batch chunk or
+/// outer session.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RetryBudget {
     max: u32,
-    used: u32,
+    /// Retries consumed so far.
+    pub(crate) spent: u32,
 }
 
 impl RetryBudget {
     pub(crate) fn new(max: u32) -> Self {
-        RetryBudget { max, used: 0 }
+        RetryBudget { max, spent: 0 }
     }
 
     /// Consumes one retry; `false` means the budget is exhausted.
     pub(crate) fn charge(&mut self) -> bool {
-        if self.used >= self.max {
+        if self.spent >= self.max {
             return false;
         }
-        self.used += 1;
+        self.spent += 1;
         true
     }
 }
@@ -239,9 +248,33 @@ pub(crate) enum DriveAbort {
     Lost(DeviceError),
     /// The retry budget ran dry.
     Exhausted,
-    /// Session setup failed transiently; retry on a fresh device
+    /// Session setup failed transiently, or a kernel panicked; retry
     /// (already charged to the budget).
     Restart,
+}
+
+/// What a checkpoint saves and a rollback restores of [`drive`]'s
+/// progress: the iteration count and residual history, and per lane its
+/// monitor, status (`None` while it runs), iterations and last residual.
+#[derive(Clone)]
+struct Progress {
+    iters: u32,
+    history: Vec<f64>,
+    monitors: Vec<ConvergenceMonitor>,
+    status: Vec<Option<SolveStatus>>,
+    iterations: Vec<u32>,
+    residuals: Vec<f64>,
+}
+
+impl Progress {
+    fn live(&self) -> Vec<bool> {
+        self.status.iter().map(Option::is_none).collect()
+    }
+
+    /// Ends every live lane with `status`.
+    fn end_live(&mut self, status: SolveStatus) {
+        self.status.iter_mut().filter(|s| s.is_none()).for_each(|s| *s = Some(status));
+    }
 }
 
 /// The last certified-clean state the sweep can roll back to.
@@ -249,10 +282,7 @@ struct Checkpoint<V> {
     /// Certified voltages; `None` until the first checkpoint is taken,
     /// meaning the session's own [`SweepSession::start_state`].
     v: Option<Vec<V>>,
-    iterations: u32,
-    residual: f64,
-    history: Vec<f64>,
-    monitor: ConvergenceMonitor,
+    progress: Progress,
     faults: u32,
 }
 
@@ -267,6 +297,7 @@ fn rollback<S: SweepSession>(
 ) -> Result<(), DriveAbort> {
     let start = ckpt.v.is_none().then(|| sess.start_state());
     let v = ckpt.v.as_deref().or(start.as_deref()).expect("a checkpoint or the start state");
+    let live = ckpt.progress.live();
     loop {
         report.rollbacks += 1;
         obs.instant("rollback", sess.clock().elapsed_us());
@@ -274,67 +305,118 @@ fn rollback<S: SweepSession>(
             return Err(DriveAbort::Exhausted);
         }
         report.retries += 1;
-        match sess.restore(v) {
+        match sess.restore(v, &live) {
             Ok(()) => return Ok(()),
             Err(e @ DeviceError::DeviceLost { .. }) => return Err(DriveAbort::Lost(e)),
             Err(e) => {
-                if matches!(e, DeviceError::TransferCorrupted { .. }) {
-                    report.corruptions_detected += 1;
-                }
-                continue;
+                report.corruptions_detected +=
+                    u32::from(matches!(e, DeviceError::TransferCorrupted { .. }));
             }
         }
     }
 }
 
-/// The one device iteration loop: the plain level (either phase kind),
-/// fused and jump solvers and the supervisor's device rungs all run it,
-/// from the state the session was opened with. Each iteration is
-/// recorded as an `iter` span in the category of the policy's `obs`.
+/// What [`drive`] ends with: the downloaded state in position order and
+/// each lane's status, iterations and last residual (`MaxIterations`, 0
+/// and `+∞` for a lane not live at open).
+pub(crate) struct Driven<V> {
+    pub(crate) v_pos: Vec<V>,
+    pub(crate) j_pos: Vec<V>,
+    pub(crate) statuses: Vec<SolveStatus>,
+    pub(crate) iterations: Vec<u32>,
+    pub(crate) residuals: Vec<f64>,
+    /// Per iteration, the worst residual over the live lanes.
+    history: Vec<f64>,
+    /// The session's accounts, its recovery traffic charged to setup.
+    pub(crate) timing: Timing,
+}
+
+impl<V> Driven<V> {
+    /// The single solve a one-lane session ended with.
+    fn solved<S: SweepSession<V = V>>(self, sess: &S) -> SolveResult<V> {
+        SolveResult {
+            v: sess.unpermute(&self.v_pos),
+            j: sess.unpermute(&self.j_pos),
+            iterations: self.iterations[0],
+            status: self.statuses[0],
+            residual: self.residuals[0],
+            residual_history: self.history,
+            timing: self.timing,
+            fault_report: None,
+        }
+    }
+}
+
+/// The one device iteration loop of every session, from the state it
+/// was opened with. Each iteration is an `iter` span in the category of
+/// the policy's `obs`. The session's checkpoint, restore and verify
+/// traffic is charged to setup and to the report's `checkpoint_us`.
 ///
 /// With checkpointing off (no fault plan armed) it takes no checkpoints
 /// and holds no host copy of the state, so a clean run issues only the
 /// sweep's own device operations. A plain solve runs it with a zero
 /// retry budget: any fault it would have to roll back aborts.
 ///
-/// Each [`SweepSession::iterate`] call may run several iterations (the
-/// fused session's on-device loop); the loop allows it the iterations
-/// left under `max_iter`, or one while it checkpoints or a cancel flag is
-/// armed, plus the time left before the deadline. It replays every
-/// residual through the unchanged per-iteration logic — history, spike
-/// gate, monitor — so its verdicts are the one-iteration-per-call
-/// verdicts exactly: the session never runs past an iteration the
-/// monitor could stop at. The deadline and cancel checks run where the
-/// device stopped, after a call's last iteration, and a call's modeled
-/// time is split evenly over its iterations' spans.
-fn drive<S: SweepSession>(
+/// A lane whose monitor stops is frozen through the session's mask
+/// ([`SweepSession::settle`]); the loop ends once no lane runs or
+/// `max_iter` is spent. A session of several lanes, once a fault fired,
+/// stays tainted for the rest of its attempt.
+///
+/// A one-lane [`SweepSession::iterate`] call may run several iterations
+/// (the fused on-device loop): those left under `max_iter`, or one while
+/// the loop checkpoints or a cancel flag is armed, and the time left
+/// before the deadline. Every residual replays through the unchanged
+/// per-iteration logic — history, spike gate, monitor — so the verdicts
+/// are the one-iteration-per-call verdicts exactly. The deadline and
+/// cancel checks run where the device stopped, and a call's modeled time
+/// is split evenly over its iterations' spans.
+pub(crate) fn drive<S: SweepSession>(
     sess: &mut S,
     cfg: &SolverConfig,
     policy: &Policy<'_>,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
-) -> Result<SolveResult<S::V>, DriveAbort> {
+) -> Result<Driven<S::V>, DriveAbort> {
+    let out = sweep_lanes(sess, cfg, policy, report, budget);
+    let recovery_us = sess.clock().recovery_us;
+    report.checkpoint_us += recovery_us;
+    out.map(|mut done| {
+        done.timing.phases.setup_us += recovery_us;
+        done
+    })
+}
+
+/// The body of [`drive`].
+fn sweep_lanes<S: SweepSession>(
+    sess: &mut S,
+    cfg: &SolverConfig,
+    policy: &Policy<'_>,
+    report: &mut FaultReport,
+    budget: &mut RetryBudget,
+) -> Result<Driven<S::V>, DriveAbort> {
     let Policy { checkpointing, cancel, obs, wall0 } = *policy;
     let monitor0 = ConvergenceMonitor::new(cfg, sess.source_mag());
     let tol = monitor0.tol();
+    let ran = sess.live();
+    let nl = ran.len();
     // The start state is host-known clean: certifying it costs nothing.
     // `faults: 0` (not the current count) so setup-time corruption
     // taints the run and gets caught by the first certification.
     let mut ckpt = Checkpoint {
         v: None,
-        iterations: 0,
-        residual: f64::INFINITY,
-        history: Vec::new(),
-        monitor: monitor0,
+        progress: Progress {
+            iters: 0,
+            history: Vec::new(),
+            monitors: vec![monitor0; nl],
+            status: ran.iter().map(|&r| (!r).then_some(SolveStatus::MaxIterations)).collect(),
+            iterations: vec![0; nl],
+            residuals: vec![f64::INFINITY; nl],
+        },
         faults: 0,
     };
 
     'attempt: loop {
-        let mut mon = ckpt.monitor.clone();
-        let mut iters = ckpt.iterations;
-        let mut history = ckpt.history.clone();
-        let mut prev_r = ckpt.residual;
-        let mut residual = ckpt.residual;
+        let mut p = ckpt.progress.clone();
 
         macro_rules! step {
             ($e:expr) => {
@@ -360,126 +442,153 @@ fn drive<S: SweepSession>(
                 continue 'attempt;
             }};
         }
-        // Ends the solve with `status`: downloads the state, unless faults
-        // fired since the last certified checkpoint — an untrusted end is
-        // rolled back, never reported.
+        // Ends the solve once no lane runs: downloads the state, unless
+        // its end is tainted — an untrusted end is rolled back, never
+        // reported.
         macro_rules! finish {
-            ($status:expr, $v_pos:expr, $j_pos:expr) => {
-                return Ok(SolveResult {
-                    v: sess.unpermute(&$v_pos),
-                    j: sess.unpermute(&$j_pos),
-                    iterations: iters,
-                    status: $status,
-                    residual,
-                    residual_history: history,
+            ($v_pos:expr, $j_pos:expr) => {
+                return Ok(Driven {
+                    v_pos: $v_pos,
+                    j_pos: $j_pos,
+                    statuses: p.status.iter().map(|s| s.expect("every lane ended")).collect(),
+                    iterations: p.iterations,
+                    residuals: p.residuals,
+                    history: p.history,
                     timing: sess.clock().timing(wall0),
-                    fault_report: None,
                 })
             };
-            ($status:expr) => {{
+            () => {{
                 if sess.faults_observed() > ckpt.faults {
                     recover!();
                 }
                 let (v_pos, j_pos) = step!(sess.download());
-                finish!($status, v_pos, j_pos)
+                finish!(v_pos, j_pos)
             }};
         }
 
         loop {
-            if iters >= cfg.max_iter {
-                finish!(SolveStatus::MaxIterations);
+            if p.iters >= cfg.max_iter || p.status.iter().all(Option::is_some) {
+                p.end_live(SolveStatus::MaxIterations);
+                finish!();
             }
             let t0 = sess.clock().elapsed_us();
+            let one = checkpointing || cancel.is_some() || nl > 1;
             let allowed = Sweeps {
-                max: if checkpointing || cancel.is_some() { 1 } else { cfg.max_iter - iters },
+                max: if one { 1 } else { cfg.max_iter - p.iters },
                 budget_us: cfg.deadline_us.map(|budget_us| budget_us - t0),
-                go_on: mon.sure_continue(),
+                go_on: if nl == 1 { p.monitors[0].sure_continue() } else { SureContinue::NEVER },
             };
             let rs = step!(sess.iterate(&allowed));
             // The call's modeled time, split evenly over its iterations:
             // their spans tile it.
-            let (t1, k) = (sess.clock().elapsed_us(), rs.len());
+            let (t1, k) = (sess.clock().elapsed_us(), rs.len() / nl);
             let at = |i: usize| if i == k { t1 } else { t0 + (t1 - t0) * i as f64 / k as f64 };
-            for (i, r) in rs.into_iter().enumerate() {
-                iters += 1;
-                obs.iteration(iters, at(i), at(i + 1), r);
-                history.push(r);
-                residual = r;
+            for (i, row) in rs.chunks(nl).enumerate() {
+                p.iters += 1;
                 let tainted = sess.faults_observed() > ckpt.faults;
-                if tainted && (!r.is_finite() || r > SPIKE_FACTOR * prev_r.max(tol)) {
+                let live: Vec<usize> = (0..nl).filter(|&l| p.status[l].is_none()).collect();
+                let mut spike = false;
+                for &l in &live {
+                    let r = row[l];
+                    spike |= !r.is_finite() || r > SPIKE_FACTOR * p.residuals[l].max(tol);
+                    (p.residuals[l], p.iterations[l]) = (r, p.iters);
+                }
+                let worst = live.iter().map(|&l| row[l]).reduce(MaxAbsF64::combine);
+                let worst = worst.expect("a live lane");
+                obs.iteration(p.iters, at(i), at(i + 1), worst);
+                p.history.push(worst);
+                if tainted && spike {
+                    step!(sess.settle(&p.live()));
                     recover!();
                 }
-                let verdict = mon.observe(iters, r);
-                debug_assert!(verdict.is_none() || i + 1 == k, "an iteration ran past a stop");
-                match verdict {
-                    // The device ran on past this one: nothing can stop
-                    // the loop here.
-                    None if i + 1 < k => prev_r = r,
-                    None => {
-                        // Deadline and watchdog-cancel checks happen only
-                        // on a still-running iteration, mirroring the CPU
-                        // solver loops: a converged/failed status is never
-                        // masked by a slow clock. The status reports the
-                        // clock at the check, before the final download.
-                        let elapsed_us = sess.clock().elapsed_us();
-                        let deadline_hit =
-                            cfg.deadline_us.is_some_and(|budget_us| elapsed_us >= budget_us);
-                        let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-                        if deadline_hit || cancelled {
-                            finish!(SolveStatus::DeadlineExceeded {
-                                at_iteration: iters,
-                                elapsed_us: elapsed_us as u64,
-                            });
-                        }
-                        prev_r = r;
-                        if checkpointing && iters.is_multiple_of(cfg.checkpoint_every) {
-                            if tainted {
-                                // Certification: statics exact, and one
-                                // host sweep from the captured voltages
-                                // must agree with what the device just
-                                // reported.
-                                if !step!(sess.verify_static()) {
-                                    recover!();
-                                }
-                                let v = step!(sess.snapshot());
-                                let (rh, _) = sess.host_iterate(&v);
-                                if !rh.is_finite() || rh > SPIKE_FACTOR * r.max(tol) {
-                                    recover!();
-                                }
-                                ckpt.v = Some(v);
-                            } else {
-                                ckpt.v = Some(step!(sess.snapshot()));
-                            }
-                            ckpt.iterations = iters;
-                            ckpt.residual = r;
-                            ckpt.history = history.clone();
-                            ckpt.monitor = mon.clone();
-                            ckpt.faults = sess.faults_observed();
-                            report.checkpoints += 1;
-                            obs.instant("checkpoint", sess.clock().elapsed_us());
-                        }
+                let mut froze = false;
+                for &l in &live {
+                    if let Some(status) = p.monitors[l].observe(p.iters, row[l]) {
+                        (p.status[l], froze) = (Some(status), true);
                     }
-                    Some(SolveStatus::Converged) if !tainted => finish!(SolveStatus::Converged),
-                    Some(SolveStatus::Converged) => {
-                        // Tainted convergence must earn acceptance.
+                }
+                debug_assert!(!froze || i + 1 == k, "an iteration ran past a stop");
+                // The device ran on past this one: nothing can stop the
+                // loop here.
+                if !froze && i + 1 < k {
+                    continue;
+                }
+                step!(sess.settle(&p.live()));
+                if p.status.iter().all(Option::is_some) {
+                    if !tainted {
+                        finish!();
+                    }
+                    // A genuine divergence or numerical failure is
+                    // reported honestly, never rolled back; a tainted one
+                    // is not trusted.
+                    let converged = SolveStatus::Converged;
+                    if (0..nl).any(|l| ran[l] && p.status[l] != Some(converged)) {
+                        recover!();
+                    }
+                    // Tainted convergence must earn acceptance, on every
+                    // lane.
+                    if !step!(sess.verify_static()) {
+                        recover!();
+                    }
+                    let (v_pos, j_pos) = step!(sess.download());
+                    let (rh, j_h) = sess.host_iterate(&v_pos);
+                    let n = j_h.len() / nl;
+                    let accepted = j_pos.len() == j_h.len()
+                        && (0..nl).filter(|&l| ran[l]).all(|l| {
+                            let lane = l * n..(l + 1) * n;
+                            rh[l].is_finite()
+                                && rh[l] <= SPIKE_FACTOR * tol
+                                && j_pos[lane.clone()].iter().zip(&j_h[lane]).all(|(a, b)| {
+                                    let d = (*a - *b).norm();
+                                    d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
+                                })
+                        });
+                    if accepted {
+                        finish!(v_pos, j_pos);
+                    }
+                    recover!();
+                }
+                // Deadline and watchdog-cancel checks happen only while a
+                // lane still runs, mirroring the CPU solver loops: a
+                // converged/failed status is never masked by a slow clock.
+                // The status reports the clock at the check, before the
+                // final download.
+                let elapsed_us = sess.clock().elapsed_us();
+                let deadline_hit = cfg.deadline_us.is_some_and(|budget_us| elapsed_us >= budget_us);
+                let cancelled = cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+                if deadline_hit || cancelled {
+                    let at_iteration = p.iters;
+                    let elapsed_us = elapsed_us as u64;
+                    p.end_live(SolveStatus::DeadlineExceeded { at_iteration, elapsed_us });
+                    finish!();
+                }
+                if checkpointing && p.iters.is_multiple_of(cfg.checkpoint_every) {
+                    if tainted {
+                        // Certification: statics exact, and one host
+                        // sweep per lane from the captured voltages must
+                        // agree with what the device just reported.
                         if !step!(sess.verify_static()) {
                             recover!();
                         }
-                        let (v_pos, j_pos) = step!(sess.download());
-                        let (rh, j_h) = sess.host_iterate(&v_pos);
-                        let j_ok = j_pos.len() == j_h.len()
-                            && j_pos.iter().zip(&j_h).all(|(a, b)| {
-                                let d = (*a - *b).norm();
-                                d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
-                            });
-                        if rh.is_finite() && rh <= SPIKE_FACTOR * tol && j_ok {
-                            finish!(SolveStatus::Converged, v_pos, j_pos);
+                        let v = step!(sess.snapshot());
+                        let (rh, _) = sess.host_iterate(&v);
+                        let r = &p.residuals;
+                        if (0..nl).any(|l| {
+                            ran[l] && (!rh[l].is_finite() || rh[l] > SPIKE_FACTOR * r[l].max(tol))
+                        }) {
+                            recover!();
                         }
-                        recover!();
+                        ckpt.v = Some(v);
+                    } else {
+                        ckpt.v = Some(step!(sess.snapshot()));
                     }
-                    // A genuine divergence or numerical failure is reported
-                    // honestly, never rolled back.
-                    Some(bad) => finish!(bad),
+                    // A lane frozen before a certified checkpoint keeps
+                    // currents no later certification reads: a session of
+                    // several lanes stays tainted for the whole attempt.
+                    let faults = if nl == 1 { sess.faults_observed() } else { 0 };
+                    (ckpt.progress, ckpt.faults) = (p.clone(), faults);
+                    report.checkpoints += 1;
+                    obs.instant("checkpoint", sess.clock().elapsed_us());
                 }
             }
         }
@@ -609,7 +718,7 @@ impl ResilientSolver {
             |rung| rung.fallback().expect("device backends have a fallback"),
             |dev, at| match (backend, backend.strategy()) {
                 (Backend::Gpu, _) => match route(dev.props(), a, false) {
-                    Route::Fused => at.run(|obs| FusedSession::open(dev, a, None, cfg.max_iter, obs)),
+                    Route::Fused => at.run(|obs| Chunk::open(dev, a, None, cfg.max_iter, obs)),
                     Route::Level(s) => at.run(|obs| GpuSession::with_obs(dev, a, s, None, obs)),
                 },
                 (_, Some(strategy)) => {
@@ -719,49 +828,26 @@ impl ResilientSolver {
             if let Some(plan) = &self.plan {
                 dev.arm_faults(plan.clone());
             }
-            // Corrupted index buffers can drive kernels out of bounds;
-            // the engine propagates the panic, which is just another
-            // fault: charge it and restart on a fresh device.
-            let attempted = catch_unwind(AssertUnwindSafe(|| {
-                let policy = Policy {
-                    checkpointing,
-                    cancel: cancel.as_deref(),
-                    obs: &obs,
-                    wall0: Instant::now(),
-                };
-                let (report, budget) = (&mut *report, &mut *budget);
-                attempt(&mut dev, Attempt { cfg, policy, report, budget })
-            }));
+            let attempted = guarded(&mut dev, report, budget, |dev, report, budget| {
+                let (cancel, wall0) = (cancel.as_deref(), Instant::now());
+                let policy = Policy { checkpointing, cancel, obs: &obs, wall0 };
+                attempt(dev, Attempt { cfg, policy, report, budget })
+            });
             report.faults_injected += dev.fault_log().len() as u32;
-            let lost = loss_error(&dev);
             let device_us = dev.timeline().total_modeled_us();
             self.last_device = Some(dev);
-            let abort = match attempted {
-                Ok(Ok(res)) => return Ok(res),
-                Ok(Err(abort)) => abort,
-                Err(_panic) => match lost {
-                    Some(e) => DriveAbort::Lost(e),
-                    None => {
-                        report.rollbacks += 1;
-                        if !budget.charge() {
-                            DriveAbort::Exhausted
-                        } else {
-                            report.retries += 1;
-                            DriveAbort::Restart
-                        }
-                    }
-                },
-            };
-            *discarded_us += device_us;
-            if !matches!(abort, DriveAbort::Restart) {
-                return Err(abort);
+            if attempted.is_err() {
+                *discarded_us += device_us;
+            }
+            if !matches!(attempted, Err(DriveAbort::Restart)) {
+                return attempted;
             }
         }
     }
 }
 
 /// Converged-but-not-clean runs are reported as recovered.
-fn upgraded(status: SolveStatus, report: &FaultReport) -> SolveStatus {
+pub(crate) fn upgraded(status: SolveStatus, report: &FaultReport) -> SolveStatus {
     if status == SolveStatus::Converged
         && (report.faults_injected > 0 || report.retries > 0 || report.degraded())
     {
@@ -771,9 +857,24 @@ fn upgraded(status: SolveStatus, report: &FaultReport) -> SolveStatus {
     }
 }
 
+/// Runs one device attempt, catching its kernel panics (corrupted index
+/// buffers can drive kernels out of bounds): device loss if the device
+/// recorded one, else a restart charged to the budget.
+pub(crate) fn guarded<T>(
+    dev: &mut Device,
+    report: &mut FaultReport,
+    budget: &mut RetryBudget,
+    attempt: impl FnOnce(&mut Device, &mut FaultReport, &mut RetryBudget) -> Result<T, DriveAbort>,
+) -> Result<T, DriveAbort> {
+    let attempted = catch_unwind(AssertUnwindSafe(|| attempt(dev, report, budget)));
+    attempted.unwrap_or_else(|_panic| {
+        Err(loss_error(dev).map_or_else(|| restart(report, budget), DriveAbort::Lost))
+    })
+}
+
 /// Maps a session-setup failure: device loss aborts the backend, any
-/// other error charges the budget and asks for a fresh device.
-fn setup_abort(
+/// other error charges the budget and asks for a restart.
+pub(crate) fn setup_abort(
     e: DeviceError,
     report: &mut FaultReport,
     budget: &mut RetryBudget,
@@ -781,9 +882,12 @@ fn setup_abort(
     if matches!(e, DeviceError::DeviceLost { .. }) {
         return DriveAbort::Lost(e);
     }
-    if matches!(e, DeviceError::TransferCorrupted { .. }) {
-        report.corruptions_detected += 1;
-    }
+    report.corruptions_detected += u32::from(matches!(e, DeviceError::TransferCorrupted { .. }));
+    restart(report, budget)
+}
+
+/// Charges a restart to the budget (`Exhausted` once it is spent).
+fn restart(report: &mut FaultReport, budget: &mut RetryBudget) -> DriveAbort {
     report.rollbacks += 1;
     if !budget.charge() {
         return DriveAbort::Exhausted;
@@ -805,11 +909,11 @@ pub(crate) fn loss_error(dev: &Device) -> Option<DeviceError> {
 /// watchdog's cancel flag, where its spans go and the attempt's
 /// wall-clock origin.
 #[derive(Clone, Copy)]
-struct Policy<'a> {
-    checkpointing: bool,
-    cancel: Option<&'a AtomicBool>,
-    obs: &'a Obs,
-    wall0: Instant,
+pub(crate) struct Policy<'a> {
+    pub(crate) checkpointing: bool,
+    pub(crate) cancel: Option<&'a AtomicBool>,
+    pub(crate) obs: &'a Obs,
+    pub(crate) wall0: Instant,
 }
 
 /// One device attempt of the supervisor: the solve's config, the
@@ -823,22 +927,14 @@ struct Attempt<'a> {
 
 impl Attempt<'_> {
     /// Drives the session `open` returns when handed the attempt's span
-    /// sink (a setup failure charges the budget). The session's
-    /// checkpoint, restore and verify traffic is charged to the answer's
-    /// setup phase as well as to the report's `checkpoint_us`.
+    /// sink (a setup failure charges the budget).
     fn run<S: SweepSession>(
         self,
         open: impl FnOnce(Obs) -> Result<S, DeviceError>,
     ) -> Result<SolveResult<S::V>, DriveAbort> {
         let Attempt { cfg, policy, report, budget } = self;
         let mut sess = open(policy.obs.clone()).map_err(|e| setup_abort(e, report, budget))?;
-        let out = drive(&mut sess, cfg, &policy, report, budget);
-        let recovery_us = sess.clock().recovery_us;
-        report.checkpoint_us += recovery_us;
-        out.map(|mut res| {
-            res.timing.phases.setup_us += recovery_us;
-            res
-        })
+        drive(&mut sess, cfg, &policy, report, budget).map(|done| done.solved(&sess))
     }
 }
 
@@ -854,10 +950,11 @@ pub(crate) fn run_plain<S: SweepSession>(
     let mut sess = opened.unwrap_or_else(|e| panic!("{e}"));
     let policy = Policy { checkpointing: false, cancel: None, obs, wall0 };
     let (mut report, mut budget) = (FaultReport::default(), RetryBudget::new(0));
-    drive(&mut sess, cfg, &policy, &mut report, &mut budget).unwrap_or_else(|abort| match abort {
-        DriveAbort::Lost(e) => panic!("{e}"),
-        _ => panic!("device fault during a solve with no recovery budget"),
-    })
+    match drive(&mut sess, cfg, &policy, &mut report, &mut budget) {
+        Ok(done) => done.solved(&sess),
+        Err(DriveAbort::Lost(e)) => panic!("{e}"),
+        Err(_) => panic!("device fault during a solve with no recovery budget"),
+    }
 }
 
 #[cfg(test)]
@@ -1172,8 +1269,8 @@ mod tests {
         fn snapshot(&mut self) -> Result<Vec<CVec3>, DeviceError> {
             self.sess.snapshot()
         }
-        fn restore(&mut self, v_pos: &[CVec3]) -> Result<(), DeviceError> {
-            self.sess.restore(v_pos)
+        fn restore(&mut self, v_pos: &[CVec3], live: &[bool]) -> Result<(), DeviceError> {
+            self.sess.restore(v_pos, live)
         }
         fn start_state(&self) -> Vec<CVec3> {
             self.sess.start_state()
@@ -1191,7 +1288,7 @@ mod tests {
         fn unpermute(&self, pos: &[CVec3]) -> Vec<CVec3> {
             self.sess.unpermute(pos)
         }
-        fn host_iterate(&self, v_pos: &[CVec3]) -> (f64, Vec<CVec3>) {
+        fn host_iterate(&self, v_pos: &[CVec3]) -> (Vec<f64>, Vec<CVec3>) {
             self.sess.host_iterate(v_pos)
         }
         fn source_mag(&self) -> f64 {
@@ -1226,15 +1323,16 @@ mod tests {
         let sess = GpuSession::with_obs(&mut dev, &a, strategy, None, Obs::default()).unwrap();
         let mut v_pos = a.levels.permute(&want.v);
         v_pos[leaf].a = c(f64::NAN, 0.0);
-        assert!(sess.host_iterate(&v_pos).0.is_nan(), "the host residual drops a NaN phase");
+        assert!(sess.host_iterate(&v_pos).0[0].is_nan(), "the host residual drops a NaN phase");
 
         let mut sess = NanLeafPhase { sess, leaf, fired: false };
         let (obs, wall0) = (Obs::default(), Instant::now());
         let policy = Policy { checkpointing: false, cancel: None, obs: &obs, wall0 };
         let (mut report, mut budget) = (FaultReport::default(), RetryBudget::new(4));
-        let Ok(res) = drive(&mut sess, &cfg, &policy, &mut report, &mut budget) else {
+        let Ok(done) = drive(&mut sess, &cfg, &policy, &mut report, &mut budget) else {
             panic!("one rollback fits the budget");
         };
+        let res = done.solved(&sess);
         assert_eq!((res.status, report.rollbacks), (SolveStatus::Converged, 1));
         for (x, y) in res.v.iter().zip(&want.v) {
             for (p, q) in x.phases().iter().zip(y.phases()) {

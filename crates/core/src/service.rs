@@ -46,7 +46,6 @@
 //! deadline would eventually take).
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -56,7 +55,7 @@ use powergrid::three_phase::ThreePhaseNetwork;
 use powergrid::RadialNetwork;
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
-use simt::{Device, DeviceError, DeviceProps, FaultPlan, HostProps, Timeline};
+use simt::{Device, DeviceProps, FaultPlan, HostProps, Timeline};
 
 use telemetry::trace::ArgValue;
 use telemetry::{Recorder, Trace};
@@ -853,29 +852,18 @@ impl SolveService {
                 if let Some(rec) = &self.recorder {
                     solver = solver.with_recorder(rec.clone());
                 }
-                // Corrupted index buffers can panic inside a kernel;
-                // that is a loud device fault, not a service bug.
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let arrays = SolverArrays::new(net);
-                    solver.try_solve(&arrays, Scenarios::Explicit(scenarios), &cfg)
-                }));
-                let lost = loss_error(solver.device());
-                match (attempt, lost) {
-                    // The tensor engine degrades to its host path when
-                    // the device dies mid-batch and still returns a
-                    // result. In strict mode (`fallback: false`) the
-                    // point is to surface sickness to an external
-                    // supervisor (the fleet reclaims the work on a
-                    // peer), so a mid-batch loss is a failure there.
-                    (Ok(Ok(res)), None) => Ok(Outcome::Batch(res)),
-                    (Ok(Ok(res)), Some(_)) if self.cfg.fallback => Ok(Outcome::Batch(res)),
-                    (Ok(Err(e @ DeviceError::DeviceLost { .. })), _) => {
-                        Err(ResilienceError::DeviceLost(e).into())
-                    }
-                    (_, None) => Err(ResilienceError::BudgetExhausted { retries: 0 }.into()),
-                    // Including a strict-mode answer from a device that
-                    // died mid-batch.
-                    (_, Some(e)) => Err(ResilienceError::DeviceLost(e).into()),
+                // The tensor engine absorbs device weather, kernel panics
+                // included: a device that died mid-batch leaves a result
+                // from its host path. In strict mode (`fallback: false`)
+                // the point is to surface sickness to an external
+                // supervisor (the fleet reclaims the work on a peer), so
+                // a mid-batch loss is a failure there.
+                let arrays = SolverArrays::new(net);
+                let solved = solver.try_solve(&arrays, Scenarios::Explicit(scenarios), &cfg);
+                let res = solved.unwrap_or_else(|e| unreachable!("the batch absorbs {e}"));
+                match loss_error(solver.device()) {
+                    Some(e) if !self.cfg.fallback => Err(ResilienceError::DeviceLost(e).into()),
+                    _ => Ok(Outcome::Batch(res)),
                 }
             }
         }

@@ -36,7 +36,7 @@
 //!
 //! # Masking, early abort, determinism
 //!
-//! Every scenario owns a [`ConvergenceMonitor`]. The moment a scenario
+//! Every scenario owns a [`crate::ConvergenceMonitor`]. The moment a scenario
 //! converges, diverges, or goes non-finite it is *frozen*: its mask entry
 //! drops to 0, the fused kernels skip its stripe (one 4-byte read per
 //! block), and its state stays exactly as it was at the freezing
@@ -49,33 +49,17 @@
 //!
 //! # One device path, one fault policy
 //!
-//! A one-shot batch and the outer-loop session behind
-//! [`crate::solve_dg_batch`] share one resident chunk type, one sweep
-//! loop, one audit and one fallback. A device fault spends one retry
-//! from [`SolverConfig::max_recoveries`] and rebuilds the chunk; a lost
-//! device or a spent budget degrades to the serial solver. Under an armed
-//! fault plan the state is *audited* after it is read back: static
-//! buffers are compared, and one extra no-commit iteration per scenario
-//! measures `max |ΔV|` via [`primitives::try_reduce_batched`]. A batch
-//! re-solves every scenario that fails (or any flagged failure) on the
-//! host as [`SolveStatus::Recovered`]; a session treats a failed round
-//! audit as a device fault and re-solves on the host whatever its final
-//! audit cannot vouch for — silent corruption cannot leak into results.
-//!
-//! # One scenario: the fused route
-//!
-//! At batch size one the resident chunk is also a single solve's device
-//! session (`FusedSession`): the fused route of [`crate::GpuSolver`]
-//! and of the supervisor's [`crate::Backend::Gpu`] rung. It does not run
-//! the batch loop above. The one device loop of single solves,
-//! `recovery::drive`, steps it one launch at a time, with that loop's
-//! checkpoints, rollback and fault report in place of the batch's audit
-//! and host repair. Alone on the device, the launch's block loops over
-//! several sweeps, stopping after any iteration the loop's monitor could
-//! stop at, and the loop replays the residuals it wrote. A clean cold
-//! solve is one packed upload, one launch and two read-backs (its
-//! residuals, then V and J packed); under an armed fault plan or a cancel
-//! flag every launch runs one sweep, so checkpoints keep their grain.
+//! Each chunk of a one-shot batch (so every N-1 screen), each round of
+//! the outer-loop session behind [`crate::solve_dg_batch`] and the fused
+//! route of a single solve is one [`Chunk`]: a session of one lane per
+//! scenario run by `recovery::drive`, the device loop of every solve,
+//! with its checkpoints, rollbacks, certification and [`FaultReport`]
+//! (see [`Chunk`] and `crate::recovery`). A setup fault or a caught
+//! kernel panic rebuilds the chunk within
+//! [`SolverConfig::max_recoveries`]; a lost device or a spent budget
+//! degrades the rest of the batch (or the session) to serial solves, the
+//! only host path. With no fault plan armed a batch issues only its
+//! sweeps' own device operations.
 //!
 //! Every chunk uploads its topology with its mask and scale words (and a
 //! lone scenario's warm start) as one packed copy, and leaves a flat
@@ -94,26 +78,28 @@
 //! scenarios.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use numc::Complex;
 use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
-use primitives::{try_fill, try_reduce_batched};
+use primitives::try_fill;
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart, GlobalMut,
-    GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
+    BlockScope, Device, DeviceBuffer, DeviceError, DeviceProps, DtohPart, GlobalMut, GlobalRef,
+    HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
 };
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
-use crate::recovery::{SessionClock, SweepSession, Sweeps};
+use crate::recovery::{
+    drive, guarded, setup_abort, upgraded, DriveAbort, Policy, RetryBudget, SessionClock,
+    SweepSession, Sweeps,
+};
 use crate::report::{FaultReport, PhaseTimes, Timing};
 use crate::serial::SerialSolver;
-use crate::status::{ConvergenceMonitor, SolveStatus, SureContinue};
+use crate::status::{SolveStatus, SureContinue};
 
 /// Threads per scenario block.
 const TENSOR_BLOCK: u32 = 256;
@@ -292,6 +278,7 @@ pub enum Scenarios<'s> {
 
 /// Scenario loads as the engine consumes them: a patched set runs as
 /// its per-scenario scales plus a [`PatchPlan`].
+#[derive(Clone, Copy)]
 enum Loads<'s> {
     /// Full by-bus load vectors, one per scenario.
     Explicit(&'s [Vec<Complex>]),
@@ -302,15 +289,6 @@ enum Loads<'s> {
     /// `loads(s) = base × scales[s]` with the base loads from the arrays,
     /// synthesised on device (no `B·n` upload).
     Scaled(&'s [f64]),
-}
-
-impl Loads<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Loads::Explicit(s) | Loads::Deltas(s) => s.len(),
-            Loads::Scaled(s) => s.len(),
-        }
-    }
 }
 
 /// The tensor-batched GPU solver.
@@ -368,8 +346,10 @@ impl TensorBatchSolver {
 
     /// Solves every scenario of `scenarios` over the network the
     /// level-order arrays `a` were built from. Device weather is handled
-    /// internally (retry, then host fallback), so an `Err` only escapes
-    /// when recovery itself is impossible; batch-shape violations panic
+    /// internally — each chunk is one `recovery::drive` session, restarted
+    /// within [`SolverConfig::max_recoveries`], and the rest of the batch
+    /// degrades to serial solves past it — so this never returns `Err`;
+    /// the `Result` keeps call sites stable. Batch-shape violations panic
     /// (see [`Scenarios`]).
     pub fn try_solve(
         &mut self,
@@ -397,8 +377,8 @@ impl TensorBatchSolver {
         })
     }
 
-    /// Infallible [`Scenarios::Explicit`] form of
-    /// [`TensorBatchSolver::try_solve`]: panics where that returns `Err`.
+    /// The [`Scenarios::Explicit`] form of
+    /// [`TensorBatchSolver::try_solve`].
     pub fn solve_arrays(
         &mut self,
         a: &SolverArrays,
@@ -423,10 +403,9 @@ impl TensorBatchSolver {
     /// `probes` buses' voltages — so a compensation/PV outer loop pays
     /// sparse traffic per round instead of re-shipping `B·n` slabs.
     ///
-    /// The session is one resident chunk of the [`Self::try_solve`]
-    /// engine, with its sweep loop, audit and fault policy. A rebuild
-    /// after a fault restarts the iterate cold — the fixed point does not
-    /// depend on the starting profile, so only modeled time is lost.
+    /// Each round is one `recovery::drive` session of the resident chunk.
+    /// A setup fault rebuilds the chunk with its iterate cold — the fixed
+    /// point does not depend on the start, so only modeled time is lost.
     ///
     /// `warm` optionally seeds every scenario's first round from one
     /// shared profile (by bus id) — typically the base-case fixed point
@@ -459,26 +438,28 @@ impl TensorBatchSolver {
         let obs = Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
         let mut session = TensorOuterSession {
             device: &mut self.device,
-            a,
-            probes: probes.to_vec(),
-            loads: loads.to_vec(),
-            warm: warm.map(<[Complex]>::to_vec),
+            mirror: Mirror {
+                a,
+                probes: probes.to_vec(),
+                loads: loads.to_vec(),
+                warm: warm.map(<[Complex]>::to_vec),
+            },
             retired: vec![false; nb],
             statuses: vec![SolveStatus::MaxIterations; nb],
             host_v: vec![None; nb],
-            chunk: None,
+            resident: None,
             degraded: false,
-            retries: Retries::new(cfg),
+            retries: RetryBudget::new(cfg.max_recoveries),
             obs,
             timing: Timing::default(),
         };
-        session.on_device(|_, _, _, _| Ok(Some(())));
+        session.on_device(|_, res, _, _, _, _| Ok(((), res)));
         session
     }
 
     /// Solves every scenario of `loads` chunk by chunk, each from `warm`
-    /// (by bus id) or flat. Device weather never escapes: a chunk retries
-    /// within its budget, then the rest of the batch degrades to the host.
+    /// (by bus id) or flat, each chunk one `recovery::drive` session
+    /// under `retried`; past it the rest of the batch degrades.
     fn solve_impl(
         &mut self,
         a: &SolverArrays,
@@ -488,9 +469,12 @@ impl TensorBatchSolver {
         warm: Option<&[Complex]>,
     ) -> TensorBatchResult {
         let wall0 = Instant::now();
-        let nb = loads.len();
+        let nb = match loads {
+            Loads::Explicit(s) | Loads::Deltas(s) => s.len(),
+            Loads::Scaled(s) => s.len(),
+        };
         assert!(nb >= 1, "batch must contain at least one scenario");
-        let keep = self.keep_state;
+        let (n, keep) = (a.len(), self.keep_state);
         let obs = &Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
         let dev = &mut self.device;
         let mut out = TensorBatchResult {
@@ -509,17 +493,17 @@ impl TensorBatchSolver {
         if cfg.validate().is_err() {
             out.statuses = vec![SolveStatus::InvalidConfig; nb];
             if keep {
-                out.v = vec![vec![a.source; a.len()]; nb];
-                out.j = vec![vec![Complex::ZERO; a.len()]; nb];
+                out.v = vec![vec![a.source; n]; nb];
+                out.j = vec![vec![Complex::ZERO; n]; nb];
             }
             return out;
         }
 
         let armed = dev.fault_plan().is_some();
-        let faults_before = dev.fault_log().len();
         let chunk_cap = self.chunk_cap.min(nb);
-        let mut retries_total = 0u32;
-        let mut corruptions_total = 0u32;
+        let policy = Policy { checkpointing: armed, cancel: None, obs, wall0 };
+        let output = Output::Batch { keep };
+        let mut report = FaultReport::default();
         let mut degraded = false;
         // The topology uploads with the first chunk and stays resident; a
         // fault drops it with its chunk, and the retry re-uploads it.
@@ -527,81 +511,79 @@ impl TensorBatchSolver {
 
         let mut chunk_start = 0usize;
         while chunk_start < nb {
-            let chunk = chunk_cap.min(nb - chunk_start);
-            let range = chunk_start..chunk_start + chunk;
+            let range = chunk_start..(chunk_start + chunk_cap).min(nb);
             let chunk_t0 = out.timing.phases.total_us();
-
-            // Device weather never escapes as an `Err`: retry the chunk
-            // within its budget, then degrade to the host for good.
-            let mut retries = Retries::new(cfg);
-            let mut retrying = false;
-            if !degraded {
-                let ran = retries.run(dev, |dev| {
-                    if std::mem::replace(&mut retrying, true) {
-                        obs.instant("chunk-retry", out.timing.phases.total_us());
+            let (faults0, mut rep) = (dev.fault_log().len(), FaultReport::default());
+            let mut budget = RetryBudget::new(cfg.max_recoveries);
+            let driven = (!degraded).then(|| {
+                retried(dev, &mut rep, &mut budget, &mut out.timing, |dev, rep, budget, t| {
+                    let t0 = t.phases.total_us();
+                    let r = range.clone();
+                    let res = Resident::build(dev, a, topo.take(), &loads, plan, r, warm, &[], 1, t)
+                        .map_err(|e| setup_abort(e, rep, budget))?;
+                    let clock = SessionClock::resume(t, t0, obs.clone());
+                    let mut chunk = Chunk::new(dev, res, loads, warm, output, clock);
+                    let done = drive(&mut chunk, cfg, &policy, rep, budget)?;
+                    *t = done.timing;
+                    Ok((done, chunk.min_v, chunk.res.topo))
+                })
+            });
+            rep.backends.push("tensor-gpu".to_string());
+            match driven.flatten() {
+                Some((done, min_v, kept)) => {
+                    topo = Some(kept);
+                    for (ls, s) in range.clone().enumerate() {
+                        out.per_scenario_iterations[s] = done.iterations[ls];
+                        out.statuses[s] = done.statuses[ls];
+                        out.residuals[s] = done.residuals[ls];
+                        if plan.is_some() {
+                            out.min_v[s] = min_v[ls];
+                        }
+                        if keep {
+                            let (v, j) = (&done.v_pos[ls * n..], &done.j_pos[ls * n..]);
+                            out.v[s] = a.levels.unpermute(&v[..n]);
+                            out.j[s] = a.levels.unpermute(&j[..n]);
+                            out.zero_isolated(s, plan);
+                        }
                     }
-                    let ran = run_chunk(
-                        dev,
-                        a,
-                        topo.take(),
-                        &loads,
-                        plan,
-                        warm,
-                        &range,
-                        cfg,
-                        obs,
-                        &mut out,
-                    );
-                    if let Err(DeviceError::TransferCorrupted { .. }) = ran {
-                        corruptions_total += 1;
-                        obs.instant("corruption-detected", out.timing.phases.total_us());
-                    }
-                    topo = Some(ran?);
-                    Ok(Some(()))
-                });
-                degraded = ran.is_none();
-            }
-            retries_total += retries.spent;
-
-            if degraded {
-                let t0 = out.timing.phases.total_us();
-                let serial = SerialSolver::new(HostProps::paper_rig());
-                for s in range {
-                    let res = host_solve(&serial, a, &loads, plan, s, cfg, warm);
-                    out.absorb_serial(s, res, plan);
                 }
-                obs.phase("fallback", t0, out.timing.phases.total_us());
+                None => {
+                    degraded = true;
+                    rep.backends.push("cpu-serial".to_string());
+                    let t0 = out.timing.phases.total_us();
+                    let serial = SerialSolver::new(HostProps::paper_rig());
+                    for s in range.clone() {
+                        let res = serial.solve_warm(&host_arrays(a, &loads, plan, s).0, cfg, warm);
+                        out.absorb_serial(s, res, plan);
+                    }
+                    obs.phase("fallback", t0, out.timing.phases.total_us());
+                }
             }
-
-            obs.batch_chunk(chunk_start / chunk_cap, chunk, chunk_t0, out.timing.phases.total_us());
-            chunk_start += chunk;
+            rep.faults_injected = (dev.fault_log().len() - faults0) as u32;
+            for s in range.clone() {
+                out.statuses[s] = upgraded(out.statuses[s], &rep);
+            }
+            let chunk_t1 = out.timing.phases.total_us();
+            obs.batch_chunk(chunk_start / chunk_cap, range.len(), chunk_t0, chunk_t1);
+            report.accumulate(&rep);
+            // Degradation is for good: the last chunk's backends are the
+            // batch's.
+            report.backends = rep.backends;
+            chunk_start = range.end;
         }
 
-        let faults_seen = (dev.fault_log().len() - faults_before) as u32;
         out.timing.wall_us = wall0.elapsed().as_secs_f64() * 1e6;
         out.scenarios_per_sec = scenarios_per_sec(nb, &out.timing);
         obs.batch_summary(nb, out.scenarios_per_sec);
-        out.fault_report = (armed || faults_seen > 0 || retries_total > 0 || corruptions_total > 0)
-            .then(|| FaultReport {
-                faults_injected: faults_seen,
-                rollbacks: 0,
-                retries: retries_total,
-                checkpoints: 0,
-                checkpoint_us: 0.0,
-                backends: if degraded {
-                    vec!["tensor-gpu".to_string(), "cpu-serial".to_string()]
-                } else {
-                    vec!["tensor-gpu".to_string()]
-                },
-                corruptions_detected: corruptions_total,
-            });
+        let faulted = report.faults_injected > 0 || report.retries > 0;
+        out.fault_report = (armed || faulted).then_some(report);
         out.iterations = out.per_scenario_iterations.iter().copied().max().unwrap_or(0);
         out.residual = out.residuals.iter().fold(0.0f64, |acc, &r| MaxAbsF64::combine(acc, r));
         out
     }
 }
 
-/// Upper bound on the modeled µs of a [`FusedSession`] launch of one
+/// Upper bound on the modeled µs of a single solve's [`Chunk`] launch of one
 /// sweep: the launch overhead plus the sweep's latency chain. A launch of
 /// `k` sweeps is bounded by the overhead plus `k` times the rest, which
 /// is how the session fits its launches into a deadline and how
@@ -640,35 +622,35 @@ pub(crate) fn single_iteration_bound_us(props: &DeviceProps, shape: &[(usize, us
 }
 
 impl TensorBatchResult {
-    /// Replaces scenario `s` with a host solve, charged to teardown: a
-    /// converged answer reports [`SolveStatus::Recovered`]. In patched
-    /// mode the de-energized buses are zeroed and the energized `min |V|`
-    /// is computed host-side, matching the device convention.
+    /// Replaces scenario `s` with a host solve, charged to teardown. In
+    /// patched mode the energized `min |V|` is computed host-side,
+    /// matching the device convention.
     fn absorb_serial(
         &mut self,
         s: usize,
-        mut res: crate::report::SolveResult,
+        res: crate::report::SolveResult,
         patches: Option<&PatchPlan>,
     ) {
         if let Some(plan) = patches {
             self.min_v[s] = host_min_v(&res.v, plan.root, &plan.isolated[s]);
-            for &bus in &plan.isolated[s] {
-                res.v[bus as usize] = Complex::ZERO;
-                res.j[bus as usize] = Complex::ZERO;
-            }
         }
         self.per_scenario_iterations[s] = res.iterations;
         self.residuals[s] = res.residual;
-        self.statuses[s] = if res.status == SolveStatus::Converged {
-            SolveStatus::Recovered { faults: 1, retries: 1 }
-        } else {
-            res.status
-        };
-        if !self.v.is_empty() {
-            self.v[s] = res.v;
-            self.j[s] = res.j;
-        }
+        self.statuses[s] = res.status;
         self.timing.phases.teardown_us += res.timing.total_us();
+        if !self.v.is_empty() {
+            (self.v[s], self.j[s]) = (res.v, res.j);
+            self.zero_isolated(s, patches);
+        }
+    }
+
+    /// De-energized buses of scenario `s` report dead (`V = J = 0`), not
+    /// their stale initial values.
+    fn zero_isolated(&mut self, s: usize, patches: Option<&PatchPlan>) {
+        for &bus in patches.map_or(&[][..], |plan| plan.isolated[s].as_slice()) {
+            self.v[s][bus as usize] = Complex::ZERO;
+            self.j[s][bus as usize] = Complex::ZERO;
+        }
     }
 }
 
@@ -841,7 +823,7 @@ impl Topology {
     }
 
     /// Reads every static buffer back, with `extra`, in one packed read
-    /// and compares the statics against the host truth (the audit's
+    /// and compares the statics against the host truth (certification's
     /// first line of defence); the caller compares `extra`.
     fn verify(
         &self,
@@ -877,19 +859,17 @@ impl Topology {
     }
 }
 
-/// Serial solve of scenario `s` from `warm` — the host oracle for audit
-/// repairs and the degraded path of the one-shot batch and the session
-/// alike — over its position-space arrays: its loads and, under a patch
-/// plan, its outage and impedance override.
-fn host_solve(
-    serial: &SerialSolver,
+/// Scenario `s`'s arrays in position space, as the host sees them — its
+/// loads and, under a patch plan, its outage and impedance override —
+/// and its de-energized positions (empty when unpatched). The serial
+/// solve of the degraded path runs over them, and a chunk's
+/// certification sweeps them.
+fn host_arrays(
     a: &SolverArrays,
     loads: &Loads<'_>,
     patches: Option<&PatchPlan>,
     s: usize,
-    cfg: &SolverConfig,
-    warm: Option<&[Complex]>,
-) -> crate::report::SolveResult {
+) -> (SolverArrays, Vec<bool>) {
     let mut a2 = a.clone();
     match loads {
         Loads::Explicit(sc) | Loads::Deltas(sc) => a2.s = a.levels.permute(&sc[s]),
@@ -899,18 +879,21 @@ fn host_solve(
             }
         }
     }
+    let mut dead = Vec::new();
     if let Some(plan) = patches {
         // An outage leaves the branch as an open switch: the subtree's
         // loads go to zero (so its currents vanish) and its buses are
         // masked on the way out; the serial sweep needs no other change.
+        dead = vec![false; a.len()];
         for &bus in &plan.isolated[s] {
-            a2.s[a.levels.pos_of[bus as usize] as usize] = Complex::ZERO;
+            let p = a.levels.pos_of[bus as usize] as usize;
+            (a2.s[p], dead[p]) = (Complex::ZERO, true);
         }
         if plan.z_pos[s] != u32::MAX {
             a2.z[plan.z_pos[s] as usize] = plan.z_val[s];
         }
     }
-    serial.solve_warm(&a2, cfg, warm)
+    (a2, dead)
 }
 
 /// Full by-bus load vectors of a scenario range in the position-major
@@ -919,45 +902,40 @@ fn position_slab(a: &SolverArrays, scenarios: &[Vec<Complex>]) -> Vec<Complex> {
     scenarios.iter().flat_map(|sc| a.levels.permute(sc)).collect()
 }
 
-/// The fault policy of both device paths, with the retry budget
-/// ([`SolverConfig::max_recoveries`]) of one resident chunk.
-struct Retries {
-    budget: u32,
-    spent: u32,
-}
-
-impl Retries {
-    fn new(cfg: &SolverConfig) -> Self {
-        Retries { budget: cfg.max_recoveries, spent: 0 }
-    }
-
-    /// Runs `attempt` until it succeeds. A device fault — an error, a
-    /// kernel panic (corrupted index buffers can drive kernels out of
-    /// bounds) or `Ok(None)` (a failed audit) — spends one retry; `None`
-    /// once the device is lost or the budget is spent.
-    fn run<T>(
-        &mut self,
-        dev: &mut Device,
-        mut attempt: impl FnMut(&mut Device) -> Result<Option<T>, DeviceError>,
-    ) -> Option<T> {
-        if dev.is_lost() {
-            return None;
-        }
-        loop {
-            if let Ok(Ok(Some(out))) = catch_unwind(AssertUnwindSafe(|| attempt(dev))) {
+/// Runs `op` on the batch's device under `recovery::guarded` until it
+/// completes: a restart (a setup fault or a caught kernel panic) retries
+/// within the budget, and an attempt that did not complete leaves the
+/// accounts `t` as it found them plus its device time, charged to setup.
+/// `None` once the device is lost or the budget spent: degrade.
+fn retried<T>(
+    dev: &mut Device,
+    report: &mut FaultReport,
+    budget: &mut RetryBudget,
+    t: &mut Timing,
+    mut op: impl FnMut(&mut Device, &mut FaultReport, &mut RetryBudget, &mut Timing) -> Attempted<T>,
+) -> Option<T> {
+    loop {
+        let (mark, mut tt) = (dev.timeline().mark(), *t);
+        match guarded(dev, report, budget, |dev, rep, budget| op(dev, rep, budget, &mut tt)) {
+            Ok(out) => {
+                *t = tt;
                 return Some(out);
             }
-            if dev.is_lost() || self.spent >= self.budget {
-                return None;
+            Err(abort) => {
+                t.phases.setup_us += dev.timeline().breakdown_since(mark).total_us();
+                if !matches!(abort, DriveAbort::Restart) {
+                    return None;
+                }
             }
-            self.spent += 1;
         }
     }
 }
+
+/// What one device attempt of a batch or a session ends with.
+type Attempted<T> = Result<T, DriveAbort>;
 
 /// The phase a group of device ops is charged to ([`charge`]).
 const SETUP: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.setup_us;
-const BACKWARD: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.backward_us;
 const CONVERGENCE: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.convergence_us;
 const TEARDOWN: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.teardown_us;
 
@@ -983,84 +961,12 @@ enum LoadsRef<'a> {
     Scaled { base: GlobalRef<'a, Complex>, scales: GlobalRef<'a, f64> },
 }
 
-/// One chunk of a one-shot batch: build it (uploading the topology
-/// unless the previous chunk hands it over) with every scenario starting
-/// from `warm` (by bus id) or flat, iterate, read the state back, audit
-/// it when a fault plan is armed, and unbatch into `out`. Returns the
-/// topology for the next chunk.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    dev: &mut Device,
-    a: &SolverArrays,
-    topo: Option<Topology>,
-    loads: &Loads<'_>,
-    patches: Option<&PatchPlan>,
-    warm: Option<&[Complex]>,
-    range: &Range<usize>,
-    cfg: &SolverConfig,
-    obs: &Obs,
-    out: &mut TensorBatchResult,
-) -> Result<Topology, DeviceError> {
-    let (n, keep, t) = (a.len(), !out.v.is_empty(), &mut out.timing);
-    let mut chunk = Chunk::build(dev, a, topo, loads, patches, range.clone(), warm, &[], 1, t)?;
-    let sweep = chunk.iterate(dev, cfg, obs, t)?;
-    // Read back *before* the audit: the audit vouches for the state it
-    // reads, so nothing may run between the two that could change it.
-    let (v, j) = if keep {
-        charge(dev, t, TEARDOWN, |dev| {
-            Ok((dev.try_dtoh_checked(&chunk.v)?, dev.try_dtoh_checked(&chunk.j)?))
-        })?
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let min_v = match &chunk.min_v {
-        Some(buf) => charge(dev, t, TEARDOWN, |dev| dev.try_dtoh_checked(buf))?,
-        None => Vec::new(),
-    };
-    let trusted = chunk.audit(dev, loads, &sweep.statuses, cfg, obs, t)?;
-    let serial = SerialSolver::new(HostProps::paper_rig());
-    for (ls, s) in range.clone().enumerate() {
-        if !trusted[ls] {
-            // A converged scenario failing its audit, or any flagged
-            // failure under an armed plan, goes to the host oracle.
-            out.absorb_serial(s, host_solve(&serial, a, loads, patches, s, cfg, warm), patches);
-            continue;
-        }
-        out.per_scenario_iterations[s] = sweep.iterations[ls];
-        out.statuses[s] = sweep.statuses[ls];
-        out.residuals[s] = sweep.residuals[ls];
-        if patches.is_some() {
-            out.min_v[s] = min_v[ls];
-        }
-        if keep {
-            let mut v = a.levels.unpermute(&v[ls * n..(ls + 1) * n]);
-            let mut j = a.levels.unpermute(&j[ls * n..(ls + 1) * n]);
-            // De-energized buses report dead, not their stale initial
-            // values.
-            for &bus in patches.map_or(&[][..], |plan| plan.isolated[s].as_slice()) {
-                v[bus as usize] = Complex::ZERO;
-                j[bus as usize] = Complex::ZERO;
-            }
-            out.v[s] = v;
-            out.j[s] = j;
-        }
-    }
-    Ok(chunk.topo)
-}
-
-/// What one [`Chunk::iterate`] left per scenario (masked-out scenarios:
-/// `MaxIterations`, 0 iterations, an infinite residual).
-struct Sweep {
-    statuses: Vec<SolveStatus>,
-    iterations: Vec<u32>,
-    residuals: Vec<f64>,
-}
-
-/// One scenario chunk resident on the device: the shared topology, the
+/// The device buffers of one scenario chunk: the shared topology, the
 /// chunk's loads and patch words, and the state every iteration reads
-/// and writes. A one-shot batch builds one per chunk and reads it once;
-/// an outer session keeps one across rounds.
-struct Chunk<'a> {
+/// and writes. A one-shot batch builds one per chunk, an outer session
+/// keeps one across rounds, and a single solve's fused route holds one
+/// of one scenario; a [`Chunk`] drives it.
+struct Resident<'a> {
     a: &'a SolverArrays,
     plan: Option<&'a PatchPlan>,
     range: Range<usize>,
@@ -1079,11 +985,17 @@ struct Chunk<'a> {
     /// The iterate is the flat start, still to be written by the next
     /// sweep (which reads no voltage).
     flat: bool,
-    /// Probe positions and the gathered `nb·np` voltages (sessions).
-    probes: Option<(DeviceBuffer<u32>, DeviceBuffer<Complex>)>,
+    /// Probe positions, on the host and on the device, and the gathered
+    /// `nb·np` voltages (sessions).
+    probes: Option<(Vec<u32>, DeviceBuffer<u32>, DeviceBuffer<Complex>)>,
+    /// Under an armed plan, the state the last outer round ended
+    /// certified with (position order): the next round's start.
+    start: Option<Vec<Complex>>,
+    /// The device's fault count when the state was last known clean.
+    faults_base: usize,
 }
 
-impl<'a> Chunk<'a> {
+impl<'a> Resident<'a> {
     /// Uploads the topology (unless `topo` carries it over) in one checked
     /// packed copy with the chunk's mask and scale words — and a lone
     /// scenario's warm start — then its loads and patch words, and seeds
@@ -1106,6 +1018,7 @@ impl<'a> Chunk<'a> {
     ) -> Result<Self, DeviceError> {
         let (n, nb) = (a.len(), range.len());
         let per_scenario = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
+        let faults_base = dev.fault_log().len();
         charge(dev, t, SETUP, |dev| {
             let live = vec![1; nb];
             let mut mask = dev.try_alloc::<u32>(nb)?;
@@ -1163,7 +1076,10 @@ impl<'a> Chunk<'a> {
             // per scenario.
             let patch =
                 plan.map(|plan| ChunkPatch::upload(dev, plan, range.clone())).transpose()?;
-            let min_v = plan.map(|_| filled(dev, nb, f64::INFINITY)).transpose()?;
+            let mut min_v = plan.map(|_| dev.try_alloc::<f64>(nb)).transpose()?;
+            if let Some(buf) = &mut min_v {
+                try_fill(dev, buf, f64::INFINITY)?;
+            }
             if let (Some(profile), 2..) = (&warm, nb) {
                 let buf = dev.try_alloc_from(profile)?;
                 let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
@@ -1177,10 +1093,11 @@ impl<'a> Chunk<'a> {
                 None
             } else {
                 let pos: Vec<u32> = probes.iter().map(|&b| a.levels.pos_of[b]).collect();
-                Some((dev.try_alloc_from(&pos)?, dev.try_alloc::<Complex>(nb * pos.len())?))
+                let (slots, out) = (dev.try_alloc_from(&pos)?, dev.try_alloc(nb * pos.len())?);
+                Some((pos, slots, out))
             };
             let flat = warm.is_none();
-            Ok(Chunk {
+            Ok(Resident {
                 a,
                 plan,
                 range,
@@ -1195,93 +1112,10 @@ impl<'a> Chunk<'a> {
                 res,
                 flat,
                 probes,
+                start: None,
+                faults_base,
             })
         })
-    }
-
-    /// Runs the fused sweep until every live scenario freezes —
-    /// converged, diverged, non-finite, or cut by the modeled deadline —
-    /// or `cfg.max_iter` runs out. Every scenario owns a
-    /// [`ConvergenceMonitor`]; a frozen scenario drops out of the device
-    /// mask, which re-uploads only when it changes.
-    fn iterate(
-        &mut self,
-        dev: &mut Device,
-        cfg: &SolverConfig,
-        obs: &Obs,
-        t: &mut Timing,
-    ) -> Result<Sweep, DeviceError> {
-        let nb = self.range.len();
-        let mut monitors: Vec<ConvergenceMonitor> =
-            (0..nb).map(|_| ConvergenceMonitor::new(cfg, self.a.source.abs())).collect();
-        let mut sweep = Sweep {
-            statuses: vec![SolveStatus::MaxIterations; nb],
-            iterations: vec![0; nb],
-            residuals: vec![f64::INFINITY; nb],
-        };
-        let mut active = self.live.iter().filter(|&&m| m == 1).count();
-
-        let mut iteration = 0u32;
-        while active > 0 && iteration < cfg.max_iter {
-            iteration += 1;
-            let iter_t0 = t.phases.total_us();
-
-            // The launch cannot be split into per-half timings, so its
-            // whole modeled time is charged to `backward_us` (`forward_us`
-            // stays 0 in the tensor engine, like `injection_us` — both are
-            // fused into the same kernel).
-            charge(dev, t, BACKWARD, |dev| self.sweep(dev, 1, SureContinue::NEVER))?;
-            obs.phase("sweep", iter_t0, t.phases.total_us());
-
-            // Per-scenario convergence triage on the host.
-            let conv_t0 = t.phases.total_us();
-            let mark = dev.timeline().mark();
-            let residuals = dev.try_dtoh_checked(&self.res)?;
-            let mut any_froze = false;
-            let mut worst_active = 0.0f64;
-            for ls in 0..nb {
-                if self.live[ls] == 0 {
-                    continue;
-                }
-                let r = residuals[ls];
-                sweep.residuals[ls] = r;
-                sweep.iterations[ls] = iteration;
-                worst_active = MaxAbsF64::combine(worst_active, r);
-                if let Some(status) = monitors[ls].observe(iteration, r) {
-                    sweep.statuses[ls] = status;
-                    self.live[ls] = 0;
-                    active -= 1;
-                    any_froze = true;
-                }
-            }
-            if any_froze && active > 0 {
-                dev.try_htod_checked(&mut self.mask, &self.live)?;
-            }
-            let b = dev.timeline().breakdown_since(mark);
-            t.phases.convergence_us += b.total_us();
-            t.transfer_us += b.htod_us + b.dtoh_us;
-            t.transfer_sweep_us += b.htod_us + b.dtoh_us;
-            obs.phase("convergence", conv_t0, t.phases.total_us());
-            obs.iteration(iteration, iter_t0, t.phases.total_us(), worst_active);
-
-            // Modeled deadline covers the scenarios still running.
-            if let Some(budget) = cfg.deadline_us {
-                let elapsed = t.phases.total_us();
-                if elapsed >= budget && active > 0 {
-                    for ls in 0..nb {
-                        if self.live[ls] == 1 {
-                            self.live[ls] = 0;
-                            sweep.statuses[ls] = SolveStatus::DeadlineExceeded {
-                                at_iteration: iteration,
-                                elapsed_us: elapsed as u64,
-                            };
-                        }
-                    }
-                    active = 0;
-                }
-            }
-        }
-        Ok(sweep)
     }
 
     /// One fused sweep launch: backward, forward, and the in-block
@@ -1323,193 +1157,149 @@ impl<'a> Chunk<'a> {
         Ok(())
     }
 
-    /// Integrity audit of the resident state, per scenario. Without a
-    /// fault plan nothing can have faulted and every scenario is trusted.
-    /// Under one, every static buffer is read back against its host
-    /// truth, then one no-commit iteration per scenario measures
-    /// `max |ΔV|` via [`primitives::try_reduce_batched`]. A scenario is
-    /// trusted only if its status converged and its audit residual is
-    /// within `cfg`'s tolerance; a static mismatch distrusts the chunk.
-    fn audit(
-        &self,
-        dev: &mut Device,
-        loads: &Loads<'_>,
-        statuses: &[SolveStatus],
-        cfg: &SolverConfig,
-        obs: &Obs,
-        t: &mut Timing,
-    ) -> Result<Vec<bool>, DeviceError> {
-        let (n, nb) = (self.a.len(), self.range.len());
-        if dev.fault_plan().is_none() {
-            return Ok(vec![true; nb]);
-        }
-        let tol = cfg.tol_volts(self.a.source.abs());
-        let audit_t0 = t.phases.total_us();
-        let r = self.range.clone();
-        let trusted = charge(dev, t, CONVERGENCE, |dev| {
-            let statics_intact = self.topo.verify(dev, self.a, self.plan, Vec::new())?
-                && match (&self.loads, loads) {
-                    (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
-                        dev.try_dtoh(buf)? == position_slab(self.a, &sc[r.clone()])
-                    }
-                    (DeviceLoads::Scales(buf), Loads::Scaled(sc)) => {
-                        dev.try_dtoh(buf)? == sc[r.clone()]
-                    }
-                    _ => true,
-                }
-                && match (&self.patch, self.plan) {
-                    (Some(cp), Some(plan)) => cp.matches(dev, plan, r)?,
-                    _ => true,
-                };
-            if !statics_intact {
-                return Ok(vec![false; nb]);
-            }
-            let mut j_audit = dev.try_alloc::<Complex>(nb * n)?;
-            let mut v_audit = dev.try_alloc::<Complex>(nb * n)?;
-            let mut delta = dev.try_alloc::<f64>(nb * n)?;
-            let kernel = AuditKernel {
-                loads: self.loads.view(&self.topo),
-                v: self.v.view(),
-                j: self.j.view(),
-                j_audit: j_audit.view_mut(),
-                v_audit: v_audit.view_mut(),
-                delta: delta.view_mut(),
-                z: self.topo.z.view(),
-                parent_pos: self.topo.parent_pos.view(),
-                child_lo: self.topo.child_lo.view(),
-                child_hi: self.topo.child_hi.view(),
-                patch: patch_ref(&self.topo, &self.patch),
-                level_offsets: &self.a.levels.level_offsets,
-                n,
-            };
-            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
-            let res = try_reduce_batched::<f64, MaxAbsF64>(dev, &delta, nb)?;
-            Ok(statuses.iter().zip(&res).map(|(s, &r)| s.is_converged() && r <= tol).collect())
-        })?;
-        obs.phase("audit", audit_t0, t.phases.total_us());
-        Ok(trusted)
-    }
-
-    /// Sets the mask to `live` for the next [`Chunk::iterate`].
-    fn set_live(
-        &mut self,
-        dev: &mut Device,
-        live: &[bool],
-        t: &mut Timing,
-    ) -> Result<(), DeviceError> {
-        self.live = live.iter().map(|&l| u32::from(l)).collect();
-        let mask = &mut self.mask;
-        charge(dev, t, CONVERGENCE, |dev| dev.try_htod_checked(mask, &self.live))
-    }
-
-    /// Reads back the probe buses' voltages, per scenario in probe
-    /// order: `nb·np` words instead of the slab (teardown).
-    fn gather(
-        &mut self,
-        dev: &mut Device,
-        t: &mut Timing,
-    ) -> Result<Vec<Vec<Complex>>, DeviceError> {
-        let (n, nb) = (self.a.len(), self.range.len());
-        let Some((slots, out)) = self.probes.as_mut() else {
-            return Ok(vec![Vec::new(); nb]);
-        };
-        let np = slots.len();
-        let gathered = charge(dev, t, TEARDOWN, |dev| {
-            let (src, slots) = (self.v.view(), slots.view());
-            let kernel = GatherKernel { src, slots, out: out.view_mut(), np, n };
-            dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
-            dev.try_dtoh_checked(out)
-        })?;
-        Ok(gathered.chunks(np).map(<[Complex]>::to_vec).collect())
+    /// The state the iterate started from, in position order: the last
+    /// certified outer round's, else `warm` (by bus id) in every stripe,
+    /// else the flat start.
+    fn start_state(&self, warm: Option<&[Complex]>) -> Vec<Complex> {
+        let a = self.a;
+        let stripe = || warm.map_or_else(|| vec![a.source; a.len()], |w| a.levels.permute(w));
+        self.start.clone().unwrap_or_else(|| stripe().repeat(self.range.len()))
     }
 }
 
-/// The fused route of [`crate::GpuSolver`] and of the supervisor's
-/// [`crate::Backend::Gpu`] rung: the resident chunk at batch size one
-/// over the arrays' own loads, stepped by `recovery::drive`. A unit scale
-/// reads the resident base loads exactly (`s · 1.0 == s`) without a
-/// second copy of them.
+/// What a [`Chunk`] is run for, which sets what its download reads.
+#[derive(Clone, Copy, PartialEq)]
+enum Output {
+    /// A single solve, whose launches fit a deadline at `sweep_us` per
+    /// sweep ([`single_iteration_bound_us`] less the launch): V and J in
+    /// one packed read.
+    Solve { sweep_us: f64 },
+    /// A one-shot batch chunk: V and J each in its own read (none when
+    /// stats-only and unarmed), then a patched batch's `min |V|`.
+    Batch { keep: bool },
+    /// An outer round: the probe voltages, gathered on device (read off
+    /// V and J under an armed fault plan).
+    Round,
+}
+
+/// A resident chunk on its device as one `recovery::drive` session, one
+/// lane per scenario: a one-shot batch's chunk, an outer round, or a
+/// single solve's fused route (one lane over the arrays' own loads at a
+/// unit scale, which reads the base loads exactly: `s · 1.0 == s`).
 ///
-/// A clean cold solve is one packed upload (topology, scale word, mask),
-/// one `tensor_sweep` launch that loops until an iteration the host
-/// monitor could stop at, one read-back of that launch's residuals and
-/// one packed read of V and J. Each [`SweepSession::iterate`] is one
-/// launch of `k` sweeps: `k` is the loop's allowance, cut so that the
-/// launch and its read-back fit the time left before a deadline by
-/// [`single_iteration_bound_us`], and 1 whenever a fault plan is armed
-/// (checkpoints and fault-op replay keep their per-iteration grain).
-pub(crate) struct FusedSession<'a> {
-    dev: &'a mut Device,
-    chunk: Chunk<'a>,
-    /// The warm start by bus id; `None` is the flat start.
-    v_init: Option<&'a [Complex]>,
-    /// Modeled µs of one sweep inside a launch, launch overhead excluded
-    /// (an upper bound, [`single_iteration_bound_us`]).
-    sweep_us: f64,
+/// A single solve's [`SweepSession::iterate`] is one launch of `k`
+/// sweeps: the loop's allowance, cut to fit the time left before a
+/// deadline by [`single_iteration_bound_us`], and 1 under an armed fault
+/// plan; a clean cold solve is one packed upload, one launch and two
+/// read-backs. A batch chunk or a round runs one sweep per launch, and
+/// re-uploads its mask only when a lane froze and another still runs.
+/// A rollback re-uploads the statics, the loads (slab or scales), the
+/// patch words, the mask and V as one checked packed copy, and
+/// verification reads them back; certification sweeps each lane on the
+/// host over the scenario's own arrays.
+pub(crate) struct Chunk<'d, 'a> {
+    dev: &'d mut Device,
+    res: Resident<'a>,
+    /// The loads' host truth, for rollbacks and verification.
+    loads: Loads<'d>,
+    /// The shared warm start by bus id; `None` is the flat start.
+    warm: Option<&'d [Complex]>,
+    output: Output,
+    /// Timeline mark of the residual read `settle` has yet to charge.
+    unsettled: Option<usize>,
+    /// A patched batch's `min |V|` per scenario, as last downloaded.
+    min_v: Vec<f64>,
+    /// A round's probe voltages per scenario, as last downloaded.
+    probe_v: Vec<Vec<Complex>>,
     clock: SessionClock,
 }
 
 /// The one scenario's load scale.
 const UNIT_SCALE: [f64; 1] = [1.0];
 
-impl<'a> FusedSession<'a> {
-    /// Builds the chunk — topology, scale word and mask in one packed
-    /// upload, an iterate seeded from `v_init` (by bus id) or left to the
-    /// first sweep's flat start, and one residual slot per iteration of
-    /// `max_iter` — charged to setup.
+impl<'d, 'a> Chunk<'d, 'a> {
+    fn new(
+        dev: &'d mut Device,
+        res: Resident<'a>,
+        loads: Loads<'d>,
+        warm: Option<&'d [Complex]>,
+        output: Output,
+        clock: SessionClock,
+    ) -> Self {
+        let (unsettled, min_v, probe_v) = (None, Vec::new(), vec![Vec::new(); res.range.len()]);
+        Chunk { dev, res, loads, warm, output, unsettled, min_v, probe_v, clock }
+    }
+
+    /// Opens a single solve's chunk — topology, scale word and mask in
+    /// one packed upload, an iterate seeded from `v_init` (by bus id) or
+    /// left to the first sweep's flat start, and one residual slot per
+    /// iteration of `max_iter` — charged to setup.
     pub(crate) fn open(
         dev: &'a mut Device,
         a: &'a SolverArrays,
         v_init: Option<&'a [Complex]>,
         max_iter: u32,
         obs: Obs,
-    ) -> Result<Self, DeviceError> {
+    ) -> Result<Chunk<'a, 'a>, DeviceError> {
         if let Some(w) = v_init {
             assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
         }
         let sweep_us = single_iteration_bound_us(dev.props(), &crate::gpu::level_shape(a))
             - dev.props().launch_overhead_us;
-        let loads = Loads::Scaled(&UNIT_SCALE);
-        let mut t = Timing::default();
+        let (loads, mut t) = (Loads::Scaled(&UNIT_SCALE), Timing::default());
         let slots = max_iter as usize;
-        let chunk = Chunk::build(dev, a, None, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
-        let clock = SessionClock::new(t.phases.setup_us, t.transfer_us, obs);
-        Ok(FusedSession { dev, chunk, v_init, sweep_us, clock })
+        let res = Resident::build(dev, a, None, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
+        let clock = SessionClock::resume(&t, 0.0, obs);
+        Ok(Chunk::new(dev, res, loads, v_init, Output::Solve { sweep_us }, clock))
     }
 
-    /// Sweeps the next launch runs: at most `max`, 1 under an armed
-    /// fault plan, and with `budget_us` left before a deadline no more
-    /// than fit in it with the launch and the read-back of their
-    /// residuals — never fewer than 1.
+    /// Sweeps the next launch runs: a single solve at most `max`, 1 under
+    /// an armed fault plan, and with `budget_us` left before a deadline no
+    /// more than fit in it with the launch and the read-back of their
+    /// residuals — never fewer than 1; a batch chunk or a round 1.
     fn sweeps(&self, max: u32, budget_us: Option<f64>) -> usize {
+        let Output::Solve { sweep_us } = self.output else { return 1 };
         if self.dev.fault_plan().is_some() {
             return 1;
         }
         let props = self.dev.props();
         let fit = budget_us.map_or(max, |left| {
             let read = simt::timing::transfer_time(props, 8 * u64::from(max));
-            ((left - props.launch_overhead_us - read) / self.sweep_us) as u32
+            ((left - props.launch_overhead_us - read) / sweep_us) as u32
         });
         fit.clamp(1, max) as usize
     }
 }
 
-impl SweepSession for FusedSession<'_> {
+impl SweepSession for Chunk<'_, '_> {
     type V = Complex;
 
     fn clock(&self) -> &SessionClock {
         &self.clock
     }
 
+    fn live(&self) -> Vec<bool> {
+        self.res.live.iter().map(|&m| m == 1).collect()
+    }
+
     fn iterate(&mut self, allowed: &Sweeps) -> Result<Vec<f64>, DeviceError> {
         let k = self.sweeps(allowed.max, allowed.budget_us);
         let mark = self.dev.timeline().mark();
-        self.chunk.sweep(self.dev, k, allowed.go_on)?;
+        // The launch cannot be split into per-half timings, so its whole
+        // modeled time is charged to `backward_us` (`forward_us` stays 0
+        // in the tensor engine, like `injection_us` — both are fused into
+        // the same kernel).
+        self.res.sweep(self.dev, k, allowed.go_on)?;
         self.clock.charge("backward", &self.dev.timeline().breakdown_since(mark));
         let mark = self.dev.timeline().mark();
         let mut residuals = Vec::new();
-        let read = DtohPart::prefix(&self.chunk.res, k, &mut residuals);
+        let read = DtohPart::prefix(&self.res.res, k * self.res.range.len(), &mut residuals);
         self.dev.try_dtoh_packed_checked(&mut [read])?;
+        if !matches!(self.output, Output::Solve { .. }) {
+            // Charged with the mask update that may follow.
+            self.unsettled = Some(mark);
+            return Ok(residuals);
+        }
         self.clock.charge("convergence", &self.dev.timeline().breakdown_since(mark));
         // The launch stopped after the first residual its test rejected;
         // the slots past it are stale.
@@ -1519,91 +1309,144 @@ impl SweepSession for FusedSession<'_> {
         Ok(residuals)
     }
 
+    fn settle(&mut self, live: &[bool]) -> Result<(), DeviceError> {
+        let Some(mark) = self.unsettled.take() else {
+            return Ok(());
+        };
+        let mask: Vec<u32> = live.iter().map(|&l| u32::from(l)).collect();
+        if mask != self.res.live && live.contains(&true) {
+            self.dev.try_htod_checked(&mut self.res.mask, &mask)?;
+            self.res.live = mask;
+        }
+        self.clock.charge("convergence", &self.dev.timeline().breakdown_since(mark));
+        Ok(())
+    }
+
     fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
         let mark = self.dev.timeline().mark();
-        let v = self.dev.try_dtoh_checked(&self.chunk.v)?;
+        let v = self.dev.try_dtoh_checked(&self.res.v)?;
         self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(v)
     }
 
-    fn restore(&mut self, v_pos: &[Complex]) -> Result<(), DeviceError> {
-        let (dev, c) = (&mut *self.dev, &mut self.chunk);
+    fn restore(&mut self, v_pos: &[Complex], live: &[bool]) -> Result<(), DeviceError> {
+        let (dev, r) = (&mut *self.dev, &mut self.res);
         let mark = dev.timeline().mark();
         // Statics are re-uploaded wholesale, as on the level path, in one
         // checked packed copy with the voltages. A flipped mask word
-        // freezes the stripe, so the mask is static.
-        let DeviceLoads::Scales(scale) = &mut c.loads else {
-            unreachable!("a fused session runs on a scale word")
-        };
-        let extra = vec![
-            HtodPart::new(scale, &UNIT_SCALE),
-            HtodPart::new(&mut c.mask, &[1]),
-            HtodPart::new(&mut c.v, v_pos),
-        ];
-        dev.try_htod_packed_checked(&mut c.topo.parts(c.a, None, extra))?;
-        c.flat = false;
+        // freezes a stripe, so the mask is static too.
+        let mask: Vec<u32> = live.iter().map(|&l| u32::from(l)).collect();
+        let slab;
+        let mut extra = vec![match (&mut r.loads, &self.loads) {
+            (DeviceLoads::Scales(buf), Loads::Scaled(sc)) => HtodPart::new(buf, &sc[r.range.clone()]),
+            (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
+                slab = position_slab(r.a, &sc[r.range.clone()]);
+                HtodPart::new(buf, &slab)
+            }
+            _ => unreachable!("a chunk's loads keep their kind"),
+        }];
+        extra.push(HtodPart::new(&mut r.mask, &mask));
+        if let (Some(cp), Some(plan)) = (&mut r.patch, r.plan) {
+            extra.extend(cp.parts(plan, r.range.clone()));
+        }
+        extra.push(HtodPart::new(&mut r.v, v_pos));
+        dev.try_htod_packed_checked(&mut r.topo.parts(r.a, r.plan, extra))?;
+        (r.live, r.flat) = (mask, false);
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(())
     }
 
     fn start_state(&self) -> Vec<Complex> {
-        let a = self.chunk.a;
-        match self.v_init {
-            Some(init) => a.levels.permute(init),
-            None => vec![a.source; a.len()],
-        }
+        self.res.start_state(self.warm)
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
-        let (dev, c) = (&mut *self.dev, &self.chunk);
+        let (dev, r) = (&mut *self.dev, &self.res);
         let mark = dev.timeline().mark();
-        let DeviceLoads::Scales(scale) = &c.loads else {
-            unreachable!("a fused session runs on a scale word")
+        let (mut slab, mut scales, mut mask) = (Vec::new(), Vec::new(), Vec::new());
+        let loads = match &r.loads {
+            DeviceLoads::Slab(buf) => DtohPart::new(buf, &mut slab),
+            DeviceLoads::Scales(buf) => DtohPart::new(buf, &mut scales),
         };
-        let (mut scale_out, mut mask_out) = (Vec::new(), Vec::new());
-        let extra = vec![DtohPart::new(scale, &mut scale_out), DtohPart::new(&c.mask, &mut mask_out)];
-        let ok = c.topo.verify(dev, c.a, None, extra)? && scale_out == UNIT_SCALE && mask_out == [1];
+        let extra = vec![loads, DtohPart::new(&r.mask, &mut mask)];
+        let ok = r.topo.verify(dev, r.a, r.plan, extra)?
+            && match self.loads {
+                Loads::Scaled(sc) => scales == sc[r.range.clone()],
+                Loads::Explicit(sc) | Loads::Deltas(sc) => {
+                    slab == position_slab(r.a, &sc[r.range.clone()])
+                }
+            }
+            && mask == r.live
+            && match (&r.patch, r.plan) {
+                (Some(cp), Some(plan)) => cp.matches(dev, plan, r.range.clone())?,
+                _ => true,
+            };
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
 
     fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
-        let mark = self.dev.timeline().mark();
-        let (mut v_pos, mut j_pos) = (Vec::new(), Vec::new());
-        self.dev.try_dtoh_packed_checked(&mut [
-            DtohPart::new(&self.chunk.v, &mut v_pos),
-            DtohPart::new(&self.chunk.j, &mut j_pos),
-        ])?;
-        self.clock.charge("teardown", &self.dev.timeline().breakdown_since(mark));
-        Ok((v_pos, j_pos))
+        let armed = self.dev.fault_plan().is_some();
+        let (dev, r) = (&mut *self.dev, &mut self.res);
+        let mark = dev.timeline().mark();
+        let (mut v, mut j) = (Vec::new(), Vec::new());
+        match self.output {
+            Output::Solve { .. } => dev.try_dtoh_packed_checked(&mut [
+                DtohPart::new(&r.v, &mut v),
+                DtohPart::new(&r.j, &mut j),
+            ])?,
+            Output::Round if !armed && r.probes.is_some() => {
+                let (_, slots, out) = r.probes.as_mut().expect("a round gathers its probes");
+                let (n, nb, np) = (r.a.len(), r.range.len(), slots.len());
+                let (src, slots) = (r.v.view(), slots.view());
+                let kernel = GatherKernel { src, slots, out: out.view_mut(), np, n };
+                dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
+                let gathered = dev.try_dtoh_checked(out)?;
+                self.probe_v = gathered.chunks(np).map(<[Complex]>::to_vec).collect();
+            }
+            Output::Batch { keep: false } | Output::Round if !armed => {}
+            _ => (v, j) = (dev.try_dtoh_checked(&r.v)?, dev.try_dtoh_checked(&r.j)?),
+        }
+        self.clock.charge("teardown", &dev.timeline().breakdown_since(mark));
+        if let Some(buf) = &r.min_v {
+            let mark = dev.timeline().mark();
+            self.min_v = dev.try_dtoh_checked(buf)?;
+            self.clock.charge("teardown", &dev.timeline().breakdown_since(mark));
+        }
+        if let (Output::Round, true) = (self.output, armed) {
+            let pos = r.probes.as_ref().map_or(&[][..], |(pos, ..)| pos);
+            let lane = |s: &[Complex]| pos.iter().map(|&p| s[p as usize]).collect();
+            self.probe_v = v.chunks(r.a.len()).map(lane).collect();
+        }
+        Ok((v, j))
     }
 
     fn unpermute(&self, pos: &[Complex]) -> Vec<Complex> {
-        self.chunk.a.levels.unpermute(pos)
+        let levels = &self.res.a.levels;
+        pos.chunks(self.res.a.len()).flat_map(|stripe| levels.unpermute(stripe)).collect()
     }
 
-    fn host_iterate(&self, v_pos: &[Complex]) -> (f64, Vec<Complex>) {
-        crate::gpu::host_iterate(self.chunk.a, self.v_init, v_pos)
+    fn host_iterate(&self, v_pos: &[Complex]) -> (Vec<f64>, Vec<Complex>) {
+        let (a, plan) = (self.res.a, self.res.plan);
+        let n = a.len();
+        let (mut rs, mut js) = (Vec::new(), Vec::with_capacity(v_pos.len()));
+        for (ls, s) in self.res.range.clone().enumerate() {
+            let (a2, dead) = host_arrays(a, &self.loads, plan, s);
+            let stripe = &v_pos[ls * n..(ls + 1) * n];
+            let (r, j) = crate::gpu::host_iterate(&a2, self.warm, stripe, &dead);
+            rs.push(r);
+            js.extend(j);
+        }
+        (rs, js)
     }
 
     fn source_mag(&self) -> f64 {
-        self.chunk.a.source.abs()
+        self.res.a.source.abs()
     }
 
     fn faults_observed(&self) -> u32 {
-        self.dev.fault_log().len() as u32
+        (self.dev.fault_log().len() - self.res.faults_base) as u32
     }
-}
-
-/// A new `len`-word device buffer holding `value` everywhere.
-fn filled<T: DeviceCopy>(
-    dev: &mut Device,
-    len: usize,
-    value: T,
-) -> Result<DeviceBuffer<T>, DeviceError> {
-    let mut buf = dev.try_alloc::<T>(len)?;
-    try_fill(dev, &mut buf, value)?;
-    Ok(buf)
 }
 
 /// Writes sparse `(scenario, position, load)` entries into a load slab
@@ -1668,6 +1511,18 @@ impl ChunkPatch {
         })
     }
 
+    /// Every patch word with its host truth: the members of a
+    /// rollback's re-upload.
+    fn parts<'p>(&'p mut self, plan: &'p PatchPlan, r: Range<usize>) -> [HtodPart<'p>; 5] {
+        [
+            HtodPart::new(&mut self.cut_pos, &plan.cut_pos[r.clone()]),
+            HtodPart::new(&mut self.cut_lo, &plan.cut_lo[r.clone()]),
+            HtodPart::new(&mut self.cut_hi, &plan.cut_hi[r.clone()]),
+            HtodPart::new(&mut self.z_pos, &plan.z_pos[r.clone()]),
+            HtodPart::new(&mut self.z_val, &plan.z_val[r]),
+        ]
+    }
+
     /// Whether every patch word on the device equals the plan's.
     fn matches(
         &self,
@@ -1726,19 +1581,23 @@ pub(crate) struct SessionReport {
     pub(crate) total_us: f64,
 }
 
-/// Resident-state outer-loop session (see
-/// [`TensorBatchSolver::outer_session`]): one [`Chunk`] held on the
-/// device across outer rounds, with sparse load updates and probe-bus
-/// readback between rounds, plus the host mirrors it is rebuilt from.
-pub(crate) struct TensorOuterSession<'s> {
-    device: &'s mut Device,
+/// What an outer session rebuilds its chunk from and falls back to.
+struct Mirror<'s> {
     a: &'s SolverArrays,
     probes: Vec<usize>,
-    /// Host mirror of every scenario's loads, by bus id — the rebuild,
-    /// audit and fallback source of truth.
+    /// Every scenario's loads, by bus id: the source of truth.
     loads: Vec<Vec<Complex>>,
     /// Shared warm start, by bus id, for the first round and rebuilds.
     warm: Option<Vec<Complex>>,
+}
+
+/// Resident-state outer-loop session (see
+/// [`TensorBatchSolver::outer_session`]): one [`Resident`] chunk held
+/// across outer rounds, each round one `recovery::drive` session of it,
+/// with sparse load updates and probe readback between rounds.
+pub(crate) struct TensorOuterSession<'s> {
+    device: &'s mut Device,
+    mirror: Mirror<'s>,
     /// Scenarios excluded from further rounds (outer loop settled).
     retired: Vec<bool>,
     /// Last inner status per scenario.
@@ -1746,46 +1605,47 @@ pub(crate) struct TensorOuterSession<'s> {
     /// Host-resident voltages, populated on the fallback path.
     host_v: Vec<Option<Vec<Complex>>>,
     /// The resident chunk; `None` once a fault has dropped it.
-    chunk: Option<Chunk<'s>>,
+    resident: Option<Resident<'s>>,
     degraded: bool,
-    retries: Retries,
+    /// The session's retry budget ([`SolverConfig::max_recoveries`]).
+    retries: RetryBudget,
     obs: Obs,
     timing: Timing,
 }
 
 impl<'s> TensorOuterSession<'s> {
-    /// Runs `op` on the resident chunk under [`Retries::run`], building
-    /// the chunk from the host mirrors when a fault has dropped it (the
-    /// rebuilt iterate starts cold). `None` once the session has
-    /// degraded to the host.
+    /// Runs `op` on the resident chunk under `retried`, building it cold
+    /// from the mirrors when a fault has dropped it; `op` hands it back
+    /// when it completes. `None` once the session has degraded.
     fn on_device<T>(
         &mut self,
         mut op: impl FnMut(
             &mut Device,
-            &mut Chunk<'s>,
+            Resident<'s>,
+            &Mirror<'s>,
+            &mut FaultReport,
+            &mut RetryBudget,
             &mut Timing,
-            &[Vec<Complex>],
-        ) -> Result<Option<T>, DeviceError>,
+        ) -> Result<(T, Resident<'s>), DriveAbort>,
     ) -> Option<T> {
         if self.degraded {
             return None;
         }
-        let (slot, t, loads) = (&mut self.chunk, &mut self.timing, &self.loads);
-        let (a, warm, probes) = (self.a, self.warm.as_deref(), &self.probes);
-        let out = self.retries.run(self.device, |dev| {
-            // The chunk leaves its slot for the attempt and returns only
-            // on success, so a fault drops it.
-            let mut chunk = match slot.take() {
-                Some(chunk) => chunk,
+        // The session exposes no fault report: its rounds' is dropped.
+        let (slot, m, report) = (&mut self.resident, &self.mirror, &mut FaultReport::default());
+        let (budget, timing) = (&mut self.retries, &mut self.timing);
+        let out = retried(self.device, report, budget, timing, |dev, rep, budget, t| {
+            let res = match slot.take() {
+                Some(res) => res,
                 None => {
-                    let deltas = Loads::Deltas(loads);
-                    Chunk::build(dev, a, None, &deltas, None, 0..loads.len(), warm, probes, 1, t)?
+                    let (nb, deltas) = (m.loads.len(), Loads::Deltas(&m.loads));
+                    let (warm, probes) = (m.warm.as_deref(), &m.probes);
+                    Resident::build(dev, m.a, None, &deltas, None, 0..nb, warm, probes, 1, t)
+                        .map_err(|e| setup_abort(e, rep, budget))?
                 }
             };
-            let out = op(dev, &mut chunk, t, loads)?;
-            if out.is_some() {
-                *slot = Some(chunk);
-            }
+            let (out, res) = op(dev, res, m, rep, budget, t)?;
+            *slot = Some(res);
             Ok(out)
         });
         self.degraded = out.is_none();
@@ -1796,64 +1656,72 @@ impl<'s> TensorOuterSession<'s> {
     /// mirror takes them whole, the resident slab a scatter of just the
     /// entries that changed.
     pub(crate) fn update_loads(&mut self, fresh: Vec<(usize, Vec<Complex>)>) {
-        let n = self.a.len();
+        let (a, n) = (self.mirror.a, self.mirror.a.len());
         let mut entries = Vec::new();
         for (s, loads) in fresh {
             assert_eq!(loads.len(), n, "scenario {s} has {} loads for {n} buses", loads.len());
-            for (bus, (&old, &new)) in self.loads[s].iter().zip(&loads).enumerate() {
+            for (bus, (&old, &new)) in self.mirror.loads[s].iter().zip(&loads).enumerate() {
                 if old != new {
-                    entries.push((s as u32, self.a.levels.pos_of[bus], new));
+                    entries.push((s as u32, a.levels.pos_of[bus], new));
                 }
             }
-            self.loads[s] = loads;
+            self.mirror.loads[s] = loads;
         }
-        self.on_device(|dev, chunk, t, _| {
-            let DeviceLoads::Slab(slab) = &mut chunk.loads else {
+        self.on_device(|dev, mut res, _, rep, budget, t| {
+            let DeviceLoads::Slab(slab) = &mut res.loads else {
                 unreachable!("sessions hold explicit loads")
             };
-            charge(dev, t, SETUP, |dev| scatter(dev, slab, n, &entries)).map(Some)
+            charge(dev, t, SETUP, |dev| scatter(dev, slab, n, &entries))
+                .map_err(|e| setup_abort(e, rep, budget))?;
+            Ok(((), res))
         });
     }
 
     /// Excludes a scenario from further rounds; its resident state (and
     /// final voltages) stay exactly as its last live round left them.
     pub(crate) fn retire(&mut self, s: usize) {
-        assert!(s < self.loads.len(), "scenario {s} of {}", self.loads.len());
+        assert!(s < self.retired.len(), "scenario {s} of {}", self.retired.len());
         self.retired[s] = true;
     }
 
     /// One batched inner solve over every live scenario, re-iterating
-    /// from the resident voltages. Under an armed fault plan the round is
-    /// audited, and a live scenario failing its audit is a device fault.
-    /// Falls back to per-scenario serial solves (warm off the host
-    /// mirror) once the session has degraded.
+    /// from the resident voltages as one `recovery::drive` session. Falls
+    /// back to per-scenario serial solves once the session has degraded.
     pub(crate) fn solve_round(&mut self, cfg: &SolverConfig) -> OuterRound {
         let live: Vec<bool> = self.retired.iter().map(|&r| !r).collect();
         let obs = self.obs.clone();
-        let round = self.on_device(|dev, chunk, t, loads| {
-            chunk.set_live(dev, &live, t)?;
-            let sweep = chunk.iterate(dev, cfg, &obs, t)?;
-            // Probes are read before the audit, for the same reason the
-            // one-shot batch downloads its state first.
-            let probe_v = chunk.gather(dev, t)?;
-            let trusted = chunk.audit(dev, &Loads::Deltas(loads), &sweep.statuses, cfg, &obs, t)?;
-            let clean = live.iter().zip(&trusted).all(|(&l, &ok)| ok || !l);
-            Ok(clean.then_some((sweep, probe_v)))
+        let round = self.on_device(|dev, mut res, m, rep, budget, t| {
+            res.live = live.iter().map(|&l| u32::from(l)).collect();
+            charge(dev, t, CONVERGENCE, |dev| dev.try_htod_checked(&mut res.mask, &res.live))
+                .map_err(|e| setup_abort(e, rep, budget))?;
+            let armed = dev.fault_plan().is_some();
+            let (cancel, wall0) = (None, Instant::now());
+            let policy = Policy { checkpointing: armed, cancel, obs: &obs, wall0 };
+            let clock = SessionClock::resume(t, t.phases.total_us(), obs.clone());
+            let (loads, warm) = (Loads::Deltas(&m.loads), m.warm.as_deref());
+            let mut chunk = Chunk::new(dev, res, loads, warm, Output::Round, clock);
+            let done = drive(&mut chunk, cfg, &policy, rep, budget)?;
+            *t = done.timing;
+            // The round ended certified: the next one starts from here.
+            let Chunk { dev, mut res, probe_v, .. } = chunk;
+            res.faults_base = dev.fault_log().len();
+            res.start = armed.then_some(done.v_pos);
+            Ok(((done.statuses, done.iterations, probe_v), res))
         });
-        let Some((sweep, probe_v)) = round else {
+        let Some((statuses, iterations, probe_v)) = round else {
             return self.host_round(cfg);
         };
         for s in (0..live.len()).filter(|&s| live[s]) {
-            self.statuses[s] = sweep.statuses[s];
+            self.statuses[s] = statuses[s];
         }
-        OuterRound { statuses: self.statuses.clone(), iterations: sweep.iterations, probe_v }
+        OuterRound { statuses: self.statuses.clone(), iterations, probe_v }
     }
 
     /// Serial fallback round: each live scenario re-solves on the host,
     /// warm off its previous fallback profile when one exists.
     fn host_round(&mut self, cfg: &SolverConfig) -> OuterRound {
         let serial = SerialSolver::new(HostProps::paper_rig());
-        let mut iterations = vec![0u32; self.loads.len()];
+        let mut iterations = vec![0u32; self.retired.len()];
         for (s, iters) in iterations.iter_mut().enumerate() {
             if !self.retired[s] {
                 let res = self.solve_on_host(&serial, s, cfg);
@@ -1861,49 +1729,51 @@ impl<'s> TensorOuterSession<'s> {
                 self.host_v[s] = Some(res.v);
             }
         }
-        let probes = |v: &Vec<Complex>| self.probes.iter().map(|&b| v[b]).collect();
+        let probes = |v: &Vec<Complex>| self.mirror.probes.iter().map(|&b| v[b]).collect();
         let probe_v = self.host_v.iter().map(|v| v.as_ref().map_or(Vec::new(), probes)).collect();
         OuterRound { statuses: self.statuses.clone(), iterations, probe_v }
     }
 
-    /// [`host_solve`] of scenario `s` from the load mirror, charged to
-    /// teardown like the one-shot fallback.
+    /// Serial solve of scenario `s` from the load mirror, warm off its
+    /// last fallback profile, charged to teardown like the one-shot
+    /// fallback.
     fn solve_on_host(
         &mut self,
         serial: &SerialSolver,
         s: usize,
         cfg: &SolverConfig,
     ) -> crate::report::SolveResult {
-        let warm = self.host_v[s].as_deref().or(self.warm.as_deref());
-        let res = host_solve(serial, self.a, &Loads::Deltas(&self.loads), None, s, cfg, warm);
+        let m = &self.mirror;
+        let warm = self.host_v[s].as_deref().or(m.warm.as_deref());
+        let (a2, _) = host_arrays(m.a, &Loads::Deltas(&m.loads), None, s);
+        let res = serial.solve_warm(&a2, cfg, warm);
         self.timing.phases.teardown_us += res.timing.total_us();
         res
     }
 
-    /// Downloads every scenario's final voltages and closes the
-    /// session. Under an armed plan the state is audited after the
-    /// download, and every scenario it does not vouch for re-solves on
-    /// the host from the load mirror.
+    /// Every scenario's final voltages, closing the session: under an
+    /// armed plan the state the last round ended certified with (nothing
+    /// since can corrupt it), else one read of the iterate. Without a
+    /// chunk it answers from the host fallback, re-solving the rest.
     pub(crate) fn finish(&mut self, cfg: &SolverConfig) -> SessionReport {
-        let (n, nb) = (self.a.len(), self.loads.len());
-        let (obs, statuses) = (self.obs.clone(), self.statuses.clone());
-        let spent = self.retries.spent;
-        let read = self.on_device(|dev, chunk, t, loads| {
-            let v = charge(dev, t, TEARDOWN, |dev| dev.try_dtoh_checked(&chunk.v))?;
-            Ok(Some((v, chunk.audit(dev, &Loads::Deltas(loads), &statuses, cfg, &obs, t)?)))
-        });
-        // A retry here rebuilt the iterate cold: the resident voltages
-        // are gone, and re-deriving them means re-solving on the host.
-        let (flat, trusted) = match read {
-            Some(read) if self.retries.spent == spent => read,
-            _ => (Vec::new(), vec![false; nb]),
+        let (n, nb) = (self.mirror.a.len(), self.retired.len());
+        let warm = self.mirror.warm.as_deref();
+        let state = match self.resident.take() {
+            Some(res) if self.device.fault_plan().is_some() => Some(res.start_state(warm)),
+            Some(res) => charge(self.device, &mut self.timing, TEARDOWN, |dev| {
+                dev.try_dtoh_checked(&res.v)
+            })
+            .ok(),
+            None => None,
         };
         let serial = SerialSolver::new(HostProps::paper_rig());
         let v = (0..nb)
-            .map(|s| match (trusted[s], self.host_v[s].take()) {
-                (true, _) => self.a.levels.unpermute(&flat[s * n..(s + 1) * n]),
-                (false, Some(v)) => v,
-                (false, None) => self.solve_on_host(&serial, s, cfg).v,
+            .map(|s| match &state {
+                Some(v) => self.mirror.a.levels.unpermute(&v[s * n..(s + 1) * n]),
+                None => match self.host_v[s].take() {
+                    Some(v) => v,
+                    None => self.solve_on_host(&serial, s, cfg).v,
+                },
             })
             .collect();
         SessionReport { v, total_us: self.timing.total_us() }
@@ -2154,8 +2024,8 @@ impl Kernel for SweepKernel<'_> {
 
             // Backward half, leaf→root: injection fused in, children
             // summed over their contiguous level-order range. Each current
-            // is stored to global (the parent phase and the audit read it
-            // there) and kept in this thread's local slot for the forward
+            // is stored to global (the parent phase and the read-back take
+            // it there) and kept in this thread's local slot for the forward
             // half, along with the pre-update voltage.
             for l in (0..nl).rev() {
                 let off = self.level_offsets[l] as usize;
@@ -2342,161 +2212,10 @@ fn tree_fold(
     out
 }
 
-/// One *no-commit* iteration for the integrity audit: recomputes branch
-/// currents and next-iteration voltages into scratch slabs (the resident
-/// state is untouched) and writes per-node `|ΔV|`. A scenario at a true
-/// fixed point audits at or below its final residual; corrupted state,
-/// a premature convergence, or a poisoned stripe audits above tolerance
-/// (or NaN) and is routed to the host oracle.
-struct AuditKernel<'a> {
-    loads: LoadsRef<'a>,
-    v: GlobalRef<'a, Complex>,
-    j: GlobalRef<'a, Complex>,
-    j_audit: GlobalMut<'a, Complex>,
-    v_audit: GlobalMut<'a, Complex>,
-    delta: GlobalMut<'a, f64>,
-    z: GlobalRef<'a, Complex>,
-    parent_pos: GlobalRef<'a, u32>,
-    child_lo: GlobalRef<'a, u32>,
-    child_hi: GlobalRef<'a, u32>,
-    /// Patched solves: the audit recomputes under the *same* patched
-    /// topology, or every patched scenario would flag suspicious.
-    patch: Option<PatchRefs<'a>>,
-    level_offsets: &'a [u32],
-    n: usize,
-}
-
-impl Kernel for AuditKernel<'_> {
-    fn name(&self) -> &'static str {
-        "tensor_audit"
-    }
-
-    fn block(&self, blk: &mut BlockScope) {
-        let s_idx = blk.block_idx_y();
-        let base = s_idx * self.n;
-        let bdim = blk.block_dim();
-
-        let mut member = None;
-        blk.threads(|t| {
-            if t.tid() == 0 {
-                member = Some(Member::read(t, &self.loads, &self.patch, s_idx));
-            }
-        });
-        let mb = member.expect("thread 0 reads the scenario words");
-
-        let nl = self.level_offsets.len() - 1;
-        // Backward into the scratch currents.
-        for l in (0..nl).rev() {
-            let off = self.level_offsets[l] as usize;
-            let w = self.level_offsets[l + 1] as usize - off;
-            blk.threads(|t| {
-                let mut k = t.tid();
-                while k < w {
-                    let p = off + k;
-                    if let Some(pr) = &self.patch {
-                        let dp = t.ld(&pr.dfs_pos, p);
-                        if dp >= mb.cut_lo && dp < mb.cut_hi {
-                            k += bdim;
-                            continue; // de-energized: no recompute
-                        }
-                    }
-                    let g = base + p;
-                    let sv = match &self.loads {
-                        LoadsRef::Explicit(s) => t.ld(s, g),
-                        LoadsRef::Scaled { base: bs, .. } => {
-                            let b = t.ld(bs, p);
-                            t.flops(2);
-                            b * mb.scale
-                        }
-                    };
-                    let mut acc = if sv == Complex::ZERO {
-                        Complex::ZERO
-                    } else {
-                        let vv = t.ld(&self.v, g);
-                        t.flops(Complex::DIV_FLOPS + 1);
-                        (sv / vv).conj()
-                    };
-                    let lo = t.ld(&self.child_lo, p) as usize;
-                    let hi = t.ld(&self.child_hi, p) as usize;
-                    for c in lo..hi {
-                        if c as u32 == mb.cut_pos {
-                            continue; // the opened branch carries no current
-                        }
-                        t.flops(Complex::ADD_FLOPS);
-                        acc += t.ld_mut(&self.j_audit, base + c);
-                    }
-                    t.st(&self.j_audit, g, acc);
-                    k += bdim;
-                }
-            });
-        }
-        // Forward into the scratch voltages, exactly the ladder update.
-        // Each position's delta folds the voltage drift with a relative
-        // branch-current cross-check: the recomputed current of a true
-        // fixed point agrees with the resident one to O(tol), while a
-        // flipped exponent bit shifts it by a factor of two or more —
-        // this catches corruption of a frozen scenario's current slab,
-        // which no voltage-only audit can see.
-        for l in 0..nl {
-            let off = self.level_offsets[l] as usize;
-            let w = self.level_offsets[l + 1] as usize - off;
-            blk.threads(|t| {
-                let mut k = t.tid();
-                while k < w {
-                    let p = off + k;
-                    let g = base + p;
-                    if let Some(pr) = &self.patch {
-                        let dp = t.ld(&pr.dfs_pos, p);
-                        if dp >= mb.cut_lo && dp < mb.cut_hi {
-                            // De-energized nodes audit clean by
-                            // definition; the slab is zero-initialised
-                            // but write explicitly for clarity.
-                            t.st(&self.delta, g, 0.0);
-                            k += bdim;
-                            continue;
-                        }
-                    }
-                    let ja = t.ld_mut(&self.j_audit, g);
-                    let jr = t.ld(&self.j, g);
-                    let denom = ja.abs() + jr.abs();
-                    t.flops(10);
-                    let jerr = if denom > 1e-300 {
-                        let rel = (ja - jr).abs() / denom;
-                        // NaN currents are flagged alongside mismatches.
-                        if rel > 0.25 || rel.is_nan() {
-                            f64::INFINITY
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        0.0
-                    };
-                    if l == 0 {
-                        let root = t.ld(&self.v, g);
-                        t.st(&self.v_audit, g, root);
-                        t.st(&self.delta, g, jerr);
-                    } else {
-                        let parent = t.ld(&self.parent_pos, p) as usize;
-                        let vp = t.ld_mut(&self.v_audit, base + parent);
-                        let zv0 = t.ld(&self.z, p);
-                        let zv = if p as u32 == mb.z_pos { mb.z_val } else { zv0 };
-                        let nv = vp - zv * ja;
-                        t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
-                        let old = t.ld(&self.v, g);
-                        t.st(&self.v_audit, g, nv);
-                        t.flops(MaxAbsF64::FLOPS);
-                        t.st(&self.delta, g, MaxAbsF64::combine((nv - old).abs(), jerr));
-                    }
-                    k += bdim;
-                }
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::status::ConvergenceMonitor;
     use numc::c;
     use powergrid::gen::{balanced_binary, chain, random_tree, star, GenSpec};
     use powergrid::ieee::{ieee13, ieee37};
@@ -2775,7 +2494,7 @@ mod tests {
         let plan = PatchPlan::build(&a, &dfs, &patches);
         for s in 0..patches.len() {
             let loads = Loads::Scaled(&plan.scales);
-            let sref = host_solve(&serial, &a, &loads, Some(&plan), s, &cfg, None);
+            let sref = serial.solve_warm(&host_arrays(&a, &loads, Some(&plan), s).0, &cfg, None);
             assert_eq!(
                 res.per_scenario_iterations[s], sref.iterations,
                 "scenario {s} iteration parity with the masked serial solve"
@@ -3136,6 +2855,87 @@ mod tests {
         );
     }
 
+    /// One scripted exponent flip in the resident voltages (the root of
+    /// scenario 0) at the third sweep launch, in an explicit batch and in
+    /// an outage-patched one: the batch rolls back, certifies its end on
+    /// the device (patched lanes with their de-energized buses left out)
+    /// and lands on the clean answer, and every device op it issued —
+    /// sweeps, the rollback's re-upload, the certification reads — is
+    /// charged to its modeled time.
+    #[test]
+    fn a_rolled_back_batch_is_charged_every_device_op() {
+        let net = ieee37();
+        let (a, dfs, cfg) = (SolverArrays::new(&net), DfsOrder::new(&net), SolverConfig::default());
+        let scenarios = scaled_scenarios(&net, &[0.8, 1.0, 1.2]);
+        let patches = [ScenarioPatch::outage(6), ScenarioPatch::base(), ScenarioPatch::outage(20)];
+        // The voltage slab is the second allocation of an explicit chunk
+        // (after its mask) and the third of a patched one (mask, scales).
+        let cases = [
+            (Scenarios::Explicit(&scenarios), 1),
+            (Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None }, 2),
+        ];
+        for (batch, v_slab) in cases {
+            let run = |plan| {
+                let mut dev = device();
+                dev.arm_faults(plan);
+                let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(2);
+                (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+            };
+            let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+            let events = solver.device().timeline().events();
+            let sweeps = events.iter().enumerate().filter(|(_, e)| e.label() == "tensor_sweep");
+            let third = sweeps.map(|(op, _)| op as u64).nth(2).expect("three sweeps");
+            let flip = simt::FaultKind::BufferBitFlip { buffer: v_slab, word: 0, bit: 61 };
+            let (res, solver) = run(simt::FaultPlan::scripted([(third, flip)]));
+            let report = res.fault_report.as_ref().expect("an armed plan reports");
+            assert!(report.rollbacks >= 1 && !report.degraded(), "{report:?}");
+            assert_eq!(res.v, clean.v, "a rollback to certified state replays the clean iterates");
+            assert_eq!((&res.min_v, &res.residuals), (&clean.min_v, &clean.residuals));
+            let recovered = SolveStatus::Recovered { faults: 1, retries: report.retries };
+            assert_eq!(res.statuses[..2], [recovered; 2], "the faulted chunk's lanes");
+            assert_eq!(res.statuses[2], SolveStatus::Converged, "the clean chunk's lane");
+            let (got, want) = (res.timing.total_us(), solver.device().timeline().total_modeled_us());
+            assert!((got - want).abs() <= 1e-9 * want, "charged {got} µs, the device ran {want} µs");
+        }
+    }
+
+    /// A flip in the branch currents of a lane that froze before a
+    /// certified checkpoint: certification reads only voltages and the
+    /// frozen lane never rewrites its currents, so the batch must not
+    /// trust its end — no converged lane may come back with currents off
+    /// the clean ones.
+    #[test]
+    fn a_flip_in_a_frozen_lane_never_leaks_past_a_later_checkpoint() {
+        let net = balanced_binary(127, &GenSpec::default(), &mut StdRng::seed_from_u64(9));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let scenarios = scaled_scenarios(&net, &[0.02, 2.5]);
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev);
+            (solver.solve_arrays(&a, &scenarios, &cfg), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        let iters = &clean.per_scenario_iterations;
+        let every = cfg.checkpoint_every;
+        assert!(iters[0] < every && iters[1] > every + 1, "lane 0 freezes first: {iters:?}");
+        // The launch of the iteration after lane 0 froze; the checkpoint
+        // at `checkpoint_every` follows it.
+        let events = solver.device().timeline().events();
+        let sweeps = events.iter().enumerate().filter(|(_, e)| e.label() == "tensor_sweep");
+        let op = sweeps.map(|(op, _)| op as u64).nth(iters[0] as usize).expect("a later sweep");
+        // The current slab is the ninth allocation of an explicit chunk:
+        // mask, V, five topology buffers, the load slab, then J.
+        let flip = simt::FaultKind::BufferBitFlip { buffer: 8, word: 0, bit: 61 };
+        let (res, _) = run(simt::FaultPlan::scripted([(op, flip)]));
+        for s in 0..2 {
+            assert!(res.statuses[s].is_converged(), "lane {s}: {}", res.statuses[s]);
+            for (x, y) in res.j[s].iter().zip(&clean.j[s]) {
+                assert!((*x - *y).abs() <= 1e-6 * (1.0 + y.abs()), "lane {s}: {x:?} vs {y:?}");
+            }
+        }
+    }
+
     /// Steps a fused session on `dev` to its end with at most `k` sweeps
     /// per launch, replaying every residual through a monitor as
     /// `recovery::drive` does: the residual history, the status, and the
@@ -3146,7 +2946,7 @@ mod tests {
         cfg: &SolverConfig,
         k: u32,
     ) -> (Vec<f64>, SolveStatus, Vec<Complex>, Vec<Complex>) {
-        let mut sess = FusedSession::open(dev, a, None, cfg.max_iter, Obs::default()).unwrap();
+        let mut sess = Chunk::open(dev, a, None, cfg.max_iter, Obs::default()).unwrap();
         let mut mon = ConvergenceMonitor::new(cfg, a.source.abs());
         let mut history = Vec::new();
         let status = 'solve: loop {

@@ -14,13 +14,16 @@
 //! Each family runs at a tier-1 case count. `oracle_deep` runs them all
 //! at 10⁴ cases: `cargo test --release --test oracle -- --ignored`.
 
+use std::cell::Cell;
+
 use check::gen::{f64_in, tuple3, tuple4, tuple5, u64_any, usize_in};
 use check::{checker, prop_assert, prop_assert_eq, CaseResult};
 use fbs::obs::status_key;
 use fbs::{
     solve_dg, Arrays3, Backend, BackwardStrategy, GpuSolver, MeshProblem, MeshResult,
     MeshSolver, OuterConfig, ResilientSolver, ScenarioPatch, Scenarios, SerialSolver, Solve3Result,
-    SolveResult, SolveStatus, SolverArrays, SolverConfig, SweepBackend, TensorBatchSolver,
+    SolveResult, SolveStatus, SolverArrays, SolverConfig, SweepBackend, TensorBatchResult,
+    TensorBatchSolver,
 };
 use numc::{c, CVec3, Complex};
 use powergrid::gen::{balanced_binary, balanced_kary, chain, random_tree, star, GenSpec};
@@ -320,7 +323,29 @@ fn serial_scenario(a: &SolverArrays, loads: &[Complex], cfg: &SolverConfig) -> S
     serial().solve_arrays(&a2, cfg)
 }
 
+/// The seeded fault plan of the batch arms: the tensor engine issues few
+/// device ops per solve (one fused launch and one read per iteration), so
+/// the per-op rate is high to make the plan fire.
+fn batch_plan(seed: u64) -> Device {
+    let mut dev = Device::paper_rig();
+    dev.arm_faults(FaultPlan::seeded(seed ^ 0xfa, 0.03));
+    dev
+}
+
+/// The tight configuration of the seeded-plan arms: a recovered answer
+/// lands within this tolerance of the fault-free one, well inside their
+/// 1e-9 V bound.
+fn tight() -> SolverConfig {
+    SolverConfig::new(1e-12, 200)
+}
+
+/// Faults the seeded plan injected into a batch.
+fn fired(res: &TensorBatchResult) -> u64 {
+    res.fault_report.as_ref().map_or(0, |fr| u64::from(fr.faults_injected))
+}
+
 fn tensor(cases: u32) {
+    let faults = Cell::new(0);
     checker("oracle_tensor").cases(cases).run(
         tuple3(usize_in(2..260), usize_in(1..9), u64_any()),
         |&(n, nb, seed)| -> CaseResult {
@@ -348,12 +373,26 @@ fn tensor(cases: u32) {
                 let d = max_diff(&res.v[s], &want.v);
                 prop_assert!(d < 1e-9, "scenario {s}: off serial by {d:.3e} V");
             }
+            // Seeded-plan arm: faults cannot corrupt the batch. Every
+            // scenario ends as the fault-free serial solve does, and a
+            // converged one lands on its answer.
+            let res = TensorBatchSolver::new(batch_plan(seed)).solve_arrays(&a, &scenarios, &tight());
+            faults.set(faults.get() + fired(&res));
+            for (s, loads) in scenarios.iter().enumerate() {
+                let want = serial_scenario(&a, loads, &tight());
+                let status = res.statuses[s];
+                prop_assert_eq!(status.is_converged(), want.converged(), "scenario {s} under faults: {status}");
+                let d = max_diff(&res.v[s], &want.v);
+                prop_assert!(!want.converged() || d < 1e-9, "scenario {s}: faulted solve off by {d:.3e} V");
+            }
             Ok(())
         },
     );
+    assert!(faults.get() >= 1, "the seeded plans never fired: the fault arm was vacuous");
 }
 
 fn outages(cases: u32) {
+    let faults = Cell::new(0);
     checker("oracle_outages").cases(cases).run(
         tuple3(usize_in(3..220), usize_in(1..7), u64_any()),
         |&(n, nb, seed)| -> CaseResult {
@@ -371,13 +410,16 @@ fn outages(cases: u32) {
                 .collect();
             let patches: Vec<_> = buses.iter().map(|&b| ScenarioPatch::outage(b)).collect();
             let dfs = DfsOrder::new(&net);
+            let (a, warm) = (SolverArrays::new(&net), None);
+            let scenarios = Scenarios::Patched { dfs: &dfs, patches: &patches, warm };
             let batched = TensorBatchSolver::new(Device::paper_rig())
-                .try_solve(
-                    &SolverArrays::new(&net),
-                    Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None },
-                    &cfg,
-                )
+                .try_solve(&a, scenarios, &cfg)
                 .expect("fault-free solve");
+            // Seeded-plan arm: certification covers patched lanes too.
+            let faulted = TensorBatchSolver::new(batch_plan(seed))
+                .try_solve(&a, scenarios, &tight())
+                .expect("the tensor engine absorbs device faults");
+            faults.set(faults.get() + fired(&faulted));
             let mut work = net.clone();
             for (s, &bus) in buses.iter().enumerate() {
                 let mut delta = TopologyDelta::outage(&work, bus).expect("outage");
@@ -385,15 +427,22 @@ fn outages(cases: u32) {
                 let want = serial().solve(&work, &cfg);
                 prop_assert_eq!(batched.statuses[s], want.status, "outage {bus}");
                 prop_assert_eq!(batched.per_scenario_iterations[s], want.iterations, "outage {bus}");
+                let want_tight = serial().solve(&work, &tight());
+                let status = faulted.statuses[s];
+                prop_assert_eq!(status.is_converged(), want_tight.converged(), "outage {bus} under faults: {status}");
                 for b in 0..n {
                     if delta.isolated().contains(&b) {
                         prop_assert!(
                             batched.v[s][b] == Complex::ZERO && batched.j[s][b] == Complex::ZERO,
                             "outage {bus}: de-energized bus {b} not zeroed"
                         );
+                        prop_assert!(faulted.v[s][b] == Complex::ZERO, "outage {bus}: bus {b} faulted");
                     } else {
                         let d = (batched.v[s][b] - want.v[b]).abs();
                         prop_assert!(d < 1e-9, "outage {bus} bus {b}: off serial by {d:.3e} V");
+                        let d = (faulted.v[s][b] - want_tight.v[b]).abs();
+                        let on = !want_tight.converged() || d < 1e-9;
+                        prop_assert!(on, "outage {bus} bus {b}: faulted solve off by {d:.3e} V");
                     }
                 }
                 delta.revert(&mut work).expect("revert");
@@ -405,6 +454,7 @@ fn outages(cases: u32) {
             Ok(())
         },
     );
+    assert!(faults.get() >= 1, "the seeded plans never fired: the fault arm was vacuous");
 }
 
 /// `res` agrees with the serial reference `want` to 1e-8·|V0| on every

@@ -13,7 +13,9 @@
 //! 3. **Determinism** — results are byte-identical across repeat runs,
 //!    across batch orderings, and across chunk sizes.
 //! 4. **Fault recovery** — under a seeded fault plan the batched path
-//!    still lands every scenario on the fault-free serial answer.
+//!    still lands every scenario on the fault-free serial answer. The
+//!    oracle's `tensor` and `outages` families carry the same arm over
+//!    wider trees and over outage-patched batches.
 
 use std::cell::Cell;
 
@@ -261,9 +263,9 @@ fn family3_determinism_across_runs_orderings_and_chunks() {
 // ---------------------------------------------------------------- family 4
 
 /// Seeded-fault recovery parity: with a fault plan armed, every scenario
-/// must still land on the fault-free serial answer to 1e-9 V — via chunk
-/// retries, the post-solve audit, or serial re-solve, whichever the
-/// injected weather requires.
+/// must still land on the fault-free serial answer to 1e-9 V — via the
+/// recovery loop's rollbacks, a chunk restart, or degrading to serial
+/// solves, whichever the injected weather requires.
 #[test]
 fn family4_seeded_faults_cannot_corrupt_the_batch() {
     let faults_seen = Cell::new(0u64);
@@ -277,9 +279,9 @@ fn family4_seeded_faults_cannot_corrupt_the_batch() {
             let cfg = SolverConfig::new(1e-12, 200);
             let scenarios = jittered_scenarios(&net, nb, seed);
 
-            // The tensor path issues few device ops per solve (two fused
-            // launches per iteration), so the per-op rate is high to make
-            // the plan actually fire.
+            // The tensor path issues few device ops per solve (one fused
+            // launch and one read per iteration), so the per-op rate is
+            // high to make the plan actually fire.
             let mut dev = device();
             dev.arm_faults(FaultPlan::seeded(seed ^ 0xfau64, 0.03));
             let mut solver = TensorBatchSolver::new(dev);
