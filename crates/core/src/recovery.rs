@@ -2,51 +2,69 @@
 //! one fault policy of every device solve.
 //!
 //! The fault model ([`simt::FaultPlan`]) injects loud errors (failed
-//! allocations and launches, device loss) and *silent* corruption
-//! (transfer and resident-buffer bit flips). [`drive`], the one device
-//! iteration loop, turns a faulty device into answers within the
-//! convergence tolerance of the fault-free ones. Its sessions (level,
-//! jump and tensor chunk) differ in their formulation, their per-bus
-//! phasor ([`numc::Complex`] or [`numc::CVec3`]; the NaN-propagating
-//! [`Phasor::norm`] is all the loop needs of it) and their *lanes*: a
-//! single solve is one, a tensor chunk one per scenario, each with its own
-//! [`ConvergenceMonitor`].
+//! allocations and launches, device loss) and *silent* data corruption
+//! (transfer bit flips, resident-buffer bit flips). This module turns
+//! a fallible, faulty device into a solver that still answers within
+//! the convergence tolerance of the fault-free answer:
 //!
-//! * **Checkpoints.** Every `checkpoint_every` iterations the loop
-//!   downloads every lane's voltages. One taken while *tainted* (faults
-//!   since the last certified checkpoint) is certified first: the static
-//!   buffers match their host copies byte for byte, and one host sweep
-//!   per lane reproduces a residual consistent with the device's. The
-//!   initial checkpoint is the start state, known clean.
-//! * **Detection.** Loud faults surface as [`DeviceError`]s. Silent
-//!   corruption is biased into f64 exponent bits, so it shows up as a
-//!   residual spike or NaN within an iteration or two; the certification
-//!   gates catch what slips past, and guard convergence itself: a tainted
-//!   end is accepted only after the static check, a host-sweep residual
-//!   within tolerance and an elementwise branch-current cross-check, on
-//!   every lane.
-//! * **Rollback.** Any anomaly while tainted rolls every lane back:
-//!   statics are re-uploaded (healing resident corruption), voltages and
-//!   the lane mask restored from the last certified checkpoint, and the
-//!   sweep replays. Anomalies while *untainted* are genuine: reported,
-//!   never rolled back.
-//! * **Degradation.** Every rollback or restart (a setup fault or a
-//!   caught kernel panic, [`guarded`]) charges a budget of
-//!   `max_recoveries`. Device loss or a spent budget degrades: the
-//!   supervisor gpu → multicore → serial (gpu → serial in three phases),
-//!   a tensor batch the rest of its scenarios to serial solves. The CPU
-//!   backends cannot fault, so a degraded answer is the true one.
+//! * **Checkpoints.** Every `checkpoint_every` iterations the supervisor
+//!   downloads the voltage state. A checkpoint taken while *tainted*
+//!   (faults observed since the last certified checkpoint) must first
+//!   pass certification: the static topology buffers are compared
+//!   byte-for-byte against their host copies, and one host-side sweep
+//!   per running lane from the downloaded voltages must reproduce a
+//!   residual consistent with the device's. The initial checkpoint is
+//!   the start state — known clean without touching the device.
+//! * **Detection.** Loud faults surface as [`DeviceError`]s from the
+//!   fallible kernels. Silent corruption is biased into f64 exponent
+//!   bits, so it shows up as a residual spike or NaN within an
+//!   iteration or two; whatever slips past that is caught by the
+//!   certification gates, which also guard convergence itself: a
+//!   tainted "converged" result is accepted only after the static
+//!   check, a host-sweep residual within tolerance, and an elementwise
+//!   branch-current cross-check.
+//! * **Rollback.** Any anomaly while tainted triggers a rollback:
+//!   statics are re-uploaded (healing resident corruption), voltages
+//!   are restored from the last certified checkpoint, and the sweep
+//!   replays. Anomalies while *untainted* are genuine — they are
+//!   reported honestly, never rolled back.
+//! * **Degradation.** Every rollback or restart charges a budget of
+//!   `max_recoveries`. Device loss or budget exhaustion degrades the
+//!   backend: gpu → multicore → serial, or gpu → serial for a
+//!   three-phase solve (multicore has no three-phase form); a tensor
+//!   batch degrades the rest of its scenarios to serial solves. The CPU
+//!   backends cannot fault, so a degraded solve reproduces the true
+//!   answer (or the true failure) deterministically.
 //!
+//! Both phase kinds run this one policy over the one device loop,
+//! [`drive`]: its sessions (level, jump and tensor chunk) differ only in
+//! their formulation, their per-bus phasor, [`numc::Complex`] or
+//! [`numc::CVec3`], and their *lanes* — a single solve is one, a tensor
+//! chunk one per scenario, each with its own [`ConvergenceMonitor`]. A
+//! checkpoint, a rollback and the spike gate each cover the whole
+//! session. Its NaN-propagating norm ([`Phasor::norm`]) is all the loop
+//! needs of the phasor. The lanes of a chunk are independent, so where a
+//! lone lane rolls back the chunk judges them one by one: a replay's
+//! own failure is the lane's verdict, and a lane the device cannot vouch
+//! for at a tainted end is solved on the host instead (see [`drive`]).
 //! The [`Backend::Gpu`] rung routes as [`crate::GpuSolver::new`] does
 //! (`gpu::route`): a one-lane tensor chunk on small and deep trees, else
-//! the level session with the direct or segmented-scan backward sweep.
-//! The checkpoint, restore and verify traffic of the attempt that
-//! answered, and the device time of every attempt that did not, are
-//! charged to the answer's setup phase, so its `timing.total_us()` covers
-//! every device op the caller waited for. A corruption small enough to
-//! pass the spike gate is absorbed, not rolled back: such an answer lands
-//! within the tolerance of the fault-free one, not on it. Results carry
-//! [`SolveStatus::Recovered`] and a [`FaultReport`].
+//! the level session with the direct or the segmented-scan backward
+//! sweep.
+//!
+//! Neither insurance nor a restart hides its cost: the checkpoint,
+//! restore and verify traffic of the attempt that answered, and the
+//! modeled device time of every attempt that did not — a restart after
+//! a setup fault or a caught panic, or a device rung abandoned before
+//! degrading — are charged to the answer's setup phase, so its
+//! `timing.total_us()` covers every device op the caller waited for.
+//!
+//! What a recovered answer is worth: rollbacks restore certified state,
+//! and the CPU fallbacks are fault-free. A corruption small enough to
+//! pass the spike gate is not rolled back; the iteration absorbs it, and
+//! the answer lands within the convergence tolerance of the fault-free
+//! one, not on it. Results carry [`SolveStatus::Recovered`] and a
+//! [`FaultReport`] so callers can see the run was not clean.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,9 +142,10 @@ pub(crate) trait SweepSession {
     fn download(&mut self) -> Result<Downloaded<Self::V>, DeviceError>;
     /// Lays a position-order array out by bus id.
     fn unpermute(&self, pos: &[Self::V]) -> Vec<Self::V>;
-    /// One host-side FBS iteration from `v_pos`: the residual each lane
-    /// would produce and the host-computed branch currents. The root is
-    /// checked against the start state: no kernel rewrites it.
+    /// One host-side FBS iteration from `v_pos`: returns the residual
+    /// each lane would produce and the host-computed branch currents. The
+    /// root is checked against the start state, since no kernel rewrites
+    /// it.
     fn host_iterate(&self, v_pos: &[Self::V]) -> (Vec<f64>, Vec<Self::V>);
     /// Source voltage magnitude (tolerance scaling).
     fn source_mag(&self) -> f64;
@@ -309,8 +328,10 @@ fn rollback<S: SweepSession>(
             Ok(()) => return Ok(()),
             Err(e @ DeviceError::DeviceLost { .. }) => return Err(DriveAbort::Lost(e)),
             Err(e) => {
-                report.corruptions_detected +=
-                    u32::from(matches!(e, DeviceError::TransferCorrupted { .. }));
+                if matches!(e, DeviceError::TransferCorrupted { .. }) {
+                    report.corruptions_detected += 1;
+                }
+                continue;
             }
         }
     }
@@ -325,6 +346,10 @@ pub(crate) struct Driven<V> {
     pub(crate) statuses: Vec<SolveStatus>,
     pub(crate) iterations: Vec<u32>,
     pub(crate) residuals: Vec<f64>,
+    /// Lanes of a session of several whose end after a fault the device
+    /// cannot vouch for — they did not converge, or failed the host
+    /// check — for the caller to solve on the host. Never a lone lane's.
+    pub(crate) unvouched: Vec<bool>,
     /// Per iteration, the worst residual over the live lanes.
     history: Vec<f64>,
     /// The session's accounts, its recovery traffic charged to setup.
@@ -360,7 +385,12 @@ impl<V> Driven<V> {
 /// A lane whose monitor stops is frozen through the session's mask
 /// ([`SweepSession::settle`]); the loop ends once no lane runs or
 /// `max_iter` is spent. A session of several lanes, once a fault fired,
-/// stays tainted for the rest of its attempt.
+/// stays tainted for the rest of its attempt. Its lanes are independent,
+/// so it treats them one by one where a lone lane would roll back: a
+/// spike with no fault since the last restore is the replay's own and
+/// goes to the lane's monitor, and at a tainted end a lane that did not
+/// converge, or fails its host check, is returned
+/// [`Driven::unvouched`] instead of rolling the chunk back.
 ///
 /// A one-lane [`SweepSession::iterate`] call may run several iterations
 /// (the fused on-device loop): those left under `max_iter`, or one while
@@ -414,10 +444,20 @@ fn sweep_lanes<S: SweepSession>(
         },
         faults: 0,
     };
+    // The fault count right after the last rollback's restore: until
+    // another fault fires, every live lane replays from certified state.
+    let mut restored = None;
 
     'attempt: loop {
         let mut p = ckpt.progress.clone();
 
+        macro_rules! recover {
+            () => {{
+                rollback(sess, &ckpt, report, budget, obs)?;
+                restored = Some(sess.faults_observed());
+                continue 'attempt;
+            }};
+        }
         macro_rules! step {
             ($e:expr) => {
                 match $e {
@@ -430,39 +470,61 @@ fn sweep_lanes<S: SweepSession>(
                             report.corruptions_detected += 1;
                             obs.instant("corruption-detected", sess.clock().elapsed_us());
                         }
-                        rollback(sess, &ckpt, report, budget, obs)?;
-                        continue 'attempt;
+                        recover!();
                     }
                 }
             };
         }
-        macro_rules! recover {
-            () => {{
-                rollback(sess, &ckpt, report, budget, obs)?;
-                continue 'attempt;
-            }};
-        }
-        // Ends the solve once no lane runs: downloads the state, unless
-        // its end is tainted — an untrusted end is rolled back, never
-        // reported.
+        // Ends the solve once no lane runs and downloads the state. An
+        // end since a fault must earn acceptance: the statics verify, and
+        // each converged lane's host sweep lands within tolerance with
+        // matching branch currents. A genuine divergence or numerical
+        // failure is never rolled back, but a tainted one is not trusted:
+        // a lone lane rolls back, a lane of several is left unvouched.
         macro_rules! finish {
-            ($v_pos:expr, $j_pos:expr) => {
+            ($v_pos:expr, $j_pos:expr, $unvouched:expr) => {
                 return Ok(Driven {
                     v_pos: $v_pos,
                     j_pos: $j_pos,
                     statuses: p.status.iter().map(|s| s.expect("every lane ended")).collect(),
                     iterations: p.iterations,
                     residuals: p.residuals,
+                    unvouched: $unvouched,
                     history: p.history,
                     timing: sess.clock().timing(wall0),
                 })
             };
             () => {{
-                if sess.faults_observed() > ckpt.faults {
+                if sess.faults_observed() <= ckpt.faults {
+                    let (v_pos, j_pos) = step!(sess.download());
+                    finish!(v_pos, j_pos, vec![false; nl])
+                }
+                let converged = |l: usize| p.status[l] == Some(SolveStatus::Converged);
+                if nl == 1 && ran[0] && !converged(0) {
+                    recover!();
+                }
+                if !step!(sess.verify_static()) {
                     recover!();
                 }
                 let (v_pos, j_pos) = step!(sess.download());
-                finish!(v_pos, j_pos)
+                let (rh, j_h) = sess.host_iterate(&v_pos);
+                let n = j_h.len() / nl;
+                let vouched = |l: usize| {
+                    let lane = l * n..(l + 1) * n;
+                    converged(l)
+                        && rh[l].is_finite()
+                        && rh[l] <= SPIKE_FACTOR * tol
+                        && j_pos.len() == j_h.len()
+                        && j_pos[lane.clone()].iter().zip(&j_h[lane]).all(|(a, b)| {
+                            let d = (*a - *b).norm();
+                            d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
+                        })
+                };
+                let unvouched: Vec<bool> = (0..nl).map(|l| ran[l] && !vouched(l)).collect();
+                if nl == 1 && unvouched[0] {
+                    recover!();
+                }
+                finish!(v_pos, j_pos, unvouched)
             }};
         }
 
@@ -497,7 +559,8 @@ fn sweep_lanes<S: SweepSession>(
                 let worst = worst.expect("a live lane");
                 obs.iteration(p.iters, at(i), at(i + 1), worst);
                 p.history.push(worst);
-                if tainted && spike {
+                let replayed = nl > 1 && restored == Some(sess.faults_observed());
+                if tainted && spike && !replayed {
                     step!(sess.settle(&p.live()));
                     recover!();
                 }
@@ -515,38 +578,7 @@ fn sweep_lanes<S: SweepSession>(
                 }
                 step!(sess.settle(&p.live()));
                 if p.status.iter().all(Option::is_some) {
-                    if !tainted {
-                        finish!();
-                    }
-                    // A genuine divergence or numerical failure is
-                    // reported honestly, never rolled back; a tainted one
-                    // is not trusted.
-                    let converged = SolveStatus::Converged;
-                    if (0..nl).any(|l| ran[l] && p.status[l] != Some(converged)) {
-                        recover!();
-                    }
-                    // Tainted convergence must earn acceptance, on every
-                    // lane.
-                    if !step!(sess.verify_static()) {
-                        recover!();
-                    }
-                    let (v_pos, j_pos) = step!(sess.download());
-                    let (rh, j_h) = sess.host_iterate(&v_pos);
-                    let n = j_h.len() / nl;
-                    let accepted = j_pos.len() == j_h.len()
-                        && (0..nl).filter(|&l| ran[l]).all(|l| {
-                            let lane = l * n..(l + 1) * n;
-                            rh[l].is_finite()
-                                && rh[l] <= SPIKE_FACTOR * tol
-                                && j_pos[lane.clone()].iter().zip(&j_h[lane]).all(|(a, b)| {
-                                    let d = (*a - *b).norm();
-                                    d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
-                                })
-                        });
-                    if accepted {
-                        finish!(v_pos, j_pos);
-                    }
-                    recover!();
+                    finish!();
                 }
                 // Deadline and watchdog-cancel checks happen only while a
                 // lane still runs, mirroring the CPU solver loops: a
@@ -565,8 +597,9 @@ fn sweep_lanes<S: SweepSession>(
                 if checkpointing && p.iters.is_multiple_of(cfg.checkpoint_every) {
                     if tainted {
                         // Certification: statics exact, and one host
-                        // sweep per lane from the captured voltages must
-                        // agree with what the device just reported.
+                        // sweep per running lane from the captured
+                        // voltages must agree with what the device just
+                        // reported (a frozen lane is judged at the end).
                         if !step!(sess.verify_static()) {
                             recover!();
                         }
@@ -574,7 +607,8 @@ fn sweep_lanes<S: SweepSession>(
                         let (rh, _) = sess.host_iterate(&v);
                         let r = &p.residuals;
                         if (0..nl).any(|l| {
-                            ran[l] && (!rh[l].is_finite() || rh[l] > SPIKE_FACTOR * r[l].max(tol))
+                            p.status[l].is_none()
+                                && (!rh[l].is_finite() || rh[l] > SPIKE_FACTOR * r[l].max(tol))
                         }) {
                             recover!();
                         }
@@ -829,8 +863,12 @@ impl ResilientSolver {
                 dev.arm_faults(plan.clone());
             }
             let attempted = guarded(&mut dev, report, budget, |dev, report, budget| {
-                let (cancel, wall0) = (cancel.as_deref(), Instant::now());
-                let policy = Policy { checkpointing, cancel, obs: &obs, wall0 };
+                let policy = Policy {
+                    checkpointing,
+                    cancel: cancel.as_deref(),
+                    obs: &obs,
+                    wall0: Instant::now(),
+                };
                 attempt(dev, Attempt { cfg, policy, report, budget })
             });
             report.faults_injected += dev.fault_log().len() as u32;
@@ -882,7 +920,9 @@ pub(crate) fn setup_abort(
     if matches!(e, DeviceError::DeviceLost { .. }) {
         return DriveAbort::Lost(e);
     }
-    report.corruptions_detected += u32::from(matches!(e, DeviceError::TransferCorrupted { .. }));
+    if matches!(e, DeviceError::TransferCorrupted { .. }) {
+        report.corruptions_detected += 1;
+    }
     restart(report, budget)
 }
 

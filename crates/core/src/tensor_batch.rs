@@ -57,9 +57,11 @@
 //! (see [`Chunk`] and `crate::recovery`). A setup fault or a caught
 //! kernel panic rebuilds the chunk within
 //! [`SolverConfig::max_recoveries`]; a lost device or a spent budget
-//! degrades the rest of the batch (or the session) to serial solves, the
-//! only host path. With no fault plan armed a batch issues only its
-//! sweeps' own device operations.
+//! degrades the rest of the batch (or the session) to serial solves, as
+//! it does a scenario a faulted chunk leaves unvouched. A faulted chunk's
+//! `min |V|` comes from its vouched V, and an armed session answers from
+//! each scenario's last certified V. With no fault plan armed a batch
+//! issues only its sweeps' own device operations.
 //!
 //! Every chunk uploads its topology with its mask and scale words (and a
 //! lone scenario's warm start) as one packed copy, and leaves a flat
@@ -85,8 +87,8 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::try_fill;
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceError, DeviceProps, DtohPart, GlobalMut, GlobalRef,
-    HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
+    pod_bytes, BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
+    GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
 };
 use telemetry::Recorder;
 
@@ -291,6 +293,15 @@ enum Loads<'s> {
     Scaled(&'s [f64]),
 }
 
+impl Loads<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Loads::Explicit(s) | Loads::Deltas(s) => s.len(),
+            Loads::Scaled(s) => s.len(),
+        }
+    }
+}
+
 /// The tensor-batched GPU solver.
 pub struct TensorBatchSolver {
     device: Device,
@@ -469,10 +480,7 @@ impl TensorBatchSolver {
         warm: Option<&[Complex]>,
     ) -> TensorBatchResult {
         let wall0 = Instant::now();
-        let nb = match loads {
-            Loads::Explicit(s) | Loads::Deltas(s) => s.len(),
-            Loads::Scaled(s) => s.len(),
-        };
+        let nb = loads.len();
         assert!(nb >= 1, "batch must contain at least one scenario");
         let (n, keep) = (a.len(), self.keep_state);
         let obs = &Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
@@ -529,20 +537,35 @@ impl TensorBatchSolver {
                 })
             });
             rep.backends.push("tensor-gpu".to_string());
+            let faulted = dev.fault_log().len() > faults0;
+            let serial = SerialSolver::new(HostProps::paper_rig());
+            let host_solve = |out: &mut TensorBatchResult, s: usize| {
+                let res = serial.solve_warm(&host_arrays(a, &loads, plan, s).0, cfg, warm);
+                out.absorb_serial(s, res, plan);
+            };
             match driven.flatten() {
                 Some((done, min_v, kept)) => {
                     topo = Some(kept);
                     for (ls, s) in range.clone().enumerate() {
+                        if done.unvouched[ls] {
+                            host_solve(&mut out, s);
+                            continue;
+                        }
                         out.per_scenario_iterations[s] = done.iterations[ls];
                         out.statuses[s] = done.statuses[ls];
                         out.residuals[s] = done.residuals[ls];
-                        if plan.is_some() {
-                            out.min_v[s] = min_v[ls];
+                        let stripe = |x: &[Complex]| a.levels.unpermute(&x[ls * n..(ls + 1) * n]);
+                        if let Some(plan) = plan {
+                            // No check reads a lane's `min |V|` slot: a
+                            // faulted chunk's comes from its vouched V.
+                            out.min_v[s] = if faulted {
+                                host_min_v(&stripe(&done.v_pos), plan.root, &plan.isolated[s])
+                            } else {
+                                min_v[ls]
+                            };
                         }
                         if keep {
-                            let (v, j) = (&done.v_pos[ls * n..], &done.j_pos[ls * n..]);
-                            out.v[s] = a.levels.unpermute(&v[..n]);
-                            out.j[s] = a.levels.unpermute(&j[..n]);
+                            (out.v[s], out.j[s]) = (stripe(&done.v_pos), stripe(&done.j_pos));
                             out.zero_isolated(s, plan);
                         }
                     }
@@ -551,10 +574,8 @@ impl TensorBatchSolver {
                     degraded = true;
                     rep.backends.push("cpu-serial".to_string());
                     let t0 = out.timing.phases.total_us();
-                    let serial = SerialSolver::new(HostProps::paper_rig());
                     for s in range.clone() {
-                        let res = serial.solve_warm(&host_arrays(a, &loads, plan, s).0, cfg, warm);
-                        out.absorb_serial(s, res, plan);
+                        host_solve(&mut out, s);
                     }
                     obs.phase("fallback", t0, out.timing.phases.total_us());
                 }
@@ -823,8 +844,9 @@ impl Topology {
     }
 
     /// Reads every static buffer back, with `extra`, in one packed read
-    /// and compares the statics against the host truth (certification's
-    /// first line of defence); the caller compares `extra`.
+    /// and compares the statics byte for byte against the host truth
+    /// (certification's first line of defence); the caller compares
+    /// `extra`.
     fn verify(
         &self,
         dev: &mut Device,
@@ -847,11 +869,11 @@ impl Topology {
         parts.extend(extra);
         dev.try_dtoh_packed(&mut parts)?;
         drop(parts);
-        Ok(z == a.z
+        Ok(pod_bytes(&z) == pod_bytes(&a.z)
             && parent_pos == a.parent_pos
             && child_lo == a.child_lo
             && child_hi == a.child_hi
-            && base_s == a.s
+            && pod_bytes(&base_s) == pod_bytes(&a.s)
             && match (&self.dfs_pos, patches) {
                 (Some(_), Some(plan)) => dfs_pos == plan.dfs_pos,
                 _ => true,
@@ -1076,10 +1098,7 @@ impl<'a> Resident<'a> {
             // per scenario.
             let patch =
                 plan.map(|plan| ChunkPatch::upload(dev, plan, range.clone())).transpose()?;
-            let mut min_v = plan.map(|_| dev.try_alloc::<f64>(nb)).transpose()?;
-            if let Some(buf) = &mut min_v {
-                try_fill(dev, buf, f64::INFINITY)?;
-            }
+            let min_v = plan.map(|_| filled(dev, nb, f64::INFINITY)).transpose()?;
             if let (Some(profile), 2..) = (&warm, nb) {
                 let buf = dev.try_alloc_from(profile)?;
                 let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
@@ -1246,7 +1265,8 @@ impl<'d, 'a> Chunk<'d, 'a> {
         }
         let sweep_us = single_iteration_bound_us(dev.props(), &crate::gpu::level_shape(a))
             - dev.props().launch_overhead_us;
-        let (loads, mut t) = (Loads::Scaled(&UNIT_SCALE), Timing::default());
+        let loads = Loads::Scaled(&UNIT_SCALE);
+        let mut t = Timing::default();
         let slots = max_iter as usize;
         let res = Resident::build(dev, a, None, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
         let clock = SessionClock::resume(&t, 0.0, obs);
@@ -1371,9 +1391,9 @@ impl SweepSession for Chunk<'_, '_> {
         let extra = vec![loads, DtohPart::new(&r.mask, &mut mask)];
         let ok = r.topo.verify(dev, r.a, r.plan, extra)?
             && match self.loads {
-                Loads::Scaled(sc) => scales == sc[r.range.clone()],
+                Loads::Scaled(sc) => pod_bytes(&scales) == pod_bytes(&sc[r.range.clone()]),
                 Loads::Explicit(sc) | Loads::Deltas(sc) => {
-                    slab == position_slab(r.a, &sc[r.range.clone()])
+                    pod_bytes(&slab) == pod_bytes(&position_slab(r.a, &sc[r.range.clone()]))
                 }
             }
             && mask == r.live
@@ -1447,6 +1467,17 @@ impl SweepSession for Chunk<'_, '_> {
     fn faults_observed(&self) -> u32 {
         (self.dev.fault_log().len() - self.res.faults_base) as u32
     }
+}
+
+/// A new `len`-word device buffer holding `value` everywhere.
+fn filled<T: DeviceCopy>(
+    dev: &mut Device,
+    len: usize,
+    value: T,
+) -> Result<DeviceBuffer<T>, DeviceError> {
+    let mut buf = dev.try_alloc::<T>(len)?;
+    try_fill(dev, &mut buf, value)?;
+    Ok(buf)
 }
 
 /// Writes sparse `(scenario, position, load)` entries into a load slab
@@ -1534,7 +1565,7 @@ impl ChunkPatch {
             && dev.try_dtoh(&self.cut_lo)? == plan.cut_lo[r.clone()]
             && dev.try_dtoh(&self.cut_hi)? == plan.cut_hi[r.clone()]
             && dev.try_dtoh(&self.z_pos)? == plan.z_pos[r.clone()]
-            && dev.try_dtoh(&self.z_val)? == plan.z_val[r])
+            && pod_bytes(&dev.try_dtoh(&self.z_val)?) == pod_bytes(&plan.z_val[r]))
     }
 }
 
@@ -1602,7 +1633,8 @@ pub(crate) struct TensorOuterSession<'s> {
     retired: Vec<bool>,
     /// Last inner status per scenario.
     statuses: Vec<SolveStatus>,
-    /// Host-resident voltages, populated on the fallback path.
+    /// Host copies of the voltages by bus id: each live scenario's as a
+    /// round under an armed plan certified it, or as the host solved it.
     host_v: Vec<Option<Vec<Complex>>>,
     /// The resident chunk; `None` once a fault has dropped it.
     resident: Option<Resident<'s>>,
@@ -1685,8 +1717,9 @@ impl<'s> TensorOuterSession<'s> {
     }
 
     /// One batched inner solve over every live scenario, re-iterating
-    /// from the resident voltages as one `recovery::drive` session. Falls
-    /// back to per-scenario serial solves once the session has degraded.
+    /// from the resident voltages as one `recovery::drive` session. A
+    /// scenario the round leaves unvouched, or every live one once the
+    /// session has degraded, re-solves serially on the host.
     pub(crate) fn solve_round(&mut self, cfg: &SolverConfig) -> OuterRound {
         let live: Vec<bool> = self.retired.iter().map(|&r| !r).collect();
         let obs = self.obs.clone();
@@ -1705,32 +1738,37 @@ impl<'s> TensorOuterSession<'s> {
             // The round ended certified: the next one starts from here.
             let Chunk { dev, mut res, probe_v, .. } = chunk;
             res.faults_base = dev.fault_log().len();
-            res.start = armed.then_some(done.v_pos);
-            Ok(((done.statuses, done.iterations, probe_v), res))
+            res.start = armed.then(|| done.v_pos.clone());
+            Ok(((done, probe_v), res))
         });
-        let Some((statuses, iterations, probe_v)) = round else {
-            return self.host_round(cfg);
-        };
-        for s in (0..live.len()).filter(|&s| live[s]) {
-            self.statuses[s] = statuses[s];
-        }
-        OuterRound { statuses: self.statuses.clone(), iterations, probe_v }
-    }
-
-    /// Serial fallback round: each live scenario re-solves on the host,
-    /// warm off its previous fallback profile when one exists.
-    fn host_round(&mut self, cfg: &SolverConfig) -> OuterRound {
-        let serial = SerialSolver::new(HostProps::paper_rig());
-        let mut iterations = vec![0u32; self.retired.len()];
-        for (s, iters) in iterations.iter_mut().enumerate() {
-            if !self.retired[s] {
-                let res = self.solve_on_host(&serial, s, cfg);
-                (*iters, self.statuses[s]) = (res.iterations, res.status);
-                self.host_v[s] = Some(res.v);
+        let probes = |v: &[Complex]| self.mirror.probes.iter().map(|&b| v[b]).collect();
+        let (mut iterations, mut probe_v, host) = match round {
+            Some((done, probe_v)) => {
+                let n = self.mirror.a.len();
+                for s in (0..live.len()).filter(|&s| live[s] && !done.unvouched[s]) {
+                    self.statuses[s] = done.statuses[s];
+                    // Under an armed plan the certified V is the
+                    // scenario's answer: a retired lane's stripe is never
+                    // checked again.
+                    if !done.v_pos.is_empty() {
+                        let stripe = &done.v_pos[s * n..(s + 1) * n];
+                        self.host_v[s] = Some(self.mirror.a.levels.unpermute(stripe));
+                    }
+                }
+                (done.iterations, probe_v, done.unvouched)
             }
+            None => {
+                let probe_v = self.host_v.iter().map(|v| v.as_deref().map_or(Vec::new(), probes));
+                (vec![0; live.len()], probe_v.collect(), live)
+            }
+        };
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        for s in (0..host.len()).filter(|&s| host[s]) {
+            let res = self.solve_on_host(&serial, s, cfg);
+            probe_v[s] = self.mirror.probes.iter().map(|&b| res.v[b]).collect();
+            (iterations[s], self.statuses[s]) = (res.iterations, res.status);
+            self.host_v[s] = Some(res.v);
         }
-        let probes = |v: &Vec<Complex>| self.mirror.probes.iter().map(|&b| v[b]).collect();
-        let probe_v = self.host_v.iter().map(|v| v.as_ref().map_or(Vec::new(), probes)).collect();
         OuterRound { statuses: self.statuses.clone(), iterations, probe_v }
     }
 
@@ -1751,20 +1789,18 @@ impl<'s> TensorOuterSession<'s> {
         res
     }
 
-    /// Every scenario's final voltages, closing the session: under an
-    /// armed plan the state the last round ended certified with (nothing
-    /// since can corrupt it), else one read of the iterate. Without a
-    /// chunk it answers from the host fallback, re-solving the rest.
+    /// Every scenario's final voltages, closing the session: one read of
+    /// the iterate, or under an armed plan or once degraded the host
+    /// copies — each scenario's V as its last live round certified or
+    /// host-solved it, re-solving on the host any scenario without one.
     pub(crate) fn finish(&mut self, cfg: &SolverConfig) -> SessionReport {
         let (n, nb) = (self.mirror.a.len(), self.retired.len());
-        let warm = self.mirror.warm.as_deref();
         let state = match self.resident.take() {
-            Some(res) if self.device.fault_plan().is_some() => Some(res.start_state(warm)),
-            Some(res) => charge(self.device, &mut self.timing, TEARDOWN, |dev| {
-                dev.try_dtoh_checked(&res.v)
-            })
-            .ok(),
-            None => None,
+            Some(res) if self.device.fault_plan().is_none() => {
+                charge(self.device, &mut self.timing, TEARDOWN, |dev| dev.try_dtoh_checked(&res.v))
+                    .ok()
+            }
+            _ => None,
         };
         let serial = SerialSolver::new(HostProps::paper_rig());
         let v = (0..nb)
@@ -2928,11 +2964,135 @@ mod tests {
         // mask, V, five topology buffers, the load slab, then J.
         let flip = simt::FaultKind::BufferBitFlip { buffer: 8, word: 0, bit: 61 };
         let (res, _) = run(simt::FaultPlan::scripted([(op, flip)]));
+        // The lane fails its end check and is solved on the host alone:
+        // no rollback can heal it, so none is spent.
+        let report = res.fault_report.as_ref().expect("an armed plan reports");
+        assert!(report.rollbacks == 0 && !report.degraded(), "{report:?}");
         for s in 0..2 {
             assert!(res.statuses[s].is_converged(), "lane {s}: {}", res.statuses[s]);
             for (x, y) in res.j[s].iter().zip(&clean.j[s]) {
                 assert!((*x - *y).abs() <= 1e-6 * (1.0 + y.abs()), "lane {s}: {x:?} vs {y:?}");
             }
+        }
+    }
+
+    /// A flip in the `min |V|` slot of a patched lane after it froze: no
+    /// check reads the slot, so a faulted chunk's `min |V|` must come
+    /// from its vouched voltages, not from the device.
+    #[test]
+    fn a_flip_in_a_frozen_lanes_min_v_never_leaks() {
+        let net = balanced_binary(127, &GenSpec::default(), &mut StdRng::seed_from_u64(9));
+        let (a, dfs, cfg) = (SolverArrays::new(&net), DfsOrder::new(&net), SolverConfig::default());
+        let patches = [0.02, 2.5].map(|scale| ScenarioPatch { scale, ..ScenarioPatch::base() });
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev);
+            let batch = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
+            (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        let iters = &clean.per_scenario_iterations;
+        assert!(iters[0] < iters[1], "lane 0 freezes first: {iters:?}");
+        let events = solver.device().timeline().events();
+        let sweeps = events.iter().enumerate().filter(|(_, e)| e.label() == "tensor_sweep");
+        let op = sweeps.map(|(op, _)| op as u64).nth(iters[0] as usize).expect("a later sweep");
+        // `min |V|` is a patched chunk's fifteenth allocation: mask,
+        // scales, V, six topology buffers, five patch words, then it.
+        let flip = simt::FaultKind::BufferBitFlip { buffer: 14, word: 0, bit: 61 };
+        let (res, _) = run(simt::FaultPlan::scripted([(op, flip)]));
+        assert_eq!(res.fault_report.as_ref().map(|r| r.faults_injected), Some(1));
+        assert_eq!(res.min_v, clean.min_v);
+    }
+
+    /// A diverging and a NaN-load scenario beside healthy ones, with one
+    /// scripted flip in the voltages at the third sweep: the healthy
+    /// lanes roll back and land on their clean answers, the NaN lane's
+    /// replayed failure goes to its monitor instead of rolling back
+    /// again, and the two sick lanes, which the device cannot vouch for
+    /// at a tainted end, are solved on the host — the batch does not
+    /// degrade.
+    #[test]
+    fn sick_lanes_beside_a_fault_are_solved_on_the_host_without_degrading() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let net = random_tree(120, 8, &GenSpec::default(), &mut rng);
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let mut scenarios = scaled_scenarios(&net, &[0.8, 1.0]);
+        scenarios.push(base_loads(&net).iter().map(|&s| s * 1e6).collect());
+        let mut sick = base_loads(&net);
+        sick[7] = c(f64::NAN, 0.0);
+        scenarios.push(sick);
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev);
+            (solver.solve_arrays(&a, &scenarios, &cfg), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        assert!(clean.statuses[..2].iter().all(|s| s.is_converged()), "{:?}", clean.statuses);
+        assert!(!clean.statuses[2].is_converged() && !clean.statuses[3].is_converged());
+        let events = solver.device().timeline().events();
+        let sweeps = events.iter().enumerate().filter(|(_, e)| e.label() == "tensor_sweep");
+        let third = sweeps.map(|(op, _)| op as u64).nth(2).expect("three sweeps");
+        // The voltage slab is an explicit chunk's second allocation.
+        let flip = simt::FaultKind::BufferBitFlip { buffer: 1, word: 0, bit: 61 };
+        let (res, _) = run(simt::FaultPlan::scripted([(third, flip)]));
+        let report = res.fault_report.as_ref().expect("an armed plan reports");
+        assert!(report.rollbacks >= 1 && !report.degraded(), "{report:?}");
+        for s in 0..2 {
+            assert!(res.statuses[s].is_converged(), "lane {s}: {}", res.statuses[s]);
+            assert_eq!(res.v[s], clean.v[s], "lane {s}");
+        }
+        assert_eq!(res.statuses[2..], clean.statuses[2..], "the host's verdicts are the device's");
+    }
+
+    /// An outer session that retires a scenario and then suffers a fault
+    /// that touches only what the device holds of it — a flip in its
+    /// voltage stripe during the next round, or a setup fault after the
+    /// last round that rebuilds the chunk cold — still answers every
+    /// scenario with the state its last live round left, as an unarmed
+    /// session does.
+    #[test]
+    fn a_retired_scenario_keeps_the_answer_of_its_last_live_round() {
+        let net = balanced_binary(127, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let scenarios = scaled_scenarios(&net, &[0.8, 1.0, 1.2]);
+        let nudged = |s: usize| scenarios[s].iter().map(|&x| x * 1.05).collect::<Vec<_>>();
+        // The session's ops before round 2 and before the last update.
+        let run = |plan: Option<simt::FaultPlan>| {
+            let mut dev = device();
+            if let Some(plan) = plan {
+                dev.arm_faults(plan);
+            }
+            let mut tbs = TensorBatchSolver::new(dev);
+            let mut session = tbs.outer_session(&a, &scenarios, &[1], None, &cfg);
+            session.solve_round(&cfg);
+            session.retire(0);
+            session.update_loads(vec![(1, nudged(1))]);
+            let marks = [session.device.timeline().events().len()];
+            session.solve_round(&cfg);
+            let marks = [marks[0], session.device.timeline().events().len()];
+            session.update_loads(vec![(2, nudged(2))]);
+            let v = session.finish(&cfg).v;
+            let events = session.device.timeline().events().to_vec();
+            (v, marks, events)
+        };
+        let (want, ..) = run(None);
+        let (clean, [round2, last], events) = run(Some(simt::FaultPlan::seeded(0, 0.0)));
+        assert_eq!(clean, want);
+        let first = |from: usize, label: &str| {
+            (from..events.len()).find(|&op| events[op].label() == label).expect("an op") as u64
+        };
+        // Scenario 0's root voltage is word 0 of the voltage slab, a
+        // session's second allocation.
+        let flip = simt::FaultKind::BufferBitFlip { buffer: 1, word: 0, bit: 61 };
+        let plans = [
+            ("flip in the retired stripe", first(round2, "tensor_sweep"), flip),
+            ("setup fault after the last round", first(last, "<alloc>"), simt::FaultKind::AllocOom),
+        ];
+        for (what, op, fault) in plans {
+            let (got, ..) = run(Some(simt::FaultPlan::scripted([(op, fault)])));
+            assert_eq!(got, want, "{what}");
         }
     }
 

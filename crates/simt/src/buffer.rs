@@ -30,7 +30,9 @@ impl<T: Copy + Default + Send + Sync + 'static> DeviceCopy for T {}
 /// A plain-old-data slice viewed as raw bytes. The element type carries
 /// no padding by the [`DeviceCopy`] contract (device buffers hold
 /// scalars and scalar pairs), so the byte view is fully initialised.
-pub(crate) fn pod_bytes<T: DeviceCopy>(data: &[T]) -> &[u8] {
+/// Comparing two views is byte-for-byte equality, under which a NaN
+/// equals itself.
+pub fn pod_bytes<T: DeviceCopy>(data: &[T]) -> &[u8] {
     // SAFETY: T is Copy + 'static plain-old-data; reading its bytes is
     // valid for the slice's full length.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
