@@ -21,8 +21,12 @@
 #      recoveries cost, charged to the answer, on both kinds of routed
 #      single solve, the fused sweep (1 023 and 16 383 buses) and the
 #      level path with the direct backward sweep (131 071), and on a
-#      two-chunk tensor batch; E13, E15 and E16 pin the service's retry
-#      and breaker schedule, the fleet's routing, hedging and failover,
+#      two-chunk tensor batch whose chunks pipeline over streams (the
+#      second chunk's upload and the first's sliced read-back under the
+#      other's sweeps), so it is also the only pin on that pipeline's
+#      op order and overlap under armed plans; E13, E15 and E16 pin the
+#      service's retry and breaker schedule, the fleet's routing,
+#      hedging and failover,
 #      and the soak's fault and recovery counts under armed plans, none
 #      of which the benchmark's `fleet-open` (no plan armed) reaches;
 #      E17 pins the DG outer-loop session's rounds and modeled time. E9

@@ -36,7 +36,9 @@ use crate::tensor_batch::{ScenarioPatch, Scenarios, TensorBatchSolver};
 /// Device-memory budget the screener plans chunks against, bytes. The
 /// resident per-scenario state is the voltage and current stripes
 /// (32 B/bus); half the paper rig's 8 GiB leaves room for the topology,
-/// the per-scenario words and a chunk's transient build buffers.
+/// the per-scenario words, a chunk's transient build buffers and the next
+/// chunk's inputs, which a multi-chunk screen uploads while this chunk
+/// sweeps (a prefetch that does not fit waits for this chunk's memory).
 const CHUNK_MEM_BUDGET: u64 = 4 * 1024 * 1024 * 1024;
 
 /// One screened outage: the branch feeding `bus` opened, everything

@@ -461,7 +461,7 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         try_fill(dev, &mut delta_buf, 0.0)?;
         let scan_buf = dev.try_alloc::<V>(n)?;
         let b = dev.timeline().breakdown_since(mark);
-        let clock = SessionClock::new(b.total_us(), b.htod_us + b.dtoh_us, obs);
+        let clock = SessionClock::new(b.total_us(), b.transfer_us(), obs);
 
         Ok(GpuSession {
             dev,

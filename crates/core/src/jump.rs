@@ -208,7 +208,7 @@ impl<'a> JumpSession<'a> {
         let ptr_a = dev.try_alloc::<u32>(n)?;
         let ptr_b = dev.try_alloc::<u32>(n)?;
         let b = dev.timeline().breakdown_since(mark);
-        let clock = SessionClock::new(b.total_us(), b.htod_us + b.dtoh_us, obs);
+        let clock = SessionClock::new(b.total_us(), b.transfer_us(), obs);
 
         Ok(JumpSession {
             dev,

@@ -201,13 +201,15 @@ impl SessionClock {
         self.phases.total_us() + self.recovery_us
     }
 
-    /// Charges `b` to one phase (`injection`, `backward`, `forward`,
-    /// `convergence` or `teardown`) and records its span. The scalar
-    /// read-back of `convergence` is sweep transfer time; the final
-    /// download of `teardown` is transfer time outside the sweep.
+    /// Charges `b` to one phase (`setup`, `injection`, `backward`,
+    /// `forward`, `convergence` or `teardown`) and records its span. The
+    /// scalar read-back of `convergence` is sweep transfer time; the
+    /// uploads of `setup` and the final download of `teardown` are
+    /// transfer time outside the sweep.
     pub(crate) fn charge(&mut self, phase: &'static str, b: &Breakdown) {
         let t0 = self.elapsed_us();
         let slot = match phase {
+            "setup" => &mut self.phases.setup_us,
             "injection" => &mut self.phases.injection_us,
             "backward" => &mut self.phases.backward_us,
             "forward" => &mut self.phases.forward_us,
@@ -217,11 +219,11 @@ impl SessionClock {
         };
         *slot += b.total_us();
         self.obs.phase(phase, t0, self.elapsed_us());
-        if matches!(phase, "convergence" | "teardown") {
-            self.transfer_us += b.htod_us + b.dtoh_us;
+        if matches!(phase, "setup" | "convergence" | "teardown") {
+            self.transfer_us += b.transfer_us();
         }
         if phase == "convergence" {
-            self.transfer_sweep_us += b.htod_us + b.dtoh_us;
+            self.transfer_sweep_us += b.transfer_us();
         }
     }
 
@@ -509,18 +511,13 @@ fn sweep_lanes<S: SweepSession>(
                 let (v_pos, j_pos) = step!(sess.download());
                 let (rh, j_h) = sess.host_iterate(&v_pos);
                 let n = j_h.len() / nl;
-                let vouched = |l: usize| {
-                    let lane = l * n..(l + 1) * n;
-                    converged(l)
-                        && rh[l].is_finite()
-                        && rh[l] <= SPIKE_FACTOR * tol
-                        && j_pos.len() == j_h.len()
-                        && j_pos[lane.clone()].iter().zip(&j_h[lane]).all(|(a, b)| {
-                            let d = (*a - *b).norm();
-                            d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
-                        })
-                };
-                let unvouched: Vec<bool> = (0..nl).map(|l| ran[l] && !vouched(l)).collect();
+                let unvouched: Vec<bool> = (0..nl)
+                    .map(|l| {
+                        let lane = l * n..(l + 1) * n;
+                        let j_dev = j_pos.get(lane.clone()).unwrap_or(&[]);
+                        ran[l] && !vouched(converged(l), rh[l], tol, j_dev, &j_h[lane])
+                    })
+                    .collect();
                 if nl == 1 && unvouched[0] {
                     recover!();
                 }
@@ -627,6 +624,27 @@ fn sweep_lanes<S: SweepSession>(
             }
         }
     }
+}
+
+/// Whether the host can vouch for a lane's end state: the lane
+/// converged, one host sweep from its V lands within the spike gate of
+/// the tolerance, and the host's branch currents `j_host` match the
+/// device's `j_dev` element for element.
+pub(crate) fn vouched<V: Phasor>(
+    converged: bool,
+    r_host: f64,
+    tol: f64,
+    j_dev: &[V],
+    j_host: &[V],
+) -> bool {
+    converged
+        && r_host.is_finite()
+        && r_host <= SPIKE_FACTOR * tol
+        && j_dev.len() == j_host.len()
+        && j_dev.iter().zip(j_host).all(|(a, b)| {
+            let d = (*a - *b).norm();
+            d.is_finite() && d <= 1e-4 * (1.0 + b.norm())
+        })
 }
 
 /// Why a resilient solve could not produce a result.

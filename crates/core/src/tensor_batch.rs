@@ -71,7 +71,39 @@
 //! # Scale
 //!
 //! Batches larger than device memory are processed in scenario chunks;
-//! the topology stays resident across chunks. For Monte-Carlo-style
+//! the topology stays resident across chunks. Several chunks pipeline
+//! over `simt` streams and copy engines, in the one chunk loop of
+//! armed and unarmed batches alike:
+//!
+//! * every chunk session runs on one stream, so the topology's upload
+//!   orders each chunk's first sweep;
+//! * while chunk k sweeps, chunk k+1's inputs — its mask, load slab or
+//!   scales and patch words ([`Inputs`]) — upload on a second stream,
+//!   and chunk k+1's build waits on an event recorded after them; a
+//!   chunk allocates V and J only when its drive begins, and frees its
+//!   load slab when it ends;
+//! * a chunk whose session observed no fault leaves V and J on the
+//!   device ([`Drain`]): chunk k+1 reads them back on a third stream in
+//!   scenario-range slices sized to its sweep launches, one behind each
+//!   launch and the rest before its own read-back, each slice unpermuted
+//!   straight into its answers and V and J freed with the last; a slice
+//!   whose read fails is read again with the next. A
+//!   tainted end reads V and J at once, since certification must read
+//!   the state it vouches for, and a lane read after a fault fired while
+//!   it waited is vouched for by the host or solved there;
+//! * a prefetch that runs out of device memory beside the chunk is
+//!   dropped and its inputs wait for that memory, uploaded by their own
+//!   chunk's build; a build that runs out of memory beside the previous
+//!   chunk's read-back finishes that read and builds again, keeping what
+//!   it had uploaded. Out of memory counts as memory pressure only when
+//!   the device logged no fault for it: memory pressure is never a
+//!   fault. A prefetch's own faults count against the chunk whose
+//!   inputs it uploaded.
+//!
+//! A batch of one chunk runs on the default stream, so its op stream is
+//! the unpipelined one. The timing charges only exposed time
+//! ([`simt::Breakdown::total_us`]), so a pipelined batch's phases sum to
+//! its makespan. For Monte-Carlo-style
 //! studies the per-scenario loads can be synthesised *on device* from the
 //! base loads and one `f64` scale factor per scenario
 //! ([`Scenarios::Scaled`]), eliminating the `B·n` load
@@ -88,7 +120,8 @@ use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::try_fill;
 use simt::{
     pod_bytes, BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
-    GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, ThreadCtx,
+    GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, Stream, StreamEvent,
+    ThreadCtx,
 };
 use telemetry::Recorder;
 
@@ -308,6 +341,9 @@ pub struct TensorBatchSolver {
     recorder: Option<Recorder>,
     chunk_cap: usize,
     keep_state: bool,
+    /// A pipelined batch's streams, created with the first: the chunks'
+    /// own, the prefetch's and the read-back's.
+    streams: Option<[Stream; 3]>,
 }
 
 impl TensorBatchSolver {
@@ -318,6 +354,7 @@ impl TensorBatchSolver {
             recorder: None,
             chunk_cap: MAX_CHUNK_SCENARIOS,
             keep_state: true,
+            streams: None,
         }
     }
 
@@ -516,35 +553,111 @@ impl TensorBatchSolver {
         // The topology uploads with the first chunk and stays resident; a
         // fault drops it with its chunk, and the retry re-uploads it.
         let mut topo = None;
+        // Several chunks pipeline (see the module docs): every chunk runs
+        // on one stream, the next chunk's inputs upload on a second while
+        // it sweeps, and a clean chunk's V and J drain on a third under
+        // the next chunk's sweeps. One chunk runs on the default stream.
+        let streams = (chunk_cap < nb)
+            .then(|| *self.streams.get_or_insert_with(|| [(); 3].map(|_| dev.create_stream())));
+        if let Some([run, ..]) = streams {
+            dev.set_stream(run);
+        }
+        let (mut next, mut pending): (Option<Inputs>, Option<Drain<'_>>) = (None, None);
+        let tol = crate::ConvergenceMonitor::new(cfg, a.source.abs()).tol();
+        let serial = SerialSolver::new(HostProps::paper_rig());
+        let host_solve = |out: &mut TensorBatchResult, s: usize| {
+            let res = serial.solve_warm(&host_arrays(a, &loads, plan, s).0, cfg, warm);
+            out.absorb_serial(s, res, plan);
+        };
+        // Moves a drained chunk's lanes into the answers, reading what is
+        // left first. A lane read after a fault fired may have been hit
+        // while it waited on the device: like a lane at a tainted end it
+        // stands only if the host vouches for it. A lane the host cannot
+        // vouch for, or the device could not read, is solved on the host.
+        let absorb = |dev: &mut Device, out: &mut TensorBatchResult, mut drain: Drain<'_>| {
+            // A failed read leaves its lanes unread.
+            let _ = charge(dev, &mut out.timing, TEARDOWN, |dev| drain.read(dev, usize::MAX));
+            for (l, lane) in drain.lanes.into_iter().enumerate() {
+                let s = drain.first + l;
+                let vouched = |v: &[Complex], j: &[Complex]| {
+                    let (a2, dead) = host_arrays(a, &loads, plan, s);
+                    let v_pos = a.levels.permute(v);
+                    let (r, j_host) = crate::gpu::host_iterate(&a2, warm, &v_pos, &dead);
+                    let converged = out.statuses[s].is_converged();
+                    crate::recovery::vouched(converged, r, tol, &a.levels.permute(j), &j_host)
+                };
+                match lane {
+                    Some((v, j, suspect)) if !suspect || vouched(&v, &j) => {
+                        (out.v[s], out.j[s]) = (v, j);
+                        out.zero_isolated(s, plan);
+                    }
+                    _ => host_solve(out, s),
+                }
+            }
+        };
 
+        // Faults the running chunk's prefetch took: they count against the
+        // chunk whose inputs it uploaded.
+        let mut ahead_faults = 0;
         let mut chunk_start = 0usize;
         while chunk_start < nb {
             let range = chunk_start..(chunk_start + chunk_cap).min(nb);
+            let following = range.end..(range.end + chunk_cap).min(nb);
             let chunk_t0 = out.timing.phases.total_us();
-            let (faults0, mut rep) = (dev.fault_log().len(), FaultReport::default());
+            let faults0 = dev.fault_log().len() - std::mem::take(&mut ahead_faults);
+            let mut rep = FaultReport::default();
             let mut budget = RetryBudget::new(cfg.max_recoveries);
             let driven = (!degraded).then(|| {
                 retried(dev, &mut rep, &mut budget, &mut out.timing, |dev, rep, budget, t| {
                     let t0 = t.phases.total_us();
-                    let r = range.clone();
-                    let res = Resident::build(dev, a, topo.take(), &loads, plan, r, warm, &[], 1, t)
-                        .map_err(|e| setup_abort(e, rep, budget))?;
+                    let res = loop {
+                        let faults = dev.fault_log().len();
+                        let (held, r) = ((&mut topo, &mut next), range.clone());
+                        let built = Resident::build(dev, a, held, &loads, plan, r, warm, &[], 1, t);
+                        // A chunk that does not fit beside the previous
+                        // one's read-back waits for it to finish: memory
+                        // pressure is not a fault.
+                        let short = matches!(built, Err(DeviceError::OutOfMemory { .. }))
+                            && dev.fault_log().len() == faults;
+                        match pending.as_mut().filter(|drain| short && drain.state.is_some()) {
+                            Some(drain) => {
+                                charge(dev, t, TEARDOWN, |dev| drain.read(dev, usize::MAX))
+                                    .map_err(|e| setup_abort(e, rep, budget))?
+                            }
+                            None => break built,
+                        }
+                    };
+                    // A fault drops what the build holds; the retry uploads
+                    // it again.
+                    let res = res.map_err(|e| {
+                        (topo, next) = (None, None);
+                        setup_abort(e, rep, budget)
+                    })?;
                     let clock = SessionClock::resume(t, t0, obs.clone());
                     let mut chunk = Chunk::new(dev, res, loads, warm, output, clock);
+                    let prefetch = streams.filter(|_| !following.is_empty() && next.is_none());
+                    chunk.ahead = prefetch.map(|[_, stream, _]| Ahead {
+                        range: following.clone(),
+                        stream,
+                        inputs: &mut next,
+                        faults: &mut ahead_faults,
+                    });
+                    chunk.drain = pending.as_mut();
+                    chunk.defer = streams.is_some() && keep && !following.is_empty();
                     let done = drive(&mut chunk, cfg, &policy, rep, budget)?;
                     *t = done.timing;
-                    Ok((done, chunk.min_v, chunk.res.topo))
+                    let Chunk { dev, res, min_v, deferred, .. } = chunk;
+                    let deferred = deferred.then(|| {
+                        let [.., drains] = streams.expect("a deferring chunk is pipelined");
+                        Drain::new(dev, a, res.range.start, res.v, res.j, drains)
+                    });
+                    Ok((done, min_v, res.topo, deferred))
                 })
             });
             rep.backends.push("tensor-gpu".to_string());
-            let faulted = dev.fault_log().len() > faults0;
-            let serial = SerialSolver::new(HostProps::paper_rig());
-            let host_solve = |out: &mut TensorBatchResult, s: usize| {
-                let res = serial.solve_warm(&host_arrays(a, &loads, plan, s).0, cfg, warm);
-                out.absorb_serial(s, res, plan);
-            };
+            let faulted = dev.fault_log().len() - ahead_faults > faults0;
             match driven.flatten() {
-                Some((done, min_v, kept)) => {
+                Some((done, min_v, kept, deferred)) => {
                     topo = Some(kept);
                     for (ls, s) in range.clone().enumerate() {
                         if done.unvouched[ls] {
@@ -558,21 +671,29 @@ impl TensorBatchSolver {
                         if let Some(plan) = plan {
                             // No check reads a lane's `min |V|` slot: a
                             // faulted chunk's comes from its vouched V.
-                            out.min_v[s] = if faulted {
+                            out.min_v[s] = if faulted && deferred.is_none() {
                                 host_min_v(&stripe(&done.v_pos), plan.root, &plan.isolated[s])
                             } else {
                                 min_v[ls]
                             };
                         }
-                        if keep {
+                        if keep && deferred.is_none() {
                             (out.v[s], out.j[s]) = (stripe(&done.v_pos), stripe(&done.j_pos));
                             out.zero_isolated(s, plan);
                         }
+                    }
+                    // This chunk's sweeps drained the previous chunk's
+                    // read-back; its own waits for the next chunk's.
+                    if let Some(drain) = std::mem::replace(&mut pending, deferred) {
+                        absorb(dev, &mut out, drain);
                     }
                 }
                 None => {
                     degraded = true;
                     rep.backends.push("cpu-serial".to_string());
+                    if let Some(drain) = pending.take() {
+                        absorb(dev, &mut out, drain);
+                    }
                     let t0 = out.timing.phases.total_us();
                     for s in range.clone() {
                         host_solve(&mut out, s);
@@ -580,7 +701,7 @@ impl TensorBatchSolver {
                     obs.phase("fallback", t0, out.timing.phases.total_us());
                 }
             }
-            rep.faults_injected = (dev.fault_log().len() - faults0) as u32;
+            rep.faults_injected = (dev.fault_log().len() - faults0 - ahead_faults) as u32;
             for s in range.clone() {
                 out.statuses[s] = upgraded(out.statuses[s], &rep);
             }
@@ -592,6 +713,7 @@ impl TensorBatchSolver {
             report.backends = rep.backends;
             chunk_start = range.end;
         }
+        dev.set_stream(Stream::DEFAULT);
 
         out.timing.wall_us = wall0.elapsed().as_secs_f64() * 1e6;
         out.scenarios_per_sec = scenarios_per_sec(nb, &out.timing);
@@ -961,8 +1083,9 @@ const SETUP: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.setup_us;
 const CONVERGENCE: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.convergence_us;
 const TEARDOWN: fn(&mut PhaseTimes) -> &mut f64 = |p| &mut p.teardown_us;
 
-/// Runs a group of device ops; on success charges their modeled time to
-/// the phase `phase` picks and their transfer time to `transfer_us`.
+/// Runs a group of device ops, charging their modeled time — whether or
+/// not they fail — to the phase `phase` picks and their transfer time to
+/// `transfer_us`.
 fn charge<T>(
     dev: &mut Device,
     t: &mut Timing,
@@ -970,11 +1093,11 @@ fn charge<T>(
     ops: impl FnOnce(&mut Device) -> Result<T, DeviceError>,
 ) -> Result<T, DeviceError> {
     let mark = dev.timeline().mark();
-    let out = ops(dev)?;
+    let out = ops(dev);
     let b = dev.timeline().breakdown_since(mark);
     *phase(&mut t.phases) += b.total_us();
-    t.transfer_us += b.htod_us + b.dtoh_us;
-    Ok(out)
+    t.transfer_us += b.transfer_us();
+    out
 }
 
 /// Scenario-load device views for the fused kernels.
@@ -1018,18 +1141,22 @@ struct Resident<'a> {
 }
 
 impl<'a> Resident<'a> {
-    /// Uploads the topology (unless `topo` carries it over) in one checked
+    /// Uploads the topology (unless `held` carries it over) in one checked
     /// packed copy with the chunk's mask and scale words — and a lone
     /// scenario's warm start — then its loads and patch words, and seeds
-    /// the iterate from `warm` (by bus id, replicated device-side for a
-    /// batch) or leaves the flat start to the first sweep. The residual
-    /// buffer holds `max_sweeps` slots per scenario, one per sweep a
-    /// launch may run. Setup time.
+    /// the iterate from `warm` (by bus id, replicated device-side) or
+    /// leaves the flat start to the first sweep. Inputs a prefetch
+    /// uploaded ahead (`held` carries them with the topology) are waited
+    /// for, not uploaded. What the build uploads lands in `held` and
+    /// moves into the chunk only once every allocation succeeded, so a
+    /// build that ran out of memory can be retried without uploading it
+    /// again. The residual buffer holds `max_sweeps` slots per scenario,
+    /// one per sweep a launch may run. Setup time.
     #[allow(clippy::too_many_arguments)]
     fn build(
         dev: &mut Device,
         a: &'a SolverArrays,
-        topo: Option<Topology>,
+        held: (&mut Option<Topology>, &mut Option<Inputs>),
         loads: &Loads<'_>,
         plan: Option<&'a PatchPlan>,
         range: Range<usize>,
@@ -1040,66 +1167,46 @@ impl<'a> Resident<'a> {
     ) -> Result<Self, DeviceError> {
         let (n, nb) = (a.len(), range.len());
         let per_scenario = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
-        let faults_base = dev.fault_log().len();
         charge(dev, t, SETUP, |dev| {
             let live = vec![1; nb];
-            let mut mask = dev.try_alloc::<u32>(nb)?;
-            let mut scales = match loads {
-                Loads::Scaled(sc) => Some((dev.try_alloc::<f64>(nb)?, &sc[range.clone()])),
-                _ => None,
-            };
-            let mut v = dev.try_alloc::<Complex>(nb * n)?;
             let warm = warm.map(|profile| a.levels.permute(profile));
-            let mut extra = vec![HtodPart::new(&mut mask, &live)];
-            if let Some((buf, sc)) = &mut scales {
-                extra.push(HtodPart::new(buf, sc));
-            }
-            // One scenario's warm start is its whole iterate: it rides
-            // along.
-            if let (Some(profile), 1) = (&warm, nb) {
-                extra.push(HtodPart::new(&mut v, profile));
-            }
-            let topo = match topo {
-                Some(topo) => {
-                    dev.try_htod_packed_checked(&mut extra)?;
-                    topo
+            let (topo, inputs) = held;
+            let (mut v, seeded) = match (&*topo, &*inputs) {
+                (Some(_), Some(ahead)) => {
+                    dev.wait_event(ahead.ready);
+                    (dev.try_alloc::<Complex>(nb * n)?, false)
                 }
-                None => Topology::upload(dev, a, plan, extra)?,
-            };
-            let loads = match (loads, scales) {
-                (Loads::Explicit(sc), _) => {
-                    DeviceLoads::Slab(dev.try_alloc_from(&position_slab(a, &sc[range.clone()]))?)
-                }
-                (Loads::Deltas(sc), _) => {
-                    // Mostly the base case: replicate the resident base
-                    // loads into every stripe and scatter the deviations
-                    // — not `B·n` words.
-                    let mut buf = dev.try_alloc::<Complex>(nb * n)?;
-                    let kernel = WarmInitKernel { warm: topo.base_s.view(), v: buf.view_mut(), n };
-                    dev.try_launch(per_scenario, &kernel)?;
-                    let mut deltas = Vec::new();
-                    for (ls, scenario) in sc[range.clone()].iter().enumerate() {
-                        for (bus, &load) in scenario.iter().enumerate() {
-                            let p = a.levels.pos_of[bus];
-                            if load != a.s[p as usize] {
-                                deltas.push((ls as u32, p, load));
-                            }
-                        }
+                _ => {
+                    let faults_base = dev.fault_log().len();
+                    let mut mask = dev.try_alloc::<u32>(nb)?;
+                    let mut scales = match loads {
+                        Loads::Scaled(sc) => Some((dev.try_alloc::<f64>(nb)?, &sc[range.clone()])),
+                        _ => None,
+                    };
+                    let mut v = dev.try_alloc::<Complex>(nb * n)?;
+                    let mut extra = vec![HtodPart::new(&mut mask, &live)];
+                    if let Some((buf, sc)) = &mut scales {
+                        extra.push(HtodPart::new(buf, sc));
                     }
-                    scatter(dev, &mut buf, n, &deltas)?;
-                    DeviceLoads::Slab(buf)
-                }
-                (Loads::Scaled(_), scales) => {
-                    DeviceLoads::Scales(scales.expect("scaled loads upload their scales").0)
+                    // One scenario's warm start is its whole iterate: it
+                    // rides along.
+                    let rides = warm.is_some() && nb == 1;
+                    if let (Some(profile), true) = (&warm, rides) {
+                        extra.push(HtodPart::new(&mut v, profile));
+                    }
+                    match topo {
+                        Some(_) => dev.try_htod_packed_checked(&mut extra)?,
+                        None => *topo = Some(Topology::upload(dev, a, plan, extra)?),
+                    }
+                    let (scales, r) = (scales.map(|(buf, _)| buf), range.clone());
+                    let on = topo.as_ref().expect("the topology is resident");
+                    let up = Inputs::finish(dev, a, loads, plan, r, on, mask, scales, faults_base)?;
+                    *inputs = Some(up);
+                    (v, rides)
                 }
             };
-            // Patched chunks: a few words per scenario describe the cut
-            // range and the impedance override, plus one `min |V|` slot
-            // per scenario.
-            let patch =
-                plan.map(|plan| ChunkPatch::upload(dev, plan, range.clone())).transpose()?;
             let min_v = plan.map(|_| filled(dev, nb, f64::INFINITY)).transpose()?;
-            if let (Some(profile), 2..) = (&warm, nb) {
+            if let (Some(profile), false) = (&warm, seeded) {
                 let buf = dev.try_alloc_from(profile)?;
                 let kernel = WarmInitKernel { warm: buf.view(), v: v.view_mut(), n };
                 dev.try_launch(per_scenario, &kernel)?;
@@ -1116,6 +1223,9 @@ impl<'a> Resident<'a> {
                 Some((pos, slots, out))
             };
             let flat = warm.is_none();
+            let topo = topo.take().expect("the topology is resident");
+            let inputs = inputs.take().expect("the inputs have landed");
+            let Inputs { mask, loads, patch, faults_base, .. } = inputs;
             Ok(Resident {
                 a,
                 plan,
@@ -1186,6 +1296,202 @@ impl<'a> Resident<'a> {
     }
 }
 
+/// A chunk's inputs — its mask, its loads (slab or scales) and its patch
+/// words — uploaded by its build, or ahead of it by a prefetch under the
+/// previous chunk's sweeps.
+struct Inputs {
+    mask: DeviceBuffer<u32>,
+    loads: DeviceLoads,
+    patch: Option<ChunkPatch>,
+    /// Recorded on the upload's stream once the inputs have landed.
+    ready: StreamEvent,
+    /// The device's fault count when the upload began: a fault since may
+    /// have hit them while they waited.
+    faults_base: usize,
+}
+
+impl Inputs {
+    /// Uploads the inputs of the scenarios `range` on the current stream:
+    /// the mask with the scale words as one checked packed copy, then the
+    /// load slab and the patch words. The topology's base loads seed a
+    /// [`Loads::Deltas`] slab.
+    fn upload(
+        dev: &mut Device,
+        a: &SolverArrays,
+        loads: &Loads<'_>,
+        plan: Option<&PatchPlan>,
+        range: Range<usize>,
+        topo: &Topology,
+    ) -> Result<Self, DeviceError> {
+        let (faults_base, nb) = (dev.fault_log().len(), range.len());
+        let mut mask = dev.try_alloc::<u32>(nb)?;
+        let mut scales = match loads {
+            Loads::Scaled(_) => Some(dev.try_alloc::<f64>(nb)?),
+            _ => None,
+        };
+        let live = vec![1; nb];
+        let mut parts = vec![HtodPart::new(&mut mask, &live)];
+        if let (Some(buf), Loads::Scaled(sc)) = (&mut scales, loads) {
+            parts.push(HtodPart::new(buf, &sc[range.clone()]));
+        }
+        dev.try_htod_packed_checked(&mut parts)?;
+        Self::finish(dev, a, loads, plan, range, topo, mask, scales, faults_base)
+    }
+
+    /// The rest of an upload once the mask and the scales are on the
+    /// device: the load slab (for explicit loads, or replicated from the
+    /// base loads and scattered for [`Loads::Deltas`]) and the patch
+    /// words.
+    #[allow(clippy::too_many_arguments)]
+    fn finish(
+        dev: &mut Device,
+        a: &SolverArrays,
+        loads: &Loads<'_>,
+        plan: Option<&PatchPlan>,
+        range: Range<usize>,
+        topo: &Topology,
+        mask: DeviceBuffer<u32>,
+        scales: Option<DeviceBuffer<f64>>,
+        faults_base: usize,
+    ) -> Result<Self, DeviceError> {
+        let (n, nb) = (a.len(), range.len());
+        let loads = match (loads, scales) {
+            (Loads::Explicit(sc), _) => {
+                DeviceLoads::Slab(dev.try_alloc_from(&position_slab(a, &sc[range.clone()]))?)
+            }
+            (Loads::Deltas(sc), _) => {
+                // Mostly the base case: replicate the resident base loads
+                // into every stripe and scatter the deviations — not
+                // `B·n` words.
+                let mut buf = dev.try_alloc::<Complex>(nb * n)?;
+                let kernel = WarmInitKernel { warm: topo.base_s.view(), v: buf.view_mut(), n };
+                dev.try_launch(LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK), &kernel)?;
+                let mut deltas = Vec::new();
+                for (ls, scenario) in sc[range.clone()].iter().enumerate() {
+                    for (bus, &load) in scenario.iter().enumerate() {
+                        let p = a.levels.pos_of[bus];
+                        if load != a.s[p as usize] {
+                            deltas.push((ls as u32, p, load));
+                        }
+                    }
+                }
+                scatter(dev, &mut buf, n, &deltas)?;
+                DeviceLoads::Slab(buf)
+            }
+            (Loads::Scaled(_), scales) => {
+                DeviceLoads::Scales(scales.expect("scaled loads upload their scales"))
+            }
+        };
+        // Patched chunks: a few words per scenario describe the cut range
+        // and the impedance override.
+        let patch = plan.map(|plan| ChunkPatch::upload(dev, plan, range)).transpose()?;
+        Ok(Inputs { mask, loads, patch, ready: dev.record_event(), faults_base })
+    }
+}
+
+/// A drained lane: V and J by bus id, and whether a fault fired between
+/// its chunk's clean end and the read.
+type DrainedLane = (Vec<Complex>, Vec<Complex>, bool);
+
+/// The next chunk of a pipelined batch, as the running chunk sees it:
+/// its scenarios, the stream its inputs upload on, the slot they land
+/// in, and the count of the faults their upload took.
+struct Ahead<'n> {
+    range: Range<usize>,
+    stream: Stream,
+    inputs: &'n mut Option<Inputs>,
+    faults: &'n mut usize,
+}
+
+/// A clean chunk's V and J, left on the device when another chunk
+/// follows it: that chunk's session reads them back in scenario-range
+/// slices on a stream of their own, one slice behind each of its sweep
+/// launches, so the copies run under its sweeps.
+struct Drain<'a> {
+    a: &'a SolverArrays,
+    /// The chunk's first scenario.
+    first: usize,
+    /// V and J on the device; freed with the last slice.
+    state: Option<(DeviceBuffer<Complex>, DeviceBuffer<Complex>)>,
+    stream: Stream,
+    /// Lanes read so far.
+    read: usize,
+    /// Per lane, once read.
+    lanes: Vec<Option<DrainedLane>>,
+    /// The device's fault count at the chunk's clean end.
+    faults_base: usize,
+}
+
+impl<'a> Drain<'a> {
+    /// Holds `v` and `j` of the chunk whose first scenario is `first` for
+    /// reading on `stream`, after every op issued so far on the current
+    /// one (the chunk's last sweep).
+    fn new(
+        dev: &mut Device,
+        a: &'a SolverArrays,
+        first: usize,
+        v: DeviceBuffer<Complex>,
+        j: DeviceBuffer<Complex>,
+        stream: Stream,
+    ) -> Self {
+        let swept = dev.record_event();
+        let run = dev.set_stream(stream);
+        dev.wait_event(swept);
+        dev.set_stream(run);
+        let lanes = vec![None; v.len() / a.len()];
+        let faults_base = dev.fault_log().len();
+        Drain { a, first, state: Some((v, j)), stream, read: 0, lanes, faults_base }
+    }
+
+    /// Lanes whose read-back fits in `us` of copy time: at least one, and
+    /// none once every lane is read.
+    fn lanes_within(&self, props: &DeviceProps, us: f64) -> usize {
+        let lane_bytes = 2 * std::mem::size_of::<Complex>() * self.a.len();
+        let per_lane = lane_bytes as f64 / props.pcie_bytes_per_us();
+        let left = self.lanes.len() - self.read;
+        (((us - props.pcie_latency_us) / per_lane) as usize).clamp(1, left.max(1)).min(left)
+    }
+
+    /// Reads the next `lanes` lanes (or every one left) as one checked
+    /// packed read the host does not wait for, each lane unpermuted
+    /// straight into its answer.
+    fn read(&mut self, dev: &mut Device, lanes: usize) -> Result<(), DeviceError> {
+        let Some((v, j)) = &self.state else { return Ok(()) };
+        let n = self.a.len();
+        let at = self.read..self.read.saturating_add(lanes).min(self.lanes.len());
+        let (mut vs, mut js) = (Vec::new(), Vec::new());
+        let run = dev.set_stream(self.stream);
+        let copied = dev.try_dtoh_packed_checked_async(&mut [
+            DtohPart::range(v, at.start * n..at.end * n, &mut vs),
+            DtohPart::range(j, at.start * n..at.end * n, &mut js),
+        ]);
+        dev.set_stream(run);
+        copied?;
+        let waited = dev.fault_log().len() > self.faults_base;
+        let levels = &self.a.levels;
+        for (i, l) in at.clone().enumerate() {
+            let stripe = i * n..(i + 1) * n;
+            let (v, j) = (levels.unpermute(&vs[stripe.clone()]), levels.unpermute(&js[stripe]));
+            self.lanes[l] = Some((v, j, waited));
+        }
+        self.read = at.end;
+        if self.read == self.lanes.len() {
+            self.state = None;
+        }
+        Ok(())
+    }
+
+    /// Reads like [`Drain::read`] under the next chunk's session, to
+    /// which only a lost device is an error: a failed read touched none
+    /// of that chunk's state and leaves its lanes to a later read.
+    fn read_beside(&mut self, dev: &mut Device, lanes: usize) -> Result<(), DeviceError> {
+        match self.read(dev, lanes) {
+            Err(e @ DeviceError::DeviceLost { .. }) => Err(e),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// What a [`Chunk`] is run for, which sets what its download reads.
 #[derive(Clone, Copy, PartialEq)]
 enum Output {
@@ -1215,7 +1521,10 @@ enum Output {
 /// A rollback re-uploads the statics, the loads (slab or scales), the
 /// patch words, the mask and V as one checked packed copy, and
 /// verification reads them back; certification sweeps each lane on the
-/// host over the scenario's own arrays.
+/// host over the scenario's own arrays. In a pipelined batch a chunk
+/// also uploads the next chunk's inputs behind its first sweep launch,
+/// drains the previous chunk's read-back behind each launch, and, when
+/// it ends having observed no fault, leaves its own V and J to the next.
 pub(crate) struct Chunk<'d, 'a> {
     dev: &'d mut Device,
     res: Resident<'a>,
@@ -1231,6 +1540,17 @@ pub(crate) struct Chunk<'d, 'a> {
     /// A round's probe voltages per scenario, as last downloaded.
     probe_v: Vec<Vec<Complex>>,
     clock: SessionClock,
+    /// A pipelined batch's next chunk, whose inputs upload behind this
+    /// chunk's first sweep launch.
+    ahead: Option<Ahead<'d>>,
+    /// A pipelined batch's previous chunk's read-back: a slice drains
+    /// behind each sweep launch, and the rest before this chunk's own.
+    drain: Option<&'d mut Drain<'a>>,
+    /// A chunk another follows in a pipelined batch: an end that observed
+    /// no fault leaves V and J on the device for that chunk to drain.
+    defer: bool,
+    /// Whether the end left V and J on the device.
+    deferred: bool,
 }
 
 /// The one scenario's load scale.
@@ -1246,7 +1566,22 @@ impl<'d, 'a> Chunk<'d, 'a> {
         clock: SessionClock,
     ) -> Self {
         let (unsettled, min_v, probe_v) = (None, Vec::new(), vec![Vec::new(); res.range.len()]);
-        Chunk { dev, res, loads, warm, output, unsettled, min_v, probe_v, clock }
+        let (ahead, drain, defer, deferred) = (None, None, false, false);
+        Chunk {
+            dev,
+            res,
+            loads,
+            warm,
+            output,
+            unsettled,
+            min_v,
+            probe_v,
+            clock,
+            ahead,
+            drain,
+            defer,
+            deferred,
+        }
     }
 
     /// Opens a single solve's chunk — topology, scale word and mask in
@@ -1268,9 +1603,33 @@ impl<'d, 'a> Chunk<'d, 'a> {
         let loads = Loads::Scaled(&UNIT_SCALE);
         let mut t = Timing::default();
         let slots = max_iter as usize;
-        let res = Resident::build(dev, a, None, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
+        let held = (&mut None, &mut None);
+        let res = Resident::build(dev, a, held, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
         let clock = SessionClock::resume(&t, 0.0, obs);
         Ok(Chunk::new(dev, res, loads, v_init, Output::Solve { sweep_us }, clock))
+    }
+
+    /// Uploads the next chunk's inputs on their own stream, charged to
+    /// setup. A failure other than a lost device — among them inputs
+    /// that do not fit beside this chunk — leaves them to that chunk's
+    /// own build. The prefetch launches nothing, so its faults touch only
+    /// the next chunk's buffers: they count against that chunk, not this
+    /// one.
+    fn prefetch(&mut self, ahead: Ahead<'_>) -> Result<(), DeviceError> {
+        let (dev, r) = (&mut *self.dev, &mut self.res);
+        let (faults, mark) = (dev.fault_log().len(), dev.timeline().mark());
+        let run = dev.set_stream(ahead.stream);
+        let uploaded = Inputs::upload(dev, r.a, &self.loads, r.plan, ahead.range, &r.topo);
+        dev.set_stream(run);
+        self.clock.charge("setup", &dev.timeline().breakdown_since(mark));
+        let taken = dev.fault_log().len() - faults;
+        (r.faults_base, *ahead.faults) = (r.faults_base + taken, *ahead.faults + taken);
+        match uploaded {
+            Ok(inputs) => *ahead.inputs = Some(inputs),
+            Err(e @ DeviceError::DeviceLost { .. }) => return Err(e),
+            Err(_) => {}
+        }
+        Ok(())
     }
 
     /// Sweeps the next launch runs: a single solve at most `max`, 1 under
@@ -1310,7 +1669,17 @@ impl SweepSession for Chunk<'_, '_> {
         // in the tensor engine, like `injection_us` — both are fused into
         // the same kernel).
         self.res.sweep(self.dev, k, allowed.go_on)?;
-        self.clock.charge("backward", &self.dev.timeline().breakdown_since(mark));
+        let swept = self.dev.timeline().breakdown_since(mark);
+        self.clock.charge("backward", &swept);
+        if let Some(ahead) = self.ahead.take() {
+            self.prefetch(ahead)?;
+        }
+        if let Some(drain) = self.drain.as_deref_mut() {
+            let lanes = drain.lanes_within(self.dev.props(), swept.kernel_us);
+            let mark = self.dev.timeline().mark();
+            drain.read_beside(self.dev, lanes)?;
+            self.clock.charge("teardown", &self.dev.timeline().breakdown_since(mark));
+        }
         let mark = self.dev.timeline().mark();
         let mut residuals = Vec::new();
         let read = DtohPart::prefix(&self.res.res, k * self.res.range.len(), &mut residuals);
@@ -1407,10 +1776,17 @@ impl SweepSession for Chunk<'_, '_> {
 
     fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
         let armed = self.dev.fault_plan().is_some();
+        let keeps = self.output == Output::Batch { keep: true };
+        let defer = keeps && self.defer && self.faults_observed() == 0;
+        self.deferred = false;
         let (dev, r) = (&mut *self.dev, &mut self.res);
         let mark = dev.timeline().mark();
+        if let Some(drain) = self.drain.as_deref_mut() {
+            drain.read_beside(dev, usize::MAX)?;
+        }
         let (mut v, mut j) = (Vec::new(), Vec::new());
         match self.output {
+            Output::Batch { keep: true } if defer => {}
             Output::Solve { .. } => dev.try_dtoh_packed_checked(&mut [
                 DtohPart::new(&r.v, &mut v),
                 DtohPart::new(&r.j, &mut j),
@@ -1438,6 +1814,8 @@ impl SweepSession for Chunk<'_, '_> {
             let lane = |s: &[Complex]| pos.iter().map(|&p| s[p as usize]).collect();
             self.probe_v = v.chunks(r.a.len()).map(lane).collect();
         }
+        // Only a download that read everything else leaves V and J.
+        self.deferred = defer;
         Ok((v, j))
     }
 
@@ -1672,7 +2050,8 @@ impl<'s> TensorOuterSession<'s> {
                 None => {
                     let (nb, deltas) = (m.loads.len(), Loads::Deltas(&m.loads));
                     let (warm, probes) = (m.warm.as_deref(), &m.probes);
-                    Resident::build(dev, m.a, None, &deltas, None, 0..nb, warm, probes, 1, t)
+                    let held = (&mut None, &mut None);
+                    Resident::build(dev, m.a, held, &deltas, None, 0..nb, warm, probes, 1, t)
                         .map_err(|e| setup_abort(e, rep, budget))?
                 }
             };
@@ -2258,7 +2637,7 @@ mod tests {
     use powergrid::RadialNetwork;
     use rng::rngs::StdRng;
     use rng::SeedableRng;
-    use simt::DeviceProps;
+    use simt::{DeviceProps, EventKind};
 
     fn device() -> Device {
         Device::with_workers(DeviceProps::paper_rig(), 2)
@@ -3003,6 +3382,259 @@ mod tests {
         let (res, _) = run(simt::FaultPlan::scripted([(op, flip)]));
         assert_eq!(res.fault_report.as_ref().map(|r| r.faults_injected), Some(1));
         assert_eq!(res.min_v, clean.min_v);
+    }
+
+    /// A pipelined batch — each chunk's successor uploads its inputs
+    /// under its sweeps, and its V and J drain under the successor's —
+    /// answers bit for bit as its chunks solved as batches of their own,
+    /// and its phases sum to the device's makespan, which the overlap
+    /// puts below the busy sum.
+    #[test]
+    fn a_pipelined_batch_answers_as_its_chunks_solved_alone() {
+        let net = random_tree(300, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let (a, dfs, cfg) = (SolverArrays::new(&net), DfsOrder::new(&net), SolverConfig::default());
+        let scales: Vec<f64> = (0..9).map(|k| 0.6 + 0.1 * k as f64).collect();
+        let loads = scaled_scenarios(&net, &scales);
+        let patches: Vec<ScenarioPatch> = (1..10)
+            .map(|b| ScenarioPatch { scale: 0.7 + 0.05 * b as f64, ..ScenarioPatch::outage(b) })
+            .collect();
+        let patched = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
+        for batch in [Scenarios::Explicit(&loads), patched] {
+            let mut piped = solver().with_chunk_scenarios(3);
+            let res = piped.try_solve(&a, batch, &cfg).unwrap();
+            for r in [0..3, 3..6, 6..9] {
+                let part = match batch {
+                    Scenarios::Explicit(l) => Scenarios::Explicit(&l[r.clone()]),
+                    Scenarios::Patched { dfs, patches, warm } => {
+                        Scenarios::Patched { dfs, patches: &patches[r.clone()], warm }
+                    }
+                    Scenarios::Scaled(_) => unreachable!(),
+                };
+                let alone = solver().try_solve(&a, part, &cfg).unwrap();
+                assert_eq!((&res.v[r.clone()], &res.j[r.clone()]), (&alone.v[..], &alone.j[..]));
+                let iters = &res.per_scenario_iterations[r.clone()];
+                assert_eq!(iters, alone.per_scenario_iterations);
+                assert_eq!(res.statuses[r.clone()], alone.statuses[..]);
+                assert_eq!(res.residuals[r.clone()], alone.residuals[..]);
+                if !res.min_v.is_empty() {
+                    assert_eq!(res.min_v[r.clone()], alone.min_v[..]);
+                }
+            }
+            let tl = piped.device().timeline();
+            let (b, makespan) = (tl.breakdown(), tl.total_modeled_us());
+            let got = res.timing.total_us();
+            let near = |x: f64, y: f64| (x - y).abs() <= 1e-9 * makespan;
+            assert!(near(got, makespan), "charged {got} µs of a {makespan} µs makespan");
+            assert!(b.hidden_us > 0.0 && makespan < b.htod_us + b.dtoh_us + b.kernel_us);
+            let transfers = res.timing.transfer_us;
+            assert!(near(transfers, b.transfer_us()), "only exposed copies count");
+        }
+    }
+
+    /// An allocation failure in the prefetch of the second chunk's inputs
+    /// counts against that chunk, whose inputs its own build then
+    /// uploads, and not against the first, whose state it never touched.
+    #[test]
+    fn a_prefetch_fault_counts_against_the_chunk_it_uploads_for() {
+        let net = random_tree(300, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let scales: Vec<f64> = (0..9).map(|k| 0.6 + 0.1 * k as f64).collect();
+        let loads = scaled_scenarios(&net, &scales);
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(3);
+            (solver.solve_arrays(&a, &loads, &cfg), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        let events = solver.device().timeline().events();
+        let prefetch = events.iter().position(|e| e.stream == 2).expect("a prefetch");
+        assert!(matches!(events[prefetch].kind, EventKind::Alloc { .. }));
+        let oom = simt::FaultKind::AllocOom;
+        let (res, _) = run(simt::FaultPlan::scripted([(prefetch as u64, oom)]));
+        assert_eq!((&res.v, &res.j), (&clean.v, &clean.j));
+        assert_eq!(res.statuses[..3], clean.statuses[..3], "the running chunk saw no fault");
+        let recovered = SolveStatus::Recovered { faults: 1, retries: 0 };
+        assert_eq!(res.statuses[3..6], [recovered; 3], "the chunk whose inputs it uploaded");
+        assert_eq!(res.statuses[6..], clean.statuses[6..]);
+        assert_eq!(res.fault_report.map(|r| (r.faults_injected, r.retries)), Some((1, 0)));
+    }
+
+    /// A device with room for one chunk but not for two in flight: the
+    /// next chunk's inputs wait for the previous chunk's memory, and a
+    /// chunk that does not fit beside the previous chunk's read-back waits
+    /// for it to finish, instead of failing — the batch answers as on a
+    /// roomy device and spends no retry.
+    #[test]
+    fn a_prefetch_that_does_not_fit_waits_and_is_not_a_fault() {
+        let net = random_tree(300, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(5));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let loads = scaled_scenarios(&net, &[0.6, 0.8, 1.0, 1.1, 1.2, 1.3, 0.9]);
+        let run = |global_mem_bytes, loads: &[Vec<Complex>]| {
+            let props = DeviceProps { global_mem_bytes, ..DeviceProps::paper_rig() };
+            let mut dev = Device::with_workers(props, 2);
+            dev.arm_faults(simt::FaultPlan::seeded(0, 0.0));
+            let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(3);
+            (solver.solve_arrays(&a, loads, &cfg), solver)
+        };
+        let roomy_bytes = DeviceProps::paper_rig().global_mem_bytes;
+        // What one chunk allocates, measured on a chunk solved alone (it
+        // frees nothing before it ends); room for one more lane on top.
+        let (_, alone) = run(roomy_bytes, &loads[..3]);
+        let allocs = alone.device().timeline().events().iter().filter_map(|e| match e.kind {
+            EventKind::Alloc { bytes } => Some(bytes),
+            _ => None,
+        });
+        let lane = (a.len() * std::mem::size_of::<Complex>()) as u64;
+        let (roomy, _) = run(roomy_bytes, &loads);
+        let (tight, _) = run(allocs.sum::<u64>() + lane, &loads);
+        assert_eq!((&tight.v, &tight.j), (&roomy.v, &roomy.j));
+        assert_eq!(tight.statuses, roomy.statuses);
+        assert_eq!(tight.per_scenario_iterations, roomy.per_scenario_iterations);
+        let report = tight.fault_report.expect("an armed plan reports");
+        assert!(report.retries == 0 && !report.degraded(), "{report:?}");
+        assert!(tight.timing.total_us() > roomy.timing.total_us(), "waiting costs the overlap");
+    }
+
+    /// A warm patched batch whose chunks do not divide it evenly: a
+    /// prefetched chunk of one scenario starts from the warm profile like
+    /// every other, so the chunked batch answers as the whole one.
+    #[test]
+    fn a_prefetched_lone_scenario_starts_warm() {
+        let net = random_tree(180, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(29));
+        let (a, dfs, cfg) = (SolverArrays::new(&net), DfsOrder::new(&net), SolverConfig::default());
+        let base = SerialSolver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg);
+        let patches: Vec<ScenarioPatch> = (1..8)
+            .map(|b| ScenarioPatch { scale: 0.9 + 0.02 * b as f64, ..ScenarioPatch::outage(b) })
+            .collect();
+        let warm = Some(&base.v[..]);
+        let whole = solve_patched(&mut solver(), &a, &dfs, &patches, warm, &cfg);
+        assert!(whole.converged());
+        for cap in [3, 1] {
+            let mut chunked = solver().with_chunk_scenarios(cap);
+            let res = solve_patched(&mut chunked, &a, &dfs, &patches, warm, &cfg);
+            assert_eq!((&res.v, &res.j), (&whole.v, &whole.j), "chunks of {cap}");
+            assert_eq!(res.statuses, whole.statuses, "chunks of {cap}");
+            assert_eq!(res.per_scenario_iterations, whole.per_scenario_iterations);
+            assert_eq!((&res.residuals, &res.min_v), (&whole.residuals, &whole.min_v));
+        }
+    }
+
+    /// A corrupted `min |V|` read at the end of a chunk that would have
+    /// left its V and J to drain: the rolled-back chunk ends tainted and
+    /// reads its state at once, so none of it drains later (certification
+    /// read it), and the batch still answers as the clean run.
+    #[test]
+    fn a_chunk_whose_last_read_failed_does_not_drain() {
+        let net = random_tree(300, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let (a, dfs, cfg) = (SolverArrays::new(&net), DfsOrder::new(&net), SolverConfig::default());
+        let patches: Vec<ScenarioPatch> = (1..10)
+            .map(|b| ScenarioPatch { scale: 0.7 + 0.05 * b as f64, ..ScenarioPatch::outage(b) })
+            .collect();
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(3);
+            let batch = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
+            (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+        };
+        let drained = |solver: &TensorBatchSolver| -> u64 {
+            let read = |e: &simt::Event| match e.kind {
+                EventKind::Dtoh { bytes } if e.stream == 3 => bytes,
+                _ => 0,
+            };
+            solver.device().timeline().events().iter().map(read).sum()
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        // The first chunk's last read, of `min |V|`, is the last read
+        // before the second chunk's first sweep.
+        let events = solver.device().timeline().events();
+        let first = *clean.per_scenario_iterations[..3].iter().max().unwrap() as usize;
+        let sweeps = events.iter().enumerate().filter(|(_, e)| e.label() == "tensor_sweep");
+        let next = sweeps.map(|(op, _)| op).nth(first).expect("the second chunk sweeps");
+        let read = (0..next).rev().find(|&op| matches!(events[op].kind, EventKind::Dtoh { .. }));
+        let corrupt = simt::FaultKind::TransferCorruption;
+        let plan = simt::FaultPlan::scripted([(read.expect("a read") as u64, corrupt)]);
+        let (res, faulted) = run(plan);
+        let report = res.fault_report.as_ref().expect("an armed plan reports");
+        assert!(report.rollbacks >= 1 && !report.degraded(), "{report:?}");
+        assert_eq!((&res.v, &res.j, &res.min_v), (&clean.v, &clean.j, &clean.min_v));
+        // The second chunk's inputs, prefetched before the fault, waited
+        // through it: that chunk ends tainted too, and the third is last.
+        assert!(drained(&solver) > 0);
+        assert_eq!(drained(&faulted), 0, "a tainted chunk drains nothing");
+    }
+
+    /// A corrupted read-back slice of the previous chunk touches none of
+    /// the running chunk's state: its lanes are read again later, and the
+    /// running chunk does not roll back.
+    #[test]
+    fn a_corrupted_slice_is_read_again_without_a_rollback() {
+        let net = random_tree(300, 5, &GenSpec::default(), &mut StdRng::seed_from_u64(3));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let scales: Vec<f64> = (0..9).map(|k| 0.6 + 0.1 * k as f64).collect();
+        let loads = scaled_scenarios(&net, &scales);
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(3);
+            (solver.solve_arrays(&a, &loads, &cfg), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        let events = solver.device().timeline().events();
+        let slice = events.iter().position(|e| e.stream == 3).expect("a drained slice");
+        let corrupt = simt::FaultKind::TransferCorruption;
+        let (res, _) = run(simt::FaultPlan::scripted([(slice as u64, corrupt)]));
+        let report = res.fault_report.as_ref().expect("an armed plan reports");
+        assert!(report.rollbacks == 0 && !report.degraded(), "{report:?}");
+        assert_eq!((&res.v, &res.j), (&clean.v, &clean.j));
+    }
+
+    /// A flip that lands in a drained chunk's V or J while it waits on
+    /// the device, under the next chunk's sweeps, never leaks out as a
+    /// converged answer: a lane read after a fault stands only if the
+    /// host vouches for it.
+    #[test]
+    fn a_flip_in_a_waiting_read_back_never_leaks() {
+        let net = balanced_binary(255, &GenSpec::default(), &mut StdRng::seed_from_u64(17));
+        let (a, cfg) = (SolverArrays::new(&net), SolverConfig::default());
+        let (n, nb) = (a.len(), 64);
+        let scales: Vec<f64> = (0..2 * nb).map(|k| 0.6 + 0.005 * k as f64).collect();
+        let scenarios = scaled_scenarios(&net, &scales);
+        let run = |plan| {
+            let mut dev = device();
+            dev.arm_faults(plan);
+            let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(nb);
+            (solver.solve_arrays(&a, &scenarios, &cfg), solver)
+        };
+        let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
+        let events = solver.device().timeline().events();
+        let slices: Vec<usize> = (0..events.len()).filter(|&op| events[op].stream == 3).collect();
+        assert!(slices.len() >= 2, "the first chunk drains in slices");
+        // The second chunk's sweep after the first slice: the last lane
+        // still waits on the device.
+        let sweep = |&op: &usize| events[op].label() == "tensor_sweep";
+        let op = (slices[0]..events.len()).find(sweep).expect("a later sweep");
+        let band = 1e-3 * net.source_voltage().abs();
+        let (mut leaks, mut solved_on_host) = (Vec::new(), 0);
+        for buffer in 0..16 {
+            // The real part of the last lane's last bus in a V or J slab.
+            let word = 2 * (nb * n) as u64 - 2;
+            let flip = simt::FaultKind::BufferBitFlip { buffer, word, bit: 61 };
+            let (res, _) = run(simt::FaultPlan::scripted([(op as u64, flip)]));
+            // A lane solved on the host charges its solve to teardown.
+            let teardown = |r: &TensorBatchResult| r.timing.phases.teardown_us;
+            solved_on_host += usize::from(teardown(&res) > teardown(&clean));
+            for s in 0..scenarios.len() {
+                let dv = res.v[s].iter().zip(&clean.v[s]).map(|(x, y)| (*x - *y).abs());
+                let off = dv.fold(0.0, f64::max);
+                if res.statuses[s].is_converged() && (off > band || off.is_nan()) {
+                    leaks.push(format!("buffer {buffer} scenario {s} off by {off:.3e} V"));
+                }
+            }
+        }
+        assert!(leaks.is_empty(), "{}", leaks.join("\n"));
+        assert!(solved_on_host > 0, "some flip landed in a waiting read-back");
     }
 
     /// A diverging and a NaN-load scenario beside healthy ones, with one

@@ -6,7 +6,8 @@
 //! [`crate::Device::try_dtoh_packed_checked`], of which the one-buffer
 //! checked copies are the one-member case) model that net by computing
 //! this checksum independently on both sides of every guarded copy — a
-//! packed copy over the concatenation of its members. The
+//! packed copy over the concatenation of its members, streamed member by
+//! member ([`crc64_parts`]) so no side builds the concatenation. The
 //! implementation is the bit-reflected ECMA-182 polynomial (the `xz`
 //! CRC-64 variant) over a compile-time 256-entry table — no external
 //! crates, deterministic everywhere.
@@ -33,9 +34,17 @@ const TABLE: [u64; 256] = {
 
 /// CRC64/XZ of a byte slice (init and final XOR are all-ones).
 pub fn crc64(bytes: &[u8]) -> u64 {
+    crc64_parts([bytes])
+}
+
+/// CRC64/XZ of the concatenation of `parts`, streamed part by part: equal
+/// to [`crc64`] of the concatenated bytes without building them.
+pub fn crc64_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut crc = !0u64;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    for part in parts {
+        for &b in part {
+            crc = TABLE[((crc ^ u64::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }
@@ -73,6 +82,30 @@ mod tests {
                 assert_ne!(crc64(&tampered), want, "flip at {byte}:{bit} undetected");
             }
         }
+    }
+
+    #[test]
+    fn parts_over_random_splits_equal_the_concatenation() {
+        // A splitmix64 stream picks the bytes and the cut points.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200 {
+            let len = (next() % 300) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let cut = |x: u64| x as usize % (len + 1);
+            let mut cuts: Vec<usize> = (0..next() % 6).map(|_| cut(next())).collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &bytes[w[0]..w[1]]).collect();
+            assert_eq!(crc64_parts(parts), crc64(&bytes), "cuts {cuts:?} of {len} bytes");
+        }
+        assert_eq!(crc64_parts(std::iter::empty()), crc64(b""));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The device handle: allocation, transfers, launches, timeline.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,11 +52,44 @@ impl<'a> DtohPart<'a> {
     ///
     /// If `len` exceeds the buffer's length.
     pub fn prefix<T: DeviceCopy>(src: &'a DeviceBuffer<T>, len: usize, out: &'a mut Vec<T>) -> Self {
-        assert!(len <= src.len(), "dtoh of {len} elements from a buffer of {}", src.len());
-        out.clear();
-        out.resize(len, T::default());
-        DtohPart { src: &src.bytes()[..std::mem::size_of::<T>() * len], out: pod_bytes_mut(out) }
+        Self::range(src, 0..len, out)
     }
+
+    /// Reads the elements `at` of `src` into `out`, which is resized to
+    /// their count.
+    ///
+    /// # Panics
+    ///
+    /// If `at` runs past the end of the buffer.
+    pub fn range<T: DeviceCopy>(
+        src: &'a DeviceBuffer<T>,
+        at: Range<usize>,
+        out: &'a mut Vec<T>,
+    ) -> Self {
+        assert!(at.end <= src.len(), "dtoh of elements {at:?} from a buffer of {}", src.len());
+        out.clear();
+        out.resize(at.len(), T::default());
+        let size = std::mem::size_of::<T>();
+        DtohPart { src: &src.bytes()[size * at.start..size * at.end], out: pod_bytes_mut(out) }
+    }
+}
+
+/// A stream (`cudaStream_t`): ops issued on one run in issue order. The
+/// default stream orders against every other; see [`crate::timeline`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stream(u32);
+
+impl Stream {
+    /// The legacy default stream every device op runs on unless
+    /// [`Device::set_stream`] picks another.
+    pub const DEFAULT: Stream = Stream(0);
+}
+
+/// A point on a stream's schedule (`cudaEvent_t`): what
+/// [`Device::record_event`] captured and [`Device::wait_event`] waits for.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StreamEvent {
+    at_us: f64,
 }
 
 /// The byte at offset `at` of the concatenation of `members`.
@@ -71,9 +105,13 @@ fn byte_at<'b>(members: impl Iterator<Item = &'b mut [u8]>, mut at: u64) -> &'b 
 
 /// A simulated CUDA device.
 ///
-/// All operations are synchronous (the paper's pipeline is too: upload,
-/// iterate kernels with a host-side convergence loop, download). Modeled
-/// time for every operation is appended to the [`Timeline`].
+/// Every operation runs functionally at once, in issue order. Its modeled
+/// time goes on the [`Timeline`], on the current stream
+/// ([`Device::set_stream`]) and on its engine: the default stream runs
+/// everything back to back (the paper's pipeline: upload, iterate kernels
+/// with a host-side convergence loop, download), and created streams
+/// ([`Device::create_stream`]) let copies overlap kernels, ordered by
+/// events ([`Device::record_event`], [`Device::wait_event`]).
 ///
 /// # Fallible vs. panicking API
 ///
@@ -116,6 +154,7 @@ pub struct Device {
     fault_log: Vec<FaultRecord>,
     lost_at: Option<u64>,
     ordinal: u32,
+    stream: Stream,
 }
 
 impl Device {
@@ -139,6 +178,7 @@ impl Device {
             fault_log: Vec::new(),
             lost_at: None,
             ordinal: 0,
+            stream: Stream::DEFAULT,
         }
     }
 
@@ -182,6 +222,35 @@ impl Device {
         &mut self.timeline
     }
 
+    /// A new stream, empty until ops are issued on it.
+    pub fn create_stream(&mut self) -> Stream {
+        Stream(self.timeline.new_stream())
+    }
+
+    /// Issues every later op on `stream`; returns the stream it replaces.
+    pub fn set_stream(&mut self, stream: Stream) -> Stream {
+        std::mem::replace(&mut self.stream, stream)
+    }
+
+    /// Captures the current stream's position: an op waiting on the
+    /// event starts no earlier than the end of every op issued on the
+    /// stream so far.
+    pub fn record_event(&self) -> StreamEvent {
+        StreamEvent { at_us: self.timeline.tail(self.stream.0) }
+    }
+
+    /// Holds every later op of the current stream until `event`.
+    pub fn wait_event(&mut self, event: StreamEvent) {
+        self.timeline.wait(self.stream.0, event.at_us);
+    }
+
+    /// Logs one op of `kind` on the current stream; a `blocking` one (a
+    /// read the host waits for) moves the host clock.
+    fn record(&mut self, kind: EventKind, modeled_us: f64, wall_us: f64, blocking: bool) {
+        let ev = Event { stream: self.stream.0, ..Event::new(kind, modeled_us, wall_us) };
+        self.timeline.push(ev, blocking);
+    }
+
     /// Arms a fault plan; subsequent operations draw fault decisions
     /// from it. Pass a clone of a shared plan to continue one op stream
     /// across several devices (see [`FaultPlan`]). The device's ordinal
@@ -219,14 +288,8 @@ impl Device {
         let op = plan.next_op();
         let Some(kind) = plan.decide(op, site) else { return Ok(None) };
         self.fault_log.push(FaultRecord { op, site, kind: kind.clone() });
-        self.timeline.push(Event {
-            kind: EventKind::Fault {
-                desc: format!("{} @ {}", kind.label(), site.label()),
-                op,
-            },
-            modeled_us: 0.0,
-            wall_us: 0.0,
-        });
+        let desc = format!("{} @ {}", kind.label(), site.label());
+        self.record(EventKind::Fault { desc, op }, 0.0, 0.0, false);
         if let FaultKind::DeviceLost { at_op } = kind {
             self.lost_at = Some(at_op);
             return Err(DeviceError::DeviceLost { at_op });
@@ -250,11 +313,7 @@ impl Device {
             });
         }
         let buf = DeviceBuffer::zeroed_in(len, &self.mem);
-        self.timeline.push(Event {
-            kind: EventKind::Alloc { bytes: buf.size_bytes() },
-            modeled_us: 0.0,
-            wall_us: 0.0,
-        });
+        self.record(EventKind::Alloc { bytes: buf.size_bytes() }, 0.0, 0.0, false);
         Ok(buf)
     }
 
@@ -326,14 +385,31 @@ impl Device {
     /// exactly one member lands corrupted — silently.
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_htod_packed(&mut self, parts: &mut [HtodPart<'_>]) -> Result<(), DeviceError> {
-        self.htod_packed(parts).map(drop)
+        let fault = self.poll_fault(FaultSite::Htod)?;
+        if let Some(p) = parts.iter().find(|p| p.host_len != p.device_len) {
+            return Err(DeviceError::TransferSize { host: p.host_len, device: p.device_len });
+        }
+        let t0 = Instant::now();
+        for p in parts.iter_mut() {
+            p.dst.copy_from_slice(p.src);
+        }
+        let bytes: u64 = parts.iter().map(|p| p.dst.len() as u64).sum();
+        if let Some((op, FaultKind::TransferCorruption)) = fault {
+            if let Some((byte, bit)) = self.plan.as_ref().and_then(|p| p.flip_target(op, bytes)) {
+                *byte_at(parts.iter_mut().map(|p| &mut *p.dst), byte) ^= 1 << (bit % 8);
+            }
+        }
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        let modeled_us = timing::transfer_time(&self.props, bytes);
+        self.record(EventKind::Htod { bytes }, modeled_us, wall_us, false);
+        Ok(())
     }
 
     /// [`Device::try_htod_packed`] with end-to-end integrity: a CRC64 of
-    /// the staged host payload is compared against a CRC64 recomputed
-    /// over the members' device copies after the transfer (the link-CRC
-    /// model, see [`crate::crc`]). A mismatch — e.g. an injected
-    /// [`FaultKind::TransferCorruption`] — returns
+    /// the host payload is compared against a CRC64 recomputed over the
+    /// members' device copies after the transfer (the link-CRC model, see
+    /// [`crate::crc`]); both stream over the members. A mismatch — e.g. an
+    /// injected [`FaultKind::TransferCorruption`] — returns
     /// [`DeviceError::TransferCorrupted`] instead of corrupting silently;
     /// the device copies are left as transferred so the caller can retry
     /// the upload. Consumes exactly one fault-plan op, like the unchecked
@@ -343,51 +419,33 @@ impl Device {
         &mut self,
         parts: &mut [HtodPart<'_>],
     ) -> Result<(), DeviceError> {
-        let expected = crate::crc::crc64(&self.htod_packed(parts)?);
-        let landed: Vec<u8> = parts.iter().flat_map(|p| p.dst.iter().copied()).collect();
-        let actual = crate::crc::crc64(&landed);
+        let expected = crate::crc::crc64_parts(parts.iter().map(|p| p.src));
+        self.try_htod_packed(parts)?;
+        let actual = crate::crc::crc64_parts(parts.iter().map(|p| &*p.dst));
         if actual != expected {
             return Err(DeviceError::TransferCorrupted { site: FaultSite::Htod, expected, actual });
         }
         Ok(())
     }
 
-    /// The packed upload; returns the staged bytes for the checked path.
-    fn htod_packed(&mut self, parts: &mut [HtodPart<'_>]) -> Result<Vec<u8>, DeviceError> {
-        let fault = self.poll_fault(FaultSite::Htod)?;
-        if let Some(p) = parts.iter().find(|p| p.host_len != p.device_len) {
-            return Err(DeviceError::TransferSize { host: p.host_len, device: p.device_len });
-        }
-        let t0 = Instant::now();
-        let staged: Vec<u8> = parts.iter().flat_map(|p| p.src.iter().copied()).collect();
-        let mut at = 0;
-        for p in parts.iter_mut() {
-            p.dst.copy_from_slice(&staged[at..at + p.dst.len()]);
-            at += p.dst.len();
-        }
-        let bytes = staged.len() as u64;
-        if let Some((op, FaultKind::TransferCorruption)) = fault {
-            if let Some((byte, bit)) = self.plan.as_ref().and_then(|p| p.flip_target(op, bytes)) {
-                *byte_at(parts.iter_mut().map(|p| &mut *p.dst), byte) ^= 1 << (bit % 8);
-            }
-        }
-        self.timeline.push(Event {
-            kind: EventKind::Htod { bytes },
-            modeled_us: timing::transfer_time(&self.props, bytes),
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
-        });
-        Ok(staged)
-    }
-
     /// Reads several device buffers (or their leading elements) into
     /// host vectors as one PCIe transaction, the mirror of
     /// [`Device::try_htod_packed`]: one [`EventKind::Dtoh`] of the summed
-    /// bytes and one fault-plan op. Seeded plans never corrupt this path
-    /// (read-backs are CRC-protected on real parts); a *scripted*
-    /// [`FaultKind::TransferCorruption`] flips one bit at one byte offset
-    /// of the concatenated host copies.
+    /// bytes and one fault-plan op. The host waits for it. Seeded plans
+    /// never corrupt this path (read-backs are CRC-protected on real
+    /// parts); a *scripted* [`FaultKind::TransferCorruption`] flips one
+    /// bit at one byte offset of the concatenated host copies.
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_dtoh_packed(&mut self, parts: &mut [DtohPart<'_>]) -> Result<(), DeviceError> {
+        self.dtoh_packed(parts, true)
+    }
+
+    /// The packed read; a `blocking` one moves the host clock.
+    fn dtoh_packed(
+        &mut self,
+        parts: &mut [DtohPart<'_>],
+        blocking: bool,
+    ) -> Result<(), DeviceError> {
         let fault = self.poll_fault(FaultSite::Dtoh)?;
         let t0 = Instant::now();
         for p in parts.iter_mut() {
@@ -399,29 +457,48 @@ impl Device {
                 *byte_at(parts.iter_mut().map(|p| &mut *p.out), byte) ^= 1 << (bit % 8);
             }
         }
-        self.timeline.push(Event {
-            kind: EventKind::Dtoh { bytes },
-            modeled_us: timing::transfer_time(&self.props, bytes),
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
-        });
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        let modeled_us = timing::transfer_time(&self.props, bytes);
+        self.record(EventKind::Dtoh { bytes }, modeled_us, wall_us, blocking);
         Ok(())
     }
 
     /// [`Device::try_dtoh_packed`] with end-to-end integrity: the CRC64
-    /// of the concatenated device members is computed before the
-    /// read-back and compared with the CRC64 of the concatenated host
-    /// copies. A scripted dtoh [`FaultKind::TransferCorruption`] surfaces
-    /// as [`DeviceError::TransferCorrupted`] instead of handing the
-    /// caller corrupted data. Consumes exactly one fault-plan op.
+    /// of the device members is computed before the read-back and
+    /// compared with the CRC64 of the host copies, both streamed over
+    /// the members. A scripted dtoh [`FaultKind::TransferCorruption`]
+    /// surfaces as [`DeviceError::TransferCorrupted`] instead of handing
+    /// the caller corrupted data. Consumes exactly one fault-plan op.
     #[must_use = "device operations can fail; handle the Result"]
     pub fn try_dtoh_packed_checked(
         &mut self,
         parts: &mut [DtohPart<'_>],
     ) -> Result<(), DeviceError> {
-        let concat = |bytes: Vec<&[u8]>| crate::crc::crc64(&bytes.concat());
-        let expected = concat(parts.iter().map(|p| p.src).collect());
-        self.try_dtoh_packed(parts)?;
-        let actual = concat(parts.iter().map(|p| &*p.out).collect());
+        self.dtoh_checked(parts, true)
+    }
+
+    /// [`Device::try_dtoh_packed_checked`] as a `cudaMemcpyAsync` into
+    /// pinned host memory: the host does not wait for it, so it leaves
+    /// the host clock where it was. The data and its CRC verdict are
+    /// there at once (the simulator copies in issue order); the copy's
+    /// modeled end is on the timeline.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_dtoh_packed_checked_async(
+        &mut self,
+        parts: &mut [DtohPart<'_>],
+    ) -> Result<(), DeviceError> {
+        self.dtoh_checked(parts, false)
+    }
+
+    /// The checked packed read; a `blocking` one moves the host clock.
+    fn dtoh_checked(
+        &mut self,
+        parts: &mut [DtohPart<'_>],
+        blocking: bool,
+    ) -> Result<(), DeviceError> {
+        let expected = crate::crc::crc64_parts(parts.iter().map(|p| p.src));
+        self.dtoh_packed(parts, blocking)?;
+        let actual = crate::crc::crc64_parts(parts.iter().map(|p| &*p.out));
         if actual != expected {
             return Err(DeviceError::TransferCorrupted { site: FaultSite::Dtoh, expected, actual });
         }
@@ -488,17 +565,14 @@ impl Device {
         );
         let wall_us = t0.elapsed().as_secs_f64() * 1e6;
         let timing = timing::kernel_time(&self.props, &cfg, &stats);
-        self.timeline.push(Event {
-            kind: EventKind::Kernel {
-                name: kernel.name(),
-                grid: cfg.total_blocks().min(u32::MAX as u64) as u32,
-                block: cfg.block,
-                stats,
-                timing,
-            },
-            modeled_us: timing.total_us,
-            wall_us,
-        });
+        let kind = EventKind::Kernel {
+            name: kernel.name(),
+            grid: cfg.total_blocks().min(u32::MAX as u64) as u32,
+            block: cfg.block,
+            stats,
+            timing,
+        };
+        self.record(kind, timing.total_us, wall_us, false);
         Ok(())
     }
 
@@ -910,5 +984,112 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same seed must replay byte-identically");
         assert_ne!(run(7).1, run(8).1, "different seeds must differ");
+    }
+
+    /// The modeled `(start, end)` of every timed event, in issue order.
+    fn spans(dev: &Device) -> Vec<(f64, f64)> {
+        let evs = dev.timeline().events();
+        evs.iter().filter(|e| e.modeled_us > 0.0).map(|e| (e.start_us, e.end_us())).collect()
+    }
+
+    #[test]
+    fn default_stream_makespan_is_the_busy_sum_bit_for_bit() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let host: Vec<u32> = (0..3000).collect();
+        let src = dev.alloc_from(&host);
+        let mut dst = dev.alloc::<u32>(3000);
+        for _ in 0..5 {
+            let k = Double { src: src.view(), dst: dst.view_mut(), n: 3000 };
+            dev.launch(LaunchConfig::for_elems(3000), &k);
+            let _ = dev.dtoh(&dst);
+        }
+        let tl = dev.timeline();
+        let sum: f64 = tl.events().iter().map(|e| e.modeled_us).sum();
+        assert_eq!(tl.total_modeled_us().to_bits(), sum.to_bits());
+        let b = tl.breakdown();
+        assert_eq!((b.hidden_us, b.hidden_transfer_us), (0.0, 0.0));
+        assert_eq!(b.total_us().to_bits(), (b.htod_us + b.dtoh_us + b.kernel_us).to_bits());
+        assert_eq!(b.transfer_us().to_bits(), (b.htod_us + b.dtoh_us).to_bits());
+        let spans = spans(&dev);
+        assert!(spans.windows(2).all(|w| w[1].0 == w[0].1), "back to back: {spans:?}");
+    }
+
+    #[test]
+    fn two_streams_overlap_between_the_busiest_engine_and_the_serial_sum() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let (copies, sweeps) = (dev.create_stream(), dev.create_stream());
+        let host: Vec<u32> = (0..1 << 16).collect();
+        let src = dev.alloc_from(&host);
+        let mut dst = dev.alloc::<u32>(1 << 16);
+        let mut up = dev.alloc::<u32>(1 << 16);
+        let mark = dev.timeline().mark();
+        for _ in 0..4 {
+            dev.set_stream(sweeps);
+            let k = Double { src: src.view(), dst: dst.view_mut(), n: 1 << 16 };
+            dev.launch(LaunchConfig::for_elems(1 << 16), &k);
+            dev.set_stream(copies);
+            dev.htod(&mut up, &host);
+        }
+        dev.set_stream(Stream::DEFAULT);
+        let tl = dev.timeline();
+        let b = tl.breakdown_since(mark);
+        let t0 = tl.events()[mark - 1].end_us();
+        let makespan = tl.total_modeled_us() - t0;
+        let (serial, busiest) = (b.htod_us + b.kernel_us, b.htod_us.max(b.kernel_us));
+        assert!(busiest <= makespan && makespan < serial, "{busiest} ≤ {makespan} < {serial}");
+        assert!(b.hidden_us > 0.0 && b.hidden_transfer_us > 0.0);
+        assert!((b.total_us() - makespan).abs() < 1e-9 * makespan, "exposed time tiles the makespan");
+        // Each engine runs one op at a time.
+        for kind in [0u8, 1] {
+            let evs = tl.events()[mark..].iter().filter(|e| match e.kind {
+                EventKind::Kernel { .. } => kind == 0,
+                EventKind::Htod { .. } => kind == 1,
+                _ => false,
+            });
+            let ends: Vec<(f64, f64)> = evs.map(|e| (e.start_us, e.end_us())).collect();
+            assert!(ends.windows(2).all(|w| w[1].0 >= w[0].1), "engine {kind} overlaps itself");
+        }
+    }
+
+    #[test]
+    fn event_waits_and_the_host_clock_are_honoured() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let (a, b, c) = (dev.create_stream(), dev.create_stream(), dev.create_stream());
+        let host = vec![1.0f64; 1 << 16];
+        let mut buf = dev.alloc::<f64>(1 << 16);
+        let mut small = dev.alloc::<f64>(1);
+        dev.set_stream(a);
+        dev.htod(&mut buf, &host);
+        let uploaded = dev.record_event();
+        let upload_end = dev.timeline().events().last().unwrap().end_us();
+        // Stream b waits for the upload: its read would otherwise start at
+        // once on the idle D2H engine.
+        dev.set_stream(b);
+        dev.wait_event(uploaded);
+        let mut out = Vec::new();
+        dev.try_dtoh_packed_checked_async(&mut [DtohPart::prefix(&buf, 1, &mut out)]).unwrap();
+        let read = dev.timeline().events().last().unwrap().clone();
+        assert!(read.start_us >= upload_end, "the wait holds the read");
+        // An async read leaves the host clock: an upload on c runs beside
+        // it (the H2D engine is free once the big upload ended).
+        dev.set_stream(c);
+        dev.htod(&mut small, &[2.0]);
+        let up = dev.timeline().events().last().unwrap().clone();
+        assert!(up.start_us < read.end_us(), "async reads do not block the host");
+        // A blocking read moves the host clock to its end: nothing
+        // issued after it starts earlier, on any stream.
+        dev.set_stream(b);
+        let _ = dev.try_dtoh(&buf).unwrap();
+        let blocking_end = dev.timeline().events().last().unwrap().end_us();
+        dev.set_stream(c);
+        dev.htod(&mut small, &[3.0]);
+        assert!(dev.timeline().events().last().unwrap().start_us >= blocking_end);
+        // The default stream orders against everything.
+        dev.set_stream(Stream::DEFAULT);
+        dev.htod(&mut small, &[4.0]);
+        let last = dev.timeline().events().last().unwrap().clone();
+        let before = &dev.timeline().events()[..dev.timeline().len() - 1];
+        assert!(before.iter().all(|e| e.end_us() <= last.start_us));
+        assert_eq!(dev.timeline().total_modeled_us(), last.end_us());
     }
 }

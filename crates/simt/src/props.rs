@@ -52,6 +52,16 @@ pub struct DeviceProps {
 }
 
 impl DeviceProps {
+    /// Copy engines: one host→device and one device→host, each running
+    /// its copies one at a time beside the SMs (as on every paper-era
+    /// GeForce and Tesla part). A copy on a created stream overlaps
+    /// kernels and copies the other way; the default stream orders
+    /// against everything (see [`crate::timeline`]). A kernel keeps its
+    /// full device-memory bandwidth while copies run beside it: the model
+    /// does not share it out. On [`DeviceProps::paper_rig`] the copies
+    /// can take at most 2 × 12 of its 320 GB/s, which bounds the error.
+    pub const COPY_ENGINES: usize = 2;
+
     /// Mid-range Pascal-era GeForce: GTX 1060-class.
     pub fn gtx_1060() -> Self {
         DeviceProps {

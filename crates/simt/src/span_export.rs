@@ -1,21 +1,23 @@
 //! Bridge from the device [`Timeline`] to a [`telemetry::Trace`].
 //!
-//! Walks the event log with a cumulative modeled-time clock: each event's
-//! span starts where the previous one ended, so the exported device track
-//! is a gap-free reconstruction of the modeled schedule. Kernels and
-//! transfers become complete ("X") spans; allocations, faults, and
-//! supervisor markers — all zero-cost on the modeled clock — become
-//! instant ("i") events at their position in the stream. Host wall time is
-//! deliberately **not** exported: it would break byte-stability and is
-//! never part of a performance claim.
+//! Each event's span starts at its modeled start on the device schedule,
+//! on one track per stream ([`Trace::tid_for_stream`]): with only the
+//! default stream in use the device track is a gap-free reconstruction of
+//! the modeled schedule, and work on created streams shows beside it
+//! where it overlapped. Kernels and transfers become complete ("X")
+//! spans; allocations, faults, and supervisor markers — all zero-cost on
+//! the modeled clock — become instant ("i") events at their position in
+//! the stream. Host wall time is deliberately **not** exported: it would
+//! break byte-stability and is never part of a performance claim.
 
 use telemetry::trace::{ArgValue, InstantEvent, Span, Trace};
 
 use crate::timeline::{EventKind, Timeline};
 
-/// Append the timeline's events to `trace` on [`Trace::TID_DEVICE`],
-/// starting the modeled clock at `base_us`. Returns the clock value after
-/// the last event (i.e. `base_us` + total modeled µs of the timeline).
+/// Append the timeline's events to `trace` on [`Trace::TID_DEVICE`] (and
+/// one track per created stream), starting the modeled clock at
+/// `base_us`. Returns the clock value after the last event (i.e.
+/// `base_us` + the timeline's makespan).
 ///
 /// A timeline tagged with a device ordinal ([`Timeline::set_device`])
 /// names the track after the device and stamps every exported event with
@@ -34,18 +36,20 @@ pub fn export_timeline_spans_to(
     tid: u32,
 ) -> f64 {
     let device = tl.device();
-    match device {
-        Some(d) => trace.name_thread(tid, &format!("device {d} (modeled)")),
-        None => trace.name_thread(tid, "device (modeled)"),
-    }
+    let name = device.map_or_else(|| "device".to_string(), |d| format!("device {d}"));
+    trace.name_thread(tid, &format!("{name} (modeled)"));
     let tag = |mut args: Vec<(String, ArgValue)>| {
         if let Some(d) = device {
             args.push(("device".to_string(), ArgValue::U64(u64::from(d))));
         }
         args
     };
-    let mut clock = base_us;
     for ev in tl.events() {
+        let clock = base_us + ev.start_us;
+        let tid = Trace::tid_for_stream(tid, ev.stream);
+        if ev.stream != 0 {
+            trace.name_thread(tid, &format!("{name} stream {} (modeled)", ev.stream));
+        }
         match &ev.kind {
             EventKind::Kernel { name, grid, block, stats, .. } => {
                 trace.push_span(Span {
@@ -113,9 +117,8 @@ pub fn export_timeline_spans_to(
                 });
             }
         }
-        clock += ev.modeled_us;
     }
-    clock
+    base_us + tl.total_modeled_us()
 }
 
 #[cfg(test)]
@@ -127,33 +130,17 @@ mod tests {
 
     fn timeline_with_mixed_events() -> Timeline {
         let mut tl = Timeline::default();
-        tl.push(Event {
-            kind: EventKind::Alloc { bytes: 4096 },
-            modeled_us: 0.0,
-            wall_us: 1.0,
-        });
-        tl.push(Event {
-            kind: EventKind::Htod { bytes: 1024 },
-            modeled_us: 5.0,
-            wall_us: 2.0,
-        });
-        tl.push(Event {
-            kind: EventKind::Kernel {
+        tl.push(Event::new(EventKind::Alloc { bytes: 4096 }, 0.0, 1.0), false);
+        tl.push(Event::new(EventKind::Htod { bytes: 1024 }, 5.0, 2.0), false);
+        tl.push(Event::new(EventKind::Kernel {
                 name: "fwd_sweep",
                 grid: 2,
                 block: 128,
                 stats: LaunchStats::default(),
                 timing: KernelTiming::default(),
-            },
-            modeled_us: 10.0,
-            wall_us: 99.0,
-        });
+            }, 10.0, 99.0), false);
         tl.note("breaker closed→open");
-        tl.push(Event {
-            kind: EventKind::Dtoh { bytes: 8 },
-            modeled_us: 1.5,
-            wall_us: 0.5,
-        });
+        tl.push(Event::new(EventKind::Dtoh { bytes: 8 }, 1.5, 0.5), false);
         tl
     }
 
@@ -222,5 +209,46 @@ mod tests {
         assert!(
             (trace.total_us_in_cat("xfer") - (b.htod_us + b.dtoh_us)).abs() < 1e-12
         );
+    }
+
+    #[test]
+    fn each_stream_gets_a_lane_whose_spans_never_overlap() {
+        use crate::{Device, DeviceProps, DtohPart, Stream};
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let (up, down) = (dev.create_stream(), dev.create_stream());
+        let host = vec![0.5f64; 1 << 15];
+        let mut bufs = [dev.alloc::<f64>(1 << 15), dev.alloc::<f64>(1 << 15)];
+        dev.htod(&mut bufs[0], &host);
+        for round in 0..3 {
+            let [even, odd] = &mut bufs;
+            let (fresh, old) = if round % 2 == 0 { (even, &*odd) } else { (odd, &*even) };
+            dev.set_stream(up);
+            dev.htod(fresh, &host);
+            dev.set_stream(down);
+            let mut out = Vec::new();
+            dev.try_dtoh_packed_checked_async(&mut [DtohPart::new(old, &mut out)]).unwrap();
+        }
+        dev.set_stream(Stream::DEFAULT);
+        let _ = dev.dtoh(&bufs[0]);
+        let tl = dev.timeline();
+        let mut trace = Trace::new();
+        let end = export_timeline_spans_to(tl, &mut trace, 0.0, 16);
+        assert_eq!(end, tl.total_modeled_us());
+        let mut lanes: Vec<u32> = trace.spans.iter().map(|s| s.tid).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert_eq!(lanes, [16, Trace::tid_for_stream(16, 1), Trace::tid_for_stream(16, 2)]);
+        for lane in lanes {
+            let mut spans: Vec<(f64, f64)> =
+                trace.spans.iter().filter(|s| s.tid == lane).map(|s| (s.ts_us, s.dur_us)).collect();
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+            assert!(spans.windows(2).all(|w| w[1].0 >= w[0].0 + w[0].1), "lane {lane}: {spans:?}");
+            assert!(trace.thread_names.iter().any(|(t, _)| *t == lane), "lane {lane} is named");
+        }
+        let last = trace.spans.iter().map(|s| s.ts_us + s.dur_us).fold(0.0, f64::max);
+        assert_eq!(last, tl.total_modeled_us(), "the last span ends at the makespan");
+        let serial = tl.breakdown().htod_us + tl.breakdown().dtoh_us;
+        assert!(tl.total_modeled_us() < serial, "the lanes overlap each other");
+        assert!((trace.total_us_in_cat("xfer") - serial).abs() < 1e-9, "spans keep busy totals");
     }
 }

@@ -1,12 +1,34 @@
-//! The device timeline: an event log of every launch and transfer.
+//! The device timeline: an event log of every launch and transfer, and
+//! the schedule that places each on the modeled clock.
 //!
 //! Experiments read the timeline to produce the paper's per-phase
 //! breakdowns (H2D / kernels-by-name / D2H) and its "GPU-only" timings
 //! (kernel events excluding transfers).
+//!
+//! # Streams and engines
+//!
+//! Every timed op runs on a stream and on an engine: kernels on the SMs,
+//! host→device copies on the H2D copy engine and device→host copies on
+//! the D2H one ([`DeviceProps::COPY_ENGINES`]). An op on a created stream
+//! starts at the latest of its stream's tail, its engine's free time, the
+//! host clock, the end of the last default-stream op and any event its
+//! stream waits on; each engine runs its ops first in, first out. Only a
+//! blocking read advances the host clock. The default stream keeps
+//! CUDA's legacy semantics: its op starts once every op before it has
+//! ended, so a timeline that uses only the default stream runs its ops
+//! back to back, and its makespan ([`Timeline::total_modeled_us`]) is
+//! the left-to-right sum of their times.
+//!
+//! An op that starts before the latest end so far (the frontier) runs
+//! partly or wholly under work already scheduled: that part is its
+//! [`Event::hidden_us`]. [`Breakdown::total_us`] charges only the exposed
+//! rest, so the breakdowns of consecutive spans sum to the makespan,
+//! while the per-category totals stay busy times.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::props::DeviceProps;
 use crate::stats::LaunchStats;
 use crate::timing::KernelTiming;
 
@@ -69,9 +91,27 @@ pub struct Event {
     /// Host wall-clock spent simulating, µs (diagnostic only — NOT a
     /// performance claim).
     pub wall_us: f64,
+    /// Modeled start on the device schedule, µs; an untimed event sits
+    /// at the frontier it was recorded at.
+    pub start_us: f64,
+    /// The part of `modeled_us` that overlapped work already scheduled
+    /// (0 when the op started at the frontier).
+    pub hidden_us: f64,
+    /// The stream the op was issued on (0 is the default stream).
+    pub stream: u32,
 }
 
 impl Event {
+    /// An event on the default stream, to be placed by the schedule.
+    pub(crate) fn new(kind: EventKind, modeled_us: f64, wall_us: f64) -> Self {
+        Event { kind, modeled_us, wall_us, start_us: 0.0, hidden_us: 0.0, stream: 0 }
+    }
+
+    /// Modeled end on the device schedule, µs.
+    pub fn end_us(&self) -> f64 {
+        self.start_us + self.modeled_us
+    }
+
     /// The kernel name, or a fixed label for transfers/allocs.
     pub fn label(&self) -> &'static str {
         match &self.kind {
@@ -104,18 +144,31 @@ pub struct Breakdown {
     pub per_kernel_us: BTreeMap<&'static str, f64>,
     /// Injected faults observed in the span.
     pub faults: u64,
+    /// Of the busy times above, the part that ran under work already
+    /// scheduled ([`Event::hidden_us`]); 0 without overlap.
+    pub hidden_us: f64,
+    /// The transfers' share of `hidden_us`.
+    pub hidden_transfer_us: f64,
 }
 
 impl Breakdown {
-    /// Total modeled device time.
+    /// Exposed modeled device time: the busy times less what hid under
+    /// earlier work. Without overlap, exactly their sum.
     pub fn total_us(&self) -> f64 {
-        self.htod_us + self.dtoh_us + self.kernel_us
+        self.htod_us + self.dtoh_us + self.kernel_us - self.hidden_us
     }
 
-    /// Transfer share of total modeled time (0..1); `None` when idle.
+    /// Exposed transfer time: both copy directions less their hidden
+    /// part.
+    pub fn transfer_us(&self) -> f64 {
+        self.htod_us + self.dtoh_us - self.hidden_transfer_us
+    }
+
+    /// Exposed transfer share of total modeled time (0..1); `None` when
+    /// idle.
     pub fn transfer_fraction(&self) -> Option<f64> {
         let t = self.total_us();
-        (t > 0.0).then(|| (self.htod_us + self.dtoh_us) / t)
+        (t > 0.0).then(|| self.transfer_us() / t)
     }
 }
 
@@ -132,6 +185,9 @@ impl fmt::Display for Breakdown {
         )?;
         for (name, us) in &self.per_kernel_us {
             writeln!(f, "  {name:<28} {us:>12.1} µs")?;
+        }
+        if self.hidden_us > 0.0 {
+            writeln!(f, "  overlapped: {:.1} µs", self.hidden_us)?;
         }
         if self.faults > 0 {
             writeln!(f, "  faults injected: {}", self.faults)?;
@@ -175,6 +231,41 @@ impl KernelReport {
     }
 }
 
+/// The engines a timed op can occupy: the SMs, then the copy engines
+/// (one per direction when [`DeviceProps::COPY_ENGINES`] is 2).
+const ENGINES: usize = 1 + DeviceProps::COPY_ENGINES;
+
+/// Where the schedule stands: see the module docs.
+#[derive(Clone, Debug)]
+struct Schedule {
+    /// Per stream, when its last op ends (index 0: the default stream).
+    tails: Vec<f64>,
+    /// Per engine, when it frees up.
+    engines: [f64; ENGINES],
+    /// The host clock: the end of the last blocking read.
+    host: f64,
+    /// The end of the last default-stream op; nothing starts before it.
+    barrier: f64,
+    /// The latest end so far: the makespan.
+    frontier: f64,
+}
+
+impl Default for Schedule {
+    fn default() -> Self {
+        Schedule { tails: vec![0.0], engines: [0.0; ENGINES], host: 0.0, barrier: 0.0, frontier: 0.0 }
+    }
+}
+
+/// The engine a timed op runs on, `None` for an untimed one.
+fn engine(kind: &EventKind) -> Option<usize> {
+    match kind {
+        EventKind::Kernel { .. } => Some(0),
+        EventKind::Htod { .. } => Some(1),
+        EventKind::Dtoh { .. } => Some(DeviceProps::COPY_ENGINES),
+        EventKind::Alloc { .. } | EventKind::Fault { .. } | EventKind::Marker { .. } => None,
+    }
+}
+
 /// The event log. Owned by [`crate::Device`]; reset between experiment
 /// phases with [`Timeline::clear`] or bracketed with [`Timeline::mark`] /
 /// [`Timeline::breakdown_since`].
@@ -182,6 +273,7 @@ impl KernelReport {
 pub struct Timeline {
     events: Vec<Event>,
     device: Option<u32>,
+    clock: Schedule,
 }
 
 impl Timeline {
@@ -213,8 +305,48 @@ impl Timeline {
         self.events.is_empty()
     }
 
-    pub(crate) fn push(&mut self, ev: Event) {
+    /// Places `ev` on the schedule on its stream and logs it. A
+    /// `blocking` op (a read the host waits for) moves the host clock to
+    /// its end.
+    pub(crate) fn push(&mut self, mut ev: Event, blocking: bool) {
+        let c = &mut self.clock;
+        let prev = c.frontier;
+        ev.start_us = prev;
+        if let Some(e) = engine(&ev.kind) {
+            let s = ev.stream as usize;
+            if s != 0 {
+                ev.start_us = c.tails[s].max(c.engines[e]).max(c.host).max(c.barrier);
+            }
+            let end = ev.start_us + ev.modeled_us;
+            if ev.start_us < prev {
+                ev.hidden_us = ev.modeled_us.min(prev - ev.start_us);
+            }
+            (c.tails[s], c.engines[e], c.frontier) = (end, end, prev.max(end));
+            if s == 0 {
+                c.barrier = end;
+            }
+            if blocking {
+                c.host = end;
+            }
+        }
         self.events.push(ev);
+    }
+
+    /// A new stream's index (see the module docs).
+    pub(crate) fn new_stream(&mut self) -> u32 {
+        self.clock.tails.push(0.0);
+        (self.clock.tails.len() - 1) as u32
+    }
+
+    /// When the last op issued on `stream` ends.
+    pub(crate) fn tail(&self, stream: u32) -> f64 {
+        self.clock.tails[stream as usize]
+    }
+
+    /// Holds every later op on `stream` until `at_us`.
+    pub(crate) fn wait(&mut self, stream: u32, at_us: f64) {
+        let tail = &mut self.clock.tails[stream as usize];
+        *tail = tail.max(at_us);
     }
 
     /// Records a supervisor annotation ([`EventKind::Marker`]) at the
@@ -222,16 +354,15 @@ impl Timeline {
     /// they exist so out-of-band policy (circuit breakers, shedding)
     /// leaves an in-band trace.
     pub fn note(&mut self, desc: impl Into<String>) {
-        self.events.push(Event {
-            kind: EventKind::Marker { desc: desc.into() },
-            modeled_us: 0.0,
-            wall_us: 0.0,
-        });
+        self.push(Event::new(EventKind::Marker { desc: desc.into() }, 0.0, 0.0), false);
     }
 
-    /// Forgets all events.
+    /// Forgets all events and restarts the clock at 0; streams stay
+    /// valid.
     pub fn clear(&mut self) {
         self.events.clear();
+        let streams = self.clock.tails.len();
+        self.clock = Schedule { tails: vec![0.0; streams], ..Schedule::default() };
     }
 
     /// A cursor for [`Timeline::breakdown_since`].
@@ -248,6 +379,10 @@ impl Timeline {
     pub fn breakdown_since(&self, mark: usize) -> Breakdown {
         let mut b = Breakdown::default();
         for ev in &self.events[mark.min(self.events.len())..] {
+            b.hidden_us += ev.hidden_us;
+            if matches!(ev.kind, EventKind::Htod { .. } | EventKind::Dtoh { .. }) {
+                b.hidden_transfer_us += ev.hidden_us;
+            }
             match &ev.kind {
                 EventKind::Alloc { .. } => {}
                 EventKind::Htod { bytes } => {
@@ -351,9 +486,9 @@ impl Timeline {
     /// skipped by [`Timeline::breakdown`]; this is how supervisors
     /// (profilers, the CLI) surface them instead of dropping them.
     pub fn notes(&self) -> Vec<String> {
-        let mut clock = 0.0_f64;
         let mut out = Vec::new();
         for ev in &self.events {
+            let clock = ev.start_us;
             match &ev.kind {
                 EventKind::Fault { desc, op } => {
                     out.push(format!("[{clock:>12.1} µs] fault @op {op}: {desc}"));
@@ -363,14 +498,14 @@ impl Timeline {
                 }
                 _ => {}
             }
-            clock += ev.modeled_us;
         }
         out
     }
 
-    /// Total modeled µs over all events.
+    /// The makespan: when the last op ends, µs. With only the default
+    /// stream in use, the sum of every event's modeled time.
     pub fn total_modeled_us(&self) -> f64 {
-        self.events.iter().map(|e| e.modeled_us).sum()
+        self.clock.frontier
     }
 
     /// Total host wall µs spent simulating (diagnostic).
@@ -384,31 +519,27 @@ mod tests {
     use super::*;
 
     fn kernel_event(name: &'static str, us: f64) -> Event {
-        Event {
-            kind: EventKind::Kernel {
+        Event::new(EventKind::Kernel {
                 name,
                 grid: 1,
                 block: 32,
                 stats: LaunchStats::default(),
                 timing: KernelTiming::default(),
-            },
-            modeled_us: us,
-            wall_us: 0.0,
-        }
+            }, us, 0.0)
     }
 
     fn htod(bytes: u64, us: f64) -> Event {
-        Event { kind: EventKind::Htod { bytes }, modeled_us: us, wall_us: 0.0 }
+        Event::new(EventKind::Htod { bytes }, us, 0.0)
     }
 
     #[test]
     fn breakdown_aggregates_by_category_and_name() {
         let mut tl = Timeline::default();
-        tl.push(htod(1000, 5.0));
-        tl.push(kernel_event("sweep", 10.0));
-        tl.push(kernel_event("sweep", 10.0));
-        tl.push(kernel_event("reduce", 2.0));
-        tl.push(Event { kind: EventKind::Dtoh { bytes: 8 }, modeled_us: 1.0, wall_us: 0.0 });
+        tl.push(htod(1000, 5.0), false);
+        tl.push(kernel_event("sweep", 10.0), false);
+        tl.push(kernel_event("sweep", 10.0), false);
+        tl.push(kernel_event("reduce", 2.0), false);
+        tl.push(Event::new(EventKind::Dtoh { bytes: 8 }, 1.0, 0.0), false);
         let b = tl.breakdown();
         assert_eq!(b.kernels, 3);
         assert_eq!(b.htod_bytes, 1000);
@@ -423,9 +554,9 @@ mod tests {
     #[test]
     fn marks_scope_aggregation() {
         let mut tl = Timeline::default();
-        tl.push(kernel_event("warmup", 100.0));
+        tl.push(kernel_event("warmup", 100.0), false);
         let m = tl.mark();
-        tl.push(kernel_event("sweep", 7.0));
+        tl.push(kernel_event("sweep", 7.0), false);
         let b = tl.breakdown_since(m);
         assert_eq!(b.kernels, 1);
         assert!((b.kernel_us - 7.0).abs() < 1e-12);
@@ -438,7 +569,7 @@ mod tests {
         let mut tl = Timeline::default();
         assert!(tl.is_empty());
         assert_eq!(tl.breakdown().transfer_fraction(), None);
-        tl.push(kernel_event("k", 1.0));
+        tl.push(kernel_event("k", 1.0), false);
         assert_eq!(tl.len(), 1);
         tl.clear();
         assert!(tl.is_empty());
@@ -447,7 +578,7 @@ mod tests {
     #[test]
     fn allocs_do_not_contribute_time() {
         let mut tl = Timeline::default();
-        tl.push(Event { kind: EventKind::Alloc { bytes: 1 << 20 }, modeled_us: 0.0, wall_us: 3.0 });
+        tl.push(Event::new(EventKind::Alloc { bytes: 1 << 20 }, 0.0, 3.0), false);
         assert_eq!(tl.breakdown().total_us(), 0.0);
         assert_eq!(tl.total_wall_us(), 3.0);
         assert_eq!(tl.events()[0].label(), "<alloc>");
@@ -456,11 +587,7 @@ mod tests {
     #[test]
     fn fault_events_are_counted_and_labeled() {
         let mut tl = Timeline::default();
-        tl.push(Event {
-            kind: EventKind::Fault { desc: "bit-flip @ launch".into(), op: 7 },
-            modeled_us: 0.0,
-            wall_us: 0.0,
-        });
+        tl.push(Event::new(EventKind::Fault { desc: "bit-flip @ launch".into(), op: 7 }, 0.0, 0.0), false);
         assert_eq!(tl.events()[0].label(), "<fault>");
         let b = tl.breakdown();
         assert_eq!(b.faults, 1);
@@ -471,7 +598,7 @@ mod tests {
     #[test]
     fn markers_are_labeled_and_timeless() {
         let mut tl = Timeline::default();
-        tl.push(kernel_event("sweep", 5.0));
+        tl.push(kernel_event("sweep", 5.0), false);
         tl.note("breaker closed→open");
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.events()[1].label(), "<marker>");
@@ -488,7 +615,7 @@ mod tests {
     #[test]
     fn display_contains_kernel_rows() {
         let mut tl = Timeline::default();
-        tl.push(kernel_event("inject", 4.0));
+        tl.push(kernel_event("inject", 4.0), false);
         let s = tl.breakdown().to_string();
         assert!(s.contains("inject"));
         assert!(s.contains("kernels 4.0 (1)"));
@@ -508,19 +635,15 @@ mod report_tests {
             ..Default::default()
         };
         let timing = KernelTiming { mem_us: us, total_us: us, ..Default::default() };
-        Event {
-            kind: EventKind::Kernel { name, grid: 1, block: 32, stats, timing },
-            modeled_us: us,
-            wall_us: 0.0,
-        }
+        Event::new(EventKind::Kernel { name, grid: 1, block: 32, stats, timing }, us, 0.0)
     }
 
     #[test]
     fn kernel_report_aggregates_and_sorts() {
         let mut tl = Timeline::default();
-        tl.push(kernel_with("small", 1.0, 128, 1));
-        tl.push(kernel_with("big", 5.0, 1280, 20));
-        tl.push(kernel_with("big", 5.0, 1280, 20));
+        tl.push(kernel_with("small", 1.0, 128, 1), false);
+        tl.push(kernel_with("big", 5.0, 1280, 20), false);
+        tl.push(kernel_with("big", 5.0, 1280, 20), false);
         let rows = tl.kernel_report();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "big");
@@ -535,7 +658,7 @@ mod report_tests {
     #[test]
     fn report_table_renders() {
         let mut tl = Timeline::default();
-        tl.push(kernel_with("sweep", 3.0, 256, 2));
+        tl.push(kernel_with("sweep", 3.0, 256, 2), false);
         let table = tl.kernel_report_table();
         assert!(table.contains("sweep"));
         assert!(table.contains("memory"));

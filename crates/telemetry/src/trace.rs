@@ -117,6 +117,13 @@ impl Trace {
         16 + ordinal
     }
 
+    /// Track id for stream `stream` of the device exported on track
+    /// `tid`: the device's own track for the default stream (0), and one
+    /// track per created stream, numbered above every device track.
+    pub fn tid_for_stream(tid: u32, stream: u32) -> u32 {
+        tid + (stream << 16)
+    }
+
     /// An empty trace.
     pub fn new() -> Self {
         Self::default()
