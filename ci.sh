@@ -52,7 +52,9 @@
 #      undetected corruption reached an answer) and report at least one
 #      failover (the storm's kill sits at fixed device-op indices; no
 #      failover means a change in op counts disarmed it), and a seeded
-#      three-phase fault replay through `fbs solve3` that must exit 0.
+#      three-phase fault replay that must exit 0, run both as
+#      `fbs solve F.grid3` and as its alias `fbs solve3 F.grid3`, whose
+#      stdouts must be byte-identical.
 #   6. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
 #   7. Lint: clippy over every target with warnings promoted to errors.
@@ -144,8 +146,14 @@ if [ "${failovers:-0}" -lt 1 ]; then
   exit 1
 fi
 cargo run -q --offline --release -p fbs-cli feeders3 --name ieee13 --out target/ci_ieee13.grid3 2> /dev/null
-timeout 300 cargo run -q --offline --release -p fbs-cli solve3 target/ci_ieee13.grid3 \
-  --solver gpu --fault-seed 7 --fault-rate 0.005 > /dev/null
+for cmd in solve solve3; do
+  timeout 300 cargo run -q --offline --release -p fbs-cli "$cmd" target/ci_ieee13.grid3 \
+    --solver gpu --fault-seed 7 --fault-rate 0.005 > "target/ci_ieee13.$cmd.out"
+done
+if ! cmp -s target/ci_ieee13.solve.out target/ci_ieee13.solve3.out; then
+  echo "fbs solve and fbs solve3 differ on target/ci_ieee13.grid3" >&2
+  exit 1
+fi
 
 echo "== racecheck: device kernels under the simt race detector =="
 cargo test -q --offline --features racecheck -p simt -p fbs

@@ -8,7 +8,7 @@ use fbs::obs::status_key;
 use fbs::{
     record_run, solve_dg, Backend, ContingencyScreener, FaultReport, FleetConfig, FleetRequest,
     FleetService, GpuSolver, IntegrityConfig, IntegritySampler, MeshProblem, MeshResult, Outcome,
-    OuterConfig, Phasor, Priority, Request, ResilientSolver, Scenarios, SerialSolver,
+    OuterConfig, Phasor, Priority, Request, ResilienceError, ResilientSolver, Scenarios, SerialSolver,
     ServiceConfig, Solve3Result, SolveResult, SolveService, SolveStatus, SolverArrays,
     SolverConfig, SweepBackend, TensorBatchSolver, Timing,
 };
@@ -16,9 +16,10 @@ use numc::{CVec3, Complex};
 use powergrid::gen::{
     balanced_binary, balanced_kary, broom, caterpillar, chain, random_tree, star, GenSpec,
 };
-use powergrid::gridfile::{parse_grid, parse_grid_meshed, write_grid};
+use powergrid::gridfile::{parse_grid, parse_grid_meshed, write_grid, ParseError};
+use powergrid::gridfile3::{is_grid3, parse_grid3};
 use powergrid::three_phase::ThreePhaseNetwork;
-use powergrid::{ieee, LevelOrder, MeshedNetwork, RadialNetwork};
+use powergrid::{ieee, LevelOrder, MeshedNetwork, PvBus, RadialNetwork};
 use rng::rngs::StdRng;
 use rng::SeedableRng;
 use simt::{
@@ -35,7 +36,7 @@ usage:
           [--buses N] [--k K] [--seed S] [--total-kw KW] [--drop FRAC] [--out FILE]
   fbs feeders --name <ieee13|ieee37|ieee123|ieee123-dg> [--out FILE]
   fbs info <FILE.grid>
-  fbs solve <FILE.grid> [--solver serial|gpu|gpu-direct|multicore] [--tol T]
+  fbs solve <FILE.grid|FILE.grid3> [--solver serial|gpu|gpu-direct|multicore] [--tol T]
             [--max-iter N] [--outer-max-iter N] [--outer-tol T]
             [--show-voltages N] [--timings true|false]
             [--deadline-ms MS] [--max-retries N] [--breaker-threshold K]
@@ -52,11 +53,7 @@ usage:
             [--trace-out FILE] [--metrics-out FILE]
   fbs feeders3 [--name ieee13] [--out FILE.grid3]
   fbs gen3 <FILE.grid> [--unbalance U] [--mutual M] [--seed S] [--out FILE.grid3]
-  fbs solve3 <FILE.grid3> [--solver serial|gpu] [--tol T] [--max-iter N]
-            [--outer-max-iter N] [--outer-tol T]
-            [--deadline-ms MS] [--max-retries N] [--breaker-threshold K]
-            [--fault-seed S] [--fault-rate R] [--fault-lost-at OP] [--degrade true|false]
-            [--trace-out FILE] [--metrics-out FILE]
+  fbs solve3 <FILE.grid3> ...    (an alias of `solve`)
   fbs fleet <FILE.grid> [--devices N] [--hetero true|false] [--requests N]
             [--gap US] [--queue N] [--tenants N] [--quota N] [--priorities true|false]
             [--hedge-quantile Q] [--shard-min N] [--batch-every K] [--scenarios N]
@@ -66,12 +63,16 @@ usage:
             [--burst-rate R] [--ramp-rate R] [--kill true|false] [--sample-every K]
             [--tol T] [--max-iter N] [--trace-out FILE] [--metrics-out FILE]
 
+three-phase: `solve` takes the phase kind from the file's header record.
+A .grid3 file solves on --solver serial|gpu and takes every flag but
+--show-voltages and --timings.
+
 meshed & DG: `solve` accepts .grid files with `tie` / `gen` records and
-`solve3` accepts .grid3 files with `gen` records transparently — closed
-ties and voltage-set-point generators engage the break-point
-compensation / PV outer loop (--outer-max-iter, --outer-tol) around the
-chosen radial sweep. Outer divergence or a PV↔PQ limit cycle exits with
-code 9; plain radial files keep the exact former behavior.
+.grid3 files with `gen` records transparently — closed ties and
+voltage-set-point generators engage the break-point compensation / PV
+outer loop (--outer-max-iter, --outer-tol) around the chosen radial
+sweep. Outer divergence or a PV↔PQ limit cycle exits with code 9; plain
+radial files keep the exact former behavior.
 
 fault injection: --fault-seed arms a seeded, replayable fault plan
 (default rate 0.005/op; override with --fault-rate). --fault-lost-at
@@ -133,7 +134,7 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         "gen" => cmd_gen(rest).map(|()| 0),
         "feeders" => cmd_feeders(rest).map(|()| 0),
         "info" => cmd_info(rest).map(|()| 0),
-        "solve" => cmd_solve(rest),
+        "solve" | "solve3" => cmd_solve(rest),
         "batch" => cmd_batch(rest),
         "screen" => cmd_screen(rest),
         "compare" => cmd_compare(rest).map(|()| 0),
@@ -142,7 +143,6 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
         "soak" => cmd_soak(rest),
         "feeders3" => cmd_feeders3(rest).map(|()| 0),
         "gen3" => cmd_gen3(rest).map(|()| 0),
-        "solve3" => cmd_solve3(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(0)
@@ -172,7 +172,7 @@ fn cmd_gen(argv: &[String]) -> Result<(), String> {
         "random" => random_tree(n, 8, &spec, &mut rng),
         other => return Err(format!("unknown topology `{other}`")),
     };
-    emit_grid(&net, a.get("out"))
+    emit_text(&write_grid(&net), a.get("out"), net.num_buses())
 }
 
 fn cmd_feeders(argv: &[String]) -> Result<(), String> {
@@ -188,19 +188,7 @@ fn cmd_feeders(argv: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown feeder `{other}`")),
     };
-    emit_grid(&net, a.get("out"))
-}
-
-fn emit_grid(net: &RadialNetwork, out: Option<&str>) -> Result<(), String> {
-    let text = write_grid(net);
-    match out {
-        Some(path) => {
-            fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {} buses to {path}", net.num_buses());
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
+    emit_text(&write_grid(&net), a.get("out"), net.num_buses())
 }
 
 fn load(path: &str) -> Result<RadialNetwork, String> {
@@ -283,9 +271,10 @@ fn fault_plan(a: &Args) -> Result<Option<FaultPlan>, String> {
     Ok(Some(plan))
 }
 
-/// One deterministic summary line of what the resilient supervisor did.
-fn print_fault_report<V>(res: &SolveResult<V>, plan: &FaultPlan) {
-    if let Some(rep) = &res.fault_report {
+/// One deterministic summary line of what the resilient supervisor did,
+/// when a fault plan was armed.
+fn print_fault_report<V>(res: &SolveResult<V>, plan: Option<&FaultPlan>) {
+    if let (Some(rep), Some(plan)) = (&res.fault_report, plan) {
         println!(
             "recovery:    seed {} rate {} | {} faults, {} rollbacks, {} retries, {} checkpoints | backend {}",
             plan.seed(),
@@ -378,14 +367,17 @@ fn wants_service(a: &Args) -> bool {
     a.get("max-retries").is_some() || a.get("breaker-threshold").is_some()
 }
 
-/// Builds a [`SolveService`] from `--max-retries` / `--breaker-threshold`
-/// (defaults match [`ServiceConfig::default`]) and an optional fault plan.
-fn build_service(
+/// Submits one request to a fresh [`SolveService`] built from
+/// `--max-retries` / `--breaker-threshold` (defaults match
+/// [`ServiceConfig::default`]) and an optional fault plan, and prints the
+/// service summary line. Returns the outcome for the caller to unpack.
+fn serve_one(
     a: &Args,
     backend: Backend,
     plan: Option<&FaultPlan>,
     tele: &Telemetry,
-) -> Result<SolveService, String> {
+    req: Request,
+) -> Result<Outcome, String> {
     let scfg = ServiceConfig {
         backend,
         max_retries: a.get_parse_or("max-retries", 3u32)?,
@@ -399,19 +391,6 @@ fn build_service(
     if let Some(rec) = tele.recorder() {
         svc = svc.with_recorder(rec.clone());
     }
-    Ok(svc)
-}
-
-/// Submits one request to a fresh service and prints the service
-/// summary line. Returns the outcome for the caller to unpack.
-fn serve_one(
-    a: &Args,
-    backend: Backend,
-    plan: Option<&FaultPlan>,
-    tele: &Telemetry,
-    req: Request,
-) -> Result<Outcome, String> {
-    let mut svc = build_service(a, backend, plan, tele)?;
     svc.submit(req).map_err(|_| "service shed a single request".to_string())?;
     let resp = svc.process_one().ok_or("service lost the queued request")?;
     println!(
@@ -430,61 +409,100 @@ fn armed_faults(a: &Args) -> Result<Option<(FaultPlan, bool)>, String> {
     fault_plan(a)?.map(|plan| Ok((plan, a.get_parse_or("degrade", true)?))).transpose()
 }
 
+/// `fbs solve`'s flags; a `.grid3` file takes all but the last two.
+const SOLVE_FLAGS: [&str; 16] = [
+    "solver", "tol", "max-iter", "outer-max-iter", "outer-tol", "deadline-ms", "max-retries",
+    "breaker-threshold", "fault-seed", "fault-rate", "fault-lost-at", "degrade", "trace-out",
+    "metrics-out", "show-voltages", "timings",
+];
+
+/// `fbs solve` and its alias `solve3`: reads the file once, takes the
+/// phase kind from its header record and runs [`solve_file`] on it.
 fn cmd_solve(argv: &[String]) -> Result<u8, String> {
-    let a = Args::parse(
-        argv,
-        &["solver", "tol", "max-iter", "outer-max-iter", "outer-tol", "show-voltages", "timings", "deadline-ms", "max-retries", "breaker-threshold", "fault-seed", "fault-rate", "fault-lost-at", "degrade", "trace-out", "metrics-out"],
-    )?;
+    let a = Args::parse(argv, &SOLVE_FLAGS)?;
     let path = a.one_positional("grid file")?;
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mnet = parse_grid_meshed(&text).map_err(|e| format!("{path}: {e}"))?;
-    let cfg = solver_config(&a)?;
+    let parsed = |e: ParseError| format!("{path}: {e}");
+    if is_grid3(&text) {
+        let a = Args::parse(argv, &SOLVE_FLAGS[..SOLVE_FLAGS.len() - 2])?;
+        solve_file(&a, &parse_grid3(&text).map_err(parsed)?)
+    } else {
+        solve_file(&a, &parse_grid_meshed(&text).map_err(parsed)?)
+    }
+}
+
+/// How `fbs solve` runs a network: on `backend`, around the meshed/DG
+/// outer loop when `outer` is set, under an armed fault plan only when
+/// `supervised`, and under `label` when it cannot finish.
+struct Route {
+    backend: Backend,
+    outer: Option<OuterConfig>,
+    supervised: bool,
+    label: String,
+}
+
+/// What a `.grid` and a `.grid3` solve do differently — the engine
+/// choice, the service request, the meshed/DG gate and the report;
+/// [`solve_file`] runs the rest.
+trait Feeder {
+    type V: Phasor;
+    /// Resolves `--solver`; sets `outer` when the network needs the
+    /// meshed/DG outer loop.
+    fn route(&self, a: &Args, which: &str) -> Result<Route, String>;
+    /// The robustness service's request, and how to take its answer
+    /// from the outcome.
+    fn request(&self, cfg: SolverConfig) -> (Request, Answer<Self::V>);
+    fn problem(&self) -> MeshProblem<Self::V>;
+    /// The engine of a run with no fault plan armed.
+    fn engine(backend: Backend, tele: &Telemetry, meshed: bool) -> Box<dyn SweepBackend<Self::V, Error = Infallible>>;
+    /// Records and writes the run's telemetry, prints its report block
+    /// and returns the status exit code.
+    fn report(&self, a: &Args, which: &str, plan: Option<&FaultPlan>, solved: &Solved<Self::V>, tele: &Telemetry)
+        -> Result<u8, String>;
+}
+
+/// A served outcome's answer, or the outcome back when it holds none.
+type Answer<V> = fn(Outcome) -> Result<SolveResult<V>, Box<Outcome>>;
+
+/// The one body of `fbs solve` for both phase kinds: the robustness
+/// service when a service flag is given, else the fault-tolerant
+/// supervisor (a fault plan armed on a supervised route) or the plain
+/// engine, each through [`solve_on`].
+fn solve_file<F: Feeder>(a: &Args, net: &F) -> Result<u8, String>
+where
+    ResilientSolver: SweepBackend<F::V, Error = ResilienceError>,
+{
+    let cfg = solver_config(a)?;
     let which = a.get_or("solver", "serial");
-    let backend = Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
-    // Closed ties or generators route through the compensation / PV
-    // outer loop; plain radial files take one inner solve.
-    let outer = if mnet.is_plain_radial() {
-        None
-    } else if wants_service(&a) {
+    let Route { backend, outer, supervised, label } = net.route(a, which)?;
+    if outer.is_some() && wants_service(a) {
         return Err("meshed/DG grids do not route through the robustness service; \
                     drop --max-retries/--breaker-threshold (fault flags still work)"
             .into());
-    } else if backend == Backend::GpuJump {
-        return Err(format!(
-            "solver `{which}` cannot run meshed/DG grids (use serial, multicore or a gpu sweep variant)"
-        ));
-    } else {
-        Some(outer_config(&a)?)
-    };
-    let tele = Telemetry::from_args(&a);
+    }
+    let tele = Telemetry::from_args(a);
 
-    if wants_service(&a) {
-        let plan = fault_plan(&a)?;
-        let req = Request::Solve { net: mnet.tree().clone(), cfg };
-        let res = match serve_one(&a, backend, plan.as_ref(), &tele, req)? {
-            Outcome::Solved(r) => r,
-            Outcome::Failed(e) => return unrecoverable(which, &e, &tele),
-            other => return Err(format!("unexpected service outcome: {other:?}")),
+    if wants_service(a) {
+        let plan = fault_plan(a)?;
+        let (req, answer) = net.request(cfg);
+        let res = match serve_one(a, backend, plan.as_ref(), &tele, req)? {
+            Outcome::Failed(e) => return unrecoverable(&label, &e, &tele),
+            other => answer(other).map_err(|o| format!("unexpected service outcome: {o:?}"))?,
         };
-        return report_solve(&a, &mnet, which, plan.as_ref(), &Solved::Radial(res), &tele);
+        return net.report(a, which, plan.as_ref(), &Solved::Radial(res), &tele);
     }
 
-    let problem = MeshProblem::new(&mnet);
-    let label = if outer.is_some() { format!("{which} (meshed)") } else { which.to_string() };
-    let armed = armed_faults(&a)?;
+    let problem = net.problem();
+    let armed = armed_faults(a)?.filter(|_| supervised);
     let plan = armed.as_ref().map(|(plan, _)| plan);
-    let report = |solved| report_solve(&a, &mnet, which, plan, &solved, &tele);
+    let report = |solved| net.report(a, which, plan, &solved, &tele);
     match &armed {
         Some((plan, degrade)) => {
             let mut engine = supervisor(backend, plan, *degrade, &tele);
             solve_on(&mut engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
         None => {
-            // A plain meshed sweep leaves telemetry to the outer loop: its
-            // trace shows `outer` rounds, not every inner iteration.
-            let rec = tele.recorder().filter(|_| outer.is_none());
-            let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
-            let mut engine = backend.engine(&props, &host, rec);
+            let mut engine = F::engine(backend, &tele, outer.is_some());
             solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
     }
@@ -497,7 +515,7 @@ enum Solved<V: Phasor> {
     Radial(SolveResult<V>),
 }
 
-/// The body of `solve` and `solve3` on one engine: one radial solve, or
+/// The body of `fbs solve` on one engine: one radial solve, or
 /// [`solve_dg`] around the engine for a meshed/DG network; then the device
 /// track and `report`, or the unrecoverable block under `label`.
 fn solve_on<V: Phasor, B: SweepBackend<V> + ?Sized>(
@@ -528,104 +546,224 @@ where
     }
 }
 
-/// Records and writes a `solve`'s telemetry, prints its report block and
-/// returns the status exit code; a meshed/DG block adds the outer status,
-/// loop currents and dispatch (outer divergence or a limit cycle exits 9).
-fn report_solve(
-    a: &Args,
-    mnet: &MeshedNetwork,
-    which: &str,
-    plan: Option<&FaultPlan>,
-    solved: &Solved<Complex>,
-    tele: &Telemetry,
-) -> Result<u8, String> {
-    match solved {
-        Solved::Radial(res) => {
-            let net = mnet.tree();
-            tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
-            tele.write()?;
+impl Feeder for MeshedNetwork {
+    type V = Complex;
 
-            println!("solver:      {which}");
-            println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
-            if let Some(plan) = plan {
+    // Closed ties or generators route through the compensation / PV
+    // outer loop; plain radial files take one inner solve.
+    fn route(&self, a: &Args, which: &str) -> Result<Route, String> {
+        let backend = Backend::from_name(which).ok_or_else(|| format!("unknown solver `{which}`"))?;
+        let (outer, label) = if self.is_plain_radial() {
+            (None, which.to_string())
+        } else if backend == Backend::GpuJump {
+            return Err(format!(
+                "solver `{which}` cannot run meshed/DG grids (use serial, multicore or a gpu sweep variant)"
+            ));
+        } else {
+            (Some(outer_config(a)?), format!("{which} (meshed)"))
+        };
+        Ok(Route { backend, outer, supervised: true, label })
+    }
+
+    fn request(&self, cfg: SolverConfig) -> (Request, Answer<Complex>) {
+        let answer = |o| if let Outcome::Solved(res) = o { Ok(res) } else { Err(Box::new(o)) };
+        (Request::Solve { net: self.tree().clone(), cfg }, answer)
+    }
+
+    fn problem(&self) -> MeshProblem {
+        MeshProblem::new(self)
+    }
+
+    fn engine(backend: Backend, tele: &Telemetry, meshed: bool) -> Box<dyn SweepBackend<Error = Infallible>> {
+        // A plain meshed sweep leaves telemetry to the outer loop: its
+        // trace shows `outer` rounds, not every inner iteration.
+        let rec = tele.recorder().filter(|_| !meshed);
+        backend.engine(&DeviceProps::paper_rig(), &HostProps::paper_rig(), rec)
+    }
+
+    // A meshed/DG block adds the outer status, loop currents and dispatch
+    // (outer divergence or a limit cycle exits 9).
+    fn report(&self, a: &Args, which: &str, plan: Option<&FaultPlan>, solved: &Solved<Complex>, tele: &Telemetry)
+        -> Result<u8, String> {
+        match solved {
+            Solved::Radial(res) => {
+                let net = self.tree();
+                tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
+                tele.write()?;
+
+                println!("solver:      {which}");
+                println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
                 print_fault_report(res, plan);
+                if res.converged() {
+                    let (vmin, bus) = res.min_voltage();
+                    let pu = vmin / net.source_voltage().abs();
+                    let losses = res.losses(net);
+                    let src = res.source_power(net);
+                    println!("min voltage: {:.1} V ({:.4} pu) at bus {bus}", vmin, pu);
+                    println!("feeder load: {:.1} kW + j{:.1} kvar", src.re / 1e3, src.im / 1e3);
+                    println!("losses:      {:.2} kW + j{:.2} kvar", losses.re / 1e3, losses.im / 1e3);
+                }
+                if a.get_parse_or("timings", true)? {
+                    let t = &res.timing;
+                    println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+                    println!(
+                        "  setup {:.1} | inject {:.1} | backward {:.1} | forward {:.1} | converge {:.1} | teardown {:.1}",
+                        t.phases.setup_us,
+                        t.phases.injection_us,
+                        t.phases.backward_us,
+                        t.phases.forward_us,
+                        t.phases.convergence_us,
+                        t.phases.teardown_us
+                    );
+                }
+                print_voltages(a, &res.v)?;
+                Ok(res.status.exit_code())
             }
-            if res.converged() {
-                let (vmin, bus) = res.min_voltage();
-                let pu = vmin / net.source_voltage().abs();
-                let losses = res.losses(net);
-                let src = res.source_power(net);
-                println!("min voltage: {:.1} V ({:.4} pu) at bus {bus}", vmin, pu);
-                println!("feeder load: {:.1} kW + j{:.1} kvar", src.re / 1e3, src.im / 1e3);
-                println!("losses:      {:.2} kW + j{:.2} kvar", losses.re / 1e3, losses.im / 1e3);
-            }
-            if a.get_parse_or("timings", true)? {
-                let t = &res.timing;
-                println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+            Solved::Meshed(res) => {
+                let inner = &res.inner;
+                tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
+                tele.write()?;
                 println!(
-                    "  setup {:.1} | inject {:.1} | backward {:.1} | forward {:.1} | converge {:.1} | teardown {:.1}",
-                    t.phases.setup_us,
-                    t.phases.injection_us,
-                    t.phases.backward_us,
-                    t.phases.forward_us,
-                    t.phases.convergence_us,
-                    t.phases.teardown_us
+                    "solver:      {which} (meshed/DG: {} loops, {} generators)",
+                    self.num_loops(),
+                    self.generators().len()
                 );
-            }
-            print_voltages(a, &res.v)?;
-            Ok(res.status.exit_code())
-        }
-        Solved::Meshed(res) => {
-            let inner = &res.inner;
-            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
-            tele.write()?;
-            println!(
-                "solver:      {which} (meshed/DG: {} loops, {} generators)",
-                mnet.num_loops(),
-                mnet.generators().len()
-            );
-            println!(
-                "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
-                res.status, res.outer_status, inner.iterations, inner.residual
-            );
-            println!(
-                "outer:       breakpoint residual {:.3e} V | pv error {:.3e} V | {} mode flips",
-                res.breakpoint_residual, res.pv_error, res.mode_flips
-            );
-            if res.converged() {
-                let (vmin, bus) = inner.min_voltage();
-                let pu = vmin / mnet.tree().source_voltage().abs();
-                println!("min voltage: {vmin:.1} V ({pu:.4} pu) at bus {bus}");
-                for (bp, j) in mnet.break_points().iter().zip(&res.loop_currents) {
-                    println!(
-                        "loop:        tie {}→{} carries {:.2} A ∠{:.1}°",
-                        bp.a,
-                        bp.b,
-                        j.abs(),
-                        j.arg().to_degrees()
-                    );
+                println!(
+                    "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
+                    res.status, res.outer_status, inner.iterations, inner.residual
+                );
+                println!(
+                    "outer:       breakpoint residual {:.3e} V | pv error {:.3e} V | {} mode flips",
+                    res.breakpoint_residual, res.pv_error, res.mode_flips
+                );
+                if res.converged() {
+                    let (vmin, bus) = inner.min_voltage();
+                    let pu = vmin / self.tree().source_voltage().abs();
+                    println!("min voltage: {vmin:.1} V ({pu:.4} pu) at bus {bus}");
+                    for (bp, j) in self.break_points().iter().zip(&res.loop_currents) {
+                        println!(
+                            "loop:        tie {}→{} carries {:.2} A ∠{:.1}°",
+                            bp.a,
+                            bp.b,
+                            j.abs(),
+                            j.arg().to_degrees()
+                        );
+                    }
+                    print_dispatch(self.generators(), res);
                 }
-                for (g, (q, mode)) in
-                    mnet.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
-                {
-                    println!(
-                        "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
-                        g.bus,
-                        g.p_gen / 1e3,
-                        q / 1e3
-                    );
-                }
-            }
-            if let Some(plan) = plan {
                 print_fault_report(inner, plan);
+                if a.get_parse_or("timings", true)? {
+                    let t = &inner.timing;
+                    println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
+                }
+                print_voltages(a, &inner.v)?;
+                Ok(res.status.exit_code())
             }
-            if a.get_parse_or("timings", true)? {
-                let t = &inner.timing;
-                println!("modeled:     total {:.1} µs (transfers {:.1} µs)", t.total_us(), t.transfer_us);
-            }
-            print_voltages(a, &inner.v)?;
-            Ok(res.status.exit_code())
         }
+    }
+}
+
+impl Feeder for ThreePhaseNetwork {
+    type V = CVec3;
+
+    // Files with distributed generators run the three-phase PV outer
+    // loop. Three-phase service requests always run device-first (the
+    // service's fallback covers the serial path), and fault plans touch
+    // only device ops: a serial run is never supervised.
+    fn route(&self, a: &Args, which: &str) -> Result<Route, String> {
+        let backend = match Backend::from_name(which) {
+            Some(Backend::Gpu) => Backend::Gpu,
+            _ if wants_service(a) => return Err(format!("service flags need --solver gpu, got `{which}`")),
+            Some(Backend::Serial) => Backend::Serial,
+            _ => return Err(format!("unknown three-phase solver `{which}`")),
+        };
+        let dg = !self.generators().is_empty();
+        let outer = dg.then(|| outer_config(a)).transpose()?;
+        let label = format!("{which} (three-phase{})", if dg { " DG" } else { "" });
+        Ok(Route { backend, outer, supervised: backend == Backend::Gpu, label })
+    }
+
+    fn request(&self, cfg: SolverConfig) -> (Request, Answer<CVec3>) {
+        let answer = |o| if let Outcome::Solved3(res) = o { Ok(res) } else { Err(Box::new(o)) };
+        (Request::Solve3 { net: self.clone(), cfg }, answer)
+    }
+
+    fn problem(&self) -> MeshProblem<CVec3> {
+        MeshProblem::three_phase(self)
+    }
+
+    // A DG run's trace keeps every inner iteration beside the outer rounds.
+    fn engine(backend: Backend, tele: &Telemetry, _: bool) -> Box<dyn SweepBackend<CVec3, Error = Infallible>> {
+        let (host, props) = (HostProps::paper_rig(), DeviceProps::paper_rig());
+        match (backend, tele.recorder().cloned()) {
+            (Backend::Serial, None) => Box::new(SerialSolver::new(host)),
+            (Backend::Serial, Some(rec)) => Box::new(SerialSolver::new(host).with_recorder(rec)),
+            (_, None) => Box::new(GpuSolver::new(Device::new(props))),
+            (_, Some(rec)) => Box::new(GpuSolver::new(Device::new(props)).with_recorder(rec)),
+        }
+    }
+
+    // Worst phase and unbalance instead of losses, and the PV loop's
+    // dispatch for a DG run.
+    fn report(&self, _: &Args, which: &str, plan: Option<&FaultPlan>, solved: &Solved<CVec3>, tele: &Telemetry)
+        -> Result<u8, String> {
+        match solved {
+            Solved::Radial(res) => {
+                tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
+                tele.write()?;
+                println!("solver:      {which} (three-phase)");
+                println!("status:      {} in {} iterations (residual {:.3e} V)", res.status, res.iterations, res.residual);
+                print_fault_report(res, plan);
+                report_solve3_body(self, res, res.converged());
+                println!("modeled:     total {:.1} µs", res.timing.total_us());
+                Ok(res.status.exit_code())
+            }
+            Solved::Meshed(res) => {
+                let inner = &res.inner;
+                tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
+                tele.write()?;
+                println!("solver:      {which} (three-phase DG: {} generators)", self.generators().len());
+                println!(
+                    "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
+                    res.status, res.outer_status, inner.iterations, inner.residual
+                );
+                println!("outer:       pv error {:.3e} V | {} mode flips", res.pv_error, res.mode_flips);
+                if res.converged() {
+                    print_dispatch(self.generators(), res);
+                }
+                report_solve3_body(self, inner, res.converged());
+                print_fault_report(inner, plan);
+                println!("modeled:     total {:.1} µs", inner.timing.total_us());
+                Ok(res.status.exit_code())
+            }
+        }
+    }
+}
+
+/// The converged-run detail lines shared by the plain and DG `.grid3`
+/// reports.
+fn report_solve3_body(net: &ThreePhaseNetwork, res: &Solve3Result, converged: bool) {
+    if !converged {
+        return;
+    }
+    let v0 = net.source_voltage().abs_max();
+    let (vmin, sag_bus) = res.min_phase_voltage();
+    let (unb, unb_bus) = res.max_unbalance();
+    println!("worst phase: {:.1} V ({:.4} pu) at bus {sag_bus}", vmin, vmin / v0);
+    println!("unbalance:   {:.2}% max at bus {unb_bus}", 100.0 * unb);
+    let t = net.total_load();
+    println!(
+        "load/phase:  a {:.1} kW | b {:.1} kW | c {:.1} kW",
+        t.a.re / 1e3,
+        t.b.re / 1e3,
+        t.c.re / 1e3
+    );
+}
+
+/// The PV loop's dispatch, one line per generator.
+fn print_dispatch<V: Phasor>(gens: &[PvBus], res: &MeshResult<V>) {
+    for (g, (q, mode)) in gens.iter().zip(res.q_gen.iter().zip(&res.gen_modes)) {
+        println!("gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}", g.bus, g.p_gen / 1e3, q / 1e3);
     }
 }
 
@@ -666,9 +804,7 @@ fn cmd_batch(argv: &[String]) -> Result<u8, String> {
     if let Some(rec) = tele.recorder() {
         solver = solver.with_recorder(rec.clone());
     }
-    let res = solver
-        .try_solve(&SolverArrays::new(&net), Scenarios::Explicit(&scenarios), &cfg)
-        .map_err(|e| format!("batch solve failed: {e}"))?;
+    let res = solver.solve(&SolverArrays::new(&net), Scenarios::Explicit(&scenarios), &cfg);
     tele.bridge_device(solver.device());
 
     let worst = res.worst_status();
@@ -1108,68 +1244,6 @@ fn cmd_gen3(argv: &[String]) -> Result<(), String> {
     emit_text(&powergrid::gridfile3::write_grid3(&net3), a.get("out"), net3.num_buses())
 }
 
-fn cmd_solve3(argv: &[String]) -> Result<u8, String> {
-    let a = Args::parse(
-        argv,
-        &["solver", "tol", "max-iter", "outer-max-iter", "outer-tol", "deadline-ms", "max-retries", "breaker-threshold", "fault-seed", "fault-rate", "fault-lost-at", "degrade", "trace-out", "metrics-out"],
-    )?;
-    let path = a.one_positional("grid3 file")?;
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let net = powergrid::gridfile3::parse_grid3(&text).map_err(|e| format!("{path}: {e}"))?;
-    let cfg = solver_config(&a)?;
-    let which = a.get_or("solver", "serial");
-    let tele = Telemetry::from_args(&a);
-    // Files with distributed generators run the three-phase PV outer loop.
-    let dg = !net.generators().is_empty();
-    let label = format!("{which} (three-phase{})", if dg { " DG" } else { "" });
-    if wants_service(&a) {
-        if dg {
-            return Err(
-                "DG .grid3 files do not route through the robustness service; \
-                 drop --max-retries/--breaker-threshold (fault flags still work)"
-                    .into(),
-            );
-        }
-        // Three-phase service requests always run device-first (the
-        // service's fallback covers the serial path).
-        if Backend::from_name(which) != Some(Backend::Gpu) {
-            return Err(format!("service flags need --solver gpu, got `{which}`"));
-        }
-        let plan = fault_plan(&a)?;
-        let req = Request::Solve3 { net: net.clone(), cfg };
-        let res = match serve_one(&a, Backend::Gpu, plan.as_ref(), &tele, req)? {
-            Outcome::Solved3(r) => r,
-            Outcome::Failed(e) => return unrecoverable(&label, &e, &tele),
-            other => return Err(format!("unexpected service outcome: {other:?}")),
-        };
-        return report_solve3(&net, which, plan.as_ref(), &Solved::Radial(res), &tele);
-    }
-    let outer = if dg { Some(outer_config(&a)?) } else { None };
-    let problem = MeshProblem::three_phase(&net);
-    let (backend, armed) = (Backend::from_name(which), armed_faults(&a)?);
-    // Fault plans only touch device ops; serial runs are unaffected.
-    let plan = armed.as_ref().map(|(plan, _)| plan).filter(|_| backend == Some(Backend::Gpu));
-    let report = |solved| report_solve3(&net, which, plan, &solved, &tele);
-    match (backend, &armed) {
-        (Some(Backend::Gpu), Some((plan, degrade))) => {
-            let mut engine = supervisor(Backend::Gpu, plan, *degrade, &tele);
-            solve_on(&mut engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
-        }
-        (Some(backend @ (Backend::Serial | Backend::Gpu)), _) => {
-            let (host, props) = (HostProps::paper_rig(), DeviceProps::paper_rig());
-            let mut engine: Box<dyn SweepBackend<CVec3, Error = Infallible>> =
-                match (backend, tele.recorder().cloned()) {
-                    (Backend::Serial, None) => Box::new(SerialSolver::new(host)),
-                    (Backend::Serial, Some(rec)) => Box::new(SerialSolver::new(host).with_recorder(rec)),
-                    (_, None) => Box::new(GpuSolver::new(Device::new(props))),
-                    (_, Some(rec)) => Box::new(GpuSolver::new(Device::new(props)).with_recorder(rec)),
-                };
-            solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
-        }
-        _ => Err(format!("unknown three-phase solver `{which}`")),
-    }
-}
-
 /// The fault-tolerant supervisor behind the `--fault-*` flags: `backend`
 /// on the paper rig with `plan` armed and the run's recorder attached.
 fn supervisor(
@@ -1198,83 +1272,6 @@ fn unrecoverable(
     println!("status:      {e}");
     tele.write()?;
     Ok(EXIT_UNRECOVERABLE)
-}
-
-/// The `solve3` counterpart of [`report_solve`]: worst phase and
-/// unbalance instead of losses, and the PV loop's dispatch for a DG run.
-fn report_solve3(
-    net: &ThreePhaseNetwork,
-    which: &str,
-    plan: Option<&FaultPlan>,
-    solved: &Solved<CVec3>,
-    tele: &Telemetry,
-) -> Result<u8, String> {
-    match solved {
-        Solved::Radial(res) => {
-            tele.record(&res.timing, res.iterations, res.residual, &res.status, res.fault_report.as_ref());
-            tele.write()?;
-            println!("solver:      {which} (three-phase)");
-            println!(
-                "status:      {} in {} iterations (residual {:.3e} V)",
-                res.status, res.iterations, res.residual
-            );
-            if let Some(plan) = plan {
-                print_fault_report(res, plan);
-            }
-            report_solve3_body(net, res, res.converged());
-            println!("modeled:     total {:.1} µs", res.timing.total_us());
-            Ok(res.status.exit_code())
-        }
-        Solved::Meshed(res) => {
-            let inner = &res.inner;
-            tele.record(&inner.timing, inner.iterations, inner.residual, &res.status, inner.fault_report.as_ref());
-            tele.write()?;
-            println!("solver:      {which} (three-phase DG: {} generators)", net.generators().len());
-            println!(
-                "status:      {} | outer {} | {} inner iterations (residual {:.3e} V)",
-                res.status, res.outer_status, inner.iterations, inner.residual
-            );
-            println!("outer:       pv error {:.3e} V | {} mode flips", res.pv_error, res.mode_flips);
-            if res.converged() {
-                for (g, (q, mode)) in
-                    net.generators().iter().zip(res.q_gen.iter().zip(&res.gen_modes))
-                {
-                    println!(
-                        "gen:         bus {} | {:.1} kW + j{:.2} kvar | {mode}",
-                        g.bus,
-                        g.p_gen / 1e3,
-                        q / 1e3
-                    );
-                }
-            }
-            report_solve3_body(net, inner, res.converged());
-            if let Some(plan) = plan {
-                print_fault_report(inner, plan);
-            }
-            println!("modeled:     total {:.1} µs", inner.timing.total_us());
-            Ok(res.status.exit_code())
-        }
-    }
-}
-
-/// The converged-run detail lines shared by the plain and DG `solve3`
-/// reports.
-fn report_solve3_body(net: &ThreePhaseNetwork, res: &Solve3Result, converged: bool) {
-    if !converged {
-        return;
-    }
-    let v0 = net.source_voltage().abs_max();
-    let (vmin, sag_bus) = res.min_phase_voltage();
-    let (unb, unb_bus) = res.max_unbalance();
-    println!("worst phase: {:.1} V ({:.4} pu) at bus {sag_bus}", vmin, vmin / v0);
-    println!("unbalance:   {:.2}% max at bus {unb_bus}", 100.0 * unb);
-    let t = net.total_load();
-    println!(
-        "load/phase:  a {:.1} kW | b {:.1} kW | c {:.1} kW",
-        t.a.re / 1e3,
-        t.b.re / 1e3,
-        t.c.re / 1e3
-    );
 }
 
 fn emit_text(text: &str, out: Option<&str>, buses: usize) -> Result<(), String> {
@@ -1351,9 +1348,7 @@ where
         res.iterations,
         res.timing.total_us()
     );
-    if let Some(plan) = plan {
-        print_fault_report(&res, plan);
-    }
+    print_fault_report(&res, plan);
     println!();
     if let Some(dev) = engine.device() {
         print!("{}", dev.timeline().kernel_report_table());

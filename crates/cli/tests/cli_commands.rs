@@ -510,14 +510,92 @@ fn solve3_stdout_matches_its_golden() {
         ),
     ];
     for (flags, want) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_fbs"))
-            .args(["solve3", s3])
-            .args(flags)
-            .env_remove("FBS_FAULT_SEED")
-            .output()
-            .expect("spawn fbs binary");
-        assert_eq!(out.status.code(), Some(0), "solve3 {flags:?}");
-        assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), want, "solve3 {flags:?}");
+        // `solve` reads the same `.grid3` file as its alias does.
+        for cmd in ["solve3", "solve"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_fbs"))
+                .args([cmd, s3])
+                .args(flags)
+                .env_remove("FBS_FAULT_SEED")
+                .output()
+                .expect("spawn fbs binary");
+            assert_eq!(out.status.code(), Some(0), "{cmd} {flags:?}");
+            assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), want, "{cmd} {flags:?}");
+        }
+    }
+    let _ = fs::remove_file(&p3);
+}
+
+/// `fbs <cmd> <args…>` as a process: its exit code and stdout.
+fn fbs(cmd: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fbs"))
+        .arg(cmd)
+        .args(args)
+        .env_remove("FBS_FAULT_SEED")
+        .output()
+        .expect("spawn fbs binary");
+    (out.status.code(), String::from_utf8(out.stdout).expect("utf-8 stdout"))
+}
+
+/// `solve` takes a `.grid3` file's phase kind from its header: every
+/// `solve3` invocation of this suite prints the same stdout and exits
+/// with the same code as `solve` on the same file, the `--trace-out`
+/// file included.
+#[test]
+fn solve_on_a_grid3_file_is_solve3() {
+    let [p1, p3, gen3, dg, bad] = ["eq.grid", "eq.grid3", "eq-gen3.grid3", "eq-dg.grid3", "eq-bad.grid3"].map(tmp);
+    let [s1, s3, g3, d3, b3] = [&p1, &p3, &gen3, &dg, &bad].map(|p| p.to_str().unwrap());
+    run(&["feeders3", "--name", "ieee13", "--out", s3]).unwrap();
+    run(&["gen", "--topology", "binary", "--buses", "127", "--out", s1]).unwrap();
+    run(&["gen3", s1, "--unbalance", "0.4", "--out", g3]).unwrap();
+    let mut text = fs::read_to_string(&p3).unwrap();
+    text.push_str("gen 6 20000 2350 -30000 30000\n");
+    fs::write(&dg, &text).unwrap();
+    text.push_str("gen 6 1 2350 -1 1\n");
+    fs::write(&bad, &text).unwrap();
+
+    let faults = ["--solver", "gpu", "--fault-seed", "7", "--fault-rate", "0.005"];
+    let mut cases: Vec<Vec<&str>> = vec![
+        vec![s3, "--solver", "serial"],
+        vec![s3, "--solver", "gpu"],
+        vec![g3, "--solver", "gpu"],
+        vec![s3, "--solver", "gpu-jump"],
+        vec![s3, "--solver", "gpu", "--fault-rate", "1", "--degrade", "false"],
+        vec![s3, "--solver", "gpu", "--max-retries", "1"],
+        vec![s3, "--solver", "serial", "--max-retries", "1"],
+        vec![d3, "--solver", "serial"],
+        vec![d3, "--solver", "gpu"],
+        vec![d3, "--solver", "gpu", "--max-retries", "2"],
+        vec![b3],
+        vec![s3, "--timings", "false"],
+    ];
+    cases.extend([s3, d3].map(|file| [&[file][..], &faults].concat()));
+    for args in &cases {
+        assert_eq!(fbs("solve", args), fbs("solve3", args), "{args:?}");
+    }
+    let traces = ["eq3.trace.json", "eq.trace.json"].map(tmp);
+    for (cmd, trace) in ["solve3", "solve"].into_iter().zip(&traces) {
+        let args = [&[cmd, s3][..], &faults, &["--trace-out", trace.to_str().unwrap()]].concat();
+        assert_eq!(run(&args), Ok(0), "{cmd}");
+    }
+    let [t3, t] = traces.each_ref().map(|p| fs::read(p).expect("trace written"));
+    assert_eq!(t3, t, "the two commands trace the same run");
+    for p in [p1, p3, gen3, dg, bad].iter().chain(&traces) {
+        let _ = fs::remove_file(p);
+    }
+}
+
+/// A `.grid3` file keeps the three-phase flag set: `--timings` (and
+/// `--show-voltages`) are rejected whichever command name reads it.
+#[test]
+fn grid3_files_keep_the_three_phase_flags() {
+    let p3 = tmp("flags.grid3");
+    let s3 = p3.to_str().unwrap();
+    run(&["feeders3", "--name", "ieee13", "--out", s3]).unwrap();
+    for cmd in ["solve3", "solve"] {
+        for (flag, value) in [("timings", "false"), ("show-voltages", "3")] {
+            let rejected = run(&[cmd, s3, &format!("--{flag}"), value]);
+            assert_eq!(rejected, Err(format!("unknown flag --{flag}")), "{cmd}");
+        }
     }
     let _ = fs::remove_file(&p3);
 }

@@ -200,7 +200,7 @@ impl ContingencyScreener {
             patches: &patches,
             warm: warm_profile.map(|v| &v[..]),
         };
-        let res = self.solver.try_solve(&a, scenarios, cfg).unwrap_or_else(|e| panic!("{e}"));
+        let res = self.solver.solve(&a, scenarios, cfg);
 
         let outcomes = buses
             .iter()

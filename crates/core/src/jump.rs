@@ -354,7 +354,7 @@ impl SweepSession for JumpSession<'_> {
 
     fn snapshot(&mut self) -> Result<Vec<Complex>, DeviceError> {
         let mark = self.dev.timeline().mark();
-        let v = self.dev.try_dtoh(&self.v_buf)?;
+        let v = self.dev.try_dtoh_checked(&self.v_buf)?;
         self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(v)
     }
@@ -392,8 +392,8 @@ impl SweepSession for JumpSession<'_> {
     fn download(&mut self) -> Result<(Vec<Complex>, Vec<Complex>), DeviceError> {
         let dev = &mut *self.dev;
         let mark = dev.timeline().mark();
-        let v_pos = dev.try_dtoh(&self.v_buf)?;
-        let j_pos = dev.try_dtoh(&self.j_buf)?;
+        let v_pos = dev.try_dtoh_checked(&self.v_buf)?;
+        let j_pos = dev.try_dtoh_checked(&self.j_buf)?;
         self.clock.charge("teardown", &dev.timeline().breakdown_since(mark));
         Ok((v_pos, j_pos))
     }

@@ -859,8 +859,7 @@ impl SolveService {
                 // supervisor (the fleet reclaims the work on a peer), so
                 // a mid-batch loss is a failure there.
                 let arrays = SolverArrays::new(net);
-                let solved = solver.try_solve(&arrays, Scenarios::Explicit(scenarios), &cfg);
-                let res = solved.unwrap_or_else(|e| unreachable!("the batch absorbs {e}"));
+                let res = solver.solve(&arrays, Scenarios::Explicit(scenarios), &cfg);
                 match loss_error(solver.device()) {
                     Some(e) if !self.cfg.fallback => Err(ResilienceError::DeviceLost(e).into()),
                     _ => Ok(Outcome::Batch(res)),

@@ -7,7 +7,7 @@
 //! depth-`L` tree pays `O(L)` launches per iteration however the
 //! scenarios are grouped. This module removes the per-level launches
 //! entirely by turning the batch into a tensor. Every solve goes through
-//! [`TensorBatchSolver::try_solve`], whose only input is the
+//! [`TensorBatchSolver::solve`], whose only input is the
 //! [`Scenarios`] set:
 //!
 //! * **Scenario-major SoA layout** — every per-scenario array (voltages,
@@ -119,7 +119,7 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::try_fill;
 use simt::{
-    pod_bytes, BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
+    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
     GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, Stream, StreamEvent,
     ThreadCtx,
 };
@@ -278,7 +278,7 @@ impl TensorBatchResult {
     }
 }
 
-/// The scenario set of one [`TensorBatchSolver::try_solve`]. Batch-shape
+/// The scenario set of one [`TensorBatchSolver::solve`]. Batch-shape
 /// violations (an empty set, a scenario of the wrong length, a patch
 /// naming a bad bus or the root) are caller bugs and panic.
 #[derive(Clone, Copy, Debug)]
@@ -396,16 +396,15 @@ impl TensorBatchSolver {
     /// level-order arrays `a` were built from. Device weather is handled
     /// internally — each chunk is one `recovery::drive` session, restarted
     /// within [`SolverConfig::max_recoveries`], and the rest of the batch
-    /// degrades to serial solves past it — so this never returns `Err`;
-    /// the `Result` keeps call sites stable. Batch-shape violations panic
-    /// (see [`Scenarios`]).
-    pub fn try_solve(
+    /// degrades to serial solves past it — so it cannot fail. Batch-shape
+    /// violations panic (see [`Scenarios`]).
+    pub fn solve(
         &mut self,
         a: &SolverArrays,
         scenarios: Scenarios<'_>,
         cfg: &SolverConfig,
-    ) -> Result<TensorBatchResult, DeviceError> {
-        Ok(match scenarios {
+    ) -> TensorBatchResult {
+        match scenarios {
             Scenarios::Explicit(loads) => {
                 let n = a.len();
                 for (s, sc) in loads.iter().enumerate() {
@@ -422,18 +421,18 @@ impl TensorBatchSolver {
                 let plan = PatchPlan::build(a, dfs, patches);
                 self.solve_impl(a, Loads::Scaled(&plan.scales), cfg, Some(&plan), warm)
             }
-        })
+        }
     }
 
     /// The [`Scenarios::Explicit`] form of
-    /// [`TensorBatchSolver::try_solve`].
+    /// [`TensorBatchSolver::solve`].
     pub fn solve_arrays(
         &mut self,
         a: &SolverArrays,
         scenarios: &[Vec<Complex>],
         cfg: &SolverConfig,
     ) -> TensorBatchResult {
-        self.try_solve(a, Scenarios::Explicit(scenarios), cfg).unwrap_or_else(|e| panic!("{e}"))
+        self.solve(a, Scenarios::Explicit(scenarios), cfg)
     }
 
     /// Largest scenario batch one resident session can hold; callers
@@ -943,8 +942,8 @@ impl Topology {
     }
 
     /// Every static buffer with its host truth, followed by `extra`: the
-    /// members of an upload, or of a rollback's re-upload (which heals
-    /// resident corruption).
+    /// members of an upload, or the head of the chunk's statics
+    /// ([`Resident::statics`]).
     fn parts<'p>(
         &'p mut self,
         a: &'p SolverArrays,
@@ -963,43 +962,6 @@ impl Topology {
         }
         parts.extend(extra);
         parts
-    }
-
-    /// Reads every static buffer back, with `extra`, in one packed read
-    /// and compares the statics byte for byte against the host truth
-    /// (certification's first line of defence); the caller compares
-    /// `extra`.
-    fn verify(
-        &self,
-        dev: &mut Device,
-        a: &SolverArrays,
-        patches: Option<&PatchPlan>,
-        extra: Vec<DtohPart<'_>>,
-    ) -> Result<bool, DeviceError> {
-        let (mut z, mut parent_pos, mut child_lo, mut child_hi, mut base_s, mut dfs_pos) =
-            Default::default();
-        let mut parts = vec![
-            DtohPart::new(&self.z, &mut z),
-            DtohPart::new(&self.parent_pos, &mut parent_pos),
-            DtohPart::new(&self.child_lo, &mut child_lo),
-            DtohPart::new(&self.child_hi, &mut child_hi),
-            DtohPart::new(&self.base_s, &mut base_s),
-        ];
-        if let Some(buf) = &self.dfs_pos {
-            parts.push(DtohPart::new(buf, &mut dfs_pos));
-        }
-        parts.extend(extra);
-        dev.try_dtoh_packed(&mut parts)?;
-        drop(parts);
-        Ok(pod_bytes(&z) == pod_bytes(&a.z)
-            && parent_pos == a.parent_pos
-            && child_lo == a.child_lo
-            && child_hi == a.child_hi
-            && pod_bytes(&base_s) == pod_bytes(&a.s)
-            && match (&self.dfs_pos, patches) {
-                (Some(_), Some(plan)) => dfs_pos == plan.dfs_pos,
-                _ => true,
-            })
     }
 }
 
@@ -1284,6 +1246,35 @@ impl<'a> Resident<'a> {
         dev.try_launch(grid, &kernel)?;
         self.flat = false;
         Ok(())
+    }
+
+    /// Every static buffer of the chunk with the host copy it must
+    /// match — the topology, `dfs_pos`, the loads (explicit ones through
+    /// `slab`, which receives their position-space slab), the mask and
+    /// the patch words — and then V when `v` is given: a rollback's
+    /// re-upload, and verification's read-back.
+    fn statics<'p>(
+        &'p mut self,
+        loads: &Loads<'p>,
+        mask: &'p [u32],
+        slab: &'p mut Vec<Complex>,
+        v: Option<&'p [Complex]>,
+    ) -> Vec<HtodPart<'p>> {
+        let r = self.range.clone();
+        let mut extra = vec![match (&mut self.loads, *loads) {
+            (DeviceLoads::Scales(buf), Loads::Scaled(sc)) => HtodPart::new(buf, &sc[r.clone()]),
+            (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
+                *slab = position_slab(self.a, &sc[r.clone()]);
+                HtodPart::new(buf, slab)
+            }
+            _ => unreachable!("a chunk's loads keep their kind"),
+        }];
+        extra.push(HtodPart::new(&mut self.mask, mask));
+        if let (Some(cp), Some(plan)) = (&mut self.patch, self.plan) {
+            extra.extend(cp.parts(plan, r));
+        }
+        extra.extend(v.map(|v| HtodPart::new(&mut self.v, v)));
+        self.topo.parts(self.a, self.plan, extra)
     }
 
     /// The state the iterate started from, in position order: the last
@@ -1719,29 +1710,16 @@ impl SweepSession for Chunk<'_, '_> {
     }
 
     fn restore(&mut self, v_pos: &[Complex], live: &[bool]) -> Result<(), DeviceError> {
-        let (dev, r) = (&mut *self.dev, &mut self.res);
-        let mark = dev.timeline().mark();
+        let mark = self.dev.timeline().mark();
         // Statics are re-uploaded wholesale, as on the level path, in one
         // checked packed copy with the voltages. A flipped mask word
         // freezes a stripe, so the mask is static too.
         let mask: Vec<u32> = live.iter().map(|&l| u32::from(l)).collect();
-        let slab;
-        let mut extra = vec![match (&mut r.loads, &self.loads) {
-            (DeviceLoads::Scales(buf), Loads::Scaled(sc)) => HtodPart::new(buf, &sc[r.range.clone()]),
-            (DeviceLoads::Slab(buf), Loads::Explicit(sc) | Loads::Deltas(sc)) => {
-                slab = position_slab(r.a, &sc[r.range.clone()]);
-                HtodPart::new(buf, &slab)
-            }
-            _ => unreachable!("a chunk's loads keep their kind"),
-        }];
-        extra.push(HtodPart::new(&mut r.mask, &mask));
-        if let (Some(cp), Some(plan)) = (&mut r.patch, r.plan) {
-            extra.extend(cp.parts(plan, r.range.clone()));
-        }
-        extra.push(HtodPart::new(&mut r.v, v_pos));
-        dev.try_htod_packed_checked(&mut r.topo.parts(r.a, r.plan, extra))?;
-        (r.live, r.flat) = (mask, false);
-        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        let mut slab = Vec::new();
+        let mut statics = self.res.statics(&self.loads, &mask, &mut slab, Some(v_pos));
+        self.dev.try_htod_packed_checked(&mut statics)?;
+        (self.res.live, self.res.flat) = (mask, false);
+        self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(())
     }
 
@@ -1750,27 +1728,10 @@ impl SweepSession for Chunk<'_, '_> {
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
-        let (dev, r) = (&mut *self.dev, &self.res);
-        let mark = dev.timeline().mark();
-        let (mut slab, mut scales, mut mask) = (Vec::new(), Vec::new(), Vec::new());
-        let loads = match &r.loads {
-            DeviceLoads::Slab(buf) => DtohPart::new(buf, &mut slab),
-            DeviceLoads::Scales(buf) => DtohPart::new(buf, &mut scales),
-        };
-        let extra = vec![loads, DtohPart::new(&r.mask, &mut mask)];
-        let ok = r.topo.verify(dev, r.a, r.plan, extra)?
-            && match self.loads {
-                Loads::Scaled(sc) => pod_bytes(&scales) == pod_bytes(&sc[r.range.clone()]),
-                Loads::Explicit(sc) | Loads::Deltas(sc) => {
-                    pod_bytes(&slab) == pod_bytes(&position_slab(r.a, &sc[r.range.clone()]))
-                }
-            }
-            && mask == r.live
-            && match (&r.patch, r.plan) {
-                (Some(cp), Some(plan)) => cp.matches(dev, plan, r.range.clone())?,
-                _ => true,
-            };
-        self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
+        let mark = self.dev.timeline().mark();
+        let (live, mut slab) = (self.res.live.clone(), Vec::new());
+        let ok = self.dev.try_verify_packed(&self.res.statics(&self.loads, &live, &mut slab, None))?;
+        self.clock.recovery_us += self.dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
 
@@ -1920,8 +1881,7 @@ impl ChunkPatch {
         })
     }
 
-    /// Every patch word with its host truth: the members of a
-    /// rollback's re-upload.
+    /// Every patch word with its host truth.
     fn parts<'p>(&'p mut self, plan: &'p PatchPlan, r: Range<usize>) -> [HtodPart<'p>; 5] {
         [
             HtodPart::new(&mut self.cut_pos, &plan.cut_pos[r.clone()]),
@@ -1930,20 +1890,6 @@ impl ChunkPatch {
             HtodPart::new(&mut self.z_pos, &plan.z_pos[r.clone()]),
             HtodPart::new(&mut self.z_val, &plan.z_val[r]),
         ]
-    }
-
-    /// Whether every patch word on the device equals the plan's.
-    fn matches(
-        &self,
-        dev: &mut Device,
-        plan: &PatchPlan,
-        r: Range<usize>,
-    ) -> Result<bool, DeviceError> {
-        Ok(dev.try_dtoh(&self.cut_pos)? == plan.cut_pos[r.clone()]
-            && dev.try_dtoh(&self.cut_lo)? == plan.cut_lo[r.clone()]
-            && dev.try_dtoh(&self.cut_hi)? == plan.cut_hi[r.clone()]
-            && dev.try_dtoh(&self.z_pos)? == plan.z_pos[r.clone()]
-            && pod_bytes(&dev.try_dtoh(&self.z_val)?) == pod_bytes(&plan.z_val[r]))
     }
 }
 
@@ -2662,7 +2608,7 @@ mod tests {
         scales: &[f64],
         cfg: &SolverConfig,
     ) -> TensorBatchResult {
-        s.try_solve(&SolverArrays::new(net), Scenarios::Scaled(scales), cfg).unwrap()
+        s.solve(&SolverArrays::new(net), Scenarios::Scaled(scales), cfg)
     }
 
     fn solve_patched(
@@ -2673,7 +2619,7 @@ mod tests {
         warm: Option<&[Complex]>,
         cfg: &SolverConfig,
     ) -> TensorBatchResult {
-        s.try_solve(a, Scenarios::Patched { dfs, patches, warm }, cfg).unwrap()
+        s.solve(a, Scenarios::Patched { dfs, patches, warm }, cfg)
     }
 
     fn base_loads(net: &RadialNetwork) -> Vec<Complex> {
@@ -3258,7 +3204,7 @@ mod tests {
                 check("session", op, buffer, &round.statuses, &report.v);
 
                 let res =
-                    armed().try_solve(&arrays, Scenarios::Explicit(&scenarios), &cfg).unwrap();
+                    armed().solve(&arrays, Scenarios::Explicit(&scenarios), &cfg);
                 check("one-shot", op, buffer, &res.statuses, &res.v);
             }
         }
@@ -3294,7 +3240,7 @@ mod tests {
                 let mut dev = device();
                 dev.arm_faults(plan);
                 let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(2);
-                (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+                (solver.solve(&a, batch, &cfg), solver)
             };
             let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
             let events = solver.device().timeline().events();
@@ -3368,7 +3314,7 @@ mod tests {
             dev.arm_faults(plan);
             let mut solver = TensorBatchSolver::new(dev);
             let batch = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
-            (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+            (solver.solve(&a, batch, &cfg), solver)
         };
         let (clean, solver) = run(simt::FaultPlan::seeded(0, 0.0));
         let iters = &clean.per_scenario_iterations;
@@ -3401,7 +3347,7 @@ mod tests {
         let patched = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
         for batch in [Scenarios::Explicit(&loads), patched] {
             let mut piped = solver().with_chunk_scenarios(3);
-            let res = piped.try_solve(&a, batch, &cfg).unwrap();
+            let res = piped.solve(&a, batch, &cfg);
             for r in [0..3, 3..6, 6..9] {
                 let part = match batch {
                     Scenarios::Explicit(l) => Scenarios::Explicit(&l[r.clone()]),
@@ -3410,7 +3356,7 @@ mod tests {
                     }
                     Scenarios::Scaled(_) => unreachable!(),
                 };
-                let alone = solver().try_solve(&a, part, &cfg).unwrap();
+                let alone = solver().solve(&a, part, &cfg);
                 assert_eq!((&res.v[r.clone()], &res.j[r.clone()]), (&alone.v[..], &alone.j[..]));
                 let iters = &res.per_scenario_iterations[r.clone()];
                 assert_eq!(iters, alone.per_scenario_iterations);
@@ -3536,7 +3482,7 @@ mod tests {
             dev.arm_faults(plan);
             let mut solver = TensorBatchSolver::new(dev).with_chunk_scenarios(3);
             let batch = Scenarios::Patched { dfs: &dfs, patches: &patches, warm: None };
-            (solver.try_solve(&a, batch, &cfg).unwrap(), solver)
+            (solver.solve(&a, batch, &cfg), solver)
         };
         let drained = |solver: &TensorBatchSolver| -> u64 {
             let read = |e: &simt::Event| match e.kind {

@@ -155,3 +155,28 @@ fn seeded_plans_replay_byte_identically() {
     assert_eq!(a.fault_report, b.fault_report, "fault bookkeeping must replay exactly");
     assert!(a.fault_report.unwrap().faults_injected >= 1, "the seed was chosen to fire");
 }
+
+/// A read corrupted on its way back at either of the last two device ops
+/// of a supervised IEEE-13 solve — the final voltage and current reads,
+/// on every route — is caught and read again: every device backend
+/// returns the clean answer.
+#[test]
+fn a_corrupted_final_read_never_reaches_the_answer() {
+    let a = SolverArrays::new(&ieee13());
+    let supervised = |backend: Backend, plan: FaultPlan| {
+        let (props, host) = rig();
+        let mut solver = ResilientSolver::new(backend, props, host).with_fault_plan(plan);
+        solver.solve(&a, &cfg()).unwrap_or_else(|e| panic!("{}: {e}", backend.name()))
+    };
+    for backend in BACKENDS.into_iter().filter(|b| b.is_device()) {
+        let clean_plan = FaultPlan::seeded(0, 0.0);
+        let clean = supervised(backend, clean_plan.clone());
+        let ops = clean_plan.ops_started();
+        for op in [ops - 2, ops - 1] {
+            let res = supervised(backend, FaultPlan::scripted([(op, FaultKind::TransferCorruption)]));
+            let name = backend.name();
+            assert!(res.converged(), "{name}, op {op}: ended {:?}", res.status);
+            assert_eq!((&res.v, &res.j), (&clean.v, &clean.j), "{name}, op {op}: not the clean answer");
+        }
+    }
+}

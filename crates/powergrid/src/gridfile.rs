@@ -156,78 +156,100 @@ pub fn write_grid_meshed(net: &MeshedNetwork) -> String {
     out
 }
 
-/// Everything a `.grid` file can carry, scanned with line-level
-/// validation but not yet graph-validated.
-struct RawGrid {
-    source: Complex,
-    /// Loads by (dense) bus id.
-    loads: Vec<Complex>,
-    branches: Vec<(usize, usize, Complex)>,
-    /// (from, to, z, closed).
-    ties: Vec<(usize, usize, Complex, bool)>,
-    gens: Vec<PvBus>,
+/// What tells the `.grid` and `.grid3` dialects apart to the one record
+/// scanner, [`parse_records`]: the header and record names, how many
+/// numbers one load or source phasor (2 or 6) and one impedance (2 or 4)
+/// take and what they make, and whether `tie` records exist. The `gen`
+/// record is the same in both.
+pub(crate) struct Dialect<P, Z> {
+    pub(crate) header: &'static str,
+    pub(crate) source: &'static str,
+    pub(crate) bus: &'static str,
+    pub(crate) branch: &'static str,
+    pub(crate) phasor: (usize, fn(&[f64]) -> P),
+    pub(crate) z: (usize, fn(&[f64]) -> Z),
+    pub(crate) ties: bool,
 }
 
-fn parse_records(text: &str) -> Result<RawGrid, ParseError> {
+/// The single-phase `.grid` dialect.
+const GRID: Dialect<Complex, Complex> = Dialect {
+    header: "grid",
+    source: "source",
+    bus: "bus",
+    branch: "branch",
+    phasor: (2, |v| c(v[0], v[1])),
+    z: (2, |v| c(v[0], v[1])),
+    ties: true,
+};
+
+/// Everything a file can carry, scanned with line-level validation but
+/// not yet graph-validated.
+pub(crate) struct RawGrid<P, Z> {
+    pub(crate) source: P,
+    /// Loads by (dense) bus id.
+    pub(crate) loads: Vec<P>,
+    pub(crate) branches: Vec<(usize, usize, Z)>,
+    /// (from, to, z, closed).
+    pub(crate) ties: Vec<(usize, usize, Z, bool)>,
+    pub(crate) gens: Vec<PvBus>,
+}
+
+/// The non-blank lines of `text` with comments cut, each with its
+/// 0-based line number.
+pub(crate) fn records(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let lines = text.lines().map(|raw| raw.split('#').next().unwrap_or("").trim());
+    lines.enumerate().filter(|(_, line)| !line.is_empty())
+}
+
+/// Scans the records of a file in dialect `d`.
+pub(crate) fn parse_records<P: Clone, Z>(
+    text: &str,
+    d: &Dialect<P, Z>,
+) -> Result<RawGrid<P, Z>, ParseError> {
     let mut source = None;
-    let mut buses: Vec<(usize, f64, f64)> = Vec::new();
-    let mut branches: Vec<(usize, usize, Complex)> = Vec::new();
-    let mut ties: Vec<(usize, usize, Complex, bool)> = Vec::new();
+    let mut buses: Vec<(usize, P)> = Vec::new();
+    let mut branches: Vec<(usize, usize, Z)> = Vec::new();
+    let mut ties: Vec<(usize, usize, Z, bool)> = Vec::new();
     let mut gens: Vec<PvBus> = Vec::new();
     let mut edges: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
     let mut gen_buses: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut saw_header = false;
 
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
+    for (ln, line) in records(text) {
         let mut tok = line.split_ascii_whitespace();
         let kind = tok.next().expect("non-empty line has a token");
         let bad = |why: &str| ParseError::BadLine(ln + 1, why.to_string());
+        let id = |tok: &mut Tokens<'_>| parse_tok::<usize>(tok).map_err(|w| bad(&w));
+        let phasor = |tok: &mut Tokens<'_>| numbers(tok, d.phasor.0, ln).map(|v| (d.phasor.1)(&v));
+        let impedance = |tok: &mut Tokens<'_>| numbers(tok, d.z.0, ln).map(|v| (d.z.1)(&v));
 
         match kind {
-            "grid" => {
+            k if k == d.header => {
                 let ver = tok.next().ok_or(ParseError::BadHeader)?;
                 if ver != "1" {
                     return Err(ParseError::BadVersion(ver.to_string()));
                 }
                 saw_header = true;
             }
-            "source" => {
-                let re: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let im: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                finite(&[re, im], ln)?;
-                source = Some(c(re, im));
+            k if k == d.source => source = Some(phasor(&mut tok)?),
+            k if k == d.bus => {
+                let id = id(&mut tok)?;
+                buses.push((id, phasor(&mut tok)?));
             }
-            "bus" => {
-                let id: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let p: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let q: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                finite(&[p, q], ln)?;
-                buses.push((id, p, q));
-            }
-            "branch" => {
-                let from: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let to: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let r: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let x: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                finite(&[r, x], ln)?;
+            k if k == d.branch => {
+                let (from, to) = (id(&mut tok)?, id(&mut tok)?);
+                let z = impedance(&mut tok)?;
                 if from == to {
                     return Err(ParseError::SelfLoop(ln + 1));
                 }
                 if !edges.insert((from.min(to), from.max(to))) {
                     return Err(ParseError::DuplicateEdge(ln + 1));
                 }
-                branches.push((from, to, c(r, x)));
+                branches.push((from, to, z));
             }
-            "tie" => {
-                let from: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let to: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let r: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let x: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                finite(&[r, x], ln)?;
+            "tie" if d.ties => {
+                let (from, to) = (id(&mut tok)?, id(&mut tok)?);
+                let z = impedance(&mut tok)?;
                 let closed = match tok.next() {
                     None | Some("closed") => true,
                     Some("open") => false,
@@ -241,15 +263,11 @@ fn parse_records(text: &str) -> Result<RawGrid, ParseError> {
                 if !edges.insert((from.min(to), from.max(to))) {
                     return Err(ParseError::TieDuplicatesEdge(ln + 1));
                 }
-                ties.push((from, to, c(r, x), closed));
+                ties.push((from, to, z, closed));
             }
             "gen" => {
-                let bus: usize = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let p_gen: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let v_set: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let q_min: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                let q_max: f64 = parse_tok(&mut tok).map_err(|w| bad(&w))?;
-                finite(&[p_gen, v_set, q_min, q_max], ln)?;
+                let bus = id(&mut tok)?;
+                let [p_gen, v_set, q_min, q_max, ..] = numbers(&mut tok, 4, ln)?;
                 if q_min > q_max {
                     return Err(ParseError::BadQLimits(ln + 1));
                 }
@@ -273,11 +291,11 @@ fn parse_records(text: &str) -> Result<RawGrid, ParseError> {
     // Bus ids must be dense 0..n (order in the file is free).
     let n = buses.len();
     let mut loads = vec![None; n];
-    for (id, p, q) in buses {
+    for (id, s) in buses {
         if id >= n || loads[id].is_some() {
             return Err(ParseError::SparseBusIds);
         }
-        loads[id] = Some(c(p, q));
+        loads[id] = Some(s);
     }
     let loads = loads.into_iter().map(|l| l.expect("dense check guarantees presence")).collect();
 
@@ -288,7 +306,7 @@ fn parse_records(text: &str) -> Result<RawGrid, ParseError> {
 /// `tie`/`gen` records are rejected with [`ParseError::MeshedGrid`] —
 /// callers that can handle them use [`parse_grid_meshed`].
 pub fn parse_grid(text: &str) -> Result<RadialNetwork, ParseError> {
-    let raw = parse_records(text)?;
+    let raw = parse_records(text, &GRID)?;
     if !raw.ties.is_empty() || !raw.gens.is_empty() {
         return Err(ParseError::MeshedGrid);
     }
@@ -307,7 +325,7 @@ pub fn parse_grid(text: &str) -> Result<RadialNetwork, ParseError> {
 /// into a [`MeshedNetwork`] that [`MeshedNetwork::is_plain_radial`],
 /// whose spanning tree is branch-for-branch the [`parse_grid`] result.
 pub fn parse_grid_meshed(text: &str) -> Result<MeshedNetwork, ParseError> {
-    let raw = parse_records(text)?;
+    let raw = parse_records(text, &GRID)?;
     // Surplus branch records (loops among `branch` lines) are *not*
     // silently opened: a radial section that declares a loop is a data
     // error, and `tie` is the record that says "this edge closes a
@@ -339,15 +357,22 @@ pub fn parse_grid_meshed(text: &str) -> Result<MeshedNetwork, ParseError> {
     })
 }
 
-fn parse_tok<T: std::str::FromStr>(tok: &mut std::str::SplitAsciiWhitespace<'_>) -> Result<T, String> {
+type Tokens<'a> = std::str::SplitAsciiWhitespace<'a>;
+
+fn parse_tok<T: std::str::FromStr>(tok: &mut Tokens<'_>) -> Result<T, String> {
     let s = tok.next().ok_or_else(|| "missing field".to_string())?;
     s.parse().map_err(|_| format!("cannot parse `{s}`"))
 }
 
-/// Rejects NaN/infinite numeric fields on line `ln` (0-based).
-pub(crate) fn finite(vals: &[f64], ln: usize) -> Result<(), ParseError> {
-    if vals.iter().all(|v| v.is_finite()) {
-        Ok(())
+/// The next `k` (at most 6) numbers of the record on line `ln`
+/// (0-based), rejected unless finite.
+fn numbers(tok: &mut Tokens<'_>, k: usize, ln: usize) -> Result<[f64; 6], ParseError> {
+    let mut v = [0.0f64; 6];
+    for x in &mut v[..k] {
+        *x = parse_tok(tok).map_err(|w| ParseError::BadLine(ln + 1, w))?;
+    }
+    if v.iter().all(|x| x.is_finite()) {
+        Ok(v)
     } else {
         Err(ParseError::NonFinite(ln + 1))
     }

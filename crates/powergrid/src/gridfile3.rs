@@ -22,15 +22,16 @@
 //!   format: `p_gen` and the dispatched Q split equally across phases,
 //!   the set-point regulates the mean phase magnitude.
 //!
-//! Blank lines and `#` comments are ignored; validation goes through
-//! [`ThreePhaseBuilder::build`].
+//! Blank lines and `#` comments are ignored. The records are scanned by
+//! the `.grid` reader's scanner in its three-phase dialect (a malformed
+//! field reads `missing field` or ``cannot parse `x` ``, as in `.grid`);
+//! validation goes through [`ThreePhaseBuilder::build`].
 
 use std::fmt::Write as _;
 
 use numc::{c, CMat3, CVec3};
 
-use crate::gridfile::ParseError;
-use crate::mesh::PvBus;
+use crate::gridfile::{parse_records, records, Dialect, ParseError};
 use crate::three_phase::{ThreePhaseBuilder, ThreePhaseNetwork};
 
 /// Serialises a three-phase network to `.grid3` text.
@@ -72,123 +73,35 @@ pub fn write_grid3(net: &ThreePhaseNetwork) -> String {
     out
 }
 
+/// The three-phase `.grid3` dialect of the one record scanner.
+const GRID3: Dialect<CVec3, CMat3> = Dialect {
+    header: "grid3",
+    source: "source3",
+    bus: "bus3",
+    branch: "branch3",
+    phasor: (6, |v| CVec3::new(c(v[0], v[1]), c(v[2], v[3]), c(v[4], v[5]))),
+    z: (4, |v| CMat3::coupled(c(v[0], v[1]), c(v[2], v[3]))),
+    ties: false,
+};
+
+/// Whether `text` is `.grid3` text: its first header record is `grid3`
+/// rather than `grid`. Text without either header is not.
+pub fn is_grid3(text: &str) -> bool {
+    let mut kinds = records(text).filter_map(|(_, line)| line.split_ascii_whitespace().next());
+    kinds.find(|&k| k == "grid" || k == "grid3") == Some("grid3")
+}
+
 /// Parses `.grid3` text into a validated three-phase network.
 pub fn parse_grid3(text: &str) -> Result<ThreePhaseNetwork, ParseError> {
-    let mut source = None;
-    let mut buses: Vec<(usize, CVec3)> = Vec::new();
-    let mut branches: Vec<(usize, usize, CMat3)> = Vec::new();
-    let mut edges: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    let mut gens: Vec<PvBus> = Vec::new();
-    let mut gen_buses: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let mut saw_header = false;
-
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tok = line.split_ascii_whitespace();
-        let kind = tok.next().expect("non-empty line has a token");
-        let bad = |why: &str| ParseError::BadLine(ln + 1, why.to_string());
-        let num = |tok: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<f64, ParseError> {
-            let s = tok.next().ok_or_else(|| bad("missing field"))?;
-            s.parse().map_err(|_| bad(&format!("cannot parse `{s}`")))
-        };
-
-        match kind {
-            "grid3" => {
-                let ver = tok.next().ok_or(ParseError::BadHeader)?;
-                if ver != "1" {
-                    return Err(ParseError::BadVersion(ver.to_string()));
-                }
-                saw_header = true;
-            }
-            "source3" => {
-                let vals: Result<Vec<f64>, _> = (0..6).map(|_| num(&mut tok)).collect();
-                let v = vals?;
-                crate::gridfile::finite(&v, ln)?;
-                source = Some(CVec3::new(c(v[0], v[1]), c(v[2], v[3]), c(v[4], v[5])));
-            }
-            "bus3" => {
-                let id = tok
-                    .next()
-                    .ok_or_else(|| bad("missing id"))?
-                    .parse::<usize>()
-                    .map_err(|_| bad("bad bus id"))?;
-                let vals: Result<Vec<f64>, _> = (0..6).map(|_| num(&mut tok)).collect();
-                let v = vals?;
-                crate::gridfile::finite(&v, ln)?;
-                buses.push((id, CVec3::new(c(v[0], v[1]), c(v[2], v[3]), c(v[4], v[5]))));
-            }
-            "branch3" => {
-                let from = tok
-                    .next()
-                    .ok_or_else(|| bad("missing from"))?
-                    .parse::<usize>()
-                    .map_err(|_| bad("bad from id"))?;
-                let to = tok
-                    .next()
-                    .ok_or_else(|| bad("missing to"))?
-                    .parse::<usize>()
-                    .map_err(|_| bad("bad to id"))?;
-                let vals: Result<Vec<f64>, _> = (0..4).map(|_| num(&mut tok)).collect();
-                let v = vals?;
-                crate::gridfile::finite(&v, ln)?;
-                if from == to {
-                    return Err(ParseError::SelfLoop(ln + 1));
-                }
-                if !edges.insert((from.min(to), from.max(to))) {
-                    return Err(ParseError::DuplicateEdge(ln + 1));
-                }
-                branches.push((from, to, CMat3::coupled(c(v[0], v[1]), c(v[2], v[3]))));
-            }
-            // Same record shape and hardening as the single-phase reader:
-            // `gen <bus> <p_watts> <v_set_volts> <q_min> <q_max>`.
-            "gen" => {
-                let bus = tok
-                    .next()
-                    .ok_or_else(|| bad("missing bus"))?
-                    .parse::<usize>()
-                    .map_err(|_| bad("bad bus id"))?;
-                let vals: Result<Vec<f64>, _> = (0..4).map(|_| num(&mut tok)).collect();
-                let v = vals?;
-                crate::gridfile::finite(&v, ln)?;
-                if v[2] > v[3] {
-                    return Err(ParseError::BadQLimits(ln + 1));
-                }
-                if !gen_buses.insert(bus) {
-                    return Err(ParseError::DuplicateGenerator(ln + 1));
-                }
-                gens.push(PvBus { bus, p_gen: v[0], v_set: v[1], q_min: v[2], q_max: v[3] });
-            }
-            other => return Err(bad(&format!("unknown directive `{other}`"))),
-        }
-        if tok.next().is_some() {
-            return Err(bad("trailing tokens"));
-        }
+    let raw = parse_records(text, &GRID3)?;
+    let mut b = ThreePhaseBuilder::new(raw.source);
+    for load in raw.loads {
+        b.add_bus(load);
     }
-
-    if !saw_header {
-        return Err(ParseError::BadHeader);
-    }
-    let source = source.ok_or(ParseError::MissingSource)?;
-
-    let n = buses.len();
-    let mut loads = vec![None; n];
-    for (id, s) in buses {
-        if id >= n || loads[id].is_some() {
-            return Err(ParseError::SparseBusIds);
-        }
-        loads[id] = Some(s);
-    }
-    let mut b = ThreePhaseBuilder::new(source);
-    for load in loads {
-        b.add_bus(load.expect("dense check guarantees presence"));
-    }
-    for (from, to, z) in branches {
+    for (from, to, z) in raw.branches {
         b.connect(from, to, z);
     }
-    for g in gens {
+    for g in raw.gens {
         b.generator(g);
     }
     b.build().map_err(ParseError::Invalid)
@@ -275,6 +188,19 @@ mod tests {
         ));
         let bad_line = "grid3 1\nsource3 1 0 1 0 1 0\nbus3 0 x 0 0 0 0 0\n";
         assert!(matches!(parse_grid3(bad_line), Err(ParseError::BadLine(3, _))));
+        // Ids read as in `.grid`.
+        let bad_id = parse_grid3("grid3 1\nsource3 1 0 1 0 1 0\nbus3 x 0 0 0 0 0 0\n");
+        assert_eq!(bad_id.unwrap_err(), ParseError::BadLine(3, "cannot parse `x`".into()));
+        let short = parse_grid3("grid3 1\nsource3 1 0 1 0 1 0\nbus3\n");
+        assert_eq!(short.unwrap_err(), ParseError::BadLine(3, "missing field".into()));
+    }
+
+    #[test]
+    fn the_header_record_names_the_dialect() {
+        assert!(is_grid3(&write_grid3(&ieee13_unbalanced())));
+        assert!(!is_grid3(&crate::gridfile::write_grid(&crate::ieee::ieee13())));
+        assert!(is_grid3("# comment\nsource3 1 0 1 0 1 0\ngrid3 1\n"));
+        assert!(!is_grid3("bus3 0 0 0 0 0 0 0\n"), "no header");
     }
 
     #[test]

@@ -505,6 +505,20 @@ impl Device {
         Ok(())
     }
 
+    /// Reads the device members of `parts` back as one packed read — one
+    /// [`EventKind::Dtoh`] and one fault-plan op, as
+    /// [`Device::try_dtoh_packed`] — and compares each, byte for byte
+    /// (a NaN matches itself), with its host slice: whether the device
+    /// still holds what was uploaded. A scripted read corruption makes
+    /// it `false`.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_verify_packed(&mut self, parts: &[HtodPart<'_>]) -> Result<bool, DeviceError> {
+        let mut copies: Vec<Vec<u8>> = parts.iter().map(|p| vec![0; p.dst.len()]).collect();
+        let reads = parts.iter().zip(&mut copies).map(|(p, out)| DtohPart { src: &*p.dst, out });
+        self.try_dtoh_packed(&mut reads.collect::<Vec<_>>())?;
+        Ok(parts.iter().zip(&copies).all(|(p, copy)| p.src == &copy[..]))
+    }
+
     /// On-demand canary audit over every live allocation (the free-side
     /// check runs unconditionally when a buffer drops). Returns the
     /// number of live guarded buffers when all frames are intact, or
@@ -883,6 +897,28 @@ mod tests {
         assert_eq!((za, ib, wc), (zs, vec![7, 7], ws));
         assert_eq!(transfers(&dev), (1, 1));
         assert_eq!(dev.timeline().breakdown().dtoh_bytes, 9 * 8 + 2 * 4 + 3 * 16);
+    }
+
+    /// A verification read is one packed read of the device members,
+    /// compared byte for byte with the host slices: a NaN matches itself,
+    /// a member that drifted or a scripted read corruption does not.
+    #[test]
+    fn verify_packed_is_one_read_compared_byte_for_byte() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        dev.arm_faults(FaultPlan::scripted([(5, FaultKind::TransferCorruption)]));
+        let (xs, ids) = (vec![f64::NAN, 2.0, -0.0], vec![3u32, 1]);
+        let mut x = dev.try_alloc::<f64>(3).unwrap();
+        let mut y = dev.try_alloc::<u32>(2).unwrap(); // ops 0-1
+        dev.try_htod_packed(&mut [HtodPart::new(&mut x, &xs), HtodPart::new(&mut y, &ids)]).unwrap();
+        let mut verify = |dev: &mut Device, ids: &[u32]| {
+            dev.try_verify_packed(&[HtodPart::new(&mut x, &xs), HtodPart::new(&mut y, ids)]).unwrap()
+        };
+        assert!(verify(&mut dev, &ids), "NaN verifies against itself"); // op 3
+        assert_eq!(transfers(&dev), (1, 1));
+        assert_eq!(dev.timeline().breakdown().dtoh_bytes, 3 * 8 + 2 * 4);
+        assert!(!verify(&mut dev, &[3, 2]), "a changed word fails"); // op 4
+        assert!(!verify(&mut dev, &ids), "a corrupted read fails"); // op 5
+        assert!(verify(&mut dev, &ids), "the device copy was never touched"); // op 6
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub mod timeline;
 pub mod timing;
 
 pub use atomic::AtomicAdd;
-pub use buffer::{pod_bytes, BufId, DeviceBuffer, DeviceCopy, GlobalMut, GlobalRef};
+pub use buffer::{BufId, DeviceBuffer, DeviceCopy, GlobalMut, GlobalRef};
 pub use device::{Device, DtohPart, HtodPart, Stream, StreamEvent};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord, FaultSite, StormSchedule};
 pub use kernel::{Kernel, LaunchConfig};

@@ -412,13 +412,9 @@ fn outages(cases: u32) {
             let dfs = DfsOrder::new(&net);
             let (a, warm) = (SolverArrays::new(&net), None);
             let scenarios = Scenarios::Patched { dfs: &dfs, patches: &patches, warm };
-            let batched = TensorBatchSolver::new(Device::paper_rig())
-                .try_solve(&a, scenarios, &cfg)
-                .expect("fault-free solve");
+            let batched = TensorBatchSolver::new(Device::paper_rig()).solve(&a, scenarios, &cfg);
             // Seeded-plan arm: certification covers patched lanes too.
-            let faulted = TensorBatchSolver::new(batch_plan(seed))
-                .try_solve(&a, scenarios, &tight())
-                .expect("the tensor engine absorbs device faults");
+            let faulted = TensorBatchSolver::new(batch_plan(seed)).solve(&a, scenarios, &tight());
             faults.set(faults.get() + fired(&faulted));
             let mut work = net.clone();
             for (s, &bus) in buses.iter().enumerate() {

@@ -90,8 +90,7 @@ fn family1_scaled_mode_is_bitwise_equal_to_explicit() {
                 scales.iter().map(|&k| base.iter().map(|&l| l * k).collect()).collect();
 
             let scaled = TensorBatchSolver::new(device())
-                .try_solve(&SolverArrays::new(&net), Scenarios::Scaled(&scales), &cfg)
-                .expect("fault-free solve");
+                .solve(&SolverArrays::new(&net), Scenarios::Scaled(&scales), &cfg);
             let explicit = solve(&net, &explicit_scen, &cfg);
             prop_assert!(scaled.statuses == explicit.statuses, "statuses differ");
             prop_assert!(
@@ -286,10 +285,7 @@ fn family4_seeded_faults_cannot_corrupt_the_batch() {
             dev.arm_faults(FaultPlan::seeded(seed ^ 0xfau64, 0.03));
             let mut solver = TensorBatchSolver::new(dev);
             let a = SolverArrays::new(&net);
-            let res = match solver.try_solve(&a, Scenarios::Explicit(&scenarios), &cfg) {
-                Ok(r) => r,
-                Err(e) => return Err(check::CaseError::fail(format!("unrecoverable: {e}"))),
-            };
+            let res = solver.solve(&a, Scenarios::Explicit(&scenarios), &cfg);
 
             if let Some(fr) = &res.fault_report {
                 faults_seen.set(faults_seen.get() + u64::from(fr.faults_injected));
