@@ -18,9 +18,9 @@
 #      CSV is byte-identical to the committed one. E11 is the only pin on
 #      serial three-phase modeled time (`fleet-open` serves no
 #      three-phase request on the CPU); E12 pins what checkpoints and
-#      recoveries cost, charged to the answer, on both kinds of routed
-#      single solve, the fused sweep (1 023 and 16 383 buses) and the
-#      level path with the direct backward sweep (131 071), and on a
+#      recoveries cost, charged to the answer, on both layouts of the
+#      routed fused sweep, one block (1 023 buses) and the cooperative
+#      grid of co-resident blocks (16 383 and 131 071), and on a
 #      two-chunk tensor batch whose chunks pipeline over streams (the
 #      second chunk's upload and the first's sliced read-back under the
 #      other's sweeps), so it is also the only pin on that pipeline's

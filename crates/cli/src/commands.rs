@@ -453,8 +453,10 @@ trait Feeder {
     /// from the outcome.
     fn request(&self, cfg: SolverConfig) -> (Request, Answer<Self::V>);
     fn problem(&self) -> MeshProblem<Self::V>;
-    /// The engine of a run with no fault plan armed.
-    fn engine(backend: Backend, tele: &Telemetry, meshed: bool) -> Box<dyn SweepBackend<Self::V, Error = Infallible>>;
+    /// The engine of a run with no fault plan armed, recording into the
+    /// run's recorder: a meshed/DG run's trace keeps every inner
+    /// iteration under its outer rounds.
+    fn engine(backend: Backend, tele: &Telemetry) -> Box<dyn SweepBackend<Self::V, Error = Infallible>>;
     /// Records and writes the run's telemetry, prints its report block
     /// and returns the status exit code.
     fn report(&self, a: &Args, which: &str, plan: Option<&FaultPlan>, solved: &Solved<Self::V>, tele: &Telemetry)
@@ -502,7 +504,7 @@ where
             solve_on(&mut engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
         None => {
-            let mut engine = F::engine(backend, &tele, outer.is_some());
+            let mut engine = F::engine(backend, &tele);
             solve_on(&mut *engine, &problem, outer.as_ref(), &cfg, &tele, &label, report)
         }
     }
@@ -574,11 +576,8 @@ impl Feeder for MeshedNetwork {
         MeshProblem::new(self)
     }
 
-    fn engine(backend: Backend, tele: &Telemetry, meshed: bool) -> Box<dyn SweepBackend<Error = Infallible>> {
-        // A plain meshed sweep leaves telemetry to the outer loop: its
-        // trace shows `outer` rounds, not every inner iteration.
-        let rec = tele.recorder().filter(|_| !meshed);
-        backend.engine(&DeviceProps::paper_rig(), &HostProps::paper_rig(), rec)
+    fn engine(backend: Backend, tele: &Telemetry) -> Box<dyn SweepBackend<Error = Infallible>> {
+        backend.engine(&DeviceProps::paper_rig(), &HostProps::paper_rig(), tele.recorder())
     }
 
     // A meshed/DG block adds the outer status, loop currents and dispatch
@@ -692,8 +691,7 @@ impl Feeder for ThreePhaseNetwork {
         MeshProblem::three_phase(self)
     }
 
-    // A DG run's trace keeps every inner iteration beside the outer rounds.
-    fn engine(backend: Backend, tele: &Telemetry, _: bool) -> Box<dyn SweepBackend<CVec3, Error = Infallible>> {
+    fn engine(backend: Backend, tele: &Telemetry) -> Box<dyn SweepBackend<CVec3, Error = Infallible>> {
         let (host, props) = (HostProps::paper_rig(), DeviceProps::paper_rig());
         match (backend, tele.recorder().cloned()) {
             (Backend::Serial, None) => Box::new(SerialSolver::new(host)),

@@ -712,3 +712,29 @@ fn solve3_accepts_dg_grid3_transparently() {
 
     let _ = fs::remove_file(&path);
 }
+
+/// One trace rule for both phase kinds: a plain DG solve's trace keeps
+/// its inner `iter` spans beside its `outer` rounds, on `.grid` and
+/// `.grid3` alike.
+#[test]
+fn dg_traces_of_both_phase_kinds_keep_their_inner_iterations() {
+    let [g1, base3, g3] = ["dg-trace.grid", "dg-trace-base.grid3", "dg-trace.grid3"].map(tmp);
+    run(&["feeders", "--name", "ieee123-dg", "--out", g1.to_str().unwrap()]).unwrap();
+    run(&["feeders3", "--name", "ieee13", "--out", base3.to_str().unwrap()]).unwrap();
+    let mut text = fs::read_to_string(&base3).unwrap();
+    text.push_str("gen 6 20000 2350 -30000 30000\n");
+    fs::write(&g3, &text).unwrap();
+    for (grid, name) in [(&g1, "dg-trace.json"), (&g3, "dg-trace3.json")] {
+        let trace = tmp(name);
+        let args = ["solve", grid.to_str().unwrap(), "--solver", "gpu", "--trace-out", trace.to_str().unwrap()];
+        assert_eq!(run(&args).unwrap(), 0, "{name}: the DG solve converges");
+        let text = fs::read_to_string(&trace).expect("trace written");
+        let spans = |span: &str| text.matches(&format!("\"name\":\"{span}\"")).count();
+        assert!(spans("outer") >= 2, "{name}: outer rounds");
+        assert!(spans("iter") > spans("outer"), "{name}: inner iterations under the rounds");
+        let _ = fs::remove_file(&trace);
+    }
+    for p in [g1, base3, g3] {
+        let _ = fs::remove_file(p);
+    }
+}

@@ -43,10 +43,12 @@
 //! only where a bus has many children (a star). [`GpuSolver::new`]
 //! therefore routes each solve by one cost rule over the level table,
 //! [`route`]: to the tensor engine's resident chunk at batch size one
-//! (a one-lane `tensor_batch::Chunk`: one launch whose block loops over the
-//! fused sweeps, the same iterates) on small and deep trees, else to the
-//! level path above with the direct backward on binary and k-ary trees
-//! and the segmented scan on star-like ones. Either session runs the
+//! (a one-lane `tensor_batch::Chunk`: one launch that loops over the
+//! fused sweeps, the same iterates) — on one block for small and deep
+//! trees, and on large binary and k-ary trees across a cooperative grid
+//! of co-resident blocks, with a grid barrier between levels — else to
+//! the level path above with the segmented scan on star-like trees.
+//! Either session runs the
 //! same loop, `recovery::drive`, and the supervisor's
 //! [`crate::Backend::Gpu`] rung takes the same route. [`GpuSolver::with_strategy`] pins the level
 //! path with the given backward strategy; the experiments that reproduce
@@ -165,8 +167,8 @@ impl GpuSolver {
     ) -> SolveResult {
         let warm = v_init.is_some();
         match self.pin.map_or_else(|| route(self.device.props(), a, warm), Route::Level) {
-            Route::Fused => {
-                self.run(a, cfg, |dev, obs| Chunk::open(dev, a, v_init, cfg.max_iter, obs))
+            Route::Fused { grid } => {
+                self.run(a, cfg, |dev, obs| Chunk::open(dev, a, v_init, cfg.max_iter, grid, obs))
             }
             Route::Level(strategy) => {
                 self.run(a, cfg, |dev, obs| GpuSession::with_obs(dev, a, strategy, v_init, obs))
@@ -220,21 +222,24 @@ impl GpuSolver {
 /// strategy, segmented scan or direct, is cheaper on `a`
 /// ([`level_strategy`]).
 ///
-/// A deterministic function of the level table — each level's width and
-/// widest fan-out — and the device's launch, latency, barrier, bandwidth
-/// and PCIe constants, computed per solve from the arrays (never in
-/// [`SolverArrays::new`]). All three reach the same iterates.
+/// A deterministic function of the level table ([`LevelShape`]: each
+/// level's width and its buses' fan-outs) and the device's launch,
+/// latency, barrier, grid-barrier, bandwidth, occupancy and PCIe
+/// constants, computed per solve from the arrays (never in
+/// [`SolverArrays::new`]). Every route reaches the same iterates.
 ///
 /// *Fused or level* prices each path like for like, per iteration and
 /// once per solve, and takes the fused path only if it is no dearer at
 /// any iteration count: no dearer per iteration, and cheaper over one.
 ///
-/// * **Fused.** An iteration is one sweep inside the solve's one launch:
-///   [`tensor_batch::single_iteration_bound_us`] less the launch
-///   overhead, an upper bound, with no launch and no read-back of its
-///   own. Once per solve it pays that launch and three PCIe
-///   transactions: one packed upload (a warm start rides in it), one
-///   residual read-back and one packed V/J read-back.
+/// * **Fused.** An iteration is one sweep inside the solve's one launch,
+///   over the block count [`tensor_batch::sweep_grid`] prices cheaper —
+///   one block, or the co-resident grid with its grid barriers:
+///   [`tensor_batch::sweep_bound_us`] less the launch overhead, an upper
+///   bound, with no launch and no read-back of its own. Once per solve it
+///   pays that launch and three PCIe transactions: one packed upload (a
+///   warm start rides in it), one residual read-back and one packed V/J
+///   read-back.
 /// * **Level.** An iteration pays every launch it makes, each modeled as
 ///   [`backward_us`] models the backward sweep's: the injection map, the
 ///   cheaper backward sweep, a forward map per non-root level and the
@@ -243,21 +248,24 @@ impl GpuSolver {
 ///   and its fill launches (a warm start uploads its voltages in place of
 ///   one fill).
 ///
-/// Small and deep trees go fused (a 1K-bus binary tree, a 1K-bus chain);
-/// wide levels serialise the lone fused block. Large binary and k-ary
-/// trees take the direct backward, stars the segmented scan.
+/// Small and deep trees go fused on one block (a 1K-bus binary tree, a
+/// 1K-bus chain). Wide levels would serialise a lone block, so large
+/// binary and k-ary trees spread each sweep over the co-resident grid.
+/// Stars, whose root sums every child in one thread on either fused
+/// layout, take the segmented scan.
 pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route {
     let shape = level_shape(a);
     let (strategy, backward) = level_backward::<Complex>(props, &shape);
-    let fused = tensor_batch::single_iteration_bound_us(props, &shape) - props.launch_overhead_us;
+    let grid = tensor_batch::sweep_grid(props, &shape);
+    let fused = tensor_batch::sweep_bound_us(props, &shape, grid) - props.launch_overhead_us;
     let level = level_iteration_us(props, &shape, backward);
     let pcie = |transfers: usize| transfers as f64 * props.pcie_latency_us;
     let warm = usize::from(warm);
     let fused_once = props.launch_overhead_us + pcie(3);
     let level_once =
-        pcie(LEVEL_STATICS + 2 + warm) + (2 - warm) as f64 * launch_us(props, 1, 1, 1, 0);
+        pcie(LEVEL_STATICS + 2 + warm) + (2 - warm) as f64 * launch_us(props, 1, 1.0, 1, 0);
     if fused <= level && fused_once + fused < level_once + level {
-        Route::Fused
+        Route::Fused { grid }
     } else {
         Route::Level(strategy)
     }
@@ -268,7 +276,7 @@ pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route 
 /// per backward sweep ([`backward_us`]).
 fn level_backward<V: Phasor>(
     props: &DeviceProps,
-    shape: &[(usize, usize)],
+    shape: &[LevelShape],
 ) -> (BackwardStrategy, f64) {
     let (direct, segscan) = backward_us(props, shape, std::mem::size_of::<V>());
     if direct < segscan {
@@ -282,7 +290,7 @@ fn level_backward<V: Phasor>(
 /// unpinned three-phase solve's ([`level_backward`]).
 pub(crate) fn level_strategy<V: Phasor>(
     props: &DeviceProps,
-    shape: &[(usize, usize)],
+    shape: &[LevelShape],
 ) -> BackwardStrategy {
     level_backward::<V>(props, shape).0
 }
@@ -296,39 +304,98 @@ pub(crate) fn level_strategy3(props: &DeviceProps, a: &Arrays3) -> BackwardStrat
 /// Where a routed solve runs ([`route`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// The tensor engine's resident chunk at batch size one: one fused
-    /// sweep launch per iteration.
-    Fused,
+    /// The tensor engine's resident chunk at batch size one: one
+    /// `tensor_sweep` launch looping over the iterations of a clean solve
+    /// (one per iteration under an armed fault plan), its levels spread
+    /// over `grid` blocks — a cooperative launch when `grid > 1`
+    /// ([`tensor_batch::sweep_grid`]).
+    Fused {
+        /// Blocks each sweep spans.
+        grid: usize,
+    },
     /// The paper's level path with this backward strategy (`SegScan` or
     /// `Direct`).
     Level(BackwardStrategy),
 }
 
-/// The level table the route reads: per level, root first, its width and
-/// its widest bus's child count.
-pub(crate) fn level_shape<V: Phasor>(a: &LevelArrays<V, V::Z>) -> Vec<(usize, usize)> {
+/// One level of the table the route reads ([`level_shape`]), with what
+/// the prices need of its buses' own fan-outs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LevelShape {
+    /// Buses in the level.
+    pub width: usize,
+    /// The widest bus's child count.
+    pub fan_out: usize,
+    /// Σ over the level's 256-bus launch blocks of each block's widest
+    /// child count: a per-level launch's busiest thread per block, which
+    /// the `simt` latency term averages over blocks.
+    pub block_fan_out: usize,
+    /// Buses with at least one child.
+    pub parents: usize,
+    /// Phasors a warp's per-child loads touch: Σ over buses of children ×
+    /// `min(fan-out, phasors per transaction)`, each bus at its own
+    /// fan-out (a bus's child loads land `fan-out` phasors from its
+    /// neighbour's).
+    pub scatter: usize,
+    /// Σ over parents of `min(fan-out, phasors per transaction)`: one
+    /// segment-tail load each, `fan-out` phasors from its neighbour's.
+    pub tails: usize,
+    /// A segmented scan over this level's children, in 256-child blocks:
+    /// the blocks past the first whose first child continues a segment
+    /// from the block before, and the children before each such block's
+    /// first segment head — the ones its carry launch updates.
+    pub carry_blocks: usize,
+    pub carried: usize,
+}
+
+/// The level table the route reads, root first, for phasor `V` (its
+/// size sets how many phasors one transaction holds).
+pub(crate) fn level_shape<V: Phasor>(a: &LevelArrays<V, V::Z>) -> Vec<LevelShape> {
+    const BLOCK: usize = LaunchConfig::DEFAULT_BLOCK as usize;
+    let per_transaction = (TRANSACTION_BYTES as usize / std::mem::size_of::<V>()).max(1);
     a.levels
         .level_offsets
         .windows(2)
         .map(|w| {
-            let level = w[0] as usize..w[1] as usize;
-            let fan_out = level.clone().map(|p| a.child_hi[p] - a.child_lo[p]).max().unwrap_or(0);
-            (level.len(), fan_out as usize)
+            let fans: Vec<usize> =
+                (w[0] as usize..w[1] as usize).map(|p| (a.child_hi[p] - a.child_lo[p]) as usize).collect();
+            let spread = |f: usize| f.min(per_transaction);
+            let (mut carry_blocks, mut carried, mut start) = (0, 0, 0);
+            for &f in fans.iter().filter(|&&f| f > 0) {
+                let end = start + f;
+                let mut boundary = (start / BLOCK + 1) * BLOCK;
+                while boundary < end {
+                    carry_blocks += 1;
+                    carried += (end - boundary).min(BLOCK);
+                    boundary += BLOCK;
+                }
+                start = end;
+            }
+            LevelShape {
+                width: fans.len(),
+                fan_out: fans.iter().copied().max().unwrap_or(0),
+                block_fan_out: fans.chunks(BLOCK).map(|b| b.iter().copied().max().unwrap_or(0)).sum(),
+                parents: fans.iter().filter(|&&f| f > 0).count(),
+                scatter: fans.iter().map(|&f| f * spread(f)).sum(),
+                tails: fans.iter().map(|&f| spread(f)).sum(),
+                carry_blocks,
+                carried,
+            }
         })
         .collect()
 }
 
 /// Modeled µs of one launch of `threads` threads whose busiest thread
-/// makes `chain` dependent global accesses over `phases` barrier phases
+/// per block makes `chain` dependent global accesses on average over `phases` barrier phases
 /// and which moves `bytes`: the launch overhead plus the larger of its
 /// latency floor and its bandwidth time, as in the `simt` timing model
 /// (`simt::timing`).
-fn launch_us(props: &DeviceProps, threads: usize, chain: usize, phases: usize, bytes: usize) -> f64 {
+fn launch_us(props: &DeviceProps, threads: usize, chain: f64, phases: usize, bytes: usize) -> f64 {
     const BLOCK: usize = LaunchConfig::DEFAULT_BLOCK as usize;
     let resident =
         (props.resident_blocks_per_sm(BLOCK as u32, 0) as usize * props.num_sms as usize).max(1);
     let waves = threads.div_ceil(BLOCK).max(1).div_ceil(resident);
-    let cycles = chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles;
+    let cycles = chain * props.mem_latency_cycles + phases as f64 * props.barrier_cycles;
     let latency = waves as f64 * cycles / props.cycles_per_us();
     props.launch_overhead_us + latency.max(bytes as f64 / props.mem_bytes_per_us())
 }
@@ -338,13 +405,13 @@ fn launch_us(props: &DeviceProps, threads: usize, chain: usize, phases: usize, b
 /// store), a forward map per non-root level (parent, parent voltage,
 /// impedance, current, own voltage, voltage and delta stores), the last
 /// launch of the ∞-norm reduction and the residual read-back.
-fn level_iteration_us(props: &DeviceProps, shape: &[(usize, usize)], backward: f64) -> f64 {
+fn level_iteration_us(props: &DeviceProps, shape: &[LevelShape], backward: f64) -> f64 {
     const C: usize = std::mem::size_of::<Complex>();
-    let n = shape.iter().map(|&(width, _)| width).sum();
-    let inject = launch_us(props, n, 3, 1, 3 * C * n);
+    let n = shape.iter().map(|l| l.width).sum();
+    let inject = launch_us(props, n, 3.0, 1, 3 * C * n);
     let forward: f64 =
-        shape.iter().skip(1).map(|&(w, _)| launch_us(props, w, 7, 1, (12 + 5 * C) * w)).sum();
-    let reduce = launch_us(props, 1, 1, 1, 0);
+        shape.iter().skip(1).map(|l| launch_us(props, l.width, 7.0, 1, (12 + 5 * C) * l.width)).sum();
+    let reduce = launch_us(props, 1, 1.0, 1, 0);
     inject + backward + forward + reduce + simt::timing::transfer_time(props, 8)
 }
 
@@ -352,39 +419,50 @@ fn level_iteration_us(props: &DeviceProps, shape: &[(usize, usize)], backward: f
 /// from the level table and the phasor's size in bytes (`c`, 16 for one
 /// phase, 48 for three): each launch costs the launch overhead plus the
 /// larger of its latency floor and its bandwidth time, as in the `simt`
-/// timing model (`simt::timing`), with each level's widest fan-out
-/// standing in for all of its buses.
-fn backward_us(props: &DeviceProps, shape: &[(usize, usize)], c: usize) -> (f64, f64) {
+/// timing model (`simt::timing`), with each bus priced at its own
+/// fan-out: a direct launch's latency chain per block at that block's
+/// widest bus, averaged over blocks as the model does, and each bus's
+/// child or segment-tail loads at its own spread.
+fn backward_us(props: &DeviceProps, shape: &[LevelShape], c: usize) -> (f64, f64) {
     const BLOCK: usize = LaunchConfig::DEFAULT_BLOCK as usize;
     const U: usize = std::mem::size_of::<u32>();
     let launch = |threads, chain, phases, bytes| launch_us(props, threads, chain, phases, bytes);
     // The segmented scan of `len` children: a block-scan launch (two
     // loads, a Hillis–Steele pass, four stores) and, past one block, a
-    // carry launch and the same scan over the block totals.
-    let scan = |mut len: usize| {
+    // carry launch and the same scan over the block totals. The carry
+    // loads every child's flag; a child before its block's first segment
+    // head also loads the carry and its value and stores it (`carried`
+    // of them in `carry_blocks` blocks over the children; over the block
+    // totals, priced as if every one were).
+    let scan = |mut len: usize, (mut carry_blocks, mut carried): (usize, usize)| {
         let mut us = 0.0;
         while len > 0 {
-            us += launch(len, 6, 2 + BLOCK.ilog2() as usize, 2 * (c + U) * len);
+            us += launch(len, 6.0, 2 + BLOCK.ilog2() as usize, 2 * (c + U) * len);
             if len <= BLOCK {
                 break;
             }
-            us += launch(len, 4, 1, (2 * c + U) * len);
-            len = len.div_ceil(BLOCK);
+            let blocks = len.div_ceil(BLOCK);
+            let chain = 1.0 + 3.0 * carry_blocks as f64 / blocks as f64;
+            us += launch(len, chain, 1, U * len + 3 * c * carried);
+            len = blocks;
+            (carry_blocks, carried) = (len.div_ceil(BLOCK), len);
         }
         us
     };
     let (mut direct, mut segscan) = (0.0, 0.0);
-    for (l, &(width, fan_out)) in shape.iter().enumerate() {
-        let children = shape.get(l + 1).map_or(0, |&(w, _)| w);
+    for (l, level) in shape.iter().enumerate() {
+        let width = level.width;
+        let children = shape.get(l + 1).map_or(0, |next| next.width);
         // Each bus loads its injection and child range and stores its
-        // current. A warp's per-child loads (direct) or segment-tail loads
-        // (segscan) land `fan_out` elements apart: from one transaction's
-        // worth of elements on, each is a transaction of its own.
+        // current; direct adds one load per child (chain `4 + fan-out`),
+        // the combine a segment tail per parent.
         let own = (2 * c + 2 * U) * width;
-        let scattered = c * fan_out.min(TRANSACTION_BYTES as usize / c);
-        direct += launch(width, 4 + fan_out, 1, own + scattered * children);
-        let chain = if children > 0 { 6 } else { 4 };
-        segscan += scan(children) + launch(width, chain, 1, own + (U + scattered) * width);
+        let blocks = width.div_ceil(BLOCK).max(1);
+        let chain = 4.0 + level.block_fan_out as f64 / blocks as f64;
+        direct += launch(width, chain, 1, own + c * level.scatter);
+        let chain = if children > 0 { 6.0 } else { 4.0 };
+        let carry = (level.carry_blocks, level.carried);
+        segscan += scan(children, carry) + launch(width, chain, 1, own + U * level.parents + c * level.tails);
     }
     (direct, segscan)
 }
@@ -874,7 +952,7 @@ mod tests {
         b.add_bus(Complex::ZERO);
         let net = b.build().unwrap();
         let a = SolverArrays::new(&net);
-        assert_eq!(route(&DeviceProps::paper_rig(), &a, false), Route::Fused);
+        assert_eq!(route(&DeviceProps::paper_rig(), &a, false), Route::Fused { grid: 1 });
         let res = gpu().solve(&net, &SolverConfig::default());
         assert!(res.converged());
         assert_eq!(res.iterations, 1);
@@ -916,42 +994,185 @@ mod route_tests {
         SolverArrays::new(net)
     }
 
-    /// The route's verdict per shape: small and deep trees fused, large
-    /// binary and k-ary trees on the direct backward, stars on the
-    /// segmented scan — the paper's shapes, E7a's four 64K topologies and
-    /// the binary tree next to the fused/direct crossover. Forcing either
-    /// level strategy everywhere fails here.
+    /// The route's verdict per shape: small and deep trees on one fused
+    /// block, large binary and k-ary trees on the fused sweep spread over
+    /// the co-resident grid, stars and the 256-ary tree on the segmented
+    /// scan — the paper's shapes, E7a's four 64K topologies and the trees
+    /// next to the crossovers (DESIGN.md, "Routing single solves").
+    /// Forcing any one route everywhere fails here.
     #[test]
-    fn route_takes_fused_on_small_and_deep_trees_and_level_on_wide_ones() {
-        use BackwardStrategy::{Direct, SegScan};
+    fn route_takes_one_block_on_small_and_deep_trees_the_grid_on_wide_ones_and_the_scan_on_stars() {
+        use BackwardStrategy::SegScan;
         let spec = GenSpec::default();
         let props = DeviceProps::paper_rig();
         let rng = || StdRng::seed_from_u64(7);
-        let fused = [
+        let one_block = [
             ("binary 1023", balanced_binary(1023, &spec, &mut rng())),
-            ("binary 16383", balanced_binary(16_383, &spec, &mut rng())),
             ("chain 1000", chain(1000, &spec, &mut rng())),
         ];
-        for (name, net) in &fused {
+        for (name, net) in &one_block {
             let a = arrays(net);
-            assert_eq!(route(&props, &a, false), Route::Fused, "{name}, cold");
-            assert_eq!(route(&props, &a, true), Route::Fused, "{name}, warm");
+            assert_eq!(route(&props, &a, false), Route::Fused { grid: 1 }, "{name}, cold");
+            assert_eq!(route(&props, &a, true), Route::Fused { grid: 1 }, "{name}, warm");
+        }
+        let grid = [
+            ("binary 16383", balanced_binary(16_383, &spec, &mut rng())),
+            ("binary 65535", balanced_binary(65_535, &spec, &mut rng())),
+            ("binary 262143", balanced_binary(262_143, &spec, &mut rng())),
+            ("4-ary 65536", balanced_kary(65_536, 4, &spec, &mut rng())),
+            ("8-ary 32000", balanced_kary(32_000, 8, &spec, &mut rng())),
+            ("32-ary 65536", balanced_kary(65_536, 32, &spec, &mut rng())),
+            ("16-ary 64K", balanced_kary(65_536, 16, &spec, &mut rng())),
+        ];
+        for (name, net) in &grid {
+            assert_eq!(route(&props, &arrays(net), false), Route::Fused { grid: 160 }, "{name}");
         }
         let level = [
-            ("binary 65535", balanced_binary(65_535, &spec, &mut rng()), Direct),
-            ("binary 262143", balanced_binary(262_143, &spec, &mut rng()), Direct),
-            ("4-ary 65536", balanced_kary(65_536, 4, &spec, &mut rng()), Direct),
-            ("8-ary 32000", balanced_kary(32_000, 8, &spec, &mut rng()), Direct),
-            ("32-ary 65536", balanced_kary(65_536, 32, &spec, &mut rng()), Direct),
-            ("star 1000", star(1000, &spec, &mut rng()), SegScan),
-            ("star 16384", star(16_384, &spec, &mut rng()), SegScan),
-            ("binary 64K", balanced_binary(65_536, &spec, &mut rng()), Direct),
-            ("16-ary 64K", balanced_kary(65_536, 16, &spec, &mut rng()), Direct),
-            ("256-ary 64K", balanced_kary(65_536, 256, &spec, &mut rng()), SegScan),
-            ("star 64K", star(65_536, &spec, &mut rng()), SegScan),
+            ("star 1000", star(1000, &spec, &mut rng())),
+            ("star 16384", star(16_384, &spec, &mut rng())),
+            ("256-ary 64K", balanced_kary(65_536, 256, &spec, &mut rng())),
+            ("star 64K", star(65_536, &spec, &mut rng())),
         ];
-        for (name, net, strategy) in &level {
-            assert_eq!(route(&props, &arrays(net), false), Route::Level(*strategy), "{name}");
+        for (name, net) in &level {
+            assert_eq!(route(&props, &arrays(net), false), Route::Level(SegScan), "{name}");
+        }
+    }
+
+    /// The fused sweep spread over a grid returns the pinned direct level
+    /// path's V, J, iterations, status and residual history bit for bit,
+    /// on every radial family, cold and warm, at a few grid sizes; and the
+    /// routed solve of a tree that takes the grid does too.
+    #[test]
+    fn the_grid_route_matches_the_pinned_direct_path_bit_for_bit() {
+        use powergrid::gen::random_tree;
+        let spec = GenSpec::default();
+        let rng = |seed| StdRng::seed_from_u64(seed);
+        let cfg = SolverConfig::default();
+        let dev = || Device::with_workers(DeviceProps::paper_rig(), 2);
+        let same = |name: &str, r: &SolveResult, p: &SolveResult| {
+            assert_eq!((r.status, r.iterations), (p.status, p.iterations), "{name}");
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&r.residual_history), bits(&p.residual_history), "{name}");
+            assert_eq!(r.v, p.v, "{name}: V");
+            assert_eq!(r.j, p.j, "{name}: J");
+        };
+        let trees = [
+            ("binary 1500", balanced_binary(1500, &spec, &mut rng(1))),
+            ("chain 300", chain(300, &spec, &mut rng(2))),
+            ("star 700", star(700, &spec, &mut rng(3))),
+            ("5-ary 2000", balanced_kary(2000, 5, &spec, &mut rng(4))),
+            ("random 1800", random_tree(1800, 16, &spec, &mut rng(5))),
+        ];
+        for (name, net) in &trees {
+            let a = arrays(net);
+            let pinned = |warm| {
+                GpuSolver::with_strategy(dev(), BackwardStrategy::Direct).solve_warm(&a, &cfg, warm)
+            };
+            let cold = pinned(None);
+            let warm_v: Vec<Complex> = cold.v.iter().map(|v| *v * 0.999).collect();
+            for grid in [2, 3, 7] {
+                for warm in [None, Some(&warm_v[..])] {
+                    let (mut d, obs) = (dev(), Obs::default());
+                    let opened = Chunk::open(&mut d, &a, warm, cfg.max_iter, grid, obs.clone());
+                    let r = recovery::run_plain(opened, Instant::now(), &cfg, &obs);
+                    let cooperative = d.timeline().events().iter().any(|e| {
+                        matches!(&e.kind, simt::EventKind::Kernel { stats, .. } if stats.cooperative)
+                    });
+                    assert!(cooperative, "{name}: a cooperative launch");
+                    same(&format!("{name}, grid {grid}, warm {}", warm.is_some()), &r, &pinned(warm));
+                }
+            }
+        }
+        let net = balanced_binary(16_383, &spec, &mut rng(7));
+        let a = arrays(&net);
+        assert_eq!(route(&DeviceProps::paper_rig(), &a, false), Route::Fused { grid: 160 });
+        let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg);
+        let pinned = GpuSolver::with_strategy(dev(), BackwardStrategy::Direct).solve_arrays(&a, &cfg);
+        same("routed binary 16383", &routed, &pinned);
+    }
+
+    /// Each bus is priced at its own fan-out: on the partly filled last
+    /// levels of the 64-ary trees of 16 000 and 65 536 buses the level
+    /// path's strategy is the cheaper measured one (direct 760.4 against
+    /// the scan's 792.9 µs, and the scan's 1 521.1 against direct's
+    /// 1 540.0), which the widest-fan-out stand-in had the wrong way round.
+    #[test]
+    fn the_level_strategy_of_the_64_ary_trees_is_the_cheaper_measured_one() {
+        let (spec, props, cfg) = (GenSpec::default(), DeviceProps::paper_rig(), SolverConfig::default());
+        for n in [16_000, 65_536] {
+            let net = balanced_kary(n, 64, &spec, &mut StdRng::seed_from_u64(7));
+            let a = arrays(&net);
+            let us = |s| {
+                let dev = Device::with_workers(props.clone(), 2);
+                GpuSolver::with_strategy(dev, s).solve_arrays(&a, &cfg).timing.total_us()
+            };
+            let (direct, segscan) = (us(BackwardStrategy::Direct), us(BackwardStrategy::SegScan));
+            let cheaper = if direct < segscan { BackwardStrategy::Direct } else { BackwardStrategy::SegScan };
+            let shape = level_shape(&a);
+            assert_eq!(level_strategy::<Complex>(&props, &shape), cheaper, "64-ary {n}");
+        }
+    }
+
+    /// Modeled µs of a cold solve of `a` on the fused route over `grid`
+    /// blocks.
+    fn fused_us(a: &SolverArrays, grid: usize) -> f64 {
+        let (cfg, obs) = (SolverConfig::default(), Obs::default());
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 2);
+        let opened = Chunk::open(&mut dev, a, None, cfg.max_iter, grid, obs.clone());
+        recovery::run_plain(opened, Instant::now(), &cfg, &obs).timing.total_us()
+    }
+
+    /// DESIGN.md's routing table: every device path's modeled µs per cold
+    /// solve on 16 shapes and the two 64-ary trees, with the route's
+    /// verdict. `cargo test --release -p fbs -- --ignored route_table --nocapture`.
+    #[test]
+    #[ignore = "prints a table; minutes in a debug build"]
+    fn route_table() {
+        use powergrid::gen::{broom, caterpillar, random_tree};
+        let spec = GenSpec::default();
+        let rng = || StdRng::seed_from_u64(7);
+        let props = DeviceProps::paper_rig();
+        let shapes = [
+            ("binary 1 023", balanced_binary(1023, &spec, &mut rng())),
+            ("binary 16 383", balanced_binary(16_383, &spec, &mut rng())),
+            ("binary 65 535", balanced_binary(65_535, &spec, &mut rng())),
+            ("binary 262 143", balanced_binary(262_143, &spec, &mut rng())),
+            ("4-ary 65 536", balanced_kary(65_536, 4, &spec, &mut rng())),
+            ("8-ary 32 000", balanced_kary(32_000, 8, &spec, &mut rng())),
+            ("16-ary 65 536", balanced_kary(65_536, 16, &spec, &mut rng())),
+            ("32-ary 65 536", balanced_kary(65_536, 32, &spec, &mut rng())),
+            ("64-ary 16 000", balanced_kary(16_000, 64, &spec, &mut rng())),
+            ("64-ary 65 536", balanced_kary(65_536, 64, &spec, &mut rng())),
+            ("256-ary 65 536", balanced_kary(65_536, 256, &spec, &mut rng())),
+            ("star 1 000", star(1000, &spec, &mut rng())),
+            ("star 16 384", star(16_384, &spec, &mut rng())),
+            ("star 65 536", star(65_536, &spec, &mut rng())),
+            ("chain 4 095", chain(4095, &spec, &mut rng())),
+            ("caterpillar 16 384", caterpillar(16_384, 4, &spec, &mut rng())),
+            ("broom 16 384", broom(16_384, 1024, &spec, &mut rng())),
+            ("random 65 536", random_tree(65_536, 32, &spec, &mut rng())),
+        ];
+        let cfg = SolverConfig::default();
+        println!("| shape | fused, 1 block | fused, grid | level segscan | level direct | level atomic | route |");
+        println!("|---|---:|---:|---:|---:|---:|---|");
+        for (name, net) in &shapes {
+            let a = arrays(net);
+            let dev = || Device::with_workers(props.clone(), 2);
+            let level = |s| GpuSolver::with_strategy(dev(), s).solve_arrays(&a, &cfg).timing.total_us();
+            let most = props.cooperative_blocks(256, 2048) as usize;
+            let verdict = match route(&props, &a, false) {
+                Route::Fused { grid: 1 } => "fused".to_string(),
+                Route::Fused { grid } => format!("grid ({grid} blocks)"),
+                Route::Level(s) => format!("{s:?}"),
+            };
+            println!(
+                "| {name} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {verdict} |",
+                fused_us(&a, 1),
+                fused_us(&a, most),
+                level(BackwardStrategy::SegScan),
+                level(BackwardStrategy::Direct),
+                level(BackwardStrategy::AtomicScatter),
+            );
         }
     }
 
@@ -967,7 +1188,8 @@ mod route_tests {
         let dev = || Device::with_workers(DeviceProps::paper_rig(), 2);
         let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg).timing.total_us();
         let (mut fused_dev, obs) = (dev(), Obs::default());
-        let opened = Chunk::open(&mut fused_dev, &a, None, cfg.max_iter, obs.clone());
+        let grid = tensor_batch::sweep_grid(fused_dev.props(), &level_shape(&a));
+        let opened = Chunk::open(&mut fused_dev, &a, None, cfg.max_iter, grid, obs.clone());
         let fused = recovery::run_plain(opened, Instant::now(), &cfg, &obs).timing.total_us();
         let strategies =
             [BackwardStrategy::SegScan, BackwardStrategy::Direct, BackwardStrategy::AtomicScatter];
@@ -1046,7 +1268,7 @@ mod route_tests {
     #[test]
     fn routed_invalid_config_short_circuits() {
         let net = ieee13();
-        assert_eq!(route(&DeviceProps::paper_rig(), &arrays(&net), false), Route::Fused);
+        assert_eq!(route(&DeviceProps::paper_rig(), &arrays(&net), false), Route::Fused { grid: 1 });
         let bad = SolverConfig { max_iter: 0, ..SolverConfig::default() };
         let mut gpu = GpuSolver::new(Device::with_workers(DeviceProps::paper_rig(), 2));
         let res = gpu.solve(&net, &bad);

@@ -770,7 +770,9 @@ impl ResilientSolver {
             |rung| rung.fallback().expect("device backends have a fallback"),
             |dev, at| match (backend, backend.strategy()) {
                 (Backend::Gpu, _) => match route(dev.props(), a, false) {
-                    Route::Fused => at.run(|obs| Chunk::open(dev, a, None, cfg.max_iter, obs)),
+                    Route::Fused { grid } => {
+                        at.run(|obs| Chunk::open(dev, a, None, cfg.max_iter, grid, obs))
+                    }
                     Route::Level(s) => at.run(|obs| GpuSession::with_obs(dev, a, s, None, obs)),
                 },
                 (_, Some(strategy)) => {

@@ -68,6 +68,12 @@
 //! start to its first sweep, which reads no voltage: no fill launch
 //! precedes a solve.
 //!
+//! A single solve's lone scenario may instead span a cooperative grid of
+//! co-resident blocks ([`sweep_grid`]): each level is strided over every
+//! thread of the grid, grid barriers separate the levels, and the
+//! residual folds across blocks before every block reads it back, so the
+//! launch still loops over the sweeps of a clean solve.
+//!
 //! # Scale
 //!
 //! Batches larger than device memory are processed in scenario chunks;
@@ -119,13 +125,14 @@ use powergrid::DfsOrder;
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::try_fill;
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
+    BlockScope, CoopKernel, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
     GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, Stream, StreamEvent,
     ThreadCtx,
 };
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
+use crate::gpu::LevelShape;
 use crate::config::SolverConfig;
 use crate::obs::Obs;
 use crate::recovery::{
@@ -612,7 +619,7 @@ impl TensorBatchSolver {
                     let res = loop {
                         let faults = dev.fault_log().len();
                         let (held, r) = ((&mut topo, &mut next), range.clone());
-                        let built = Resident::build(dev, a, held, &loads, plan, r, warm, &[], 1, t);
+                        let built = Resident::build(dev, a, held, &loads, plan, r, warm, &[], 1, 1, t);
                         // A chunk that does not fit beside the previous
                         // one's read-back waits for it to finish: memory
                         // pressure is not a fault.
@@ -725,42 +732,83 @@ impl TensorBatchSolver {
     }
 }
 
-/// Upper bound on the modeled µs of a single solve's [`Chunk`] launch of one
-/// sweep: the launch overhead plus the sweep's latency chain. A launch of
-/// `k` sweeps is bounded by the overhead plus `k` times the rest, which
-/// is how the session fits its launches into a deadline and how
-/// `crate::GpuSolver`'s route prices a fused iteration. `shape` is the
-/// route's level table: per level, root first, its width and its widest
-/// node's child count.
+/// Modeled µs of one launch running a single sweep of a lone scenario
+/// over `grid` blocks — an upper bound on each sweep of a longer launch,
+/// which pays the launch once.
 ///
-/// A lone 256-thread block cannot hide memory latency, so the sweep's
-/// latency term — `(chain · mem_latency + phases · barrier)` cycles for
-/// its one block — binds its time. The chain counts the dependent global
-/// accesses of the busiest thread phase by phase, exactly as
-/// [`SweepKernel`] issues them: two to read the scenario words; per
-/// backward level, `5 + fan-out` for each node a thread owns (base load,
-/// child range, voltage, current store, one load per child), with the
-/// fan-out bounded by the level's widest node and by the width of the
-/// next level; per forward level, 4 per node (parent, impedance, parent
-/// voltage, voltage store); and the residual store. The phases are one
-/// per level and direction plus the residual fold. The scenario words
-/// are read once per launch, so each later sweep costs less than this.
-pub(crate) fn single_iteration_bound_us(props: &DeviceProps, shape: &[(usize, usize)]) -> f64 {
+/// The sweep's time is the `simt` roofline: the larger of its latency
+/// term and its bandwidth term, plus its grid barriers. The latency term
+/// is `(chain · mem_latency + phases · barrier)` cycles, where the chain
+/// counts the dependent global accesses of the busiest thread phase by
+/// phase, exactly as [`SweepKernel`] issues them: two to read the
+/// scenario words; per backward level, `5 + fan-out` for each node a
+/// thread owns (base load, child range, voltage, current store, one load
+/// per child), with the fan-out bounded by the level's widest node and by
+/// the width of the next level; per forward level, 4 per node (parent,
+/// impedance, parent voltage, voltage store); and the residual store. A
+/// thread owns `⌈width / (grid · 256)⌉` nodes of a level. The phases are
+/// one per level and direction plus the residual fold. Over several
+/// blocks, block 0 also folds the blocks' partials (one load per 256 of
+/// them, a store, and every block's load of the result, in a second fold
+/// and a read phase), and `2 · levels` grid barriers separate the levels
+/// and the fold. The bandwidth term moves [`SWEEP_NODE_BYTES`] per node,
+/// [`SWEEP_FORWARD_BYTES`] more per non-root node, and each child's
+/// current load spread at its parent's fan-out, as the level path's
+/// backward sweep is priced ([`LevelShape::scatter`]). The
+/// scenario words are read once per launch and a flat first sweep reads
+/// no voltage, so each sweep of a longer launch costs no more than this.
+pub(crate) fn sweep_bound_us(props: &DeviceProps, shape: &[LevelShape], grid: usize) -> f64 {
+    const C: usize = std::mem::size_of::<Complex>();
     let bdim = TENSOR_BLOCK as usize;
     let nl = shape.len();
     let mut chain = 2 + 1;
-    for (l, &(width, fan_out)) in shape.iter().enumerate() {
-        let per_thread = width.div_ceil(bdim);
-        let next_width = shape.get(l + 1).map_or(0, |&(w, _)| w);
+    let mut bytes = 0;
+    for (l, level) in shape.iter().enumerate() {
+        let (width, fan_out) = (level.width, level.fan_out);
+        let per_thread = width.div_ceil(grid * bdim);
+        let next_width = shape.get(l + 1).map_or(0, |next| next.width);
         chain += 5 * per_thread + (per_thread * fan_out).min(next_width);
+        bytes += SWEEP_NODE_BYTES * width + C * level.scatter;
         if l > 0 {
             chain += 4 * per_thread;
+            bytes += SWEEP_FORWARD_BYTES * width;
         }
     }
-    let phases = 2 * nl + 2 + bdim.ilog2() as usize;
-    props.launch_overhead_us
-        + (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
-            / props.cycles_per_us()
+    let mut phases = 2 * nl + 2 + bdim.ilog2() as usize;
+    let mut barriers = 0;
+    if grid > 1 {
+        chain += grid.div_ceil(bdim) + 2;
+        phases += 4 + bdim.ilog2() as usize;
+        barriers = 2 * nl;
+    }
+    let latency = (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
+        / props.cycles_per_us();
+    let memory = bytes as f64 / props.mem_bytes_per_us();
+    props.launch_overhead_us + latency.max(memory) + barriers as f64 * DeviceProps::GRID_SYNC_US
+}
+
+/// Bytes a sweep moves per node besides its children's currents: base
+/// load, child range, voltage and current store.
+const SWEEP_NODE_BYTES: usize = 3 * std::mem::size_of::<Complex>() + 2 * std::mem::size_of::<u32>();
+
+/// Bytes a sweep's forward half moves per non-root node: parent index,
+/// impedance, parent voltage and voltage store.
+const SWEEP_FORWARD_BYTES: usize = 4 + 3 * std::mem::size_of::<Complex>();
+
+/// The blocks a lone scenario's sweep spans: one, or as many as a
+/// cooperative launch of [`SweepKernel`] holds resident, whichever
+/// [`sweep_bound_us`] prices lower. Past one block the price only falls
+/// as blocks are added — each thread's share of a level shrinks while
+/// the barriers and the cross-block fold cost the same — so no count in
+/// between is cheaper than the resident limit.
+pub(crate) fn sweep_grid(props: &DeviceProps, shape: &[LevelShape]) -> usize {
+    let shared = TENSOR_BLOCK * std::mem::size_of::<f64>() as u32;
+    let most = props.cooperative_blocks(TENSOR_BLOCK, shared) as usize;
+    if most > 1 && sweep_bound_us(props, shape, most) < sweep_bound_us(props, shape, 1) {
+        most
+    } else {
+        1
+    }
 }
 
 impl TensorBatchResult {
@@ -1100,6 +1148,10 @@ struct Resident<'a> {
     start: Option<Vec<Complex>>,
     /// The device's fault count when the state was last known clean.
     faults_base: usize,
+    /// Blocks a lone scenario's sweep spans: more than 1 makes each sweep
+    /// launch cooperative, with one residual partial per block.
+    grid: usize,
+    partials: Option<DeviceBuffer<f64>>,
 }
 
 impl<'a> Resident<'a> {
@@ -1113,7 +1165,8 @@ impl<'a> Resident<'a> {
     /// moves into the chunk only once every allocation succeeded, so a
     /// build that ran out of memory can be retried without uploading it
     /// again. The residual buffer holds `max_sweeps` slots per scenario,
-    /// one per sweep a launch may run. Setup time.
+    /// one per sweep a launch may run; a lone scenario spread over a grid
+    /// of `grid` blocks also gets one partial word per block. Setup time.
     #[allow(clippy::too_many_arguments)]
     fn build(
         dev: &mut Device,
@@ -1125,6 +1178,7 @@ impl<'a> Resident<'a> {
         warm: Option<&[Complex]>,
         probes: &[usize],
         max_sweeps: usize,
+        grid: usize,
         t: &mut Timing,
     ) -> Result<Self, DeviceError> {
         let (n, nb) = (a.len(), range.len());
@@ -1177,6 +1231,8 @@ impl<'a> Resident<'a> {
             // Every sweep writes the slot of each scenario it runs, and
             // only those slots are read.
             let res = dev.try_alloc::<f64>(nb * max_sweeps)?;
+            debug_assert!(grid == 1 || (nb == 1 && plan.is_none()), "a grid holds one plain scenario");
+            let partials = (grid > 1).then(|| dev.try_alloc::<f64>(grid)).transpose()?;
             let probes = if probes.is_empty() {
                 None
             } else {
@@ -1188,6 +1244,10 @@ impl<'a> Resident<'a> {
             let topo = topo.take().expect("the topology is resident");
             let inputs = inputs.take().expect("the inputs have landed");
             let Inputs { mask, loads, patch, faults_base, .. } = inputs;
+            // Of the faults that fired while the inputs waited, only those
+            // that can have changed device memory taint the chunk.
+            let harmless = dev.fault_log()[faults_base..].iter().filter(|f| !f.reaches_device_memory());
+            let faults_base = faults_base + harmless.count();
             Ok(Resident {
                 a,
                 plan,
@@ -1205,6 +1265,8 @@ impl<'a> Resident<'a> {
                 probes,
                 start: None,
                 faults_base,
+                grid,
+                partials,
             })
         })
     }
@@ -1214,17 +1276,36 @@ impl<'a> Resident<'a> {
     /// [`SCENARIOS_PER_BLOCK`] scenarios per block to amortise topology
     /// reads. A launch over one scenario may run up to `sweeps` sweeps,
     /// continuing while `go_on` holds; a batch runs one. The first sweep
-    /// of a flat chunk writes the flat start.
+    /// of a flat chunk writes the flat start. A lone scenario spread over
+    /// several blocks launches cooperatively.
     fn sweep(
         &mut self,
         dev: &mut Device,
         sweeps: usize,
         go_on: SureContinue,
     ) -> Result<(), DeviceError> {
+        let (grid, cfg) = (self.grid, self.launch_config());
+        let kernel = self.kernel(sweeps, go_on);
+        match grid {
+            1 => dev.try_launch(cfg, &kernel)?,
+            _ => dev.try_launch_cooperative(cfg, &kernel)?,
+        }
+        self.flat = false;
+        Ok(())
+    }
+
+    /// A sweep launch's geometry: `grid` blocks along x per group of
+    /// [`SCENARIOS_PER_BLOCK`] scenarios.
+    fn launch_config(&self) -> LaunchConfig {
+        let groups = self.range.len().div_ceil(SCENARIOS_PER_BLOCK) as u32;
+        LaunchConfig::grid2d(self.grid as u32, groups, TENSOR_BLOCK)
+    }
+
+    /// The sweep kernel over this chunk's buffers.
+    fn kernel(&mut self, sweeps: usize, go_on: SureContinue) -> SweepKernel<'_> {
         let (n, nb) = (self.a.len(), self.range.len());
         debug_assert!(sweeps == 1 || nb == 1, "multi-sweep launches hold one scenario");
-        let grid = LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
-        let kernel = SweepKernel {
+        SweepKernel {
             loads: self.loads.view(&self.topo),
             v: self.v.view_mut(),
             j: self.j.view_mut(),
@@ -1242,10 +1323,11 @@ impl<'a> Resident<'a> {
             flat: self.flat.then_some(self.a.source),
             sweeps,
             go_on,
-        };
-        dev.try_launch(grid, &kernel)?;
-        self.flat = false;
-        Ok(())
+            grid: self.grid,
+            partials: self.partials.as_mut().map(|b| b.view_mut()),
+            #[cfg(test)]
+            drop_barrier_after: None,
+        }
     }
 
     /// Every static buffer of the chunk with the host copy it must
@@ -1296,8 +1378,8 @@ struct Inputs {
     patch: Option<ChunkPatch>,
     /// Recorded on the upload's stream once the inputs have landed.
     ready: StreamEvent,
-    /// The device's fault count when the upload began: a fault since may
-    /// have hit them while they waited.
+    /// The device's fault count when the upload began: a fault since that
+    /// can have changed device memory may have hit them while they waited.
     faults_base: usize,
 }
 
@@ -1487,7 +1569,7 @@ impl<'a> Drain<'a> {
 #[derive(Clone, Copy, PartialEq)]
 enum Output {
     /// A single solve, whose launches fit a deadline at `sweep_us` per
-    /// sweep ([`single_iteration_bound_us`] less the launch): V and J in
+    /// sweep ([`sweep_bound_us`] less the launch): V and J in
     /// one packed read.
     Solve { sweep_us: f64 },
     /// A one-shot batch chunk: V and J each in its own read (none when
@@ -1505,7 +1587,7 @@ enum Output {
 ///
 /// A single solve's [`SweepSession::iterate`] is one launch of `k`
 /// sweeps: the loop's allowance, cut to fit the time left before a
-/// deadline by [`single_iteration_bound_us`], and 1 under an armed fault
+/// deadline by [`sweep_bound_us`], and 1 under an armed fault
 /// plan; a clean cold solve is one packed upload, one launch and two
 /// read-backs. A batch chunk or a round runs one sweep per launch, and
 /// re-uploads its mask only when a lane froze and another still runs.
@@ -1578,24 +1660,26 @@ impl<'d, 'a> Chunk<'d, 'a> {
     /// Opens a single solve's chunk — topology, scale word and mask in
     /// one packed upload, an iterate seeded from `v_init` (by bus id) or
     /// left to the first sweep's flat start, and one residual slot per
-    /// iteration of `max_iter` — charged to setup.
+    /// iteration of `max_iter` — charged to setup. Its sweeps span `grid`
+    /// blocks ([`sweep_grid`]).
     pub(crate) fn open(
         dev: &'a mut Device,
         a: &'a SolverArrays,
         v_init: Option<&'a [Complex]>,
         max_iter: u32,
+        grid: usize,
         obs: Obs,
     ) -> Result<Chunk<'a, 'a>, DeviceError> {
         if let Some(w) = v_init {
             assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
         }
-        let sweep_us = single_iteration_bound_us(dev.props(), &crate::gpu::level_shape(a))
+        let sweep_us = sweep_bound_us(dev.props(), &crate::gpu::level_shape(a), grid)
             - dev.props().launch_overhead_us;
         let loads = Loads::Scaled(&UNIT_SCALE);
         let mut t = Timing::default();
-        let slots = max_iter as usize;
-        let held = (&mut None, &mut None);
-        let res = Resident::build(dev, a, held, &loads, None, 0..1, v_init, &[], slots, &mut t)?;
+        let (slots, held) = (max_iter as usize, (&mut None, &mut None));
+        let res =
+            Resident::build(dev, a, held, &loads, None, 0..1, v_init, &[], slots, grid, &mut t)?;
         let clock = SessionClock::resume(&t, 0.0, obs);
         Ok(Chunk::new(dev, res, loads, v_init, Output::Solve { sweep_us }, clock))
     }
@@ -1997,7 +2081,7 @@ impl<'s> TensorOuterSession<'s> {
                     let (nb, deltas) = (m.loads.len(), Loads::Deltas(&m.loads));
                     let (warm, probes) = (m.warm.as_deref(), &m.probes);
                     let held = (&mut None, &mut None);
-                    Resident::build(dev, m.a, held, &deltas, None, 0..nb, warm, probes, 1, t)
+                    Resident::build(dev, m.a, held, &deltas, None, 0..nb, warm, probes, 1, 1, t)
                         .map_err(|e| setup_abort(e, rep, budget))?
                 }
             };
@@ -2299,12 +2383,21 @@ impl Kernel for WarmInitKernel<'_> {
 ///
 /// A launch over one scenario loops: up to `sweeps` iterations, sweep
 /// `i` publishing its residual at slot `i`, continuing only while
-/// `go_on` holds. The block is alone on the device, so its barriers
-/// order one sweep's forward half before the next's backward half and no
-/// grid-wide sync is needed. With `flat` set, the first sweep starts
-/// from that voltage everywhere: it reads no voltage, writes the root's
-/// (no later sweep rewrites it) and leaves every other node to its
-/// forward half, so no fill launch precedes the solve.
+/// `go_on` holds. With `flat` set, the first sweep starts from that
+/// voltage everywhere: it reads no voltage, writes the root's (no later
+/// sweep rewrites it) and leaves every other node to its forward half,
+/// so no fill launch precedes the solve.
+///
+/// One scenario may span a cooperative grid of `grid` blocks (a single
+/// solve's grid route; a batch keeps one block per scenario group). Each
+/// level's nodes are then strided over all `grid · bdim` threads, node
+/// `k` going to global thread `k mod (grid · bdim)`, so a thread owns the
+/// same nodes in both directions; a grid barrier separates consecutive
+/// levels, each block folds its residual partials to one word of
+/// `partials`, block 0 folds those and publishes the residual, and after
+/// a last barrier every block reads it back, so the decision to run
+/// another sweep is the same in every block. On one block the block's
+/// own barriers order the levels and no grid barrier is issued.
 struct SweepKernel<'a> {
     loads: LoadsRef<'a>,
     v: GlobalMut<'a, Complex>,
@@ -2335,6 +2428,37 @@ struct SweepKernel<'a> {
     sweeps: usize,
     /// Whether another sweep may follow a residual.
     go_on: SureContinue,
+    /// Blocks along x that share each scenario group: more than 1 only in
+    /// a cooperative launch over one scenario.
+    grid: usize,
+    /// A grid's per-block residual partials, one word per block.
+    partials: Option<GlobalMut<'a, f64>>,
+    /// Tests: a grid barrier left out, to show the race checker the race
+    /// it guards against — the one after backward level `l` for `l` below
+    /// the level count, else the one after forward level `l − levels`.
+    #[cfg(test)]
+    drop_barrier_after: Option<usize>,
+}
+
+impl SweepKernel<'_> {
+    /// Nodes of a `w`-wide level that block `bx` owns.
+    fn owned(&self, w: usize, bx: usize, bdim: usize) -> usize {
+        let (first, stride) = (bx * bdim, self.grid * bdim);
+        let rest = w.saturating_sub(first);
+        rest / stride * bdim + (rest % stride).min(bdim)
+    }
+
+    /// The grid barrier after level `l` of a multi-block grid.
+    async fn level_barrier(&self, blk: &mut BlockScope, l: usize) {
+        #[cfg(test)]
+        if self.drop_barrier_after == Some(l) {
+            return;
+        }
+        let _ = l;
+        if self.grid > 1 {
+            blk.grid_sync().await;
+        }
+    }
 }
 
 impl Kernel for SweepKernel<'_> {
@@ -2343,9 +2467,20 @@ impl Kernel for SweepKernel<'_> {
     }
 
     fn block(&self, blk: &mut BlockScope) {
+        simt::block_on(CoopKernel::block(self, blk));
+    }
+}
+
+impl CoopKernel for SweepKernel<'_> {
+    fn name(&self) -> &'static str {
+        "tensor_sweep"
+    }
+
+    async fn block(&self, blk: &mut BlockScope) {
         let group = blk.block_idx_y() * SCENARIOS_PER_BLOCK;
         let group_end = (group + SCENARIOS_PER_BLOCK).min(self.nb);
         let bdim = blk.block_dim();
+        let (bx, stride) = (blk.block_idx_x(), self.grid * bdim);
 
         // Active resident scenarios with their load scales and patch
         // words; frozen scenarios cost one 4-byte mask read each and
@@ -2365,16 +2500,18 @@ impl Kernel for SweepKernel<'_> {
         }
         let nm = members.len();
 
-        // Per-thread local slots: thread `t` owns node `off + t + m·bdim`
-        // of level `l` at slot `(slot_base[l] + m)·bdim + t`, one bank of
-        // slots per resident scenario.
+        // Per-thread local slots, as many as the block owns nodes: thread
+        // `t` owns node `off + bx·bdim + t + m·stride` of level `l` at slot
+        // `slot_base[l] + m·bdim + t`, one bank of slots per resident
+        // scenario.
         let nl = self.level_offsets.len() - 1;
+        let width = |l: usize| (self.level_offsets[l + 1] - self.level_offsets[l]) as usize;
+        let owns: Vec<bool> = (0..nl).map(|l| self.owned(width(l), bx, bdim) > 0).collect();
         let mut slot_base = vec![0usize; nl + 1];
         for l in 0..nl {
-            let w = (self.level_offsets[l + 1] - self.level_offsets[l]) as usize;
-            slot_base[l + 1] = slot_base[l] + w.div_ceil(bdim);
+            slot_base[l + 1] = slot_base[l] + self.owned(width(l), bx, bdim);
         }
-        let bank = slot_base[nl] * bdim;
+        let bank = slot_base[nl];
         let mut local_j = vec![Complex::ZERO; nm * bank];
         let mut local_v = vec![Complex::ZERO; nm * bank];
         let sh = blk.shared::<f64>(bdim);
@@ -2389,11 +2526,15 @@ impl Kernel for SweepKernel<'_> {
             // it there) and kept in this thread's local slot for the forward
             // half, along with the pre-update voltage.
             for l in (0..nl).rev() {
+                if !owns[l] {
+                    self.level_barrier(blk, l).await;
+                    continue;
+                }
                 let off = self.level_offsets[l] as usize;
                 let w = self.level_offsets[l + 1] as usize - off;
                 let sb = slot_base[l];
                 blk.threads(|t| {
-                    let mut k = t.tid();
+                    let mut k = bx * bdim + t.tid();
                     let mut m = 0usize;
                     while k < w {
                         let p = off + k;
@@ -2411,7 +2552,7 @@ impl Kernel for SweepKernel<'_> {
                             Some(pr) => t.ld(&pr.dfs_pos, p),
                             None => 0,
                         };
-                        let slot = (sb + m) * bdim + t.tid();
+                        let slot = sb + m * bdim + t.tid();
                         for (qi, mb) in members.iter().enumerate() {
                             let g = mb.s_idx * self.n + p;
                             if dp >= mb.cut_lo && dp < mb.cut_hi {
@@ -2455,10 +2596,11 @@ impl Kernel for SweepKernel<'_> {
                             local_j[qi * bank + slot] = acc;
                             local_v[qi * bank + slot] = vv;
                         }
-                        k += bdim;
+                        k += stride;
                         m += 1;
                     }
                 });
+                self.level_barrier(blk, l).await;
             }
 
             // Forward half, root→leaf: the ladder update reads the
@@ -2470,11 +2612,18 @@ impl Kernel for SweepKernel<'_> {
             let mut partial_min =
                 vec![f64::INFINITY; if self.min_v.is_some() { nm * bdim } else { 0 }];
             for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
+                if l > 1 {
+                    // The level before wrote the parents' voltages.
+                    self.level_barrier(blk, nl + l - 1).await;
+                }
+                if !owns[l] {
+                    continue;
+                }
                 let off = self.level_offsets[l] as usize;
                 let w = self.level_offsets[l + 1] as usize - off;
                 blk.threads(|t| {
                     let tid = t.tid();
-                    let mut k = tid;
+                    let mut k = bx * bdim + tid;
                     let mut m = 0usize;
                     while k < w {
                         let p = off + k;
@@ -2484,7 +2633,7 @@ impl Kernel for SweepKernel<'_> {
                             Some(pr) => t.ld(&pr.dfs_pos, p),
                             None => 0,
                         };
-                        let slot = (sb + m) * bdim + tid;
+                        let slot = sb + m * bdim + tid;
                         for (qi, mb) in members.iter().enumerate() {
                             if dp >= mb.cut_lo && dp < mb.cut_hi {
                                 continue; // de-energized: frozen, not folded
@@ -2508,7 +2657,7 @@ impl Kernel for SweepKernel<'_> {
                                 *slot_min = slot_min.min(nv.abs());
                             }
                         }
-                        k += bdim;
+                        k += stride;
                         m += 1;
                     }
                 });
@@ -2517,12 +2666,33 @@ impl Kernel for SweepKernel<'_> {
             // Tree-fold each member's partials and publish its residual
             // (and, for patched solves, its minimum updated `|V|`).
             let mut residual = f64::NAN;
+            let (max, flops) = (MaxAbsF64::combine, MaxAbsF64::FLOPS);
             for (qi, mb) in members.iter().enumerate() {
                 let slots = qi * bdim..(qi + 1) * bdim;
-                let (max, flops) = (MaxAbsF64::combine, MaxAbsF64::FLOPS);
                 let at = sweep * self.nb + mb.s_idx;
-                residual =
-                    tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, at);
+                residual = match &self.partials {
+                    None => tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, at),
+                    Some(words) => {
+                        // Across the grid: block partials, block 0's fold,
+                        // and every block's read of what it published.
+                        tree_fold(blk, &sh, &partial[slots.clone()], max, flops, words, bx);
+                        blk.grid_sync().await;
+                        if bx == 0 {
+                            let mut part = vec![0.0f64; bdim];
+                            blk.threads(|t| {
+                                for b in (t.tid()..self.grid).step_by(bdim) {
+                                    t.flops(flops);
+                                    part[t.tid()] = max(part[t.tid()], t.ld_mut(words, b));
+                                }
+                            });
+                            tree_fold(blk, &sh, &part, max, flops, &self.residuals, at);
+                        }
+                        blk.grid_sync().await;
+                        let mut published = f64::NAN;
+                        blk.threads(|t| published = t.ld_mut(&self.residuals, at));
+                        published
+                    }
+                };
                 if let Some(min_buf) = &self.min_v {
                     tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, min_buf, mb.s_idx);
                 }
@@ -3506,9 +3676,47 @@ mod tests {
         assert!(report.rollbacks >= 1 && !report.degraded(), "{report:?}");
         assert_eq!((&res.v, &res.j, &res.min_v), (&clean.v, &clean.j, &clean.min_v));
         // The second chunk's inputs, prefetched before the fault, waited
-        // through it: that chunk ends tainted too, and the third is last.
+        // through it, but a corrupted read cannot touch device memory: that
+        // chunk ends clean and drains, as in the clean run; only the
+        // tainted first chunk's V and J (the same size) are not drained.
         assert!(drained(&solver) > 0);
-        assert_eq!(drained(&faulted), 0, "a tainted chunk drains nothing");
+        assert_eq!(2 * drained(&faulted), drained(&solver), "only the tainted chunk reads at once");
+    }
+
+    /// A lone scenario's sweep over a cooperative grid runs race-free
+    /// under the race checker; leaving out the grid barrier between two
+    /// backward levels (or two forward ones) lets a block read a current
+    /// (or a parent voltage) another block writes in the same grid phase,
+    /// and the checker reports the race.
+    #[cfg(feature = "racecheck")]
+    #[test]
+    fn racecheck_reports_a_grid_sweep_missing_a_level_barrier() {
+        let net = balanced_binary(2047, &GenSpec::default(), &mut StdRng::seed_from_u64(9));
+        let a = SolverArrays::new(&net);
+        let nl = a.levels.level_offsets.len() - 1;
+        let run = |drop: Option<usize>| {
+            let mut dev = device();
+            let mut chunk = Chunk::open(&mut dev, &a, None, 4, 3, Obs::default()).unwrap();
+            let cfg = chunk.res.launch_config();
+            let mut kernel = chunk.res.kernel(2, SureContinue::NEVER);
+            kernel.drop_barrier_after = drop;
+            let dev = &mut *chunk.dev;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.try_launch_cooperative(cfg, &kernel)
+            }))
+        };
+        assert!(matches!(run(None), Ok(Ok(()))), "the full sweep is race-free");
+        // The deepest level holds 1 024 buses over the 768 threads, its
+        // parents 512: a parent of block 1 sums children block 0 writes in
+        // backward level `nl − 1`, and a bus of block 2 reads a parent
+        // voltage block 1 writes in forward level `nl − 2`. (The checker
+        // sees a read after the write it races; the blocks of a grid phase
+        // run in index order.)
+        for drop in [nl - 1, 2 * nl - 2] {
+            let payload = run(Some(drop)).expect_err("a dropped barrier races");
+            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("race") && msg.contains("block"), "barrier {drop}: {msg}");
+        }
     }
 
     /// A corrupted read-back slice of the previous chunk touches none of
@@ -3683,8 +3891,9 @@ mod tests {
         a: &SolverArrays,
         cfg: &SolverConfig,
         k: u32,
+        grid: usize,
     ) -> (Vec<f64>, SolveStatus, Vec<Complex>, Vec<Complex>) {
-        let mut sess = Chunk::open(dev, a, None, cfg.max_iter, Obs::default()).unwrap();
+        let mut sess = Chunk::open(dev, a, None, cfg.max_iter, grid, Obs::default()).unwrap();
         let mut mon = ConvergenceMonitor::new(cfg, a.source.abs());
         let mut history = Vec::new();
         let status = 'solve: loop {
@@ -3731,10 +3940,10 @@ mod tests {
         let mut statuses = Vec::new();
         for (name, a) in &cases {
             let mut dev = device();
-            let one = stepped(&mut dev, a, &cfg, 1);
+            let one = stepped(&mut dev, a, &cfg, 1, 1);
             assert_eq!(dev.timeline().breakdown().kernels, one.0.len() as u64, "{name}");
             let mut dev = device();
-            let many = stepped(&mut dev, a, &cfg, cfg.max_iter);
+            let many = stepped(&mut dev, a, &cfg, cfg.max_iter, 1);
             let launches = dev.timeline().breakdown().kernels;
             let bits = |h: &[f64]| h.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             let phasor_bits = |x: &[Complex]| {
@@ -3781,7 +3990,7 @@ mod tests {
         let net = chain(400, &GenSpec::default(), &mut StdRng::seed_from_u64(5));
         let a = SolverArrays::new(&net);
         let props = DeviceProps::paper_rig();
-        let bound = single_iteration_bound_us(&props, &crate::gpu::level_shape(&a));
+        let bound = sweep_bound_us(&props, &crate::gpu::level_shape(&a), 1);
         let read = simt::timing::transfer_time(&props, 8);
         let free = crate::GpuSolver::new(device()).solve_arrays(&a, &SolverConfig::default());
         assert!(free.iterations > 4, "the chain needs a few iterations");
@@ -3822,7 +4031,7 @@ mod tests {
             dev.timeline().events().iter().map(op).collect::<Vec<_>>()
         };
         let mut dev = device();
-        let (history, ..) = stepped(&mut dev, &a, &cfg, 1);
+        let (history, ..) = stepped(&mut dev, &a, &cfg, 1, 1);
         let want = ops(&dev);
         assert_eq!(dev.timeline().breakdown().kernels, history.len() as u64);
 

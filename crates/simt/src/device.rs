@@ -7,7 +7,8 @@ use std::time::Instant;
 use crate::buffer::{pod_bytes, pod_bytes_mut, DeviceBuffer, DeviceCopy, MemPool};
 use crate::engine;
 use crate::fault::{DeviceError, FaultKind, FaultPlan, FaultRecord, FaultSite};
-use crate::kernel::{Kernel, LaunchConfig};
+use crate::kernel::{CoopKernel, Kernel, LaunchConfig};
+use crate::stats::LaunchStats;
 use crate::props::DeviceProps;
 use crate::timeline::{Event, EventKind, Timeline};
 use crate::timing;
@@ -548,6 +549,52 @@ impl Device {
         cfg: LaunchConfig,
         kernel: &K,
     ) -> Result<(), DeviceError> {
+        self.launch_with(cfg, kernel.name(), false, |d| {
+            engine::run_grid(kernel, &cfg, d.props.warp_size, d.props.shared_mem_per_block, d.workers)
+        })
+    }
+
+    /// Launches a cooperative kernel (`cudaLaunchCooperativeKernel`):
+    /// every block of the grid is resident at once, so its blocks may
+    /// wait for each other at grid barriers ([`crate::BlockScope::grid_sync`]),
+    /// each costing [`DeviceProps::GRID_SYNC_US`]. Faults strike as on
+    /// [`Device::try_launch`]. A grid larger than
+    /// [`DeviceProps::cooperative_blocks`] fails to launch, as CUDA's
+    /// `cudaErrorCooperativeLaunchTooLarge` does; the limit is checked
+    /// before the grid runs, without shared memory, and a grid whose
+    /// blocks then allocate enough shared memory to exceed it panics as a
+    /// launch failure.
+    #[must_use = "device operations can fail; handle the Result"]
+    pub fn try_launch_cooperative<K: CoopKernel>(
+        &mut self,
+        cfg: LaunchConfig,
+        kernel: &K,
+    ) -> Result<(), DeviceError> {
+        self.launch_with(cfg, kernel.name(), true, |d| {
+            let p = &d.props;
+            let stats = engine::run_cooperative(kernel, &cfg, p.warp_size, p.shared_mem_per_block);
+            let shared = stats.max_shared_bytes.min(u32::MAX as u64) as u32;
+            let resident = p.cooperative_blocks(cfg.block, shared) as u64;
+            assert!(
+                cfg.total_blocks() <= resident,
+                "launch failure: cooperative grid of {} blocks with {shared} B of shared memory \
+                 each exceeds the {resident} co-resident blocks",
+                cfg.total_blocks()
+            );
+            stats
+        })
+    }
+
+    /// The launch protocol of either kind: the fault draw and the geometry
+    /// checks (a `cooperative` grid's against the co-resident limit), then
+    /// `run`, then the timing model and the timeline event.
+    fn launch_with(
+        &mut self,
+        cfg: LaunchConfig,
+        name: &'static str,
+        cooperative: bool,
+        run: impl FnOnce(&Device) -> LaunchStats,
+    ) -> Result<(), DeviceError> {
         let fault = self.poll_fault(FaultSite::Launch)?;
         if cfg.grid < 1 || cfg.grid_y < 1 {
             return Err(DeviceError::Launch { reason: "empty grid".into() });
@@ -557,6 +604,15 @@ impl Device {
                 reason: format!(
                     "block size {} outside 1..={}",
                     cfg.block, self.props.max_threads_per_block
+                ),
+            });
+        }
+        let limit = self.props.cooperative_blocks(cfg.block, 0) as u64;
+        if cooperative && cfg.total_blocks() > limit {
+            return Err(DeviceError::Launch {
+                reason: format!(
+                    "cooperative grid of {} blocks exceeds the {limit} co-resident blocks",
+                    cfg.total_blocks()
                 ),
             });
         }
@@ -570,17 +626,11 @@ impl Device {
             _ => {}
         }
         let t0 = Instant::now();
-        let stats = engine::run_grid(
-            kernel,
-            &cfg,
-            self.props.warp_size,
-            self.props.shared_mem_per_block,
-            self.workers,
-        );
+        let stats = run(self);
         let wall_us = t0.elapsed().as_secs_f64() * 1e6;
         let timing = timing::kernel_time(&self.props, &cfg, &stats);
         let kind = EventKind::Kernel {
-            name: kernel.name(),
+            name,
             grid: cfg.total_blocks().min(u32::MAX as u64) as u32,
             block: cfg.block,
             stats,
@@ -621,6 +671,7 @@ mod tests {
     use super::*;
     use crate::buffer::{GlobalMut, GlobalRef};
     use crate::scope::BlockScope;
+    use crate::timeline::Event;
 
     struct Double<'a> {
         src: GlobalRef<'a, u32>,
@@ -1048,6 +1099,234 @@ mod tests {
         assert_eq!(b.transfer_us().to_bits(), (b.htod_us + b.dtoh_us).to_bits());
         let spans = spans(&dev);
         assert!(spans.windows(2).all(|w| w[1].0 == w[0].1), "back to back: {spans:?}");
+    }
+
+    /// A timeline of ordinary launches and transfers on the default stream
+    /// models exactly what it did before cooperative launches existed:
+    /// the makespan's bits are pinned.
+    #[test]
+    fn a_default_stream_timeline_without_cooperative_launches_is_unchanged_bit_for_bit() {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let host: Vec<u32> = (0..70_000).collect();
+        let src = dev.alloc_from(&host);
+        let mut dst = dev.alloc::<u32>(70_000);
+        for n in [100, 3000, 70_000] {
+            let k = Double { src: src.view(), dst: dst.view_mut(), n };
+            dev.launch(LaunchConfig::for_elems(n), &k);
+            let _ = dev.dtoh(&dst);
+        }
+        let tl = dev.timeline();
+        assert_eq!(tl.total_modeled_us().to_bits(), PINNED_MAKESPAN_BITS, "{}", tl.total_modeled_us());
+        for e in tl.events() {
+            if let EventKind::Kernel { timing, stats, .. } = &e.kind {
+                assert_eq!(timing.grid_sync_us, 0.0);
+                assert!(!stats.cooperative && stats.grid_syncs == 0);
+            }
+        }
+    }
+
+    /// `a_default_stream_timeline_without_cooperative_launches_is_unchanged_bit_for_bit`'s
+    /// makespan as the simulator modeled it before cooperative launches.
+    const PINNED_MAKESPAN_BITS: u64 = 4_639_241_846_314_908_481; // 143.18373333333332 µs
+
+    /// Block `b` publishes `b + 1`, keeps it in a local across a grid
+    /// barrier, then reads every block's word: `out[b] = Σ · 1000 + (b + 1)`.
+    /// With `skip` set, that block ends before the barrier.
+    struct Exchange<'a> {
+        cells: GlobalMut<'a, u64>,
+        out: GlobalMut<'a, u64>,
+        barrier: bool,
+        skip: Option<usize>,
+        panic_in: Option<usize>,
+    }
+
+    impl CoopKernel for Exchange<'_> {
+        fn name(&self) -> &'static str {
+            "exchange"
+        }
+        async fn block(&self, blk: &mut BlockScope) {
+            let (b, g) = (blk.block_idx(), blk.grid_dim());
+            let mine = b as u64 + 1;
+            blk.threads(|t| {
+                if t.tid() == 0 {
+                    t.st(&self.cells, b, mine);
+                }
+            });
+            if self.skip == Some(b) {
+                return;
+            }
+            if self.barrier {
+                blk.grid_sync().await;
+            }
+            assert_ne!(self.panic_in, Some(b), "block {b} faults");
+            blk.threads(|t| {
+                if t.tid() == 0 {
+                    let sum: u64 = (0..g).map(|c| t.ld_mut(&self.cells, c)).sum();
+                    t.st(&self.out, b, sum * 1000 + mine);
+                }
+            });
+        }
+    }
+
+    fn exchange(
+        workers: usize,
+        grid: u32,
+        tweak: impl FnOnce(&mut Exchange<'_>),
+    ) -> (Vec<u64>, Event) {
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), workers);
+        let mut cells = dev.alloc::<u64>(grid as usize);
+        let mut out = dev.alloc::<u64>(grid as usize);
+        let mut k = Exchange {
+            cells: cells.view_mut(),
+            out: out.view_mut(),
+            barrier: true,
+            skip: None,
+            panic_in: None,
+        };
+        tweak(&mut k);
+        dev.try_launch_cooperative(LaunchConfig::new(grid, 256), &k).expect("fits");
+        let ev = dev.timeline().events().last().expect("a launch").clone();
+        (dev.dtoh(&out), ev)
+    }
+
+    #[test]
+    fn writes_before_a_grid_barrier_are_visible_to_every_block_after_it() {
+        let grid = 32u64;
+        let want: Vec<u64> = (0..grid).map(|b| grid * (grid + 1) / 2 * 1000 + b + 1).collect();
+        let (seq, seq_ev) = exchange(1, grid as u32, |_| {});
+        let (par, par_ev) = exchange(4, grid as u32, |_| {});
+        assert_eq!(seq, want);
+        assert_eq!(par, want);
+        assert_eq!(seq_ev.modeled_us.to_bits(), par_ev.modeled_us.to_bits());
+        let (EventKind::Kernel { stats: a, .. }, EventKind::Kernel { stats: b, .. }) =
+            (&seq_ev.kind, &par_ev.kind)
+        else {
+            panic!("kernel events")
+        };
+        assert_eq!(a, b, "statistics do not depend on the worker count");
+        assert!(a.cooperative && a.grid_syncs == 1);
+    }
+
+    #[test]
+    fn an_oversized_cooperative_grid_fails_to_launch() {
+        let p = DeviceProps::paper_rig();
+        assert_eq!(p.cooperative_blocks(256, 0), 160);
+        assert_eq!(p.cooperative_blocks(1024, 0), 40);
+        let mut dev = Device::with_workers(p, 1);
+        let (mut cells, mut out) = (dev.alloc::<u64>(161), dev.alloc::<u64>(161));
+        let k = Exchange {
+            cells: cells.view_mut(),
+            out: out.view_mut(),
+            barrier: true,
+            skip: None,
+            panic_in: None,
+        };
+        let err = dev.try_launch_cooperative(LaunchConfig::new(161, 256), &k).unwrap_err();
+        assert!(matches!(&err, DeviceError::Launch { reason } if reason.contains("co-resident")), "{err}");
+        let too_wide = dev.try_launch_cooperative(LaunchConfig::new(41, 1024), &k);
+        assert!(too_wide.is_err());
+        assert_eq!(dev.timeline().breakdown().kernels, 0, "nothing ran");
+        dev.try_launch_cooperative(LaunchConfig::new(160, 256), &k).expect("160 blocks fit");
+        // An ordinary launch of the same grid has no such limit.
+        assert_eq!(dev.timeline().breakdown().kernels, 1);
+    }
+
+    /// `barriers` grid barriers, each between two phases whose busiest
+    /// block makes `2` dependent loads: block 0 loads twice, the rest once.
+    struct Barriers<'a> {
+        src: GlobalRef<'a, u32>,
+        barriers: usize,
+    }
+
+    impl CoopKernel for Barriers<'_> {
+        fn name(&self) -> &'static str {
+            "barriers"
+        }
+        async fn block(&self, blk: &mut BlockScope) {
+            let loads = if blk.block_idx() == 0 { 2 } else { 1 };
+            for phase in 0..=self.barriers {
+                if phase > 0 {
+                    blk.grid_sync().await;
+                }
+                blk.threads(|t| {
+                    for i in 0..loads {
+                        let _ = t.ld(&self.src, (t.global_id() + i) % 64);
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn grid_barriers_enter_the_kernel_timing_as_documented() {
+        let p = DeviceProps::paper_rig();
+        let mut dev = Device::with_workers(p.clone(), 1);
+        let src = dev.alloc::<u32>(64);
+        for barriers in [0usize, 1, 7] {
+            let k = Barriers { src: src.view(), barriers };
+            dev.try_launch_cooperative(LaunchConfig::new(4, 64), &k).expect("fits");
+            let ev = dev.timeline().events().last().expect("a launch").clone();
+            let EventKind::Kernel { stats, timing, .. } = ev.kind else { panic!("a kernel") };
+            let phases = barriers as u64 + 1;
+            assert_eq!(stats.grid_syncs, barriers as u64);
+            // The critical path: block 0's two loads in every grid phase.
+            assert_eq!((stats.grid_chain, stats.grid_phases), (2 * phases, phases));
+            let latency = (2.0 * phases as f64 * p.mem_latency_cycles
+                + phases as f64 * p.barrier_cycles)
+                / p.cycles_per_us();
+            assert_eq!(timing.latency_us, latency);
+            assert_eq!(timing.grid_sync_us, barriers as f64 * DeviceProps::GRID_SYNC_US);
+            let roofline = timing.compute_us.max(timing.mem_us).max(timing.latency_us);
+            assert_eq!(timing.total_us, p.launch_overhead_us + roofline + timing.grid_sync_us);
+            assert_eq!(ev.modeled_us, timing.total_us);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a deadlock on hardware")]
+    fn a_block_that_ends_before_a_grid_barrier_panics() {
+        exchange(1, 4, |k| k.skip = Some(2));
+    }
+
+    #[test]
+    fn a_panicking_block_of_a_cooperative_launch_reaches_the_launcher() {
+        let outcome = std::panic::catch_unwind(|| exchange(4, 32, |k| k.panic_in = Some(17)));
+        let payload = outcome.expect_err("the block's panic propagates");
+        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("block 17 faults"), "{msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a cooperative launch")]
+    fn a_grid_barrier_in_an_ordinary_launch_panics() {
+        struct Ordinary<'a>(Exchange<'a>);
+        impl Kernel for Ordinary<'_> {
+            fn name(&self) -> &'static str {
+                "ordinary"
+            }
+            fn block(&self, blk: &mut BlockScope) {
+                crate::block_on(CoopKernel::block(&self.0, blk));
+            }
+        }
+        let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
+        let (mut cells, mut out) = (dev.alloc::<u64>(2), dev.alloc::<u64>(2));
+        let k = Exchange {
+            cells: cells.view_mut(),
+            out: out.view_mut(),
+            barrier: true,
+            skip: None,
+            panic_in: None,
+        };
+        dev.launch(LaunchConfig::new(2, 32), &Ordinary(k));
+    }
+
+    /// Without its grid barrier, a block reads a word another block wrote
+    /// in the same grid phase: the race checker reports it.
+    #[cfg(feature = "racecheck")]
+    #[test]
+    #[should_panic(expected = "race")]
+    fn racecheck_reports_a_dropped_grid_barrier() {
+        exchange(1, 4, |k| k.barrier = false);
     }
 
     #[test]

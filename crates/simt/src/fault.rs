@@ -145,6 +145,19 @@ pub struct FaultRecord {
     pub kind: FaultKind,
 }
 
+impl FaultRecord {
+    /// Whether the fault can have changed what device memory holds: a bit
+    /// flip, a corrupted upload, or a lost device. A corrupted read-back,
+    /// a failed allocation or a failed launch leaves it as it was.
+    pub fn reaches_device_memory(&self) -> bool {
+        match self.kind {
+            FaultKind::BufferBitFlip { .. } | FaultKind::DeviceLost { .. } => true,
+            FaultKind::TransferCorruption => self.site == FaultSite::Htod,
+            FaultKind::AllocOom | FaultKind::LaunchFailure => false,
+        }
+    }
+}
+
 /// Error returned by the fallible device API (`try_alloc` / `try_htod`
 /// / `try_dtoh` / `try_launch`).
 ///

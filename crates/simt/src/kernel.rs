@@ -1,4 +1,8 @@
-//! The kernel trait and launch configuration.
+//! The kernel traits and launch configuration.
+
+use std::future::Future;
+use std::pin::pin;
+use std::task::{Context, Poll, Waker};
 
 use crate::scope::BlockScope;
 
@@ -14,6 +18,43 @@ pub trait Kernel: Sync {
 
     /// Executes one block. See [`BlockScope`] for the execution model.
     fn block(&self, blk: &mut BlockScope);
+}
+
+/// A cooperative kernel: the `__global__` function of a
+/// `cudaLaunchCooperativeKernel` launch, whose blocks may wait for one
+/// another at grid-wide barriers.
+///
+/// A block's body is an `async fn` that suspends at each
+/// [`BlockScope::grid_sync`]`.await`. The engine runs the grid as a
+/// sequence of *grid phases*: every block runs to its next grid barrier
+/// (or its end) before any block runs past it, and each block's locals —
+/// its registers, shared memory and any state it keeps — persist across
+/// the barrier inside its suspended body. No OS thread is dedicated to a
+/// block: the launching thread polls every block, phase by phase. Every
+/// block must reach every grid barrier: a block that ends while others
+/// wait is a deadlock on hardware, and the launch panics.
+///
+/// [`crate::Device::try_launch_cooperative`] launches one; a grid larger
+/// than the device's co-resident limit fails to launch. The same body can
+/// serve an ordinary launch through [`block_on`], as long as it never
+/// reaches a grid barrier there.
+#[allow(async_fn_in_trait)]
+pub trait CoopKernel: Sync {
+    /// Name recorded on the timeline.
+    fn name(&self) -> &'static str;
+
+    /// Executes one block, suspending at its grid barriers.
+    async fn block(&self, blk: &mut BlockScope);
+}
+
+/// Runs a cooperative block body to its end inside an ordinary launch's
+/// [`Kernel::block`]. An ordinary launch has no grid barrier
+/// ([`BlockScope::grid_sync`] panics there), so the body never suspends.
+pub fn block_on<F: Future>(body: F) -> F::Output {
+    match pin!(body).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("an ordinary launch has no grid barrier to wait at"),
+    }
 }
 
 /// Launch geometry (`<<<grid, block>>>`), 1-D by default with an optional

@@ -19,6 +19,9 @@
 //! * Inside a kernel, a block is a sequence of barrier-delimited phases
 //!   ([`BlockScope::threads`]), with [`Shared`] memory persisting across
 //!   phases — the well-synchronised subset of CUDA.
+//! * A [`CoopKernel`] launched by [`Device::try_launch_cooperative`] keeps
+//!   its whole grid resident, and its blocks' `async` bodies may `.await`
+//!   grid-wide barriers ([`BlockScope::grid_sync`]) between grid phases.
 //!
 //! ```
 //! use simt::{Device, DeviceProps, Kernel, LaunchConfig, BlockScope, GlobalRef, GlobalMut};
@@ -88,9 +91,9 @@ pub use atomic::AtomicAdd;
 pub use buffer::{BufId, DeviceBuffer, DeviceCopy, GlobalMut, GlobalRef};
 pub use device::{Device, DtohPart, HtodPart, Stream, StreamEvent};
 pub use fault::{DeviceError, FaultKind, FaultPlan, FaultRecord, FaultSite, StormSchedule};
-pub use kernel::{Kernel, LaunchConfig};
+pub use kernel::{block_on, CoopKernel, Kernel, LaunchConfig};
 pub use props::{DeviceProps, HostProps};
-pub use scope::{BlockScope, Shared, ThreadCtx};
+pub use scope::{BlockScope, GridSync, Shared, ThreadCtx};
 pub use span_export::{export_timeline_spans, export_timeline_spans_to};
 pub use stats::{LaunchStats, TRANSACTION_BYTES};
 pub use timeline::{Breakdown, Event, EventKind, KernelReport, Timeline};

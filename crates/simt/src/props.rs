@@ -62,6 +62,16 @@ impl DeviceProps {
     /// can take at most 2 × 12 of its 320 GB/s, which bounds the error.
     pub const COPY_ENGINES: usize = 2;
 
+    /// Modeled cost of one grid-wide barrier of a cooperative launch
+    /// (`grid.sync()` of CUDA's cooperative groups), µs, on every part.
+    /// Zhang et al., "A Study of Single and Multi-device Synchronization
+    /// Methods in Nvidia GPUs" (IPDPS 2020), measure a grid barrier on
+    /// Pascal and Volta parts at a few microseconds once every SM holds
+    /// its full complement of resident blocks, growing with the blocks it
+    /// waits for; the model takes 3 µs, under the 5 µs launch it replaces
+    /// in a level-synchronous sweep.
+    pub const GRID_SYNC_US: f64 = 3.0;
+
     /// Mid-range Pascal-era GeForce: GTX 1060-class.
     pub fn gtx_1060() -> Self {
         DeviceProps {
@@ -196,6 +206,15 @@ impl DeviceProps {
             .checked_div(shared_bytes)
             .unwrap_or(self.max_blocks_per_sm);
         by_blocks.min(by_threads).min(by_shared).max(1)
+    }
+
+    /// The largest grid a cooperative launch of `threads_per_block`-thread
+    /// blocks with `shared_bytes` of shared memory each may have: every
+    /// block must be resident at once, so that a grid barrier can wait
+    /// for all of them (`cudaOccupancyMaxActiveBlocksPerMultiprocessor` ×
+    /// SMs).
+    pub fn cooperative_blocks(&self, threads_per_block: u32, shared_bytes: u32) -> u32 {
+        self.resident_blocks_per_sm(threads_per_block, shared_bytes) * self.num_sms
     }
 
     /// Validates internal consistency; returns a human-readable complaint
@@ -372,6 +391,7 @@ mod tests {
         let mut p = DeviceProps::paper_rig();
         p.global_mem_bytes = 0;
         assert!(p.validate().is_err());
+
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! CUDA's memory model gives no ordering between threads of *different*
 //! blocks within one launch, and orders threads of the *same* block only
-//! across `__syncthreads()` barriers. The tracker enforces exactly that:
+//! across `__syncthreads()` barriers; a cooperative launch's grid barrier
+//! orders every thread before it against every thread after it. The
+//! tracker enforces exactly that:
 //!
-//! * write → write to one cell from different threads: race, unless the
-//!   writes are in the same block and different phases;
-//! * write → read from a different thread: race, unless same block and
-//!   the read happens in a *later* phase than the write.
+//! * write → write to one cell from different threads: race, unless a
+//!   grid barrier separates them, or the writes are in the same block and
+//!   different phases;
+//! * write → read from a different thread: race, unless a grid barrier
+//!   separates them, or same block and the read happens in a *later*
+//!   phase than the write.
 //!
 //! Each cell stores the last writer as a packed word. The table is
 //! rebuilt per [`crate::DeviceBuffer::view_mut`] call (views are created
@@ -29,16 +33,26 @@ pub struct ThreadId {
     pub tid: u32,
     /// Barrier phase ordinal within the block (saturates at u16::MAX).
     pub phase: u16,
+    /// Grid barriers passed, in a cooperative launch (0 otherwise;
+    /// saturates at [`MAX_GRID_PHASE`]).
+    pub grid_phase: u16,
 }
 
-/// Packed cell encoding:
-/// [1 bit valid][1 bit atomic][30 bits block][16 bits tid][16 bits phase].
+/// The largest grid phase a cell records: later grid phases share it, so
+/// past it grid barriers no longer order accesses (a race may be
+/// reported where there is none, never missed).
+pub const MAX_GRID_PHASE: u32 = 0x3FFF;
+
+/// Packed cell encoding: [1 bit valid][1 bit atomic][22 bits block]
+/// [10 bits tid][16 bits phase][14 bits grid phase]. A block holds at
+/// most 1 024 threads.
 fn pack(t: ThreadId, atomic: bool) -> u64 {
     (1u64 << 63)
         | ((atomic as u64) << 62)
-        | ((t.block as u64 & 0x3FFF_FFFF) << 32)
-        | ((t.tid as u64 & 0xFFFF) << 16)
-        | t.phase as u64
+        | ((t.block as u64 & 0x3F_FFFF) << 40)
+        | ((t.tid as u64 & 0x3FF) << 30)
+        | ((t.phase as u64) << 14)
+        | (t.grid_phase as u64 & MAX_GRID_PHASE as u64)
 }
 
 fn unpack(w: u64) -> Option<(ThreadId, bool)> {
@@ -46,9 +60,10 @@ fn unpack(w: u64) -> Option<(ThreadId, bool)> {
         return None;
     }
     let id = ThreadId {
-        block: ((w >> 32) & 0x3FFF_FFFF) as u32,
-        tid: ((w >> 16) & 0xFFFF) as u32,
-        phase: (w & 0xFFFF) as u16,
+        block: ((w >> 40) & 0x3F_FFFF) as u32,
+        tid: ((w >> 30) & 0x3FF) as u32,
+        phase: ((w >> 14) & 0xFFFF) as u16,
+        grid_phase: (w & MAX_GRID_PHASE as u64) as u16,
     };
     Some((id, (w >> 62) & 1 == 1))
 }
@@ -70,6 +85,9 @@ impl RaceTable {
     fn ordered(a: ThreadId, b: ThreadId) -> bool {
         if a.block == b.block && a.tid == b.tid {
             return true; // program order within one thread
+        }
+        if a.grid_phase < b.grid_phase {
+            return true; // a grid barrier lies between them
         }
         // Same block: barrier between phases orders the accesses.
         a.block == b.block && a.phase < b.phase
@@ -130,7 +148,7 @@ mod tests {
     use super::*;
 
     fn t(block: u32, tid: u32, phase: u16) -> ThreadId {
-        ThreadId { block, tid, phase }
+        ThreadId { block, tid, phase, grid_phase: 0 }
     }
 
     #[test]
@@ -138,7 +156,26 @@ mod tests {
         let id = t(12345, 678, 9);
         assert_eq!(unpack(pack(id, false)), Some((id, false)));
         assert_eq!(unpack(pack(id, true)), Some((id, true)));
+        let wide = ThreadId { block: 0x3F_FFFF, tid: 1023, phase: u16::MAX, grid_phase: 0x3FFF };
+        assert_eq!(unpack(pack(wide, false)), Some((wide, false)));
         assert_eq!(unpack(0), None);
+    }
+
+    #[test]
+    fn a_grid_barrier_orders_other_blocks() {
+        let tab = RaceTable::new(1);
+        tab.on_write(0, t(0, 0, 3));
+        let after = ThreadId { grid_phase: 1, ..t(5, 9, 0) };
+        tab.on_read(0, after);
+        tab.on_write(0, after);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-after-write race")]
+    fn other_blocks_in_one_grid_phase_race() {
+        let tab = RaceTable::new(1);
+        tab.on_write(0, ThreadId { grid_phase: 2, ..t(0, 0, 3) });
+        tab.on_read(0, ThreadId { grid_phase: 2, ..t(1, 0, 9) });
     }
 
     #[test]

@@ -24,9 +24,18 @@
 //! Threads of one block execute sequentially on one host worker, so
 //! shared memory needs no host-side synchronisation; different blocks run
 //! in parallel across workers.
+//!
+//! In a cooperative launch ([`crate::CoopKernel`]) a block's body may also
+//! `.await` [`BlockScope::grid_sync`], a grid-wide barrier: every block of
+//! the grid finishes its current *grid phase* before any block starts the
+//! next, so global memory written before the barrier by any block is
+//! visible to every block after it.
 
 use std::cell::UnsafeCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use crate::buffer::{DeviceCopy, GlobalMut, GlobalRef};
 use crate::stats::BlockAccounting;
@@ -42,6 +51,16 @@ pub struct BlockScope {
     pub(crate) shared_limit: u32,
     pub(crate) acc: BlockAccounting,
     pub(crate) phase: u32,
+    /// Whether the block belongs to a cooperative launch, where grid
+    /// barriers exist.
+    pub(crate) cooperative: bool,
+    /// Grid phases this block has closed (the grid barriers it passed).
+    pub(crate) grid_phase: u32,
+    /// Per closed grid phase, this block's dependent-access chain
+    /// (memory and atomic) and barrier phases within it.
+    pub(crate) grid_costs: Vec<(u64, u64)>,
+    /// `(chain, phases)` totals when the current grid phase began.
+    grid_mark: (u64, u64),
 }
 
 impl BlockScope {
@@ -62,7 +81,34 @@ impl BlockScope {
             shared_limit,
             acc: BlockAccounting::default(),
             phase: 0,
+            cooperative: false,
+            grid_phase: 0,
+            grid_costs: Vec::new(),
+            grid_mark: (0, 0),
         }
+    }
+
+    /// A grid-wide barrier (`grid.sync()` of CUDA's cooperative groups),
+    /// to be `.await`ed: the block suspends until every block of the grid
+    /// has reached it. Writes to global memory by any block before the
+    /// barrier are visible to every block after it; the block's own
+    /// locals and shared memory persist across it. Each barrier costs
+    /// [`crate::DeviceProps::GRID_SYNC_US`] of modeled time (see
+    /// [`crate::timing`]).
+    ///
+    /// Panics — modeling a launch failure — outside a cooperative launch
+    /// ([`crate::Device::try_launch_cooperative`]).
+    pub fn grid_sync(&mut self) -> GridSync<'_> {
+        assert!(self.cooperative, "launch failure: grid barrier outside a cooperative launch");
+        GridSync { blk: self, arrived: false }
+    }
+
+    /// Ends this block's current grid phase, recording its cost.
+    pub(crate) fn close_grid_phase(&mut self) {
+        let now = (self.acc.mem_chain + self.acc.atomic_chain, self.acc.phases);
+        self.grid_costs.push((now.0 - self.grid_mark.0, now.1 - self.grid_mark.1));
+        self.grid_mark = now;
+        self.grid_phase += 1;
     }
 
     /// Flat index of this block within the launch grid
@@ -141,6 +187,7 @@ impl BlockScope {
                 grid_dim: self.grid_dim,
                 grid_dim_y: self.grid_dim_y,
                 phase,
+                grid_phase: self.grid_phase,
                 seq: 0,
                 acc: &mut self.acc,
             };
@@ -154,6 +201,27 @@ impl BlockScope {
         self.acc.mem_chain += self.acc.phase_chain_max;
         self.acc.atomic_chain += self.acc.phase_atomic_max as u64;
         self.phase += 1;
+    }
+}
+
+/// The future [`BlockScope::grid_sync`] returns: pending once, while the
+/// rest of the grid reaches the barrier, then ready.
+#[must_use = "a grid barrier only waits when awaited"]
+pub struct GridSync<'b> {
+    blk: &'b mut BlockScope,
+    arrived: bool,
+}
+
+impl Future for GridSync<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if self.arrived {
+            return Poll::Ready(());
+        }
+        self.arrived = true;
+        self.blk.close_grid_phase();
+        Poll::Pending
     }
 }
 
@@ -209,6 +277,9 @@ pub struct ThreadCtx<'b> {
     grid_dim_y: u32,
     #[cfg_attr(not(feature = "racecheck"), allow(dead_code))]
     phase: u16,
+    /// Grid barriers the block has passed (cooperative launches).
+    #[cfg_attr(not(feature = "racecheck"), allow(dead_code))]
+    grid_phase: u32,
     /// Memory accesses issued by this thread in this phase (the
     /// coalescing slot counter).
     seq: u32,
@@ -357,6 +428,7 @@ impl ThreadCtx<'_> {
             block: self.block_idx as u32,
             tid: self.tid,
             phase: self.phase,
+            grid_phase: self.grid_phase.min(crate::racecheck::MAX_GRID_PHASE) as u16,
         }
     }
 

@@ -47,6 +47,19 @@ pub struct LaunchStats {
     pub max_shared_bytes: u64,
     /// Largest block-dim seen (uniform in practice; kept for reporting).
     pub max_block_threads: u64,
+    /// Whether the launch was cooperative
+    /// ([`crate::Device::try_launch_cooperative`]).
+    pub cooperative: bool,
+    /// Grid-wide barriers a cooperative launch passed (0 otherwise).
+    pub grid_syncs: u64,
+    /// Cooperative launches: Σ over grid phases of the largest
+    /// dependent-access chain (memory and atomic) any block ran in that
+    /// phase — the launch's critical path, since no block starts a grid
+    /// phase before every block has ended the one before. 0 otherwise.
+    pub grid_chain: u64,
+    /// Cooperative launches: Σ over grid phases of the most barrier
+    /// phases any block ran in that phase. 0 otherwise.
+    pub grid_phases: u64,
 }
 
 impl LaunchStats {
@@ -66,6 +79,10 @@ impl LaunchStats {
         self.mem_chain += o.mem_chain;
         self.max_shared_bytes = self.max_shared_bytes.max(o.max_shared_bytes);
         self.max_block_threads = self.max_block_threads.max(o.max_block_threads);
+        self.cooperative |= o.cooperative;
+        self.grid_syncs += o.grid_syncs;
+        self.grid_chain += o.grid_chain;
+        self.grid_phases += o.grid_phases;
     }
 
     /// Average coalescing efficiency: ideal transactions over issued

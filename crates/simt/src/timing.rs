@@ -25,6 +25,24 @@
 //!   dominant term — exactly the effect the abstract reports ("larger
 //!   speedups as the size of the distribution tree increases").
 //!
+//! A *cooperative* launch ([`crate::Device::try_launch_cooperative`])
+//! holds its whole grid resident (one wave) and runs it as grid phases
+//! separated by grid-wide barriers. No block starts a grid phase before
+//! every block ended the one before, so its latency floor follows the
+//! critical path — Σ over grid phases of the slowest block's
+//! `chain · mem_latency + phases · barrier` cycles
+//! ([`LaunchStats::grid_chain`], [`LaunchStats::grid_phases`]) — and its
+//! barriers add outside the roofline, since no SM does useful work while
+//! the grid waits:
+//!
+//! ```text
+//! t_kernel = launch_overhead + max(t_compute, t_mem, t_latency)
+//!          + grid_syncs · grid_sync_us
+//! ```
+//!
+//! with `grid_sync_us` the [`DeviceProps::GRID_SYNC_US`] constant. An
+//! ordinary launch has no grid barrier: its `grid_sync_us` term is 0.
+//!
 //! Transfers are modeled as `latency + bytes / pcie_bandwidth`.
 //!
 //! All outputs are deterministic functions of ([`LaunchStats`],
@@ -46,7 +64,10 @@ pub struct KernelTiming {
     pub mem_us: f64,
     /// Latency-floor term.
     pub latency_us: f64,
-    /// Total modeled time (launch + max of the three).
+    /// Grid-barrier term of a cooperative launch: its grid barriers times
+    /// [`DeviceProps::GRID_SYNC_US`] (0 for an ordinary launch).
+    pub grid_sync_us: f64,
+    /// Total modeled time (launch + max of the three + grid barriers).
     pub total_us: f64,
 }
 
@@ -90,15 +111,20 @@ pub fn kernel_time(props: &DeviceProps, cfg: &LaunchConfig, stats: &LaunchStats)
     let waves = stats.blocks.div_ceil(resident_total).max(1);
 
     let blocks = stats.blocks.max(1);
-    let chain_per_block = (stats.mem_chain + stats.atomic_chain) as f64 / blocks as f64;
-    let phases_per_block = stats.phases as f64 / blocks as f64;
+    let (chain_per_block, phases_per_block) = if stats.cooperative {
+        (stats.grid_chain as f64, stats.grid_phases as f64)
+    } else {
+        let chain = (stats.mem_chain + stats.atomic_chain) as f64 / blocks as f64;
+        (chain, stats.phases as f64 / blocks as f64)
+    };
     let latency_cycles = waves as f64
         * (chain_per_block * props.mem_latency_cycles + phases_per_block * props.barrier_cycles);
     let latency_us = latency_cycles / cycles_per_us;
 
     let launch_us = props.launch_overhead_us;
-    let total_us = launch_us + compute_us.max(mem_us).max(latency_us);
-    KernelTiming { launch_us, compute_us, mem_us, latency_us, total_us }
+    let grid_sync_us = stats.grid_syncs as f64 * DeviceProps::GRID_SYNC_US;
+    let total_us = launch_us + compute_us.max(mem_us).max(latency_us) + grid_sync_us;
+    KernelTiming { launch_us, compute_us, mem_us, latency_us, grid_sync_us, total_us }
 }
 
 /// Models one host↔device transfer of `bytes`.
@@ -208,6 +234,33 @@ mod tests {
         let t_lean = kernel_time(&p, &cfg, &lean);
         let t_fat = kernel_time(&p, &cfg, &fat);
         assert!(t_fat.latency_us > t_lean.latency_us);
+    }
+
+    /// A cooperative launch's latency follows its critical path, and its
+    /// grid barriers add `grid_syncs · grid_sync_us` outside the roofline.
+    #[test]
+    fn grid_barriers_enter_the_timing_as_documented() {
+        let p = props();
+        let cfg = LaunchConfig::new(160, 256);
+        let s = stats_for(160, |s| {
+            s.cooperative = true;
+            s.grid_syncs = 36;
+            s.grid_chain = 233;
+            s.grid_phases = 45;
+            // Per-block averages the ordinary model would read: ignored.
+            s.mem_chain = 160 * 7;
+            s.phases = 160 * 45;
+            s.gmem_transactions = 10;
+        });
+        let t = kernel_time(&p, &cfg, &s);
+        assert_eq!(t.grid_sync_us, 36.0 * DeviceProps::GRID_SYNC_US);
+        let latency = (233.0 * p.mem_latency_cycles + 45.0 * p.barrier_cycles) / p.cycles_per_us();
+        assert_eq!(t.latency_us, latency);
+        assert_eq!(t.bound(), Bound::Latency);
+        assert_eq!(t.total_us, p.launch_overhead_us + latency + 36.0 * DeviceProps::GRID_SYNC_US);
+        // An ordinary launch has no barrier term.
+        let plain = kernel_time(&p, &cfg, &stats_for(160, |s| s.mem_chain = 160 * 7));
+        assert_eq!(plain.grid_sync_us, 0.0);
     }
 
     #[test]
