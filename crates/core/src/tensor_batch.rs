@@ -118,6 +118,7 @@
 //! scenarios.
 
 use std::ops::Range;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use numc::Complex;
@@ -1152,6 +1153,10 @@ struct Resident<'a> {
     /// launch cooperative, with one residual partial per block.
     grid: usize,
     partials: Option<DeviceBuffer<f64>>,
+    /// A grid's per-block local slots (current and old voltage of each
+    /// bus the block owns), allocated here on the host thread that builds
+    /// the chunk, not on the launch's workers.
+    block_locals: Vec<Mutex<Vec<Complex>>>,
 }
 
 impl<'a> Resident<'a> {
@@ -1233,6 +1238,12 @@ impl<'a> Resident<'a> {
             let res = dev.try_alloc::<f64>(nb * max_sweeps)?;
             debug_assert!(grid == 1 || (nb == 1 && plan.is_none()), "a grid holds one plain scenario");
             let partials = (grid > 1).then(|| dev.try_alloc::<f64>(grid)).transpose()?;
+            let widths = a.levels.level_offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
+            let owned_by = |b| widths.clone().map(|w| owned(w, b, grid)).sum::<usize>();
+            let block_locals = match grid {
+                1 => Vec::new(),
+                _ => (0..grid).map(|b| Mutex::new(vec![Complex::ZERO; 2 * owned_by(b)])).collect(),
+            };
             let probes = if probes.is_empty() {
                 None
             } else {
@@ -1267,6 +1278,7 @@ impl<'a> Resident<'a> {
                 faults_base,
                 grid,
                 partials,
+                block_locals,
             })
         })
     }
@@ -1325,6 +1337,7 @@ impl<'a> Resident<'a> {
             go_on,
             grid: self.grid,
             partials: self.partials.as_mut().map(|b| b.view_mut()),
+            block_locals: &self.block_locals,
             #[cfg(test)]
             drop_barrier_after: None,
         }
@@ -2433,6 +2446,10 @@ struct SweepKernel<'a> {
     grid: usize,
     /// A grid's per-block residual partials, one word per block.
     partials: Option<GlobalMut<'a, f64>>,
+    /// A grid's per-block local slots, taken by each block for the launch
+    /// and handed back at its end (empty on one block, which allocates
+    /// its own).
+    block_locals: &'a [Mutex<Vec<Complex>>],
     /// Tests: a grid barrier left out, to show the race checker the race
     /// it guards against — the one after backward level `l` for `l` below
     /// the level count, else the one after forward level `l − levels`.
@@ -2440,14 +2457,16 @@ struct SweepKernel<'a> {
     drop_barrier_after: Option<usize>,
 }
 
-impl SweepKernel<'_> {
-    /// Nodes of a `w`-wide level that block `bx` owns.
-    fn owned(&self, w: usize, bx: usize, bdim: usize) -> usize {
-        let (first, stride) = (bx * bdim, self.grid * bdim);
-        let rest = w.saturating_sub(first);
-        rest / stride * bdim + (rest % stride).min(bdim)
-    }
+/// Nodes of a `w`-wide level that block `bx` of a `grid`-block sweep
+/// owns: node `k` goes to global thread `k mod (grid · 256)`.
+fn owned(w: usize, bx: usize, grid: usize) -> usize {
+    let bdim = TENSOR_BLOCK as usize;
+    let (first, stride) = (bx * bdim, grid * bdim);
+    let rest = w.saturating_sub(first);
+    rest / stride * bdim + (rest % stride).min(bdim)
+}
 
+impl SweepKernel<'_> {
     /// The grid barrier after level `l` of a multi-block grid.
     async fn level_barrier(&self, blk: &mut BlockScope, l: usize) {
         #[cfg(test)]
@@ -2506,14 +2525,19 @@ impl CoopKernel for SweepKernel<'_> {
         // scenario.
         let nl = self.level_offsets.len() - 1;
         let width = |l: usize| (self.level_offsets[l + 1] - self.level_offsets[l]) as usize;
-        let owns: Vec<bool> = (0..nl).map(|l| self.owned(width(l), bx, bdim) > 0).collect();
+        debug_assert_eq!(bdim, TENSOR_BLOCK as usize);
+        let owns: Vec<bool> = (0..nl).map(|l| owned(width(l), bx, self.grid) > 0).collect();
         let mut slot_base = vec![0usize; nl + 1];
         for l in 0..nl {
-            slot_base[l + 1] = slot_base[l] + self.owned(width(l), bx, bdim);
+            slot_base[l + 1] = slot_base[l] + owned(width(l), bx, self.grid);
         }
         let bank = slot_base[nl];
-        let mut local_j = vec![Complex::ZERO; nm * bank];
-        let mut local_v = vec![Complex::ZERO; nm * bank];
+        let held = self.block_locals.get(bx);
+        let mut locals = held.map_or_else(Vec::new, |m| std::mem::take(&mut *m.lock().expect("one block takes its slots")));
+        if locals.len() != 2 * nm * bank {
+            locals = vec![Complex::ZERO; 2 * nm * bank];
+        }
+        let (local_j, local_v) = locals.split_at_mut(nm * bank);
         let sh = blk.shared::<f64>(bdim);
         let mut go_on = self.go_on;
 
@@ -2700,6 +2724,9 @@ impl CoopKernel for SweepKernel<'_> {
             if !go_on.step(residual) {
                 break;
             }
+        }
+        if let Some(m) = held {
+            *m.lock().expect("one block takes its slots") = locals;
         }
     }
 }

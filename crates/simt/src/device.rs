@@ -572,7 +572,7 @@ impl Device {
     ) -> Result<(), DeviceError> {
         self.launch_with(cfg, kernel.name(), true, |d| {
             let p = &d.props;
-            let stats = engine::run_cooperative(kernel, &cfg, p.warp_size, p.shared_mem_per_block);
+            let stats = engine::run_cooperative(kernel, &cfg, p.warp_size, p.shared_mem_per_block, d.workers);
             let shared = stats.max_shared_bytes.min(u32::MAX as u64) as u32;
             let resident = p.cooperative_blocks(cfg.block, shared) as u64;
             assert!(
@@ -1191,6 +1191,7 @@ mod tests {
 
     #[test]
     fn writes_before_a_grid_barrier_are_visible_to_every_block_after_it() {
+        // 32 blocks of 256 threads take the parallel path with 4 workers.
         let grid = 32u64;
         let want: Vec<u64> = (0..grid).map(|b| grid * (grid + 1) / 2 * 1000 + b + 1).collect();
         let (seq, seq_ev) = exchange(1, grid as u32, |_| {});
@@ -1289,7 +1290,7 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_block_of_a_cooperative_launch_reaches_the_launcher() {
+    fn a_panicking_block_of_a_parallel_cooperative_launch_reaches_the_launcher() {
         let outcome = std::panic::catch_unwind(|| exchange(4, 32, |k| k.panic_in = Some(17)));
         let payload = outcome.expect_err("the block's panic propagates");
         let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();

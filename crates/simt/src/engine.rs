@@ -5,20 +5,20 @@
 //! Small launches run inline on the calling thread — spawning costs more
 //! than it saves below a few thousand simulated threads.
 //!
-//! A cooperative launch runs grid phase by grid phase on the calling
-//! thread: its blocks are suspended `async` bodies that keep their state
-//! across grid barriers, and each grid phase polls every block to its
-//! next barrier before the next grid phase starts. It spawns no worker:
-//! on the two-core host the benchmark runs on, a `tree-256k` solve's 220
-//! grid phases polled by two workers meeting at a host barrier took
-//! longer (161.6 against 137.7 ms of host time), and the blocks' state
-//! landing in the workers' allocator arenas raised the process's peak RSS
-//! (117.8 against 111.8 MiB) and slowed its next network build.
+//! A cooperative launch runs grid phase by grid phase: its blocks are
+//! suspended `async` bodies that keep their state across grid barriers.
+//! Each host worker owns a fixed set of blocks and polls each to its next
+//! barrier; the workers then meet at a host barrier before anyone starts
+//! the next grid phase. A block allocates its state on its worker, so a
+//! kernel that keeps large per-block state should take it from buffers
+//! the launching thread allocated (see `fbs`'s `tensor_sweep`).
 
+use std::any::Any;
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use crate::kernel::{CoopKernel, Kernel, LaunchConfig};
@@ -92,14 +92,18 @@ pub(crate) fn run_grid<K: Kernel + ?Sized>(
     merged.into_inner().expect("stats mutex poisoned")
 }
 
-/// The blocks of a cooperative launch, each a suspended block body, or
-/// the scope it ended with.
+/// The blocks of a cooperative launch that one host worker owns, each a
+/// suspended block body, or the scope it ended with.
 struct CoopBlocks<F> {
     running: Vec<Pin<Box<F>>>,
     done: Vec<BlockScope>,
 }
 
 impl<F: Future<Output = BlockScope>> CoopBlocks<F> {
+    fn new(bodies: impl Iterator<Item = F>) -> Self {
+        CoopBlocks { running: bodies.map(Box::pin).collect(), done: Vec::new() }
+    }
+
     /// Runs every block still running to its next grid barrier or its
     /// end; returns how many wait at a barrier.
     fn step(&mut self) -> u64 {
@@ -114,18 +118,54 @@ impl<F: Future<Output = BlockScope>> CoopBlocks<F> {
         self.running = waiting;
         self.running.len() as u64
     }
+
+    /// This worker's share of the launch statistics, with its blocks'
+    /// per-grid-phase costs folded to their maxima.
+    fn finish(self, block_threads: u64) -> (LaunchStats, Vec<(u64, u64)>) {
+        let mut stats = LaunchStats::default();
+        let mut costs: Vec<(u64, u64)> = Vec::new();
+        for scope in &self.done {
+            scope.acc.fold_into(&mut stats, block_threads);
+            max_into(&mut costs, &scope.grid_costs);
+        }
+        (stats, costs)
+    }
+}
+
+/// Folds per-grid-phase `(chain, phases)` costs into `into`, phase by
+/// phase, keeping the larger of each.
+fn max_into(into: &mut Vec<(u64, u64)>, costs: &[(u64, u64)]) {
+    into.resize(into.len().max(costs.len()), (0, 0));
+    for (c, &(chain, phases)) in into.iter_mut().zip(costs) {
+        *c = (c.0.max(chain), c.1.max(phases));
+    }
+}
+
+/// Whether a grid runs another grid phase, from how many of its `total`
+/// blocks wait at a barrier after grid phase `phase`: yes when all do,
+/// no when all ended, and an error — the deadlock a hardware grid would
+/// hang in — when only some reached the barrier.
+fn next_phase(waiting: u64, total: u64, phase: u64) -> Result<bool, String> {
+    match waiting {
+        0 => Ok(false),
+        w if w == total => Ok(true),
+        w => Err(format!(
+            "cooperative launch: {w} of {total} blocks wait at grid barrier {phase} \
+             while the rest have ended (a deadlock on hardware)"
+        )),
+    }
 }
 
 /// Executes a cooperative grid phase by phase (see the module docs) and
 /// returns merged statistics, with its critical path over grid phases —
 /// Σ over grid phases of the largest chain and barrier-phase count any
-/// block ran in it — and its grid-barrier count. Panics, as a hardware
-/// grid would hang, when only some blocks reach a grid barrier.
+/// block ran in it — and its grid-barrier count.
 pub(crate) fn run_cooperative<K: CoopKernel>(
     kernel: &K,
     cfg: &LaunchConfig,
     warp_size: u32,
     shared_limit: u32,
+    max_workers: usize,
 ) -> LaunchStats {
     let total = cfg.total_blocks();
     let body = |b: u64| async move {
@@ -136,31 +176,88 @@ pub(crate) fn run_cooperative<K: CoopKernel>(
         scope.close_grid_phase();
         scope
     };
-    let mut blocks = CoopBlocks { running: (0..total).map(|b| Box::pin(body(b))).collect(), done: Vec::new() };
-    let mut phase = 0;
-    loop {
-        match blocks.step() {
-            0 => break,
-            w if w == total => phase += 1,
-            w => panic!(
-                "cooperative launch: {w} of {total} blocks wait at grid barrier {phase} \
-                 while the rest have ended (a deadlock on hardware)"
-            ),
+    let workers = (max_workers as u64).min(total).max(1);
+    let parts = if workers == 1 || cfg.total_threads() < PARALLEL_THRESHOLD_THREADS {
+        let mut blocks = CoopBlocks::new((0..total).map(body));
+        let mut phase = 0;
+        while next_phase(blocks.step(), total, phase).unwrap_or_else(|e| panic!("{e}")) {
+            phase += 1;
         }
-    }
+        vec![blocks.finish(cfg.block as u64)]
+    } else {
+        run_cooperative_parallel(workers as usize, total, cfg.block as u64, body)
+    };
     let mut stats = LaunchStats { cooperative: true, ..LaunchStats::default() };
     let mut costs: Vec<(u64, u64)> = Vec::new();
-    for scope in &blocks.done {
-        scope.acc.fold_into(&mut stats, cfg.block as u64);
-        costs.resize(costs.len().max(scope.grid_costs.len()), (0, 0));
-        for (c, &(chain, phases)) in costs.iter_mut().zip(&scope.grid_costs) {
-            *c = (c.0.max(chain), c.1.max(phases));
-        }
+    for (part, part_costs) in &parts {
+        stats.merge(part);
+        max_into(&mut costs, part_costs);
     }
     stats.grid_syncs = costs.len().saturating_sub(1) as u64;
     stats.grid_chain = costs.iter().map(|c| c.0).sum();
     stats.grid_phases = costs.iter().map(|c| c.1).sum();
     stats
+}
+
+/// A worker's slot value for a grid phase in which one of its blocks
+/// panicked.
+const PANICKED: u64 = u64::MAX;
+
+/// [`run_cooperative`] over `workers` host threads: worker `w` owns
+/// blocks `w, w + workers, …` for the whole launch, so a suspended block
+/// never moves between threads. After each grid phase every worker
+/// publishes how many of its blocks wait at the barrier (or that one
+/// panicked) in a slot of its own that alternates with the phase's
+/// parity — a slot is rewritten two phases later, after every worker has
+/// read it — and meets the others at a host barrier; each then reads the
+/// same slots and takes the same decision. A block's panic stops every
+/// worker at that barrier and is re-raised on the launching thread.
+fn run_cooperative_parallel<F: Future<Output = BlockScope>>(
+    workers: usize,
+    total: u64,
+    block_threads: u64,
+    body: impl Fn(u64) -> F + Sync,
+) -> Vec<(LaunchStats, Vec<(u64, u64)>)> {
+    let barrier = Barrier::new(workers);
+    let slots: [Vec<AtomicU64>; 2] =
+        std::array::from_fn(|_| (0..workers).map(|_| AtomicU64::new(0)).collect());
+    let panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let ends: Vec<Result<_, String>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (barrier, slots, panic, body) = (&barrier, &slots, &panic, &body);
+                s.spawn(move || {
+                    let mut blocks = CoopBlocks::new((w as u64..total).step_by(workers).map(body));
+                    let mut phase = 0u64;
+                    loop {
+                        let slot = &slots[(phase % 2) as usize];
+                        let waiting = catch_unwind(AssertUnwindSafe(|| blocks.step()))
+                            .unwrap_or_else(|payload| {
+                                panic.lock().expect("panic slot poisoned").get_or_insert(payload);
+                                PANICKED
+                            });
+                        // The host barrier orders these stores before every
+                        // worker's loads of this phase's slots.
+                        slot[w].store(waiting, Ordering::Relaxed);
+                        barrier.wait();
+                        let counts: Vec<u64> = slot.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                        if counts.contains(&PANICKED) {
+                            return Err("a block panicked".to_string());
+                        }
+                        if !next_phase(counts.iter().sum(), total, phase)? {
+                            return Ok(blocks.finish(block_threads));
+                        }
+                        phase += 1;
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("a cooperative worker panicked")).collect()
+    });
+    if let Some(payload) = panic.into_inner().expect("panic slot poisoned") {
+        resume_unwind(payload);
+    }
+    ends.into_iter().map(|end| end.unwrap_or_else(|e| panic!("{e}"))).collect()
 }
 
 #[cfg(test)]

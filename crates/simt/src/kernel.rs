@@ -30,9 +30,9 @@ pub trait Kernel: Sync {
 /// (or its end) before any block runs past it, and each block's locals —
 /// its registers, shared memory and any state it keeps — persist across
 /// the barrier inside its suspended body. No OS thread is dedicated to a
-/// block: the launching thread polls every block, phase by phase. Every
-/// block must reach every grid barrier: a block that ends while others
-/// wait is a deadlock on hardware, and the launch panics.
+/// block: the launch's host workers poll the blocks they own, phase by
+/// phase. Every block must reach every grid barrier: a block that ends
+/// while others wait is a deadlock on hardware, and the launch panics.
 ///
 /// [`crate::Device::try_launch_cooperative`] launches one; a grid larger
 /// than the device's co-resident limit fails to launch. The same body can
