@@ -9,9 +9,9 @@
 //! suspended `async` bodies that keep their state across grid barriers.
 //! Each host worker owns a fixed set of blocks and polls each to its next
 //! barrier; the workers then meet at a host barrier before anyone starts
-//! the next grid phase. A block allocates its state on its worker, so a
-//! kernel that keeps large per-block state should take it from buffers
-//! the launching thread allocated (see `fbs`'s `tensor_sweep`).
+//! the next grid phase. A block allocates on its worker, into that
+//! thread's allocator arena, so a kernel that keeps large per-block state
+//! does better to take it from buffers the launching thread allocated.
 
 use std::any::Any;
 use std::future::Future;
