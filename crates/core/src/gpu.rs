@@ -342,9 +342,10 @@ pub(crate) struct LevelShape {
     pub tails: usize,
     /// A segmented scan over this level's children, in 256-child blocks:
     /// the blocks past the first whose first child continues a segment
-    /// from the block before, and the children before each such block's
-    /// first segment head — the ones its carry launch updates.
+    /// from the block before.
     pub carry_blocks: usize,
+    /// The children before each of those blocks' first segment head: the
+    /// ones the scan's carry launch updates.
     pub carried: usize,
 }
 
@@ -386,8 +387,9 @@ pub(crate) fn level_shape<V: Phasor>(a: &LevelArrays<V, V::Z>) -> Vec<LevelShape
 }
 
 /// Modeled µs of one launch of `threads` threads whose busiest thread
-/// per block makes `chain` dependent global accesses on average over `phases` barrier phases
-/// and which moves `bytes`: the launch overhead plus the larger of its
+/// per block makes `chain` dependent global accesses, averaged over the
+/// blocks, over `phases` barrier phases and which moves `bytes`: the
+/// launch overhead plus the larger of its
 /// latency floor and its bandwidth time, as in the `simt` timing model
 /// (`simt::timing`).
 fn launch_us(props: &DeviceProps, threads: usize, chain: f64, phases: usize, bytes: usize) -> f64 {

@@ -1140,6 +1140,19 @@ mod tests {
         panic_in: Option<usize>,
     }
 
+    impl<'a> Exchange<'a> {
+        /// Every block waits at the barrier; none ends early or panics.
+        fn new(cells: &'a mut DeviceBuffer<u64>, out: &'a mut DeviceBuffer<u64>) -> Self {
+            Exchange {
+                cells: cells.view_mut(),
+                out: out.view_mut(),
+                barrier: true,
+                skip: None,
+                panic_in: None,
+            }
+        }
+    }
+
     impl CoopKernel for Exchange<'_> {
         fn name(&self) -> &'static str {
             "exchange"
@@ -1176,13 +1189,7 @@ mod tests {
         let mut dev = Device::with_workers(DeviceProps::paper_rig(), workers);
         let mut cells = dev.alloc::<u64>(grid as usize);
         let mut out = dev.alloc::<u64>(grid as usize);
-        let mut k = Exchange {
-            cells: cells.view_mut(),
-            out: out.view_mut(),
-            barrier: true,
-            skip: None,
-            panic_in: None,
-        };
+        let mut k = Exchange::new(&mut cells, &mut out);
         tweak(&mut k);
         dev.try_launch_cooperative(LaunchConfig::new(grid, 256), &k).expect("fits");
         let ev = dev.timeline().events().last().expect("a launch").clone();
@@ -1215,13 +1222,7 @@ mod tests {
         assert_eq!(p.cooperative_blocks(1024, 0), 40);
         let mut dev = Device::with_workers(p, 1);
         let (mut cells, mut out) = (dev.alloc::<u64>(161), dev.alloc::<u64>(161));
-        let k = Exchange {
-            cells: cells.view_mut(),
-            out: out.view_mut(),
-            barrier: true,
-            skip: None,
-            panic_in: None,
-        };
+        let k = Exchange::new(&mut cells, &mut out);
         let err = dev.try_launch_cooperative(LaunchConfig::new(161, 256), &k).unwrap_err();
         assert!(matches!(&err, DeviceError::Launch { reason } if reason.contains("co-resident")), "{err}");
         let too_wide = dev.try_launch_cooperative(LaunchConfig::new(41, 1024), &k);
@@ -1311,13 +1312,7 @@ mod tests {
         }
         let mut dev = Device::with_workers(DeviceProps::paper_rig(), 1);
         let (mut cells, mut out) = (dev.alloc::<u64>(2), dev.alloc::<u64>(2));
-        let k = Exchange {
-            cells: cells.view_mut(),
-            out: out.view_mut(),
-            barrier: true,
-            skip: None,
-            panic_in: None,
-        };
+        let k = Exchange::new(&mut cells, &mut out);
         dev.launch(LaunchConfig::new(2, 32), &Ordinary(k));
     }
 

@@ -391,7 +391,6 @@ mod tests {
         let mut p = DeviceProps::paper_rig();
         p.global_mem_bytes = 0;
         assert!(p.validate().is_err());
-
     }
 
     #[test]

@@ -167,6 +167,19 @@ fn radial(cases: u32) {
                 let (r_us, p_us) = (routed.timing.total_us(), pinned.timing.total_us());
                 prop_assert!(r_us <= p_us, "routed {r_us:.2} µs > pinned {name} {p_us:.2} µs");
             }
+            // Off the segmented scan (whose modeled time the routed solve
+            // would then equal) and without a deadline cutting either at
+            // its own clock, the routed fused sweep, on one block or a
+            // grid, is the direct level path's arithmetic: the same
+            // answer bit for bit.
+            let direct = of("gpu-direct");
+            let on_scan = routed.timing.total_us() == segscan.timing.total_us();
+            if deadline_us != Some(1.0) && !on_scan {
+                prop_assert_eq!((routed.status, routed.iterations), (direct.status, direct.iterations));
+                let bits = |r: &SolveResult| r.residual_history.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(routed), bits(direct), "routed residual history");
+                prop_assert!(routed.v == direct.v && routed.j == direct.j, "routed V and J off direct's bits");
+            }
             Ok(())
         },
     );
