@@ -12,10 +12,14 @@
 #      end-to-end sanity passes, under wall-clock ceilings. Smoke runs
 #      only print; the leg fails if any of them wrote under `results/`,
 #      which holds the full runs' numbers. Then one full run each of
-#      E11, E12, E13, E15, E16 and E17 (about 1–4 s apiece; each is fully
-#      modeled and deterministic), each from a temporary working
-#      directory, where it writes `./results`; the leg fails unless that
-#      CSV is byte-identical to the committed one. E11 is the only pin on
+#      E1, E2, E3, E11, E12, E13, E15, E16 and E17 (under 1 s to about
+#      4 s apiece; each is fully modeled and deterministic), each from a
+#      temporary working directory, where it writes `./results`; the leg
+#      fails unless that CSV is byte-identical to the committed one. E1,
+#      E2 and E3 pin the paper's headline table, its kernel-only
+#      speedups and its per-phase breakdown: the level path pinned to
+#      the segmented scan on binary trees of 1K–256K buses, against the
+#      serial sweep, which no other leg pins. E11 is the only pin on
 #      serial three-phase modeled time (`fleet-open` serves no
 #      three-phase request on the CPU); E12 pins what checkpoints and
 #      recoveries cost, charged to the answer, on both layouts of the
@@ -79,7 +83,7 @@ cargo test -q --offline
 echo "== benchmark tests: cargo test --manifest-path benchmark/Cargo.toml =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== E-bin smoke runs + E11, E12, E13, E15, E16 and E17 pins =="
+echo "== E-bin smoke runs + E1, E2, E3, E11, E12, E13, E15, E16 and E17 pins =="
 results_sum() { find results -type f -print0 | sort -z | xargs -0 sha256sum | sha256sum; }
 results_before=$(results_sum)
 E9_SMOKE=1 timeout 300 cargo run -q --offline --release -p fbs-bench --bin exp_e9_batch > /dev/null
@@ -93,7 +97,8 @@ if [ "$(results_sum)" != "$results_before" ]; then
   echo "E-bin smoke runs must not write under results/" >&2
   exit 1
 fi
-for pinned in e11_three_phase e12_faults e13_service e15_fleet e16_soak e17_mesh; do
+for pinned in e1_total_speedup e2_kernel_speedup e3_breakdown e11_three_phase e12_faults \
+  e13_service e15_fleet e16_soak e17_mesh; do
   cargo build -q --offline --release -p fbs-bench --bin "exp_$pinned"
   pinned_bin="$PWD/target/release/exp_$pinned"
   pinned_dir=$(mktemp -d)

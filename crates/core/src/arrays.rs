@@ -3,9 +3,10 @@
 //! Every solver in this crate — serial included, for a fair comparison —
 //! works on the same flat arrays derived once per topology: bus loads and
 //! branch impedances permuted into [`powergrid::LevelOrder`] position
-//! space, plus the integer topology arrays the kernels index with. This
-//! mirrors the paper's host-side preprocessing step (building the
-//! device-friendly tree representation before uploading it).
+//! space, beside the level order itself, the only copy of the topology
+//! the kernels index with. This mirrors the paper's host-side
+//! preprocessing step (building the device-friendly tree representation
+//! before uploading it).
 
 use numc::Complex;
 use powergrid::{LevelOrder, RadialNetwork};
@@ -16,7 +17,8 @@ use powergrid::{LevelOrder, RadialNetwork};
 /// triple and a 3×3 matrix in [`crate::Arrays3`].
 #[derive(Clone, Debug)]
 pub struct LevelArrays<S, Z> {
-    /// The level-order permutation and ranges.
+    /// The level-order permutation, level ranges, parent positions and
+    /// child ranges.
     pub levels: LevelOrder,
     /// Source (slack) voltage, volts.
     pub source: S,
@@ -25,19 +27,6 @@ pub struct LevelArrays<S, Z> {
     /// Per-position impedance of the branch feeding the position from its
     /// parent, ohms (zero at the root, which has no feeding branch).
     pub z: Vec<Z>,
-    /// Parent position per position ([`powergrid::NO_PARENT`] at the root).
-    pub parent_pos: Vec<u32>,
-    /// Children position ranges (see [`LevelOrder`]).
-    pub child_lo: Vec<u32>,
-    /// One past the last child position.
-    pub child_hi: Vec<u32>,
-    /// Segmented-scan head flags per position.
-    pub head_flags: Vec<u32>,
-    /// Gather index for the scan-based backward sweep: for a position
-    /// with children, the position of its *last* child (whose inclusive
-    /// segmented scan value is the segment total); 0 for leaves (unused —
-    /// guarded by `child_lo < child_hi`).
-    pub seg_last: Vec<u32>,
 }
 
 /// The single-phase arrays every single-phase solver works on.
@@ -53,30 +42,11 @@ impl SolverArrays {
             .iter()
             .map(|&b| net.parent_branch(b as usize).map_or(Complex::ZERO, |br| br.z))
             .collect();
-        LevelArrays::with_loads(levels, net.source_voltage(), s, z)
+        LevelArrays { levels, source: net.source_voltage(), s, z }
     }
 }
 
 impl<S, Z> LevelArrays<S, Z> {
-    /// Lays out the topology arrays of `levels` around the per-position
-    /// loads `s` and impedances `z`.
-    pub(crate) fn with_loads(levels: LevelOrder, source: S, s: Vec<S>, z: Vec<Z>) -> Self {
-        let seg_last = (0..levels.len())
-            .map(|p| if levels.child_lo[p] < levels.child_hi[p] { levels.child_hi[p] - 1 } else { 0 })
-            .collect();
-        LevelArrays {
-            source,
-            s,
-            z,
-            parent_pos: levels.parent_pos.clone(),
-            child_lo: levels.child_lo.clone(),
-            child_hi: levels.child_hi.clone(),
-            head_flags: levels.head_flags.clone(),
-            seg_last,
-            levels,
-        }
-    }
-
     /// Bus count.
     pub fn len(&self) -> usize {
         self.s.len()
@@ -90,12 +60,6 @@ impl<S, Z> LevelArrays<S, Z> {
     /// Number of BFS levels.
     pub fn num_levels(&self) -> usize {
         self.levels.num_levels()
-    }
-
-    /// True if position `p` has children.
-    #[inline]
-    pub fn has_children(&self, p: usize) -> bool {
-        self.child_lo[p] < self.child_hi[p]
     }
 }
 
@@ -131,18 +95,7 @@ mod tests {
         assert_eq!(a.z[0], Complex::ZERO);
         assert_eq!(a.z[1], c(0.5, 0.25));
         assert_eq!(a.z[3], c(0.7, 0.35));
-        assert_eq!(a.parent_pos[0], NO_PARENT);
-        assert_eq!(a.parent_pos[3], 1);
-    }
-
-    #[test]
-    fn seg_last_points_at_last_child() {
-        let a = SolverArrays::new(&small());
-        assert!(a.has_children(0));
-        assert_eq!(a.seg_last[0], 2); // children of root: positions 1..=2
-        assert!(a.has_children(1));
-        assert_eq!(a.seg_last[1], 3);
-        assert!(!a.has_children(2));
-        assert!(!a.has_children(3));
+        assert_eq!(a.levels.parent_pos[0], NO_PARENT);
+        assert_eq!(a.levels.parent_pos[3], 1);
     }
 }

@@ -33,14 +33,6 @@ use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
 use crate::tensor_batch::{ScenarioPatch, Scenarios, TensorBatchSolver};
 
-/// Device-memory budget the screener plans chunks against, bytes. The
-/// resident per-scenario state is the voltage and current stripes
-/// (32 B/bus); half the paper rig's 8 GiB leaves room for the topology,
-/// the per-scenario words, a chunk's transient build buffers and the next
-/// chunk's inputs, which a multi-chunk screen uploads while this chunk
-/// sweeps (a prefetch that does not fit waits for this chunk's memory).
-const CHUNK_MEM_BUDGET: u64 = 4 * 1024 * 1024 * 1024;
-
 /// One screened outage: the branch feeding `bus` opened, everything
 /// downstream de-energized.
 #[derive(Clone, Copy, Debug)]
@@ -115,20 +107,18 @@ impl ScreeningReport {
 pub struct ContingencyScreener {
     solver: TensorBatchSolver,
     recorder: Option<Recorder>,
-    keep_auto_chunk: bool,
 }
 
 impl ContingencyScreener {
     /// Creates a screener on the given device. The underlying tensor
     /// solver runs in stats-only mode — a screen wants statuses,
-    /// iteration counts and `min |V|`, not `B·n` voltages — and its
-    /// chunk size is planned from the bus count against the device
-    /// memory budget.
+    /// iteration counts and `min |V|`, not `B·n` voltages — and sizes
+    /// its chunks from device memory
+    /// ([`TensorBatchSolver::chunk_capacity`]).
     pub fn new(device: Device) -> Self {
         ContingencyScreener {
             solver: TensorBatchSolver::new(device).stats_only(),
             recorder: None,
-            keep_auto_chunk: true,
         }
     }
 
@@ -142,10 +132,10 @@ impl ContingencyScreener {
         self
     }
 
-    /// Overrides the automatic chunk planning (testing/tuning).
+    /// Caps scenarios per chunk below what device memory allows
+    /// (testing/tuning; [`TensorBatchSolver::with_chunk_scenarios`]).
     pub fn with_chunk_scenarios(mut self, cap: usize) -> Self {
         self.solver = self.solver.with_chunk_scenarios(cap);
-        self.keep_auto_chunk = false;
         self
     }
 
@@ -176,16 +166,6 @@ impl ContingencyScreener {
         assert!(!buses.is_empty(), "screen needs at least one outage");
         let a = SolverArrays::new(net);
         let dfs = DfsOrder::new(net);
-
-        if self.keep_auto_chunk {
-            // Resident per-scenario device state is the V and J stripes
-            // (two Complex per bus = 32 B/bus): cap the chunk so a
-            // chunk's state fits the budget. At 64K buses this lands
-            // near 2048 scenarios/chunk.
-            let per_scenario = 32 * net.num_buses() as u64;
-            let cap = (CHUNK_MEM_BUDGET / per_scenario.max(1)).clamp(16, 8192);
-            self.solver.set_chunk_scenarios(cap as usize);
-        }
 
         // Base case first: its iteration count is the cold-start
         // reference, and its profile seeds the warm start.

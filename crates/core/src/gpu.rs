@@ -61,10 +61,12 @@ use std::time::Instant;
 
 use numc::{CVec3, Complex};
 use powergrid::three_phase::ThreePhaseNetwork;
-use powergrid::RadialNetwork;
+use powergrid::{LevelOrder, RadialNetwork};
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
-use simt::{Device, DeviceBuffer, DeviceError, DeviceProps, LaunchConfig, TRANSACTION_BYTES};
+use simt::{
+    Device, DeviceBuffer, DeviceError, DeviceProps, HtodPart, LaunchConfig, TRANSACTION_BYTES,
+};
 use telemetry::Recorder;
 
 use crate::arrays::{LevelArrays, SolverArrays};
@@ -359,7 +361,7 @@ pub(crate) fn level_shape<V: Phasor>(a: &LevelArrays<V, V::Z>) -> Vec<LevelShape
         .windows(2)
         .map(|w| {
             let fans: Vec<usize> =
-                (w[0] as usize..w[1] as usize).map(|p| (a.child_hi[p] - a.child_lo[p]) as usize).collect();
+                (w[0] as usize..w[1] as usize).map(|p| a.levels.children(p).len()).collect();
             let spread = |f: usize| f.min(per_transaction);
             let (mut carry_blocks, mut carried, mut start) = (0, 0, 0);
             for &f in fans.iter().filter(|&&f| f > 0) {
@@ -469,10 +471,27 @@ fn backward_us(props: &DeviceProps, shape: &[LevelShape], c: usize) -> (f64, f64
     (direct, segscan)
 }
 
-/// Static buffers a [`GpuSession`] uploads one transfer each: loads,
-/// impedances, parent positions, the two child-range bounds, head flags
-/// and segment tails ([`route`] counts their PCIe latencies).
+/// Static buffers a [`GpuSession`] uploads one transfer each
+/// ([`GpuSession::statics`]; [`route`] counts their PCIe latencies).
 const LEVEL_STATICS: usize = 7;
+
+/// The segmented scan's operands over the child ranges of `levels`: the
+/// head flags (1 at the root and at each parent's first child) and, per
+/// position, its last child, whose inclusive scan value is the segment
+/// total (0 at a leaf, which the combine launch skips).
+fn segments(levels: &LevelOrder) -> (Vec<u32>, Vec<u32>) {
+    let n = levels.len();
+    let (mut head_flags, mut seg_last) = (vec![0u32; n], vec![0u32; n]);
+    head_flags[0] = 1;
+    for (p, last) in seg_last.iter_mut().enumerate() {
+        let children = levels.children(p);
+        if !children.is_empty() {
+            head_flags[children.start] = 1;
+            *last = children.end as u32 - 1;
+        }
+    }
+    (head_flags, seg_last)
+}
 
 /// One level-synchronous solve in progress: device state plus phase
 /// accounting, stepped one iteration at a time by `recovery::drive`.
@@ -496,6 +515,9 @@ pub(crate) struct GpuSession<'a, V: Phasor> {
     child_hi_buf: DeviceBuffer<u32>,
     flags_buf: DeviceBuffer<u32>,
     seg_last_buf: DeviceBuffer<u32>,
+    /// The head flags and segment tails derived at open ([`segments`]).
+    head_flags: Vec<u32>,
+    seg_last: Vec<u32>,
     v_buf: DeviceBuffer<V>,
     i_buf: DeviceBuffer<V>,
     j_buf: DeviceBuffer<V>,
@@ -519,13 +541,14 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         let v0 = a.source;
 
         let mark = dev.timeline().mark();
+        let (off, (head_flags, seg_last)) = (&a.levels.child_offsets, segments(&a.levels));
         let s_buf = dev.try_alloc_from(&a.s)?;
         let z_buf = dev.try_alloc_from(&a.z)?;
-        let parent_buf = dev.try_alloc_from(&a.parent_pos)?;
-        let child_lo_buf = dev.try_alloc_from(&a.child_lo)?;
-        let child_hi_buf = dev.try_alloc_from(&a.child_hi)?;
-        let flags_buf = dev.try_alloc_from(&a.head_flags)?;
-        let seg_last_buf = dev.try_alloc_from(&a.seg_last)?;
+        let parent_buf = dev.try_alloc_from(&a.levels.parent_pos)?;
+        let child_lo_buf = dev.try_alloc_from(&off[..n])?;
+        let child_hi_buf = dev.try_alloc_from(&off[1..])?;
+        let flags_buf = dev.try_alloc_from(&head_flags)?;
+        let seg_last_buf = dev.try_alloc_from(&seg_last)?;
         let mut v_buf = dev.try_alloc::<V>(n)?;
         match v_init {
             Some(init) => {
@@ -555,6 +578,8 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
             child_hi_buf,
             flags_buf,
             seg_last_buf,
+            head_flags,
+            seg_last,
             v_buf,
             i_buf,
             j_buf,
@@ -562,6 +587,24 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
             scan_buf,
             clock,
         })
+    }
+
+    /// The device and every static buffer with its host truth: what a
+    /// rollback re-uploads and an integrity check reads back, one
+    /// transfer each, in upload order.
+    fn statics(&mut self) -> (&mut Device, [HtodPart<'_>; LEVEL_STATICS]) {
+        let (a, n) = (self.a, self.a.len());
+        let off = &a.levels.child_offsets;
+        let parts = [
+            HtodPart::new(&mut self.s_buf, &a.s),
+            HtodPart::new(&mut self.z_buf, &a.z),
+            HtodPart::new(&mut self.parent_buf, &a.levels.parent_pos),
+            HtodPart::new(&mut self.child_lo_buf, &off[..n]),
+            HtodPart::new(&mut self.child_hi_buf, &off[1..]),
+            HtodPart::new(&mut self.flags_buf, &self.head_flags),
+            HtodPart::new(&mut self.seg_last_buf, &self.seg_last),
+        ];
+        (&mut *self.dev, parts)
     }
 }
 
@@ -723,19 +766,15 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
     }
 
     fn restore(&mut self, v_pos: &[V], _live: &[bool]) -> Result<(), DeviceError> {
-        let dev = &mut *self.dev;
-        let a = self.a;
-        let mark = dev.timeline().mark();
+        let mark = self.dev.timeline().mark();
         // Statics are re-uploaded wholesale: a bit flip in a topology or
         // impedance buffer is permanent, so a voltage-only rollback would
         // replay the fault instead of erasing it.
-        dev.try_htod_checked(&mut self.s_buf, &a.s)?;
-        dev.try_htod_checked(&mut self.z_buf, &a.z)?;
-        dev.try_htod_checked(&mut self.parent_buf, &a.parent_pos)?;
-        dev.try_htod_checked(&mut self.child_lo_buf, &a.child_lo)?;
-        dev.try_htod_checked(&mut self.child_hi_buf, &a.child_hi)?;
-        dev.try_htod_checked(&mut self.flags_buf, &a.head_flags)?;
-        dev.try_htod_checked(&mut self.seg_last_buf, &a.seg_last)?;
+        let (dev, statics) = self.statics();
+        for part in statics {
+            dev.try_htod_packed_checked(&mut [part])?;
+        }
+        let dev = &mut *self.dev;
         dev.try_htod_checked(&mut self.v_buf, v_pos)?;
         try_fill(dev, &mut self.delta_buf, 0.0)?;
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
@@ -750,16 +789,13 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
+        let mark = self.dev.timeline().mark();
+        let (dev, statics) = self.statics();
+        let mut ok = true;
+        for part in statics {
+            ok = ok && dev.try_verify_packed(&[part])?;
+        }
         let dev = &mut *self.dev;
-        let a = self.a;
-        let mark = dev.timeline().mark();
-        let ok = dev.try_dtoh(&self.s_buf)? == a.s
-            && dev.try_dtoh(&self.z_buf)? == a.z
-            && dev.try_dtoh(&self.parent_buf)? == a.parent_pos
-            && dev.try_dtoh(&self.child_lo_buf)? == a.child_lo
-            && dev.try_dtoh(&self.child_hi_buf)? == a.child_hi
-            && dev.try_dtoh(&self.flags_buf)? == a.head_flags
-            && dev.try_dtoh(&self.seg_last_buf)? == a.seg_last;
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
@@ -811,7 +847,7 @@ pub(crate) fn host_iterate<V: Phasor>(
     let mut j = vec![V::default(); n];
     for p in (0..n).rev() {
         let mut acc = V::inject(a.s[p], v_pos[p]);
-        for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
+        for &jc in &j[a.levels.children(p)] {
             acc += jc;
         }
         j[p] = acc;
@@ -820,7 +856,7 @@ pub(crate) fn host_iterate<V: Phasor>(
     let root = v_init.map_or(a.source, |init| init[a.levels.order[0] as usize]);
     let mut res = MaxAbsF64::combine(0.0, (root - v_pos[0]).norm());
     for p in 1..n {
-        let parent = a.parent_pos[p] as usize;
+        let parent = a.levels.parent_pos[p] as usize;
         let nv = v_new[parent] - V::z_mul(a.z[p], j[p]);
         if !dead.get(p).is_some_and(|&d| d) {
             res = MaxAbsF64::combine(res, (nv - v_pos[p]).norm());
@@ -960,6 +996,38 @@ mod tests {
         assert_eq!(res.iterations, 1);
         assert_eq!(res.residual_history, vec![0.0]);
         assert_eq!(res.v[0], c(240.0, 0.0));
+    }
+
+    /// The tree `0 → {1, 2, 3}`, `1 → {4, 5}`, `3 → {6}`, `6 → {7}`.
+    fn example() -> RadialNetwork {
+        let mut b = NetworkBuilder::new(c(1.0, 0.0));
+        for _ in 0..8 {
+            b.add_bus(Complex::ZERO);
+        }
+        for (f, t) in [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 6), (6, 7)] {
+            b.connect(f, t, c(0.1, 0.05));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn head_flags_mark_the_root_and_each_first_child() {
+        let (flags, _) = segments(&LevelOrder::new(&example()));
+        assert_eq!(flags, vec![1, 1, 0, 0, 1, 0, 1, 1]);
+        let mut b = NetworkBuilder::new(c(1.0, 0.0));
+        b.add_bus(Complex::ZERO);
+        assert_eq!(segments(&LevelOrder::new(&b.build().unwrap())).0, vec![1]);
+        // A star's leaf level is one segment: one head flag.
+        let levels = LevelOrder::new(&star(6, &GenSpec::default(), &mut StdRng::seed_from_u64(1)));
+        let (flags, _) = segments(&levels);
+        assert_eq!(levels.level_range(1).map(|p| flags[p]).sum::<u32>(), 1);
+    }
+
+    #[test]
+    fn seg_last_points_at_last_child() {
+        let (_, seg_last) = segments(&LevelOrder::new(&example()));
+        // 0 → 1..=3, 1 → 4..=5, 3 → 6, 6 → 7; leaves read 0.
+        assert_eq!(seg_last, vec![3, 5, 0, 6, 0, 0, 7, 0]);
     }
 
     #[test]

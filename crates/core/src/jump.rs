@@ -39,7 +39,7 @@ use numc::Complex;
 use powergrid::{DfsOrder, RadialNetwork, DFS_NO_PARENT};
 use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_launch_map, try_reduce, try_scan_exclusive};
-use simt::{Device, DeviceBuffer, DeviceError};
+use simt::{Device, DeviceBuffer, DeviceError, HtodPart};
 use telemetry::Recorder;
 
 use crate::arrays::SolverArrays;
@@ -63,8 +63,6 @@ pub struct JumpArrays {
     /// Parent preorder position (root points at itself so jumping is a
     /// no-op there).
     pub parent_or_self: Vec<u32>,
-    /// Subtree sizes in preorder.
-    pub subtree_size: Vec<u32>,
 }
 
 impl JumpArrays {
@@ -75,9 +73,8 @@ impl JumpArrays {
     /// ([`DfsOrder::new`]).
     pub fn new(a: &SolverArrays) -> Self {
         let order = &a.levels.order;
-        let edges: Vec<(u32, u32)> = (1..a.len())
-            .map(|p| (order[a.parent_pos[p] as usize], order[p]))
-            .collect();
+        let edges: Vec<(u32, u32)> =
+            (1..a.len()).map(|p| (order[a.levels.parent_pos[p] as usize], order[p])).collect();
         let dfs = DfsOrder::from_edges(a.len(), order[0] as usize, &edges);
         let level_pos = |b: u32| a.levels.pos_of[b as usize] as usize;
         let s = dfs.order.iter().map(|&b| a.s[level_pos(b)]).collect();
@@ -88,14 +85,7 @@ impl JumpArrays {
             .enumerate()
             .map(|(d, &p)| if p == DFS_NO_PARENT { d as u32 } else { p })
             .collect();
-        JumpArrays {
-            source: a.source,
-            s,
-            z,
-            parent_or_self,
-            subtree_size: dfs.subtree_size.clone(),
-            dfs,
-        }
+        JumpArrays { source: a.source, s, z, parent_or_self, dfs }
     }
 
     /// Bus count.
@@ -194,7 +184,7 @@ impl<'a> JumpSession<'a> {
         let s_buf = dev.try_alloc_from(&a.s)?;
         let z_buf = dev.try_alloc_from(&a.z)?;
         let parent_buf = dev.try_alloc_from(&a.parent_or_self)?;
-        let size_buf = dev.try_alloc_from(&a.subtree_size)?;
+        let size_buf = dev.try_alloc_from(&a.dfs.subtree_size)?;
         let mut v_buf = dev.try_alloc::<Complex>(n)?;
         try_fill(dev, &mut v_buf, v0)?;
         let i_buf = dev.try_alloc::<Complex>(n)?;
@@ -229,6 +219,20 @@ impl<'a> JumpSession<'a> {
             ptr_b,
             clock,
         })
+    }
+
+    /// The device and every static buffer with its host truth: what a
+    /// rollback re-uploads and an integrity check reads back, one
+    /// transfer each, in upload order.
+    fn statics(&mut self) -> (&mut Device, [HtodPart<'_>; 4]) {
+        let a = self.a;
+        let parts = [
+            HtodPart::new(&mut self.s_buf, &a.s),
+            HtodPart::new(&mut self.z_buf, &a.z),
+            HtodPart::new(&mut self.parent_buf, &a.parent_or_self),
+            HtodPart::new(&mut self.size_buf, &a.dfs.subtree_size),
+        ];
+        (&mut *self.dev, parts)
     }
 }
 
@@ -360,14 +364,13 @@ impl SweepSession for JumpSession<'_> {
     }
 
     fn restore(&mut self, v_pos: &[Complex], _live: &[bool]) -> Result<(), DeviceError> {
+        let mark = self.dev.timeline().mark();
+        let (dev, statics) = self.statics();
+        for part in statics {
+            dev.try_htod_packed_checked(&mut [part])?;
+        }
         let dev = &mut *self.dev;
-        let a = self.a;
-        let mark = dev.timeline().mark();
-        dev.try_htod(&mut self.s_buf, &a.s)?;
-        dev.try_htod(&mut self.z_buf, &a.z)?;
-        dev.try_htod(&mut self.parent_buf, &a.parent_or_self)?;
-        dev.try_htod(&mut self.size_buf, &a.subtree_size)?;
-        dev.try_htod(&mut self.v_buf, v_pos)?;
+        dev.try_htod_checked(&mut self.v_buf, v_pos)?;
         try_fill(dev, &mut self.delta_buf, 0.0)?;
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(())
@@ -378,13 +381,13 @@ impl SweepSession for JumpSession<'_> {
     }
 
     fn verify_static(&mut self) -> Result<bool, DeviceError> {
+        let mark = self.dev.timeline().mark();
+        let (dev, statics) = self.statics();
+        let mut ok = true;
+        for part in statics {
+            ok = ok && dev.try_verify_packed(&[part])?;
+        }
         let dev = &mut *self.dev;
-        let a = self.a;
-        let mark = dev.timeline().mark();
-        let ok = dev.try_dtoh(&self.s_buf)? == a.s
-            && dev.try_dtoh(&self.z_buf)? == a.z
-            && dev.try_dtoh(&self.parent_buf)? == a.parent_or_self
-            && dev.try_dtoh(&self.size_buf)? == a.subtree_size;
         self.clock.recovery_us += dev.timeline().breakdown_since(mark).total_us();
         Ok(ok)
     }
@@ -587,13 +590,62 @@ mod tests {
             .map(|d| if d == 0 { 0 } else { dfs.parent_pos[d as usize] })
             .collect();
         assert_eq!(a.parent_or_self, parent_or_self);
-        assert_eq!(a.subtree_size, dfs.subtree_size);
         let loads: Vec<Complex> = net.buses().iter().map(|bus| bus.load).collect();
         assert_eq!(a.s, dfs.permute(&loads));
         let z: Vec<Complex> = (0..net.num_buses())
             .map(|bus| net.parent_branch(bus).map_or(Complex::ZERO, |br| br.z))
             .collect();
         assert_eq!(a.z, dfs.permute(&z));
+    }
+
+    /// A launch failure rolls a supervised jump solve back, and the
+    /// restore's first static upload is corrupted: the checked restore
+    /// reports it, and the retried restore still reaches the clean answer.
+    #[test]
+    fn a_corrupted_restore_is_detected() {
+        use crate::{Backend, ResilientSolver};
+        use simt::{EventKind, FaultKind, FaultPlan};
+        let (a, cfg) = (SolverArrays::new(&ieee13()), SolverConfig::default());
+        let run = |plan| {
+            let (props, host) = (DeviceProps::paper_rig(), HostProps::paper_rig());
+            let mut solver =
+                ResilientSolver::new(Backend::GpuJump, props, host).with_fault_plan(plan);
+            let res = solver.solve(&a, &cfg).expect("a recoverable plan");
+            let events = solver.last_device().unwrap().timeline().events();
+            (res, events.iter().map(|e| e.kind.clone()).collect::<Vec<_>>())
+        };
+        // Every device op is one alloc, copy or launch event, in order.
+        let ops = |kinds: &[EventKind]| -> Vec<EventKind> {
+            kinds
+                .iter()
+                .filter(|k| {
+                    use EventKind::*;
+                    matches!(k, Alloc { .. } | Htod { .. } | Dtoh { .. } | Kernel { .. })
+                })
+                .cloned()
+                .collect()
+        };
+        let (clean, kinds) = run(FaultPlan::seeded(0, 0.0));
+        let clean_ops = ops(&kinds);
+        let fail = (clean_ops.len() / 2..clean_ops.len())
+            .find(|&op| matches!(clean_ops[op], EventKind::Kernel { .. }))
+            .unwrap();
+        let (_, kinds) = run(FaultPlan::scripted([(fail as u64, FaultKind::LaunchFailure)]));
+        // The failed launch records no kernel: later events run one op on.
+        let failed_ops = ops(&kinds);
+        let htod = (fail..failed_ops.len())
+            .find(|&op| matches!(failed_ops[op], EventKind::Htod { .. }))
+            .unwrap();
+        let restore = htod + 1;
+        let plan = FaultPlan::scripted([
+            (fail as u64, FaultKind::LaunchFailure),
+            (restore as u64, FaultKind::TransferCorruption),
+        ]);
+        let (res, _) = run(plan);
+        let report = res.fault_report.expect("an armed plan reports");
+        assert_eq!(report.corruptions_detected, 1, "{report:?}");
+        assert!(!report.degraded(), "{report:?}");
+        assert_eq!(res.v, clean.v);
     }
 
     #[test]
@@ -603,7 +655,7 @@ mod tests {
         assert_eq!(a.len(), 13);
         assert!(!a.is_empty());
         assert_eq!(a.parent_or_self[0], 0, "root self-loops");
-        assert_eq!(a.subtree_size[0], 13);
+        assert_eq!(a.dfs.subtree_size[0], 13);
         assert_eq!(a.z[0], Complex::ZERO);
     }
 }

@@ -323,7 +323,7 @@ impl<V: Phasor> MeshProblem<V> {
         // the root, which no branch feeds.
         let a = &arrays;
         let root_path = |bus: usize| {
-            let up = move |&p: &usize| Some(a.parent_pos[p] as usize);
+            let up = move |&p: &usize| Some(a.levels.parent_pos[p] as usize);
             std::iter::successors(Some(a.levels.pos_of[bus] as usize), up)
                 .take_while(|&p| p != 0)
                 .map(move |p| a.z[p])
@@ -852,7 +852,7 @@ pub fn solve_dg_batch(
     let warm = base.status.is_converged().then_some(base.v);
     let mut total_us = base.timing.total_us();
 
-    let chunk = tbs.chunk_capacity().max(1);
+    let chunk = tbs.chunk_capacity(arrays.len());
     let mut start = 0;
     while start < nb {
         let end = (start + chunk).min(nb);

@@ -148,7 +148,7 @@ impl MulticoreSolver {
                     for (k, slot) in out.iter_mut().enumerate() {
                         let p = lo + off + k;
                         let mut acc = i_inj[p];
-                        for c in a.child_lo[p] as usize..a.child_hi[p] as usize {
+                        for c in a.levels.children(p) {
                             acc += tail_ref[c - tail_base];
                         }
                         *slot = acc;
@@ -178,7 +178,7 @@ impl MulticoreSolver {
                 par_zip2(level_v, d_level, |off, out_v, out_d| {
                     for k in 0..out_v.len() {
                         let p = lo + off + k;
-                        let parent = a.parent_pos[p] as usize;
+                        let parent = a.levels.parent_pos[p] as usize;
                         let new_v = head_ref[parent] - a.z[p] * j[p];
                         out_d[k] = (new_v - out_v[k]).abs();
                         out_v[k] = new_v;

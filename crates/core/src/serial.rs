@@ -146,7 +146,7 @@ impl SerialSolver {
             // Backward sweep: leaves → root.
             for p in (0..n).rev() {
                 let mut acc = i_inj[p];
-                for &jc in &j[a.child_lo[p] as usize..a.child_hi[p] as usize] {
+                for &jc in &j[a.levels.children(p)] {
                     acc += jc;
                 }
                 j[p] = acc;
@@ -164,7 +164,7 @@ impl SerialSolver {
             // let a corrupt update vanish from the ∞-norm.
             let mut delta: f64 = 0.0;
             for p in 1..n {
-                let parent = a.parent_pos[p] as usize;
+                let parent = a.levels.parent_pos[p] as usize;
                 let new_v = v[parent] - V::z_mul(a.z[p], j[p]);
                 delta = MaxAbsF64::combine(delta, (new_v - v[p]).norm());
                 v[p] = new_v;

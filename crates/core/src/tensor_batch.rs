@@ -374,17 +374,11 @@ impl TensorBatchSolver {
         self
     }
 
-    /// Caps scenarios per chunk (testing/tuning; clamped to ≥ 1).
+    /// Caps scenarios per chunk below what device memory allows
+    /// ([`Self::chunk_capacity`]; testing/tuning; clamped to ≥ 1).
     pub fn with_chunk_scenarios(mut self, cap: usize) -> Self {
-        self.set_chunk_scenarios(cap);
-        self
-    }
-
-    /// By-ref form of [`Self::with_chunk_scenarios`], for callers that
-    /// plan the chunk size per solve (e.g. the contingency screener
-    /// sizing chunks from the bus count).
-    pub fn set_chunk_scenarios(&mut self, cap: usize) {
         self.chunk_cap = cap.max(1);
+        self
     }
 
     /// Skip the per-bus state download: `v`/`j` come back empty, only
@@ -443,10 +437,18 @@ impl TensorBatchSolver {
         self.solve(a, Scenarios::Explicit(scenarios), cfg)
     }
 
-    /// Largest scenario batch one resident session can hold; callers
-    /// running bigger families chunk on this.
-    pub fn chunk_capacity(&self) -> usize {
-        self.chunk_cap
+    /// Scenarios per chunk over `buses` buses: as many as fit in half
+    /// the device memory at the V and J stripes each keeps resident (two
+    /// `Complex` per bus, 32 B), clamped to `16..=8192`, and at most the
+    /// [`Self::with_chunk_scenarios`] cap. The other half holds the
+    /// topology, the per-scenario words, a chunk's transient build
+    /// buffers and the next chunk's inputs, which a multi-chunk batch
+    /// uploads while this chunk sweeps. Callers running bigger families
+    /// through one resident session chunk on this.
+    pub fn chunk_capacity(&self, buses: usize) -> usize {
+        let per_scenario = 32 * buses.max(1) as u64;
+        let fits = self.device.props().global_mem_bytes / 2 / per_scenario;
+        self.chunk_cap.min(fits.clamp(16, MAX_CHUNK_SCENARIOS as u64) as usize)
     }
 
     /// Opens a resident-state outer-loop session over one scenario
@@ -476,11 +478,8 @@ impl TensorBatchSolver {
         let n = a.len();
         let nb = loads.len();
         assert!(nb >= 1, "session needs at least one scenario");
-        assert!(
-            nb <= self.chunk_cap,
-            "session of {nb} scenarios exceeds the chunk capacity {}",
-            self.chunk_cap
-        );
+        let cap = self.chunk_capacity(n);
+        assert!(nb <= cap, "session of {nb} scenarios exceeds the chunk capacity {cap}");
         for (s, sc) in loads.iter().enumerate() {
             assert_eq!(sc.len(), n, "scenario {s} has {} loads for {n} buses", sc.len());
         }
@@ -527,6 +526,7 @@ impl TensorBatchSolver {
         let nb = loads.len();
         assert!(nb >= 1, "batch must contain at least one scenario");
         let (n, keep) = (a.len(), self.keep_state);
+        let chunk_cap = self.chunk_capacity(n).min(nb);
         let obs = &Obs::new(self.recorder.as_ref(), "solver.tensor-batch");
         let dev = &mut self.device;
         let mut out = TensorBatchResult {
@@ -552,7 +552,6 @@ impl TensorBatchSolver {
         }
 
         let armed = dev.fault_plan().is_some();
-        let chunk_cap = self.chunk_cap.min(nb);
         let policy = Policy { checkpointing: armed, cancel: None, obs, wall0 };
         let output = Output::Batch { keep };
         let mut report = FaultReport::default();
@@ -958,6 +957,8 @@ fn host_min_v(v: &[Complex], root: usize, isolated: &[u32]) -> f64 {
 struct Topology {
     z: DeviceBuffer<Complex>,
     parent_pos: DeviceBuffer<u32>,
+    /// The child ranges' bounds: `child_offsets[..n]` and
+    /// `child_offsets[1..]` of the level order.
     child_lo: DeviceBuffer<u32>,
     child_hi: DeviceBuffer<u32>,
     /// Base loads in position space: the scaled-mode operand, and the
@@ -999,11 +1000,12 @@ impl Topology {
         patches: Option<&'p PatchPlan>,
         extra: Vec<HtodPart<'p>>,
     ) -> Vec<HtodPart<'p>> {
+        let (off, n) = (&a.levels.child_offsets, a.len());
         let mut parts = vec![
             HtodPart::new(&mut self.z, &a.z),
-            HtodPart::new(&mut self.parent_pos, &a.parent_pos),
-            HtodPart::new(&mut self.child_lo, &a.child_lo),
-            HtodPart::new(&mut self.child_hi, &a.child_hi),
+            HtodPart::new(&mut self.parent_pos, &a.levels.parent_pos),
+            HtodPart::new(&mut self.child_lo, &off[..n]),
+            HtodPart::new(&mut self.child_hi, &off[1..]),
             HtodPart::new(&mut self.base_s, &a.s),
         ];
         if let (Some(buf), Some(plan)) = (&mut self.dfs_pos, patches) {
@@ -3734,16 +3736,36 @@ mod tests {
         };
         assert!(matches!(run(None), Ok(Ok(()))), "the full sweep is race-free");
         // The deepest level holds 1 024 buses over the 768 threads, its
-        // parents 512: a parent of block 1 sums children block 0 writes in
-        // backward level `nl − 1`, and a bus of block 2 reads a parent
-        // voltage block 1 writes in forward level `nl − 2`. (The checker
-        // sees a read after the write it races; the blocks of a grid phase
-        // run in index order.)
-        for drop in [nl - 1, 2 * nl - 2] {
+        // parents 512 and theirs 256: a parent of block 1 sums children
+        // block 0 writes in backward level `nl − 1`, and a bus of block 2
+        // reads a parent voltage block 1 writes in forward level `nl − 2`
+        // (a read after the write it races; the blocks of a grid phase run
+        // in index order). Past backward level `nl − 2`, block 0 sums
+        // currents block 1 writes later in the same grid phase: a write
+        // after the read it races.
+        for drop in [nl - 1, nl - 2, 2 * nl - 2] {
             let payload = run(Some(drop)).expect_err("a dropped barrier races");
             let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("race") && msg.contains("block"), "barrier {drop}: {msg}");
         }
+    }
+
+    /// A plain batch whose chunk would not fit on the device runs in
+    /// chunks sized from device memory: on the device, with no fault and
+    /// nothing to recover, as an explicitly capped batch does.
+    #[test]
+    fn a_batch_chunks_to_fit_device_memory() {
+        let net = balanced_binary(1023, &GenSpec::default(), &mut StdRng::seed_from_u64(5));
+        let scales: Vec<f64> = (0..64).map(|k| 0.5 + k as f64 / 64.0).collect();
+        let props = DeviceProps { global_mem_bytes: 1 << 20, ..DeviceProps::paper_rig() };
+        let res = solve_scaled(
+            &mut TensorBatchSolver::new(Device::with_workers(props, 2)),
+            &net,
+            &scales,
+            &SolverConfig::default(),
+        );
+        assert!(res.fault_report.is_none(), "{:?}", res.fault_report);
+        assert!(res.statuses.iter().all(|s| *s == SolveStatus::Converged), "{:?}", res.statuses);
     }
 
     /// A corrupted read-back slice of the previous chunk touches none of

@@ -38,7 +38,7 @@ use crate::serial::SerialSolver;
 
 /// Level-ordered three-phase solver arrays: per-position phase-triple
 /// loads and 3×3 branch impedance matrices around the single-phase
-/// topology arrays.
+/// level order.
 pub type Arrays3 = LevelArrays<CVec3, CMat3>;
 
 impl Arrays3 {
@@ -51,7 +51,7 @@ impl Arrays3 {
             .iter()
             .map(|&b| net.parent_branch(b as usize).map_or(CMat3::ZERO, |br| br.z))
             .collect();
-        LevelArrays::with_loads(levels, net.source_voltage(), s, z)
+        LevelArrays { levels, source: net.source_voltage(), s, z }
     }
 }
 

@@ -240,8 +240,7 @@ mod tests {
         assert_eq!(lo.num_levels(), 10); // 2^10 − 1 buses
         assert_eq!(lo.level_width(9), 512);
         // Every non-leaf has exactly 2 children.
-        let with_two =
-            (0..1023).filter(|&p| lo.child_hi[p] - lo.child_lo[p] == 2).count();
+        let with_two = (0..1023).filter(|&p| lo.children(p).len() == 2).count();
         assert_eq!(with_two, 511);
     }
 

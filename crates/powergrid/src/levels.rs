@@ -6,8 +6,10 @@
 //! sweeps data-parallel:
 //!
 //! * a level is a contiguous slice → one kernel launch per level;
-//! * a parent's children form a *segment* of the next level → summing
-//!   child branch currents is a head-flag segmented reduction;
+//! * a parent's children form a *segment* of the next level, and the
+//!   segments of consecutive parents are adjacent → one `n + 1` offset
+//!   array ([`LevelOrder::child_offsets`]) holds every child range, and
+//!   summing child branch currents is a segmented reduction;
 //! * the whole permutation is computed once per topology and reused every
 //!   iteration (topology is static during a solve).
 //!
@@ -82,14 +84,12 @@ pub struct LevelOrder {
     pub level_offsets: Vec<u32>,
     /// Parent position per position ([`NO_PARENT`] at the root).
     pub parent_pos: Vec<u32>,
-    /// First child position per position (`child_lo[p] == child_hi[p]`
-    /// for leaves).
-    pub child_lo: Vec<u32>,
-    /// One past the last child position per position.
-    pub child_hi: Vec<u32>,
-    /// 1 where a position is the first child of its parent (and at the
-    /// root) — the segmented-scan head flags.
-    pub head_flags: Vec<u32>,
+    /// The children of position `p` occupy positions
+    /// `child_offsets[p] .. child_offsets[p + 1]` (an empty range for a
+    /// leaf); `child_offsets.len() == len() + 1`. BFS assigns children in
+    /// parent order, so one parent's range ends where the next one's
+    /// starts.
+    pub child_offsets: Vec<u32>,
 }
 
 impl LevelOrder {
@@ -150,8 +150,7 @@ impl LevelOrder {
         let mut order = Vec::with_capacity(n);
         let mut pos_of = vec![u32::MAX; n];
         let mut parent_pos = Vec::with_capacity(n);
-        let mut child_lo = vec![0u32; n];
-        let mut child_hi = vec![0u32; n];
+        let mut child_offsets = Vec::with_capacity(n + 1);
         let mut level_offsets = vec![0u32];
 
         // FIFO BFS: `order` doubles as the queue (head = next position to
@@ -168,14 +167,13 @@ impl LevelOrder {
             }
             let bus = order[head] as usize;
             let p = head as u32;
-            child_lo[head] = order.len() as u32;
+            child_offsets.push(order.len() as u32);
             for k in adj_off[bus]..adj_off[bus + 1] {
                 let c = adj[k as usize];
                 pos_of[c as usize] = order.len() as u32;
                 order.push(c);
                 parent_pos.push(p);
             }
-            child_hi[head] = order.len() as u32;
             head += 1;
         }
         if order.len() < n {
@@ -184,17 +182,9 @@ impl LevelOrder {
             return Err(LayoutError::Unreachable { orphans });
         }
         level_offsets.push(n as u32);
+        child_offsets.push(n as u32);
 
-        let mut head_flags = vec![0u32; n];
-        head_flags[0] = 1;
-        for p in 0..n {
-            let lo = child_lo[p] as usize;
-            if lo < child_hi[p] as usize {
-                head_flags[lo] = 1;
-            }
-        }
-
-        Ok(LevelOrder { order, pos_of, level_offsets, parent_pos, child_lo, child_hi, head_flags })
+        Ok(LevelOrder { order, pos_of, level_offsets, parent_pos, child_offsets })
     }
 
     /// Number of buses.
@@ -215,6 +205,11 @@ impl LevelOrder {
     /// Position range of level `l`.
     pub fn level_range(&self, l: usize) -> std::ops::Range<usize> {
         self.level_offsets[l] as usize..self.level_offsets[l + 1] as usize
+    }
+
+    /// Position range of the children of position `p`.
+    pub fn children(&self, p: usize) -> std::ops::Range<usize> {
+        self.child_offsets[p] as usize..self.child_offsets[p + 1] as usize
     }
 
     /// Width (bus count) of level `l`.
@@ -246,13 +241,13 @@ impl LevelOrder {
     }
 
     /// Internal consistency check (used by tests and debug assertions):
-    /// verifies the permutation, level monotonicity, child contiguity and
-    /// head flags. Panics with a description on violation.
+    /// verifies the permutation, level monotonicity and child
+    /// contiguity. Panics with a description on violation.
     pub fn check_invariants(&self) {
         let n = self.len();
         assert_eq!(self.pos_of.len(), n);
         assert_eq!(self.parent_pos.len(), n);
-        assert_eq!(self.head_flags.len(), n);
+        assert_eq!(self.child_offsets.len(), n + 1);
         // order/pos_of are inverse permutations.
         for p in 0..n {
             assert_eq!(self.pos_of[self.order[p] as usize] as usize, p, "inverse permutation");
@@ -269,31 +264,23 @@ impl LevelOrder {
                 } else {
                     let pp = self.parent_pos[p] as usize;
                     assert!(self.level_range(l - 1).contains(&pp), "parent one level up");
-                    assert!(
-                        (self.child_lo[pp] as usize..self.child_hi[pp] as usize).contains(&p),
-                        "child within parent range"
-                    );
+                    assert!(self.children(pp).contains(&p), "child within parent range");
                 }
-                let first_of_parent = p == 0
-                    || (self.parent_pos[p] != NO_PARENT
-                        && self.child_lo[self.parent_pos[p] as usize] as usize == p);
-                assert_eq!(self.head_flags[p] != 0, first_of_parent, "head flag at {p}");
             }
         }
         // Child ranges tile the non-root positions exactly once, and each
         // child's parent pointer agrees with the range that claims it —
         // together these reject duplicated or dropped buses that the
         // per-position checks above cannot see.
-        let mut claimed = 0usize;
+        assert_eq!(self.child_offsets[0], 1, "the root's children come first");
+        assert_eq!(self.child_offsets[n] as usize, n, "child ranges must end at n");
+        let sorted = self.child_offsets.windows(2).all(|w| w[0] <= w[1]);
+        assert!(sorted, "child offsets must not decrease");
         for p in 0..n {
-            let (lo, hi) = (self.child_lo[p] as usize, self.child_hi[p] as usize);
-            assert!(lo <= hi && hi <= n, "child range bounds at {p}");
-            for c in lo..hi {
+            for c in self.children(p) {
                 assert_eq!(self.parent_pos[c] as usize, p, "child {c} claims another parent");
             }
-            claimed += hi - lo;
         }
-        assert_eq!(claimed, n - 1, "child ranges must tile the non-root positions");
     }
 }
 
@@ -341,13 +328,9 @@ mod tests {
         assert_eq!(lo.parent_pos[4], 1);
         assert_eq!(lo.parent_pos[6], 3);
         assert_eq!(lo.parent_pos[7], 6);
-        // Children ranges.
-        assert_eq!((lo.child_lo[0], lo.child_hi[0]), (1, 4));
-        assert_eq!((lo.child_lo[1], lo.child_hi[1]), (4, 6));
-        assert_eq!((lo.child_lo[2], lo.child_hi[2]), (6, 6)); // leaf
-        assert_eq!((lo.child_lo[3], lo.child_hi[3]), (6, 7));
-        // Head flags: root, first children of 0, 1, 3, 6.
-        assert_eq!(lo.head_flags, vec![1, 1, 0, 0, 1, 0, 1, 1]);
+        // Children ranges: 0 → 1..4, 1 → 4..6, 2 a leaf, 3 → 6..7, 6 → 7..8.
+        assert_eq!(lo.child_offsets, vec![1, 4, 6, 6, 7, 7, 7, 8, 8]);
+        assert_eq!(lo.children(2), 6..6);
     }
 
     #[test]
@@ -376,7 +359,7 @@ mod tests {
         lo.check_invariants();
         assert_eq!(lo.len(), 1);
         assert_eq!(lo.num_levels(), 1);
-        assert_eq!(lo.head_flags, vec![1]);
+        assert_eq!(lo.child_offsets, vec![1, 1]);
         assert_eq!(lo.parent_pos, vec![NO_PARENT]);
     }
 
@@ -409,9 +392,8 @@ mod tests {
         lo.check_invariants();
         assert_eq!(lo.num_levels(), 2);
         assert_eq!(lo.level_width(1), 5);
-        // Exactly one head flag in level 1 (all children share the root).
-        let flags: u32 = lo.level_range(1).map(|p| lo.head_flags[p]).sum();
-        assert_eq!(flags, 1);
+        // Level 1 is one segment: every bus is a child of the root.
+        assert_eq!(lo.children(0), lo.level_range(1));
     }
 
     #[test]

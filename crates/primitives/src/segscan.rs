@@ -235,8 +235,8 @@ fn segscan_impl<T: DeviceCopy, Op: ScanOp<T>>(
 }
 
 /// Segmented reduction via scan: writes the total of segment `s` (in
-/// segment order) to `out[s]`, given the index of each segment's last
-/// element.
+/// segment order) to `out[s]`, given `tails`, the index of each
+/// segment's last element.
 ///
 /// This is the paper's pattern for the backward sweep: one segmented scan
 /// over a level, then a gather of each parent's segment tail.
@@ -244,13 +244,13 @@ pub fn segment_totals<T: DeviceCopy, Op: ScanOp<T>>(
     dev: &mut Device,
     values: &DeviceBuffer<T>,
     flags: &DeviceBuffer<u32>,
-    seg_last: &DeviceBuffer<u32>,
+    tails: &DeviceBuffer<u32>,
     out: &mut DeviceBuffer<T>,
 ) {
-    assert!(out.len() >= seg_last.len(), "segment_totals: output shorter than segment count");
+    assert!(out.len() >= tails.len(), "segment_totals: output shorter than segment count");
     let mut scanned = dev.alloc::<T>(values.len());
     segscan_inclusive::<T, Op>(dev, values, flags, &mut scanned);
-    gather(dev, &scanned, seg_last, out);
+    gather(dev, &scanned, tails, out);
 }
 
 /// Naive segmented reduction: one thread accumulates each segment
@@ -393,9 +393,9 @@ mod tests {
         let mut d = dev();
         let values = d.alloc_from(&xs);
         let fl = d.alloc_from(&flags);
-        let seg_last = d.alloc_from(&last);
+        let tails = d.alloc_from(&last);
         let mut out = d.alloc::<f64>(last.len());
-        segment_totals::<f64, AddF64>(&mut d, &values, &fl, &seg_last, &mut out);
+        segment_totals::<f64, AddF64>(&mut d, &values, &fl, &tails, &mut out);
         assert_eq!(d.dtoh(&out), host::segment_totals::<f64, AddF64>(&xs, &flags));
     }
 

@@ -11,9 +11,13 @@
 //!   different phases;
 //! * write → read from a different thread: race, unless a grid barrier
 //!   separates them, or same block and the read happens in a *later*
-//!   phase than the write.
+//!   phase than the write;
+//! * read → write from a different thread: the same rule, so a racing
+//!   pair is reported whichever of the two the simulation runs first.
 //!
-//! Each cell stores the last writer as a packed word. The table is
+//! Each cell stores its last writer and its last reader as packed
+//! words; a write checks the last reader only, so of several unordered
+//! readers the one that ran last is checked. The table is
 //! rebuilt per [`crate::DeviceBuffer::view_mut`] call (views are created
 //! per launch by convention), so stale launches never alias.
 //!
@@ -68,16 +72,32 @@ fn unpack(w: u64) -> Option<(ThreadId, bool)> {
     Some((id, (w >> 62) & 1 == 1))
 }
 
-/// Per-buffer, per-launch last-writer table.
+/// Per-buffer, per-launch last-writer and last-reader table.
 #[derive(Debug)]
 pub struct RaceTable {
     cells: Box<[AtomicU64]>,
+    readers: Box<[AtomicU64]>,
 }
 
 impl RaceTable {
     /// Creates a table for a buffer of `len` elements.
     pub fn new(len: usize) -> Self {
-        RaceTable { cells: (0..len).map(|_| AtomicU64::new(0)).collect() }
+        let empty = || (0..len).map(|_| AtomicU64::new(0)).collect();
+        RaceTable { cells: empty(), readers: empty() }
+    }
+
+    /// Panics when the last reader of element `i` is unordered with
+    /// `who`, which writes it.
+    fn check_reader(&self, i: usize, who: ThreadId) {
+        if let Some((r, _)) = unpack(self.readers[i].load(Ordering::Relaxed)) {
+            if !Self::ordered(r, who) {
+                panic!(
+                    "racecheck: write-after-read race on element {i}: \
+                     read by block {}/thread {}/phase {}, written by block {}/thread {}/phase {}",
+                    r.block, r.tid, r.phase, who.block, who.tid, who.phase
+                );
+            }
+        }
     }
 
     /// True when `a` (earlier writer) is ordered-before `b` (current
@@ -95,6 +115,7 @@ impl RaceTable {
 
     /// Records a write by `who` to element `i`; panics on a detected race.
     pub fn on_write(&self, i: usize, who: ThreadId) {
+        self.check_reader(i, who);
         let new = pack(who, false);
         let prev = self.cells[i].swap(new, Ordering::Relaxed);
         if let Some((w, _atomic)) = unpack(prev) {
@@ -113,6 +134,7 @@ impl RaceTable {
     /// Records a read by `who` of element `i`; panics when it races with
     /// an earlier write from an unordered thread.
     pub fn on_read(&self, i: usize, who: ThreadId) {
+        self.readers[i].store(pack(who, false), Ordering::Relaxed);
         let prev = self.cells[i].load(Ordering::Relaxed);
         if let Some((w, _atomic)) = unpack(prev) {
             if !Self::ordered(w, who) {
@@ -129,6 +151,7 @@ impl RaceTable {
     /// never race with each other; an atomic racing an unordered *plain*
     /// access panics.
     pub fn on_atomic(&self, i: usize, who: ThreadId) {
+        self.check_reader(i, who);
         let new = pack(who, true);
         let prev = self.cells[i].swap(new, Ordering::Relaxed);
         if let Some((w, atomic)) = unpack(prev) {
@@ -232,6 +255,25 @@ mod tests {
         let tab = RaceTable::new(1);
         tab.on_write(0, t(0, 0, 0));
         tab.on_read(0, t(1, 0, 5)); // different block: never ordered
+    }
+
+    #[test]
+    #[should_panic(expected = "write-after-read race")]
+    fn a_write_after_an_unordered_read_races() {
+        let tab = RaceTable::new(1);
+        tab.on_read(0, t(0, 0, 0));
+        tab.on_write(0, t(1, 0, 0)); // another block, same grid phase
+    }
+
+    #[test]
+    fn ordered_reads_before_writes_do_not_race() {
+        let tab = RaceTable::new(1);
+        tab.on_read(0, t(0, 3, 0));
+        tab.on_write(0, t(0, 7, 1)); // same block, a later phase
+        tab.on_read(0, t(0, 7, 1));
+        tab.on_write(0, t(0, 7, 1)); // the reading thread itself
+        tab.on_read(0, ThreadId { grid_phase: 1, ..t(1, 0, 0) });
+        tab.on_write(0, ThreadId { grid_phase: 2, ..t(2, 0, 0) }); // past a grid barrier
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
 
     // Candidates: the feeder's leaf buses (where new customers connect).
     let candidates: Vec<usize> =
-        (0..net.num_buses()).filter(|&b| levels.child_lo[levels.pos_of[b] as usize] == levels.child_hi[levels.pos_of[b] as usize]).collect();
+        (0..net.num_buses()).filter(|&b| levels.children(levels.pos_of[b] as usize).is_empty()).collect();
 
     println!(
         "hosting capacity on the IEEE-37-style feeder ({} buses, {} leaf candidates, floor {V_FLOOR_PU} pu)\n",
