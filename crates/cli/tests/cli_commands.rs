@@ -490,7 +490,7 @@ fn solve3_stdout_matches_its_golden() {
         ),
         (
             &["--solver", "gpu"],
-            format!("solver:      gpu (three-phase)\n{converged}{IEEE13_3PHASE_BODY}modeled:     total 721.1 µs\n"),
+            format!("solver:      gpu (three-phase)\n{converged}{IEEE13_3PHASE_BODY}modeled:     total 705.1 µs\n"),
         ),
         (
             &["--solver", "gpu", "--fault-seed", "7", "--fault-rate", "0.005"],

@@ -243,7 +243,7 @@ fn mesh_solve_records_outer_telemetry() {
     // The plain GPU outer loop and the same loop under the fault-tolerant
     // supervisor must record the same outer telemetry.
     let plain: &[&str] = &[];
-    let faulted: &[&str] = &["--fault-seed", "11", "--fault-rate", "0.02"];
+    let faulted: &[&str] = &["--fault-seed", "5", "--fault-rate", "0.02"];
     for (extra, status_key) in
         [(plain, "solve.status.converged"), (faulted, "solve.status.recovered")]
     {

@@ -46,7 +46,8 @@
 //! (a one-lane `tensor_batch::Chunk`: one launch that loops over the
 //! fused sweeps, the same iterates) — on one block for small and deep
 //! trees, and on large binary and k-ary trees across a cooperative grid
-//! of co-resident blocks, with a grid barrier between levels — else to
+//! of co-resident blocks, with a grid barrier between two levels where
+//! either is wider than one block — else to
 //! the level path above with the segmented scan on star-like trees.
 //! Either session runs the
 //! same loop, `recovery::drive`, and the supervisor's
@@ -264,8 +265,8 @@ pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route 
     let pcie = |transfers: usize| transfers as f64 * props.pcie_latency_us;
     let warm = usize::from(warm);
     let fused_once = props.launch_overhead_us + pcie(3);
-    let level_once =
-        pcie(LEVEL_STATICS + 2 + warm) + (2 - warm) as f64 * launch_us(props, 1, 1.0, 1, 0);
+    let level_once = pcie(level_statics(strategy) + 2 + warm)
+        + (2 - warm) as f64 * launch_us(props, 1, 1.0, 1, 0);
     if fused <= level && fused_once + fused < level_once + level {
         Route::Fused { grid }
     } else {
@@ -275,7 +276,10 @@ pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route 
 
 /// The level path's cheaper backward strategy on a tree of this level
 /// table for phasor `V`, segmented scan or direct, with its modeled µs
-/// per backward sweep ([`backward_us`]).
+/// per backward sweep ([`backward_us`]). Direct is never dearer once per
+/// solve (it uploads two statics fewer, [`level_statics`]), so it is
+/// taken wherever it is no dearer per sweep; where the two cross, the
+/// per-sweep price decides.
 fn level_backward<V: Phasor>(
     props: &DeviceProps,
     shape: &[LevelShape],
@@ -471,9 +475,13 @@ fn backward_us(props: &DeviceProps, shape: &[LevelShape], c: usize) -> (f64, f64
     (direct, segscan)
 }
 
-/// Static buffers a [`GpuSession`] uploads one transfer each
-/// ([`GpuSession::statics`]; [`route`] counts their PCIe latencies).
-const LEVEL_STATICS: usize = 7;
+/// Static buffers a [`GpuSession`] of this backward strategy uploads one
+/// transfer each ([`GpuSession::statics`]; [`route`] counts their PCIe
+/// latencies): loads, impedances, parents and the two child-range bounds,
+/// and the segmented scan's head flags and segment tails where it runs.
+fn level_statics(strategy: BackwardStrategy) -> usize {
+    5 + 2 * usize::from(strategy == BackwardStrategy::SegScan)
+}
 
 /// The segmented scan's operands over the child ranges of `levels`: the
 /// head flags (1 at the root and at each parent's first child) and, per
@@ -491,6 +499,18 @@ fn segments(levels: &LevelOrder) -> (Vec<u32>, Vec<u32>) {
         }
     }
     (head_flags, seg_last)
+}
+
+/// The segmented scan's own state, which only a
+/// [`BackwardStrategy::SegScan`] session holds: the head flags and
+/// segment tails derived at open ([`segments`]), on the device and as
+/// their host truth, and the scan's output.
+struct SegScanState<V: Phasor> {
+    head_flags: Vec<u32>,
+    seg_last: Vec<u32>,
+    flags_buf: DeviceBuffer<u32>,
+    seg_last_buf: DeviceBuffer<u32>,
+    scan_buf: DeviceBuffer<V>,
 }
 
 /// One level-synchronous solve in progress: device state plus phase
@@ -513,16 +533,12 @@ pub(crate) struct GpuSession<'a, V: Phasor> {
     parent_buf: DeviceBuffer<u32>,
     child_lo_buf: DeviceBuffer<u32>,
     child_hi_buf: DeviceBuffer<u32>,
-    flags_buf: DeviceBuffer<u32>,
-    seg_last_buf: DeviceBuffer<u32>,
-    /// The head flags and segment tails derived at open ([`segments`]).
-    head_flags: Vec<u32>,
-    seg_last: Vec<u32>,
+    /// `Some` under [`BackwardStrategy::SegScan`] only.
+    segscan: Option<SegScanState<V>>,
     v_buf: DeviceBuffer<V>,
     i_buf: DeviceBuffer<V>,
     j_buf: DeviceBuffer<V>,
     delta_buf: DeviceBuffer<f64>,
-    scan_buf: DeviceBuffer<V>,
     clock: SessionClock,
 }
 
@@ -541,14 +557,20 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         let v0 = a.source;
 
         let mark = dev.timeline().mark();
-        let (off, (head_flags, seg_last)) = (&a.levels.child_offsets, segments(&a.levels));
+        let off = &a.levels.child_offsets;
         let s_buf = dev.try_alloc_from(&a.s)?;
         let z_buf = dev.try_alloc_from(&a.z)?;
         let parent_buf = dev.try_alloc_from(&a.levels.parent_pos)?;
         let child_lo_buf = dev.try_alloc_from(&off[..n])?;
         let child_hi_buf = dev.try_alloc_from(&off[1..])?;
-        let flags_buf = dev.try_alloc_from(&head_flags)?;
-        let seg_last_buf = dev.try_alloc_from(&seg_last)?;
+        let operands = if strategy == BackwardStrategy::SegScan {
+            let (head_flags, seg_last) = segments(&a.levels);
+            let flags_buf = dev.try_alloc_from(&head_flags)?;
+            let seg_last_buf = dev.try_alloc_from(&seg_last)?;
+            Some((head_flags, seg_last, flags_buf, seg_last_buf))
+        } else {
+            None
+        };
         let mut v_buf = dev.try_alloc::<V>(n)?;
         match v_init {
             Some(init) => {
@@ -562,7 +584,13 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         let j_buf = dev.try_alloc::<V>(n)?;
         let mut delta_buf = dev.try_alloc::<f64>(n)?;
         try_fill(dev, &mut delta_buf, 0.0)?;
-        let scan_buf = dev.try_alloc::<V>(n)?;
+        let segscan = match operands {
+            Some((head_flags, seg_last, flags_buf, seg_last_buf)) => {
+                let scan_buf = dev.try_alloc::<V>(n)?;
+                Some(SegScanState { head_flags, seg_last, flags_buf, seg_last_buf, scan_buf })
+            }
+            None => None,
+        };
         let b = dev.timeline().breakdown_since(mark);
         let clock = SessionClock::new(b.total_us(), b.transfer_us(), obs);
 
@@ -576,34 +604,32 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
             parent_buf,
             child_lo_buf,
             child_hi_buf,
-            flags_buf,
-            seg_last_buf,
-            head_flags,
-            seg_last,
+            segscan,
             v_buf,
             i_buf,
             j_buf,
             delta_buf,
-            scan_buf,
             clock,
         })
     }
 
     /// The device and every static buffer with its host truth: what a
     /// rollback re-uploads and an integrity check reads back, one
-    /// transfer each, in upload order.
-    fn statics(&mut self) -> (&mut Device, [HtodPart<'_>; LEVEL_STATICS]) {
+    /// transfer each, in upload order ([`level_statics`] of them).
+    fn statics(&mut self) -> (&mut Device, Vec<HtodPart<'_>>) {
         let (a, n) = (self.a, self.a.len());
         let off = &a.levels.child_offsets;
-        let parts = [
+        let mut parts = vec![
             HtodPart::new(&mut self.s_buf, &a.s),
             HtodPart::new(&mut self.z_buf, &a.z),
             HtodPart::new(&mut self.parent_buf, &a.levels.parent_pos),
             HtodPart::new(&mut self.child_lo_buf, &off[..n]),
             HtodPart::new(&mut self.child_hi_buf, &off[1..]),
-            HtodPart::new(&mut self.flags_buf, &self.head_flags),
-            HtodPart::new(&mut self.seg_last_buf, &self.seg_last),
         ];
+        if let Some(seg) = &mut self.segscan {
+            parts.push(HtodPart::new(&mut seg.flags_buf, &seg.head_flags));
+            parts.push(HtodPart::new(&mut seg.seg_last_buf, &seg.seg_last));
+        }
         (&mut *self.dev, parts)
     }
 }
@@ -695,19 +721,20 @@ impl<V: Phasor> SweepSession for GpuSession<'_, V> {
                         t.st(&j_v, p, acc);
                     })?;
                 } else {
+                    let seg = self.segscan.as_mut().expect("a segmented-scan session has its operands");
                     if l + 1 < num_levels {
                         let crange = a.levels.level_range(l + 1);
                         try_segscan_inclusive_range::<V, V::Sum>(
                             dev,
                             &self.j_buf,
-                            &self.flags_buf,
+                            &seg.flags_buf,
                             crange.start,
                             crange.end,
-                            &mut self.scan_buf,
+                            &mut seg.scan_buf,
                         )?;
                     }
-                    let last_v = self.seg_last_buf.view();
-                    let scan_v = self.scan_buf.view();
+                    let last_v = seg.seg_last_buf.view();
+                    let scan_v = seg.scan_buf.view();
                     let j_v = self.j_buf.view_mut();
                     try_launch_map(dev, len, "fbs_backward_combine", move |t, k| {
                         let p = lo + k;
@@ -1111,10 +1138,11 @@ mod route_tests {
     /// The fused sweep spread over a grid returns the pinned direct level
     /// path's V, J, iterations, status and residual history bit for bit,
     /// on every radial family, cold and warm, at a few grid sizes; and the
-    /// routed solve of a tree that takes the grid does too.
+    /// routed solves of trees that take the grid do too: a binary tree,
+    /// and a broom, whose handle's levels all sit in block 0.
     #[test]
     fn the_grid_route_matches_the_pinned_direct_path_bit_for_bit() {
-        use powergrid::gen::random_tree;
+        use powergrid::gen::{broom, random_tree};
         let spec = GenSpec::default();
         let rng = |seed| StdRng::seed_from_u64(seed);
         let cfg = SolverConfig::default();
@@ -1132,6 +1160,7 @@ mod route_tests {
             ("star 700", star(700, &spec, &mut rng(3))),
             ("5-ary 2000", balanced_kary(2000, 5, &spec, &mut rng(4))),
             ("random 1800", random_tree(1800, 16, &spec, &mut rng(5))),
+            ("broom 1200", broom(1200, 300, &spec, &mut rng(6))),
         ];
         for (name, net) in &trees {
             let a = arrays(net);
@@ -1153,19 +1182,28 @@ mod route_tests {
                 }
             }
         }
-        let net = balanced_binary(16_383, &spec, &mut rng(7));
-        let a = arrays(&net);
-        assert_eq!(route(&DeviceProps::paper_rig(), &a, false), Route::Fused { grid: 160 });
-        let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg);
-        let pinned = GpuSolver::with_strategy(dev(), BackwardStrategy::Direct).solve_arrays(&a, &cfg);
-        same("routed binary 16383", &routed, &pinned);
+        let routed_trees = [
+            ("routed binary 16383", balanced_binary(16_383, &spec, &mut rng(7))),
+            ("routed broom 16384", broom(16_384, 1024, &spec, &mut rng(7))),
+        ];
+        for (name, net) in &routed_trees {
+            let a = arrays(net);
+            let grid = Route::Fused { grid: 160 };
+            assert_eq!(route(&DeviceProps::paper_rig(), &a, false), grid, "{name}");
+            let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg);
+            let pinned =
+                GpuSolver::with_strategy(dev(), BackwardStrategy::Direct).solve_arrays(&a, &cfg);
+            same(name, &routed, &pinned);
+        }
     }
 
     /// Each bus is priced at its own fan-out: on the partly filled last
     /// levels of the 64-ary trees of 16 000 and 65 536 buses the level
-    /// path's strategy is the cheaper measured one (direct 760.4 against
-    /// the scan's 792.9 µs, and the scan's 1 521.1 against direct's
-    /// 1 540.0), which the widest-fan-out stand-in had the wrong way round.
+    /// path's strategy is the one whose measured backward sweep is cheaper
+    /// (direct 63.3 against the scan's 69.8 µs per sweep, and the scan's
+    /// 88.6 against direct's 91.8), which the widest-fan-out stand-in had
+    /// the wrong way round. Per sweep, since a direct solve also uploads
+    /// two statics fewer.
     #[test]
     fn the_level_strategy_of_the_64_ary_trees_is_the_cheaper_measured_one() {
         let (spec, props, cfg) = (GenSpec::default(), DeviceProps::paper_rig(), SolverConfig::default());
@@ -1174,7 +1212,8 @@ mod route_tests {
             let a = arrays(&net);
             let us = |s| {
                 let dev = Device::with_workers(props.clone(), 2);
-                GpuSolver::with_strategy(dev, s).solve_arrays(&a, &cfg).timing.total_us()
+                let r = GpuSolver::with_strategy(dev, s).solve_arrays(&a, &cfg);
+                r.timing.phases.backward_us / f64::from(r.iterations)
             };
             let (direct, segscan) = (us(BackwardStrategy::Direct), us(BackwardStrategy::SegScan));
             let cheaper = if direct < segscan { BackwardStrategy::Direct } else { BackwardStrategy::SegScan };

@@ -70,7 +70,8 @@
 //!
 //! A single solve's lone scenario may instead span a cooperative grid of
 //! co-resident blocks ([`sweep_grid`]): each level is strided over every
-//! thread of the grid, grid barriers separate the levels, and the
+//! thread of the grid, grid barriers separate the levels that span more
+//! than the first block from the levels beside them, and the
 //! residual folds across blocks before every block reads it back, so the
 //! launch still loops over the sweeps of a clean solve.
 //!
@@ -750,8 +751,8 @@ impl TensorBatchSolver {
 /// one per level and direction plus the residual fold. Over several
 /// blocks, block 0 also folds the blocks' partials (one load per 256 of
 /// them, a store, and every block's load of the result, in a second fold
-/// and a read phase), and `2 · levels` grid barriers separate the levels
-/// and the fold. The bandwidth term moves [`SWEEP_NODE_BYTES`] per node,
+/// and a read phase), and the sweep pays its [`sweep_grid_syncs`]. The
+/// bandwidth term moves [`SWEEP_NODE_BYTES`] per node,
 /// [`SWEEP_FORWARD_BYTES`] more per non-root node, and each child's
 /// current load spread at its parent's fan-out, as the level path's
 /// backward sweep is priced ([`LevelShape::scatter`]). The
@@ -775,16 +776,27 @@ pub(crate) fn sweep_bound_us(props: &DeviceProps, shape: &[LevelShape], grid: us
         }
     }
     let mut phases = 2 * nl + 2 + bdim.ilog2() as usize;
-    let mut barriers = 0;
     if grid > 1 {
         chain += grid.div_ceil(bdim) + 2;
         phases += 4 + bdim.ilog2() as usize;
-        barriers = 2 * nl;
     }
+    let barriers = sweep_grid_syncs(shape, grid);
     let latency = (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
         / props.cycles_per_us();
     let memory = bytes as f64 / props.mem_bytes_per_us();
     props.launch_overhead_us + latency.max(memory) + barriers as f64 * DeviceProps::GRID_SYNC_US
+}
+
+/// Grid barriers in one sweep of a lone scenario over `grid` blocks: none
+/// on one block; else two per pair of adjacent levels that
+/// [`grid_barrier`] separates (one in each direction) and two around
+/// block 0's fold of the blocks' residuals.
+fn sweep_grid_syncs(shape: &[LevelShape], grid: usize) -> usize {
+    if grid == 1 {
+        return 0;
+    }
+    let spanned = (1..shape.len()).filter(|&l| grid_barrier(|l| shape[l].width, l)).count();
+    2 * spanned + 2
 }
 
 /// Bytes a sweep moves per node besides its children's currents: base
@@ -957,10 +969,9 @@ fn host_min_v(v: &[Complex], root: usize, isolated: &[u32]) -> f64 {
 struct Topology {
     z: DeviceBuffer<Complex>,
     parent_pos: DeviceBuffer<u32>,
-    /// The child ranges' bounds: `child_offsets[..n]` and
-    /// `child_offsets[1..]` of the level order.
-    child_lo: DeviceBuffer<u32>,
-    child_hi: DeviceBuffer<u32>,
+    /// The level order's child offsets (`n + 1` words): the children of
+    /// position `p` are `child_offsets[p]..child_offsets[p + 1]`.
+    child_offsets: DeviceBuffer<u32>,
     /// Base loads in position space: the scaled-mode operand, and the
     /// stripe every [`Loads::Deltas`] scenario starts from.
     base_s: DeviceBuffer<Complex>,
@@ -982,8 +993,7 @@ impl Topology {
         let mut topo = Topology {
             z: dev.try_alloc(n)?,
             parent_pos: dev.try_alloc(n)?,
-            child_lo: dev.try_alloc(n)?,
-            child_hi: dev.try_alloc(n)?,
+            child_offsets: dev.try_alloc(n + 1)?,
             base_s: dev.try_alloc(n)?,
             dfs_pos: patches.map(|_| dev.try_alloc(n)).transpose()?,
         };
@@ -1000,12 +1010,10 @@ impl Topology {
         patches: Option<&'p PatchPlan>,
         extra: Vec<HtodPart<'p>>,
     ) -> Vec<HtodPart<'p>> {
-        let (off, n) = (&a.levels.child_offsets, a.len());
         let mut parts = vec![
             HtodPart::new(&mut self.z, &a.z),
             HtodPart::new(&mut self.parent_pos, &a.levels.parent_pos),
-            HtodPart::new(&mut self.child_lo, &off[..n]),
-            HtodPart::new(&mut self.child_hi, &off[1..]),
+            HtodPart::new(&mut self.child_offsets, &a.levels.child_offsets),
             HtodPart::new(&mut self.base_s, &a.s),
         ];
         if let (Some(buf), Some(plan)) = (&mut self.dfs_pos, patches) {
@@ -1325,8 +1333,7 @@ impl<'a> Resident<'a> {
             j: self.j.view_mut(),
             z: self.topo.z.view(),
             parent_pos: self.topo.parent_pos.view(),
-            child_lo: self.topo.child_lo.view(),
-            child_hi: self.topo.child_hi.view(),
+            child_offsets: self.topo.child_offsets.view(),
             mask: self.mask.view(),
             residuals: self.res.view_mut(),
             patch: patch_ref(&self.topo, &self.patch),
@@ -2407,20 +2414,21 @@ impl Kernel for WarmInitKernel<'_> {
 /// solve's grid route; a batch keeps one block per scenario group). Each
 /// level's nodes are then strided over all `grid · bdim` threads, node
 /// `k` going to global thread `k mod (grid · bdim)`, so a thread owns the
-/// same nodes in both directions; a grid barrier separates consecutive
-/// levels, each block folds its residual partials to one word of
-/// `partials`, block 0 folds those and publishes the residual, and after
-/// a last barrier every block reads it back, so the decision to run
-/// another sweep is the same in every block. On one block the block's
-/// own barriers order the levels and no grid barrier is issued.
+/// same nodes in both directions; a grid barrier separates two
+/// consecutive levels where either spans more than block 0
+/// ([`grid_barrier`]; block 0's own barriers order the rest), each block
+/// folds its residual partials to one word of `partials`, block 0 folds
+/// those and publishes the residual, and after a last barrier every block
+/// reads it back, so the decision to run another sweep is the same in
+/// every block. On one block the block's own barriers order the levels
+/// and no grid barrier is issued.
 struct SweepKernel<'a> {
     loads: LoadsRef<'a>,
     v: GlobalMut<'a, Complex>,
     j: GlobalMut<'a, Complex>,
     z: GlobalRef<'a, Complex>,
     parent_pos: GlobalRef<'a, u32>,
-    child_lo: GlobalRef<'a, u32>,
-    child_hi: GlobalRef<'a, u32>,
+    child_offsets: GlobalRef<'a, u32>,
     mask: GlobalRef<'a, u32>,
     residuals: GlobalMut<'a, f64>,
     /// Patched solves: per-scenario cut ranges and impedance overrides.
@@ -2453,8 +2461,9 @@ struct SweepKernel<'a> {
     /// its own).
     block_locals: &'a [Mutex<Vec<Complex>>],
     /// Tests: a grid barrier left out, to show the race checker the race
-    /// it guards against — the one after backward level `l` for `l` below
-    /// the level count, else the one after forward level `l − levels`.
+    /// it guards against, numbered as [`SweepKernel::level_barrier`]
+    /// numbers them; a barrier that is no grid barrier cannot be left
+    /// out.
     #[cfg(test)]
     drop_barrier_after: Option<usize>,
 }
@@ -2468,17 +2477,42 @@ fn owned(w: usize, bx: usize, grid: usize) -> usize {
     rest / stride * bdim + (rest % stride).min(bdim)
 }
 
+/// Whether a multi-block sweep needs a grid barrier between level `l`
+/// and its parent level `l − 1` (`width` gives each level's bus count).
+/// Node `k` of a level goes to block `(k / 256) mod grid`, so a level of
+/// at most 256 buses lies wholly in block 0: between two such levels
+/// block 0's own block barrier orders the phases, and the other blocks,
+/// which have no part in either, wait at the next grid barrier. The rule
+/// reads only the level widths, so every block reaches the same grid
+/// barriers. [`SweepKernel`] issues exactly these, and
+/// [`sweep_bound_us`] charges them.
+fn grid_barrier(width: impl Fn(usize) -> usize, l: usize) -> bool {
+    let bdim = TENSOR_BLOCK as usize;
+    width(l - 1) > bdim || width(l) > bdim
+}
+
 impl SweepKernel<'_> {
-    /// The grid barrier after level `l` of a multi-block grid.
-    async fn level_barrier(&self, blk: &mut BlockScope, l: usize) {
-        #[cfg(test)]
-        if self.drop_barrier_after == Some(l) {
+    /// Buses in level `l`.
+    fn width(&self, l: usize) -> usize {
+        (self.level_offsets[l + 1] - self.level_offsets[l]) as usize
+    }
+
+    /// Barrier `after` between level `l` and its parent level: the one
+    /// after backward level `after` for `after` below the level count,
+    /// else the one after forward level `after − levels` (forward level 0
+    /// being the end of the backward half). It is a grid barrier on a
+    /// multi-block grid where [`grid_barrier`] says so, and otherwise only
+    /// the block barrier that ends every phase.
+    async fn level_barrier(&self, blk: &mut BlockScope, after: usize, l: usize) {
+        if self.grid == 1 || !grid_barrier(|l| self.width(l), l) {
             return;
         }
-        let _ = l;
-        if self.grid > 1 {
-            blk.grid_sync().await;
+        #[cfg(test)]
+        if self.drop_barrier_after == Some(after) {
+            return;
         }
+        let _ = after;
+        blk.grid_sync().await;
     }
 }
 
@@ -2526,12 +2560,11 @@ impl CoopKernel for SweepKernel<'_> {
         // `slot_base[l] + m·bdim + t`, one bank of slots per resident
         // scenario.
         let nl = self.level_offsets.len() - 1;
-        let width = |l: usize| (self.level_offsets[l + 1] - self.level_offsets[l]) as usize;
         debug_assert_eq!(bdim, TENSOR_BLOCK as usize);
-        let owns: Vec<bool> = (0..nl).map(|l| owned(width(l), bx, self.grid) > 0).collect();
+        let owns: Vec<bool> = (0..nl).map(|l| owned(self.width(l), bx, self.grid) > 0).collect();
         let mut slot_base = vec![0usize; nl + 1];
         for l in 0..nl {
-            slot_base[l + 1] = slot_base[l] + owned(width(l), bx, self.grid);
+            slot_base[l + 1] = slot_base[l] + owned(self.width(l), bx, self.grid);
         }
         let bank = slot_base[nl];
         let held = self.block_locals.get(bx);
@@ -2552,8 +2585,11 @@ impl CoopKernel for SweepKernel<'_> {
             // it there) and kept in this thread's local slot for the forward
             // half, along with the pre-update voltage.
             for l in (0..nl).rev() {
+                if l + 1 < nl {
+                    // The level below wrote the children's currents.
+                    self.level_barrier(blk, l + 1, l + 1).await;
+                }
                 if !owns[l] {
-                    self.level_barrier(blk, l).await;
                     continue;
                 }
                 let off = self.level_offsets[l] as usize;
@@ -2569,8 +2605,8 @@ impl CoopKernel for SweepKernel<'_> {
                             LoadsRef::Scaled { base: bs, .. } => Some(t.ld(bs, p)),
                             LoadsRef::Explicit(_) => None,
                         };
-                        let lo = t.ld(&self.child_lo, p) as usize;
-                        let hi = t.ld(&self.child_hi, p) as usize;
+                        let lo = t.ld(&self.child_offsets, p) as usize;
+                        let hi = t.ld(&self.child_offsets, p + 1) as usize;
                         // Cut membership is two compares against the
                         // node's DFS position (one extra topology read,
                         // patched solves only).
@@ -2626,7 +2662,6 @@ impl CoopKernel for SweepKernel<'_> {
                         m += 1;
                     }
                 });
-                self.level_barrier(blk, l).await;
             }
 
             // Forward half, root→leaf: the ladder update reads the
@@ -2638,10 +2673,9 @@ impl CoopKernel for SweepKernel<'_> {
             let mut partial_min =
                 vec![f64::INFINITY; if self.min_v.is_some() { nm * bdim } else { 0 }];
             for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
-                if l > 1 {
-                    // The level before wrote the parents' voltages.
-                    self.level_barrier(blk, nl + l - 1).await;
-                }
+                // The level before wrote the parents' voltages (the root's
+                // flat start, on the first).
+                self.level_barrier(blk, nl + l - 1, l).await;
                 if !owns[l] {
                     continue;
                 }
@@ -3713,7 +3747,8 @@ mod tests {
     }
 
     /// A lone scenario's sweep over a cooperative grid runs race-free
-    /// under the race checker; leaving out the grid barrier between two
+    /// under the race checker, with grid barriers only beside the levels
+    /// that span more than block 0; leaving out one of those between two
     /// backward levels (or two forward ones) lets a block read a current
     /// (or a parent voltage) another block writes in the same grid phase,
     /// and the checker reports the race.
@@ -3740,10 +3775,14 @@ mod tests {
         // block 0 writes in backward level `nl − 1`, and a bus of block 2
         // reads a parent voltage block 1 writes in forward level `nl − 2`
         // (a read after the write it races; the blocks of a grid phase run
-        // in index order). Past backward level `nl − 2`, block 0 sums
-        // currents block 1 writes later in the same grid phase: a write
-        // after the read it races.
-        for drop in [nl - 1, nl - 2, 2 * nl - 2] {
+        // in index order). Level `nl − 3` holds 256 buses, all in block 0,
+        // so the barriers between it and level `nl − 2` are the first grid
+        // barriers from the root: past backward level `nl − 2`, block 0
+        // sums currents block 1 writes later in the same grid phase (a
+        // write after the read it races), and past forward level `nl − 3`,
+        // a bus of block 1 reads a parent voltage block 0 writes. Only a
+        // grid barrier can be left out, so each of these is one.
+        for drop in [nl - 1, nl - 2, 2 * nl - 2, 2 * nl - 3] {
             let payload = run(Some(drop)).expect_err("a dropped barrier races");
             let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("race") && msg.contains("block"), "barrier {drop}: {msg}");
@@ -4028,6 +4067,53 @@ mod tests {
         let ops = (count("<htod>"), count("tensor_sweep"), count("<dtoh>"));
         assert_eq!(ops, (1, 1, 2), "(H2D, kernels, D2H) of {} iterations", res.iterations);
         assert_eq!(gpu.device().timeline().breakdown().kernels, 1);
+    }
+
+    /// The grid barriers a sweep issues are the ones its price charges: on
+    /// trees whose levels span blocks at the leaves (binary, 5-ary, broom),
+    /// below the root (star), above a narrow tail (kite) or nowhere
+    /// (chain), over 2, 3, 7 and 160 blocks, a clean cold solve's one
+    /// launch synchronises the grid [`sweep_grid_syncs`] times per sweep.
+    /// Under the race checker the kite's tail also shows that a narrow
+    /// level needs a grid barrier below a wide one: its head's parent
+    /// sits in block 2.
+    #[test]
+    fn a_grid_sweep_issues_the_grid_barriers_its_price_charges() {
+        use powergrid::gen::{balanced_kary, broom, from_parent_fn};
+        let spec = GenSpec::default();
+        let rng = |seed| StdRng::seed_from_u64(seed);
+        let cfg = SolverConfig::default();
+        let trees = [
+            ("binary 1500", balanced_binary(1500, &spec, &mut rng(1))),
+            ("5-ary 2000", balanced_kary(2000, 5, &spec, &mut rng(2))),
+            ("broom 1200", broom(1200, 300, &spec, &mut rng(3))),
+            ("star 700", star(700, &spec, &mut rng(4))),
+            ("chain 300", chain(300, &spec, &mut rng(5))),
+            // 700 spokes, the last of which carries a 3-bus tail.
+            ("kite 704", from_parent_fn(704, &spec, &mut rng(6), |i| match i {
+                0 => None,
+                1..=700 => Some(0),
+                _ => Some(i - 1),
+            })),
+        ];
+        for (name, net) in &trees {
+            let a = SolverArrays::new(net);
+            let shape = crate::gpu::level_shape(&a);
+            for grid in [2, 3, 7, 160] {
+                let (mut dev, obs) = (device(), Obs::default());
+                let opened = Chunk::open(&mut dev, &a, None, cfg.max_iter, grid, obs.clone());
+                let r = crate::recovery::run_plain(opened, std::time::Instant::now(), &cfg, &obs);
+                assert_eq!(r.status, SolveStatus::Converged, "{name}, grid {grid}");
+                let syncs: Vec<u64> = (dev.timeline().events().iter())
+                    .filter_map(|e| match &e.kind {
+                        EventKind::Kernel { stats, .. } => Some(stats.grid_syncs),
+                        _ => None,
+                    })
+                    .collect();
+                let per_sweep = sweep_grid_syncs(&shape, grid) as u64;
+                assert_eq!(syncs, [u64::from(r.iterations) * per_sweep], "{name}, grid {grid}");
+            }
+        }
     }
 
     /// With a deadline set, each launch runs only as many sweeps as fit in
