@@ -276,19 +276,22 @@ pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route 
 
 /// The level path's cheaper backward strategy on a tree of this level
 /// table for phasor `V`, segmented scan or direct, with its modeled µs
-/// per backward sweep ([`backward_us`]). Direct is never dearer once per
-/// solve (it uploads two statics fewer, [`level_statics`]), so it is
-/// taken wherever it is no dearer per sweep; where the two cross, the
-/// per-sweep price decides.
+/// per backward sweep ([`backward_us`]). The scan uploads more statics
+/// once per solve ([`level_statics`]), so, as [`route`] weighs the fused
+/// path, it is taken only where it is no dearer at any iteration count:
+/// where its sweep undercuts direct's by more than those uploads' PCIe
+/// latencies, so that it is cheaper over one.
 fn level_backward<V: Phasor>(
     props: &DeviceProps,
     shape: &[LevelShape],
 ) -> (BackwardStrategy, f64) {
+    use BackwardStrategy::{Direct, SegScan};
     let (direct, segscan) = backward_us(props, shape, std::mem::size_of::<V>());
-    if direct < segscan {
-        (BackwardStrategy::Direct, direct)
+    let uploads = (level_statics(SegScan) - level_statics(Direct)) as f64 * props.pcie_latency_us;
+    if uploads + segscan < direct {
+        (SegScan, segscan)
     } else {
-        (BackwardStrategy::SegScan, segscan)
+        (Direct, direct)
     }
 }
 
@@ -563,6 +566,8 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         let parent_buf = dev.try_alloc_from(&a.levels.parent_pos)?;
         let child_lo_buf = dev.try_alloc_from(&off[..n])?;
         let child_hi_buf = dev.try_alloc_from(&off[1..])?;
+        // The scan's operands go up with the other statics, its output
+        // after the iterate's buffers (the op order a fault plan counts).
         let operands = if strategy == BackwardStrategy::SegScan {
             let (head_flags, seg_last) = segments(&a.levels);
             let flags_buf = dev.try_alloc_from(&head_flags)?;
@@ -584,13 +589,12 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
         let j_buf = dev.try_alloc::<V>(n)?;
         let mut delta_buf = dev.try_alloc::<f64>(n)?;
         try_fill(dev, &mut delta_buf, 0.0)?;
-        let segscan = match operands {
-            Some((head_flags, seg_last, flags_buf, seg_last_buf)) => {
+        let segscan = operands
+            .map(|(head_flags, seg_last, flags_buf, seg_last_buf)| {
                 let scan_buf = dev.try_alloc::<V>(n)?;
-                Some(SegScanState { head_flags, seg_last, flags_buf, seg_last_buf, scan_buf })
-            }
-            None => None,
-        };
+                Ok::<_, DeviceError>(SegScanState { head_flags, seg_last, flags_buf, seg_last_buf, scan_buf })
+            })
+            .transpose()?;
         let b = dev.timeline().breakdown_since(mark);
         let clock = SessionClock::new(b.total_us(), b.transfer_us(), obs);
 
@@ -630,6 +634,7 @@ impl<'a, V: Phasor> GpuSession<'a, V> {
             parts.push(HtodPart::new(&mut seg.flags_buf, &seg.head_flags));
             parts.push(HtodPart::new(&mut seg.seg_last_buf, &seg.seg_last));
         }
+        debug_assert_eq!(parts.len(), level_statics(self.strategy), "the route prices every static");
         (&mut *self.dev, parts)
     }
 }
@@ -1199,11 +1204,7 @@ mod route_tests {
 
     /// Each bus is priced at its own fan-out: on the partly filled last
     /// levels of the 64-ary trees of 16 000 and 65 536 buses the level
-    /// path's strategy is the one whose measured backward sweep is cheaper
-    /// (direct 63.3 against the scan's 69.8 µs per sweep, and the scan's
-    /// 88.6 against direct's 91.8), which the widest-fan-out stand-in had
-    /// the wrong way round. Per sweep, since a direct solve also uploads
-    /// two statics fewer.
+    /// path's strategy is the cheaper measured one.
     #[test]
     fn the_level_strategy_of_the_64_ary_trees_is_the_cheaper_measured_one() {
         let (spec, props, cfg) = (GenSpec::default(), DeviceProps::paper_rig(), SolverConfig::default());
@@ -1212,8 +1213,7 @@ mod route_tests {
             let a = arrays(&net);
             let us = |s| {
                 let dev = Device::with_workers(props.clone(), 2);
-                let r = GpuSolver::with_strategy(dev, s).solve_arrays(&a, &cfg);
-                r.timing.phases.backward_us / f64::from(r.iterations)
+                GpuSolver::with_strategy(dev, s).solve_arrays(&a, &cfg).timing.total_us()
             };
             let (direct, segscan) = (us(BackwardStrategy::Direct), us(BackwardStrategy::SegScan));
             let cheaper = if direct < segscan { BackwardStrategy::Direct } else { BackwardStrategy::SegScan };

@@ -2461,9 +2461,10 @@ struct SweepKernel<'a> {
     /// its own).
     block_locals: &'a [Mutex<Vec<Complex>>],
     /// Tests: a grid barrier left out, to show the race checker the race
-    /// it guards against, numbered as [`SweepKernel::level_barrier`]
-    /// numbers them; a barrier that is no grid barrier cannot be left
-    /// out.
+    /// it guards against, numbered in sweep order: `l` after backward
+    /// level `l`, and `levels + l` after forward level `l` (forward level
+    /// 0 being the end of the backward half). A barrier that is no grid
+    /// barrier cannot be left out.
     #[cfg(test)]
     drop_barrier_after: Option<usize>,
 }
@@ -2497,21 +2498,20 @@ impl SweepKernel<'_> {
         (self.level_offsets[l + 1] - self.level_offsets[l]) as usize
     }
 
-    /// Barrier `after` between level `l` and its parent level: the one
-    /// after backward level `after` for `after` below the level count,
-    /// else the one after forward level `after − levels` (forward level 0
-    /// being the end of the backward half). It is a grid barrier on a
-    /// multi-block grid where [`grid_barrier`] says so, and otherwise only
-    /// the block barrier that ends every phase.
-    async fn level_barrier(&self, blk: &mut BlockScope, after: usize, l: usize) {
+    /// The barrier between level `l` and its parent level in the
+    /// backward half (after level `l`) or the forward one (after level
+    /// `l − 1`). It is a grid barrier on a multi-block grid where
+    /// [`grid_barrier`] says so, and otherwise only the block barrier that
+    /// ends every phase.
+    async fn level_barrier(&self, blk: &mut BlockScope, l: usize, forward: bool) {
         if self.grid == 1 || !grid_barrier(|l| self.width(l), l) {
             return;
         }
         #[cfg(test)]
-        if self.drop_barrier_after == Some(after) {
+        if self.drop_barrier_after == Some(if forward { self.level_offsets.len() + l - 2 } else { l }) {
             return;
         }
-        let _ = after;
+        let _ = forward;
         blk.grid_sync().await;
     }
 }
@@ -2587,7 +2587,7 @@ impl CoopKernel for SweepKernel<'_> {
             for l in (0..nl).rev() {
                 if l + 1 < nl {
                     // The level below wrote the children's currents.
-                    self.level_barrier(blk, l + 1, l + 1).await;
+                    self.level_barrier(blk, l + 1, false).await;
                 }
                 if !owns[l] {
                     continue;
@@ -2675,7 +2675,7 @@ impl CoopKernel for SweepKernel<'_> {
             for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
                 // The level before wrote the parents' voltages (the root's
                 // flat start, on the first).
-                self.level_barrier(blk, nl + l - 1, l).await;
+                self.level_barrier(blk, l, true).await;
                 if !owns[l] {
                     continue;
                 }
