@@ -637,6 +637,23 @@ fn meshed_dg_feeder_solves_on_every_backend() {
     let _ = fs::remove_file(&path);
 }
 
+/// A supervised meshed solve whose faults all land before its last outer
+/// round reports `recovered` with the whole loop's faults, not the last
+/// round's clean `converged`.
+#[test]
+fn a_dg_solve_with_faults_in_earlier_rounds_reports_recovered() {
+    let path = tmp("ieee123-dg-recovered.grid");
+    let path_s = path.to_str().unwrap();
+    run(&["feeders", "--name", "ieee123-dg", "--out", path_s]).expect("feeders must succeed");
+    let faults = ["--fault-seed", "11", "--fault-rate", "0.02", "--timings", "false"];
+    let (code, stdout) = fbs("solve", &[&[path_s, "--solver", "gpu"][..], &faults].concat());
+    assert_eq!(code, Some(0), "{stdout}");
+    let line = |key: &str| stdout.lines().find(|l| l.starts_with(key)).unwrap_or_default();
+    assert!(line("recovery:").contains("3 faults, 2 rollbacks, 2 retries"), "{stdout}");
+    assert!(line("status:").contains("recovered (3 faults, 2 retries)"), "{stdout}");
+    let _ = fs::remove_file(&path);
+}
+
 /// Three generators behind one high-reactance trunk over-correct
 /// collectively (each applies the full shared-trunk correction), so the
 /// PV mismatch grows until the outer loop declares divergence: the

@@ -46,8 +46,9 @@
 //! (a one-lane `tensor_batch::Chunk`: one launch that loops over the
 //! fused sweeps, the same iterates) — on one block for small and deep
 //! trees, and on large binary and k-ary trees across a cooperative grid
-//! of co-resident blocks, with a grid barrier between two levels where
-//! either is wider than one block — else to
+//! of co-resident blocks, each owning whole subtrees below one cut level
+//! so that grid barriers remain only at the cut and near the root — else
+//! to
 //! the level path above with the segmented scan on star-like trees.
 //! Either session runs the
 //! same loop, `recovery::drive`, and the supervisor's
@@ -236,9 +237,9 @@ impl GpuSolver {
 /// any iteration count: no dearer per iteration, and cheaper over one.
 ///
 /// * **Fused.** An iteration is one sweep inside the solve's one launch,
-///   over the block count [`tensor_batch::sweep_grid`] prices cheaper —
-///   one block, or the co-resident grid with its grid barriers:
-///   [`tensor_batch::sweep_bound_us`] less the launch overhead, an upper
+///   over the blocks [`tensor_batch::sweep_plan`] prices cheaper — one
+///   block, or the co-resident grid cut where its grid barriers cost
+///   least: [`tensor_batch::sweep_bound_us`] less the launch overhead, an upper
 ///   bound, with no launch and no read-back of its own. Once per solve it
 ///   pays that launch and three PCIe transactions: one packed upload (a
 ///   warm start rides in it), one residual read-back and one packed V/J
@@ -259,8 +260,8 @@ impl GpuSolver {
 pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route {
     let shape = level_shape(a);
     let (strategy, backward) = level_backward::<Complex>(props, &shape);
-    let grid = tensor_batch::sweep_grid(props, &shape);
-    let fused = tensor_batch::sweep_bound_us(props, &shape, grid) - props.launch_overhead_us;
+    let spread = tensor_batch::sweep_plan(props, &a.levels, &shape);
+    let fused = tensor_batch::sweep_bound_us(props, &shape, &spread) - props.launch_overhead_us;
     let level = level_iteration_us(props, &shape, backward);
     let pcie = |transfers: usize| transfers as f64 * props.pcie_latency_us;
     let warm = usize::from(warm);
@@ -268,7 +269,7 @@ pub(crate) fn route(props: &DeviceProps, a: &SolverArrays, warm: bool) -> Route 
     let level_once = pcie(level_statics(strategy) + 2 + warm)
         + (2 - warm) as f64 * launch_us(props, 1, 1.0, 1, 0);
     if fused <= level && fused_once + fused < level_once + level {
-        Route::Fused { grid }
+        Route::Fused { grid: spread.grid }
     } else {
         Route::Level(strategy)
     }
@@ -317,7 +318,7 @@ pub(crate) enum Route {
     /// `tensor_sweep` launch looping over the iterations of a clean solve
     /// (one per iteration under an armed fault plan), its levels spread
     /// over `grid` blocks — a cooperative launch when `grid > 1`
-    /// ([`tensor_batch::sweep_grid`]).
+    /// ([`tensor_batch::sweep_plan`]).
     Fused {
         /// Blocks each sweep spans.
         grid: usize,
@@ -1142,12 +1143,14 @@ mod route_tests {
 
     /// The fused sweep spread over a grid returns the pinned direct level
     /// path's V, J, iterations, status and residual history bit for bit,
-    /// on every radial family, cold and warm, at a few grid sizes; and the
+    /// on every radial family and on 4-ary and 32-ary trees whose last
+    /// level is partial (so their blocks' subtrees below a cut differ in
+    /// size), cold and warm, at a few grid sizes; and the
     /// routed solves of trees that take the grid do too: a binary tree,
     /// and a broom, whose handle's levels all sit in block 0.
     #[test]
     fn the_grid_route_matches_the_pinned_direct_path_bit_for_bit() {
-        use powergrid::gen::{broom, random_tree};
+        use powergrid::gen::{balanced_kary, broom, random_tree};
         let spec = GenSpec::default();
         let rng = |seed| StdRng::seed_from_u64(seed);
         let cfg = SolverConfig::default();
@@ -1166,6 +1169,8 @@ mod route_tests {
             ("5-ary 2000", balanced_kary(2000, 5, &spec, &mut rng(4))),
             ("random 1800", random_tree(1800, 16, &spec, &mut rng(5))),
             ("broom 1200", broom(1200, 300, &spec, &mut rng(6))),
+            ("4-ary 3000", balanced_kary(3000, 4, &spec, &mut rng(8))),
+            ("32-ary 3000", balanced_kary(3000, 32, &spec, &mut rng(9))),
         ];
         for (name, net) in &trees {
             let a = arrays(net);
@@ -1297,7 +1302,7 @@ mod route_tests {
         let dev = || Device::with_workers(DeviceProps::paper_rig(), 2);
         let routed = GpuSolver::new(dev()).solve_arrays(&a, &cfg).timing.total_us();
         let (mut fused_dev, obs) = (dev(), Obs::default());
-        let grid = tensor_batch::sweep_grid(fused_dev.props(), &level_shape(&a));
+        let grid = tensor_batch::sweep_plan(fused_dev.props(), &a.levels, &level_shape(&a)).grid;
         let opened = Chunk::open(&mut fused_dev, &a, None, cfg.max_iter, grid, obs.clone());
         let fused = recovery::run_plain(opened, Instant::now(), &cfg, &obs).timing.total_us();
         let strategies =

@@ -46,6 +46,7 @@ use crate::config::SolverConfig;
 use crate::engine::SweepBackend;
 use crate::obs::Obs;
 use crate::phasor::Phasor;
+use crate::recovery::upgraded;
 use crate::report::{FaultReport, SolveResult, Timing};
 use crate::serial::SerialSolver;
 use crate::status::SolveStatus;
@@ -203,7 +204,9 @@ pub struct MeshResult<V: Phasor = Complex> {
     /// the outer loop). Its own `status` is the last inner outcome.
     pub inner: SolveResult<V>,
     /// Overall status: the inner status when the outer loop settled
-    /// (or never engaged), [`SolveStatus::OuterDiverged`] on outer
+    /// (or never engaged) — recovered, with every round's faults and
+    /// retries, if any round absorbed a fault —
+    /// [`SolveStatus::OuterDiverged`] on outer
     /// divergence or limit-cycling, [`SolveStatus::MaxIterations`] on
     /// outer-cap exhaustion.
     pub status: SolveStatus,
@@ -695,6 +698,14 @@ pub fn solve_dg<V: Phasor, E>(
     }
 
     let (status, outer_status) = outcome;
+    // A settled loop that absorbed faults in any round, not only its
+    // last, is recovered, with the faults and retries of every round.
+    let status = match (&faults, status) {
+        (Some(fr), SolveStatus::Converged | SolveStatus::Recovered { .. }) => {
+            upgraded(SolveStatus::Converged, fr)
+        }
+        _ => status,
+    };
     let mut res = last.expect("max_outer >= 1 guarantees at least one inner solve");
     res.timing = total;
     res.iterations = total_inner_iters;

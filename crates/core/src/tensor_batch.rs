@@ -69,11 +69,12 @@
 //! precedes a solve.
 //!
 //! A single solve's lone scenario may instead span a cooperative grid of
-//! co-resident blocks ([`sweep_grid`]): each level is strided over every
-//! thread of the grid, grid barriers separate the levels that span more
-//! than the first block from the levels beside them, and the
-//! residual folds across blocks before every block reads it back, so the
-//! launch still loops over the sweeps of a clean solve.
+//! co-resident blocks ([`sweep_plan`]): below one cut level each block
+//! owns whole subtrees, which its own barriers order; above it each level
+//! is strided over every thread of the grid, and grid barriers separate
+//! the levels that span more than the first block from the levels beside
+//! them. Behind one grid barrier every block folds the blocks' residuals
+//! itself, so the launch still loops over the sweeps of a clean solve.
 //!
 //! # Scale
 //!
@@ -123,13 +124,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use numc::Complex;
-use powergrid::DfsOrder;
+use powergrid::{DfsOrder, LevelOrder};
 use primitives::ops::{MaxAbsF64, ScanOp};
 use primitives::try_fill;
 use simt::{
     BlockScope, CoopKernel, Device, DeviceBuffer, DeviceCopy, DeviceError, DeviceProps, DtohPart,
     GlobalMut, GlobalRef, HostProps, HtodPart, Kernel, LaunchConfig, Shared, Stream, StreamEvent,
-    ThreadCtx,
+    ThreadCtx, TRANSACTION_BYTES,
 };
 use telemetry::Recorder;
 
@@ -620,7 +621,8 @@ impl TensorBatchSolver {
                     let res = loop {
                         let faults = dev.fault_log().len();
                         let (held, r) = ((&mut topo, &mut next), range.clone());
-                        let built = Resident::build(dev, a, held, &loads, plan, r, warm, &[], 1, 1, t);
+                        let one = SweepPlan::ONE_BLOCK;
+                        let built = Resident::build(dev, a, held, &loads, plan, r, warm, &[], 1, one, t);
                         // A chunk that does not fit beside the previous
                         // one's read-back waits for it to finish: memory
                         // pressure is not a fault.
@@ -734,69 +736,95 @@ impl TensorBatchSolver {
 }
 
 /// Modeled µs of one launch running a single sweep of a lone scenario
-/// over `grid` blocks — an upper bound on each sweep of a longer launch,
-/// which pays the launch once.
+/// under `plan` — an upper bound on each sweep of a longer launch, which
+/// pays the launch once.
 ///
 /// The sweep's time is the `simt` roofline: the larger of its latency
 /// term and its bandwidth term, plus its grid barriers. The latency term
 /// is `(chain · mem_latency + phases · barrier)` cycles, where the chain
 /// counts the dependent global accesses of the busiest thread phase by
 /// phase, exactly as [`SweepKernel`] issues them: two to read the
-/// scenario words; per backward level, `5 + fan-out` for each node a
-/// thread owns (base load, child range, voltage, current store, one load
-/// per child), with the fan-out bounded by the level's widest node and by
-/// the width of the next level; per forward level, 4 per node (parent,
-/// impedance, parent voltage, voltage store); and the residual store. A
-/// thread owns `⌈width / (grid · 256)⌉` nodes of a level. The phases are
-/// one per level and direction plus the residual fold. Over several
-/// blocks, block 0 also folds the blocks' partials (one load per 256 of
-/// them, a store, and every block's load of the result, in a second fold
-/// and a read phase), and the sweep pays its [`sweep_grid_syncs`]. The
+/// scenario words, or, below a cut, the walk of the block's range edges
+/// from the cut to the leaves if that is longer (one load per level);
+/// per backward level, `5 + fan-out` for each node a thread owns (base
+/// load, child range, voltage, current store, one load per child), with
+/// the fan-out bounded by the level's widest node and by the width of the
+/// owner's share of the next level; per forward level, 4 per node
+/// (parent, impedance, parent voltage, voltage store); and the residual
+/// store. A thread owns `⌈width / (grid · 256)⌉` nodes of a level above
+/// the cut and `⌈range / 256⌉` of its block's range below it; the levels
+/// below the cut run between no grid barrier, so each direction charges
+/// its busiest block's sum over them. The phases are one per level and
+/// direction plus the residual fold. Over several blocks, every block also
+/// folds the blocks' partials (one load per 256 of them) and block 0
+/// stores the result, and the sweep pays its [`sweep_grid_syncs`]. The
 /// bandwidth term moves [`SWEEP_NODE_BYTES`] per node,
 /// [`SWEEP_FORWARD_BYTES`] more per non-root node, and each child's
 /// current load spread at its parent's fan-out, as the level path's
-/// backward sweep is priced ([`LevelShape::scatter`]). The
-/// scenario words are read once per launch and a flat first sweep reads
-/// no voltage, so each sweep of a longer launch costs no more than this.
-pub(crate) fn sweep_bound_us(props: &DeviceProps, shape: &[LevelShape], grid: usize) -> f64 {
+/// backward sweep is priced ([`LevelShape::scatter`]), plus every block's
+/// read of the partials and a transaction per edge load of the walk.
+/// The scenario words and the walk are read once per launch and a flat
+/// first sweep reads no voltage (nor does any later sweep of a launch),
+/// so each sweep of a longer launch costs no more than this.
+pub(crate) fn sweep_bound_us(props: &DeviceProps, shape: &[LevelShape], plan: &SweepPlan) -> f64 {
     const C: usize = std::mem::size_of::<Complex>();
     let bdim = TENSOR_BLOCK as usize;
-    let nl = shape.len();
-    let mut chain = 2 + 1;
-    let mut bytes = 0;
+    let grid = plan.grid;
+    // A thread's dependent accesses over `nodes` buses of level `l` whose
+    // children, as far as its block owns them, number `below`: backward
+    // and forward.
+    let cost = |l: usize, nodes: usize, below: usize| {
+        let backward = 5 * nodes + (nodes * shape[l].fan_out).min(below);
+        (backward, if l > 0 { 4 * nodes } else { 0 })
+    };
+    let mut chain = 0;
+    for l in 0..plan.cut.min(shape.len()) {
+        let below = shape.get(l + 1).map_or(0, |next| next.width);
+        let (backward, forward) = cost(l, shape[l].width.div_ceil(grid * bdim), below);
+        chain += backward + forward;
+    }
+    let (mut backward, mut forward) = (0, 0);
+    for b in 0..grid {
+        let range = |i: usize| plan.edges.get(i).map_or(0, |e| (e[b + 1] - e[b]) as usize);
+        let (mut bw, mut fw) = (0, 0);
+        for i in 0..plan.edges.len() {
+            let (back, fore) = cost(plan.cut + i, range(i).div_ceil(bdim), range(i + 1));
+            (bw, fw) = (bw + back, fw + fore);
+        }
+        (backward, forward) = (backward.max(bw), forward.max(fw));
+    }
+    let walk = plan.edges.len().saturating_sub(1);
+    chain += backward + forward + 2.max(walk) + 1;
+    let mut bytes = 2 * walk * grid * TRANSACTION_BYTES as usize;
     for (l, level) in shape.iter().enumerate() {
-        let (width, fan_out) = (level.width, level.fan_out);
-        let per_thread = width.div_ceil(grid * bdim);
-        let next_width = shape.get(l + 1).map_or(0, |next| next.width);
-        chain += 5 * per_thread + (per_thread * fan_out).min(next_width);
-        bytes += SWEEP_NODE_BYTES * width + C * level.scatter;
+        bytes += SWEEP_NODE_BYTES * level.width + C * level.scatter;
         if l > 0 {
-            chain += 4 * per_thread;
-            bytes += SWEEP_FORWARD_BYTES * width;
+            bytes += SWEEP_FORWARD_BYTES * level.width;
         }
     }
-    let mut phases = 2 * nl + 2 + bdim.ilog2() as usize;
+    let mut phases = 2 * shape.len() + 2 + bdim.ilog2() as usize;
     if grid > 1 {
-        chain += grid.div_ceil(bdim) + 2;
-        phases += 4 + bdim.ilog2() as usize;
+        chain += grid.div_ceil(bdim) + 1;
+        phases += 3 + bdim.ilog2() as usize;
+        bytes += grid * grid * std::mem::size_of::<f64>();
     }
-    let barriers = sweep_grid_syncs(shape, grid);
+    let barriers = sweep_grid_syncs(shape, plan);
     let latency = (chain as f64 * props.mem_latency_cycles + phases as f64 * props.barrier_cycles)
         / props.cycles_per_us();
     let memory = bytes as f64 / props.mem_bytes_per_us();
     props.launch_overhead_us + latency.max(memory) + barriers as f64 * DeviceProps::GRID_SYNC_US
 }
 
-/// Grid barriers in one sweep of a lone scenario over `grid` blocks: none
-/// on one block; else two per pair of adjacent levels that
-/// [`grid_barrier`] separates (one in each direction) and two around
-/// block 0's fold of the blocks' residuals.
-fn sweep_grid_syncs(shape: &[LevelShape], grid: usize) -> usize {
-    if grid == 1 {
+/// Grid barriers in one sweep of a lone scenario under `plan`: none on
+/// one block; else two per pair of adjacent levels that [`grid_barrier`]
+/// separates (one in each direction) and one before every block folds
+/// the blocks' residuals.
+fn sweep_grid_syncs(shape: &[LevelShape], plan: &SweepPlan) -> usize {
+    if plan.grid == 1 {
         return 0;
     }
-    let spanned = (1..shape.len()).filter(|&l| grid_barrier(|l| shape[l].width, l)).count();
-    2 * spanned + 2
+    let width = |l: usize| shape[l].width;
+    2 * (1..shape.len()).filter(|&l| grid_barrier(width, plan.cut, l)).count() + 1
 }
 
 /// Bytes a sweep moves per node besides its children's currents: base
@@ -807,19 +835,135 @@ const SWEEP_NODE_BYTES: usize = 3 * std::mem::size_of::<Complex>() + 2 * std::me
 /// impedance, parent voltage and voltage store.
 const SWEEP_FORWARD_BYTES: usize = 4 + 3 * std::mem::size_of::<Complex>();
 
-/// The blocks a lone scenario's sweep spans: one, or as many as a
-/// cooperative launch of [`SweepKernel`] holds resident, whichever
-/// [`sweep_bound_us`] prices lower. Past one block the price only falls
-/// as blocks are added — each thread's share of a level shrinks while
-/// the barriers and the cross-block fold cost the same — so no count in
-/// between is cheaper than the resident limit.
-pub(crate) fn sweep_grid(props: &DeviceProps, shape: &[LevelShape]) -> usize {
+/// Who owns which buses of a lone scenario's sweep over `grid` blocks
+/// ([`SweepKernel`]). Levels above the cut are strided over the grid, bus
+/// `k` of a level going to block `(k / 256) mod grid`. The cut level is
+/// split into `grid` contiguous ranges, and block `b` owns the `b`-th
+/// and, at every deeper level, the range of its descendants, which is
+/// contiguous in level order (`child_offsets[s]..child_offsets[e]` below
+/// `s..e`): no other block touches a bus of it, so between two levels
+/// below the cut the block's own barrier orders the phases. Without a
+/// cut every level is strided. The kernel is
+/// given only the cut level's `grid + 1` split points and walks the
+/// deeper edges down `child_offsets` itself; the host derives the same
+/// edges to price the plan and size each block's locals.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct SweepPlan {
+    /// Blocks the sweep spans.
+    pub grid: usize,
+    /// The cut level, or `usize::MAX` for no cut.
+    cut: usize,
+    /// Per level from the cut down, its `grid + 1` range edges
+    /// (positions): block `b` owns `edges[i][b]..edges[i][b + 1]` of
+    /// level `cut + i`.
+    edges: Vec<Vec<u32>>,
+}
+
+impl SweepPlan {
+    /// One block, which owns every level: a batch chunk's sweep.
+    pub(crate) const ONE_BLOCK: SweepPlan = SweepPlan::uncut(1);
+
+    /// Every level strided over `grid` blocks.
+    const fn uncut(grid: usize) -> Self {
+        SweepPlan { grid, cut: usize::MAX, edges: Vec::new() }
+    }
+
+    /// The plan over `grid` blocks that [`sweep_bound_us`] prices lowest:
+    /// no cut, or a cut at a level at least `grid` wide split so that the
+    /// blocks' subtrees hold about as many buses each. No cut is a
+    /// candidate, so the plan never prices above it; one block cuts
+    /// nothing.
+    pub(crate) fn new(
+        props: &DeviceProps,
+        levels: &LevelOrder,
+        shape: &[LevelShape],
+        grid: usize,
+    ) -> Self {
+        let mut best = Self::uncut(grid);
+        let cuts: Vec<usize> =
+            (0..shape.len()).filter(|&l| grid > 1 && shape[l].width >= grid).collect();
+        if cuts.is_empty() {
+            return best;
+        }
+        let sizes = subtree_sizes(levels);
+        let mut best_us = sweep_bound_us(props, shape, &best);
+        for cut in cuts {
+            let plan = Self::cut_at(levels, &sizes, cut, grid);
+            let us = sweep_bound_us(props, shape, &plan);
+            if us < best_us {
+                (best, best_us) = (plan, us);
+            }
+        }
+        best
+    }
+
+    /// The plan cut at level `cut`, each block's range starting at the
+    /// first bus past its share of the level's subtree sizes (`sizes`).
+    fn cut_at(levels: &LevelOrder, sizes: &[u64], cut: usize, grid: usize) -> Self {
+        let (lo, hi) = (levels.level_offsets[cut] as usize, levels.level_offsets[cut + 1] as usize);
+        let mut before = vec![0u64];
+        before.extend(sizes[lo..hi].iter().scan(0, |sum, &s| {
+            *sum += s;
+            Some(*sum)
+        }));
+        let (total, grid64) = (before[hi - lo], grid as u64);
+        let split = |b: u64| (lo + before.partition_point(|&s| s * grid64 < b * total)) as u32;
+        let mut edges = vec![(0..=grid64).map(split).collect::<Vec<u32>>()];
+        for _ in cut + 1..levels.level_offsets.len() - 1 {
+            let below = edges[edges.len() - 1].iter().map(|&p| levels.child_offsets[p as usize]);
+            edges.push(below.collect());
+        }
+        SweepPlan { grid, cut, edges }
+    }
+
+    /// The cut level's split points, the kernel's launch argument (none
+    /// without a cut).
+    fn splits(&self) -> &[u32] {
+        self.edges.first().map_or(&[], |e| e)
+    }
+
+    /// Buses block `b` owns over every level.
+    fn owned(&self, level_offsets: &[u32], b: usize) -> usize {
+        let nl = level_offsets.len() - 1;
+        let strided =
+            (0..self.cut.min(nl)).map(|l| Share::strided(level_offsets, l, b, self.grid).len());
+        let whole = self.edges.iter().map(|e| Share::whole(e[b] as usize, e[b + 1] as usize).len());
+        strided.chain(whole).sum()
+    }
+}
+
+/// Buses in each bus's subtree, by level-order position.
+fn subtree_sizes(levels: &LevelOrder) -> Vec<u64> {
+    let mut sizes = vec![1u64; levels.order.len()];
+    for p in (0..sizes.len()).rev() {
+        let below: u64 = levels.children(p).map(|c| sizes[c]).sum();
+        sizes[p] += below;
+    }
+    sizes
+}
+
+/// The plan of a lone scenario's sweep: over one block, or over as many
+/// as a cooperative launch of [`SweepKernel`] holds resident, cut as
+/// [`SweepPlan::new`] prices cheapest, whichever [`sweep_bound_us`]
+/// prices lower. Past one block each thread's share of a level shrinks as
+/// blocks are added while the barriers cost the same, so only the
+/// resident limit is priced.
+pub(crate) fn sweep_plan(
+    props: &DeviceProps,
+    levels: &LevelOrder,
+    shape: &[LevelShape],
+) -> SweepPlan {
     let shared = TENSOR_BLOCK * std::mem::size_of::<f64>() as u32;
     let most = props.cooperative_blocks(TENSOR_BLOCK, shared) as usize;
-    if most > 1 && sweep_bound_us(props, shape, most) < sweep_bound_us(props, shape, 1) {
-        most
+    let one = SweepPlan::ONE_BLOCK;
+    if most <= 1 {
+        return one;
+    }
+    let spread = SweepPlan::new(props, levels, shape, most);
+    if sweep_bound_us(props, shape, &spread) < sweep_bound_us(props, shape, &one) {
+        spread
     } else {
-        1
+        one
     }
 }
 
@@ -1159,9 +1303,10 @@ struct Resident<'a> {
     start: Option<Vec<Complex>>,
     /// The device's fault count when the state was last known clean.
     faults_base: usize,
-    /// Blocks a lone scenario's sweep spans: more than 1 makes each sweep
-    /// launch cooperative, with one residual partial per block.
-    grid: usize,
+    /// How a lone scenario's sweep spreads over blocks: more than 1 makes
+    /// each sweep launch cooperative, with two residual partials per
+    /// block (one per sweep parity).
+    spread: SweepPlan,
     partials: Option<DeviceBuffer<f64>>,
     /// A grid's per-block local slots (current and old voltage of each
     /// bus the block owns), allocated here on the host thread that builds
@@ -1181,7 +1326,8 @@ impl<'a> Resident<'a> {
     /// build that ran out of memory can be retried without uploading it
     /// again. The residual buffer holds `max_sweeps` slots per scenario,
     /// one per sweep a launch may run; a lone scenario spread over a grid
-    /// of `grid` blocks also gets one partial word per block. Setup time.
+    /// of blocks (`spread`) also gets two partial words per block. Setup
+    /// time.
     #[allow(clippy::too_many_arguments)]
     fn build(
         dev: &mut Device,
@@ -1193,7 +1339,7 @@ impl<'a> Resident<'a> {
         warm: Option<&[Complex]>,
         probes: &[usize],
         max_sweeps: usize,
-        grid: usize,
+        spread: SweepPlan,
         t: &mut Timing,
     ) -> Result<Self, DeviceError> {
         let (n, nb) = (a.len(), range.len());
@@ -1246,10 +1392,10 @@ impl<'a> Resident<'a> {
             // Every sweep writes the slot of each scenario it runs, and
             // only those slots are read.
             let res = dev.try_alloc::<f64>(nb * max_sweeps)?;
+            let grid = spread.grid;
             debug_assert!(grid == 1 || (nb == 1 && plan.is_none()), "a grid holds one plain scenario");
-            let partials = (grid > 1).then(|| dev.try_alloc::<f64>(grid)).transpose()?;
-            let widths = a.levels.level_offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
-            let owned_by = |b| widths.clone().map(|w| owned(w, b, grid)).sum::<usize>();
+            let partials = (grid > 1).then(|| dev.try_alloc::<f64>(2 * grid)).transpose()?;
+            let owned_by = |b| spread.owned(&a.levels.level_offsets, b);
             let block_locals = match grid {
                 1 => Vec::new(),
                 _ => (0..grid).map(|b| Mutex::new(vec![Complex::ZERO; 2 * owned_by(b)])).collect(),
@@ -1286,7 +1432,7 @@ impl<'a> Resident<'a> {
                 probes,
                 start: None,
                 faults_base,
-                grid,
+                spread,
                 partials,
                 block_locals,
             })
@@ -1306,7 +1452,7 @@ impl<'a> Resident<'a> {
         sweeps: usize,
         go_on: SureContinue,
     ) -> Result<(), DeviceError> {
-        let (grid, cfg) = (self.grid, self.launch_config());
+        let (grid, cfg) = (self.spread.grid, self.launch_config());
         let kernel = self.kernel(sweeps, go_on);
         match grid {
             1 => dev.try_launch(cfg, &kernel)?,
@@ -1320,7 +1466,7 @@ impl<'a> Resident<'a> {
     /// [`SCENARIOS_PER_BLOCK`] scenarios.
     fn launch_config(&self) -> LaunchConfig {
         let groups = self.range.len().div_ceil(SCENARIOS_PER_BLOCK) as u32;
-        LaunchConfig::grid2d(self.grid as u32, groups, TENSOR_BLOCK)
+        LaunchConfig::grid2d(self.spread.grid as u32, groups, TENSOR_BLOCK)
     }
 
     /// The sweep kernel over this chunk's buffers.
@@ -1344,7 +1490,9 @@ impl<'a> Resident<'a> {
             flat: self.flat.then_some(self.a.source),
             sweeps,
             go_on,
-            grid: self.grid,
+            grid: self.spread.grid,
+            cut: self.spread.cut,
+            splits: self.spread.splits(),
             partials: self.partials.as_mut().map(|b| b.view_mut()),
             block_locals: &self.block_locals,
             #[cfg(test)]
@@ -1683,7 +1831,7 @@ impl<'d, 'a> Chunk<'d, 'a> {
     /// one packed upload, an iterate seeded from `v_init` (by bus id) or
     /// left to the first sweep's flat start, and one residual slot per
     /// iteration of `max_iter` — charged to setup. Its sweeps span `grid`
-    /// blocks ([`sweep_grid`]).
+    /// blocks, cut as [`SweepPlan::new`] prices cheapest ([`sweep_plan`]).
     pub(crate) fn open(
         dev: &'a mut Device,
         a: &'a SolverArrays,
@@ -1695,13 +1843,15 @@ impl<'d, 'a> Chunk<'d, 'a> {
         if let Some(w) = v_init {
             assert_eq!(w.len(), a.len(), "warm start needs one voltage per bus");
         }
-        let sweep_us = sweep_bound_us(dev.props(), &crate::gpu::level_shape(a), grid)
-            - dev.props().launch_overhead_us;
+        let shape = crate::gpu::level_shape(a);
+        let spread = SweepPlan::new(dev.props(), &a.levels, &shape, grid);
+        let sweep_us =
+            sweep_bound_us(dev.props(), &shape, &spread) - dev.props().launch_overhead_us;
         let loads = Loads::Scaled(&UNIT_SCALE);
         let mut t = Timing::default();
         let (slots, held) = (max_iter as usize, (&mut None, &mut None));
         let res =
-            Resident::build(dev, a, held, &loads, None, 0..1, v_init, &[], slots, grid, &mut t)?;
+            Resident::build(dev, a, held, &loads, None, 0..1, v_init, &[], slots, spread, &mut t)?;
         let clock = SessionClock::resume(&t, 0.0, obs);
         Ok(Chunk::new(dev, res, loads, v_init, Output::Solve { sweep_us }, clock))
     }
@@ -2103,7 +2253,8 @@ impl<'s> TensorOuterSession<'s> {
                     let (nb, deltas) = (m.loads.len(), Loads::Deltas(&m.loads));
                     let (warm, probes) = (m.warm.as_deref(), &m.probes);
                     let held = (&mut None, &mut None);
-                    Resident::build(dev, m.a, held, &deltas, None, 0..nb, warm, probes, 1, 1, t)
+                    let one = SweepPlan::ONE_BLOCK;
+                    Resident::build(dev, m.a, held, &deltas, None, 0..nb, warm, probes, 1, one, t)
                         .map_err(|e| setup_abort(e, rep, budget))?
                 }
             };
@@ -2391,17 +2542,17 @@ impl Kernel for WarmInitKernel<'_> {
 /// block per [`SCENARIOS_PER_BLOCK`] scenarios (`blockIdx.y`).
 ///
 /// Fusing the two sweeps lets each thread keep the branch current and the
-/// previous-iteration voltage of every node it owns in per-thread locals
-/// between the halves — the sweep assignment is the same strided
-/// `(level, tid + m·bdim)` pattern in both directions, so the forward
-/// half re-reads neither slab from global memory. The locals model
-/// registers (with spill to L1 local memory): `⌈n/bdim⌉ · 32 B` per
-/// thread per resident scenario, ≈ 0.5 KB each on a 4K-node tree at 256
-/// threads. Topology words (impedance, parent, child range, base load)
-/// are read once per node and applied to every resident scenario. The
-/// per-scenario ∞-norm residual accumulates in per-thread locals and
-/// tree-folds through shared memory at the end, so it costs one `f64` of
-/// global traffic per scenario.
+/// voltage of every node it owns in per-thread locals between the halves
+/// — a thread owns the same nodes in both directions, so the forward half
+/// re-reads neither slab from global memory, and its fresh voltage stays
+/// in the slot for the next sweep of the launch, whose backward half
+/// reads no voltage either. The locals model registers (with spill to L1
+/// local memory): `⌈n/bdim⌉ · 32 B` per thread per resident scenario,
+/// ≈ 0.5 KB each on a 4K-node tree at 256 threads. Topology words
+/// (impedance, parent, child range, base load) are read once per node and
+/// applied to every resident scenario. The per-scenario ∞-norm residual
+/// accumulates in per-thread locals and tree-folds through shared memory
+/// at the end, so it costs one `f64` of global traffic per scenario.
 ///
 /// A launch over one scenario loops: up to `sweeps` iterations, sweep
 /// `i` publishing its residual at slot `i`, continuing only while
@@ -2411,17 +2562,19 @@ impl Kernel for WarmInitKernel<'_> {
 /// so no fill launch precedes the solve.
 ///
 /// One scenario may span a cooperative grid of `grid` blocks (a single
-/// solve's grid route; a batch keeps one block per scenario group). Each
-/// level's nodes are then strided over all `grid · bdim` threads, node
-/// `k` going to global thread `k mod (grid · bdim)`, so a thread owns the
-/// same nodes in both directions; a grid barrier separates two
-/// consecutive levels where either spans more than block 0
-/// ([`grid_barrier`]; block 0's own barriers order the rest), each block
-/// folds its residual partials to one word of `partials`, block 0 folds
-/// those and publishes the residual, and after a last barrier every block
-/// reads it back, so the decision to run another sweep is the same in
-/// every block. On one block the block's own barriers order the levels
-/// and no grid barrier is issued.
+/// solve's grid route; a batch keeps one block per scenario group), which
+/// own the nodes as a [`SweepPlan`] says: each block builds its table of
+/// shares, `(begin, step, end)` per level, once per launch — levels above
+/// `cut` strided over all `grid · bdim` threads, the cut level split at
+/// `splits`, and the ranges below walked down `child_offsets`. A grid
+/// barrier separates two consecutive levels where [`grid_barrier`] says
+/// so (block barriers order the rest). Each block folds its residual
+/// partials to a word of `partials` (a half per sweep parity, so one
+/// sweep's words never race the last sweep's reads); after one grid
+/// barrier every block folds all the words itself, so the decision to run
+/// another sweep is the same in every block, and block 0 publishes the
+/// residual. On one block the block's own barriers order the levels and
+/// no grid barrier is issued.
 struct SweepKernel<'a> {
     loads: LoadsRef<'a>,
     v: GlobalMut<'a, Complex>,
@@ -2454,7 +2607,13 @@ struct SweepKernel<'a> {
     /// Blocks along x that share each scenario group: more than 1 only in
     /// a cooperative launch over one scenario.
     grid: usize,
-    /// A grid's per-block residual partials, one word per block.
+    /// The level split into the blocks' subtree ranges (`usize::MAX` for
+    /// none).
+    cut: usize,
+    /// The cut level's `grid + 1` split points, a launch argument.
+    splits: &'a [u32],
+    /// A grid's per-block residual partials: two halves of one word per
+    /// block, used by alternate sweeps.
     partials: Option<GlobalMut<'a, f64>>,
     /// A grid's per-block local slots, taken by each block for the launch
     /// and handed back at its end (empty on one block, which allocates
@@ -2469,27 +2628,52 @@ struct SweepKernel<'a> {
     drop_barrier_after: Option<usize>,
 }
 
-/// Nodes of a `w`-wide level that block `bx` of a `grid`-block sweep
-/// owns: node `k` goes to global thread `k mod (grid · 256)`.
-fn owned(w: usize, bx: usize, grid: usize) -> usize {
-    let bdim = TENSOR_BLOCK as usize;
-    let (first, stride) = (bx * bdim, grid * bdim);
-    let rest = w.saturating_sub(first);
-    rest / stride * bdim + (rest % stride).min(bdim)
+/// A block's share of one level of a sweep: thread `t` owns the buses at
+/// positions `begin + t + m·step` below `end`, at slot `m·256 + t` of the
+/// level's slots.
+#[derive(Clone, Copy)]
+struct Share {
+    begin: usize,
+    step: usize,
+    end: usize,
 }
 
-/// Whether a multi-block sweep needs a grid barrier between level `l`
-/// and its parent level `l − 1` (`width` gives each level's bus count).
-/// Node `k` of a level goes to block `(k / 256) mod grid`, so a level of
-/// at most 256 buses lies wholly in block 0: between two such levels
-/// block 0's own block barrier orders the phases, and the other blocks,
-/// which have no part in either, wait at the next grid barrier. The rule
-/// reads only the level widths, so every block reaches the same grid
-/// barriers. [`SweepKernel`] issues exactly these, and
-/// [`sweep_bound_us`] charges them.
-fn grid_barrier(width: impl Fn(usize) -> usize, l: usize) -> bool {
+impl Share {
+    /// Level `l` strided over a `grid`-block sweep: bus `k` of the level
+    /// goes to block `(k / 256) mod grid`.
+    fn strided(level_offsets: &[u32], l: usize, bx: usize, grid: usize) -> Self {
+        let bdim = TENSOR_BLOCK as usize;
+        let (lo, end) = (level_offsets[l] as usize, level_offsets[l + 1] as usize);
+        Share { begin: lo + bx * bdim, step: grid * bdim, end }
+    }
+
+    /// The buses `begin..end`, all the block's.
+    fn whole(begin: usize, end: usize) -> Self {
+        Share { begin, step: TENSOR_BLOCK as usize, end }
+    }
+
+    /// Buses the block owns.
+    fn len(&self) -> usize {
+        let bdim = TENSOR_BLOCK as usize;
+        let rest = self.end.saturating_sub(self.begin);
+        rest / self.step * bdim + (rest % self.step).min(bdim)
+    }
+}
+
+/// Whether a multi-block sweep cut at level `cut` needs a grid barrier
+/// between level `l` and its parent level `l − 1` (`width` gives each
+/// level's bus count). At the cut it does: the blocks' subtrees meet
+/// their parents there. Below it a block's own barrier orders its
+/// subtrees. Above it bus `k` of a level goes to block `(k / 256) mod
+/// grid`, so a level of at most 256 buses lies wholly in block 0: between
+/// two such levels block 0's own block barrier orders the phases, and the
+/// other blocks, which have no part in either, wait at the next grid
+/// barrier. The rule reads only the plan and the level widths, so every
+/// block reaches the same grid barriers. [`SweepKernel`] issues exactly
+/// these, and [`sweep_bound_us`] charges them.
+fn grid_barrier(width: impl Fn(usize) -> usize, cut: usize, l: usize) -> bool {
     let bdim = TENSOR_BLOCK as usize;
-    width(l - 1) > bdim || width(l) > bdim
+    l == cut || (l < cut && (width(l - 1) > bdim || width(l) > bdim))
 }
 
 impl SweepKernel<'_> {
@@ -2504,7 +2688,7 @@ impl SweepKernel<'_> {
     /// [`grid_barrier`] says so, and otherwise only the block barrier that
     /// ends every phase.
     async fn level_barrier(&self, blk: &mut BlockScope, l: usize, forward: bool) {
-        if self.grid == 1 || !grid_barrier(|l| self.width(l), l) {
+        if self.grid == 1 || !grid_barrier(|l| self.width(l), self.cut, l) {
             return;
         }
         #[cfg(test)]
@@ -2535,36 +2719,53 @@ impl CoopKernel for SweepKernel<'_> {
         let group = blk.block_idx_y() * SCENARIOS_PER_BLOCK;
         let group_end = (group + SCENARIOS_PER_BLOCK).min(self.nb);
         let bdim = blk.block_dim();
-        let (bx, stride) = (blk.block_idx_x(), self.grid * bdim);
+        let bx = blk.block_idx_x();
+        let nl = self.level_offsets.len() - 1;
+        debug_assert_eq!(bdim, TENSOR_BLOCK as usize);
 
         // Active resident scenarios with their load scales and patch
         // words; frozen scenarios cost one 4-byte mask read each and
-        // drop out.
+        // drop out. Below a cut, threads 1 and 2 walk the edges of the
+        // block's range from the cut level to the leaves, one
+        // `child_offsets` load per level each.
         let mut members: Vec<Member> = Vec::new();
-        blk.threads(|t| {
-            if t.tid() == 0 {
+        let mut edges = vec![[0usize; 2]; nl.saturating_sub(self.cut)];
+        blk.threads(|t| match t.tid() {
+            0 => {
                 for s_idx in group..group_end {
                     if t.ld(&self.mask, s_idx) != 0 {
                         members.push(Member::read(t, &self.loads, &self.patch, s_idx));
                     }
                 }
             }
+            side @ (1 | 2) if !edges.is_empty() => {
+                let mut p = self.splits[bx + side - 1] as usize;
+                edges[0][side - 1] = p;
+                for edge in &mut edges[1..] {
+                    p = t.ld(&self.child_offsets, p) as usize;
+                    edge[side - 1] = p;
+                }
+            }
+            _ => {}
         });
         if members.is_empty() {
             return;
         }
         let nm = members.len();
 
-        // Per-thread local slots, as many as the block owns nodes: thread
-        // `t` owns node `off + bx·bdim + t + m·stride` of level `l` at slot
-        // `slot_base[l] + m·bdim + t`, one bank of slots per resident
-        // scenario.
-        let nl = self.level_offsets.len() - 1;
-        debug_assert_eq!(bdim, TENSOR_BLOCK as usize);
-        let owns: Vec<bool> = (0..nl).map(|l| owned(self.width(l), bx, self.grid) > 0).collect();
+        // The block's share of each level, and per-thread local slots, as
+        // many as the block owns nodes: thread `t` owns node `begin + t +
+        // m·step` of level `l` at slot `slot_base[l] + m·bdim + t`, one
+        // bank of slots per resident scenario.
+        let table: Vec<Share> = (0..nl)
+            .map(|l| match l.checked_sub(self.cut) {
+                None => Share::strided(self.level_offsets, l, bx, self.grid),
+                Some(i) => Share::whole(edges[i][0], edges[i][1]),
+            })
+            .collect();
         let mut slot_base = vec![0usize; nl + 1];
-        for l in 0..nl {
-            slot_base[l + 1] = slot_base[l] + owned(self.width(l), bx, self.grid);
+        for (l, share) in table.iter().enumerate() {
+            slot_base[l + 1] = slot_base[l] + share.len();
         }
         let bank = slot_base[nl];
         let held = self.block_locals.get(bx);
@@ -2583,23 +2784,22 @@ impl CoopKernel for SweepKernel<'_> {
             // summed over their contiguous level-order range. Each current
             // is stored to global (the parent phase and the read-back take
             // it there) and kept in this thread's local slot for the forward
-            // half, along with the pre-update voltage.
+            // half, along with the pre-update voltage: read from global on
+            // a launch's first sweep, and from the slot, where the last
+            // forward half left it, on the rest.
             for l in (0..nl).rev() {
                 if l + 1 < nl {
                     // The level below wrote the children's currents.
                     self.level_barrier(blk, l + 1, false).await;
                 }
-                if !owns[l] {
+                let share = table[l];
+                if share.begin >= share.end {
                     continue;
                 }
-                let off = self.level_offsets[l] as usize;
-                let w = self.level_offsets[l + 1] as usize - off;
                 let sb = slot_base[l];
                 blk.threads(|t| {
-                    let mut k = bx * bdim + t.tid();
-                    let mut m = 0usize;
-                    while k < w {
-                        let p = off + k;
+                    let (mut p, mut slot) = (share.begin + t.tid(), sb + t.tid());
+                    while p < share.end {
                         // One topology read per node, shared by the members.
                         let base_sv = match &self.loads {
                             LoadsRef::Scaled { base: bs, .. } => Some(t.ld(bs, p)),
@@ -2614,7 +2814,6 @@ impl CoopKernel for SweepKernel<'_> {
                             Some(pr) => t.ld(&pr.dfs_pos, p),
                             None => 0,
                         };
-                        let slot = sb + m * bdim + t.tid();
                         for (qi, mb) in members.iter().enumerate() {
                             let g = mb.s_idx * self.n + p;
                             if dp >= mb.cut_lo && dp < mb.cut_hi {
@@ -2639,6 +2838,7 @@ impl CoopKernel for SweepKernel<'_> {
                                     v0
                                 }
                                 Some(v0) => v0,
+                                None if sweep > 0 => local_v[qi * bank + slot],
                                 None => t.ld_mut(&self.v, g),
                             };
                             let mut acc = if sv == Complex::ZERO {
@@ -2658,8 +2858,8 @@ impl CoopKernel for SweepKernel<'_> {
                             local_j[qi * bank + slot] = acc;
                             local_v[qi * bank + slot] = vv;
                         }
-                        k += stride;
-                        m += 1;
+                        p += share.step;
+                        slot += bdim;
                     }
                 });
             }
@@ -2667,33 +2867,32 @@ impl CoopKernel for SweepKernel<'_> {
             // Forward half, root→leaf: the ladder update reads the
             // parent's fresh voltage from global (written the previous
             // phase) but takes its own current and previous voltage from
-            // the local slots. Each member's residual partial accumulates
-            // per thread in the exact per-node order of the unfused sweep.
+            // the local slots, and leaves its fresh voltage in the slot as
+            // well as in global. Each member's residual partial
+            // accumulates per thread in the exact per-node order of the
+            // unfused sweep.
             let mut partial = vec![0.0f64; nm * bdim];
             let mut partial_min =
                 vec![f64::INFINITY; if self.min_v.is_some() { nm * bdim } else { 0 }];
-            for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
+            for l in 1..nl {
                 // The level before wrote the parents' voltages (the root's
                 // flat start, on the first).
                 self.level_barrier(blk, l, true).await;
-                if !owns[l] {
+                let share = table[l];
+                if share.begin >= share.end {
                     continue;
                 }
-                let off = self.level_offsets[l] as usize;
-                let w = self.level_offsets[l + 1] as usize - off;
+                let sb = slot_base[l];
                 blk.threads(|t| {
                     let tid = t.tid();
-                    let mut k = bx * bdim + tid;
-                    let mut m = 0usize;
-                    while k < w {
-                        let p = off + k;
+                    let (mut p, mut slot) = (share.begin + tid, sb + tid);
+                    while p < share.end {
                         let parent = t.ld(&self.parent_pos, p) as usize;
                         let zv = t.ld(&self.z, p);
                         let dp = match &self.patch {
                             Some(pr) => t.ld(&pr.dfs_pos, p),
                             None => 0,
                         };
-                        let slot = sb + m * bdim + tid;
                         for (qi, mb) in members.iter().enumerate() {
                             if dp >= mb.cut_lo && dp < mb.cut_hi {
                                 continue; // de-energized: frozen, not folded
@@ -2708,6 +2907,7 @@ impl CoopKernel for SweepKernel<'_> {
                             t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
                             let d = (nv - old).abs();
                             t.st(&self.v, g, nv);
+                            local_v[qi * bank + slot] = nv;
                             t.flops(MaxAbsF64::FLOPS);
                             partial[qi * bdim + tid] =
                                 MaxAbsF64::combine(partial[qi * bdim + tid], d);
@@ -2717,8 +2917,8 @@ impl CoopKernel for SweepKernel<'_> {
                                 *slot_min = slot_min.min(nv.abs());
                             }
                         }
-                        k += stride;
-                        m += 1;
+                        p += share.step;
+                        slot += bdim;
                     }
                 });
             }
@@ -2731,30 +2931,34 @@ impl CoopKernel for SweepKernel<'_> {
                 let slots = qi * bdim..(qi + 1) * bdim;
                 let at = sweep * self.nb + mb.s_idx;
                 residual = match &self.partials {
-                    None => tree_fold(blk, &sh, &partial[slots.clone()], max, flops, &self.residuals, at),
+                    None => {
+                        let publish = Some((&self.residuals, at));
+                        tree_fold(blk, &sh, &partial[slots.clone()], max, flops, publish)
+                    }
                     Some(words) => {
-                        // Across the grid: block partials, block 0's fold,
-                        // and every block's read of what it published.
-                        tree_fold(blk, &sh, &partial[slots.clone()], max, flops, words, bx);
+                        // Across the grid: block partials in this sweep's
+                        // half of the words, then, past one grid barrier,
+                        // every block's fold of them all (an exact max, so
+                        // the same in every block), which block 0
+                        // publishes.
+                        let half = sweep % 2 * self.grid;
+                        let word = Some((words, half + bx));
+                        tree_fold(blk, &sh, &partial[slots.clone()], max, flops, word);
                         blk.grid_sync().await;
-                        if bx == 0 {
-                            let mut part = vec![0.0f64; bdim];
-                            blk.threads(|t| {
-                                for b in (t.tid()..self.grid).step_by(bdim) {
-                                    t.flops(flops);
-                                    part[t.tid()] = max(part[t.tid()], t.ld_mut(words, b));
-                                }
-                            });
-                            tree_fold(blk, &sh, &part, max, flops, &self.residuals, at);
-                        }
-                        blk.grid_sync().await;
-                        let mut published = f64::NAN;
-                        blk.threads(|t| published = t.ld_mut(&self.residuals, at));
-                        published
+                        let mut part = vec![0.0f64; bdim];
+                        blk.threads(|t| {
+                            for b in (t.tid()..self.grid).step_by(bdim) {
+                                t.flops(flops);
+                                part[t.tid()] = max(part[t.tid()], t.ld_mut(words, half + b));
+                            }
+                        });
+                        let publish = (bx == 0).then_some((&self.residuals, at));
+                        tree_fold(blk, &sh, &part, max, flops, publish)
                     }
                 };
                 if let Some(min_buf) = &self.min_v {
-                    tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, min_buf, mb.s_idx);
+                    let publish = Some((min_buf, mb.s_idx));
+                    tree_fold(blk, &sh, &partial_min[slots], f64::min, 1, publish);
                 }
             }
             if !go_on.step(residual) {
@@ -2768,17 +2972,16 @@ impl CoopKernel for SweepKernel<'_> {
 }
 
 /// Folds one value per thread through shared memory with `combine`
-/// (`flops` per step) and has thread 0 store the result at `dst[idx]`.
-/// Every thread reads the result back from shared memory, so the block
-/// can branch on it uniformly; it is returned.
+/// (`flops` per step) and has thread 0 store the result at `dst`'s index,
+/// if given. Every thread reads the result back from shared memory, so
+/// the block can branch on it uniformly; it is returned.
 fn tree_fold(
     blk: &mut BlockScope,
     sh: &Shared<f64>,
     partial: &[f64],
     combine: fn(f64, f64) -> f64,
     flops: u64,
-    dst: &GlobalMut<'_, f64>,
-    idx: usize,
+    dst: Option<(&GlobalMut<'_, f64>, usize)>,
 ) -> f64 {
     blk.threads(|t| {
         t.sts(sh, t.tid(), partial[t.tid()]);
@@ -2799,8 +3002,8 @@ fn tree_fold(
     let mut out = 0.0;
     blk.threads(|t| {
         out = t.lds(sh, 0);
-        if t.tid() == 0 {
-            t.st(dst, idx, out);
+        if let (0, Some((buf, idx))) = (t.tid(), dst) {
+            t.st(buf, idx, out);
         }
     });
     out
@@ -3747,46 +3950,54 @@ mod tests {
     }
 
     /// A lone scenario's sweep over a cooperative grid runs race-free
-    /// under the race checker, with grid barriers only beside the levels
-    /// that span more than block 0; leaving out one of those between two
-    /// backward levels (or two forward ones) lets a block read a current
-    /// (or a parent voltage) another block writes in the same grid phase,
-    /// and the checker reports the race.
+    /// under the race checker, with grid barriers only at the cut and
+    /// beside the levels above it that span more than block 0; leaving
+    /// out either barrier at the cut lets a block read a current (or a
+    /// parent voltage) another block writes in the same grid phase, and
+    /// the checker reports the race. A launch of several sweeps over a
+    /// chain, whose only grid barrier is the residual's, is race-free
+    /// too: each sweep folds into its own half of the partial words, so
+    /// no block overwrites a word another still reads.
     #[cfg(feature = "racecheck")]
     #[test]
     fn racecheck_reports_a_grid_sweep_missing_a_level_barrier() {
-        let net = balanced_binary(2047, &GenSpec::default(), &mut StdRng::seed_from_u64(9));
-        let a = SolverArrays::new(&net);
-        let nl = a.levels.level_offsets.len() - 1;
-        let run = |drop: Option<usize>| {
+        let spec = GenSpec::default();
+        let run = |a: &SolverArrays, drop: Option<usize>, sweeps: usize| {
             let mut dev = device();
-            let mut chunk = Chunk::open(&mut dev, &a, None, 4, 3, Obs::default()).unwrap();
-            let cfg = chunk.res.launch_config();
-            let mut kernel = chunk.res.kernel(2, SureContinue::NEVER);
+            let mut chunk = Chunk::open(&mut dev, a, None, 8, 3, Obs::default()).unwrap();
+            let launch = chunk.res.launch_config();
+            let cfg = SolverConfig::default();
+            let go_on = ConvergenceMonitor::new(&cfg, a.source.abs()).sure_continue();
+            let mut kernel = chunk.res.kernel(sweeps, go_on);
             kernel.drop_barrier_after = drop;
             let dev = &mut *chunk.dev;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dev.try_launch_cooperative(cfg, &kernel)
-            }))
+            let launched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.try_launch_cooperative(launch, &kernel)
+            }));
+            let syncs = match dev.timeline().events().last().map(|e| &e.kind) {
+                Some(EventKind::Kernel { stats, .. }) => stats.grid_syncs,
+                _ => 0,
+            };
+            launched.map(|done| done.map(|()| syncs))
         };
-        assert!(matches!(run(None), Ok(Ok(()))), "the full sweep is race-free");
-        // The deepest level holds 1 024 buses over the 768 threads, its
-        // parents 512 and theirs 256: a parent of block 1 sums children
-        // block 0 writes in backward level `nl − 1`, and a bus of block 2
-        // reads a parent voltage block 1 writes in forward level `nl − 2`
-        // (a read after the write it races; the blocks of a grid phase run
-        // in index order). Level `nl − 3` holds 256 buses, all in block 0,
-        // so the barriers between it and level `nl − 2` are the first grid
-        // barriers from the root: past backward level `nl − 2`, block 0
-        // sums currents block 1 writes later in the same grid phase (a
-        // write after the read it races), and past forward level `nl − 3`,
-        // a bus of block 1 reads a parent voltage block 0 writes. Only a
-        // grid barrier can be left out, so each of these is one.
-        for drop in [nl - 1, nl - 2, 2 * nl - 2, 2 * nl - 3] {
-            let payload = run(Some(drop)).expect_err("a dropped barrier races");
+        let a = SolverArrays::new(&balanced_binary(2047, &spec, &mut StdRng::seed_from_u64(9)));
+        let shape = crate::gpu::level_shape(&a);
+        let plan = SweepPlan::new(&DeviceProps::paper_rig(), &a.levels, &shape, 3);
+        let (nl, cut) = (shape.len(), plan.cut);
+        assert!(cut < nl, "the 2 047-bus tree is cut over 3 blocks");
+        assert!(matches!(run(&a, None, 1), Ok(Ok(_))), "the full sweep is race-free");
+        // Backward level `cut − 1` sums currents of every block's
+        // subtrees, and forward level `cut` reads parent voltages of
+        // level `cut − 1`: past either cut barrier, a block reads a cell
+        // another block writes in the same grid phase.
+        for drop in [cut, nl + cut - 1] {
+            let payload = run(&a, Some(drop), 1).expect_err("a dropped barrier races");
             let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("race") && msg.contains("block"), "barrier {drop}: {msg}");
         }
+        let a = SolverArrays::new(&chain(300, &spec, &mut StdRng::seed_from_u64(9)));
+        let syncs = run(&a, None, 4).expect("the sweeps are race-free").expect("the launch runs");
+        assert!(syncs >= 3, "{syncs} sweeps, one grid barrier each");
     }
 
     /// A plain batch whose chunk would not fit on the device runs in
@@ -4070,19 +4281,21 @@ mod tests {
     }
 
     /// The grid barriers a sweep issues are the ones its price charges: on
-    /// trees whose levels span blocks at the leaves (binary, 5-ary, broom),
-    /// below the root (star), above a narrow tail (kite) or nowhere
-    /// (chain), over 2, 3, 7 and 160 blocks, a clean cold solve's one
-    /// launch synchronises the grid [`sweep_grid_syncs`] times per sweep.
-    /// Under the race checker the kite's tail also shows that a narrow
-    /// level needs a grid barrier below a wide one: its head's parent
-    /// sits in block 2.
+    /// trees whose levels span blocks at the leaves (binary, 5-ary, broom,
+    /// a 32-ary tree whose last level is partial, a random tree), below
+    /// the root (star), above a narrow tail (kite) or nowhere (chain), over
+    /// 2, 3, 7 and 160 blocks, a clean cold solve's one launch
+    /// synchronises the grid [`sweep_grid_syncs`] times per sweep under
+    /// the plan [`SweepPlan::new`] chose, and that plan never prices above
+    /// the uncut one. Under the race checker the kite's tail also shows
+    /// that a narrow level needs a grid barrier below a wide one: its
+    /// head's parent sits in block 2.
     #[test]
     fn a_grid_sweep_issues_the_grid_barriers_its_price_charges() {
         use powergrid::gen::{balanced_kary, broom, from_parent_fn};
         let spec = GenSpec::default();
         let rng = |seed| StdRng::seed_from_u64(seed);
-        let cfg = SolverConfig::default();
+        let (cfg, props) = (SolverConfig::default(), DeviceProps::paper_rig());
         let trees = [
             ("binary 1500", balanced_binary(1500, &spec, &mut rng(1))),
             ("5-ary 2000", balanced_kary(2000, 5, &spec, &mut rng(2))),
@@ -4095,11 +4308,18 @@ mod tests {
                 1..=700 => Some(0),
                 _ => Some(i - 1),
             })),
+            ("32-ary 3000", balanced_kary(3000, 32, &spec, &mut rng(7))),
+            ("random 2500", random_tree(2500, 8, &spec, &mut rng(8))),
         ];
+        let mut cuts = 0;
         for (name, net) in &trees {
             let a = SolverArrays::new(net);
             let shape = crate::gpu::level_shape(&a);
             for grid in [2, 3, 7, 160] {
+                let plan = SweepPlan::new(&props, &a.levels, &shape, grid);
+                let uncut = sweep_bound_us(&props, &shape, &SweepPlan::uncut(grid));
+                assert!(sweep_bound_us(&props, &shape, &plan) <= uncut, "{name}, grid {grid}");
+                cuts += usize::from(plan.cut < shape.len());
                 let (mut dev, obs) = (device(), Obs::default());
                 let opened = Chunk::open(&mut dev, &a, None, cfg.max_iter, grid, obs.clone());
                 let r = crate::recovery::run_plain(opened, std::time::Instant::now(), &cfg, &obs);
@@ -4110,10 +4330,36 @@ mod tests {
                         _ => None,
                     })
                     .collect();
-                let per_sweep = sweep_grid_syncs(&shape, grid) as u64;
+                let per_sweep = sweep_grid_syncs(&shape, &plan) as u64;
                 assert_eq!(syncs, [u64::from(r.iterations) * per_sweep], "{name}, grid {grid}");
             }
         }
+        assert!(cuts > 0, "some plan cuts");
+    }
+
+    /// On the 262 143-bus binary tree the grid sweep cuts just below the
+    /// last level no wider than 256, so it issues 3 grid barriers per
+    /// sweep (the cut's two and the residual's), and its price charges
+    /// the same: a one-sweep launch synchronises the grid 3 times.
+    #[test]
+    fn the_binary_262k_grid_sweep_synchronises_three_times_per_sweep() {
+        let net = balanced_binary(262_143, &GenSpec::default(), &mut StdRng::seed_from_u64(42));
+        let a = SolverArrays::new(&net);
+        let (props, shape) = (DeviceProps::paper_rig(), crate::gpu::level_shape(&a));
+        let plan = sweep_plan(&props, &a.levels, &shape);
+        assert_eq!((plan.grid, sweep_grid_syncs(&shape, &plan)), (160, 3));
+        let (mut dev, obs) = (device(), Obs::default());
+        let cfg = SolverConfig { max_iter: 1, ..SolverConfig::default() };
+        let opened = Chunk::open(&mut dev, &a, None, 1, plan.grid, obs.clone());
+        let r = crate::recovery::run_plain(opened, std::time::Instant::now(), &cfg, &obs);
+        assert_eq!(r.iterations, 1);
+        let syncs: Vec<u64> = (dev.timeline().events().iter())
+            .filter_map(|e| match &e.kind {
+                EventKind::Kernel { stats, .. } => Some(stats.grid_syncs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(syncs, [3]);
     }
 
     /// With a deadline set, each launch runs only as many sweeps as fit in
@@ -4125,7 +4371,7 @@ mod tests {
         let net = chain(400, &GenSpec::default(), &mut StdRng::seed_from_u64(5));
         let a = SolverArrays::new(&net);
         let props = DeviceProps::paper_rig();
-        let bound = sweep_bound_us(&props, &crate::gpu::level_shape(&a), 1);
+        let bound = sweep_bound_us(&props, &crate::gpu::level_shape(&a), &SweepPlan::ONE_BLOCK);
         let read = simt::timing::transfer_time(&props, 8);
         let free = crate::GpuSolver::new(device()).solve_arrays(&a, &SolverConfig::default());
         assert!(free.iterations > 4, "the chain needs a few iterations");
